@@ -111,9 +111,13 @@ func main() {
 }
 
 // dumpTracePlans decodes one encoded sample through a fresh VM so the
-// hot paths profile, form superblocks and promote, then prints every
-// trace plan: the fused micro-op sequence with per-op fuel costs, the
-// guard exit slots, and which tier-2 backend the trace compiled to.
+// hot paths profile, form superblocks and promote, folds the result into
+// the decoder's snapshot as a pool does on release, rewinds the VM onto
+// it, and prints every trace plan the rewound VM holds — what every
+// later stream of the decoder starts with: the fused micro-op sequence
+// with per-op fuel costs, the guard exit slots, which tier-2 backend the
+// trace compiled to, and whether the code came with the snapshot
+// (origin=snapshot) or had to be compiled for this VM (origin=vm).
 func dumpTracePlans(name string, elf []byte) error {
 	c, ok := codec.ByName(name)
 	if !ok {
@@ -137,18 +141,30 @@ func dumpTracePlans(name string, elf []byte) error {
 	if err != nil {
 		return err
 	}
+	snap := v.Snapshot()
 	var out, diag bytes.Buffer
 	if _, err := v.RunStream(context.Background(), bytes.NewReader(enc.Bytes()),
 		&out, &diag, vm.StreamFuel(enc.Len())); err != nil {
 		return fmt.Errorf("sample decode: %w", err)
 	}
-	plans := v.TracePlans()
 	st := v.Stats()
-	fmt.Printf("%s: %d superblocks, %d tier-2 traces compiled, %d demotions\n",
-		name, len(plans), st.Tier2Compiled, st.Tier2Demotions)
+	snap.AbsorbBlocks(v)
+	if err := v.Reset(snap); err != nil {
+		return err
+	}
+	plans := v.TracePlans()
+	fmt.Printf("%s: %d superblocks, %d tier-2 traces compiled, %d demotions; snapshot carries %d superblocks, %d traces\n",
+		name, len(plans), st.Tier2Compiled, st.Tier2Demotions, snap.SBCount(), snap.T2Count())
 	for _, p := range plans {
-		fmt.Printf("\ntrace %08x: backend=%s cost=%d uops=%d guards=%d rets=%d\n",
-			p.Entry, p.Backend, p.Cost, p.NUops, p.Guards, p.Rets)
+		origin := ""
+		switch {
+		case p.Shared:
+			origin = " origin=snapshot"
+		case p.Backend == "native" || p.Backend == "closure":
+			origin = " origin=vm"
+		}
+		fmt.Printf("\ntrace %08x: backend=%s%s cost=%d uops=%d guards=%d rets=%d\n",
+			p.Entry, p.Backend, origin, p.Cost, p.NUops, p.Guards, p.Rets)
 		for _, u := range p.Uops {
 			slot := ""
 			switch {

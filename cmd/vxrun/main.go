@@ -159,8 +159,8 @@ func main() {
 				t2share = 100 * float64(st.Tier2Steps) / float64(st.Steps)
 			}
 			fmt.Fprintf(os.Stderr,
-				"vxrun: tier2: %d traces compiled, %d trace runs, %d demotions, %.1f%% of steps\n",
-				st.Tier2Compiled, st.Tier2Executed, st.Tier2Demotions, t2share)
+				"vxrun: tier2: %d traces compiled, %d installed from the snapshot, %d trace runs, %d demotions, %.1f%% of steps\n",
+				st.Tier2Compiled, st.Tier2Shared, st.Tier2Executed, st.Tier2Demotions, t2share)
 		}
 		return
 	}
@@ -203,6 +203,9 @@ func main() {
 		st := pool.Stats()
 		fmt.Fprintf(os.Stderr, "vxrun: %d files, %d workers; pool: %d snapshot, %d built, %d resumed\n",
 			len(args), workers, st.Snapshots, st.Builds, st.Resumes)
+		eng := pool.VMStats()
+		fmt.Fprintf(os.Stderr, "vxrun: tier2: %d traces compiled, %d installed from the snapshot, %d demotions\n",
+			eng.Tier2Compiled, eng.Tier2Shared, eng.Tier2Demotions)
 	}
 	if worst != exitOK {
 		os.Exit(worst)

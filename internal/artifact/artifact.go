@@ -24,10 +24,13 @@
 //
 // Sharing. On Linux the payload is mmap'd read-only and shared, so N
 // vxad processes serving the same decoder keep one page-cache copy of
-// the pristine image between them. Mappings are retained for the life
-// of the process: because saves always rename a fresh inode over the
-// old name, a mapped file is immutable, and snapshots hold aliases into
-// it indefinitely.
+// the pristine image between them. Because saves always rename a fresh
+// inode over the old name, a mapped file is immutable. A mapping lives
+// exactly as long as the snapshot that aliases into it: when the
+// snapshot is collected (its cache line evicted, its VMs gone — a VM
+// copies its image and does not hold the snapshot), the mapping goes
+// with it, so a shard that evicts and reloads holds what is resident
+// and no more.
 package artifact
 
 import (
@@ -37,7 +40,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sync"
+	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -78,6 +81,12 @@ type Stats struct {
 	BytesSaved  int64 `json:"bytes_saved"`
 	LoadNanos   int64 `json:"load_nanos"`
 
+	// MappedBytes is the artifact bytes live snapshots alias right now:
+	// up on every load, down when a loaded snapshot is collected and its
+	// mapping released. It follows the resident decoder set, not the
+	// number of loads.
+	MappedBytes int64 `json:"mapped_bytes"`
+
 	// ELF-hash index traffic (see index.go). An IndexHits probe saved
 	// the caller a decoder compile; an IndexMisses probe cost nothing
 	// but the failed read.
@@ -94,15 +103,8 @@ type Store struct {
 	saves, saveErrors       atomic.Int64
 	bytesLoaded, bytesSaved atomic.Int64
 	loadNanos               atomic.Int64
+	mappedBytes             atomic.Int64
 	indexHits, indexMisses  atomic.Int64
-
-	// maps pins every payload ever handed to vm.Deserialize: returned
-	// snapshots alias into these buffers (that is what makes the memory
-	// image shareable), so they must stay alive and mapped for the
-	// process lifetime. Bounded by the number of distinct artifacts
-	// loaded, i.e. the decoder working set.
-	mu   sync.Mutex
-	maps [][]byte
 }
 
 // Open creates (if needed) and returns the store rooted at dir.
@@ -157,11 +159,14 @@ func (s *Store) Load(hash [32]byte, cfg vm.Config) (*vm.Snapshot, error) {
 		s.fallbacks.Add(1)
 		return nil, err
 	}
-	// The snapshot aliases data (memory image and, transitively,
-	// nothing else — blocks are rebuilt on the heap); pin the buffer.
-	s.mu.Lock()
-	s.maps = append(s.maps, data)
-	s.mu.Unlock()
+	// The snapshot aliases data (the memory image and nothing else:
+	// blocks are rebuilt on the heap, and every VM copies the image), so
+	// the mapping is released when the snapshot is.
+	s.mappedBytes.Add(int64(len(data)))
+	runtime.SetFinalizer(snap, func(*vm.Snapshot) {
+		unmapFile(data)
+		s.mappedBytes.Add(-int64(len(data)))
+	})
 	s.hits.Add(1)
 	s.bytesLoaded.Add(int64(len(data)))
 	s.loadNanos.Add(time.Since(start).Nanoseconds())
@@ -281,6 +286,7 @@ func (s *Store) Stats() Stats {
 		BytesLoaded: s.bytesLoaded.Load(),
 		BytesSaved:  s.bytesSaved.Load(),
 		LoadNanos:   s.loadNanos.Load(),
+		MappedBytes: s.mappedBytes.Load(),
 		IndexHits:   s.indexHits.Load(),
 		IndexMisses: s.indexMisses.Load(),
 	}

@@ -34,8 +34,10 @@ func mapFile(path string) ([]byte, error) {
 	return data, nil
 }
 
-// unmapFile releases a mapping that failed verification. Buffers that
-// made it into a snapshot are pinned forever and never reach here.
+// unmapFile releases what mapFile returned, once nothing aliases it: a
+// file that failed verification, or one whose snapshot was collected.
+// For a buffer mapFile had to read instead of map, Munmap refuses and
+// the collector frees it.
 func unmapFile(data []byte) {
 	if len(data) > 0 {
 		syscall.Munmap(data)

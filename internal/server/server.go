@@ -768,14 +768,16 @@ func (s *Server) WritePrometheus(w io.Writer) error {
 	p.Gauge("vxad_snapcache_entries", "Resident snapshot cache entries.", nil, float64(cache.Entries))
 	p.Gauge("vxad_snapcache_bytes", "Resident snapshot cache bytes (live footprint).", nil, float64(cache.Bytes))
 	p.Gauge("vxad_snapcache_orphan_bytes", "Snapshot bytes pinned by evicted lines with in-flight leases.", nil, float64(cache.OrphanBytes))
+	p.Gauge("vxad_snapcache_traces", "Compiled tier-2 traces carried by resident snapshots.", nil, float64(cache.Traces))
 
 	engine := cache.VM
 	p.Counter("vxad_engine_steps_total", "Guest instructions retired across released streams.", nil, float64(engine.Steps))
 	p.Counter("vxad_engine_uops_total", "Micro-ops executed across released streams.", nil, float64(engine.UopsExecuted))
 	p.Counter("vxad_engine_superblocks_formed_total", "Hot-path superblocks assembled from edge profiles.", nil, float64(engine.SuperblocksFormed))
-	p.Counter("vxad_engine_tier2_compiled_total", "Superblock traces fused into tier-2 compiled programs.", nil, float64(engine.Tier2Compiled))
+	p.Counter("vxad_engine_tier2_compiled_total", "Superblock traces compiled to tier-2 code.", nil, float64(engine.Tier2Compiled))
+	p.Counter("vxad_engine_tier2_shared_total", "Compiled tier-2 traces installed from a snapshot at VM build or reset instead of compiled.", nil, float64(engine.Tier2Shared))
 	p.Counter("vxad_engine_tier2_executed_total", "Tier-2 trace iterations run (one full superblock pass each).", nil, float64(engine.Tier2Executed))
-	p.Counter("vxad_engine_tier2_demotions_total", "Compiled tier-2 traces dropped with their superblock.", nil, float64(engine.Tier2Demotions))
+	p.Counter("vxad_engine_tier2_demotions_total", "Compiled tier-2 traces a VM dropped with its stale superblock.", nil, float64(engine.Tier2Demotions))
 	p.Counter("vxad_engine_tier2_steps_total", "Guest instructions retired inside tier-2 traces.", nil, float64(engine.Tier2Steps))
 	p.Counter("vxad_engine_translate_seconds_total", "Wall time spent translating guest code.", nil, float64(engine.TranslateNS)/1e9)
 	p.Counter("vxad_engine_syscalls_total", "Guest syscalls serviced.", nil, float64(engine.Syscalls))
@@ -790,6 +792,7 @@ func (s *Server) WritePrometheus(w io.Writer) error {
 		p.Counter("vxad_artifact_bytes_loaded_total", "Artifact bytes loaded from the store.", nil, float64(st.BytesLoaded))
 		p.Counter("vxad_artifact_bytes_saved_total", "Artifact bytes written to the store.", nil, float64(st.BytesSaved))
 		p.Counter("vxad_artifact_load_seconds_total", "Wall time spent in successful artifact loads.", nil, float64(st.LoadNanos)/1e9)
+		p.Gauge("vxad_artifact_mapped_bytes", "Artifact bytes mapped under live snapshots.", nil, float64(st.MappedBytes))
 	}
 
 	health := cache.Health

@@ -354,9 +354,11 @@ func (c *decCursor) u64() uint64 {
 // returned snapshot's restore source points directly into data, so a
 // memory-mapped payload lets every process serving the same decoder
 // share one page-cache copy of the pristine image. The caller must keep
-// data alive and immutable for the lifetime of the snapshot (the
-// artifact store retains its mappings; heap payloads are pinned by the
-// alias itself).
+// data alive and immutable for the lifetime of the snapshot and no
+// longer (the artifact store unmaps a payload when the snapshot over it
+// is collected; heap payloads are pinned by the alias itself). Nothing
+// but the snapshot aliases data: blocks are rebuilt on the heap, and a
+// VM copies its image out.
 //
 // Decoding is defensive — truncation, bad magic, a foreign engine
 // version, or out-of-range structural fields all return an error — but
@@ -514,6 +516,12 @@ func decodeSB(c *decCursor, s *Snapshot, eips map[uint32]*x86.Inst) (uint32, *sb
 	}
 	if c.err != nil {
 		return 0, nil, c.err
+	}
+	// Tier-1 charges a superblock its recorded cost, a compiled trace the
+	// sum over its micro-ops; a file where the two differ would make the
+	// instruction count depend on the tier.
+	if sum := uop.Cost(b.uops); sum != b.cost {
+		return 0, nil, fmt.Errorf("vm: snapshot decode: superblock %#x records cost %d, its micro-ops sum to %d", addr, b.cost, sum)
 	}
 	guards, rets := sbNumberSlots(b.uops)
 	if _, ok := s.blocks[addr]; !ok {

@@ -134,3 +134,42 @@ func TestDeserializeRejects(t *testing.T) {
 	corrupt("uop kind out of range", func(d []byte) { d[uopOff] = 0xff })
 	corrupt("uop register out of range", func(d []byte) { d[uopOff+2] = 0x7f })
 }
+
+// TestDeserializeRejectsSuperblockCost: tier-1 charges a superblock the
+// cost its record carries and a compiled trace the sum over its
+// micro-ops, so a payload in which the two differ is refused — or the
+// instruction count of a stream would depend on which tier ran it.
+func TestDeserializeRejectsSuperblockCost(t *testing.T) {
+	snap := soakSharedSnapshot(t, 64, Config{})
+	v := snap.NewVM()
+	if _, err := soakStream(v); err != nil {
+		t.Fatal(err)
+	}
+	snap.AbsorbBlocks(v)
+	if snap.SBCount() == 0 {
+		t.Fatal("no superblock to serialize")
+	}
+	data, err := snap.Serialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := Deserialize(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.SBCount() != snap.SBCount() {
+		t.Fatalf("round trip kept %d of %d superblocks", back.SBCount(), snap.SBCount())
+	}
+	for _, r := range snap.sbs {
+		lie := *r.b
+		lie.cost++
+		r.b = &lie
+		break
+	}
+	if data, err = snap.Serialize(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Deserialize(data); err == nil {
+		t.Fatal("a superblock whose recorded cost is not its micro-ops' sum decoded cleanly")
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"time"
 	"unsafe"
 
+	"vxa/internal/vm/tier2"
 	"vxa/internal/vm/uop"
 	"vxa/internal/x86"
 )
@@ -51,6 +52,8 @@ type Snapshot struct {
 	// trace) is the dominant first-stream cost once images and blocks are
 	// already cached. Each record keeps the guard/return slot counts so
 	// materialization can size the per-VM chain arrays without rescanning.
+	// Records belong to this snapshot alone (ImportBlocks copies them) and
+	// are read and written under mu.
 	sbs map[uint32]*sbRecord
 }
 
@@ -60,6 +63,24 @@ type sbRecord struct {
 	b      *block
 	guards int
 	rets   int
+	// forms is how many superblocks have been formed at this entry so
+	// far, over every VM generation that started from the record: a VM
+	// resumes the count, so the sbMaxReforms budget is spent once per
+	// snapshot and not again after every Reset.
+	forms uint8
+	// t2 is the superblock's published tier-2 trace: native code compiled
+	// from exactly b's micro-ops for this snapshot's geometry, by
+	// whichever VM ran it hot first. Every VM materialized from the
+	// snapshot gets it installed with the superblock and never compiles
+	// it again. Nil until some VM has, and for good where the compiler
+	// bails.
+	t2 *tier2.Trace
+}
+
+// geometry is the sandbox shape every VM of this snapshot has, and so
+// the shape a trace must have been compiled for to be published here.
+func (s *Snapshot) geometry() tier2.Geometry {
+	return tier2.Geometry{MemLen: s.memSize, ROLimit: s.roLimit, StackBase: s.stackBase}
 }
 
 // Snapshot captures the VM's current state. The usual call site is right
@@ -107,10 +128,16 @@ func (s *Snapshot) MemSize() uint32 { return s.memSize }
 // starts on the optimized traces immediately but still re-validates the
 // profile with its own counters, so a stale trace tears down and
 // re-forms exactly as if this VM had built it.
-func (s *Snapshot) blockMap() map[uint32]*bref {
+//
+// A record's published tier-2 trace is installed with its superblock
+// unless the receiving VM has the tier off: the VM runs compiled code
+// from the first entry, with no heat to count and nothing to compile.
+// The second result is how many traces were installed.
+func (s *Snapshot) blockMap(noT2 bool) (map[uint32]*bref, uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	m := make(map[uint32]*bref, len(s.blocks))
+	var shared uint64
 	for addr, b := range s.blocks {
 		br := &bref{b: b}
 		if r, ok := s.sbs[addr]; ok && !s.noSB && !s.noCache {
@@ -122,10 +149,16 @@ func (s *Snapshot) blockMap() map[uint32]*bref {
 				sbTried:  true,
 			}
 			br.sbTried = true
+			br.sbRec = r.b
+			br.sbForms = r.forms
+			if r.t2 != nil && !noT2 {
+				br.sb.t2, br.sb.t2Tried, br.sb.t2Shared = r.t2, true, true
+				shared++
+			}
 		}
 		m[addr] = br
 	}
-	return m
+	return m, shared
 }
 
 // NewVM materializes a fresh VM in the snapshot's state, including the
@@ -180,7 +213,10 @@ func (s *Snapshot) restore(v *VM) {
 	v.optCfg = s.optCfg
 	v.wallBudget = s.wallBudget
 	v.wallDeadline = 0
-	v.blocks = s.blockMap()
+	v.bindTier2()
+	var shared uint64
+	v.blocks, shared = s.blockMap(v.noT2)
+	v.stats.Tier2Shared += shared
 	v.exitCode = 0
 	v.Stdin, v.Stdout, v.Stderr = nil, nil, nil
 }
@@ -196,6 +232,20 @@ func (s *Snapshot) restore(v *VM) {
 // read-only window — so sibling VMs (and, via Serialize, sibling
 // processes) skip the per-trace lowering and optimizer passes that
 // otherwise dominate a fresh VM's first stream.
+//
+// A record whose superblock v was materialized with, found stale, tore
+// down and re-formed is replaced by the re-formed one, and the re-forms
+// v spent count against the record's budget: a profile that went stale
+// is demoted once, and an entry whose profile never settles stops being
+// re-formed, instead of both happening again after every Reset. A VM
+// that re-formed a superblock some sibling has replaced since leaves
+// the sibling's in place.
+//
+// A superblock's compiled trace is published on its record, new or
+// already present, when it can be shared: native code (a closure trace
+// holds pointers into v), compiled for this snapshot's geometry, from
+// the record's own fragment — a trace is valid for exactly the micro-ops
+// it was compiled from. The first trace published for a record stays.
 func (s *Snapshot) AbsorbBlocks(v *VM) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -210,20 +260,31 @@ func (s *Snapshot) AbsorbBlocks(v *VM) {
 			}
 		}
 	}
+	geom := s.geometry()
 	for addr, br := range v.blocks {
 		sb := br.sb
+		if sb == nil && br.sbRec == nil {
+			continue // no superblock here, now or at materialization
+		}
+		r := s.sbs[addr]
+		if r != nil && r.b == br.sbRec && br.sbForms > r.forms {
+			r.forms = br.sbForms
+		}
 		if sb == nil {
 			continue
 		}
-		if _, ok := s.sbs[addr]; ok {
-			continue
+		if r == nil || (r.b != sb.b && r.b == br.sbRec) {
+			// The entry block must itself be absorbed, and the whole trace
+			// must execute read-only pristine bytes.
+			if _, ok := s.blocks[addr]; !ok || !sbInRO(sb.b, s.roLimit) {
+				continue
+			}
+			r = &sbRecord{b: sb.b, guards: len(sb.sbChains), rets: len(sb.sbInd), forms: br.sbForms}
+			s.sbs[addr] = r
 		}
-		// The entry block must itself be absorbed, and the whole trace
-		// must execute read-only pristine bytes.
-		if _, ok := s.blocks[addr]; !ok || !sbInRO(sb.b, s.roLimit) {
-			continue
+		if t := sb.t2; t != nil && r.t2 == nil && r.b == sb.b && t.Native() && t.Geom == geom {
+			r.t2 = t
 		}
-		s.sbs[addr] = &sbRecord{b: sb.b, guards: len(sb.sbChains), rets: len(sb.sbInd)}
 	}
 }
 
@@ -256,6 +317,20 @@ func (s *Snapshot) SBCount() int {
 	return len(s.sbs)
 }
 
+// T2Count reports how many of those superblocks carry a published
+// tier-2 trace, which NewVM and Reset install instead of compiling.
+func (s *Snapshot) T2Count() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for _, r := range s.sbs {
+		if r.t2 != nil {
+			n++
+		}
+	}
+	return n
+}
+
 // DropSuperblocks discards the snapshot's absorbed superblocks, so
 // subsequent NewVM/Reset materializations profile and form their own —
 // the ablation hook for measuring what absorbed traces are worth.
@@ -266,8 +341,9 @@ func (s *Snapshot) DropSuperblocks() {
 }
 
 // Footprint estimates the resident bytes a snapshot pins: the stored
-// memory image plus the translated block cache. It is the accounting
-// unit for content-addressed snapshot caches with a byte budget. Blocks
+// memory image, the translated block cache and the executable mappings
+// of published tier-2 traces. It is the accounting unit for
+// content-addressed snapshot caches with a byte budget. Blocks
 // absorbed after the call are not re-counted; their total is bounded by
 // the decoder's read-only text, which the image term already dominates.
 func (s *Snapshot) Footprint() int64 {
@@ -279,6 +355,9 @@ func (s *Snapshot) Footprint() int64 {
 	}
 	for _, r := range s.sbs {
 		n += blockFootprint(r.b)
+		if r.t2 != nil {
+			n += r.t2.MappedBytes()
+		}
 	}
 	return n
 }
@@ -293,15 +372,18 @@ func blockFootprint(b *block) int64 {
 // BlockExport is a frozen view of a snapshot's translated block cache,
 // for sharing translation work between snapshots of the same decoder
 // image (e.g. the same content hash cached under two security modes).
-// The blocks are immutable and shared, never copied.
+// The blocks and compiled traces are immutable and shared, never
+// copied; the superblock records that point at them are copied, since
+// each snapshot goes on publishing traces into its own.
 type BlockExport struct {
-	blocks  map[uint32]*block
-	sbs     map[uint32]*sbRecord
-	roLimit uint32
+	blocks map[uint32]*block
+	sbs    map[uint32]sbRecord
+	geom   tier2.Geometry
 }
 
 // ExportBlocks captures the snapshot's current block cache (and its
-// absorbed superblocks) for import into a sibling snapshot.
+// absorbed superblocks with their published traces) for import into a
+// sibling snapshot.
 func (s *Snapshot) ExportBlocks() BlockExport {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -309,11 +391,11 @@ func (s *Snapshot) ExportBlocks() BlockExport {
 	for addr, b := range s.blocks {
 		m[addr] = b
 	}
-	sbs := make(map[uint32]*sbRecord, len(s.sbs))
+	sbs := make(map[uint32]sbRecord, len(s.sbs))
 	for addr, r := range s.sbs {
-		sbs[addr] = r
+		sbs[addr] = *r
 	}
-	return BlockExport{blocks: m, sbs: sbs, roLimit: s.roLimit}
+	return BlockExport{blocks: m, sbs: sbs, geom: s.geometry()}
 }
 
 // ImportBlocks folds an exported block cache into the snapshot and
@@ -323,15 +405,21 @@ func (s *Snapshot) ExportBlocks() BlockExport {
 // snapshot of the image is valid for every other. Callers are
 // responsible for only importing across snapshots of the same decoder
 // content (the cache keys imports by content hash).
+//
+// An imported superblock brings its published trace along only when the
+// two snapshots have the same sandbox geometry: the trace's bounds
+// checks are compiled for the exporter's. Otherwise the superblock
+// arrives bare and this snapshot's VMs compile their own.
 func (s *Snapshot) ImportBlocks(e BlockExport) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := 0
+	roLimit := min(s.roLimit, e.geom.ROLimit)
 	for addr, b := range e.blocks {
 		if _, ok := s.blocks[addr]; ok {
 			continue
 		}
-		if addr >= PageSize && b.end <= s.roLimit && b.end <= e.roLimit {
+		if addr >= PageSize && b.end <= roLimit {
 			s.blocks[addr] = b
 			n++
 		}
@@ -340,8 +428,11 @@ func (s *Snapshot) ImportBlocks(e BlockExport) int {
 		if _, ok := s.sbs[addr]; ok {
 			continue
 		}
-		if _, ok := s.blocks[addr]; ok && sbInRO(r.b, min(s.roLimit, e.roLimit)) {
-			s.sbs[addr] = r
+		if _, ok := s.blocks[addr]; ok && sbInRO(r.b, roLimit) {
+			if e.geom != s.geometry() {
+				r.t2 = nil
+			}
+			s.sbs[addr] = &r
 			n++
 		}
 	}

@@ -17,12 +17,15 @@ import (
 // flag record that died across a block edge is elided instead of kept
 // for a successor that clobbers it.
 //
-// Superblocks are per-VM, profile-driven state: they hang off the base
-// bref (never the snapshot-shared block map), are dropped wholesale by
-// Reset, and are torn down for re-formation when their guards fire on
-// most entries (the profile went stale). The base blocks they were
-// assembled from stay in the cache untouched — cold entries into the
-// middle of a trace still execute them directly.
+// Superblocks are profile-driven state: a VM's view of one hangs off the
+// base bref (never the snapshot-shared block map), and is torn down for
+// re-formation when its guards fire on most entries (the profile went
+// stale). Reset replaces every view; the fragments themselves, the
+// tier-2 code compiled from them and the count of re-forms spent are
+// kept by the snapshot once absorbed (Snapshot.AbsorbBlocks) and come
+// back with the fresh views. The base blocks they were assembled from
+// stay in the cache untouched — cold entries into the middle of a trace
+// still execute them directly.
 const (
 	// sbHotThreshold is how many times a block must be entered before
 	// its dominant path is re-translated.
@@ -33,7 +36,8 @@ const (
 	// sbMinExits guard exits must accumulate before the exit/entry
 	// ratio is consulted for invalidation; a superblock whose exits
 	// then exceed half its entries is torn down and re-profiled, at
-	// most sbMaxReforms times per block.
+	// most sbMaxReforms times per block — per snapshot, for VMs that
+	// come from one: a record hands its count on.
 	sbMinExits   = 256
 	sbMaxReforms = 8
 )

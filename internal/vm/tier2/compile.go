@@ -7,18 +7,17 @@ import (
 	"vxa/internal/x86"
 )
 
-// Compile fuses one optimized superblock trace into a Trace of flat
-// closures bound to m: register operands become pointers into m.Regs,
-// immediates and effective-address shapes become captured constants,
-// and every exit site gets a static Exit descriptor. Returns nil when
-// the trace contains a micro-op the tier cannot compile (the reference
-// escapes KindString/KindGeneric, or a malformed trace); the superblock
-// then simply keeps executing on the tier-1 dispatch loop.
-//
-// The sandbox geometry (m.Mem, m.MemLen, m.ROLimit, m.StackBase) is
-// captured at compile time; it is fixed for the life of the guest
-// address space, and Reset — the only event that could change it —
-// drops every compiled trace with its bref.
+// Compile compiles one optimized superblock trace for m's geometry.
+// The native backend reads only m.Geometry and returns a trace any
+// Machine with that geometry can run. The closure backend fuses the
+// trace into flat closures bound to m itself: register operands become
+// pointers into m.Regs, immediates and effective-address shapes become
+// captured constants (m.Mem included), and the trace runs against m
+// only. Either way every exit site gets a static Exit descriptor.
+// Returns nil when the trace contains a micro-op the tier cannot
+// compile (the reference escapes KindString/KindGeneric, or a malformed
+// trace); the superblock then simply keeps executing on the tier-1
+// dispatch loop.
 func Compile(us []uop.Uop, entry uint32, m *Machine) *Trace {
 	if i, _ := Unsupported(us); i >= 0 {
 		return nil
@@ -27,6 +26,7 @@ func Compile(us []uop.Uop, entry uint32, m *Machine) *Trace {
 		Entry: entry,
 		Cost:  uop.Cost(us),
 		NUops: len(us),
+		Geom:  m.Geometry,
 	}
 	// Backend selection, read per call so the test wall can flip it with
 	// t.Setenv: the default is the native machine-code emitter (the
@@ -38,7 +38,7 @@ func Compile(us []uop.Uop, entry uint32, m *Machine) *Trace {
 		if !nativeAvailable {
 			return nil
 		}
-		if nativeCompile(us, entry, m, t) {
+		if nativeCompile(us, entry, m.Geometry, t) {
 			return t
 		}
 		return nil

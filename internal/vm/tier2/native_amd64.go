@@ -3,6 +3,7 @@
 package tier2
 
 import (
+	"runtime"
 	"unsafe"
 
 	"vxa/internal/vm/uop"
@@ -47,6 +48,14 @@ const minus4 = ^uint32(3)
 
 //go:noescape
 func jitcall(code uintptr, m *Machine) int32
+
+// call runs the mapped code against m; the mapping must not be
+// finalized under it.
+func (b *execBuf) call(m *Machine) int32 {
+	s := jitcall(uintptr(unsafe.Pointer(&b.buf[0])), m)
+	runtime.KeepAlive(b)
+	return s
+}
 
 // Machine field offsets, resolved once against a zero value. The
 // emitter addresses every field as [rdi+off].
@@ -168,8 +177,8 @@ type nemit struct {
 // nativeCompile emits us as machine code into t. Returns false on any
 // unsupported micro-op or when executable memory is unavailable; t is
 // then discarded and the superblock stays on tier-1.
-func nativeCompile(us []uop.Uop, entry uint32, m *Machine, t *Trace) bool {
-	if m.MemLen < m.StackBase+8 || m.StackBase < pageSize {
+func nativeCompile(us []uop.Uop, entry uint32, g Geometry, t *Trace) bool {
+	if g.MemLen < g.StackBase+8 || g.StackBase < pageSize {
 		// The single-compare stack-range check needs mlen-size >= sbase;
 		// any real guest address space satisfies this.
 		return false
@@ -178,7 +187,7 @@ func nativeCompile(us []uop.Uop, entry uint32, m *Machine, t *Trace) bool {
 		return false // fuel charge must fit an imm32
 	}
 	e := &nemit{t: t, us: us, entry: entry,
-		mlen: m.MemLen, ro: m.ROLimit, sbase: m.StackBase, cost: uint32(t.Cost),
+		mlen: g.MemLen, ro: g.ROLimit, sbase: g.StackBase, cost: uint32(t.Cost),
 		flOp: flEntry}
 	a := &e.a
 
@@ -209,10 +218,8 @@ func nativeCompile(us []uop.Uop, entry uint32, m *Machine, t *Trace) bool {
 	if eb == nil {
 		return false
 	}
-	t.native, t.code = true, eb
+	t.code = eb
 	t.NeedFlags = e.usedEntry
-	code := uintptr(unsafe.Pointer(&eb.buf[0]))
-	t.head = func() int32 { return jitcall(code, m) }
 	for i := range t.Exits {
 		if t.Exits[i].Loop {
 			t.Loop = true

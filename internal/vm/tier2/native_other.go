@@ -10,4 +10,7 @@ import "vxa/internal/vm/uop"
 // VXA_TIER2_BACKEND=closure for the differential test wall.
 const nativeAvailable = false
 
-func nativeCompile(us []uop.Uop, entry uint32, m *Machine, t *Trace) bool { return false }
+func nativeCompile(us []uop.Uop, entry uint32, g Geometry, t *Trace) bool { return false }
+
+// call is unreachable: no execBuf is ever built on this platform.
+func (b *execBuf) call(m *Machine) int32 { panic("tier2: no native backend") }

@@ -1,11 +1,23 @@
-// Package tier2 is the VM's second execution tier: it fuses an
+// Package tier2 is the VM's second execution tier: it compiles an
 // already-formed, already-optimized superblock trace (internal/vm's
-// superblock.go) into a single flat sequence of Go closures compiled
-// per-VM against that VM's own machine state.
+// superblock.go) into host code that runs against a Machine, the
+// guest-state view the owning VM syncs in and out around each run.
 //
-// Where the tier-1 engine re-dispatches a giant switch per micro-op —
-// re-loading operand fields and bounds-checking register indices every
-// step — a tier-2 trace bakes every operand into closure captures at
+// There are two backends. The native backend (amd64/linux) emits
+// machine code that reaches every piece of guest state through the
+// *Machine it is handed per run and bakes in only the sandbox Geometry,
+// so a native Trace is immutable after Compile and valid for every VM
+// with that geometry: the VM publishes it on the decoder's Snapshot and
+// every sibling, and every later Reset, runs the same code. The closure
+// backend is the portable semantic reference: a flat sequence of Go
+// closures that capture pointers into one Machine, so its traces belong
+// to the VM they were compiled for and are never shared.
+//
+// The rest of this comment describes the closure backend, whose bodies
+// the native emitter mirrors. Where the tier-1 engine re-dispatches a
+// giant switch per micro-op — re-loading operand fields and
+// bounds-checking register indices every step — a tier-2 trace bakes
+// every operand into closure captures at
 // compile time: register operands become direct pointers into the
 // machine's register file, immediates and effective-address shapes
 // become Go constants, and each closure body is small enough for the
@@ -21,8 +33,8 @@
 // spare-field trap EIPs and started-instruction counts for fused pairs,
 // and the per-trace fuel charge with tail refunds applied by the caller
 // on early exits. Traps, guard exits, serialization and Reset all
-// demote cleanly to the tier-1 uop path — the host VM rebuilds traces
-// from persisted superblocks, never serializing closures.
+// demote cleanly to the tier-1 uop path. Compiled code is never
+// serialized; another process recompiles from the persisted superblocks.
 package tier2
 
 import (
@@ -37,6 +49,12 @@ import (
 // vm's rdOK/wrOK.
 const pageSize = 0x1000
 
+// Geometry is the sandbox shape a trace's bounds checks are compiled
+// for. A trace runs only against a Machine with the same geometry.
+type Geometry struct {
+	MemLen, ROLimit, StackBase uint32
+}
+
 // Machine is the guest-state view a compiled trace executes against.
 // The owning VM copies its architectural state in before Run and back
 // out after; the sandbox geometry fields are set once per VM (the guest
@@ -45,8 +63,8 @@ const pageSize = 0x1000
 type Machine struct {
 	// Regs mirrors vm.VM.regs: eight architectural registers plus the
 	// always-zero uop.RegZero slot that absent base/index registers
-	// index. Closures capture pointers into this array, so a Machine
-	// must not be copied after compilation.
+	// index. Closure-backend traces capture pointers into this array,
+	// so a Machine must not be copied once one has been compiled for it.
 	Regs [9]uint32
 
 	// Lazy-flag state, synced with the VM's representation: the bools
@@ -54,12 +72,13 @@ type Machine struct {
 	Fl                 uop.Flags
 	CF, ZF, SF, OF, PF bool
 
-	// Sandbox geometry. Mem/MemLen/ROLimit/StackBase are captured by
-	// closures at compile time; Brk is read per access (setperm can
+	// Sandbox geometry. The closure backend captures Mem and the
+	// Geometry at compile time; native code bakes in the Geometry and
+	// loads the Mem base per run. Brk is read per access (setperm can
 	// grow it between trace executions).
-	Mem                        []byte
-	MemLen, ROLimit, StackBase uint32
-	Brk                        uint32
+	Mem []byte
+	Geometry
+	Brk uint32
 
 	// Fuel is charged Trace.Cost per iteration by Run; the caller
 	// refunds unexecuted tails on guard/trap exits exactly as tier-1.
@@ -130,25 +149,26 @@ type Exit struct {
 	Loop    bool   // End exit whose target is the trace entry (loop back edge)
 }
 
-// Trace is one compiled superblock: the closure program plus its static
-// exit table and accounting shape.
+// Trace is one compiled superblock: the compiled body plus its static
+// exit table and accounting shape. Nothing writes a Trace after Compile
+// returns it; a native one may be run by any number of VMs at once.
 type Trace struct {
-	// head is the trace body: for the closure backend, the first
-	// micro-op's closure with every subsequent micro-op threaded as a
-	// captured continuation; for the native backend, a thin shim into
-	// the emitted machine code. Calling it runs the trace (native code
-	// iterates loop-back edges internally, with the same fuel/credit
-	// accounting Run applies for closures) and returns the 1-based exit
-	// index.
+	// head is the closure backend's trace body: the first micro-op's
+	// closure with every subsequent micro-op threaded as a captured
+	// continuation. Calling it runs one iteration against the Machine
+	// the trace was compiled for and returns the 1-based exit index.
+	// Nil for native traces.
 	head  func() int32
 	Exits []Exit
 
-	// native marks a machine-code trace: head runs the whole
-	// iterate-while-fuel-lasts loop itself, so Run must not wrap it in
-	// the closure backend's accounting loop. code pins the executable
-	// mapping for the life of the trace.
-	native bool
-	code   *execBuf
+	// code is a native trace's executable mapping, pinned for the life
+	// of the trace. The emitted code runs the whole
+	// iterate-while-fuel-lasts loop itself, so Run does not wrap it in
+	// the closure backend's accounting loop.
+	code *execBuf
+
+	// Geom is the geometry the trace was compiled for.
+	Geom Geometry
 
 	Entry  uint32 // guest address of the trace entry
 	Cost   int64  // guest instructions per full iteration (fuel units)
@@ -167,8 +187,24 @@ type Trace struct {
 }
 
 // Native reports whether the trace compiled to machine code (versus
-// the closure reference backend) — surfaced in trace-plan dumps.
-func (t *Trace) Native() bool { return t.native }
+// the closure reference backend). Only native traces hold no pointer
+// into a Machine, so only they may be shared between VMs.
+func (t *Trace) Native() bool { return t.code != nil }
+
+// Code returns a native trace's emitted machine code (nil for a closure
+// trace). The bytes are mapped read+execute: read them, never write.
+func (t *Trace) Code() []byte {
+	if t.code == nil {
+		return nil
+	}
+	return t.code.buf
+}
+
+// MappedBytes is the memory a native trace's code pins: its own
+// mapping, so whole pages.
+func (t *Trace) MappedBytes() int64 {
+	return (int64(len(t.Code())) + pageSize - 1) &^ (pageSize - 1)
+}
 
 // Run executes the trace until it exits. The caller must have checked
 // Fuel >= Cost for the first iteration; Run charges Cost per iteration
@@ -177,10 +213,10 @@ func (t *Trace) Native() bool { return t.native }
 // spins inside one Run call, and cancellation still lands on the
 // interpreter's quantum.
 func (t *Trace) Run(m *Machine) *Exit {
-	if t.native {
+	if t.code != nil {
 		// Native traces charge fuel/credit and iterate internally with
 		// exactly this loop's discipline, emitted into the code.
-		return &t.Exits[t.head()-1]
+		return &t.Exits[t.code.call(m)-1]
 	}
 	head := t.head
 	for {

@@ -1,8 +1,8 @@
 package vm
 
-// Tier-2 integration: promotion of hot superblocks into compiled closure
-// traces (package tier2) and the exit dispatch that hands control back
-// to the tier-1 engine. The tier is invisible to guest semantics: every
+// Tier-2 integration: promotion of hot superblocks into compiled traces
+// (package tier2) and the exit dispatch that hands control back to the
+// tier-1 engine. The tier is invisible to guest semantics: every
 // exit path below re-joins exactly the code path the tier-1 dispatch
 // loop would have taken for the same micro-op, including fuel refunds,
 // chain-slot resolution and trap construction.
@@ -17,10 +17,10 @@ import (
 )
 
 // t2HotDefault is the number of superblock entries before the trace is
-// fused into a tier-2 closure program. Superblocks themselves form at
-// sbHotThreshold block entries, so a trace must prove itself on the
-// tier-1 loop first; compilation is cheap (one closure per micro-op)
-// but profile-teardown churn is not worth compiling for.
+// compiled. Superblocks themselves form at sbHotThreshold block entries,
+// so a trace must prove itself on the tier-1 loop first: profile-teardown
+// churn is not worth compiling for. A trace the snapshot already carries
+// is installed at Reset and skips the count.
 const t2HotDefault = 32
 
 // envNoTier2 reports whether VXA_NO_TIER2 forces the tier off
@@ -42,33 +42,28 @@ func t2HotThreshold() uint32 {
 	return t2HotDefault
 }
 
-// compileTier2 fuses sb's trace into a compiled closure program bound
-// to this VM's machine view. One attempt per superblock: a bail
-// (reference-engine escapes in the trace) leaves it on tier-1 for good.
+// bindTier2 points the VM's tier-2 machine view at its guest memory and
+// sandbox geometry. Called wherever those are set: New, MapSegment and
+// the snapshot restore.
+func (v *VM) bindTier2() {
+	m := &v.t2m
+	m.Mem = v.mem
+	m.Geometry = tier2.Geometry{MemLen: uint32(len(v.mem)), ROLimit: v.roLimit, StackBase: v.stackBase}
+}
+
+// compileTier2 compiles sb's trace for this VM's geometry and installs
+// it in the VM's view of the superblock. One attempt per superblock: a
+// bail (reference-engine escapes in the trace) leaves it on tier-1. The
+// trace charges fuel by the summed micro-op costs, which equal the
+// superblock's block cost, exactly as tier-1 does.
 func (v *VM) compileTier2(sb *bref) {
 	sb.t2Tried = true
 	start := time.Now()
-	m := v.t2m
-	if m == nil {
-		m = &tier2.Machine{}
-		v.t2m = m
-	}
-	// Refresh the geometry the compiler captures. Everything here is
-	// fixed for the life of the guest address space; any event that
-	// changes it (Reset, snapshot materialization) replaces the bref
-	// graph and with it every compiled trace.
-	m.Mem = v.mem
-	m.MemLen = uint32(len(v.mem))
-	m.ROLimit = v.roLimit
-	m.StackBase = v.stackBase
-	t := tier2.Compile(sb.b.uops, sb.b.uops[0].EIP, m)
+	t := tier2.Compile(sb.b.uops, sb.b.uops[0].EIP, &v.t2m)
 	v.stats.TranslateNS += uint64(time.Since(start).Nanoseconds())
 	if t == nil {
 		return
 	}
-	// Charge fuel by the superblock's block cost, exactly as tier-1
-	// does (the per-uop costs the refund paths sum are identical).
-	t.Cost = sb.b.cost
 	sb.t2 = t
 	v.stats.Tier2Compiled++
 }
@@ -86,7 +81,7 @@ func (v *VM) runTier2(sb *bref, t *tier2.Trace) (*bref, error) {
 		// FlagNone; representation-only, so architecturally invisible.
 		v.materializeFlags()
 	}
-	m := v.t2m
+	m := &v.t2m
 	m.Regs = v.regs
 	m.Fl = v.fl
 	m.CF, m.ZF, m.SF, m.OF, m.PF = v.cf, v.zf, v.sf, v.of, v.pf

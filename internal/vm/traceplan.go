@@ -31,6 +31,7 @@ type TracePlan struct {
 	Guards  int // conditional guard exits (chain slots)
 	Rets    int // return guards (inline-cache slots)
 	Backend string
+	Shared  bool // the trace was installed from the snapshot, not compiled by this VM
 	Uops    []TracePlanUop
 }
 
@@ -67,6 +68,7 @@ func (v *VM) TracePlans() []TracePlan {
 			Guards:  len(sb.sbChains),
 			Rets:    len(sb.sbInd),
 			Backend: backend,
+			Shared:  sb.t2Shared,
 			Uops:    make([]TracePlanUop, len(us)),
 		}
 		for i := range us {

@@ -185,7 +185,8 @@ type Stats struct {
 	FlagsElided       uint64 `json:"flags_elided"`       // lazy-flag records removed at translate time (dead-flag pass)
 	UopsFused         uint64 `json:"uops_fused"`         // fused micro-ops created at translate time (each replaces 2-3)
 	SuperblocksFormed uint64 `json:"superblocks_formed"` // hot-path superblocks assembled from edge profiles
-	Tier2Compiled     uint64 `json:"tier2_compiled"`     // superblock traces fused into tier-2 closure programs
+	Tier2Compiled     uint64 `json:"tier2_compiled"`     // superblock traces compiled to tier-2 code by this VM
+	Tier2Shared       uint64 `json:"tier2_shared"`       // compiled traces installed from the snapshot at NewVM/Reset instead of compiled
 	Tier2Executed     uint64 `json:"tier2_executed"`     // tier-2 trace iterations run (one full superblock pass each)
 	Tier2Steps        uint64 `json:"tier2_steps"`        // guest instructions retired inside tier-2 traces (subset of Steps)
 	Tier2Demotions    uint64 `json:"tier2_demotions"`    // compiled traces dropped with their superblock (stale profile teardown)
@@ -239,10 +240,10 @@ type VM struct {
 	// t2Hot is the superblock-entry count that triggers tier-2
 	// compilation (t2HotDefault, overridable via VXA_TIER2_HOT).
 	t2Hot uint32
-	// t2m is this VM's tier-2 machine-state view, allocated on first
-	// compile and never reallocated: compiled closures capture pointers
-	// into it (see tier2.Machine).
-	t2m    *tier2.Machine
+	// t2m is this VM's tier-2 machine-state view, the Machine every trace
+	// this VM runs is handed. Its memory and geometry fields follow the
+	// VM's (bindTier2); closure-backend traces capture pointers into it.
+	t2m    tier2.Machine
 	optCfg uop.OptConfig
 	blocks map[uint32]*bref
 
@@ -311,25 +312,30 @@ type bref struct {
 	// entry/exit profile that drives invalidation.
 	sb        *bref
 	owner     *bref
+	sbRec     *block // base bref: the snapshot record's fragment sb was materialized from, if any
 	sbChains  []*bref
 	sbInd     []sbIndEntry
 	heat      uint32
 	takenCnt  uint32
 	fallCnt   uint32
-	sbEntries uint64
-	sbExits   uint64
 	sbForms   uint8
 	sbTried   bool
+	sbEntries uint64
+	sbExits   uint64
 
-	// Tier-2 dispatch slot (superblock brefs only): the compiled closure
-	// trace for this superblock, installed once its entry count crosses
-	// the tier-2 heat threshold. On a superblock bref, heat counts
-	// entries toward that promotion. The trace dies with the bref —
-	// Reset, snapshot materialization and profile teardown all demote to
-	// tier-1 by construction — and is never serialized; it is recompiled
-	// from the persisted superblock when the trace runs hot again.
-	t2      *tier2.Trace
-	t2Tried bool
+	// Tier-2 dispatch slot (superblock brefs only): the compiled trace
+	// for this superblock. It is either installed with the bref, from
+	// the snapshot record the superblock came from (t2Shared), or
+	// compiled by this VM once the entry count crosses the tier-2 heat
+	// threshold; on a superblock bref, heat counts entries toward that
+	// promotion. The slot is this VM's view only: profile teardown drops
+	// it with the bref, while a native trace published on the snapshot
+	// (AbsorbBlocks) outlives the bref and comes back with the next
+	// Reset. Traces are never serialized; another process recompiles
+	// from the persisted superblock when it runs hot there.
+	t2       *tier2.Trace
+	t2Tried  bool
+	t2Shared bool
 }
 
 // sbIndEntry is one return guard's monomorphic inline cache: the last
@@ -377,6 +383,7 @@ func New(cfg Config) (*VM, error) {
 		blocks:     make(map[uint32]*bref),
 	}
 	v.regs[x86.ESP] = cfg.MemSize - 16 // a little headroom at the very top
+	v.bindTier2()
 	return v, nil
 }
 
@@ -401,6 +408,7 @@ func (v *VM) MapSegment(addr uint32, data []byte, memSize uint32, readOnly bool)
 	}
 	if readOnly && end > v.roLimit {
 		v.roLimit = end
+		v.bindTier2()
 	}
 	return nil
 }

@@ -133,10 +133,13 @@ func (l *Lease) VM() *vm.VM { return l.v }
 // the datum behind the reader's ReinitCount statistic.
 func (l *Lease) Pristine() bool { return l.pristine }
 
-// newLease wraps a checked-out VM, recording its engine counters so
-// Release can fold the stream's delta into the pool aggregate.
-func newLease(p *Pool, v *vm.VM, key Key, pristine bool) *Lease {
-	return &Lease{p: p, v: v, key: key, stats0: v.Stats(), pristine: pristine}
+// newLease wraps a checked-out VM. stats0 is the VM's engine counters
+// before the pool prepared it for this lease (zero for a VM never
+// leased before), so Release folds into the pool aggregate the stream's
+// delta and what its Reset or build counted — the tier-2 traces
+// installed from the snapshot.
+func newLease(p *Pool, v *vm.VM, key Key, pristine bool, stats0 vm.Stats) *Lease {
+	return &Lease{p: p, v: v, key: key, stats0: stats0, pristine: pristine}
 }
 
 // Seed installs a prebuilt pristine snapshot for codec, as if the first
@@ -274,7 +277,7 @@ func (p *Pool) GetScoped(ctx context.Context, codec string, mode uint32, scope u
 		p.stats.Resumes++
 		p.outstanding++
 		p.mu.Unlock()
-		return newLease(p, v, key, false), nil
+		return newLease(p, v, key, false, v.Stats()), nil
 	}
 	// The snapshot's own source VM is still pristine: first lease takes
 	// it for free.
@@ -284,7 +287,7 @@ func (p *Pool) GetScoped(ctx context.Context, codec string, mode uint32, scope u
 		p.stats.Builds++
 		p.outstanding++
 		p.mu.Unlock()
-		return newLease(p, v, key, true), nil
+		return newLease(p, v, key, true, vm.Stats{}), nil
 	}
 	// Same codec, different mode or scope: steal an idle VM and rewind
 	// it to the pristine image — the §2.4 attribute-change
@@ -299,6 +302,7 @@ func (p *Pool) GetScoped(ctx context.Context, codec string, mode uint32, scope u
 		p.stats.Resets++
 		p.outstanding++
 		p.mu.Unlock()
+		stats0 := v.Stats()
 		if err := v.Reset(cs.snap); err != nil {
 			p.mu.Lock()
 			p.outstanding--
@@ -306,12 +310,12 @@ func (p *Pool) GetScoped(ctx context.Context, codec string, mode uint32, scope u
 			p.releaseSlot()
 			return nil, err
 		}
-		return newLease(p, v, key, true), nil
+		return newLease(p, v, key, true, stats0), nil
 	}
 	p.stats.Builds++
 	p.outstanding++
 	p.mu.Unlock()
-	return newLease(p, cs.snap.NewVM(), key, true), nil
+	return newLease(p, cs.snap.NewVM(), key, true, vm.Stats{}), nil
 }
 
 // Release returns the leased VM to the pool. reusable says the stream
@@ -330,17 +334,21 @@ func (l *Lease) Release(reusable bool) {
 	defer p.releaseSlot()
 	// Returning a warmed-up VM: fold its translation cache into the
 	// snapshot so every future build/reset starts warm. Done on the
-	// first return and again whenever a stream translated fragments the
-	// snapshot has not seen (later streams reach code paths earlier ones
-	// did not), outside the pool lock, and before the VM re-enters the
-	// idle list (no other goroutine can be running it here). AbsorbBlocks
+	// first return and again whenever the stream translated something
+	// the snapshot may not have — a fragment, a superblock or a tier-2
+	// trace (later streams reach code paths, and heat, earlier ones did
+	// not) — outside the pool lock, and before the VM re-enters the idle
+	// list (no other goroutine can be running it here). AbsorbBlocks
 	// itself dedups, so re-absorbing is cheap when nothing is new.
 	p.mu.Lock()
-	addVMStats(&p.vmAgg, v.Stats(), l.stats0)
+	st := v.Stats()
+	addVMStats(&p.vmAgg, st, l.stats0)
 	p.outstanding--
 	cs := p.codec[l.key.Codec]
 	absorb := reusable && cs != nil && cs.snap != nil &&
-		(!cs.warmed || v.Stats().BlocksBuilt > l.stats0.BlocksBuilt)
+		(!cs.warmed || st.BlocksBuilt > l.stats0.BlocksBuilt ||
+			st.SuperblocksFormed > l.stats0.SuperblocksFormed ||
+			st.Tier2Compiled > l.stats0.Tier2Compiled)
 	if absorb {
 		cs.warmed = true
 	}
@@ -376,8 +384,6 @@ func (l *Lease) ReleaseReset() {
 	p := l.p
 	defer p.releaseSlot()
 	p.mu.Lock()
-	addVMStats(&p.vmAgg, v.Stats(), l.stats0)
-	p.outstanding--
 	cs := p.codec[l.key.Codec]
 	var snap *vm.Snapshot
 	if cs != nil {
@@ -385,15 +391,18 @@ func (l *Lease) ReleaseReset() {
 	}
 	p.mu.Unlock()
 
-	if snap == nil || v.Reset(snap) != nil {
-		p.mu.Lock()
-		p.stats.Discards++
-		p.mu.Unlock()
-		return
-	}
+	reset := snap != nil && v.Reset(snap) == nil
 
+	// The lease's counters are folded in after the reset, which counts
+	// too (the traces it installed).
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	addVMStats(&p.vmAgg, v.Stats(), l.stats0)
+	p.outstanding--
+	if !reset {
+		p.stats.Discards++
+		return
+	}
 	p.stats.Resets++
 	if len(p.idle[l.key]) >= p.opts.MaxIdlePerKey {
 		p.stats.Discards++
@@ -450,6 +459,7 @@ func addVMStats(dst *vm.Stats, after, before vm.Stats) {
 	dst.UopsFused += after.UopsFused - before.UopsFused
 	dst.SuperblocksFormed += after.SuperblocksFormed - before.SuperblocksFormed
 	dst.Tier2Compiled += after.Tier2Compiled - before.Tier2Compiled
+	dst.Tier2Shared += after.Tier2Shared - before.Tier2Shared
 	dst.Tier2Executed += after.Tier2Executed - before.Tier2Executed
 	dst.Tier2Steps += after.Tier2Steps - before.Tier2Steps
 	dst.Tier2Demotions += after.Tier2Demotions - before.Tier2Demotions

@@ -141,6 +141,9 @@ type SnapCacheStats struct {
 	Bytes       int64 `json:"bytes"`
 	OrphanBytes int64 `json:"orphan_bytes"`
 	MaxBytes    int64 `json:"max_bytes"`
+	// Traces is how many compiled tier-2 traces the resident snapshots
+	// carry: code a reset or a new VM installs instead of compiling.
+	Traces int `json:"traces"`
 	// Quarantined counts lines evicted because their decoder's breaker
 	// tripped; Shrinks counts emergency Shrink passes.
 	Quarantined uint64 `json:"quarantined"`
@@ -586,6 +589,7 @@ func (c *SnapCache) Stats() SnapCacheStats {
 		e := el.Value.(*cacheEntry)
 		addPoolStats(&s.Pool, e.pool.Stats())
 		addVMStats(&s.VM, e.pool.VMStats(), vm.Stats{})
+		s.Traces += e.snap.T2Count()
 	}
 	return s
 }

@@ -44,7 +44,10 @@ type codegen struct {
 	u     *asm.Unit
 	funcs map[string]*function
 	globs map[string]*global
-	enums map[string]int64
+	// globOrder is globs in declaration order, the order they are laid
+	// out in: the emitted ELF must not depend on map iteration.
+	globOrder []*global
+	enums     map[string]int64
 
 	// Per-function state.
 	fn         *function
@@ -100,7 +103,9 @@ func (g *codegen) declare(f *File) error {
 		if _, dup := g.enums[gd.Name]; dup {
 			return cErrf(gd.Pos, "%q already an enum constant", gd.Name)
 		}
-		g.globs[gd.Name] = &global{sym: gd.Name, typ: gd.Type, decl: gd}
+		gl := &global{sym: gd.Name, typ: gd.Type, decl: gd}
+		g.globs[gd.Name] = gl
+		g.globOrder = append(g.globOrder, gl)
 	}
 	for _, fn := range f.Funcs {
 		if prev, dup := g.funcs[fn.Name]; dup && prev.defined {
@@ -116,7 +121,7 @@ func (g *codegen) declare(f *File) error {
 
 // emitGlobals lays out all global variables (pass 2a).
 func (g *codegen) emitGlobals() error {
-	for _, gl := range g.globs {
+	for _, gl := range g.globOrder {
 		gd := gl.decl
 		t := gd.Type
 		// Infer the length of byte name[] = "..." style declarations.

@@ -31,7 +31,9 @@ import (
 // Version, and any codegen, runtime-library or linking change that can
 // alter the emitted ELF for unchanged sources must bump it, so stale
 // index entries miss instead of aliasing a different executable.
-const Version = 1
+// 2 lays globals out in declaration order; 1 laid them out in map
+// iteration order, so its ELFs differed from compile to compile.
+const Version = 2
 
 // Source is one VXC compilation unit.
 type Source struct {
