@@ -34,7 +34,8 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/roundtrip_golden
 // semantics shows up here as a diff that has to be reviewed (and
 // regenerated with -update), so silent semantic drift cannot slip
 // through while the output happens to stay byte-identical — or vice
-// versa.
+// versa. A compiler change is expected to move the count and must not
+// move the hash; budget_test.go holds the count against a ceiling.
 type roundTripGolden struct {
 	Codec        string `json:"codec"`
 	InputBytes   int    `json:"input_bytes"`
@@ -130,7 +131,11 @@ func TestRoundTripGolden(t *testing.T) {
 				t.Fatalf("no golden for codec %s (run with -update)", c.Name)
 			}
 			if g != w {
-				t.Fatalf("golden mismatch (engine drift?):\n got %+v\nwant %+v", g, w)
+				t.Fatalf("golden mismatch:\n got %+v\nwant %+v\n"+
+					"uops_executed moves with the decoder compiler (internal/vxcc, libvx, the decoder sources) "+
+					"as well as with the lowering pass and the engine; output_sha256 moves with none of them. "+
+					"If only the count differs and the change explains it, regenerate with -update "+
+					"(and check TestInstructionBudget's ceilings); a differing hash is a wrong decode.", g, w)
 			}
 		})
 	}

@@ -10,16 +10,52 @@ import (
 // The VXC calling convention ("vxcc ABI"):
 //
 //   - arguments are pushed right to left, 4 bytes each (byte arguments
-//     are promoted), caller pops;
-//   - the return value is in EAX;
-//   - ALL registers are caller-clobbered. Generated code never keeps a
-//     live value in a register across a call, so no callee-save traffic
-//     is ever emitted. EBP is the frame pointer, ESP the stack pointer.
+//     are promoted), caller pops; the return value is in EAX, zero-
+//     extended when the function returns byte;
+//   - EAX, ECX and EDX are scratch: a call may clobber them, and the
+//     caller saves whichever of them hold a pending temporary;
+//   - EBX, ESI, EDI and EBP are preserved by the callee. A function
+//     pushes exactly those of EBX/ESI/EDI it assigns to its own
+//     variables (after the frame is set up) and pops them at every
+//     return; EBP is the frame pointer, ESP the stack pointer.
 //
-// Expression evaluation targets EAX, with ECX as the secondary operand
-// register and EDX as transient scratch (CDQ/IDIV). Temporaries spill to
-// the stack via PUSH/POP. EBX/ESI/EDI are used only by the builtin
-// syscall/memcpy/memset sequences.
+// Register assignment. Scalar locals and parameters whose address is
+// never taken compete for EBX/ESI/EDI by loop-depth-weighted use count
+// (analyze.go); two variables share a register when their scopes are
+// disjoint. A register parameter is loaded from its argument slot in
+// the prologue. Everything else — arrays, address-taken variables, and
+// scalars that lost the competition or are used too rarely to pay for
+// the save/restore — has a stack home at [ebp-n] (parameters stay in
+// their argument slot at [ebp+8+4i]). A byte variable in a register is
+// kept zero-extended, so reading it costs nothing and writing it
+// truncates.
+//
+// Expressions are compiled destination-first (expr.go): the selector
+// is told which register the value belongs in and uses constants,
+// register variables and [ebp+off] / [sym] / [base+index*scale+disp]
+// memory operands in place. Temporaries live in whichever of
+// EAX/ECX/EDX is free; only when all three are busy is one of them
+// pushed and popped around the subexpression. Conditions compile to
+// cmp/test + jcc with both operands in registers, the shape the
+// engine fuses.
+//
+// Evaluation order is fixed, not "unspecified" as in C: binary
+// operands and x[i] left to right (the left value is captured before
+// the right operand runs), call arguments right to left, and for an
+// assignment the lvalue's address, then the right side, then — for
+// op= — the read-modify-write.
+//
+// Inlining. A call inside a loop to a function of at most inlineLimit
+// nodes is expanded in place (analyze.go; at most inlineDepth levels,
+// never recursively, never a function that cannot return): arguments
+// become locals of the caller, constant arguments to parameters the
+// callee never writes are substituted, and return becomes a jump to
+// the end of the expansion. Calls outside loops stay calls.
+//
+// Linking. Every function is analyzed and type-checked; code is
+// emitted for main and for what main reaches through the calls that
+// are still calls (Compile), so a helper whose every call site was
+// expanded has no out-of-line copy.
 
 type global struct {
 	sym  string
@@ -33,12 +69,60 @@ type function struct {
 	params  []Param
 	file    string
 	defined bool
+	decl    *FuncDecl
+	cost    int  // estimated size of the body (see cost); -1 until asked for
+	fatal   bool // cannot return (see neverReturns): never expanded in place
+	an      *analysis
 }
 
-type local struct {
-	off int32 // ebp-relative
-	typ *Type
+// localVar is one parameter or local variable of the function being
+// compiled, including those of calls inlined into it.
+type localVar struct {
+	name  string
+	typ   *Type
+	param int // argument index for the function's own parameters, else -1
+
+	weight    int  // loop-depth-weighted number of references
+	addrTaken bool // &v appears: v needs a stack home
+	// decl is where the variable was declared and [first, last] the span
+	// it is live over, in analysis order: from its declaration (a
+	// parameter of an expanded call: from before the arguments) to its
+	// last mention, stretched over every loop that mentions it and began
+	// after it was declared, and over any call expanded later in the
+	// expression that mentions it (analyzer.fullExpr).
+	decl, first, last int
+
+	reg x86.Reg // x86.NoReg when the variable lives on the stack
+	off int32   // ebp-relative offset of the stack home
+
+	// subst, when set, makes the variable a name for an expression
+	// instead of storage: a parameter of an inlined call that the callee
+	// only reads, bound to a constant argument or (alias) to the caller's
+	// own variable.
+	subst Expr
+	alias *localVar
 }
+
+// inlined is one call expanded in place: a private copy of the callee's
+// body and the variables standing in for its parameters.
+type inlined struct {
+	fn     *function
+	params []*localVar
+	body   *Block
+}
+
+// inlineFrame is the code generator's state for the expansion it is
+// currently inside.
+type inlineFrame struct {
+	fn      *function
+	dst     x86.Reg // where return leaves the value; NoReg when unwanted
+	end     string
+	endUsed bool
+	tail    Stmt   // the body's final statement: a return there needs no jump
+	loops   []loop // the caller's loop stack, restored afterwards
+}
+
+type loop struct{ brk, cont string }
 
 type codegen struct {
 	u     *asm.Unit
@@ -48,25 +132,44 @@ type codegen struct {
 	// out in: the emitted ELF must not depend on map iteration.
 	globOrder []*global
 	enums     map[string]int64
+	strs      map[*StrLit]string // literals already placed in rodata
+	strSeq    int
+	labelSeq  int
 
-	// Per-function state.
-	fn         *function
-	scopes     []map[string]local
-	frameSize  int32
-	labelSeq   int
-	breakLbl   []string
-	contLbl    []string
-	curFile    string
-	strSeq     int
-	inlineHint bool
+	// Per-function state: what analyze worked out about the function, and
+	// where emitFunc is in it.
+	fn *function
+	*analysis
+	loops   []loop
+	inlines []*inlineFrame
+	live    regSet // scratch registers holding a pending value
+	// retLabel is the function's epilogue; tail its body's final statement
+	// (a return there falls into the epilogue instead of jumping to it).
+	retLabel string
+	tail     Stmt
+}
+
+// analysis is what analyze works out about one function before any code
+// is emitted for it.
+type analysis struct {
+	vars  []*localVar
+	bind  map[*Ident]*localVar
+	decls map[*DeclStmt]*localVar
+	inl   map[*Call]*inlined
+	types map[Expr]*Type
+	calls []*function // callees of the calls left out of line, expansions included
+	saved []x86.Reg   // callee-saved registers in use, in push order
+	frame int32
 }
 
 func newCodegen() *codegen {
 	return &codegen{
-		u:     asm.New(),
-		funcs: make(map[string]*function),
-		globs: make(map[string]*global),
-		enums: make(map[string]int64),
+		u:        asm.New(),
+		funcs:    make(map[string]*function),
+		globs:    make(map[string]*global),
+		enums:    make(map[string]int64),
+		strs:     make(map[*StrLit]string),
+		analysis: &analysis{}, // global initializers are folded with no function in sight
 	}
 }
 
@@ -113,7 +216,7 @@ func (g *codegen) declare(f *File) error {
 		}
 		g.funcs[fn.Name] = &function{
 			name: fn.Name, ret: fn.Ret, params: fn.Params,
-			file: f.Name, defined: true,
+			file: f.Name, defined: true, decl: fn, cost: -1,
 		}
 	}
 	return nil
@@ -205,199 +308,258 @@ func (g *codegen) emitGlobals() error {
 }
 
 // constVal folds a constant initializer, with enum constants visible.
-func (g *codegen) constVal(e Expr) (int64, error) {
+func (g *codegen) constVal(e Expr) (uint32, error) {
+	if _, err := g.typeOf(e); err != nil {
+		return 0, err
+	}
+	v, ok := g.fold(e)
+	if !ok {
+		return 0, cErrf(e.exprPos(), "not a constant expression")
+	}
+	return v, nil
+}
+
+// fold evaluates e at compile time with exactly the semantics the
+// generated code would have at run time; ok is false when e is not a
+// constant (or would trap). Global initializers, the instruction
+// selector and the compiler's fuzz oracle share it through evalBinary.
+func (g *codegen) fold(e Expr) (uint32, bool) {
 	switch x := e.(type) {
+	case *IntLit:
+		return uint32(x.Val), true
+	case *SizeofType:
+		return uint32(x.Type.Size()), true
 	case *Ident:
-		if v, ok := g.enums[x.Name]; ok {
-			return v, nil
+		if v := g.bind[x]; v != nil {
+			if v.subst != nil {
+				return g.fold(v.subst)
+			}
+			return 0, false
 		}
-		return 0, cErrf(x.Pos, "%q is not a constant", x.Name)
+		if v, ok := g.enums[x.Name]; ok {
+			return uint32(v), true
+		}
 	case *Unary:
-		v, err := g.constVal(x.X)
-		if err != nil {
-			return 0, err
+		v, ok := g.fold(x.X)
+		if !ok {
+			return 0, false
 		}
 		switch x.Op {
 		case tMinus:
-			return int64(int32(-v)), nil
+			return -v, true
 		case tTilde:
-			return int64(^uint32(v)), nil
+			return ^v, true
 		case tBang:
-			if v == 0 {
-				return 1, nil
-			}
-			return 0, nil
+			return b2u(v == 0), true
 		}
 	case *Binary:
-		a, err := g.constVal(x.X)
-		if err != nil {
-			return 0, err
+		a, ok := g.fold(x.X)
+		if !ok {
+			return 0, false
 		}
-		b, err := g.constVal(x.Y)
-		if err != nil {
-			return 0, err
+		b, ok := g.fold(x.Y)
+		if !ok {
+			return 0, false
 		}
-		return foldBinary(x, a, b)
-	case *IntLit:
-		return x.Val, nil
-	case *SizeofType:
-		return int64(x.Type.Size()), nil
+		lt, err1 := g.typeOf(x.X)
+		rt, err2 := g.typeOf(x.Y)
+		if err1 != nil || err2 != nil || lt.Kind == TPtr || rt.Kind == TPtr {
+			return 0, false
+		}
+		return evalBinary(x.Op, a, b, opUnsigned(x.Op, lt, rt))
 	case *Cast:
-		v, err := g.constVal(x.X)
-		if err != nil {
-			return 0, err
+		v, ok := g.fold(x.X)
+		if ok && x.Type.Kind == TByte {
+			v &= 0xFF
 		}
-		if x.Type.Kind == TByte {
-			return v & 0xFF, nil
-		}
-		return v, nil
+		return v, ok
 	}
-	return 0, cErrf(e.exprPos(), "not a constant expression")
+	return 0, false
 }
 
-func foldBinary(x *Binary, a, b int64) (int64, error) {
-	au, bu := uint32(a), uint32(b)
-	switch x.Op {
+// opUnsigned reports whether a binary operator on integer operands of
+// the given types uses the unsigned form: the shifts look only at the
+// (promoted) left operand, everything else at the usual arithmetic
+// conversion of both.
+func opUnsigned(op tokKind, lt, rt *Type) bool {
+	if op == tShl || op == tShr {
+		return promote(lt).Kind == TUint
+	}
+	return arith2(lt, rt).Kind == TUint
+}
+
+// evalBinary computes a op b on 32-bit operands as the generated code
+// does: two's-complement wraparound, shift counts masked to five bits,
+// division truncating toward zero. ok is false where the machine would
+// trap (division by zero, INT_MIN / -1) and for non-arithmetic
+// operators.
+func evalBinary(op tokKind, a, b uint32, unsigned bool) (v uint32, ok bool) {
+	sa, sb := int32(a), int32(b)
+	switch op {
 	case tPlus:
-		return int64(au + bu), nil
+		return a + b, true
 	case tMinus:
-		return int64(int32(au - bu)), nil
+		return a - b, true
 	case tStar:
-		return int64(int32(au * bu)), nil
-	case tSlash:
-		if bu == 0 {
-			return 0, cErrf(x.Pos, "constant division by zero")
+		return a * b, true
+	case tSlash, tPercent:
+		if b == 0 || !unsigned && sa == -1<<31 && sb == -1 {
+			return 0, false
 		}
-		return int64(int32(a) / int32(b)), nil
-	case tPercent:
-		if bu == 0 {
-			return 0, cErrf(x.Pos, "constant division by zero")
+		switch {
+		case unsigned && op == tSlash:
+			return a / b, true
+		case unsigned:
+			return a % b, true
+		case op == tSlash:
+			return uint32(sa / sb), true
 		}
-		return int64(int32(a) % int32(b)), nil
+		return uint32(sa % sb), true
 	case tShl:
-		return int64(au << (bu & 31)), nil
+		return a << (b & 31), true
 	case tShr:
-		return int64(au >> (bu & 31)), nil
+		if unsigned {
+			return a >> (b & 31), true
+		}
+		return uint32(sa >> (b & 31)), true
 	case tAmp:
-		return int64(au & bu), nil
+		return a & b, true
 	case tPipe:
-		return int64(au | bu), nil
+		return a | b, true
 	case tCaret:
-		return int64(au ^ bu), nil
-	case tLt:
-		return b2i(int32(a) < int32(b)), nil
-	case tGt:
-		return b2i(int32(a) > int32(b)), nil
-	case tLe:
-		return b2i(int32(a) <= int32(b)), nil
-	case tGe:
-		return b2i(int32(a) >= int32(b)), nil
+		return a ^ b, true
 	case tEq:
-		return b2i(au == bu), nil
+		return b2u(a == b), true
 	case tNe:
-		return b2i(au != bu), nil
+		return b2u(a != b), true
+	case tLt:
+		return b2u(unsigned && a < b || !unsigned && sa < sb), true
+	case tLe:
+		return b2u(unsigned && a <= b || !unsigned && sa <= sb), true
+	case tGt:
+		return b2u(unsigned && a > b || !unsigned && sa > sb), true
+	case tGe:
+		return b2u(unsigned && a >= b || !unsigned && sa >= sb), true
+	case tAndAnd:
+		return b2u(a != 0 && b != 0), true
+	case tOrOr:
+		return b2u(a != 0 || b != 0), true
 	}
-	return 0, cErrf(x.Pos, "not a constant operator")
+	return 0, false
 }
 
-func b2i(b bool) int64 {
+func b2u(b bool) uint32 {
 	if b {
 		return 1
 	}
 	return 0
 }
 
-// frameBytes pre-computes the stack frame a function body needs: every
-// local declaration gets its own slot (no reuse across scopes; decoders
-// are not frame-size critical).
-func frameBytes(s Stmt) int32 {
-	switch x := s.(type) {
-	case *Block:
-		var n int32
-		for _, st := range x.Stmts {
-			n += frameBytes(st)
-		}
-		return n
-	case *DeclStmt:
-		return int32((x.Type.Size() + 3) &^ 3)
-	case *If:
-		n := frameBytes(x.Then)
-		if x.Else != nil {
-			n += frameBytes(x.Else)
-		}
-		return n
-	case *While:
-		return frameBytes(x.Body)
-	case *DoWhile:
-		return frameBytes(x.Body)
-	case *For:
-		var n int32
-		if x.Init != nil {
-			n += frameBytes(x.Init)
-		}
-		return n + frameBytes(x.Body)
-	}
-	return 0
-}
-
-// emitFunc generates one function (pass 2b).
-func (g *codegen) emitFunc(fd *FuncDecl, file string) error {
+// emitFunc generates one analyzed and checked function (pass 3).
+func (g *codegen) emitFunc(fd *FuncDecl) error {
 	g.fn = g.funcs[fd.Name]
-	g.curFile = file
-	g.scopes = []map[string]local{{}}
-	g.frameSize = 0
-	g.breakLbl, g.contLbl = nil, nil
+	g.analysis = g.fn.an
+	g.loops, g.inlines, g.live = nil, nil, 0
 
-	// Parameters live above the return address.
-	off := int32(8)
-	for _, p := range fd.Params {
-		if _, dup := g.scopes[0][p.Name]; dup {
-			return cErrf(fd.Pos, "duplicate parameter %q", p.Name)
+	u := g.u
+	u.Label(fd.Name)
+	u.Op1(x86.PUSH, x86.R(x86.EBP))
+	u.Op2(x86.MOV, x86.R(x86.EBP), x86.R(x86.ESP))
+	if g.frame > 0 {
+		u.Op2(x86.SUB, x86.R(x86.ESP), x86.I(g.frame))
+	}
+	for _, r := range g.saved {
+		u.Op1(x86.PUSH, x86.R(r))
+	}
+	for _, v := range g.vars {
+		if v.param >= 0 && v.reg != x86.NoReg {
+			g.loadMem(v.reg, x86.M(x86.EBP, v.off), v.typ)
 		}
-		g.scopes[0][p.Name] = local{off: off, typ: p.Type}
-		off += 4
 	}
 
-	frame := frameBytes(fd.Body)
-	g.u.Label(fd.Name)
-	g.u.Op1(x86.PUSH, x86.R(x86.EBP))
-	g.u.Op2(x86.MOV, x86.R(x86.EBP), x86.R(x86.ESP))
-	if frame > 0 {
-		g.u.Op2(x86.SUB, x86.R(x86.ESP), x86.I(frame))
+	g.retLabel = ".Lret." + fd.Name
+	g.tail = nil
+	if n := len(fd.Body.Stmts); n > 0 {
+		g.tail = fd.Body.Stmts[n-1]
 	}
-
 	if err := g.genBlock(fd.Body); err != nil {
 		return err
 	}
 
-	// Implicit return (value undefined for non-void, as in old C).
-	g.u.Label(".Lret." + fd.Name)
-	g.u.Op2(x86.MOV, x86.R(x86.ESP), x86.R(x86.EBP))
-	g.u.Op1(x86.POP, x86.R(x86.EBP))
-	g.u.Op0(x86.RET)
+	// The one epilogue: every return but a final one jumps here. (An
+	// early return that carried its own copy would be a basic block
+	// ending in RET, and the engine compiles only traces of two blocks
+	// or more: the exit path of a hot function — huff_decode's — would
+	// stay on the interpreter.) Falling off the end returns an undefined
+	// value, as in old C.
+	g.u.Label(g.retLabel)
+	for i := len(g.saved) - 1; i >= 0; i-- {
+		u.Op1(x86.POP, x86.R(g.saved[i]))
+	}
+	if g.frame > 0 {
+		u.Op2(x86.MOV, x86.R(x86.ESP), x86.R(x86.EBP))
+	}
+	u.Op1(x86.POP, x86.R(x86.EBP))
+	u.Op0(x86.RET)
 	return nil
 }
 
-func (g *codegen) pushScope() { g.scopes = append(g.scopes, map[string]local{}) }
-func (g *codegen) popScope()  { g.scopes = g.scopes[:len(g.scopes)-1] }
-
-func (g *codegen) lookupLocal(name string) (local, bool) {
-	for i := len(g.scopes) - 1; i >= 0; i-- {
-		if l, ok := g.scopes[i][name]; ok {
-			return l, true
-		}
-	}
-	return local{}, false
-}
-
 func (g *codegen) genBlock(b *Block) error {
-	g.pushScope()
-	defer g.popScope()
 	for _, s := range b.Stmts {
 		if err := g.genStmt(s); err != nil {
 			return err
 		}
 	}
+	return nil
+}
+
+// genLoop emits a loop in the one shape the engine runs well:
+//
+//	    jmp top
+//	top:  if (!c) goto end      (absent on a do-while)
+//	      body
+//	next: post
+//	      if (!c) goto end      (do-while only)
+//	      jmp top
+//	end:
+//
+// The tier-2 backend stays inside compiled code only across an
+// unconditional back edge (a conditional one returns to the dispatcher
+// on every iteration), hence the jump at the bottom. The jump at the
+// entry costs one instruction per loop and buys the rest: it makes top
+// the start of a basic block on the first pass as well, so that block —
+// not the body behind it — is the first to run hot, the trace grows
+// from it, and the back edge closes the trace on its own entry. Without
+// it the profiler roots the trace in the body and every iteration
+// leaves compiled code at the loop test. post may be nil.
+func (g *codegen) genLoop(c Expr, post Expr, body Stmt, testFirst bool) error {
+	top, cont, end := g.newLabel("loop"), g.newLabel("next"), g.newLabel("end")
+	g.u.Jmp(top)
+	g.u.Label(top)
+	if c != nil && testFirst {
+		if err := g.genCondJump(c, end, false); err != nil {
+			return err
+		}
+	}
+	g.loops = append(g.loops, loop{brk: end, cont: cont})
+	err := g.genStmt(body)
+	g.loops = g.loops[:len(g.loops)-1]
+	if err != nil {
+		return err
+	}
+	g.u.Label(cont)
+	if post != nil {
+		if err := g.genVoid(post); err != nil {
+			return err
+		}
+	}
+	if c != nil && !testFirst {
+		if err := g.genCondJump(c, end, false); err != nil {
+			return err
+		}
+	}
+	g.u.Jmp(top)
+	g.u.Label(end)
 	return nil
 }
 
@@ -407,189 +569,86 @@ func (g *codegen) genStmt(s Stmt) error {
 		return g.genBlock(x)
 
 	case *ExprStmt:
-		_, err := g.genExpr(x.X)
-		return err
+		return g.genVoid(x.X)
 
 	case *DeclStmt:
-		sz := int32((x.Type.Size() + 3) &^ 3)
-		g.frameSize += sz
-		l := local{off: -g.frameSize, typ: x.Type}
-		scope := g.scopes[len(g.scopes)-1]
-		if _, dup := scope[x.Name]; dup {
-			return cErrf(x.Pos, "duplicate local %q", x.Name)
+		if x.Init == nil {
+			return nil
 		}
-		scope[x.Name] = l
-		if x.Init != nil {
-			if !x.Type.IsScalar() {
-				return cErrf(x.Pos, "array locals cannot be initialized")
-			}
-			t, err := g.genExpr(x.Init)
-			if err != nil {
-				return err
-			}
-			if err := g.checkAssignable(x.Pos, x.Type, t); err != nil {
-				return err
-			}
-			g.storeToEBP(l.off, x.Type)
-		}
-		return nil
+		return g.assignVar(g.decls[x], x.Init)
 
 	case *If:
 		elseL := g.newLabel("else")
-		endL := g.newLabel("endif")
 		if err := g.genCondJump(x.C, elseL, false); err != nil {
 			return err
 		}
 		if err := g.genStmt(x.Then); err != nil {
 			return err
 		}
-		if x.Else != nil {
-			g.u.Jmp(endL)
+		if x.Else == nil {
+			g.u.Label(elseL)
+			return nil
 		}
+		endL := g.newLabel("endif")
+		g.u.Jmp(endL)
 		g.u.Label(elseL)
-		if x.Else != nil {
-			if err := g.genStmt(x.Else); err != nil {
-				return err
-			}
-			g.u.Label(endL)
+		if err := g.genStmt(x.Else); err != nil {
+			return err
 		}
+		g.u.Label(endL)
 		return nil
 
 	case *While:
-		top := g.newLabel("while")
-		end := g.newLabel("endwhile")
-		g.u.Label(top)
-		if err := g.genCondJump(x.C, end, false); err != nil {
-			return err
-		}
-		g.breakLbl = append(g.breakLbl, end)
-		g.contLbl = append(g.contLbl, top)
-		err := g.genStmt(x.Body)
-		g.breakLbl = g.breakLbl[:len(g.breakLbl)-1]
-		g.contLbl = g.contLbl[:len(g.contLbl)-1]
-		if err != nil {
-			return err
-		}
-		g.u.Jmp(top)
-		g.u.Label(end)
-		return nil
+		return g.genLoop(x.C, nil, x.Body, true)
 
 	case *DoWhile:
-		top := g.newLabel("do")
-		cont := g.newLabel("docond")
-		end := g.newLabel("enddo")
-		g.u.Label(top)
-		g.breakLbl = append(g.breakLbl, end)
-		g.contLbl = append(g.contLbl, cont)
-		err := g.genStmt(x.Body)
-		g.breakLbl = g.breakLbl[:len(g.breakLbl)-1]
-		g.contLbl = g.contLbl[:len(g.contLbl)-1]
-		if err != nil {
-			return err
-		}
-		g.u.Label(cont)
-		if err := g.genCondJump(x.C, top, true); err != nil {
-			return err
-		}
-		g.u.Label(end)
-		return nil
+		return g.genLoop(x.C, nil, x.Body, false)
 
 	case *For:
-		g.pushScope() // the init declaration scopes to the loop
-		defer g.popScope()
 		if x.Init != nil {
 			if err := g.genStmt(x.Init); err != nil {
 				return err
 			}
 		}
-		top := g.newLabel("for")
-		cont := g.newLabel("forpost")
-		end := g.newLabel("endfor")
-		g.u.Label(top)
-		if x.C != nil {
-			if err := g.genCondJump(x.C, end, false); err != nil {
-				return err
-			}
-		}
-		g.breakLbl = append(g.breakLbl, end)
-		g.contLbl = append(g.contLbl, cont)
-		err := g.genStmt(x.Body)
-		g.breakLbl = g.breakLbl[:len(g.breakLbl)-1]
-		g.contLbl = g.contLbl[:len(g.contLbl)-1]
-		if err != nil {
-			return err
-		}
-		g.u.Label(cont)
-		if x.Post != nil {
-			if _, err := g.genExpr(x.Post); err != nil {
-				return err
-			}
-		}
-		g.u.Jmp(top)
-		g.u.Label(end)
-		return nil
+		return g.genLoop(x.C, x.Post, x.Body, true)
 
 	case *Return:
-		if x.X != nil {
-			if g.fn.ret.Kind == TVoid {
-				return cErrf(x.Pos, "void function returns a value")
-			}
-			t, err := g.genExpr(x.X)
-			if err != nil {
-				return err
-			}
-			if err := g.checkAssignable(x.Pos, g.fn.ret, t); err != nil {
-				return err
-			}
-		} else if g.fn.ret.Kind != TVoid {
-			return cErrf(x.Pos, "missing return value")
+		ret := g.fn.ret
+		var in *inlineFrame
+		if n := len(g.inlines); n > 0 {
+			in = g.inlines[n-1]
+			ret = in.fn.ret
 		}
-		g.u.Jmp(".Lret." + g.fn.name)
+		dst := x86.EAX
+		if in != nil {
+			dst = in.dst
+		}
+		if x.X != nil {
+			if err := g.gen(x.X, dst); err != nil {
+				return err
+			}
+			if dst != x86.NoReg && ret.Kind == TByte && g.ty(x.X).Kind != TByte {
+				g.zext8(dst)
+			}
+		}
+		switch {
+		case in == nil && s != g.tail:
+			g.u.Jmp(g.retLabel)
+		case in != nil && s != in.tail:
+			in.endUsed = true
+			g.u.Jmp(in.end)
+		}
 		return nil
 
 	case *Break:
-		if len(g.breakLbl) == 0 {
-			return cErrf(x.Pos, "break outside a loop")
-		}
-		g.u.Jmp(g.breakLbl[len(g.breakLbl)-1])
+		g.u.Jmp(g.loops[len(g.loops)-1].brk)
 		return nil
 
 	case *Continue:
-		if len(g.contLbl) == 0 {
-			return cErrf(x.Pos, "continue outside a loop")
-		}
-		g.u.Jmp(g.contLbl[len(g.contLbl)-1])
+		g.u.Jmp(g.loops[len(g.loops)-1].cont)
 		return nil
 	}
 	return cErrf(s.stmtPos(), "unhandled statement")
-}
-
-// genCondJump evaluates a condition and jumps to target when the
-// condition's truth equals jumpIfTrue.
-func (g *codegen) genCondJump(c Expr, target string, jumpIfTrue bool) error {
-	t, err := g.genExpr(c)
-	if err != nil {
-		return err
-	}
-	if !t.IsScalar() {
-		return cErrf(c.exprPos(), "condition is not scalar")
-	}
-	g.u.Op2(x86.TEST, x86.R(x86.EAX), x86.R(x86.EAX))
-	if jumpIfTrue {
-		g.u.Jcc(x86.CCNE, target)
-	} else {
-		g.u.Jcc(x86.CCE, target)
-	}
-	return nil
-}
-
-// storeToEBP stores EAX into an EBP-relative slot with the type's width.
-func (g *codegen) storeToEBP(off int32, t *Type) {
-	if t.Size() == 1 {
-		g.u.Op2(x86.MOV, x86.M8(x86.EBP, off), x86.R8(x86.EAX))
-	} else {
-		g.u.Op2(x86.MOV, x86.M(x86.EBP, off), x86.R(x86.EAX))
-	}
 }
 
 // checkAssignable enforces VXC's (permissive, old-C flavored) assignment

@@ -31,9 +31,11 @@ import (
 // Version, and any codegen, runtime-library or linking change that can
 // alter the emitted ELF for unchanged sources must bump it, so stale
 // index entries miss instead of aliasing a different executable.
-// 2 lays globals out in declaration order; 1 laid them out in map
+// 3 is the operand-selecting code generator with register-resident
+// locals and inlining (codegen.go); 2 was the EAX/ECX stack machine
+// with globals laid out in declaration order; 1 laid them out in map
 // iteration order, so its ELFs differed from compile to compile.
-const Version = 2
+const Version = 3
 
 // Source is one VXC compilation unit.
 type Source struct {
@@ -109,6 +111,8 @@ func Compile(opts Options, sources ...Source) (*Build, error) {
 		return nil, fmt.Errorf("vxcc: main must be declared as int main(void)")
 	}
 
+	g.markFatal(files)
+
 	// crt0: call main, then exit(main()).
 	g.u.Label("_start")
 	g.u.Call("main")
@@ -116,17 +120,46 @@ func Compile(opts Options, sources ...Source) (*Build, error) {
 	g.u.Op2(x86.MOV, x86.R(x86.EAX), x86.I(vm.SysExit))
 	g.u.Op1(x86.INT, x86.Arg{Kind: x86.KindImm, Imm: 0x80, Size: 1})
 
-	// Pass 2: globals, then function bodies.
+	// Pass 2: globals; then every function is analyzed and checked, in
+	// source order, whether or not it ends up in the image.
 	if err := g.emitGlobals(); err != nil {
 		return nil, err
 	}
-	funcFile := make(map[string]string)
 	for _, f := range files {
-		for _, fn := range f.Funcs {
-			if err := g.emitFunc(fn, f.Name); err != nil {
+		for _, fd := range f.Funcs {
+			if err := g.analyze(fd); err != nil {
 				return nil, err
 			}
-			funcFile[fn.Name] = f.Name
+			if err := g.checkFunc(fd); err != nil {
+				return nil, err
+			}
+		}
+	}
+
+	// Pass 3: code for the functions main reaches through the calls that
+	// are still calls. Once a helper's every call site has been expanded in
+	// place its out-of-line copy would be dead weight in every archive, and
+	// so would the parts of libvx a decoder never uses.
+	linked := map[*function]bool{mainFn: true}
+	for work := []*function{mainFn}; len(work) > 0; {
+		fn := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, callee := range fn.an.calls {
+			if !linked[callee] {
+				linked[callee] = true
+				work = append(work, callee)
+			}
+		}
+	}
+	funcFile := make(map[string]string)
+	for _, f := range files {
+		for _, fd := range f.Funcs {
+			if linked[g.funcs[fd.Name]] {
+				if err := g.emitFunc(fd); err != nil {
+					return nil, err
+				}
+				funcFile[fd.Name] = f.Name
+			}
 		}
 	}
 

@@ -241,3 +241,85 @@ int main(void) {
 		t.Fatalf("out=%q diag=%q", out.String(), diag.String())
 	}
 }
+
+// TestByteValuesAreTruncated: the value of an expression of type byte is
+// always zero-extended from eight bits — including the value of an
+// assignment, ++/-- or op= to a byte lvalue, and a byte function's
+// result — wherever the variable lives.
+func TestByteValuesAreTruncated(t *testing.T) {
+	expectExit(t, `int main(void) { byte b; int y = (b = 300); return y; }`, 44)
+	expectExit(t, `int main(void) { byte b = 255; int y = ++b; return y; }`, 0)
+	expectExit(t, `int main(void) { byte b = 200; int y = (b += 100); return y; }`, 44)
+	expectExit(t, `byte f(int x) { return x; } int main(void) { return f(300); }`, 44)
+	// The same through memory: a global, an array element, a pointer.
+	expectExit(t, `byte g; int main(void) { int y = (g = 300); return y + g; }`, 88)
+	expectExit(t, `byte a[2]; int main(void) { a[1] = 255; int y = ++a[1]; return y * 1000 + a[1]; }`, 0)
+	expectExit(t, `int main(void) { byte b = 200; byte *p = &b; int y = (*p += 100); return y; }`, 44)
+	expectExit(t, `int main(void) { byte b = 0; int y = b--; return y * 1000 + b; }`, 255)
+	// Out of line as well as expanded in place (big is too large to inline).
+	expectExit(t, `
+byte big(int x) {
+	int i;
+	int s = 0;
+	for (i = 0; i < 4; i++) { if (x & (1 << i)) s += x; else s -= 1; }
+	for (i = 0; i < 4; i++) { if (s & (2 << i)) s ^= x; else s += 3; }
+	return x + s - s;
+}
+int main(void) { return big(300); }`, 44)
+}
+
+// TestEarlyReturnBeforeFatalTail: a function that ends in exit() (or in
+// "while (1) { }") but can return earlier is an ordinary function to its
+// callers — the stack is balanced after every call to it, in a loop and
+// across the callers' own returns.
+func TestEarlyReturnBeforeFatalTail(t *testing.T) {
+	expectExit(t, `
+void check(int c) { if (c) return; exit(99); }
+int work(int n) { int i; int s = 0; for (i = 0; i < n; i++) { check(1); s += i; } return s; }
+int main(void) { int a = 7; int k; for (k = 0; k < 3; k++) a += work(5); return a; }`, 37)
+	expectExit(t, `
+void spin(int c) { if (c) return; while (1) { } }
+int work(int n) { int i; int s = 0; for (i = 0; i < n; i++) { spin(i + 1); s += i; } return s; }
+int main(void) { int a = 7; int k; for (k = 0; k < 3; k++) a += work(5); return a; }`, 37)
+	// One that really cannot return is still called correctly, with
+	// pending temporaries around the call.
+	expectExit(t, `
+void bail(int c) { flushout(); exit(c); }
+int pick(int x) { if (x > 3) bail(40 + x); return x; }
+int main(void) { int i; int s = 0; for (i = 0; i < 9; i++) s = s * 2 + (i + pick(i)); return s; }`, 44)
+}
+
+// TestOperandOutlivesExpansion: a variable used in place as an operand is
+// read after everything else in its expression has run, including the
+// body of a call expanded there; its register must not be handed to that
+// body's variables even when this is the variable's last mention. (The
+// expected values come from the reference interpreter, oracle_test.go.)
+func TestOperandOutlivesExpansion(t *testing.T) {
+	const helpers = `
+int ga[8] = {3, -1, 4, 1, -5, 9, 2, 6};
+int g0 = 7;
+int mix(int a, uint b) {
+	int t = a * 5 - (int)(b >> 3);
+	int k;
+	for (k = 0; k < 3; k++) t = (t << 1) ^ ga[(t + k) & 7];
+	g0 = (g0 + a) & 0xFFFF;
+	return t;
+}
+`
+	// The pointer of an index expression whose index expands a call.
+	checkProgram(t, helpers+`
+int run(void) {
+	uint u = 9; int r = 0;
+	for (int i = 0; i < 3; i++) { int *p = ga + (i & 1); r += p[mix(5, u) & 3]; }
+	return r;
+}
+int main(void) { return run(); }`)
+	// A left argument read after the right argument's expansion has run.
+	checkProgram(t, helpers+`
+int run(void) {
+	uint u = 9; int r = 0;
+	for (int i = 0; i < 2; i++) { int t = i; r += mix(t + 3, mix(5, u)) & 0xFF; }
+	return r;
+}
+int main(void) { return run(); }`)
+}

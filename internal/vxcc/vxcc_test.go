@@ -404,11 +404,17 @@ func TestCompileErrors(t *testing.T) {
 }
 
 // TestTable2Accounting checks the decoder/runtime text split used by the
-// Table 2 harness.
+// Table 2 harness. Only what a program calls is linked in, so the tiny
+// decoder here uses the buffered I/O half of libvx.
 func TestTable2Accounting(t *testing.T) {
 	b, err := Compile(Options{}, Source{Name: "dec.vxc", Text: `
-int work(int x) { return x * 3; }
-int main(void) { return work(2); }`})
+int work(int x) { int i; int s = 0; for (i = 0; i < x; i++) s += i * 3; return s; }
+int main(void) {
+	int c;
+	while ((c = getb()) >= 0) putb(work(c));
+	flushout();
+	return 0;
+}`})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,5 +435,21 @@ int main(void) { return work(2); }`})
 	}
 	if !sawMain || !sawGetb {
 		t.Fatalf("function table incomplete: %+v", b.Funcs)
+	}
+	for _, f := range b.Funcs {
+		if f.Name == "vxalloc" || f.Name == "get4le" {
+			t.Fatalf("%s is linked in though nothing calls it", f.Name)
+		}
+	}
+}
+
+// TestUncalledFunctionsAreChecked: leaving a function out of the image
+// does not let its errors through.
+func TestUncalledFunctionsAreChecked(t *testing.T) {
+	_, err := Compile(Options{}, Source{Name: "dead.vxc", Text: `
+int unused(void) { return nosuch + 1; }
+int main(void) { return 0; }`})
+	if err == nil || !strings.Contains(err.Error(), "nosuch") {
+		t.Fatalf("err = %v, want the undefined identifier in the uncalled function", err)
 	}
 }
