@@ -113,11 +113,14 @@ func main() {
 // dumpTracePlans decodes one encoded sample through a fresh VM so the
 // hot paths profile, form superblocks and promote, folds the result into
 // the decoder's snapshot as a pool does on release, rewinds the VM onto
-// it, and prints every trace plan the rewound VM holds — what every
-// later stream of the decoder starts with: the fused micro-op sequence
-// with per-op fuel costs, the guard exit slots, which tier-2 backend the
-// trace compiled to, and whether the code came with the snapshot
-// (origin=snapshot) or had to be compiled for this VM (origin=vm).
+// it, decodes the sample again — now on the installed traces, the way
+// every later stream of the decoder runs — and prints every trace plan
+// the VM holds: the fused micro-op sequence with per-op fuel costs, the
+// guard exit slots, which tier-2 backend the trace compiled to, whether
+// the code came with the snapshot (origin=snapshot) or had to be
+// compiled for this VM (origin=vm), and for every exit that leaves
+// through a link slot whether that second stream linked it and to which
+// trace.
 func dumpTracePlans(name string, elf []byte) error {
 	c, ok := codec.ByName(name)
 	if !ok {
@@ -152,9 +155,17 @@ func dumpTracePlans(name string, elf []byte) error {
 	if err := v.Reset(snap); err != nil {
 		return err
 	}
+	out.Reset()
+	if _, err := v.RunStream(context.Background(), bytes.NewReader(enc.Bytes()),
+		&out, &diag, vm.StreamFuel(enc.Len())); err != nil {
+		return fmt.Errorf("sample decode on installed traces: %w", err)
+	}
+	st2 := v.Stats()
 	plans := v.TracePlans()
-	fmt.Printf("%s: %d superblocks, %d tier-2 traces compiled, %d demotions; snapshot carries %d superblocks, %d traces\n",
-		name, len(plans), st.Tier2Compiled, st.Tier2Demotions, snap.SBCount(), snap.T2Count())
+	fmt.Printf("%s: %d superblocks, %d tier-2 traces compiled; snapshot carries %d superblocks, %d traces\n",
+		name, len(plans), st.Tier2Compiled, snap.SBCount(), snap.T2Count())
+	fmt.Printf("%s: second stream, on the snapshot's traces: %d exits linked, %d returns to the dispatcher for %d instructions in traces\n",
+		name, st2.Tier2Links-st.Tier2Links, st2.Tier2Exits-st.Tier2Exits, st2.Tier2Steps-st.Tier2Steps)
 	for _, p := range plans {
 		origin := ""
 		switch {
@@ -176,6 +187,17 @@ func dumpTracePlans(name string, elf []byte) error {
 				slot = fmt.Sprintf("  -> %08x", u.Target)
 			}
 			fmt.Printf("  %3d  %08x  %-16s cost=%d%s\n", u.Index, u.EIP, u.Kind, u.Cost, slot)
+		}
+		for k, e := range p.Exits {
+			state := "unlinked"
+			if e.Linked {
+				state = fmt.Sprintf("linked to trace %08x", e.To)
+			}
+			to := ""
+			if e.Target != 0 {
+				to = fmt.Sprintf(" -> %08x", e.Target)
+			}
+			fmt.Printf("  link[%d] uop %d %s%s: %s\n", k, e.Uop, e.Kind, to, state)
 		}
 	}
 	return nil

@@ -75,42 +75,48 @@ func TestInstructionBudget(t *testing.T) {
 	}
 }
 
-// interpreterBudget is, per decoder, the most guest instructions per
-// decoded byte that may retire outside compiled traces when every
-// superblock is promoted on first entry (VXA_TIER2_HOT=1), over the
-// roundtrip-golden input. A code shape the native emitter cannot take — a
-// memory-operand or SIB form that makes nativeCompile bail — leaves its
-// whole loop on the interpreter and shows here as a multiple of the
-// ceiling, not as a wrong answer anywhere.
+// tier2Off reports whether the process-wide switch has the compiled tier
+// off, in which case its gates have nothing to measure.
+func tier2Off() bool {
+	s := os.Getenv("VXA_NO_TIER2")
+	return s != "" && s != "0"
+}
+
+// interpreterBudget is, per decoder, what may stay outside compiled
+// traces when every superblock is promoted on first entry
+// (VXA_TIER2_HOT=1), over the roundtrip-golden input: ceiling is the most
+// guest instructions per decoded byte, floor the least share of all
+// instructions that must retire in traces. A code shape the native
+// emitter cannot take — a memory-operand or SIB form that makes
+// nativeCompile bail — leaves its whole loop on the interpreter and
+// shows here as a multiple of the ceiling, not as a wrong answer
+// anywhere.
 //
-// The gate is the instructions left behind, not their share of the
-// total: vxcc.Version 3 retires a quarter of the instructions Version 2
-// did, so the same residue is a four times larger share. stackMachine is
-// what Version 2's decoders left on the interpreter, stackShare the share
-// they reached. Five decoders leave less than they did; lpc leaves more
-// (the head of read_rice's unary loop, now expanded into main, is a
-// trace the profiler tears down: most codes end at their first bit). On
-// share alone every decoder but dct is below Version 2 — ISSUE 14 asked
-// for "no lower", and that is not met; see CHANGES.md. What is left on
-// the interpreter is not code the emitter refuses (every superblock that
-// forms compiles) but blocks whose traces left through a guard on more
-// than half their entries eight times over, after which the engine stops
-// re-forming them: adpcm's sign, magnitude and clamp branches, haar's
-// position-dependent step_at.
-var interpreterBudget = map[string]struct{ ceiling, stackMachine, stackShare float64 }{
-	"adpcm":   {10.4, 17.48, 0.9048},
-	"bwt":     {0.39, 1.40, 0.9963},
-	"dct":     {4.9, 45.35, 0.9705},
-	"deflate": {0.39, 0.73, 0.9973},
-	"haar":    {14.2, 55.52, 0.9122},
-	"lpc":     {0.78, 0.58, 0.9990},
-	"zlib":    {0.41, 0.77, 0.9974},
+// What stays on the interpreter now is start-up code and the first
+// sbHotThreshold entries of every block: a fixed residue, not loops. The
+// floors are where the share stood before the engine could be blamed
+// for it: for adpcm and haar what vxcc.Version 2's stack-machine
+// decoders reached (0.9048, 0.9122) — Version 3 retires a quarter of
+// the instructions, the exit-ratio teardown then kept 22% and 9% of
+// them on the interpreter, and ISSUE 14's "share no lower than the
+// parent" went unmet until the teardown went — and for the other five
+// what PR 14 measured under the same forced promotion. The ceilings sit
+// a few percent above what is measured.
+var interpreterBudget = map[string]struct{ ceiling, floor float64 }{
+	"adpcm":   {0.16, 0.9048},
+	"bwt":     {0.20, 0.9959},
+	"dct":     {0.85, 0.9833},
+	"deflate": {0.31, 0.9936},
+	"haar":    {0.75, 0.9122},
+	"lpc":     {0.22, 0.9945},
+	"zlib":    {0.33, 0.9940},
 }
 
 // TestTier2TakesCompilerOutput holds what every decoder leaves on the
-// interpreter under forced promotion against the committed ceiling.
+// interpreter under forced promotion against the committed ceiling, and
+// the share it runs compiled against the committed floor.
 func TestTier2TakesCompilerOutput(t *testing.T) {
-	if s := os.Getenv("VXA_NO_TIER2"); s != "" && s != "0" {
+	if tier2Off() {
 		t.Skip("tier 2 is switched off for this run")
 	}
 	t.Setenv("VXA_TIER2_HOT", "1")
@@ -129,12 +135,71 @@ func TestTier2TakesCompilerOutput(t *testing.T) {
 		}
 		left := stats.Steps - stats.Tier2Steps
 		got := float64(left) / float64(n)
-		t.Logf("%-8s %7d of %8d instructions outside compiled traces = %6.2f per byte (ceiling %v, stack machine %v); share %.4f (stack machine %v)",
-			c.Name, left, stats.Steps, got, b.ceiling, b.stackMachine,
-			float64(stats.Tier2Steps)/float64(stats.Steps), b.stackShare)
+		share := float64(stats.Tier2Steps) / float64(stats.Steps)
+		t.Logf("%-8s %7d of %8d instructions outside compiled traces = %6.2f per byte (ceiling %v); share %.4f (floor %v)",
+			c.Name, left, stats.Steps, got, b.ceiling, share, b.floor)
 		if got > b.ceiling {
 			t.Errorf("%s: %.2f instructions per decoded byte left on the interpreter under forced promotion, budget %v: "+
 				"some loop the compiler emits no longer compiles to a trace", c.Name, got, b.ceiling)
+		}
+		if share < b.floor {
+			t.Errorf("%s: %.4f of the instructions retire in compiled traces under forced promotion, floor %v",
+				c.Name, share, b.floor)
+		}
+	}
+}
+
+// roundTripBudget is, per decoder, the most returns from compiled code
+// to the dispatcher (vm.Stats.Tier2Exits) per decoded KiB over the
+// roundtrip-golden input, at the default promotion thresholds. Compiled
+// traces reach one another through link slots, so what comes back to the
+// dispatcher is the syscall gate, the poll quantum, edges whose target
+// has not compiled yet and inline-cache misses; a trace shape whose exits
+// cannot link — or an engine change that stops linking them — shows here
+// as a multiple of the ceiling. unlinked is what the engine made per KiB
+// when every exit of every trace returned to the dispatcher (PR 14, on
+// the same inputs); the ceilings sit a few percent above what is
+// measured and at least ten times below that.
+var roundTripBudget = map[string]struct{ ceiling, unlinked float64 }{
+	"adpcm":   {10.4, 1558},
+	"bwt":     {13.8, 1540},
+	"dct":     {76, 5624},
+	"deflate": {17.9, 1024},
+	"haar":    {156, 2346},
+	"lpc":     {10.7, 2927},
+	"zlib":    {18.2, 1025},
+}
+
+// TestDispatcherRoundTrips holds the dispatcher round trips every decoder
+// makes per decoded KiB against the committed ceiling.
+func TestDispatcherRoundTrips(t *testing.T) {
+	if tier2Off() {
+		t.Skip("tier 2 is switched off for this run")
+	}
+	t.Setenv("VXA_TIER2_HOT", "")
+	for _, c := range codec.All() {
+		if c.Encode == nil {
+			continue
+		}
+		b, ok := roundTripBudget[c.Name]
+		if !ok {
+			t.Errorf("%s: no round-trip budget committed", c.Name)
+			continue
+		}
+		n, stats := decodeGoldenInput(t, c)
+		if stats.Tier2Links == 0 {
+			t.Skip("no linking tier on this platform")
+		}
+		got := float64(stats.Tier2Exits) / (float64(n) / 1024)
+		t.Logf("%-8s %5d returns to the dispatcher / %6d bytes = %6.1f per KiB (ceiling %v, unlinked %v); %d exits linked, %.0f instructions per round trip",
+			c.Name, stats.Tier2Exits, n, got, b.ceiling, b.unlinked, stats.Tier2Links,
+			float64(stats.Tier2Steps)/float64(stats.Tier2Exits))
+		if got > b.ceiling {
+			t.Errorf("%s: %.1f returns from compiled code to the dispatcher per decoded KiB, budget %v: "+
+				"some hot trace exit is not being linked", c.Name, got, b.ceiling)
+		}
+		if b.ceiling*10 > b.unlinked {
+			t.Errorf("%s: ceiling %v is not ten times below the unlinked engine's %v", c.Name, b.ceiling, b.unlinked)
 		}
 	}
 }

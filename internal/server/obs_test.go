@@ -177,7 +177,8 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 			"vxad_engine_steps_total",
 			"vxad_engine_tier2_compiled_total",
 			"vxad_engine_tier2_executed_total",
-			"vxad_engine_tier2_demotions_total",
+			"vxad_engine_tier2_exits_total",
+			"vxad_engine_tier2_links_total",
 		} {
 			if !strings.Contains(text, want) {
 				t.Errorf("%s: missing %q in exposition", mode.name, want)

@@ -777,7 +777,8 @@ func (s *Server) WritePrometheus(w io.Writer) error {
 	p.Counter("vxad_engine_tier2_compiled_total", "Superblock traces compiled to tier-2 code.", nil, float64(engine.Tier2Compiled))
 	p.Counter("vxad_engine_tier2_shared_total", "Compiled tier-2 traces installed from a snapshot at VM build or reset instead of compiled.", nil, float64(engine.Tier2Shared))
 	p.Counter("vxad_engine_tier2_executed_total", "Tier-2 trace iterations run (one full superblock pass each).", nil, float64(engine.Tier2Executed))
-	p.Counter("vxad_engine_tier2_demotions_total", "Compiled tier-2 traces a VM dropped with its stale superblock.", nil, float64(engine.Tier2Demotions))
+	p.Counter("vxad_engine_tier2_exits_total", "Returns from compiled code to the dispatcher (one per run of linked traces).", nil, float64(engine.Tier2Exits))
+	p.Counter("vxad_engine_tier2_links_total", "Trace exits linked straight to another trace's entry.", nil, float64(engine.Tier2Links))
 	p.Counter("vxad_engine_tier2_steps_total", "Guest instructions retired inside tier-2 traces.", nil, float64(engine.Tier2Steps))
 	p.Counter("vxad_engine_translate_seconds_total", "Wall time spent translating guest code.", nil, float64(engine.TranslateNS)/1e9)
 	p.Counter("vxad_engine_syscalls_total", "Guest syscalls serviced.", nil, float64(engine.Syscalls))

@@ -53,10 +53,10 @@ func (v *VM) store(addr, size, val uint32) error {
 func (v *VM) effAddr(a *x86.Arg) uint32 {
 	addr := uint32(a.Disp)
 	if a.Base != x86.NoReg {
-		addr += v.regs[a.Base]
+		addr += v.m.Regs[a.Base]
 	}
 	if a.Index != x86.NoReg {
-		addr += v.regs[a.Index] * uint32(a.Scale)
+		addr += v.m.Regs[a.Index] * uint32(a.Scale)
 	}
 	return addr
 }
@@ -65,23 +65,23 @@ func (v *VM) effAddr(a *x86.Arg) uint32 {
 func (v *VM) readReg(r x86.Reg, size uint8) uint32 {
 	if size == 1 {
 		if r < 4 {
-			return v.regs[r] & 0xFF
+			return v.m.Regs[r] & 0xFF
 		}
-		return (v.regs[r-4] >> 8) & 0xFF // AH/CH/DH/BH
+		return (v.m.Regs[r-4] >> 8) & 0xFF // AH/CH/DH/BH
 	}
-	return v.regs[r]
+	return v.m.Regs[r]
 }
 
 func (v *VM) writeReg(r x86.Reg, size uint8, val uint32) {
 	if size == 1 {
 		if r < 4 {
-			v.regs[r] = v.regs[r]&^uint32(0xFF) | val&0xFF
+			v.m.Regs[r] = v.m.Regs[r]&^uint32(0xFF) | val&0xFF
 		} else {
-			v.regs[r-4] = v.regs[r-4]&^uint32(0xFF00) | (val&0xFF)<<8
+			v.m.Regs[r-4] = v.m.Regs[r-4]&^uint32(0xFF00) | (val&0xFF)<<8
 		}
 		return
 	}
-	v.regs[r] = val
+	v.m.Regs[r] = val
 }
 
 // readArg reads an operand value, zero-extended to 32 bits.
@@ -131,13 +131,13 @@ func signBit(size uint8) uint32 {
 // width. PF considers only the low byte, as on hardware.
 func (v *VM) setSZP(res uint32, size uint8) {
 	res &= widthMask(size)
-	v.zf = res == 0
-	v.sf = res&signBit(size) != 0
-	v.pf = bits.OnesCount8(uint8(res))%2 == 0
+	v.m.ZF = res == 0
+	v.m.SF = res&signBit(size) != 0
+	v.m.PF = bits.OnesCount8(uint8(res))%2 == 0
 }
 
 func (v *VM) setLogicFlags(res uint32, size uint8) {
-	v.cf, v.of = false, false
+	v.m.CF, v.m.OF = false, false
 	v.setSZP(res, size)
 }
 
@@ -148,8 +148,8 @@ func (v *VM) addFlags(a, b uint32, carry uint32, size uint8) uint32 {
 	b &= mask
 	wide := uint64(a) + uint64(b) + uint64(carry)
 	res := uint32(wide) & mask
-	v.cf = wide > uint64(mask)
-	v.of = (^(a ^ b) & (a ^ res) & signBit(size)) != 0
+	v.m.CF = wide > uint64(mask)
+	v.m.OF = (^(a ^ b) & (a ^ res) & signBit(size)) != 0
 	v.setSZP(res, size)
 	return res
 }
@@ -160,8 +160,8 @@ func (v *VM) subFlags(a, b uint32, borrow uint32, size uint8) uint32 {
 	a &= mask
 	b &= mask
 	res := (a - b - borrow) & mask
-	v.cf = uint64(a) < uint64(b)+uint64(borrow)
-	v.of = ((a ^ b) & (a ^ res) & signBit(size)) != 0
+	v.m.CF = uint64(a) < uint64(b)+uint64(borrow)
+	v.m.OF = ((a ^ b) & (a ^ res) & signBit(size)) != 0
 	v.setSZP(res, size)
 	return res
 }
@@ -170,56 +170,56 @@ func (v *VM) subFlags(a, b uint32, borrow uint32, size uint8) uint32 {
 func (v *VM) cond(cc x86.CC) bool {
 	switch cc {
 	case x86.CCO:
-		return v.of
+		return v.m.OF
 	case x86.CCNO:
-		return !v.of
+		return !v.m.OF
 	case x86.CCB:
-		return v.cf
+		return v.m.CF
 	case x86.CCAE:
-		return !v.cf
+		return !v.m.CF
 	case x86.CCE:
-		return v.zf
+		return v.m.ZF
 	case x86.CCNE:
-		return !v.zf
+		return !v.m.ZF
 	case x86.CCBE:
-		return v.cf || v.zf
+		return v.m.CF || v.m.ZF
 	case x86.CCA:
-		return !v.cf && !v.zf
+		return !v.m.CF && !v.m.ZF
 	case x86.CCS:
-		return v.sf
+		return v.m.SF
 	case x86.CCNS:
-		return !v.sf
+		return !v.m.SF
 	case x86.CCP:
-		return v.pf
+		return v.m.PF
 	case x86.CCNP:
-		return !v.pf
+		return !v.m.PF
 	case x86.CCL:
-		return v.sf != v.of
+		return v.m.SF != v.m.OF
 	case x86.CCGE:
-		return v.sf == v.of
+		return v.m.SF == v.m.OF
 	case x86.CCLE:
-		return v.zf || v.sf != v.of
+		return v.m.ZF || v.m.SF != v.m.OF
 	default: // CCG
-		return !v.zf && v.sf == v.of
+		return !v.m.ZF && v.m.SF == v.m.OF
 	}
 }
 
 func (v *VM) push32(val uint32) error {
-	sp := v.regs[x86.ESP] - 4
+	sp := v.m.Regs[x86.ESP] - 4
 	if err := v.store(sp, 4, val); err != nil {
 		return err
 	}
-	v.regs[x86.ESP] = sp
+	v.m.Regs[x86.ESP] = sp
 	return nil
 }
 
 func (v *VM) pop32() (uint32, error) {
-	sp := v.regs[x86.ESP]
+	sp := v.m.Regs[x86.ESP]
 	val, err := v.load(sp, 4)
 	if err != nil {
 		return 0, err
 	}
-	v.regs[x86.ESP] = sp + 4
+	v.m.Regs[x86.ESP] = sp + 4
 	return val, nil
 }
 
@@ -244,7 +244,7 @@ func (v *VM) exec(inst *x86.Inst, addr uint32) error {
 		if err != nil {
 			return err
 		}
-		v.regs[inst.Dst.Reg] = val // readArg already zero-extends
+		v.m.Regs[inst.Dst.Reg] = val // readArg already zero-extends
 
 	case x86.MOVSX:
 		val, err := v.readArg(&inst.Src)
@@ -256,10 +256,10 @@ func (v *VM) exec(inst *x86.Inst, addr uint32) error {
 		} else {
 			val = uint32(int32(int16(val)))
 		}
-		v.regs[inst.Dst.Reg] = val
+		v.m.Regs[inst.Dst.Reg] = val
 
 	case x86.LEA:
-		v.regs[inst.Dst.Reg] = v.effAddr(&inst.Src)
+		v.m.Regs[inst.Dst.Reg] = v.effAddr(&inst.Src)
 
 	case x86.XCHG:
 		a, err := v.readArg(&inst.Dst)
@@ -287,14 +287,14 @@ func (v *VM) exec(inst *x86.Inst, addr uint32) error {
 		if err != nil {
 			return err
 		}
-		cf := v.cf // INC/DEC preserve CF
+		cf := v.m.CF // INC/DEC preserve CF
 		var res uint32
 		if inst.Op == x86.INC {
 			res = v.addFlags(val, 1, 0, inst.Dst.Size)
 		} else {
 			res = v.subFlags(val, 1, 0, inst.Dst.Size)
 		}
-		v.cf = cf
+		v.m.CF = cf
 		if err := v.writeArg(&inst.Dst, res); err != nil {
 			return err
 		}
@@ -305,7 +305,7 @@ func (v *VM) exec(inst *x86.Inst, addr uint32) error {
 			return err
 		}
 		res := v.subFlags(0, val, 0, inst.Dst.Size)
-		v.cf = val&widthMask(inst.Dst.Size) != 0
+		v.m.CF = val&widthMask(inst.Dst.Size) != 0
 		if err := v.writeArg(&inst.Dst, res); err != nil {
 			return err
 		}
@@ -328,13 +328,13 @@ func (v *VM) exec(inst *x86.Inst, addr uint32) error {
 		if inst.Aux.Kind == x86.KindImm {
 			a = uint32(inst.Aux.Imm)
 		} else {
-			a = v.regs[inst.Dst.Reg]
+			a = v.m.Regs[inst.Dst.Reg]
 		}
 		full := int64(int32(a)) * int64(int32(src))
 		res := uint32(full)
-		v.regs[inst.Dst.Reg] = res
+		v.m.Regs[inst.Dst.Reg] = res
 		over := full != int64(int32(res))
-		v.cf, v.of = over, over
+		v.m.CF, v.m.OF = over, over
 		v.setSZP(res, 4) // SF/ZF/PF architecturally undefined; we define them
 
 	case x86.MUL1:
@@ -342,11 +342,11 @@ func (v *VM) exec(inst *x86.Inst, addr uint32) error {
 		if err != nil {
 			return err
 		}
-		full := uint64(v.regs[x86.EAX]) * uint64(src)
-		v.regs[x86.EAX] = uint32(full)
-		v.regs[x86.EDX] = uint32(full >> 32)
-		over := v.regs[x86.EDX] != 0
-		v.cf, v.of = over, over
+		full := uint64(v.m.Regs[x86.EAX]) * uint64(src)
+		v.m.Regs[x86.EAX] = uint32(full)
+		v.m.Regs[x86.EDX] = uint32(full >> 32)
+		over := v.m.Regs[x86.EDX] != 0
+		v.m.CF, v.m.OF = over, over
 		v.setSZP(uint32(full), 4)
 
 	case x86.IMUL1:
@@ -354,11 +354,11 @@ func (v *VM) exec(inst *x86.Inst, addr uint32) error {
 		if err != nil {
 			return err
 		}
-		full := int64(int32(v.regs[x86.EAX])) * int64(int32(src))
-		v.regs[x86.EAX] = uint32(full)
-		v.regs[x86.EDX] = uint32(uint64(full) >> 32)
+		full := int64(int32(v.m.Regs[x86.EAX])) * int64(int32(src))
+		v.m.Regs[x86.EAX] = uint32(full)
+		v.m.Regs[x86.EDX] = uint32(uint64(full) >> 32)
 		over := full != int64(int32(full))
-		v.cf, v.of = over, over
+		v.m.CF, v.m.OF = over, over
 		v.setSZP(uint32(full), 4)
 
 	case x86.DIV:
@@ -369,13 +369,13 @@ func (v *VM) exec(inst *x86.Inst, addr uint32) error {
 		if src == 0 {
 			return &Trap{Kind: TrapDivide, EIP: addr}
 		}
-		dividend := uint64(v.regs[x86.EDX])<<32 | uint64(v.regs[x86.EAX])
+		dividend := uint64(v.m.Regs[x86.EDX])<<32 | uint64(v.m.Regs[x86.EAX])
 		q := dividend / uint64(src)
 		if q > 0xFFFFFFFF {
 			return &Trap{Kind: TrapDivide, EIP: addr, Msg: "quotient overflow"}
 		}
-		v.regs[x86.EAX] = uint32(q)
-		v.regs[x86.EDX] = uint32(dividend % uint64(src))
+		v.m.Regs[x86.EAX] = uint32(q)
+		v.m.Regs[x86.EDX] = uint32(dividend % uint64(src))
 
 	case x86.IDIV:
 		src, err := v.readArg(&inst.Dst)
@@ -385,14 +385,14 @@ func (v *VM) exec(inst *x86.Inst, addr uint32) error {
 		if src == 0 {
 			return &Trap{Kind: TrapDivide, EIP: addr}
 		}
-		dividend := int64(uint64(v.regs[x86.EDX])<<32 | uint64(v.regs[x86.EAX]))
+		dividend := int64(uint64(v.m.Regs[x86.EDX])<<32 | uint64(v.m.Regs[x86.EAX]))
 		divisor := int64(int32(src))
 		q := dividend / divisor
 		if q > 0x7FFFFFFF || q < -0x80000000 {
 			return &Trap{Kind: TrapDivide, EIP: addr, Msg: "quotient overflow"}
 		}
-		v.regs[x86.EAX] = uint32(int32(q))
-		v.regs[x86.EDX] = uint32(int32(dividend % divisor))
+		v.m.Regs[x86.EAX] = uint32(int32(q))
+		v.m.Regs[x86.EDX] = uint32(int32(dividend % divisor))
 
 	case x86.SHL, x86.SHR, x86.SAR, x86.ROL, x86.ROR:
 		if err := v.shift(inst); err != nil {
@@ -400,7 +400,7 @@ func (v *VM) exec(inst *x86.Inst, addr uint32) error {
 		}
 
 	case x86.CDQ:
-		v.regs[x86.EDX] = uint32(int32(v.regs[x86.EAX]) >> 31)
+		v.m.Regs[x86.EDX] = uint32(int32(v.m.Regs[x86.EAX]) >> 31)
 
 	case x86.PUSH:
 		val, err := v.readArg(&inst.Dst)
@@ -444,7 +444,7 @@ func (v *VM) exec(inst *x86.Inst, addr uint32) error {
 			return err
 		}
 		if inst.Dst.Kind == x86.KindImm {
-			v.regs[x86.ESP] += uint32(inst.Dst.Imm)
+			v.m.Regs[x86.ESP] += uint32(inst.Dst.Imm)
 		}
 		v.eip = target
 		return nil
@@ -524,7 +524,7 @@ func (v *VM) alu(inst *x86.Inst) error {
 		res = v.addFlags(a, b, 0, size)
 	case x86.ADC:
 		c := uint32(0)
-		if v.cf {
+		if v.m.CF {
 			c = 1
 		}
 		res = v.addFlags(a, b, c, size)
@@ -532,7 +532,7 @@ func (v *VM) alu(inst *x86.Inst) error {
 		res = v.subFlags(a, b, 0, size)
 	case x86.SBB:
 		c := uint32(0)
-		if v.cf {
+		if v.m.CF {
 			c = 1
 		}
 		res = v.subFlags(a, b, c, size)
@@ -580,29 +580,29 @@ func (v *VM) shift(inst *x86.Inst) error {
 	switch inst.Op {
 	case x86.SHL:
 		if count <= w {
-			v.cf = val&(1<<(w-count)) != 0
+			v.m.CF = val&(1<<(w-count)) != 0
 		} else {
-			v.cf = false
+			v.m.CF = false
 		}
 		if count >= w {
 			res = 0
 		} else {
 			res = (val << count) & mask
 		}
-		v.of = ((res & signBit(size)) != 0) != v.cf
+		v.m.OF = ((res & signBit(size)) != 0) != v.m.CF
 		v.setSZP(res, size)
 	case x86.SHR:
 		if count <= w {
-			v.cf = val&(1<<(count-1)) != 0
+			v.m.CF = val&(1<<(count-1)) != 0
 		} else {
-			v.cf = false
+			v.m.CF = false
 		}
 		if count >= w {
 			res = 0
 		} else {
 			res = val >> count
 		}
-		v.of = val&signBit(size) != 0 // defined for count==1; we fix it always
+		v.m.OF = val&signBit(size) != 0 // defined for count==1; we fix it always
 		v.setSZP(res, size)
 	case x86.SAR:
 		sv := int32(val)
@@ -611,12 +611,12 @@ func (v *VM) shift(inst *x86.Inst) error {
 		}
 		if count >= w {
 			res = uint32(sv>>31) & mask
-			v.cf = sv < 0
+			v.m.CF = sv < 0
 		} else {
-			v.cf = (uint32(sv)>>(count-1))&1 != 0
+			v.m.CF = (uint32(sv)>>(count-1))&1 != 0
 			res = uint32(sv>>count) & mask
 		}
-		v.of = false
+		v.m.OF = false
 		v.setSZP(res, size)
 	case x86.ROL:
 		c := count % w
@@ -624,8 +624,8 @@ func (v *VM) shift(inst *x86.Inst) error {
 		if c == 0 {
 			res = val
 		}
-		v.cf = res&1 != 0
-		v.of = ((res & signBit(size)) != 0) != v.cf
+		v.m.CF = res&1 != 0
+		v.m.OF = ((res & signBit(size)) != 0) != v.m.CF
 		// Rotates do not affect SF/ZF/PF.
 	case x86.ROR:
 		c := count % w
@@ -633,8 +633,8 @@ func (v *VM) shift(inst *x86.Inst) error {
 		if c == 0 {
 			res = val
 		}
-		v.cf = res&signBit(size) != 0
-		v.of = ((res&signBit(size) != 0) != (res&(signBit(size)>>1) != 0))
+		v.m.CF = res&signBit(size) != 0
+		v.m.OF = ((res&signBit(size) != 0) != (res&(signBit(size)>>1) != 0))
 	}
 	return v.writeArg(&inst.Dst, res)
 }
@@ -649,22 +649,22 @@ func (v *VM) stringOp(inst *x86.Inst) error {
 	}
 	count := uint32(1)
 	if inst.Rep {
-		count = v.regs[x86.ECX]
+		count = v.m.Regs[x86.ECX]
 		if count == 0 {
 			return nil
 		}
 	}
 	n := count * width
 	if n/width != count {
-		return &Trap{Kind: TrapMemory, EIP: v.eip, Addr: v.regs[x86.EDI], Msg: "rep length overflow"}
+		return &Trap{Kind: TrapMemory, EIP: v.eip, Addr: v.m.Regs[x86.EDI], Msg: "rep length overflow"}
 	}
-	dst := v.regs[x86.EDI]
+	dst := v.m.Regs[x86.EDI]
 	if !v.writable(dst, n) {
 		return &Trap{Kind: TrapMemory, EIP: v.eip, Addr: dst}
 	}
 	switch inst.Op {
 	case x86.MOVSB, x86.MOVSD:
-		src := v.regs[x86.ESI]
+		src := v.m.Regs[x86.ESI]
 		if !v.readable(src, n) {
 			return &Trap{Kind: TrapMemory, EIP: v.eip, Addr: src}
 		}
@@ -679,15 +679,15 @@ func (v *VM) stringOp(inst *x86.Inst) error {
 		} else {
 			copy(v.mem[dst:dst+n], v.mem[src:src+n])
 		}
-		v.regs[x86.ESI] = src + n
+		v.m.Regs[x86.ESI] = src + n
 	case x86.STOSB:
-		al := byte(v.regs[x86.EAX])
+		al := byte(v.m.Regs[x86.EAX])
 		seg := v.mem[dst : dst+n]
 		for i := range seg {
 			seg[i] = al
 		}
 	case x86.STOSD:
-		eax := v.regs[x86.EAX]
+		eax := v.m.Regs[x86.EAX]
 		for off := uint32(0); off < n; off += 4 {
 			v.mem[dst+off] = byte(eax)
 			v.mem[dst+off+1] = byte(eax >> 8)
@@ -695,12 +695,12 @@ func (v *VM) stringOp(inst *x86.Inst) error {
 			v.mem[dst+off+3] = byte(eax >> 24)
 		}
 	}
-	v.regs[x86.EDI] = dst + n
+	v.m.Regs[x86.EDI] = dst + n
 	if inst.Rep {
-		v.regs[x86.ECX] = 0
+		v.m.Regs[x86.ECX] = 0
 		// Charge fuel for the iterations beyond the one already counted.
 		if count > 1 {
-			v.fuel -= int64(count - 1)
+			v.m.Fuel -= int64(count - 1)
 			v.stats.Steps += uint64(count - 1)
 		}
 	}

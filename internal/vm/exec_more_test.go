@@ -12,7 +12,7 @@ func TestMovzxMovsx(t *testing.T) {
 	addr := uint32(PageSize + 0x100)
 	v.mem[addr] = 0x80
 	v.mem[addr+1] = 0xFF
-	v.regs[x86.EBX] = addr
+	v.m.Regs[x86.EBX] = addr
 
 	cases := []struct {
 		inst x86.Inst
@@ -24,12 +24,12 @@ func TestMovzxMovsx(t *testing.T) {
 		{x86.Inst{Op: x86.MOVSX, Dst: x86.R(x86.EAX), Src: x86.M16(x86.EBX, 0)}, 0xFFFFFF80},
 	}
 	for _, c := range cases {
-		v.regs[x86.EAX] = 0xDEADBEEF
+		v.m.Regs[x86.EAX] = 0xDEADBEEF
 		if err := step(t, v, c.inst); err != nil {
 			t.Fatal(err)
 		}
-		if v.regs[x86.EAX] != c.want {
-			t.Errorf("%v: eax = %#x, want %#x", c.inst, v.regs[x86.EAX], c.want)
+		if v.m.Regs[x86.EAX] != c.want {
+			t.Errorf("%v: eax = %#x, want %#x", c.inst, v.m.Regs[x86.EAX], c.want)
 		}
 	}
 }
@@ -38,21 +38,21 @@ func TestXchgMem(t *testing.T) {
 	v := newBare(t)
 	addr := uint32(PageSize + 0x40)
 	v.store(addr, 4, 0x1111)
-	v.regs[x86.EBX] = addr
-	v.regs[x86.ECX] = 0x2222
+	v.m.Regs[x86.EBX] = addr
+	v.m.Regs[x86.ECX] = 0x2222
 	if err := step(t, v, x86.Inst{Op: x86.XCHG, Dst: x86.M(x86.EBX, 0), Src: x86.R(x86.ECX)}); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := v.load(addr, 4)
-	if got != 0x2222 || v.regs[x86.ECX] != 0x1111 {
-		t.Fatalf("xchg: mem=%#x ecx=%#x", got, v.regs[x86.ECX])
+	if got != 0x2222 || v.m.Regs[x86.ECX] != 0x1111 {
+		t.Fatalf("xchg: mem=%#x ecx=%#x", got, v.m.Regs[x86.ECX])
 	}
 }
 
 func TestSetccAllConditions(t *testing.T) {
 	v := newBare(t)
 	// After cmp 3, 5 (signed less, unsigned less, not equal):
-	v.regs[x86.EAX], v.regs[x86.EBX] = 3, 5
+	v.m.Regs[x86.EAX], v.m.Regs[x86.EBX] = 3, 5
 	if err := step(t, v, x86.Inst{Op: x86.CMP, Dst: x86.R(x86.EAX), Src: x86.R(x86.EBX)}); err != nil {
 		t.Fatal(err)
 	}
@@ -62,39 +62,39 @@ func TestSetccAllConditions(t *testing.T) {
 		x86.CCBE: 1, x86.CCA: 0, x86.CCS: 1, x86.CCNS: 0,
 	}
 	for cc, expect := range want {
-		cf, zf, sf, of := v.cf, v.zf, v.sf, v.of
-		v.regs[x86.EDX] = 0xFFFFFFFF
+		cf, zf, sf, of := v.m.CF, v.m.ZF, v.m.SF, v.m.OF
+		v.m.Regs[x86.EDX] = 0xFFFFFFFF
 		if err := step(t, v, x86.Inst{Op: x86.SETCC, CC: cc, Dst: x86.R8(x86.EDX)}); err != nil {
 			t.Fatal(err)
 		}
-		if v.regs[x86.EDX]&0xFF != expect {
-			t.Errorf("set%v = %d, want %d", cc, v.regs[x86.EDX]&0xFF, expect)
+		if v.m.Regs[x86.EDX]&0xFF != expect {
+			t.Errorf("set%v = %d, want %d", cc, v.m.Regs[x86.EDX]&0xFF, expect)
 		}
-		if v.regs[x86.EDX]>>8 != 0xFFFFFF {
+		if v.m.Regs[x86.EDX]>>8 != 0xFFFFFF {
 			t.Errorf("set%v clobbered upper bytes", cc)
 		}
-		v.cf, v.zf, v.sf, v.of = cf, zf, sf, of
+		v.m.CF, v.m.ZF, v.m.SF, v.m.OF = cf, zf, sf, of
 	}
 }
 
 func TestPushImmAndMem(t *testing.T) {
 	v := newBare(t)
-	sp0 := v.regs[x86.ESP]
+	sp0 := v.m.Regs[x86.ESP]
 	if err := step(t, v, x86.Inst{Op: x86.PUSH, Dst: x86.I(-7)}); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := v.load(v.regs[x86.ESP], 4)
-	if int32(got) != -7 || v.regs[x86.ESP] != sp0-4 {
-		t.Fatalf("push imm: [esp]=%d esp=%#x", int32(got), v.regs[x86.ESP])
+	got, _ := v.load(v.m.Regs[x86.ESP], 4)
+	if int32(got) != -7 || v.m.Regs[x86.ESP] != sp0-4 {
+		t.Fatalf("push imm: [esp]=%d esp=%#x", int32(got), v.m.Regs[x86.ESP])
 	}
 	// push [mem]
 	addr := uint32(PageSize + 8)
 	v.store(addr, 4, 0xCAFE)
-	v.regs[x86.EBX] = addr
+	v.m.Regs[x86.EBX] = addr
 	if err := step(t, v, x86.Inst{Op: x86.PUSH, Dst: x86.M(x86.EBX, 0)}); err != nil {
 		t.Fatal(err)
 	}
-	got, _ = v.load(v.regs[x86.ESP], 4)
+	got, _ = v.load(v.m.Regs[x86.ESP], 4)
 	if got != 0xCAFE {
 		t.Fatalf("push mem: %#x", got)
 	}
@@ -103,9 +103,9 @@ func TestPushImmAndMem(t *testing.T) {
 func TestStosdAndMovsd(t *testing.T) {
 	v := newBare(t)
 	dst := uint32(PageSize + 0x200)
-	v.regs[x86.EDI] = dst
-	v.regs[x86.EAX] = 0x11223344
-	v.regs[x86.ECX] = 4
+	v.m.Regs[x86.EDI] = dst
+	v.m.Regs[x86.EAX] = 0x11223344
+	v.m.Regs[x86.ECX] = 4
 	if err := step(t, v, x86.Inst{Op: x86.STOSD, Rep: true}); err != nil {
 		t.Fatal(err)
 	}
@@ -115,13 +115,13 @@ func TestStosdAndMovsd(t *testing.T) {
 			t.Fatalf("stosd word %d = %#x", i, got)
 		}
 	}
-	if v.regs[x86.EDI] != dst+16 || v.regs[x86.ECX] != 0 {
-		t.Fatalf("stosd regs: edi=%#x ecx=%d", v.regs[x86.EDI], v.regs[x86.ECX])
+	if v.m.Regs[x86.EDI] != dst+16 || v.m.Regs[x86.ECX] != 0 {
+		t.Fatalf("stosd regs: edi=%#x ecx=%d", v.m.Regs[x86.EDI], v.m.Regs[x86.ECX])
 	}
 	// movsd copies dwords.
-	v.regs[x86.ESI] = dst
-	v.regs[x86.EDI] = dst + 64
-	v.regs[x86.ECX] = 4
+	v.m.Regs[x86.ESI] = dst
+	v.m.Regs[x86.EDI] = dst + 64
+	v.m.Regs[x86.ECX] = 4
 	if err := step(t, v, x86.Inst{Op: x86.MOVSD, Rep: true}); err != nil {
 		t.Fatal(err)
 	}
@@ -135,9 +135,9 @@ func TestStosdAndMovsd(t *testing.T) {
 // with bad pointers.
 func TestRepZeroCount(t *testing.T) {
 	v := newBare(t)
-	v.regs[x86.EDI] = 0xFFFFFFF0 // would fault if touched
-	v.regs[x86.ESI] = 0xFFFFFFF0
-	v.regs[x86.ECX] = 0
+	v.m.Regs[x86.EDI] = 0xFFFFFFF0 // would fault if touched
+	v.m.Regs[x86.ESI] = 0xFFFFFFF0
+	v.m.Regs[x86.ECX] = 0
 	if err := step(t, v, x86.Inst{Op: x86.MOVSB, Rep: true}); err != nil {
 		t.Fatalf("rep movsb with ecx=0 faulted: %v", err)
 	}
@@ -150,15 +150,15 @@ func TestRepZeroCount(t *testing.T) {
 // traps without partial effects on registers.
 func TestRepFaultsAtomically(t *testing.T) {
 	v := newBare(t)
-	v.regs[x86.EDI] = v.brk - 4 // 4 valid bytes, then out of bounds
-	v.regs[x86.ECX] = 100
-	v.regs[x86.EAX] = 0xAA
+	v.m.Regs[x86.EDI] = v.m.Brk - 4 // 4 valid bytes, then out of bounds
+	v.m.Regs[x86.ECX] = 100
+	v.m.Regs[x86.EAX] = 0xAA
 	err := step(t, v, x86.Inst{Op: x86.STOSB, Rep: true})
 	if k, ok := trapKind(err); !ok || k != TrapMemory {
 		t.Fatalf("err = %v, want memory trap", err)
 	}
-	if v.regs[x86.ECX] != 100 {
-		t.Fatalf("partial rep visible: ecx = %d", v.regs[x86.ECX])
+	if v.m.Regs[x86.ECX] != 100 {
+		t.Fatalf("partial rep visible: ecx = %d", v.m.Regs[x86.ECX])
 	}
 }
 

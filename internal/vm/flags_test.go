@@ -87,9 +87,9 @@ func (v *VM) checkFlags(t *testing.T, name string, want flagRef, gotRes uint32) 
 	if gotRes != want.res {
 		t.Fatalf("%s: result = %#x, want %#x", name, gotRes, want.res)
 	}
-	if v.cf != want.cf || v.zf != want.zf || v.sf != want.sf || v.of != want.of {
+	if v.m.CF != want.cf || v.m.ZF != want.zf || v.m.SF != want.sf || v.m.OF != want.of {
 		t.Fatalf("%s: flags cf=%v zf=%v sf=%v of=%v, want cf=%v zf=%v sf=%v of=%v",
-			name, v.cf, v.zf, v.sf, v.of, want.cf, want.zf, want.sf, want.of)
+			name, v.m.CF, v.m.ZF, v.m.SF, v.m.OF, want.cf, want.zf, want.sf, want.of)
 	}
 }
 
@@ -106,27 +106,27 @@ func TestALUFlags32(t *testing.T) {
 	for _, a := range vals {
 		for _, b := range interesting {
 			// ADD
-			v.regs[x86.EAX], v.regs[x86.EBX] = a, b
+			v.m.Regs[x86.EAX], v.m.Regs[x86.EBX] = a, b
 			if err := step(t, v, x86.Inst{Op: x86.ADD, Dst: x86.R(x86.EAX), Src: x86.R(x86.EBX)}); err != nil {
 				t.Fatal(err)
 			}
-			v.checkFlags(t, "add", refAdd(a, b, 0), v.regs[x86.EAX])
+			v.checkFlags(t, "add", refAdd(a, b, 0), v.m.Regs[x86.EAX])
 
 			// SUB
-			v.regs[x86.EAX], v.regs[x86.EBX] = a, b
+			v.m.Regs[x86.EAX], v.m.Regs[x86.EBX] = a, b
 			if err := step(t, v, x86.Inst{Op: x86.SUB, Dst: x86.R(x86.EAX), Src: x86.R(x86.EBX)}); err != nil {
 				t.Fatal(err)
 			}
-			v.checkFlags(t, "sub", refSub(a, b, 0), v.regs[x86.EAX])
+			v.checkFlags(t, "sub", refSub(a, b, 0), v.m.Regs[x86.EAX])
 
 			// CMP leaves the destination alone but sets SUB flags.
-			v.regs[x86.EAX], v.regs[x86.EBX] = a, b
+			v.m.Regs[x86.EAX], v.m.Regs[x86.EBX] = a, b
 			if err := step(t, v, x86.Inst{Op: x86.CMP, Dst: x86.R(x86.EAX), Src: x86.R(x86.EBX)}); err != nil {
 				t.Fatal(err)
 			}
 			want := refSub(a, b, 0)
 			want.res = a
-			v.checkFlags(t, "cmp", want, v.regs[x86.EAX])
+			v.checkFlags(t, "cmp", want, v.m.Regs[x86.EAX])
 
 			// ADC/SBB with both carry states.
 			for _, c := range []bool{false, true} {
@@ -134,28 +134,28 @@ func TestALUFlags32(t *testing.T) {
 				if c {
 					cu = 1
 				}
-				v.regs[x86.EAX], v.regs[x86.EBX] = a, b
-				v.cf = c
+				v.m.Regs[x86.EAX], v.m.Regs[x86.EBX] = a, b
+				v.m.CF = c
 				if err := step(t, v, x86.Inst{Op: x86.ADC, Dst: x86.R(x86.EAX), Src: x86.R(x86.EBX)}); err != nil {
 					t.Fatal(err)
 				}
-				v.checkFlags(t, "adc", refAdd(a, b, cu), v.regs[x86.EAX])
+				v.checkFlags(t, "adc", refAdd(a, b, cu), v.m.Regs[x86.EAX])
 
-				v.regs[x86.EAX], v.regs[x86.EBX] = a, b
-				v.cf = c
+				v.m.Regs[x86.EAX], v.m.Regs[x86.EBX] = a, b
+				v.m.CF = c
 				if err := step(t, v, x86.Inst{Op: x86.SBB, Dst: x86.R(x86.EAX), Src: x86.R(x86.EBX)}); err != nil {
 					t.Fatal(err)
 				}
-				v.checkFlags(t, "sbb", refSub(a, b, cu), v.regs[x86.EAX])
+				v.checkFlags(t, "sbb", refSub(a, b, cu), v.m.Regs[x86.EAX])
 			}
 
 			// Logic ops clear CF/OF.
-			v.regs[x86.EAX], v.regs[x86.EBX] = a, b
+			v.m.Regs[x86.EAX], v.m.Regs[x86.EBX] = a, b
 			if err := step(t, v, x86.Inst{Op: x86.AND, Dst: x86.R(x86.EAX), Src: x86.R(x86.EBX)}); err != nil {
 				t.Fatal(err)
 			}
 			res := a & b
-			v.checkFlags(t, "and", flagRef{res: res, zf: res == 0, sf: int32(res) < 0}, v.regs[x86.EAX])
+			v.checkFlags(t, "and", flagRef{res: res, zf: res == 0, sf: int32(res) < 0}, v.m.Regs[x86.EAX])
 		}
 	}
 }
@@ -165,23 +165,23 @@ func TestALUFlags8(t *testing.T) {
 	v := newBare(t)
 	for a := 0; a < 256; a += 3 {
 		for b := 0; b < 256; b += 7 {
-			v.regs[x86.EAX] = 0xAAAA_0000 | uint32(a)
-			v.regs[x86.EBX] = uint32(b)
+			v.m.Regs[x86.EAX] = 0xAAAA_0000 | uint32(a)
+			v.m.Regs[x86.EBX] = uint32(b)
 			if err := step(t, v, x86.Inst{Op: x86.ADD, Dst: x86.R8(x86.EAX), Src: x86.R8(x86.EBX)}); err != nil {
 				t.Fatal(err)
 			}
 			want := refAdd8(uint8(a), uint8(b), 0)
-			v.checkFlags(t, "add8", want, v.regs[x86.EAX]&0xFF)
-			if v.regs[x86.EAX]>>16 != 0xAAAA {
-				t.Fatalf("add8 clobbered the upper bits: %#x", v.regs[x86.EAX])
+			v.checkFlags(t, "add8", want, v.m.Regs[x86.EAX]&0xFF)
+			if v.m.Regs[x86.EAX]>>16 != 0xAAAA {
+				t.Fatalf("add8 clobbered the upper bits: %#x", v.m.Regs[x86.EAX])
 			}
 
-			v.regs[x86.EAX] = uint32(a)
-			v.regs[x86.EBX] = uint32(b)
+			v.m.Regs[x86.EAX] = uint32(a)
+			v.m.Regs[x86.EBX] = uint32(b)
 			if err := step(t, v, x86.Inst{Op: x86.SUB, Dst: x86.R8(x86.EAX), Src: x86.R8(x86.EBX)}); err != nil {
 				t.Fatal(err)
 			}
-			v.checkFlags(t, "sub8", refSub8(uint8(a), uint8(b), 0), v.regs[x86.EAX]&0xFF)
+			v.checkFlags(t, "sub8", refSub8(uint8(a), uint8(b), 0), v.m.Regs[x86.EAX]&0xFF)
 		}
 	}
 }
@@ -189,25 +189,25 @@ func TestALUFlags8(t *testing.T) {
 // TestHighByteRegisters checks the AH/CH/DH/BH views.
 func TestHighByteRegisters(t *testing.T) {
 	v := newBare(t)
-	v.regs[x86.EAX] = 0x11223344
+	v.m.Regs[x86.EAX] = 0x11223344
 	// mov ah, 0x99 — encoded as register 4 at byte width.
 	if err := step(t, v, x86.Inst{Op: x86.MOV,
 		Dst: x86.Arg{Kind: x86.KindReg, Reg: 4, Size: 1},
 		Src: x86.Arg{Kind: x86.KindImm, Imm: int32(int8(-0x67)), Size: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if v.regs[x86.EAX] != 0x11229944 {
-		t.Fatalf("eax = %#x, want 0x11229944", v.regs[x86.EAX])
+	if v.m.Regs[x86.EAX] != 0x11229944 {
+		t.Fatalf("eax = %#x, want 0x11229944", v.m.Regs[x86.EAX])
 	}
 	// Read back AH.
-	v.regs[x86.EBX] = 0
+	v.m.Regs[x86.EBX] = 0
 	if err := step(t, v, x86.Inst{Op: x86.MOV,
 		Dst: x86.Arg{Kind: x86.KindReg, Reg: x86.EBX, Size: 1},
 		Src: x86.Arg{Kind: x86.KindReg, Reg: 4, Size: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if v.regs[x86.EBX]&0xFF != 0x99 {
-		t.Fatalf("bl = %#x, want 0x99", v.regs[x86.EBX]&0xFF)
+	if v.m.Regs[x86.EBX]&0xFF != 0x99 {
+		t.Fatalf("bl = %#x, want 0x99", v.m.Regs[x86.EBX]&0xFF)
 	}
 }
 
@@ -236,27 +236,27 @@ func TestShifts(t *testing.T) {
 		{x86.ROL, 0x12345678, 8, 0x34567812, false, false},
 	}
 	for _, c := range cases {
-		v.regs[x86.EAX] = c.val
+		v.m.Regs[x86.EAX] = c.val
 		if err := step(t, v, x86.Inst{Op: c.op, Dst: x86.R(x86.EAX),
 			Src: x86.Arg{Kind: x86.KindImm, Imm: c.count, Size: 1}}); err != nil {
 			t.Fatal(err)
 		}
-		if v.regs[x86.EAX] != c.want {
-			t.Errorf("%v %#x,%d = %#x, want %#x", c.op, c.val, c.count, v.regs[x86.EAX], c.want)
+		if v.m.Regs[x86.EAX] != c.want {
+			t.Errorf("%v %#x,%d = %#x, want %#x", c.op, c.val, c.count, v.m.Regs[x86.EAX], c.want)
 		}
-		if c.checkCF && v.cf != c.wantCF {
-			t.Errorf("%v %#x,%d: cf=%v, want %v", c.op, c.val, c.count, v.cf, c.wantCF)
+		if c.checkCF && v.m.CF != c.wantCF {
+			t.Errorf("%v %#x,%d: cf=%v, want %v", c.op, c.val, c.count, v.m.CF, c.wantCF)
 		}
 	}
 
 	// Shift by zero must leave flags untouched.
-	v.regs[x86.EAX] = 0xFF
-	v.cf, v.zf, v.sf, v.of = true, true, true, true
-	v.regs[x86.ECX] = 32 // CL & 31 == 0
+	v.m.Regs[x86.EAX] = 0xFF
+	v.m.CF, v.m.ZF, v.m.SF, v.m.OF = true, true, true, true
+	v.m.Regs[x86.ECX] = 32 // CL & 31 == 0
 	if err := step(t, v, x86.Inst{Op: x86.SHL, Dst: x86.R(x86.EAX), Src: x86.R8(x86.ECX)}); err != nil {
 		t.Fatal(err)
 	}
-	if !v.cf || !v.zf || !v.sf || !v.of || v.regs[x86.EAX] != 0xFF {
+	if !v.m.CF || !v.m.ZF || !v.m.SF || !v.m.OF || v.m.Regs[x86.EAX] != 0xFF {
 		t.Fatal("shift by 0 must be a no-op on value and flags")
 	}
 }
@@ -265,57 +265,57 @@ func TestShifts(t *testing.T) {
 func TestMulDiv(t *testing.T) {
 	v := newBare(t)
 
-	v.regs[x86.EAX] = 0xFFFFFFFF
-	v.regs[x86.EBX] = 2
+	v.m.Regs[x86.EAX] = 0xFFFFFFFF
+	v.m.Regs[x86.EBX] = 2
 	if err := step(t, v, x86.Inst{Op: x86.MUL1, Dst: x86.R(x86.EBX)}); err != nil {
 		t.Fatal(err)
 	}
-	if v.regs[x86.EDX] != 1 || v.regs[x86.EAX] != 0xFFFFFFFE {
-		t.Fatalf("mul: edx:eax = %#x:%#x", v.regs[x86.EDX], v.regs[x86.EAX])
+	if v.m.Regs[x86.EDX] != 1 || v.m.Regs[x86.EAX] != 0xFFFFFFFE {
+		t.Fatalf("mul: edx:eax = %#x:%#x", v.m.Regs[x86.EDX], v.m.Regs[x86.EAX])
 	}
-	if !v.cf || !v.of {
+	if !v.m.CF || !v.m.OF {
 		t.Fatal("mul with significant high half must set CF/OF")
 	}
 
-	v.regs[x86.EAX] = u32(-6)
+	v.m.Regs[x86.EAX] = u32(-6)
 	if err := step(t, v, x86.Inst{Op: x86.CDQ}); err != nil {
 		t.Fatal(err)
 	}
-	if v.regs[x86.EDX] != 0xFFFFFFFF {
-		t.Fatalf("cdq: edx = %#x", v.regs[x86.EDX])
+	if v.m.Regs[x86.EDX] != 0xFFFFFFFF {
+		t.Fatalf("cdq: edx = %#x", v.m.Regs[x86.EDX])
 	}
-	v.regs[x86.EBX] = uint32(int32(4))
+	v.m.Regs[x86.EBX] = uint32(int32(4))
 	if err := step(t, v, x86.Inst{Op: x86.IDIV, Dst: x86.R(x86.EBX)}); err != nil {
 		t.Fatal(err)
 	}
-	if int32(v.regs[x86.EAX]) != -1 || int32(v.regs[x86.EDX]) != -2 {
-		t.Fatalf("idiv -6/4: q=%d r=%d, want -1 rem -2", int32(v.regs[x86.EAX]), int32(v.regs[x86.EDX]))
+	if int32(v.m.Regs[x86.EAX]) != -1 || int32(v.m.Regs[x86.EDX]) != -2 {
+		t.Fatalf("idiv -6/4: q=%d r=%d, want -1 rem -2", int32(v.m.Regs[x86.EAX]), int32(v.m.Regs[x86.EDX]))
 	}
 
 	// Divide by zero traps.
-	v.regs[x86.EBX] = 0
+	v.m.Regs[x86.EBX] = 0
 	err := step(t, v, x86.Inst{Op: x86.DIV, Dst: x86.R(x86.EBX)})
 	if tr, ok := err.(*Trap); !ok || tr.Kind != TrapDivide {
 		t.Fatalf("div by zero: %v, want divide trap", err)
 	}
 
 	// Quotient overflow traps (0x80000000:0 / 1 does not fit).
-	v.regs[x86.EDX], v.regs[x86.EAX] = 0x80000000, 0
-	v.regs[x86.EBX] = 1
+	v.m.Regs[x86.EDX], v.m.Regs[x86.EAX] = 0x80000000, 0
+	v.m.Regs[x86.EBX] = 1
 	err = step(t, v, x86.Inst{Op: x86.DIV, Dst: x86.R(x86.EBX)})
 	if tr, ok := err.(*Trap); !ok || tr.Kind != TrapDivide {
 		t.Fatalf("div overflow: %v, want divide trap", err)
 	}
 
 	// IMUL 3-operand.
-	v.regs[x86.EBX] = u32(-3)
+	v.m.Regs[x86.EBX] = u32(-3)
 	if err := step(t, v, x86.Inst{Op: x86.IMUL, Dst: x86.R(x86.EAX), Src: x86.R(x86.EBX), Aux: x86.I(7)}); err != nil {
 		t.Fatal(err)
 	}
-	if int32(v.regs[x86.EAX]) != -21 {
-		t.Fatalf("imul -3*7 = %d", int32(v.regs[x86.EAX]))
+	if int32(v.m.Regs[x86.EAX]) != -21 {
+		t.Fatalf("imul -3*7 = %d", int32(v.m.Regs[x86.EAX]))
 	}
-	if v.cf || v.of {
+	if v.m.CF || v.m.OF {
 		t.Fatal("imul without overflow must clear CF/OF")
 	}
 }
@@ -343,7 +343,7 @@ func TestConditionCodes(t *testing.T) {
 		{1, 2, x86.CCS, true}, {2, 1, x86.CCS, false},
 	}
 	for _, c := range cases {
-		v.regs[x86.EAX], v.regs[x86.EBX] = c.a, c.b
+		v.m.Regs[x86.EAX], v.m.Regs[x86.EBX] = c.a, c.b
 		if err := step(t, v, x86.Inst{Op: x86.CMP, Dst: x86.R(x86.EAX), Src: x86.R(x86.EBX)}); err != nil {
 			t.Fatal(err)
 		}
@@ -356,26 +356,26 @@ func TestConditionCodes(t *testing.T) {
 // TestIncDecPreserveCF verifies INC/DEC leave CF alone but set OF.
 func TestIncDecPreserveCF(t *testing.T) {
 	v := newBare(t)
-	v.cf = true
-	v.regs[x86.EAX] = 0x7FFFFFFF
+	v.m.CF = true
+	v.m.Regs[x86.EAX] = 0x7FFFFFFF
 	if err := step(t, v, x86.Inst{Op: x86.INC, Dst: x86.R(x86.EAX)}); err != nil {
 		t.Fatal(err)
 	}
-	if !v.cf {
+	if !v.m.CF {
 		t.Fatal("inc must preserve CF")
 	}
-	if !v.of {
+	if !v.m.OF {
 		t.Fatal("inc 0x7FFFFFFF must set OF")
 	}
-	v.cf = false
-	v.regs[x86.EAX] = 0x80000000
+	v.m.CF = false
+	v.m.Regs[x86.EAX] = 0x80000000
 	if err := step(t, v, x86.Inst{Op: x86.DEC, Dst: x86.R(x86.EAX)}); err != nil {
 		t.Fatal(err)
 	}
-	if v.cf {
+	if v.m.CF {
 		t.Fatal("dec must preserve CF")
 	}
-	if !v.of {
+	if !v.m.OF {
 		t.Fatal("dec 0x80000000 must set OF")
 	}
 }
@@ -383,25 +383,25 @@ func TestIncDecPreserveCF(t *testing.T) {
 // TestNegFlags verifies NEG's special CF rule.
 func TestNegFlags(t *testing.T) {
 	v := newBare(t)
-	v.regs[x86.EAX] = 0
+	v.m.Regs[x86.EAX] = 0
 	if err := step(t, v, x86.Inst{Op: x86.NEG, Dst: x86.R(x86.EAX)}); err != nil {
 		t.Fatal(err)
 	}
-	if v.cf || !v.zf {
+	if v.m.CF || !v.m.ZF {
 		t.Fatal("neg 0: CF must be clear, ZF set")
 	}
-	v.regs[x86.EAX] = 5
+	v.m.Regs[x86.EAX] = 5
 	if err := step(t, v, x86.Inst{Op: x86.NEG, Dst: x86.R(x86.EAX)}); err != nil {
 		t.Fatal(err)
 	}
-	if !v.cf || v.regs[x86.EAX] != u32(-5) {
-		t.Fatalf("neg 5 = %d cf=%v", int32(v.regs[x86.EAX]), v.cf)
+	if !v.m.CF || v.m.Regs[x86.EAX] != u32(-5) {
+		t.Fatalf("neg 5 = %d cf=%v", int32(v.m.Regs[x86.EAX]), v.m.CF)
 	}
-	v.regs[x86.EAX] = 0x80000000
+	v.m.Regs[x86.EAX] = 0x80000000
 	if err := step(t, v, x86.Inst{Op: x86.NEG, Dst: x86.R(x86.EAX)}); err != nil {
 		t.Fatal(err)
 	}
-	if !v.of || v.regs[x86.EAX] != 0x80000000 {
+	if !v.m.OF || v.m.Regs[x86.EAX] != 0x80000000 {
 		t.Fatal("neg INT_MIN must set OF and leave the value")
 	}
 }

@@ -63,11 +63,6 @@ type sbRecord struct {
 	b      *block
 	guards int
 	rets   int
-	// forms is how many superblocks have been formed at this entry so
-	// far, over every VM generation that started from the record: a VM
-	// resumes the count, so the sbMaxReforms budget is spent once per
-	// snapshot and not again after every Reset.
-	forms uint8
 	// t2 is the superblock's published tier-2 trace: native code compiled
 	// from exactly b's micro-ops for this snapshot's geometry, by
 	// whichever VM ran it hot first. Every VM materialized from the
@@ -91,15 +86,15 @@ func (v *VM) Snapshot() *Snapshot {
 	v.materializeFlags()
 	s := &Snapshot{
 		memSize: uint32(len(v.mem)),
-		low:     append([]byte(nil), v.mem[:v.brk]...),
+		low:     append([]byte(nil), v.mem[:v.m.Brk]...),
 		high:    append([]byte(nil), v.mem[v.stackBase:]...),
-		regs:    [8]uint32(v.regs[:8]),
+		regs:    [8]uint32(v.m.Regs[:8]),
 		eip:     v.eip,
-		cf:      v.cf, zf: v.zf, sf: v.sf, of: v.of, pf: v.pf,
-		brk:        v.brk,
+		cf:      v.m.CF, zf: v.m.ZF, sf: v.m.SF, of: v.m.OF, pf: v.m.PF,
+		brk:        v.m.Brk,
 		roLimit:    v.roLimit,
 		stackBase:  v.stackBase,
-		fuel:       v.fuel,
+		fuel:       v.m.Fuel,
 		noCache:    v.noCache,
 		noSB:       v.noSB,
 		noT2:       v.noT2,
@@ -117,48 +112,43 @@ func (v *VM) Snapshot() *Snapshot {
 // MemSize returns the guest address-space size the snapshot was taken at.
 func (s *Snapshot) MemSize() uint32 { return s.memSize }
 
-// blockMap returns a private view of the snapshot's block cache: the
+// blockMap gives v a private view of the snapshot's block cache: the
 // *block values are shared (immutable once built), but each is wrapped
 // in a fresh per-VM bref, since chain links and cache growth are private
 // to the receiving VM. Handing out fresh wrappers is also what
-// invalidates chained successor links across Reset.
+// invalidates chained successor links across Reset, and the link table
+// compiled traces chain through is emptied with them.
 //
 // Absorbed superblocks are re-attached through fresh wrappers too, with
-// empty guard chains and a clean entry/exit profile: the receiving VM
-// starts on the optimized traces immediately but still re-validates the
-// profile with its own counters, so a stale trace tears down and
-// re-forms exactly as if this VM had built it.
+// empty guard chains: the receiving VM starts on the optimized traces
+// immediately.
 //
 // A record's published tier-2 trace is installed with its superblock
 // unless the receiving VM has the tier off: the VM runs compiled code
 // from the first entry, with no heat to count and nothing to compile.
-// The second result is how many traces were installed.
-func (s *Snapshot) blockMap(noT2 bool) (map[uint32]*bref, uint64) {
+func (s *Snapshot) blockMap(v *VM) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m := make(map[uint32]*bref, len(s.blocks))
-	var shared uint64
+	v.dropLinks()
+	v.blocks = make(map[uint32]*bref, len(s.blocks))
 	for addr, b := range s.blocks {
 		br := &bref{b: b}
 		if r, ok := s.sbs[addr]; ok && !s.noSB && !s.noCache {
 			br.sb = &bref{
 				b:        r.b,
-				owner:    br,
 				sbChains: make([]*bref, r.guards),
 				sbInd:    make([]sbIndEntry, r.rets),
 				sbTried:  true,
 			}
 			br.sbTried = true
-			br.sbRec = r.b
-			br.sbForms = r.forms
-			if r.t2 != nil && !noT2 {
-				br.sb.t2, br.sb.t2Tried, br.sb.t2Shared = r.t2, true, true
-				shared++
+			if r.t2 != nil && !v.noT2 {
+				v.attachTrace(br.sb, r.t2)
+				br.sb.t2Tried, br.sb.t2Shared = true, true
+				v.stats.Tier2Shared++
 			}
 		}
-		m[addr] = br
+		v.blocks[addr] = br
 	}
-	return m, shared
 }
 
 // NewVM materializes a fresh VM in the snapshot's state, including the
@@ -191,17 +181,17 @@ func (s *Snapshot) restore(v *VM) {
 	// dirtied prefix (up to v.dirtyBrk) before exposing it again.
 	copy(v.mem[:s.brk], s.low)
 	copy(v.mem[s.stackBase:], s.high)
-	copy(v.regs[:], s.regs[:])
+	copy(v.m.Regs[:], s.regs[:])
 	v.eip = s.eip
-	v.cf, v.zf, v.sf, v.of, v.pf = s.cf, s.zf, s.sf, s.of, s.pf
-	v.fl = uop.Flags{} // snapshots carry materialized flags
-	v.brk = s.brk
+	v.m.CF, v.m.ZF, v.m.SF, v.m.OF, v.m.PF = s.cf, s.zf, s.sf, s.of, s.pf
+	v.m.Fl = uop.Flags{} // snapshots carry materialized flags
+	v.m.Brk = s.brk
 	if s.brk > v.dirtyBrk {
 		v.dirtyBrk = s.brk
 	}
 	v.roLimit = s.roLimit
 	v.stackBase = s.stackBase
-	v.fuel = s.fuel
+	v.m.Fuel = s.fuel
 	v.noCache = s.noCache
 	v.noSB = s.noSB
 	// Tier-2 policy follows the snapshot, but the process-wide kill
@@ -214,9 +204,7 @@ func (s *Snapshot) restore(v *VM) {
 	v.wallBudget = s.wallBudget
 	v.wallDeadline = 0
 	v.bindTier2()
-	var shared uint64
-	v.blocks, shared = s.blockMap(v.noT2)
-	v.stats.Tier2Shared += shared
+	s.blockMap(v)
 	v.exitCode = 0
 	v.Stdin, v.Stdout, v.Stderr = nil, nil, nil
 }
@@ -233,19 +221,13 @@ func (s *Snapshot) restore(v *VM) {
 // processes) skip the per-trace lowering and optimizer passes that
 // otherwise dominate a fresh VM's first stream.
 //
-// A record whose superblock v was materialized with, found stale, tore
-// down and re-formed is replaced by the re-formed one, and the re-forms
-// v spent count against the record's budget: a profile that went stale
-// is demoted once, and an entry whose profile never settles stops being
-// re-formed, instead of both happening again after every Reset. A VM
-// that re-formed a superblock some sibling has replaced since leaves
-// the sibling's in place.
-//
 // A superblock's compiled trace is published on its record, new or
 // already present, when it can be shared: native code (a closure trace
 // holds pointers into v), compiled for this snapshot's geometry, from
 // the record's own fragment — a trace is valid for exactly the micro-ops
-// it was compiled from. The first trace published for a record stays.
+// it was compiled from, and a VM that formed its own superblock at an
+// entry a sibling has published since leaves the sibling's in place. The
+// first trace published for a record stays.
 func (s *Snapshot) AbsorbBlocks(v *VM) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -263,23 +245,17 @@ func (s *Snapshot) AbsorbBlocks(v *VM) {
 	geom := s.geometry()
 	for addr, br := range v.blocks {
 		sb := br.sb
-		if sb == nil && br.sbRec == nil {
-			continue // no superblock here, now or at materialization
-		}
-		r := s.sbs[addr]
-		if r != nil && r.b == br.sbRec && br.sbForms > r.forms {
-			r.forms = br.sbForms
-		}
 		if sb == nil {
 			continue
 		}
-		if r == nil || (r.b != sb.b && r.b == br.sbRec) {
+		r := s.sbs[addr]
+		if r == nil {
 			// The entry block must itself be absorbed, and the whole trace
 			// must execute read-only pristine bytes.
 			if _, ok := s.blocks[addr]; !ok || !sbInRO(sb.b, s.roLimit) {
 				continue
 			}
-			r = &sbRecord{b: sb.b, guards: len(sb.sbChains), rets: len(sb.sbInd), forms: br.sbForms}
+			r = &sbRecord{b: sb.b, guards: len(sb.sbChains), rets: len(sb.sbInd)}
 			s.sbs[addr] = r
 		}
 		if t := sb.t2; t != nil && r.t2 == nil && r.b == sb.b && t.Native() && t.Geom == geom {
@@ -442,7 +418,7 @@ func (s *Snapshot) ImportBlocks(e BlockExport) int {
 // SetFuel sets the remaining instruction budget to an absolute value —
 // the per-stream discipline: each stream gets exactly its own budget,
 // never the leftovers of earlier streams.
-func (v *VM) SetFuel(n int64) { v.fuel = n }
+func (v *VM) SetFuel(n int64) { v.m.Fuel = n }
 
 // StreamFuel is the standard absolute per-stream instruction budget for
 // decoding a payload of n bytes: generous per input byte plus a flat

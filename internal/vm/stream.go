@@ -28,8 +28,8 @@ func (v *VM) RunStream(ctx context.Context, stdin io.Reader, stdout, stderr io.W
 		// initializes for cancelable contexts; seed it here so the
 		// watchdog fires even under context.Background().
 		v.wallDeadline = time.Now().Add(v.wallBudget).UnixNano()
-		if v.cancelCredit <= 0 {
-			v.cancelCredit = cancelQuantum
+		if v.m.Credit <= 0 {
+			v.m.Credit = cancelQuantum
 		}
 		defer func() { v.wallDeadline = 0 }()
 	}

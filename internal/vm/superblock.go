@@ -18,14 +18,17 @@ import (
 // for a successor that clobbers it.
 //
 // Superblocks are profile-driven state: a VM's view of one hangs off the
-// base bref (never the snapshot-shared block map), and is torn down for
-// re-formation when its guards fire on most entries (the profile went
-// stale). Reset replaces every view; the fragments themselves, the
-// tier-2 code compiled from them and the count of re-forms spent are
-// kept by the snapshot once absorbed (Snapshot.AbsorbBlocks) and come
-// back with the fresh views. The base blocks they were assembled from
-// stay in the cache untouched — cold entries into the middle of a trace
-// still execute them directly.
+// base bref (never the snapshot-shared block map) and stays for as long
+// as the VM keeps its view of the translation cache. A guard that turns
+// out to fire often is not a reason to give the trace up: the guard's
+// target is a block like any other, it heats, forms its own superblock
+// and compiles, and the guard's exit is then linked straight to it
+// (tier2glue.go) — the hot side exit has become a trace head. Reset
+// replaces every view; the fragments themselves and the tier-2 code
+// compiled from them are kept by the snapshot once absorbed
+// (Snapshot.AbsorbBlocks) and come back with the fresh views. The base
+// blocks they were assembled from stay in the cache untouched — cold
+// entries into the middle of a trace still execute them directly.
 const (
 	// sbHotThreshold is how many times a block must be entered before
 	// its dominant path is re-translated.
@@ -33,13 +36,6 @@ const (
 	// sbMaxBlocks and sbMaxUops bound one superblock's growth.
 	sbMaxBlocks = 64
 	sbMaxUops   = 1536
-	// sbMinExits guard exits must accumulate before the exit/entry
-	// ratio is consulted for invalidation; a superblock whose exits
-	// then exceed half its entries is torn down and re-profiled, at
-	// most sbMaxReforms times per block — per snapshot, for VMs that
-	// come from one: a record hands its count on.
-	sbMinExits   = 256
-	sbMaxReforms = 8
 )
 
 // sbGuardKind reports whether a micro-op kind is a conditional guard,
@@ -91,10 +87,16 @@ func sbEndsTrace(k uop.Kind) bool {
 	return false
 }
 
+// sbSelfLoop reports whether term, a block's terminator, is a direct
+// jump or conditional branch back to the block's own start at entry.
+func sbSelfLoop(term *uop.Uop, entry uint32) bool {
+	return (term.Kind == uop.KindJmp || term.Kind == uop.KindJcc) && term.Target == entry
+}
+
 // formSuperblock attempts to grow and install a superblock for the hot
 // block entry. On success entry.sb carries the new fragment's bref; on
 // failure (nothing to grow) the entry is marked tried so the attempt is
-// not repeated until a re-profile.
+// not repeated.
 func (v *VM) formSuperblock(entry *bref) {
 	entry.sbTried = true
 	if v.noCache {
@@ -239,8 +241,11 @@ func (v *VM) formSuperblock(entry *bref) {
 		cur = next
 	}
 
-	if blocks < 2 {
-		return // nothing grew; the base block is already optimal
+	if blocks < 2 && !sbSelfLoop(&uops[len(uops)-1], uops[0].EIP) {
+		// Nothing grew and the base block is already optimal. The one
+		// single-block trace worth having is a loop in one block: only a
+		// superblock is ever compiled, and compiled it spins in place.
+		return
 	}
 
 	cost := uop.Cost(uops)
@@ -255,11 +260,9 @@ func (v *VM) formSuperblock(entry *bref) {
 	sb := &block{uops: us, end: lastEnd, cost: cost}
 	entry.sb = &bref{
 		b:        sb,
-		owner:    entry,
 		sbChains: make([]*bref, guards),
 		sbInd:    make([]sbIndEntry, rets),
 		sbTried:  true, // never form a superblock from a superblock
 	}
-	entry.sbForms++
 	v.stats.SuperblocksFormed++
 }

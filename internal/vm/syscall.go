@@ -24,28 +24,28 @@ func (v *VM) syscall() error {
 	if err := fault.Inject(fault.GuestSyscall); err != nil {
 		return &Trap{Kind: TrapSyscall, EIP: v.eip, Msg: err.Error()}
 	}
-	nr := v.regs[x86.EAX]
+	nr := v.m.Regs[x86.EAX]
 	switch nr {
 	case SysExit:
-		v.exitCode = int32(v.regs[x86.EBX])
+		v.exitCode = int32(v.m.Regs[x86.EBX])
 		return errExit
 
 	case SysDone:
 		// The guest is parked after the INT; Run returns StatusDone and a
 		// subsequent Run resumes with EAX = 0.
-		v.regs[x86.EAX] = 0
+		v.m.Regs[x86.EAX] = 0
 		return errDone
 
 	case SysRead:
-		v.regs[x86.EAX] = uint32(v.sysRead())
+		v.m.Regs[x86.EAX] = uint32(v.sysRead())
 		return nil
 
 	case SysWrite:
-		v.regs[x86.EAX] = uint32(v.sysWrite())
+		v.m.Regs[x86.EAX] = uint32(v.sysWrite())
 		return nil
 
 	case SysSetPerm:
-		v.regs[x86.EAX] = uint32(v.sysSetPerm())
+		v.m.Regs[x86.EAX] = uint32(v.sysSetPerm())
 		return nil
 	}
 	// Anything else is outside the decoder contract: trap rather than
@@ -55,9 +55,9 @@ func (v *VM) syscall() error {
 }
 
 func (v *VM) sysRead() int32 {
-	fd := v.regs[x86.EBX]
-	buf := v.regs[x86.ECX]
-	n := v.regs[x86.EDX]
+	fd := v.m.Regs[x86.EBX]
+	buf := v.m.Regs[x86.ECX]
+	n := v.m.Regs[x86.EDX]
 	if fd != 0 {
 		return -ErrnoBADF
 	}
@@ -88,9 +88,9 @@ func (v *VM) sysRead() int32 {
 }
 
 func (v *VM) sysWrite() int32 {
-	fd := v.regs[x86.EBX]
-	buf := v.regs[x86.ECX]
-	n := v.regs[x86.EDX]
+	fd := v.m.Regs[x86.EBX]
+	buf := v.m.Regs[x86.ECX]
+	n := v.m.Regs[x86.EDX]
 	var w io.Writer
 	switch fd {
 	case 1:
@@ -126,13 +126,13 @@ func (v *VM) sysWrite() int32 {
 // [addr, addr+len) accessible, provided it lies between the current heap
 // end and the stack guard. It returns 0 on success.
 func (v *VM) sysSetPerm() int32 {
-	addr := v.regs[x86.EBX]
-	n := v.regs[x86.ECX]
+	addr := v.m.Regs[x86.EBX]
+	n := v.m.Regs[x86.ECX]
 	end := addr + n
 	if end < addr {
 		return -ErrnoINVAL
 	}
-	if end <= v.brk {
+	if end <= v.m.Brk {
 		return 0 // already accessible
 	}
 	// Leave one guard page between heap and stack so runaway heap use and
@@ -140,7 +140,7 @@ func (v *VM) sysSetPerm() int32 {
 	if end > v.stackBase-PageSize {
 		return -ErrnoNOMEM
 	}
-	if addr > v.brk {
+	if addr > v.m.Brk {
 		return -ErrnoINVAL // the heap must stay contiguous
 	}
 	// Newly exposed memory must be zero even after VM reuse. Bytes past
@@ -149,10 +149,10 @@ func (v *VM) sysSetPerm() int32 {
 	// write path is bounded by brk), so only the previously exposed
 	// prefix needs clearing — on a freshly materialized VM the first
 	// heap growth is free instead of a multi-megabyte memclr.
-	if top := min(end, v.dirtyBrk); top > v.brk {
-		clear(v.mem[v.brk:top])
+	if top := min(end, v.dirtyBrk); top > v.m.Brk {
+		clear(v.mem[v.m.Brk:top])
 	}
-	v.brk = end
+	v.m.Brk = end
 	if end > v.dirtyBrk {
 		v.dirtyBrk = end
 	}

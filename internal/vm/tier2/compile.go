@@ -43,7 +43,7 @@ func Compile(us []uop.Uop, entry uint32, m *Machine) *Trace {
 		}
 		return nil
 	}
-	c := &comp{m: m, t: t, us: us, entry: entry,
+	c := &comp{m: m, t: t, us: us,
 		mem: m.Mem, mlen: m.MemLen, ro: m.ROLimit, sbase: m.StackBase}
 	// Compile back to front, threading each closure's continuation: a
 	// closure's fall-through is a direct call of the (one, specific)
@@ -59,11 +59,6 @@ func Compile(us []uop.Uop, entry uint32, m *Machine) *Trace {
 		next = fn
 	}
 	t.head = next
-	for i := range t.Exits {
-		if t.Exits[i].Loop {
-			t.Loop = true
-		}
-	}
 	return t
 }
 
@@ -107,10 +102,9 @@ func terminatorKind(k uop.Kind) bool {
 // comp carries the compile-time captures shared by every closure of one
 // trace.
 type comp struct {
-	m     *Machine
-	t     *Trace
-	us    []uop.Uop
-	entry uint32
+	m  *Machine
+	t  *Trace
+	us []uop.Uop
 
 	mem   []byte
 	mlen  uint32
@@ -119,7 +113,7 @@ type comp struct {
 }
 
 func (c *comp) exit(e Exit) int32 {
-	c.t.Exits = append(c.t.Exits, e)
+	c.t.Exits = append(c.t.Exits, newExit(c.us, e))
 	return int32(len(c.t.Exits))
 }
 
@@ -133,10 +127,9 @@ func (c *comp) wf(i int, eip, size uint32, started int) int32 {
 	return c.exit(Exit{Kind: ExitWriteFault, Uop: i, EIP: eip, Size: size, Started: started})
 }
 
-// end allocates the unconditional trace-end transfer, marking the loop
-// back edge that lets Run iterate internally.
+// end allocates the unconditional trace-end transfer.
 func (c *comp) end(i int, target uint32) int32 {
-	return c.exit(Exit{Kind: ExitEnd, Uop: i, Target: target, Loop: target == c.entry})
+	return c.exit(Exit{Kind: ExitEnd, Uop: i, Target: target})
 }
 
 // one compiles micro-op i into its closure, threading next as its

@@ -10,12 +10,13 @@ import (
 // This file is the emitter's substrate: a minimal x86-64 assembler for
 // exactly the instruction shapes the trace compiler needs, plus the
 // executable-memory allocator. Emitted code follows the jitcall
-// convention: DI = *Machine, SI = guest memory base, AX/CX/DX/R8-R11
-// scratch, status out in AX, no stack use beyond the call's own return
-// address. Guest values are 32-bit throughout; every 32-bit register
-// write zero-extends on amd64, so address arithmetic composed from
-// 32-bit operations is automatically mod 2^32 and safe to use directly
-// as an unsigned index off SI.
+// convention: DI = *Machine, SI = guest memory base, DX = the entered
+// trace's link-slot offset at a trace entry, AX/CX/DX/R8-R11 scratch,
+// status out in AX, no stack use beyond the call's own return address
+// and one spilled register. Guest values are 32-bit throughout; every
+// 32-bit register write zero-extends on amd64, so address arithmetic
+// composed from 32-bit operations is automatically mod 2^32 and safe to
+// use directly as an unsigned index off SI.
 
 // Host register numbers (ModRM encoding).
 const (
@@ -227,13 +228,6 @@ func (a *nasm) testRI(reg int, imm uint32) {
 	a.d32(imm)
 }
 
-// cmpMI8: cmp byte [rdi+off], imm8.
-func (a *nasm) cmpMI8(off int32, imm byte) {
-	a.db(0x80)
-	a.modrmDI(7, off)
-	a.db(imm)
-}
-
 // shiftRI: sh reg, imm (imm in 1..31).
 func (a *nasm) shiftRI(ext, reg int, imm byte) {
 	a.rex(false, 0, 0, reg)
@@ -385,20 +379,6 @@ func (a *nasm) jmp32() int32 {
 	return p
 }
 
-// jmpTo emits jmp rel32 to a known (usually backward) target.
-func (a *nasm) jmpTo(target int32) {
-	a.db(0xE9)
-	rel := target - (a.here() + 4)
-	a.d32(uint32(rel))
-}
-
-// jccTo emits jcc rel32 to a known target.
-func (a *nasm) jccTo(cc byte, target int32) {
-	a.db(0x0F, 0x80|cc)
-	rel := target - (a.here() + 4)
-	a.d32(uint32(rel))
-}
-
 // patch resolves a forward fixup to the current position.
 func (a *nasm) patch(p int32) {
 	rel := a.here() - (p + 4)
@@ -423,20 +403,63 @@ func (a *nasm) incM64(off int32) {
 	a.modrmDI(0, off)
 }
 
-// subMI64: sub qword [rdi+off], imm32 (sign-extended).
-func (a *nasm) subMI64(off int32, imm uint32) {
+// aluMI64: op qword [rdi+off], imm32 (sign-extended; 0x81 group).
+func (a *nasm) aluMI64(ext int, off int32, imm uint32) {
 	a.rex(true, 0, 0, 0)
 	a.db(0x81)
-	a.modrmDI(5, off)
+	a.modrmDI(ext, off)
 	a.d32(imm)
 }
 
 // cmpMI64: cmp qword [rdi+off], imm32 (sign-extended).
-func (a *nasm) cmpMI64(off int32, imm uint32) {
-	a.rex(true, 0, 0, 0)
-	a.db(0x81)
-	a.modrmDI(7, off)
-	a.d32(imm)
+func (a *nasm) cmpMI64(off int32, imm uint32) { a.aluMI64(aluCmpExt, off, imm) }
+
+// storeM64: mov [rdi+off], reg64
+func (a *nasm) storeM64(off int32, reg int) {
+	a.rex(true, reg, 0, 0)
+	a.db(0x89)
+	a.modrmDI(reg, off)
+}
+
+// addRM64: add reg64, [rdi+off]
+func (a *nasm) addRM64(reg int, off int32) {
+	a.rex(true, reg, 0, 0)
+	a.db(aluAddRM)
+	a.modrmDI(reg, off)
+}
+
+// ---- link-table access (through a slot pointer in AX or CX) -------------
+
+// modrmBD emits the ModRM (+disp) addressing [base+disp]; base must need
+// no SIB (AX, CX, DX).
+func (a *nasm) modrmBD(reg, base int, disp int32) {
+	if disp >= -128 && disp <= 127 {
+		a.db(byte(0x40|(reg&7)<<3|base&7), byte(disp))
+		return
+	}
+	a.db(byte(0x80 | (reg&7)<<3 | base&7))
+	a.d32(uint32(disp))
+}
+
+// loadRD: mov reg32, [base+disp]
+func (a *nasm) loadRD(reg, base int, disp int32) {
+	a.rex(false, reg, 0, base)
+	a.db(0x8B)
+	a.modrmBD(reg, base, disp)
+}
+
+// cmpRMD: cmp reg32, [base+disp]
+func (a *nasm) cmpRMD(reg, base int, disp int32) {
+	a.rex(false, reg, 0, base)
+	a.db(aluCmpRM)
+	a.modrmBD(reg, base, disp)
+}
+
+// jmpMD: jmp qword [base+disp] — with ret, the only indirect branch the
+// emitter produces.
+func (a *nasm) jmpMD(base int, disp int32) {
+	a.db(0xFF)
+	a.modrmBD(4, base, disp)
 }
 
 // ---- executable memory --------------------------------------------------

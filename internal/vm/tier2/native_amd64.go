@@ -17,28 +17,39 @@ import (
 // than tier-1 dispatch. Guest 32-bit values ride in host 32-bit
 // registers (writes zero-extend, so address arithmetic is mod 2^32 for
 // free), the lazy-flag record lives in the Machine exactly as for the
-// closure backend, and every exit returns the same 1-based status into
-// the same Exit table — the glue cannot tell the backends apart.
+// closure backend, and every return to Go carries the same 1-based
+// status into the same Exit table — the glue cannot tell the backends
+// apart.
 //
-// Within the jitcall convention (DI = *Machine, SI = guest memory base,
-// status out in AX) the emitter uses AX/CX/DX/R8/R9 as scratch with a
-// fixed discipline: effective addresses are built in CX, the bounds
-// checks clobber AX only, and multi-step micro-ops keep values that
-// must survive a bounds check in R8/R9.
+// Within the jitcall convention (DI = *Machine, DX = the entered trace's
+// slot offset on entry, SI = guest memory base, status out in AX) the
+// emitter uses AX/CX/DX/R8/R9 as scratch with a fixed discipline:
+// effective addresses are built in CX, the bounds checks clobber AX
+// only, and multi-step micro-ops keep values that must survive a bounds
+// check in R8/R9.
 //
-// The emitted prologue runs Run's own accounting loop: per iteration it
-// bumps Iters, charges Cost against Fuel (and Credit when armed), and
-// the loop-back exit re-enters the top only while fuel and credit last
-// — so a hot guest loop spins entirely inside one jitcall, and
-// cancellation still lands on the interpreter's polling quantum.
+// The code's first byte is the trace entry, for the dispatcher and for
+// every exit linked to the trace alike. It declines to start when Fuel
+// is short of Cost or Credit is spent (status 0, the entry's guest
+// address in ExitTarget); otherwise it records the trace as the running
+// one (Cur), charges Cost to Fuel and Credit, counts the pass and its
+// micro-ops, and falls into the body. Every exit first gives back what
+// the entry charged for the micro-ops it skips. A link exit then jumps
+// through its slot of the VM's link table — to its own return stub until
+// the VM links the edge, into the next trace afterwards; an inline-cache
+// exit does so only when the guest target equals the slot's recorded
+// address. Every other exit returns its status. The only indirect
+// branches in the code are those slot jumps and ret, and no emitted
+// instruction ever writes code: a loop is a trace linked to itself.
 //
-// Micro-ops whose semantics need lazy-flag materialization (plain
-// guards and Jcc-less setcc forms, INC/DEC's carry preservation,
-// ADC/SBB) exit or bail: materializing a deferred flag record is a
-// branchy per-FlagOp computation that belongs in Go. A plain Jcc
-// terminator exits with ExitJccLazy and lets the glue evaluate the
-// condition; everything else unsupported fails compilation and leaves
-// the superblock on tier-1.
+// Micro-ops whose semantics need lazy-flag materialization of a record
+// that is not statically known (a plain guard or Jcc-less setcc form,
+// INC/DEC's carry preservation, ADC/SBB after a conditional writer)
+// bail: materializing an unknown deferred flag record is a branchy
+// per-FlagOp computation that belongs in Go. A plain Jcc terminator
+// exits with ExitJccLazy and lets the glue evaluate the condition;
+// everything else unsupported fails compilation and leaves the
+// superblock on tier-1.
 
 const nativeAvailable = true
 
@@ -47,12 +58,12 @@ const nativeAvailable = true
 const minus4 = ^uint32(3)
 
 //go:noescape
-func jitcall(code uintptr, m *Machine) int32
+func jitcall(code uintptr, m *Machine, cur uint32) int32
 
-// call runs the mapped code against m; the mapping must not be
-// finalized under it.
-func (b *execBuf) call(m *Machine) int32 {
-	s := jitcall(uintptr(unsafe.Pointer(&b.buf[0])), m)
+// call enters the mapped code against m as the trace whose slots start
+// at offset cur; the mapping must not be finalized under it.
+func (b *execBuf) call(m *Machine, cur uint32) int32 {
+	s := jitcall(uintptr(unsafe.Pointer(&b.buf[0])), m, cur)
 	runtime.KeepAlive(b)
 	return s
 }
@@ -62,22 +73,29 @@ func (b *execBuf) call(m *Machine) int32 {
 var zm Machine
 
 var (
-	offRegs      = int32(unsafe.Offsetof(zm.Regs))
-	offFl        = int32(unsafe.Offsetof(zm.Fl))
-	offCF        = int32(unsafe.Offsetof(zm.CF))
-	offZF        = int32(unsafe.Offsetof(zm.ZF))
-	offSF        = int32(unsafe.Offsetof(zm.SF))
-	offOF        = int32(unsafe.Offsetof(zm.OF))
-	offPF        = int32(unsafe.Offsetof(zm.PF))
-	offMem       = int32(unsafe.Offsetof(zm.Mem))
-	offBrk       = int32(unsafe.Offsetof(zm.Brk))
-	offFuel      = int32(unsafe.Offsetof(zm.Fuel))
-	offCredit    = int32(unsafe.Offsetof(zm.Credit))
-	offPollArmed = int32(unsafe.Offsetof(zm.PollArmed))
-	offIters     = int32(unsafe.Offsetof(zm.Iters))
-	offTrapAddr  = int32(unsafe.Offsetof(zm.TrapAddr))
-	offTrapAux   = int32(unsafe.Offsetof(zm.TrapAux))
-	offExitTgt   = int32(unsafe.Offsetof(zm.ExitTarget))
+	offRegs     = int32(unsafe.Offsetof(zm.Regs))
+	offFl       = int32(unsafe.Offsetof(zm.Fl))
+	offCF       = int32(unsafe.Offsetof(zm.CF))
+	offZF       = int32(unsafe.Offsetof(zm.ZF))
+	offSF       = int32(unsafe.Offsetof(zm.SF))
+	offOF       = int32(unsafe.Offsetof(zm.OF))
+	offPF       = int32(unsafe.Offsetof(zm.PF))
+	offMem      = int32(unsafe.Offsetof(zm.Mem))
+	offBrk      = int32(unsafe.Offsetof(zm.Brk))
+	offFuel     = int32(unsafe.Offsetof(zm.Fuel))
+	offCredit   = int32(unsafe.Offsetof(zm.Credit))
+	offIters    = int32(unsafe.Offsetof(zm.Iters))
+	offUops     = int32(unsafe.Offsetof(zm.Uops))
+	offLinks    = int32(unsafe.Offsetof(zm.Links))
+	offCur      = int32(unsafe.Offsetof(zm.Cur))
+	offTrapAddr = int32(unsafe.Offsetof(zm.TrapAddr))
+	offTrapAux  = int32(unsafe.Offsetof(zm.TrapAux))
+	offExitTgt  = int32(unsafe.Offsetof(zm.ExitTarget))
+
+	// Link slot fields, as displacements off a slot's address.
+	linkEntry = int32(unsafe.Offsetof(Link{}.Entry))
+	linkCur   = int32(unsafe.Offsetof(Link{}.Cur))
+	linkAddr  = int32(unsafe.Offsetof(Link{}.Addr))
 
 	// Flags record sub-fields. A dword store at offFlOp covers Op,
 	// KeptCF and the two pad bytes — the whole-struct-assignment
@@ -162,8 +180,8 @@ type nemit struct {
 	mlen, ro, sbase uint32
 	cost            uint32
 
-	top  int32 // loop-back target: the per-iteration accounting
-	pend []pstub
+	pend  []pstub
+	stubs []int32 // code offset of each link slot's return stub
 
 	// flOp is the FlagOp the lazy record is statically known to hold
 	// at the current emission point: flEntry before the first writer,
@@ -191,16 +209,22 @@ func nativeCompile(us []uop.Uop, entry uint32, g Geometry, t *Trace) bool {
 		flOp: flEntry}
 	a := &e.a
 
-	// Prologue: pin the guest memory base, then the per-iteration
-	// accounting Run applies around the closure backend.
-	a.loadM64(hSI, offMem)
-	e.top = a.here()
+	// The trace entry: decline when fuel or the poll credit will not
+	// cover the pass, else become the running trace and charge it.
+	a.cmpMI64(offFuel, e.cost)
+	f1 := a.jcc32(byte(x86.CCL))
+	a.cmpMI64(offCredit, 0)
+	f2 := a.jcc32(byte(x86.CCLE))
+	e.stub(func() {
+		a.storeMI(offExitTgt, entry)
+		a.retStatus(0)
+	}, f1, f2)
+	a.storeM64(offCur, hDX)
+	a.aluMI64(aluSubExt, offFuel, e.cost)
+	a.aluMI64(aluSubExt, offCredit, e.cost)
+	a.aluMI64(aluAddExt, offUops, uint32(len(us)))
 	a.incM64(offIters)
-	a.subMI64(offFuel, e.cost)
-	a.cmpMI8(offPollArmed, 0)
-	f := a.jcc32(byte(x86.CCE))
-	a.subMI64(offCredit, e.cost)
-	a.patch(f)
+	a.loadM64(hSI, offMem)
 
 	for i := range us {
 		if !e.one(i) {
@@ -220,10 +244,9 @@ func nativeCompile(us []uop.Uop, entry uint32, g Geometry, t *Trace) bool {
 	}
 	t.code = eb
 	t.NeedFlags = e.usedEntry
-	for i := range t.Exits {
-		if t.Exits[i].Loop {
-			t.Loop = true
-		}
+	t.unlinked = make([]Link, max(t.Slots, 1))
+	for k, off := range e.stubs {
+		t.unlinked[k].Entry = t.EntryAddr() + uintptr(off)
 	}
 	return true
 }
@@ -231,7 +254,7 @@ func nativeCompile(us []uop.Uop, entry uint32, g Geometry, t *Trace) bool {
 // ---- exit-table helpers (mirror comp's) ---------------------------------
 
 func (e *nemit) exit(x Exit) int32 {
-	e.t.Exits = append(e.t.Exits, x)
+	e.t.Exits = append(e.t.Exits, newExit(e.us, x))
 	return int32(len(e.t.Exits))
 }
 
@@ -244,7 +267,7 @@ func (e *nemit) wf(i int, eip, size uint32, started int) int32 {
 }
 
 func (e *nemit) end(i int, target uint32) int32 {
-	return e.exit(Exit{Kind: ExitEnd, Uop: i, Target: target, Loop: target == e.entry})
+	return e.exit(Exit{Kind: ExitEnd, Uop: i, Target: target})
 }
 
 // ---- emission helpers ---------------------------------------------------
@@ -324,7 +347,7 @@ func (e *nemit) check(low, size uint32, s int32, stackFirst bool) {
 		f3 := a.jcc32(byte(x86.CCBE)) // in heap range
 		a.patch(f2)
 		a.storeM(offTrapAddr, hCX)
-		a.retStatus(s)
+		e.leave(s)
 		a.patch(f1)
 		a.patch(f3)
 		return
@@ -340,19 +363,114 @@ func (e *nemit) check(low, size uint32, s int32, stackFirst bool) {
 	a.aluRI(aluCmpExt, hAX, kStack)
 	f3 := a.jcc32(byte(x86.CCBE)) // in stack range
 	a.storeM(offTrapAddr, hCX)
-	a.retStatus(s)
+	e.leave(s)
 	a.patch(f2)
 	a.patch(f3)
 }
 
-// stub registers an out-of-line exit path reached from fixes.
+// stub registers an out-of-line exit path reached from fixes. It is
+// emitted after the mainline, with the flag state the mainline had here.
 func (e *nemit) stub(emit func(), fixes ...int32) {
-	e.pend = append(e.pend, pstub{fixes: fixes, emit: emit})
+	fl := e.flOp
+	e.pend = append(e.pend, pstub{fixes: fixes, emit: func() {
+		e.flOp = fl
+		emit()
+	}})
 }
 
-// retStub is the common exit-with-status stub.
-func (e *nemit) retStub(s int32, fixes ...int32) {
-	e.stub(func() { e.a.retStatus(s) }, fixes...)
+// refund gives back what the entry charged for the part of the trace
+// exit s leaves unexecuted.
+func (e *nemit) refund(s int32) {
+	x := &e.t.Exits[s-1]
+	if x.Refund != 0 {
+		e.a.aluMI64(aluAddExt, offFuel, uint32(x.Refund))
+	}
+	if x.RefundUops != 0 {
+		e.a.aluMI64(aluSubExt, offUops, uint32(x.RefundUops))
+	}
+}
+
+// leave ends the run with exit s: refund, then return the status to the
+// dispatcher.
+func (e *nemit) leave(s int32) {
+	e.refund(s)
+	e.a.retStatus(s)
+}
+
+// slot gives exit s the trace's next link slot and returns its byte
+// offset from the trace's first.
+func (e *nemit) slot(s int32) int32 {
+	x := &e.t.Exits[s-1]
+	x.Slot = e.t.Slots
+	e.t.Slots++
+	e.stubs = append(e.stubs, 0)
+	return int32(x.Slot) * int32(LinkSize)
+}
+
+// stubHere marks the current position as the return stub of exit s's
+// slot: what the slot holds until the VM links it.
+func (e *nemit) stubHere(s int32) {
+	e.stubs[e.t.Exits[s-1].Slot] = e.a.here()
+}
+
+// link leaves through exit s's link slot (a static-target exit): refund,
+// then jump wherever the slot says with the target's slot offset in DX —
+// into the linked trace, or to the return stub emitted right here, which
+// is what the slot holds until the VM links the edge.
+//
+// An exit back to this trace's own entry is the loop back edge. If the
+// trace consumed its entry flag state, the edge restores the FlagNone
+// entry invariant the dispatcher guaranteed the first pass (and says so,
+// Exit.Eager, or the VM will not link it); with the state unknown it
+// cannot, and the loop goes through the dispatcher.
+func (e *nemit) link(s int32) {
+	a := &e.a
+	x := &e.t.Exits[s-1]
+	if x.Target == e.entry && e.usedEntry {
+		switch e.flOp {
+		case flUnknown:
+		case flEntry, int(uop.FlagNone):
+			x.Eager = true
+		default:
+			e.matAll()
+			x.Eager = true
+		}
+	}
+	e.refund(s)
+	off := e.slot(s)
+	a.loadM64(hAX, offCur)
+	a.addRM64(hAX, offLinks)
+	a.loadRD(hDX, hAX, off+linkCur)
+	a.jmpMD(hAX, off+linkEntry)
+	e.stubHere(s)
+	a.retStatus(s)
+}
+
+// linkStub is link as an out-of-line path reached from fixes.
+func (e *nemit) linkStub(s int32, fixes ...int32) {
+	e.stub(func() { e.link(s) }, fixes...)
+}
+
+// linkInd leaves through exit s's slot used as a one-entry inline cache
+// (a dynamic-target exit, the guest target in reg, which must not be
+// CX): refund, then enter the slot's trace if the slot was linked for
+// this target, else hand the target to the dispatcher. The slot's
+// unlinked content is that miss path, so an unlinked slot misses even
+// when the target happens to equal its zero Addr.
+func (e *nemit) linkInd(s int32, reg int) {
+	a := &e.a
+	e.refund(s)
+	off := e.slot(s)
+	a.loadM64(hCX, offCur)
+	a.addRM64(hCX, offLinks)
+	a.cmpRMD(reg, hCX, off+linkAddr)
+	miss := a.jcc32(byte(x86.CCNE))
+	a.loadRD(hDX, hCX, off+linkCur)
+	a.jmpMD(hCX, off+linkEntry)
+	a.patch(miss)
+	e.stubHere(s)
+	a.storeM(offExitTgt, reg)
+	a.retStatus(s)
 }
 
 // insByte writes the byte value in EAX (0..255) into Dst.byte[dsh]:
@@ -608,39 +726,6 @@ func (e *nemit) loadByteOf(reg int, rOff int32, sh uint8) {
 		a.shiftRI(shrExt, reg, sh)
 	}
 	a.aluRI(aluAndExt, reg, 0xFF)
-}
-
-// emitEnd finishes a trace with the unconditional end transfer s: the
-// loop back edge re-enters the accounting top while fuel and the poll
-// credit allow, exactly as Run's internal loop. Returns false when a
-// trace that consumed its entry flag state loops with the state
-// unknown — the FlagNone entry invariant cannot be restored then.
-func (e *nemit) emitEnd(s int32) bool {
-	if !e.t.Exits[s-1].Loop {
-		e.a.retStatus(s)
-		return true
-	}
-	if e.usedEntry {
-		switch e.flOp {
-		case flUnknown:
-			return false
-		case flEntry, int(uop.FlagNone):
-			// Entry state untouched (or rewritten as FlagNone): the
-			// next iteration sees it as-is.
-		default:
-			e.matAll()
-		}
-	}
-	a := &e.a
-	a.cmpMI64(offFuel, e.cost)
-	f := a.jcc32(byte(x86.CCL)) // fuel < cost: exit
-	a.cmpMI8(offPollArmed, 0)
-	a.jccTo(byte(x86.CCE), e.top) // not armed: loop
-	a.cmpMI64(offCredit, 0)
-	a.jccTo(byte(x86.CCG), e.top) // credit > 0: loop
-	a.patch(f)
-	a.retStatus(s)
-	return true
 }
 
 // one emits micro-op i. Returns false on a micro-op the native backend
@@ -1072,7 +1157,7 @@ func (e *nemit) one(i int) bool {
 		fz := a.jcc32(byte(x86.CCE))
 		e.stub(func() {
 			a.storeMI(offTrapAux, 0)
-			a.retStatus(sd)
+			e.leave(sd)
 		}, fz)
 		if !signed {
 			a.loadM(hAX, rEAX)
@@ -1083,7 +1168,7 @@ func (e *nemit) one(i int) bool {
 			fo := a.jcc32(byte(x86.CCAE))
 			e.stub(func() {
 				a.storeMI(offTrapAux, 1)
-				a.retStatus(sd)
+				e.leave(sd)
 			}, fo)
 			a.mulDiv(6, hCX)
 			a.storeM(rEAX, hAX)
@@ -1110,7 +1195,7 @@ func (e *nemit) one(i int) bool {
 			fo2 := a.jcc32(byte(x86.CCNE))
 			e.stub(func() {
 				a.storeMI(offTrapAux, 1)
-				a.retStatus(sd)
+				e.leave(sd)
 			}, fo1, fo2)
 			a.storeM(rEAX, hAX)
 			a.storeM(rEDX, hDX)
@@ -1458,7 +1543,7 @@ func (e *nemit) one(i int) bool {
 			return false
 		}
 		a.testRR(hAX, hAX)
-		e.retStub(s, a.jcc32(byte(x86.CCNE)))
+		e.linkStub(s, a.jcc32(byte(x86.CCNE)))
 	case uop.KindGuardCmpRR, uop.KindGuardCmpRI:
 		e.t.Guards++
 		s := e.exit(Exit{Kind: ExitGuard, Uop: i, Target: u.Target})
@@ -1472,7 +1557,7 @@ func (e *nemit) one(i int) bool {
 			a.aluRI(aluSubExt, hR8, imm)
 			e.recABIRes(uop.FlagSub, hAX, imm, hR8)
 		}
-		e.retStub(s, a.jcc32(cc))
+		e.linkStub(s, a.jcc32(cc))
 	case uop.KindGuardTestRR, uop.KindGuardTestRI:
 		e.t.Guards++
 		s := e.exit(Exit{Kind: ExitGuard, Uop: i, Target: u.Target})
@@ -1485,7 +1570,7 @@ func (e *nemit) one(i int) bool {
 			a.aluRI(aluAndExt, hR8, imm)
 		}
 		e.recLogic(uop.FlagLogic, hR8)
-		e.retStub(s, a.jcc32(cc))
+		e.linkStub(s, a.jcc32(cc))
 	case uop.KindGuardCmpRRNF, uop.KindGuardCmpRINF:
 		e.t.Guards++
 		s := e.exit(Exit{Kind: ExitGuard, Uop: i, Target: u.Target})
@@ -1506,7 +1591,7 @@ func (e *nemit) one(i int) bool {
 			} else {
 				e.recABIRes(uop.FlagSub, hAX, imm, hR8)
 			}
-			a.retStatus(s)
+			e.link(s)
 		}, f)
 	case uop.KindGuardTestRRNF, uop.KindGuardTestRINF:
 		e.t.Guards++
@@ -1522,7 +1607,7 @@ func (e *nemit) one(i int) bool {
 		f := a.jcc32(cc)
 		e.stub(func() {
 			e.recLogic(uop.FlagLogic, hR8)
-			a.retStatus(s)
+			e.link(s)
 		}, f)
 	case uop.KindRetGuard:
 		e.t.Rets++
@@ -1535,19 +1620,26 @@ func (e *nemit) one(i int) bool {
 		a.storeM(rESP, hDX)
 		a.aluRI(aluCmpExt, hAX, u.Target)
 		f := a.jcc32(byte(x86.CCNE))
-		e.stub(func() {
-			a.storeM(offExitTgt, hAX)
-			a.retStatus(s)
-		}, f)
+		e.stub(func() { e.linkInd(s, hAX) }, f)
 
 	// --- control transfers (always the trace's last micro-op) ---
 	case uop.KindJmp:
-		return e.emitEnd(e.end(i, u.Target))
+		e.link(e.end(i, u.Target))
 	case uop.KindJcc:
-		// The condition reads lazily-recorded flags: exit with the
-		// record synced and let the glue evaluate and pick the edge.
-		s := e.exit(Exit{Kind: ExitJccLazy, Uop: i, Target: u.Target})
-		a.retStatus(s)
+		// The condition reads lazily-recorded flags. With the record
+		// statically known it is evaluated here, like a plain guard's,
+		// and both edges link; otherwise the trace exits with the record
+		// in place and the glue evaluates it and picks the edge.
+		if e.flOp == flUnknown {
+			e.leave(e.exit(Exit{Kind: ExitJccLazy, Uop: i, Target: u.Target}))
+			break
+		}
+		st := e.exit(Exit{Kind: ExitJccTaken, Uop: i, Target: u.Target})
+		sf := e.exit(Exit{Kind: ExitJccFall, Uop: i, Target: u.Next})
+		e.flagsCond(cc, hAX, hR8)
+		a.testRR(hAX, hAX)
+		e.linkStub(st, a.jcc32(byte(x86.CCNE)))
+		e.link(sf)
 	case uop.KindCmpJccRR, uop.KindCmpJccRI:
 		st := e.exit(Exit{Kind: ExitJccTaken, Uop: i, Target: u.Target})
 		sf := e.exit(Exit{Kind: ExitJccFall, Uop: i, Target: u.Next})
@@ -1561,8 +1653,8 @@ func (e *nemit) one(i int) bool {
 			a.aluRI(aluSubExt, hR8, imm)
 			e.recABIRes(uop.FlagSub, hAX, imm, hR8)
 		}
-		e.retStub(st, a.jcc32(cc))
-		a.retStatus(sf)
+		e.linkStub(st, a.jcc32(cc))
+		e.link(sf)
 	case uop.KindTestJccRR, uop.KindTestJccRI:
 		st := e.exit(Exit{Kind: ExitJccTaken, Uop: i, Target: u.Target})
 		sf := e.exit(Exit{Kind: ExitJccFall, Uop: i, Target: u.Next})
@@ -1575,8 +1667,8 @@ func (e *nemit) one(i int) bool {
 			a.aluRI(aluAndExt, hR8, imm)
 		}
 		e.recLogic(uop.FlagLogic, hR8)
-		e.retStub(st, a.jcc32(cc))
-		a.retStatus(sf)
+		e.linkStub(st, a.jcc32(cc))
+		e.link(sf)
 	case uop.KindCall:
 		s := e.end(i, u.Target)
 		a.loadM(hCX, rESP)
@@ -1584,7 +1676,7 @@ func (e *nemit) one(i int) bool {
 		e.checkWr(4, e.wf(i, u.EIP, 4, 1), true)
 		a.storeGI(hCX, u.Next, 4)
 		a.storeM(rESP, hCX)
-		return e.emitEnd(s)
+		e.link(s)
 	case uop.KindCallR:
 		s := e.exit(Exit{Kind: ExitInd, Uop: i})
 		a.loadM(hR8, ps) // target read before the push can fault
@@ -1593,8 +1685,7 @@ func (e *nemit) one(i int) bool {
 		e.checkWr(4, e.wf(i, u.EIP, 4, 1), true)
 		a.storeGI(hCX, u.Next, 4)
 		a.storeM(rESP, hCX)
-		a.storeM(offExitTgt, hR8)
-		a.retStatus(s)
+		e.linkInd(s, hR8)
 	case uop.KindCallM:
 		s := e.exit(Exit{Kind: ExitInd, Uop: i})
 		e.addr(u)
@@ -1605,8 +1696,7 @@ func (e *nemit) one(i int) bool {
 		e.checkWr(4, e.wf(i, u.EIP, 4, 1), true)
 		a.storeGI(hCX, u.Next, 4)
 		a.storeM(rESP, hCX)
-		a.storeM(offExitTgt, hR8)
-		a.retStatus(s)
+		e.linkInd(s, hR8)
 	case uop.KindRet:
 		s := e.exit(Exit{Kind: ExitInd, Uop: i})
 		a.loadM(hCX, rESP)
@@ -1614,8 +1704,7 @@ func (e *nemit) one(i int) bool {
 		a.loadG(hAX, hCX, 4, false)
 		a.leaD(hDX, hCX, 4+imm)
 		a.storeM(rESP, hDX)
-		a.storeM(offExitTgt, hAX)
-		a.retStatus(s)
+		e.linkInd(s, hAX)
 	case uop.KindPopRet:
 		s1 := e.rf(i, u.EIP, 4, 1)
 		s2 := e.rf(i, u.Disp, 4, 2) // ret EIP rides in Disp
@@ -1631,8 +1720,7 @@ func (e *nemit) one(i int) bool {
 		a.loadG(hAX, hCX, 4, false)
 		a.leaD(hDX, hCX, 4+imm)
 		a.storeM(rESP, hDX)
-		a.storeM(offExitTgt, hAX)
-		a.retStatus(s)
+		e.linkInd(s, hAX)
 	case uop.KindPushCall:
 		s1 := e.wf(i, u.EIP, 4, 1)
 		s2 := e.wf(i, u.Imm, 4, 2) // call EIP rides in Imm
@@ -1647,29 +1735,27 @@ func (e *nemit) one(i int) bool {
 		e.checkWr(4, s2, true)
 		a.storeGI(hCX, u.Next, 4)
 		a.storeM(rESP, hCX)
-		return e.emitEnd(s)
+		e.link(s)
 	case uop.KindJmpR:
 		s := e.exit(Exit{Kind: ExitInd, Uop: i})
 		a.loadM(hAX, ps)
-		a.storeM(offExitTgt, hAX)
-		a.retStatus(s)
+		e.linkInd(s, hAX)
 	case uop.KindJmpM:
 		s := e.exit(Exit{Kind: ExitInd, Uop: i})
 		e.addr(u)
 		e.checkRd(4, e.rf(i, u.EIP, 4, 1), false)
 		a.loadG(hAX, hCX, 4, false)
-		a.storeM(offExitTgt, hAX)
-		a.retStatus(s)
+		e.linkInd(s, hAX)
 	case uop.KindInt:
-		a.retStatus(e.exit(Exit{Kind: ExitInt, Uop: i, EIP: u.EIP, Started: 1}))
+		e.leave(e.exit(Exit{Kind: ExitInt, Uop: i, EIP: u.EIP, Started: 1}))
 	case uop.KindHlt:
 		s := e.exit(Exit{Kind: ExitIllegal, Uop: i, EIP: u.EIP, Started: 1})
 		a.storeMI(offTrapAux, 0)
-		a.retStatus(s)
+		e.leave(s)
 	case uop.KindUd2:
 		s := e.exit(Exit{Kind: ExitIllegal, Uop: i, EIP: u.EIP, Started: 1})
 		a.storeMI(offTrapAux, 1)
-		a.retStatus(s)
+		e.leave(s)
 
 	default:
 		return false

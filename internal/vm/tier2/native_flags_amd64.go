@@ -16,11 +16,13 @@ import (
 // trace is known statically, and the materialization sequence for
 // exactly that FlagOp can be emitted inline. The trace entry state is
 // pinned by contract instead of tracked: a trace whose consumers read
-// flags before any in-trace writer sets Trace.NeedFlags, and the glue
-// materializes the VM's flags before every entry, so the entry state
-// is statically FlagNone; the loop back edge then re-materializes
-// (matAll) whenever the body leaves a record behind, keeping the
-// invariant on every iteration. Only a conditional writer (ShiftRCL
+// flags before any in-trace writer sets Trace.NeedFlags, the glue
+// materializes the VM's flags before every run that starts there and
+// links no exit to it that does not leave them materialized, so the
+// entry state is statically FlagNone; the trace's own loop back edge
+// re-materializes (matAll) whenever the body leaves a record behind,
+// which is what makes that exit one the glue may link (Exit.Eager).
+// Only a conditional writer (ShiftRCL
 // skips its record when the masked count is zero) leaves the state
 // unknown (flUnknown) and makes later consumers bail back to tier-1.
 //
@@ -39,8 +41,7 @@ var (
 )
 
 // curFl resolves the tracked state for a consumer. Reading the entry
-// state leans on the glue contract — runTier2 materializes the VM's
-// flags before entering a NeedFlags trace, so the first iteration
+// state leans on the glue contract — whoever enters a NeedFlags trace
 // arrives with Fl.Op == FlagNone — and marks the trace as needing it.
 func (e *nemit) curFl() uop.FlagOp {
 	if e.flOp == flEntry {
@@ -54,10 +55,10 @@ func (e *nemit) curFl() uop.FlagOp {
 // the five bools from the record, then Op = FlagNone — mirroring
 // VM.materializeFlags (including its materialization counts: the
 // extractors add 5, or 3 for the FlagSZP partial record). Emitted on
-// the loop back edge of a trace that consumed its entry state, so
-// every iteration sees the same FlagNone entry the glue guaranteed
-// the first one. Does not advance e.flOp: a second looping edge of
-// the same trace must still see the real end state.
+// the loop back edge of a trace that consumed its entry state (link),
+// so every pass sees the same FlagNone entry the glue guaranteed the
+// first one. Does not advance e.flOp: a second looping edge of the same
+// trace must still see the real end state.
 func (e *nemit) matAll() {
 	a := &e.a
 	if uop.FlagOp(e.flOp) != uop.FlagSZP { // SZP keeps CF/OF eager already

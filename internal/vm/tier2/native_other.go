@@ -13,4 +13,4 @@ const nativeAvailable = false
 func nativeCompile(us []uop.Uop, entry uint32, g Geometry, t *Trace) bool { return false }
 
 // call is unreachable: no execBuf is ever built on this platform.
-func (b *execBuf) call(m *Machine) int32 { panic("tier2: no native backend") }
+func (b *execBuf) call(m *Machine, cur uint32) int32 { panic("tier2: no native backend") }

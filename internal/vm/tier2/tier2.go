@@ -1,44 +1,79 @@
 // Package tier2 is the VM's second execution tier: it compiles an
 // already-formed, already-optimized superblock trace (internal/vm's
-// superblock.go) into host code that runs against a Machine, the
-// guest-state view the owning VM syncs in and out around each run.
+// superblock.go) into host code that runs directly against the owning
+// VM's architectural state, the Machine.
+//
+// One register file. The Machine is not a view that is synced around
+// each run: it IS the VM's register file, lazy-flag record, heap limit,
+// fuel and poll credit, and the tier-1 interpreter executes against the
+// same fields. Entering compiled code copies nothing in and leaving it
+// copies nothing out.
+//
+// Accounting is charged by the trace itself, against the Machine. A
+// trace entry charges the trace's whole Cost to Fuel and Credit and its
+// micro-op count to Uops, and counts itself in Iters; every exit that
+// leaves with part of the trace unexecuted — a guard, a fault in the
+// middle — carries a static refund (Exit.Refund, Exit.RefundUops) that
+// the exit path applies before control goes anywhere else. Fuel is
+// therefore exact wherever a run stops, whichever trace of a chain it
+// stops in, and the VM derives Steps from the fuel a run consumed.
+//
+// Traces link to traces. Every exit of a native trace whose successor
+// can be known — a static target (ExitEnd, ExitJccTaken, ExitJccFall,
+// ExitGuard) or a dynamic one worth an inline cache (ExitInd,
+// ExitRetGuard) — leaves through a numbered Link slot. The slots of all
+// the traces a VM holds form one per-VM table (Machine.Links); a trace's
+// code addresses its own slots relative to Machine.Cur, which every
+// trace entry sets to the offset of the entered trace's first slot. A
+// slot starts out holding the address of that exit's own return stub, so
+// an unlinked exit returns to the dispatcher with its exit status; once
+// the VM has resolved the edge to a superblock that carries a native
+// trace it stores that trace's entry address and slot offset in the slot
+// (Link.Link), and from then on the exit is one indirect jump into the
+// next trace. Code is never patched: a native Trace is immutable after
+// Compile, holds no pointer to any VM and is shared by every VM of the
+// decoder's Snapshot, while the links between traces are per-VM data
+// that the VM drops with its view of the translation cache. The trace
+// entry declines to start — it returns status 0 with the entry's guest
+// address in ExitTarget — when Fuel is short of the trace's Cost or the
+// poll Credit is spent, so a chain of linked traces comes back to the
+// dispatcher at least once per poll quantum and the end-of-fuel walk
+// still happens on the reference engine. Machine.Cur tells the
+// dispatcher which trace of the chain a nonzero status belongs to.
 //
 // There are two backends. The native backend (amd64/linux) emits
 // machine code that reaches every piece of guest state through the
-// *Machine it is handed per run and bakes in only the sandbox Geometry,
-// so a native Trace is immutable after Compile and valid for every VM
-// with that geometry: the VM publishes it on the decoder's Snapshot and
-// every sibling, and every later Reset, runs the same code. The closure
-// backend is the portable semantic reference: a flat sequence of Go
-// closures that capture pointers into one Machine, so its traces belong
-// to the VM they were compiled for and are never shared.
+// *Machine it is handed per run and bakes in only the sandbox Geometry.
+// The closure backend is the portable semantic reference for the test
+// wall: a flat sequence of Go closures that capture pointers into one
+// Machine, so its traces belong to the VM they were compiled for, are
+// never shared and never link — every exit returns to the dispatcher —
+// but they run against the same Machine and charge the same counters.
 //
-// The rest of this comment describes the closure backend, whose bodies
-// the native emitter mirrors. Where the tier-1 engine re-dispatches a
-// giant switch per micro-op — re-loading operand fields and
-// bounds-checking register indices every step — a tier-2 trace bakes
-// every operand into closure captures at
-// compile time: register operands become direct pointers into the
-// machine's register file, immediates and effective-address shapes
-// become Go constants, and each closure body is small enough for the
-// compiler to register-allocate well (the tier-1 dispatch loop is far
-// past the inlining/regalloc thresholds). Control flow inside a trace
-// is straight-line by construction, so execution is a single pass over
-// the closure array; guards either fall through (the profiled hot path)
-// or return a nonzero exit status indexing a static Exit descriptor.
+// The closure backend's bodies, which the native emitter mirrors: where
+// the tier-1 engine re-dispatches a giant switch per micro-op —
+// re-loading operand fields and bounds-checking register indices every
+// step — a trace bakes every operand into closure captures at compile
+// time: register operands become direct pointers into the machine's
+// register file, immediates and effective-address shapes become Go
+// constants, and each closure body is small enough for the compiler to
+// register-allocate well. Control flow inside a trace is straight-line
+// by construction, so execution is a single pass over the closure array;
+// guards either fall through (the profiled hot path) or return a nonzero
+// exit status indexing a static Exit descriptor.
 //
-// The tier is semantically invisible. Every closure replicates its
-// tier-1 handler exactly: lazy-flag records, the guard flag-recording
-// rules (base guards record on both paths, NF guards only on exit),
-// spare-field trap EIPs and started-instruction counts for fused pairs,
-// and the per-trace fuel charge with tail refunds applied by the caller
-// on early exits. Traps, guard exits, serialization and Reset all
-// demote cleanly to the tier-1 uop path. Compiled code is never
-// serialized; another process recompiles from the persisted superblocks.
+// The tier is semantically invisible. Every body replicates its tier-1
+// handler exactly: lazy-flag records, the guard flag-recording rules
+// (base guards record on both paths, NF guards only on exit), spare-field
+// trap EIPs and started-instruction counts for fused pairs. Traps, guard
+// exits, serialization and Reset all demote cleanly to the tier-1 uop
+// path. Compiled code is never serialized; another process recompiles
+// from the persisted superblocks.
 package tier2
 
 import (
 	"math/bits"
+	"unsafe"
 
 	"vxa/internal/vm/uop"
 	"vxa/internal/x86"
@@ -55,66 +90,82 @@ type Geometry struct {
 	MemLen, ROLimit, StackBase uint32
 }
 
-// Machine is the guest-state view a compiled trace executes against.
-// The owning VM copies its architectural state in before Run and back
-// out after; the sandbox geometry fields are set once per VM (the guest
-// memory slice never reallocates) except Brk, which moves with setperm
-// and is re-synced per entry.
+// Machine is a VM's architectural state: what the tier-1 interpreter and
+// every compiled trace execute against. It lives inside the VM and must
+// not be copied once a closure trace has been compiled for it (those
+// capture pointers into Regs). The geometry fields are set once per VM
+// (the guest memory slice never reallocates); Brk moves with setperm,
+// which only ever runs in the dispatcher.
 type Machine struct {
-	// Regs mirrors vm.VM.regs: eight architectural registers plus the
-	// always-zero uop.RegZero slot that absent base/index registers
-	// index. Closure-backend traces capture pointers into this array,
-	// so a Machine must not be copied once one has been compiled for it.
+	// Regs is the eight architectural registers plus the always-zero
+	// uop.RegZero slot that absent base/index registers index.
 	Regs [9]uint32
 
-	// Lazy-flag state, synced with the VM's representation: the bools
-	// are authoritative only while Fl.Op == uop.FlagNone.
+	// Lazy-flag state: the bools are authoritative only while
+	// Fl.Op == uop.FlagNone.
 	Fl                 uop.Flags
 	CF, ZF, SF, OF, PF bool
 
-	// Sandbox geometry. The closure backend captures Mem and the
-	// Geometry at compile time; native code bakes in the Geometry and
-	// loads the Mem base per run. Brk is read per access (setperm can
-	// grow it between trace executions).
-	Mem []byte
-	Geometry
+	// Brk is the end of the accessible heap, read per access.
 	Brk uint32
 
-	// Fuel is charged Trace.Cost per iteration by Run; the caller
-	// refunds unexecuted tails on guard/trap exits exactly as tier-1.
-	Fuel int64
+	// Fuel is the remaining guest-instruction budget. Credit counts down
+	// to the next cancellation/watchdog poll; a trace entry declines to
+	// start once it is spent.
+	Fuel   int64
+	Credit int64
 
-	// Cancellation/watchdog countdown, shared with the VM's
-	// cancelQuantum credit: Run decrements it per iteration when
-	// PollArmed and stops looping internally once it expires, so the
-	// owning VM polls on the same cadence as the interpreter.
-	Credit    int64
-	PollArmed bool
-
-	// Iters counts trace iterations started during the current Run
-	// (loop-back traces iterate internally); the caller converts it to
-	// Steps/UopsExecuted/fuel accounting.
-	Iters uint64
-
-	// FlagsMaterialized accumulates lazily-computed EFLAGS bits during
-	// the current Run, mirroring the tier-1 stat.
+	// Per-run counters the traces charge and the dispatcher folds into
+	// the VM's statistics after each run: trace passes started, micro-ops
+	// executed, EFLAGS bits computed from lazy records.
+	Iters             uint64
+	Uops              uint64
 	FlagsMaterialized uint64
 
+	// Links is the first slot of the VM's link table and Cur the byte
+	// offset, within it, of the first slot of the trace that is running
+	// (after a run: the trace the returned status belongs to).
+	Links *Link
+	Cur   uint64
+
 	// Exit payload: the faulting address / the divide-vs-overflow and
-	// hlt-vs-ud2 selector / the dynamic transfer target, valid per the
-	// returned Exit's Kind.
+	// hlt-vs-ud2 selector / the dynamic transfer target or the resume
+	// address, valid per the returned status.
 	TrapAddr   uint32
 	TrapAux    uint32
 	ExitTarget uint32
+
+	// Sandbox geometry. The closure backend captures Mem and the
+	// Geometry at compile time; native code bakes in the Geometry and
+	// loads the Mem base per entry.
+	Mem []byte
+	Geometry
 }
+
+// Link is one slot of a VM's link table: where the exit that owns the
+// slot transfers control. Entry is a code address — the exit's own
+// return stub until the VM links the edge, the target trace's entry
+// afterwards — Cur the value Machine.Cur takes on arrival, and Addr the
+// guest address an inline-cache slot (ExitInd, ExitRetGuard) was linked
+// for. The table holds no Go pointer: a linked trace is kept alive by
+// the VM's view of the superblock that carries it.
+type Link struct {
+	Entry uintptr
+	Cur   uint32
+	Addr  uint32
+}
+
+// LinkSize is the table stride: Machine.Cur and Link.Cur are slot
+// indices scaled by it.
+const LinkSize = unsafe.Sizeof(Link{})
 
 // ExitKind classifies how a trace run ended.
 type ExitKind uint8
 
 // Exit kinds. End/JccTaken/JccFall/Ind are normal control transfers out
-// of the trace; Guard/RetGuard leave mid-trace with the tail unexecuted
-// (the caller refunds it); Int hands the syscall gate back to the VM;
-// the *Fault/Divide/Illegal kinds are traps.
+// of the trace; Guard/RetGuard leave mid-trace with the tail unexecuted;
+// Int hands the syscall gate back to the VM; the *Fault/Divide/Illegal
+// kinds are traps.
 const (
 	ExitEnd ExitKind = iota
 	ExitJccTaken
@@ -129,10 +180,10 @@ const (
 	ExitIllegal
 
 	// ExitJccLazy is a plain (unfused) Jcc terminator leaving a native
-	// trace: the condition reads lazily-recorded flags, whose
-	// materialization lives in the VM, so the trace exits with the flag
-	// record synced and lets the caller evaluate the condition and pick
-	// between the micro-op's Target and Next.
+	// trace whose flag state is not statically known: the condition
+	// reads lazily-recorded flags, whose run-time materialization lives
+	// in the VM, so the trace exits and lets the caller evaluate the
+	// condition and pick between the micro-op's Target and Next.
 	ExitJccLazy
 )
 
@@ -146,7 +197,38 @@ type Exit struct {
 	Target  uint32 // static transfer target (End/JccTaken/JccFall/Guard)
 	Size    uint32 // access size for memory faults
 	Started int    // guest instructions begun within the fused op at the fault
-	Loop    bool   // End exit whose target is the trace entry (loop back edge)
+
+	// Refund and RefundUops are what the trace entry charged for the
+	// part of the trace this exit leaves unexecuted: fuel units (guest
+	// instructions) and micro-ops. The exit path gives them back — the
+	// emitted stub for a native trace, Run for a closure one — before
+	// the dispatcher or the next trace sees the Machine.
+	Refund     int64
+	RefundUops uint64
+
+	// Slot is the exit's link slot within its trace's slots, -1 for an
+	// exit that always returns to the dispatcher (traps, the syscall
+	// gate, ExitJccLazy, and every exit of a closure trace).
+	Slot int
+	// Eager marks a linkable exit whose stub leaves the flags
+	// materialized (Fl.Op == FlagNone), so that it may be linked to a
+	// trace that needs them so (Trace.NeedFlags).
+	Eager bool
+}
+
+// newExit completes x for its micro-op of us: no link slot, and the
+// refund for leaving with everything after that micro-op unexecuted —
+// and, for an exit that faults inside a fused micro-op, the constituent
+// instructions that had not started (Started counts the ones that had).
+func newExit(us []uop.Uop, x Exit) Exit {
+	i := x.Uop
+	x.Refund = uop.Cost(us[i+1:])
+	if x.Started > 0 {
+		x.Refund += int64(us[i].Cost) - int64(x.Started)
+	}
+	x.RefundUops = uint64(len(us) - i - 1)
+	x.Slot = -1
+	return x
 }
 
 // Trace is one compiled superblock: the compiled body plus its static
@@ -155,40 +237,42 @@ type Exit struct {
 type Trace struct {
 	// head is the closure backend's trace body: the first micro-op's
 	// closure with every subsequent micro-op threaded as a captured
-	// continuation. Calling it runs one iteration against the Machine
-	// the trace was compiled for and returns the 1-based exit index.
-	// Nil for native traces.
+	// continuation. Calling it runs one pass against the Machine the
+	// trace was compiled for and returns the 1-based exit index. Nil for
+	// native traces.
 	head  func() int32
 	Exits []Exit
 
 	// code is a native trace's executable mapping, pinned for the life
-	// of the trace. The emitted code runs the whole
-	// iterate-while-fuel-lasts loop itself, so Run does not wrap it in
-	// the closure backend's accounting loop.
-	code *execBuf
+	// of the trace. Its first byte is the trace entry. unlinked is what
+	// the trace's slots hold before the VM links anything: each link
+	// exit's own return stub.
+	code     *execBuf
+	unlinked []Link
 
 	// Geom is the geometry the trace was compiled for.
 	Geom Geometry
 
 	Entry  uint32 // guest address of the trace entry
-	Cost   int64  // guest instructions per full iteration (fuel units)
-	NUops  int    // micro-ops per iteration (UopsExecuted units)
+	Cost   int64  // guest instructions per full pass (fuel units)
+	NUops  int    // micro-ops per pass (UopsExecuted units)
 	Guards int    // conditional guard exits
 	Rets   int    // return-guard exits
-	Loop   bool   // the trace's end transfer re-enters the trace
+	Slots  int    // link slots (native traces only)
 
 	// NeedFlags marks a native trace that consumes the flag state it
-	// was entered with: the caller must materialize the VM's lazy
-	// flags (Fl.Op == FlagNone) before every entry. The native
-	// compiler pins the entry representation statically instead of
-	// dispatching on Fl.Op at run time; its loop back edge preserves
-	// the invariant itself.
+	// was entered with: whoever enters it must have the flags
+	// materialized (Fl.Op == FlagNone) — the dispatcher materializes
+	// before a run, and only an Eager exit is ever linked to it. The
+	// native compiler pins the entry representation statically instead
+	// of dispatching on Fl.Op at run time.
 	NeedFlags bool
 }
 
 // Native reports whether the trace compiled to machine code (versus
 // the closure reference backend). Only native traces hold no pointer
-// into a Machine, so only they may be shared between VMs.
+// into a Machine, so only they may be shared between VMs, and only they
+// link.
 func (t *Trace) Native() bool { return t.code != nil }
 
 // Code returns a native trace's emitted machine code (nil for a closure
@@ -206,31 +290,48 @@ func (t *Trace) MappedBytes() int64 {
 	return (int64(len(t.Code())) + pageSize - 1) &^ (pageSize - 1)
 }
 
-// Run executes the trace until it exits. The caller must have checked
-// Fuel >= Cost for the first iteration; Run charges Cost per iteration
-// (and Credit, when armed) and keeps iterating internally only on the
-// loop back edge while fuel and the poll credit allow — so a hot loop
-// spins inside one Run call, and cancellation still lands on the
-// interpreter's quantum.
-func (t *Trace) Run(m *Machine) *Exit {
+// EntryAddr is the host address of a native trace's entry: what a slot
+// linked to the trace holds.
+func (t *Trace) EntryAddr() uintptr {
+	return uintptr(unsafe.Pointer(&t.code.buf[0]))
+}
+
+// Unlinked returns the initial content of the run of link-table slots a
+// VM gives a native trace: every exit's slot holding that exit's own
+// return stub. The run is never empty — a trace with no link exit still
+// takes one slot, because a slot offset (Machine.Cur) is also how a run
+// names the trace it stopped in. The caller copies it, never writes it.
+func (t *Trace) Unlinked() []Link { return t.unlinked }
+
+// Link points slot l at target: the exit that owns l now enters target,
+// whose slots start at byte offset cur of the same table. addr is the
+// guest address of target's entry, which an inline-cache slot compares
+// against.
+func (l *Link) Link(target *Trace, cur uint32) {
+	*l = Link{Entry: target.EntryAddr(), Cur: cur, Addr: target.Entry}
+}
+
+// Run enters the trace and returns the status the run ended with: 0
+// when a trace entry declined to start (resume at m.ExitTarget), else
+// the 1-based index of an exit — of this trace for the closure backend,
+// which makes one pass and never links; of the trace m.Cur names for
+// the native one, whose run may have gone through any number of linked
+// traces. cur is the offset of this trace's first slot in m's link
+// table. The caller must hold the flags materialized if NeedFlags.
+// Every charge and refund has landed in m by the time Run returns.
+func (t *Trace) Run(m *Machine, cur uint32) int32 {
 	if t.code != nil {
-		// Native traces charge fuel/credit and iterate internally with
-		// exactly this loop's discipline, emitted into the code.
-		return &t.Exits[t.code.call(m)-1]
+		return t.code.call(m, cur)
 	}
-	head := t.head
-	for {
-		m.Iters++
-		m.Fuel -= t.Cost
-		if m.PollArmed {
-			m.Credit -= t.Cost
-		}
-		e := &t.Exits[head()-1]
-		if e.Loop && m.Fuel >= t.Cost && (!m.PollArmed || m.Credit > 0) {
-			continue
-		}
-		return e
-	}
+	m.Iters++
+	m.Fuel -= t.Cost
+	m.Credit -= t.Cost
+	m.Uops += uint64(t.NUops)
+	s := t.head()
+	x := &t.Exits[s-1]
+	m.Fuel += x.Refund
+	m.Uops -= x.RefundUops
+	return s
 }
 
 // ---- sandbox access (kept in lockstep with vm's rdOK/wrOK/le32/st32) ----

@@ -91,8 +91,8 @@ func soakStream(v *VM) (soakOutcome, error) {
 	}
 	return soakOutcome{
 		kind: tr.Kind, eip: tr.EIP, addr: tr.Addr,
-		regs: [8]uint32(v.regs[:8]),
-		cf:   v.cf, zf: v.zf, sf: v.sf, of: v.of, pf: v.pf,
+		regs: [8]uint32(v.m.Regs[:8]),
+		cf:   v.m.CF, zf: v.m.ZF, sf: v.m.SF, of: v.m.OF, pf: v.m.PF,
 		steps: v.stats.Steps - steps0,
 		mem:   append([]byte(nil), v.mem[soakCode:soakCode+soakSpan]...),
 	}, nil
@@ -202,8 +202,8 @@ func testSharedTracePositionIndependent(t *testing.T, seed int64) {
 		if sb == nil || sb.t2 == nil || !sb.t2.Native() {
 			continue
 		}
-		// b.t2m points at b's memory; a's trace was compiled through a.t2m.
-		tb := tier2.Compile(sb.b.uops, sb.b.uops[0].EIP, &b.t2m)
+		// b.m points at b's memory; a's trace was compiled through a.m.
+		tb := tier2.Compile(sb.b.uops, sb.b.uops[0].EIP, &b.m)
 		if tb == nil || len(tb.Code()) == 0 || !bytes.Equal(tb.Code(), sb.t2.Code()) {
 			t.Fatalf("superblock %#x compiles to different code against another machine", sb.b.uops[0].EIP)
 		}
@@ -401,68 +401,4 @@ func TestImportRefusesTraceAcrossGeometry(t *testing.T) {
 	if v.Stats().Tier2Shared == 0 {
 		t.Fatal("imported traces were not installed")
 	}
-}
-
-// TestReformedSuperblockAndItsRecord: a trace is valid for exactly the
-// micro-ops it was compiled from. A VM that re-formed a superblock
-// replaces the record it started from, fragment and trace together, and
-// hands on the re-forms it spent; a VM that re-formed one whose record a
-// sibling has replaced meanwhile publishes nothing under it.
-func TestReformedSuperblockAndItsRecord(t *testing.T) {
-	forceTier2Hot(t)
-	snap := soakSharedSnapshot(t, 64, Config{})
-	warmShared(t, snap)
-	b, c := snap.NewVM(), snap.NewVM()
-
-	// reform does what a stale-profile teardown followed by a hot
-	// re-profile does to v's view of the superblock at addr.
-	reform := func(v *VM, addr uint32) *bref {
-		br := v.blocks[addr]
-		br.sb = nil
-		v.formSuperblock(br)
-		if br.sb != nil {
-			v.compileTier2(br.sb)
-		}
-		return br.sb
-	}
-	var addr uint32
-	var old *sbRecord
-	var sbB *bref
-	for a, r := range snap.sbs {
-		if r.t2 == nil {
-			continue
-		}
-		if sb := reform(b, a); sb != nil && sb.t2 != nil {
-			addr, old, sbB = a, r, sb
-			break
-		}
-	}
-	if sbB == nil {
-		t.Fatal("no published superblock could be re-formed and compiled")
-	}
-	if sbB.b == old.b || sbB.t2 == old.t2 {
-		t.Fatal("re-forming gave back the same fragment or trace")
-	}
-	formsBefore := old.forms
-	snap.AbsorbBlocks(b)
-	r := snap.sbs[addr]
-	if r.b != sbB.b || r.t2 != sbB.t2 {
-		t.Fatal("the re-formed superblock and its trace did not replace the record the VM started from")
-	}
-	if r.forms != formsBefore+1 {
-		t.Fatalf("record counts %d formations, want %d", r.forms, formsBefore+1)
-	}
-	if v := snap.NewVM(); v.blocks[addr].sbForms != r.forms {
-		t.Fatal("a new VM does not resume the record's formation count")
-	}
-
-	sbC := reform(c, addr)
-	if sbC == nil || sbC.t2 == nil || sbC.b == r.b {
-		t.Fatal("second VM did not re-form its own superblock")
-	}
-	snap.AbsorbBlocks(c)
-	if r2 := snap.sbs[addr]; r2.b != sbB.b || r2.t2 != sbB.t2 {
-		t.Fatal("a VM that started from the replaced record overwrote its replacement")
-	}
-	checkRecords(t, snap)
 }

@@ -6,11 +6,11 @@ package vm
 // observes — kind, EIP, faulting address — and the architectural state
 // around it — registers, the five flags, fuel — must be identical to
 // the reference engine's, which pins down the per-trace fuel charge and
-// the tail refund a guard exit performs.
+// the tail refund a guard exit performs. (tier2_link_test.go holds the
+// harness and the cases whose failure lands behind a link.)
 
 import (
 	"encoding/binary"
-	"math/rand"
 	"os"
 	"testing"
 
@@ -41,16 +41,20 @@ func (a *t2asm) patchRel32(end, target uint32) {
 	binary.LittleEndian.PutUint32(a.code[end-a.base-4:], target-end)
 }
 
+// tier2Legs are the tier configurations the differential walls run
+// under: every superblock compiled on its first entry by either backend,
+// and the tier off.
+var tier2Legs = []struct {
+	name string
+	env  map[string]string
+}{
+	{"hot-native", map[string]string{"VXA_NO_TIER2": "0", "VXA_TIER2_HOT": "1", "VXA_TIER2_BACKEND": ""}},
+	{"hot-closure", map[string]string{"VXA_NO_TIER2": "0", "VXA_TIER2_HOT": "1", "VXA_TIER2_BACKEND": "closure"}},
+	{"off", map[string]string{"VXA_NO_TIER2": "1"}},
+}
+
 func TestDiffTier2GuardExitTrap(t *testing.T) {
-	legs := []struct {
-		name string
-		env  map[string]string
-	}{
-		{"hot-native", map[string]string{"VXA_TIER2_HOT": "1"}},
-		{"hot-closure", map[string]string{"VXA_TIER2_HOT": "1", "VXA_TIER2_BACKEND": "closure"}},
-		{"off", map[string]string{"VXA_NO_TIER2": "1"}},
-	}
-	for _, leg := range legs {
+	for _, leg := range tier2Legs {
 		leg := leg
 		t.Run(leg.name, func(t *testing.T) {
 			for k, v := range leg.env {
@@ -88,54 +92,25 @@ func runTier2GuardExitTrap(t *testing.T) {
 	asm.emit(x86.Inst{Op: x86.MOV, Dst: x86.MSIB(x86.EDX, x86.NoReg, 1, 0, 4), Src: x86.R(x86.EAX)})
 	asm.emit(x86.Inst{Op: x86.UD2})
 
-	rng := rand.New(rand.NewSource(7))
+	// Two passes on one VM: the first forms and compiles the loop's trace
+	// part-way through, the second starts on it and takes its back edge
+	// through the trace's own link slot every iteration.
+	g := linkGuest{code: asm.code, fuel: fuel,
+		regs: map[x86.Reg]uint32{x86.ECX: loops, x86.EDX: 0x10}}
 	v1 := diffVM(t) // uop engine (tier-2 per the leg's env)
 	v2 := diffVM(t) // reference engine
-	seedState(t, rng, v1, v2)
-	v1.regs[x86.ECX], v2.regs[x86.ECX] = loops, loops
-	v1.regs[x86.EDX], v2.regs[x86.EDX] = 0x10, 0x10
-	v1.fuel, v2.fuel = fuel, fuel
-	copy(v1.mem[diffCode:], asm.code)
-	copy(v2.mem[diffCode:], asm.code)
-
-	v1.eip = diffCode
-	br, err := v1.lookupBlock(diffCode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err1 := v1.execUops(br)
-	v1.materializeFlags()
-
-	v2.eip = diffCode
-	refSteps, err2 := refRun(v2, fuel)
-
-	tr1, ok1 := err1.(*Trap)
-	tr2, ok2 := err2.(*Trap)
-	if !ok1 || !ok2 {
-		t.Fatalf("no trap: uop %v, ref %v", err1, err2)
-	}
-	if tr1.Kind != tr2.Kind || tr1.EIP != tr2.EIP || tr1.Addr != tr2.Addr {
-		t.Fatalf("trap diverged: uop %v, ref %v", tr1, tr2)
-	}
-	if tr1.EIP != exitAddr {
-		t.Fatalf("trap EIP = %#x, want the guard exit path %#x", tr1.EIP, exitAddr)
-	}
-	for r := 0; r < 8; r++ {
-		if v1.regs[r] != v2.regs[r] {
-			t.Fatalf("%s = %#x (uop) vs %#x (ref)", x86.Reg(r), v1.regs[r], v2.regs[r])
+	seed := [8]uint32{7, 77, 777, 7777, 0, 0, 70, 700}
+	for pass := 1; pass <= 2; pass++ {
+		// runOnce holds trap, registers, flags, Steps and fuel to the
+		// reference's: the trace charges its full cost per iteration and
+		// the exit refunds the skipped tail, so the engines must agree
+		// that every started instruction cost exactly one.
+		tr := g.runOnce(t, v1, v2, seed).(*Trap)
+		if tr.EIP != exitAddr {
+			t.Fatalf("pass %d: trap EIP = %#x, want the guard exit path %#x", pass, tr.EIP, exitAddr)
 		}
 	}
-	f1 := [5]bool{v1.cf, v1.zf, v1.sf, v1.of, v1.pf}
-	f2 := [5]bool{v2.cf, v2.zf, v2.sf, v2.of, v2.pf}
-	if f1 != f2 {
-		t.Fatalf("flags CF/ZF/SF/OF/PF = %v (uop) vs %v (ref)", f1, f2)
-	}
-	// Fuel exactness across the guard exit: the trace charges its full
-	// cost per iteration and the exit refunds the skipped tail, so the
-	// engines must agree that every started instruction cost exactly one.
-	if want := int64(fuel - refSteps - 1); v1.fuel != want {
-		t.Fatalf("fuel = %d, want %d (ref started %d+1 instructions)", v1.fuel, want, refSteps)
-	}
+	br := v1.blocks[diffCode]
 
 	if os.Getenv("VXA_TIER2_HOT") == "1" && !envNoTier2() {
 		st := v1.Stats()

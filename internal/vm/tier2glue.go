@@ -1,16 +1,28 @@
 package vm
 
 // Tier-2 integration: promotion of hot superblocks into compiled traces
-// (package tier2) and the exit dispatch that hands control back to the
-// tier-1 engine. The tier is invisible to guest semantics: every
-// exit path below re-joins exactly the code path the tier-1 dispatch
-// loop would have taken for the same micro-op, including fuel refunds,
-// chain-slot resolution and trap construction.
+// (package tier2), the per-VM link table those traces leave through, and
+// the exit dispatch that takes over when compiled code returns. The tier
+// is invisible to guest semantics: every exit path below re-joins exactly
+// the code path the tier-1 dispatch loop would have taken for the same
+// micro-op — chain-slot resolution, trap construction — and the traces
+// themselves have already charged and refunded fuel against v.m exactly
+// as tier-1 does, so Steps is the fuel a run consumed.
+//
+// The link-slot invariant: a slot of v.links is either unlinked (it
+// holds the return stub of the exit that owns it) or holds the entry
+// address of a native trace that is the t2 of a superblock bref in
+// v.blocks — a trace this VM holds, in a mapping the bref keeps alive.
+// Slots are only ever written here (attachTrace, link) and the table is
+// dropped whole, with v.blocks, by Reset; nothing detaches a single
+// superblock, so no slot can outlive its target.
 
 import (
+	"fmt"
 	"os"
 	"strconv"
 	"time"
+	"unsafe"
 
 	"vxa/internal/vm/tier2"
 	"vxa/internal/x86"
@@ -42,11 +54,11 @@ func t2HotThreshold() uint32 {
 	return t2HotDefault
 }
 
-// bindTier2 points the VM's tier-2 machine view at its guest memory and
+// bindTier2 points the machine state at the VM's guest memory and
 // sandbox geometry. Called wherever those are set: New, MapSegment and
 // the snapshot restore.
 func (v *VM) bindTier2() {
-	m := &v.t2m
+	m := &v.m
 	m.Mem = v.mem
 	m.Geometry = tier2.Geometry{MemLen: uint32(len(v.mem)), ROLimit: v.roLimit, StackBase: v.stackBase}
 }
@@ -59,144 +71,196 @@ func (v *VM) bindTier2() {
 func (v *VM) compileTier2(sb *bref) {
 	sb.t2Tried = true
 	start := time.Now()
-	t := tier2.Compile(sb.b.uops, sb.b.uops[0].EIP, &v.t2m)
+	t := tier2.Compile(sb.b.uops, sb.b.uops[0].EIP, &v.m)
 	v.stats.TranslateNS += uint64(time.Since(start).Nanoseconds())
 	if t == nil {
 		return
 	}
-	sb.t2 = t
+	v.attachTrace(sb, t)
 	v.stats.Tier2Compiled++
 }
 
-// runTier2 executes sb's compiled trace until it exits, then re-joins
-// the tier-1 engine: state is synced through the tier-2 machine view,
-// accounting is applied per full iteration (Run charges fuel itself),
-// and the exit descriptor is dispatched onto the same chain-slot /
-// refund / trap paths the tier-1 handler for the exiting micro-op uses.
-// The caller must have checked v.fuel >= sb.b.cost and counted the
-// entry in sb.sbEntries.
+// attachTrace makes t the compiled trace of sb in this VM's view. A
+// native trace gets its run of link slots, all unlinked.
+func (v *VM) attachTrace(sb *bref, t *tier2.Trace) {
+	sb.t2 = t
+	if !t.Native() {
+		return
+	}
+	sb.linkBase = len(v.links)
+	v.links = append(v.links, t.Unlinked()...)
+	for len(v.linkOwner) < len(v.links) {
+		v.linkOwner = append(v.linkOwner, sb)
+	}
+	v.m.Links = unsafe.SliceData(v.links)
+}
+
+// dropLinks empties the link table; the caller is replacing v.blocks,
+// which holds every trace a slot could point at.
+func (v *VM) dropLinks() {
+	clear(v.linkOwner)
+	v.links, v.linkOwner = v.links[:0], v.linkOwner[:0]
+	v.m.Links = nil
+}
+
+// linkOffset is the value m.Cur takes while sb's native trace runs.
+func linkOffset(sb *bref) uint32 {
+	return uint32(sb.linkBase) * uint32(tier2.LinkSize)
+}
+
+// link resolves the edge exit e of sb's trace has just taken to nb: if nb
+// has a superblock that carries a native trace, e's slot is pointed at
+// it, and the next time the exit is taken control goes from trace to
+// trace without coming back here. A trace that needs its entry flags
+// materialized is linked only from an exit that leaves them so. An
+// inline-cache slot is simply overwritten: like the dispatcher's own
+// caches it remembers the last target.
+func (v *VM) link(sb *bref, e *tier2.Exit, nb *bref) {
+	if e.Slot < 0 || nb == nil || nb.sb == nil {
+		return
+	}
+	to := nb.sb
+	if t := to.t2; t != nil && t.Native() && (!t.NeedFlags || e.Eager) {
+		v.links[sb.linkBase+e.Slot].Link(t, linkOffset(to))
+		v.stats.Tier2Links++
+	}
+}
+
+// CheckLinks verifies the link-slot invariant over the whole table and
+// returns how many slots are linked: every slot is owned by a native
+// trace this VM holds, and holds either that exit's own return stub or
+// the entry address and slot offset of another such trace. It is the
+// test wall's hook; nothing in the engine calls it.
+func (v *VM) CheckLinks() (linked int, err error) {
+	held := make(map[uintptr]*bref)
+	for _, br := range v.blocks {
+		if sb := br.sb; sb != nil && sb.t2 != nil && sb.t2.Native() {
+			held[sb.t2.EntryAddr()] = sb
+		}
+	}
+	if len(v.links) != len(v.linkOwner) || (len(v.links) > 0 && v.m.Links != &v.links[0]) {
+		return 0, fmt.Errorf("link table out of step: %d slots, %d owners", len(v.links), len(v.linkOwner))
+	}
+	for i, sb := range v.linkOwner {
+		t := sb.t2
+		if t == nil || held[t.EntryAddr()] != sb {
+			return 0, fmt.Errorf("slot %d is owned by a trace the VM does not hold", i)
+		}
+		l := v.links[i]
+		if l == t.Unlinked()[i-sb.linkBase] {
+			continue
+		}
+		to := held[l.Entry]
+		if to == nil || l.Cur != linkOffset(to) || to.t2.NeedFlags && to != sb {
+			return 0, fmt.Errorf("slot %d of trace %#x holds %+v: not an entry this VM may link it to", i-sb.linkBase, t.Entry, l)
+		}
+		linked++
+	}
+	return linked, nil
+}
+
+// runTier2 enters sb's compiled trace and, when compiled code comes
+// back — out of that trace or of any trace linked behind it — re-joins
+// the tier-1 engine: the run's counters are folded into the statistics
+// and the exit it stopped at is dispatched onto the same chain-slot and
+// trap paths the tier-1 handler for the exiting micro-op uses, linking
+// the edge for next time where it can. The caller must have checked
+// v.m.Fuel >= sb.b.cost.
 func (v *VM) runTier2(sb *bref, t *tier2.Trace) (*bref, error) {
 	if t.NeedFlags {
 		// The native compiler pinned this trace's entry flag state to
 		// FlagNone; representation-only, so architecturally invisible.
 		v.materializeFlags()
 	}
-	m := &v.t2m
-	m.Regs = v.regs
-	m.Fl = v.fl
-	m.CF, m.ZF, m.SF, m.OF, m.PF = v.cf, v.zf, v.sf, v.of, v.pf
-	m.Brk = v.brk
-	m.Fuel = v.fuel
-	m.PollArmed = v.cancel != nil || v.wallDeadline != 0
-	m.Credit = v.cancelCredit
-	m.Iters = 0
-	m.FlagsMaterialized = 0
+	m := &v.m
+	fuel := m.Fuel
+	m.Iters, m.Uops, m.FlagsMaterialized = 0, 0, 0
 
-	e := t.Run(m)
+	s := t.Run(m, linkOffset(sb))
 
-	v.regs = m.Regs
-	v.fl = m.Fl
-	v.cf, v.zf, v.sf, v.of, v.pf = m.CF, m.ZF, m.SF, m.OF, m.PF
-	v.fuel = m.Fuel
-	if m.PollArmed {
-		v.cancelCredit = m.Credit
-	}
-	iters := m.Iters
-	// Tier2Steps is the tier's exact share of Steps: every refund a
-	// mid-trace exit performs below (guard tails via sbLeave, fault
-	// windows via uopTrapN) lands before this function returns, so the
-	// net Steps delta is precisely the instructions the trace retired.
-	defer func(before uint64) {
-		v.stats.Tier2Steps += v.stats.Steps - before
-	}(v.stats.Steps)
-	v.stats.Steps += iters * uint64(t.Cost)
-	v.stats.UopsExecuted += iters * uint64(t.NUops)
+	// Every charge and refund of the run is in m; Steps and fuel move in
+	// lockstep, so the fuel consumed is the instructions retired, all of
+	// them inside traces.
+	steps := uint64(fuel - m.Fuel)
+	v.stats.Steps += steps
+	v.stats.Tier2Steps += steps
+	v.stats.UopsExecuted += m.Uops
 	v.stats.FlagsMaterialized += m.FlagsMaterialized
-	v.stats.Tier2Executed += iters
-	sb.sbEntries += iters - 1 // the entry that brought us here is already counted
+	v.stats.Tier2Executed += m.Iters
+	v.stats.Tier2Exits++
 
+	if s == 0 {
+		// A trace entry declined: fuel short of its cost (the reference
+		// walk finds the exact trap EIP from here) or the poll credit
+		// spent (the dispatch loop polls and comes straight back).
+		v.eip = m.ExitTarget
+		return v.lookupBlock(v.eip)
+	}
+	if t.Native() {
+		sb = v.linkOwner[m.Cur/uint64(tier2.LinkSize)]
+		t = sb.t2
+	}
+	e := &t.Exits[s-1]
 	us := sb.b.uops
 	i := e.Uop
 	u := &us[i]
+	var nb *bref
+	var err error
 	switch e.Kind {
-	case tier2.ExitEnd:
+	case tier2.ExitEnd, tier2.ExitJccTaken:
 		v.eip = e.Target
-		if c := sb.taken; c != nil {
-			return c, nil
-		}
-		return v.chainTo(&sb.taken, e.Target)
-	case tier2.ExitJccTaken:
-		sb.takenCnt++
-		v.eip = e.Target
-		if c := sb.taken; c != nil {
-			return c, nil
-		}
-		return v.chainTo(&sb.taken, e.Target)
+		nb, err = v.chainTo(&sb.taken, e.Target)
 	case tier2.ExitJccFall:
-		sb.fallCnt++
 		v.eip = e.Target
-		if c := sb.fall; c != nil {
-			return c, nil
-		}
-		return v.chainTo(&sb.fall, e.Target)
+		nb, err = v.chainTo(&sb.fall, e.Target)
 	case tier2.ExitJccLazy:
 		// Native-backend plain Jcc terminator: the condition reads the
-		// lazily-recorded flags, which have just been synced back, so
-		// the tier-1 evaluator picks the edge (and counts any flag
-		// materialization in the VM's own stat).
+		// lazily-recorded flags, so the tier-1 evaluator picks the edge
+		// (and counts any flag materialization in the VM's own stat).
 		if v.ucond(x86.CC(u.Sub)) {
-			sb.takenCnt++
 			v.eip = u.Target
-			if c := sb.taken; c != nil {
-				return c, nil
-			}
 			return v.chainTo(&sb.taken, u.Target)
 		}
-		sb.fallCnt++
 		v.eip = u.Next
-		if c := sb.fall; c != nil {
-			return c, nil
-		}
 		return v.chainTo(&sb.fall, u.Next)
 	case tier2.ExitInd:
-		target := m.ExitTarget
-		v.eip = target
-		return v.indirect(sb, target)
+		v.eip = m.ExitTarget
+		nb, err = v.indirect(sb, v.eip)
 	case tier2.ExitGuard:
 		v.eip = u.Target
-		return v.guardExit(sb, us, i, u)
+		nb, err = v.guardExit(sb, u)
 	case tier2.ExitRetGuard:
-		target := m.ExitTarget
-		v.eip = target
-		return v.retGuardExit(sb, us, i, u, target)
+		v.eip = m.ExitTarget
+		nb, err = v.retGuardExit(sb, u, v.eip)
 	case tier2.ExitInt:
 		v.eip = u.Next // the guest resumes after the gate
 		if u.Imm != 0x80 {
-			return nil, v.uopTrap(us, i, &Trap{Kind: TrapSyscall, EIP: u.EIP,
-				Msg: "interrupt vector not the VXA syscall gate"})
+			return nil, &Trap{Kind: TrapSyscall, EIP: u.EIP,
+				Msg: "interrupt vector not the VXA syscall gate"}
 		}
 		if err := v.syscall(); err != nil {
-			return nil, v.uopTrap(us, i, err)
-		}
-		if c := sb.taken; c != nil {
-			return c, nil
+			return nil, err
 		}
 		return v.chainTo(&sb.taken, u.Next)
 	case tier2.ExitReadFault:
-		return nil, v.uopTrapN(us, i, e.Started, memTrap(e.EIP, m.TrapAddr))
+		return nil, memTrap(e.EIP, m.TrapAddr)
 	case tier2.ExitWriteFault:
-		return nil, v.uopTrapN(us, i, e.Started, v.storeTrap(e.EIP, m.TrapAddr, e.Size))
+		return nil, v.storeTrap(e.EIP, m.TrapAddr, e.Size)
 	case tier2.ExitDivide:
 		tr := &Trap{Kind: TrapDivide, EIP: e.EIP}
 		if m.TrapAux == 1 {
 			tr.Msg = "quotient overflow"
 		}
-		return nil, v.uopTrapN(us, i, e.Started, tr)
+		return nil, tr
 	default: // tier2.ExitIllegal
 		tr := &Trap{Kind: TrapIllegal, EIP: e.EIP, Msg: "privileged instruction"}
 		if m.TrapAux == 1 {
 			tr.Msg = "ud2"
 		}
-		return nil, v.uopTrapN(us, i, e.Started, tr)
+		return nil, tr
 	}
+	if err == nil {
+		v.link(sb, e, nb)
+	}
+	return nb, err
 }

@@ -3,6 +3,7 @@ package vm
 import (
 	"sort"
 
+	"vxa/internal/vm/tier2"
 	"vxa/internal/vm/uop"
 )
 
@@ -20,10 +21,22 @@ type TracePlanUop struct {
 	Target uint32 // guard/branch exit target (0 when not a transfer)
 }
 
+// TracePlanExit is one link exit of a native trace: the micro-op it
+// leaves from, where it goes, and what its slot of the VM's link table
+// holds right now.
+type TracePlanExit struct {
+	Uop    int    // index of the exiting micro-op
+	Kind   string // end, jcc-taken, jcc-fall, guard, ind or ret-guard
+	Target uint32 // static target; for ind/ret-guard the target the slot is linked for (0 when unlinked)
+	Linked bool   // the slot holds a trace entry, not the exit's own return stub
+	To     uint32 // entry of the trace the slot is linked to
+}
+
 // TracePlan describes one formed superblock and what tier-2 made of
 // it: the fused micro-op sequence, the per-trace fuel cost, the guard
-// and return-slot geometry, and which backend (if any) the trace
-// compiled to. This is the inspection surface behind `vxdump -t2`.
+// and return-slot geometry, which backend (if any) the trace compiled
+// to, and the link state of every exit of a native trace. This is the
+// inspection surface behind `vxdump -t2`.
 type TracePlan struct {
 	Entry   uint32 // guest entry address
 	Cost    int64  // fuel charged per full trace iteration
@@ -33,6 +46,7 @@ type TracePlan struct {
 	Backend string
 	Shared  bool // the trace was installed from the snapshot, not compiled by this VM
 	Uops    []TracePlanUop
+	Exits   []TracePlanExit
 }
 
 // TracePlans returns the tier-2 trace plan of every superblock the VM
@@ -86,8 +100,40 @@ func (v *VM) TracePlans() []TracePlan {
 			}
 			p.Uops[i] = pu
 		}
+		if t := sb.t2; t != nil && t.Native() {
+			p.Exits = v.planExits(sb, t)
+		}
 		plans = append(plans, p)
 	}
 	sort.Slice(plans, func(i, j int) bool { return plans[i].Entry < plans[j].Entry })
 	return plans
+}
+
+var linkExitNames = map[tier2.ExitKind]string{
+	tier2.ExitEnd: "end", tier2.ExitJccTaken: "jcc-taken", tier2.ExitJccFall: "jcc-fall",
+	tier2.ExitGuard: "guard", tier2.ExitInd: "ind", tier2.ExitRetGuard: "ret-guard",
+}
+
+// planExits reads the link state of sb's native trace t out of the VM's
+// link table, in slot order.
+func (v *VM) planExits(sb *bref, t *tier2.Trace) []TracePlanExit {
+	unlinked := t.Unlinked()
+	exits := make([]TracePlanExit, t.Slots)
+	for i := range t.Exits {
+		e := &t.Exits[i]
+		if e.Slot < 0 {
+			continue
+		}
+		l := v.links[sb.linkBase+e.Slot]
+		pe := TracePlanExit{Uop: e.Uop, Kind: linkExitNames[e.Kind], Target: e.Target}
+		if l != unlinked[e.Slot] {
+			pe.Linked = true
+			pe.To = v.linkOwner[uintptr(l.Cur)/tier2.LinkSize].t2.Entry
+			if e.Kind == tier2.ExitInd || e.Kind == tier2.ExitRetGuard {
+				pe.Target = l.Addr
+			}
+		}
+		exits[e.Slot] = pe
+	}
+	return exits
 }

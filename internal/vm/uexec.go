@@ -34,70 +34,70 @@ import (
 // consumers that need a single flag pay for exactly one.
 
 func (v *VM) fCF() bool {
-	switch v.fl.Op {
+	switch v.m.Fl.Op {
 	case uop.FlagNone, uop.FlagSZP:
-		return v.cf
+		return v.m.CF
 	}
 	v.stats.FlagsMaterialized++
-	return v.fl.CF()
+	return v.m.Fl.CF()
 }
 
 func (v *VM) fOF() bool {
-	switch v.fl.Op {
+	switch v.m.Fl.Op {
 	case uop.FlagNone, uop.FlagSZP:
-		return v.of
+		return v.m.OF
 	}
 	v.stats.FlagsMaterialized++
-	return v.fl.OF()
+	return v.m.Fl.OF()
 }
 
 func (v *VM) fZF() bool {
-	if v.fl.Op == uop.FlagNone {
-		return v.zf
+	if v.m.Fl.Op == uop.FlagNone {
+		return v.m.ZF
 	}
 	v.stats.FlagsMaterialized++
-	return v.fl.ZF()
+	return v.m.Fl.ZF()
 }
 
 func (v *VM) fSF() bool {
-	if v.fl.Op == uop.FlagNone {
-		return v.sf
+	if v.m.Fl.Op == uop.FlagNone {
+		return v.m.SF
 	}
 	v.stats.FlagsMaterialized++
-	return v.fl.SF()
+	return v.m.Fl.SF()
 }
 
 func (v *VM) fPF() bool {
-	if v.fl.Op == uop.FlagNone {
-		return v.pf
+	if v.m.Fl.Op == uop.FlagNone {
+		return v.m.PF
 	}
 	v.stats.FlagsMaterialized++
-	return v.fl.PF()
+	return v.m.Fl.PF()
 }
 
 // materializeFlags resolves the lazy record into the eager bools. Called
 // before any code that reads or writes v.cf..v.pf directly: the generic
 // escape, the end-of-fuel slow path, and Snapshot.
 func (v *VM) materializeFlags() {
-	switch v.fl.Op {
+	switch v.m.Fl.Op {
 	case uop.FlagNone:
 		return
 	case uop.FlagSZP:
-		v.zf, v.sf, v.pf = v.fl.ZF(), v.fl.SF(), v.fl.PF()
+		v.m.ZF, v.m.SF, v.m.PF = v.m.Fl.ZF(), v.m.Fl.SF(), v.m.Fl.PF()
 		v.stats.FlagsMaterialized += 3
 	default:
-		v.cf, v.of = v.fl.CF(), v.fl.OF()
-		v.zf, v.sf, v.pf = v.fl.ZF(), v.fl.SF(), v.fl.PF()
+		v.m.CF, v.m.OF = v.m.Fl.CF(), v.m.Fl.OF()
+		v.m.ZF, v.m.SF, v.m.PF = v.m.Fl.ZF(), v.m.Fl.SF(), v.m.Fl.PF()
 		v.stats.FlagsMaterialized += 5
 	}
-	v.fl.Op = uop.FlagNone
+	v.m.Fl.Op = uop.FlagNone
 }
 
 // ucond evaluates a condition code against the current flags, lazily
 // materializing only the flags the condition reads (one for the common
 // cmp-then-je case, never more than three).
 func (v *VM) ucond(cc x86.CC) bool {
-	if v.fl.Op == uop.FlagNone {
+	if v.m.Fl.Op == uop.FlagNone {
 		return v.cond(cc)
 	}
 	switch cc {
@@ -213,16 +213,16 @@ func (v *VM) storeTrap(eip, addr, size uint32) error {
 // Absent base/index registers were mapped to the always-zero regs[8]
 // slot at translate time, so there is nothing to test here.
 func (v *VM) uea(u *uop.Uop) uint32 {
-	return u.Disp + v.regs[u.Base] + v.regs[u.Idx]*uint32(u.Scale)
+	return u.Disp + v.m.Regs[u.Base] + v.m.Regs[u.Idx]*uint32(u.Scale)
 }
 
 // rd8 and wr8 access a pre-resolved byte register slot.
 func (v *VM) rd8(r, sh uint8) uint32 {
-	return (v.regs[r] >> sh) & 0xFF
+	return (v.m.Regs[r] >> sh) & 0xFF
 }
 
 func (v *VM) wr8(r, sh uint8, val uint32) {
-	v.regs[r] = v.regs[r]&^(uint32(0xFF)<<sh) | (val&0xFF)<<sh
+	v.m.Regs[r] = v.m.Regs[r]&^(uint32(0xFF)<<sh) | (val&0xFF)<<sh
 }
 
 // ---- ALU / shift / multiply helpers ------------------------------------
@@ -239,7 +239,7 @@ func (v *VM) ualu(op uop.AluOp, a, b uint32, size uint8) (uint32, bool) {
 	switch op {
 	case uop.AluAdd:
 		res := a + b
-		v.fl = uop.Flags{Op: uop.FlagAdd, A: a, B: b, Res: res}
+		v.m.Fl = uop.Flags{Op: uop.FlagAdd, A: a, B: b, Res: res}
 		return res, true
 	case uop.AluAdc:
 		var c uint32
@@ -247,11 +247,11 @@ func (v *VM) ualu(op uop.AluOp, a, b uint32, size uint8) (uint32, bool) {
 			c = 1
 		}
 		res := a + b + c
-		v.fl = uop.Flags{Op: uop.FlagAdc, A: a, B: b, Cin: c, Res: res}
+		v.m.Fl = uop.Flags{Op: uop.FlagAdc, A: a, B: b, Cin: c, Res: res}
 		return res, true
 	case uop.AluSub:
 		res := a - b
-		v.fl = uop.Flags{Op: uop.FlagSub, A: a, B: b, Res: res}
+		v.m.Fl = uop.Flags{Op: uop.FlagSub, A: a, B: b, Res: res}
 		return res, true
 	case uop.AluSbb:
 		var c uint32
@@ -259,25 +259,25 @@ func (v *VM) ualu(op uop.AluOp, a, b uint32, size uint8) (uint32, bool) {
 			c = 1
 		}
 		res := a - b - c
-		v.fl = uop.Flags{Op: uop.FlagSbb, A: a, B: b, Cin: c, Res: res}
+		v.m.Fl = uop.Flags{Op: uop.FlagSbb, A: a, B: b, Cin: c, Res: res}
 		return res, true
 	case uop.AluCmp:
-		v.fl = uop.Flags{Op: uop.FlagSub, A: a, B: b, Res: a - b}
+		v.m.Fl = uop.Flags{Op: uop.FlagSub, A: a, B: b, Res: a - b}
 		return 0, false
 	case uop.AluAnd:
 		res := a & b
-		v.fl = uop.Flags{Op: uop.FlagLogic, Res: res}
+		v.m.Fl = uop.Flags{Op: uop.FlagLogic, Res: res}
 		return res, true
 	case uop.AluOr:
 		res := a | b
-		v.fl = uop.Flags{Op: uop.FlagLogic, Res: res}
+		v.m.Fl = uop.Flags{Op: uop.FlagLogic, Res: res}
 		return res, true
 	case uop.AluXor:
 		res := a ^ b
-		v.fl = uop.Flags{Op: uop.FlagLogic, Res: res}
+		v.m.Fl = uop.Flags{Op: uop.FlagLogic, Res: res}
 		return res, true
 	default: // AluTest
-		v.fl = uop.Flags{Op: uop.FlagLogic, Res: a & b}
+		v.m.Fl = uop.Flags{Op: uop.FlagLogic, Res: a & b}
 		return 0, false
 	}
 }
@@ -287,7 +287,7 @@ func (v *VM) ualu8(op uop.AluOp, a, b uint32) (uint32, bool) {
 	switch op {
 	case uop.AluAdd:
 		res := (a + b) & 0xFF
-		v.fl = uop.Flags{Op: uop.FlagAdd8, A: a, B: b, Res: res}
+		v.m.Fl = uop.Flags{Op: uop.FlagAdd8, A: a, B: b, Res: res}
 		return res, true
 	case uop.AluAdc:
 		var c uint32
@@ -295,11 +295,11 @@ func (v *VM) ualu8(op uop.AluOp, a, b uint32) (uint32, bool) {
 			c = 1
 		}
 		res := (a + b + c) & 0xFF
-		v.fl = uop.Flags{Op: uop.FlagAdc8, A: a, B: b, Cin: c, Res: res}
+		v.m.Fl = uop.Flags{Op: uop.FlagAdc8, A: a, B: b, Cin: c, Res: res}
 		return res, true
 	case uop.AluSub:
 		res := (a - b) & 0xFF
-		v.fl = uop.Flags{Op: uop.FlagSub8, A: a, B: b, Res: res}
+		v.m.Fl = uop.Flags{Op: uop.FlagSub8, A: a, B: b, Res: res}
 		return res, true
 	case uop.AluSbb:
 		var c uint32
@@ -307,25 +307,25 @@ func (v *VM) ualu8(op uop.AluOp, a, b uint32) (uint32, bool) {
 			c = 1
 		}
 		res := (a - b - c) & 0xFF
-		v.fl = uop.Flags{Op: uop.FlagSbb8, A: a, B: b, Cin: c, Res: res}
+		v.m.Fl = uop.Flags{Op: uop.FlagSbb8, A: a, B: b, Cin: c, Res: res}
 		return res, true
 	case uop.AluCmp:
-		v.fl = uop.Flags{Op: uop.FlagSub8, A: a, B: b, Res: (a - b) & 0xFF}
+		v.m.Fl = uop.Flags{Op: uop.FlagSub8, A: a, B: b, Res: (a - b) & 0xFF}
 		return 0, false
 	case uop.AluAnd:
 		res := a & b
-		v.fl = uop.Flags{Op: uop.FlagLogic8, Res: res}
+		v.m.Fl = uop.Flags{Op: uop.FlagLogic8, Res: res}
 		return res, true
 	case uop.AluOr:
 		res := a | b
-		v.fl = uop.Flags{Op: uop.FlagLogic8, Res: res}
+		v.m.Fl = uop.Flags{Op: uop.FlagLogic8, Res: res}
 		return res, true
 	case uop.AluXor:
 		res := a ^ b
-		v.fl = uop.Flags{Op: uop.FlagLogic8, Res: res}
+		v.m.Fl = uop.Flags{Op: uop.FlagLogic8, Res: res}
 		return res, true
 	default: // AluTest
-		v.fl = uop.Flags{Op: uop.FlagLogic8, Res: a & b}
+		v.m.Fl = uop.Flags{Op: uop.FlagLogic8, Res: a & b}
 		return 0, false
 	}
 }
@@ -333,7 +333,7 @@ func (v *VM) ualu8(op uop.AluOp, a, b uint32) (uint32, bool) {
 // ushift32 performs a 32-bit register shift with a nonzero count in
 // 1..31, recording the lazy flag state.
 func (v *VM) ushift32(op uop.ShOp, r uint8, count uint32) {
-	val := v.regs[r]
+	val := v.m.Regs[r]
 	var res uint32
 	var fo uop.FlagOp
 	switch op {
@@ -347,8 +347,8 @@ func (v *VM) ushift32(op uop.ShOp, r uint8, count uint32) {
 		res = uint32(int32(val) >> count)
 		fo = uop.FlagSar
 	}
-	v.regs[r] = res
-	v.fl.Op, v.fl.A, v.fl.B, v.fl.Res = fo, val, count, res
+	v.m.Regs[r] = res
+	v.m.Fl.Op, v.m.Fl.A, v.m.Fl.B, v.m.Fl.Res = fo, val, count, res
 }
 
 // uimul is the two/three-operand signed multiply: dst = a * b, CF/OF on
@@ -356,29 +356,29 @@ func (v *VM) ushift32(op uop.ShOp, r uint8, count uint32) {
 func (v *VM) uimul(dst uint8, a, b uint32) {
 	full := int64(int32(a)) * int64(int32(b))
 	res := uint32(full)
-	v.regs[dst] = res
+	v.m.Regs[dst] = res
 	over := full != int64(int32(res))
-	v.cf, v.of = over, over
-	v.fl.Op, v.fl.Res = uop.FlagSZP, res
+	v.m.CF, v.m.OF = over, over
+	v.m.Fl.Op, v.m.Fl.Res = uop.FlagSZP, res
 }
 
 // umul1 is the one-operand widening multiply into edx:eax.
 func (v *VM) umul1(src uint32, signed bool) {
 	if signed {
-		full := int64(int32(v.regs[x86.EAX])) * int64(int32(src))
-		v.regs[x86.EAX] = uint32(full)
-		v.regs[x86.EDX] = uint32(uint64(full) >> 32)
+		full := int64(int32(v.m.Regs[x86.EAX])) * int64(int32(src))
+		v.m.Regs[x86.EAX] = uint32(full)
+		v.m.Regs[x86.EDX] = uint32(uint64(full) >> 32)
 		over := full != int64(int32(full))
-		v.cf, v.of = over, over
-		v.fl.Op, v.fl.Res = uop.FlagSZP, uint32(full)
+		v.m.CF, v.m.OF = over, over
+		v.m.Fl.Op, v.m.Fl.Res = uop.FlagSZP, uint32(full)
 		return
 	}
-	full := uint64(v.regs[x86.EAX]) * uint64(src)
-	v.regs[x86.EAX] = uint32(full)
-	v.regs[x86.EDX] = uint32(full >> 32)
-	over := v.regs[x86.EDX] != 0
-	v.cf, v.of = over, over
-	v.fl.Op, v.fl.Res = uop.FlagSZP, uint32(full)
+	full := uint64(v.m.Regs[x86.EAX]) * uint64(src)
+	v.m.Regs[x86.EAX] = uint32(full)
+	v.m.Regs[x86.EDX] = uint32(full >> 32)
+	over := v.m.Regs[x86.EDX] != 0
+	v.m.CF, v.m.OF = over, over
+	v.m.Fl.Op, v.m.Fl.Res = uop.FlagSZP, uint32(full)
 }
 
 // udiv is the one-operand divide of edx:eax; flags are unaffected.
@@ -387,33 +387,33 @@ func (v *VM) udiv(src uint32, signed bool, eip uint32) error {
 		return &Trap{Kind: TrapDivide, EIP: eip}
 	}
 	if signed {
-		dividend := int64(uint64(v.regs[x86.EDX])<<32 | uint64(v.regs[x86.EAX]))
+		dividend := int64(uint64(v.m.Regs[x86.EDX])<<32 | uint64(v.m.Regs[x86.EAX]))
 		divisor := int64(int32(src))
 		q := dividend / divisor
 		if q > 0x7FFFFFFF || q < -0x80000000 {
 			return &Trap{Kind: TrapDivide, EIP: eip, Msg: "quotient overflow"}
 		}
-		v.regs[x86.EAX] = uint32(int32(q))
-		v.regs[x86.EDX] = uint32(int32(dividend % divisor))
+		v.m.Regs[x86.EAX] = uint32(int32(q))
+		v.m.Regs[x86.EDX] = uint32(int32(dividend % divisor))
 		return nil
 	}
-	dividend := uint64(v.regs[x86.EDX])<<32 | uint64(v.regs[x86.EAX])
+	dividend := uint64(v.m.Regs[x86.EDX])<<32 | uint64(v.m.Regs[x86.EAX])
 	q := dividend / uint64(src)
 	if q > 0xFFFFFFFF {
 		return &Trap{Kind: TrapDivide, EIP: eip, Msg: "quotient overflow"}
 	}
-	v.regs[x86.EAX] = uint32(q)
-	v.regs[x86.EDX] = uint32(dividend % uint64(src))
+	v.m.Regs[x86.EAX] = uint32(q)
+	v.m.Regs[x86.EDX] = uint32(dividend % uint64(src))
 	return nil
 }
 
 // upush32 pushes val, reporting the trap against eip.
 func (v *VM) upush32(val, eip uint32) error {
-	sp := v.regs[x86.ESP] - 4
+	sp := v.m.Regs[x86.ESP] - 4
 	if !v.ustore32(sp, val) {
 		return v.storeTrap(eip, sp, 4)
 	}
-	v.regs[x86.ESP] = sp
+	v.m.Regs[x86.ESP] = sp
 	return nil
 }
 
@@ -533,53 +533,31 @@ func (v *VM) uopTrapN(us []uop.Uop, i, started int, err error) error {
 	for j := i + 1; j < len(us); j++ {
 		unrun += int64(us[j].Cost)
 	}
-	v.fuel += unrun
+	v.m.Fuel += unrun
 	v.stats.Steps -= uint64(unrun)
 	v.stats.UopsExecuted -= uint64(len(us) - i - 1)
 	return err
 }
 
-// sbLeave accounts for leaving a superblock early at micro-op index i:
-// the unexecuted tail's fuel is refunded and the exit is profiled (a
-// superblock whose guards fire on most entries has a stale profile and
-// is torn down for re-formation).
-func (v *VM) sbLeave(br *bref, us []uop.Uop, i int) {
-	var tail int64
-	for j := i + 1; j < len(us); j++ {
-		tail += int64(us[j].Cost)
-	}
-	v.fuel += tail
+// sbLeave accounts for the tier-1 loop leaving a superblock early at
+// micro-op index i: the unexecuted tail's fuel is refunded. (A compiled
+// trace refunds its own exits.)
+func (v *VM) sbLeave(us []uop.Uop, i int) {
+	tail := uop.Cost(us[i+1:])
+	v.m.Fuel += tail
 	v.stats.Steps -= uint64(tail)
 	v.stats.UopsExecuted -= uint64(len(us) - i - 1)
-
-	br.sbExits++
-	if o := br.owner; o != nil && br.sbExits > sbMinExits && br.sbExits*2 > br.sbEntries {
-		// The dominant path the profile promised is not dominant:
-		// detach the superblock and restart profiling from scratch
-		// (bounded by sbMaxReforms attempts per block).
-		if br.t2 != nil {
-			v.stats.Tier2Demotions++
-		}
-		o.sb = nil
-		o.sbTried = o.sbForms >= sbMaxReforms
-		o.heat, o.takenCnt, o.fallCnt = 0, 0, 0
-	}
 }
 
 // guardExit resolves a conditional guard's (static) exit edge through
 // the guard's own chain slot.
-func (v *VM) guardExit(br *bref, us []uop.Uop, i int, u *uop.Uop) (*bref, error) {
-	v.sbLeave(br, us, i)
-	if c := br.sbChains[u.Aux]; c != nil {
-		return c, nil
-	}
+func (v *VM) guardExit(br *bref, u *uop.Uop) (*bref, error) {
 	return v.chainTo(&br.sbChains[u.Aux], u.Target)
 }
 
 // retGuardExit resolves a return guard's (dynamic) exit edge through
 // the guard's monomorphic inline cache.
-func (v *VM) retGuardExit(br *bref, us []uop.Uop, i int, u *uop.Uop, target uint32) (*bref, error) {
-	v.sbLeave(br, us, i)
+func (v *VM) retGuardExit(br *bref, u *uop.Uop, target uint32) (*bref, error) {
 	e := &br.sbInd[u.Aux]
 	if e.br != nil && e.addr == target {
 		return e.br, nil
@@ -644,34 +622,34 @@ func (v *VM) execUops(br *bref) error {
 	// The sandbox geometry is constant during straight-line execution:
 	// the only thing that moves it (the setperm syscall) runs under
 	// KindInt, after which brk is re-hoisted.
-	regs := &v.regs
+	regs := &v.m.Regs
 	mem := v.mem
 	memLen := uint32(len(mem))
 	roLimit, stackBase := v.roLimit, v.stackBase
-	brk := v.brk
+	brk := v.m.Brk
 
 blocks:
 	for {
 		// Cancellation + watchdog poll (RunContext, Config.WallBudget):
-		// two cheap compares per block when the run is uncancellable and
-		// unwatched; otherwise a countdown decrement, with the channel
-		// select and the clock read only every cancelQuantum guest
-		// instructions. Nothing here touches the per-uop dispatch loop
-		// below.
-		if v.cancel != nil || v.wallDeadline != 0 {
-			v.cancelCredit -= br.b.cost
-			if v.cancelCredit <= 0 {
-				v.cancelCredit = cancelQuantum
-				if v.cancel != nil {
-					select {
-					case <-v.cancel:
-						return &CanceledError{Cause: v.cancelCause()}
-					default:
-					}
+		// a countdown decrement per block, with the channel select and
+		// the clock read only every cancelQuantum guest instructions.
+		// The countdown runs whether or not anything is armed, because
+		// compiled traces share it: a chain of linked traces comes back
+		// here when it is spent, which bounds how long a guest can keep
+		// the goroutine inside emitted code. Nothing here touches the
+		// per-uop dispatch loop below.
+		v.m.Credit -= br.b.cost
+		if v.m.Credit <= 0 {
+			v.m.Credit = cancelQuantum
+			if v.cancel != nil {
+				select {
+				case <-v.cancel:
+					return &CanceledError{Cause: v.cancelCause()}
+				default:
 				}
-				if v.wallDeadline != 0 && time.Now().UnixNano() > v.wallDeadline {
-					return &WatchdogError{Budget: v.wallBudget}
-				}
+			}
+			if v.wallDeadline != 0 && time.Now().UnixNano() > v.wallDeadline {
+				return &WatchdogError{Budget: v.wallBudget}
 			}
 		}
 
@@ -684,18 +662,18 @@ blocks:
 		// keeping the end-of-budget slow path on base blocks (which
 		// carry the decoded instructions the reference walk needs).
 		if sb := br.sb; sb != nil {
-			if v.fuel >= sb.b.cost {
-				sb.sbEntries++
-				// Tier-2 dispatch: a compiled trace replaces the whole
-				// uop walk below; its exit re-joins here with the next
-				// bref resolved and brk possibly moved (syscall exits).
+			if v.m.Fuel >= sb.b.cost {
+				// Tier-2 dispatch: a compiled trace — and whatever traces
+				// are linked behind it — replaces the whole uop walk
+				// below; the run re-joins here with the next bref
+				// resolved and brk possibly moved (syscall exits).
 				if t := sb.t2; t != nil {
 					nb, err := v.runTier2(sb, t)
 					if err != nil {
 						return err
 					}
 					br = nb
-					brk = v.brk
+					brk = v.m.Brk
 					continue blocks
 				}
 				if !sb.t2Tried && !v.noT2 {
@@ -708,7 +686,7 @@ blocks:
 								return err
 							}
 							br = nb
-							brk = v.brk
+							brk = v.m.Brk
 							continue blocks
 						}
 					}
@@ -719,8 +697,7 @@ blocks:
 			br.heat++
 			if br.heat >= sbHotThreshold {
 				v.formSuperblock(br)
-				if sb := br.sb; sb != nil && v.fuel >= sb.b.cost {
-					sb.sbEntries++
+				if sb := br.sb; sb != nil && v.m.Fuel >= sb.b.cost {
 					br = sb
 				}
 			}
@@ -729,7 +706,7 @@ blocks:
 		b := br.b
 		us := b.uops
 		n := len(us)
-		if v.fuel < b.cost {
+		if v.m.Fuel < b.cost {
 			// End-of-budget: re-walk this block on the reference engine
 			// for an exact fuel-trap EIP. (The walk always traps before
 			// the block completes, but stay general.)
@@ -742,10 +719,10 @@ blocks:
 				return err
 			}
 			br = nb
-			brk = v.brk
+			brk = v.m.Brk
 			continue
 		}
-		v.fuel -= b.cost
+		v.m.Fuel -= b.cost
 		v.stats.Steps += uint64(b.cost)
 		v.stats.UopsExecuted += uint64(n)
 
@@ -844,56 +821,56 @@ blocks:
 				a, bb := regs[u.Dst], regs[u.Src]
 				res := a + bb
 				regs[u.Dst] = res
-				v.fl.Op, v.fl.A, v.fl.B, v.fl.Res = uop.FlagAdd, a, bb, res
+				v.m.Fl.Op, v.m.Fl.A, v.m.Fl.B, v.m.Fl.Res = uop.FlagAdd, a, bb, res
 			case uop.KindAddRI:
 				a := regs[u.Dst]
 				res := a + u.Imm
 				regs[u.Dst] = res
-				v.fl.Op, v.fl.A, v.fl.B, v.fl.Res = uop.FlagAdd, a, u.Imm, res
+				v.m.Fl.Op, v.m.Fl.A, v.m.Fl.B, v.m.Fl.Res = uop.FlagAdd, a, u.Imm, res
 			case uop.KindSubRR:
 				a, bb := regs[u.Dst], regs[u.Src]
 				res := a - bb
 				regs[u.Dst] = res
-				v.fl.Op, v.fl.A, v.fl.B, v.fl.Res = uop.FlagSub, a, bb, res
+				v.m.Fl.Op, v.m.Fl.A, v.m.Fl.B, v.m.Fl.Res = uop.FlagSub, a, bb, res
 			case uop.KindSubRI:
 				a := regs[u.Dst]
 				res := a - u.Imm
 				regs[u.Dst] = res
-				v.fl.Op, v.fl.A, v.fl.B, v.fl.Res = uop.FlagSub, a, u.Imm, res
+				v.m.Fl.Op, v.m.Fl.A, v.m.Fl.B, v.m.Fl.Res = uop.FlagSub, a, u.Imm, res
 			case uop.KindCmpRR:
 				a, bb := regs[u.Dst], regs[u.Src]
-				v.fl.Op, v.fl.A, v.fl.B, v.fl.Res = uop.FlagSub, a, bb, a-bb
+				v.m.Fl.Op, v.m.Fl.A, v.m.Fl.B, v.m.Fl.Res = uop.FlagSub, a, bb, a-bb
 			case uop.KindCmpRI:
 				a := regs[u.Dst]
-				v.fl.Op, v.fl.A, v.fl.B, v.fl.Res = uop.FlagSub, a, u.Imm, a-u.Imm
+				v.m.Fl.Op, v.m.Fl.A, v.m.Fl.B, v.m.Fl.Res = uop.FlagSub, a, u.Imm, a-u.Imm
 			case uop.KindAndRR:
 				res := regs[u.Dst] & regs[u.Src]
 				regs[u.Dst] = res
-				v.fl.Op, v.fl.Res = uop.FlagLogic, res
+				v.m.Fl.Op, v.m.Fl.Res = uop.FlagLogic, res
 			case uop.KindAndRI:
 				res := regs[u.Dst] & u.Imm
 				regs[u.Dst] = res
-				v.fl.Op, v.fl.Res = uop.FlagLogic, res
+				v.m.Fl.Op, v.m.Fl.Res = uop.FlagLogic, res
 			case uop.KindOrRR:
 				res := regs[u.Dst] | regs[u.Src]
 				regs[u.Dst] = res
-				v.fl.Op, v.fl.Res = uop.FlagLogic, res
+				v.m.Fl.Op, v.m.Fl.Res = uop.FlagLogic, res
 			case uop.KindOrRI:
 				res := regs[u.Dst] | u.Imm
 				regs[u.Dst] = res
-				v.fl.Op, v.fl.Res = uop.FlagLogic, res
+				v.m.Fl.Op, v.m.Fl.Res = uop.FlagLogic, res
 			case uop.KindXorRR:
 				res := regs[u.Dst] ^ regs[u.Src]
 				regs[u.Dst] = res
-				v.fl.Op, v.fl.Res = uop.FlagLogic, res
+				v.m.Fl.Op, v.m.Fl.Res = uop.FlagLogic, res
 			case uop.KindXorRI:
 				res := regs[u.Dst] ^ u.Imm
 				regs[u.Dst] = res
-				v.fl.Op, v.fl.Res = uop.FlagLogic, res
+				v.m.Fl.Op, v.m.Fl.Res = uop.FlagLogic, res
 			case uop.KindTestRR:
-				v.fl.Op, v.fl.Res = uop.FlagLogic, regs[u.Dst]&regs[u.Src]
+				v.m.Fl.Op, v.m.Fl.Res = uop.FlagLogic, regs[u.Dst]&regs[u.Src]
 			case uop.KindTestRI:
-				v.fl.Op, v.fl.Res = uop.FlagLogic, regs[u.Dst]&u.Imm
+				v.m.Fl.Op, v.m.Fl.Res = uop.FlagLogic, regs[u.Dst]&u.Imm
 
 			// --- remaining ALU forms (ADC/SBB, memory, byte operands) ---
 			case uop.KindAluRR:
@@ -978,18 +955,18 @@ blocks:
 				val := regs[u.Dst]
 				res := val + 1
 				regs[u.Dst] = res
-				v.fl = uop.Flags{Op: uop.FlagAddKeep, A: val, B: 1, Res: res, KeptCF: cf}
+				v.m.Fl = uop.Flags{Op: uop.FlagAddKeep, A: val, B: 1, Res: res, KeptCF: cf}
 			case uop.KindDecR:
 				cf := v.fCF() // DEC preserves CF
 				val := regs[u.Dst]
 				res := val - 1
 				regs[u.Dst] = res
-				v.fl = uop.Flags{Op: uop.FlagSubKeep, A: val, B: 1, Res: res, KeptCF: cf}
+				v.m.Fl = uop.Flags{Op: uop.FlagSubKeep, A: val, B: 1, Res: res, KeptCF: cf}
 			case uop.KindNegR:
 				val := regs[u.Dst]
 				res := -val
 				regs[u.Dst] = res
-				v.fl.Op, v.fl.A, v.fl.B, v.fl.Res = uop.FlagSub, 0, val, res
+				v.m.Fl.Op, v.m.Fl.A, v.m.Fl.B, v.m.Fl.Res = uop.FlagSub, 0, val, res
 			case uop.KindNotR:
 				regs[u.Dst] = ^regs[u.Dst]
 
@@ -1152,7 +1129,7 @@ blocks:
 				if u.Kind == uop.KindCmpSetccRR {
 					bb = regs[u.Aux]
 				}
-				v.fl.Op, v.fl.A, v.fl.B, v.fl.Res = uop.FlagSub, a, bb, a-bb
+				v.m.Fl.Op, v.m.Fl.A, v.m.Fl.B, v.m.Fl.Res = uop.FlagSub, a, bb, a-bb
 				var val uint32
 				if condSub(x86.CC(u.Sub), a, bb) {
 					val = 1
@@ -1163,7 +1140,7 @@ blocks:
 				if u.Kind == uop.KindTestSetccRR {
 					res = regs[u.Src] & regs[u.Aux]
 				}
-				v.fl.Op, v.fl.Res = uop.FlagLogic, res
+				v.m.Fl.Op, v.m.Fl.Res = uop.FlagLogic, res
 				var val uint32
 				if condLogic(x86.CC(u.Sub), res) {
 					val = 1
@@ -1174,7 +1151,7 @@ blocks:
 				if u.Kind == uop.KindCmpBoolRR {
 					bb = regs[u.Aux]
 				}
-				v.fl.Op, v.fl.A, v.fl.B, v.fl.Res = uop.FlagSub, a, bb, a-bb
+				v.m.Fl.Op, v.m.Fl.A, v.m.Fl.B, v.m.Fl.Res = uop.FlagSub, a, bb, a-bb
 				var val uint32
 				if condSub(x86.CC(u.Sub), a, bb) {
 					val = 1
@@ -1185,7 +1162,7 @@ blocks:
 				if u.Kind == uop.KindTestBoolRR {
 					res = regs[u.Src] & regs[u.Aux]
 				}
-				v.fl.Op, v.fl.Res = uop.FlagLogic, res
+				v.m.Fl.Op, v.m.Fl.Res = uop.FlagLogic, res
 				var val uint32
 				if condLogic(x86.CC(u.Sub), res) {
 					val = 1
@@ -1254,27 +1231,27 @@ blocks:
 				case uop.AluAdd:
 					res = a + bb
 					if u.Kind == uop.KindMovPopAluRR {
-						v.fl.Op, v.fl.A, v.fl.B, v.fl.Res = uop.FlagAdd, a, bb, res
+						v.m.Fl.Op, v.m.Fl.A, v.m.Fl.B, v.m.Fl.Res = uop.FlagAdd, a, bb, res
 					}
 				case uop.AluSub:
 					res = a - bb
 					if u.Kind == uop.KindMovPopAluRR {
-						v.fl.Op, v.fl.A, v.fl.B, v.fl.Res = uop.FlagSub, a, bb, res
+						v.m.Fl.Op, v.m.Fl.A, v.m.Fl.B, v.m.Fl.Res = uop.FlagSub, a, bb, res
 					}
 				case uop.AluAnd:
 					res = a & bb
 					if u.Kind == uop.KindMovPopAluRR {
-						v.fl.Op, v.fl.Res = uop.FlagLogic, res
+						v.m.Fl.Op, v.m.Fl.Res = uop.FlagLogic, res
 					}
 				case uop.AluOr:
 					res = a | bb
 					if u.Kind == uop.KindMovPopAluRR {
-						v.fl.Op, v.fl.Res = uop.FlagLogic, res
+						v.m.Fl.Op, v.m.Fl.Res = uop.FlagLogic, res
 					}
 				default: // AluXor
 					res = a ^ bb
 					if u.Kind == uop.KindMovPopAluRR {
-						v.fl.Op, v.fl.Res = uop.FlagLogic, res
+						v.m.Fl.Op, v.m.Fl.Res = uop.FlagLogic, res
 					}
 				}
 				regs[u.Dst] = res
@@ -1347,7 +1324,8 @@ blocks:
 					break // stay on the trace
 				}
 				v.eip = u.Target
-				nb, err := v.guardExit(br, us, i, u)
+				v.sbLeave(us, i)
+				nb, err := v.guardExit(br, u)
 				if err != nil {
 					return err
 				}
@@ -1359,12 +1337,13 @@ blocks:
 					bb = regs[u.Src]
 				}
 				// The compare executes on both paths: record its flags.
-				v.fl.Op, v.fl.A, v.fl.B, v.fl.Res = uop.FlagSub, a, bb, a-bb
+				v.m.Fl.Op, v.m.Fl.A, v.m.Fl.B, v.m.Fl.Res = uop.FlagSub, a, bb, a-bb
 				if !condSub(x86.CC(u.Sub), a, bb) {
 					break
 				}
 				v.eip = u.Target
-				nb, err := v.guardExit(br, us, i, u)
+				v.sbLeave(us, i)
+				nb, err := v.guardExit(br, u)
 				if err != nil {
 					return err
 				}
@@ -1375,12 +1354,13 @@ blocks:
 				if u.Kind == uop.KindGuardTestRR {
 					res = regs[u.Dst] & regs[u.Src]
 				}
-				v.fl.Op, v.fl.Res = uop.FlagLogic, res
+				v.m.Fl.Op, v.m.Fl.Res = uop.FlagLogic, res
 				if !condLogic(x86.CC(u.Sub), res) {
 					break
 				}
 				v.eip = u.Target
-				nb, err := v.guardExit(br, us, i, u)
+				v.sbLeave(us, i)
+				nb, err := v.guardExit(br, u)
 				if err != nil {
 					return err
 				}
@@ -1395,9 +1375,10 @@ blocks:
 					break // flags provably dead on the trace
 				}
 				// Exiting: the compare's flags become the visible state.
-				v.fl.Op, v.fl.A, v.fl.B, v.fl.Res = uop.FlagSub, a, bb, a-bb
+				v.m.Fl.Op, v.m.Fl.A, v.m.Fl.B, v.m.Fl.Res = uop.FlagSub, a, bb, a-bb
 				v.eip = u.Target
-				nb, err := v.guardExit(br, us, i, u)
+				v.sbLeave(us, i)
+				nb, err := v.guardExit(br, u)
 				if err != nil {
 					return err
 				}
@@ -1411,9 +1392,10 @@ blocks:
 				if !condLogic(x86.CC(u.Sub), res) {
 					break
 				}
-				v.fl.Op, v.fl.Res = uop.FlagLogic, res
+				v.m.Fl.Op, v.m.Fl.Res = uop.FlagLogic, res
 				v.eip = u.Target
-				nb, err := v.guardExit(br, us, i, u)
+				v.sbLeave(us, i)
+				nb, err := v.guardExit(br, u)
 				if err != nil {
 					return err
 				}
@@ -1473,14 +1455,14 @@ blocks:
 					if u.Kind == uop.KindCmpJccRR {
 						bb = regs[u.Src]
 					}
-					v.fl.Op, v.fl.A, v.fl.B, v.fl.Res = uop.FlagSub, a, bb, a-bb
+					v.m.Fl.Op, v.m.Fl.A, v.m.Fl.B, v.m.Fl.Res = uop.FlagSub, a, bb, a-bb
 					take = condSub(x86.CC(u.Sub), a, bb)
 				default:
 					res := regs[u.Dst] & u.Imm
 					if u.Kind == uop.KindTestJccRR {
 						res = regs[u.Dst] & regs[u.Src]
 					}
-					v.fl.Op, v.fl.Res = uop.FlagLogic, res
+					v.m.Fl.Op, v.m.Fl.Res = uop.FlagLogic, res
 					take = condLogic(x86.CC(u.Sub), res)
 				}
 				if take {
@@ -1628,7 +1610,8 @@ blocks:
 					break // the inlined return: stay on the trace
 				}
 				v.eip = target
-				nb, err := v.retGuardExit(br, us, i, u, target)
+				v.sbLeave(us, i)
+				nb, err := v.retGuardExit(br, u, target)
 				if err != nil {
 					return err
 				}
@@ -1664,7 +1647,7 @@ blocks:
 				if err := v.syscall(); err != nil {
 					return v.uopTrap(us, i, err)
 				}
-				brk = v.brk // setperm may have grown the heap
+				brk = v.m.Brk // setperm may have grown the heap
 				if c := br.taken; c != nil {
 					br = c
 					continue blocks

@@ -49,14 +49,14 @@ func seedState(t *testing.T, rng *rand.Rand, v1, v2 *VM) {
 		if x86.Reg(r) == x86.ESP {
 			val = v1.MemSize() - 16 // keep the stack usable
 		}
-		v1.regs[r] = val
-		v2.regs[r] = val
+		v1.m.Regs[r] = val
+		v2.m.Regs[r] = val
 	}
 	cf, zf, sf, of, pf := rng.Intn(2) == 0, rng.Intn(2) == 0, rng.Intn(2) == 0, rng.Intn(2) == 0, rng.Intn(2) == 0
-	v1.cf, v1.zf, v1.sf, v1.of, v1.pf = cf, zf, sf, of, pf
-	v2.cf, v2.zf, v2.sf, v2.of, v2.pf = cf, zf, sf, of, pf
-	v1.fl.Op = 0 // FlagNone: the seeded bools are authoritative
-	v2.fl.Op = 0
+	v1.m.CF, v1.m.ZF, v1.m.SF, v1.m.OF, v1.m.PF = cf, zf, sf, of, pf
+	v2.m.CF, v2.m.ZF, v2.m.SF, v2.m.OF, v2.m.PF = cf, zf, sf, of, pf
+	v1.m.Fl.Op = 0 // FlagNone: the seeded bools are authoritative
+	v2.m.Fl.Op = 0
 	data := make([]byte, 64)
 	rng.Read(data)
 	copy(v1.mem[diffData:], data)
@@ -103,14 +103,14 @@ func diffRun(t *testing.T, v1, v2 *VM, inst x86.Inst) (err1, err2 error) {
 func diffCompare(t *testing.T, v1, v2 *VM, inst x86.Inst, trial int) {
 	t.Helper()
 	for r := 0; r < 8; r++ {
-		if v1.regs[r] != v2.regs[r] {
+		if v1.m.Regs[r] != v2.m.Regs[r] {
 			t.Fatalf("trial %d %v: %s = %#x (uop) vs %#x (ref)",
-				trial, inst, x86.Reg(r), v1.regs[r], v2.regs[r])
+				trial, inst, x86.Reg(r), v1.m.Regs[r], v2.m.Regs[r])
 		}
 	}
-	if v1.cf != v2.cf || v1.zf != v2.zf || v1.sf != v2.sf || v1.of != v2.of || v1.pf != v2.pf {
+	if v1.m.CF != v2.m.CF || v1.m.ZF != v2.m.ZF || v1.m.SF != v2.m.SF || v1.m.OF != v2.m.OF || v1.m.PF != v2.m.PF {
 		t.Fatalf("trial %d %v: flags cf=%v zf=%v sf=%v of=%v pf=%v (uop) vs cf=%v zf=%v sf=%v of=%v pf=%v (ref)",
-			trial, inst, v1.cf, v1.zf, v1.sf, v1.of, v1.pf, v2.cf, v2.zf, v2.sf, v2.of, v2.pf)
+			trial, inst, v1.m.CF, v1.m.ZF, v1.m.SF, v1.m.OF, v1.m.PF, v2.m.CF, v2.m.ZF, v2.m.SF, v2.m.OF, v2.m.PF)
 	}
 	if !bytes.Equal(v1.mem[diffData:diffData+64], v2.mem[diffData:diffData+64]) {
 		t.Fatalf("trial %d %v: data page diverged", trial, inst)
@@ -138,8 +138,8 @@ func diffTrials(t *testing.T, seed int64, n int, gen func(rng *rand.Rand) x86.In
 // page, addressed through a register so the EA path is exercised.
 func memArg(rng *rand.Rand, v1, v2 *VM, size uint8) x86.Arg {
 	off := int32(rng.Intn(48))
-	v1.regs[x86.ESI] = diffData
-	v2.regs[x86.ESI] = diffData
+	v1.m.Regs[x86.ESI] = diffData
+	v2.m.Regs[x86.ESI] = diffData
 	return x86.MSIB(x86.ESI, x86.NoReg, 1, off, size)
 }
 
@@ -388,16 +388,16 @@ func TestDiffFusedPairTraps(t *testing.T) {
 		insts []x86.Inst
 		setup func(v *VM)
 	}
-	badStack := func(v *VM) { v.regs[x86.ESP] = 0x10 } // below the first page
+	badStack := func(v *VM) { v.m.Regs[x86.ESP] = 0x10 } // below the first page
 	cases := []pairCase{
 		{"push-load", []x86.Inst{
 			{Op: x86.PUSH, Dst: x86.R(x86.EAX)},
 			{Op: x86.MOV, Dst: x86.R(x86.EDX), Src: x86.MSIB(x86.ECX, x86.NoReg, 1, 0, 4)},
-		}, func(v *VM) { v.regs[x86.ECX] = 0x10 }},
+		}, func(v *VM) { v.m.Regs[x86.ECX] = 0x10 }},
 		{"mov-load", []x86.Inst{
 			{Op: x86.MOV, Dst: x86.R(x86.EBX), Src: x86.R(x86.EAX)},
 			{Op: x86.MOV, Dst: x86.R(x86.EDX), Src: x86.MSIB(x86.ECX, x86.NoReg, 1, 0, 4)},
-		}, func(v *VM) { v.regs[x86.ECX] = 0x10 }},
+		}, func(v *VM) { v.m.Regs[x86.ECX] = 0x10 }},
 		{"load-push", []x86.Inst{
 			{Op: x86.MOV, Dst: x86.R(x86.EDX), Src: x86.MSIB(x86.ESI, x86.NoReg, 1, 0, 4)},
 			{Op: x86.PUSH, Dst: x86.R(x86.EDX)},
@@ -414,7 +414,7 @@ func TestDiffFusedPairTraps(t *testing.T) {
 		{"pop-store", []x86.Inst{
 			{Op: x86.POP, Dst: x86.R(x86.EDX)},
 			{Op: x86.MOV, Dst: x86.MSIB(x86.ECX, x86.NoReg, 1, 0, 4), Src: x86.R(x86.EAX)},
-		}, func(v *VM) { v.regs[x86.ECX] = 0x10 }},
+		}, func(v *VM) { v.m.Regs[x86.ECX] = 0x10 }},
 		{"movi-push", []x86.Inst{
 			{Op: x86.MOV, Dst: x86.R(x86.EAX), Src: x86.I(42)},
 			{Op: x86.PUSH, Dst: x86.R(x86.EBX)},
@@ -422,11 +422,11 @@ func TestDiffFusedPairTraps(t *testing.T) {
 		{"pop-ret", []x86.Inst{
 			{Op: x86.POP, Dst: x86.R(x86.EDX)},
 			{Op: x86.RET},
-		}, func(v *VM) { v.regs[x86.ESP] = v.MemSize() - 4 }}, // pop ok, ret beyond the top
+		}, func(v *VM) { v.m.Regs[x86.ESP] = v.MemSize() - 4 }}, // pop ok, ret beyond the top
 		{"push-call", []x86.Inst{
 			{Op: x86.PUSH, Dst: x86.R(x86.EAX)},
 			{Op: x86.CALL, Rel: 16},
-		}, func(v *VM) { v.regs[x86.ESP] = v.stackBase + 4 }}, // arg push ok, return push in the guard gap
+		}, func(v *VM) { v.m.Regs[x86.ESP] = v.stackBase + 4 }}, // arg push ok, return push in the guard gap
 	}
 
 	rng := rand.New(rand.NewSource(9))
@@ -435,10 +435,10 @@ func TestDiffFusedPairTraps(t *testing.T) {
 			v1 := diffVM(t)
 			v2 := diffVM(t)
 			seedState(t, rng, v1, v2)
-			v1.regs[x86.ESI], v2.regs[x86.ESI] = diffData, diffData
+			v1.m.Regs[x86.ESI], v2.m.Regs[x86.ESI] = diffData, diffData
 			tc.setup(v1)
 			tc.setup(v2)
-			v1.fuel, v2.fuel = fuel, fuel
+			v1.m.Fuel, v2.m.Fuel = fuel, fuel
 
 			var code []byte
 			for _, inst := range tc.insts {
@@ -473,14 +473,14 @@ func TestDiffFusedPairTraps(t *testing.T) {
 				t.Fatalf("trap diverged: uop %v, ref %v", tr1, tr2)
 			}
 			for r := 0; r < 8; r++ {
-				if v1.regs[r] != v2.regs[r] {
-					t.Fatalf("%s = %#x (uop) vs %#x (ref)", x86.Reg(r), v1.regs[r], v2.regs[r])
+				if v1.m.Regs[r] != v2.m.Regs[r] {
+					t.Fatalf("%s = %#x (uop) vs %#x (ref)", x86.Reg(r), v1.m.Regs[r], v2.m.Regs[r])
 				}
 			}
 			// Reference discipline: every started instruction (the
 			// faulting one included) costs one fuel.
-			if want := int64(fuel - refSteps - 1); v1.fuel != want {
-				t.Fatalf("fuel = %d, want %d (ref started %d+1 instructions)", v1.fuel, want, refSteps)
+			if want := int64(fuel - refSteps - 1); v1.m.Fuel != want {
+				t.Fatalf("fuel = %d, want %d (ref started %d+1 instructions)", v1.m.Fuel, want, refSteps)
 			}
 		})
 	}
@@ -758,10 +758,10 @@ func soakSeedRegs(rng *rand.Rand, vms ...*VM) {
 	vals[x86.EBP] = soakCountdown
 	cf, zf, sf, of, pf := rng.Intn(2) == 0, rng.Intn(2) == 0, rng.Intn(2) == 0, rng.Intn(2) == 0, rng.Intn(2) == 0
 	for _, v := range vms {
-		copy(v.regs[:8], vals[:])
-		v.regs[x86.ESP] = v.MemSize() - 16
-		v.cf, v.zf, v.sf, v.of, v.pf = cf, zf, sf, of, pf
-		v.fl.Op = 0
+		copy(v.m.Regs[:8], vals[:])
+		v.m.Regs[x86.ESP] = v.MemSize() - 16
+		v.m.CF, v.m.ZF, v.m.SF, v.m.OF, v.m.PF = cf, zf, sf, of, pf
+		v.m.Fl.Op = 0
 	}
 }
 
@@ -843,12 +843,12 @@ func TestOptAblation(t *testing.T) {
 			regSeed[r] = rng.Uint32()
 		}
 		seedVM := func(v *VM) {
-			copy(v.regs[:8], regSeed[:])
-			v.regs[x86.EBX] = soakTable
-			v.regs[x86.EDI] = soakTrace
-			v.regs[x86.EBP] = soakCountdown
-			v.regs[x86.ESP] = v.MemSize() - 16
-			v.fl.Op = 0
+			copy(v.m.Regs[:8], regSeed[:])
+			v.m.Regs[x86.EBX] = soakTable
+			v.m.Regs[x86.EDI] = soakTrace
+			v.m.Regs[x86.EBP] = soakCountdown
+			v.m.Regs[x86.ESP] = v.MemSize() - 16
+			v.m.Fl.Op = 0
 		}
 
 		for _, fuel := range []int64{0 /* unlimited */, 20011} {
@@ -861,12 +861,12 @@ func TestOptAblation(t *testing.T) {
 					t.Fatalf("seed %d fuel %d config %d: trap %v, want %v", seed, fuel, ci, tr, baseTrap)
 				}
 				for r := 0; r < 8; r++ {
-					if v.regs[r] != base.regs[r] {
+					if v.m.Regs[r] != base.m.Regs[r] {
 						t.Fatalf("seed %d fuel %d config %d: %s = %#x, want %#x",
-							seed, fuel, ci, x86.Reg(r), v.regs[r], base.regs[r])
+							seed, fuel, ci, x86.Reg(r), v.m.Regs[r], base.m.Regs[r])
 					}
 				}
-				if v.cf != base.cf || v.zf != base.zf || v.sf != base.sf || v.of != base.of || v.pf != base.pf {
+				if v.m.CF != base.m.CF || v.m.ZF != base.m.ZF || v.m.SF != base.m.SF || v.m.OF != base.m.OF || v.m.PF != base.m.PF {
 					t.Fatalf("seed %d fuel %d config %d: flags diverged", seed, fuel, ci)
 				}
 				if !bytes.Equal(v.mem[soakCode:soakCode+soakSpan], base.mem[soakCode:soakCode+soakSpan]) {
@@ -943,17 +943,12 @@ func TestDiffSoakMultiBlock(t *testing.T) { runDiffSoakMultiBlock(t) }
 // The soak's exactness assertions — trap EIP, steps==fuel accounting,
 // registers, flags, memory image — must hold identically in all three,
 // which is the wall that keeps compiled traces architecturally
-// indistinguishable from the dispatch loop.
+// indistinguishable from the dispatch loop. Every program runs twice on
+// its one VM: the second pass starts on the traces the first one
+// compiled and linked, so it goes from trace to trace where the first
+// came back to the dispatcher.
 func TestDiffSoakTier2Forced(t *testing.T) {
-	legs := []struct {
-		name string
-		env  map[string]string
-	}{
-		{"hot-native", map[string]string{"VXA_TIER2_HOT": "1"}},
-		{"hot-closure", map[string]string{"VXA_TIER2_HOT": "1", "VXA_TIER2_BACKEND": "closure"}},
-		{"off", map[string]string{"VXA_NO_TIER2": "1"}},
-	}
-	for _, leg := range legs {
+	for _, leg := range tier2Legs {
 		leg := leg
 		t.Run(leg.name, func(t *testing.T) {
 			for k, v := range leg.env {
@@ -976,90 +971,109 @@ func runDiffSoakMultiBlock(t *testing.T) {
 			image := make([]byte, soakSpan)
 			soakBuildProgram(t, rng, image)
 			v1 := soakVM(t, image) // uop engine
-			v2 := soakVM(t, image) // reference engine
-			soakSeedRegs(rng, v1, v2)
-
-			v1.eip, v2.eip = soakBlockAddr(0), soakBlockAddr(0)
-			br, err := v1.lookupBlock(v1.eip)
-			if err != nil {
-				t.Fatal(err)
-			}
-			err1 := v1.execUops(br)
-			v1.materializeFlags()
-			refSteps, err2 := refRun(v2, 1<<20)
-
-			tr1, ok1 := err1.(*Trap)
-			tr2, ok2 := err2.(*Trap)
-			if !ok1 || !ok2 {
-				t.Fatalf("termination differs: uop err=%v, ref err=%v", err1, err2)
-			}
-			if tr1.Kind != tr2.Kind || tr1.EIP != tr2.EIP {
-				t.Fatalf("trap diverged: uop %v, ref %v", tr1, tr2)
-			}
-			if tr1.EIP != soakExit {
-				t.Fatalf("program trapped at %#x, not the exit block %#x: %v", tr1.EIP, soakExit, tr1)
-			}
-			if steps := v1.Stats().Steps; steps < 10000 {
-				t.Fatalf("soak too short: %d uop-engine steps (ref: %d), want >= 10000", steps, refSteps)
-			}
-			// Fuel/steps accounting must stay exact through fusion (one
-			// micro-op charging several instructions), superblock guard
-			// exits (tail refunds) and trap refunds. The uop engine
-			// charges the trapping UD2 itself; refRun's count excludes
-			// it, hence the +1.
-			if steps := v1.Stats().Steps; steps != uint64(refSteps)+1 {
-				t.Errorf("steps accounting diverged: %d (uop) vs %d+1 (ref)", steps, refSteps)
-			}
-			// When the forced-hot wall is running, the comparison above
-			// must actually have covered compiled traces — a soak that
-			// silently stayed on tier-1 would prove nothing. The one
-			// legitimate escape: a seed whose every superblock holds a
-			// micro-op unsupported by design (a KindGeneric/KindString
-			// interpreter escape), which no tier-2 backend compiles.
-			if os.Getenv("VXA_TIER2_HOT") == "1" && !envNoTier2() &&
-				v1.Stats().Tier2Executed == 0 {
-				for _, br := range v1.blocks {
-					if br.sb == nil {
-						continue
-					}
-					if i, k := tier2.Unsupported(br.sb.b.uops); i < 0 {
-						t.Errorf("tier-2 forced hot but no compiled trace ran (%d compiled), "+
-							"yet superblock %#x has no unsupported micro-op",
-							v1.Stats().Tier2Compiled, br.sb.b.uops[0].EIP)
-					} else {
-						t.Logf("superblock %#x stays on tier-1 by design: uop %d is %v",
-							br.sb.b.uops[0].EIP, i, k)
-					}
+			regSeed := rng.Int63()
+			for pass := 1; pass <= 2; pass++ {
+				soakDiffPass(t, v1, image, regSeed)
+				if t.Failed() {
+					t.Fatalf("pass %d on this VM", pass)
 				}
 			}
-
-			for r := 0; r < 8; r++ {
-				if v1.regs[r] != v2.regs[r] {
-					t.Errorf("%s = %#x (uop) vs %#x (ref)", x86.Reg(r), v1.regs[r], v2.regs[r])
+			if hot := os.Getenv("VXA_TIER2_HOT") == "1" && !envNoTier2(); hot {
+				if _, err := v1.CheckLinks(); err != nil {
+					t.Fatal(err)
 				}
-			}
-			if v1.cf != v2.cf || v1.zf != v2.zf || v1.sf != v2.sf || v1.of != v2.of || v1.pf != v2.pf {
-				t.Errorf("final flags diverged: cf=%v zf=%v sf=%v of=%v pf=%v (uop) vs cf=%v zf=%v sf=%v of=%v pf=%v (ref)",
-					v1.cf, v1.zf, v1.sf, v1.of, v1.pf, v2.cf, v2.zf, v2.sf, v2.of, v2.pf)
-			}
-			// The checkpoint trace is the per-block-boundary comparison:
-			// find the first diverging checkpoint for a usable failure.
-			traceEnd := v1.regs[x86.EDI]
-			if v2.regs[x86.EDI] == traceEnd {
-				for ck := uint32(soakTrace); ck < traceEnd; ck += soakCkptBytes {
-					if !bytes.Equal(v1.mem[ck:ck+soakCkptBytes], v2.mem[ck:ck+soakCkptBytes]) {
-						t.Errorf("checkpoint %d diverged: uop %x, ref %x",
-							(ck-soakTrace)/soakCkptBytes, v1.mem[ck:ck+soakCkptBytes], v2.mem[ck:ck+soakCkptBytes])
-						break
-					}
-				}
-			}
-			if !bytes.Equal(v1.mem[soakCode:soakCode+soakSpan], v2.mem[soakCode:soakCode+soakSpan]) {
-				t.Error("guest memory image diverged")
-			}
-			if t.Failed() {
-				t.FailNow()
 			}
 		})
+	}
+}
+
+// soakDiffPass runs the soak program in image once on v1 — rewound to
+// the program's start state, its translation state kept — and once on a
+// fresh reference VM, and compares what they leave.
+func soakDiffPass(t *testing.T, v1 *VM, image []byte, regSeed int64) {
+	t.Helper()
+	copy(v1.mem[soakCode:], image)
+	v2 := soakVM(t, image) // reference engine
+	soakSeedRegs(rand.New(rand.NewSource(regSeed)), v1, v2)
+	steps0, executed0 := v1.stats.Steps, v1.stats.Tier2Executed
+
+	v1.eip, v2.eip = soakBlockAddr(0), soakBlockAddr(0)
+	br, err := v1.lookupBlock(v1.eip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err1 := v1.execUops(br)
+	v1.materializeFlags()
+	refSteps, err2 := refRun(v2, 1<<20)
+
+	tr1, ok1 := err1.(*Trap)
+	tr2, ok2 := err2.(*Trap)
+	if !ok1 || !ok2 {
+		t.Fatalf("termination differs: uop err=%v, ref err=%v", err1, err2)
+	}
+	if tr1.Kind != tr2.Kind || tr1.EIP != tr2.EIP {
+		t.Fatalf("trap diverged: uop %v, ref %v", tr1, tr2)
+	}
+	if tr1.EIP != soakExit {
+		t.Fatalf("program trapped at %#x, not the exit block %#x: %v", tr1.EIP, soakExit, tr1)
+	}
+	steps := v1.stats.Steps - steps0
+	if steps < 10000 {
+		t.Fatalf("soak too short: %d uop-engine steps (ref: %d), want >= 10000", steps, refSteps)
+	}
+	// Fuel/steps accounting must stay exact through fusion (one
+	// micro-op charging several instructions), superblock guard
+	// exits (tail refunds) and trap refunds. The uop engine
+	// charges the trapping UD2 itself; refRun's count excludes
+	// it, hence the +1.
+	if steps != uint64(refSteps)+1 {
+		t.Errorf("steps accounting diverged: %d (uop) vs %d+1 (ref)", steps, refSteps)
+	}
+	// When the forced-hot wall is running, the comparison above
+	// must actually have covered compiled traces — a soak that
+	// silently stayed on tier-1 would prove nothing. The one
+	// legitimate escape: a seed whose every superblock holds a
+	// micro-op unsupported by design (a KindGeneric/KindString
+	// interpreter escape), which no tier-2 backend compiles.
+	if os.Getenv("VXA_TIER2_HOT") == "1" && !envNoTier2() &&
+		v1.stats.Tier2Executed == executed0 {
+		for _, br := range v1.blocks {
+			if br.sb == nil {
+				continue
+			}
+			if i, k := tier2.Unsupported(br.sb.b.uops); i < 0 {
+				t.Errorf("tier-2 forced hot but no compiled trace ran (%d compiled), "+
+					"yet superblock %#x has no unsupported micro-op",
+					v1.Stats().Tier2Compiled, br.sb.b.uops[0].EIP)
+			} else {
+				t.Logf("superblock %#x stays on tier-1 by design: uop %d is %v",
+					br.sb.b.uops[0].EIP, i, k)
+			}
+		}
+	}
+
+	for r := 0; r < 8; r++ {
+		if v1.m.Regs[r] != v2.m.Regs[r] {
+			t.Errorf("%s = %#x (uop) vs %#x (ref)", x86.Reg(r), v1.m.Regs[r], v2.m.Regs[r])
+		}
+	}
+	if v1.m.CF != v2.m.CF || v1.m.ZF != v2.m.ZF || v1.m.SF != v2.m.SF || v1.m.OF != v2.m.OF || v1.m.PF != v2.m.PF {
+		t.Errorf("final flags diverged: cf=%v zf=%v sf=%v of=%v pf=%v (uop) vs cf=%v zf=%v sf=%v of=%v pf=%v (ref)",
+			v1.m.CF, v1.m.ZF, v1.m.SF, v1.m.OF, v1.m.PF, v2.m.CF, v2.m.ZF, v2.m.SF, v2.m.OF, v2.m.PF)
+	}
+	// The checkpoint trace is the per-block-boundary comparison:
+	// find the first diverging checkpoint for a usable failure.
+	traceEnd := v1.m.Regs[x86.EDI]
+	if v2.m.Regs[x86.EDI] == traceEnd {
+		for ck := uint32(soakTrace); ck < traceEnd; ck += soakCkptBytes {
+			if !bytes.Equal(v1.mem[ck:ck+soakCkptBytes], v2.mem[ck:ck+soakCkptBytes]) {
+				t.Errorf("checkpoint %d diverged: uop %x, ref %x",
+					(ck-soakTrace)/soakCkptBytes, v1.mem[ck:ck+soakCkptBytes], v2.mem[ck:ck+soakCkptBytes])
+				break
+			}
+		}
+	}
+	if !bytes.Equal(v1.mem[soakCode:soakCode+soakSpan], v2.mem[soakCode:soakCode+soakSpan]) {
+		t.Error("guest memory image diverged")
 	}
 }

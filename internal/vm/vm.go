@@ -189,7 +189,8 @@ type Stats struct {
 	Tier2Shared       uint64 `json:"tier2_shared"`       // compiled traces installed from the snapshot at NewVM/Reset instead of compiled
 	Tier2Executed     uint64 `json:"tier2_executed"`     // tier-2 trace iterations run (one full superblock pass each)
 	Tier2Steps        uint64 `json:"tier2_steps"`        // guest instructions retired inside tier-2 traces (subset of Steps)
-	Tier2Demotions    uint64 `json:"tier2_demotions"`    // compiled traces dropped with their superblock (stale profile teardown)
+	Tier2Exits        uint64 `json:"tier2_exits"`        // returns from compiled code to the dispatcher (one per run of linked traces)
+	Tier2Links        uint64 `json:"tier2_links"`        // trace exits linked straight to another trace's entry
 	TranslateNS       uint64 `json:"translate_ns"`       // nanoseconds spent decoding+lowering fragments (0 with NoBlockCache)
 	ExecuteNS         uint64 `json:"execute_ns"`         // nanoseconds spent running translated code (Run wall time minus translation)
 	Syscalls          uint64 `json:"syscalls"`
@@ -203,63 +204,62 @@ type VM struct {
 	// and is returned to the kernel when the owner is collected, so the
 	// VM must reference the owner for as long as mem is in use.
 	memOwner *guestMem
-	// regs holds the eight architectural registers plus a ninth slot
-	// (uop.RegZero) that is always zero: lowered memory operands index it
-	// for absent base/index registers, making effective-address
-	// computation branchless. Nothing ever writes regs[8].
-	regs [9]uint32
-	eip  uint32
+	// m is the guest's architectural state — the register file (eight
+	// registers plus the always-zero uop.RegZero slot that lowered memory
+	// operands index for absent base/index registers), the lazy EFLAGS
+	// record and its eager bools (authoritative only while
+	// m.Fl.Op == uop.FlagNone, see uexec.go), the heap limit, the fuel
+	// budget and the poll credit — together with the counters and the
+	// link table compiled traces run against. It is the tier2.Machine
+	// itself, not a copy kept in sync: the interpreter and every trace
+	// this VM runs execute against these fields. Its memory and geometry
+	// fields follow the VM's (bindTier2); closure-backend traces capture
+	// pointers into it.
+	m   tier2.Machine
+	eip uint32
 
-	// EFLAGS subset (the arithmetic flags the subset can observe). The
-	// bools are the materialized ("eager") representation and are
-	// authoritative only while fl.Op == uop.FlagNone; otherwise fl holds
-	// the deferred inputs of the last flag-writing operation and bits are
-	// computed on demand (see uexec.go).
-	cf, zf, sf, of, pf bool
-	fl                 uop.Flags
-
-	// Sandbox bounds. The accessible regions are [PageSize, brk) for
+	// Sandbox bounds. The accessible regions are [PageSize, m.Brk) for
 	// code/data/heap and [stackBase, memSize) for the stack; everything
 	// else (including page 0 and the guard gap between heap and stack)
 	// faults. Writes below roLimit fault (text and rodata are read-only).
-	brk       uint32
 	roLimit   uint32
 	stackBase uint32
 	// dirtyBrk is the high-water mark of heap exposure on this address
-	// space: the largest value brk has ever held since the memory was
+	// space: the largest value m.Brk has ever held since the memory was
 	// allocated. Every write path below stackBase is bounded by brk, so
 	// mem[dirtyBrk:stackBase) still holds the zeroed pages allocGuestMem
 	// returned and sysSetPerm need not re-clear them. It survives Reset
 	// (the old heap stays dirty) and only ever grows.
 	dirtyBrk uint32
 
-	fuel    int64
 	noCache bool
 	noSB    bool
 	noT2    bool
 	// t2Hot is the superblock-entry count that triggers tier-2
 	// compilation (t2HotDefault, overridable via VXA_TIER2_HOT).
 	t2Hot uint32
-	// t2m is this VM's tier-2 machine-state view, the Machine every trace
-	// this VM runs is handed. Its memory and geometry fields follow the
-	// VM's (bindTier2); closure-backend traces capture pointers into it.
-	t2m    tier2.Machine
-	optCfg uop.OptConfig
-	blocks map[uint32]*bref
+	// links is the link table compiled traces leave through (m.Links
+	// points at its first slot): each native trace this VM holds owns a
+	// run of slots, starting at its superblock bref's linkBase, and
+	// linkOwner names that bref for every slot. Per-VM like the chain
+	// slots in the brefs, and dropped with them on Reset.
+	links     []tier2.Link
+	linkOwner []*bref
+	optCfg    uop.OptConfig
+	blocks    map[uint32]*bref
 
 	// Cooperative cancellation (RunContext). cancel is the context's
-	// done channel, nil when the run is uncancellable — the common case,
-	// reducing the hot-loop cost to one nil check per block. The channel
-	// is polled only every cancelQuantum guest instructions
-	// (cancelCredit counts down by block cost), so the select never
+	// done channel, nil when the run is uncancellable. The channel is
+	// polled only every cancelQuantum guest instructions (m.Credit counts
+	// down by block and trace cost, armed or not, so compiled code comes
+	// back to the dispatcher on the same cadence), and the select never
 	// appears on the per-uop path.
-	cancel       <-chan struct{}
-	cancelCause  func() error
-	cancelCredit int64
+	cancel      <-chan struct{}
+	cancelCause func() error
 
 	// Wall-clock watchdog (Config.WallBudget). wallDeadline is the
 	// absolute deadline (unix nanos) of the in-flight stream, armed by
-	// RunStream and zero otherwise; it shares the cancelCredit
+	// RunStream and zero otherwise; it shares the m.Credit
 	// countdown with cancellation so the clock is read at most once per
 	// cancelQuantum guest instructions.
 	wallBudget   time.Duration
@@ -307,33 +307,30 @@ type bref struct {
 	// Hot-path profile and superblock state (per-VM, dropped with the
 	// bref on Reset). On a base bref, heat counts block entries and
 	// takenCnt/fallCnt profile the terminating Jcc's edges until a
-	// superblock is installed in sb. A superblock's own bref (owner !=
-	// nil) carries the per-guard exit chain slots in sbChains and the
-	// entry/exit profile that drives invalidation.
-	sb        *bref
-	owner     *bref
-	sbRec     *block // base bref: the snapshot record's fragment sb was materialized from, if any
-	sbChains  []*bref
-	sbInd     []sbIndEntry
-	heat      uint32
-	takenCnt  uint32
-	fallCnt   uint32
-	sbForms   uint8
-	sbTried   bool
-	sbEntries uint64
-	sbExits   uint64
+	// superblock is installed in sb. A superblock's own bref carries the
+	// per-guard exit chain slots in sbChains and the return guards'
+	// inline caches in sbInd.
+	sb       *bref
+	sbChains []*bref
+	sbInd    []sbIndEntry
+	heat     uint32
+	takenCnt uint32
+	fallCnt  uint32
+	sbTried  bool
 
 	// Tier-2 dispatch slot (superblock brefs only): the compiled trace
 	// for this superblock. It is either installed with the bref, from
 	// the snapshot record the superblock came from (t2Shared), or
 	// compiled by this VM once the entry count crosses the tier-2 heat
 	// threshold; on a superblock bref, heat counts entries toward that
-	// promotion. The slot is this VM's view only: profile teardown drops
-	// it with the bref, while a native trace published on the snapshot
-	// (AbsorbBlocks) outlives the bref and comes back with the next
-	// Reset. Traces are never serialized; another process recompiles
-	// from the persisted superblock when it runs hot there.
+	// promotion. The slot is this VM's view only, while a native trace
+	// published on the snapshot (AbsorbBlocks) outlives the bref and
+	// comes back with the next Reset. linkBase is the index in the VM's
+	// link table of a native trace's first slot. Traces are never
+	// serialized; another process recompiles from the persisted
+	// superblock when it runs hot there.
 	t2       *tier2.Trace
+	linkBase int
 	t2Tried  bool
 	t2Shared bool
 }
@@ -369,11 +366,9 @@ func New(cfg Config) (*VM, error) {
 	v := &VM{
 		mem:        mem,
 		memOwner:   owner,
-		brk:        PageSize,
 		dirtyBrk:   PageSize,
 		roLimit:    PageSize,
 		stackBase:  cfg.MemSize - cfg.StackSize,
-		fuel:       cfg.Fuel,
 		noCache:    cfg.NoBlockCache,
 		noSB:       cfg.NoSuperblocks,
 		noT2:       cfg.NoTier2 || envNoTier2(),
@@ -382,7 +377,8 @@ func New(cfg Config) (*VM, error) {
 		optCfg:     uop.OptConfig{NoFuse: cfg.NoFusion, NoFlagElide: cfg.NoFlagElision},
 		blocks:     make(map[uint32]*bref),
 	}
-	v.regs[x86.ESP] = cfg.MemSize - 16 // a little headroom at the very top
+	v.m.Brk, v.m.Fuel = PageSize, cfg.Fuel
+	v.m.Regs[x86.ESP] = cfg.MemSize - 16 // a little headroom at the very top
 	v.bindTier2()
 	return v, nil
 }
@@ -400,11 +396,11 @@ func (v *VM) MapSegment(addr uint32, data []byte, memSize uint32, readOnly bool)
 		return fmt.Errorf("vm: segment [%#x,%#x) outside loadable region", addr, end)
 	}
 	copy(v.mem[addr:], data)
-	if end > v.brk {
-		v.brk = end
+	if end > v.m.Brk {
+		v.m.Brk = end
 	}
-	if v.brk > v.dirtyBrk {
-		v.dirtyBrk = v.brk
+	if v.m.Brk > v.dirtyBrk {
+		v.dirtyBrk = v.m.Brk
 	}
 	if readOnly && end > v.roLimit {
 		v.roLimit = end
@@ -420,10 +416,10 @@ func (v *VM) SetEntry(entry uint32) { v.eip = entry }
 func (v *VM) EIP() uint32 { return v.eip }
 
 // Reg returns a guest register.
-func (v *VM) Reg(r x86.Reg) uint32 { return v.regs[r] }
+func (v *VM) Reg(r x86.Reg) uint32 { return v.m.Regs[r] }
 
 // SetReg sets a guest register.
-func (v *VM) SetReg(r x86.Reg, val uint32) { v.regs[r] = val }
+func (v *VM) SetReg(r x86.Reg, val uint32) { v.m.Regs[r] = val }
 
 // ExitCode returns the status passed to the exit system call.
 func (v *VM) ExitCode() int32 { return v.exitCode }
@@ -432,10 +428,10 @@ func (v *VM) ExitCode() int32 { return v.exitCode }
 func (v *VM) Stats() Stats { return v.stats }
 
 // Brk returns the current end of the accessible heap region.
-func (v *VM) Brk() uint32 { return v.brk }
+func (v *VM) Brk() uint32 { return v.m.Brk }
 
 // FuelRemaining returns the remaining instruction budget.
-func (v *VM) FuelRemaining() int64 { return v.fuel }
+func (v *VM) FuelRemaining() int64 { return v.m.Fuel }
 
 // MemSize returns the size of the guest address space.
 func (v *VM) MemSize() uint32 { return uint32(len(v.mem)) }
@@ -446,7 +442,7 @@ func (v *VM) readable(addr, size uint32) bool {
 	if end < addr {
 		return false
 	}
-	if addr >= PageSize && end <= v.brk {
+	if addr >= PageSize && end <= v.m.Brk {
 		return true
 	}
 	return addr >= v.stackBase && end <= uint32(len(v.mem))
@@ -558,7 +554,7 @@ func (v *VM) RunContext(ctx context.Context) (Status, error) {
 		if err := ctx.Err(); err != nil {
 			return StatusExit, &CanceledError{Cause: err}
 		}
-		v.cancel, v.cancelCause, v.cancelCredit = done, ctx.Err, cancelQuantum
+		v.cancel, v.cancelCause, v.m.Credit = done, ctx.Err, cancelQuantum
 		defer func() { v.cancel, v.cancelCause = nil, nil }()
 	}
 	// Execute accounting: the run's wall time minus whatever translation
@@ -681,10 +677,10 @@ func endsBlock(op x86.Op) bool {
 // entry.
 func (v *VM) execBlock(b *block) error {
 	for i := range b.insts {
-		if v.fuel <= 0 {
+		if v.m.Fuel <= 0 {
 			return &Trap{Kind: TrapFuel, EIP: b.addrs[i]}
 		}
-		v.fuel--
+		v.m.Fuel--
 		v.stats.Steps++
 		if err := v.exec(&b.insts[i], b.addrs[i]); err != nil {
 			return err

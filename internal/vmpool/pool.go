@@ -462,7 +462,8 @@ func addVMStats(dst *vm.Stats, after, before vm.Stats) {
 	dst.Tier2Shared += after.Tier2Shared - before.Tier2Shared
 	dst.Tier2Executed += after.Tier2Executed - before.Tier2Executed
 	dst.Tier2Steps += after.Tier2Steps - before.Tier2Steps
-	dst.Tier2Demotions += after.Tier2Demotions - before.Tier2Demotions
+	dst.Tier2Exits += after.Tier2Exits - before.Tier2Exits
+	dst.Tier2Links += after.Tier2Links - before.Tier2Links
 	dst.TranslateNS += after.TranslateNS - before.TranslateNS
 	dst.ExecuteNS += after.ExecuteNS - before.ExecuteNS
 	dst.Syscalls += after.Syscalls - before.Syscalls

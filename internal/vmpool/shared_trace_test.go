@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
 	"runtime"
 	"testing"
 
@@ -58,14 +59,23 @@ func (r streamResult) check(t *testing.T, what string, want streamResult) {
 	}
 }
 
-// TestPooledStreamIsPureFunction is the metamorphic wall for shared
-// traces on the real decoders: for every built-in codec, a stream's
-// output bytes and guest instruction count — and, for a stream that runs
-// out of fuel half way, the trap kind, EIP and address — are the same on
-// a fresh VM with the tier off, on a fresh VM compiling everything hot,
-// and on a pooled VM after 1, 5 and 50 resets onto traces the snapshot
-// carries. Every lease changes the security mode, so every lease after
-// the first is a reset.
+// nativeTier2 reports whether the traces this process compiles are
+// native code: the kind a snapshot can carry, and the kind that links.
+func nativeTier2() bool {
+	return runtime.GOOS == "linux" && runtime.GOARCH == "amd64" && os.Getenv("VXA_TIER2_BACKEND") != "closure"
+}
+
+// TestPooledStreamIsPureFunction is the metamorphic wall for shared and
+// linked traces on the real decoders: for every built-in codec, a
+// stream's output bytes and guest instruction count — and, for a stream
+// that runs out of fuel half way, the trap kind, EIP and address — are
+// one function of (decoder, input, fuel): the same on a fresh VM with
+// the tier off, on a fresh VM compiling and linking everything hot, on a
+// pooled VM after 1, 5 and 50 resets onto traces the snapshot carries,
+// and on a VM of that snapshot after a trip through its serialized form,
+// the way an artifact store hands it to another process. Every lease
+// changes the security mode, so every lease after the first is a reset
+// and starts with an empty link table.
 func TestPooledStreamIsPureFunction(t *testing.T) {
 	// The tier is on for the pooled and fresh-hot legs whatever the CI
 	// leg says; the reference leg turns it off through its Config.
@@ -119,8 +129,14 @@ func TestPooledStreamIsPureFunction(t *testing.T) {
 				t.Fatalf("reference short stream: %+v, want a fuel trap", wantTrap.trap)
 			}
 
-			got, _ := runOn(t, fresh(cfg), enc, full)
+			hot := fresh(cfg)
+			got, _ := runOn(t, hot, enc, full)
 			got.check(t, "fresh VM, tier hot", want)
+			if linked, err := hot.CheckLinks(); err != nil {
+				t.Fatal(err)
+			} else if nativeTier2() && linked == 0 {
+				t.Fatal("fresh VM, tier hot: the stream linked no trace exit")
+			}
 			got, _ = runOn(t, fresh(cfg), enc, short)
 			got.check(t, "fresh VM, tier hot, short of fuel", wantTrap)
 
@@ -145,12 +161,32 @@ func TestPooledStreamIsPureFunction(t *testing.T) {
 				l := get(n + 1)
 				got, _ := runOn(t, l.VM(), enc, short)
 				got.check(t, "pooled stream short of fuel", wantTrap)
+				if _, err := l.VM().CheckLinks(); err != nil {
+					t.Fatal(err)
+				}
 				l.Release(false)
 
 				st := p.VMStats()
-				if runtime.GOOS == "linux" && runtime.GOARCH == "amd64" && st.Tier2Shared == 0 {
-					t.Fatalf("after %d resets no trace was ever installed from the snapshot (compiled %d)", n, st.Tier2Compiled)
+				if nativeTier2() && (st.Tier2Shared == 0 || st.Tier2Links == 0) {
+					t.Fatalf("after %d resets: %d traces installed from the snapshot, %d exits linked (compiled %d)",
+						n, st.Tier2Shared, st.Tier2Links, st.Tier2Compiled)
 				}
+
+				// The artifact route: the warmed snapshot through its wire
+				// form. Superblocks travel, code does not; the loaded VM
+				// recompiles and relinks, and must not be told apart.
+				data, err := p.codec[c.Name].snap.Serialize()
+				if err != nil {
+					t.Fatal(err)
+				}
+				loaded, err := vm.Deserialize(data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, _ = runOn(t, loaded.NewVM(), enc, full)
+				got.check(t, "artifact-loaded stream", want)
+				got, _ = runOn(t, loaded.NewVM(), enc, short)
+				got.check(t, "artifact-loaded stream short of fuel", wantTrap)
 			}
 		})
 	}
@@ -161,7 +197,7 @@ func TestPooledStreamIsPureFunction(t *testing.T) {
 // trace, not only when it built a block — so what the second and later
 // streams of a VM learn survives its next reset.
 func TestReleaseAbsorbsLaterStreams(t *testing.T) {
-	if runtime.GOOS != "linux" || runtime.GOARCH != "amd64" {
+	if !nativeTier2() {
 		t.Skip("no native tier-2 backend here: nothing can be shared")
 	}
 	t.Setenv("VXA_NO_TIER2", "0")
@@ -209,5 +245,74 @@ func TestReleaseAbsorbsLaterStreams(t *testing.T) {
 	}
 	if p.VMStats().Tier2Shared == 0 {
 		t.Fatal("the pool aggregate does not count the traces the reset installed")
+	}
+}
+
+// TestResetsKeepTheCompiledShare: a decoder whose guards fire often —
+// adpcm's sign and clamp branches, haar's position-dependent step — used
+// to have its traces torn down, re-formed eight times over and then its
+// loop heads pinned to the interpreter, and a snapshot that absorbed such
+// a VM handed the stale superblock and the spent budget on to every VM
+// reset from it. There is no teardown now and nothing to hand on: a VM
+// reset any number of times from the absorbed snapshot retires exactly
+// the instructions a fresh VM does, and at least as large a share of
+// them in compiled code as the stream the snapshot absorbed.
+func TestResetsKeepTheCompiledShare(t *testing.T) {
+	if !nativeTier2() {
+		t.Skip("no native tier-2 backend here: nothing can be shared")
+	}
+	t.Setenv("VXA_NO_TIER2", "0")
+	for _, name := range []string{"adpcm", "haar"} {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			c, _ := codec.ByName(name)
+			elf, err := c.DecoderELF()
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw := bmp.Encode(corpus.Image(96, 96, 7))
+			if c.Output == "WAV audio" {
+				raw = wav.Encode(corpus.Audio(12000, 2, 7))
+			}
+			var encBuf bytes.Buffer
+			if err := c.Encode(&encBuf, raw); err != nil {
+				t.Fatal(err)
+			}
+			enc := encBuf.Bytes()
+			fuel := vm.StreamFuel(len(enc))
+
+			// share runs one stream on v and returns its result and the
+			// share of its instructions that retired in compiled traces.
+			share := func(v *vm.VM) (streamResult, float64) {
+				st0 := v.Stats()
+				r, _ := runOn(t, v, enc, fuel)
+				st := v.Stats()
+				return r, float64(st.Tier2Steps-st0.Tier2Steps) / float64(st.Steps-st0.Steps)
+			}
+			v, err := elf32.NewVM(elf, vm.Config{MemSize: 64 << 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := v.Snapshot()
+			want, before := share(v)
+			if want.trap != (vm.Trap{}) || len(want.out) == 0 {
+				t.Fatalf("fresh stream: trap %+v, %d bytes", want.trap, len(want.out))
+			}
+			if before < 0.9 {
+				t.Fatalf("fresh stream ran %.4f of its instructions compiled: the decoder is being kept on the interpreter", before)
+			}
+			snap.AbsorbBlocks(v)
+			for reset := 1; reset <= 12; reset++ {
+				if err := v.Reset(snap); err != nil {
+					t.Fatal(err)
+				}
+				got, after := share(v)
+				got.check(t, "stream after reset", want)
+				if after < before {
+					t.Fatalf("reset %d: %.4f of the stream ran compiled, %.4f before the absorb", reset, after, before)
+				}
+				snap.AbsorbBlocks(v)
+			}
+		})
 	}
 }
