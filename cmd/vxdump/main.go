@@ -23,6 +23,7 @@ import (
 	"vxa/internal/corpus"
 	"vxa/internal/elf32"
 	"vxa/internal/vm"
+	"vxa/internal/vm/tier2"
 	"vxa/internal/wav"
 	"vxa/internal/x86"
 )
@@ -166,6 +167,7 @@ func dumpTracePlans(name string, elf []byte) error {
 		name, len(plans), st.Tier2Compiled, snap.SBCount(), snap.T2Count())
 	fmt.Printf("%s: second stream, on the snapshot's traces: %d exits linked, %d returns to the dispatcher for %d instructions in traces\n",
 		name, st2.Tier2Links-st.Tier2Links, st2.Tier2Exits-st.Tier2Exits, st2.Tier2Steps-st.Tier2Steps)
+	var total tier2.Ledger
 	for _, p := range plans {
 		origin := ""
 		switch {
@@ -176,6 +178,10 @@ func dumpTracePlans(name string, elf []byte) error {
 		}
 		fmt.Printf("\ntrace %08x: backend=%s%s cost=%d uops=%d guards=%d rets=%d\n",
 			p.Entry, p.Backend, origin, p.Cost, p.NUops, p.Guards, p.Rets)
+		if p.Backend == "native" {
+			fmt.Printf("  code: %v\n", p.Trace.Ledger)
+			total.Add(p.Trace.Ledger, 1)
+		}
 		for _, u := range p.Uops {
 			slot := ""
 			switch {
@@ -200,6 +206,7 @@ func dumpTracePlans(name string, elf []byte) error {
 			fmt.Printf("  link[%d] uop %d %s%s: %s\n", k, e.Uop, e.Kind, to, state)
 		}
 	}
+	fmt.Printf("\n%s: all native traces: %v\n", name, total)
 	return nil
 }
 

@@ -161,6 +161,7 @@ func main() {
 			fmt.Fprintf(os.Stderr,
 				"vxrun: tier2: %d traces compiled, %d installed from the snapshot, %d trace runs, %d exits linked, %d returns to the dispatcher, %.1f%% of steps\n",
 				st.Tier2Compiled, st.Tier2Shared, st.Tier2Executed, st.Tier2Links, st.Tier2Exits, t2share)
+			fmt.Fprintf(os.Stderr, "vxrun: tier2 code: %v\n", st.Tier2Code)
 		}
 		return
 	}
@@ -206,6 +207,7 @@ func main() {
 		eng := pool.VMStats()
 		fmt.Fprintf(os.Stderr, "vxrun: tier2: %d traces compiled, %d installed from the snapshot, %d exits linked, %d returns to the dispatcher\n",
 			eng.Tier2Compiled, eng.Tier2Shared, eng.Tier2Links, eng.Tier2Exits)
+		fmt.Fprintf(os.Stderr, "vxrun: tier2 code: %v\n", eng.Tier2Code)
 	}
 	if worst != exitOK {
 		os.Exit(worst)

@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"vxa/internal/codec"
+	"vxa/internal/elf32"
 	"vxa/internal/vm"
+	"vxa/internal/vm/tier2"
 )
 
 // decodeGoldenInput runs one codec's archived decoder over its
@@ -201,5 +203,90 @@ func TestDispatcherRoundTrips(t *testing.T) {
 		if b.ceiling*10 > b.unlinked {
 			t.Errorf("%s: ceiling %v is not ten times below the unlinked engine's %v", c.Name, b.ceiling, b.unlinked)
 		}
+	}
+}
+
+// hostBudget is, per decoder, the most host instructions the native
+// emitter may spend per guest instruction, statically: the hot-body
+// instructions (trace entry, every micro-op's fall-through path, bounds
+// checks included; out-of-line exit paths and the checked twin excluded)
+// of every trace the golden decode's superblocks compile to, over the
+// guest instructions those traces stand for. Like the budgets above it
+// is an exact count. parent is the same count on the emitter before
+// registers were pinned and checks coalesced (PR 15's, measured with an
+// instruction counter added to its assembler and nothing else changed):
+// every guest register access a load or store on the Machine, every
+// memory operand its own inline check and fault exit. The ceilings sit
+// a few percent above what is measured, and at least 35% below parent.
+var hostBudget = map[string]struct{ ceiling, parent float64 }{
+	"adpcm":   {3.35, 12.318},
+	"bwt":     {3.35, 12.688},
+	"dct":     {2.95, 11.153},
+	"deflate": {2.95, 11.729},
+	"haar":    {2.90, 11.384},
+	"lpc":     {2.90, 11.385},
+	"zlib":    {2.95, 11.922},
+}
+
+// TestHostInstructionsPerGuest holds the emitter's static cost per guest
+// instruction against the committed ceilings, and requires that at least
+// half of the guest memory operands in those traces emit no bounds check
+// of their own.
+func TestHostInstructionsPerGuest(t *testing.T) {
+	if tier2Off() {
+		t.Skip("tier 2 is switched off for this run")
+	}
+	var operands, checks int64
+	for _, c := range codec.All() {
+		if c.Encode == nil {
+			continue
+		}
+		b, ok := hostBudget[c.Name]
+		if !ok {
+			t.Errorf("%s: no host-instruction budget committed", c.Name)
+			continue
+		}
+		var enc bytes.Buffer
+		if err := c.Encode(&enc, roundTripInput(c)); err != nil {
+			t.Fatal(err)
+		}
+		elf, err := c.DecoderELF()
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := elf32.NewVM(elf, vm.Config{MemSize: 64 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if _, err := v.RunStream(context.Background(), bytes.NewReader(enc.Bytes()), &out, nil, vm.StreamFuel(enc.Len())); err != nil {
+			t.Fatalf("%s: %v", c.Name, err)
+		}
+		var l tier2.Ledger
+		traces := 0
+		for _, p := range v.TracePlans() {
+			if p.Backend != "native" {
+				continue
+			}
+			l.Add(p.Trace.Ledger, 1)
+			traces++
+		}
+		if traces == 0 {
+			t.Skip("no native backend on this platform")
+		}
+		got := float64(l.Hot) / float64(l.Guest)
+		t.Logf("%-8s %3d traces: %5d host instructions in hot bodies / %4d guest = %6.3f (ceiling %v, parent %v: %+.0f%%); "+
+			"%d more in exit paths, %d in checked twins; %d guest memory operands under %d checks",
+			c.Name, traces, l.Hot, l.Guest, got, b.ceiling, b.parent, 100*(got/b.parent-1), l.Stub, l.Twin, l.Accesses, l.Checks)
+		if got > b.ceiling {
+			t.Errorf("%s: %.3f host instructions per guest instruction, budget %v: the native emitter got worse", c.Name, got, b.ceiling)
+		}
+		if b.ceiling > 0.65*b.parent {
+			t.Errorf("%s: ceiling %v is less than 35%% below the parent emitter's %v", c.Name, b.ceiling, b.parent)
+		}
+		operands, checks = operands+l.Accesses, checks+l.Checks
+	}
+	if operands > 0 && 2*checks > operands {
+		t.Errorf("%d bounds checks for %d guest memory operands: fewer than half ride on another's check", checks, operands)
 	}
 }

@@ -43,8 +43,7 @@ func Compile(us []uop.Uop, entry uint32, m *Machine) *Trace {
 		}
 		return nil
 	}
-	c := &comp{m: m, t: t, us: us,
-		mem: m.Mem, mlen: m.MemLen, ro: m.ROLimit, sbase: m.StackBase}
+	c := &comp{m: m, t: t, us: us, tail: suffixCosts(make([]int64, len(us)), us), mem: m.Mem, g: m.Geometry}
 	// Compile back to front, threading each closure's continuation: a
 	// closure's fall-through is a direct call of the (one, specific)
 	// next closure, so every continuation call site is monomorphic —
@@ -102,18 +101,17 @@ func terminatorKind(k uop.Kind) bool {
 // comp carries the compile-time captures shared by every closure of one
 // trace.
 type comp struct {
-	m  *Machine
-	t  *Trace
-	us []uop.Uop
+	m    *Machine
+	t    *Trace
+	us   []uop.Uop
+	tail []int64 // suffixCosts(us)
 
-	mem   []byte
-	mlen  uint32
-	ro    uint32
-	sbase uint32
+	mem []byte
+	g   Geometry
 }
 
 func (c *comp) exit(e Exit) int32 {
-	c.t.Exits = append(c.t.Exits, newExit(c.us, e))
+	c.t.Exits = append(c.t.Exits, newExit(c.us, c.tail, e))
 	return int32(len(c.t.Exits))
 }
 
@@ -140,7 +138,7 @@ func (c *comp) end(i int, target uint32) int32 {
 func (c *comp) one(i int, next func() int32) func() int32 {
 	u := &c.us[i]
 	m := c.m
-	mem, mlen, ro, sbase := c.mem, c.mlen, c.ro, c.sbase
+	mem, g := c.mem, c.g
 	// Register-operand pointers; RegZero (8) reads as the pinned zero slot.
 	pd, ps := &m.Regs[u.Dst], &m.Regs[u.Src]
 	pb, pi := &m.Regs[u.Base], &m.Regs[u.Idx]
@@ -181,7 +179,7 @@ func (c *comp) one(i int, next func() int32) func() int32 {
 		s := c.rf(i, u.EIP, 4, 1)
 		return func() int32 {
 			addr := disp + *pb + *pi*scale
-			if !m.rdOK(addr, 4, sbase, mlen) {
+			if !g.ReadOK(addr, 4, m.Brk) {
 				m.TrapAddr = addr
 				return s
 			}
@@ -192,7 +190,7 @@ func (c *comp) one(i int, next func() int32) func() int32 {
 		s := c.rf(i, u.EIP, 1, 1)
 		return func() int32 {
 			addr := disp + *pb + *pi*scale
-			if !m.rdOK(addr, 1, sbase, mlen) {
+			if !g.ReadOK(addr, 1, m.Brk) {
 				m.TrapAddr = addr
 				return s
 			}
@@ -203,7 +201,7 @@ func (c *comp) one(i int, next func() int32) func() int32 {
 		s := c.wf(i, u.EIP, 4, 1)
 		return func() int32 {
 			addr := disp + *pb + *pi*scale
-			if !m.wrOK(addr, 4, ro, sbase, mlen) {
+			if !g.WriteOK(addr, 4, m.Brk) {
 				m.TrapAddr = addr
 				return s
 			}
@@ -214,7 +212,7 @@ func (c *comp) one(i int, next func() int32) func() int32 {
 		s := c.wf(i, u.EIP, 1, 1)
 		return func() int32 {
 			addr := disp + *pb + *pi*scale
-			if !m.wrOK(addr, 1, ro, sbase, mlen) {
+			if !g.WriteOK(addr, 1, m.Brk) {
 				m.TrapAddr = addr
 				return s
 			}
@@ -225,7 +223,7 @@ func (c *comp) one(i int, next func() int32) func() int32 {
 		s := c.wf(i, u.EIP, 4, 1)
 		return func() int32 {
 			addr := disp + *pb + *pi*scale
-			if !m.wrOK(addr, 4, ro, sbase, mlen) {
+			if !g.WriteOK(addr, 4, m.Brk) {
 				m.TrapAddr = addr
 				return s
 			}
@@ -236,7 +234,7 @@ func (c *comp) one(i int, next func() int32) func() int32 {
 		s := c.wf(i, u.EIP, 1, 1)
 		return func() int32 {
 			addr := disp + *pb + *pi*scale
-			if !m.wrOK(addr, 1, ro, sbase, mlen) {
+			if !g.WriteOK(addr, 1, m.Brk) {
 				m.TrapAddr = addr
 				return s
 			}
@@ -255,7 +253,7 @@ func (c *comp) one(i int, next func() int32) func() int32 {
 		s := c.rf(i, u.EIP, 1, 1)
 		return func() int32 {
 			addr := disp + *pb + *pi*scale
-			if !m.rdOK(addr, 1, sbase, mlen) {
+			if !g.ReadOK(addr, 1, m.Brk) {
 				m.TrapAddr = addr
 				return s
 			}
@@ -266,7 +264,7 @@ func (c *comp) one(i int, next func() int32) func() int32 {
 		s := c.rf(i, u.EIP, 2, 1)
 		return func() int32 {
 			addr := disp + *pb + *pi*scale
-			if !m.rdOK(addr, 2, sbase, mlen) {
+			if !g.ReadOK(addr, 2, m.Brk) {
 				m.TrapAddr = addr
 				return s
 			}
@@ -281,7 +279,7 @@ func (c *comp) one(i int, next func() int32) func() int32 {
 		s := c.rf(i, u.EIP, 1, 1)
 		return func() int32 {
 			addr := disp + *pb + *pi*scale
-			if !m.rdOK(addr, 1, sbase, mlen) {
+			if !g.ReadOK(addr, 1, m.Brk) {
 				m.TrapAddr = addr
 				return s
 			}
@@ -292,7 +290,7 @@ func (c *comp) one(i int, next func() int32) func() int32 {
 		s := c.rf(i, u.EIP, 2, 1)
 		return func() int32 {
 			addr := disp + *pb + *pi*scale
-			if !m.rdOK(addr, 2, sbase, mlen) {
+			if !g.ReadOK(addr, 2, m.Brk) {
 				m.TrapAddr = addr
 				return s
 			}
@@ -420,7 +418,7 @@ func (c *comp) one(i int, next func() int32) func() int32 {
 		s := c.rf(i, u.EIP, 4, 1)
 		return func() int32 {
 			addr := disp + *pb + *pi*scale
-			if !m.rdOK(addr, 4, sbase, mlen) {
+			if !g.ReadOK(addr, 4, m.Brk) {
 				m.TrapAddr = addr
 				return s
 			}
@@ -434,12 +432,12 @@ func (c *comp) one(i int, next func() int32) func() int32 {
 		sw := c.wf(i, u.EIP, 4, 1)
 		return func() int32 {
 			addr := disp + *pb + *pi*scale
-			if !m.rdOK(addr, 4, sbase, mlen) {
+			if !g.ReadOK(addr, 4, m.Brk) {
 				m.TrapAddr = addr
 				return sr
 			}
 			if res, wb := m.ualu(aluOp, le32(mem, addr), *ps); wb {
-				if !m.wrOK(addr, 4, ro, sbase, mlen) {
+				if !g.WriteOK(addr, 4, m.Brk) {
 					m.TrapAddr = addr
 					return sw
 				}
@@ -452,12 +450,12 @@ func (c *comp) one(i int, next func() int32) func() int32 {
 		sw := c.wf(i, u.EIP, 4, 1)
 		return func() int32 {
 			addr := disp + *pb + *pi*scale
-			if !m.rdOK(addr, 4, sbase, mlen) {
+			if !g.ReadOK(addr, 4, m.Brk) {
 				m.TrapAddr = addr
 				return sr
 			}
 			if res, wb := m.ualu(aluOp, le32(mem, addr), imm); wb {
-				if !m.wrOK(addr, 4, ro, sbase, mlen) {
+				if !g.WriteOK(addr, 4, m.Brk) {
 					m.TrapAddr = addr
 					return sw
 				}
@@ -483,7 +481,7 @@ func (c *comp) one(i int, next func() int32) func() int32 {
 		s := c.rf(i, u.EIP, 1, 1)
 		return func() int32 {
 			addr := disp + *pb + *pi*scale
-			if !m.rdOK(addr, 1, sbase, mlen) {
+			if !g.ReadOK(addr, 1, m.Brk) {
 				m.TrapAddr = addr
 				return s
 			}
@@ -497,12 +495,12 @@ func (c *comp) one(i int, next func() int32) func() int32 {
 		sw := c.wf(i, u.EIP, 1, 1)
 		return func() int32 {
 			addr := disp + *pb + *pi*scale
-			if !m.rdOK(addr, 1, sbase, mlen) {
+			if !g.ReadOK(addr, 1, m.Brk) {
 				m.TrapAddr = addr
 				return sr
 			}
 			if res, wb := m.ualu8(aluOp, uint32(mem[addr]), (*ps>>ssh)&0xFF); wb {
-				if !m.wrOK(addr, 1, ro, sbase, mlen) {
+				if !g.WriteOK(addr, 1, m.Brk) {
 					m.TrapAddr = addr
 					return sw
 				}
@@ -515,12 +513,12 @@ func (c *comp) one(i int, next func() int32) func() int32 {
 		sw := c.wf(i, u.EIP, 1, 1)
 		return func() int32 {
 			addr := disp + *pb + *pi*scale
-			if !m.rdOK(addr, 1, sbase, mlen) {
+			if !g.ReadOK(addr, 1, m.Brk) {
 				m.TrapAddr = addr
 				return sr
 			}
 			if res, wb := m.ualu8(aluOp, uint32(mem[addr]), imm); wb {
-				if !m.wrOK(addr, 1, ro, sbase, mlen) {
+				if !g.WriteOK(addr, 1, m.Brk) {
 					m.TrapAddr = addr
 					return sw
 				}
@@ -618,7 +616,7 @@ func (c *comp) one(i int, next func() int32) func() int32 {
 		s := c.rf(i, u.EIP, 4, 1)
 		return func() int32 {
 			addr := disp + *pb + *pi*scale
-			if !m.rdOK(addr, 4, sbase, mlen) {
+			if !g.ReadOK(addr, 4, m.Brk) {
 				m.TrapAddr = addr
 				return s
 			}
@@ -633,7 +631,7 @@ func (c *comp) one(i int, next func() int32) func() int32 {
 		s := c.rf(i, u.EIP, 4, 1)
 		return func() int32 {
 			addr := disp + *pb + *pi*scale
-			if !m.rdOK(addr, 4, sbase, mlen) {
+			if !g.ReadOK(addr, 4, m.Brk) {
 				m.TrapAddr = addr
 				return s
 			}
@@ -648,7 +646,7 @@ func (c *comp) one(i int, next func() int32) func() int32 {
 		s := c.rf(i, u.EIP, 4, 1)
 		return func() int32 {
 			addr := disp + *pb + *pi*scale
-			if !m.rdOK(addr, 4, sbase, mlen) {
+			if !g.ReadOK(addr, 4, m.Brk) {
 				m.TrapAddr = addr
 				return s
 			}
@@ -670,7 +668,7 @@ func (c *comp) one(i int, next func() int32) func() int32 {
 		sd := c.exit(Exit{Kind: ExitDivide, Uop: i, EIP: u.EIP, Started: 1})
 		return func() int32 {
 			addr := disp + *pb + *pi*scale
-			if !m.rdOK(addr, 4, sbase, mlen) {
+			if !g.ReadOK(addr, 4, m.Brk) {
 				m.TrapAddr = addr
 				return sr
 			}
@@ -690,7 +688,7 @@ func (c *comp) one(i int, next func() int32) func() int32 {
 		s := c.wf(i, u.EIP, 4, 1)
 		return func() int32 {
 			sp := *pesp - 4
-			if !m.wrOK(sp, 4, ro, sbase, mlen) {
+			if !g.WriteOK(sp, 4, m.Brk) {
 				m.TrapAddr = sp
 				return s
 			}
@@ -702,7 +700,7 @@ func (c *comp) one(i int, next func() int32) func() int32 {
 		s := c.wf(i, u.EIP, 4, 1)
 		return func() int32 {
 			sp := *pesp - 4
-			if !m.wrOK(sp, 4, ro, sbase, mlen) {
+			if !g.WriteOK(sp, 4, m.Brk) {
 				m.TrapAddr = sp
 				return s
 			}
@@ -715,13 +713,13 @@ func (c *comp) one(i int, next func() int32) func() int32 {
 		sw := c.wf(i, u.EIP, 4, 1)
 		return func() int32 {
 			addr := disp + *pb + *pi*scale
-			if !m.rdOK(addr, 4, sbase, mlen) {
+			if !g.ReadOK(addr, 4, m.Brk) {
 				m.TrapAddr = addr
 				return sr
 			}
 			val := le32(mem, addr)
 			sp := *pesp - 4
-			if !m.wrOK(sp, 4, ro, sbase, mlen) {
+			if !g.WriteOK(sp, 4, m.Brk) {
 				m.TrapAddr = sp
 				return sw
 			}
@@ -733,7 +731,7 @@ func (c *comp) one(i int, next func() int32) func() int32 {
 		s := c.rf(i, u.EIP, 4, 1)
 		return func() int32 {
 			sp := *pesp
-			if !m.rdOK(sp, 4, sbase, mlen) {
+			if !g.ReadOK(sp, 4, m.Brk) {
 				m.TrapAddr = sp
 				return s
 			}
@@ -746,14 +744,14 @@ func (c *comp) one(i int, next func() int32) func() int32 {
 		sw := c.wf(i, u.EIP, 4, 1)
 		return func() int32 {
 			sp := *pesp
-			if !m.rdOK(sp, 4, sbase, mlen) {
+			if !g.ReadOK(sp, 4, m.Brk) {
 				m.TrapAddr = sp
 				return sr
 			}
 			val := le32(mem, sp)
 			*pesp = sp + 4
 			addr := disp + *pb + *pi*scale // the store address sees the popped ESP
-			if !m.wrOK(addr, 4, ro, sbase, mlen) {
+			if !g.WriteOK(addr, 4, m.Brk) {
 				m.TrapAddr = addr
 				return sw
 			}
@@ -779,7 +777,7 @@ func (c *comp) one(i int, next func() int32) func() int32 {
 				val = 1
 			}
 			addr := disp + *pb + *pi*scale
-			if !m.wrOK(addr, 1, ro, sbase, mlen) {
+			if !g.WriteOK(addr, 1, m.Brk) {
 				m.TrapAddr = addr
 				return s
 			}
@@ -934,7 +932,7 @@ func (c *comp) one(i int, next func() int32) func() int32 {
 		s := c.rf(i, u.EIP, 4, 1)
 		return func() int32 {
 			addr := disp + *pb + *pi*scale
-			if !m.rdOK(addr, 4, sbase, mlen) {
+			if !g.ReadOK(addr, 4, m.Brk) {
 				m.TrapAddr = addr
 				return s
 			}
@@ -948,7 +946,7 @@ func (c *comp) one(i int, next func() int32) func() int32 {
 		s := c.rf(i, u.EIP, 4, 1)
 		return func() int32 {
 			addr := disp + *pb + *pi*scale
-			if !m.rdOK(addr, 4, sbase, mlen) {
+			if !g.ReadOK(addr, 4, m.Brk) {
 				m.TrapAddr = addr
 				return s
 			}
@@ -965,7 +963,7 @@ func (c *comp) one(i int, next func() int32) func() int32 {
 		return func() int32 {
 			*pa = *ps
 			sp := *pesp
-			if !m.rdOK(sp, 4, sbase, mlen) {
+			if !g.ReadOK(sp, 4, m.Brk) {
 				m.TrapAddr = sp
 				return s
 			}
@@ -979,7 +977,7 @@ func (c *comp) one(i int, next func() int32) func() int32 {
 		return func() int32 {
 			*pa = *ps
 			sp := *pesp
-			if !m.rdOK(sp, 4, sbase, mlen) {
+			if !g.ReadOK(sp, 4, m.Brk) {
 				m.TrapAddr = sp
 				return s
 			}
@@ -1021,14 +1019,14 @@ func (c *comp) one(i int, next func() int32) func() int32 {
 		sr := c.rf(i, u.Imm, 4, 2) // load EIP rides in Imm
 		return func() int32 {
 			sp := *pesp - 4
-			if !m.wrOK(sp, 4, ro, sbase, mlen) {
+			if !g.WriteOK(sp, 4, m.Brk) {
 				m.TrapAddr = sp
 				return sw
 			}
 			st32(mem, sp, *ps)
 			*pesp = sp
 			addr := disp + *pb + *pi*scale
-			if !m.rdOK(addr, 4, sbase, mlen) {
+			if !g.ReadOK(addr, 4, m.Brk) {
 				m.TrapAddr = addr
 				return sr
 			}
@@ -1040,13 +1038,13 @@ func (c *comp) one(i int, next func() int32) func() int32 {
 		sw := c.wf(i, u.Imm, 4, 2) // push EIP rides in Imm
 		return func() int32 {
 			addr := disp + *pb + *pi*scale
-			if !m.rdOK(addr, 4, sbase, mlen) {
+			if !g.ReadOK(addr, 4, m.Brk) {
 				m.TrapAddr = addr
 				return sr
 			}
 			*pa = le32(mem, addr)
 			sp := *pesp - 4
-			if !m.wrOK(sp, 4, ro, sbase, mlen) {
+			if !g.WriteOK(sp, 4, m.Brk) {
 				m.TrapAddr = sp
 				return sw
 			}
@@ -1058,7 +1056,7 @@ func (c *comp) one(i int, next func() int32) func() int32 {
 		s := c.wf(i, u.EIP, 4, 1)
 		return func() int32 {
 			sp := *pesp - 4
-			if !m.wrOK(sp, 4, ro, sbase, mlen) {
+			if !g.WriteOK(sp, 4, m.Brk) {
 				m.TrapAddr = sp
 				return s
 			}
@@ -1072,7 +1070,7 @@ func (c *comp) one(i int, next func() int32) func() int32 {
 		return func() int32 {
 			*pd = imm
 			sp := *pesp - 4
-			if !m.wrOK(sp, 4, ro, sbase, mlen) {
+			if !g.WriteOK(sp, 4, m.Brk) {
 				m.TrapAddr = sp
 				return s
 			}
@@ -1091,7 +1089,7 @@ func (c *comp) one(i int, next func() int32) func() int32 {
 		return func() int32 {
 			*pa = *ps
 			addr := disp + *pb + *pi*scale
-			if !m.rdOK(addr, 4, sbase, mlen) {
+			if !g.ReadOK(addr, 4, m.Brk) {
 				m.TrapAddr = addr
 				return s
 			}
@@ -1103,14 +1101,14 @@ func (c *comp) one(i int, next func() int32) func() int32 {
 		sw := c.wf(i, u.Imm, 4, 2) // store EIP rides in Imm
 		return func() int32 {
 			sp := *pesp
-			if !m.rdOK(sp, 4, sbase, mlen) {
+			if !g.ReadOK(sp, 4, m.Brk) {
 				m.TrapAddr = sp
 				return sr
 			}
 			*pesp = sp + 4
 			*pd = le32(mem, sp) // a popped ESP wins over the increment
 			addr := disp + *pb + *pi*scale
-			if !m.wrOK(addr, 4, ro, sbase, mlen) {
+			if !g.WriteOK(addr, 4, m.Brk) {
 				m.TrapAddr = addr
 				return sw
 			}
@@ -1197,7 +1195,7 @@ func (c *comp) one(i int, next func() int32) func() int32 {
 		s := c.exit(Exit{Kind: ExitRetGuard, Uop: i})
 		return func() int32 {
 			sp := *pesp
-			if !m.rdOK(sp, 4, sbase, mlen) {
+			if !g.ReadOK(sp, 4, m.Brk) {
 				m.TrapAddr = sp
 				return st
 			}
@@ -1259,7 +1257,7 @@ func (c *comp) one(i int, next func() int32) func() int32 {
 		s := c.end(i, u.Target)
 		return func() int32 {
 			sp := *pesp - 4
-			if !m.wrOK(sp, 4, ro, sbase, mlen) {
+			if !g.WriteOK(sp, 4, m.Brk) {
 				m.TrapAddr = sp
 				return sw
 			}
@@ -1274,7 +1272,7 @@ func (c *comp) one(i int, next func() int32) func() int32 {
 		return func() int32 {
 			target := *ps
 			sp := *pesp - 4
-			if !m.wrOK(sp, 4, ro, sbase, mlen) {
+			if !g.WriteOK(sp, 4, m.Brk) {
 				m.TrapAddr = sp
 				return sw
 			}
@@ -1290,13 +1288,13 @@ func (c *comp) one(i int, next func() int32) func() int32 {
 		s := c.exit(Exit{Kind: ExitInd, Uop: i})
 		return func() int32 {
 			addr := disp + *pb + *pi*scale
-			if !m.rdOK(addr, 4, sbase, mlen) {
+			if !g.ReadOK(addr, 4, m.Brk) {
 				m.TrapAddr = addr
 				return sr
 			}
 			target := le32(mem, addr)
 			sp := *pesp - 4
-			if !m.wrOK(sp, 4, ro, sbase, mlen) {
+			if !g.WriteOK(sp, 4, m.Brk) {
 				m.TrapAddr = sp
 				return sw
 			}
@@ -1310,7 +1308,7 @@ func (c *comp) one(i int, next func() int32) func() int32 {
 		s := c.exit(Exit{Kind: ExitInd, Uop: i})
 		return func() int32 {
 			sp := *pesp
-			if !m.rdOK(sp, 4, sbase, mlen) {
+			if !g.ReadOK(sp, 4, m.Brk) {
 				m.TrapAddr = sp
 				return sr
 			}
@@ -1326,13 +1324,13 @@ func (c *comp) one(i int, next func() int32) func() int32 {
 		s := c.exit(Exit{Kind: ExitInd, Uop: i})
 		return func() int32 {
 			sp := *pesp
-			if !m.rdOK(sp, 4, sbase, mlen) {
+			if !g.ReadOK(sp, 4, m.Brk) {
 				m.TrapAddr = sp
 				return s1
 			}
 			*pesp = sp + 4
 			*pd = le32(mem, sp)
-			if !m.rdOK(sp+4, 4, sbase, mlen) {
+			if !g.ReadOK(sp+4, 4, m.Brk) {
 				m.TrapAddr = sp + 4
 				return s2
 			}
@@ -1348,14 +1346,14 @@ func (c *comp) one(i int, next func() int32) func() int32 {
 		s := c.end(i, u.Target)
 		return func() int32 {
 			sp := *pesp - 4
-			if !m.wrOK(sp, 4, ro, sbase, mlen) {
+			if !g.WriteOK(sp, 4, m.Brk) {
 				m.TrapAddr = sp
 				return s1
 			}
 			st32(mem, sp, *ps)
 			*pesp = sp
 			sp -= 4
-			if !m.wrOK(sp, 4, ro, sbase, mlen) {
+			if !g.WriteOK(sp, 4, m.Brk) {
 				m.TrapAddr = sp
 				return s2
 			}
@@ -1374,7 +1372,7 @@ func (c *comp) one(i int, next func() int32) func() int32 {
 		s := c.exit(Exit{Kind: ExitInd, Uop: i})
 		return func() int32 {
 			addr := disp + *pb + *pi*scale
-			if !m.rdOK(addr, 4, sbase, mlen) {
+			if !g.ReadOK(addr, 4, m.Brk) {
 				m.TrapAddr = addr
 				return sr
 			}

@@ -4,6 +4,8 @@ package tier2
 
 import (
 	"runtime"
+	"slices"
+	"sync"
 	"unsafe"
 
 	"vxa/internal/vm/uop"
@@ -11,29 +13,71 @@ import (
 )
 
 // The native backend emits one superblock trace as flat amd64 machine
-// code: every micro-op becomes the handful of host instructions its
-// closure body compiles to in spirit, minus the call/return and
-// capture-environment traffic that makes the closure backend slower
-// than tier-1 dispatch. Guest 32-bit values ride in host 32-bit
-// registers (writes zero-extend, so address arithmetic is mod 2^32 for
-// free), the lazy-flag record lives in the Machine exactly as for the
-// closure backend, and every return to Go carries the same 1-based
-// status into the same Exit table — the glue cannot tell the backends
-// apart.
+// code in which a guest register IS a host register and a run of guest
+// memory accesses shares one bounds check.
 //
-// Within the jitcall convention (DI = *Machine, DX = the entered trace's
-// slot offset on entry, SI = guest memory base, status out in AX) the
-// emitter uses AX/CX/DX/R8/R9 as scratch with a fixed discipline:
-// effective addresses are built in CX, the bounds checks clobber AX
-// only, and multi-step micro-ops keep values that must survive a bounds
-// check in R8/R9.
+// The register map (the jitcall shim in jitcall_amd64.s fills and spills
+// it; this table and the shim's are one):
+//
+//	guest  host     guest  host     host   role
+//	EAX    R9       ESP    R12      RDI    *Machine, never written
+//	ECX    R10      EBP    RBP      RSI    guest memory base, never written
+//	EDX    R11      ESI    R13      RAX RCX RDX R8   scratch
+//	EBX    RBX      EDI    R15      RSP    the goroutine's stack
+//	                                R14    never touched (Go's g)
+//
+// The eight guest registers live in their host registers for as long as
+// control is in compiled code: the shim loads them from Machine.Regs
+// before it calls a trace and stores them back when compiled code
+// returns, whichever trace of a linked chain returns; a slot jump from
+// trace to trace carries them untouched. Machine.Regs is therefore stale
+// while compiled code runs and current whenever Go runs. Every write to
+// a pinned register is a 32-bit (or 8-bit) operation, so its upper half
+// stays zero and the register can be used directly in a 64-bit address.
+// Micro-ops operate on the pinned registers in place; the lazy-flag
+// record, the accounting and the exit payload stay in the Machine.
+//
+// Memory. A guest operand [base+idx*scale+disp] is used in one of two
+// shapes. With one register it is the host operand [rsi+reg*scale+disp]
+// itself — a 64-bit sum, so unlike the guest's it does not wrap; with
+// two, "lea ecx, [base+idx*scale+disp]" (32-bit, wrapping like the
+// guest's) and then [rsi+rcx]. Neither is bounds-checked where it is
+// used. Instead the operands of a trace are sorted into groups: operands
+// whose address is the same register values plus a constant — the same
+// symbols in the assembler's write log, so [ebp-8], [ebp-24] and the
+// [esp+4] after "mov ebp, esp; sub esp, 40" are one group — and which
+// span at most a page. The first operand of a group emits, at the start
+// of its micro-op, one check that the whole span [lo, hi) lies in the
+// heap window or the stack window, computed in 64 bits for the
+// one-register shape (so an address sum that leaves [0, 2^32) fails it)
+// and in 32 for the other; a group with a write in it takes the write
+// floor. The rest of the group emits nothing. A one-register operand
+// whose register moved by a constant since the check joins only if the
+// move cannot have wrapped the register (noWrap). An operand whose
+// address registers are rewritten earlier in its own micro-op cannot be
+// checked ahead and gets the exact, per-access check in place.
+//
+// Exactness. A group's check is never weaker than the checks it
+// replaces but may be stricter — a later operand of the span may sit
+// behind a guard that leaves the trace first, a read may share the
+// write floor, a wrapping address sum is refused — so its failure is not
+// a fault. It jumps to the same micro-op of the checked twin: the rest
+// of the trace emitted a second time, after the hot body, with every
+// access checked exactly where it happens ("lea ecx; check; [rsi+rcx]")
+// and its own exit descriptors and link slots. The check sits before
+// anything of its micro-op has executed, so the twin starts from the
+// state the hot body had; it either raises the instruction-exact fault
+// or finishes the pass and leaves through its own exits. Resuming tier 1
+// mid-trace instead is not possible: the optimizer elides flag records
+// that only a later micro-op of the trace overwrites, so the state
+// between two micro-ops is exact only where the trace itself stops.
 //
 // The code's first byte is the trace entry, for the dispatcher and for
-// every exit linked to the trace alike. It declines to start when Fuel
-// is short of Cost or Credit is spent (status 0, the entry's guest
-// address in ExitTarget); otherwise it records the trace as the running
-// one (Cur), charges Cost to Fuel and Credit, counts the pass and its
-// micro-ops, and falls into the body. Every exit first gives back what
+// every exit linked to the trace alike: "sub Budget, Cost; jl decline;
+// mov Cur, rdx; add Acct, iteration+micro-ops". Budget is what the
+// dispatcher allows the run — the smaller of Fuel and the poll Credit —
+// and a declined entry (status 0, the entry's guest address in
+// ExitTarget) gives its charge back. Every exit first gives back what
 // the entry charged for the micro-ops it skips. A link exit then jumps
 // through its slot of the VM's link table — to its own return stub until
 // the VM links the edge, into the next trace afterwards; an inline-cache
@@ -53,9 +97,12 @@ import (
 
 const nativeAvailable = true
 
-// minus4 is the stack-push displacement as a wrapped uint32 (32-bit lea
-// arithmetic is mod 2^32, exactly the guest's ESP-4).
-const minus4 = ^uint32(3)
+// hostReg is the register map: the host register a guest register is
+// pinned in.
+var hostReg = [8]int{
+	x86.EAX: hR9, x86.ECX: hR10, x86.EDX: hR11, x86.EBX: hBX,
+	x86.ESP: hR12, x86.EBP: hBP, x86.ESI: hR13, x86.EDI: hR15,
+}
 
 //go:noescape
 func jitcall(code uintptr, m *Machine, cur uint32) int32
@@ -73,19 +120,15 @@ func (b *execBuf) call(m *Machine, cur uint32) int32 {
 var zm Machine
 
 var (
-	offRegs     = int32(unsafe.Offsetof(zm.Regs))
 	offFl       = int32(unsafe.Offsetof(zm.Fl))
 	offCF       = int32(unsafe.Offsetof(zm.CF))
 	offZF       = int32(unsafe.Offsetof(zm.ZF))
 	offSF       = int32(unsafe.Offsetof(zm.SF))
 	offOF       = int32(unsafe.Offsetof(zm.OF))
 	offPF       = int32(unsafe.Offsetof(zm.PF))
-	offMem      = int32(unsafe.Offsetof(zm.Mem))
 	offBrk      = int32(unsafe.Offsetof(zm.Brk))
-	offFuel     = int32(unsafe.Offsetof(zm.Fuel))
-	offCredit   = int32(unsafe.Offsetof(zm.Credit))
-	offIters    = int32(unsafe.Offsetof(zm.Iters))
-	offUops     = int32(unsafe.Offsetof(zm.Uops))
+	offBudget   = int32(unsafe.Offsetof(zm.Budget))
+	offAcct     = int32(unsafe.Offsetof(zm.Acct))
 	offLinks    = int32(unsafe.Offsetof(zm.Links))
 	offCur      = int32(unsafe.Offsetof(zm.Cur))
 	offTrapAddr = int32(unsafe.Offsetof(zm.TrapAddr))
@@ -98,8 +141,7 @@ var (
 	linkAddr  = int32(unsafe.Offsetof(Link{}.Addr))
 
 	// Flags record sub-fields. A dword store at offFlOp covers Op,
-	// KeptCF and the two pad bytes — the whole-struct-assignment
-	// equivalent of the closure bodies' m.Fl = uop.Flags{...}.
+	// KeptCF and the two pad bytes.
 	offFlOp  = offFl + int32(unsafe.Offsetof(zm.Fl.Op))
 	offFlA   = offFl + int32(unsafe.Offsetof(zm.Fl.A))
 	offFlB   = offFl + int32(unsafe.Offsetof(zm.Fl.B))
@@ -117,58 +159,92 @@ func init() {
 	}
 }
 
-// ---- assembler extensions the emitter needs beyond nasm's core ----------
-
-// imulRM: imul dst32, [rdi+off].
-func (a *nasm) imulRM(dst int, off int32) {
-	a.rex(false, dst, 0, 0)
-	a.db(0x0F, 0xAF)
-	a.modrmDI(dst, off)
-}
-
-// aluRR64: the REX.W "r/m, reg" ALU forms: op dst64, src64.
-func (a *nasm) aluRR64(opMR byte, dst, src int) {
-	a.rex(true, src, 0, dst)
-	a.db(opMR, byte(0xC0|(src&7)<<3|dst&7))
-}
-
-// aluRI64: op reg64, imm32 (sign-extended; 0x81 group).
-func (a *nasm) aluRI64(ext, reg int, imm uint32) {
-	a.rex(true, 0, 0, reg)
-	a.db(0x81, byte(0xC0|ext<<3|reg&7))
-	a.d32(imm)
-}
-
-// shiftRI64: sh reg64, imm.
-func (a *nasm) shiftRI64(ext, reg int, imm byte) {
-	a.rex(true, 0, 0, reg)
-	a.db(0xC1, byte(0xC0|ext<<3|reg&7), imm)
-}
-
-// movsxd: movsxd dst64, src32.
-func (a *nasm) movsxd(dst, src int) {
-	a.rex(true, dst, 0, src)
-	a.db(0x63, byte(0xC0|(dst&7)<<3|src&7))
-}
-
-// cqo sign-extends rax into rdx.
-func (a *nasm) cqo() { a.db(0x48, 0x99) }
-
-// movRI64: movabs reg64, imm64.
-func (a *nasm) movRI64(reg int, imm uint64) {
-	a.rex(true, 0, 0, reg)
-	a.db(byte(0xB8 | reg&7))
-	a.d32(uint32(imm))
-	a.d32(uint32(imm >> 32))
-}
+// fld is the Machine field at off.
+func fld(off int32) rm { return at(hDI, off) }
 
 // ---- the emitter --------------------------------------------------------
 
-// pstub is an out-of-line exit path: the fixup sites that jump to it
-// and the code to emit once the hot fall-through body is done.
+// pstub is an out-of-line exit path: the micro-op it belongs to, the
+// fixup sites that jump to it and the code to emit once the fall-through
+// body is done.
 type pstub struct {
-	fixes []int32
+	uop   int
+	fixes fixes
 	emit  func()
+}
+
+// fixes is up to two fixup sites; -1 marks an unused one.
+type fixes [2]fix
+
+// ea is a guest effective address: base + idx*scale + disp with absent
+// registers encoded as uop.RegZero, as in a micro-op.
+type ea struct {
+	base, idx uint8
+	scale     uint8
+	disp      uint32
+}
+
+func uea(u *uop.Uop) ea {
+	x := ea{base: u.Base, idx: u.Idx, scale: u.Scale, disp: u.Disp}
+	if x.scale == 0 {
+		x.idx = uop.RegZero // absent index is encoded with Scale 0
+	}
+	return x
+}
+
+// stackBased reports whether x is ESP- or EBP-based, in which case its
+// check tries the stack window first.
+func stackBased(x ea) bool { return x.base == uint8(x86.ESP) || x.base == uint8(x86.EBP) }
+
+// stackEA is [esp+disp].
+func stackEA(disp int32) ea {
+	return ea{base: uint8(x86.ESP), idx: uop.RegZero, disp: uint32(disp)}
+}
+
+// Operand shapes (see the file comment).
+const (
+	shapeAbs = iota // no register: [rsi+disp]
+	shapeOne        // one register: [rsi+reg*scale+disp]
+	shapeTwo        // two: lea ecx, [base+idx*scale+disp]; [rsi+rcx]
+)
+
+// access is one guest memory operand of the trace as the twin pass saw
+// it: where its address stands relative to the symbols of its registers,
+// and how a check placed at the start of its micro-op would address it.
+type access struct {
+	uop        int
+	shape      uint8
+	symB, symI uint32 // symbols of the address registers (0: absent)
+	scale      uint8
+	pos        int64 // the address minus symB + symI*scale
+	regOff     int64 // shapeOne: the register minus its symbol, at the access
+	size       uint32
+	write      bool
+	stack      bool // ESP- or EBP-based: try the stack window first
+
+	// hoist: the address registers hold, at the start of the micro-op,
+	// the symbols they hold at the access; startPos is then what they
+	// contribute to the address there (startOff the shapeOne register's
+	// own offset), hb/hi the host registers.
+	hoist    bool
+	hb, hi   int
+	startPos int64
+	startOff int64
+
+	group int // index into nemit.groups, -1: checked in place
+}
+
+// group is a run of accesses under one check.
+type group struct {
+	leader int   // index of the access the check is emitted for
+	lo, hi int64 // the span, in the leader's pos coordinates
+	write  bool
+}
+
+// twinJump is a jump of the hot body to micro-op uop of the twin.
+type twinJump struct {
+	at  fix
+	uop int
 }
 
 type nemit struct {
@@ -178,7 +254,36 @@ type nemit struct {
 	entry uint32
 
 	mlen, ro, sbase uint32
-	cost            uint32
+	tail            []int64 // suffixCosts(us)
+
+	// hot is false while the checked twin is emitted (the first pass,
+	// which also records acc) and true for the hot body.
+	hot    bool
+	acc    []access
+	groups []group // in the order their checks are emitted
+	next   int     // hot pass: index of the next access
+	gnext  int     // hot pass: index of the next group to check
+
+	// What the twin pass recorded per micro-op: its code offset and the
+	// static flag state on arrival. toTwin collects the hot body's jumps
+	// into the twin.
+	twinOff []int32
+	flAt    []int
+	toTwin  []twinJump
+
+	// The write log as of the start of the current micro-op.
+	startSym [16]uint32
+	startOff [16]int64
+
+	bad bool // the two passes disagreed: give the trace up
+
+	// Scratch that outlives a compile (see emitters): the two passes'
+	// code buffers and which is in use, the exit table under
+	// construction, the instruction count at each micro-op of the twin.
+	code  [2][]byte
+	pass  int
+	exits []Exit
+	nAt   []int
 
 	pend  []pstub
 	stubs []int32 // code offset of each link slot's return stub
@@ -190,59 +295,113 @@ type nemit struct {
 	// the trace therefore needs the glue's entry materialization.
 	flOp      int
 	usedEntry bool
+
+	// inPlace: the operand opnd last returned was checked in place and
+	// its address is still in ECX (stackFirst: against the stack window
+	// first), which is what alsoWrite extends.
+	inPlace, stackFirst bool
+
+	checks int // bounds checks the hot body emitted
 }
 
 // nativeCompile emits us as machine code into t. Returns false on any
 // unsupported micro-op or when executable memory is unavailable; t is
 // then discarded and the superblock stays on tier-1.
 func nativeCompile(us []uop.Uop, entry uint32, g Geometry, t *Trace) bool {
-	if g.MemLen < g.StackBase+8 || g.StackBase < pageSize {
-		// The single-compare stack-range check needs mlen-size >= sbase;
-		// any real guest address space satisfies this.
+	if g.MemLen > 1<<30 || g.MemLen < g.StackBase+pageSize || g.StackBase < pageSize {
+		// The checks compare 64-bit sums against sign-extended 32-bit
+		// immediates and subtract a span of up to a page from either
+		// window's end; any real guest address space satisfies this.
 		return false
 	}
-	if t.Cost <= 0 || t.Cost > 1<<30 {
-		return false // fuel charge must fit an imm32
+	if t.Cost <= 0 || t.Cost > 1<<30 || int64(len(us)) >= acctIter {
+		return false // the charges must fit an imm32 and the Acct fields
 	}
-	e := &nemit{t: t, us: us, entry: entry,
-		mlen: g.MemLen, ro: g.ROLimit, sbase: g.StackBase, cost: uint32(t.Cost),
-		flOp: flEntry}
-	a := &e.a
+	e := emitters.Get().(*nemit)
+	defer e.release()
+	e.init(t, us, entry, g)
 
-	// The trace entry: decline when fuel or the poll credit will not
-	// cover the pass, else become the running trace and charge it.
-	a.cmpMI64(offFuel, e.cost)
-	f1 := a.jcc32(byte(x86.CCL))
-	a.cmpMI64(offCredit, 0)
-	f2 := a.jcc32(byte(x86.CCLE))
-	e.stub(func() {
-		a.storeMI(offExitTgt, entry)
-		a.retStatus(0)
-	}, f1, f2)
-	a.storeM64(offCur, hDX)
-	a.aluMI64(aluSubExt, offFuel, e.cost)
-	a.aluMI64(aluSubExt, offCredit, e.cost)
-	a.aluMI64(aluAddExt, offUops, uint32(len(us)))
-	a.incM64(offIters)
-	a.loadM64(hSI, offMem)
-
+	// Pass one: the checked twin, which is also the survey of the
+	// trace's memory operands.
+	e.reset(0)
 	for i := range us {
+		e.twinOff[i], e.flAt[i], e.nAt[i] = e.a.here(), e.flOp, e.a.n
+		e.begin()
 		if !e.one(i) {
 			return false
 		}
 	}
-	for _, p := range e.pend {
-		for _, f := range p.fixes {
-			a.patch(f)
+	// The twin starts at the first micro-op a check can send control to.
+	// If nothing is grouped nothing jumps to a twin: drop it all.
+	var twin []byte
+	if first := e.plan(); first < len(us) {
+		e.flush(first)
+		base := e.twinOff[first]
+		twin = e.a.c[base:]
+		t.Ledger.Twin = int64(e.a.n - e.nAt[first])
+		// Offsets into the twin are kept relative to its start.
+		for i := range e.twinOff {
+			e.twinOff[i] -= base
 		}
-		p.emit()
+		for k := range e.stubs {
+			e.stubs[k] -= base
+		}
+	} else {
+		e.exits, t.Slots, e.stubs, e.pend = e.exits[:0], 0, e.stubs[:0], e.pend[:0]
 	}
+	t.Ledger.Guest = t.Cost
+	twinSlots := len(e.stubs)
+
+	// Pass two: the hot body behind the trace entry.
+	e.reset(1)
+	e.hot = true
+	a := &e.a
+	a.aluI64(aluSubExt, fld(offBudget), uint32(t.Cost))
+	decline := a.jcc(byte(x86.CCL))
+	e.stub(0, func() {
+		a.aluI64(aluAddExt, fld(offBudget), uint32(t.Cost))
+		a.movI(fld(offExitTgt), entry)
+		a.retStatus(0)
+	}, fixes{decline, -1})
+	a.movTo64(fld(offCur), hDX)
+	a.aluI64(aluAddExt, fld(offAcct), uint32(acctIter+len(us)))
+	for i := range us {
+		if e.flOp != e.flAt[i] {
+			return false
+		}
+		e.begin()
+		e.emitChecks(i)
+		if !e.one(i) {
+			return false
+		}
+	}
+	if e.bad || e.next != len(e.acc) {
+		return false
+	}
+	t.Ledger.Hot = int64(a.n)
+	t.hotEnd = int(a.here())
+	e.flush(0)
+	t.Ledger.Stub = int64(a.n) - t.Ledger.Hot
+	t.Ledger.Accesses, t.Ledger.Checks = int64(len(e.acc)), int64(e.checks)
+
+	// The twin goes behind the hot body's stubs; its code is position-
+	// independent, so only the jumps into it and the addresses of its
+	// return stubs need the final offset.
+	t.twinStart = int(a.here())
+	for _, j := range e.toTwin {
+		a.patchTo(j.at, a.here()+e.twinOff[j.uop])
+	}
+	for k := 0; k < twinSlots; k++ {
+		e.stubs[k] += a.here()
+	}
+	a.c = append(a.c, twin...)
 
 	eb := sealExec(a.c)
 	if eb == nil {
 		return false
 	}
 	t.code = eb
+	t.Exits = append([]Exit(nil), e.exits...)
 	t.NeedFlags = e.usedEntry
 	t.unlinked = make([]Link, max(t.Slots, 1))
 	for k, off := range e.stubs {
@@ -251,128 +410,387 @@ func nativeCompile(us []uop.Uop, entry uint32, g Geometry, t *Trace) bool {
 	return true
 }
 
+// emitters recycles emitters with the slices they have grown: what a
+// compile keeps is the Trace and the sealed mapping its code is copied to.
+var emitters = sync.Pool{New: func() any { return new(nemit) }}
+
+// init readies a recycled emitter for a trace of its own.
+func (e *nemit) init(t *Trace, us []uop.Uop, entry uint32, g Geometry) {
+	n := len(us)
+	*e = nemit{t: t, us: us, entry: entry, mlen: g.MemLen, ro: g.ROLimit, sbase: g.StackBase,
+		code: e.code, exits: e.exits[:0], acc: e.acc[:0], groups: e.groups[:0], toTwin: e.toTwin[:0],
+		pend: e.pend[:0], stubs: e.stubs[:0],
+		tail:    suffixCosts(slices.Grow(e.tail[:0], n)[:n], us),
+		twinOff: slices.Grow(e.twinOff[:0], n)[:n], flAt: slices.Grow(e.flAt[:0], n)[:n], nAt: slices.Grow(e.nAt[:0], n)[:n]}
+}
+
+// release drops what the emitter holds of the trace and hands it back.
+func (e *nemit) release() {
+	e.keepCode()
+	e.t, e.us, e.a = nil, nil, nasm{}
+	clear(e.pend[:cap(e.pend)]) // the stubs' closures
+	emitters.Put(e)
+}
+
+// keepCode keeps the current pass's buffer, as far as it has grown.
+func (e *nemit) keepCode() {
+	if e.a.c != nil {
+		e.code[e.pass] = e.a.c
+	}
+}
+
+// reset starts pass p in its own code buffer: no code, every register its
+// own symbol, the flag state the entry guarantees. The twin's link slots
+// (stubs) carry over into the hot pass, which numbers on from them.
+func (e *nemit) reset(p int) {
+	e.keepCode()
+	e.pass = p
+	e.a = nasm{c: e.code[p][:0]}
+	for r := range e.a.sym {
+		e.a.def(r)
+	}
+	e.flOp, e.usedEntry, e.pend = flEntry, false, e.pend[:0]
+}
+
+// begin notes the write log at the start of a micro-op.
+func (e *nemit) begin() { e.startSym, e.startOff = e.a.sym, e.a.off }
+
+// flush emits the out-of-line paths of micro-ops from on.
+func (e *nemit) flush(from int) {
+	for _, p := range e.pend {
+		if p.uop < from {
+			continue
+		}
+		for _, f := range p.fixes {
+			if f >= 0 {
+				e.a.patch(f)
+			}
+		}
+		p.emit()
+	}
+	e.pend = e.pend[:0]
+}
+
+// ---- check planning ------------------------------------------------------
+
+// plan sorts the accesses the twin pass recorded into groups, greedily in
+// program order, and returns the first micro-op that emits a group's
+// check (len(us) when there is none): where the twin has to start. Only
+// the newest group of each address shape stays open to new members, and a
+// trace has few shapes live at a time, so the open list is searched.
+func (e *nemit) plan() int {
+	var open []int // indices of the groups still taking members
+	first := len(e.us)
+	for k := range e.acc {
+		ac := &e.acc[k]
+		ac.group = -1
+		if max(ac.pos, -ac.pos, ac.startPos, -ac.startPos) >= 1<<29 {
+			continue // keeps every check displacement, less StackBase, an int32
+		}
+		at := -1
+		for o, gi := range open {
+			if l := &e.acc[e.groups[gi].leader]; l.symB == ac.symB && l.symI == ac.symI && l.scale == ac.scale && l.shape == ac.shape {
+				at = o
+				break
+			}
+		}
+		if at >= 0 {
+			g := &e.groups[open[at]]
+			lo, hi := min(g.lo, ac.pos), max(g.hi, ac.pos+int64(ac.size))
+			if hi-lo <= pageSize && noWrap(ac, &e.acc[g.leader], lo) {
+				g.lo, g.hi, g.write = lo, hi, g.write || ac.write
+				ac.group = open[at]
+				continue
+			}
+		}
+		if !ac.hoist || !noWrap(ac, ac, ac.pos) {
+			continue
+		}
+		ac.group = len(e.groups)
+		if at >= 0 {
+			open[at] = ac.group
+		} else {
+			open = append(open, ac.group)
+		}
+		e.groups = append(e.groups, group{leader: k, lo: ac.pos, hi: ac.pos + int64(ac.size), write: ac.write})
+		first = min(first, ac.uop)
+	}
+	return first
+}
+
+// noWrap reports whether ac may rely on a check that leader's micro-op
+// makes for a span starting at lo. The check proves a fact about the
+// 64-bit sum reg*scale+c for the value reg held then; a one-register
+// operand after the register has since moved by a constant k computes
+// (reg+k mod 2^32)*scale+d, which is the same address only if reg+k did
+// not wrap. The check bounds reg*scale from below by floor-c, at least a
+// page, so reg+k >= 0 follows when the span starts no more than a page
+// above scale times the register's present value — which holds for every
+// small or negative displacement ([esp+8] after a push) and fails for a
+// table address under a moved index, which then gets a check of its own.
+// (reg+k < 2^32 needs no condition: the windows end below 2^30.)
+func noWrap(ac, leader *access, lo int64) bool {
+	if ac.shape != shapeOne || ac.regOff == leader.startOff {
+		return true
+	}
+	return lo-int64(ac.scale)*ac.regOff <= pageSize
+}
+
+// emitChecks emits, at the start of micro-op i of the hot body, the check
+// of every group that i leads. A failure goes to micro-op i of the twin.
+func (e *nemit) emitChecks(i int) {
+	a := &e.a
+	for ; e.gnext < len(e.groups) && e.acc[e.groups[e.gnext].leader].uop == i; e.gnext++ {
+		g := &e.groups[e.gnext]
+		l := &e.acc[g.leader]
+		c := int32(g.lo - l.startPos)
+		floor := uint32(pageSize)
+		if g.write {
+			floor = e.ro
+		}
+		var fails fixes
+		switch l.shape {
+		case shapeAbs:
+			if g.lo >= int64(floor) {
+				// A constant span above the floor: only the heap's end
+				// is left to ask about.
+				a.aluI(aluCmpExt, fld(offBrk), uint32(g.hi))
+				fails = fixes{a.jcc(byte(x86.CCB)), -1}
+				break
+			}
+			a.movI(rg(hAX), uint32(g.lo))
+			fails = e.rangeCheck(rg(hAX), true, floor, uint32(g.hi-g.lo), false)
+		case shapeOne:
+			o := at(l.hb, c)
+			if l.hb < 0 {
+				o = sib(-1, l.hi, l.scale, c)
+			}
+			fails = e.rangeCheck(o, true, floor, uint32(g.hi-g.lo), l.stack)
+		default:
+			fails = e.rangeCheck(sib(l.hb, l.hi, l.scale, c), false, floor, uint32(g.hi-g.lo), l.stack)
+		}
+		for _, f := range fails {
+			if f >= 0 {
+				e.toTwin = append(e.toTwin, twinJump{f, i})
+			}
+		}
+		e.checks++
+	}
+}
+
+// rangeCheck emits the sandbox test on an address: [x, x+span) must lie
+// inside [floor, Brk) or [StackBase, MemLen) — Geometry.ReadOK/WriteOK
+// to the letter when span is the access size. The address is the
+// register addr when that is one (zero-extended: the exact checks keep
+// theirs in RCX), else the sum addr describes, taken exactly when wide
+// and mod 2^32 otherwise; a sum is formed in RAX, except that with the
+// stack window first it is only formed if that window fails. Returns the
+// (one or two) jumps taken on failure. Clobbers RAX (for a sum), RDX and
+// the flags.
+func (e *nemit) rangeCheck(addr rm, wide bool, floor, span uint32, stackFirst bool) fixes {
+	a := &e.a
+	lea := func(dst int, o rm) {
+		if wide {
+			a.lea64(dst, o)
+		} else {
+			a.lea(dst, o)
+		}
+	}
+	x := hAX
+	if addr.direct {
+		x = addr.base
+	}
+	inStack := func(o rm) {
+		o.disp -= int32(e.sbase)
+		lea(hDX, o)
+		a.aluI64(aluCmpExt, rg(hDX), e.mlen-span-e.sbase)
+	}
+	inHeap := func() {
+		a.mov(hDX, fld(offBrk))
+		a.aluI64(aluSubExt, rg(hDX), span)
+		a.alu64(aluCmpRM, x, rg(hDX))
+	}
+	if stackFirst {
+		if addr.direct {
+			wide = true
+			inStack(at(x, 0))
+		} else {
+			inStack(addr)
+		}
+		ok := a.jcc(byte(x86.CCBE))
+		if !addr.direct {
+			lea(hAX, addr)
+		}
+		a.aluI64(aluCmpExt, rg(x), floor)
+		f1 := a.jcc(byte(x86.CCB))
+		inHeap()
+		f2 := a.jcc(byte(x86.CCA))
+		a.patch(ok)
+		return fixes{f1, f2}
+	}
+	if !addr.direct {
+		lea(hAX, addr)
+	}
+	a.aluI64(aluCmpExt, rg(x), floor)
+	below := a.jcc(byte(x86.CCB))
+	inHeap()
+	ok := a.jcc(byte(x86.CCBE))
+	a.patch(below)
+	wide = true
+	inStack(at(x, 0))
+	f := a.jcc(byte(x86.CCA))
+	a.patch(ok)
+	return fixes{f, -1}
+}
+
+// ---- memory operands -----------------------------------------------------
+
+// hostEA is the guest address x as a host lea operand over the pinned
+// registers.
+func hostEA(x ea) rm {
+	o := sib(-1, -1, x.scale, int32(x.disp))
+	if x.base != uop.RegZero {
+		o.base = hostReg[x.base]
+	}
+	if x.idx != uop.RegZero {
+		o.idx = hostReg[x.idx]
+	}
+	return o
+}
+
+// leaTo computes the guest address x into host register dst.
+func (e *nemit) leaTo(dst int, x ea) {
+	if o := hostEA(x); o.base < 0 && o.idx < 0 {
+		e.a.movI(rg(dst), x.disp)
+	} else {
+		e.a.lea(dst, o)
+	}
+}
+
+// opnd returns the host operand for the size-byte guest memory access at
+// x by micro-op i, a write or a read; eip and started describe the fault
+// it may raise (the trap EIP — a fused pair's second instruction keeps
+// its own in a spare field — and how many of the micro-op's instructions
+// have begun). In the twin, and for an access the plan left ungrouped,
+// the address goes to ECX, is checked exactly, and the operand is
+// [rsi+rcx]; a grouped access of the hot body is covered by its group's
+// check and is used as it stands. Clobbers RCX, RDX and the flags, and
+// RCX may be part of the operand.
+func (e *nemit) opnd(i int, x ea, size uint32, write bool, eip uint32, started int) rm {
+	a := &e.a
+	if !e.hot {
+		e.survey(i, x, size, write)
+		return e.exact(i, x, size, write, eip, started)
+	}
+	if e.next >= len(e.acc) || e.acc[e.next].uop != i || e.acc[e.next].size != size {
+		e.bad = true
+		return e.exact(i, x, size, write, eip, started)
+	}
+	ac := &e.acc[e.next]
+	e.next++
+	if ac.group < 0 {
+		return e.exact(i, x, size, write, eip, started)
+	}
+	e.inPlace = false
+	switch o := hostEA(x); ac.shape {
+	case shapeAbs:
+		return at(hSI, int32(x.disp))
+	case shapeOne:
+		if o.idx < 0 {
+			return sib(hSI, o.base, 1, o.disp)
+		}
+		return sib(hSI, o.idx, o.scale, o.disp)
+	default:
+		a.lea(hCX, o)
+		return sib(hSI, hCX, 1, 0)
+	}
+}
+
+// survey records the access for plan.
+func (e *nemit) survey(i int, x ea, size uint32, write bool) {
+	a := &e.a
+	o := hostEA(x)
+	ac := access{uop: i, size: size, write: write, hb: o.base, hi: o.idx, hoist: true, stack: stackBased(x)}
+	scale := int64(x.scale)
+	switch {
+	case o.base < 0 && o.idx < 0:
+		ac.shape, ac.pos = shapeAbs, int64(x.disp)
+	case o.base < 0 || o.idx < 0:
+		r := o.idx
+		if r < 0 {
+			r, scale = o.base, 1
+		}
+		ac.shape, ac.symB, ac.scale = shapeOne, a.sym[r], uint8(scale)
+		ac.regOff, ac.startOff = a.off[r], e.startOff[r]
+		ac.pos = scale*a.off[r] + int64(int32(x.disp))
+		ac.startPos = scale * e.startOff[r]
+		ac.hoist = a.sym[r] == e.startSym[r]
+	default:
+		ac.shape, ac.symB, ac.symI, ac.scale = shapeTwo, a.sym[o.base], a.sym[o.idx], x.scale
+		ac.pos = a.off[o.base] + scale*a.off[o.idx] + int64(int32(x.disp))
+		ac.startPos = e.startOff[o.base] + scale*e.startOff[o.idx]
+		ac.hoist = a.sym[o.base] == e.startSym[o.base] && a.sym[o.idx] == e.startSym[o.idx]
+	}
+	e.acc = append(e.acc, ac)
+}
+
+// exact checks the access in place: the address in ECX against
+// Geometry.ReadOK/WriteOK, a fault exit of its own behind it.
+func (e *nemit) exact(i int, x ea, size uint32, write bool, eip uint32, started int) rm {
+	e.leaTo(hCX, x)
+	e.inPlace = true
+	e.stackFirst = stackBased(x)
+	e.checkCX(i, size, write, eip, started)
+	return sib(hSI, hCX, 1, 0)
+}
+
+func (e *nemit) checkCX(i int, size uint32, write bool, eip uint32, started int) {
+	kind, floor := ExitReadFault, uint32(pageSize)
+	if write {
+		kind, floor = ExitWriteFault, e.ro
+	}
+	if e.hot {
+		e.checks++
+	}
+	s := e.exit(Exit{Kind: kind, Uop: i, EIP: eip, Size: size, Started: started})
+	e.stub(i, func() {
+		e.a.movTo(fld(offTrapAddr), hCX)
+		e.leave(s)
+	}, e.rangeCheck(rg(hCX), true, floor, size, e.stackFirst))
+}
+
+// alsoWrite turns the operand opnd just returned for a read into one the
+// micro-op may now store to: where it was checked in place, the write
+// check follows on the address still in ECX (a read-only word faults as
+// a write, after the read and whatever the micro-op did in between,
+// exactly as on tier 1); a grouped operand's check was planned with the
+// write floor.
+func (e *nemit) alsoWrite(i int, size uint32, eip uint32, started int) {
+	if !e.hot {
+		e.acc[len(e.acc)-1].write = true
+	}
+	if e.inPlace {
+		e.checkCX(i, size, true, eip, started)
+	}
+}
+
 // ---- exit-table helpers (mirror comp's) ---------------------------------
 
 func (e *nemit) exit(x Exit) int32 {
-	e.t.Exits = append(e.t.Exits, newExit(e.us, x))
-	return int32(len(e.t.Exits))
-}
-
-func (e *nemit) rf(i int, eip, size uint32, started int) int32 {
-	return e.exit(Exit{Kind: ExitReadFault, Uop: i, EIP: eip, Size: size, Started: started})
-}
-
-func (e *nemit) wf(i int, eip, size uint32, started int) int32 {
-	return e.exit(Exit{Kind: ExitWriteFault, Uop: i, EIP: eip, Size: size, Started: started})
+	e.exits = append(e.exits, newExit(e.us, e.tail, x))
+	return int32(len(e.exits))
 }
 
 func (e *nemit) end(i int, target uint32) int32 {
 	return e.exit(Exit{Kind: ExitEnd, Uop: i, Target: target})
 }
 
-// ---- emission helpers ---------------------------------------------------
-
-func regOff(r uint8) int32 { return offRegs + 4*int32(r) }
-
-// paOff mirrors comp's pa clamp: Aux is a register only when it indexes
-// the file; guards reuse the field as a chain-slot index.
-func paOff(u *uop.Uop) int32 {
-	if int(u.Aux) < len(zm.Regs) {
-		return regOff(u.Aux)
-	}
-	return regOff(uop.RegZero)
-}
-
-// addr materializes the micro-op's effective address in ECX
-// (disp + base + idx*scale, mod 2^32). Clobbers DX; flags trashed.
-func (e *nemit) addr(u *uop.Uop) {
-	a := &e.a
-	b, ix, sc, disp := u.Base, u.Idx, uint32(u.Scale), u.Disp
-	if sc == 0 {
-		ix = uop.RegZero // absent index is encoded with Scale 0
-	}
-	switch {
-	case b == uop.RegZero && ix == uop.RegZero:
-		a.movRI(hCX, disp)
-	case ix == uop.RegZero:
-		a.loadM(hCX, regOff(b))
-		if disp != 0 {
-			a.leaD(hCX, hCX, disp)
-		}
-	case b == uop.RegZero && (sc == 1 || sc == 2 || sc == 4 || sc == 8):
-		a.loadM(hCX, regOff(ix))
-		if sc > 1 {
-			var n byte
-			for s := sc; s > 1; s >>= 1 {
-				n++
-			}
-			a.shiftRI(shlExt, hCX, n)
-		}
-		if disp != 0 {
-			a.leaD(hCX, hCX, disp)
-		}
-	default:
-		a.loadM(hCX, regOff(b))
-		a.loadM(hDX, regOff(ix))
-		a.lea32(hCX, hCX, hDX, uint8(sc), disp)
-	}
-}
-
-// checkRd emits the interpreter's exact rdOK test on the address in
-// ECX, returning status s on failure (TrapAddr <- ECX). Clobbers EAX
-// and flags only. stackFirst orders the stack-range test first (stack
-// pointer accesses), otherwise the heap range leads.
-func (e *nemit) checkRd(size uint32, s int32, stackFirst bool) {
-	e.check(pageSize, size, s, stackFirst)
-}
-
-// checkWr is wrOK: the heap range starts at roLimit instead of the
-// guard page.
-func (e *nemit) checkWr(size uint32, s int32, stackFirst bool) {
-	e.check(e.ro, size, s, stackFirst)
-}
-
-func (e *nemit) check(low, size uint32, s int32, stackFirst bool) {
-	a := &e.a
-	kStack := e.mlen - size - e.sbase
-	if stackFirst {
-		a.leaD(hAX, hCX, -e.sbase)
-		a.aluRI(aluCmpExt, hAX, kStack)
-		f1 := a.jcc32(byte(x86.CCBE)) // in stack range
-		a.aluRI(aluCmpExt, hCX, low)
-		f2 := a.jcc32(byte(x86.CCB)) // below heap base: fault
-		a.loadM(hAX, offBrk)
-		a.aluRI(aluSubExt, hAX, size)
-		a.aluRR(aluCmpMR, hCX, hAX)
-		f3 := a.jcc32(byte(x86.CCBE)) // in heap range
-		a.patch(f2)
-		a.storeM(offTrapAddr, hCX)
-		e.leave(s)
-		a.patch(f1)
-		a.patch(f3)
-		return
-	}
-	a.aluRI(aluCmpExt, hCX, low)
-	f1 := a.jcc32(byte(x86.CCB)) // below heap base: try the stack
-	a.loadM(hAX, offBrk)
-	a.aluRI(aluSubExt, hAX, size)
-	a.aluRR(aluCmpMR, hCX, hAX)
-	f2 := a.jcc32(byte(x86.CCBE)) // in heap range
-	a.patch(f1)
-	a.leaD(hAX, hCX, -e.sbase)
-	a.aluRI(aluCmpExt, hAX, kStack)
-	f3 := a.jcc32(byte(x86.CCBE)) // in stack range
-	a.storeM(offTrapAddr, hCX)
-	e.leave(s)
-	a.patch(f2)
-	a.patch(f3)
-}
-
-// stub registers an out-of-line exit path reached from fixes. It is
-// emitted after the mainline, with the flag state the mainline had here.
-func (e *nemit) stub(emit func(), fixes ...int32) {
+// stub registers an out-of-line path of micro-op i reached from fixes.
+// It is emitted after the mainline, with the flag state the mainline had
+// here.
+func (e *nemit) stub(i int, emit func(), fs fixes) {
 	fl := e.flOp
-	e.pend = append(e.pend, pstub{fixes: fixes, emit: func() {
+	e.pend = append(e.pend, pstub{uop: i, fixes: fs, emit: func() {
 		e.flOp = fl
 		emit()
 	}})
@@ -381,12 +799,12 @@ func (e *nemit) stub(emit func(), fixes ...int32) {
 // refund gives back what the entry charged for the part of the trace
 // exit s leaves unexecuted.
 func (e *nemit) refund(s int32) {
-	x := &e.t.Exits[s-1]
+	x := &e.exits[s-1]
 	if x.Refund != 0 {
-		e.a.aluMI64(aluAddExt, offFuel, uint32(x.Refund))
+		e.a.aluI64(aluAddExt, fld(offBudget), uint32(x.Refund))
 	}
 	if x.RefundUops != 0 {
-		e.a.aluMI64(aluSubExt, offUops, uint32(x.RefundUops))
+		e.a.aluI64(aluSubExt, fld(offAcct), uint32(x.RefundUops))
 	}
 }
 
@@ -400,7 +818,7 @@ func (e *nemit) leave(s int32) {
 // slot gives exit s the trace's next link slot and returns its byte
 // offset from the trace's first.
 func (e *nemit) slot(s int32) int32 {
-	x := &e.t.Exits[s-1]
+	x := &e.exits[s-1]
 	x.Slot = e.t.Slots
 	e.t.Slots++
 	e.stubs = append(e.stubs, 0)
@@ -410,7 +828,7 @@ func (e *nemit) slot(s int32) int32 {
 // stubHere marks the current position as the return stub of exit s's
 // slot: what the slot holds until the VM links it.
 func (e *nemit) stubHere(s int32) {
-	e.stubs[e.t.Exits[s-1].Slot] = e.a.here()
+	e.stubs[e.exits[s-1].Slot] = e.a.here()
 }
 
 // link leaves through exit s's link slot (a static-target exit): refund,
@@ -425,7 +843,7 @@ func (e *nemit) stubHere(s int32) {
 // cannot, and the loop goes through the dispatcher.
 func (e *nemit) link(s int32) {
 	a := &e.a
-	x := &e.t.Exits[s-1]
+	x := &e.exits[s-1]
 	if x.Target == e.entry && e.usedEntry {
 		switch e.flOp {
 		case flUnknown:
@@ -438,17 +856,18 @@ func (e *nemit) link(s int32) {
 	}
 	e.refund(s)
 	off := e.slot(s)
-	a.loadM64(hAX, offCur)
-	a.addRM64(hAX, offLinks)
-	a.loadRD(hDX, hAX, off+linkCur)
-	a.jmpMD(hAX, off+linkEntry)
+	a.mov64(hAX, fld(offCur))
+	a.alu64(aluAddRM, hAX, fld(offLinks))
+	a.mov(hDX, at(hAX, off+linkCur))
+	a.jmpM(at(hAX, off+linkEntry))
 	e.stubHere(s)
 	a.retStatus(s)
 }
 
-// linkStub is link as an out-of-line path reached from fixes.
-func (e *nemit) linkStub(s int32, fixes ...int32) {
-	e.stub(func() { e.link(s) }, fixes...)
+// linkStub is link as an out-of-line path of micro-op i reached from
+// fixes.
+func (e *nemit) linkStub(i int, s int32, f fix) {
+	e.stub(i, func() { e.link(s) }, fixes{f, -1})
 }
 
 // linkInd leaves through exit s's slot used as a one-entry inline cache
@@ -461,1166 +880,730 @@ func (e *nemit) linkInd(s int32, reg int) {
 	a := &e.a
 	e.refund(s)
 	off := e.slot(s)
-	a.loadM64(hCX, offCur)
-	a.addRM64(hCX, offLinks)
-	a.cmpRMD(reg, hCX, off+linkAddr)
-	miss := a.jcc32(byte(x86.CCNE))
-	a.loadRD(hDX, hCX, off+linkCur)
-	a.jmpMD(hCX, off+linkEntry)
+	a.mov64(hCX, fld(offCur))
+	a.alu64(aluAddRM, hCX, fld(offLinks))
+	a.alu(aluCmpRM, reg, at(hCX, off+linkAddr))
+	miss := a.jcc(byte(x86.CCNE))
+	a.mov(hDX, at(hCX, off+linkCur))
+	a.jmpM(at(hCX, off+linkEntry))
 	a.patch(miss)
 	e.stubHere(s)
-	a.storeM(offExitTgt, reg)
+	a.movTo(fld(offExitTgt), reg)
 	a.retStatus(s)
 }
 
-// insByte writes the byte value in EAX (0..255) into Dst.byte[dsh]:
-// *pd = *pd &^ (0xFF<<dsh) | val<<dsh. Clobbers DX and flags.
-func (e *nemit) insByte(dsh uint8, pd int32) {
-	a := &e.a
-	if dsh != 0 {
-		a.shiftRI(shlExt, hAX, dsh)
+// ---- byte slots ----------------------------------------------------------
+
+// byteOf loads byte sh/8 of host register src, zero-extended, into dst.
+func (e *nemit) byteOf(dst, src int, sh uint8) {
+	if sh == 0 {
+		e.a.movx(movzx8, dst, rg(src))
+		return
 	}
-	a.loadM(hDX, pd)
-	a.aluRI(aluAndExt, hDX, ^(uint32(0xFF) << dsh))
-	a.aluRR(aluOrMR, hDX, hAX)
-	a.storeM(pd, hDX)
+	e.a.movx(movzx16, dst, rg(src))
+	e.a.shiftI(shrExt, dst, sh)
 }
 
-// ---- flag-record helpers (whole-struct semantics: unset fields zero) ----
+// insByte writes the byte value in EAX (0..255) into byte dsh/8 of host
+// register dst. Clobbers EAX and the flags.
+func (e *nemit) insByte(dst int, dsh uint8) {
+	a := &e.a
+	if dsh == 0 {
+		a.mov8(dst, rg(hAX))
+		return
+	}
+	a.shiftI(shlExt, hAX, dsh)
+	a.aluI(aluAndExt, rg(dst), ^(uint32(0xFF) << dsh))
+	a.aluTo(aluOrMR, rg(dst), hAX)
+}
+
+// ---- flag records --------------------------------------------------------
 //
+// A writer stores the fields its FlagOp reads and no others (uop.Flags).
 // Each helper also advances the static flag-state tracker; helpers
 // invoked from exit stubs run after the whole mainline is emitted, so
 // the stray update cannot mislead a later consumer.
 
-func (e *nemit) recABRes(op uop.FlagOp, aReg, bReg, resReg int) {
-	a := &e.a
-	a.storeMI(offFlOp, uint32(op))
-	a.storeM(offFlA, aReg)
-	a.storeM(offFlB, bReg)
-	a.storeMI(offFlCin, 0)
-	a.storeM(offFlRes, resReg)
-	e.flOp = int(op)
+// opd is a second ALU operand: an immediate, or a register or memory.
+type opd struct {
+	o   rm
+	imm uint32
+	isI bool
 }
 
-func (e *nemit) recABIRes(op uop.FlagOp, aReg int, bImm uint32, resReg int) {
-	a := &e.a
-	a.storeMI(offFlOp, uint32(op))
-	a.storeM(offFlA, aReg)
-	a.storeMI(offFlB, bImm)
-	a.storeMI(offFlCin, 0)
-	a.storeM(offFlRes, resReg)
-	e.flOp = int(op)
+func immOp(imm uint32) opd { return opd{imm: imm, isI: true} }
+func rmOp(o rm) opd        { return opd{o: o} }
+
+// apply emits "op dst, b" with the selectors of one ALU operation.
+func (e *nemit) apply(opRM byte, ext int, dst int, b opd) {
+	if b.isI {
+		e.a.aluI(ext, rg(dst), b.imm)
+	} else {
+		e.a.alu(opRM, dst, b.o)
+	}
 }
 
-func (e *nemit) recLogic(op uop.FlagOp, resReg int) {
-	a := &e.a
-	a.storeMI(offFlOp, uint32(op))
-	a.storeMI(offFlA, 0)
-	a.storeMI(offFlB, 0)
-	a.storeMI(offFlCin, 0)
-	a.storeM(offFlRes, resReg)
+// recB stores Fl.B.
+func (e *nemit) recB(b opd) {
+	if b.isI {
+		e.a.movI(fld(offFlB), b.imm)
+	} else {
+		e.a.movTo(fld(offFlB), b.o.base)
+	}
+}
+
+// recRes stores Fl.Res and the FlagOp, which completes a record.
+func (e *nemit) recRes(op uop.FlagOp, res int) {
+	e.a.movTo(fld(offFlRes), res)
+	e.a.movI(fld(offFlOp), uint32(op))
 	e.flOp = int(op)
 }
 
 // recSZP is the uimul/umul1 partial record: Fl.Op, Fl.Res = FlagSZP,
 // res — a byte store (KeptCF preserved) plus the result.
-func (e *nemit) recSZP(resReg int) {
-	e.a.storeMI8(offFlOp, byte(uop.FlagSZP))
-	e.a.storeM(offFlRes, resReg)
+func (e *nemit) recSZP(res int) {
+	e.a.movI8(fld(offFlOp), byte(uop.FlagSZP))
+	e.a.movTo(fld(offFlRes), res)
 	e.flOp = int(uop.FlagSZP)
 }
 
-// ---- generic ALU bodies -------------------------------------------------
-
-// alu32 emits res(R8) = EAX op b (b in bReg, or bImm when bReg < 0),
-// recording flags when rec, mirroring Machine.ualu. Returns (wb, ok);
-// ok is false for ADC/SBB, which need lazy-CF materialization.
-func (e *nemit) alu32(op uop.AluOp, bReg int, bImm uint32, rec bool) (bool, bool) {
-	a := &e.a
-	do := func(mr byte, ext int) {
-		a.movRR(hR8, hAX)
-		if bReg < 0 {
-			a.aluRI(ext, hR8, bImm)
-		} else {
-			a.aluRR(mr, hR8, bReg)
-		}
-	}
-	recAB := func(fo uop.FlagOp) {
-		if !rec {
-			return
-		}
-		if bReg < 0 {
-			e.recABIRes(fo, hAX, bImm, hR8)
-		} else {
-			e.recABRes(fo, hAX, bReg, hR8)
-		}
-	}
-	switch op {
-	case uop.AluAdd:
-		do(aluAddMR, aluAddExt)
-		recAB(uop.FlagAdd)
-		return true, true
-	case uop.AluSub:
-		do(aluSubMR, aluSubExt)
-		recAB(uop.FlagSub)
-		return true, true
-	case uop.AluCmp:
-		do(aluSubMR, aluSubExt)
-		recAB(uop.FlagSub)
-		return false, true
-	case uop.AluAnd:
-		do(aluAndMR, aluAndExt)
-		if rec {
-			e.recLogic(uop.FlagLogic, hR8)
-		}
-		return true, true
-	case uop.AluOr:
-		do(aluOrMR, aluOrExt)
-		if rec {
-			e.recLogic(uop.FlagLogic, hR8)
-		}
-		return true, true
-	case uop.AluXor:
-		do(aluXorMR, aluXorExt)
-		if rec {
-			e.recLogic(uop.FlagLogic, hR8)
-		}
-		return true, true
-	case uop.AluTest:
-		do(aluAndMR, aluAndExt)
-		if rec {
-			e.recLogic(uop.FlagLogic, hR8)
-		}
-		return false, true
-	case uop.AluAdc, uop.AluSbb:
-		return e.aluCarry(op, bReg, bImm, rec, false)
-	}
-	return false, false
+// aluSel is one ALU operation's encodings and flag record: arith
+// records its operands, wb writes its result back.
+type aluSel struct {
+	rm        byte
+	ext       int
+	fo, fo8   uop.FlagOp
+	arith, wb bool
 }
 
-// aluCarry emits ADC/SBB for alu32/alu8: materialize the carry-in from
-// the current record, combine with plain adds/subs, and write the full
-// FlagAdc/FlagSbb record including Cin — mirroring Machine.ualu. The
-// memory forms keep their writeback address live in CX across the ALU
-// body, so CX is spilled around the materializer (which clobbers it).
-func (e *nemit) aluCarry(op uop.AluOp, bReg int, bImm uint32, rec, byteWidth bool) (bool, bool) {
-	if !rec || e.flOp == flUnknown {
-		return false, false // stays on tier-1
-	}
+var aluSels = [...]aluSel{
+	uop.AluAdd:  {aluAddRM, aluAddExt, uop.FlagAdd, uop.FlagAdd8, true, true},
+	uop.AluAdc:  {aluAddRM, aluAddExt, uop.FlagAdc, uop.FlagAdc8, true, true},
+	uop.AluSub:  {aluSubRM, aluSubExt, uop.FlagSub, uop.FlagSub8, true, true},
+	uop.AluSbb:  {aluSubRM, aluSubExt, uop.FlagSbb, uop.FlagSbb8, true, true},
+	uop.AluAnd:  {aluAndRM, aluAndExt, uop.FlagLogic, uop.FlagLogic8, false, true},
+	uop.AluOr:   {aluOrRM, aluOrExt, uop.FlagLogic, uop.FlagLogic8, false, true},
+	uop.AluXor:  {aluXorRM, aluXorExt, uop.FlagLogic, uop.FlagLogic8, false, true},
+	uop.AluCmp:  {aluSubRM, aluSubExt, uop.FlagSub, uop.FlagSub8, true, false},
+	uop.AluTest: {aluAndRM, aluAndExt, uop.FlagLogic, uop.FlagLogic8, false, false},
+}
+
+// alu32 emits "dst = dst op b" at 32 bits, mirroring Machine.ualu: dst
+// is a pinned register or the memory operand opnd returned, b a pinned
+// register, an immediate or (register dst only) memory; rec writes the
+// flag record. A memory destination is stored through alsoWrite, after
+// the record. Returns false for ADC/SBB after a conditional flag writer.
+// Clobbers EAX, EDX and R8.
+func (e *nemit) alu32(i int, op uop.AluOp, dst rm, b opd, rec bool) bool {
 	a := &e.a
-	a.pushR(hCX)
-	a.movRR(hR8, hAX) // a
-	if bReg >= 0 {
-		a.movRR(hR9, bReg) // b
+	u := &e.us[i]
+	sel := aluSels[op]
+	if !rec && !sel.wb {
+		return true // a quiet compare
 	}
+	res := dst.base
+	switch {
+	case op == uop.AluAdc || op == uop.AluSbb:
+		if e.flOp == flUnknown {
+			return false // stays on tier-1
+		}
+		res = e.carry(sel, func(r int) { a.mov(r, dst) }, func(r int) opd {
+			if !b.isI && !b.o.direct {
+				a.mov(r, b.o)
+				return rmOp(rg(r))
+			}
+			return b
+		}, false)
+	case !dst.direct || !sel.wb:
+		// The result goes to memory or nowhere: work in EAX.
+		if rec && sel.arith && !b.isI && !b.o.direct {
+			a.mov(hDX, b.o)
+			b = rmOp(rg(hDX))
+		}
+		res = hAX
+		a.mov(hAX, dst)
+		if rec && sel.arith {
+			a.movTo(fld(offFlA), hAX)
+			e.recB(b)
+		}
+		e.apply(sel.rm, sel.ext, hAX, b)
+		if rec {
+			e.recRes(sel.fo, hAX)
+		}
+	default:
+		if rec && sel.arith {
+			if !b.isI && !b.o.direct {
+				a.mov(hDX, b.o)
+				b = rmOp(rg(hDX))
+			}
+			a.movTo(fld(offFlA), res)
+			e.recB(b)
+		}
+		e.apply(sel.rm, sel.ext, res, b)
+		if rec {
+			e.recRes(sel.fo, res)
+		}
+		return true
+	}
+	switch {
+	case !sel.wb:
+	case dst.direct:
+		a.mov(dst.base, rg(res))
+	default:
+		e.alsoWrite(i, 4, u.EIP, 1)
+		a.movTo(dst, res)
+	}
+	return true
+}
+
+// carry emits ADC/SBB for alu32/alu8: materialize the carry-in from the
+// current record (which must be known), fetch a and b — loadA puts a in
+// the register it is handed, loadB returns b as an immediate, a pinned
+// register or the scratch register it is handed — combine, and write the
+// full record including Cin, mirroring Machine.ualu. The result is left
+// in R8 (which a later write check does not clobber) and R8 returned. The
+// operand a memory form got from opnd may live in RCX, which the
+// materializer clobbers, so RCX is kept on the stack across it.
+func (e *nemit) carry(sel aluSel, loadA func(int), loadB func(int) opd, byteWidth bool) int {
+	a := &e.a
+	a.push(hCX)
 	e.cfValue(hAX) // cin
-	a.popR(hCX)
-
-	sel, ext, fo := byte(aluAddMR), aluAddExt, uop.FlagAdc
-	if op == uop.AluSbb {
-		sel, ext, fo = byte(aluSubMR), aluSubExt, uop.FlagSbb
-	}
+	a.pop(hCX)
+	loadA(hR8)
+	b := loadB(hDX)
+	a.movTo(fld(offFlA), hR8)
+	e.recB(b)
+	a.movTo(fld(offFlCin), hAX)
+	e.apply(sel.rm, sel.ext, hR8, b)
+	a.alu(sel.rm, hR8, rg(hAX)) // ± cin
+	fo := sel.fo
 	if byteWidth {
-		fo = uop.FlagAdc8
-		if op == uop.AluSbb {
-			fo = uop.FlagSbb8
-		}
+		a.aluI(aluAndExt, rg(hR8), 0xFF)
+		fo = sel.fo8
 	}
-	a.movRR(hDX, hR8)
-	if bReg >= 0 {
-		a.aluRR(sel, hDX, hR9)
-	} else {
-		a.aluRI(ext, hDX, bImm)
-	}
-	a.aluRR(sel, hDX, hAX) // ± cin
-	if byteWidth {
-		a.aluRI(aluAndExt, hDX, 0xFF)
-	}
-	a.storeMI(offFlOp, uint32(fo))
-	a.storeM(offFlA, hR8)
-	if bReg >= 0 {
-		a.storeM(offFlB, hR9)
-	} else {
-		a.storeMI(offFlB, bImm)
-	}
-	a.storeM(offFlCin, hAX)
-	a.storeM(offFlRes, hDX)
-	a.movRR(hR8, hDX)
-	e.flOp = int(fo)
-	return true, true
+	e.recRes(fo, hR8)
+	return hR8
 }
 
-// alu8 is the byte-width form: a pre-masked in EAX, b pre-masked in
-// bReg (or raw bImm), result masked in R8, *8 flag records.
-func (e *nemit) alu8(op uop.AluOp, bReg int, bImm uint32, rec bool) (bool, bool) {
+// alu8 is the byte-width ALU, mirroring Machine.ualu8. loadA and loadB
+// fetch the pre-masked operands as for carry; the masked result is
+// returned in R8 for the caller to write
+// back, ok false for ADC/SBB after a conditional flag writer. Clobbers
+// EAX, EDX and R8.
+func (e *nemit) alu8(op uop.AluOp, loadA func(int), loadB func(int) opd) (res int, ok bool) {
 	a := &e.a
-	do := func(mr byte, ext int, mask bool) {
-		a.movRR(hR8, hAX)
-		if bReg < 0 {
-			a.aluRI(ext, hR8, bImm)
-		} else {
-			a.aluRR(mr, hR8, bReg)
+	sel := aluSels[op]
+	if op == uop.AluAdc || op == uop.AluSbb {
+		if e.flOp == flUnknown {
+			return 0, false
 		}
-		if mask {
-			a.aluRI(aluAndExt, hR8, 0xFF)
-		}
+		return e.carry(sel, loadA, loadB, true), true
 	}
-	recAB := func(fo uop.FlagOp) {
-		if !rec {
-			return
-		}
-		if bReg < 0 {
-			e.recABIRes(fo, hAX, bImm, hR8)
-		} else {
-			e.recABRes(fo, hAX, bReg, hR8)
-		}
+	b := loadB(hDX)
+	loadA(hAX)
+	a.mov(hR8, rg(hAX))
+	e.apply(sel.rm, sel.ext, hR8, b)
+	if sel.arith {
+		a.aluI(aluAndExt, rg(hR8), 0xFF)
+		a.movTo(fld(offFlA), hAX)
+		e.recB(b)
 	}
+	e.recRes(sel.fo8, hR8)
+	return hR8, true
+}
+
+// aluKinds are the specialized register ALU kinds: "Dst = Dst op Src" or
+// "Dst = Dst op Imm", recording flags or (NF) not.
+var aluKinds = [uop.KindGeneric + 1]struct {
+	op           uop.AluOp
+	imm, rec, ok bool
+}{
+	uop.KindAddRR: {uop.AluAdd, false, true, true}, uop.KindAddRI: {uop.AluAdd, true, true, true},
+	uop.KindSubRR: {uop.AluSub, false, true, true}, uop.KindSubRI: {uop.AluSub, true, true, true},
+	uop.KindAndRR: {uop.AluAnd, false, true, true}, uop.KindAndRI: {uop.AluAnd, true, true, true},
+	uop.KindOrRR: {uop.AluOr, false, true, true}, uop.KindOrRI: {uop.AluOr, true, true, true},
+	uop.KindXorRR: {uop.AluXor, false, true, true}, uop.KindXorRI: {uop.AluXor, true, true, true},
+	uop.KindCmpRR: {uop.AluCmp, false, true, true}, uop.KindCmpRI: {uop.AluCmp, true, true, true},
+	uop.KindTestRR: {uop.AluTest, false, true, true}, uop.KindTestRI: {uop.AluTest, true, true, true},
+	uop.KindAddRRNF: {uop.AluAdd, false, false, true}, uop.KindAddRINF: {uop.AluAdd, true, false, true},
+	uop.KindSubRRNF: {uop.AluSub, false, false, true}, uop.KindSubRINF: {uop.AluSub, true, false, true},
+	uop.KindAndRRNF: {uop.AluAnd, false, false, true}, uop.KindAndRINF: {uop.AluAnd, true, false, true},
+	uop.KindOrRRNF: {uop.AluOr, false, false, true}, uop.KindOrRINF: {uop.AluOr, true, false, true},
+	uop.KindXorRRNF: {uop.AluXor, false, false, true}, uop.KindXorRINF: {uop.AluXor, true, false, true},
+}
+
+// shiftSel maps a ShOp to its /ext and FlagOp.
+func shiftSel(op uop.ShOp) (int, uop.FlagOp) {
 	switch op {
-	case uop.AluAdd:
-		do(aluAddMR, aluAddExt, true)
-		recAB(uop.FlagAdd8)
-		return true, true
-	case uop.AluSub:
-		do(aluSubMR, aluSubExt, true)
-		recAB(uop.FlagSub8)
-		return true, true
-	case uop.AluCmp:
-		do(aluSubMR, aluSubExt, true)
-		recAB(uop.FlagSub8)
-		return false, true
-	case uop.AluAnd:
-		do(aluAndMR, aluAndExt, false)
-		if rec {
-			e.recLogic(uop.FlagLogic8, hR8)
-		}
-		return true, true
-	case uop.AluOr:
-		do(aluOrMR, aluOrExt, false)
-		if rec {
-			e.recLogic(uop.FlagLogic8, hR8)
-		}
-		return true, true
-	case uop.AluXor:
-		do(aluXorMR, aluXorExt, false)
-		if rec {
-			e.recLogic(uop.FlagLogic8, hR8)
-		}
-		return true, true
-	case uop.AluTest:
-		do(aluAndMR, aluAndExt, false)
-		if rec {
-			e.recLogic(uop.FlagLogic8, hR8)
-		}
-		return false, true
-	case uop.AluAdc, uop.AluSbb:
-		return e.aluCarry(op, bReg, bImm, rec, true)
+	case uop.ShShl:
+		return shlExt, uop.FlagShl
+	case uop.ShShr:
+		return shrExt, uop.FlagShr
 	}
-	return false, false
+	return sarExt, uop.FlagSar
 }
 
-// loadByteOf loads Reg.byte[sh] masked into reg.
-func (e *nemit) loadByteOf(reg int, rOff int32, sh uint8) {
-	a := &e.a
-	a.loadM(reg, rOff)
-	if sh != 0 {
-		a.shiftRI(shrExt, reg, sh)
+// pop emits "dst = pop" for micro-op i: a popped ESP wins over the
+// increment.
+func (e *nemit) pop(i int, dst int, eip uint32, started int) {
+	esp := hostReg[x86.ESP]
+	e.a.mov(dst, e.opnd(i, stackEA(0), 4, false, eip, started))
+	if dst != esp {
+		e.a.aluI(aluAddExt, rg(esp), 4)
 	}
-	a.aluRI(aluAndExt, reg, 0xFF)
 }
 
-// one emits micro-op i. Returns false on a micro-op the native backend
-// cannot express without materializing lazy flags.
+// push emits "push src" (a pinned register, or an immediate when src < 0).
+func (e *nemit) push(i int, src int, imm uint32, eip uint32, started int) {
+	m := e.opnd(i, stackEA(-4), 4, true, eip, started)
+	if src < 0 {
+		e.a.movI(m, imm)
+	} else {
+		e.a.movTo(m, src)
+	}
+	e.a.aluI(aluSubExt, rg(hostReg[x86.ESP]), 4)
+}
+
+// one emits micro-op i, in program order on the pinned registers, so a
+// fused pair's second half sees what its first half wrote exactly as on
+// tier 1. Returns false on a micro-op the native backend cannot express
+// without materializing lazy flags.
 func (e *nemit) one(i int) bool {
 	u := &e.us[i]
 	a := &e.a
-	pd, ps := regOff(u.Dst), regOff(u.Src)
-	pa := paOff(u)
-	rESP, rECX := regOff(uint8(x86.ESP)), regOff(uint8(x86.ECX))
-	rEAX, rEDX := regOff(uint8(x86.EAX)), regOff(uint8(x86.EDX))
+	gd, gs := hostReg[u.Dst&7], hostReg[u.Src&7]
+	ga := hostReg[u.Aux&7] // a register only for the kinds that say so
+	esp, gax, gcx, gdx := hostReg[x86.ESP], hostReg[x86.EAX], hostReg[x86.ECX], hostReg[x86.EDX]
 	imm, dsh, ssh := u.Imm, u.Dsh, u.Ssh
 	cc := byte(u.Sub)
 	aluOp := uop.AluOp(u.Sub)
+	rd := func(size uint32) rm { return e.opnd(i, uea(u), size, false, u.EIP, 1) }
+	wr := func(size uint32) rm { return e.opnd(i, uea(u), size, true, u.EIP, 1) }
 
+	if k := aluKinds[u.Kind]; k.ok {
+		b := rmOp(rg(gs))
+		if k.imm {
+			b = immOp(imm)
+		}
+		return e.alu32(i, k.op, rg(gd), b, k.rec)
+	}
 	switch u.Kind {
 	case uop.KindNop:
 
 	// --- moves ---
 	case uop.KindMovRR:
-		a.loadM(hAX, ps)
-		a.storeM(pd, hAX)
+		if gd != gs {
+			a.mov(gd, rg(gs))
+		}
 	case uop.KindMovRI:
-		a.storeMI(pd, imm)
+		a.movI(rg(gd), imm)
 	case uop.KindMovRR8:
-		e.loadByteOf(hAX, ps, ssh)
-		e.insByte(dsh, pd)
+		if dsh == 0 && ssh == 0 {
+			a.mov8(gd, rg(gs))
+		} else {
+			e.byteOf(hAX, gs, ssh)
+			e.insByte(gd, dsh)
+		}
 	case uop.KindMovRI8:
-		a.loadM(hDX, pd)
-		a.aluRI(aluAndExt, hDX, ^(uint32(0xFF) << dsh))
-		if v := (imm & 0xFF) << dsh; v != 0 {
-			a.aluRI(aluOrExt, hDX, v)
+		if dsh == 0 {
+			a.movI8(rg(gd), byte(imm))
+		} else {
+			a.aluI(aluAndExt, rg(gd), ^(uint32(0xFF) << dsh))
+			if v := (imm & 0xFF) << dsh; v != 0 {
+				a.aluI(aluOrExt, rg(gd), v)
+			}
 		}
-		a.storeM(pd, hDX)
 	case uop.KindLoad:
-		e.addr(u)
-		e.checkRd(4, e.rf(i, u.EIP, 4, 1), false)
-		a.loadG(hAX, hCX, 4, false)
-		a.storeM(pd, hAX)
+		a.mov(gd, rd(4))
 	case uop.KindLoad8:
-		e.addr(u)
-		e.checkRd(1, e.rf(i, u.EIP, 1, 1), false)
-		a.loadG(hAX, hCX, 1, false)
-		e.insByte(dsh, pd)
-	case uop.KindStore:
-		e.addr(u)
-		e.checkWr(4, e.wf(i, u.EIP, 4, 1), false)
-		a.loadM(hAX, ps)
-		a.storeG(hCX, hAX, 4)
-	case uop.KindStore8:
-		e.addr(u)
-		e.checkWr(1, e.wf(i, u.EIP, 1, 1), false)
-		a.loadM(hAX, ps)
-		if ssh != 0 {
-			a.shiftRI(shrExt, hAX, ssh)
+		if m := rd(1); dsh == 0 {
+			a.mov8(gd, m)
+		} else {
+			a.movx(movzx8, hAX, m)
+			e.insByte(gd, dsh)
 		}
-		a.storeG(hCX, hAX, 1)
+	case uop.KindStore:
+		a.movTo(wr(4), gs)
+	case uop.KindStore8:
+		if m := wr(1); ssh == 0 {
+			a.movTo8(m, gs)
+		} else {
+			e.byteOf(hAX, gs, ssh)
+			a.movTo8(m, hAX)
+		}
 	case uop.KindStoreI:
-		e.addr(u)
-		e.checkWr(4, e.wf(i, u.EIP, 4, 1), false)
-		a.storeGI(hCX, imm, 4)
+		a.movI(wr(4), imm)
 	case uop.KindStoreI8:
-		e.addr(u)
-		e.checkWr(1, e.wf(i, u.EIP, 1, 1), false)
-		a.storeGI(hCX, imm, 1)
+		a.movI8(wr(1), byte(imm))
 	case uop.KindLea:
-		e.addr(u)
-		a.storeM(pd, hCX)
+		e.leaTo(gd, uea(u))
 
 	// --- widening moves ---
 	case uop.KindMovzxRR8:
-		e.loadByteOf(hAX, ps, ssh)
-		a.storeM(pd, hAX)
+		e.byteOf(gd, gs, ssh)
 	case uop.KindMovzxRR16:
-		a.loadM(hAX, ps)
-		a.widenRR(0xB7, hAX, hAX)
-		a.storeM(pd, hAX)
+		a.movx(movzx16, gd, rg(gs))
 	case uop.KindMovzxRM8:
-		e.addr(u)
-		e.checkRd(1, e.rf(i, u.EIP, 1, 1), false)
-		a.loadG(hAX, hCX, 1, false)
-		a.storeM(pd, hAX)
+		a.movx(movzx8, gd, rd(1))
 	case uop.KindMovzxRM16:
-		e.addr(u)
-		e.checkRd(2, e.rf(i, u.EIP, 2, 1), false)
-		a.loadG(hAX, hCX, 2, false)
-		a.storeM(pd, hAX)
+		a.movx(movzx16, gd, rd(2))
 	case uop.KindMovsxRR8:
-		a.loadM(hAX, ps)
-		if ssh != 0 {
-			a.shiftRI(shrExt, hAX, ssh)
+		if ssh == 0 {
+			a.movx(movsx8, gd, rg(gs))
+		} else {
+			e.byteOf(hAX, gs, ssh)
+			a.movx(movsx8, gd, rg(hAX))
 		}
-		a.widenRR(0xBE, hAX, hAX)
-		a.storeM(pd, hAX)
 	case uop.KindMovsxRR16:
-		a.loadM(hAX, ps)
-		a.widenRR(0xBF, hAX, hAX)
-		a.storeM(pd, hAX)
+		a.movx(movsx16, gd, rg(gs))
 	case uop.KindMovsxRM8:
-		e.addr(u)
-		e.checkRd(1, e.rf(i, u.EIP, 1, 1), false)
-		a.loadG(hAX, hCX, 1, true)
-		a.storeM(pd, hAX)
+		a.movx(movsx8, gd, rd(1))
 	case uop.KindMovsxRM16:
-		e.addr(u)
-		e.checkRd(2, e.rf(i, u.EIP, 2, 1), false)
-		a.loadG(hAX, hCX, 2, true)
-		a.storeM(pd, hAX)
+		a.movx(movsx16, gd, rd(2))
 
 	case uop.KindXchgRR:
-		a.loadM(hAX, pd)
-		a.loadM(hDX, ps)
-		a.storeM(pd, hDX)
-		a.storeM(ps, hAX)
+		a.xchg(gd, gs)
 
-	// --- fully specialized 32-bit ALU forms ---
-	case uop.KindAddRR:
-		a.loadM(hAX, pd)
-		a.loadM(hDX, ps)
-		a.lea32(hR8, hAX, hDX, 1, 0)
-		a.storeM(pd, hR8)
-		e.recABRes(uop.FlagAdd, hAX, hDX, hR8)
-	case uop.KindAddRI:
-		a.loadM(hAX, pd)
-		a.leaD(hR8, hAX, imm)
-		a.storeM(pd, hR8)
-		e.recABIRes(uop.FlagAdd, hAX, imm, hR8)
-	case uop.KindSubRR:
-		a.loadM(hAX, pd)
-		a.loadM(hDX, ps)
-		a.movRR(hR8, hAX)
-		a.aluRR(aluSubMR, hR8, hDX)
-		a.storeM(pd, hR8)
-		e.recABRes(uop.FlagSub, hAX, hDX, hR8)
-	case uop.KindSubRI:
-		a.loadM(hAX, pd)
-		a.movRR(hR8, hAX)
-		a.aluRI(aluSubExt, hR8, imm)
-		a.storeM(pd, hR8)
-		e.recABIRes(uop.FlagSub, hAX, imm, hR8)
-	case uop.KindCmpRR:
-		a.loadM(hAX, pd)
-		a.loadM(hDX, ps)
-		a.movRR(hR8, hAX)
-		a.aluRR(aluSubMR, hR8, hDX)
-		e.recABRes(uop.FlagSub, hAX, hDX, hR8)
-	case uop.KindCmpRI:
-		a.loadM(hAX, pd)
-		a.movRR(hR8, hAX)
-		a.aluRI(aluSubExt, hR8, imm)
-		e.recABIRes(uop.FlagSub, hAX, imm, hR8)
-	case uop.KindAndRR, uop.KindOrRR, uop.KindXorRR, uop.KindTestRR:
-		a.loadM(hAX, pd)
-		a.loadM(hDX, ps)
-		a.movRR(hR8, hAX)
-		switch u.Kind {
-		case uop.KindAndRR, uop.KindTestRR:
-			a.aluRR(aluAndMR, hR8, hDX)
-		case uop.KindOrRR:
-			a.aluRR(aluOrMR, hR8, hDX)
-		default:
-			a.aluRR(aluXorMR, hR8, hDX)
-		}
-		if u.Kind != uop.KindTestRR {
-			a.storeM(pd, hR8)
-		}
-		e.recLogic(uop.FlagLogic, hR8)
-	case uop.KindAndRI, uop.KindOrRI, uop.KindXorRI, uop.KindTestRI:
-		a.loadM(hAX, pd)
-		a.movRR(hR8, hAX)
-		switch u.Kind {
-		case uop.KindAndRI, uop.KindTestRI:
-			a.aluRI(aluAndExt, hR8, imm)
-		case uop.KindOrRI:
-			a.aluRI(aluOrExt, hR8, imm)
-		default:
-			a.aluRI(aluXorExt, hR8, imm)
-		}
-		if u.Kind != uop.KindTestRI {
-			a.storeM(pd, hR8)
-		}
-		e.recLogic(uop.FlagLogic, hR8)
+	// --- 32-bit ALU forms, recording and flag-suppressed ---
+	case uop.KindIncRNF:
+		a.aluI(aluAddExt, rg(gd), 1)
+	case uop.KindDecRNF:
+		a.aluI(aluSubExt, rg(gd), 1)
 
-	// --- remaining ALU forms ---
 	case uop.KindAluRR:
-		a.loadM(hAX, pd)
-		a.loadM(hDX, ps)
-		wb, ok := e.alu32(aluOp, hDX, 0, true)
-		if !ok {
-			return false
-		}
-		if wb {
-			a.storeM(pd, hR8)
-		}
+		return e.alu32(i, aluOp, rg(gd), rmOp(rg(gs)), true)
 	case uop.KindAluRI:
-		a.loadM(hAX, pd)
-		wb, ok := e.alu32(aluOp, -1, imm, true)
-		if !ok {
-			return false
-		}
-		if wb {
-			a.storeM(pd, hR8)
-		}
+		return e.alu32(i, aluOp, rg(gd), immOp(imm), true)
 	case uop.KindAluRM:
-		e.addr(u)
-		e.checkRd(4, e.rf(i, u.EIP, 4, 1), false)
-		a.loadG(hDX, hCX, 4, false)
-		a.loadM(hAX, pd)
-		wb, ok := e.alu32(aluOp, hDX, 0, true)
+		return e.alu32(i, aluOp, rg(gd), rmOp(rd(4)), true)
+	case uop.KindAluMR:
+		return e.alu32(i, aluOp, rd(4), rmOp(rg(gs)), true)
+	case uop.KindAluMI:
+		return e.alu32(i, aluOp, rd(4), immOp(imm), true)
+
+	// --- byte ALU forms ---
+	case uop.KindAlu8RR, uop.KindAlu8RI, uop.KindAlu8RM:
+		var m rm
+		if u.Kind == uop.KindAlu8RM {
+			m = rd(1)
+		}
+		res, ok := e.alu8(aluOp, func(r int) { e.byteOf(r, gd, dsh) }, func(r int) opd {
+			switch u.Kind {
+			case uop.KindAlu8RR:
+				e.byteOf(r, gs, ssh)
+			case uop.KindAlu8RI:
+				return immOp(imm)
+			default:
+				a.movx(movzx8, r, m)
+			}
+			return rmOp(rg(r))
+		})
 		if !ok {
 			return false
 		}
-		if wb {
-			a.storeM(pd, hR8)
-		}
-	case uop.KindAluMR, uop.KindAluMI:
-		e.addr(u)
-		e.checkRd(4, e.rf(i, u.EIP, 4, 1), false)
-		a.loadG(hAX, hCX, 4, false)
-		var wb, ok bool
-		if u.Kind == uop.KindAluMR {
-			a.loadM(hDX, ps)
-			wb, ok = e.alu32(aluOp, hDX, 0, true)
-		} else {
-			wb, ok = e.alu32(aluOp, -1, imm, true)
-		}
-		if !ok {
-			return false
-		}
-		if wb {
-			e.checkWr(4, e.wf(i, u.EIP, 4, 1), false)
-			a.storeG(hCX, hR8, 4)
-		}
-	case uop.KindAlu8RR:
-		e.loadByteOf(hDX, ps, ssh)
-		e.loadByteOf(hAX, pd, dsh)
-		wb, ok := e.alu8(aluOp, hDX, 0, true)
-		if !ok {
-			return false
-		}
-		if wb {
-			a.movRR(hAX, hR8)
-			e.insByte(dsh, pd)
-		}
-	case uop.KindAlu8RI:
-		e.loadByteOf(hAX, pd, dsh)
-		wb, ok := e.alu8(aluOp, -1, imm, true)
-		if !ok {
-			return false
-		}
-		if wb {
-			a.movRR(hAX, hR8)
-			e.insByte(dsh, pd)
-		}
-	case uop.KindAlu8RM:
-		e.addr(u)
-		e.checkRd(1, e.rf(i, u.EIP, 1, 1), false)
-		a.loadG(hDX, hCX, 1, false)
-		e.loadByteOf(hAX, pd, dsh)
-		wb, ok := e.alu8(aluOp, hDX, 0, true)
-		if !ok {
-			return false
-		}
-		if wb {
-			a.movRR(hAX, hR8)
-			e.insByte(dsh, pd)
+		if aluSels[aluOp].wb {
+			a.mov(hAX, rg(res))
+			e.insByte(gd, dsh)
 		}
 	case uop.KindAlu8MR, uop.KindAlu8MI:
-		e.addr(u)
-		e.checkRd(1, e.rf(i, u.EIP, 1, 1), false)
-		a.loadG(hAX, hCX, 1, false)
-		var wb, ok bool
-		if u.Kind == uop.KindAlu8MR {
-			e.loadByteOf(hDX, ps, ssh)
-			wb, ok = e.alu8(aluOp, hDX, 0, true)
-		} else {
-			wb, ok = e.alu8(aluOp, -1, imm, true)
-		}
+		m := rd(1)
+		res, ok := e.alu8(aluOp, func(r int) { a.movx(movzx8, r, m) }, func(r int) opd {
+			if u.Kind == uop.KindAlu8MI {
+				return immOp(imm)
+			}
+			e.byteOf(r, gs, ssh)
+			return rmOp(rg(r))
+		})
 		if !ok {
 			return false
 		}
-		if wb {
-			e.checkWr(1, e.wf(i, u.EIP, 1, 1), false)
-			a.storeG(hCX, hR8, 1)
+		if aluSels[aluOp].wb {
+			e.alsoWrite(i, 1, u.EIP, 1)
+			a.movTo8(m, res)
 		}
 
 	case uop.KindIncR, uop.KindDecR:
 		// INC/DEC preserve CF: materialize it from the current record
 		// and write a Keep record carrying it (Op and KeptCF share the
-		// low word; one dword store zeroes the padding like recABRes).
+		// low word).
 		if e.flOp == flUnknown {
 			return false
 		}
-		fo, delta := uop.FlagAddKeep, uint32(1)
+		fo, ext := uop.FlagAddKeep, aluAddExt
 		if u.Kind == uop.KindDecR {
-			fo, delta = uop.FlagSubKeep, ^uint32(0)
+			fo, ext = uop.FlagSubKeep, aluSubExt
 		}
 		e.cfValue(hAX)
-		a.loadM(hDX, pd)
-		a.leaD(hR8, hDX, delta)
-		a.storeM(pd, hR8)
-		a.shiftRI(shlExt, hAX, 8)
-		a.aluRI(aluOrExt, hAX, uint32(fo))
-		a.storeM(offFlOp, hAX) // Op | KeptCF<<8
-		a.storeM(offFlA, hDX)
-		a.storeMI(offFlB, 1)
-		a.storeMI(offFlCin, 0)
-		a.storeM(offFlRes, hR8)
+		a.movTo(fld(offFlA), gd)
+		a.aluI(ext, rg(gd), 1)
+		a.shiftI(shlExt, hAX, 8)
+		a.aluI(aluOrExt, rg(hAX), uint32(fo))
+		a.movI(fld(offFlB), 1)
+		a.movTo(fld(offFlRes), gd)
+		a.movTo(fld(offFlOp), hAX) // Op | KeptCF<<8
 		e.flOp = int(fo)
 
 	case uop.KindNegR:
-		a.loadM(hDX, pd)
-		a.movRR(hAX, hDX)
-		a.negNot(3, hAX)
-		a.storeM(pd, hAX)
-		a.storeMI(offFlOp, uint32(uop.FlagSub))
-		a.storeMI(offFlA, 0)
-		a.storeM(offFlB, hDX)
-		a.storeMI(offFlCin, 0)
-		a.storeM(offFlRes, hAX)
-		e.flOp = int(uop.FlagSub)
+		a.movTo(fld(offFlB), gd)
+		a.unary(negExt, rg(gd))
+		a.movI(fld(offFlA), 0)
+		e.recRes(uop.FlagSub, gd)
 	case uop.KindNotR:
-		a.loadM(hAX, pd)
-		a.negNot(2, hAX)
-		a.storeM(pd, hAX)
+		a.unary(notExt, rg(gd))
 
 	// --- shifts ---
-	case uop.KindShiftRI:
-		var fo uop.FlagOp
-		var ext int
-		switch uop.ShOp(u.Sub) {
-		case uop.ShShl:
-			fo, ext = uop.FlagShl, shlExt
-		case uop.ShShr:
-			fo, ext = uop.FlagShr, shrExt
-		default:
-			fo, ext = uop.FlagSar, sarExt
+	case uop.KindShiftRI, uop.KindShiftRINF:
+		ext, fo := shiftSel(uop.ShOp(u.Sub))
+		rec := u.Kind == uop.KindShiftRI
+		if rec {
+			a.movTo(fld(offFlA), gd)
 		}
-		a.loadM(hDX, pd)
-		a.movRR(hAX, hDX)
 		if n := byte(imm & 31); n != 0 {
-			a.shiftRI(ext, hAX, n)
+			a.shiftI(ext, gd, n)
 		}
-		a.storeM(pd, hAX)
-		e.recABIRes(fo, hDX, imm, hAX)
+		if rec {
+			a.movI(fld(offFlB), imm)
+			e.recRes(fo, gd)
+		}
 	case uop.KindShiftRCL:
-		var fo uop.FlagOp
-		var ext int
-		switch uop.ShOp(u.Sub) {
-		case uop.ShShl:
-			fo, ext = uop.FlagShl, shlExt
-		case uop.ShShr:
-			fo, ext = uop.FlagShr, shrExt
-		default:
-			fo, ext = uop.FlagSar, sarExt
-		}
-		a.loadM(hCX, rECX)
-		a.aluRI(aluAndExt, hCX, 31)
-		f := a.jcc32(byte(x86.CCE)) // count 0: no write, no record
-		a.loadM(hDX, pd)
-		a.movRR(hAX, hDX)
-		a.shiftCL(ext, hAX)
-		a.storeM(pd, hAX)
-		a.storeMI(offFlOp, uint32(fo))
-		a.storeM(offFlA, hDX)
-		a.storeM(offFlB, hCX)
-		a.storeMI(offFlCin, 0)
-		a.storeM(offFlRes, hAX)
+		ext, fo := shiftSel(uop.ShOp(u.Sub))
+		a.mov(hCX, rg(gcx))
+		a.aluI(aluAndExt, rg(hCX), 31)
+		f := a.jcc(byte(x86.CCE)) // count 0: no write, no record
+		a.movTo(fld(offFlA), gd)
+		a.shiftCL(ext, gd)
+		a.movTo(fld(offFlB), hCX)
+		e.recRes(fo, gd)
 		a.patch(f)
 		e.flOp = flUnknown // record written only when the count was nonzero
+	case uop.KindShiftRCLNF:
+		ext, _ := shiftSel(uop.ShOp(u.Sub))
+		a.mov(hCX, rg(gcx))
+		a.shiftCL(ext, gd) // hardware masks the count mod 32 itself
 
 	// --- multiply / divide ---
-	case uop.KindImulRR, uop.KindImulRRI:
-		if u.Kind == uop.KindImulRR {
-			a.loadM(hAX, pd)
-		} else {
-			a.movRI(hAX, imm)
+	case uop.KindImulRR, uop.KindImulRM, uop.KindImulRRI, uop.KindImulRMI:
+		switch u.Kind {
+		case uop.KindImulRR:
+			a.imul(gd, rg(gs))
+		case uop.KindImulRM:
+			a.imul(gd, rd(4))
+		case uop.KindImulRRI:
+			a.imulI(gd, rg(gs), imm)
+		default:
+			a.imulI(gd, rd(4), imm)
 		}
-		a.loadM(hDX, ps)
-		a.imulRR(hAX, hDX)
-		a.setccM(byte(x86.CCO), offCF)
-		a.setccM(byte(x86.CCO), offOF)
-		a.storeM(regOff(u.Dst), hAX)
-		e.recSZP(hAX)
-	case uop.KindImulRM, uop.KindImulRMI:
-		e.addr(u)
-		e.checkRd(4, e.rf(i, u.EIP, 4, 1), false)
-		a.loadG(hDX, hCX, 4, false)
-		if u.Kind == uop.KindImulRM {
-			a.loadM(hAX, pd)
-		} else {
-			a.movRI(hAX, imm)
-		}
-		a.imulRR(hAX, hDX)
-		a.setccM(byte(x86.CCO), offCF)
-		a.setccM(byte(x86.CCO), offOF)
-		a.storeM(regOff(u.Dst), hAX)
-		e.recSZP(hAX)
+		a.setcc(byte(x86.CCO), fld(offCF))
+		a.setcc(byte(x86.CCO), fld(offOF))
+		e.recSZP(gd)
 	case uop.KindMulR, uop.KindMulM:
-		if u.Kind == uop.KindMulR {
-			a.loadM(hCX, ps)
-		} else {
-			e.addr(u)
-			e.checkRd(4, e.rf(i, u.EIP, 4, 1), false)
-			a.loadG(hCX, hCX, 4, false)
+		src := rg(gs)
+		if u.Kind == uop.KindMulM {
+			src = rd(4)
 		}
-		a.loadM(hAX, rEAX)
+		a.mov(hAX, rg(gax))
 		if u.Sub != 0 {
-			a.mulDiv(5, hCX) // one-operand imul: CF=OF=result doesn't fit 32
+			a.unary(imulExt, src) // CF=OF=result doesn't fit 32
 		} else {
-			a.mulDiv(4, hCX) // mul: CF=OF=(edx != 0)
+			a.unary(mulExt, src) // CF=OF=(edx != 0)
 		}
-		a.setccM(byte(x86.CCB), offCF)
-		a.setccM(byte(x86.CCB), offOF)
-		a.storeM(rEAX, hAX)
-		a.storeM(rEDX, hDX)
+		a.setcc(byte(x86.CCB), fld(offCF))
+		a.setcc(byte(x86.CCB), fld(offOF))
+		a.mov(gax, rg(hAX))
+		a.mov(gdx, rg(hDX))
 		e.recSZP(hAX)
 	case uop.KindDivR, uop.KindDivM:
-		signed := u.Sub != 0
 		sd := e.exit(Exit{Kind: ExitDivide, Uop: i, EIP: u.EIP, Started: 1})
-		if u.Kind == uop.KindDivR {
-			a.loadM(hCX, ps)
-		} else {
-			e.addr(u)
-			e.checkRd(4, e.rf(i, u.EIP, 4, 1), false)
-			a.loadG(hCX, hCX, 4, false)
+		trap := func(aux uint32, f1, f2 fix) {
+			e.stub(i, func() {
+				a.movI(fld(offTrapAux), aux)
+				e.leave(sd)
+			}, fixes{f1, f2})
 		}
-		a.testRR(hCX, hCX)
-		fz := a.jcc32(byte(x86.CCE))
-		e.stub(func() {
-			a.storeMI(offTrapAux, 0)
-			e.leave(sd)
-		}, fz)
-		if !signed {
-			a.loadM(hAX, rEAX)
-			a.loadM(hDX, rEDX)
+		if u.Kind == uop.KindDivR {
+			a.mov(hCX, rg(gs))
+		} else {
+			a.mov(hCX, rd(4))
+		}
+		a.aluTo(aluTestMR, rg(hCX), hCX)
+		trap(0, a.jcc(byte(x86.CCE)), -1)
+		a.mov(hAX, rg(gax))
+		a.mov(hDX, rg(gdx))
+		if u.Sub == 0 {
 			// Quotient fits 32 bits iff high(dividend) < divisor; the
 			// hardware #DE cases are exactly the guest's overflow trap.
-			a.aluRR(aluCmpMR, hDX, hCX)
-			fo := a.jcc32(byte(x86.CCAE))
-			e.stub(func() {
-				a.storeMI(offTrapAux, 1)
-				e.leave(sd)
-			}, fo)
-			a.mulDiv(6, hCX)
-			a.storeM(rEAX, hAX)
-			a.storeM(rEDX, hDX)
+			a.alu(aluCmpRM, hDX, rg(hCX))
+			trap(1, a.jcc(byte(x86.CCAE)), -1)
+			a.unary(divExt, rg(hCX))
 		} else {
 			// 64/64 idiv of the sign-extended dividend: the only
 			// hardware fault left is INT64_MIN / -1, pre-checked; every
 			// other quotient overflow is caught after the divide.
-			a.loadM(hAX, rEAX)
-			a.loadM(hDX, rEDX)
-			a.shiftRI64(shlExt, hDX, 32)
-			a.aluRR64(aluOrMR, hAX, hDX)
-			a.movsxd(hCX, hCX)
-			a.aluRI64(aluCmpExt, hCX, 0xFFFFFFFF) // rcx == -1?
-			fskip := a.jcc32(byte(x86.CCNE))
-			a.movRI64(hDX, 0x8000000000000000)
-			a.aluRR64(aluCmpMR, hAX, hDX)
-			fo1 := a.jcc32(byte(x86.CCE))
+			a.shiftI64(shlExt, hDX, 32)
+			a.alu64(aluOrRM, hAX, rg(hDX))
+			a.movsxd(hCX, rg(hCX))
+			a.aluI64(aluCmpExt, rg(hCX), 0xFFFFFFFF) // rcx == -1?
+			fskip := a.jcc(byte(x86.CCNE))
+			a.movI64(hDX, 0x8000000000000000)
+			a.alu64(aluCmpRM, hAX, rg(hDX))
+			fo1 := a.jcc(byte(x86.CCE))
 			a.patch(fskip)
 			a.cqo()
-			a.mulDiv64(7, hCX)
-			a.movsxd(hR8, hAX)
-			a.aluRR64(aluCmpMR, hR8, hAX)
-			fo2 := a.jcc32(byte(x86.CCNE))
-			e.stub(func() {
-				a.storeMI(offTrapAux, 1)
-				e.leave(sd)
-			}, fo1, fo2)
-			a.storeM(rEAX, hAX)
-			a.storeM(rEDX, hDX)
+			a.unary64(idivExt, rg(hCX))
+			a.movsxd(hR8, rg(hAX))
+			a.alu64(aluCmpRM, hR8, rg(hAX))
+			trap(1, fo1, a.jcc(byte(x86.CCNE)))
 		}
+		a.mov(gax, rg(hAX))
+		a.mov(gdx, rg(hDX))
 	case uop.KindCdq:
-		a.loadM(hAX, rEAX)
-		a.shiftRI(sarExt, hAX, 31)
-		a.storeM(rEDX, hAX)
+		a.mov(gdx, rg(gax))
+		a.shiftI(sarExt, gdx, 31)
 
 	// --- stack ---
-	case uop.KindPushR, uop.KindPushI:
-		a.loadM(hCX, rESP)
-		a.leaD(hCX, hCX, minus4)
-		e.checkWr(4, e.wf(i, u.EIP, 4, 1), true)
-		if u.Kind == uop.KindPushR {
-			a.loadM(hAX, ps)
-			a.storeG(hCX, hAX, 4)
-		} else {
-			a.storeGI(hCX, imm, 4)
-		}
-		a.storeM(rESP, hCX)
+	case uop.KindPushR:
+		e.push(i, gs, 0, u.EIP, 1)
+	case uop.KindPushI:
+		e.push(i, -1, imm, u.EIP, 1)
 	case uop.KindPushM:
-		e.addr(u)
-		e.checkRd(4, e.rf(i, u.EIP, 4, 1), false)
-		a.loadG(hR8, hCX, 4, false)
-		a.loadM(hCX, rESP)
-		a.leaD(hCX, hCX, minus4)
-		e.checkWr(4, e.wf(i, u.EIP, 4, 1), true)
-		a.storeG(hCX, hR8, 4)
-		a.storeM(rESP, hCX)
+		a.mov(hAX, rd(4))
+		e.push(i, hAX, 0, u.EIP, 1)
 	case uop.KindPopR:
-		a.loadM(hCX, rESP)
-		e.checkRd(4, e.rf(i, u.EIP, 4, 1), true)
-		a.loadG(hAX, hCX, 4, false)
-		a.leaD(hDX, hCX, 4)
-		a.storeM(rESP, hDX)
-		a.storeM(pd, hAX) // a popped ESP wins over the increment
+		e.pop(i, gd, u.EIP, 1)
 	case uop.KindPopM:
-		a.loadM(hCX, rESP)
-		e.checkRd(4, e.rf(i, u.EIP, 4, 1), true)
-		a.loadG(hR8, hCX, 4, false)
-		a.leaD(hAX, hCX, 4)
-		a.storeM(rESP, hAX)
-		e.addr(u) // the store address sees the popped ESP
-		e.checkWr(4, e.wf(i, u.EIP, 4, 1), false)
-		a.storeG(hCX, hR8, 4)
+		e.pop(i, hAX, u.EIP, 1)
+		a.movTo(wr(4), hAX) // the store address sees the popped ESP
 
 	case uop.KindSetccR8:
 		if !e.flagsCond(cc, hAX, hR8) {
 			return false
 		}
-		e.insByte(dsh, pd)
+		e.insByte(gd, dsh)
 	case uop.KindSetccM8:
-		// Condition first (mirrors the closure), then the address:
-		// addr clobbers CX/DX, so the value parks in R9.
-		if !e.flagsCond(cc, hR9, hR8) {
+		// Condition first (mirrors the closure), then the address.
+		if !e.flagsCond(cc, hAX, hR8) {
 			return false
 		}
-		e.addr(u)
-		e.checkWr(1, e.wf(i, u.EIP, 1, 1), false)
-		a.storeG(hCX, hR9, 1)
-
-	// --- flag-suppressed ALU forms ---
-	case uop.KindAddRRNF, uop.KindSubRRNF, uop.KindAndRRNF, uop.KindOrRRNF, uop.KindXorRRNF:
-		a.loadM(hAX, ps)
-		switch u.Kind {
-		case uop.KindAddRRNF:
-			a.aluMR(aluAddMR, pd, hAX)
-		case uop.KindSubRRNF:
-			a.aluMR(aluSubMR, pd, hAX)
-		case uop.KindAndRRNF:
-			a.aluMR(aluAndMR, pd, hAX)
-		case uop.KindOrRRNF:
-			a.aluMR(aluOrMR, pd, hAX)
-		default:
-			a.aluMR(aluXorMR, pd, hAX)
-		}
-	case uop.KindAddRINF:
-		a.aluMI(aluAddExt, pd, imm)
-	case uop.KindSubRINF:
-		a.aluMI(aluSubExt, pd, imm)
-	case uop.KindAndRINF:
-		a.aluMI(aluAndExt, pd, imm)
-	case uop.KindOrRINF:
-		a.aluMI(aluOrExt, pd, imm)
-	case uop.KindXorRINF:
-		a.aluMI(aluXorExt, pd, imm)
-	case uop.KindIncRNF:
-		a.aluMI(aluAddExt, pd, 1)
-	case uop.KindDecRNF:
-		a.aluMI(aluSubExt, pd, 1)
-	case uop.KindShiftRINF:
-		var ext int
-		switch uop.ShOp(u.Sub) {
-		case uop.ShShl:
-			ext = shlExt
-		case uop.ShShr:
-			ext = shrExt
-		default:
-			ext = sarExt
-		}
-		a.loadM(hAX, pd)
-		if n := byte(imm & 31); n != 0 {
-			a.shiftRI(ext, hAX, n)
-		}
-		a.storeM(pd, hAX)
-	case uop.KindShiftRCLNF:
-		var ext int
-		switch uop.ShOp(u.Sub) {
-		case uop.ShShl:
-			ext = shlExt
-		case uop.ShShr:
-			ext = shrExt
-		default:
-			ext = sarExt
-		}
-		a.loadM(hCX, rECX)
-		a.loadM(hAX, pd)
-		a.shiftCL(ext, hAX) // hardware masks the count mod 32 itself
-		a.storeM(pd, hAX)
+		a.movTo8(wr(1), hAX)
 
 	// --- fused compare/setcc and boolean materialization ---
-	case uop.KindCmpSetccRR, uop.KindCmpSetccRI, uop.KindCmpBoolRR, uop.KindCmpBoolRI:
-		rr := u.Kind == uop.KindCmpSetccRR || u.Kind == uop.KindCmpBoolRR
-		a.loadM(hAX, ps)
-		a.movRR(hR8, hAX)
-		if rr {
-			a.loadM(hDX, pa)
-			a.aluRR(aluSubMR, hR8, hDX)
-		} else {
-			a.aluRI(aluSubExt, hR8, imm)
+	case uop.KindCmpSetccRR, uop.KindCmpSetccRI, uop.KindCmpBoolRR, uop.KindCmpBoolRI,
+		uop.KindTestSetccRR, uop.KindTestSetccRI, uop.KindTestBoolRR, uop.KindTestBoolRI:
+		// a = Src, b = Aux or Imm; the bool goes to Dst or Dst's byte.
+		b, op := rmOp(rg(ga)), uop.AluCmp
+		switch u.Kind {
+		case uop.KindCmpSetccRI, uop.KindCmpBoolRI, uop.KindTestSetccRI, uop.KindTestBoolRI:
+			b = immOp(imm)
 		}
-		a.movRI(hR9, 0)
-		a.setcc(cc, hR9)
-		if rr {
-			e.recABRes(uop.FlagSub, hAX, hDX, hR8)
-		} else {
-			e.recABIRes(uop.FlagSub, hAX, imm, hR8)
+		switch u.Kind {
+		case uop.KindTestSetccRR, uop.KindTestSetccRI, uop.KindTestBoolRR, uop.KindTestBoolRI:
+			op = uop.AluTest
 		}
-		if u.Kind == uop.KindCmpBoolRR || u.Kind == uop.KindCmpBoolRI {
-			a.storeM(pd, hR9)
-		} else {
-			a.movRR(hAX, hR9)
-			e.insByte(dsh, pd)
+		sel := aluSels[op]
+		a.mov(hAX, rg(gs))
+		e.apply(sel.rm, sel.ext, hAX, b)
+		a.movI(rg(hDX), 0)
+		a.setcc(cc, rg(hDX))
+		if sel.arith {
+			a.movTo(fld(offFlA), gs)
+			e.recB(b)
 		}
-	case uop.KindTestSetccRR, uop.KindTestSetccRI, uop.KindTestBoolRR, uop.KindTestBoolRI:
-		rr := u.Kind == uop.KindTestSetccRR || u.Kind == uop.KindTestBoolRR
-		a.loadM(hAX, ps)
-		a.movRR(hR8, hAX)
-		if rr {
-			a.loadM(hDX, pa)
-			a.aluRR(aluAndMR, hR8, hDX)
-		} else {
-			a.aluRI(aluAndExt, hR8, imm)
+		e.recRes(sel.fo, hAX)
+		switch u.Kind {
+		case uop.KindCmpBoolRR, uop.KindCmpBoolRI, uop.KindTestBoolRR, uop.KindTestBoolRI:
+			a.mov(gd, rg(hDX))
+		default:
+			a.mov(hAX, rg(hDX))
+			e.insByte(gd, dsh)
 		}
-		a.movRI(hR9, 0)
-		a.setcc(cc, hR9)
-		e.recLogic(uop.FlagLogic, hR8)
-		if u.Kind == uop.KindTestBoolRR || u.Kind == uop.KindTestBoolRI {
-			a.storeM(pd, hR9)
-		} else {
-			a.movRR(hAX, hR9)
-			e.insByte(dsh, pd)
+	case uop.KindCmpBoolRRNF, uop.KindCmpBoolRINF, uop.KindTestBoolRRNF, uop.KindTestBoolRINF:
+		switch u.Kind {
+		case uop.KindCmpBoolRRNF:
+			a.alu(aluCmpRM, gs, rg(ga))
+		case uop.KindCmpBoolRINF:
+			a.aluI(aluCmpExt, rg(gs), imm)
+		case uop.KindTestBoolRRNF:
+			a.aluTo(aluTestMR, rg(gs), ga)
+		default:
+			a.testI(rg(gs), imm)
 		}
-	case uop.KindCmpBoolRRNF, uop.KindCmpBoolRINF:
-		a.loadM(hAX, ps)
-		if u.Kind == uop.KindCmpBoolRRNF {
-			a.loadM(hDX, pa)
-			a.aluRR(aluCmpMR, hAX, hDX)
-		} else {
-			a.aluRI(aluCmpExt, hAX, imm)
-		}
-		a.movRI(hR9, 0)
-		a.setcc(cc, hR9)
-		a.storeM(pd, hR9)
-	case uop.KindTestBoolRRNF, uop.KindTestBoolRINF:
-		a.loadM(hAX, ps)
-		if u.Kind == uop.KindTestBoolRRNF {
-			a.loadM(hDX, pa)
-			a.testRR(hAX, hDX)
-		} else {
-			a.testRI(hAX, imm)
-		}
-		a.movRI(hR9, 0)
-		a.setcc(cc, hR9)
-		a.storeM(pd, hR9)
+		a.movI(rg(hDX), 0)
+		a.setcc(cc, rg(hDX))
+		a.mov(gd, rg(hDX))
 
 	// --- fused load-op ---
-	case uop.KindLoadAluRR:
-		e.addr(u)
-		e.checkRd(4, e.rf(i, u.EIP, 4, 1), false)
-		a.loadG(hAX, hCX, 4, false)
-		a.storeM(pa, hAX)
-		a.loadM(hAX, pd)
-		a.loadM(hDX, ps)
-		wb, ok := e.alu32(aluOp, hDX, 0, true)
-		if !ok {
-			return false
-		}
-		if wb {
-			a.storeM(pd, hR8)
-		}
-	case uop.KindLoadAluRRNF:
-		e.addr(u)
-		e.checkRd(4, e.rf(i, u.EIP, 4, 1), false)
-		a.loadG(hAX, hCX, 4, false)
-		a.storeM(pa, hAX)
-		// ualuQ: quiet Add/Sub/And/Or/Xor; anything else writes nothing.
-		var mr byte
-		switch aluOp {
-		case uop.AluAdd:
-			mr = aluAddMR
-		case uop.AluSub:
-			mr = aluSubMR
-		case uop.AluAnd:
-			mr = aluAndMR
-		case uop.AluOr:
-			mr = aluOrMR
-		case uop.AluXor:
-			mr = aluXorMR
-		default:
-			break
-		}
-		if mr != 0 {
-			a.loadM(hAX, ps)
-			a.aluMR(mr, pd, hAX)
-		}
+	case uop.KindLoadAluRR, uop.KindLoadAluRRNF:
+		a.mov(ga, rd(4))
+		e.alu32(i, aluOp, rg(gd), rmOp(rg(gs)), u.Kind == uop.KindLoadAluRR)
 
-	// --- data-movement pair fusions ---
+	// --- data-movement pair fusions (the second instruction's EIP
+	// rides in a spare field, named per kind in uop.go) ---
 	case uop.KindMovPop:
-		a.loadM(hAX, ps)
-		a.storeM(pa, hAX)
-		a.loadM(hCX, rESP)
-		e.checkRd(4, e.rf(i, u.Imm, 4, 2), true) // pop EIP rides in Imm
-		a.loadG(hAX, hCX, 4, false)
-		a.leaD(hDX, hCX, 4)
-		a.storeM(rESP, hDX)
-		a.storeM(pd, hAX)
+		a.mov(ga, rg(gs))
+		e.pop(i, gd, u.Imm, 2)
 	case uop.KindMovPopAluRR, uop.KindMovPopAluRRNF:
-		rec := u.Kind == uop.KindMovPopAluRR
-		a.loadM(hAX, ps)
-		a.storeM(pa, hAX)
-		a.loadM(hCX, rESP)
-		e.checkRd(4, e.rf(i, u.Imm, 4, 2), true)
-		a.loadG(hR8, hCX, 4, false) // a = popped value
-		a.leaD(hDX, hCX, 4)
-		a.storeM(rESP, hDX)
-		a.loadM(hDX, pa) // b = *pa, re-read as the closure does
-		a.movRR(hR9, hR8)
-		var fo uop.FlagOp
-		switch aluOp {
-		case uop.AluAdd:
-			a.aluRR(aluAddMR, hR9, hDX)
-			fo = uop.FlagAdd
-		case uop.AluSub:
-			a.aluRR(aluSubMR, hR9, hDX)
-			fo = uop.FlagSub
-		case uop.AluAnd:
-			a.aluRR(aluAndMR, hR9, hDX)
-			fo = uop.FlagLogic
-		case uop.AluOr:
-			a.aluRR(aluOrMR, hR9, hDX)
-			fo = uop.FlagLogic
-		default: // AluXor
-			a.aluRR(aluXorMR, hR9, hDX)
-			fo = uop.FlagLogic
-		}
-		if rec {
-			if fo == uop.FlagLogic {
-				e.recLogic(fo, hR9)
-			} else {
-				e.recABRes(fo, hR8, hDX, hR9)
-			}
-		}
-		a.storeM(pd, hR9)
+		a.mov(ga, rg(gs))
+		e.pop(i, gd, u.Imm, 2)
+		e.alu32(i, aluOp, rg(gd), rmOp(rg(ga)), u.Kind == uop.KindMovPopAluRR)
 	case uop.KindPushLoad:
-		a.loadM(hCX, rESP)
-		a.leaD(hCX, hCX, minus4)
-		e.checkWr(4, e.wf(i, u.EIP, 4, 1), true)
-		a.loadM(hAX, ps)
-		a.storeG(hCX, hAX, 4)
-		a.storeM(rESP, hCX)
-		e.addr(u)
-		e.checkRd(4, e.rf(i, u.Imm, 4, 2), false) // load EIP rides in Imm
-		a.loadG(hAX, hCX, 4, false)
-		a.storeM(pd, hAX)
+		e.push(i, gs, 0, u.EIP, 1)
+		a.mov(gd, e.opnd(i, uea(u), 4, false, u.Imm, 2))
 	case uop.KindLoadPush:
-		e.addr(u)
-		e.checkRd(4, e.rf(i, u.EIP, 4, 1), false)
-		a.loadG(hAX, hCX, 4, false)
-		a.storeM(pa, hAX)
-		a.loadM(hCX, rESP)
-		a.leaD(hCX, hCX, minus4)
-		e.checkWr(4, e.wf(i, u.Imm, 4, 2), true) // push EIP rides in Imm
-		a.loadM(hAX, ps)                         // re-read: Src may be the loaded register
-		a.storeG(hCX, hAX, 4)
-		a.storeM(rESP, hCX)
+		a.mov(ga, rd(4))
+		e.push(i, gs, 0, u.Imm, 2)
 	case uop.KindPushMovI:
-		a.loadM(hCX, rESP)
-		a.leaD(hCX, hCX, minus4)
-		e.checkWr(4, e.wf(i, u.EIP, 4, 1), true)
-		a.loadM(hAX, ps)
-		a.storeG(hCX, hAX, 4)
-		a.storeM(rESP, hCX)
-		a.storeMI(pd, imm)
+		e.push(i, gs, 0, u.EIP, 1)
+		a.movI(rg(gd), imm)
 	case uop.KindMovIPush:
-		a.storeMI(pd, imm)
-		a.loadM(hCX, rESP)
-		a.leaD(hCX, hCX, minus4)
-		e.checkWr(4, e.wf(i, u.Disp, 4, 2), true) // push EIP rides in Disp
-		a.loadM(hAX, ps)
-		a.storeG(hCX, hAX, 4)
-		a.storeM(rESP, hCX)
+		a.movI(rg(gd), imm)
+		e.push(i, gs, 0, u.Disp, 2)
 	case uop.KindMovIMov:
-		a.storeMI(pd, imm)
-		a.loadM(hAX, ps)
-		a.storeM(pa, hAX)
+		a.movI(rg(gd), imm)
+		a.mov(ga, rg(gs))
 	case uop.KindMovLoad:
-		a.loadM(hAX, ps)
-		a.storeM(pa, hAX)
-		e.addr(u)
-		e.checkRd(4, e.rf(i, u.Imm, 4, 2), false) // load EIP rides in Imm
-		a.loadG(hAX, hCX, 4, false)
-		a.storeM(pd, hAX)
+		a.mov(ga, rg(gs))
+		a.mov(gd, e.opnd(i, uea(u), 4, false, u.Imm, 2))
 	case uop.KindPopStore:
-		a.loadM(hCX, rESP)
-		e.checkRd(4, e.rf(i, u.EIP, 4, 1), true)
-		a.loadG(hAX, hCX, 4, false)
-		a.leaD(hDX, hCX, 4)
-		a.storeM(rESP, hDX)
-		a.storeM(pd, hAX)
-		e.addr(u)
-		e.checkWr(4, e.wf(i, u.Imm, 4, 2), false) // store EIP rides in Imm
-		a.loadM(hAX, ps)                          // re-read: Src may be the popped register
-		a.storeG(hCX, hAX, 4)
+		e.pop(i, gd, u.EIP, 1)
+		a.movTo(e.opnd(i, uea(u), 4, true, u.Imm, 2), gs)
 
 	// --- superblock guard exits ---
 	case uop.KindGuard:
 		// The plain guard evaluates its condition against the lazy
 		// record (known statically or not at all) and leaves the
 		// record untouched either way.
-		e.t.Guards++
+		e.countGuard()
 		s := e.exit(Exit{Kind: ExitGuard, Uop: i, Target: u.Target})
 		if !e.flagsCond(cc, hAX, hR8) {
 			return false
 		}
-		a.testRR(hAX, hAX)
-		e.linkStub(s, a.jcc32(byte(x86.CCNE)))
-	case uop.KindGuardCmpRR, uop.KindGuardCmpRI:
-		e.t.Guards++
+		a.aluTo(aluTestMR, rg(hAX), hAX)
+		e.linkStub(i, s, a.jcc(byte(x86.CCNE)))
+	case uop.KindGuardCmpRR, uop.KindGuardCmpRI, uop.KindGuardTestRR, uop.KindGuardTestRI:
+		// The compare's flags are recorded on both paths.
+		e.countGuard()
 		s := e.exit(Exit{Kind: ExitGuard, Uop: i, Target: u.Target})
-		a.loadM(hAX, pd)
-		a.movRR(hR8, hAX)
-		if u.Kind == uop.KindGuardCmpRR {
-			a.loadM(hDX, ps)
-			a.aluRR(aluSubMR, hR8, hDX)
-			e.recABRes(uop.FlagSub, hAX, hDX, hR8) // both paths record
-		} else {
-			a.aluRI(aluSubExt, hR8, imm)
-			e.recABIRes(uop.FlagSub, hAX, imm, hR8)
-		}
-		e.linkStub(s, a.jcc32(cc))
-	case uop.KindGuardTestRR, uop.KindGuardTestRI:
-		e.t.Guards++
+		e.compare(u, gd, gs, true)
+		e.linkStub(i, s, a.jcc(cc))
+	case uop.KindGuardCmpRRNF, uop.KindGuardCmpRINF, uop.KindGuardTestRRNF, uop.KindGuardTestRINF:
+		// Only the exit path records: there the compare's flags become
+		// the visible state.
+		e.countGuard()
 		s := e.exit(Exit{Kind: ExitGuard, Uop: i, Target: u.Target})
-		a.loadM(hAX, pd)
-		a.movRR(hR8, hAX)
-		if u.Kind == uop.KindGuardTestRR {
-			a.loadM(hDX, ps)
-			a.aluRR(aluAndMR, hR8, hDX)
-		} else {
-			a.aluRI(aluAndExt, hR8, imm)
-		}
-		e.recLogic(uop.FlagLogic, hR8)
-		e.linkStub(s, a.jcc32(cc))
-	case uop.KindGuardCmpRRNF, uop.KindGuardCmpRINF:
-		e.t.Guards++
-		s := e.exit(Exit{Kind: ExitGuard, Uop: i, Target: u.Target})
-		rr := u.Kind == uop.KindGuardCmpRRNF
-		a.loadM(hAX, pd)
-		a.movRR(hR8, hAX)
-		if rr {
-			a.loadM(hDX, ps)
-			a.aluRR(aluSubMR, hR8, hDX)
-		} else {
-			a.aluRI(aluSubExt, hR8, imm)
-		}
-		f := a.jcc32(cc)
-		e.stub(func() {
-			// Exiting: the compare's flags become the visible state.
-			if rr {
-				e.recABRes(uop.FlagSub, hAX, hDX, hR8)
-			} else {
-				e.recABIRes(uop.FlagSub, hAX, imm, hR8)
-			}
+		e.compare(u, gd, gs, false)
+		e.stub(i, func() {
+			e.compare(u, gd, gs, true)
 			e.link(s)
-		}, f)
-	case uop.KindGuardTestRRNF, uop.KindGuardTestRINF:
-		e.t.Guards++
-		s := e.exit(Exit{Kind: ExitGuard, Uop: i, Target: u.Target})
-		a.loadM(hAX, pd)
-		a.movRR(hR8, hAX)
-		if u.Kind == uop.KindGuardTestRRNF {
-			a.loadM(hDX, ps)
-			a.aluRR(aluAndMR, hR8, hDX)
-		} else {
-			a.aluRI(aluAndExt, hR8, imm)
-		}
-		f := a.jcc32(cc)
-		e.stub(func() {
-			e.recLogic(uop.FlagLogic, hR8)
-			e.link(s)
-		}, f)
+		}, fixes{a.jcc(cc), -1})
 	case uop.KindRetGuard:
-		e.t.Rets++
-		st := e.rf(i, u.EIP, 4, 1)
+		if e.hot {
+			e.t.Rets++
+		}
 		s := e.exit(Exit{Kind: ExitRetGuard, Uop: i})
-		a.loadM(hCX, rESP)
-		e.checkRd(4, st, true)
-		a.loadG(hAX, hCX, 4, false)
-		a.leaD(hDX, hCX, 4+imm)
-		a.storeM(rESP, hDX)
-		a.aluRI(aluCmpExt, hAX, u.Target)
-		f := a.jcc32(byte(x86.CCNE))
-		e.stub(func() { e.linkInd(s, hAX) }, f)
+		a.mov(hAX, e.opnd(i, stackEA(0), 4, false, u.EIP, 1))
+		a.aluI(aluAddExt, rg(esp), 4+imm)
+		a.aluI(aluCmpExt, rg(hAX), u.Target)
+		e.stub(i, func() { e.linkInd(s, hAX) }, fixes{a.jcc(byte(x86.CCNE)), -1})
 
 	// --- control transfers (always the trace's last micro-op) ---
 	case uop.KindJmp:
@@ -1637,128 +1620,106 @@ func (e *nemit) one(i int) bool {
 		st := e.exit(Exit{Kind: ExitJccTaken, Uop: i, Target: u.Target})
 		sf := e.exit(Exit{Kind: ExitJccFall, Uop: i, Target: u.Next})
 		e.flagsCond(cc, hAX, hR8)
-		a.testRR(hAX, hAX)
-		e.linkStub(st, a.jcc32(byte(x86.CCNE)))
+		a.aluTo(aluTestMR, rg(hAX), hAX)
+		e.linkStub(i, st, a.jcc(byte(x86.CCNE)))
 		e.link(sf)
-	case uop.KindCmpJccRR, uop.KindCmpJccRI:
+	case uop.KindCmpJccRR, uop.KindCmpJccRI, uop.KindTestJccRR, uop.KindTestJccRI:
 		st := e.exit(Exit{Kind: ExitJccTaken, Uop: i, Target: u.Target})
 		sf := e.exit(Exit{Kind: ExitJccFall, Uop: i, Target: u.Next})
-		a.loadM(hAX, pd)
-		a.movRR(hR8, hAX)
-		if u.Kind == uop.KindCmpJccRR {
-			a.loadM(hDX, ps)
-			a.aluRR(aluSubMR, hR8, hDX)
-			e.recABRes(uop.FlagSub, hAX, hDX, hR8)
-		} else {
-			a.aluRI(aluSubExt, hR8, imm)
-			e.recABIRes(uop.FlagSub, hAX, imm, hR8)
-		}
-		e.linkStub(st, a.jcc32(cc))
-		e.link(sf)
-	case uop.KindTestJccRR, uop.KindTestJccRI:
-		st := e.exit(Exit{Kind: ExitJccTaken, Uop: i, Target: u.Target})
-		sf := e.exit(Exit{Kind: ExitJccFall, Uop: i, Target: u.Next})
-		a.loadM(hAX, pd)
-		a.movRR(hR8, hAX)
-		if u.Kind == uop.KindTestJccRR {
-			a.loadM(hDX, ps)
-			a.aluRR(aluAndMR, hR8, hDX)
-		} else {
-			a.aluRI(aluAndExt, hR8, imm)
-		}
-		e.recLogic(uop.FlagLogic, hR8)
-		e.linkStub(st, a.jcc32(cc))
+		e.compare(u, gd, gs, true)
+		e.linkStub(i, st, a.jcc(cc))
 		e.link(sf)
 	case uop.KindCall:
 		s := e.end(i, u.Target)
-		a.loadM(hCX, rESP)
-		a.leaD(hCX, hCX, minus4)
-		e.checkWr(4, e.wf(i, u.EIP, 4, 1), true)
-		a.storeGI(hCX, u.Next, 4)
-		a.storeM(rESP, hCX)
+		e.push(i, -1, u.Next, u.EIP, 1)
 		e.link(s)
 	case uop.KindCallR:
 		s := e.exit(Exit{Kind: ExitInd, Uop: i})
-		a.loadM(hR8, ps) // target read before the push can fault
-		a.loadM(hCX, rESP)
-		a.leaD(hCX, hCX, minus4)
-		e.checkWr(4, e.wf(i, u.EIP, 4, 1), true)
-		a.storeGI(hCX, u.Next, 4)
-		a.storeM(rESP, hCX)
+		a.mov(hR8, rg(gs)) // the target is read before the push moves ESP
+		e.push(i, -1, u.Next, u.EIP, 1)
 		e.linkInd(s, hR8)
 	case uop.KindCallM:
 		s := e.exit(Exit{Kind: ExitInd, Uop: i})
-		e.addr(u)
-		e.checkRd(4, e.rf(i, u.EIP, 4, 1), false)
-		a.loadG(hR8, hCX, 4, false)
-		a.loadM(hCX, rESP)
-		a.leaD(hCX, hCX, minus4)
-		e.checkWr(4, e.wf(i, u.EIP, 4, 1), true)
-		a.storeGI(hCX, u.Next, 4)
-		a.storeM(rESP, hCX)
+		a.mov(hR8, rd(4))
+		e.push(i, -1, u.Next, u.EIP, 1)
 		e.linkInd(s, hR8)
 	case uop.KindRet:
 		s := e.exit(Exit{Kind: ExitInd, Uop: i})
-		a.loadM(hCX, rESP)
-		e.checkRd(4, e.rf(i, u.EIP, 4, 1), true)
-		a.loadG(hAX, hCX, 4, false)
-		a.leaD(hDX, hCX, 4+imm)
-		a.storeM(rESP, hDX)
+		a.mov(hAX, e.opnd(i, stackEA(0), 4, false, u.EIP, 1))
+		a.aluI(aluAddExt, rg(esp), 4+imm)
 		e.linkInd(s, hAX)
 	case uop.KindPopRet:
-		s1 := e.rf(i, u.EIP, 4, 1)
-		s2 := e.rf(i, u.Disp, 4, 2) // ret EIP rides in Disp
 		s := e.exit(Exit{Kind: ExitInd, Uop: i})
-		a.loadM(hCX, rESP)
-		e.checkRd(4, s1, true)
-		a.loadG(hAX, hCX, 4, false)
-		a.leaD(hDX, hCX, 4)
-		a.storeM(rESP, hDX)
-		a.storeM(pd, hAX)
-		a.leaD(hCX, hCX, 4)
-		e.checkRd(4, s2, true)
-		a.loadG(hAX, hCX, 4, false)
-		a.leaD(hDX, hCX, 4+imm)
-		a.storeM(rESP, hDX)
+		e.pop(i, gd, u.EIP, 1)
+		a.mov(hAX, e.opnd(i, stackEA(0), 4, false, u.Disp, 2)) // ret EIP rides in Disp
+		a.aluI(aluAddExt, rg(esp), 4+imm)
 		e.linkInd(s, hAX)
 	case uop.KindPushCall:
-		s1 := e.wf(i, u.EIP, 4, 1)
-		s2 := e.wf(i, u.Imm, 4, 2) // call EIP rides in Imm
 		s := e.end(i, u.Target)
-		a.loadM(hCX, rESP)
-		a.leaD(hCX, hCX, minus4)
-		e.checkWr(4, s1, true)
-		a.loadM(hAX, ps)
-		a.storeG(hCX, hAX, 4)
-		a.storeM(rESP, hCX)
-		a.leaD(hCX, hCX, minus4)
-		e.checkWr(4, s2, true)
-		a.storeGI(hCX, u.Next, 4)
-		a.storeM(rESP, hCX)
+		e.push(i, gs, 0, u.EIP, 1)
+		e.push(i, -1, u.Next, u.Imm, 2) // call EIP rides in Imm
 		e.link(s)
 	case uop.KindJmpR:
-		s := e.exit(Exit{Kind: ExitInd, Uop: i})
-		a.loadM(hAX, ps)
-		e.linkInd(s, hAX)
+		e.linkInd(e.exit(Exit{Kind: ExitInd, Uop: i}), gs)
 	case uop.KindJmpM:
 		s := e.exit(Exit{Kind: ExitInd, Uop: i})
-		e.addr(u)
-		e.checkRd(4, e.rf(i, u.EIP, 4, 1), false)
-		a.loadG(hAX, hCX, 4, false)
+		a.mov(hAX, rd(4))
 		e.linkInd(s, hAX)
 	case uop.KindInt:
 		e.leave(e.exit(Exit{Kind: ExitInt, Uop: i, EIP: u.EIP, Started: 1}))
-	case uop.KindHlt:
+	case uop.KindHlt, uop.KindUd2:
 		s := e.exit(Exit{Kind: ExitIllegal, Uop: i, EIP: u.EIP, Started: 1})
-		a.storeMI(offTrapAux, 0)
-		e.leave(s)
-	case uop.KindUd2:
-		s := e.exit(Exit{Kind: ExitIllegal, Uop: i, EIP: u.EIP, Started: 1})
-		a.storeMI(offTrapAux, 1)
+		aux := uint32(0)
+		if u.Kind == uop.KindUd2 {
+			aux = 1
+		}
+		a.movI(fld(offTrapAux), aux)
 		e.leave(s)
 
 	default:
 		return false
 	}
 	return true
+}
+
+// countGuard counts a conditional guard exit, once per trace.
+func (e *nemit) countGuard() {
+	if e.hot {
+		e.t.Guards++
+	}
+}
+
+// compare emits the fused compare of a guard or a compare-and-branch
+// terminator — "cmp a, b" or "test a, b" with a = Dst and b = Src or
+// Imm — leaving the host flags for the jcc that follows; rec also writes
+// the compare's flag record, which clobbers EAX.
+func (e *nemit) compare(u *uop.Uop, gd, gs int, rec bool) {
+	a := &e.a
+	b, test := rmOp(rg(gs)), false
+	switch u.Kind {
+	case uop.KindGuardCmpRI, uop.KindGuardCmpRINF, uop.KindCmpJccRI:
+		b = immOp(u.Imm)
+	case uop.KindGuardTestRR, uop.KindGuardTestRRNF, uop.KindTestJccRR:
+		test = true
+	case uop.KindGuardTestRI, uop.KindGuardTestRINF, uop.KindTestJccRI:
+		b, test = immOp(u.Imm), true
+	}
+	switch {
+	case rec && test:
+		a.mov(hAX, rg(gd))
+		e.apply(aluAndRM, aluAndExt, hAX, b)
+		e.recRes(uop.FlagLogic, hAX)
+	case rec:
+		a.mov(hAX, rg(gd))
+		e.apply(aluSubRM, aluSubExt, hAX, b)
+		a.movTo(fld(offFlA), gd)
+		e.recB(b)
+		e.recRes(uop.FlagSub, hAX)
+	case test && b.isI:
+		a.testI(rg(gd), b.imm)
+	case test:
+		a.aluTo(aluTestMR, rg(gd), gs)
+	default:
+		e.apply(aluCmpRM, aluCmpExt, gd, b)
+	}
 }

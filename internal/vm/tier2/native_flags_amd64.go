@@ -1,3 +1,5 @@
+//go:build amd64 && linux
+
 package tier2
 
 import (
@@ -63,17 +65,17 @@ func (e *nemit) matAll() {
 	a := &e.a
 	if uop.FlagOp(e.flOp) != uop.FlagSZP { // SZP keeps CF/OF eager already
 		e.cfValue(hAX)
-		a.storeM8(offCF, hAX)
+		a.movTo8(fld(offCF), hAX)
 		e.ofValue(hAX)
-		a.storeM8(offOF, hAX)
+		a.movTo8(fld(offOF), hAX)
 	}
 	e.zfValue(hAX)
-	a.storeM8(offZF, hAX)
+	a.movTo8(fld(offZF), hAX)
 	e.sfValue(hAX)
-	a.storeM8(offSF, hAX)
+	a.movTo8(fld(offSF), hAX)
 	e.pfValue(hAX)
-	a.storeM8(offPF, hAX)
-	a.storeMI8(offFlOp, byte(uop.FlagNone))
+	a.movTo8(fld(offPF), hAX)
+	a.movI8(fld(offFlOp), byte(uop.FlagNone))
 }
 
 // cfValue leaves the guest CF as 0 or 1 in dst, mirroring
@@ -84,80 +86,80 @@ func (e *nemit) cfValue(dst int) {
 	a := &e.a
 	switch op := e.curFl(); op {
 	case uop.FlagNone, uop.FlagSZP:
-		a.loadM8(dst, offCF) // eager bool is authoritative
+		a.movx(movzx8, dst, fld(offCF)) // eager bool is authoritative
 		return
 	case uop.FlagAddKeep, uop.FlagSubKeep:
-		a.loadM8(dst, offFlKeep)
+		a.movx(movzx8, dst, fld(offFlKeep))
 	case uop.FlagLogic, uop.FlagLogic8:
-		a.movRI(dst, 0)
+		a.movI(rg(dst), 0)
 	case uop.FlagAdd:
-		a.loadM(hCX, offFlA)
-		a.aluRM(aluAddRM, hCX, offFlB)
-		a.movRI(dst, 0)
-		a.setcc(byte(x86.CCB), dst) // carry out of A+B
+		a.mov(hCX, fld(offFlA))
+		a.alu(aluAddRM, hCX, fld(offFlB))
+		a.movI(rg(dst), 0)
+		a.setcc(byte(x86.CCB), rg(dst)) // carry out of A+B
 	case uop.FlagAdc:
-		a.loadM(hCX, offFlCin)
-		a.shiftRI(shrExt, hCX, 1) // host CF := Cin (Cin is 0 or 1)
-		a.loadM(hDX, offFlA)
-		a.aluRM(aluAdcRM, hDX, offFlB)
-		a.movRI(dst, 0)
-		a.setcc(byte(x86.CCB), dst)
+		a.mov(hCX, fld(offFlCin))
+		a.shiftI(shrExt, hCX, 1) // host CF := Cin (Cin is 0 or 1)
+		a.mov(hDX, fld(offFlA))
+		a.alu(aluAdcRM, hDX, fld(offFlB))
+		a.movI(rg(dst), 0)
+		a.setcc(byte(x86.CCB), rg(dst))
 	case uop.FlagSub, uop.FlagSub8:
-		a.loadM(hCX, offFlA)
-		a.aluRM(aluCmpRM, hCX, offFlB)
-		a.movRI(dst, 0)
-		a.setcc(byte(x86.CCB), dst) // A < B
+		a.mov(hCX, fld(offFlA))
+		a.alu(aluCmpRM, hCX, fld(offFlB))
+		a.movI(rg(dst), 0)
+		a.setcc(byte(x86.CCB), rg(dst)) // A < B
 	case uop.FlagSbb:
 		// A < B+Cin over 33 bits: if B+Cin wraps 32 bits the borrow
 		// is certain, otherwise compare against the 32-bit sum.
-		a.loadM(hDX, offFlB)
-		a.aluRM(aluAddRM, hDX, offFlCin)
-		a.movRI(dst, 0)
-		a.setcc(byte(x86.CCB), dst)
-		a.loadM(hCX, offFlA)
-		a.aluRR(aluCmpMR, hCX, hDX)
-		a.movRI(hCX, 0)
-		a.setcc(byte(x86.CCB), hCX)
-		a.aluRR(aluOrMR, dst, hCX)
+		a.mov(hDX, fld(offFlB))
+		a.alu(aluAddRM, hDX, fld(offFlCin))
+		a.movI(rg(dst), 0)
+		a.setcc(byte(x86.CCB), rg(dst))
+		a.mov(hCX, fld(offFlA))
+		a.aluTo(aluCmpMR, rg(hCX), hDX)
+		a.movI(rg(hCX), 0)
+		a.setcc(byte(x86.CCB), rg(hCX))
+		a.aluTo(aluOrMR, rg(dst), hCX)
 	case uop.FlagShl:
 		// Bit (32-B) of A; the record guarantees B in 1..31.
-		a.loadM(hCX, offFlB)
-		a.movRI(hDX, 32)
-		a.aluRR(aluSubMR, hDX, hCX)
-		a.movRR(hCX, hDX)
-		a.loadM(dst, offFlA)
+		a.mov(hCX, fld(offFlB))
+		a.movI(rg(hDX), 32)
+		a.aluTo(aluSubMR, rg(hDX), hCX)
+		a.mov(hCX, rg(hDX))
+		a.mov(dst, fld(offFlA))
 		a.shiftCL(shrExt, dst)
-		a.aluRI(aluAndExt, dst, 1)
+		a.aluI(aluAndExt, rg(dst), 1)
 	case uop.FlagShr, uop.FlagSar:
 		// Bit (B-1) of A, through the matching shift for SAR.
 		ext := shrExt
 		if op == uop.FlagSar {
 			ext = sarExt
 		}
-		a.loadM(hCX, offFlB)
-		a.aluRI(aluSubExt, hCX, 1)
-		a.loadM(dst, offFlA)
+		a.mov(hCX, fld(offFlB))
+		a.aluI(aluSubExt, rg(hCX), 1)
+		a.mov(dst, fld(offFlA))
 		a.shiftCL(ext, dst)
-		a.aluRI(aluAndExt, dst, 1)
+		a.aluI(aluAndExt, rg(dst), 1)
 	case uop.FlagAdd8:
-		a.loadM(dst, offFlA)
-		a.aluRM(aluAddRM, dst, offFlB)
-		a.shiftRI(shrExt, dst, 8) // bit 8 of an 8-bit sum
+		a.mov(dst, fld(offFlA))
+		a.alu(aluAddRM, dst, fld(offFlB))
+		a.shiftI(shrExt, dst, 8) // bit 8 of an 8-bit sum
 	case uop.FlagAdc8:
-		a.loadM(dst, offFlA)
-		a.aluRM(aluAddRM, dst, offFlB)
-		a.aluRM(aluAddRM, dst, offFlCin)
-		a.shiftRI(shrExt, dst, 8)
+		a.mov(dst, fld(offFlA))
+		a.alu(aluAddRM, dst, fld(offFlB))
+		a.alu(aluAddRM, dst, fld(offFlCin))
+		a.shiftI(shrExt, dst, 8)
 	case uop.FlagSbb8:
 		// B+Cin <= 0x100: no 32-bit wrap possible, one compare does.
-		a.loadM(hDX, offFlB)
-		a.aluRM(aluAddRM, hDX, offFlCin)
-		a.loadM(hCX, offFlA)
-		a.aluRR(aluCmpMR, hCX, hDX)
-		a.movRI(dst, 0)
-		a.setcc(byte(x86.CCB), dst)
+		a.mov(hDX, fld(offFlB))
+		a.alu(aluAddRM, hDX, fld(offFlCin))
+		a.mov(hCX, fld(offFlA))
+		a.aluTo(aluCmpMR, rg(hCX), hDX)
+		a.movI(rg(dst), 0)
+		a.setcc(byte(x86.CCB), rg(dst))
 	}
-	a.incM64(offFlagsMat)
+	a.aluI64(aluAddExt, fld(offFlagsMat), 1)
 }
 
 // zfValue leaves the guest ZF as 0 or 1 in dst. Same clobbers as
@@ -165,14 +167,14 @@ func (e *nemit) cfValue(dst int) {
 func (e *nemit) zfValue(dst int) {
 	a := &e.a
 	if e.curFl() == uop.FlagNone {
-		a.loadM8(dst, offZF)
+		a.movx(movzx8, dst, fld(offZF))
 		return
 	}
-	a.loadM(hCX, offFlRes) // writers store Res pre-masked
-	a.movRI(dst, 0)
-	a.testRR(hCX, hCX)
-	a.setcc(byte(x86.CCE), dst)
-	a.incM64(offFlagsMat)
+	a.mov(hCX, fld(offFlRes)) // writers store Res pre-masked
+	a.movI(rg(dst), 0)
+	a.aluTo(aluTestMR, rg(hCX), hCX)
+	a.setcc(byte(x86.CCE), rg(dst))
+	a.aluI64(aluAddExt, fld(offFlagsMat), 1)
 }
 
 // sfValue leaves the guest SF as 0 or 1 in dst: the result's top bit
@@ -181,16 +183,16 @@ func (e *nemit) sfValue(dst int) {
 	a := &e.a
 	op := e.curFl()
 	if op == uop.FlagNone {
-		a.loadM8(dst, offSF)
+		a.movx(movzx8, dst, fld(offSF))
 		return
 	}
-	a.loadM(dst, offFlRes)
+	a.mov(dst, fld(offFlRes))
 	if op >= uop.FlagAdd8 {
-		a.shiftRI(shrExt, dst, 7) // Res pre-masked to 8 bits
+		a.shiftI(shrExt, dst, 7) // Res pre-masked to 8 bits
 	} else {
-		a.shiftRI(shrExt, dst, 31)
+		a.shiftI(shrExt, dst, 31)
 	}
-	a.incM64(offFlagsMat)
+	a.aluI64(aluAddExt, fld(offFlagsMat), 1)
 }
 
 // pfValue leaves the guest PF as 0 or 1 in dst. Host PF after any
@@ -199,14 +201,14 @@ func (e *nemit) sfValue(dst int) {
 func (e *nemit) pfValue(dst int) {
 	a := &e.a
 	if e.curFl() == uop.FlagNone {
-		a.loadM8(dst, offPF)
+		a.movx(movzx8, dst, fld(offPF))
 		return
 	}
-	a.loadM(hCX, offFlRes)
-	a.movRI(dst, 0)
-	a.testRR(hCX, hCX)
-	a.setcc(byte(x86.CCP), dst)
-	a.incM64(offFlagsMat)
+	a.mov(hCX, fld(offFlRes))
+	a.movI(rg(dst), 0)
+	a.aluTo(aluTestMR, rg(hCX), hCX)
+	a.setcc(byte(x86.CCP), rg(dst))
+	a.aluI64(aluAddExt, fld(offFlagsMat), 1)
 }
 
 // ofValue leaves the guest OF as 0 or 1 in dst. The shift forms use
@@ -217,19 +219,19 @@ func (e *nemit) ofValue(dst int) {
 	op := e.curFl()
 	switch op {
 	case uop.FlagNone, uop.FlagSZP:
-		a.loadM8(dst, offOF)
+		a.movx(movzx8, dst, fld(offOF))
 		return
 	case uop.FlagLogic, uop.FlagLogic8, uop.FlagSar:
-		a.movRI(dst, 0)
+		a.movI(rg(dst), 0)
 	case uop.FlagShr:
-		a.loadM(dst, offFlA)
-		a.shiftRI(shrExt, dst, 31)
+		a.mov(dst, fld(offFlA))
+		a.shiftI(shrExt, dst, 31)
 	case uop.FlagShl:
 		// OF = sign(Res) != CF; cfValue counts the materialization.
 		e.cfValue(dst)
-		a.loadM(hCX, offFlRes)
-		a.shiftRI(shrExt, hCX, 31)
-		a.aluRR(aluXorMR, dst, hCX)
+		a.mov(hCX, fld(offFlRes))
+		a.shiftI(shrExt, hCX, 31)
+		a.aluTo(aluXorMR, rg(dst), hCX)
 		return
 	default:
 		// Add/sub families: signed overflow from operands and result.
@@ -237,21 +239,21 @@ func (e *nemit) ofValue(dst int) {
 		if op >= uop.FlagAdd8 {
 			sign = 0x80
 		}
-		a.loadM(dst, offFlA)
-		a.loadM(hCX, offFlB)
-		a.aluRR(aluXorMR, hCX, dst) // A^B
+		a.mov(dst, fld(offFlA))
+		a.mov(hCX, fld(offFlB))
+		a.aluTo(aluXorMR, rg(hCX), dst) // A^B
 		switch op {
 		case uop.FlagAdd, uop.FlagAdc, uop.FlagAddKeep, uop.FlagAdd8, uop.FlagAdc8:
-			a.negNot(2, hCX) // add overflows where the signs agreed
+			a.unary(notExt, rg(hCX)) // add overflows where the signs agreed
 		}
-		a.loadM(hDX, offFlRes)
-		a.aluRR(aluXorMR, hDX, dst) // A^Res
-		a.aluRR(aluAndMR, hCX, hDX)
-		a.testRI(hCX, sign)
-		a.movRI(dst, 0)
-		a.setcc(byte(x86.CCNE), dst)
+		a.mov(hDX, fld(offFlRes))
+		a.aluTo(aluXorMR, rg(hDX), dst) // A^Res
+		a.aluTo(aluAndMR, rg(hCX), hDX)
+		a.testI(rg(hCX), sign)
+		a.movI(rg(dst), 0)
+		a.setcc(byte(x86.CCNE), rg(dst))
 	}
-	a.incM64(offFlagsMat)
+	a.aluI64(aluAddExt, fld(offFlagsMat), 1)
 }
 
 // flagsCond leaves the condition cc as 0 or 1 in dst, mirroring
@@ -273,29 +275,29 @@ func (e *nemit) flagsCond(cc byte, dst, sc int) bool {
 		e.zfValue(dst)
 	case byte(x86.CCBE): // CF || ZF
 		e.cfValue(dst)
-		a.movRR(sc, dst)
+		a.mov(sc, rg(dst))
 		e.zfValue(dst)
-		a.aluRR(aluOrMR, dst, sc)
+		a.aluTo(aluOrMR, rg(dst), sc)
 	case byte(x86.CCS):
 		e.sfValue(dst)
 	case byte(x86.CCP):
 		e.pfValue(dst)
 	case byte(x86.CCL): // SF != OF
 		e.ofValue(dst)
-		a.movRR(sc, dst)
+		a.mov(sc, rg(dst))
 		e.sfValue(dst)
-		a.aluRR(aluXorMR, dst, sc)
+		a.aluTo(aluXorMR, rg(dst), sc)
 	default: // CCLE: ZF || SF != OF
 		e.ofValue(dst)
-		a.movRR(sc, dst)
+		a.mov(sc, rg(dst))
 		e.sfValue(dst)
-		a.aluRR(aluXorMR, dst, sc)
-		a.movRR(sc, dst)
+		a.aluTo(aluXorMR, rg(dst), sc)
+		a.mov(sc, rg(dst))
 		e.zfValue(dst)
-		a.aluRR(aluOrMR, dst, sc)
+		a.aluTo(aluOrMR, rg(dst), sc)
 	}
 	if cc&1 != 0 {
-		a.aluRI(aluXorExt, dst, 1)
+		a.aluI(aluXorExt, rg(dst), 1)
 	}
 	return true
 }

@@ -4,19 +4,29 @@
 // VM's architectural state, the Machine.
 //
 // One register file. The Machine is not a view that is synced around
-// each run: it IS the VM's register file, lazy-flag record, heap limit,
-// fuel and poll credit, and the tier-1 interpreter executes against the
-// same fields. Entering compiled code copies nothing in and leaving it
-// copies nothing out.
+// each run: it IS the VM's architectural state — registers, lazy-flag
+// record, heap limit, fuel and poll credit — and the tier-1 interpreter,
+// the closure backend, snapshots and traps all read and write those
+// fields. Native code keeps the eight registers somewhere faster while
+// it runs: the entry shim (jitcall) loads Machine.Regs into eight host
+// registers once, traces operate on those registers and hand them from
+// trace to trace across link slots untouched, and the same shim stores
+// them back when compiled code returns — at every return, whichever
+// trace of the chain it comes from. So Machine.Regs is current whenever
+// Go code can look at it, and stale only while control is inside emitted
+// code, where nothing else can. Everything else stays in the Machine and
+// nothing is copied in or out.
 //
-// Accounting is charged by the trace itself, against the Machine. A
-// trace entry charges the trace's whole Cost to Fuel and Credit and its
-// micro-op count to Uops, and counts itself in Iters; every exit that
-// leaves with part of the trace unexecuted — a guard, a fault in the
-// middle — carries a static refund (Exit.Refund, Exit.RefundUops) that
-// the exit path applies before control goes anywhere else. Fuel is
-// therefore exact wherever a run stops, whichever trace of a chain it
-// stops in, and the VM derives Steps from the fuel a run consumed.
+// Accounting is charged by the trace itself, against the Machine. The
+// dispatcher hands a run one Budget, the smaller of Fuel and the poll
+// Credit, and splits what the run used back into both. A trace entry
+// charges the trace's whole Cost to Budget and counts one pass and its
+// micro-ops in Acct; every exit that leaves with part of the trace
+// unexecuted — a guard, a fault in the middle — carries a static refund
+// (Exit.Refund, Exit.RefundUops) that the exit path applies before
+// control goes anywhere else. The budget is therefore exact wherever a
+// run stops, whichever trace of a chain it stops in, and the VM derives
+// Steps from what a run consumed.
 //
 // Traces link to traces. Every exit of a native trace whose successor
 // can be known — a static target (ExitEnd, ExitJccTaken, ExitJccFall,
@@ -35,15 +45,16 @@
 // decoder's Snapshot, while the links between traces are per-VM data
 // that the VM drops with its view of the translation cache. The trace
 // entry declines to start — it returns status 0 with the entry's guest
-// address in ExitTarget — when Fuel is short of the trace's Cost or the
-// poll Credit is spent, so a chain of linked traces comes back to the
-// dispatcher at least once per poll quantum and the end-of-fuel walk
-// still happens on the reference engine. Machine.Cur tells the
-// dispatcher which trace of the chain a nonzero status belongs to.
+// address in ExitTarget — when Budget is short of the trace's Cost, so a
+// chain of linked traces comes back to the dispatcher at least once per
+// poll quantum and the end-of-fuel walk still happens on the reference
+// engine. Machine.Cur tells the dispatcher which trace of the chain a
+// nonzero status belongs to.
 //
 // There are two backends. The native backend (amd64/linux) emits
-// machine code that reaches every piece of guest state through the
-// *Machine it is handed per run and bakes in only the sandbox Geometry.
+// machine code that reaches guest state through the *Machine it is
+// handed per run (the registers through the shim, as above) and bakes in
+// only the sandbox Geometry.
 // The closure backend is the portable semantic reference for the test
 // wall: a flat sequence of Go closures that capture pointers into one
 // Machine, so its traces belong to the VM they were compiled for, are
@@ -72,6 +83,7 @@
 package tier2
 
 import (
+	"fmt"
 	"math/bits"
 	"unsafe"
 
@@ -80,14 +92,33 @@ import (
 )
 
 // pageSize mirrors vm.PageSize (the package cannot import vm without a
-// cycle); the sandbox bounds checks below must stay in lockstep with
-// vm's rdOK/wrOK.
+// cycle).
 const pageSize = 0x1000
 
 // Geometry is the sandbox shape a trace's bounds checks are compiled
 // for. A trace runs only against a Machine with the same geometry.
 type Geometry struct {
 	MemLen, ROLimit, StackBase uint32
+}
+
+// ReadOK and WriteOK are the sandbox bounds: whether the guest may read,
+// or write, size bytes (at most a page) at addr while its heap ends at
+// brk. They are the one definition: the tier-1 dispatch loop and the
+// closure backend call them, and the native emitter's rangeCheck is them
+// in machine code, compared against them edge by edge by
+// TestGeometryEdges. Readable memory is the heap window from the guard
+// page up to brk and the stack window from StackBase to MemLen; writes
+// start at ROLimit instead. The `addr <= limit-size` form rejects
+// address wraparound for free: every limit is at least one page, so
+// limit-size never underflows.
+func (g Geometry) ReadOK(addr, size, brk uint32) bool {
+	return (addr >= pageSize && addr <= brk-size) ||
+		(addr >= g.StackBase && addr <= g.MemLen-size)
+}
+
+func (g Geometry) WriteOK(addr, size, brk uint32) bool {
+	return (addr >= g.ROLimit && addr <= brk-size) ||
+		(addr >= g.StackBase && addr <= g.MemLen-size)
 }
 
 // Machine is a VM's architectural state: what the tier-1 interpreter and
@@ -98,7 +129,9 @@ type Geometry struct {
 // which only ever runs in the dispatcher.
 type Machine struct {
 	// Regs is the eight architectural registers plus the always-zero
-	// uop.RegZero slot that absent base/index registers index.
+	// uop.RegZero slot that absent base/index registers index. Native
+	// code works on host-register copies; the entry shim keeps this
+	// array current whenever Go runs.
 	Regs [9]uint32
 
 	// Lazy-flag state: the bools are authoritative only while
@@ -109,17 +142,22 @@ type Machine struct {
 	// Brk is the end of the accessible heap, read per access.
 	Brk uint32
 
-	// Fuel is the remaining guest-instruction budget. Credit counts down
-	// to the next cancellation/watchdog poll; a trace entry declines to
-	// start once it is spent.
+	// Fuel is the remaining guest-instruction budget and Credit the
+	// countdown to the next cancellation/watchdog poll; tier 1 charges
+	// both. Budget is what one run of compiled code may spend: the
+	// dispatcher sets it to the smaller of the two before the run and
+	// charges both with what the run took off it. Trace entries charge
+	// Budget and decline to start once it is short of their Cost.
 	Fuel   int64
 	Credit int64
+	Budget int64
 
 	// Per-run counters the traces charge and the dispatcher folds into
-	// the VM's statistics after each run: trace passes started, micro-ops
-	// executed, EFLAGS bits computed from lazy records.
-	Iters             uint64
-	Uops              uint64
+	// the VM's statistics after each run: Acct holds the trace passes
+	// started and the micro-ops executed (see Passes, Uops), so that a
+	// trace entry counts both in one add; FlagsMaterialized the EFLAGS
+	// bits computed from lazy records.
+	Acct              uint64
 	FlagsMaterialized uint64
 
 	// Links is the first slot of the VM's link table and Cur the byte
@@ -137,10 +175,23 @@ type Machine struct {
 
 	// Sandbox geometry. The closure backend captures Mem and the
 	// Geometry at compile time; native code bakes in the Geometry and
-	// loads the Mem base per entry.
+	// gets the Mem base from the entry shim, once per run.
 	Mem []byte
 	Geometry
 }
+
+// Acct packs two counters: micro-ops executed in its low acctShift bits,
+// trace passes started above them. One run's budget is at most a poll
+// quantum of guest instructions plus one trace, and a micro-op stands for
+// at least one instruction, so the low field cannot carry into the high.
+const (
+	acctShift = 24
+	acctIter  = 1 << acctShift
+)
+
+// Passes and Uops unpack Acct.
+func (m *Machine) Passes() uint64 { return m.Acct >> acctShift }
+func (m *Machine) Uops() uint64   { return m.Acct & (acctIter - 1) }
 
 // Link is one slot of a VM's link table: where the exit that owns the
 // slot transfers control. Entry is a code address — the exit's own
@@ -220,15 +271,27 @@ type Exit struct {
 // refund for leaving with everything after that micro-op unexecuted —
 // and, for an exit that faults inside a fused micro-op, the constituent
 // instructions that had not started (Started counts the ones that had).
-func newExit(us []uop.Uop, x Exit) Exit {
+// tail is suffixCosts(us).
+func newExit(us []uop.Uop, tail []int64, x Exit) Exit {
 	i := x.Uop
-	x.Refund = uop.Cost(us[i+1:])
+	x.Refund = tail[i]
 	if x.Started > 0 {
 		x.Refund += int64(us[i].Cost) - int64(x.Started)
 	}
 	x.RefundUops = uint64(len(us) - i - 1)
 	x.Slot = -1
 	return x
+}
+
+// suffixCosts fills tail, which has us's length, with the guest
+// instructions the micro-ops after each micro-op of us stand for, and
+// returns it.
+func suffixCosts(tail []int64, us []uop.Uop) []int64 {
+	tail[len(us)-1] = 0
+	for i := len(us) - 2; i >= 0; i-- {
+		tail[i] = tail[i+1] + int64(us[i+1].Cost)
+	}
+	return tail
 }
 
 // Trace is one compiled superblock: the compiled body plus its static
@@ -260,6 +323,14 @@ type Trace struct {
 	Rets   int    // return-guard exits
 	Slots  int    // link slots (native traces only)
 
+	// Ledger is the host-code accounting of a native trace; hotEnd and
+	// twinStart are the code offsets where the hot body's mainline ends
+	// (its out-of-line exit paths follow) and where the checked twin
+	// starts (the end of the code when the trace has none).
+	Ledger    Ledger
+	hotEnd    int
+	twinStart int
+
 	// NeedFlags marks a native trace that consumes the flag state it
 	// was entered with: whoever enters it must have the flags
 	// materialized (Fl.Op == FlagNone) — the dispatcher materializes
@@ -268,6 +339,45 @@ type Trace struct {
 	// of dispatching on Fl.Op at run time.
 	NeedFlags bool
 }
+
+// Ledger counts what the native emitter produced, for one trace or summed
+// over several, exactly: the guest instructions a pass of the trace
+// stands for; the host instructions of the hot body (the trace entry and
+// the fall-through path of every micro-op, bounds checks included), of
+// its out-of-line exit paths, and of the checked twin with its own; the
+// guest memory operands of the hot body and how many bounds checks it
+// emits for them — the difference is the operands that ride on another's
+// check.
+type Ledger struct {
+	Guest    int64 `json:"guest"`
+	Hot      int64 `json:"hot"`
+	Stub     int64 `json:"stub"`
+	Twin     int64 `json:"twin"`
+	Accesses int64 `json:"accesses"`
+	Checks   int64 `json:"checks"`
+}
+
+// Add adds sign times m to l.
+func (l *Ledger) Add(m Ledger, sign int64) {
+	l.Guest += sign * m.Guest
+	l.Hot += sign * m.Hot
+	l.Stub += sign * m.Stub
+	l.Twin += sign * m.Twin
+	l.Accesses += sign * m.Accesses
+	l.Checks += sign * m.Checks
+}
+
+func (l Ledger) String() string {
+	if l.Guest == 0 {
+		return "no native code"
+	}
+	return fmt.Sprintf("%d host instructions in the hot body for %d guest (%.2f each), %d in exit paths, %d in the checked twin; %d guest memory operands under %d bounds checks",
+		l.Hot, l.Guest, float64(l.Hot)/float64(l.Guest), l.Stub, l.Twin, l.Accesses, l.Checks)
+}
+
+// Layout returns the code offsets at which a native trace's hot body
+// ends and its checked twin starts, for the test wall's code scan.
+func (t *Trace) Layout() (hotEnd, twinStart int) { return t.hotEnd, t.twinStart }
 
 // Native reports whether the trace compiled to machine code (versus
 // the closure reference backend). Only native traces hold no pointer
@@ -323,27 +433,13 @@ func (t *Trace) Run(m *Machine, cur uint32) int32 {
 	if t.code != nil {
 		return t.code.call(m, cur)
 	}
-	m.Iters++
-	m.Fuel -= t.Cost
-	m.Credit -= t.Cost
-	m.Uops += uint64(t.NUops)
+	m.Budget -= t.Cost
+	m.Acct += acctIter + uint64(t.NUops)
 	s := t.head()
 	x := &t.Exits[s-1]
-	m.Fuel += x.Refund
-	m.Uops -= x.RefundUops
+	m.Budget += x.Refund
+	m.Acct -= x.RefundUops
 	return s
-}
-
-// ---- sandbox access (kept in lockstep with vm's rdOK/wrOK/le32/st32) ----
-
-func (m *Machine) rdOK(addr, size, stackBase, memLen uint32) bool {
-	return (addr >= pageSize && addr <= m.Brk-size) ||
-		(addr >= stackBase && addr <= memLen-size)
-}
-
-func (m *Machine) wrOK(addr, size, roLimit, stackBase, memLen uint32) bool {
-	return (addr >= roLimit && addr <= m.Brk-size) ||
-		(addr >= stackBase && addr <= memLen-size)
 }
 
 // ---- lazy flag access (mirrors vm's f* accessors and ucond) ------------

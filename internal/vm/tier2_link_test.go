@@ -19,7 +19,9 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"io"
 	"runtime"
+	"runtime/pprof"
 	"testing"
 	"time"
 
@@ -473,10 +475,14 @@ func TestSingleBlockLoopCompiles(t *testing.T) {
 	}
 }
 
-// spinGuest is `top: jmp top` on v's code page.
+// spinGuest is `top: add ebp, 0x01010101; jmp top` on v's code page: an
+// endless loop that keeps the host's frame-pointer register, which is
+// where compiled code holds EBP, full of values that are no frame.
 func spinGuest(t *testing.T, v *VM) {
 	a := &t2asm{t: t, base: diffCode}
-	a.jmp(a.cur())
+	top := a.cur()
+	a.op2(x86.ADD, x86.R(x86.EBP), x86.I(0x01010101))
+	a.jmp(top)
 	copy(v.mem[diffCode:], a.code)
 	v.eip = diffCode
 }
@@ -548,7 +554,12 @@ func TestLinkedChainCancel(t *testing.T) {
 // from compiled code to the dispatcher once per poll quantum — the
 // countdown is unconditional — so the goroutine reaches a safe point that
 // often, and a collection started from another goroutine finishes in
-// bounded time while the guest spins.
+// bounded time while the guest spins. The second half spins under the
+// CPU profiler as well: compiled code owns RBP and seven more host
+// registers that Go code never expects to change under it, and SIGPROF
+// ticks and the collector's preemption signals land in it all the time —
+// the runtime must find nothing to unwind there and the entry shim must
+// hand every register back, or this crashes rather than fails.
 func TestSpinningGuestComesBackEveryQuantum(t *testing.T) {
 	forceTier2Hot(t)
 	const quanta = 64
@@ -583,6 +594,11 @@ func TestSpinningGuestComesBackEveryQuantum(t *testing.T) {
 		t.Fatal(err)
 	}
 	spinGuest(t, w)
+	if err := pprof.StartCPUProfile(io.Discard); err != nil {
+		t.Logf("CPU profiler unavailable (%v): spinning without it", err)
+	} else {
+		defer pprof.StopCPUProfile()
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
@@ -590,7 +606,7 @@ func TestSpinningGuestComesBackEveryQuantum(t *testing.T) {
 		done <- err
 	}()
 	for i := 0; i < 3; i++ {
-		time.Sleep(2 * time.Millisecond) // let the guest get into its loop
+		time.Sleep(25 * time.Millisecond) // a few profiler ticks inside the loop
 		start := time.Now()
 		runtime.GC()
 		if d := time.Since(start); d > 5*time.Second {

@@ -6,8 +6,8 @@ package vm
 // is invisible to guest semantics: every exit path below re-joins exactly
 // the code path the tier-1 dispatch loop would have taken for the same
 // micro-op — chain-slot resolution, trap construction — and the traces
-// themselves have already charged and refunded fuel against v.m exactly
-// as tier-1 does, so Steps is the fuel a run consumed.
+// themselves have already charged and refunded the run's budget exactly
+// as tier-1 charges fuel, so Steps is what a run took off it.
 //
 // The link-slot invariant: a slot of v.links is either unlinked (it
 // holds the return stub of the exit that owns it) or holds the entry
@@ -41,6 +41,10 @@ func envNoTier2() bool {
 	s := os.Getenv("VXA_NO_TIER2")
 	return s != "" && s != "0"
 }
+
+// A budget of one poll quantum must admit any trace, or an entry could
+// decline for ever: a micro-op stands for at most three instructions.
+const _ = uint(cancelQuantum - 4*sbMaxUops)
 
 // t2HotThreshold resolves the promotion threshold, honoring the
 // VXA_TIER2_HOT override (the test wall uses 1 to force every
@@ -78,6 +82,7 @@ func (v *VM) compileTier2(sb *bref) {
 	}
 	v.attachTrace(sb, t)
 	v.stats.Tier2Compiled++
+	v.stats.Tier2Code.Add(t.Ledger, 1)
 }
 
 // attachTrace makes t the compiled trace of sb in this VM's view. A
@@ -165,7 +170,7 @@ func (v *VM) CheckLinks() (linked int, err error) {
 // and the exit it stopped at is dispatched onto the same chain-slot and
 // trap paths the tier-1 handler for the exiting micro-op uses, linking
 // the edge for next time where it can. The caller must have checked
-// v.m.Fuel >= sb.b.cost.
+// v.m.Fuel >= sb.b.cost and polled if the credit had run out.
 func (v *VM) runTier2(sb *bref, t *tier2.Trace) (*bref, error) {
 	if t.NeedFlags {
 		// The native compiler pinned this trace's entry flag state to
@@ -173,26 +178,36 @@ func (v *VM) runTier2(sb *bref, t *tier2.Trace) (*bref, error) {
 		v.materializeFlags()
 	}
 	m := &v.m
-	fuel := m.Fuel
-	m.Iters, m.Uops, m.FlagsMaterialized = 0, 0, 0
+	// The run may spend whichever of fuel and poll credit runs out
+	// first; trace entries charge that one budget.
+	budget := min(m.Fuel, m.Credit)
+	m.Budget, m.Acct, m.FlagsMaterialized = budget, 0, 0
 
 	s := t.Run(m, linkOffset(sb))
 
-	// Every charge and refund of the run is in m; Steps and fuel move in
-	// lockstep, so the fuel consumed is the instructions retired, all of
-	// them inside traces.
-	steps := uint64(fuel - m.Fuel)
-	v.stats.Steps += steps
-	v.stats.Tier2Steps += steps
-	v.stats.UopsExecuted += m.Uops
+	// Every charge and refund of the run is in m.Budget; Steps, fuel and
+	// credit move in lockstep, so what the run took off the budget is the
+	// instructions retired, all of them inside traces.
+	used := budget - m.Budget
+	m.Fuel -= used
+	m.Credit -= used
+	v.stats.Steps += uint64(used)
+	v.stats.Tier2Steps += uint64(used)
+	v.stats.UopsExecuted += m.Uops()
 	v.stats.FlagsMaterialized += m.FlagsMaterialized
-	v.stats.Tier2Executed += m.Iters
+	v.stats.Tier2Executed += m.Passes()
 	v.stats.Tier2Exits++
 
 	if s == 0 {
-		// A trace entry declined: fuel short of its cost (the reference
-		// walk finds the exact trap EIP from here) or the poll credit
-		// spent (the dispatch loop polls and comes straight back).
+		// A trace entry declined because the budget would not cover its
+		// cost. If that was the fuel, the reference walk finds the exact
+		// trap EIP from here. If it was the credit — which is then short
+		// of one trace's cost, so the poll comes at most that much early
+		// — the dispatch loop must poll now rather than re-enter with
+		// the same credit: spend the remainder.
+		if m.Credit < m.Fuel {
+			m.Credit = 0
+		}
 		v.eip = m.ExitTarget
 		return v.lookupBlock(v.eip)
 	}

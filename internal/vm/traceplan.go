@@ -45,8 +45,11 @@ type TracePlan struct {
 	Rets    int // return guards (inline-cache slots)
 	Backend string
 	Shared  bool // the trace was installed from the snapshot, not compiled by this VM
-	Uops    []TracePlanUop
-	Exits   []TracePlanExit
+	// Trace is the compiled trace itself (nil on tier 1): its emitted
+	// code and the exact ledger of it.
+	Trace *tier2.Trace
+	Uops  []TracePlanUop
+	Exits []TracePlanExit
 }
 
 // TracePlans returns the tier-2 trace plan of every superblock the VM
@@ -83,6 +86,7 @@ func (v *VM) TracePlans() []TracePlan {
 			Rets:    len(sb.sbInd),
 			Backend: backend,
 			Shared:  sb.t2Shared,
+			Trace:   sb.t2,
 			Uops:    make([]TracePlanUop, len(us)),
 		}
 		for i := range us {

@@ -138,20 +138,9 @@ func (v *VM) ucond(cc x86.CC) bool {
 
 // ---- sandboxed guest memory, fast forms --------------------------------
 
-// rdOK and wrOK are the sandbox bounds checks with the bounds passed as
-// hoisted locals, small enough to inline into the dispatch loop. The
-// `addr <= limit-size` form rejects address-wraparound for free, since
-// limit-size never underflows (every limit is at least one page).
-
-func rdOK(addr, size, brk, stackBase, memLen uint32) bool {
-	return (addr >= PageSize && addr <= brk-size) ||
-		(addr >= stackBase && addr <= memLen-size)
-}
-
-func wrOK(addr, size, roLimit, brk, stackBase, memLen uint32) bool {
-	return (addr >= roLimit && addr <= brk-size) ||
-		(addr >= stackBase && addr <= memLen-size)
-}
+// The sandbox bounds checks are tier2.Geometry's ReadOK and WriteOK, the
+// one definition every tier shares; they are small enough to inline into
+// the dispatch loop, which hoists the geometry and the heap limit.
 
 // le32 and st32 (uexec_le.go / uexec_portable.go) are the raw
 // little-endian guest accesses; bounds must have been checked by the
@@ -624,8 +613,7 @@ func (v *VM) execUops(br *bref) error {
 	// KindInt, after which brk is re-hoisted.
 	regs := &v.m.Regs
 	mem := v.mem
-	memLen := uint32(len(mem))
-	roLimit, stackBase := v.roLimit, v.stackBase
+	geom := v.m.Geometry
 	brk := v.m.Brk
 
 blocks:
@@ -742,37 +730,37 @@ blocks:
 				v.wr8(u.Dst, u.Dsh, u.Imm)
 			case uop.KindLoad:
 				addr := u.Disp + regs[u.Base] + regs[u.Idx]*uint32(u.Scale)
-				if !rdOK(addr, 4, brk, stackBase, memLen) {
+				if !geom.ReadOK(addr, 4, brk) {
 					return v.uopTrap(us, i, memTrap(u.EIP, addr))
 				}
 				regs[u.Dst] = le32(mem, addr)
 			case uop.KindLoad8:
 				addr := u.Disp + regs[u.Base] + regs[u.Idx]*uint32(u.Scale)
-				if !rdOK(addr, 1, brk, stackBase, memLen) {
+				if !geom.ReadOK(addr, 1, brk) {
 					return v.uopTrap(us, i, memTrap(u.EIP, addr))
 				}
 				v.wr8(u.Dst, u.Dsh, uint32(mem[addr]))
 			case uop.KindStore:
 				addr := u.Disp + regs[u.Base] + regs[u.Idx]*uint32(u.Scale)
-				if !wrOK(addr, 4, roLimit, brk, stackBase, memLen) {
+				if !geom.WriteOK(addr, 4, brk) {
 					return v.uopTrap(us, i, v.storeTrap(u.EIP, addr, 4))
 				}
 				st32(mem, addr, regs[u.Src])
 			case uop.KindStore8:
 				addr := u.Disp + regs[u.Base] + regs[u.Idx]*uint32(u.Scale)
-				if !wrOK(addr, 1, roLimit, brk, stackBase, memLen) {
+				if !geom.WriteOK(addr, 1, brk) {
 					return v.uopTrap(us, i, v.storeTrap(u.EIP, addr, 1))
 				}
 				mem[addr] = byte(v.rd8(u.Src, u.Ssh))
 			case uop.KindStoreI:
 				addr := u.Disp + regs[u.Base] + regs[u.Idx]*uint32(u.Scale)
-				if !wrOK(addr, 4, roLimit, brk, stackBase, memLen) {
+				if !geom.WriteOK(addr, 4, brk) {
 					return v.uopTrap(us, i, v.storeTrap(u.EIP, addr, 4))
 				}
 				st32(mem, addr, u.Imm)
 			case uop.KindStoreI8:
 				addr := u.Disp + regs[u.Base] + regs[u.Idx]*uint32(u.Scale)
-				if !wrOK(addr, 1, roLimit, brk, stackBase, memLen) {
+				if !geom.WriteOK(addr, 1, brk) {
 					return v.uopTrap(us, i, v.storeTrap(u.EIP, addr, 1))
 				}
 				mem[addr] = byte(u.Imm)
@@ -786,13 +774,13 @@ blocks:
 				regs[u.Dst] = regs[u.Src] & 0xFFFF
 			case uop.KindMovzxRM8:
 				addr := u.Disp + regs[u.Base] + regs[u.Idx]*uint32(u.Scale)
-				if !rdOK(addr, 1, brk, stackBase, memLen) {
+				if !geom.ReadOK(addr, 1, brk) {
 					return v.uopTrap(us, i, memTrap(u.EIP, addr))
 				}
 				regs[u.Dst] = uint32(mem[addr])
 			case uop.KindMovzxRM16:
 				addr := u.Disp + regs[u.Base] + regs[u.Idx]*uint32(u.Scale)
-				if !rdOK(addr, 2, brk, stackBase, memLen) {
+				if !geom.ReadOK(addr, 2, brk) {
 					return v.uopTrap(us, i, memTrap(u.EIP, addr))
 				}
 				regs[u.Dst] = uint32(mem[addr]) | uint32(mem[addr+1])<<8
@@ -802,13 +790,13 @@ blocks:
 				regs[u.Dst] = uint32(int32(int16(regs[u.Src])))
 			case uop.KindMovsxRM8:
 				addr := u.Disp + regs[u.Base] + regs[u.Idx]*uint32(u.Scale)
-				if !rdOK(addr, 1, brk, stackBase, memLen) {
+				if !geom.ReadOK(addr, 1, brk) {
 					return v.uopTrap(us, i, memTrap(u.EIP, addr))
 				}
 				regs[u.Dst] = uint32(int32(int8(mem[addr])))
 			case uop.KindMovsxRM16:
 				addr := u.Disp + regs[u.Base] + regs[u.Idx]*uint32(u.Scale)
-				if !rdOK(addr, 2, brk, stackBase, memLen) {
+				if !geom.ReadOK(addr, 2, brk) {
 					return v.uopTrap(us, i, memTrap(u.EIP, addr))
 				}
 				regs[u.Dst] = uint32(int32(int16(uint32(mem[addr]) | uint32(mem[addr+1])<<8)))
@@ -883,7 +871,7 @@ blocks:
 				}
 			case uop.KindAluRM:
 				addr := u.Disp + regs[u.Base] + regs[u.Idx]*uint32(u.Scale)
-				if !rdOK(addr, 4, brk, stackBase, memLen) {
+				if !geom.ReadOK(addr, 4, brk) {
 					return v.uopTrap(us, i, memTrap(u.EIP, addr))
 				}
 				if res, wb := v.ualu(uop.AluOp(u.Sub), regs[u.Dst], le32(mem, addr), 4); wb {
@@ -891,22 +879,22 @@ blocks:
 				}
 			case uop.KindAluMR:
 				addr := u.Disp + regs[u.Base] + regs[u.Idx]*uint32(u.Scale)
-				if !rdOK(addr, 4, brk, stackBase, memLen) {
+				if !geom.ReadOK(addr, 4, brk) {
 					return v.uopTrap(us, i, memTrap(u.EIP, addr))
 				}
 				if res, wb := v.ualu(uop.AluOp(u.Sub), le32(mem, addr), regs[u.Src], 4); wb {
-					if !wrOK(addr, 4, roLimit, brk, stackBase, memLen) {
+					if !geom.WriteOK(addr, 4, brk) {
 						return v.uopTrap(us, i, v.storeTrap(u.EIP, addr, 4))
 					}
 					st32(mem, addr, res)
 				}
 			case uop.KindAluMI:
 				addr := u.Disp + regs[u.Base] + regs[u.Idx]*uint32(u.Scale)
-				if !rdOK(addr, 4, brk, stackBase, memLen) {
+				if !geom.ReadOK(addr, 4, brk) {
 					return v.uopTrap(us, i, memTrap(u.EIP, addr))
 				}
 				if res, wb := v.ualu(uop.AluOp(u.Sub), le32(mem, addr), u.Imm, 4); wb {
-					if !wrOK(addr, 4, roLimit, brk, stackBase, memLen) {
+					if !geom.WriteOK(addr, 4, brk) {
 						return v.uopTrap(us, i, v.storeTrap(u.EIP, addr, 4))
 					}
 					st32(mem, addr, res)
@@ -921,7 +909,7 @@ blocks:
 				}
 			case uop.KindAlu8RM:
 				addr := u.Disp + regs[u.Base] + regs[u.Idx]*uint32(u.Scale)
-				if !rdOK(addr, 1, brk, stackBase, memLen) {
+				if !geom.ReadOK(addr, 1, brk) {
 					return v.uopTrap(us, i, memTrap(u.EIP, addr))
 				}
 				if res, wb := v.ualu8(uop.AluOp(u.Sub), v.rd8(u.Dst, u.Dsh), uint32(mem[addr])); wb {
@@ -929,22 +917,22 @@ blocks:
 				}
 			case uop.KindAlu8MR:
 				addr := u.Disp + regs[u.Base] + regs[u.Idx]*uint32(u.Scale)
-				if !rdOK(addr, 1, brk, stackBase, memLen) {
+				if !geom.ReadOK(addr, 1, brk) {
 					return v.uopTrap(us, i, memTrap(u.EIP, addr))
 				}
 				if res, wb := v.ualu8(uop.AluOp(u.Sub), uint32(mem[addr]), v.rd8(u.Src, u.Ssh)); wb {
-					if !wrOK(addr, 1, roLimit, brk, stackBase, memLen) {
+					if !geom.WriteOK(addr, 1, brk) {
 						return v.uopTrap(us, i, v.storeTrap(u.EIP, addr, 1))
 					}
 					mem[addr] = byte(res)
 				}
 			case uop.KindAlu8MI:
 				addr := u.Disp + regs[u.Base] + regs[u.Idx]*uint32(u.Scale)
-				if !rdOK(addr, 1, brk, stackBase, memLen) {
+				if !geom.ReadOK(addr, 1, brk) {
 					return v.uopTrap(us, i, memTrap(u.EIP, addr))
 				}
 				if res, wb := v.ualu8(uop.AluOp(u.Sub), uint32(mem[addr]), u.Imm); wb {
-					if !wrOK(addr, 1, roLimit, brk, stackBase, memLen) {
+					if !geom.WriteOK(addr, 1, brk) {
 						return v.uopTrap(us, i, v.storeTrap(u.EIP, addr, 1))
 					}
 					mem[addr] = byte(res)
@@ -1021,14 +1009,14 @@ blocks:
 			// --- stack ---
 			case uop.KindPushR:
 				sp := regs[x86.ESP] - 4
-				if !wrOK(sp, 4, roLimit, brk, stackBase, memLen) {
+				if !geom.WriteOK(sp, 4, brk) {
 					return v.uopTrap(us, i, v.storeTrap(u.EIP, sp, 4))
 				}
 				st32(mem, sp, regs[u.Src])
 				regs[x86.ESP] = sp
 			case uop.KindPushI:
 				sp := regs[x86.ESP] - 4
-				if !wrOK(sp, 4, roLimit, brk, stackBase, memLen) {
+				if !geom.WriteOK(sp, 4, brk) {
 					return v.uopTrap(us, i, v.storeTrap(u.EIP, sp, 4))
 				}
 				st32(mem, sp, u.Imm)
@@ -1043,7 +1031,7 @@ blocks:
 				}
 			case uop.KindPopR:
 				sp := regs[x86.ESP]
-				if !rdOK(sp, 4, brk, stackBase, memLen) {
+				if !geom.ReadOK(sp, 4, brk) {
 					return v.uopTrap(us, i, memTrap(u.EIP, sp))
 				}
 				regs[x86.ESP] = sp + 4
@@ -1192,7 +1180,7 @@ blocks:
 			// --- fused load-op ---
 			case uop.KindLoadAluRR:
 				addr := u.Disp + regs[u.Base] + regs[u.Idx]*uint32(u.Scale)
-				if !rdOK(addr, 4, brk, stackBase, memLen) {
+				if !geom.ReadOK(addr, 4, brk) {
 					return v.uopTrap(us, i, memTrap(u.EIP, addr))
 				}
 				regs[u.Aux] = le32(mem, addr)
@@ -1201,7 +1189,7 @@ blocks:
 				}
 			case uop.KindLoadAluRRNF:
 				addr := u.Disp + regs[u.Base] + regs[u.Idx]*uint32(u.Scale)
-				if !rdOK(addr, 4, brk, stackBase, memLen) {
+				if !geom.ReadOK(addr, 4, brk) {
 					return v.uopTrap(us, i, memTrap(u.EIP, addr))
 				}
 				regs[u.Aux] = le32(mem, addr)
@@ -1213,7 +1201,7 @@ blocks:
 			case uop.KindMovPop:
 				regs[u.Aux] = regs[u.Src]
 				sp := regs[x86.ESP]
-				if !rdOK(sp, 4, brk, stackBase, memLen) {
+				if !geom.ReadOK(sp, 4, brk) {
 					return v.uopTrapN(us, i, 2, memTrap(u.Imm, sp))
 				}
 				regs[x86.ESP] = sp + 4
@@ -1221,7 +1209,7 @@ blocks:
 			case uop.KindMovPopAluRR, uop.KindMovPopAluRRNF:
 				regs[u.Aux] = regs[u.Src]
 				sp := regs[x86.ESP]
-				if !rdOK(sp, 4, brk, stackBase, memLen) {
+				if !geom.ReadOK(sp, 4, brk) {
 					return v.uopTrapN(us, i, 2, memTrap(u.Imm, sp))
 				}
 				regs[x86.ESP] = sp + 4
@@ -1257,31 +1245,31 @@ blocks:
 				regs[u.Dst] = res
 			case uop.KindPushLoad:
 				sp := regs[x86.ESP] - 4
-				if !wrOK(sp, 4, roLimit, brk, stackBase, memLen) {
+				if !geom.WriteOK(sp, 4, brk) {
 					return v.uopTrap(us, i, v.storeTrap(u.EIP, sp, 4))
 				}
 				st32(mem, sp, regs[u.Src])
 				regs[x86.ESP] = sp
 				addr := u.Disp + regs[u.Base] + regs[u.Idx]*uint32(u.Scale)
-				if !rdOK(addr, 4, brk, stackBase, memLen) {
+				if !geom.ReadOK(addr, 4, brk) {
 					return v.uopTrapN(us, i, 2, memTrap(u.Imm, addr))
 				}
 				regs[u.Dst] = le32(mem, addr)
 			case uop.KindLoadPush:
 				addr := u.Disp + regs[u.Base] + regs[u.Idx]*uint32(u.Scale)
-				if !rdOK(addr, 4, brk, stackBase, memLen) {
+				if !geom.ReadOK(addr, 4, brk) {
 					return v.uopTrap(us, i, memTrap(u.EIP, addr))
 				}
 				regs[u.Aux] = le32(mem, addr)
 				sp := regs[x86.ESP] - 4
-				if !wrOK(sp, 4, roLimit, brk, stackBase, memLen) {
+				if !geom.WriteOK(sp, 4, brk) {
 					return v.uopTrapN(us, i, 2, v.storeTrap(u.Imm, sp, 4))
 				}
 				st32(mem, sp, regs[u.Src])
 				regs[x86.ESP] = sp
 			case uop.KindPushMovI:
 				sp := regs[x86.ESP] - 4
-				if !wrOK(sp, 4, roLimit, brk, stackBase, memLen) {
+				if !geom.WriteOK(sp, 4, brk) {
 					return v.uopTrap(us, i, v.storeTrap(u.EIP, sp, 4))
 				}
 				st32(mem, sp, regs[u.Src])
@@ -1290,7 +1278,7 @@ blocks:
 			case uop.KindMovIPush:
 				regs[u.Dst] = u.Imm
 				sp := regs[x86.ESP] - 4
-				if !wrOK(sp, 4, roLimit, brk, stackBase, memLen) {
+				if !geom.WriteOK(sp, 4, brk) {
 					return v.uopTrapN(us, i, 2, v.storeTrap(u.Disp, sp, 4))
 				}
 				st32(mem, sp, regs[u.Src])
@@ -1301,19 +1289,19 @@ blocks:
 			case uop.KindMovLoad:
 				regs[u.Aux] = regs[u.Src]
 				addr := u.Disp + regs[u.Base] + regs[u.Idx]*uint32(u.Scale)
-				if !rdOK(addr, 4, brk, stackBase, memLen) {
+				if !geom.ReadOK(addr, 4, brk) {
 					return v.uopTrapN(us, i, 2, memTrap(u.Imm, addr))
 				}
 				regs[u.Dst] = le32(mem, addr)
 			case uop.KindPopStore:
 				sp := regs[x86.ESP]
-				if !rdOK(sp, 4, brk, stackBase, memLen) {
+				if !geom.ReadOK(sp, 4, brk) {
 					return v.uopTrap(us, i, memTrap(u.EIP, sp))
 				}
 				regs[x86.ESP] = sp + 4
 				regs[u.Dst] = le32(mem, sp) // a popped ESP wins over the increment
 				addr := u.Disp + regs[u.Base] + regs[u.Idx]*uint32(u.Scale)
-				if !wrOK(addr, 4, roLimit, brk, stackBase, memLen) {
+				if !geom.WriteOK(addr, 4, brk) {
 					return v.uopTrapN(us, i, 2, v.storeTrap(u.Imm, addr, 4))
 				}
 				st32(mem, addr, regs[u.Src])
@@ -1535,7 +1523,7 @@ blocks:
 				continue blocks
 			case uop.KindRet:
 				sp := regs[x86.ESP]
-				if !rdOK(sp, 4, brk, stackBase, memLen) {
+				if !geom.ReadOK(sp, 4, brk) {
 					return v.uopTrap(us, i, memTrap(u.EIP, sp))
 				}
 				target := le32(mem, sp)
@@ -1553,13 +1541,13 @@ blocks:
 				continue blocks
 			case uop.KindPushCall:
 				sp := regs[x86.ESP] - 4
-				if !wrOK(sp, 4, roLimit, brk, stackBase, memLen) {
+				if !geom.WriteOK(sp, 4, brk) {
 					return v.uopTrap(us, i, v.storeTrap(u.EIP, sp, 4))
 				}
 				st32(mem, sp, regs[u.Src])
 				regs[x86.ESP] = sp
 				sp -= 4
-				if !wrOK(sp, 4, roLimit, brk, stackBase, memLen) {
+				if !geom.WriteOK(sp, 4, brk) {
 					return v.uopTrapN(us, i, 2, v.storeTrap(u.Imm, sp, 4))
 				}
 				st32(mem, sp, u.Next)
@@ -1578,12 +1566,12 @@ blocks:
 			case uop.KindPopRet:
 				// Fusion guarantees Dst != ESP, so the RET pops sp+4.
 				sp := regs[x86.ESP]
-				if !rdOK(sp, 4, brk, stackBase, memLen) {
+				if !geom.ReadOK(sp, 4, brk) {
 					return v.uopTrap(us, i, memTrap(u.EIP, sp))
 				}
 				regs[x86.ESP] = sp + 4
 				regs[u.Dst] = le32(mem, sp)
-				if !rdOK(sp+4, 4, brk, stackBase, memLen) {
+				if !geom.ReadOK(sp+4, 4, brk) {
 					return v.uopTrapN(us, i, 2, memTrap(u.Disp, sp+4))
 				}
 				target := le32(mem, sp+4)
@@ -1601,7 +1589,7 @@ blocks:
 				continue blocks
 			case uop.KindRetGuard:
 				sp := regs[x86.ESP]
-				if !rdOK(sp, 4, brk, stackBase, memLen) {
+				if !geom.ReadOK(sp, 4, brk) {
 					return v.uopTrap(us, i, memTrap(u.EIP, sp))
 				}
 				target := le32(mem, sp)

@@ -191,9 +191,12 @@ type Stats struct {
 	Tier2Steps        uint64 `json:"tier2_steps"`        // guest instructions retired inside tier-2 traces (subset of Steps)
 	Tier2Exits        uint64 `json:"tier2_exits"`        // returns from compiled code to the dispatcher (one per run of linked traces)
 	Tier2Links        uint64 `json:"tier2_links"`        // trace exits linked straight to another trace's entry
-	TranslateNS       uint64 `json:"translate_ns"`       // nanoseconds spent decoding+lowering fragments (0 with NoBlockCache)
-	ExecuteNS         uint64 `json:"execute_ns"`         // nanoseconds spent running translated code (Run wall time minus translation)
-	Syscalls          uint64 `json:"syscalls"`
+	// Tier2Code is the exact host-code ledger of the native traces this
+	// VM compiled (installed ones are the snapshot's, not counted).
+	Tier2Code   tier2.Ledger `json:"tier2_code"`
+	TranslateNS uint64       `json:"translate_ns"` // nanoseconds spent decoding+lowering fragments (0 with NoBlockCache)
+	ExecuteNS   uint64       `json:"execute_ns"`   // nanoseconds spent running translated code (Run wall time minus translation)
+	Syscalls    uint64       `json:"syscalls"`
 }
 
 // VM is one sandboxed guest. It is not safe for concurrent use.
