@@ -108,7 +108,7 @@ func BenchmarkFig7AdpcmVX32(b *testing.B)     { benchVX32(b, "adpcm", vm.Config{
 
 func BenchmarkAblationCacheOn(b *testing.B) { benchKernelCfg(b, inlinedSrc, vm.Config{}, 1<<14) }
 func BenchmarkAblationCacheOff(b *testing.B) {
-	benchKernelCfg(b, inlinedSrc, vm.Config{NoBlockCache: true}, 1<<14)
+	benchKernelCfg(b, inlinedSrc, vm.Config{OptLevel: vm.OptReference}, 1<<14)
 }
 
 // --- §5.2 ablation: the vorbis inlining anecdote ---

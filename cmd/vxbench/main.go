@@ -31,7 +31,7 @@ type report struct {
 	Table2     []bench.Table2Row   `json:"table2,omitempty"`
 	Overhead   []bench.OverheadRow `json:"overhead,omitempty"`
 	Fig7       []bench.Fig7Row     `json:"fig7,omitempty"`
-	Ablation   []bench.AblationRow `json:"ablation,omitempty"`
+	Ladder     []bench.LadderRow   `json:"ladder,omitempty"`
 	Pool       []bench.PoolRow     `json:"pool,omitempty"`
 	Parallel   *bench.ParallelRow  `json:"parallel,omitempty"`
 	Server     []bench.ServerRow   `json:"server,omitempty"`
@@ -64,7 +64,7 @@ func main() {
 	fleetShards := flag.Int("shards", 3, "fleet size for -fleet")
 	chaos := flag.Bool("chaos", false, "drive vxad with fault injection armed and report containment/recovery figures")
 	ablate := flag.Bool("ablate", false, "include the fragment-cache ablation in -fig7")
-	ablateOpt := flag.Bool("ablate-opt", false, "measure each optimizer pass's contribution (flag elision, fusion, superblocks, tier-2)")
+	ablateOpt := flag.Bool("ablate-opt", false, "measure each engine layer's contribution: decode time at every vm.OptLevel (fragment cache, optimizer, superblocks, tier 2, eager promotion)")
 	streams := flag.Int("streams", 16, "streams per codec for -pool")
 	entries := flag.Int("entries", 16, "archive entries for -parallel")
 	warm := flag.Int("warm", 16, "warm requests per codec for -server")
@@ -280,20 +280,28 @@ func main() {
 			row.Entries, row.Workers, row.Serial.Round(10e3), row.Parallel.Round(10e3), row.Speedup, row.Reinits)
 	}
 	if *ablateOpt {
-		rows, err := bench.Ablation()
+		rows, err := bench.Ladder()
 		if err != nil {
 			fatal(err)
 		}
-		rep.Ablation = rows
-		fmt.Println("Optimizer ablation: vx32 decode time with each pass disabled")
-		fmt.Printf("  %-8s %12s %12s %12s %12s %12s %12s %9s %8s %5s %5s\n",
-			"decoder", "full", "-elide", "-fuse", "-superblk", "-tier2", "none", "elided", "fused", "sb", "t2")
+		rep.Ladder = rows
+		fmt.Println("Optimization ladder: vx32 decode time at each OptLevel, and (second line) the speedup")
+		fmt.Println("over the level below — what the one layer that level adds is worth")
+		fmt.Printf("  %-8s", "decoder")
+		for _, st := range rows[0].Steps {
+			fmt.Printf(" %12s", st.Level)
+		}
+		fmt.Printf(" %9s %8s %5s %5s\n", "elided", "fused", "sb", "t2")
 		for _, r := range rows {
-			fmt.Printf("  %-8s %12v %12v %12v %12v %12v %12v %9d %8d %5d %5d\n",
-				r.Codec, r.Full.Round(10e3), r.NoFlagElision.Round(10e3),
-				r.NoFusion.Round(10e3), r.NoSuperblocks.Round(10e3),
-				r.NoTier2.Round(10e3), r.NoOpt.Round(10e3),
-				r.FlagsElided, r.UopsFused, r.SuperblocksFormed, r.Tier2Compiled)
+			fmt.Printf("  %-8s", r.Codec)
+			for _, st := range r.Steps {
+				fmt.Printf(" %12v", st.VX32.Round(10e3))
+			}
+			fmt.Printf(" %9d %8d %5d %5d\n  %-8s %12s", r.FlagsElided, r.UopsFused, r.SuperblocksFormed, r.Tier2Compiled, "", "")
+			for i := 1; i < len(r.Steps); i++ {
+				fmt.Printf(" %11.2fx", float64(r.Steps[i-1].VX32)/float64(r.Steps[i].VX32))
+			}
+			fmt.Println()
 		}
 		fmt.Println()
 	}

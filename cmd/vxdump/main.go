@@ -117,7 +117,8 @@ func main() {
 // it, decodes the sample again — now on the installed traces, the way
 // every later stream of the decoder runs — and prints every trace plan
 // the VM holds: the fused micro-op sequence with per-op fuel costs, the
-// guard exit slots, which tier-2 backend the trace compiled to, whether
+// guard exit slots, whether tier 2 compiled the trace (backend=native,
+// tier1 where the emitter bails, disabled below OptTier2), whether
 // the code came with the snapshot (origin=snapshot) or had to be
 // compiled for this VM (origin=vm), and for every exit that leaves
 // through a link slot whether that second stream linked it and to which
@@ -173,12 +174,12 @@ func dumpTracePlans(name string, elf []byte) error {
 		switch {
 		case p.Shared:
 			origin = " origin=snapshot"
-		case p.Backend == "native" || p.Backend == "closure":
+		case p.Trace != nil:
 			origin = " origin=vm"
 		}
 		fmt.Printf("\ntrace %08x: backend=%s%s cost=%d uops=%d guards=%d rets=%d\n",
 			p.Entry, p.Backend, origin, p.Cost, p.NUops, p.Guards, p.Rets)
-		if p.Backend == "native" {
+		if p.Trace != nil {
 			fmt.Printf("  code: %v\n", p.Trace.Ledger)
 			total.Add(p.Trace.Ledger, 1)
 		}
@@ -206,7 +207,7 @@ func dumpTracePlans(name string, elf []byte) error {
 			fmt.Printf("  link[%d] uop %d %s%s: %s\n", k, e.Uop, e.Kind, to, state)
 		}
 	}
-	fmt.Printf("\n%s: all native traces: %v\n", name, total)
+	fmt.Printf("\n%s: all compiled traces: %v\n", name, total)
 	return nil
 }
 

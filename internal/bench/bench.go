@@ -127,7 +127,7 @@ func Fig7(withAblation bool) ([]Fig7Row, error) {
 			row.Tier2StepShare = float64(stats.Tier2Steps) / float64(stats.Steps)
 		}
 		if withAblation {
-			_, durNC, err := runVX(w, vm.Config{MemSize: 64 << 20, NoBlockCache: true})
+			_, durNC, err := runVX(w, vm.Config{MemSize: 64 << 20, OptLevel: vm.OptReference})
 			if err != nil {
 				return nil, err
 			}
@@ -163,67 +163,51 @@ func runVX(w Workload, cfg vm.Config) (stats vm.Stats, dur time.Duration, err er
 	return v.Stats(), dur, nil
 }
 
-// AblationRow is one codec's per-optimizer-pass ablation: decode time
-// with the full pipeline, with each pass individually disabled, and
-// with the whole optimizer off. Output correctness under every
-// configuration is pinned separately by the differential test wall
-// (TestOptAblation); this measures only the speed each pass buys.
-type AblationRow struct {
-	Codec             string        `json:"codec"`
-	Full              time.Duration `json:"full_ns"`
-	NoFlagElision     time.Duration `json:"no_flag_elision_ns"`
-	NoFusion          time.Duration `json:"no_fusion_ns"`
-	NoSuperblocks     time.Duration `json:"no_superblocks_ns"`
-	NoTier2           time.Duration `json:"no_tier2_ns"`
-	NoOpt             time.Duration `json:"no_opt_ns"`
-	FlagsElided       uint64        `json:"flags_elided"`       // full pipeline
-	UopsFused         uint64        `json:"uops_fused"`         // full pipeline
-	SuperblocksFormed uint64        `json:"superblocks_formed"` // full pipeline
-	Tier2Compiled     uint64        `json:"tier2_compiled"`     // full pipeline
-	Tier2Executed     uint64        `json:"tier2_executed"`     // full pipeline
+// LadderRow is one codec's decode time at every step of the engine's
+// optimization ladder (vm.OptLevels, lowest first). Adjacent levels
+// differ by exactly one layer — the fragment cache, the optimizer,
+// superblocks, tier 2, first-entry promotion — so each step's ratio to
+// the one below it is what that layer buys. Output correctness at every
+// level is pinned separately by the differential test wall
+// (TestOptLadder); this measures only speed.
+type LadderRow struct {
+	Codec string       `json:"codec"`
+	Steps []LadderStep `json:"steps"`
+	// Translation counters of the default (tier2) run.
+	FlagsElided       uint64 `json:"flags_elided"`
+	UopsFused         uint64 `json:"uops_fused"`
+	SuperblocksFormed uint64 `json:"superblocks_formed"`
+	Tier2Compiled     uint64 `json:"tier2_compiled"`
+	Tier2Executed     uint64 `json:"tier2_executed"`
 }
 
-// Ablation measures every codec under each optimizer-pass ablation.
-func Ablation() ([]AblationRow, error) {
+// LadderStep is one level's decode time.
+type LadderStep struct {
+	Level string        `json:"level"`
+	VX32  time.Duration `json:"vx32_ns"`
+}
+
+// Ladder measures every codec at each optimization level.
+func Ladder() ([]LadderRow, error) {
 	ws, err := Workloads()
 	if err != nil {
 		return nil, err
 	}
-	configs := []vm.Config{
-		{},
-		{NoFlagElision: true},
-		{NoFusion: true},
-		{NoSuperblocks: true},
-		{NoTier2: true},
-		{NoFlagElision: true, NoFusion: true, NoSuperblocks: true},
-	}
-	var rows []AblationRow
+	var rows []LadderRow
 	for _, w := range ws {
-		row := AblationRow{Codec: w.Codec.Name}
-		for i, cfg := range configs {
-			cfg.MemSize = 64 << 20
-			stats, dur, err := runVX(w, cfg)
+		row := LadderRow{Codec: w.Codec.Name}
+		for _, level := range vm.OptLevels() {
+			stats, dur, err := runVX(w, vm.Config{MemSize: 64 << 20, OptLevel: level})
 			if err != nil {
-				return nil, fmt.Errorf("%s ablation %d: %w", w.Codec.Name, i, err)
+				return nil, fmt.Errorf("%s at %v: %w", w.Codec.Name, level, err)
 			}
-			switch i {
-			case 0:
-				row.Full = dur
+			row.Steps = append(row.Steps, LadderStep{Level: level.String(), VX32: dur})
+			if level == vm.OptTier2 {
 				row.FlagsElided = stats.FlagsElided
 				row.UopsFused = stats.UopsFused
 				row.SuperblocksFormed = stats.SuperblocksFormed
 				row.Tier2Compiled = stats.Tier2Compiled
 				row.Tier2Executed = stats.Tier2Executed
-			case 1:
-				row.NoFlagElision = dur
-			case 2:
-				row.NoFusion = dur
-			case 3:
-				row.NoSuperblocks = dur
-			case 4:
-				row.NoTier2 = dur
-			case 5:
-				row.NoOpt = dur
 			}
 		}
 		rows = append(rows, row)

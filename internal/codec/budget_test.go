@@ -3,7 +3,6 @@ package codec_test
 import (
 	"bytes"
 	"context"
-	"os"
 	"testing"
 
 	"vxa/internal/codec"
@@ -13,9 +12,9 @@ import (
 )
 
 // decodeGoldenInput runs one codec's archived decoder over its
-// roundtrip-golden input in a fresh VM and returns the decoded size and
-// the VM's counters.
-func decodeGoldenInput(t *testing.T, c *codec.Codec) (int, vm.Stats) {
+// roundtrip-golden input in a fresh VM at the given level and returns the
+// decoded size and the VM's counters.
+func decodeGoldenInput(t *testing.T, c *codec.Codec, level vm.OptLevel) (int, vm.Stats) {
 	t.Helper()
 	var enc bytes.Buffer
 	if err := c.Encode(&enc, roundTripInput(c)); err != nil {
@@ -27,7 +26,7 @@ func decodeGoldenInput(t *testing.T, c *codec.Codec) (int, vm.Stats) {
 	}
 	var out bytes.Buffer
 	stats, err := codec.RunDecoderELFToStats(context.Background(), c.Name, elf,
-		bytes.NewReader(enc.Bytes()), int64(enc.Len()), &out, vm.Config{MemSize: 64 << 20})
+		bytes.NewReader(enc.Bytes()), int64(enc.Len()), &out, vm.Config{MemSize: 64 << 20, OptLevel: level})
 	if err != nil {
 		t.Fatalf("%s: %v", c.Name, err)
 	}
@@ -66,7 +65,7 @@ func TestInstructionBudget(t *testing.T) {
 			t.Errorf("%s: no instruction budget committed", c.Name)
 			continue
 		}
-		n, stats := decodeGoldenInput(t, c)
+		n, stats := decodeGoldenInput(t, c, vm.OptDefault)
 		got := float64(stats.Steps) / float64(n)
 		t.Logf("%-8s %9d instructions / %6d bytes = %7.1f per byte (ceiling %v, stack machine %v)",
 			c.Name, stats.Steps, n, got, b.ceiling, b.stackMachine)
@@ -77,16 +76,9 @@ func TestInstructionBudget(t *testing.T) {
 	}
 }
 
-// tier2Off reports whether the process-wide switch has the compiled tier
-// off, in which case its gates have nothing to measure.
-func tier2Off() bool {
-	s := os.Getenv("VXA_NO_TIER2")
-	return s != "" && s != "0"
-}
-
 // interpreterBudget is, per decoder, what may stay outside compiled
 // traces when every superblock is promoted on first entry
-// (VXA_TIER2_HOT=1), over the roundtrip-golden input: ceiling is the most
+// (vm.OptEager), over the roundtrip-golden input: ceiling is the most
 // guest instructions per decoded byte, floor the least share of all
 // instructions that must retire in traces. A code shape the native
 // emitter cannot take — a memory-operand or SIB form that makes
@@ -118,10 +110,6 @@ var interpreterBudget = map[string]struct{ ceiling, floor float64 }{
 // interpreter under forced promotion against the committed ceiling, and
 // the share it runs compiled against the committed floor.
 func TestTier2TakesCompilerOutput(t *testing.T) {
-	if tier2Off() {
-		t.Skip("tier 2 is switched off for this run")
-	}
-	t.Setenv("VXA_TIER2_HOT", "1")
 	for _, c := range codec.All() {
 		if c.Encode == nil {
 			continue
@@ -131,7 +119,7 @@ func TestTier2TakesCompilerOutput(t *testing.T) {
 			t.Errorf("%s: no interpreter budget committed", c.Name)
 			continue
 		}
-		n, stats := decodeGoldenInput(t, c)
+		n, stats := decodeGoldenInput(t, c, vm.OptEager)
 		if stats.Tier2Compiled == 0 && stats.Tier2Shared == 0 {
 			t.Skip("no compiled tier on this platform")
 		}
@@ -175,10 +163,6 @@ var roundTripBudget = map[string]struct{ ceiling, unlinked float64 }{
 // TestDispatcherRoundTrips holds the dispatcher round trips every decoder
 // makes per decoded KiB against the committed ceiling.
 func TestDispatcherRoundTrips(t *testing.T) {
-	if tier2Off() {
-		t.Skip("tier 2 is switched off for this run")
-	}
-	t.Setenv("VXA_TIER2_HOT", "")
 	for _, c := range codec.All() {
 		if c.Encode == nil {
 			continue
@@ -188,7 +172,7 @@ func TestDispatcherRoundTrips(t *testing.T) {
 			t.Errorf("%s: no round-trip budget committed", c.Name)
 			continue
 		}
-		n, stats := decodeGoldenInput(t, c)
+		n, stats := decodeGoldenInput(t, c, vm.OptTier2)
 		if stats.Tier2Links == 0 {
 			t.Skip("no linking tier on this platform")
 		}
@@ -233,9 +217,6 @@ var hostBudget = map[string]struct{ ceiling, parent float64 }{
 // half of the guest memory operands in those traces emit no bounds check
 // of their own.
 func TestHostInstructionsPerGuest(t *testing.T) {
-	if tier2Off() {
-		t.Skip("tier 2 is switched off for this run")
-	}
 	var operands, checks int64
 	for _, c := range codec.All() {
 		if c.Encode == nil {
@@ -254,7 +235,7 @@ func TestHostInstructionsPerGuest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, err := elf32.NewVM(elf, vm.Config{MemSize: 64 << 20})
+		v, err := elf32.NewVM(elf, vm.Config{MemSize: 64 << 20, OptLevel: vm.OptTier2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,7 +253,7 @@ func TestHostInstructionsPerGuest(t *testing.T) {
 			traces++
 		}
 		if traces == 0 {
-			t.Skip("no native backend on this platform")
+			t.Skip("no tier-2 emitter on this platform")
 		}
 		got := float64(l.Hot) / float64(l.Guest)
 		t.Logf("%-8s %3d traces: %5d host instructions in hot bodies / %4d guest = %6.3f (ceiling %v, parent %v: %+.0f%%); "+

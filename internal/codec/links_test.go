@@ -19,10 +19,6 @@ import (
 // link behind, whatever traces it installs — and again after a second
 // stream on the installed traces.
 func TestLinksPointAtHeldTraces(t *testing.T) {
-	if tier2Off() {
-		t.Skip("tier 2 is switched off for this run")
-	}
-	t.Setenv("VXA_TIER2_HOT", "1")
 	for _, c := range codec.All() {
 		if c.Encode == nil {
 			continue
@@ -35,7 +31,7 @@ func TestLinksPointAtHeldTraces(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, err := elf32.NewVM(elf, vm.Config{MemSize: 64 << 20})
+		v, err := elf32.NewVM(elf, vm.Config{MemSize: 64 << 20, OptLevel: vm.OptEager})
 		if err != nil {
 			t.Fatal(err)
 		}

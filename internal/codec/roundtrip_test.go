@@ -157,13 +157,12 @@ func TestRoundTripGolden(t *testing.T) {
 	}
 }
 
-// TestRoundTripGoldenTier2Configs holds the committed goldens under
-// every tier-2 configuration: forced hot (every superblock promotes on
-// its first entry, for both the native and the closure backend) and
-// forced off. Output bytes AND the uop count must match the golden
-// exactly in all three — the compiled tier executes the same micro-ops
-// with the same accounting as the tier-1 dispatch loop, so the tier
-// split is invisible in every architectural observation.
+// TestRoundTripGoldenTier2Configs holds the committed goldens with tier 2
+// at both extremes: forced hot (every superblock promotes on its first
+// entry) and off. Output bytes AND the uop count must match the golden
+// exactly in both — the compiled tier executes the same micro-ops with
+// the same accounting as the tier-1 dispatch loop, so the tier split is
+// invisible in every architectural observation.
 func TestRoundTripGoldenTier2Configs(t *testing.T) {
 	data, err := os.ReadFile(goldenPath)
 	if err != nil {
@@ -174,20 +173,8 @@ func TestRoundTripGoldenTier2Configs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	legs := []struct {
-		name string
-		env  map[string]string
-	}{
-		{"tier2-hot", map[string]string{"VXA_TIER2_HOT": "1"}},
-		{"tier2-hot-closure", map[string]string{"VXA_TIER2_HOT": "1", "VXA_TIER2_BACKEND": "closure"}},
-		{"tier2-off", map[string]string{"VXA_NO_TIER2": "1"}},
-	}
-	for _, leg := range legs {
-		leg := leg
-		t.Run(leg.name, func(t *testing.T) {
-			for k, v := range leg.env {
-				t.Setenv(k, v)
-			}
+	for _, level := range []vm.OptLevel{vm.OptEager, vm.OptSuperblocks} {
+		t.Run(level.String(), func(t *testing.T) {
 			for _, c := range codec.All() {
 				if c.Encode == nil {
 					continue
@@ -207,7 +194,7 @@ func TestRoundTripGoldenTier2Configs(t *testing.T) {
 				}
 				var out bytes.Buffer
 				stats, err := codec.RunDecoderELFToStats(context.Background(), c.Name, elf,
-					bytes.NewReader(enc.Bytes()), int64(enc.Len()), &out, vm.Config{MemSize: 64 << 20})
+					bytes.NewReader(enc.Bytes()), int64(enc.Len()), &out, vm.Config{MemSize: 64 << 20, OptLevel: level})
 				if err != nil {
 					t.Fatalf("%s: %v", c.Name, err)
 				}

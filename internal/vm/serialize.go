@@ -26,8 +26,10 @@ import (
 // History: 2 added the absorbed-superblock section after the block
 // section. 3 added the NoTier2 policy bit to the header; tier-2
 // compiled traces themselves are never serialized — they are rebuilt
-// per-VM from the persisted superblocks once those re-prove hot.
-const EngineVersion uint32 = 3
+// per-VM from the persisted superblocks once those re-prove hot. 4
+// removed ten stack-shuffle fused kinds (renumbering Kind) and replaced
+// the header's five policy bits with the configured OptLevel.
+const EngineVersion uint32 = 4
 
 // snapMagic brands a serialized snapshot payload.
 const snapMagic = "VXSN"
@@ -35,21 +37,13 @@ const snapMagic = "VXSN"
 // snapHeaderLen is the fixed prefix before the low image.
 const snapHeaderLen = 92
 
-// Flag and policy bit positions in the serialized header.
+// Flag bit positions in the serialized header.
 const (
 	sfCF = 1 << iota
 	sfZF
 	sfSF
 	sfOF
 	sfPF
-)
-
-const (
-	sbNoCache = 1 << iota
-	sbNoSB
-	sbNoFuse
-	sbNoFlagElide
-	sbNoT2
 )
 
 // instWireLen and uopWireLen are the fixed per-record sizes of the
@@ -139,9 +133,7 @@ func (s *Snapshot) Serialize() ([]byte, error) {
 	}
 	out[60] = packBits(s.cf, sfCF) | packBits(s.zf, sfZF) | packBits(s.sf, sfSF) |
 		packBits(s.of, sfOF) | packBits(s.pf, sfPF)
-	out[61] = packBits(s.noCache, sbNoCache) | packBits(s.noSB, sbNoSB) |
-		packBits(s.optCfg.NoFuse, sbNoFuse) | packBits(s.optCfg.NoFlagElide, sbNoFlagElide) |
-		packBits(s.noT2, sbNoT2)
+	out[61] = byte(s.opt) // as configured: the process override is never persisted
 	le.PutUint64(out[64:], uint64(s.fuel))
 	le.PutUint64(out[72:], uint64(s.wallBudget))
 	le.PutUint32(out[80:], uint32(len(s.low)))
@@ -374,6 +366,11 @@ func Deserialize(data []byte) (*Snapshot, error) {
 	if v := c.u32(); c.err == nil && v != EngineVersion {
 		return nil, fmt.Errorf("vm: snapshot decode: engine version %d, want %d", v, EngineVersion)
 	}
+	// VMs of this snapshot never pass through New: a bad process override
+	// is reported here instead.
+	if _, err := processOpt(); err != nil {
+		return nil, err
+	}
 	s := &Snapshot{}
 	s.memSize = c.u32()
 	s.brk = c.u32()
@@ -383,16 +380,15 @@ func Deserialize(data []byte) (*Snapshot, error) {
 	for i := range s.regs {
 		s.regs[i] = c.u32()
 	}
-	bits := c.take(4) // flags, policy bits, 2 reserved
+	bits := c.take(4) // flags, configured OptLevel, 2 reserved
 	if c.err != nil {
 		return nil, c.err
 	}
 	s.cf, s.zf, s.sf, s.of, s.pf = bits[0]&sfCF != 0, bits[0]&sfZF != 0,
 		bits[0]&sfSF != 0, bits[0]&sfOF != 0, bits[0]&sfPF != 0
-	s.noCache = bits[1]&sbNoCache != 0
-	s.noSB = bits[1]&sbNoSB != 0
-	s.noT2 = bits[1]&sbNoT2 != 0
-	s.optCfg = uop.OptConfig{NoFuse: bits[1]&sbNoFuse != 0, NoFlagElide: bits[1]&sbNoFlagElide != 0}
+	if s.opt = OptLevel(bits[1]); s.opt > OptEager {
+		return nil, fmt.Errorf("vm: snapshot decode: optimization level %d", bits[1])
+	}
 	s.fuel = int64(c.u64())
 	s.wallBudget = time.Duration(c.u64())
 	lowLen := c.u32()

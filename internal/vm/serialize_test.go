@@ -140,7 +140,7 @@ func TestDeserializeRejects(t *testing.T) {
 // micro-ops, so a payload in which the two differ is refused — or the
 // instruction count of a stream would depend on which tier ran it.
 func TestDeserializeRejectsSuperblockCost(t *testing.T) {
-	snap := soakSharedSnapshot(t, 64, Config{})
+	snap := soakSharedSnapshot(t, 64, eager)
 	v := snap.NewVM()
 	if _, err := soakStream(v); err != nil {
 		t.Fatal(err)

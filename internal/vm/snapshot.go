@@ -37,10 +37,7 @@ type Snapshot struct {
 
 	brk, roLimit, stackBase uint32
 	fuel                    int64
-	noCache                 bool
-	noSB                    bool
-	noT2                    bool
-	optCfg                  uop.OptConfig
+	opt                     OptLevel // as configured; a VM resolves OptDefault for itself
 	wallBudget              time.Duration
 
 	mu     sync.Mutex
@@ -95,10 +92,7 @@ func (v *VM) Snapshot() *Snapshot {
 		roLimit:    v.roLimit,
 		stackBase:  v.stackBase,
 		fuel:       v.m.Fuel,
-		noCache:    v.noCache,
-		noSB:       v.noSB,
-		noT2:       v.noT2,
-		optCfg:     v.optCfg,
+		opt:        v.opt,
 		wallBudget: v.wallBudget,
 		blocks:     make(map[uint32]*block, len(v.blocks)),
 		sbs:        make(map[uint32]*sbRecord),
@@ -123,9 +117,12 @@ func (s *Snapshot) MemSize() uint32 { return s.memSize }
 // empty guard chains: the receiving VM starts on the optimized traces
 // immediately.
 //
-// A record's published tier-2 trace is installed with its superblock
-// unless the receiving VM has the tier off: the VM runs compiled code
-// from the first entry, with no heat to count and nothing to compile.
+// Superblocks and published traces are attached as far as the receiving
+// VM's level uses them (its own: the snapshot may have been warmed, or
+// persisted, by a process running at another). A record's published
+// tier-2 trace is installed with its superblock: the VM runs compiled
+// code from the first entry, with no heat to count and nothing to
+// compile.
 func (s *Snapshot) blockMap(v *VM) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -133,7 +130,7 @@ func (s *Snapshot) blockMap(v *VM) {
 	v.blocks = make(map[uint32]*bref, len(s.blocks))
 	for addr, b := range s.blocks {
 		br := &bref{b: b}
-		if r, ok := s.sbs[addr]; ok && !s.noSB && !s.noCache {
+		if r, ok := s.sbs[addr]; ok && v.level >= OptSuperblocks {
 			br.sb = &bref{
 				b:        r.b,
 				sbChains: make([]*bref, r.guards),
@@ -141,7 +138,7 @@ func (s *Snapshot) blockMap(v *VM) {
 				sbTried:  true,
 			}
 			br.sbTried = true
-			if r.t2 != nil && !v.noT2 {
+			if r.t2 != nil && v.level >= OptTier2 {
 				v.attachTrace(br.sb, r.t2)
 				br.sb.t2Tried, br.sb.t2Shared = true, true
 				v.stats.Tier2Shared++
@@ -192,15 +189,13 @@ func (s *Snapshot) restore(v *VM) {
 	v.roLimit = s.roLimit
 	v.stackBase = s.stackBase
 	v.m.Fuel = s.fuel
-	v.noCache = s.noCache
-	v.noSB = s.noSB
-	// Tier-2 policy follows the snapshot, but the process-wide kill
-	// switch and promotion threshold are re-read here: a snapshot taken
-	// in one process may materialize in another (Deserialize), and the
-	// env knobs describe the running process, not the captured image.
-	v.noT2 = s.noT2 || envNoTier2()
-	v.t2Hot = t2HotThreshold()
-	v.optCfg = s.optCfg
+	// The level follows the snapshot as configured; where that is unset
+	// the process override is resolved here, per VM, because a snapshot
+	// taken in one process may materialize in another (Deserialize) and
+	// the override describes the running process, not the captured
+	// image. Its one possible error was reported by whatever made the
+	// snapshot: New, or Deserialize.
+	v.setLevel(s.opt)
 	v.wallBudget = s.wallBudget
 	v.wallDeadline = 0
 	v.bindTier2()
@@ -222,12 +217,11 @@ func (s *Snapshot) restore(v *VM) {
 // otherwise dominate a fresh VM's first stream.
 //
 // A superblock's compiled trace is published on its record, new or
-// already present, when it can be shared: native code (a closure trace
-// holds pointers into v), compiled for this snapshot's geometry, from
-// the record's own fragment — a trace is valid for exactly the micro-ops
-// it was compiled from, and a VM that formed its own superblock at an
-// entry a sibling has published since leaves the sibling's in place. The
-// first trace published for a record stays.
+// already present, when it can be shared: compiled for this snapshot's
+// geometry, from the record's own fragment — a trace is valid for
+// exactly the micro-ops it was compiled from, and a VM that formed its
+// own superblock at an entry a sibling has published since leaves the
+// sibling's in place. The first trace published for a record stays.
 func (s *Snapshot) AbsorbBlocks(v *VM) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -258,7 +252,7 @@ func (s *Snapshot) AbsorbBlocks(v *VM) {
 			r = &sbRecord{b: sb.b, guards: len(sb.sbChains), rets: len(sb.sbInd)}
 			s.sbs[addr] = r
 		}
-		if t := sb.t2; t != nil && r.t2 == nil && r.b == sb.b && t.Native() && t.Geom == geom {
+		if t := sb.t2; t != nil && r.t2 == nil && r.b == sb.b && t.Geom == geom {
 			r.t2 = t
 		}
 	}

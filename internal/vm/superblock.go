@@ -99,9 +99,6 @@ func sbSelfLoop(term *uop.Uop, entry uint32) bool {
 // not repeated.
 func (v *VM) formSuperblock(entry *bref) {
 	entry.sbTried = true
-	if v.noCache {
-		return
-	}
 
 	var uops []uop.Uop
 	visited := make(map[*block]bool)
@@ -249,7 +246,7 @@ func (v *VM) formSuperblock(entry *bref) {
 	}
 
 	cost := uop.Cost(uops)
-	us, ost := uop.Optimize(uops, v.optCfg)
+	us, ost := uop.Optimize(uops)
 	v.stats.UopsFused += ost.UopsFused
 	v.stats.FlagsElided += ost.FlagsElided
 

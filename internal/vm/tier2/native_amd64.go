@@ -95,8 +95,6 @@ import (
 // everything else unsupported fails compilation and leaves the
 // superblock on tier-1.
 
-const nativeAvailable = true
-
 // hostReg is the register map: the host register a guest register is
 // pinned in.
 var hostReg = [8]int{
@@ -774,7 +772,7 @@ func (e *nemit) alsoWrite(i int, size uint32, eip uint32, started int) {
 	}
 }
 
-// ---- exit-table helpers (mirror comp's) ---------------------------------
+// ---- exit-table helpers ---------------------------------------------------
 
 func (e *nemit) exit(x Exit) int32 {
 	e.exits = append(e.exits, newExit(e.us, e.tail, x))
@@ -959,7 +957,7 @@ func (e *nemit) recRes(op uop.FlagOp, res int) {
 	e.flOp = int(op)
 }
 
-// recSZP is the uimul/umul1 partial record: Fl.Op, Fl.Res = FlagSZP,
+// recSZP is the partial record of VM.uimul/umul1: Fl.Op, Fl.Res = FlagSZP,
 // res — a byte store (KeptCF preserved) plus the result.
 func (e *nemit) recSZP(res int) {
 	e.a.movI8(fld(offFlOp), byte(uop.FlagSZP))
@@ -988,7 +986,7 @@ var aluSels = [...]aluSel{
 	uop.AluTest: {aluAndRM, aluAndExt, uop.FlagLogic, uop.FlagLogic8, false, false},
 }
 
-// alu32 emits "dst = dst op b" at 32 bits, mirroring Machine.ualu: dst
+// alu32 emits "dst = dst op b" at 32 bits, mirroring VM.ualu: dst
 // is a pinned register or the memory operand opnd returned, b a pinned
 // register, an immediate or (register dst only) memory; rec writes the
 // flag record. A memory destination is stored through alsoWrite, after
@@ -1060,7 +1058,7 @@ func (e *nemit) alu32(i int, op uop.AluOp, dst rm, b opd, rec bool) bool {
 // current record (which must be known), fetch a and b — loadA puts a in
 // the register it is handed, loadB returns b as an immediate, a pinned
 // register or the scratch register it is handed — combine, and write the
-// full record including Cin, mirroring Machine.ualu. The result is left
+// full record including Cin, mirroring VM.ualu. The result is left
 // in R8 (which a later write check does not clobber) and R8 returned. The
 // operand a memory form got from opnd may live in RCX, which the
 // materializer clobbers, so RCX is kept on the stack across it.
@@ -1085,7 +1083,7 @@ func (e *nemit) carry(sel aluSel, loadA func(int), loadB func(int) opd, byteWidt
 	return hR8
 }
 
-// alu8 is the byte-width ALU, mirroring Machine.ualu8. loadA and loadB
+// alu8 is the byte-width ALU, mirroring VM.ualu8. loadA and loadB
 // fetch the pre-masked operands as for carry; the masked result is
 // returned in R8 for the caller to write
 // back, ok false for ADC/SBB after a conditional flag writer. Clobbers
@@ -1480,7 +1478,7 @@ func (e *nemit) one(i int) bool {
 		}
 		e.insByte(gd, dsh)
 	case uop.KindSetccM8:
-		// Condition first (mirrors the closure), then the address.
+		// Condition first, then the address, as on tier 1.
 		if !e.flagsCond(cc, hAX, hR8) {
 			return false
 		}
@@ -1535,37 +1533,6 @@ func (e *nemit) one(i int) bool {
 	case uop.KindLoadAluRR, uop.KindLoadAluRRNF:
 		a.mov(ga, rd(4))
 		e.alu32(i, aluOp, rg(gd), rmOp(rg(gs)), u.Kind == uop.KindLoadAluRR)
-
-	// --- data-movement pair fusions (the second instruction's EIP
-	// rides in a spare field, named per kind in uop.go) ---
-	case uop.KindMovPop:
-		a.mov(ga, rg(gs))
-		e.pop(i, gd, u.Imm, 2)
-	case uop.KindMovPopAluRR, uop.KindMovPopAluRRNF:
-		a.mov(ga, rg(gs))
-		e.pop(i, gd, u.Imm, 2)
-		e.alu32(i, aluOp, rg(gd), rmOp(rg(ga)), u.Kind == uop.KindMovPopAluRR)
-	case uop.KindPushLoad:
-		e.push(i, gs, 0, u.EIP, 1)
-		a.mov(gd, e.opnd(i, uea(u), 4, false, u.Imm, 2))
-	case uop.KindLoadPush:
-		a.mov(ga, rd(4))
-		e.push(i, gs, 0, u.Imm, 2)
-	case uop.KindPushMovI:
-		e.push(i, gs, 0, u.EIP, 1)
-		a.movI(rg(gd), imm)
-	case uop.KindMovIPush:
-		a.movI(rg(gd), imm)
-		e.push(i, gs, 0, u.Disp, 2)
-	case uop.KindMovIMov:
-		a.movI(rg(gd), imm)
-		a.mov(ga, rg(gs))
-	case uop.KindMovLoad:
-		a.mov(ga, rg(gs))
-		a.mov(gd, e.opnd(i, uea(u), 4, false, u.Imm, 2))
-	case uop.KindPopStore:
-		e.pop(i, gd, u.EIP, 1)
-		a.movTo(e.opnd(i, uea(u), 4, true, u.Imm, 2), gs)
 
 	// --- superblock guard exits ---
 	case uop.KindGuard:

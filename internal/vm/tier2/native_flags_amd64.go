@@ -9,11 +9,12 @@ import (
 	"vxa/internal/x86"
 )
 
-// Static lazy-flag tracking for the native backend.
+// Static lazy-flag tracking for the emitter.
 //
-// The closure backend materializes EFLAGS bits on demand by inspecting
-// Fl.Op at run time. The native backend instead tracks the flag
-// representation at COMPILE time: emission walks the trace linearly, so
+// The tier-1 engine materializes EFLAGS bits on demand by inspecting
+// Fl.Op at run time (vm's fCF..fPF and ucond). The emitter instead
+// tracks the flag representation at COMPILE time: emission walks the
+// trace linearly, so
 // at any micro-op the last unconditional flag writer earlier in the
 // trace is known statically, and the materialization sequence for
 // exactly that FlagOp can be emitted inline. The trace entry state is
@@ -28,8 +29,8 @@ import (
 // skips its record when the masked count is zero) leaves the state
 // unknown (flUnknown) and makes later consumers bail back to tier-1.
 //
-// Every sequence below mirrors a formula in uop/flags.go or a Machine
-// accessor; none relies on host flag bits that x86 leaves undefined
+// Every sequence below mirrors a formula in uop/flags.go or one of
+// vm's lazy-flag accessors (uexec.go); none relies on host flag bits that x86 leaves undefined
 // (shift OF, for one, is computed from the record, not replayed).
 
 const (
@@ -79,7 +80,7 @@ func (e *nemit) matAll() {
 }
 
 // cfValue leaves the guest CF as 0 or 1 in dst, mirroring
-// Machine.fCF for the statically-known record e.flOp (which must not
+// VM.fCF for the statically-known record e.flOp (which must not
 // be flUnknown). Clobbers CX, DX and the host flags; dst must be
 // neither of those.
 func (e *nemit) cfValue(dst int) {
@@ -257,7 +258,7 @@ func (e *nemit) ofValue(dst int) {
 }
 
 // flagsCond leaves the condition cc as 0 or 1 in dst, mirroring
-// Machine.ucond against the statically-known flag state. sc is a
+// VM.ucond against the statically-known flag state. sc is a
 // second scratch register that must survive the per-flag sequences
 // (R8 or R9). Returns false when the flag state is unknown here and
 // the trace must stay on tier-1.

@@ -4,12 +4,8 @@ package tier2
 
 import "vxa/internal/vm/uop"
 
-// Platforms without a native emitter: tier-2 stays off by default (the
-// closure backend is a portable semantic reference, not a speedup over
-// the tier-1 dispatch loop) and is selectable with
-// VXA_TIER2_BACKEND=closure for the differential test wall.
-const nativeAvailable = false
-
+// Hosts without an emitter: nothing compiles, Compile returns nil for
+// every trace and superblocks run on the tier-1 dispatch loop.
 func nativeCompile(us []uop.Uop, entry uint32, g Geometry, t *Trace) bool { return false }
 
 // call is unreachable: no execBuf is ever built on this platform.

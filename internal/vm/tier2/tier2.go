@@ -6,16 +6,16 @@
 // One register file. The Machine is not a view that is synced around
 // each run: it IS the VM's architectural state — registers, lazy-flag
 // record, heap limit, fuel and poll credit — and the tier-1 interpreter,
-// the closure backend, snapshots and traps all read and write those
-// fields. Native code keeps the eight registers somewhere faster while
-// it runs: the entry shim (jitcall) loads Machine.Regs into eight host
-// registers once, traces operate on those registers and hand them from
-// trace to trace across link slots untouched, and the same shim stores
-// them back when compiled code returns — at every return, whichever
-// trace of the chain it comes from. So Machine.Regs is current whenever
-// Go code can look at it, and stale only while control is inside emitted
-// code, where nothing else can. Everything else stays in the Machine and
-// nothing is copied in or out.
+// snapshots and traps all read and write those fields. Compiled code
+// keeps the eight registers somewhere faster while it runs: the entry
+// shim (jitcall) loads Machine.Regs into eight host registers once,
+// traces operate on those registers and hand them from trace to trace
+// across link slots untouched, and the same shim stores them back when
+// compiled code returns — at every return, whichever trace of the chain
+// it comes from. So Machine.Regs is current whenever Go code can look at
+// it, and stale only while control is inside emitted code, where nothing
+// else can. Everything else stays in the Machine and nothing is copied
+// in or out.
 //
 // Accounting is charged by the trace itself, against the Machine. The
 // dispatcher hands a run one Budget, the smaller of Fuel and the poll
@@ -28,8 +28,8 @@
 // run stops, whichever trace of a chain it stops in, and the VM derives
 // Steps from what a run consumed.
 //
-// Traces link to traces. Every exit of a native trace whose successor
-// can be known — a static target (ExitEnd, ExitJccTaken, ExitJccFall,
+// Traces link to traces. Every exit of a trace whose successor can be
+// known — a static target (ExitEnd, ExitJccTaken, ExitJccFall,
 // ExitGuard) or a dynamic one worth an inline cache (ExitInd,
 // ExitRetGuard) — leaves through a numbered Link slot. The slots of all
 // the traces a VM holds form one per-VM table (Machine.Links); a trace's
@@ -37,58 +37,42 @@
 // trace entry sets to the offset of the entered trace's first slot. A
 // slot starts out holding the address of that exit's own return stub, so
 // an unlinked exit returns to the dispatcher with its exit status; once
-// the VM has resolved the edge to a superblock that carries a native
-// trace it stores that trace's entry address and slot offset in the slot
+// the VM has resolved the edge to a superblock that carries a trace it
+// stores that trace's entry address and slot offset in the slot
 // (Link.Link), and from then on the exit is one indirect jump into the
-// next trace. Code is never patched: a native Trace is immutable after
-// Compile, holds no pointer to any VM and is shared by every VM of the
-// decoder's Snapshot, while the links between traces are per-VM data
-// that the VM drops with its view of the translation cache. The trace
-// entry declines to start — it returns status 0 with the entry's guest
-// address in ExitTarget — when Budget is short of the trace's Cost, so a
-// chain of linked traces comes back to the dispatcher at least once per
-// poll quantum and the end-of-fuel walk still happens on the reference
+// next trace. Code is never patched: a Trace is immutable after Compile,
+// holds no pointer to any VM and is shared by every VM of the decoder's
+// Snapshot, while the links between traces are per-VM data that the VM
+// drops with its view of the translation cache. The trace entry declines
+// to start — it returns status 0 with the entry's guest address in
+// ExitTarget — when Budget is short of the trace's Cost, so a chain of
+// linked traces comes back to the dispatcher at least once per poll
+// quantum and the end-of-fuel walk still happens on the reference
 // engine. Machine.Cur tells the dispatcher which trace of the chain a
 // nonzero status belongs to.
 //
-// There are two backends. The native backend (amd64/linux) emits
-// machine code that reaches guest state through the *Machine it is
-// handed per run (the registers through the shim, as above) and bakes in
-// only the sandbox Geometry.
-// The closure backend is the portable semantic reference for the test
-// wall: a flat sequence of Go closures that capture pointers into one
-// Machine, so its traces belong to the VM they were compiled for, are
-// never shared and never link — every exit returns to the dispatcher —
-// but they run against the same Machine and charge the same counters.
+// There is one backend, the amd64/linux machine-code emitter
+// (native_amd64.go): its code reaches guest state through the *Machine
+// it is handed per run (the registers through the shim, as above) and
+// bakes in only the sandbox Geometry. On every other host Compile
+// returns nil and superblocks stay on the tier-1 dispatch loop
+// (native_other.go), which executes the same micro-op array.
 //
-// The closure backend's bodies, which the native emitter mirrors: where
-// the tier-1 engine re-dispatches a giant switch per micro-op —
-// re-loading operand fields and bounds-checking register indices every
-// step — a trace bakes every operand into closure captures at compile
-// time: register operands become direct pointers into the machine's
-// register file, immediates and effective-address shapes become Go
-// constants, and each closure body is small enough for the compiler to
-// register-allocate well. Control flow inside a trace is straight-line
-// by construction, so execution is a single pass over the closure array;
-// guards either fall through (the profiled hot path) or return a nonzero
-// exit status indexing a static Exit descriptor.
-//
-// The tier is semantically invisible. Every body replicates its tier-1
-// handler exactly: lazy-flag records, the guard flag-recording rules
-// (base guards record on both paths, NF guards only on exit), spare-field
-// trap EIPs and started-instruction counts for fused pairs. Traps, guard
-// exits, serialization and Reset all demote cleanly to the tier-1 uop
-// path. Compiled code is never serialized; another process recompiles
-// from the persisted superblocks.
+// The tier is semantically invisible. The code emitted for a micro-op
+// replicates its tier-1 handler in internal/vm's uexec.go exactly:
+// lazy-flag records, the guard flag-recording rules (base guards record
+// on both paths, NF guards only on exit), spare-field trap EIPs and
+// started-instruction counts for fused pairs. Traps, guard exits,
+// serialization and Reset all demote cleanly to the tier-1 uop path.
+// Compiled code is never serialized; another process recompiles from
+// the persisted superblocks.
 package tier2
 
 import (
 	"fmt"
-	"math/bits"
 	"unsafe"
 
 	"vxa/internal/vm/uop"
-	"vxa/internal/x86"
 )
 
 // pageSize mirrors vm.PageSize (the package cannot import vm without a
@@ -103,14 +87,13 @@ type Geometry struct {
 
 // ReadOK and WriteOK are the sandbox bounds: whether the guest may read,
 // or write, size bytes (at most a page) at addr while its heap ends at
-// brk. They are the one definition: the tier-1 dispatch loop and the
-// closure backend call them, and the native emitter's rangeCheck is them
-// in machine code, compared against them edge by edge by
-// TestGeometryEdges. Readable memory is the heap window from the guard
-// page up to brk and the stack window from StackBase to MemLen; writes
-// start at ROLimit instead. The `addr <= limit-size` form rejects
-// address wraparound for free: every limit is at least one page, so
-// limit-size never underflows.
+// brk. They are the one definition: the tier-1 dispatch loop calls
+// them, and the native emitter's rangeCheck is them in machine code,
+// compared against them edge by edge by TestGeometryEdges. Readable
+// memory is the heap window from the guard page up to brk and the stack
+// window from StackBase to MemLen; writes start at ROLimit instead. The
+// `addr <= limit-size` form rejects address wraparound for free: every
+// limit is at least one page, so limit-size never underflows.
 func (g Geometry) ReadOK(addr, size, brk uint32) bool {
 	return (addr >= pageSize && addr <= brk-size) ||
 		(addr >= g.StackBase && addr <= g.MemLen-size)
@@ -122,11 +105,10 @@ func (g Geometry) WriteOK(addr, size, brk uint32) bool {
 }
 
 // Machine is a VM's architectural state: what the tier-1 interpreter and
-// every compiled trace execute against. It lives inside the VM and must
-// not be copied once a closure trace has been compiled for it (those
-// capture pointers into Regs). The geometry fields are set once per VM
-// (the guest memory slice never reallocates); Brk moves with setperm,
-// which only ever runs in the dispatcher.
+// every compiled trace execute against. It lives inside the VM. The
+// geometry fields are set once per VM (the guest memory slice never
+// reallocates); Brk moves with setperm, which only ever runs in the
+// dispatcher.
 type Machine struct {
 	// Regs is the eight architectural registers plus the always-zero
 	// uop.RegZero slot that absent base/index registers index. Native
@@ -173,9 +155,8 @@ type Machine struct {
 	TrapAux    uint32
 	ExitTarget uint32
 
-	// Sandbox geometry. The closure backend captures Mem and the
-	// Geometry at compile time; native code bakes in the Geometry and
-	// gets the Mem base from the entry shim, once per run.
+	// Sandbox geometry. Compiled code bakes in the Geometry and gets
+	// the Mem base from the entry shim, once per run.
 	Mem []byte
 	Geometry
 }
@@ -230,8 +211,8 @@ const (
 	ExitDivide
 	ExitIllegal
 
-	// ExitJccLazy is a plain (unfused) Jcc terminator leaving a native
-	// trace whose flag state is not statically known: the condition
+	// ExitJccLazy is a plain (unfused) Jcc terminator leaving a trace
+	// whose flag state is not statically known: the condition
 	// reads lazily-recorded flags, whose run-time materialization lives
 	// in the VM, so the trace exits and lets the caller evaluate the
 	// condition and pick between the micro-op's Target and Next.
@@ -251,15 +232,14 @@ type Exit struct {
 
 	// Refund and RefundUops are what the trace entry charged for the
 	// part of the trace this exit leaves unexecuted: fuel units (guest
-	// instructions) and micro-ops. The exit path gives them back — the
-	// emitted stub for a native trace, Run for a closure one — before
-	// the dispatcher or the next trace sees the Machine.
+	// instructions) and micro-ops. The exit's emitted stub gives them
+	// back before the dispatcher or the next trace sees the Machine.
 	Refund     int64
 	RefundUops uint64
 
 	// Slot is the exit's link slot within its trace's slots, -1 for an
 	// exit that always returns to the dispatcher (traps, the syscall
-	// gate, ExitJccLazy, and every exit of a closure trace).
+	// gate, ExitJccLazy).
 	Slot int
 	// Eager marks a linkable exit whose stub leaves the flags
 	// materialized (Fl.Op == FlagNone), so that it may be linked to a
@@ -294,22 +274,16 @@ func suffixCosts(tail []int64, us []uop.Uop) []int64 {
 	return tail
 }
 
-// Trace is one compiled superblock: the compiled body plus its static
+// Trace is one compiled superblock: the emitted code plus its static
 // exit table and accounting shape. Nothing writes a Trace after Compile
-// returns it; a native one may be run by any number of VMs at once.
+// returns it; any number of VMs may run it at once.
 type Trace struct {
-	// head is the closure backend's trace body: the first micro-op's
-	// closure with every subsequent micro-op threaded as a captured
-	// continuation. Calling it runs one pass against the Machine the
-	// trace was compiled for and returns the 1-based exit index. Nil for
-	// native traces.
-	head  func() int32
 	Exits []Exit
 
-	// code is a native trace's executable mapping, pinned for the life
-	// of the trace. Its first byte is the trace entry. unlinked is what
-	// the trace's slots hold before the VM links anything: each link
-	// exit's own return stub.
+	// code is the trace's executable mapping, pinned for the life of the
+	// trace. Its first byte is the trace entry. unlinked is what the
+	// trace's slots hold before the VM links anything: each link exit's
+	// own return stub.
 	code     *execBuf
 	unlinked []Link
 
@@ -321,9 +295,9 @@ type Trace struct {
 	NUops  int    // micro-ops per pass (UopsExecuted units)
 	Guards int    // conditional guard exits
 	Rets   int    // return-guard exits
-	Slots  int    // link slots (native traces only)
+	Slots  int    // link slots
 
-	// Ledger is the host-code accounting of a native trace; hotEnd and
+	// Ledger is the host-code accounting of the trace; hotEnd and
 	// twinStart are the code offsets where the hot body's mainline ends
 	// (its out-of-line exit paths follow) and where the checked twin
 	// starts (the end of the code when the trace has none).
@@ -331,12 +305,12 @@ type Trace struct {
 	hotEnd    int
 	twinStart int
 
-	// NeedFlags marks a native trace that consumes the flag state it
-	// was entered with: whoever enters it must have the flags
+	// NeedFlags marks a trace that consumes the flag state it was
+	// entered with: whoever enters it must have the flags
 	// materialized (Fl.Op == FlagNone) — the dispatcher materializes
 	// before a run, and only an Eager exit is ever linked to it. The
-	// native compiler pins the entry representation statically instead
-	// of dispatching on Fl.Op at run time.
+	// emitter pins the entry representation statically instead of
+	// dispatching on Fl.Op at run time.
 	NeedFlags bool
 }
 
@@ -375,42 +349,31 @@ func (l Ledger) String() string {
 		l.Hot, l.Guest, float64(l.Hot)/float64(l.Guest), l.Stub, l.Twin, l.Accesses, l.Checks)
 }
 
-// Layout returns the code offsets at which a native trace's hot body
-// ends and its checked twin starts, for the test wall's code scan.
+// Layout returns the code offsets at which the trace's hot body ends and
+// its checked twin starts, for the test wall's code scan.
 func (t *Trace) Layout() (hotEnd, twinStart int) { return t.hotEnd, t.twinStart }
 
-// Native reports whether the trace compiled to machine code (versus
-// the closure reference backend). Only native traces hold no pointer
-// into a Machine, so only they may be shared between VMs, and only they
-// link.
-func (t *Trace) Native() bool { return t.code != nil }
+// Code returns the trace's emitted machine code. The bytes are mapped
+// read+execute: read them, never write.
+func (t *Trace) Code() []byte { return t.code.buf }
 
-// Code returns a native trace's emitted machine code (nil for a closure
-// trace). The bytes are mapped read+execute: read them, never write.
-func (t *Trace) Code() []byte {
-	if t.code == nil {
-		return nil
-	}
-	return t.code.buf
-}
-
-// MappedBytes is the memory a native trace's code pins: its own
-// mapping, so whole pages.
+// MappedBytes is the memory the trace's code pins: its own mapping, so
+// whole pages.
 func (t *Trace) MappedBytes() int64 {
 	return (int64(len(t.Code())) + pageSize - 1) &^ (pageSize - 1)
 }
 
-// EntryAddr is the host address of a native trace's entry: what a slot
-// linked to the trace holds.
+// EntryAddr is the host address of the trace's entry: what a slot linked
+// to the trace holds.
 func (t *Trace) EntryAddr() uintptr {
 	return uintptr(unsafe.Pointer(&t.code.buf[0]))
 }
 
 // Unlinked returns the initial content of the run of link-table slots a
-// VM gives a native trace: every exit's slot holding that exit's own
-// return stub. The run is never empty — a trace with no link exit still
-// takes one slot, because a slot offset (Machine.Cur) is also how a run
-// names the trace it stopped in. The caller copies it, never writes it.
+// VM gives the trace: every exit's slot holding that exit's own return
+// stub. The run is never empty — a trace with no link exit still takes
+// one slot, because a slot offset (Machine.Cur) is also how a run names
+// the trace it stopped in. The caller copies it, never writes it.
 func (t *Trace) Unlinked() []Link { return t.unlinked }
 
 // Link points slot l at target: the exit that owns l now enters target,
@@ -423,384 +386,65 @@ func (l *Link) Link(target *Trace, cur uint32) {
 
 // Run enters the trace and returns the status the run ended with: 0
 // when a trace entry declined to start (resume at m.ExitTarget), else
-// the 1-based index of an exit — of this trace for the closure backend,
-// which makes one pass and never links; of the trace m.Cur names for
-// the native one, whose run may have gone through any number of linked
-// traces. cur is the offset of this trace's first slot in m's link
-// table. The caller must hold the flags materialized if NeedFlags.
-// Every charge and refund has landed in m by the time Run returns.
-func (t *Trace) Run(m *Machine, cur uint32) int32 {
-	if t.code != nil {
-		return t.code.call(m, cur)
+// the 1-based index of an exit of the trace m.Cur names — the run may
+// have gone through any number of linked traces. cur is the offset of
+// this trace's first slot in m's link table. The caller must hold the
+// flags materialized if NeedFlags. Every charge and refund has landed in
+// m by the time Run returns.
+func (t *Trace) Run(m *Machine, cur uint32) int32 { return t.code.call(m, cur) }
+
+// Compile compiles one optimized superblock trace for geometry g and
+// returns a trace any Machine with that geometry can run, every exit
+// site with its static Exit descriptor. It returns nil where there is no
+// emitter for the host, when the trace contains a micro-op the emitter
+// cannot express (the reference escapes KindString/KindGeneric, a
+// consumer of flags it cannot know statically, a malformed trace) or
+// when no executable memory is to be had; the superblock then simply
+// keeps executing on the tier-1 dispatch loop.
+func Compile(us []uop.Uop, entry uint32, g Geometry) *Trace {
+	if i, _ := Unsupported(us); i >= 0 {
+		return nil
 	}
-	m.Budget -= t.Cost
-	m.Acct += acctIter + uint64(t.NUops)
-	s := t.head()
-	x := &t.Exits[s-1]
-	m.Budget += x.Refund
-	m.Acct -= x.RefundUops
-	return s
+	t := &Trace{Entry: entry, Cost: uop.Cost(us), NUops: len(us), Geom: g}
+	if !nativeCompile(us, entry, g, t) {
+		return nil
+	}
+	return t
 }
 
-// ---- lazy flag access (mirrors vm's f* accessors and ucond) ------------
-
-func (m *Machine) fCF() bool {
-	switch m.Fl.Op {
-	case uop.FlagNone, uop.FlagSZP:
-		return m.CF
-	}
-	m.FlagsMaterialized++
-	return m.Fl.CF()
-}
-
-func (m *Machine) fOF() bool {
-	switch m.Fl.Op {
-	case uop.FlagNone, uop.FlagSZP:
-		return m.OF
-	}
-	m.FlagsMaterialized++
-	return m.Fl.OF()
-}
-
-func (m *Machine) fZF() bool {
-	if m.Fl.Op == uop.FlagNone {
-		return m.ZF
-	}
-	m.FlagsMaterialized++
-	return m.Fl.ZF()
-}
-
-func (m *Machine) fSF() bool {
-	if m.Fl.Op == uop.FlagNone {
-		return m.SF
-	}
-	m.FlagsMaterialized++
-	return m.Fl.SF()
-}
-
-func (m *Machine) fPF() bool {
-	if m.Fl.Op == uop.FlagNone {
-		return m.PF
-	}
-	m.FlagsMaterialized++
-	return m.Fl.PF()
-}
-
-// cond evaluates a condition from the eager bools (Fl.Op == FlagNone).
-func (m *Machine) cond(cc x86.CC) bool {
-	switch cc {
-	case x86.CCO:
-		return m.OF
-	case x86.CCNO:
-		return !m.OF
-	case x86.CCB:
-		return m.CF
-	case x86.CCAE:
-		return !m.CF
-	case x86.CCE:
-		return m.ZF
-	case x86.CCNE:
-		return !m.ZF
-	case x86.CCBE:
-		return m.CF || m.ZF
-	case x86.CCA:
-		return !m.CF && !m.ZF
-	case x86.CCS:
-		return m.SF
-	case x86.CCNS:
-		return !m.SF
-	case x86.CCP:
-		return m.PF
-	case x86.CCNP:
-		return !m.PF
-	case x86.CCL:
-		return m.SF != m.OF
-	case x86.CCGE:
-		return m.SF == m.OF
-	case x86.CCLE:
-		return m.ZF || m.SF != m.OF
-	default: // CCG
-		return !m.ZF && m.SF == m.OF
-	}
-}
-
-// ucond evaluates a condition code against the current flags, lazily
-// materializing only the flags the condition reads.
-func (m *Machine) ucond(cc x86.CC) bool {
-	if m.Fl.Op == uop.FlagNone {
-		return m.cond(cc)
-	}
-	switch cc {
-	case x86.CCO:
-		return m.fOF()
-	case x86.CCNO:
-		return !m.fOF()
-	case x86.CCB:
-		return m.fCF()
-	case x86.CCAE:
-		return !m.fCF()
-	case x86.CCE:
-		return m.fZF()
-	case x86.CCNE:
-		return !m.fZF()
-	case x86.CCBE:
-		return m.fCF() || m.fZF()
-	case x86.CCA:
-		return !m.fCF() && !m.fZF()
-	case x86.CCS:
-		return m.fSF()
-	case x86.CCNS:
-		return !m.fSF()
-	case x86.CCP:
-		return m.fPF()
-	case x86.CCNP:
-		return !m.fPF()
-	case x86.CCL:
-		return m.fSF() != m.fOF()
-	case x86.CCGE:
-		return m.fSF() == m.fOF()
-	case x86.CCLE:
-		return m.fZF() || m.fSF() != m.fOF()
-	default: // CCG
-		return !m.fZF() && m.fSF() == m.fOF()
-	}
-}
-
-// ---- direct condition evaluation (fused compare forms) ------------------
-
-func condSub(cc x86.CC, a, b uint32) bool {
-	switch cc {
-	case x86.CCO:
-		return (a^b)&(a^(a-b))&0x80000000 != 0
-	case x86.CCNO:
-		return (a^b)&(a^(a-b))&0x80000000 == 0
-	case x86.CCB:
-		return a < b
-	case x86.CCAE:
-		return a >= b
-	case x86.CCE:
-		return a == b
-	case x86.CCNE:
-		return a != b
-	case x86.CCBE:
-		return a <= b
-	case x86.CCA:
-		return a > b
-	case x86.CCS:
-		return int32(a-b) < 0
-	case x86.CCNS:
-		return int32(a-b) >= 0
-	case x86.CCP:
-		return bits.OnesCount8(uint8(a-b))%2 == 0
-	case x86.CCNP:
-		return bits.OnesCount8(uint8(a-b))%2 != 0
-	case x86.CCL:
-		return int32(a) < int32(b)
-	case x86.CCGE:
-		return int32(a) >= int32(b)
-	case x86.CCLE:
-		return int32(a) <= int32(b)
-	default: // CCG
-		return int32(a) > int32(b)
-	}
-}
-
-func condLogic(cc x86.CC, res uint32) bool {
-	switch cc {
-	case x86.CCO, x86.CCB:
-		return false
-	case x86.CCNO, x86.CCAE:
-		return true
-	case x86.CCE, x86.CCBE:
-		return res == 0
-	case x86.CCNE, x86.CCA:
-		return res != 0
-	case x86.CCS:
-		return int32(res) < 0
-	case x86.CCNS:
-		return int32(res) >= 0
-	case x86.CCP:
-		return bits.OnesCount8(uint8(res))%2 == 0
-	case x86.CCNP:
-		return bits.OnesCount8(uint8(res))%2 != 0
-	case x86.CCL:
-		return int32(res) < 0
-	case x86.CCGE:
-		return int32(res) >= 0
-	case x86.CCLE:
-		return res == 0 || int32(res) < 0
-	default: // CCG
-		return res != 0 && int32(res) >= 0
-	}
-}
-
-// ---- ALU / multiply / divide helpers (mirror vm's u* helpers) ----------
-
-func (m *Machine) ualu(op uop.AluOp, a, b uint32) (uint32, bool) {
-	switch op {
-	case uop.AluAdd:
-		res := a + b
-		m.Fl = uop.Flags{Op: uop.FlagAdd, A: a, B: b, Res: res}
-		return res, true
-	case uop.AluAdc:
-		var c uint32
-		if m.fCF() {
-			c = 1
+// Unsupported returns the index and kind of the first micro-op that
+// prevents tier-2 compilation, or (-1, 0) when the trace is compilable:
+// the reference-interpreter escapes, and any control terminator that is
+// not the final micro-op (which a well-formed superblock never
+// produces).
+func Unsupported(us []uop.Uop) (int, uop.Kind) {
+	for i := range us {
+		k := us[i].Kind
+		switch k {
+		case uop.KindString, uop.KindGeneric:
+			return i, k
 		}
-		res := a + b + c
-		m.Fl = uop.Flags{Op: uop.FlagAdc, A: a, B: b, Cin: c, Res: res}
-		return res, true
-	case uop.AluSub:
-		res := a - b
-		m.Fl = uop.Flags{Op: uop.FlagSub, A: a, B: b, Res: res}
-		return res, true
-	case uop.AluSbb:
-		var c uint32
-		if m.fCF() {
-			c = 1
+		if terminatorKind(k) && i != len(us)-1 {
+			return i, k
 		}
-		res := a - b - c
-		m.Fl = uop.Flags{Op: uop.FlagSbb, A: a, B: b, Cin: c, Res: res}
-		return res, true
-	case uop.AluCmp:
-		m.Fl = uop.Flags{Op: uop.FlagSub, A: a, B: b, Res: a - b}
-		return 0, false
-	case uop.AluAnd:
-		res := a & b
-		m.Fl = uop.Flags{Op: uop.FlagLogic, Res: res}
-		return res, true
-	case uop.AluOr:
-		res := a | b
-		m.Fl = uop.Flags{Op: uop.FlagLogic, Res: res}
-		return res, true
-	case uop.AluXor:
-		res := a ^ b
-		m.Fl = uop.Flags{Op: uop.FlagLogic, Res: res}
-		return res, true
-	default: // AluTest
-		m.Fl = uop.Flags{Op: uop.FlagLogic, Res: a & b}
-		return 0, false
 	}
+	if len(us) == 0 || !terminatorKind(us[len(us)-1].Kind) {
+		return len(us) - 1, 0
+	}
+	return -1, 0
 }
 
-func (m *Machine) ualu8(op uop.AluOp, a, b uint32) (uint32, bool) {
-	switch op {
-	case uop.AluAdd:
-		res := (a + b) & 0xFF
-		m.Fl = uop.Flags{Op: uop.FlagAdd8, A: a, B: b, Res: res}
-		return res, true
-	case uop.AluAdc:
-		var c uint32
-		if m.fCF() {
-			c = 1
-		}
-		res := (a + b + c) & 0xFF
-		m.Fl = uop.Flags{Op: uop.FlagAdc8, A: a, B: b, Cin: c, Res: res}
-		return res, true
-	case uop.AluSub:
-		res := (a - b) & 0xFF
-		m.Fl = uop.Flags{Op: uop.FlagSub8, A: a, B: b, Res: res}
-		return res, true
-	case uop.AluSbb:
-		var c uint32
-		if m.fCF() {
-			c = 1
-		}
-		res := (a - b - c) & 0xFF
-		m.Fl = uop.Flags{Op: uop.FlagSbb8, A: a, B: b, Cin: c, Res: res}
-		return res, true
-	case uop.AluCmp:
-		m.Fl = uop.Flags{Op: uop.FlagSub8, A: a, B: b, Res: (a - b) & 0xFF}
-		return 0, false
-	case uop.AluAnd:
-		res := a & b
-		m.Fl = uop.Flags{Op: uop.FlagLogic8, Res: res}
-		return res, true
-	case uop.AluOr:
-		res := a | b
-		m.Fl = uop.Flags{Op: uop.FlagLogic8, Res: res}
-		return res, true
-	case uop.AluXor:
-		res := a ^ b
-		m.Fl = uop.Flags{Op: uop.FlagLogic8, Res: res}
-		return res, true
-	default: // AluTest
-		m.Fl = uop.Flags{Op: uop.FlagLogic8, Res: a & b}
-		return 0, false
-	}
-}
-
-// ualuQ is the quiet ALU of the flag-suppressed fused load-op.
-func ualuQ(op uop.AluOp, a, b uint32) (uint32, bool) {
-	switch op {
-	case uop.AluAdd:
-		return a + b, true
-	case uop.AluSub:
-		return a - b, true
-	case uop.AluAnd:
-		return a & b, true
-	case uop.AluOr:
-		return a | b, true
-	case uop.AluXor:
-		return a ^ b, true
-	default:
-		return 0, false
-	}
-}
-
-func (m *Machine) uimul(dst uint8, a, b uint32) {
-	full := int64(int32(a)) * int64(int32(b))
-	res := uint32(full)
-	m.Regs[dst] = res
-	over := full != int64(int32(res))
-	m.CF, m.OF = over, over
-	m.Fl.Op, m.Fl.Res = uop.FlagSZP, res
-}
-
-func (m *Machine) umul1(src uint32, signed bool) {
-	if signed {
-		full := int64(int32(m.Regs[x86.EAX])) * int64(int32(src))
-		m.Regs[x86.EAX] = uint32(full)
-		m.Regs[x86.EDX] = uint32(uint64(full) >> 32)
-		over := full != int64(int32(full))
-		m.CF, m.OF = over, over
-		m.Fl.Op, m.Fl.Res = uop.FlagSZP, uint32(full)
-		return
-	}
-	full := uint64(m.Regs[x86.EAX]) * uint64(src)
-	m.Regs[x86.EAX] = uint32(full)
-	m.Regs[x86.EDX] = uint32(full >> 32)
-	over := m.Regs[x86.EDX] != 0
-	m.CF, m.OF = over, over
-	m.Fl.Op, m.Fl.Res = uop.FlagSZP, uint32(full)
-}
-
-// udiv reports false on a divide fault, with TrapAux 0 for divide by
-// zero and 1 for quotient overflow.
-func (m *Machine) udiv(src uint32, signed bool) bool {
-	if src == 0 {
-		m.TrapAux = 0
-		return false
-	}
-	if signed {
-		dividend := int64(uint64(m.Regs[x86.EDX])<<32 | uint64(m.Regs[x86.EAX]))
-		divisor := int64(int32(src))
-		q := dividend / divisor
-		if q > 0x7FFFFFFF || q < -0x80000000 {
-			m.TrapAux = 1
-			return false
-		}
-		m.Regs[x86.EAX] = uint32(int32(q))
-		m.Regs[x86.EDX] = uint32(int32(dividend % divisor))
+// terminatorKind reports the control-transfer kinds that must end a
+// trace (guards and return guards are interior and not included).
+func terminatorKind(k uop.Kind) bool {
+	switch k {
+	case uop.KindJmp, uop.KindJcc,
+		uop.KindCmpJccRR, uop.KindCmpJccRI, uop.KindTestJccRR, uop.KindTestJccRI,
+		uop.KindCall, uop.KindCallR, uop.KindCallM,
+		uop.KindRet, uop.KindPopRet, uop.KindPushCall,
+		uop.KindJmpR, uop.KindJmpM,
+		uop.KindInt, uop.KindHlt, uop.KindUd2:
 		return true
 	}
-	dividend := uint64(m.Regs[x86.EDX])<<32 | uint64(m.Regs[x86.EAX])
-	q := dividend / uint64(src)
-	if q > 0xFFFFFFFF {
-		m.TrapAux = 1
-		return false
-	}
-	m.Regs[x86.EAX] = uint32(q)
-	m.Regs[x86.EDX] = uint32(dividend % uint64(src))
-	return true
+	return false
 }

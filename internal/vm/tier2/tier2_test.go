@@ -13,8 +13,8 @@ import (
 func TestNewExitRefunds(t *testing.T) {
 	us := []uop.Uop{
 		{Kind: uop.KindLoad, Cost: 1},
-		{Kind: uop.KindMovPopAluRR, Cost: 3},
-		{Kind: uop.KindPushLoad, Cost: 2},
+		{Kind: uop.KindCmpBoolRR, Cost: 3},
+		{Kind: uop.KindLoadAluRR, Cost: 2},
 		{Kind: uop.KindAddRR, Cost: 1},
 		{Kind: uop.KindJmp, Cost: 1},
 	}

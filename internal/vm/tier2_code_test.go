@@ -845,27 +845,15 @@ func (sc *traceScan) step(st *scanState, in *hostInst) {
 	}
 }
 
-// vmTraces returns the native traces a VM holds.
-func vmTraces(v *VM) []*tier2.Trace {
-	var ts []*tier2.Trace
-	for _, br := range v.blocks {
-		if sb := br.sb; sb != nil && sb.t2 != nil && sb.t2.Native() {
-			ts = append(ts, sb.t2)
-		}
-	}
-	return ts
-}
-
 // soakTraces runs the hundred soak programs forced hot and hands every
-// native trace they compile to f.
+// trace they compile to f.
 func soakTraces(t *testing.T, f func(tr *tier2.Trace)) {
-	forceTier2Hot(t)
 	traces := 0
 	for seed := int64(1); seed <= 100; seed++ {
 		image := make([]byte, soakSpan)
 		rng := rand.New(rand.NewSource(seed))
 		soakBuildProgram(t, rng, image)
-		v := soakVM(t, image)
+		v := soakVMAt(t, image, OptEager)
 		soakSeedRegs(rng, v)
 		v.eip = soakBlockAddr(0)
 		if _, err := v.Run(); err == nil {
@@ -877,7 +865,7 @@ func soakTraces(t *testing.T, f func(tr *tier2.Trace)) {
 		}
 	}
 	if traces < 50 {
-		t.Fatalf("only %d native traces scanned", traces)
+		t.Fatalf("only %d traces scanned", traces)
 	}
 }
 
@@ -899,7 +887,7 @@ func TestEveryGuestAccessIsChecked(t *testing.T) {
 	t.Logf("%d guest memory operands in hot bodies ride on %d bounds checks", covered, checks)
 }
 
-// ScanTraces runs scanTrace over every native trace v holds and returns
+// ScanTraces runs scanTrace over every compiled trace v holds and returns
 // how many there were. It is exported (from a test file) for the
 // external test that drives the built-in decoders, which this package
 // cannot import.
@@ -916,7 +904,6 @@ func ScanTraces(t *testing.T, v *VM) int {
 // has no check that could fail, so no twin is emitted for it — and what
 // is emitted still passes the scan.
 func TestRegisterOnlyTraceHasNoTwin(t *testing.T) {
-	forceTier2Hot(t)
 	a := &t2asm{t: t, base: diffCode}
 	top := a.cur()
 	a.op2(x86.ADD, x86.R(x86.EAX), x86.R(x86.ECX))
@@ -925,11 +912,11 @@ func TestRegisterOnlyTraceHasNoTwin(t *testing.T) {
 	a.jcc(x86.CCNE, top)
 	a.emit(x86.Inst{Op: x86.UD2})
 	g := linkGuest{code: a.code, fuel: 60000, regs: map[x86.Reg]uint32{x86.ECX: 1000}}
-	v1, v2 := diffVM(t), diffVM(t)
+	v1, v2 := diffVMAt(t, OptEager), diffVM(t)
 	g.runOnce(t, v1, v2, [8]uint32{})
 	ts := vmTraces(v1)
 	if len(ts) != 1 {
-		t.Fatalf("%d native traces, want the loop's one", len(ts))
+		t.Fatalf("%d traces, want the loop's one", len(ts))
 	}
 	scanTrace(t, ts[0])
 	if l := ts[0].Ledger; l.Twin != 0 || l.Accesses != 0 || l.Checks != 0 {

@@ -29,9 +29,6 @@ import (
 // index, pointers bumped through a buffer) the random soak programs
 // barely touch.
 func TestEveryGuestAccessIsCheckedInDecoders(t *testing.T) {
-	t.Setenv("VXA_NO_TIER2", "0")
-	t.Setenv("VXA_TIER2_BACKEND", "")
-	t.Setenv("VXA_TIER2_HOT", "1")
 	decoders := 0
 	for _, c := range codec.All() {
 		if c.Encode == nil {
@@ -55,7 +52,7 @@ func TestEveryGuestAccessIsCheckedInDecoders(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, err := elf32.NewVM(elf, vm.Config{MemSize: 64 << 20})
+		v, err := elf32.NewVM(elf, vm.Config{MemSize: 64 << 20, OptLevel: vm.OptEager})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +61,7 @@ func TestEveryGuestAccessIsCheckedInDecoders(t *testing.T) {
 			t.Fatalf("%s: %v", c.Name, err)
 		}
 		if n := vm.ScanTraces(t, v); n == 0 {
-			t.Fatalf("%s compiled no native trace", c.Name)
+			t.Fatalf("%s compiled no trace", c.Name)
 		} else {
 			t.Logf("%-8s %3d traces scanned", c.Name, n)
 		}

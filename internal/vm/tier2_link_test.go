@@ -16,6 +16,7 @@ package vm
 // through links from the first instruction.
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -129,12 +130,22 @@ func (g *linkGuest) runOnce(t *testing.T, v1, v2 *VM, seed [8]uint32) error {
 		t.Fatalf("brk %#x, reference %#x", v1.m.Brk, v2.m.Brk)
 	}
 	top := max(v1.m.Brk, 3*PageSize)
-	for a := uint32(diffData); a < top; a++ {
+	sameMem(t, v1, v2, diffData, top)
+	sameMem(t, v1, v2, v1.MemSize()-PageSize, v1.MemSize())
+	return err1
+}
+
+// sameMem requires guest memory [from, to) of v1 to equal the reference's.
+func sameMem(t *testing.T, v1, v2 *VM, from, to uint32) {
+	t.Helper()
+	if bytes.Equal(v1.mem[from:to], v2.mem[from:to]) {
+		return
+	}
+	for a := from; a < to; a++ {
 		if v1.mem[a] != v2.mem[a] {
 			t.Fatalf("guest memory differs at %#x: %#x, reference %#x", a, v1.mem[a], v2.mem[a])
 		}
 	}
-	return err1
 }
 
 // linkRuns is how many times a directed guest runs on its one VM: enough
@@ -142,7 +153,7 @@ func (g *linkGuest) runOnce(t *testing.T, v1, v2 *VM, seed [8]uint32) error {
 const linkRuns = sbHotThreshold + 8
 
 // runLinked runs g linkRuns times on one VM per tier leg, comparing
-// every run with the reference, and requires of the native leg that the
+// every run with the reference, and requires of the eager leg that the
 // last run really went from trace to trace: links exist, they satisfy the
 // table's invariant, and compiled code came back to the dispatcher a
 // small fraction of the times a trace pass started. No run spans a poll
@@ -153,40 +164,33 @@ func (g *linkGuest) runLinked(t *testing.T) {
 	if g.fuel >= cancelQuantum {
 		t.Fatal("a directed guest must fit one poll quantum")
 	}
-	for _, leg := range tier2Legs {
-		leg := leg
-		t.Run(leg.name, func(t *testing.T) {
-			for k, v := range leg.env {
-				t.Setenv(k, v)
-			}
-			v1, v2 := diffVM(t), diffVM(t)
-			var seed [8]uint32
-			for r := range seed {
-				seed[r] = 0x9E3779B9 * uint32(r+1)
-			}
-			var before Stats
-			for run := 0; run < linkRuns; run++ {
-				before = v1.Stats()
-				g.runOnce(t, v1, v2, seed)
-			}
-			if leg.name != "hot-native" || !nativeTier2() {
-				return
-			}
-			if _, err := v1.CheckLinks(); err != nil {
-				t.Fatal(err)
-			}
-			st := v1.Stats()
-			passes, exits := st.Tier2Executed-before.Tier2Executed, st.Tier2Exits-before.Tier2Exits
-			if st.Tier2Links == 0 || passes < 100 || (exits-g.gates)*10 > passes {
-				t.Fatalf("last run: %d trace passes, %d returns to the dispatcher, %d exits linked in all: the failure did not land in a linked-into trace",
-					passes, exits, st.Tier2Links)
-			}
-		})
-	}
+	forTier2Legs(t, func(t *testing.T, level OptLevel) {
+		v1, v2 := diffVMAt(t, level), diffVM(t)
+		var seed [8]uint32
+		for r := range seed {
+			seed[r] = 0x9E3779B9 * uint32(r+1)
+		}
+		var before Stats
+		for run := 0; run < linkRuns; run++ {
+			before = v1.Stats()
+			g.runOnce(t, v1, v2, seed)
+		}
+		if level != OptEager || !nativeTier2() {
+			return
+		}
+		if _, err := v1.CheckLinks(); err != nil {
+			t.Fatal(err)
+		}
+		st := v1.Stats()
+		passes, exits := st.Tier2Executed-before.Tier2Executed, st.Tier2Exits-before.Tier2Exits
+		if st.Tier2Links == 0 || passes < 100 || (exits-g.gates)*10 > passes {
+			t.Fatalf("last run: %d trace passes, %d returns to the dispatcher, %d exits linked in all: the failure did not land in a linked-into trace",
+				passes, exits, st.Tier2Links)
+		}
+	})
 }
 
-// nativeTier2 reports whether this platform has the native backend, the
-// only one that links.
+// nativeTier2 reports whether tier 2 has an emitter for this platform.
 func nativeTier2() bool { return runtime.GOOS == "linux" && runtime.GOARCH == "amd64" }
 
 // Register roles of the directed guests. EBP counts outer passes down,
@@ -367,30 +371,24 @@ func TestDiffLinkedRetGuardSecondTarget(t *testing.T) {
 	}
 	g := linkGuest{code: a.code, data: table, fuel: 60000,
 		regs: map[x86.Reg]uint32{x86.EBP: 4 * linkOuter}}
-	for _, leg := range tier2Legs {
-		leg := leg
-		t.Run(leg.name, func(t *testing.T) {
-			for k, v := range leg.env {
-				t.Setenv(k, v)
-			}
-			v1, v2 := diffVM(t), diffVM(t)
-			seed := [8]uint32{1, 2, 3, 4, 5, 6, 7, 8}
-			for run := 0; run < linkRuns; run++ {
-				g.runOnce(t, v1, v2, seed)
-			}
-			if leg.name != "hot-native" || !nativeTier2() {
-				return
-			}
-			if _, err := v1.CheckLinks(); err != nil {
-				t.Fatal(err)
-			}
-			// The guard's cache is re-linked every time the target
-			// changes: far more links than the handful of static edges.
-			if st := v1.Stats(); st.Tier2Links < linkOuter {
-				t.Fatalf("%d exits linked: the return guard's slot never saw a second target", st.Tier2Links)
-			}
-		})
-	}
+	forTier2Legs(t, func(t *testing.T, level OptLevel) {
+		v1, v2 := diffVMAt(t, level), diffVM(t)
+		seed := [8]uint32{1, 2, 3, 4, 5, 6, 7, 8}
+		for run := 0; run < linkRuns; run++ {
+			g.runOnce(t, v1, v2, seed)
+		}
+		if level != OptEager || !nativeTier2() {
+			return
+		}
+		if _, err := v1.CheckLinks(); err != nil {
+			t.Fatal(err)
+		}
+		// The guard's cache is re-linked every time the target
+		// changes: far more links than the handful of static edges.
+		if st := v1.Stats(); st.Tier2Links < linkOuter {
+			t.Fatalf("%d exits linked: the return guard's slot never saw a second target", st.Tier2Links)
+		}
+	})
 }
 
 // TestDiffLinkedFuelSweep runs one linked loop under every fuel budget
@@ -406,28 +404,22 @@ func TestDiffLinkedFuelSweep(t *testing.T) {
 		}, ud2Tail),
 		regs: map[x86.Reg]uint32{x86.EBP: linkOuter},
 	}
-	for _, leg := range tier2Legs {
-		leg := leg
-		t.Run(leg.name, func(t *testing.T) {
-			for k, v := range leg.env {
-				t.Setenv(k, v)
+	forTier2Legs(t, func(t *testing.T, level OptLevel) {
+		v1, v2 := diffVMAt(t, level), diffVM(t)
+		var seed [8]uint32
+		g.fuel = 60000
+		for run := 0; run < linkRuns; run++ { // warm: everything linked
+			g.runOnce(t, v1, v2, seed)
+		}
+		for g.fuel = 5000; g.fuel < 5064; g.fuel++ {
+			if tr := g.runOnce(t, v1, v2, seed).(*Trap); tr.Kind != TrapFuel {
+				t.Fatalf("fuel %d: %v, want fuel exhaustion", g.fuel, tr)
 			}
-			v1, v2 := diffVM(t), diffVM(t)
-			var seed [8]uint32
-			g.fuel = 60000
-			for run := 0; run < linkRuns; run++ { // warm: everything linked
-				g.runOnce(t, v1, v2, seed)
-			}
-			for g.fuel = 5000; g.fuel < 5064; g.fuel++ {
-				if tr := g.runOnce(t, v1, v2, seed).(*Trap); tr.Kind != TrapFuel {
-					t.Fatalf("fuel %d: %v, want fuel exhaustion", g.fuel, tr)
-				}
-			}
-			if leg.name == "hot-native" && nativeTier2() && v1.Stats().Tier2Links == 0 {
-				t.Fatal("nothing was linked")
-			}
-		})
-	}
+		}
+		if level == OptEager && nativeTier2() && v1.Stats().Tier2Links == 0 {
+			t.Fatal("nothing was linked")
+		}
+	})
 }
 
 // TestSingleBlockLoopCompiles pins engine rule (b): a counted loop that
@@ -444,16 +436,14 @@ func TestSingleBlockLoopCompiles(t *testing.T) {
 	a.emit(x86.Inst{Op: x86.UD2})
 	g := linkGuest{code: a.code, fuel: 60000, regs: map[x86.Reg]uint32{x86.ECX: 10000}}
 
-	t.Setenv("VXA_NO_TIER2", "0")
-	t.Setenv("VXA_TIER2_HOT", "1")
-	v1, v2 := diffVM(t), diffVM(t)
+	v1, v2 := diffVMAt(t, OptEager), diffVM(t)
 	g.runOnce(t, v1, v2, [8]uint32{})
 	st := v1.Stats()
 	if st.SuperblocksFormed != 1 {
 		t.Fatalf("%d superblocks formed, want the loop's one", st.SuperblocksFormed)
 	}
-	if !nativeTier2() && st.Tier2Compiled == 0 {
-		t.Skip("no tier-2 backend on by default here")
+	if !nativeTier2() {
+		t.Skip("no tier-2 emitter for this host")
 	}
 	if share := float64(st.Tier2Steps) / float64(st.Steps); share < 0.99 {
 		t.Fatalf("%.4f of %d instructions ran in compiled traces, want >= 0.99", share, st.Steps)
@@ -493,60 +483,54 @@ func spinGuest(t *testing.T, v *VM) {
 // engine passes through: run the reference for exactly the Steps the
 // canceled VM retired and the registers and flags are the same.
 func TestLinkedChainCancel(t *testing.T) {
-	for _, leg := range tier2Legs {
-		leg := leg
-		t.Run(leg.name, func(t *testing.T) {
-			for k, v := range leg.env {
-				t.Setenv(k, v)
+	forTier2Legs(t, func(t *testing.T, level OptLevel) {
+		g := linkGuest{
+			code: linkLoops(t, func(a *t2asm) {
+				a.op2(x86.ADD, x86.R(x86.EBX), x86.R(x86.EAX))
+				a.op2(x86.XOR, x86.R(x86.EDX), x86.R(x86.EBX))
+			}, ud2Tail),
+			regs: map[x86.Reg]uint32{x86.EBP: 0}, // 2^32 outer passes: never finishes
+			fuel: 1 << 40,
+		}
+		v1, v2 := diffVMAt(t, level), diffVM(t)
+		var seed [8]uint32
+		g.rewind(v1, seed)
+		g.rewind(v2, seed)
+		ctx, cancel := context.WithCancel(context.Background())
+		timer := time.AfterFunc(5*time.Millisecond, cancel)
+		defer timer.Stop()
+		_, err := v1.RunContext(ctx)
+		if !IsCanceled(err) || !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want a cancellation", err)
+		}
+		v1.materializeFlags()
+		st := v1.Stats()
+		if got, want := uint64(g.fuel-v1.m.Fuel), st.Steps; got != want {
+			t.Fatalf("%d fuel consumed for %d steps", got, want)
+		}
+		if st.Steps > 1<<28 {
+			t.Skipf("%d steps before the cancel was seen: too slow a host to replay", st.Steps)
+		}
+		if n, _ := refRun(v2, int(st.Steps)); uint64(n) != st.Steps {
+			t.Fatalf("reference stopped after %d of %d steps", n, st.Steps)
+		}
+		if v1.eip != v2.eip {
+			t.Fatalf("stopped at %#x, reference is at %#x after as many steps", v1.eip, v2.eip)
+		}
+		for r := 0; r < 8; r++ {
+			if v1.m.Regs[r] != v2.m.Regs[r] {
+				t.Fatalf("%s = %#x, reference %#x", x86.Reg(r), v1.m.Regs[r], v2.m.Regs[r])
 			}
-			g := linkGuest{
-				code: linkLoops(t, func(a *t2asm) {
-					a.op2(x86.ADD, x86.R(x86.EBX), x86.R(x86.EAX))
-					a.op2(x86.XOR, x86.R(x86.EDX), x86.R(x86.EBX))
-				}, ud2Tail),
-				regs: map[x86.Reg]uint32{x86.EBP: 0}, // 2^32 outer passes: never finishes
-				fuel: 1 << 40,
-			}
-			v1, v2 := diffVM(t), diffVM(t)
-			var seed [8]uint32
-			g.rewind(v1, seed)
-			g.rewind(v2, seed)
-			ctx, cancel := context.WithCancel(context.Background())
-			timer := time.AfterFunc(5*time.Millisecond, cancel)
-			defer timer.Stop()
-			_, err := v1.RunContext(ctx)
-			if !IsCanceled(err) || !errors.Is(err, context.Canceled) {
-				t.Fatalf("err = %v, want a cancellation", err)
-			}
-			v1.materializeFlags()
-			st := v1.Stats()
-			if got, want := uint64(g.fuel-v1.m.Fuel), st.Steps; got != want {
-				t.Fatalf("%d fuel consumed for %d steps", got, want)
-			}
-			if st.Steps > 1<<28 {
-				t.Skipf("%d steps before the cancel was seen: too slow a host to replay", st.Steps)
-			}
-			if n, _ := refRun(v2, int(st.Steps)); uint64(n) != st.Steps {
-				t.Fatalf("reference stopped after %d of %d steps", n, st.Steps)
-			}
-			if v1.eip != v2.eip {
-				t.Fatalf("stopped at %#x, reference is at %#x after as many steps", v1.eip, v2.eip)
-			}
-			for r := 0; r < 8; r++ {
-				if v1.m.Regs[r] != v2.m.Regs[r] {
-					t.Fatalf("%s = %#x, reference %#x", x86.Reg(r), v1.m.Regs[r], v2.m.Regs[r])
-				}
-			}
-			f1 := [5]bool{v1.m.CF, v1.m.ZF, v1.m.SF, v1.m.OF, v1.m.PF}
-			f2 := [5]bool{v2.m.CF, v2.m.ZF, v2.m.SF, v2.m.OF, v2.m.PF}
-			if f1 != f2 {
-				t.Fatalf("flags %v, reference %v", f1, f2)
-			}
-			if leg.name == "hot-native" && nativeTier2() && st.Tier2Exits*100 > st.Tier2Executed {
-				t.Fatalf("%d returns to the dispatcher for %d trace passes: the chain was not linked", st.Tier2Exits, st.Tier2Executed)
-			}
-		})
-	}
+		}
+		f1 := [5]bool{v1.m.CF, v1.m.ZF, v1.m.SF, v1.m.OF, v1.m.PF}
+		f2 := [5]bool{v2.m.CF, v2.m.ZF, v2.m.SF, v2.m.OF, v2.m.PF}
+		if f1 != f2 {
+			t.Fatalf("flags %v, reference %v", f1, f2)
+		}
+		if level == OptEager && nativeTier2() && st.Tier2Exits*100 > st.Tier2Executed {
+			t.Fatalf("%d returns to the dispatcher for %d trace passes: the chain was not linked", st.Tier2Exits, st.Tier2Executed)
+		}
+	})
 }
 
 // TestSpinningGuestComesBackEveryQuantum is the residency bound. A guest
@@ -561,9 +545,8 @@ func TestLinkedChainCancel(t *testing.T) {
 // the runtime must find nothing to unwind there and the entry shim must
 // hand every register back, or this crashes rather than fails.
 func TestSpinningGuestComesBackEveryQuantum(t *testing.T) {
-	forceTier2Hot(t)
 	const quanta = 64
-	v := diffVM(t)
+	v := diffVMAt(t, OptEager)
 	spinGuest(t, v)
 	v.m.Fuel = quanta * cancelQuantum
 	if _, err := v.Run(); err == nil || err.(*Trap).Kind != TrapFuel {
@@ -586,7 +569,7 @@ func TestSpinningGuestComesBackEveryQuantum(t *testing.T) {
 	// The same loop with fuel for minutes, and a collection meanwhile.
 	// The collection is what ends the test; the watchdog only keeps a
 	// broken engine from hanging it.
-	w, err := New(Config{MemSize: 4 << 20, WallBudget: 30 * time.Second})
+	w, err := New(Config{MemSize: 4 << 20, OptLevel: OptEager, WallBudget: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,9 +22,9 @@ import (
 // sandboxVM is diffVM with the text page read-only, so that reads and
 // writes have different floors, and with its guest memory re-homed
 // between two inaccessible pages.
-func sandboxVM(t *testing.T) *VM {
+func sandboxVM(t *testing.T, level OptLevel) *VM {
 	t.Helper()
-	v, err := New(Config{MemSize: 4 << 20})
+	v, err := New(Config{MemSize: 4 << 20, OptLevel: level})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,12 +228,12 @@ func sandboxGuest(t *testing.T, data []byte) linkGuest {
 	return g
 }
 
-// runSandboxGuest runs g twice on one VM under the given tier
-// configuration — the second time through whatever the first compiled
+// runSandboxGuest runs g twice on one VM at the given level — the
+// second time through whatever the first compiled
 // and linked — against the reference interpreter, comparing everything
-// runOnce compares plus the two stack pages the fans can reach.
-func runSandboxGuest(t *testing.T, g linkGuest) {
-	v1, v2 := sandboxVM(t), sandboxVM(t)
+// runOnce compares plus the bottom stack page the fans can reach.
+func runSandboxGuest(t *testing.T, g linkGuest, level OptLevel) {
+	v1, v2 := sandboxVM(t, level), sandboxVM(t, OptDefault)
 	var seed [8]uint32
 	for r := range seed {
 		seed[r] = 0x9E3779B9 * uint32(r+1)
@@ -243,13 +243,7 @@ func runSandboxGuest(t *testing.T, g linkGuest) {
 		if run == 1 {
 			t.Logf("%v, %d of %d instructions in compiled traces", err, v1.stats.Tier2Steps, v1.stats.Steps)
 		}
-		for _, page := range []uint32{v1.stackBase, v1.MemSize() - PageSize} {
-			for a := page; a < page+PageSize; a++ {
-				if v1.mem[a] != v2.mem[a] {
-					t.Fatalf("stack memory differs at %#x: %#x, reference %#x", a, v1.mem[a], v2.mem[a])
-				}
-			}
-		}
+		sameMem(t, v1, v2, v1.stackBase, v1.stackBase+PageSize)
 	}
 	if _, err := v1.CheckLinks(); err != nil {
 		t.Fatal(err)
@@ -337,18 +331,12 @@ func sandboxSeed(edge int, base x86.Reg, scale int, stride int8, gate bool, pass
 // TestTier2SandboxDirected runs the directed cases under every tier
 // configuration.
 func TestTier2SandboxDirected(t *testing.T) {
-	for _, leg := range tier2Legs {
-		leg := leg
-		t.Run(leg.name, func(t *testing.T) {
-			for k, v := range leg.env {
-				t.Setenv(k, v)
-			}
-			for i, data := range sandboxSeeds {
-				i, data := i, data
-				t.Run(fmt.Sprint(i), func(t *testing.T) { runSandboxGuest(t, sandboxGuest(t, data)) })
-			}
-		})
-	}
+	forTier2Legs(t, func(t *testing.T, level OptLevel) {
+		for i, data := range sandboxSeeds {
+			i, data := i, data
+			t.Run(fmt.Sprint(i), func(t *testing.T) { runSandboxGuest(t, sandboxGuest(t, data), level) })
+		}
+	})
 }
 
 // FuzzTier2Sandbox: whatever guest the input describes, every superblock
@@ -360,10 +348,7 @@ func FuzzTier2Sandbox(f *testing.F) {
 	for _, s := range sandboxSeeds {
 		f.Add(s)
 	}
-	f.Setenv("VXA_NO_TIER2", "0")
-	f.Setenv("VXA_TIER2_BACKEND", "")
-	f.Setenv("VXA_TIER2_HOT", "1")
 	f.Fuzz(func(t *testing.T, data []byte) {
-		runSandboxGuest(t, sandboxGuest(t, data))
+		runSandboxGuest(t, sandboxGuest(t, data), OptEager)
 	})
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -21,20 +20,33 @@ import (
 // it leaves to tier-1); 64 and 91 publish more than one trace.
 var sharedSeeds = []int64{64, 91, 69}
 
-// forceTier2Hot pins the process-wide tier-2 switches for one test: the
-// tier on whatever the CI leg says, the native backend, and every
-// superblock compiled on its first entry.
-func forceTier2Hot(t *testing.T) {
-	t.Setenv("VXA_NO_TIER2", "0")
-	t.Setenv("VXA_TIER2_BACKEND", "")
-	t.Setenv("VXA_TIER2_HOT", "1")
+// eager is the configuration these tests force: every superblock
+// compiled on its first entry.
+var eager = Config{OptLevel: OptEager}
+
+// withProcessOpt makes level the process-wide default (what VXA_OPT
+// would have set) until the test ends.
+func withProcessOpt(t *testing.T, level OptLevel) {
+	t.Helper()
+	old := processOpt
+	processOpt = func() (OptLevel, error) { return level, nil }
+	t.Cleanup(func() { processOpt = old })
 }
 
-// forSharedSeeds runs f forced hot on each of sharedSeeds.
+// vmTraces returns the compiled traces a VM holds.
+func vmTraces(v *VM) []*tier2.Trace {
+	var ts []*tier2.Trace
+	for _, br := range v.blocks {
+		if sb := br.sb; sb != nil && sb.t2 != nil {
+			ts = append(ts, sb.t2)
+		}
+	}
+	return ts
+}
+
+// forSharedSeeds runs f on each of sharedSeeds.
 func forSharedSeeds(t *testing.T, f func(t *testing.T, seed int64)) {
-	forceTier2Hot(t)
 	for _, seed := range sharedSeeds {
-		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { f(t, seed) })
 	}
 }
@@ -118,7 +130,7 @@ func (o soakOutcome) diff(want soakOutcome) string {
 // soakReference is the stream's outcome with the tier off.
 func soakReference(t *testing.T, seed int64) soakOutcome {
 	t.Helper()
-	want, err := soakStream(soakSharedSnapshot(t, seed, Config{NoTier2: true}).NewVM())
+	want, err := soakStream(soakSharedSnapshot(t, seed, Config{OptLevel: OptSuperblocks}).NewVM())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,25 +141,19 @@ func soakReference(t *testing.T, seed int64) soakOutcome {
 }
 
 // warmShared runs one stream on a fresh VM of snap and publishes what it
-// compiled. It skips the test on platforms with no native backend to
-// compile with, and returns the VM.
+// compiled. It skips the test on platforms with no emitter to compile
+// with, and returns the VM.
 func warmShared(t *testing.T, snap *Snapshot) *VM {
 	t.Helper()
 	v := snap.NewVM()
 	if _, err := soakStream(v); err != nil {
 		t.Fatal(err)
 	}
-	native := false
-	for _, br := range v.blocks {
-		if br.sb != nil && br.sb.t2 != nil && br.sb.t2.Native() {
-			native = true
+	if len(vmTraces(v)) == 0 {
+		if nativeTier2() {
+			t.Fatal("a hot stream left no compiled trace")
 		}
-	}
-	if !native {
-		if runtime.GOOS == "linux" && runtime.GOARCH == "amd64" {
-			t.Fatal("a hot stream left no native trace")
-		}
-		t.Skip("no native tier-2 backend here: nothing can be shared")
+		t.Skip("no tier-2 emitter for this host: nothing can be shared")
 	}
 	snap.AbsorbBlocks(v)
 	if snap.T2Count() == 0 {
@@ -161,35 +167,33 @@ func warmShared(t *testing.T, snap *Snapshot) *VM {
 // geometry.
 func checkRecords(t *testing.T, s *Snapshot) {
 	t.Helper()
-	m := &tier2.Machine{Geometry: s.geometry()}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for addr, r := range s.sbs {
 		if r.t2 == nil {
 			continue
 		}
-		if !r.t2.Native() || r.t2.Geom != s.geometry() {
-			t.Errorf("record %#x: published trace native=%v geometry=%+v", addr, r.t2.Native(), r.t2.Geom)
+		if r.t2.Geom != s.geometry() {
+			t.Errorf("record %#x: published trace geometry=%+v", addr, r.t2.Geom)
 		}
-		again := tier2.Compile(r.b.uops, r.b.uops[0].EIP, m)
+		again := tier2.Compile(r.b.uops, r.b.uops[0].EIP, s.geometry())
 		if again == nil || !bytes.Equal(again.Code(), r.t2.Code()) {
 			t.Errorf("record %#x: published trace is not what its fragment compiles to", addr)
 		}
 	}
 }
 
-// TestSharedTracePositionIndependent: native code holds no address of
-// the VM it was compiled through. Compiling one superblock against two
-// machines with different guest-memory bases gives the same bytes, and
-// traces compiled by VM A, installed in VM B, leave exactly what the
-// tier-1 engine leaves.
+// TestSharedTracePositionIndependent: compiled code holds no address of
+// the VM it was compiled through. Compiling one superblock twice gives
+// the same bytes, and traces compiled by VM A, installed in VM B, leave
+// exactly what the tier-1 engine leaves.
 func TestSharedTracePositionIndependent(t *testing.T) {
 	forSharedSeeds(t, testSharedTracePositionIndependent)
 }
 
 func testSharedTracePositionIndependent(t *testing.T, seed int64) {
 	want := soakReference(t, seed)
-	snap := soakSharedSnapshot(t, seed, Config{})
+	snap := soakSharedSnapshot(t, seed, eager)
 	a := warmShared(t, snap)
 
 	b := snap.NewVM()
@@ -199,18 +203,17 @@ func testSharedTracePositionIndependent(t *testing.T, seed int64) {
 	compared := 0
 	for _, br := range a.blocks {
 		sb := br.sb
-		if sb == nil || sb.t2 == nil || !sb.t2.Native() {
+		if sb == nil || sb.t2 == nil {
 			continue
 		}
-		// b.m points at b's memory; a's trace was compiled through a.m.
-		tb := tier2.Compile(sb.b.uops, sb.b.uops[0].EIP, &b.m)
+		tb := tier2.Compile(sb.b.uops, sb.b.uops[0].EIP, b.m.Geometry)
 		if tb == nil || len(tb.Code()) == 0 || !bytes.Equal(tb.Code(), sb.t2.Code()) {
 			t.Fatalf("superblock %#x compiles to different code against another machine", sb.b.uops[0].EIP)
 		}
 		compared++
 	}
 	if compared == 0 {
-		t.Fatal("no native trace to compare")
+		t.Fatal("no trace to compare")
 	}
 
 	if got, want := b.Stats().Tier2Shared, uint64(snap.T2Count()); got != want {
@@ -247,7 +250,7 @@ func TestSharedTraceConcurrent(t *testing.T) {
 
 func testSharedTraceConcurrent(t *testing.T, seed int64) {
 	want := soakReference(t, seed)
-	snap := soakSharedSnapshot(t, seed, Config{})
+	snap := soakSharedSnapshot(t, seed, eager)
 	warmShared(t, snap)
 
 	var wg sync.WaitGroup
@@ -290,7 +293,7 @@ func TestSharedTraceResetDeterminism(t *testing.T) {
 
 func testSharedTraceResetDeterminism(t *testing.T, seed int64) {
 	want := soakReference(t, seed)
-	snap := soakSharedSnapshot(t, seed, Config{})
+	snap := soakSharedSnapshot(t, seed, eager)
 	v := warmShared(t, snap)
 	for resets := 1; resets <= 50; resets++ {
 		if err := v.Reset(snap); err != nil {
@@ -310,17 +313,17 @@ func testSharedTraceResetDeterminism(t *testing.T, seed int64) {
 	}
 }
 
-// TestSharedTraceNeverInstalledWithTierOff: VXA_NO_TIER2 describes the
-// running process, so it keeps published traces out of every VM
-// materialized while it is set.
+// TestSharedTraceNeverInstalledWithTierOff: VXA_OPT describes the running
+// process, so a snapshot that configures no level keeps its published
+// traces out of every VM materialized while the override is below tier 2.
 func TestSharedTraceNeverInstalledWithTierOff(t *testing.T) {
-	forceTier2Hot(t)
 	const seed = 64
 	want := soakReference(t, seed)
+	withProcessOpt(t, OptEager)
 	snap := soakSharedSnapshot(t, seed, Config{})
 	warmShared(t, snap)
 
-	t.Setenv("VXA_NO_TIER2", "1")
+	withProcessOpt(t, OptSuperblocks)
 	v := snap.NewVM()
 	for addr, br := range v.blocks {
 		if br.sb != nil && br.sb.t2 != nil {
@@ -339,40 +342,17 @@ func TestSharedTraceNeverInstalledWithTierOff(t *testing.T) {
 	}
 }
 
-// TestClosureTraceNeverPublished: a closure-backend trace holds pointers
-// into the machine of the VM that compiled it.
-func TestClosureTraceNeverPublished(t *testing.T) {
-	forceTier2Hot(t)
-	t.Setenv("VXA_TIER2_BACKEND", "closure")
-	snap := soakSharedSnapshot(t, 64, Config{})
-	v := snap.NewVM()
-	if _, err := soakStream(v); err != nil {
-		t.Fatal(err)
-	}
-	if v.Stats().Tier2Compiled == 0 {
-		t.Fatal("the closure backend compiled nothing")
-	}
-	snap.AbsorbBlocks(v)
-	if snap.SBCount() == 0 {
-		t.Fatal("no superblock absorbed")
-	}
-	if n := snap.T2Count(); n != 0 {
-		t.Fatalf("%d closure traces published", n)
-	}
-}
-
 // TestImportRefusesTraceAcrossGeometry: a trace's bounds checks are
 // compiled for one sandbox geometry. A snapshot of another geometry
 // imports the superblocks and leaves the traces behind; one of the same
 // geometry takes both.
 func TestImportRefusesTraceAcrossGeometry(t *testing.T) {
-	forceTier2Hot(t)
 	const seed = 91
 	want := soakReference(t, seed)
-	snap := soakSharedSnapshot(t, seed, Config{})
+	snap := soakSharedSnapshot(t, seed, eager)
 	warmShared(t, snap)
 
-	other := soakSharedSnapshot(t, seed, Config{MemSize: 8 << 20})
+	other := soakSharedSnapshot(t, seed, Config{MemSize: 8 << 20, OptLevel: OptEager})
 	if other.ImportBlocks(snap.ExportBlocks()) == 0 || other.SBCount() == 0 {
 		t.Fatal("nothing imported across geometries; the superblocks are still valid")
 	}
@@ -380,7 +360,7 @@ func TestImportRefusesTraceAcrossGeometry(t *testing.T) {
 		t.Fatalf("%d traces imported across geometries", n)
 	}
 
-	same := soakSharedSnapshot(t, seed, Config{})
+	same := soakSharedSnapshot(t, seed, eager)
 	same.ImportBlocks(snap.ExportBlocks())
 	if got, want := same.T2Count(), snap.T2Count(); got != want {
 		t.Fatalf("same geometry: imported %d of %d traces", got, want)

@@ -11,7 +11,6 @@ package vm
 
 import (
 	"encoding/binary"
-	"os"
 	"testing"
 
 	"vxa/internal/x86"
@@ -41,31 +40,22 @@ func (a *t2asm) patchRel32(end, target uint32) {
 	binary.LittleEndian.PutUint32(a.code[end-a.base-4:], target-end)
 }
 
-// tier2Legs are the tier configurations the differential walls run
-// under: every superblock compiled on its first entry by either backend,
-// and the tier off.
-var tier2Legs = []struct {
-	name string
-	env  map[string]string
-}{
-	{"hot-native", map[string]string{"VXA_NO_TIER2": "0", "VXA_TIER2_HOT": "1", "VXA_TIER2_BACKEND": ""}},
-	{"hot-closure", map[string]string{"VXA_NO_TIER2": "0", "VXA_TIER2_HOT": "1", "VXA_TIER2_BACKEND": "closure"}},
-	{"off", map[string]string{"VXA_NO_TIER2": "1"}},
-}
+// tier2Legs are the engine levels the differential walls run at: every
+// superblock compiled on its first entry, and tier 2 off.
+var tier2Legs = []OptLevel{OptEager, OptSuperblocks}
 
-func TestDiffTier2GuardExitTrap(t *testing.T) {
-	for _, leg := range tier2Legs {
-		leg := leg
-		t.Run(leg.name, func(t *testing.T) {
-			for k, v := range leg.env {
-				t.Setenv(k, v)
-			}
-			runTier2GuardExitTrap(t)
-		})
+// forTier2Legs runs f as a subtest per leg, named after the level.
+func forTier2Legs(t *testing.T, f func(t *testing.T, level OptLevel)) {
+	for _, level := range tier2Legs {
+		t.Run(level.String(), func(t *testing.T) { f(t, level) })
 	}
 }
 
-func runTier2GuardExitTrap(t *testing.T) {
+func TestDiffTier2GuardExitTrap(t *testing.T) {
+	forTier2Legs(t, runTier2GuardExitTrap)
+}
+
+func runTier2GuardExitTrap(t *testing.T, level OptLevel) {
 	const (
 		fuel  = 4096
 		loops = 200 // iterations before the guard finally fires
@@ -97,8 +87,8 @@ func runTier2GuardExitTrap(t *testing.T) {
 	// through the trace's own link slot every iteration.
 	g := linkGuest{code: asm.code, fuel: fuel,
 		regs: map[x86.Reg]uint32{x86.ECX: loops, x86.EDX: 0x10}}
-	v1 := diffVM(t) // uop engine (tier-2 per the leg's env)
-	v2 := diffVM(t) // reference engine
+	v1 := diffVMAt(t, level) // uop engine
+	v2 := diffVM(t)          // reference engine
 	seed := [8]uint32{7, 77, 777, 7777, 0, 0, 70, 700}
 	for pass := 1; pass <= 2; pass++ {
 		// runOnce holds trap, registers, flags, Steps and fuel to the
@@ -112,7 +102,7 @@ func runTier2GuardExitTrap(t *testing.T) {
 	}
 	br := v1.blocks[diffCode]
 
-	if os.Getenv("VXA_TIER2_HOT") == "1" && !envNoTier2() {
+	if level == OptEager && nativeTier2() {
 		st := v1.Stats()
 		if st.Tier2Executed == 0 {
 			t.Fatalf("tier-2 forced hot but no compiled trace ran (%d compiled)", st.Tier2Compiled)

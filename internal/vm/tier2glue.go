@@ -19,8 +19,6 @@ package vm
 
 import (
 	"fmt"
-	"os"
-	"strconv"
 	"time"
 	"unsafe"
 
@@ -29,34 +27,16 @@ import (
 )
 
 // t2HotDefault is the number of superblock entries before the trace is
-// compiled. Superblocks themselves form at sbHotThreshold block entries,
-// so a trace must prove itself on the tier-1 loop first: profile-teardown
-// churn is not worth compiling for. A trace the snapshot already carries
-// is installed at Reset and skips the count.
+// compiled (OptEager makes it one). Superblocks themselves form at
+// sbHotThreshold block entries, so a trace must prove itself on the
+// tier-1 loop first: profile-teardown churn is not worth compiling for.
+// A trace the snapshot already carries is installed at Reset and skips
+// the count.
 const t2HotDefault = 32
-
-// envNoTier2 reports whether VXA_NO_TIER2 forces the tier off
-// process-wide (the CI interpreter-fallback leg).
-func envNoTier2() bool {
-	s := os.Getenv("VXA_NO_TIER2")
-	return s != "" && s != "0"
-}
 
 // A budget of one poll quantum must admit any trace, or an entry could
 // decline for ever: a micro-op stands for at most three instructions.
 const _ = uint(cancelQuantum - 4*sbMaxUops)
-
-// t2HotThreshold resolves the promotion threshold, honoring the
-// VXA_TIER2_HOT override (the test wall uses 1 to force every
-// superblock hot).
-func t2HotThreshold() uint32 {
-	if s := os.Getenv("VXA_TIER2_HOT"); s != "" {
-		if n, err := strconv.ParseUint(s, 10, 32); err == nil && n > 0 {
-			return uint32(n)
-		}
-	}
-	return t2HotDefault
-}
 
 // bindTier2 points the machine state at the VM's guest memory and
 // sandbox geometry. Called wherever those are set: New, MapSegment and
@@ -75,7 +55,7 @@ func (v *VM) bindTier2() {
 func (v *VM) compileTier2(sb *bref) {
 	sb.t2Tried = true
 	start := time.Now()
-	t := tier2.Compile(sb.b.uops, sb.b.uops[0].EIP, &v.m)
+	t := tier2.Compile(sb.b.uops, sb.b.uops[0].EIP, v.m.Geometry)
 	v.stats.TranslateNS += uint64(time.Since(start).Nanoseconds())
 	if t == nil {
 		return
@@ -85,13 +65,10 @@ func (v *VM) compileTier2(sb *bref) {
 	v.stats.Tier2Code.Add(t.Ledger, 1)
 }
 
-// attachTrace makes t the compiled trace of sb in this VM's view. A
-// native trace gets its run of link slots, all unlinked.
+// attachTrace makes t the compiled trace of sb in this VM's view and
+// gives it its run of link slots, all unlinked.
 func (v *VM) attachTrace(sb *bref, t *tier2.Trace) {
 	sb.t2 = t
-	if !t.Native() {
-		return
-	}
 	sb.linkBase = len(v.links)
 	v.links = append(v.links, t.Unlinked()...)
 	for len(v.linkOwner) < len(v.links) {
@@ -108,13 +85,13 @@ func (v *VM) dropLinks() {
 	v.m.Links = nil
 }
 
-// linkOffset is the value m.Cur takes while sb's native trace runs.
+// linkOffset is the value m.Cur takes while sb's trace runs.
 func linkOffset(sb *bref) uint32 {
 	return uint32(sb.linkBase) * uint32(tier2.LinkSize)
 }
 
 // link resolves the edge exit e of sb's trace has just taken to nb: if nb
-// has a superblock that carries a native trace, e's slot is pointed at
+// has a superblock that carries a trace, e's slot is pointed at
 // it, and the next time the exit is taken control goes from trace to
 // trace without coming back here. A trace that needs its entry flags
 // materialized is linked only from an exit that leaves them so. An
@@ -125,21 +102,21 @@ func (v *VM) link(sb *bref, e *tier2.Exit, nb *bref) {
 		return
 	}
 	to := nb.sb
-	if t := to.t2; t != nil && t.Native() && (!t.NeedFlags || e.Eager) {
+	if t := to.t2; t != nil && (!t.NeedFlags || e.Eager) {
 		v.links[sb.linkBase+e.Slot].Link(t, linkOffset(to))
 		v.stats.Tier2Links++
 	}
 }
 
 // CheckLinks verifies the link-slot invariant over the whole table and
-// returns how many slots are linked: every slot is owned by a native
-// trace this VM holds, and holds either that exit's own return stub or
+// returns how many slots are linked: every slot is owned by a trace
+// this VM holds, and holds either that exit's own return stub or
 // the entry address and slot offset of another such trace. It is the
 // test wall's hook; nothing in the engine calls it.
 func (v *VM) CheckLinks() (linked int, err error) {
 	held := make(map[uintptr]*bref)
 	for _, br := range v.blocks {
-		if sb := br.sb; sb != nil && sb.t2 != nil && sb.t2.Native() {
+		if sb := br.sb; sb != nil && sb.t2 != nil {
 			held[sb.t2.EntryAddr()] = sb
 		}
 	}
@@ -173,7 +150,7 @@ func (v *VM) CheckLinks() (linked int, err error) {
 // v.m.Fuel >= sb.b.cost and polled if the credit had run out.
 func (v *VM) runTier2(sb *bref, t *tier2.Trace) (*bref, error) {
 	if t.NeedFlags {
-		// The native compiler pinned this trace's entry flag state to
+		// The emitter pinned this trace's entry flag state to
 		// FlagNone; representation-only, so architecturally invisible.
 		v.materializeFlags()
 	}
@@ -211,11 +188,8 @@ func (v *VM) runTier2(sb *bref, t *tier2.Trace) (*bref, error) {
 		v.eip = m.ExitTarget
 		return v.lookupBlock(v.eip)
 	}
-	if t.Native() {
-		sb = v.linkOwner[m.Cur/uint64(tier2.LinkSize)]
-		t = sb.t2
-	}
-	e := &t.Exits[s-1]
+	sb = v.linkOwner[m.Cur/uint64(tier2.LinkSize)]
+	e := &sb.t2.Exits[s-1]
 	us := sb.b.uops
 	i := e.Uop
 	u := &us[i]
@@ -229,7 +203,7 @@ func (v *VM) runTier2(sb *bref, t *tier2.Trace) (*bref, error) {
 		v.eip = e.Target
 		nb, err = v.chainTo(&sb.fall, e.Target)
 	case tier2.ExitJccLazy:
-		// Native-backend plain Jcc terminator: the condition reads the
+		// A plain Jcc terminator: the condition reads the
 		// lazily-recorded flags, so the tier-1 evaluator picks the edge
 		// (and counts any flag materialization in the VM's own stat).
 		if v.ucond(x86.CC(u.Sub)) {

@@ -21,7 +21,7 @@ type TracePlanUop struct {
 	Target uint32 // guard/branch exit target (0 when not a transfer)
 }
 
-// TracePlanExit is one link exit of a native trace: the micro-op it
+// TracePlanExit is one link exit of a compiled trace: the micro-op it
 // leaves from, where it goes, and what its slot of the VM's link table
 // holds right now.
 type TracePlanExit struct {
@@ -34,15 +34,17 @@ type TracePlanExit struct {
 
 // TracePlan describes one formed superblock and what tier-2 made of
 // it: the fused micro-op sequence, the per-trace fuel cost, the guard
-// and return-slot geometry, which backend (if any) the trace compiled
-// to, and the link state of every exit of a native trace. This is the
-// inspection surface behind `vxdump -t2`.
+// and return-slot geometry, whether the trace compiled, and the link
+// state of every exit of a compiled trace. This is the inspection
+// surface behind `vxdump -t2`.
 type TracePlan struct {
-	Entry   uint32 // guest entry address
-	Cost    int64  // fuel charged per full trace iteration
-	NUops   int
-	Guards  int // conditional guard exits (chain slots)
-	Rets    int // return guards (inline-cache slots)
+	Entry  uint32 // guest entry address
+	Cost   int64  // fuel charged per full trace iteration
+	NUops  int
+	Guards int // conditional guard exits (chain slots)
+	Rets   int // return guards (inline-cache slots)
+	// Backend is "native" for a compiled trace, "tier1" for one the
+	// compiler bailed on, "disabled" below OptTier2.
 	Backend string
 	Shared  bool // the trace was installed from the snapshot, not compiled by this VM
 	// Trace is the compiled trace itself (nil on tier 1): its emitted
@@ -54,7 +56,7 @@ type TracePlan struct {
 
 // TracePlans returns the tier-2 trace plan of every superblock the VM
 // has formed, sorted by entry address. Superblocks not yet promoted are
-// compiled on the spot (unless tier-2 is disabled), so the dump shows
+// compiled on the spot (at OptTier2 and up), so the dump shows
 // the plan a hot run would execute; a plan whose Backend is "tier1"
 // contains a micro-op the compiler bails on and runs on the dispatch
 // loop forever.
@@ -65,17 +67,15 @@ func (v *VM) TracePlans() []TracePlan {
 		if sb == nil {
 			continue
 		}
-		if !sb.t2Tried && !v.noT2 {
+		if !sb.t2Tried && v.level >= OptTier2 {
 			v.compileTier2(sb)
 		}
 		backend := "tier1"
 		switch {
-		case v.noT2 && sb.t2 == nil:
-			backend = "disabled"
-		case sb.t2 != nil && sb.t2.Native():
-			backend = "native"
 		case sb.t2 != nil:
-			backend = "closure"
+			backend = "native"
+		case v.level < OptTier2:
+			backend = "disabled"
 		}
 		us := sb.b.uops
 		p := TracePlan{
@@ -104,7 +104,7 @@ func (v *VM) TracePlans() []TracePlan {
 			}
 			p.Uops[i] = pu
 		}
-		if t := sb.t2; t != nil && t.Native() {
+		if t := sb.t2; t != nil {
 			p.Exits = v.planExits(sb, t)
 		}
 		plans = append(plans, p)
@@ -118,7 +118,7 @@ var linkExitNames = map[tier2.ExitKind]string{
 	tier2.ExitGuard: "guard", tier2.ExitInd: "ind", tier2.ExitRetGuard: "ret-guard",
 }
 
-// planExits reads the link state of sb's native trace t out of the VM's
+// planExits reads the link state of sb's trace t out of the VM's
 // link table, in slot order.
 func (v *VM) planExits(sb *bref, t *tier2.Trace) []TracePlanExit {
 	unlinked := t.Unlinked()

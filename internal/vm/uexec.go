@@ -160,13 +160,6 @@ func (v *VM) uload32(addr uint32) (uint32, bool) {
 	return le32(v.mem, addr), true
 }
 
-func (v *VM) uload8(addr uint32) (uint32, bool) {
-	if !v.readable(addr, 1) {
-		return 0, false
-	}
-	return uint32(v.mem[addr]), true
-}
-
 func (v *VM) ustore32(addr, val uint32) bool {
 	if !v.writable(addr, 4) {
 		return false
@@ -552,7 +545,7 @@ func (v *VM) retGuardExit(br *bref, u *uop.Uop, target uint32) (*bref, error) {
 		return e.br, nil
 	}
 	nb, err := v.lookupBlock(target)
-	if err != nil || v.noCache {
+	if err != nil || v.level == OptReference {
 		return nb, err
 	}
 	e.br, e.addr = nb, target
@@ -571,7 +564,7 @@ func (v *VM) chainTo(slot **bref, addr uint32) (*bref, error) {
 		return c, nil
 	}
 	br, err := v.lookupBlock(addr)
-	if err != nil || v.noCache {
+	if err != nil || v.level == OptReference {
 		return br, err
 	}
 	*slot = br
@@ -589,7 +582,7 @@ func (v *VM) indirect(br *bref, target uint32) (*bref, error) {
 		return c, nil
 	}
 	nb, err := v.lookupBlock(target)
-	if err != nil || v.noCache {
+	if err != nil || v.level == OptReference {
 		return nb, err
 	}
 	br.ind, br.indAddr = nb, target
@@ -664,7 +657,7 @@ blocks:
 					brk = v.m.Brk
 					continue blocks
 				}
-				if !sb.t2Tried && !v.noT2 {
+				if !sb.t2Tried && v.level >= OptTier2 {
 					sb.heat++
 					if sb.heat >= v.t2Hot {
 						v.compileTier2(sb)
@@ -681,7 +674,7 @@ blocks:
 				}
 				br = sb
 			}
-		} else if !br.sbTried && !v.noSB {
+		} else if !br.sbTried && v.level >= OptSuperblocks {
 			br.heat++
 			if br.heat >= sbHotThreshold {
 				v.formSuperblock(br)
@@ -1196,115 +1189,6 @@ blocks:
 				if res, wb := v.ualuQ(uop.AluOp(u.Sub), regs[u.Dst], regs[u.Src]); wb {
 					regs[u.Dst] = res
 				}
-
-			// --- data-movement pair fusions ---
-			case uop.KindMovPop:
-				regs[u.Aux] = regs[u.Src]
-				sp := regs[x86.ESP]
-				if !geom.ReadOK(sp, 4, brk) {
-					return v.uopTrapN(us, i, 2, memTrap(u.Imm, sp))
-				}
-				regs[x86.ESP] = sp + 4
-				regs[u.Dst] = le32(mem, sp)
-			case uop.KindMovPopAluRR, uop.KindMovPopAluRRNF:
-				regs[u.Aux] = regs[u.Src]
-				sp := regs[x86.ESP]
-				if !geom.ReadOK(sp, 4, brk) {
-					return v.uopTrapN(us, i, 2, memTrap(u.Imm, sp))
-				}
-				regs[x86.ESP] = sp + 4
-				a, bb := le32(mem, sp), regs[u.Aux]
-				var res uint32
-				switch uop.AluOp(u.Sub) {
-				case uop.AluAdd:
-					res = a + bb
-					if u.Kind == uop.KindMovPopAluRR {
-						v.m.Fl.Op, v.m.Fl.A, v.m.Fl.B, v.m.Fl.Res = uop.FlagAdd, a, bb, res
-					}
-				case uop.AluSub:
-					res = a - bb
-					if u.Kind == uop.KindMovPopAluRR {
-						v.m.Fl.Op, v.m.Fl.A, v.m.Fl.B, v.m.Fl.Res = uop.FlagSub, a, bb, res
-					}
-				case uop.AluAnd:
-					res = a & bb
-					if u.Kind == uop.KindMovPopAluRR {
-						v.m.Fl.Op, v.m.Fl.Res = uop.FlagLogic, res
-					}
-				case uop.AluOr:
-					res = a | bb
-					if u.Kind == uop.KindMovPopAluRR {
-						v.m.Fl.Op, v.m.Fl.Res = uop.FlagLogic, res
-					}
-				default: // AluXor
-					res = a ^ bb
-					if u.Kind == uop.KindMovPopAluRR {
-						v.m.Fl.Op, v.m.Fl.Res = uop.FlagLogic, res
-					}
-				}
-				regs[u.Dst] = res
-			case uop.KindPushLoad:
-				sp := regs[x86.ESP] - 4
-				if !geom.WriteOK(sp, 4, brk) {
-					return v.uopTrap(us, i, v.storeTrap(u.EIP, sp, 4))
-				}
-				st32(mem, sp, regs[u.Src])
-				regs[x86.ESP] = sp
-				addr := u.Disp + regs[u.Base] + regs[u.Idx]*uint32(u.Scale)
-				if !geom.ReadOK(addr, 4, brk) {
-					return v.uopTrapN(us, i, 2, memTrap(u.Imm, addr))
-				}
-				regs[u.Dst] = le32(mem, addr)
-			case uop.KindLoadPush:
-				addr := u.Disp + regs[u.Base] + regs[u.Idx]*uint32(u.Scale)
-				if !geom.ReadOK(addr, 4, brk) {
-					return v.uopTrap(us, i, memTrap(u.EIP, addr))
-				}
-				regs[u.Aux] = le32(mem, addr)
-				sp := regs[x86.ESP] - 4
-				if !geom.WriteOK(sp, 4, brk) {
-					return v.uopTrapN(us, i, 2, v.storeTrap(u.Imm, sp, 4))
-				}
-				st32(mem, sp, regs[u.Src])
-				regs[x86.ESP] = sp
-			case uop.KindPushMovI:
-				sp := regs[x86.ESP] - 4
-				if !geom.WriteOK(sp, 4, brk) {
-					return v.uopTrap(us, i, v.storeTrap(u.EIP, sp, 4))
-				}
-				st32(mem, sp, regs[u.Src])
-				regs[x86.ESP] = sp
-				regs[u.Dst] = u.Imm
-			case uop.KindMovIPush:
-				regs[u.Dst] = u.Imm
-				sp := regs[x86.ESP] - 4
-				if !geom.WriteOK(sp, 4, brk) {
-					return v.uopTrapN(us, i, 2, v.storeTrap(u.Disp, sp, 4))
-				}
-				st32(mem, sp, regs[u.Src])
-				regs[x86.ESP] = sp
-			case uop.KindMovIMov:
-				regs[u.Dst] = u.Imm
-				regs[u.Aux] = regs[u.Src]
-			case uop.KindMovLoad:
-				regs[u.Aux] = regs[u.Src]
-				addr := u.Disp + regs[u.Base] + regs[u.Idx]*uint32(u.Scale)
-				if !geom.ReadOK(addr, 4, brk) {
-					return v.uopTrapN(us, i, 2, memTrap(u.Imm, addr))
-				}
-				regs[u.Dst] = le32(mem, addr)
-			case uop.KindPopStore:
-				sp := regs[x86.ESP]
-				if !geom.ReadOK(sp, 4, brk) {
-					return v.uopTrap(us, i, memTrap(u.EIP, sp))
-				}
-				regs[x86.ESP] = sp + 4
-				regs[u.Dst] = le32(mem, sp) // a popped ESP wins over the increment
-				addr := u.Disp + regs[u.Base] + regs[u.Idx]*uint32(u.Scale)
-				if !geom.WriteOK(addr, 4, brk) {
-					return v.uopTrapN(us, i, 2, v.storeTrap(u.Imm, addr, 4))
-				}
-				st32(mem, addr, regs[u.Src])
 
 			// --- superblock guard exits ---
 			case uop.KindGuard:

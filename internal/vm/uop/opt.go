@@ -10,8 +10,9 @@ import "vxa/internal/x86"
 //      logical operation collapse into one micro-op. The targets are
 //      the compiler idioms that dominate VXA decoder code — cmp/test
 //      followed by a conditional branch (or a superblock guard), the
-//      cmp/test;setcc;movzx boolean-materialization triple, and
-//      mov reg,[mem] feeding a register ALU op. Fused compare forms
+//      cmp/test;setcc;movzx boolean-materialization triple,
+//      mov reg,[mem] feeding a register ALU op, and the push;call and
+//      pop;ret pairs at function boundaries. Fused compare forms
 //      evaluate their condition directly from the operands, so the
 //      branch never pays the lazy-flag materialization dance.
 //   2. Dead-flag elimination (backward liveness): a lazy-flag record is
@@ -32,14 +33,6 @@ import "vxa/internal/x86"
 // SETcc, ADC/SBB carries, syscall and exit boundaries, and the
 // deliberate HLT/UD2 trap points — is always exact.
 
-// OptConfig selects optimizer passes; the zero value enables
-// everything. The disable knobs exist for the per-pass ablation
-// benchmarks and the differential test wall.
-type OptConfig struct {
-	NoFuse      bool // disable instruction fusion
-	NoFlagElide bool // disable dead-flag elimination
-}
-
 // OptStats counts what one Optimize call did.
 type OptStats struct {
 	UopsFused   uint64 // fused micro-ops created (each replaces 2-3 uops)
@@ -49,14 +42,10 @@ type OptStats struct {
 // Optimize runs the pass pipeline over a lowered fragment and returns
 // the (possibly shorter) optimized micro-op slice. The input slice is
 // consumed: it may be mutated and reused as backing for the result.
-func Optimize(us []Uop, cfg OptConfig) ([]Uop, OptStats) {
+func Optimize(us []Uop) ([]Uop, OptStats) {
 	var st OptStats
-	if !cfg.NoFuse {
-		us, st.UopsFused = fuse(us)
-	}
-	if !cfg.NoFlagElide {
-		st.FlagsElided = elideDeadFlags(us)
-	}
+	us, st.UopsFused = fuse(us)
+	st.FlagsElided = elideDeadFlags(us)
 	return us, st
 }
 
@@ -160,15 +149,6 @@ func fuseAt(us []Uop, i int) (Uop, int) {
 		}
 
 	case KindLoad:
-		switch next.Kind {
-		case KindPushR:
-			// mov Aux, [ea] ; push Src (usually the loaded register).
-			f := *u
-			f.Kind, f.Aux, f.Src = KindLoadPush, u.Dst, next.Src
-			f.Imm = next.EIP
-			f.Next, f.Cost = next.Next, u.Cost+next.Cost
-			return f, 2
-		}
 		op, ok := loadAluOps[next.Kind]
 		if !ok {
 			return Uop{}, 0
@@ -191,68 +171,8 @@ func fuseAt(us []Uop, i int) (Uop, int) {
 		f.Cost = u.Cost + next.Cost
 		return f, 2
 
-	case KindMovRR:
-		switch next.Kind {
-		case KindPopR:
-			// The binary-operation tail: mov rB, rA ; pop rC [; op rC, rB].
-			// With the matching ALU op adjacent the whole triple fuses —
-			// unless rB == rC: then the pop overwrites the moved value
-			// and the ALU must read the popped one, so only the pair
-			// fuses and the ALU stays a separate micro-op.
-			if i+2 < len(us) && u.Dst != next.Dst {
-				if op, ok := loadAluOps[us[i+2].Kind]; ok && op != AluCmp && op != AluTest &&
-					us[i+2].Dst == next.Dst && us[i+2].Src == u.Dst {
-					return Uop{
-						Kind: KindMovPopAluRR, Sub: uint8(op),
-						Aux: u.Dst, Src: u.Src, Dst: next.Dst,
-						Imm: next.EIP, EIP: u.EIP, Next: us[i+2].Next,
-						Cost: u.Cost + next.Cost + us[i+2].Cost,
-					}, 3
-				}
-			}
-			return Uop{
-				Kind: KindMovPop, Aux: u.Dst, Src: u.Src, Dst: next.Dst,
-				Imm: next.EIP, EIP: u.EIP, Next: next.Next,
-				Cost: u.Cost + next.Cost,
-			}, 2
-		case KindLoad:
-			f := *next
-			f.Kind, f.Aux, f.Src = KindMovLoad, u.Dst, u.Src
-			f.Imm = next.EIP
-			f.EIP, f.Cost = u.EIP, u.Cost+next.Cost
-			return f, 2
-		}
-
-	case KindMovRI:
-		switch next.Kind {
-		case KindPushR:
-			return Uop{
-				Kind: KindMovIPush, Dst: u.Dst, Imm: u.Imm, Src: next.Src,
-				Disp: next.EIP, EIP: u.EIP, Next: next.Next,
-				Cost: u.Cost + next.Cost,
-			}, 2
-		case KindMovRR:
-			return Uop{
-				Kind: KindMovIMov, Dst: u.Dst, Imm: u.Imm,
-				Aux: next.Dst, Src: next.Src,
-				EIP: u.EIP, Next: next.Next, Cost: u.Cost + next.Cost,
-			}, 2
-		}
-
 	case KindPushR:
-		switch next.Kind {
-		case KindLoad:
-			f := *next
-			f.Kind, f.Src = KindPushLoad, u.Src
-			f.Imm = next.EIP
-			f.EIP, f.Cost = u.EIP, u.Cost+next.Cost
-			return f, 2
-		case KindMovRI:
-			return Uop{
-				Kind: KindPushMovI, Src: u.Src, Dst: next.Dst, Imm: next.Imm,
-				EIP: u.EIP, Next: next.Next, Cost: u.Cost + next.Cost,
-			}, 2
-		case KindCall:
+		if next.Kind == KindCall {
 			return Uop{
 				Kind: KindPushCall, Src: u.Src, Target: next.Target,
 				Imm: next.EIP, EIP: u.EIP, Next: next.Next,
@@ -261,19 +181,9 @@ func fuseAt(us []Uop, i int) (Uop, int) {
 		}
 
 	case KindPopR:
-		switch next.Kind {
-		case KindStore:
-			f := *next
-			f.Kind, f.Dst = KindPopStore, u.Dst
-			f.Imm = next.EIP
-			f.EIP, f.Cost = u.EIP, u.Cost+next.Cost
-			return f, 2
-		case KindRet:
-			// pop esp would redirect the RET's own stack read; leave
-			// that (pathological) shape unfused.
-			if u.Dst == uint8(x86.ESP) {
-				return Uop{}, 0
-			}
+		// pop esp would redirect the RET's own stack read; leave that
+		// (pathological) shape unfused.
+		if next.Kind == KindRet && u.Dst != uint8(x86.ESP) {
 			return Uop{
 				Kind: KindPopRet, Dst: u.Dst, Imm: next.Imm,
 				Disp: next.EIP, EIP: u.EIP, Next: next.Next,
@@ -298,7 +208,7 @@ var nfKinds = map[Kind]Kind{
 	KindTestRR: KindNop, KindTestRI: KindNop,
 	KindCmpBoolRR: KindCmpBoolRRNF, KindCmpBoolRI: KindCmpBoolRINF,
 	KindTestBoolRR: KindTestBoolRRNF, KindTestBoolRI: KindTestBoolRINF,
-	KindLoadAluRR: KindLoadAluRRNF, KindMovPopAluRR: KindMovPopAluRRNF,
+	KindLoadAluRR:  KindLoadAluRRNF,
 	KindGuardCmpRR: KindGuardCmpRRNF, KindGuardCmpRI: KindGuardCmpRINF,
 	KindGuardTestRR: KindGuardTestRRNF, KindGuardTestRI: KindGuardTestRINF,
 }
@@ -342,7 +252,7 @@ func flagEffect(u *Uop) (use, def x86.FlagSet) {
 		KindCmpJccRR, KindCmpJccRI, KindTestJccRR, KindTestJccRI,
 		KindCmpSetccRR, KindCmpSetccRI, KindTestSetccRR, KindTestSetccRI,
 		KindCmpBoolRR, KindCmpBoolRI, KindTestBoolRR, KindTestBoolRI,
-		KindLoadAluRR, KindMovPopAluRR:
+		KindLoadAluRR:
 		return x86.FlagsNone, x86.FlagsAll
 
 	case KindAluRR, KindAluRI, KindAluRM, KindAluMR, KindAluMI,

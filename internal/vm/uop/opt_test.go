@@ -29,7 +29,7 @@ func TestFuseCmpJcc(t *testing.T) {
 		{Op: x86.JCC, CC: x86.CCL, Rel: 16},
 	})
 	before := Cost(us)
-	out, st := Optimize(us, OptConfig{})
+	out, st := Optimize(us)
 	if len(out) != 1 || out[0].Kind != KindCmpJccRR {
 		t.Fatalf("want one KindCmpJccRR, got %+v", out)
 	}
@@ -52,7 +52,7 @@ func TestFuseBoolTriple(t *testing.T) {
 		{Op: x86.SETCC, CC: x86.CCB, Dst: x86.R8(x86.EAX)},
 		{Op: x86.MOVZX, Dst: x86.R(x86.EAX), Src: x86.R8(x86.EAX)},
 	})
-	out, _ := Optimize(us, OptConfig{})
+	out, _ := Optimize(us)
 	if len(out) != 1 || out[0].Kind != KindCmpBoolRR {
 		t.Fatalf("want one KindCmpBoolRR, got %+v", out)
 	}
@@ -61,33 +61,40 @@ func TestFuseBoolTriple(t *testing.T) {
 	}
 }
 
-// TestFuseMovPopAlu pins the compiler's binary-operation tail
-// (mov ecx,eax; pop eax; add eax,ecx) fusing into one micro-op.
-func TestFuseMovPopAlu(t *testing.T) {
+// TestFuseCallReturn pins the two stack fusions that remain — push;call
+// and pop;ret, the function-boundary idioms — and that the vxcc-2
+// stack-shuffle pairs around them stay two micro-ops each.
+func TestFuseCallReturn(t *testing.T) {
 	us := lowerSeq(t, []x86.Inst{
 		{Op: x86.MOV, Dst: x86.R(x86.ECX), Src: x86.R(x86.EAX)},
 		{Op: x86.POP, Dst: x86.R(x86.EAX)},
 		{Op: x86.ADD, Dst: x86.R(x86.EAX), Src: x86.R(x86.ECX)},
+		{Op: x86.PUSH, Dst: x86.R(x86.EAX)},
+		{Op: x86.CALL, Rel: 64},
 	})
-	out, _ := Optimize(us, OptConfig{})
-	if len(out) != 1 || out[0].Kind != KindMovPopAluRR {
-		t.Fatalf("want one KindMovPopAluRR, got %+v", out)
+	before := Cost(us)
+	out, st := Optimize(us)
+	if len(out) != 4 || out[3].Kind != KindPushCall || out[3].Cost != 2 || st.UopsFused != 1 {
+		t.Fatalf("want mov, pop, add, PushCall; got %+v (fused %d)", out, st.UopsFused)
 	}
-	if out[0].Cost != 3 || AluOp(out[0].Sub) != AluAdd {
-		t.Fatalf("bad fused op: %+v", out[0])
+	if Cost(out) != before {
+		t.Fatalf("cost changed: %d -> %d", before, Cost(out))
 	}
 
-	// The aliased shape mov rB,rA ; pop rB ; op rB,rB must NOT take the
-	// triple: the pop overwrites the moved value, so the ALU reads the
-	// popped word on both operands. Only the mov/pop pair fuses.
 	us = lowerSeq(t, []x86.Inst{
-		{Op: x86.MOV, Dst: x86.R(x86.EBX), Src: x86.R(x86.EAX)},
-		{Op: x86.POP, Dst: x86.R(x86.EBX)},
-		{Op: x86.ADD, Dst: x86.R(x86.EBX), Src: x86.R(x86.EBX)},
+		{Op: x86.POP, Dst: x86.R(x86.EBP)},
+		{Op: x86.RET},
 	})
-	out, _ = Optimize(us, OptConfig{})
-	if len(out) != 2 || out[0].Kind != KindMovPop {
-		t.Fatalf("aliased triple must fuse only the pair: %+v", out)
+	if out, _ = Optimize(us); len(out) != 1 || out[0].Kind != KindPopRet {
+		t.Fatalf("want one KindPopRet, got %+v", out)
+	}
+	// pop esp would move the stack the RET reads: never fused.
+	us = lowerSeq(t, []x86.Inst{
+		{Op: x86.POP, Dst: x86.R(x86.ESP)},
+		{Op: x86.RET},
+	})
+	if out, _ = Optimize(us); len(out) != 2 {
+		t.Fatalf("pop esp ; ret fused: %+v", out)
 	}
 }
 
@@ -99,7 +106,7 @@ func TestElideDeadFlags(t *testing.T) {
 		{Op: x86.ADD, Dst: x86.R(x86.EAX), Src: x86.R(x86.ECX)}, // dead: xor clobbers
 		{Op: x86.XOR, Dst: x86.R(x86.EDX), Src: x86.R(x86.EDX)}, // live at exit
 	})
-	out, st := Optimize(us, OptConfig{NoFuse: true})
+	out, st := Optimize(us)
 	if st.FlagsElided != 1 {
 		t.Fatalf("FlagsElided = %d, want 1", st.FlagsElided)
 	}
@@ -116,7 +123,7 @@ func TestElideRespectsConsumers(t *testing.T) {
 		{Op: x86.ADD, Dst: x86.R(x86.EAX), Src: x86.R(x86.ECX)}, // CF feeds ADC
 		{Op: x86.ADC, Dst: x86.R(x86.EDX), Src: x86.R(x86.EBX)},
 	})
-	out, st := Optimize(us, OptConfig{NoFuse: true})
+	out, st := Optimize(us)
 	if st.FlagsElided != 0 {
 		t.Fatalf("FlagsElided = %d, want 0", st.FlagsElided)
 	}
@@ -129,24 +136,8 @@ func TestElideRespectsConsumers(t *testing.T) {
 		{Op: x86.CMP, Dst: x86.R(x86.EAX), Src: x86.R(x86.ECX)},
 		{Op: x86.SUB, Dst: x86.R(x86.EAX), Src: x86.R(x86.ECX)},
 	})
-	out, st = Optimize(us, OptConfig{NoFuse: true})
+	out, st = Optimize(us)
 	if st.FlagsElided != 1 || out[0].Kind != KindNop || out[0].Cost != 1 {
 		t.Fatalf("dead CMP not elided to a costed NOP: %+v (elided %d)", out[0], st.FlagsElided)
-	}
-}
-
-// TestOptDisabled pins the ablation knobs: with both passes off the
-// lowering is returned untouched.
-func TestOptDisabled(t *testing.T) {
-	us := lowerSeq(t, []x86.Inst{
-		{Op: x86.CMP, Dst: x86.R(x86.EAX), Src: x86.R(x86.ECX)},
-		{Op: x86.JCC, CC: x86.CCE, Rel: 4},
-	})
-	out, st := Optimize(us, OptConfig{NoFuse: true, NoFlagElide: true})
-	if len(out) != 2 || st.UopsFused != 0 || st.FlagsElided != 0 {
-		t.Fatalf("disabled optimizer still changed the fragment: %+v %+v", out, st)
-	}
-	if out[0].Kind != KindCmpRR || out[1].Kind != KindJcc {
-		t.Fatalf("bad kinds: %v %v", out[0].Kind, out[1].Kind)
 	}
 }

@@ -186,23 +186,11 @@ const (
 	KindLoadAluRR
 	KindLoadAluRRNF
 
-	// Data-movement pair fusions. The VXA compiler's stack-machine
-	// codegen makes push/pop/mov shuffles the bulk of the dynamic
-	// micro-op stream (a binary operation is push lhs ... mov ecx,eax;
-	// pop eax; op), so collapsing the stereotyped adjacent pairs halves
-	// their dispatch count. Where the second constituent instruction
-	// can trap, its EIP rides in an otherwise-unused field, noted per
-	// kind; the executor reports faults with started=2 accounting.
-	KindMovPop      // Aux ← Src ; Dst ← pop          (pop EIP in Imm)
-	KindMovPopAluRR // Aux ← Src ; Dst ← pop ; Dst ← Dst Sub Aux (pop EIP in Imm)
-	KindMovPopAluRRNF
-	KindPushLoad // push Src ; Dst ← mem32[ea]        (load EIP in Imm)
-	KindLoadPush // Aux ← mem32[ea] ; push Src        (push EIP in Imm)
-	KindPushMovI // push Src ; Dst ← Imm
-	KindMovIPush // Dst ← Imm ; push Src              (push EIP in Disp)
-	KindMovIMov  // Dst ← Imm ; Aux ← Src
-	KindMovLoad  // Aux ← Src ; Dst ← mem32[ea]       (load EIP in Imm)
-	KindPopStore // Dst ← pop ; mem32[ea] ← Src       (store EIP in Imm)
+	// Call/return pair fusions: push arg ; call and pop reg ; ret, the
+	// idioms around every function boundary. The second constituent
+	// instruction can trap, so its EIP rides in an otherwise-unused
+	// field, noted per kind; the executor reports its faults with
+	// started=2 accounting.
 	KindPopRet   // Dst ← pop ; eip ← pop ; esp += Imm (ret EIP in Disp); terminator
 	KindPushCall // push Src ; push Next ; eip ← Target (call EIP in Imm); terminator
 

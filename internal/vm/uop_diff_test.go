@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"os"
+	"strings"
 	"testing"
 
 	"vxa/internal/vm/tier2"
@@ -27,10 +27,13 @@ const (
 )
 
 // diffVM builds a VM with a writable two-page region covering the code
-// and data areas used by the differential tests.
-func diffVM(t *testing.T) *VM {
+// and data areas used by the differential tests, at the process's
+// default level; diffVMAt builds it at a given one.
+func diffVM(t *testing.T) *VM { return diffVMAt(t, OptDefault) }
+
+func diffVMAt(t *testing.T, level OptLevel) *VM {
 	t.Helper()
-	v, err := New(Config{MemSize: 4 << 20})
+	v, err := New(Config{MemSize: 4 << 20, OptLevel: level})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,30 +379,39 @@ func TestDiffCondAfterLazyOp(t *testing.T) {
 	}
 }
 
-// TestDiffFusedPairTraps pins the trap behavior of the fused data-
-// movement pairs: when the second constituent instruction faults, the
-// first must be architecturally committed, the trap must report the
-// second instruction's EIP, and the fuel charge must match the
-// reference engine's charge-before-execute discipline exactly.
+// TestDiffFusedPairTraps runs short guests in the shape vxcc 2 emitted —
+// a stack machine's push/pop/mov shuffles — at every optimization level
+// against the reference interpreter: trap kind, EIP and address,
+// registers, flags, heap and stack, Steps and fuel (linkGuest.runOnce).
+// The pair cases fault in their second instruction: the first must be
+// architecturally committed, the trap must report the second's EIP and
+// the fuel charge must match the reference's charge-before-execute
+// discipline. The engine once fused each of these pairs into one
+// micro-op; push;call and pop;ret still are, the rest now run as the two
+// micro-ops they lower to, and nothing a guest can observe may tell.
+// The loop cases are iterated until they are hot at every level that
+// promotes anything: a whole loop in the vxcc-2 shape, and one of the
+// fusions that remain.
 func TestDiffFusedPairTraps(t *testing.T) {
-	const fuel = 100
-	type pairCase struct {
+	esi := x86.MSIB(x86.ESI, x86.NoReg, 1, 0, 4)
+	ecx := x86.MSIB(x86.ECX, x86.NoReg, 1, 0, 4)
+	badMem := map[x86.Reg]uint32{x86.ECX: 0x10, x86.ESI: diffData}
+	badStack := map[x86.Reg]uint32{x86.ESP: 0x10, x86.ESI: diffData} // below the first page
+	cases := []struct {
 		name  string
 		insts []x86.Inst
-		setup func(v *VM)
-	}
-	badStack := func(v *VM) { v.m.Regs[x86.ESP] = 0x10 } // below the first page
-	cases := []pairCase{
+		regs  map[x86.Reg]uint32
+	}{
 		{"push-load", []x86.Inst{
 			{Op: x86.PUSH, Dst: x86.R(x86.EAX)},
-			{Op: x86.MOV, Dst: x86.R(x86.EDX), Src: x86.MSIB(x86.ECX, x86.NoReg, 1, 0, 4)},
-		}, func(v *VM) { v.m.Regs[x86.ECX] = 0x10 }},
+			{Op: x86.MOV, Dst: x86.R(x86.EDX), Src: ecx},
+		}, badMem},
 		{"mov-load", []x86.Inst{
 			{Op: x86.MOV, Dst: x86.R(x86.EBX), Src: x86.R(x86.EAX)},
-			{Op: x86.MOV, Dst: x86.R(x86.EDX), Src: x86.MSIB(x86.ECX, x86.NoReg, 1, 0, 4)},
-		}, func(v *VM) { v.m.Regs[x86.ECX] = 0x10 }},
+			{Op: x86.MOV, Dst: x86.R(x86.EDX), Src: ecx},
+		}, badMem},
 		{"load-push", []x86.Inst{
-			{Op: x86.MOV, Dst: x86.R(x86.EDX), Src: x86.MSIB(x86.ESI, x86.NoReg, 1, 0, 4)},
+			{Op: x86.MOV, Dst: x86.R(x86.EDX), Src: esi},
 			{Op: x86.PUSH, Dst: x86.R(x86.EDX)},
 		}, badStack},
 		{"mov-pop", []x86.Inst{
@@ -413,8 +425,8 @@ func TestDiffFusedPairTraps(t *testing.T) {
 		}, badStack},
 		{"pop-store", []x86.Inst{
 			{Op: x86.POP, Dst: x86.R(x86.EDX)},
-			{Op: x86.MOV, Dst: x86.MSIB(x86.ECX, x86.NoReg, 1, 0, 4), Src: x86.R(x86.EAX)},
-		}, func(v *VM) { v.m.Regs[x86.ECX] = 0x10 }},
+			{Op: x86.MOV, Dst: ecx, Src: x86.R(x86.EAX)},
+		}, badMem},
 		{"movi-push", []x86.Inst{
 			{Op: x86.MOV, Dst: x86.R(x86.EAX), Src: x86.I(42)},
 			{Op: x86.PUSH, Dst: x86.R(x86.EBX)},
@@ -422,69 +434,81 @@ func TestDiffFusedPairTraps(t *testing.T) {
 		{"pop-ret", []x86.Inst{
 			{Op: x86.POP, Dst: x86.R(x86.EDX)},
 			{Op: x86.RET},
-		}, func(v *VM) { v.m.Regs[x86.ESP] = v.MemSize() - 4 }}, // pop ok, ret beyond the top
+		}, map[x86.Reg]uint32{x86.ESP: 4<<20 - 4}}, // pop ok, ret beyond the top
 		{"push-call", []x86.Inst{
 			{Op: x86.PUSH, Dst: x86.R(x86.EAX)},
 			{Op: x86.CALL, Rel: 16},
-		}, func(v *VM) { v.m.Regs[x86.ESP] = v.stackBase + 4 }}, // arg push ok, return push in the guard gap
+		}, map[x86.Reg]uint32{x86.ESP: 4<<20 - DefaultStackSize + 4}}, // arg push ok, return push in the guard gap
+		{"vxcc2-loop", vxcc2Loop, map[x86.Reg]uint32{x86.EBP: diffData + 32, x86.EDI: 300}},
+		// The shapes that stay fused, in a loop hot enough to compile:
+		// a load feeding an ALU op whose operand order matters, and a
+		// cmp;jcc that ends the trace.
+		{"load-alu-cmp-jcc-loop", []x86.Inst{
+			{Op: x86.ADD, Dst: x86.R(x86.EAX), Src: x86.I(3)},
+			{Op: x86.MOV, Dst: x86.MSIB(x86.EBP, x86.NoReg, 1, -4, 4), Src: x86.R(x86.EAX)},
+			{Op: x86.MOV, Dst: x86.R(x86.ECX), Src: x86.MSIB(x86.EBP, x86.NoReg, 1, -4, 4)},
+			{Op: x86.SUB, Dst: x86.R(x86.EDX), Src: x86.R(x86.ECX)},
+			{Op: x86.CMP, Dst: x86.R(x86.EAX), Src: x86.R(x86.EDI)},
+			{Op: x86.JCC, CC: x86.CCL},
+		}, map[x86.Reg]uint32{x86.EAX: 0, x86.EBP: diffData + 32, x86.EDI: 900}},
 	}
-
-	rng := rand.New(rand.NewSource(9))
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			v1 := diffVM(t)
-			v2 := diffVM(t)
-			seedState(t, rng, v1, v2)
-			v1.m.Regs[x86.ESI], v2.m.Regs[x86.ESI] = diffData, diffData
-			tc.setup(v1)
-			tc.setup(v2)
-			v1.m.Fuel, v2.m.Fuel = fuel, fuel
-
-			var code []byte
-			for _, inst := range tc.insts {
-				enc, err := x86.Encode(inst)
-				if err != nil {
-					t.Fatal(err)
+		a := &t2asm{t: t, base: diffCode}
+		for _, inst := range tc.insts {
+			if inst.Op == x86.JCC {
+				a.jcc(inst.CC, diffCode) // the loop's back edge
+				continue
+			}
+			a.emit(inst)
+		}
+		a.emit(x86.Inst{Op: x86.UD2})
+		g := linkGuest{code: a.code, regs: tc.regs, fuel: 20000}
+		for _, level := range OptLevels() {
+			t.Run(tc.name+"/"+level.String(), func(t *testing.T) {
+				v1, v2 := diffVMAt(t, level), diffVM(t)
+				seed := [8]uint32{0x1234567, 0x89ABCDEF, 0xDEADBEEF, 0x0BADF00D, 0, 0, 0x600DCAFE, 0xFEEDFACE}
+				for run := 0; run < 2; run++ { // the second on what the first translated
+					g.runOnce(t, v1, v2, seed)
 				}
-				code = append(code, enc...)
-			}
-			code = append(code, 0x0F, 0x0B) // ud2
-			copy(v1.mem[diffCode:], code)
-			copy(v2.mem[diffCode:], code)
-
-			v1.blocks = make(map[uint32]*bref)
-			v1.eip = diffCode
-			br, err := v1.lookupBlock(diffCode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			err1 := v1.execUops(br)
-			v1.materializeFlags()
-
-			v2.eip = diffCode
-			refSteps, err2 := refRun(v2, 100)
-
-			tr1, ok1 := err1.(*Trap)
-			tr2, ok2 := err2.(*Trap)
-			if !ok1 || !ok2 {
-				t.Fatalf("no trap: uop %v, ref %v", err1, err2)
-			}
-			if tr1.Kind != tr2.Kind || tr1.EIP != tr2.EIP || tr1.Addr != tr2.Addr {
-				t.Fatalf("trap diverged: uop %v, ref %v", tr1, tr2)
-			}
-			for r := 0; r < 8; r++ {
-				if v1.m.Regs[r] != v2.m.Regs[r] {
-					t.Fatalf("%s = %#x (uop) vs %#x (ref)", x86.Reg(r), v1.m.Regs[r], v2.m.Regs[r])
+				if strings.HasSuffix(tc.name, "-loop") && level >= OptTier2 && nativeTier2() && v1.Stats().Tier2Steps == 0 {
+					t.Fatal("the loop never ran compiled")
 				}
-			}
-			// Reference discipline: every started instruction (the
-			// faulting one included) costs one fuel.
-			if want := int64(fuel - refSteps - 1); v1.m.Fuel != want {
-				t.Fatalf("fuel = %d, want %d (ref started %d+1 instructions)", v1.m.Fuel, want, refSteps)
-			}
-		})
+			})
+		}
 	}
 }
+
+// vxcc2Loop is `for (i = 0; i < n; i++) acc += 12 + (3 - i)` the way
+// vxcc 2 wrote it: every operand through the stack, EAX the accumulator,
+// ECX the right-hand side, i at [ebp-4] and acc at [ebp-8] (zeroed data
+// page), n in EDI. Between them its lines are all nine adjacent pairs (and the
+// one triple) the optimizer used to fuse, named in the margin; the JCC
+// closes the loop to the guest's first instruction.
+var vxcc2Loop = func() []x86.Inst {
+	eax, ecx, edx := x86.R(x86.EAX), x86.R(x86.ECX), x86.R(x86.EDX)
+	i, acc := x86.MSIB(x86.EBP, x86.NoReg, 1, -4, 4), x86.MSIB(x86.EBP, x86.NoReg, 1, -8, 4)
+	mov := func(dst, src x86.Arg) x86.Inst { return x86.Inst{Op: x86.MOV, Dst: dst, Src: src} }
+	push := x86.Inst{Op: x86.PUSH, Dst: eax}
+	pop := func(dst x86.Arg) x86.Inst { return x86.Inst{Op: x86.POP, Dst: dst} }
+	return []x86.Inst{
+		mov(eax, acc), push, // load ; push
+		mov(eax, x86.I(7)), push, // mov imm ; push
+		mov(eax, x86.I(5)), mov(ecx, eax), // mov imm ; mov
+		pop(eax), {Op: x86.ADD, Dst: eax, Src: ecx}, // 12
+		mov(ecx, eax), pop(eax), {Op: x86.ADD, Dst: eax, Src: ecx}, // mov ; pop ; alu, flags dead: acc + 12
+		push, mov(eax, i), // push ; load
+		push, mov(eax, x86.I(3)), // push ; mov imm
+		mov(ecx, eax), pop(edx), // mov ; pop
+		{Op: x86.SUB, Dst: ecx, Src: edx},                          // 3 - i
+		mov(eax, ecx), pop(ecx), {Op: x86.ADD, Dst: eax, Src: ecx}, // acc + 12 + (3 - i)
+		push, mov(ecx, eax), mov(eax, i), // mov ; load
+		{Op: x86.ADD, Dst: eax, Src: x86.I(1)}, mov(i, eax), // i++
+		pop(eax), mov(acc, eax), // pop ; store
+		mov(eax, i), push, mov(eax, x86.R(x86.EDI)),
+		mov(ecx, eax), pop(eax), {Op: x86.SUB, Dst: eax, Src: ecx}, // mov ; pop ; alu, flags live: i - n
+		{Op: x86.JCC, CC: x86.CCL},
+	}
+}()
 
 // ---------------------------------------------------------------------------
 // Long-horizon differential soak: whole random programs, not single
@@ -733,10 +757,13 @@ func soakBuildProgram(t *testing.T, rng *rand.Rand, mem []byte) {
 	}
 }
 
-// soakVM builds a VM with the program image mapped read-write.
-func soakVM(t *testing.T, image []byte) *VM {
+// soakVM builds a VM with the program image mapped read-write, at the
+// process's default level; soakVMAt builds it at a given one.
+func soakVM(t *testing.T, image []byte) *VM { return soakVMAt(t, image, OptDefault) }
+
+func soakVMAt(t *testing.T, image []byte, level OptLevel) *VM {
 	t.Helper()
-	v, err := New(Config{MemSize: 4 << 20})
+	v, err := New(Config{MemSize: 4 << 20, OptLevel: level})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -792,11 +819,7 @@ func refRun(v *VM, maxSteps int) (int, error) {
 // to the exit trap, and returns the VM and its trap.
 func soakRunUop(t *testing.T, image []byte, cfg Config, seed func(*VM)) (*VM, *Trap) {
 	t.Helper()
-	v, err := New(Config{
-		MemSize: 4 << 20, Fuel: cfg.Fuel,
-		NoBlockCache: cfg.NoBlockCache, NoFlagElision: cfg.NoFlagElision,
-		NoFusion: cfg.NoFusion, NoSuperblocks: cfg.NoSuperblocks,
-	})
+	v, err := New(Config{MemSize: 4 << 20, Fuel: cfg.Fuel, OptLevel: cfg.OptLevel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -818,22 +841,17 @@ func soakRunUop(t *testing.T, image []byte, cfg Config, seed func(*VM)) (*VM, *T
 	return v, tr
 }
 
-// TestOptAblation runs identical soak programs under every optimizer
-// configuration — full pipeline, each pass disabled, everything
-// disabled — and requires the complete architectural outcome (trap
-// site, registers, flags, the whole guest image including the per-
-// block checkpoint trace) to be identical. The optimizer may only buy
-// speed, never observable behavior. A second round repeats the
+// TestOptLadder runs identical soak programs at every optimization
+// level — from one instruction per fragment up to every superblock
+// compiled on first entry — and requires the complete architectural
+// outcome (trap site, registers, flags, the whole guest image including
+// the per-block checkpoint trace, Steps) to be identical. A level may
+// only buy speed, never observable behavior. A second round repeats the
 // comparison under a tight fuel budget, pinning the fuel-trap EIP and
-// accounting through fused micro-ops and superblock promotion.
-func TestOptAblation(t *testing.T) {
-	configs := []Config{
-		{},
-		{NoFlagElision: true},
-		{NoFusion: true},
-		{NoSuperblocks: true},
-		{NoFlagElision: true, NoFusion: true, NoSuperblocks: true},
-	}
+// accounting through fused micro-ops, superblock promotion and compiled
+// traces.
+func TestOptLadder(t *testing.T) {
+	levels := OptLevels()
 	for _, seed := range []int64{11, 22} {
 		rng := rand.New(rand.NewSource(seed))
 		image := make([]byte, soakSpan)
@@ -852,29 +870,27 @@ func TestOptAblation(t *testing.T) {
 		}
 
 		for _, fuel := range []int64{0 /* unlimited */, 20011} {
-			base, baseTrap := soakRunUop(t, image, Config{Fuel: fuel}, seedVM)
-			for ci := 1; ci < len(configs); ci++ {
-				cfg := configs[ci]
-				cfg.Fuel = fuel
-				v, tr := soakRunUop(t, image, cfg, seedVM)
+			base, baseTrap := soakRunUop(t, image, Config{Fuel: fuel, OptLevel: levels[0]}, seedVM)
+			for _, level := range levels[1:] {
+				v, tr := soakRunUop(t, image, Config{Fuel: fuel, OptLevel: level}, seedVM)
 				if tr.Kind != baseTrap.Kind || tr.EIP != baseTrap.EIP {
-					t.Fatalf("seed %d fuel %d config %d: trap %v, want %v", seed, fuel, ci, tr, baseTrap)
+					t.Fatalf("seed %d fuel %d level %v: trap %v, want %v", seed, fuel, level, tr, baseTrap)
 				}
 				for r := 0; r < 8; r++ {
 					if v.m.Regs[r] != base.m.Regs[r] {
-						t.Fatalf("seed %d fuel %d config %d: %s = %#x, want %#x",
-							seed, fuel, ci, x86.Reg(r), v.m.Regs[r], base.m.Regs[r])
+						t.Fatalf("seed %d fuel %d level %v: %s = %#x, want %#x",
+							seed, fuel, level, x86.Reg(r), v.m.Regs[r], base.m.Regs[r])
 					}
 				}
 				if v.m.CF != base.m.CF || v.m.ZF != base.m.ZF || v.m.SF != base.m.SF || v.m.OF != base.m.OF || v.m.PF != base.m.PF {
-					t.Fatalf("seed %d fuel %d config %d: flags diverged", seed, fuel, ci)
+					t.Fatalf("seed %d fuel %d level %v: flags diverged", seed, fuel, level)
 				}
 				if !bytes.Equal(v.mem[soakCode:soakCode+soakSpan], base.mem[soakCode:soakCode+soakSpan]) {
-					t.Fatalf("seed %d fuel %d config %d: guest image diverged", seed, fuel, ci)
+					t.Fatalf("seed %d fuel %d level %v: guest image diverged", seed, fuel, level)
 				}
 				if v.Stats().Steps != base.Stats().Steps {
-					t.Fatalf("seed %d fuel %d config %d: steps %d, want %d",
-						seed, fuel, ci, v.Stats().Steps, base.Stats().Steps)
+					t.Fatalf("seed %d fuel %d level %v: steps %d, want %d",
+						seed, fuel, level, v.Stats().Steps, base.Stats().Steps)
 				}
 			}
 		}
@@ -935,31 +951,20 @@ func TestSuperblockSnapshotReset(t *testing.T) {
 // site, the final architectural state, the memory image — including
 // the per-block-boundary checkpoint trace — must agree exactly, over
 // 10k+ steps per seed.
-func TestDiffSoakMultiBlock(t *testing.T) { runDiffSoakMultiBlock(t) }
+func TestDiffSoakMultiBlock(t *testing.T) { runDiffSoakMultiBlock(t, OptDefault) }
 
 // TestDiffSoakTier2Forced reruns the multi-block soak with the tier-2
 // engine forced to both extremes: every superblock promoted on first
-// entry (native and closure backends) and the tier disabled outright.
-// The soak's exactness assertions — trap EIP, steps==fuel accounting,
-// registers, flags, memory image — must hold identically in all three,
-// which is the wall that keeps compiled traces architecturally
-// indistinguishable from the dispatch loop. Every program runs twice on
-// its one VM: the second pass starts on the traces the first one
-// compiled and linked, so it goes from trace to trace where the first
-// came back to the dispatcher.
-func TestDiffSoakTier2Forced(t *testing.T) {
-	for _, leg := range tier2Legs {
-		leg := leg
-		t.Run(leg.name, func(t *testing.T) {
-			for k, v := range leg.env {
-				t.Setenv(k, v)
-			}
-			runDiffSoakMultiBlock(t)
-		})
-	}
-}
+// entry and the tier disabled outright. The soak's exactness assertions
+// — trap EIP, steps==fuel accounting, registers, flags, memory image —
+// must hold identically in both, which is the wall that keeps compiled
+// traces architecturally indistinguishable from the dispatch loop. Every
+// program runs twice on its one VM: the second pass starts on the traces
+// the first one compiled and linked, so it goes from trace to trace
+// where the first came back to the dispatcher.
+func TestDiffSoakTier2Forced(t *testing.T) { forTier2Legs(t, runDiffSoakMultiBlock) }
 
-func runDiffSoakMultiBlock(t *testing.T) {
+func runDiffSoakMultiBlock(t *testing.T, level OptLevel) {
 	seeds := []int64{101, 202, 303, 404, 505, 606}
 	if testing.Short() {
 		seeds = seeds[:2]
@@ -970,7 +975,7 @@ func runDiffSoakMultiBlock(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			image := make([]byte, soakSpan)
 			soakBuildProgram(t, rng, image)
-			v1 := soakVM(t, image) // uop engine
+			v1 := soakVMAt(t, image, level) // uop engine
 			regSeed := rng.Int63()
 			for pass := 1; pass <= 2; pass++ {
 				soakDiffPass(t, v1, image, regSeed)
@@ -978,10 +983,8 @@ func runDiffSoakMultiBlock(t *testing.T) {
 					t.Fatalf("pass %d on this VM", pass)
 				}
 			}
-			if hot := os.Getenv("VXA_TIER2_HOT") == "1" && !envNoTier2(); hot {
-				if _, err := v1.CheckLinks(); err != nil {
-					t.Fatal(err)
-				}
+			if _, err := v1.CheckLinks(); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
@@ -1034,9 +1037,8 @@ func soakDiffPass(t *testing.T, v1 *VM, image []byte, regSeed int64) {
 	// silently stayed on tier-1 would prove nothing. The one
 	// legitimate escape: a seed whose every superblock holds a
 	// micro-op unsupported by design (a KindGeneric/KindString
-	// interpreter escape), which no tier-2 backend compiles.
-	if os.Getenv("VXA_TIER2_HOT") == "1" && !envNoTier2() &&
-		v1.stats.Tier2Executed == executed0 {
+	// interpreter escape), which tier 2 never compiles.
+	if v1.level == OptEager && nativeTier2() && v1.stats.Tier2Executed == executed0 {
 		for _, br := range v1.blocks {
 			if br.sb == nil {
 				continue

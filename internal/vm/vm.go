@@ -141,27 +141,13 @@ type Config struct {
 	StackSize uint32
 	// Fuel is the guest instruction budget per VM. Defaults to DefaultFuel.
 	Fuel int64
-	// NoBlockCache disables the basic-block fragment cache, forcing the VM
-	// to re-decode every instruction (the §4.2 translation-cache ablation).
-	// It also disables the translation-time optimizer: single-instruction
-	// fragments have nothing to fuse or analyze.
-	NoBlockCache bool
-
-	// NoFlagElision disables the optimizer's dead-flag elimination pass
-	// (per-pass ablation; see uop.Optimize).
-	NoFlagElision bool
-	// NoFusion disables the optimizer's compare/branch, compare/setcc
-	// and load-op fusion pass (per-pass ablation).
-	NoFusion bool
-	// NoSuperblocks disables hot-path superblock formation (per-pass
-	// ablation; see superblock.go).
-	NoSuperblocks bool
-	// NoTier2 disables the tier-2 compiled backend (per-tier ablation;
-	// see internal/vm/tier2): hot superblocks keep executing on the
-	// tier-1 uop dispatch loop instead of being fused into compiled
-	// closure traces. Carried by snapshots like NoSuperblocks. The
-	// VXA_NO_TIER2 environment variable forces it on process-wide.
-	NoTier2 bool
+	// OptLevel selects how much of the translation engine the VM uses,
+	// on one ordered scale (see OptLevel). The zero value takes the
+	// process default: everything on, unless VXA_OPT names another level.
+	// An explicit level always wins over VXA_OPT. Snapshots and
+	// serialized artifacts carry the configured level, never the
+	// override, which every process resolves for itself.
+	OptLevel OptLevel
 
 	// WallBudget is the wall-clock watchdog: the maximum real time one
 	// RunStream may take, enforced at block-chain boundaries on the
@@ -194,7 +180,7 @@ type Stats struct {
 	// Tier2Code is the exact host-code ledger of the native traces this
 	// VM compiled (installed ones are the snapshot's, not counted).
 	Tier2Code   tier2.Ledger `json:"tier2_code"`
-	TranslateNS uint64       `json:"translate_ns"` // nanoseconds spent decoding+lowering fragments (0 with NoBlockCache)
+	TranslateNS uint64       `json:"translate_ns"` // nanoseconds spent decoding+lowering fragments (0 at OptReference)
 	ExecuteNS   uint64       `json:"execute_ns"`   // nanoseconds spent running translated code (Run wall time minus translation)
 	Syscalls    uint64       `json:"syscalls"`
 }
@@ -216,8 +202,7 @@ type VM struct {
 	// link table compiled traces run against. It is the tier2.Machine
 	// itself, not a copy kept in sync: the interpreter and every trace
 	// this VM runs execute against these fields. Its memory and geometry
-	// fields follow the VM's (bindTier2); closure-backend traces capture
-	// pointers into it.
+	// fields follow the VM's (bindTier2).
 	m   tier2.Machine
 	eip uint32
 
@@ -235,12 +220,13 @@ type VM struct {
 	// (the old heap stays dirty) and only ever grows.
 	dirtyBrk uint32
 
-	noCache bool
-	noSB    bool
-	noT2    bool
-	// t2Hot is the superblock-entry count that triggers tier-2
-	// compilation (t2HotDefault, overridable via VXA_TIER2_HOT).
-	t2Hot uint32
+	// opt is the configured optimization level (Config.OptLevel, which
+	// snapshots carry) and level the one the VM runs at: opt itself, or
+	// the process default where opt is OptDefault. t2Hot is the
+	// superblock-entry count that triggers tier-2 compilation at that
+	// level.
+	opt, level OptLevel
+	t2Hot      uint32
 	// links is the link table compiled traces leave through (m.Links
 	// points at its first slot): each native trace this VM holds owns a
 	// run of slots, starting at its superblock bref's linkBase, and
@@ -248,7 +234,6 @@ type VM struct {
 	// slots in the brefs, and dropped with them on Reset.
 	links     []tier2.Link
 	linkOwner []*bref
-	optCfg    uop.OptConfig
 	blocks    map[uint32]*bref
 
 	// Cooperative cancellation (RunContext). cancel is the context's
@@ -365,21 +350,17 @@ func New(cfg Config) (*VM, error) {
 	if cfg.StackSize%PageSize != 0 || cfg.StackSize >= cfg.MemSize/2 {
 		return nil, fmt.Errorf("vm: bad StackSize %d", cfg.StackSize)
 	}
-	owner, mem := allocGuestMem(cfg.MemSize)
 	v := &VM{
-		mem:        mem,
-		memOwner:   owner,
 		dirtyBrk:   PageSize,
 		roLimit:    PageSize,
 		stackBase:  cfg.MemSize - cfg.StackSize,
-		noCache:    cfg.NoBlockCache,
-		noSB:       cfg.NoSuperblocks,
-		noT2:       cfg.NoTier2 || envNoTier2(),
-		t2Hot:      t2HotThreshold(),
 		wallBudget: cfg.WallBudget,
-		optCfg:     uop.OptConfig{NoFuse: cfg.NoFusion, NoFlagElide: cfg.NoFlagElision},
 		blocks:     make(map[uint32]*bref),
 	}
+	if err := v.setLevel(cfg.OptLevel); err != nil {
+		return nil, err
+	}
+	v.memOwner, v.mem = allocGuestMem(cfg.MemSize)
 	v.m.Brk, v.m.Fuel = PageSize, cfg.Fuel
 	v.m.Regs[x86.ESP] = cfg.MemSize - 16 // a little headroom at the very top
 	v.bindTier2()
@@ -589,11 +570,11 @@ func (v *VM) RunContext(ctx context.Context) (Status, error) {
 const maxBlockLen = 64
 
 // lookupBlock returns the translated fragment starting at addr, building
-// and caching it on a miss. With NoBlockCache set, every call re-decodes
-// and re-lowers a single instruction (the translate-per-step ablation).
+// and caching it on a miss. At OptReference every call re-decodes and
+// re-lowers a single instruction (the translate-per-step ablation).
 func (v *VM) lookupBlock(addr uint32) (*bref, error) {
 	v.stats.BlockLookups++
-	if !v.noCache {
+	if v.level > OptReference {
 		if br, ok := v.blocks[addr]; ok {
 			return br, nil
 		}
@@ -603,7 +584,7 @@ func (v *VM) lookupBlock(addr uint32) (*bref, error) {
 		return nil, err
 	}
 	br := &bref{b: b}
-	if !v.noCache {
+	if v.level > OptReference {
 		v.blocks[addr] = br
 	}
 	return br, nil
@@ -611,19 +592,18 @@ func (v *VM) lookupBlock(addr uint32) (*bref, error) {
 
 // buildBlock decodes the fragment starting at addr and lowers it to
 // micro-ops. Translation time is accumulated in Stats.TranslateNS except
-// in the NoBlockCache ablation, where the per-step clock reads would
-// distort the very overhead the ablation measures.
+// at OptReference, where the per-step clock reads would distort the very
+// overhead that level measures.
 func (v *VM) buildBlock(addr uint32) (*block, error) {
 	v.stats.BlocksBuilt++
+	cached := v.level > OptReference
 	var t0 time.Time
-	if !v.noCache {
+	limit := 1
+	if cached {
 		t0 = time.Now()
+		limit = maxBlockLen
 	}
 	b := &block{}
-	limit := maxBlockLen
-	if v.noCache {
-		limit = 1
-	}
 	cur := addr
 	for len(b.insts) < limit {
 		// An instruction can be up to 15 bytes; fetching requires the
@@ -649,14 +629,13 @@ func (v *VM) buildBlock(addr uint32) (*block, error) {
 	b.end = cur
 	b.uops = uop.Lower(b.insts, b.addrs)
 	b.cost = int64(len(b.insts))
-	if !v.noCache {
-		// The optimizer runs only on cached fragments: the translate-
-		// per-step ablation measures raw translation overhead, and a
-		// one-instruction fragment has nothing to fuse or analyze.
+	if v.level >= OptOptimized {
 		var ost uop.OptStats
-		b.uops, ost = uop.Optimize(b.uops, v.optCfg)
+		b.uops, ost = uop.Optimize(b.uops)
 		v.stats.UopsFused += ost.UopsFused
 		v.stats.FlagsElided += ost.FlagsElided
+	}
+	if cached {
 		v.stats.TranslateNS += uint64(time.Since(t0))
 	}
 	return b, nil

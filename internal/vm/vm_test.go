@@ -434,7 +434,7 @@ func TestBlockCacheAblation(t *testing.T) {
 		u.Op1(x86.INT, x86.Arg{Kind: x86.KindImm, Imm: 0x80, Size: 1})
 	}
 	vCached, _ := buildVM(t, Config{}, nil, prog)
-	vRaw, _ := buildVM(t, Config{NoBlockCache: true}, nil, prog)
+	vRaw, _ := buildVM(t, Config{OptLevel: OptReference}, nil, prog)
 	if _, err := vCached.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"os"
 	"runtime"
 	"testing"
 
@@ -59,11 +58,8 @@ func (r streamResult) check(t *testing.T, what string, want streamResult) {
 	}
 }
 
-// nativeTier2 reports whether the traces this process compiles are
-// native code: the kind a snapshot can carry, and the kind that links.
-func nativeTier2() bool {
-	return runtime.GOOS == "linux" && runtime.GOARCH == "amd64" && os.Getenv("VXA_TIER2_BACKEND") != "closure"
-}
+// nativeTier2 reports whether tier 2 has an emitter for this platform.
+func nativeTier2() bool { return runtime.GOOS == "linux" && runtime.GOARCH == "amd64" }
 
 // TestPooledStreamIsPureFunction is the metamorphic wall for shared and
 // linked traces on the real decoders: for every built-in codec, a
@@ -77,15 +73,13 @@ func nativeTier2() bool {
 // changes the security mode, so every lease after the first is a reset
 // and starts with an empty link table.
 func TestPooledStreamIsPureFunction(t *testing.T) {
-	// The tier is on for the pooled and fresh-hot legs whatever the CI
-	// leg says; the reference leg turns it off through its Config.
-	t.Setenv("VXA_NO_TIER2", "0")
-	t.Setenv("VXA_TIER2_HOT", "1")
+	// The tier is forced hot for the pooled and fresh legs whatever the
+	// CI leg says; the reference leg turns it off through its Config.
 	resets := []int{1, 5, 50}
 	if testing.Short() {
 		resets = resets[:2]
 	}
-	cfg := vm.Config{MemSize: 64 << 20}
+	cfg := vm.Config{MemSize: 64 << 20, OptLevel: vm.OptEager}
 	for _, c := range codec.All() {
 		c := c
 		if c.Encode == nil {
@@ -118,7 +112,7 @@ func TestPooledStreamIsPureFunction(t *testing.T) {
 				return v
 			}
 			off := cfg
-			off.NoTier2 = true
+			off.OptLevel = vm.OptSuperblocks
 			want, _ := runOn(t, fresh(off), enc, full)
 			if want.trap != (vm.Trap{}) || len(want.out) == 0 {
 				t.Fatalf("reference stream: trap %+v, %d bytes", want.trap, len(want.out))
@@ -198,9 +192,8 @@ func TestPooledStreamIsPureFunction(t *testing.T) {
 // streams of a VM learn survives its next reset.
 func TestReleaseAbsorbsLaterStreams(t *testing.T) {
 	if !nativeTier2() {
-		t.Skip("no native tier-2 backend here: nothing can be shared")
+		t.Skip("no tier-2 emitter for this host: nothing can be shared")
 	}
-	t.Setenv("VXA_NO_TIER2", "0")
 	c, _ := codec.ByName("deflate")
 	elf, err := c.DecoderELF()
 	if err != nil {
@@ -210,7 +203,7 @@ func TestReleaseAbsorbsLaterStreams(t *testing.T) {
 	if err := c.Encode(&enc, corpus.Text(16<<10, 9)); err != nil {
 		t.Fatal(err)
 	}
-	p := New(Options{VM: vm.Config{MemSize: 64 << 20}})
+	p := New(Options{VM: vm.Config{MemSize: 64 << 20, OptLevel: vm.OptTier2}})
 	// stream runs one stream under mode and returns how many traces it
 	// compiled.
 	stream := func(mode uint32) uint64 {
@@ -259,9 +252,8 @@ func TestReleaseAbsorbsLaterStreams(t *testing.T) {
 // them in compiled code as the stream the snapshot absorbed.
 func TestResetsKeepTheCompiledShare(t *testing.T) {
 	if !nativeTier2() {
-		t.Skip("no native tier-2 backend here: nothing can be shared")
+		t.Skip("no tier-2 emitter for this host: nothing can be shared")
 	}
-	t.Setenv("VXA_NO_TIER2", "0")
 	for _, name := range []string{"adpcm", "haar"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
@@ -289,7 +281,7 @@ func TestResetsKeepTheCompiledShare(t *testing.T) {
 				st := v.Stats()
 				return r, float64(st.Tier2Steps-st0.Tier2Steps) / float64(st.Steps-st0.Steps)
 			}
-			v, err := elf32.NewVM(elf, vm.Config{MemSize: 64 << 20})
+			v, err := elf32.NewVM(elf, vm.Config{MemSize: 64 << 20, OptLevel: vm.OptTier2})
 			if err != nil {
 				t.Fatal(err)
 			}
