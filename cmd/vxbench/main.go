@@ -32,6 +32,7 @@ type report struct {
 	Overhead   []bench.OverheadRow `json:"overhead,omitempty"`
 	Fig7       []bench.Fig7Row     `json:"fig7,omitempty"`
 	Ladder     []bench.LadderRow   `json:"ladder,omitempty"`
+	Startup    []bench.StartupRow  `json:"startup,omitempty"`
 	Pool       []bench.PoolRow     `json:"pool,omitempty"`
 	Parallel   *bench.ParallelRow  `json:"parallel,omitempty"`
 	Server     []bench.ServerRow   `json:"server,omitempty"`
@@ -65,6 +66,8 @@ func main() {
 	chaos := flag.Bool("chaos", false, "drive vxad with fault injection armed and report containment/recovery figures")
 	ablate := flag.Bool("ablate", false, "include the fragment-cache ablation in -fig7")
 	ablateOpt := flag.Bool("ablate-opt", false, "measure each engine layer's contribution: decode time at every vm.OptLevel (fragment cache, optimizer, superblocks, tier 2, eager promotion)")
+	startup := flag.Bool("startup", false, "print the first-stream ledger: one cold 4 KiB stream per decoder, split into stages that sum to its wall time; exit nonzero if any decoder leaves more than 5% unaccounted")
+	startupReps := flag.Int("startup-reps", 200, "cold operations per decoder for -startup")
 	streams := flag.Int("streams", 16, "streams per codec for -pool")
 	entries := flag.Int("entries", 16, "archive entries for -parallel")
 	warm := flag.Int("warm", 16, "warm requests per codec for -server")
@@ -105,9 +108,9 @@ func main() {
 		}()
 	}
 	_ = vxa.Codecs()
-	// -chaos and -ablate-opt are opt-in only: chaos arms the global
-	// fault registry and must never contaminate the clean figures.
-	all := !*t1 && !*t2 && !*f7 && !*ov && !*pl && !*par && !*sv && !*load && !*fleet && !*ablateOpt && !*chaos
+	// -chaos, -ablate-opt and -startup are opt-in only: chaos arms the
+	// global fault registry and must never contaminate the clean figures.
+	all := !*t1 && !*t2 && !*f7 && !*ov && !*pl && !*par && !*sv && !*load && !*fleet && !*ablateOpt && !*chaos && !*startup
 	if *baseline != "" && !*load {
 		*f7 = true // the compare mode needs a fresh Figure 7 run
 	}
@@ -305,6 +308,20 @@ func main() {
 		}
 		fmt.Println()
 	}
+	var startupErr error // reported once the results are written
+	if *startup {
+		rows, err := bench.Startup(*startupReps)
+		if err != nil {
+			fatal(err)
+		}
+		rep.Startup = rows
+		printStartup(rows)
+		for _, r := range rows {
+			if sh := r.RemainderShare(); sh > 0.05 || sh < -0.05 {
+				startupErr = fmt.Errorf("-startup: %s leaves %.1f%% of its first stream unaccounted", r.Codec, 100*sh)
+			}
+		}
+	}
 	if *f7 || all {
 		fmt.Println("Figure 7: Performance of Virtualized Decoders")
 		fmt.Println("  (interpreted VM; see EXPERIMENTS.md for the shape comparison)")
@@ -337,6 +354,9 @@ func main() {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "vxbench: wrote %s\n", *jsonPath)
+	}
+	if startupErr != nil {
+		fatal(startupErr)
 	}
 
 	if base != nil {
@@ -438,4 +458,34 @@ func kb(n int) float64 { return float64(n) / 1024 }
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "vxbench:", err)
 	os.Exit(1)
+}
+
+// printStartup prints the first-stream ledger, one column per decoder,
+// every stage in microseconds and as a share of the wall time.
+func printStartup(rows []bench.StartupRow) {
+	fmt.Printf("First stream: one cold 4 KiB entry per decoder, mean of %d operations, microseconds (share of wall)\n", rows[0].Reps)
+	fmt.Printf("  %-20s", "stage")
+	for _, r := range rows {
+		fmt.Printf(" %14s", r.Codec)
+	}
+	fmt.Println()
+	line := func(name string, get func(bench.StartupRow) time.Duration) {
+		fmt.Printf("  %-20s", name)
+		for _, r := range rows {
+			fmt.Printf(" %7.1f (%3.0f%%)", float64(get(r))/1e3, 100*float64(get(r))/float64(r.Wall))
+		}
+		fmt.Println()
+	}
+	for i, name := range bench.StartupStageNames {
+		line(name, func(r bench.StartupRow) time.Duration { return r.Stages[i] })
+	}
+	line("remainder", func(r bench.StartupRow) time.Duration { return r.Remainder })
+	line("wall", func(r bench.StartupRow) time.Duration { return r.Wall })
+	line("library op", func(r bench.StartupRow) time.Duration { return r.Library })
+	fmt.Printf("  %-20s", "traces, code KiB")
+	for _, r := range rows {
+		fmt.Printf(" %8d, %4d", r.Traces, r.CodeBytes>>10)
+	}
+	fmt.Println()
+	fmt.Println()
 }

@@ -162,6 +162,7 @@ func main() {
 				"vxrun: tier2: %d traces compiled, %d installed from the snapshot, %d trace runs, %d exits linked, %d returns to the dispatcher, %.1f%% of steps\n",
 				st.Tier2Compiled, st.Tier2Shared, st.Tier2Executed, st.Tier2Links, st.Tier2Exits, t2share)
 			fmt.Fprintf(os.Stderr, "vxrun: tier2 code: %v\n", st.Tier2Code)
+			fmt.Fprintln(os.Stderr, translationLedger(st))
 		}
 		return
 	}
@@ -208,6 +209,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "vxrun: tier2: %d traces compiled, %d installed from the snapshot, %d exits linked, %d returns to the dispatcher\n",
 			eng.Tier2Compiled, eng.Tier2Shared, eng.Tier2Links, eng.Tier2Exits)
 		fmt.Fprintf(os.Stderr, "vxrun: tier2 code: %v\n", eng.Tier2Code)
+		fmt.Fprintln(os.Stderr, translationLedger(eng))
 	}
 	if worst != exitOK {
 		os.Exit(worst)
@@ -299,4 +301,13 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "vxrun:", err)
 	os.Exit(exitCode(err))
+}
+
+// translationLedger is the -v line that splits translation time by what
+// was translated: TranslateNS is blocks plus the two tier-2 rows, and
+// superblock formation is clocked beside it.
+func translationLedger(st vm.Stats) string {
+	ns := func(n uint64) time.Duration { return time.Duration(n).Round(time.Microsecond) }
+	return fmt.Sprintf("vxrun: translation: blocks %v, superblocks %v, tier-2 emit %v, tier-2 seal %v; %d traces refused by the code arena",
+		ns(st.TranslateNS-st.Tier2EmitNS-st.Tier2SealNS), ns(st.SuperblockNS), ns(st.Tier2EmitNS), ns(st.Tier2SealNS), st.Tier2Refused)
 }

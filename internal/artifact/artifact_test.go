@@ -208,6 +208,15 @@ func TestStoreRejectsDamage(t *testing.T) {
 	os.WriteFile(path, d, 0o644)
 	check("engine version mismatch", true)
 
+	// The previous generation, as a store written before the last
+	// upgrade would hold under a name that happens to match: refused, and
+	// the caller rebuilds from the ELF.
+	d = append([]byte(nil), pristine...)
+	binary.LittleEndian.PutUint32(d[8:], vm.EngineVersion-1)
+	rehash(d)
+	os.WriteFile(path, d, 0o644)
+	check("artifact of the previous engine version", true)
+
 	// Stored decoder hash differs from the requested one (a mis-filed
 	// artifact must not load for the wrong decoder).
 	d = append([]byte(nil), pristine...)

@@ -780,7 +780,11 @@ func (s *Server) WritePrometheus(w io.Writer) error {
 	p.Counter("vxad_engine_tier2_exits_total", "Returns from compiled code to the dispatcher (one per run of linked traces).", nil, float64(engine.Tier2Exits))
 	p.Counter("vxad_engine_tier2_links_total", "Trace exits linked straight to another trace's entry.", nil, float64(engine.Tier2Links))
 	p.Counter("vxad_engine_tier2_steps_total", "Guest instructions retired inside tier-2 traces.", nil, float64(engine.Tier2Steps))
-	p.Counter("vxad_engine_translate_seconds_total", "Wall time spent translating guest code.", nil, float64(engine.TranslateNS)/1e9)
+	p.Counter("vxad_engine_tier2_refused_total", "Traces emitted and then turned away by a full or unavailable code arena.", nil, float64(engine.Tier2Refused))
+	p.Counter("vxad_engine_translate_seconds_total", "Wall time spent translating guest code: block decode and lowering plus trace compilation.", nil, float64(engine.TranslateNS)/1e9)
+	p.Counter("vxad_engine_superblock_seconds_total", "Wall time spent forming superblocks (not part of translate_seconds).", nil, float64(engine.SuperblockNS)/1e9)
+	p.Counter("vxad_engine_tier2_emit_seconds_total", "Wall time spent emitting tier-2 code (part of translate_seconds).", nil, float64(engine.Tier2EmitNS)/1e9)
+	p.Counter("vxad_engine_tier2_seal_seconds_total", "Wall time spent copying tier-2 code into its arena (part of translate_seconds).", nil, float64(engine.Tier2SealNS)/1e9)
 	p.Counter("vxad_engine_syscalls_total", "Guest syscalls serviced.", nil, float64(engine.Syscalls))
 
 	if s.cfg.Artifacts != nil {

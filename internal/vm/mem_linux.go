@@ -27,6 +27,16 @@ type guestMem struct {
 // keeps a mostly-untouched 1 GiB guest from charging swap it will
 // never use.
 //
+// Reset has the same two prices. Laying a pristine stack back over a
+// used one byte for byte costs the stack's size (1 MiB by default, of
+// which a decoder touches a page or two) on every reset; handing the
+// window back to the kernel (zero) costs one madvise whatever its size,
+// and the next stream faults fresh zero pages in where it actually
+// pushes. The heap below is re-zeroed by plain clear, bounded by the
+// VM's dirty watermark: its text and data pages are about to be copied
+// back in anyway, and dropping them would only trade a memclr for page
+// faults.
+//
 // The mapping is released by a finalizer on the returned owner, which
 // the VM must keep referenced for as long as the buffer is in use; a
 // failed mmap falls back to the heap (owner carries a nil-release).
@@ -43,6 +53,16 @@ func allocGuestMem(size uint32) (*guestMem, []byte) {
 	g := &guestMem{buf: buf}
 	runtime.SetFinalizer(g, (*guestMem).release)
 	return g, buf
+}
+
+// zero makes b, a page-aligned tail of the address space g owns, read as
+// zero again: by dropping its pages where g is a mapping (the kernel
+// supplies zero pages on the next touch), by clearing where it is heap
+// memory or the kernel declines.
+func (g *guestMem) zero(b []byte) {
+	if g.buf == nil || syscall.Madvise(b, syscall.MADV_DONTNEED) != nil {
+		clear(b)
+	}
 }
 
 func (g *guestMem) release() {

@@ -14,3 +14,6 @@ func allocGuestMem(size uint32) (*guestMem, []byte) {
 	}
 	return &guestMem{}, make([]byte, size)
 }
+
+// zero makes b, part of the address space g owns, read as zero again.
+func (g *guestMem) zero(b []byte) { clear(b) }

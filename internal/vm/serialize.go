@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"vxa/internal/vm/tier2"
 	"vxa/internal/vm/uop"
 	"vxa/internal/x86"
 )
@@ -28,14 +29,16 @@ import (
 // compiled traces themselves are never serialized — they are rebuilt
 // per-VM from the persisted superblocks once those re-prove hot. 4
 // removed ten stack-shuffle fused kinds (renumbering Kind) and replaced
-// the header's five policy bits with the configured OptLevel.
-const EngineVersion uint32 = 4
+// the header's five policy bits with the configured OptLevel. 5 made the
+// memory image sparse: an extent table and the non-zero pages it names
+// replace the two dense regions, whose lengths left the header.
+const EngineVersion uint32 = 5
 
 // snapMagic brands a serialized snapshot payload.
 const snapMagic = "VXSN"
 
-// snapHeaderLen is the fixed prefix before the low image.
-const snapHeaderLen = 92
+// snapHeaderLen is the fixed prefix before the extent table.
+const snapHeaderLen = 88
 
 // Flag bit positions in the serialized header.
 const (
@@ -54,8 +57,8 @@ const (
 	uopWireLen  = 36
 )
 
-// Serialize renders the snapshot — header, memory image, the
-// translated block cache and the absorbed superblocks — into the
+// Serialize renders the snapshot — header, the extents of the memory
+// image, the translated block cache and the absorbed superblocks — into the
 // self-contained binary payload the artifact store persists. Blocks and
 // superblocks are written in address order, so the same snapshot state
 // always serializes to the same bytes. Assembler-only symbol
@@ -111,7 +114,10 @@ func (s *Snapshot) Serialize() ([]byte, error) {
 	}
 	sbs = keptSBs
 
-	size := snapHeaderLen + len(s.low) + len(s.high) + 4
+	size := snapHeaderLen + 4
+	for _, e := range s.image {
+		size += 8 + len(e.data)
+	}
 	for _, b := range blocks {
 		size += 20 + len(b.insts)*(instWireLen+4) + len(b.uops)*uopWireLen
 	}
@@ -136,12 +142,18 @@ func (s *Snapshot) Serialize() ([]byte, error) {
 	out[61] = byte(s.opt) // as configured: the process override is never persisted
 	le.PutUint64(out[64:], uint64(s.fuel))
 	le.PutUint64(out[72:], uint64(s.wallBudget))
-	le.PutUint32(out[80:], uint32(len(s.low)))
-	le.PutUint32(out[84:], uint32(len(s.high)))
-	le.PutUint32(out[88:], uint32(len(blocks)))
+	le.PutUint32(out[80:], uint32(len(s.image)))
+	le.PutUint32(out[84:], uint32(len(blocks)))
 
-	out = append(out, s.low...)
-	out = append(out, s.high...)
+	// The image: where every extent goes and how long it is, then their
+	// bytes in the same order.
+	for _, e := range s.image {
+		out = le.AppendUint32(out, e.off)
+		out = le.AppendUint32(out, uint32(len(e.data)))
+	}
+	for _, e := range s.image {
+		out = append(out, e.data...)
+	}
 	for _, b := range blocks {
 		out = appendBlock(out, addrs[b], b)
 	}
@@ -342,7 +354,7 @@ func (c *decCursor) u64() uint64 {
 }
 
 // Deserialize reconstructs a Snapshot from a payload produced by
-// Serialize. The memory-image sections are aliased, not copied: the
+// Serialize. The image's extents are aliased, not copied: the
 // returned snapshot's restore source points directly into data, so a
 // memory-mapped payload lets every process serving the same decoder
 // share one page-cache copy of the pristine image. The caller must keep
@@ -391,24 +403,26 @@ func Deserialize(data []byte) (*Snapshot, error) {
 	}
 	s.fuel = int64(c.u64())
 	s.wallBudget = time.Duration(c.u64())
-	lowLen := c.u32()
-	highLen := c.u32()
+	nExtents := c.u32()
 	nBlocks := c.u32()
 	if c.err != nil {
 		return nil, c.err
 	}
 	if s.memSize == 0 || s.memSize > MaxMemSize || s.memSize%PageSize != 0 ||
-		s.brk > s.memSize || s.roLimit > s.brk || s.stackBase > s.memSize ||
-		lowLen != s.brk || highLen != s.memSize-s.stackBase {
-		return nil, fmt.Errorf("vm: snapshot decode: inconsistent layout (mem=%d brk=%d ro=%d stack=%d low=%d high=%d)",
-			s.memSize, s.brk, s.roLimit, s.stackBase, lowLen, highLen)
+		s.brk > s.stackBase || s.roLimit > s.brk || s.stackBase > s.memSize || s.stackBase%PageSize != 0 {
+		return nil, fmt.Errorf("vm: snapshot decode: inconsistent layout (mem=%d brk=%d ro=%d stack=%d)",
+			s.memSize, s.brk, s.roLimit, s.stackBase)
 	}
-	s.low = c.take(int(lowLen))
-	s.high = c.take(int(highLen))
-	if c.err != nil {
-		return nil, c.err
+	if err := decodeImage(c, s, nExtents); err != nil {
+		return nil, err
 	}
+	s.arena = tier2.NewArena(tier2.ArenaSize)
 
+	// A count is only a promise; every record is at least its 20-byte
+	// header, so the payload left bounds what a table may be sized for.
+	if uint64(nBlocks)*20 > uint64(len(c.data)-c.off) {
+		return nil, fmt.Errorf("vm: snapshot decode: %d blocks in %d bytes", nBlocks, len(c.data)-c.off)
+	}
 	s.blocks = make(map[uint32]*block, nBlocks)
 	for i := uint32(0); i < nBlocks; i++ {
 		addr, b, err := decodeBlock(c, s)
@@ -421,6 +435,9 @@ func Deserialize(data []byte) (*Snapshot, error) {
 	nSBs := c.u32()
 	if c.err != nil {
 		return nil, c.err
+	}
+	if uint64(nSBs)*20 > uint64(len(c.data)-c.off) {
+		return nil, fmt.Errorf("vm: snapshot decode: %d superblocks in %d bytes", nSBs, len(c.data)-c.off)
 	}
 	s.sbs = make(map[uint32]*sbRecord, nSBs)
 	if nSBs > 0 {
@@ -444,6 +461,46 @@ func Deserialize(data []byte) (*Snapshot, error) {
 		return nil, fmt.Errorf("vm: snapshot decode: %d trailing bytes", len(c.data)-c.off)
 	}
 	return s, nil
+}
+
+// decodeImage reads the extent table and points each extent at its bytes
+// in the payload. restore copies every extent to its offset in guest
+// memory unchecked, so the table is held to exactly what Snapshot
+// produces: page-aligned starts, in address order without overlap, none
+// empty, each inside one of the two accessible windows ([PageSize, brk)
+// and [stackBase, memSize)) and all of it present in the payload.
+func decodeImage(c *decCursor, s *Snapshot, n uint32) error {
+	if n > s.memSize/PageSize {
+		return fmt.Errorf("vm: snapshot decode: %d image extents in %d pages", n, s.memSize/PageSize)
+	}
+	table := c.take(int(n) * 8)
+	if c.err != nil {
+		return c.err
+	}
+	s.image = make([]extent, n)
+	le := binary.LittleEndian
+	var prevEnd uint64
+	for i := range s.image {
+		off, size := le.Uint32(table[8*i:]), le.Uint32(table[8*i+4:])
+		end := uint64(off) + uint64(size)
+		switch {
+		case off%PageSize != 0:
+			return fmt.Errorf("vm: snapshot decode: image extent at %#x is not page-aligned", off)
+		case size == 0:
+			return fmt.Errorf("vm: snapshot decode: empty image extent at %#x", off)
+		case uint64(off) < prevEnd:
+			return fmt.Errorf("vm: snapshot decode: image extent at %#x overlaps or precedes the one before it (which ends at %#x)", off, prevEnd)
+		case !(off >= PageSize && end <= uint64(s.brk)) && !(off >= s.stackBase && end <= uint64(s.memSize)):
+			return fmt.Errorf("vm: snapshot decode: image extent [%#x,%#x) outside the accessible windows (brk=%#x stack=%#x mem=%#x)",
+				off, end, s.brk, s.stackBase, s.memSize)
+		}
+		prevEnd = end
+		s.image[i] = extent{off: off, data: c.take(int(size))}
+		if c.err != nil {
+			return c.err
+		}
+	}
+	return nil
 }
 
 func decodeBlock(c *decCursor, s *Snapshot) (uint32, *block, error) {

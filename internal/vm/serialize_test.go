@@ -3,6 +3,7 @@ package vm
 import (
 	"bytes"
 	"encoding/binary"
+	"strings"
 	"testing"
 )
 
@@ -119,20 +120,93 @@ func TestDeserializeRejects(t *testing.T) {
 	corrupt("memSize not page multiple", func(d []byte) { le.PutUint32(d[8:], le.Uint32(d[8:])+1) })
 	corrupt("brk past memSize", func(d []byte) { le.PutUint32(d[12:], le.Uint32(d[8:])+PageSize) })
 	corrupt("roLimit past brk", func(d []byte) { le.PutUint32(d[16:], le.Uint32(d[12:])+1) })
-	corrupt("lowLen mismatch", func(d []byte) { le.PutUint32(d[80:], le.Uint32(d[80:])+1) })
-	corrupt("block count overrun", func(d []byte) { le.PutUint32(d[88:], le.Uint32(d[88:])+1) })
+	corrupt("brk past stackBase", func(d []byte) { le.PutUint32(d[12:], le.Uint32(d[20:])+1) })
+	corrupt("stackBase not page multiple", func(d []byte) { le.PutUint32(d[20:], le.Uint32(d[20:])+1) })
+	corrupt("extent count overrun", func(d []byte) { le.PutUint32(d[80:], le.Uint32(d[80:])+1) })
+	corrupt("block count overrun", func(d []byte) { le.PutUint32(d[84:], le.Uint32(d[84:])+1) })
 	if _, err := Deserialize(append(append([]byte(nil), data...), 0)); err == nil {
 		t.Error("trailing byte decoded cleanly")
 	}
 
-	// Corrupt the first uop's Kind inside the first block. Block section
-	// layout: 20-byte block header, nInsts insts (instWireLen each),
-	// nInsts addrs (4 each), then the uops.
-	blockOff := snapHeaderLen + int(le.Uint32(data[80:])) + int(le.Uint32(data[84:]))
+	// Corrupt the first uop's Kind inside the first block. The block
+	// section follows the image (an 8-byte table entry and the bytes of
+	// each extent); a block is a 20-byte header, nInsts insts
+	// (instWireLen each), nInsts addrs (4 each), then the uops.
+	blockOff := snapHeaderLen
+	for i := 0; i < int(le.Uint32(data[80:])); i++ {
+		blockOff += 8 + int(le.Uint32(data[snapHeaderLen+8*i+4:]))
+	}
 	nInsts := int(le.Uint16(data[blockOff+16:]))
 	uopOff := blockOff + 20 + nInsts*(instWireLen+4)
 	corrupt("uop kind out of range", func(d []byte) { d[uopOff] = 0xff })
 	corrupt("uop register out of range", func(d []byte) { d[uopOff+2] = 0x7f })
+}
+
+// TestDeserializeRejectsExtents: restore copies every extent of the image
+// to its offset unchecked, so the table of a payload — which arrives from
+// a shared directory — is refused unless it is what Snapshot writes:
+// aligned, ordered, disjoint, inside the accessible windows, all there.
+func TestDeserializeRejectsExtents(t *testing.T) {
+	const heapA, heapB = 2 * PageSize, 5 * PageSize
+	v, err := New(Config{MemSize: 4 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := bytes.Repeat([]byte{0xAB}, PageSize)
+	if err := v.MapSegment(heapA, page, PageSize, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.MapSegment(heapB, page, 2*PageSize, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.WriteMem(v.stackBase+PageSize, page); err != nil {
+		t.Fatal(err)
+	}
+	snap := v.Snapshot()
+	if len(snap.image) != 3 {
+		t.Fatalf("test image has %d extents, want 3", len(snap.image))
+	}
+	data, err := snap.Serialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Deserialize(data); err != nil {
+		t.Fatal(err)
+	}
+	le := binary.LittleEndian
+	// off and size address the table entry of extent i.
+	off := func(d []byte, i int) []byte { return d[snapHeaderLen+8*i:] }
+	size := func(d []byte, i int) []byte { return d[snapHeaderLen+8*i+4:] }
+	brk, stackBase, memSize := snap.brk, snap.stackBase, snap.memSize
+
+	for _, c := range []struct {
+		name, want string
+		mutate     func(d []byte)
+	}{
+		{"unaligned", "not page-aligned", func(d []byte) { le.PutUint32(off(d, 0), heapA+16) }},
+		{"empty", "empty image extent", func(d []byte) { le.PutUint32(size(d, 1), 0) }},
+		{"overlapping", "overlaps or precedes", func(d []byte) { le.PutUint32(off(d, 1), heapA) }},
+		{"out of order", "overlaps or precedes", func(d []byte) {
+			le.PutUint32(off(d, 0), heapB)
+			le.PutUint32(off(d, 1), heapA)
+		}},
+		{"in the guard page", "outside the accessible windows", func(d []byte) { le.PutUint32(off(d, 0), 0) }},
+		{"at brk", "outside the accessible windows", func(d []byte) { le.PutUint32(off(d, 1), (brk+PageSize-1)&^(PageSize-1)) }},
+		{"across brk", "outside the accessible windows", func(d []byte) { le.PutUint32(size(d, 1), brk-heapB+1) }},
+		{"below stackBase", "outside the accessible windows", func(d []byte) { le.PutUint32(off(d, 2), stackBase-PageSize) }},
+		{"across stackBase", "outside the accessible windows", func(d []byte) { le.PutUint32(size(d, 1), stackBase+PageSize-heapB) }},
+		{"past the end of memory", "outside the accessible windows", func(d []byte) { le.PutUint32(size(d, 2), memSize-stackBase) }},
+		{"longer than the payload", "truncated", func(d []byte) { le.PutUint32(size(d, 2), memSize-stackBase-PageSize) }},
+		{"more extents than pages", "image extents in", func(d []byte) { le.PutUint32(d[80:], memSize/PageSize+1) }},
+	} {
+		d := append([]byte(nil), data...)
+		c.mutate(d)
+		if _, err := Deserialize(d); err == nil {
+			t.Errorf("%s: decoded cleanly", c.name)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: refused with %q, want the %q check to fire", c.name, err, c.want)
+		}
+	}
 }
 
 // TestDeserializeRejectsSuperblockCost: tier-1 charges a superblock the

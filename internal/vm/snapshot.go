@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"time"
@@ -18,18 +19,28 @@ import (
 // ELF load, then materializes or re-pristines VMs from it per stream
 // instead of re-parsing the executable each time.
 //
+// The image is sparse. A decoder's accessible memory is a few KiB of
+// text and data under hundreds of KiB of zero-initialized heap and a
+// MiB of untouched stack, so the snapshot keeps only the pages that hold
+// a non-zero byte and a restore makes the rest zero the cheapest way the
+// target allows: not at all on a fresh mapping, and on a reused VM only
+// as far as the VM's own watermarks (dirtyBrk, stackLow) say anything
+// can have been written. What a snapshot costs to take, hold, persist
+// and restore follows the decoder's size, not its address space's.
+//
 // A Snapshot is safe for concurrent use: many goroutines may NewVM/Reset
 // from the same snapshot at once. Decoded blocks are immutable after
 // construction, so they are shared, never copied.
 type Snapshot struct {
 	memSize uint32
 
-	// Only the accessible regions are stored: [0, brk) covers the
-	// never-mapped first page plus text/data/heap, and [stackBase,
-	// memSize) covers the stack. The guard gap between them is
-	// unreachable by the guest, so its contents never need restoring.
-	low  []byte // copy of mem[0:brk]
-	high []byte // copy of mem[stackBase:memSize]
+	// image is the non-zero pages of the accessible regions — [PageSize,
+	// brk) for text/data/heap and [stackBase, memSize) for the stack — as
+	// runs of adjacent pages in address order. Every accessible byte
+	// outside an extent is zero in the captured state. The guard gap
+	// between the regions is unreachable by the guest, so its contents
+	// never need restoring.
+	image []extent
 
 	regs               [8]uint32
 	eip                uint32
@@ -39,6 +50,12 @@ type Snapshot struct {
 	fuel                    int64
 	opt                     OptLevel // as configured; a VM resolves OptDefault for itself
 	wallBudget              time.Duration
+
+	// arena is where traces compiled for this snapshot's VMs live: the
+	// arena of the VM the snapshot was taken from, handed to every VM
+	// restored from it, so one decoder's code is one pair of mappings
+	// however many VMs compile into it.
+	arena *tier2.Arena
 
 	mu     sync.Mutex
 	blocks map[uint32]*block
@@ -52,6 +69,38 @@ type Snapshot struct {
 	// Records belong to this snapshot alone (ImportBlocks copies them) and
 	// are read and written under mu.
 	sbs map[uint32]*sbRecord
+}
+
+// extent is one run of the image: data is what mem[off:off+len(data)]
+// held. off is page-aligned, and the run ends on a page boundary or
+// where its region does.
+type extent struct {
+	off  uint32
+	data []byte
+}
+
+// zeroPage is what a page with nothing to keep compares equal to.
+var zeroPage [PageSize]byte
+
+// nonZeroRuns appends to dst the pages of mem[lo:hi) that hold a non-zero
+// byte, adjacent pages merged into one extent, as views of mem itself.
+// lo is page-aligned; hi need not be.
+func nonZeroRuns(dst []extent, mem []byte, lo, hi uint32) []extent {
+	run := lo // where the run of non-zero pages ending at lo began
+	for ; lo < hi; lo += PageSize {
+		end := min(lo+PageSize, hi)
+		if !bytes.Equal(mem[lo:end], zeroPage[:end-lo]) {
+			continue
+		}
+		if run < lo {
+			dst = append(dst, extent{off: run, data: mem[run:lo]})
+		}
+		run = lo + PageSize
+	}
+	if run < hi {
+		dst = append(dst, extent{off: run, data: mem[run:hi]})
+	}
+	return dst
 }
 
 // sbRecord is one absorbed superblock: the shared immutable fragment
@@ -79,12 +128,30 @@ func (s *Snapshot) geometry() tier2.Geometry {
 // after elf32.Load, when the image is pristine; AbsorbBlocks can later
 // fold a warmed-up VM's translation cache into the snapshot. Lazy flags
 // are materialized first, so the snapshot stores the architectural bits.
+//
+// Only memory the VM's watermarks say may have been written is scanned
+// for pages to keep: right after ELF load that is the file-backed part
+// of the segments, not the BSS above it nor the stack.
 func (v *VM) Snapshot() *Snapshot {
 	v.materializeFlags()
+	if v.arena == nil {
+		v.arena = tier2.NewArena(tier2.ArenaSize)
+	}
+	image := nonZeroRuns(nil, v.mem, PageSize, min(v.dirtyBrk, v.m.Brk))
+	image = nonZeroRuns(image, v.mem, v.stackLow, uint32(len(v.mem)))
+	n := 0
+	for _, e := range image {
+		n += len(e.data)
+	}
+	buf := make([]byte, n) // the runs move out of guest memory into one allocation
+	for i := range image {
+		k := copy(buf, image[i].data)
+		image[i].data, buf = buf[:k:k], buf[k:]
+	}
 	s := &Snapshot{
 		memSize: uint32(len(v.mem)),
-		low:     append([]byte(nil), v.mem[:v.m.Brk]...),
-		high:    append([]byte(nil), v.mem[v.stackBase:]...),
+		image:   image,
+		arena:   v.arena,
 		regs:    [8]uint32(v.m.Regs[:8]),
 		eip:     v.eip,
 		cf:      v.m.CF, zf: v.m.ZF, sf: v.m.SF, of: v.m.OF, pf: v.m.PF,
@@ -153,7 +220,8 @@ func (s *Snapshot) blockMap(v *VM) {
 // instance for parallel extraction.
 func (s *Snapshot) NewVM() *VM {
 	owner, mem := allocGuestMem(s.memSize)
-	v := &VM{mem: mem, memOwner: owner}
+	// A fresh address space is all zero: nothing is dirty.
+	v := &VM{mem: mem, memOwner: owner, dirtyBrk: PageSize, stackLow: s.memSize}
 	s.restore(v)
 	return v
 }
@@ -173,19 +241,39 @@ func (v *VM) Reset(s *Snapshot) error {
 }
 
 func (s *Snapshot) restore(v *VM) {
-	// Memory beyond the restored brk stays dirty but unreachable: the
-	// sandbox bounds make it inaccessible, and sysSetPerm re-zeroes the
-	// dirtied prefix (up to v.dirtyBrk) before exposing it again.
-	copy(v.mem[:s.brk], s.low)
-	copy(v.mem[s.stackBase:], s.high)
+	// Zero what the VM may have written of the regions the snapshot makes
+	// accessible, then lay the image's pages over it. Heap memory beyond
+	// the restored brk stays dirty but unreachable: the sandbox bounds
+	// make it inaccessible, and sysSetPerm re-zeroes the dirtied prefix
+	// (up to v.dirtyBrk) before exposing it again. The stack window goes
+	// back to the kernel whole where the address space is a mapping: one
+	// call whatever its size, and the next stream faults in the page or
+	// two it touches.
+	if top := min(v.dirtyBrk, s.brk); top > PageSize {
+		clear(v.mem[PageSize:top])
+	}
+	if v.dirtyBrk > s.stackBase {
+		// The VM comes from a snapshot with a smaller stack, and its heap
+		// once reached into what is now stack.
+		v.stackLow = min(v.stackLow, s.stackBase)
+	}
+	if v.stackLow < s.memSize {
+		v.memOwner.zero(v.mem[v.stackLow:])
+		v.stackLow = s.memSize
+	}
+	for _, e := range s.image {
+		copy(v.mem[e.off:], e.data)
+		if end := e.off + uint32(len(e.data)); end <= s.brk {
+			v.dirtyBrk = max(v.dirtyBrk, end)
+		} else {
+			v.stackLow = min(v.stackLow, e.off)
+		}
+	}
 	copy(v.m.Regs[:], s.regs[:])
 	v.eip = s.eip
 	v.m.CF, v.m.ZF, v.m.SF, v.m.OF, v.m.PF = s.cf, s.zf, s.sf, s.of, s.pf
 	v.m.Fl = uop.Flags{} // snapshots carry materialized flags
 	v.m.Brk = s.brk
-	if s.brk > v.dirtyBrk {
-		v.dirtyBrk = s.brk
-	}
 	v.roLimit = s.roLimit
 	v.stackBase = s.stackBase
 	v.m.Fuel = s.fuel
@@ -199,6 +287,7 @@ func (s *Snapshot) restore(v *VM) {
 	v.wallBudget = s.wallBudget
 	v.wallDeadline = 0
 	v.bindTier2()
+	v.arena = s.arena
 	s.blockMap(v)
 	v.exitCode = 0
 	v.Stdin, v.Stdout, v.Stderr = nil, nil, nil
@@ -310,27 +399,32 @@ func (s *Snapshot) DropSuperblocks() {
 	s.sbs = make(map[uint32]*sbRecord)
 }
 
-// Footprint estimates the resident bytes a snapshot pins: the stored
-// memory image, the translated block cache and the executable mappings
-// of published tier-2 traces. It is the accounting unit for
-// content-addressed snapshot caches with a byte budget. Blocks
-// absorbed after the call are not re-counted; their total is bounded by
-// the decoder's read-only text, which the image term already dominates.
+// Footprint estimates the resident bytes a snapshot pins: the pages of
+// the memory image, the translated block cache and the code pages of its
+// arena — once, however many traces share them, and including what VMs
+// of the snapshot compiled and have not published. It is the accounting
+// unit for content-addressed snapshot caches with a byte budget. Traces
+// imported from a sibling snapshot live in the sibling's arena and count
+// there.
 func (s *Snapshot) Footprint() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := int64(len(s.low)) + int64(len(s.high))
+	n := s.arena.Committed()
+	for _, e := range s.image {
+		n += int64(len(e.data))
+	}
 	for _, b := range s.blocks {
 		n += blockFootprint(b)
 	}
 	for _, r := range s.sbs {
 		n += blockFootprint(r.b)
-		if r.t2 != nil {
-			n += r.t2.MappedBytes()
-		}
 	}
 	return n
 }
+
+// CodeBytes is the arena's part of Footprint: the code pages the
+// snapshot's lineage has filled.
+func (s *Snapshot) CodeBytes() int64 { return s.arena.Committed() }
 
 // blockFootprint estimates one translated fragment's resident bytes.
 func blockFootprint(b *block) int64 {

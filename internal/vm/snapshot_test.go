@@ -2,6 +2,8 @@ package vm
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math/rand"
 	"testing"
 
 	"vxa/internal/x86"
@@ -311,5 +313,192 @@ func TestResetSizeMismatch(t *testing.T) {
 	}
 	if err := big.Reset(small.Snapshot()); err == nil {
 		t.Fatal("reset across memory sizes must fail")
+	}
+}
+
+// pokeProgram is a guest that does what its input stream tells it: every
+// 12-byte command (op, addr, value) is either a one-byte store of value
+// at addr (op 0) or setperm(addr, value) (op 1); at end of input it
+// signals done. The command lands in the BSS buffer "cmd"; the guest
+// uses no stack of its own.
+func pokeProgram(u *asm.Unit) {
+	gate := x86.Arg{Kind: x86.KindImm, Imm: 0x80, Size: 1}
+	u.DefBSS("cmd", 12, 4)
+	u.Label("start")
+	u.Label("next")
+	u.Op2(x86.MOV, x86.R(x86.EAX), x86.I(SysRead))
+	u.Op2(x86.XOR, x86.R(x86.EBX), x86.R(x86.EBX))
+	u.Op2(x86.MOV, x86.R(x86.ECX), x86.ISym("cmd"))
+	u.Op2(x86.MOV, x86.R(x86.EDX), x86.I(12))
+	u.Op1(x86.INT, gate)
+	u.Op2(x86.CMP, x86.R(x86.EAX), x86.I(12))
+	u.Jcc(x86.CCNE, "finish")
+	u.Op2(x86.MOV, x86.R(x86.ESI), x86.MAbs("cmd", 0, 4))
+	u.Op2(x86.MOV, x86.R(x86.EDI), x86.MAbs("cmd", 4, 4))
+	u.Op2(x86.MOV, x86.R(x86.EDX), x86.MAbs("cmd", 8, 4))
+	u.Op2(x86.TEST, x86.R(x86.ESI), x86.R(x86.ESI))
+	u.Jcc(x86.CCNE, "grow")
+	u.Op2(x86.MOV, x86.M8(x86.EDI, 0), x86.R8(x86.EDX))
+	u.Jmp("next")
+	u.Label("grow")
+	u.Op2(x86.MOV, x86.R(x86.EAX), x86.I(SysSetPerm))
+	u.Op2(x86.MOV, x86.R(x86.EBX), x86.R(x86.EDI))
+	u.Op2(x86.MOV, x86.R(x86.ECX), x86.R(x86.EDX))
+	u.Op1(x86.INT, gate)
+	u.Jmp("next")
+	u.Label("finish")
+	u.Op2(x86.MOV, x86.R(x86.EAX), x86.I(SysDone))
+	u.Op1(x86.INT, gate)
+	u.Jmp("next")
+}
+
+// TestSparseImageProperty: whatever a VM has been through — guest stores
+// into heap and stack, heap growth, resets that shrink the heap again —
+// a snapshot of it restores to exactly the memory it had, on a fresh
+// mapping, on a reused VM however dirty, and on an address space that is
+// plain heap memory (the allocator's fallback). The test keeps a dense
+// model of guest memory, applies every command to it that the guest
+// executes, and compares all of the accessible regions after every
+// stream and every restore; memory that growth exposes must be zero even
+// where an earlier life of the VM left something.
+func TestSparseImageProperty(t *testing.T) {
+	cfg := Config{MemSize: 1 << 20, StackSize: 64 << 10}
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		v, _ := buildVM(t, cfg, nil, pokeProgram)
+		memSize, stackBase, roLimit := uint32(len(v.mem)), v.stackBase, v.roLimit
+		cmdAddr := v.m.Brk - 12 // the BSS buffer ends the image
+		for cmdAddr%4 != 0 {
+			cmdAddr--
+		}
+
+		// The model: every byte of guest memory and the heap end.
+		ref := append([]byte(nil), v.mem...)
+		brk := v.m.Brk
+		check := func(what string) {
+			t.Helper()
+			if v.m.Brk != brk {
+				t.Fatalf("seed %d, %s: brk %#x, model %#x", seed, what, v.m.Brk, brk)
+			}
+			if !bytes.Equal(v.mem[:brk], ref[:brk]) {
+				i := 0
+				for v.mem[i] == ref[i] {
+					i++
+				}
+				t.Fatalf("seed %d, %s: heap differs from the model at %#x: %#x, want %#x", seed, what, i, v.mem[i], ref[i])
+			}
+			if !bytes.Equal(v.mem[stackBase:], ref[stackBase:]) {
+				t.Fatalf("seed %d, %s: stack differs from the model", seed, what)
+			}
+		}
+
+		// stream runs one batch of commands through the guest and the model.
+		stream := func() {
+			var in []byte
+			cmd := func(op, addr, val uint32) {
+				var c [12]byte
+				binary.LittleEndian.PutUint32(c[0:], op)
+				binary.LittleEndian.PutUint32(c[4:], addr)
+				binary.LittleEndian.PutUint32(c[8:], val)
+				in = append(in, c[:]...)
+				copy(ref[cmdAddr:], c[:])
+				if op == 0 {
+					ref[addr] = byte(val)
+				} else {
+					brk = max(brk, addr+val)
+				}
+			}
+			for n := rng.Intn(12); n > 0; n-- {
+				val := uint32(1 + rng.Intn(255))
+				switch rng.Intn(6) {
+				case 0: // grow the heap by up to eight pages, if there is room
+					if grow := uint32(1+rng.Intn(8)) * PageSize; brk+grow <= stackBase-PageSize {
+						cmd(1, brk, grow)
+					}
+				case 1: // the stack's first byte, and its last
+					cmd(0, stackBase, val)
+					cmd(0, memSize-1, val)
+				case 2: // anywhere in the stack
+					cmd(0, stackBase+uint32(rng.Intn(int(memSize-stackBase))), val)
+				default: // anywhere in the writable heap
+					cmd(0, roLimit+uint32(rng.Intn(int(brk-roLimit))), val)
+				}
+			}
+			v.Stdin = bytes.NewReader(in)
+			runStream(t, v)
+			check("after a stream")
+		}
+
+		var snap *Snapshot
+		var dense []byte // the model when snap was taken
+		var denseBrk uint32
+		restored := func(what string) {
+			ref, brk = append(ref[:0], dense...), denseBrk
+			check(what)
+		}
+		for step := 0; step < 60; step++ {
+			switch op := rng.Intn(8); {
+			case snap == nil || op == 0:
+				snap = v.Snapshot()
+				dense, denseBrk = append([]byte(nil), ref...), brk
+				if rng.Intn(2) == 0 { // as an artifact would bring it back
+					data, err := snap.Serialize()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if snap, err = Deserialize(data); err != nil {
+						t.Fatal(err)
+					}
+				}
+			case op == 1:
+				if err := v.Reset(snap); err != nil {
+					t.Fatal(err)
+				}
+				restored("after Reset")
+			case op == 2:
+				v = snap.NewVM()
+				restored("after NewVM")
+			case op == 3:
+				// What allocGuestMem falls back to when the kernel gives it
+				// no mapping.
+				v = &VM{mem: make([]byte, memSize), memOwner: &guestMem{}, dirtyBrk: PageSize, stackLow: memSize}
+				snap.restore(v)
+				restored("after a restore onto heap memory")
+			default:
+				stream()
+			}
+		}
+	}
+}
+
+// TestResetAcrossStackSizes: a VM rewound onto a snapshot with a larger
+// stack than the one it came from gets a zero stack even where its old
+// heap had grown into what is now the stack window.
+func TestResetAcrossStackSizes(t *testing.T) {
+	small := Config{MemSize: 1 << 20, StackSize: 16 << 10}
+	v, _ := buildVM(t, small, nil, pokeProgram)
+	top := v.stackBase - PageSize // as far as the heap may grow
+	var in []byte
+	for _, c := range [][3]uint32{{1, v.m.Brk, top - v.m.Brk}, {0, top - 1, 0xEE}, {0, top - 3*PageSize, 0xEE}} {
+		for _, x := range c {
+			in = binary.LittleEndian.AppendUint32(in, x)
+		}
+	}
+	v.Stdin = bytes.NewReader(in)
+	runStream(t, v)
+
+	w, err := New(Config{MemSize: 1 << 20, StackSize: 256 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := w.Snapshot()
+	if big.stackBase >= top-3*PageSize {
+		t.Fatal("the second snapshot's stack does not reach the first VM's heap")
+	}
+	if err := v.Reset(big); err != nil {
+		t.Fatal(err)
+	}
+	if stack := v.mem[v.stackBase:]; !bytes.Equal(stack, make([]byte, len(stack))) {
+		t.Fatal("bytes of the old heap survived the reset inside the new stack window")
 	}
 }

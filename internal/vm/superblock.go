@@ -1,6 +1,9 @@
 package vm
 
 import (
+	"slices"
+	"time"
+
 	"vxa/internal/vm/uop"
 	"vxa/internal/x86"
 )
@@ -97,12 +100,24 @@ func sbSelfLoop(term *uop.Uop, entry uint32) bool {
 // block entry. On success entry.sb carries the new fragment's bref; on
 // failure (nothing to grow) the entry is marked tried so the attempt is
 // not repeated.
+//
+// The trace is assembled in the VM's scratch (xlate) — each constituent
+// lowered straight onto its end, the terminator rewritten in place — and
+// the optimized result copied out at its final size. The time this takes
+// is Stats.SuperblockNS, less the blocks it has built on the way.
 func (v *VM) formSuperblock(entry *bref) {
 	entry.sbTried = true
-
-	var uops []uop.Uop
-	visited := make(map[*block]bool)
-	var callRets []uint32 // return addresses of calls inlined so far
+	start, translate0 := time.Now(), v.stats.TranslateNS
+	xl := &v.xl
+	uops := xl.sb[:0]
+	callRets := xl.callRets[:0] // return addresses of calls inlined so far
+	defer func() {
+		xl.sb, xl.callRets = uops[:0], callRets[:0] // as far as they have grown
+		v.stats.SuperblockNS += uint64(time.Since(start)) - (v.stats.TranslateNS - translate0)
+	}()
+	// A block is visited when it carries this call's stamp.
+	xl.gen++
+	gen := xl.gen
 	cur := entry
 	blocks := 0
 	lastEnd := entry.b.end
@@ -111,7 +126,9 @@ func (v *VM) formSuperblock(entry *bref) {
 		b := cur.b
 		blocks++
 		lastEnd = b.end
-		raw := uop.Lower(b.insts, b.addrs)
+		first := len(uops)
+		uops = uop.Lower(uops, b.insts, b.addrs)
+		raw := uops[first:]
 		term := &raw[len(raw)-1]
 
 		// Decide how this block continues the trace. Branch-driven
@@ -120,7 +137,7 @@ func (v *VM) formSuperblock(entry *bref) {
 		// real terminator so iterations re-enter the superblock.
 		// Call-driven growth skips the visited check (two call sites
 		// may legitimately inline one callee); sbMaxBlocks bounds it.
-		full := blocks >= sbMaxBlocks || len(uops)+len(raw) > sbMaxUops
+		full := blocks >= sbMaxBlocks || len(uops) > sbMaxUops
 		var nextAddr uint32
 		var repl *uop.Uop // replacement for the terminator, if any
 		grow, viaCall := false, false
@@ -129,13 +146,13 @@ func (v *VM) formSuperblock(entry *bref) {
 			// keep the terminator; trace ends here
 
 		case term.Kind == uop.KindJmp:
-			visited[b] = true
+			cur.sbGen = gen
 			if !full {
 				nextAddr, grow = term.Target, true
 			}
 
 		case term.Kind == uop.KindJcc:
-			visited[b] = true
+			cur.sbGen = gen
 			if !full {
 				// Follow the profiled dominant edge; the guard exits to
 				// the other side with the condition inverted as needed.
@@ -180,7 +197,7 @@ func (v *VM) formSuperblock(entry *bref) {
 		default:
 			// No control terminator: the block fell through at the
 			// fragment-length cap.
-			visited[b] = true
+			cur.sbGen = gen
 			if !full {
 				nextAddr, grow = b.end, true
 			}
@@ -189,7 +206,7 @@ func (v *VM) formSuperblock(entry *bref) {
 		var next *bref
 		if grow {
 			nb, err := v.lookupBlock(nextAddr)
-			if err != nil || (!viaCall && visited[nb.b]) {
+			if err != nil || (!viaCall && nb.sbGen == gen) {
 				// Undecodable successor or trace closure (the loop back
 				// edge): keep the original terminator and stop.
 				grow = false
@@ -199,7 +216,6 @@ func (v *VM) formSuperblock(entry *bref) {
 		}
 
 		if !grow {
-			uops = append(uops, raw...)
 			switch term.Kind {
 			case uop.KindJmp, uop.KindJcc, uop.KindCall, uop.KindRet:
 			default:
@@ -220,20 +236,15 @@ func (v *VM) formSuperblock(entry *bref) {
 
 		switch {
 		case repl != nil:
-			uops = append(uops, raw[:len(raw)-1]...)
-			uops = append(uops, *repl)
 			if term.Kind == uop.KindCall {
 				callRets = append(callRets, term.Next)
 			}
+			*term = *repl
 		case term.Kind == uop.KindJmp:
 			// The jump dissolves into the trace; a NOP keeps its one-
 			// instruction fuel cost and trap-window accounting.
-			uops = append(uops, raw[:len(raw)-1]...)
-			uops = append(uops, uop.Uop{
-				Kind: uop.KindNop, EIP: term.EIP, Next: term.Next, Cost: 1,
-			})
+			*term = uop.Uop{Kind: uop.KindNop, EIP: term.EIP, Next: term.Next, Cost: 1}
 		default: // fall-through into the next block
-			uops = append(uops, raw...)
 		}
 		cur = next
 	}
@@ -246,9 +257,10 @@ func (v *VM) formSuperblock(entry *bref) {
 	}
 
 	cost := uop.Cost(uops)
-	us, ost := uop.Optimize(uops)
+	opt, ost := uop.Optimize(uops)
 	v.stats.UopsFused += ost.UopsFused
 	v.stats.FlagsElided += ost.FlagsElided
+	us := slices.Clone(opt)
 
 	// Number the guards: each conditional guard gets its own exit chain
 	// slot, each return guard its own indirect inline cache.

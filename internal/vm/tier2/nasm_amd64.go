@@ -5,16 +5,18 @@ package tier2
 import (
 	"runtime"
 	"syscall"
+	"unsafe"
 )
 
 // This file is the emitter's substrate: a minimal x86-64 assembler for
 // exactly the instruction shapes the trace compiler needs, plus the
-// executable-memory allocator. Every instruction form takes its r/m
-// operand as one rm value — a register, or memory [base+idx*scale+disp]
-// with either register optional — so one encoder per opcode serves
-// register operands, Machine fields off RDI, guest memory off RSI and
-// link-table slots alike. The register convention the emitted code
-// follows is native_amd64.go's; the assembler knows none of it.
+// mapping of the executable arena (execbuf.go). Every instruction form
+// takes its r/m operand as one rm value — a register, or memory
+// [base+idx*scale+disp] with either register optional — so one encoder
+// per opcode serves register operands, Machine fields off RDI, guest
+// memory off RSI and link-table slots alike. The register convention the
+// emitted code follows is native_amd64.go's; the assembler knows none of
+// it.
 //
 // Besides bytes the assembler keeps two things the emitter and the
 // ledger read: a count of instructions emitted, and a log of what each
@@ -516,32 +518,49 @@ func (a *nasm) retStatus(s int32) {
 
 // ---- executable memory ---------------------------------------------------
 
-// sealExec copies code into a fresh anonymous mapping and seals it
-// read+execute. Returns nil when the platform refuses executable
-// mappings (hardened kernels); the caller then stays on tier-1.
-func sealExec(code []byte) *execBuf {
-	if len(code) == 0 {
-		return nil
+// Linux's memfd_create on amd64 and the two of its flags used here; the
+// frozen syscall package predates all three.
+const (
+	sysMemfdCreate = 319
+	mfdCloexec     = 0x1
+	mfdExec        = 0x10
+)
+
+// mapViews backs the arena with an anonymous memory file mapped twice,
+// read+write and read+execute. The file descriptor does not outlive the
+// call; the region lives until unmap drops both views. It reports whether
+// the host allowed all of it.
+func (a *Arena) mapViews() bool {
+	name := [...]byte{'v', 'x', 'a', '-', 'c', 'o', 'd', 'e', 0}
+	// Kernels from 6.3 want to be told the file may be mapped executable;
+	// older ones reject the flag they do not know.
+	fd, _, errno := syscall.Syscall(sysMemfdCreate, uintptr(unsafe.Pointer(&name[0])), mfdCloexec|mfdExec, 0)
+	if errno == syscall.EINVAL {
+		fd, _, errno = syscall.Syscall(sysMemfdCreate, uintptr(unsafe.Pointer(&name[0])), mfdCloexec, 0)
 	}
-	buf, err := syscall.Mmap(-1, 0, len(code),
-		syscall.PROT_READ|syscall.PROT_WRITE,
-		syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	if errno != 0 {
+		return false
+	}
+	defer syscall.Close(int(fd))
+	if syscall.Ftruncate(int(fd), int64(a.size)) != nil {
+		return false
+	}
+	rw, err := syscall.Mmap(int(fd), 0, a.size, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
 	if err != nil {
-		return nil
+		return false
 	}
-	copy(buf, code)
-	if err := syscall.Mprotect(buf, syscall.PROT_READ|syscall.PROT_EXEC); err != nil {
-		syscall.Munmap(buf)
-		return nil
+	rx, err := syscall.Mmap(int(fd), 0, a.size, syscall.PROT_READ|syscall.PROT_EXEC, syscall.MAP_SHARED)
+	if err != nil {
+		syscall.Munmap(rw)
+		return false
 	}
-	e := &execBuf{buf: buf}
-	runtime.SetFinalizer(e, (*execBuf).release)
-	return e
+	a.rw, a.rx = rw, rx
+	runtime.SetFinalizer(a, (*Arena).unmap)
+	return true
 }
 
-func (e *execBuf) release() {
-	if e.buf != nil {
-		syscall.Munmap(e.buf)
-		e.buf = nil
-	}
+func (a *Arena) unmap() {
+	syscall.Munmap(a.rw)
+	syscall.Munmap(a.rx)
+	a.rw, a.rx = nil, nil
 }

@@ -3,9 +3,9 @@
 package tier2
 
 import (
-	"runtime"
 	"slices"
 	"sync"
+	"time"
 	"unsafe"
 
 	"vxa/internal/vm/uop"
@@ -86,6 +86,16 @@ import (
 // branches in the code are those slot jumps and ret, and no emitted
 // instruction ever writes code: a loop is a trace linked to itself.
 //
+// Where the code lives. The emitter assembles into buffers of its own and
+// hands the finished bytes to the trace's Arena (execbuf.go), which
+// copies them once, through its writable view, to the next free 16-byte
+// boundary; the trace runs from the same offset of the executable view.
+// Nothing emitted depends on where that is — jumps inside a trace are
+// relative, everything else goes through RDI, RSI and the link table —
+// so the bytes of a trace are the same in any arena, and the only
+// absolute addresses, the return stubs in Trace.unlinked, are data beside
+// the code, computed after it is placed.
+//
 // Micro-ops whose semantics need lazy-flag materialization of a record
 // that is not statically known (a plain guard or Jcc-less setcc form,
 // INC/DEC's carry preservation, ADC/SBB after a conditional writer)
@@ -104,14 +114,6 @@ var hostReg = [8]int{
 
 //go:noescape
 func jitcall(code uintptr, m *Machine, cur uint32) int32
-
-// call enters the mapped code against m as the trace whose slots start
-// at offset cur; the mapping must not be finalized under it.
-func (b *execBuf) call(m *Machine, cur uint32) int32 {
-	s := jitcall(uintptr(unsafe.Pointer(&b.buf[0])), m, cur)
-	runtime.KeepAlive(b)
-	return s
-}
 
 // Machine field offsets, resolved once against a zero value. The
 // emitter addresses every field as [rdi+off].
@@ -302,10 +304,11 @@ type nemit struct {
 	checks int // bounds checks the hot body emitted
 }
 
-// nativeCompile emits us as machine code into t. Returns false on any
-// unsupported micro-op or when executable memory is unavailable; t is
-// then discarded and the superblock stays on tier-1.
-func nativeCompile(us []uop.Uop, entry uint32, g Geometry, t *Trace) bool {
+// nativeCompile emits us as machine code into t and places it in t's
+// arena. Returns false on any unsupported micro-op or when the arena
+// takes no more code; t is then discarded and the superblock stays on
+// tier-1.
+func nativeCompile(us []uop.Uop, entry uint32, g Geometry, t *Trace, o *Outcome) bool {
 	if g.MemLen > 1<<30 || g.MemLen < g.StackBase+pageSize || g.StackBase < pageSize {
 		// The checks compare 64-bit sums against sign-extended 32-bit
 		// immediates and subtract a span of up to a page from either
@@ -394,11 +397,13 @@ func nativeCompile(us []uop.Uop, entry uint32, g Geometry, t *Trace) bool {
 	}
 	a.c = append(a.c, twin...)
 
-	eb := sealExec(a.c)
-	if eb == nil {
+	start := time.Now()
+	t.code = t.arena.place(a.c)
+	o.Seal = time.Since(start)
+	if t.code == nil {
+		o.Refused = true
 		return false
 	}
-	t.code = eb
 	t.Exits = append([]Exit(nil), e.exits...)
 	t.NeedFlags = e.usedEntry
 	t.unlinked = make([]Link, max(t.Slots, 1))
@@ -409,7 +414,7 @@ func nativeCompile(us []uop.Uop, entry uint32, g Geometry, t *Trace) bool {
 }
 
 // emitters recycles emitters with the slices they have grown: what a
-// compile keeps is the Trace and the sealed mapping its code is copied to.
+// compile keeps is the Trace and the copy of its code in the arena.
 var emitters = sync.Pool{New: func() any { return new(nemit) }}
 
 // init readies a recycled emitter for a trace of its own.

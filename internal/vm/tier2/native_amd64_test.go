@@ -15,6 +15,9 @@ import (
 // move, a stack from page 12 to the end at page 16.
 var edgeGeometry = Geometry{MemLen: 16 * pageSize, ROLimit: 3 * pageSize, StackBase: 12 * pageSize}
 
+// edgeArena holds every test trace.
+var edgeArena = NewArena(ArenaSize)
+
 // edgeAccess is one guest memory operand of a test trace.
 type edgeAccess struct {
 	size  uint32
@@ -45,7 +48,7 @@ func edgeTrace(t *testing.T, m *Machine, base, idx, scale uint8, accs []edgeAcce
 		us = append(us, u)
 	}
 	us = append(us, uop.Uop{Kind: uop.KindUd2, Cost: 1, EIP: 0x1100, Next: 0x1102})
-	tr := Compile(us, 0x1000, m.Geometry)
+	tr, _ := Compile(us, 0x1000, m.Geometry, edgeArena)
 	if tr == nil {
 		t.Fatal("test trace did not compile")
 	}

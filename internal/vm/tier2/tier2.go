@@ -43,7 +43,11 @@
 // next trace. Code is never patched: a Trace is immutable after Compile,
 // holds no pointer to any VM and is shared by every VM of the decoder's
 // Snapshot, while the links between traces are per-VM data that the VM
-// drops with its view of the translation cache. The trace entry declines
+// drops with its view of the translation cache. The code itself lives in
+// the Arena of the snapshot lineage (execbuf.go): one region mapped
+// twice, written through one view and run from the other, to which a
+// compile appends without a system call and which is unmapped when the
+// last Trace, Snapshot and VM holding it are gone. The trace entry declines
 // to start — it returns status 0 with the entry's guest address in
 // ExitTarget — when Budget is short of the trace's Cost, so a chain of
 // linked traces comes back to the dispatcher at least once per poll
@@ -56,7 +60,8 @@
 // it is handed per run (the registers through the shim, as above) and
 // bakes in only the sandbox Geometry. On every other host Compile
 // returns nil and superblocks stay on the tier-1 dispatch loop
-// (native_other.go), which executes the same micro-op array.
+// (native_other.go), which executes the same micro-op array; so it does
+// once an arena is full, or on a host that will not map one.
 //
 // The tier is semantically invisible. The code emitted for a micro-op
 // replicates its tier-1 handler in internal/vm's uexec.go exactly:
@@ -70,6 +75,8 @@ package tier2
 
 import (
 	"fmt"
+	"runtime"
+	"time"
 	"unsafe"
 
 	"vxa/internal/vm/uop"
@@ -280,11 +287,13 @@ func suffixCosts(tail []int64, us []uop.Uop) []int64 {
 type Trace struct {
 	Exits []Exit
 
-	// code is the trace's executable mapping, pinned for the life of the
-	// trace. Its first byte is the trace entry. unlinked is what the
-	// trace's slots hold before the VM links anything: each link exit's
-	// own return stub.
-	code     *execBuf
+	// code is the trace's machine code as the executable view of arena
+	// holds it; the pointer to the arena is what keeps that view mapped
+	// for the life of the trace. Its first byte is the trace entry.
+	// unlinked is what the trace's slots hold before the VM links
+	// anything: each link exit's own return stub.
+	code     []byte
+	arena    *Arena
 	unlinked []Link
 
 	// Geom is the geometry the trace was compiled for.
@@ -355,18 +364,16 @@ func (t *Trace) Layout() (hotEnd, twinStart int) { return t.hotEnd, t.twinStart 
 
 // Code returns the trace's emitted machine code. The bytes are mapped
 // read+execute: read them, never write.
-func (t *Trace) Code() []byte { return t.code.buf }
+func (t *Trace) Code() []byte { return t.code }
 
-// MappedBytes is the memory the trace's code pins: its own mapping, so
-// whole pages.
-func (t *Trace) MappedBytes() int64 {
-	return (int64(len(t.Code())) + pageSize - 1) &^ (pageSize - 1)
-}
+// MappedBytes is the trace's own share of its arena: the length of its
+// code. What the arena as a whole occupies is Arena.Committed.
+func (t *Trace) MappedBytes() int64 { return int64(len(t.code)) }
 
 // EntryAddr is the host address of the trace's entry: what a slot linked
 // to the trace holds.
 func (t *Trace) EntryAddr() uintptr {
-	return uintptr(unsafe.Pointer(&t.code.buf[0]))
+	return uintptr(unsafe.Pointer(unsafe.SliceData(t.code)))
 }
 
 // Unlinked returns the initial content of the run of link-table slots a
@@ -391,25 +398,43 @@ func (l *Link) Link(target *Trace, cur uint32) {
 // this trace's first slot in m's link table. The caller must hold the
 // flags materialized if NeedFlags. Every charge and refund has landed in
 // m by the time Run returns.
-func (t *Trace) Run(m *Machine, cur uint32) int32 { return t.code.call(m, cur) }
+func (t *Trace) Run(m *Machine, cur uint32) int32 {
+	s := jitcall(t.EntryAddr(), m, cur)
+	// The arena must not be finalized under the run, nor under any trace
+	// of it the run was linked into: the VM holds those, and the arena
+	// with them.
+	runtime.KeepAlive(t)
+	return s
+}
 
-// Compile compiles one optimized superblock trace for geometry g and
-// returns a trace any Machine with that geometry can run, every exit
-// site with its static Exit descriptor. It returns nil where there is no
-// emitter for the host, when the trace contains a micro-op the emitter
-// cannot express (the reference escapes KindString/KindGeneric, a
-// consumer of flags it cannot know statically, a malformed trace) or
-// when no executable memory is to be had; the superblock then simply
-// keeps executing on the tier-1 dispatch loop.
-func Compile(us []uop.Uop, entry uint32, g Geometry) *Trace {
+// Outcome is what a Compile call reports beside the trace.
+type Outcome struct {
+	// Seal is the part of the call spent placing the finished code in
+	// the arena.
+	Seal time.Duration
+	// Refused: the trace was emitted and the arena turned it away — it
+	// is full, or the host refused it a mapping.
+	Refused bool
+}
+
+// Compile compiles one optimized superblock trace for geometry g into
+// arena a and returns a trace any Machine with that geometry can run,
+// every exit site with its static Exit descriptor. It returns nil where
+// there is no emitter for the host, when the trace contains a micro-op
+// the emitter cannot express (the reference escapes
+// KindString/KindGeneric, a consumer of flags it cannot know statically,
+// a malformed trace) or when the arena has no room for it; the
+// superblock then simply keeps executing on the tier-1 dispatch loop.
+func Compile(us []uop.Uop, entry uint32, g Geometry, a *Arena) (*Trace, Outcome) {
+	var o Outcome
 	if i, _ := Unsupported(us); i >= 0 {
-		return nil
+		return nil, o
 	}
-	t := &Trace{Entry: entry, Cost: uop.Cost(us), NUops: len(us), Geom: g}
-	if !nativeCompile(us, entry, g, t) {
-		return nil
+	t := &Trace{Entry: entry, Cost: uop.Cost(us), NUops: len(us), Geom: g, arena: a}
+	if !nativeCompile(us, entry, g, t, &o) {
+		return nil, o
 	}
-	return t
+	return t, o
 }
 
 // Unsupported returns the index and kind of the first micro-op that

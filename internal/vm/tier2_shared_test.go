@@ -176,7 +176,7 @@ func checkRecords(t *testing.T, s *Snapshot) {
 		if r.t2.Geom != s.geometry() {
 			t.Errorf("record %#x: published trace geometry=%+v", addr, r.t2.Geom)
 		}
-		again := tier2.Compile(r.b.uops, r.b.uops[0].EIP, s.geometry())
+		again, _ := tier2.Compile(r.b.uops, r.b.uops[0].EIP, s.geometry(), s.arena)
 		if again == nil || !bytes.Equal(again.Code(), r.t2.Code()) {
 			t.Errorf("record %#x: published trace is not what its fragment compiles to", addr)
 		}
@@ -206,7 +206,7 @@ func testSharedTracePositionIndependent(t *testing.T, seed int64) {
 		if sb == nil || sb.t2 == nil {
 			continue
 		}
-		tb := tier2.Compile(sb.b.uops, sb.b.uops[0].EIP, b.m.Geometry)
+		tb, _ := tier2.Compile(sb.b.uops, sb.b.uops[0].EIP, b.m.Geometry, b.arena)
 		if tb == nil || len(tb.Code()) == 0 || !bytes.Equal(tb.Code(), sb.t2.Code()) {
 			t.Fatalf("superblock %#x compiles to different code against another machine", sb.b.uops[0].EIP)
 		}

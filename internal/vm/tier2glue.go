@@ -19,6 +19,7 @@ package vm
 
 import (
 	"fmt"
+	"slices"
 	"time"
 	"unsafe"
 
@@ -51,12 +52,23 @@ func (v *VM) bindTier2() {
 // it in the VM's view of the superblock. One attempt per superblock: a
 // bail (reference-engine escapes in the trace) leaves it on tier-1. The
 // trace charges fuel by the summed micro-op costs, which equal the
-// superblock's block cost, exactly as tier-1 does.
+// superblock's block cost, exactly as tier-1 does. The code goes into
+// the VM's arena — its snapshot's, or one of its own if it has none —
+// and an arena with no room for it is one more way to stay on tier-1.
 func (v *VM) compileTier2(sb *bref) {
 	sb.t2Tried = true
+	if v.arena == nil {
+		v.arena = tier2.NewArena(tier2.ArenaSize)
+	}
 	start := time.Now()
-	t := tier2.Compile(sb.b.uops, sb.b.uops[0].EIP, v.m.Geometry)
-	v.stats.TranslateNS += uint64(time.Since(start).Nanoseconds())
+	t, o := tier2.Compile(sb.b.uops, sb.b.uops[0].EIP, v.m.Geometry, v.arena)
+	d := time.Since(start)
+	v.stats.TranslateNS += uint64(d)
+	v.stats.Tier2EmitNS += uint64(d - o.Seal)
+	v.stats.Tier2SealNS += uint64(o.Seal)
+	if o.Refused {
+		v.stats.Tier2Refused++
+	}
 	if t == nil {
 		return
 	}
@@ -71,8 +83,10 @@ func (v *VM) attachTrace(sb *bref, t *tier2.Trace) {
 	sb.t2 = t
 	sb.linkBase = len(v.links)
 	v.links = append(v.links, t.Unlinked()...)
-	for len(v.linkOwner) < len(v.links) {
-		v.linkOwner = append(v.linkOwner, sb)
+	// The owners grow with the slots, to the same capacity, in one step.
+	v.linkOwner = slices.Grow(v.linkOwner, cap(v.links)-len(v.linkOwner))[:len(v.links)]
+	for i := sb.linkBase; i < len(v.linkOwner); i++ {
+		v.linkOwner[i] = sb
 	}
 	v.m.Links = unsafe.SliceData(v.links)
 }

@@ -26,19 +26,21 @@ var aluRIKinds = [9]Kind{
 	AluAnd: KindAndRI, AluOr: KindOrRI, AluXor: KindXorRI, AluTest: KindTestRI,
 }
 
-// Lower translates one decoded basic block into its micro-op form. insts
-// must be the block's own backing slice: generic escapes keep pointers
-// into it, so it must stay immutable for the lifetime of the result.
-// addrs[i] is the guest address of insts[i]. Lowering is 1:1 — uop i is
-// instruction i, each with Cost 1. Only the optimizer's fusion pass
-// (opt.go) breaks the 1:1 shape, and it preserves the total Cost, which
-// is what the VM's fuel accounting charges.
-func Lower(insts []x86.Inst, addrs []uint32) []Uop {
-	out := make([]Uop, len(insts))
+// Lower translates one decoded basic block into its micro-op form,
+// appended to dst (which a translator reuses from fragment to fragment;
+// nil allocates). insts must be the block's own backing slice: generic
+// escapes keep pointers into it, so it must stay immutable for the
+// lifetime of the result. addrs[i] is the guest address of insts[i].
+// Lowering is 1:1 — uop i is instruction i, each with Cost 1. Only the
+// optimizer's fusion pass (opt.go) breaks the 1:1 shape, and it preserves
+// the total Cost, which is what the VM's fuel accounting charges.
+func Lower(dst []Uop, insts []x86.Inst, addrs []uint32) []Uop {
+	n := len(dst)
+	dst = append(dst, make([]Uop, len(insts))...)
 	for i := range insts {
-		lowerInst(&out[i], &insts[i], addrs[i])
+		lowerInst(&dst[n+i], &insts[i], addrs[i])
 	}
-	return out
+	return dst
 }
 
 // setEA copies a memory operand's pre-resolved address components,

@@ -18,7 +18,7 @@ func lowerSeq(t *testing.T, insts []x86.Inst) []Uop {
 		addrs[i] = addr
 		addr += uint32(insts[i].Len)
 	}
-	return Lower(insts, addrs)
+	return Lower(nil, insts, addrs)
 }
 
 // TestFuseCmpJcc pins the compare/branch terminator fusion and the cost

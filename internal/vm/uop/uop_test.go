@@ -17,7 +17,7 @@ func TestLowerOneToOne(t *testing.T) {
 		{Op: x86.JCC, CC: x86.CCNE, Rel: -9, Len: 2},
 	}
 	addrs := []uint32{0x1000, 0x1005, 0x1007}
-	us := Lower(insts, addrs)
+	us := Lower(nil, insts, addrs)
 	if len(us) != len(insts) {
 		t.Fatalf("lowered %d uops for %d insts", len(us), len(insts))
 	}
@@ -56,7 +56,7 @@ func TestLowerTotal(t *testing.T) {
 	for i := range addrs {
 		addrs[i] = uint32(0x2000 + 4*i)
 	}
-	us := Lower(odd, addrs)
+	us := Lower(nil, odd, addrs)
 	for i, u := range us {
 		if u.Kind != KindGeneric && u.Kind != KindString {
 			t.Errorf("inst %d (%v) lowered to kind %d, want an escape", i, odd[i].Op, u.Kind)

@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"vxa/internal/vm/tier2"
@@ -179,10 +180,22 @@ type Stats struct {
 	Tier2Links        uint64 `json:"tier2_links"`        // trace exits linked straight to another trace's entry
 	// Tier2Code is the exact host-code ledger of the native traces this
 	// VM compiled (installed ones are the snapshot's, not counted).
-	Tier2Code   tier2.Ledger `json:"tier2_code"`
-	TranslateNS uint64       `json:"translate_ns"` // nanoseconds spent decoding+lowering fragments (0 at OptReference)
-	ExecuteNS   uint64       `json:"execute_ns"`   // nanoseconds spent running translated code (Run wall time minus translation)
-	Syscalls    uint64       `json:"syscalls"`
+	Tier2Code tier2.Ledger `json:"tier2_code"`
+	// Tier2Refused counts traces that were emitted and then turned away by
+	// the code arena: it was full, or the host would not map it. Their
+	// superblocks stay on tier 1.
+	Tier2Refused uint64 `json:"tier2_refused"`
+	TranslateNS  uint64 `json:"translate_ns"` // nanoseconds spent decoding+lowering fragments and compiling traces (0 at OptReference)
+	ExecuteNS    uint64 `json:"execute_ns"`   // nanoseconds spent running translated code (Run wall time minus TranslateNS)
+	// The translation ledger. Tier2EmitNS and Tier2SealNS split the part
+	// of TranslateNS spent in the trace compiler into emission and the
+	// copy into the code arena; what is left of TranslateNS is block
+	// decode+lower+optimize. SuperblockNS is superblock formation, which
+	// TranslateNS has never covered and ExecuteNS therefore does.
+	SuperblockNS uint64 `json:"superblock_ns"`
+	Tier2EmitNS  uint64 `json:"tier2_emit_ns"`
+	Tier2SealNS  uint64 `json:"tier2_seal_ns"`
+	Syscalls     uint64 `json:"syscalls"`
 }
 
 // VM is one sandboxed guest. It is not safe for concurrent use.
@@ -212,13 +225,21 @@ type VM struct {
 	// faults. Writes below roLimit fault (text and rodata are read-only).
 	roLimit   uint32
 	stackBase uint32
-	// dirtyBrk is the high-water mark of heap exposure on this address
-	// space: the largest value m.Brk has ever held since the memory was
-	// allocated. Every write path below stackBase is bounded by brk, so
-	// mem[dirtyBrk:stackBase) still holds the zeroed pages allocGuestMem
-	// returned and sysSetPerm need not re-clear them. It survives Reset
-	// (the old heap stays dirty) and only ever grows.
+	// dirtyBrk and stackLow are the two watermarks of what may have been
+	// written on this address space since allocGuestMem returned it
+	// zeroed: below the stack, nothing at or above dirtyBrk; in the stack
+	// window, nothing below stackLow (page-aligned; memSize when the stack
+	// is untouched). Host writes move them exactly (MapSegment, WriteMem,
+	// the image a restore lays down); guest code may write anywhere the
+	// sandbox allows, so a run widens them to the whole heap and the whole
+	// stack before it starts, and setperm takes dirtyBrk along with brk.
+	// They are what lets Snapshot scan, and Reset re-zero, only memory
+	// that can hold something, and what spares sysSetPerm re-clearing
+	// pages no one has touched. dirtyBrk survives Reset (a heap that was
+	// larger than the snapshot's stays dirty above its brk) and only ever
+	// grows; Reset returns the stack to untouched.
 	dirtyBrk uint32
+	stackLow uint32
 
 	// opt is the configured optimization level (Config.OptLevel, which
 	// snapshots carry) and level the one the VM runs at: opt itself, or
@@ -235,6 +256,12 @@ type VM struct {
 	links     []tier2.Link
 	linkOwner []*bref
 	blocks    map[uint32]*bref
+	// arena is where this VM's compiles put their code: the snapshot's,
+	// for a VM that has one on either side of it (Snapshot, restore), its
+	// own otherwise, made by the first compile.
+	arena *tier2.Arena
+	// xl is the translator's scratch (see xlate).
+	xl xlate
 
 	// Cooperative cancellation (RunContext). cancel is the context's
 	// done channel, nil when the run is uncancellable. The channel is
@@ -304,6 +331,7 @@ type bref struct {
 	heat     uint32
 	takenCnt uint32
 	fallCnt  uint32
+	sbGen    uint32 // the formSuperblock call (xlate.gen) that last grew a trace through this block
 	sbTried  bool
 
 	// Tier-2 dispatch slot (superblock brefs only): the compiled trace
@@ -352,6 +380,7 @@ func New(cfg Config) (*VM, error) {
 	}
 	v := &VM{
 		dirtyBrk:   PageSize,
+		stackLow:   cfg.MemSize,
 		roLimit:    PageSize,
 		stackBase:  cfg.MemSize - cfg.StackSize,
 		wallBudget: cfg.WallBudget,
@@ -380,11 +409,9 @@ func (v *VM) MapSegment(addr uint32, data []byte, memSize uint32, readOnly bool)
 		return fmt.Errorf("vm: segment [%#x,%#x) outside loadable region", addr, end)
 	}
 	copy(v.mem[addr:], data)
+	v.dirtyBrk = max(v.dirtyBrk, addr+uint32(len(data))) // the BSS above it is untouched
 	if end > v.m.Brk {
 		v.m.Brk = end
-	}
-	if v.m.Brk > v.dirtyBrk {
-		v.dirtyBrk = v.m.Brk
 	}
 	if readOnly && end > v.roLimit {
 		v.roLimit = end
@@ -454,6 +481,11 @@ func (v *VM) WriteMem(addr uint32, data []byte) error {
 		return &Trap{Kind: TrapWrite, EIP: v.eip, Addr: addr}
 	}
 	copy(v.mem[addr:], data)
+	if addr < v.stackBase {
+		v.dirtyBrk = max(v.dirtyBrk, addr+uint32(len(data)))
+	} else {
+		v.stackLow = min(v.stackLow, addr&^(PageSize-1))
+	}
 	return nil
 }
 
@@ -541,6 +573,8 @@ func (v *VM) RunContext(ctx context.Context) (Status, error) {
 		v.cancel, v.cancelCause, v.m.Credit = done, ctx.Err, cancelQuantum
 		defer func() { v.cancel, v.cancelCause = nil, nil }()
 	}
+	// Guest code may write wherever the sandbox lets it.
+	v.dirtyBrk, v.stackLow = max(v.dirtyBrk, v.m.Brk), min(v.stackLow, v.stackBase)
 	// Execute accounting: the run's wall time minus whatever translation
 	// it triggered is time spent executing translated code. Two clock
 	// reads per Run (a whole stream) — far below the fig7 noise floor.
@@ -590,6 +624,22 @@ func (v *VM) lookupBlock(addr uint32) (*bref, error) {
 	return br, nil
 }
 
+// xlate is the translator's scratch, which the VM keeps so that a
+// fragment is allocated once, at its final size, instead of grown an
+// append at a time: buildBlock decodes into insts and addrs and lowers
+// into uops; formSuperblock lowers its constituents into sb (it builds
+// blocks while it grows a trace, so the two cannot share) and stacks the
+// calls it inlines in callRets. Both keep exact-size copies. gen numbers
+// formSuperblock calls, to stamp the blocks each has been through.
+type xlate struct {
+	insts    []x86.Inst
+	addrs    []uint32
+	uops     []uop.Uop
+	sb       []uop.Uop
+	callRets []uint32
+	gen      uint32
+}
+
 // buildBlock decodes the fragment starting at addr and lowers it to
 // micro-ops. Translation time is accumulated in Stats.TranslateNS except
 // at OptReference, where the per-step clock reads would distort the very
@@ -603,9 +653,13 @@ func (v *VM) buildBlock(addr uint32) (*block, error) {
 		t0 = time.Now()
 		limit = maxBlockLen
 	}
-	b := &block{}
+	xl := &v.xl
+	if xl.insts == nil {
+		xl.insts, xl.addrs = make([]x86.Inst, 0, maxBlockLen), make([]uint32, 0, maxBlockLen)
+	}
+	insts, addrs := xl.insts[:0], xl.addrs[:0]
 	cur := addr
-	for len(b.insts) < limit {
+	for len(insts) < limit {
 		// An instruction can be up to 15 bytes; fetching requires the
 		// whole window to be readable, clipped at the region end.
 		win := uint32(15)
@@ -619,22 +673,25 @@ func (v *VM) buildBlock(addr uint32) (*block, error) {
 		if err != nil {
 			return nil, &Trap{Kind: TrapIllegal, EIP: cur, Msg: err.Error()}
 		}
-		b.insts = append(b.insts, inst)
-		b.addrs = append(b.addrs, cur)
+		insts = append(insts, inst)
+		addrs = append(addrs, cur)
 		cur += uint32(inst.Len)
 		if endsBlock(inst.Op) {
 			break
 		}
 	}
-	b.end = cur
-	b.uops = uop.Lower(b.insts, b.addrs)
-	b.cost = int64(len(b.insts))
+	// The instructions are copied out first: escape micro-ops point into
+	// the block's own.
+	b := &block{insts: slices.Clone(insts), addrs: slices.Clone(addrs), end: cur, cost: int64(len(insts))}
+	us := uop.Lower(xl.uops[:0], b.insts, b.addrs)
+	xl.uops = us[:0]
 	if v.level >= OptOptimized {
 		var ost uop.OptStats
-		b.uops, ost = uop.Optimize(b.uops)
+		us, ost = uop.Optimize(us)
 		v.stats.UopsFused += ost.UopsFused
 		v.stats.FlagsElided += ost.FlagsElided
 	}
+	b.uops = slices.Clone(us)
 	if cached {
 		v.stats.TranslateNS += uint64(time.Since(t0))
 	}

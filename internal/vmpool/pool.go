@@ -466,8 +466,12 @@ func addVMStats(dst *vm.Stats, after, before vm.Stats) {
 	dst.Tier2Links += after.Tier2Links - before.Tier2Links
 	dst.Tier2Code.Add(after.Tier2Code, 1)
 	dst.Tier2Code.Add(before.Tier2Code, -1)
+	dst.Tier2Refused += after.Tier2Refused - before.Tier2Refused
 	dst.TranslateNS += after.TranslateNS - before.TranslateNS
 	dst.ExecuteNS += after.ExecuteNS - before.ExecuteNS
+	dst.SuperblockNS += after.SuperblockNS - before.SuperblockNS
+	dst.Tier2EmitNS += after.Tier2EmitNS - before.Tier2EmitNS
+	dst.Tier2SealNS += after.Tier2SealNS - before.Tier2SealNS
 	dst.Syscalls += after.Syscalls - before.Syscalls
 }
 

@@ -3,8 +3,10 @@ package vmpool
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -119,27 +121,30 @@ func TestSnapCacheEviction(t *testing.T) {
 	echoHash := HashELF(mustELF(t, echo))
 	leakyHash := HashELF(mustELF(t, leaky))
 
-	// Measure one entry's footprint, then budget for just under two.
+	// Budget for the larger decoder's entry as it stands once warm, and
+	// not a byte of another: an entry's footprint is the few pages of its
+	// image when built and grows with what its streams translate, so the
+	// second entry, however cold, does not fit beside the first.
 	probe := NewSnapCache(SnapCacheConfig{VM: vm.Config{MemSize: 4 << 20}})
-	cacheStream(t, probe, echoHash, 0644, 0, echo, []byte("probe"), nil)
+	cacheStream(t, probe, leakyHash, 0644, 0, leaky, []byte("probe"), nil)
 	one := probe.Stats().Bytes
 
-	c := NewSnapCache(SnapCacheConfig{VM: vm.Config{MemSize: 4 << 20}, MaxBytes: one + one/2})
-	cacheStream(t, c, echoHash, 0644, 0, echo, []byte("a"), []byte("a"))
-	cacheStream(t, c, leakyHash, 0644, 0, leaky, []byte("b"), nil)
+	c := NewSnapCache(SnapCacheConfig{VM: vm.Config{MemSize: 4 << 20}, MaxBytes: one})
+	cacheStream(t, c, leakyHash, 0644, 0, leaky, []byte("a"), nil)
+	cacheStream(t, c, echoHash, 0644, 0, echo, []byte("b"), []byte("b"))
 	s := c.Stats()
 	if s.Evictions != 1 || s.Entries != 1 {
 		t.Fatalf("stats = %+v, want exactly one eviction leaving one resident entry", s)
 	}
-	if c.Contains(echoHash, 0644) || !c.Contains(leakyHash, 0644) {
-		t.Fatal("evicted the wrong entry: echo was least recently used")
+	if c.Contains(leakyHash, 0644) || !c.Contains(echoHash, 0644) {
+		t.Fatal("evicted the wrong entry: leaky was least recently used")
 	}
 	if s.Bytes > c.cfg.MaxBytes {
 		t.Fatalf("resident bytes %d over budget %d", s.Bytes, c.cfg.MaxBytes)
 	}
 
 	// The evicted line rebuilds on demand.
-	cacheStream(t, c, echoHash, 0644, 0, echo, []byte("back"), []byte("back"))
+	cacheStream(t, c, leakyHash, 0644, 0, leaky, []byte("back"), nil)
 	if s := c.Stats(); s.Misses != 3 {
 		t.Fatalf("misses = %d after re-request of an evicted line, want 3", s.Misses)
 	}
@@ -292,5 +297,50 @@ func TestSnapCacheEvictionKeepsInFlightCounters(t *testing.T) {
 	}
 	if s.Evictions == 0 {
 		t.Fatalf("expected at least one eviction: %+v", s)
+	}
+}
+
+// manyLoopsSrc is a decoder with 32 small hot loops, one function each,
+// all of which every stream runs.
+func manyLoopsSrc() string {
+	var b strings.Builder
+	for i := 0; i < 32; i++ {
+		fmt.Fprintf(&b, "int f%d(int n) { int s = %d; int i; for (i = 0; i < n; i++) s = s * %d + i; return s; }\n", i, i, 2*i+3)
+	}
+	b.WriteString("int main(void) {\n\twhile (1) {\n\t\t__stdio_reset();\n\t\tint c = getb();\n\t\tint s = 0;\n")
+	for i := 0; i < 32; i++ {
+		fmt.Fprintf(&b, "\t\ts = s + f%d(c);\n", i)
+	}
+	b.WriteString("\t\tputb(s & 255);\n\t\tvxa_done();\n\t}\n\treturn 0;\n}\n")
+	return b.String()
+}
+
+// TestSnapCacheCountsCodeOnce: the bytes a cache line is charged for its
+// decoder's compiled code are the pages that code occupies in the
+// snapshot's arena — not a page per trace, which made thirty small
+// traces cost 120 KiB of the budget, and not the arena once per trace.
+// With the image sparse as well, a warm line of a small decoder is tens
+// of KiB, and the 1 GiB default budget means what it says.
+func TestSnapCacheCountsCodeOnce(t *testing.T) {
+	elf := compile(t, manyLoopsSrc())
+	hash := HashELF(mustELF(t, elf))
+	c := NewSnapCache(SnapCacheConfig{VM: vm.Config{MemSize: 4 << 20, OptLevel: vm.OptEager}})
+	cacheStream(t, c, hash, 0644, 0, elf, []byte{200}, nil)
+	st := c.Stats()
+	if st.VM.Tier2Compiled == 0 {
+		t.Skip("no tier-2 emitter for this host")
+	}
+	if st.Traces < 30 {
+		t.Fatalf("the snapshot carries %d published traces, want at least 30", st.Traces)
+	}
+	c.mu.Lock()
+	snap := c.entries[CacheKey{Hash: hash, Mode: 0644}].snap
+	c.mu.Unlock()
+	code := snap.CodeBytes()
+	if code <= 0 || code >= 64<<10 {
+		t.Fatalf("%d published traces are charged %d bytes of code, want under 64 KiB", st.Traces, code)
+	}
+	if st.Bytes != snap.Footprint() || st.Bytes < code || st.Bytes >= 256<<10 {
+		t.Fatalf("the line is charged %d bytes (footprint %d, code %d), want its footprint, under 256 KiB", st.Bytes, snap.Footprint(), code)
 	}
 }
