@@ -166,8 +166,8 @@ func dumpTracePlans(name string, elf []byte) error {
 	plans := v.TracePlans()
 	fmt.Printf("%s: %d superblocks, %d tier-2 traces compiled; snapshot carries %d superblocks, %d traces\n",
 		name, len(plans), st.Tier2Compiled, snap.SBCount(), snap.T2Count())
-	fmt.Printf("%s: second stream, on the snapshot's traces: %d exits linked, %d returns to the dispatcher for %d instructions in traces\n",
-		name, st2.Tier2Links-st.Tier2Links, st2.Tier2Exits-st.Tier2Exits, st2.Tier2Steps-st.Tier2Steps)
+	fmt.Printf("%s: second stream, on the snapshot's traces: %d exits linked, %d returns to the dispatcher (%d to resume a pass on tier 1) for %d instructions in traces\n",
+		name, st2.Tier2Links-st.Tier2Links, st2.Tier2Exits-st.Tier2Exits, st2.Tier2Resumes-st.Tier2Resumes, st2.Tier2Steps-st.Tier2Steps)
 	var total tier2.Ledger
 	for _, p := range plans {
 		origin := ""
@@ -179,9 +179,18 @@ func dumpTracePlans(name string, elf []byte) error {
 		}
 		fmt.Printf("\ntrace %08x: backend=%s%s cost=%d uops=%d guards=%d rets=%d\n",
 			p.Entry, p.Backend, origin, p.Cost, p.NUops, p.Guards, p.Rets)
+		// The micro-ops the compiled trace opens with a check of a group of
+		// memory operands: a pass that fails it is finished on tier 1 from
+		// there.
+		resume := make(map[int]bool)
 		if p.Trace != nil {
 			fmt.Printf("  code: %v\n", p.Trace.Ledger)
 			total.Add(p.Trace.Ledger, 1)
+			for _, x := range p.Trace.Exits {
+				if x.Kind == tier2.ExitResume {
+					resume[x.Uop] = true
+				}
+			}
 		}
 		for _, u := range p.Uops {
 			slot := ""
@@ -192,6 +201,9 @@ func dumpTracePlans(name string, elf []byte) error {
 				slot = fmt.Sprintf("  ret[%d]", u.Ret)
 			case u.Target != 0:
 				slot = fmt.Sprintf("  -> %08x", u.Target)
+			}
+			if resume[u.Index] {
+				slot += "  resume"
 			}
 			fmt.Printf("  %3d  %08x  %-16s cost=%d%s\n", u.Index, u.EIP, u.Kind, u.Cost, slot)
 		}

@@ -159,8 +159,8 @@ func main() {
 				t2share = 100 * float64(st.Tier2Steps) / float64(st.Steps)
 			}
 			fmt.Fprintf(os.Stderr,
-				"vxrun: tier2: %d traces compiled, %d installed from the snapshot, %d trace runs, %d exits linked, %d returns to the dispatcher, %.1f%% of steps\n",
-				st.Tier2Compiled, st.Tier2Shared, st.Tier2Executed, st.Tier2Links, st.Tier2Exits, t2share)
+				"vxrun: tier2: %d traces compiled, %d installed from the snapshot, %d trace runs, %d exits linked, %d returns to the dispatcher (%d to resume a pass on tier 1), %.1f%% of steps\n",
+				st.Tier2Compiled, st.Tier2Shared, st.Tier2Executed, st.Tier2Links, st.Tier2Exits, st.Tier2Resumes, t2share)
 			fmt.Fprintf(os.Stderr, "vxrun: tier2 code: %v\n", st.Tier2Code)
 			fmt.Fprintln(os.Stderr, translationLedger(st))
 		}
@@ -206,8 +206,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "vxrun: %d files, %d workers; pool: %d snapshot, %d built, %d resumed\n",
 			len(args), workers, st.Snapshots, st.Builds, st.Resumes)
 		eng := pool.VMStats()
-		fmt.Fprintf(os.Stderr, "vxrun: tier2: %d traces compiled, %d installed from the snapshot, %d exits linked, %d returns to the dispatcher\n",
-			eng.Tier2Compiled, eng.Tier2Shared, eng.Tier2Links, eng.Tier2Exits)
+		fmt.Fprintf(os.Stderr, "vxrun: tier2: %d traces compiled, %d installed from the snapshot, %d exits linked, %d returns to the dispatcher (%d to resume a pass on tier 1)\n",
+			eng.Tier2Compiled, eng.Tier2Shared, eng.Tier2Links, eng.Tier2Exits, eng.Tier2Resumes)
 		fmt.Fprintf(os.Stderr, "vxrun: tier2 code: %v\n", eng.Tier2Code)
 		fmt.Fprintln(os.Stderr, translationLedger(eng))
 	}

@@ -778,6 +778,7 @@ func (s *Server) WritePrometheus(w io.Writer) error {
 	p.Counter("vxad_engine_tier2_shared_total", "Compiled tier-2 traces installed from a snapshot at VM build or reset instead of compiled.", nil, float64(engine.Tier2Shared))
 	p.Counter("vxad_engine_tier2_executed_total", "Tier-2 trace iterations run (one full superblock pass each).", nil, float64(engine.Tier2Executed))
 	p.Counter("vxad_engine_tier2_exits_total", "Returns from compiled code to the dispatcher (one per run of linked traces).", nil, float64(engine.Tier2Exits))
+	p.Counter("vxad_engine_tier2_resumes_total", "Trace passes that a failed check of a group of memory operands handed to the tier-1 loop mid-superblock (part of exits_total).", nil, float64(engine.Tier2Resumes))
 	p.Counter("vxad_engine_tier2_links_total", "Trace exits linked straight to another trace's entry.", nil, float64(engine.Tier2Links))
 	p.Counter("vxad_engine_tier2_steps_total", "Guest instructions retired inside tier-2 traces.", nil, float64(engine.Tier2Steps))
 	p.Counter("vxad_engine_tier2_refused_total", "Traces emitted and then turned away by a full or unavailable code arena.", nil, float64(engine.Tier2Refused))

@@ -34,8 +34,8 @@ func execLines(t *testing.T) int {
 	return n
 }
 
-// arenaTrace is a small trace with a memory operand, so a twin and a few
-// exits: "add eax, [ebx+n]; ud2".
+// arenaTrace is a small trace with a memory operand, so a bounds check
+// and the exit behind it: "mov eax, [ebx+n]; ud2".
 func arenaTrace(n uint32) []uop.Uop {
 	return []uop.Uop{
 		{Kind: uop.KindLoad, Dst: uint8(x86.EAX), Base: uint8(x86.EBX), Idx: uop.RegZero, Disp: 4 * n, Cost: 1, EIP: 0x1000, Next: 0x1003},
@@ -128,11 +128,11 @@ func TestArenaFull(t *testing.T) {
 		t.Fatal("an uncompilable trace was blamed on the arena")
 	}
 	// The last trace placed still runs: ebx points below the heap, so the
-	// load faults.
+	// load's check fails.
 	m.Brk, m.Budget = 8*pageSize, 100
 	links := append([]Link(nil), last.Unlinked()...)
 	m.Links = &links[0]
-	if s := last.Run(&m, 0); s <= 0 || last.Exits[s-1].Kind != ExitReadFault {
+	if s := last.Run(&m, 0); s <= 0 || last.Exits[s-1].Kind != ExitResume {
 		t.Fatalf("status %d running the last trace placed", s)
 	}
 }

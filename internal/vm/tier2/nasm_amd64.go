@@ -115,6 +115,11 @@ type nasm struct {
 	sym  [16]uint32
 	off  [16]int64
 	nsym uint32
+
+	// long: every displacement and every immediate of the 0x81/0x83 group
+	// takes its 32-bit form whatever its value, so that the emitter can
+	// emit the instruction again, in place, once it knows the value.
+	long bool
 }
 
 func (a *nasm) db(bs ...byte) { a.c = append(a.c, bs...) }
@@ -191,6 +196,7 @@ func (a *nasm) ins(w bool, b8 int, reg int, o rm, op ...byte) {
 		mod := byte(0x80)
 		disp = 4
 		switch {
+		case a.long:
 		case o.disp == 0 && o.base&7 != 5: // rbp/r13 have no mod=00 form
 			mod, disp = 0, 0
 		case o.disp >= -128 && o.disp <= 127:
@@ -371,7 +377,8 @@ func (a *nasm) aluTo(opMR byte, dst rm, src int) {
 	}
 }
 
-// aluI: op r/m32, imm — the sign-extended imm8 form when it fits. An
+// aluI: op r/m32, imm — the sign-extended imm8 form when it fits (and
+// the assembler is not long). An
 // add or sub of a constant to a register keeps the register's symbol.
 func (a *nasm) aluI(ext int, dst rm, imm uint32) {
 	a.immGroup(false, ext, dst, imm)
@@ -395,7 +402,7 @@ func (a *nasm) aluI64(ext int, dst rm, imm uint32) {
 }
 
 func (a *nasm) immGroup(w bool, ext int, dst rm, imm uint32) {
-	if v := int32(imm); v >= -128 && v <= 127 {
+	if v := int32(imm); v >= -128 && v <= 127 && !a.long {
 		a.ins(w, noB8, ext, dst, 0x83)
 		a.db(byte(imm))
 		return
@@ -486,19 +493,9 @@ func (a *nasm) jcc(cc byte) fix {
 	return fix(a.here() - 4)
 }
 
-// jmp emits jmp rel32 with a placeholder and returns the fixup site.
-func (a *nasm) jmp() fix {
-	a.n++
-	a.db(0xE9)
-	a.d32(0)
-	return fix(a.here() - 4)
-}
-
-// patch resolves a fixup to the current position, patchTo to target.
-func (a *nasm) patch(p fix) { a.patchTo(p, a.here()) }
-
-func (a *nasm) patchTo(p fix, target int32) {
-	rel := target - (int32(p) + 4)
+// patch resolves a fixup to the current position.
+func (a *nasm) patch(p fix) {
+	rel := a.here() - (int32(p) + 4)
 	a.c[p] = byte(rel)
 	a.c[p+1] = byte(rel >> 8)
 	a.c[p+2] = byte(rel >> 16)

@@ -322,6 +322,23 @@ func asmCases() []asmCase {
 	onRM(few, memOnlyRM(func(o rm) (func(a *nasm), string) {
 		return func(a *nasm) { a.jmpM(o) }, line("jmp", opText(o, 8))
 	}))
+
+	// The long forms, which the emitter writes over in place: a disp32 and
+	// an imm32 whatever the value, so small ones here.
+	long := func(f func(a *nasm)) func(a *nasm) {
+		return func(a *nasm) { a.long = true; f(a); a.long = false }
+	}
+	for _, o := range []rm{at(hR12, -8), at(hBP, 0x10), at(hR13, 4), at(hBX, 1), sib(hBX, hR9, 4, 8), sib(-1, hR15, 8, 0x40)} {
+		o := o
+		add(long(func(a *nasm) { a.lea64(hAX, o) }), line("lea", "rax", opText(o, 0)))
+		add(long(func(a *nasm) { a.lea(hDX, o) }), line("lea", "edx", opText(o, 0)))
+	}
+	for _, imm := range []uint32{1, 0xFFFFFFF0, 0x2000} {
+		imm := imm
+		add(long(func(a *nasm) { a.aluI64(aluCmpExt, rg(hAX), imm) }), line("cmp", "rax", immText(imm, 8)))
+		add(long(func(a *nasm) { a.aluI64(aluSubExt, rg(hDX), imm) }), line("sub", "rdx", immText(imm, 8)))
+		add(long(func(a *nasm) { a.aluI(aluCmpExt, at(hDI, 0x58), imm) }), line("cmp", opText(at(hDI, 0x58), 4), immText(imm, 4)))
+	}
 	return cs
 }
 
@@ -428,18 +445,17 @@ func checkWithObjdump(t *testing.T, code []byte, cs []asmCase, ends []int) {
 	}
 }
 
-// TestBranchFixups: jcc, jmp, patch and patchTo resolve rel32 fields to
-// the right targets, and retStatus is the two instructions it says.
+// TestBranchFixups: jcc and patch resolve a rel32 field to the right
+// target, and retStatus is the two instructions it says.
 func TestBranchFixups(t *testing.T) {
 	var a nasm
-	f1 := a.jcc(2) // jb, to the ret
-	f2 := a.jmp()  // to offset 0
-	a.patch(f1)
+	f := a.jcc(2) // jb, over the first return
 	a.retStatus(7)
-	a.patchTo(f2, 0)
-	want, _ := hex.DecodeString("0f8205000000" + "e9f5ffffff" + "b807000000" + "c3")
-	if !bytes.Equal(a.c, want) || a.n != 4 {
-		t.Fatalf("got % x (%d instructions), want % x (4)", a.c, a.n, want)
+	a.patch(f)
+	a.retStatus(8)
+	want, _ := hex.DecodeString("0f8206000000" + "b807000000" + "c3" + "b808000000" + "c3")
+	if !bytes.Equal(a.c, want) || a.n != 5 {
+		t.Fatalf("got % x (%d instructions), want % x (5)", a.c, a.n, want)
 	}
 }
 

@@ -42,35 +42,47 @@ import (
 // itself — a 64-bit sum, so unlike the guest's it does not wrap; with
 // two, "lea ecx, [base+idx*scale+disp]" (32-bit, wrapping like the
 // guest's) and then [rsi+rcx]. Neither is bounds-checked where it is
-// used. Instead the operands of a trace are sorted into groups: operands
-// whose address is the same register values plus a constant — the same
-// symbols in the assembler's write log, so [ebp-8], [ebp-24] and the
-// [esp+4] after "mov ebp, esp; sub esp, 40" are one group — and which
-// span at most a page. The first operand of a group emits, at the start
-// of its micro-op, one check that the whole span [lo, hi) lies in the
-// heap window or the stack window, computed in 64 bits for the
-// one-register shape (so an address sum that leaves [0, 2^32) fails it)
-// and in 32 for the other; a group with a write in it takes the write
+// used. Instead the operands of a trace are sorted into groups as they
+// are met: operands whose address is the same register values plus a
+// constant — the same symbols in the assembler's write log, so [ebp-8],
+// [ebp-24] and the [esp+4] after "mov ebp, esp; sub esp, 40" are one group
+// — and which span at most a page. The first operand of a group emits,
+// at the start of its micro-op, one check that the whole span [lo, hi)
+// lies in the heap window or the stack window, computed in 64 bits for
+// the one-register shape (so an address sum that leaves [0, 2^32) fails
+// it) and in 32 for the other; a group with a write in it takes the write
 // floor. The rest of the group emits nothing. A one-register operand
 // whose register moved by a constant since the check joins only if the
 // move cannot have wrapped the register (noWrap). An operand whose
 // address registers are rewritten earlier in its own micro-op cannot be
-// checked ahead and gets the exact, per-access check in place.
+// checked ahead and gets the exact, per-access check in place, with a
+// fault exit of its own.
+//
+// One pass. A group's span is final only when the trace ends, and that a
+// micro-op leads a group is known only once it has been emitted, so: a
+// check is emitted with every constant in a 32-bit field (nasm.long) and
+// emitted over itself when the trace is done (fixChecks); and a micro-op
+// that turns out to lead a group is taken back and emitted again behind
+// its checks, its operands placed as the first time. Every other
+// micro-op is emitted once, and every micro-op is in the finished code
+// once. An operand with no register in it is judged on the spot: between
+// the write floor and the stack it needs only the heap's end checked, and
+// shares that; anywhere else it is checked in place.
 //
 // Exactness. A group's check is never weaker than the checks it
 // replaces but may be stricter — a later operand of the span may sit
 // behind a guard that leaves the trace first, a read may share the
 // write floor, a wrapping address sum is refused — so its failure is not
-// a fault. It jumps to the same micro-op of the checked twin: the rest
-// of the trace emitted a second time, after the hot body, with every
-// access checked exactly where it happens ("lea ecx; check; [rsi+rcx]")
-// and its own exit descriptors and link slots. The check sits before
-// anything of its micro-op has executed, so the twin starts from the
-// state the hot body had; it either raises the instruction-exact fault
-// or finishes the pass and leaves through its own exits. Resuming tier 1
-// mid-trace instead is not possible: the optimizer elides flag records
-// that only a later micro-op of the trace overwrites, so the state
-// between two micro-ops is exact only where the trace itself stops.
+// a fault. It is an exit, ExitResume: the check sits before anything of
+// its micro-op has executed, the exit gives back what the entry charged
+// for that micro-op and everything after it, and the dispatcher runs the
+// rest of the superblock — the same micro-op array, from that index — on
+// the tier-1 loop, which checks every access where it happens and either
+// raises the instruction-exact fault or finishes the pass and chains on.
+// The state between two micro-ops is exact for that purpose because both
+// tiers execute the one optimized array: a flag record the optimizer
+// elided is elided on both sides of the boundary. (It would not be exact
+// for resuming at a guest EIP, on freshly decoded instructions.)
 //
 // The code's first byte is the trace entry, for the dispatcher and for
 // every exit linked to the trace alike: "sub Budget, Cost; jl decline;
@@ -86,7 +98,7 @@ import (
 // branches in the code are those slot jumps and ret, and no emitted
 // instruction ever writes code: a loop is a trace linked to itself.
 //
-// Where the code lives. The emitter assembles into buffers of its own and
+// Where the code lives. The emitter assembles into a buffer of its own and
 // hands the finished bytes to the trace's Arena (execbuf.go), which
 // copies them once, through its writable view, to the next free 16-byte
 // boundary; the trace runs from the same offset of the executable view.
@@ -164,11 +176,9 @@ func fld(off int32) rm { return at(hDI, off) }
 
 // ---- the emitter --------------------------------------------------------
 
-// pstub is an out-of-line exit path: the micro-op it belongs to, the
-// fixup sites that jump to it and the code to emit once the fall-through
-// body is done.
+// pstub is an out-of-line exit path: the fixup sites that jump to it and
+// the code to emit once the fall-through body is done.
 type pstub struct {
-	uop   int
 	fixes fixes
 	emit  func()
 }
@@ -208,11 +218,10 @@ const (
 	shapeTwo        // two: lea ecx, [base+idx*scale+disp]; [rsi+rcx]
 )
 
-// access is one guest memory operand of the trace as the twin pass saw
-// it: where its address stands relative to the symbols of its registers,
-// and how a check placed at the start of its micro-op would address it.
+// access is one guest memory operand as it is met: where its address
+// stands relative to the symbols of its registers, and how a check placed
+// at the start of its micro-op would address it.
 type access struct {
-	uop        int
 	shape      uint8
 	symB, symI uint32 // symbols of the address registers (0: absent)
 	scale      uint8
@@ -230,21 +239,17 @@ type access struct {
 	hb, hi   int
 	startPos int64
 	startOff int64
-
-	group int // index into nemit.groups, -1: checked in place
 }
 
-// group is a run of accesses under one check.
+// group is a run of accesses under one check: the access the check was
+// emitted for, the span in that access's pos coordinates and whether any
+// member writes — both still growing until the trace ends — and the code
+// offset of the check, whose constants follow from them.
 type group struct {
-	leader int   // index of the access the check is emitted for
-	lo, hi int64 // the span, in the leader's pos coordinates
+	lead   access
+	lo, hi int64
 	write  bool
-}
-
-// twinJump is a jump of the hot body to micro-op uop of the twin.
-type twinJump struct {
-	at  fix
-	uop int
+	at     int32
 }
 
 type nemit struct {
@@ -256,34 +261,26 @@ type nemit struct {
 	mlen, ro, sbase uint32
 	tail            []int64 // suffixCosts(us)
 
-	// hot is false while the checked twin is emitted (the first pass,
-	// which also records acc) and true for the hot body.
-	hot    bool
-	acc    []access
-	groups []group // in the order their checks are emitted
-	next   int     // hot pass: index of the next access
-	gnext  int     // hot pass: index of the next group to check
+	// groups holds every check group of the trace in the order the checks
+	// are emitted; open indexes the ones still taking members, the newest
+	// of each address shape.
+	groups []group
+	open   []int
 
-	// What the twin pass recorded per micro-op: its code offset and the
-	// static flag state on arrival. toTwin collects the hot body's jumps
-	// into the twin.
-	twinOff []int32
-	flAt    []int
-	toTwin  []twinJump
-
-	// The write log as of the start of the current micro-op.
+	// The micro-op being emitted: the write log as of its start, and the
+	// group each of its operands went to (-1: checked in place), which is
+	// what its second emission, behind the checks it turned out to lead,
+	// reads back (again, next) instead of deciding anew.
 	startSym [16]uint32
 	startOff [16]int64
+	placed   []int
+	again    bool
+	next     int
 
-	bad bool // the two passes disagreed: give the trace up
-
-	// Scratch that outlives a compile (see emitters): the two passes'
-	// code buffers and which is in use, the exit table under
-	// construction, the instruction count at each micro-op of the twin.
-	code  [2][]byte
-	pass  int
+	// Scratch that outlives a compile (see emitters): the code buffer and
+	// the exit table under construction.
+	code  []byte
 	exits []Exit
-	nAt   []int
 
 	pend  []pstub
 	stubs []int32 // code offset of each link slot's return stub
@@ -296,12 +293,13 @@ type nemit struct {
 	flOp      int
 	usedEntry bool
 
-	// inPlace: the operand opnd last returned was checked in place and
-	// its address is still in ECX (stackFirst: against the stack window
-	// first), which is what alsoWrite extends.
-	inPlace, stackFirst bool
+	// last is the group of the operand opnd last returned, -1 when it was
+	// checked in place and its address is still in ECX (stackFirst:
+	// against the stack window first), which is what alsoWrite extends.
+	last       int
+	stackFirst bool
 
-	checks int // bounds checks the hot body emitted
+	accesses, checks int // guest memory operands; bounds checks emitted for them
 }
 
 // nativeCompile emits us as machine code into t and places it in t's
@@ -322,44 +320,10 @@ func nativeCompile(us []uop.Uop, entry uint32, g Geometry, t *Trace, o *Outcome)
 	defer e.release()
 	e.init(t, us, entry, g)
 
-	// Pass one: the checked twin, which is also the survey of the
-	// trace's memory operands.
-	e.reset(0)
-	for i := range us {
-		e.twinOff[i], e.flAt[i], e.nAt[i] = e.a.here(), e.flOp, e.a.n
-		e.begin()
-		if !e.one(i) {
-			return false
-		}
-	}
-	// The twin starts at the first micro-op a check can send control to.
-	// If nothing is grouped nothing jumps to a twin: drop it all.
-	var twin []byte
-	if first := e.plan(); first < len(us) {
-		e.flush(first)
-		base := e.twinOff[first]
-		twin = e.a.c[base:]
-		t.Ledger.Twin = int64(e.a.n - e.nAt[first])
-		// Offsets into the twin are kept relative to its start.
-		for i := range e.twinOff {
-			e.twinOff[i] -= base
-		}
-		for k := range e.stubs {
-			e.stubs[k] -= base
-		}
-	} else {
-		e.exits, t.Slots, e.stubs, e.pend = e.exits[:0], 0, e.stubs[:0], e.pend[:0]
-	}
-	t.Ledger.Guest = t.Cost
-	twinSlots := len(e.stubs)
-
-	// Pass two: the hot body behind the trace entry.
-	e.reset(1)
-	e.hot = true
 	a := &e.a
 	a.aluI64(aluSubExt, fld(offBudget), uint32(t.Cost))
 	decline := a.jcc(byte(x86.CCL))
-	e.stub(0, func() {
+	e.stub(func() {
 		a.aluI64(aluAddExt, fld(offBudget), uint32(t.Cost))
 		a.movI(fld(offExitTgt), entry)
 		a.retStatus(0)
@@ -367,35 +331,31 @@ func nativeCompile(us []uop.Uop, entry uint32, g Geometry, t *Trace, o *Outcome)
 	a.movTo64(fld(offCur), hDX)
 	a.aluI64(aluAddExt, fld(offAcct), uint32(acctIter+len(us)))
 	for i := range us {
-		if e.flOp != e.flAt[i] {
-			return false
-		}
-		e.begin()
-		e.emitChecks(i)
+		e.startSym, e.startOff, e.placed = a.sym, a.off, e.placed[:0]
+		start := *e
 		if !e.one(i) {
 			return false
 		}
+		if led := len(start.groups); len(e.groups) > led {
+			// The micro-op leads groups. Take it back, all of it but where
+			// its operands went, and emit it again behind the groups' checks.
+			start.groups, start.open, start.placed = e.groups, e.open, e.placed
+			*e = start
+			e.emitChecks(i, led)
+			e.again, e.next = true, 0
+			if !e.one(i) {
+				return false
+			}
+			e.again = false
+		}
 	}
-	if e.bad || e.next != len(e.acc) {
-		return false
-	}
-	t.Ledger.Hot = int64(a.n)
+	e.fixChecks()
+	l := &t.Ledger
+	l.Guest, l.Hot, l.Accesses, l.Checks = t.Cost, int64(a.n), int64(e.accesses), int64(e.checks)
 	t.hotEnd = int(a.here())
-	e.flush(0)
-	t.Ledger.Stub = int64(a.n) - t.Ledger.Hot
-	t.Ledger.Accesses, t.Ledger.Checks = int64(len(e.acc)), int64(e.checks)
-
-	// The twin goes behind the hot body's stubs; its code is position-
-	// independent, so only the jumps into it and the addresses of its
-	// return stubs need the final offset.
-	t.twinStart = int(a.here())
-	for _, j := range e.toTwin {
-		a.patchTo(j.at, a.here()+e.twinOff[j.uop])
-	}
-	for k := 0; k < twinSlots; k++ {
-		e.stubs[k] += a.here()
-	}
-	a.c = append(a.c, twin...)
+	e.flush()
+	l.Stub = int64(a.n) - l.Hot
+	t.Slots = len(e.stubs)
 
 	start := time.Now()
 	t.code = t.arena.place(a.c)
@@ -417,53 +377,32 @@ func nativeCompile(us []uop.Uop, entry uint32, g Geometry, t *Trace, o *Outcome)
 // compile keeps is the Trace and the copy of its code in the arena.
 var emitters = sync.Pool{New: func() any { return new(nemit) }}
 
-// init readies a recycled emitter for a trace of its own.
+// init readies a recycled emitter for a trace of its own: no code, every
+// register its own symbol, the flag state the entry guarantees.
 func (e *nemit) init(t *Trace, us []uop.Uop, entry uint32, g Geometry) {
 	n := len(us)
 	*e = nemit{t: t, us: us, entry: entry, mlen: g.MemLen, ro: g.ROLimit, sbase: g.StackBase,
-		code: e.code, exits: e.exits[:0], acc: e.acc[:0], groups: e.groups[:0], toTwin: e.toTwin[:0],
+		a: nasm{c: e.code[:0]}, flOp: flEntry,
+		exits: e.exits[:0], groups: e.groups[:0], open: e.open[:0], placed: e.placed[:0],
 		pend: e.pend[:0], stubs: e.stubs[:0],
-		tail:    suffixCosts(slices.Grow(e.tail[:0], n)[:n], us),
-		twinOff: slices.Grow(e.twinOff[:0], n)[:n], flAt: slices.Grow(e.flAt[:0], n)[:n], nAt: slices.Grow(e.nAt[:0], n)[:n]}
+		tail: suffixCosts(slices.Grow(e.tail[:0], n)[:n], us)}
+	for r := range e.a.sym {
+		e.a.def(r)
+	}
 }
 
-// release drops what the emitter holds of the trace and hands it back.
+// release drops what the emitter holds of the trace and hands it back
+// with its code buffer as far as that has grown.
 func (e *nemit) release() {
-	e.keepCode()
+	e.code = e.a.c
 	e.t, e.us, e.a = nil, nil, nasm{}
 	clear(e.pend[:cap(e.pend)]) // the stubs' closures
 	emitters.Put(e)
 }
 
-// keepCode keeps the current pass's buffer, as far as it has grown.
-func (e *nemit) keepCode() {
-	if e.a.c != nil {
-		e.code[e.pass] = e.a.c
-	}
-}
-
-// reset starts pass p in its own code buffer: no code, every register its
-// own symbol, the flag state the entry guarantees. The twin's link slots
-// (stubs) carry over into the hot pass, which numbers on from them.
-func (e *nemit) reset(p int) {
-	e.keepCode()
-	e.pass = p
-	e.a = nasm{c: e.code[p][:0]}
-	for r := range e.a.sym {
-		e.a.def(r)
-	}
-	e.flOp, e.usedEntry, e.pend = flEntry, false, e.pend[:0]
-}
-
-// begin notes the write log at the start of a micro-op.
-func (e *nemit) begin() { e.startSym, e.startOff = e.a.sym, e.a.off }
-
-// flush emits the out-of-line paths of micro-ops from on.
-func (e *nemit) flush(from int) {
+// flush emits the out-of-line paths behind the mainline.
+func (e *nemit) flush() {
 	for _, p := range e.pend {
-		if p.uop < from {
-			continue
-		}
 		for _, f := range p.fixes {
 			if f >= 0 {
 				e.a.patch(f)
@@ -474,51 +413,53 @@ func (e *nemit) flush(from int) {
 	e.pend = e.pend[:0]
 }
 
-// ---- check planning ------------------------------------------------------
+// ---- check grouping -------------------------------------------------------
 
-// plan sorts the accesses the twin pass recorded into groups, greedily in
-// program order, and returns the first micro-op that emits a group's
-// check (len(us) when there is none): where the twin has to start. Only
-// the newest group of each address shape stays open to new members, and a
-// trace has few shapes live at a time, so the open list is searched.
-func (e *nemit) plan() int {
-	var open []int // indices of the groups still taking members
-	first := len(e.us)
-	for k := range e.acc {
-		ac := &e.acc[k]
-		ac.group = -1
-		if max(ac.pos, -ac.pos, ac.startPos, -ac.startPos) >= 1<<29 {
-			continue // keeps every check displacement, less StackBase, an int32
-		}
-		at := -1
-		for o, gi := range open {
-			if l := &e.acc[e.groups[gi].leader]; l.symB == ac.symB && l.symI == ac.symI && l.scale == ac.scale && l.shape == ac.shape {
-				at = o
-				break
-			}
-		}
-		if at >= 0 {
-			g := &e.groups[open[at]]
-			lo, hi := min(g.lo, ac.pos), max(g.hi, ac.pos+int64(ac.size))
-			if hi-lo <= pageSize && noWrap(ac, &e.acc[g.leader], lo) {
-				g.lo, g.hi, g.write = lo, hi, g.write || ac.write
-				ac.group = open[at]
-				continue
-			}
-		}
-		if !ac.hoist || !noWrap(ac, ac, ac.pos) {
-			continue
-		}
-		ac.group = len(e.groups)
-		if at >= 0 {
-			open[at] = ac.group
-		} else {
-			open = append(open, ac.group)
-		}
-		e.groups = append(e.groups, group{leader: k, lo: ac.pos, hi: ac.pos + int64(ac.size), write: ac.write})
-		first = min(first, ac.uop)
+// join finds the group for operand ac of the micro-op being emitted,
+// greedily in program order: the open group of ac's address shape if the
+// span still fits a page with ac in it, else a new group that ac leads,
+// whose check the micro-op then emits in front of itself. It returns the
+// group's index, or -1 for an operand that can do neither and is checked
+// in place. Only the newest group of each address shape stays open, and
+// a trace has few shapes live at a time, so the open list is searched.
+func (e *nemit) join(ac *access) int {
+	if max(ac.pos, -ac.pos, ac.startPos, -ac.startPos) >= 1<<29 {
+		return -1 // keeps every check displacement, less StackBase, an int32
 	}
-	return first
+	if ac.shape == shapeAbs && (ac.pos < int64(e.ro) || ac.pos+int64(ac.size) > int64(e.sbase)) {
+		// A constant address shares a check — of the heap's end alone —
+		// only where any access is in bounds once the heap reaches past
+		// it. A read-only word must not ride on a writer's check, which it
+		// could never pass; the stack and what is no address at all are
+		// the exact check's.
+		return -1
+	}
+	at := -1
+	for o, gi := range e.open {
+		if l := &e.groups[gi].lead; l.symB == ac.symB && l.symI == ac.symI && l.scale == ac.scale && l.shape == ac.shape {
+			at = o
+			break
+		}
+	}
+	if at >= 0 {
+		g := &e.groups[e.open[at]]
+		lo, hi := min(g.lo, ac.pos), max(g.hi, ac.pos+int64(ac.size))
+		if hi-lo <= pageSize && noWrap(ac, &g.lead, lo) {
+			g.lo, g.hi, g.write = lo, hi, g.write || ac.write
+			return e.open[at]
+		}
+	}
+	if !ac.hoist || !noWrap(ac, ac, ac.pos) {
+		return -1
+	}
+	gi := len(e.groups)
+	if at >= 0 {
+		e.open[at] = gi
+	} else {
+		e.open = append(e.open, gi)
+	}
+	e.groups = append(e.groups, group{lead: *ac, lo: ac.pos, hi: ac.pos + int64(ac.size), write: ac.write})
+	return gi
 }
 
 // noWrap reports whether ac may rely on a check that leader's micro-op
@@ -539,46 +480,63 @@ func noWrap(ac, leader *access, lo int64) bool {
 	return lo-int64(ac.scale)*ac.regOff <= pageSize
 }
 
-// emitChecks emits, at the start of micro-op i of the hot body, the check
-// of every group that i leads. A failure goes to micro-op i of the twin.
-func (e *nemit) emitChecks(i int) {
-	a := &e.a
-	for ; e.gnext < len(e.groups) && e.acc[e.groups[e.gnext].leader].uop == i; e.gnext++ {
-		g := &e.groups[e.gnext]
-		l := &e.acc[g.leader]
-		c := int32(g.lo - l.startPos)
-		floor := uint32(pageSize)
-		if g.write {
-			floor = e.ro
-		}
-		var fails fixes
-		switch l.shape {
-		case shapeAbs:
-			if g.lo >= int64(floor) {
-				// A constant span above the floor: only the heap's end
-				// is left to ask about.
-				a.aluI(aluCmpExt, fld(offBrk), uint32(g.hi))
-				fails = fixes{a.jcc(byte(x86.CCB)), -1}
-				break
-			}
-			a.movI(rg(hAX), uint32(g.lo))
-			fails = e.rangeCheck(rg(hAX), true, floor, uint32(g.hi-g.lo), false)
-		case shapeOne:
-			o := at(l.hb, c)
-			if l.hb < 0 {
-				o = sib(-1, l.hi, l.scale, c)
-			}
-			fails = e.rangeCheck(o, true, floor, uint32(g.hi-g.lo), l.stack)
-		default:
-			fails = e.rangeCheck(sib(l.hb, l.hi, l.scale, c), false, floor, uint32(g.hi-g.lo), l.stack)
-		}
-		for _, f := range fails {
-			if f >= 0 {
-				e.toTwin = append(e.toTwin, twinJump{f, i})
-			}
-		}
+// emitChecks emits, at the start of micro-op i, the check of every group
+// from led on: the ones i's first emission found it leads. A failure
+// leaves the trace through i's ExitResume, with nothing of i executed.
+func (e *nemit) emitChecks(i, led int) {
+	s := e.exit(Exit{Kind: ExitResume, Uop: i})
+	e.t.Ledger.Resumes++
+	for gi := led; gi < len(e.groups); gi++ {
+		g := &e.groups[gi]
+		g.at = e.a.here()
+		e.stub(func() { e.leave(s) }, e.check(g))
 		e.checks++
 	}
+}
+
+// check emits g's check for the span and the floor g has now, with every
+// constant in a 32-bit field: whatever they are, the code is as long.
+func (e *nemit) check(g *group) (fails fixes) {
+	a := &e.a
+	a.long = true
+	l := &g.lead
+	c := int32(g.lo - l.startPos)
+	switch l.shape {
+	case shapeAbs:
+		// A constant span above every floor and below the stack: only the
+		// heap's end is left to ask about.
+		a.aluI(aluCmpExt, fld(offBrk), uint32(g.hi))
+		fails = fixes{a.jcc(byte(x86.CCB)), -1}
+	case shapeOne:
+		o := at(l.hb, c)
+		if l.hb < 0 {
+			o = sib(-1, l.hi, l.scale, c)
+		}
+		fails = e.rangeCheck(o, true, e.floor(g.write), uint32(g.hi-g.lo), l.stack)
+	default:
+		fails = e.rangeCheck(sib(l.hb, l.hi, l.scale, c), false, e.floor(g.write), uint32(g.hi-g.lo), l.stack)
+	}
+	a.long = false
+	return fails
+}
+
+// fixChecks emits every group's check once more, over the one already in
+// the code, for the span and the floor the group ended the trace with.
+func (e *nemit) fixChecks() {
+	end := e.a
+	for gi := range e.groups {
+		e.a.c = end.c[:e.groups[gi].at]
+		e.check(&e.groups[gi])
+	}
+	e.a = end
+}
+
+// floor is where the heap window starts for a read, or for a write.
+func (e *nemit) floor(write bool) uint32 {
+	if write {
+		return e.ro
+	}
+	return pageSize
 }
 
 // rangeCheck emits the sandbox test on an address: [x, x+span) must lie
@@ -674,28 +632,26 @@ func (e *nemit) leaTo(dst int, x ea) {
 // x by micro-op i, a write or a read; eip and started describe the fault
 // it may raise (the trap EIP — a fused pair's second instruction keeps
 // its own in a spare field — and how many of the micro-op's instructions
-// have begun). In the twin, and for an access the plan left ungrouped,
-// the address goes to ECX, is checked exactly, and the operand is
-// [rsi+rcx]; a grouped access of the hot body is covered by its group's
-// check and is used as it stands. Clobbers RCX, RDX and the flags, and
-// RCX may be part of the operand.
+// have begun). An access that found a group is covered by the group's
+// check and is used as it stands; for one that did not, the address goes
+// to ECX, is checked exactly, and the operand is [rsi+rcx]. Clobbers
+// RCX, RDX and the flags, and RCX may be part of the operand.
 func (e *nemit) opnd(i int, x ea, size uint32, write bool, eip uint32, started int) rm {
-	a := &e.a
-	if !e.hot {
-		e.survey(i, x, size, write)
+	e.accesses++
+	var g int
+	if e.again {
+		g = e.placed[e.next]
+		e.next++
+	} else {
+		ac := e.survey(x, size, write)
+		g = e.join(&ac)
+		e.placed = append(e.placed, g)
+	}
+	e.last = g
+	if g < 0 {
 		return e.exact(i, x, size, write, eip, started)
 	}
-	if e.next >= len(e.acc) || e.acc[e.next].uop != i || e.acc[e.next].size != size {
-		e.bad = true
-		return e.exact(i, x, size, write, eip, started)
-	}
-	ac := &e.acc[e.next]
-	e.next++
-	if ac.group < 0 {
-		return e.exact(i, x, size, write, eip, started)
-	}
-	e.inPlace = false
-	switch o := hostEA(x); ac.shape {
+	switch o := hostEA(x); e.groups[g].lead.shape {
 	case shapeAbs:
 		return at(hSI, int32(x.disp))
 	case shapeOne:
@@ -704,16 +660,16 @@ func (e *nemit) opnd(i int, x ea, size uint32, write bool, eip uint32, started i
 		}
 		return sib(hSI, o.idx, o.scale, o.disp)
 	default:
-		a.lea(hCX, o)
+		e.a.lea(hCX, o)
 		return sib(hSI, hCX, 1, 0)
 	}
 }
 
-// survey records the access for plan.
-func (e *nemit) survey(i int, x ea, size uint32, write bool) {
+// survey describes the access for join.
+func (e *nemit) survey(x ea, size uint32, write bool) access {
 	a := &e.a
 	o := hostEA(x)
-	ac := access{uop: i, size: size, write: write, hb: o.base, hi: o.idx, hoist: true, stack: stackBased(x)}
+	ac := access{size: size, write: write, hb: o.base, hi: o.idx, hoist: true, stack: stackBased(x)}
 	scale := int64(x.scale)
 	switch {
 	case o.base < 0 && o.idx < 0:
@@ -734,46 +690,41 @@ func (e *nemit) survey(i int, x ea, size uint32, write bool) {
 		ac.startPos = e.startOff[o.base] + scale*e.startOff[o.idx]
 		ac.hoist = a.sym[o.base] == e.startSym[o.base] && a.sym[o.idx] == e.startSym[o.idx]
 	}
-	e.acc = append(e.acc, ac)
+	return ac
 }
 
 // exact checks the access in place: the address in ECX against
 // Geometry.ReadOK/WriteOK, a fault exit of its own behind it.
 func (e *nemit) exact(i int, x ea, size uint32, write bool, eip uint32, started int) rm {
 	e.leaTo(hCX, x)
-	e.inPlace = true
 	e.stackFirst = stackBased(x)
 	e.checkCX(i, size, write, eip, started)
 	return sib(hSI, hCX, 1, 0)
 }
 
 func (e *nemit) checkCX(i int, size uint32, write bool, eip uint32, started int) {
-	kind, floor := ExitReadFault, uint32(pageSize)
+	kind := ExitReadFault
 	if write {
-		kind, floor = ExitWriteFault, e.ro
+		kind = ExitWriteFault
 	}
-	if e.hot {
-		e.checks++
-	}
+	e.checks++
 	s := e.exit(Exit{Kind: kind, Uop: i, EIP: eip, Size: size, Started: started})
-	e.stub(i, func() {
+	e.stub(func() {
 		e.a.movTo(fld(offTrapAddr), hCX)
 		e.leave(s)
-	}, e.rangeCheck(rg(hCX), true, floor, size, e.stackFirst))
+	}, e.rangeCheck(rg(hCX), true, e.floor(write), size, e.stackFirst))
 }
 
 // alsoWrite turns the operand opnd just returned for a read into one the
 // micro-op may now store to: where it was checked in place, the write
 // check follows on the address still in ECX (a read-only word faults as
 // a write, after the read and whatever the micro-op did in between,
-// exactly as on tier 1); a grouped operand's check was planned with the
-// write floor.
+// exactly as on tier 1); a grouped operand's check takes the write floor.
 func (e *nemit) alsoWrite(i int, size uint32, eip uint32, started int) {
-	if !e.hot {
-		e.acc[len(e.acc)-1].write = true
-	}
-	if e.inPlace {
+	if e.last < 0 {
 		e.checkCX(i, size, true, eip, started)
+	} else {
+		e.groups[e.last].write = true
 	}
 }
 
@@ -788,12 +739,11 @@ func (e *nemit) end(i int, target uint32) int32 {
 	return e.exit(Exit{Kind: ExitEnd, Uop: i, Target: target})
 }
 
-// stub registers an out-of-line path of micro-op i reached from fixes.
-// It is emitted after the mainline, with the flag state the mainline had
-// here.
-func (e *nemit) stub(i int, emit func(), fs fixes) {
+// stub registers an out-of-line path reached from fixes. It is emitted
+// after the mainline, with the flag state the mainline had here.
+func (e *nemit) stub(emit func(), fs fixes) {
 	fl := e.flOp
-	e.pend = append(e.pend, pstub{uop: i, fixes: fs, emit: func() {
+	e.pend = append(e.pend, pstub{fixes: fs, emit: func() {
 		e.flOp = fl
 		emit()
 	}})
@@ -822,8 +772,7 @@ func (e *nemit) leave(s int32) {
 // offset from the trace's first.
 func (e *nemit) slot(s int32) int32 {
 	x := &e.exits[s-1]
-	x.Slot = e.t.Slots
-	e.t.Slots++
+	x.Slot = len(e.stubs)
 	e.stubs = append(e.stubs, 0)
 	return int32(x.Slot) * int32(LinkSize)
 }
@@ -867,10 +816,9 @@ func (e *nemit) link(s int32) {
 	a.retStatus(s)
 }
 
-// linkStub is link as an out-of-line path of micro-op i reached from
-// fixes.
-func (e *nemit) linkStub(i int, s int32, f fix) {
-	e.stub(i, func() { e.link(s) }, fixes{f, -1})
+// linkStub is link as an out-of-line path reached from f.
+func (e *nemit) linkStub(s int32, f fix) {
+	e.stub(func() { e.link(s) }, fixes{f, -1})
 }
 
 // linkInd leaves through exit s's slot used as a one-entry inline cache
@@ -1418,7 +1366,7 @@ func (e *nemit) one(i int) bool {
 	case uop.KindDivR, uop.KindDivM:
 		sd := e.exit(Exit{Kind: ExitDivide, Uop: i, EIP: u.EIP, Started: 1})
 		trap := func(aux uint32, f1, f2 fix) {
-			e.stub(i, func() {
+			e.stub(func() {
 				a.movI(fld(offTrapAux), aux)
 				e.leave(sd)
 			}, fixes{f1, f2})
@@ -1544,38 +1492,32 @@ func (e *nemit) one(i int) bool {
 		// The plain guard evaluates its condition against the lazy
 		// record (known statically or not at all) and leaves the
 		// record untouched either way.
-		e.countGuard()
 		s := e.exit(Exit{Kind: ExitGuard, Uop: i, Target: u.Target})
 		if !e.flagsCond(cc, hAX, hR8) {
 			return false
 		}
 		a.aluTo(aluTestMR, rg(hAX), hAX)
-		e.linkStub(i, s, a.jcc(byte(x86.CCNE)))
+		e.linkStub(s, a.jcc(byte(x86.CCNE)))
 	case uop.KindGuardCmpRR, uop.KindGuardCmpRI, uop.KindGuardTestRR, uop.KindGuardTestRI:
 		// The compare's flags are recorded on both paths.
-		e.countGuard()
 		s := e.exit(Exit{Kind: ExitGuard, Uop: i, Target: u.Target})
 		e.compare(u, gd, gs, true)
-		e.linkStub(i, s, a.jcc(cc))
+		e.linkStub(s, a.jcc(cc))
 	case uop.KindGuardCmpRRNF, uop.KindGuardCmpRINF, uop.KindGuardTestRRNF, uop.KindGuardTestRINF:
 		// Only the exit path records: there the compare's flags become
 		// the visible state.
-		e.countGuard()
 		s := e.exit(Exit{Kind: ExitGuard, Uop: i, Target: u.Target})
 		e.compare(u, gd, gs, false)
-		e.stub(i, func() {
+		e.stub(func() {
 			e.compare(u, gd, gs, true)
 			e.link(s)
 		}, fixes{a.jcc(cc), -1})
 	case uop.KindRetGuard:
-		if e.hot {
-			e.t.Rets++
-		}
 		s := e.exit(Exit{Kind: ExitRetGuard, Uop: i})
 		a.mov(hAX, e.opnd(i, stackEA(0), 4, false, u.EIP, 1))
 		a.aluI(aluAddExt, rg(esp), 4+imm)
 		a.aluI(aluCmpExt, rg(hAX), u.Target)
-		e.stub(i, func() { e.linkInd(s, hAX) }, fixes{a.jcc(byte(x86.CCNE)), -1})
+		e.stub(func() { e.linkInd(s, hAX) }, fixes{a.jcc(byte(x86.CCNE)), -1})
 
 	// --- control transfers (always the trace's last micro-op) ---
 	case uop.KindJmp:
@@ -1593,13 +1535,13 @@ func (e *nemit) one(i int) bool {
 		sf := e.exit(Exit{Kind: ExitJccFall, Uop: i, Target: u.Next})
 		e.flagsCond(cc, hAX, hR8)
 		a.aluTo(aluTestMR, rg(hAX), hAX)
-		e.linkStub(i, st, a.jcc(byte(x86.CCNE)))
+		e.linkStub(st, a.jcc(byte(x86.CCNE)))
 		e.link(sf)
 	case uop.KindCmpJccRR, uop.KindCmpJccRI, uop.KindTestJccRR, uop.KindTestJccRI:
 		st := e.exit(Exit{Kind: ExitJccTaken, Uop: i, Target: u.Target})
 		sf := e.exit(Exit{Kind: ExitJccFall, Uop: i, Target: u.Next})
 		e.compare(u, gd, gs, true)
-		e.linkStub(i, st, a.jcc(cc))
+		e.linkStub(st, a.jcc(cc))
 		e.link(sf)
 	case uop.KindCall:
 		s := e.end(i, u.Target)
@@ -1652,13 +1594,6 @@ func (e *nemit) one(i int) bool {
 		return false
 	}
 	return true
-}
-
-// countGuard counts a conditional guard exit, once per trace.
-func (e *nemit) countGuard() {
-	if e.hot {
-		e.t.Guards++
-	}
 }
 
 // compare emits the fused compare of a guard or a compare-and-branch

@@ -22,11 +22,22 @@
 // Credit, and splits what the run used back into both. A trace entry
 // charges the trace's whole Cost to Budget and counts one pass and its
 // micro-ops in Acct; every exit that leaves with part of the trace
-// unexecuted — a guard, a fault in the middle — carries a static refund
-// (Exit.Refund, Exit.RefundUops) that the exit path applies before
-// control goes anywhere else. The budget is therefore exact wherever a
-// run stops, whichever trace of a chain it stops in, and the VM derives
-// Steps from what a run consumed.
+// unexecuted — a guard, a fault in the middle, a failed check of a group
+// of memory operands — carries a static refund (Exit.Refund,
+// Exit.RefundUops) that the exit path applies before control goes
+// anywhere else. The budget is therefore exact wherever a run stops,
+// whichever trace of a chain it stops in, and the VM derives Steps from
+// what a run consumed.
+//
+// Every micro-op is compiled once. Where the emitted code checks a run of
+// memory operands with one comparison that may be stricter than the
+// operands' own (native_amd64.go), a failure of it is no fault but one
+// more static exit, ExitResume: it refunds its micro-op and everything
+// after it and names the micro-op, and the VM runs the superblock from
+// there on the tier-1 loop — the same micro-op array the trace was
+// compiled from, under tier 1's per-access checks — which raises the
+// exact fault or finishes the pass. The VM counts these
+// (Stats.Tier2Resumes); no decoder this repository ships takes one.
 //
 // Traces link to traces. Every exit of a trace whose successor can be
 // known — a static target (ExitEnd, ExitJccTaken, ExitJccFall,
@@ -68,7 +79,8 @@
 // lazy-flag records, the guard flag-recording rules (base guards record
 // on both paths, NF guards only on exit), spare-field trap EIPs and
 // started-instruction counts for fused pairs. Traps, guard exits,
-// serialization and Reset all demote cleanly to the tier-1 uop path.
+// resumes, serialization and Reset all demote cleanly to the tier-1 uop
+// path.
 // Compiled code is never serialized; another process recompiles from
 // the persisted superblocks.
 package tier2
@@ -204,7 +216,7 @@ type ExitKind uint8
 // Exit kinds. End/JccTaken/JccFall/Ind are normal control transfers out
 // of the trace; Guard/RetGuard leave mid-trace with the tail unexecuted;
 // Int hands the syscall gate back to the VM; the *Fault/Divide/Illegal
-// kinds are traps.
+// kinds are traps; Resume hands the rest of the pass to tier 1.
 const (
 	ExitEnd ExitKind = iota
 	ExitJccTaken
@@ -224,6 +236,12 @@ const (
 	// in the VM, so the trace exits and lets the caller evaluate the
 	// condition and pick between the micro-op's Target and Next.
 	ExitJccLazy
+
+	// ExitResume is a failed check of a group of memory operands (see
+	// native_amd64.go): nothing of micro-op Uop has executed, and the
+	// caller runs the superblock from that micro-op on the tier-1 loop,
+	// whose per-access checks decide whether there is a fault at all.
+	ExitResume
 )
 
 // Exit is one static exit descriptor: everything about an exit site
@@ -257,15 +275,19 @@ type Exit struct {
 // newExit completes x for its micro-op of us: no link slot, and the
 // refund for leaving with everything after that micro-op unexecuted —
 // and, for an exit that faults inside a fused micro-op, the constituent
-// instructions that had not started (Started counts the ones that had).
-// tail is suffixCosts(us).
+// instructions that had not started (Started counts the ones that had);
+// for ExitResume, the micro-op itself as well. tail is suffixCosts(us).
 func newExit(us []uop.Uop, tail []int64, x Exit) Exit {
 	i := x.Uop
 	x.Refund = tail[i]
-	if x.Started > 0 {
+	x.RefundUops = uint64(len(us) - i - 1)
+	switch {
+	case x.Kind == ExitResume:
+		x.Refund += int64(us[i].Cost)
+		x.RefundUops++
+	case x.Started > 0:
 		x.Refund += int64(us[i].Cost) - int64(x.Started)
 	}
-	x.RefundUops = uint64(len(us) - i - 1)
 	x.Slot = -1
 	return x
 }
@@ -299,20 +321,15 @@ type Trace struct {
 	// Geom is the geometry the trace was compiled for.
 	Geom Geometry
 
-	Entry  uint32 // guest address of the trace entry
-	Cost   int64  // guest instructions per full pass (fuel units)
-	NUops  int    // micro-ops per pass (UopsExecuted units)
-	Guards int    // conditional guard exits
-	Rets   int    // return-guard exits
-	Slots  int    // link slots
+	Entry uint32 // guest address of the trace entry
+	Cost  int64  // guest instructions per full pass (fuel units)
+	NUops int    // micro-ops per pass (UopsExecuted units)
+	Slots int    // link slots
 
-	// Ledger is the host-code accounting of the trace; hotEnd and
-	// twinStart are the code offsets where the hot body's mainline ends
-	// (its out-of-line exit paths follow) and where the checked twin
-	// starts (the end of the code when the trace has none).
-	Ledger    Ledger
-	hotEnd    int
-	twinStart int
+	// Ledger is the host-code accounting of the trace; hotEnd is the code
+	// offset where the mainline ends and its out-of-line exit paths start.
+	Ledger Ledger
+	hotEnd int
 
 	// NeedFlags marks a trace that consumes the flag state it was
 	// entered with: whoever enters it must have the flags
@@ -326,18 +343,19 @@ type Trace struct {
 // Ledger counts what the native emitter produced, for one trace or summed
 // over several, exactly: the guest instructions a pass of the trace
 // stands for; the host instructions of the hot body (the trace entry and
-// the fall-through path of every micro-op, bounds checks included), of
-// its out-of-line exit paths, and of the checked twin with its own; the
-// guest memory operands of the hot body and how many bounds checks it
-// emits for them — the difference is the operands that ride on another's
-// check.
+// the fall-through path of every micro-op, bounds checks included) and of
+// its out-of-line exit paths, which together are all the code there is;
+// the guest memory operands and how many bounds checks are emitted for
+// them — the difference is the operands that ride on another's check;
+// and the resume exits: the micro-ops that open with such a shared check,
+// whose failure hands the rest of the pass to tier 1.
 type Ledger struct {
 	Guest    int64 `json:"guest"`
 	Hot      int64 `json:"hot"`
 	Stub     int64 `json:"stub"`
-	Twin     int64 `json:"twin"`
 	Accesses int64 `json:"accesses"`
 	Checks   int64 `json:"checks"`
+	Resumes  int64 `json:"resumes"`
 }
 
 // Add adds sign times m to l.
@@ -345,22 +363,22 @@ func (l *Ledger) Add(m Ledger, sign int64) {
 	l.Guest += sign * m.Guest
 	l.Hot += sign * m.Hot
 	l.Stub += sign * m.Stub
-	l.Twin += sign * m.Twin
 	l.Accesses += sign * m.Accesses
 	l.Checks += sign * m.Checks
+	l.Resumes += sign * m.Resumes
 }
 
 func (l Ledger) String() string {
 	if l.Guest == 0 {
 		return "no native code"
 	}
-	return fmt.Sprintf("%d host instructions in the hot body for %d guest (%.2f each), %d in exit paths, %d in the checked twin; %d guest memory operands under %d bounds checks",
-		l.Hot, l.Guest, float64(l.Hot)/float64(l.Guest), l.Stub, l.Twin, l.Accesses, l.Checks)
+	return fmt.Sprintf("%d host instructions in the hot body for %d guest (%.2f each), %d in exit paths; %d guest memory operands under %d bounds checks, %d resume exits",
+		l.Hot, l.Guest, float64(l.Hot)/float64(l.Guest), l.Stub, l.Accesses, l.Checks, l.Resumes)
 }
 
-// Layout returns the code offsets at which the trace's hot body ends and
-// its checked twin starts, for the test wall's code scan.
-func (t *Trace) Layout() (hotEnd, twinStart int) { return t.hotEnd, t.twinStart }
+// HotEnd returns the code offset at which the trace's mainline ends and
+// its exit paths start, for the test wall's code scan.
+func (t *Trace) HotEnd() int { return t.hotEnd }
 
 // Code returns the trace's emitted machine code. The bytes are mapped
 // read+execute: read them, never write.

@@ -9,7 +9,8 @@ import (
 // TestNewExitRefunds: an exit gives back exactly what the trace entry
 // charged for the part of the trace it leaves unexecuted — the micro-ops
 // after the exiting one and, inside a fused micro-op that faults, the
-// constituent instructions that had not started.
+// constituent instructions that had not started; for a resume, the
+// exiting micro-op as well, whole.
 func TestNewExitRefunds(t *testing.T) {
 	us := []uop.Uop{
 		{Kind: uop.KindLoad, Cost: 1},
@@ -36,6 +37,9 @@ func TestNewExitRefunds(t *testing.T) {
 		{"fused pair, first instruction faults", Exit{Kind: ExitWriteFault, Uop: 2, Started: 1}, 3, 2},
 		{"last micro-op", Exit{Kind: ExitEnd, Uop: 4}, 0, 0},
 		{"fault in the last micro-op", Exit{Kind: ExitIllegal, Uop: 4, Started: 1}, 0, 0},
+		{"resume at the first micro-op: nothing ran", Exit{Kind: ExitResume, Uop: 0}, 8, 5},
+		{"resume at a fused micro-op: none of it ran", Exit{Kind: ExitResume, Uop: 1}, 7, 4},
+		{"resume at the last micro-op", Exit{Kind: ExitResume, Uop: 4}, 1, 1},
 	}
 	for _, c := range cases {
 		x := newExit(us, suffixCosts(make([]int64, len(us)), us), c.x)

@@ -9,7 +9,7 @@ import (
 	"unsafe"
 
 	"vxa/internal/vm/tier2"
-	"vxa/internal/x86"
+	"vxa/internal/vm/uop"
 )
 
 // This file reads emitted trace code back. decodeHost is a decoder for
@@ -112,8 +112,6 @@ func decodeHost(code []byte, at int) (in hostInst, err error) {
 	case op&0xF0 == 0x50: // push/pop reg
 		in.reg = op&7 | int(rex&1)<<3
 	case op == 0x99, op == 0xC3: // cqo, ret
-	case op == 0xE9:
-		immLen = 4
 	default:
 		return in, fmt.Errorf("unknown opcode %02X", op)
 	}
@@ -160,7 +158,7 @@ func decodeHost(code []byte, at int) (in hostInst, err error) {
 		in.imm = int64(uint64(le32(code, uint32(i))) | uint64(le32(code, uint32(i+4)))<<32)
 	}
 	in.n = i + immLen - at
-	if in.op == 0xE9 || in.op&0xFFF0 == 0x0F80 {
+	if in.op&0xFFF0 == 0x0F80 {
 		in.imm += int64(at + in.n)
 	}
 	if at+in.n > len(code) {
@@ -234,6 +232,7 @@ type traceScan struct {
 	off     int // offset of the instruction being scanned
 	checks  int // bounds checks recognized
 	covered int // guest memory operands found covered
+	insts   int // instructions decoded
 }
 
 func (sc *traceScan) failf(format string, args ...any) {
@@ -291,8 +290,8 @@ func (sc *traceScan) meet(p, s *scanState) {
 	}
 }
 
-// scanTrace walks the whole code of a native trace — hot body, exit
-// paths, checked twin — in one forward pass (every branch the emitter
+// scanTrace walks the whole code of a native trace — the mainline, then
+// the exit paths behind it — in one forward pass (every branch the emitter
 // produces is forward; loops go through link slots) and checks:
 //
 //   - it decodes end to end with decodeHost, and every byte is reached;
@@ -308,15 +307,18 @@ func (sc *traceScan) meet(p, s *scanState) {
 //     dominating it proved in bounds for the very values its registers
 //     hold there: same symbols, any constant moves of the registers since
 //     the check accounted for and shown not to have wrapped, a write only
-//     under a check with the write floor.
+//     under a check with the write floor;
+//   - the exit paths touch no guest memory, and the code is as many
+//     instructions as the trace's ledger says were emitted: nothing of a
+//     micro-op is there a second time.
 //
 // It returns the bounds checks and the covered guest operands it found in
-// the hot body's mainline.
+// the mainline.
 func scanTrace(t *testing.T, tr *tier2.Trace) (checks, covered int) {
 	t.Helper()
 	sc := &traceScan{t: t, tr: tr, code: tr.Code(), g: tr.Geom,
 		pending: make(map[int]*scanState), slots: make(map[int32]bool)}
-	hotEnd, _ := tr.Layout()
+	hotEnd, hotInsts := tr.HotEnd(), 0
 	st := &scanState{live: true}
 	for r := range st.reg {
 		if pinnedReg(r) {
@@ -325,7 +327,7 @@ func scanTrace(t *testing.T, tr *tier2.Trace) (checks, covered int) {
 	}
 	for sc.off = 0; sc.off < len(sc.code); {
 		if sc.off == hotEnd {
-			checks, covered = sc.checks, sc.covered
+			checks, covered, hotInsts = sc.checks, sc.covered, sc.insts
 		}
 		if p := sc.pending[sc.off]; p != nil {
 			if st.live {
@@ -338,7 +340,10 @@ func scanTrace(t *testing.T, tr *tier2.Trace) (checks, covered int) {
 			sc.failf("unreachable code")
 		}
 		if n := sc.check(st); n > 0 {
-			sc.off += n
+			for end := sc.off + n; sc.off < end; sc.insts++ {
+				in, _ := decodeHost(sc.code, sc.off)
+				sc.off += in.n
+			}
 			continue
 		}
 		in, err := decodeHost(sc.code, sc.off)
@@ -347,6 +352,7 @@ func scanTrace(t *testing.T, tr *tier2.Trace) (checks, covered int) {
 		}
 		sc.step(st, &in)
 		sc.off += in.n
+		sc.insts++
 	}
 	if st.live {
 		t.Fatalf("trace %#x: control runs off the end of the code", tr.Entry)
@@ -361,6 +367,13 @@ func scanTrace(t *testing.T, tr *tier2.Trace) (checks, covered int) {
 	}
 	if sc.rets == 0 {
 		t.Fatalf("trace %#x never returns", tr.Entry)
+	}
+	if sc.covered != covered {
+		t.Fatalf("trace %#x: %d guest memory operands in the exit paths", tr.Entry, sc.covered-covered)
+	}
+	if l := tr.Ledger; int64(hotInsts) != l.Hot || int64(sc.insts-hotInsts) != l.Stub {
+		t.Fatalf("trace %#x: %d instructions in the mainline and %d behind it, the ledger says %d and %d",
+			tr.Entry, hotInsts, sc.insts-hotInsts, l.Hot, l.Stub)
 	}
 	return checks, covered
 }
@@ -817,9 +830,6 @@ func (sc *traceScan) step(st *scanState, in *hostInst) {
 		}
 	case op&0xFFF0 == 0x0F80: // jcc
 		sc.flow(st, int(in.imm))
-	case op == 0xE9:
-		sc.flow(st, int(in.imm))
-		st.live = false
 	case op == 0xFF:
 		if in.reg != 4 || in.direct || in.idx >= 0 || in.base < 0 || st.reg[in.base].kind != slot {
 			sc.failf("indirect branch FF /%d is no slot jump", in.reg)
@@ -845,9 +855,66 @@ func (sc *traceScan) step(st *scanState, in *hostInst) {
 	}
 }
 
+// oneCopy requires of a trace's exit table and link slots that they are
+// what one emission of its micro-ops us needs: no exit site is there
+// twice, every slot belongs to one exit, and the slots are the ones the
+// guards and the terminator of us ask for.
+func oneCopy(t *testing.T, us []uop.Uop, tr *tier2.Trace) {
+	t.Helper()
+	type site struct {
+		uop, started int
+		kind         tier2.ExitKind
+	}
+	seen := make(map[site]bool)
+	owned := make(map[int]bool)
+	lazy := false
+	for _, x := range tr.Exits {
+		s := site{x.Uop, x.Started, x.Kind}
+		if seen[s] {
+			t.Fatalf("trace %#x: two exits of kind %d from micro-op %d", tr.Entry, x.Kind, x.Uop)
+		}
+		seen[s] = true
+		if x.Slot >= 0 {
+			if owned[x.Slot] || x.Slot >= tr.Slots {
+				t.Fatalf("trace %#x: slot %d of %d has two exits, or none of the trace's", tr.Entry, x.Slot, tr.Slots)
+			}
+			owned[x.Slot] = true
+		}
+		lazy = lazy || x.Kind == tier2.ExitJccLazy
+	}
+	want := 0
+	for i := range us {
+		switch k := us[i].Kind; {
+		case sbGuardKind(k), k == uop.KindRetGuard:
+			want++
+		case i < len(us)-1:
+		case k == uop.KindJcc && lazy, k == uop.KindInt, k == uop.KindHlt, k == uop.KindUd2:
+		case k == uop.KindJcc, k == uop.KindCmpJccRR, k == uop.KindCmpJccRI, k == uop.KindTestJccRR, k == uop.KindTestJccRI:
+			want += 2
+		default: // a jump, a call or a return, direct or not
+			want++
+		}
+	}
+	if tr.Slots != want || len(owned) != want {
+		t.Fatalf("trace %#x: %d link slots, %d of them owned by an exit; its %d micro-ops need %d", tr.Entry, tr.Slots, len(owned), len(us), want)
+	}
+}
+
+// vmTraceUops returns the micro-ops each compiled trace v holds was
+// compiled from.
+func vmTraceUops(v *VM) map[*tier2.Trace][]uop.Uop {
+	m := make(map[*tier2.Trace][]uop.Uop)
+	for _, br := range v.blocks {
+		if sb := br.sb; sb != nil && sb.t2 != nil {
+			m[sb.t2] = sb.b.uops
+		}
+	}
+	return m
+}
+
 // soakTraces runs the hundred soak programs forced hot and hands every
-// trace they compile to f.
-func soakTraces(t *testing.T, f func(tr *tier2.Trace)) {
+// trace they compile, with its micro-ops, to f.
+func soakTraces(t *testing.T, f func(us []uop.Uop, tr *tier2.Trace)) {
 	traces := 0
 	for seed := int64(1); seed <= 100; seed++ {
 		image := make([]byte, soakSpan)
@@ -859,8 +926,8 @@ func soakTraces(t *testing.T, f func(tr *tier2.Trace)) {
 		if _, err := v.Run(); err == nil {
 			t.Fatal("soak program did not trap")
 		}
-		for _, tr := range vmTraces(v) {
-			f(tr)
+		for tr, us := range vmTraceUops(v) {
+			f(us, tr)
 			traces++
 		}
 	}
@@ -869,12 +936,13 @@ func soakTraces(t *testing.T, f func(tr *tier2.Trace)) {
 	}
 }
 
-// TestEveryGuestAccessIsChecked: scanTrace's proof obligations hold over
-// every trace the soak programs compile. (The six decoders take the same
-// scan in decoders_test.go.)
+// TestEveryGuestAccessIsChecked: scanTrace's proof obligations, and
+// oneCopy's, hold over every trace the soak programs compile. (The six
+// decoders take the same scan in decoders_test.go.)
 func TestEveryGuestAccessIsChecked(t *testing.T) {
 	checks, covered := 0, 0
-	soakTraces(t, func(tr *tier2.Trace) {
+	soakTraces(t, func(us []uop.Uop, tr *tier2.Trace) {
+		oneCopy(t, us, tr)
 		c, m := scanTrace(t, tr)
 		// The ledger counts a read-modify-write operand once, the scan
 		// each instruction that uses it.
@@ -887,42 +955,16 @@ func TestEveryGuestAccessIsChecked(t *testing.T) {
 	t.Logf("%d guest memory operands in hot bodies ride on %d bounds checks", covered, checks)
 }
 
-// ScanTraces runs scanTrace over every compiled trace v holds and returns
-// how many there were. It is exported (from a test file) for the
-// external test that drives the built-in decoders, which this package
-// cannot import.
+// ScanTraces runs scanTrace and oneCopy over every compiled trace v holds
+// and returns how many there were. It is exported (from a test file) for
+// the external test that drives the built-in decoders, which this
+// package cannot import.
 func ScanTraces(t *testing.T, v *VM) int {
 	t.Helper()
-	ts := vmTraces(v)
-	for _, tr := range ts {
+	ts := vmTraceUops(v)
+	for tr, us := range ts {
+		oneCopy(t, us, tr)
 		scanTrace(t, tr)
 	}
 	return len(ts)
-}
-
-// TestRegisterOnlyTraceHasNoTwin: a trace with no guest memory operand
-// has no check that could fail, so no twin is emitted for it — and what
-// is emitted still passes the scan.
-func TestRegisterOnlyTraceHasNoTwin(t *testing.T) {
-	a := &t2asm{t: t, base: diffCode}
-	top := a.cur()
-	a.op2(x86.ADD, x86.R(x86.EAX), x86.R(x86.ECX))
-	a.op2(x86.XOR, x86.R(x86.EBX), x86.R(x86.EAX))
-	a.op2(x86.SUB, x86.R(x86.ECX), x86.I(1))
-	a.jcc(x86.CCNE, top)
-	a.emit(x86.Inst{Op: x86.UD2})
-	g := linkGuest{code: a.code, fuel: 60000, regs: map[x86.Reg]uint32{x86.ECX: 1000}}
-	v1, v2 := diffVMAt(t, OptEager), diffVM(t)
-	g.runOnce(t, v1, v2, [8]uint32{})
-	ts := vmTraces(v1)
-	if len(ts) != 1 {
-		t.Fatalf("%d traces, want the loop's one", len(ts))
-	}
-	scanTrace(t, ts[0])
-	if l := ts[0].Ledger; l.Twin != 0 || l.Accesses != 0 || l.Checks != 0 {
-		t.Fatalf("ledger of a register-only trace: %+v", l)
-	}
-	if _, twin := ts[0].Layout(); twin != len(ts[0].Code()) {
-		t.Fatalf("twin at %#x of %#x bytes of code", twin, len(ts[0].Code()))
-	}
 }

@@ -154,15 +154,15 @@ func TestArenaCap(t *testing.T) {
 		want := d.run(t, roomy)
 
 		tight := d.eagerVM(t)
-		vm.SetArenaSize(tight, 16<<10)
+		vm.SetArenaSize(tight, 4<<10)
 		got := d.run(t, tight)
 		rs, ts := roomy.Stats(), tight.Stats()
 		if !bytes.Equal(got, want) || ts.Steps != rs.Steps {
-			t.Fatalf("%s: a 16 KiB arena changed the decode: %d bytes in %d instructions, want %d in %d",
+			t.Fatalf("%s: a 4 KiB arena changed the decode: %d bytes in %d instructions, want %d in %d",
 				d.name, len(got), ts.Steps, len(want), rs.Steps)
 		}
 		if ts.Tier2Refused == 0 || ts.Tier2Compiled == 0 || ts.Tier2Compiled+ts.Tier2Refused != rs.Tier2Compiled {
-			t.Fatalf("%s: %d traces compiled and %d refused in 16 KiB, %d compiled (%d refused) with room",
+			t.Fatalf("%s: %d traces compiled and %d refused in 4 KiB, %d compiled (%d refused) with room",
 				d.name, ts.Tier2Compiled, ts.Tier2Refused, rs.Tier2Compiled, rs.Tier2Refused)
 		}
 		if rs.Tier2Refused != 0 {
@@ -172,6 +172,6 @@ func TestArenaCap(t *testing.T) {
 			t.Fatalf("%s: %v", d.name, err)
 		}
 		vm.ScanTraces(t, tight)
-		t.Logf("%-8s %3d traces fit 16 KiB, %3d refused", d.name, ts.Tier2Compiled, ts.Tier2Refused)
+		t.Logf("%-8s %3d traces fit 4 KiB, %3d refused", d.name, ts.Tier2Compiled, ts.Tier2Refused)
 	}
 }

@@ -53,6 +53,11 @@ type linkGuest struct {
 	// gates is how many times per run the guest goes through the
 	// syscall gate, which always returns to the dispatcher.
 	gates uint64
+	// resumes is how many trace passes of a run, at least, stop at a
+	// failed group check and are finished on tier 1, once everything is
+	// compiled; noResume says that none does.
+	resumes  uint64
+	noResume bool
 }
 
 // rewind puts v's guest state at the program start, keeping whatever the
@@ -131,6 +136,7 @@ func (g *linkGuest) runOnce(t *testing.T, v1, v2 *VM, seed [8]uint32) error {
 	}
 	top := max(v1.m.Brk, 3*PageSize)
 	sameMem(t, v1, v2, diffData, top)
+	sameMem(t, v1, v2, v1.stackBase, v1.stackBase+PageSize)
 	sameMem(t, v1, v2, v1.MemSize()-PageSize, v1.MemSize())
 	return err1
 }
@@ -156,16 +162,20 @@ const linkRuns = sbHotThreshold + 8
 // every run with the reference, and requires of the eager leg that the
 // last run really went from trace to trace: links exist, they satisfy the
 // table's invariant, and compiled code came back to the dispatcher a
-// small fraction of the times a trace pass started. No run spans a poll
-// quantum, so every return is an unlinked exit and, links being
-// permanent, belongs to the early passes: the final pass, which holds the
-// failure, was entered through a link.
-func (g *linkGuest) runLinked(t *testing.T) {
+// small fraction of the times a trace pass started, the gate and the
+// resumes the guest declares aside. No run spans a poll quantum, so every
+// other return is an unlinked exit and, links being permanent, belongs
+// to the early passes: the final pass, which holds the failure, was
+// entered through a link.
+func (g *linkGuest) runLinked(t *testing.T) { g.runLinkedOn(t, diffVMAt) }
+
+// runLinkedOn is runLinked on the VMs newVM builds.
+func (g *linkGuest) runLinkedOn(t *testing.T, newVM func(*testing.T, OptLevel) *VM) {
 	if g.fuel >= cancelQuantum {
 		t.Fatal("a directed guest must fit one poll quantum")
 	}
 	forTier2Legs(t, func(t *testing.T, level OptLevel) {
-		v1, v2 := diffVMAt(t, level), diffVM(t)
+		v1, v2 := newVM(t, level), newVM(t, OptDefault)
 		var seed [8]uint32
 		for r := range seed {
 			seed[r] = 0x9E3779B9 * uint32(r+1)
@@ -183,9 +193,13 @@ func (g *linkGuest) runLinked(t *testing.T) {
 		}
 		st := v1.Stats()
 		passes, exits := st.Tier2Executed-before.Tier2Executed, st.Tier2Exits-before.Tier2Exits
-		if st.Tier2Links == 0 || passes < 100 || (exits-g.gates)*10 > passes {
+		resumed := st.Tier2Resumes - before.Tier2Resumes
+		if st.Tier2Links == 0 || passes < 100 || (int64(exits)-int64(g.gates)-int64(resumed))*10 > int64(passes) {
 			t.Fatalf("last run: %d trace passes, %d returns to the dispatcher, %d exits linked in all: the failure did not land in a linked-into trace",
 				passes, exits, st.Tier2Links)
+		}
+		if resumed < g.resumes || g.noResume && resumed != 0 {
+			t.Fatalf("last run: %d trace passes finished on tier 1 behind a failed group check, want at least %d (none: %v)", resumed, g.resumes, g.noResume)
 		}
 	})
 }
@@ -247,14 +261,16 @@ func TestDiffLinkedTraceTraps(t *testing.T) {
 				a.op2(x86.MOV, x86.R(x86.EBX), mem)
 				a.op2(x86.ADD, x86.R(x86.ESI), x86.I(4))
 			}, ud2Tail),
-			regs: map[x86.Reg]uint32{x86.EBP: linkOuter, x86.ESI: edge},
+			regs:    map[x86.Reg]uint32{x86.EBP: linkOuter, x86.ESI: edge},
+			resumes: 1,
 		}},
 		{"write-fault", linkGuest{
 			code: linkLoops(t, func(a *t2asm) {
 				a.op2(x86.MOV, mem, x86.R(x86.EAX))
 				a.op2(x86.ADD, x86.R(x86.ESI), x86.I(4))
 			}, ud2Tail),
-			regs: map[x86.Reg]uint32{x86.EBP: linkOuter, x86.ESI: edge},
+			regs:    map[x86.Reg]uint32{x86.EBP: linkOuter, x86.ESI: edge},
+			resumes: 1,
 		}},
 		{"divide", linkGuest{
 			// EDI counts down to zero: the last pass divides by it.
@@ -298,7 +314,8 @@ func TestDiffLinkedTraceTraps(t *testing.T) {
 			// the setperm gate, runs the inner loop — a linked trace —
 			// and only then stores to the new dword, in the trace linked
 			// behind it: that trace must see the heap limit the gate
-			// moved. The last pass asks for nothing and its store faults.
+			// moved. The last pass asks for nothing and its store's check
+			// fails: tier 1 finishes the pass, on the fault.
 			code: func() []byte {
 				a := &t2asm{t: t, base: diffCode}
 				outer := a.cur()
@@ -321,8 +338,9 @@ func TestDiffLinkedTraceTraps(t *testing.T) {
 				a.emit(x86.Inst{Op: x86.UD2})
 				return a.code
 			}(),
-			regs:  map[x86.Reg]uint32{x86.EBP: linkOuter, x86.ESI: 3 * PageSize},
-			gates: linkOuter,
+			regs:    map[x86.Reg]uint32{x86.EBP: linkOuter, x86.ESI: 3 * PageSize},
+			gates:   linkOuter,
+			resumes: 1,
 		}},
 	}
 	for _, c := range cases {

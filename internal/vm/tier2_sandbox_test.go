@@ -8,6 +8,8 @@ import (
 	"syscall"
 	"testing"
 
+	"vxa/internal/vm/tier2"
+	"vxa/internal/vm/uop"
 	"vxa/internal/x86"
 )
 
@@ -350,5 +352,217 @@ func FuzzTier2Sandbox(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		runSandboxGuest(t, sandboxGuest(t, data), OptEager)
+	})
+}
+
+// resumeSite is one resume exit of a compiled trace: the micro-op whose
+// group check it stands behind, and the trace's length.
+type resumeSite struct {
+	uop, n int
+	kind   uop.Kind
+}
+
+// resumeSites lists the resume exits of every trace v holds.
+func resumeSites(v *VM) []resumeSite {
+	var sites []resumeSite
+	for _, br := range v.blocks {
+		sb := br.sb
+		if sb == nil || sb.t2 == nil {
+			continue
+		}
+		for _, x := range sb.t2.Exits {
+			if x.Kind == tier2.ExitResume {
+				sites = append(sites, resumeSite{x.Uop, len(sb.b.uops), sb.b.uops[x.Uop].Kind})
+			}
+		}
+	}
+	return sites
+}
+
+// TestTier2ResumeDirected: a check that covers a group of memory
+// operands fails, the trace leaves with the micro-op it guards and
+// everything behind it unexecuted and refunded, and tier 1 runs the rest
+// of the superblock — to the fault the reference engine raises, at its
+// EIP and address and with its registers, flags, memory, Steps and fuel,
+// or to the end of the pass when the check was only stricter than the
+// accesses, and on into the next trace. Every guest is linkLoops' shape,
+// so the trace that resumes was entered through a link slot and
+// Machine.Cur is all that says whose micro-ops to resume. The text page
+// is read-only here, so reads and writes have different floors.
+func TestTier2ResumeDirected(t *testing.T) {
+	const P = PageSize
+	// ESI walks up to the heap end a dword per outer pass: the last pass's
+	// access is the first out of bounds.
+	edge := uint32(3*P) - 4*(linkOuter-1)
+	esi := x86.MSIB(x86.ESI, x86.NoReg, 1, 0, 4)
+	anywhere := func(resumeSite) bool { return true }
+	var callF func(uint32)
+	cases := []struct {
+		name string
+		g    linkGuest
+		// site is what every resume exit of the guest's traces satisfies.
+		site func(resumeSite) bool
+	}{
+		{"first micro-op", linkGuest{
+			code: linkLoops(t, func(a *t2asm) {
+				a.op2(x86.MOV, x86.R(x86.EBX), esi)
+				a.op2(x86.ADD, x86.R(x86.ESI), x86.I(4))
+			}, ud2Tail),
+			regs: map[x86.Reg]uint32{x86.EBP: linkOuter, x86.ESI: edge}, resumes: 1,
+		}, func(s resumeSite) bool { return s.uop == 0 }},
+		{"middle micro-op", linkGuest{
+			// (By lea and mov: the flags of an add here would be dead, the
+			// optimizer elides dead flag records on every tier, and what
+			// the flags are after a fault behind an elided record is the
+			// one thing no engine owes the reference.)
+			code: linkLoops(t, func(a *t2asm) {
+				a.op2(x86.LEA, x86.R(x86.EBX), x86.MSIB(x86.EBX, x86.EAX, 1, 3, 4))
+				a.op2(x86.MOV, x86.R(x86.EDX), x86.R(x86.EBX))
+				a.op2(x86.MOV, esi, x86.R(x86.EDX))
+				a.op2(x86.ADD, x86.R(x86.ESI), x86.I(4))
+			}, ud2Tail),
+			regs: map[x86.Reg]uint32{x86.EBP: linkOuter, x86.ESI: edge}, resumes: 1,
+		}, func(s resumeSite) bool { return s.uop > 0 && s.uop < s.n-1 }},
+		{"last micro-op", func() linkGuest {
+			// The payload ends its trace by jumping through a table in the
+			// data page, every entry of which is the next instruction; the
+			// last pass reads the entry behind the heap's end. (The direct
+			// jump makes the path two blocks: one is not promoted.)
+			var cont uint32
+			code := linkLoops(t, func(a *t2asm) {
+				a.op2(x86.MOV, x86.R(x86.EDX), x86.R(x86.ESI))
+				a.jmp(a.cur() + 5)
+				a.op2(x86.ADD, x86.R(x86.ESI), x86.I(4))
+				a.emit(x86.Inst{Op: x86.JMPM, Dst: x86.MSIB(x86.EDX, x86.NoReg, 1, 0, 4)})
+				cont = a.cur()
+			}, ud2Tail)
+			data := make([]byte, P)
+			for off := 0; off < P; off += 4 {
+				binary.LittleEndian.PutUint32(data[off:], cont)
+			}
+			return linkGuest{code: code, data: data,
+				regs: map[x86.Reg]uint32{x86.EBP: linkOuter, x86.ESI: edge}, resumes: 1}
+		}(), func(s resumeSite) bool { return s.uop == s.n-1 && s.kind == uop.KindJmpM }},
+		{"fused load-op", linkGuest{
+			code: linkLoops(t, func(a *t2asm) {
+				a.op2(x86.MOV, x86.R(x86.EDX), esi)
+				a.op2(x86.ADD, x86.R(x86.EBX), x86.R(x86.EDX))
+				a.op2(x86.ADD, x86.R(x86.ESI), x86.I(4))
+			}, ud2Tail),
+			regs: map[x86.Reg]uint32{x86.EBP: linkOuter, x86.ESI: edge}, resumes: 1,
+		}, func(s resumeSite) bool { return s.kind == uop.KindLoadAluRR || s.kind == uop.KindLoadAluRRNF }},
+		{"push and call at the stack's base", linkGuest{
+			// Every pass leaves a dword on the stack, and ESP comes down to
+			// the stack's base: on the last pass the push has room and the
+			// call's return address, under the same check, does not.
+			code: linkLoops(t, func(a *t2asm) {
+				a.emit(x86.Inst{Op: x86.PUSH, Dst: x86.R(x86.EAX)})
+				callF = a.branch(x86.Inst{Op: x86.CALL})
+			}, func(a *t2asm) {
+				a.emit(x86.Inst{Op: x86.UD2})
+				callF(a.cur())
+				a.emit(x86.Inst{Op: x86.RET})
+			}),
+			regs: map[x86.Reg]uint32{x86.EBP: linkOuter + 8,
+				x86.ESP: 4<<20 - DefaultStackSize + 4 + 4*(linkOuter-1)}, resumes: 1,
+		}, anywhere},
+		{"spurious: a read shares the write floor", linkGuest{
+			// One check for the read of the text page's last dword and the
+			// write of the data page's second: it asks for the write floor
+			// under both, and fails on every pass; neither access does.
+			code: linkLoops(t, func(a *t2asm) {
+				a.op2(x86.MOV, x86.R(x86.EAX), x86.MSIB(x86.ESI, x86.NoReg, 1, -8, 4))
+				a.op2(x86.MOV, x86.MSIB(x86.ESI, x86.NoReg, 1, 4, 4), x86.R(x86.EBX))
+				a.op2(x86.ADD, x86.R(x86.EBX), x86.R(x86.EAX))
+			}, ud2Tail),
+			regs: map[x86.Reg]uint32{x86.EBP: linkOuter, x86.ESI: 2*P + 4}, resumes: linkOuter - 1,
+		}, anywhere},
+		{"spurious: the operand out of bounds is behind a guard", linkGuest{
+			// Two loads off ESI half a page apart share a check. ESI walks
+			// up; on the last eight passes the far load would be past the
+			// heap's end, and on exactly those the branch between the two
+			// skips it.
+			code: linkLoops(t, func(a *t2asm) {
+				a.op2(x86.MOV, x86.R(x86.EAX), esi)
+				a.op2(x86.CMP, x86.R(x86.EBP), x86.I(8))
+				over := a.branch(x86.Inst{Op: x86.JCC, CC: x86.CCBE})
+				a.op2(x86.MOV, x86.R(x86.EBX), x86.MSIB(x86.ESI, x86.NoReg, 1, 0x800, 4))
+				over(a.cur())
+				a.op2(x86.ADD, x86.R(x86.ESI), x86.I(4))
+			}, ud2Tail),
+			regs: map[x86.Reg]uint32{x86.EBP: linkOuter, x86.ESI: 3*P - 0x804 - 4*(linkOuter-9)}, resumes: 8,
+		}, anywhere},
+		{"constant addresses either side of the write floor", linkGuest{
+			// A read of the text page's last dword and a write of the data
+			// page's third, both at constant addresses a page apart at
+			// most: the read must not ride on the writer's check, which it
+			// could never pass. Nothing fails, so nothing resumes.
+			code: linkLoops(t, func(a *t2asm) {
+				a.op2(x86.MOV, x86.R(x86.EAX), x86.MSIB(x86.NoReg, x86.NoReg, 1, 2*P-4, 4))
+				a.op2(x86.MOV, x86.MSIB(x86.NoReg, x86.NoReg, 1, 2*P+8, 4), x86.R(x86.EBX))
+				a.op2(x86.ADD, x86.R(x86.EBX), x86.R(x86.EAX))
+			}, ud2Tail),
+			regs: map[x86.Reg]uint32{x86.EBP: linkOuter}, noResume: true,
+		}, anywhere},
+	}
+	for _, c := range cases {
+		c := c
+		c.g.fuel = 60000
+		t.Run(c.name, func(t *testing.T) {
+			c.g.runLinkedOn(t, func(t *testing.T, level OptLevel) *VM {
+				v := sandboxVM(t, level)
+				if level == OptEager && nativeTier2() {
+					t.Cleanup(func() {
+						sites := resumeSites(v)
+						if len(sites) == 0 {
+							t.Error("no trace of the guest has a resume exit")
+						}
+						for _, s := range sites {
+							if !c.site(s) {
+								t.Errorf("a resume exit at micro-op %d (%v) of %d", s.uop, s.kind, s.n)
+							}
+						}
+					})
+				}
+				return v
+			})
+		})
+	}
+}
+
+// TestTier2ResumeFuelSweep runs a guest whose every compiled pass fails
+// its group check and is finished on tier 1 under each fuel budget of a
+// window wider than its traces, so that the fuel runs out at every
+// instruction before, at and behind the check: the fuel trap's EIP and
+// everything else is the reference walk's. (A trace entry declines unless
+// the budget covers the whole pass, and a resume refunds the part it
+// hands over, so the tail itself never runs dry: the budgets that end
+// inside it never enter the trace.)
+func TestTier2ResumeFuelSweep(t *testing.T) {
+	g := linkGuest{
+		code: linkLoops(t, func(a *t2asm) {
+			a.op2(x86.ADD, x86.R(x86.EBX), x86.R(x86.EAX))
+			a.op2(x86.MOV, x86.R(x86.EAX), x86.MSIB(x86.ESI, x86.NoReg, 1, -8, 4))
+			a.op2(x86.MOV, x86.MSIB(x86.ESI, x86.NoReg, 1, 4, 4), x86.R(x86.EBX))
+			a.op2(x86.XOR, x86.R(x86.EDX), x86.R(x86.EAX))
+		}, ud2Tail),
+		regs: map[x86.Reg]uint32{x86.EBP: linkOuter, x86.ESI: 2*PageSize + 4},
+	}
+	forTier2Legs(t, func(t *testing.T, level OptLevel) {
+		v1, v2 := sandboxVM(t, level), sandboxVM(t, OptDefault)
+		var seed [8]uint32
+		g.fuel = 60000
+		for run := 0; run < linkRuns; run++ { // warm: everything compiled and linked
+			g.runOnce(t, v1, v2, seed)
+		}
+		before := v1.Stats().Tier2Resumes
+		for g.fuel = 5000; g.fuel < 5064; g.fuel++ {
+			if tr := g.runOnce(t, v1, v2, seed).(*Trap); tr.Kind != TrapFuel {
+				t.Fatalf("fuel %d: %v, want fuel exhaustion", g.fuel, tr)
+			}
+		}
+		if level == OptEager && nativeTier2() && v1.Stats().Tier2Resumes-before < 64*100 {
+			t.Fatalf("%d passes resumed over the sweep: the guest's check does not fail", v1.Stats().Tier2Resumes-before)
+		}
 	})
 }

@@ -160,9 +160,14 @@ func (v *VM) CheckLinks() (linked int, err error) {
 // the tier-1 engine: the run's counters are folded into the statistics
 // and the exit it stopped at is dispatched onto the same chain-slot and
 // trap paths the tier-1 handler for the exiting micro-op uses, linking
-// the edge for next time where it can. The caller must have checked
-// v.m.Fuel >= sb.b.cost and polled if the credit had run out.
-func (v *VM) runTier2(sb *bref, t *tier2.Trace) (*bref, error) {
+// the edge for next time where it can. It returns the fragment to run
+// next and the micro-op of it to start at: zero, except when the run
+// stopped at a failed group check (tier2.ExitResume), where the fragment
+// is the superblock of the trace that stopped and the micro-op the one
+// the check guards — the trace has refunded it and everything after it.
+// The caller must have checked v.m.Fuel >= sb.b.cost and polled if the
+// credit had run out.
+func (v *VM) runTier2(sb *bref, t *tier2.Trace) (*bref, int, error) {
 	if t.NeedFlags {
 		// The emitter pinned this trace's entry flag state to
 		// FlagNone; representation-only, so architecturally invisible.
@@ -200,7 +205,8 @@ func (v *VM) runTier2(sb *bref, t *tier2.Trace) (*bref, error) {
 			m.Credit = 0
 		}
 		v.eip = m.ExitTarget
-		return v.lookupBlock(v.eip)
+		nb, err := v.lookupBlock(v.eip)
+		return nb, 0, err
 	}
 	sb = v.linkOwner[m.Cur/uint64(tier2.LinkSize)]
 	e := &sb.t2.Exits[s-1]
@@ -222,10 +228,11 @@ func (v *VM) runTier2(sb *bref, t *tier2.Trace) (*bref, error) {
 		// (and counts any flag materialization in the VM's own stat).
 		if v.ucond(x86.CC(u.Sub)) {
 			v.eip = u.Target
-			return v.chainTo(&sb.taken, u.Target)
+			nb, err = v.chainTo(&sb.taken, u.Target)
+		} else {
+			v.eip = u.Next
+			nb, err = v.chainTo(&sb.fall, u.Next)
 		}
-		v.eip = u.Next
-		return v.chainTo(&sb.fall, u.Next)
 	case tier2.ExitInd:
 		v.eip = m.ExitTarget
 		nb, err = v.indirect(sb, v.eip)
@@ -238,32 +245,34 @@ func (v *VM) runTier2(sb *bref, t *tier2.Trace) (*bref, error) {
 	case tier2.ExitInt:
 		v.eip = u.Next // the guest resumes after the gate
 		if u.Imm != 0x80 {
-			return nil, &Trap{Kind: TrapSyscall, EIP: u.EIP,
+			err = &Trap{Kind: TrapSyscall, EIP: u.EIP,
 				Msg: "interrupt vector not the VXA syscall gate"}
+		} else if err = v.syscall(); err == nil {
+			nb, err = v.chainTo(&sb.taken, u.Next)
 		}
-		if err := v.syscall(); err != nil {
-			return nil, err
-		}
-		return v.chainTo(&sb.taken, u.Next)
+	case tier2.ExitResume:
+		v.eip = u.EIP // exact when i is 0, where the dispatch loop may poll
+		v.stats.Tier2Resumes++
+		return sb, i, nil
 	case tier2.ExitReadFault:
-		return nil, memTrap(e.EIP, m.TrapAddr)
+		err = memTrap(e.EIP, m.TrapAddr)
 	case tier2.ExitWriteFault:
-		return nil, v.storeTrap(e.EIP, m.TrapAddr, e.Size)
+		err = v.storeTrap(e.EIP, m.TrapAddr, e.Size)
 	case tier2.ExitDivide:
 		tr := &Trap{Kind: TrapDivide, EIP: e.EIP}
 		if m.TrapAux == 1 {
 			tr.Msg = "quotient overflow"
 		}
-		return nil, tr
+		err = tr
 	default: // tier2.ExitIllegal
 		tr := &Trap{Kind: TrapIllegal, EIP: e.EIP, Msg: "privileged instruction"}
 		if m.TrapAux == 1 {
 			tr.Msg = "ud2"
 		}
-		return nil, tr
+		err = tr
 	}
 	if err == nil {
 		v.link(sb, e, nb)
 	}
-	return nb, err
+	return nb, 0, err
 }

@@ -600,6 +600,14 @@ func (v *VM) indirect(br *bref, target uint32) (*bref, error) {
 // decrement-and-compare per instruction. When the remaining budget is
 // smaller than the block, execution drops to the reference engine's
 // per-instruction walk so the fuel trap reports the exact EIP.
+//
+// A superblock that comes back from runTier2 with a start index runs
+// from that micro-op only: its compiled trace ran the micro-ops before
+// it, stopped at a check of several memory operands at once that may be
+// stricter than theirs, and refunded the rest, which this loop now runs
+// under its own per-access checks. The trace entry had the fuel for the
+// whole pass, so the rest never needs the end-of-budget walk, and the
+// poll waits for the next fragment boundary, where v.eip means something.
 func (v *VM) execUops(br *bref) error {
 	// The sandbox geometry is constant during straight-line execution:
 	// the only thing that moves it (the setperm syscall) runs under
@@ -608,6 +616,8 @@ func (v *VM) execUops(br *bref) error {
 	mem := v.mem
 	geom := v.m.Geometry
 	brk := v.m.Brk
+	from := 0 // the micro-op br starts at: nonzero only behind a tier-2 resume
+	var err error
 
 blocks:
 	for {
@@ -619,8 +629,9 @@ blocks:
 		// here when it is spent, which bounds how long a guest can keep
 		// the goroutine inside emitted code. Nothing here touches the
 		// per-uop dispatch loop below.
-		v.m.Credit -= br.b.cost
-		if v.m.Credit <= 0 {
+		skipped := uop.Cost(br.b.uops[:from])
+		v.m.Credit -= br.b.cost - skipped
+		if v.m.Credit <= 0 && from == 0 {
 			v.m.Credit = cancelQuantum
 			if v.cancel != nil {
 				select {
@@ -649,11 +660,9 @@ blocks:
 				// below; the run re-joins here with the next bref
 				// resolved and brk possibly moved (syscall exits).
 				if t := sb.t2; t != nil {
-					nb, err := v.runTier2(sb, t)
-					if err != nil {
+					if br, from, err = v.runTier2(sb, t); err != nil {
 						return err
 					}
-					br = nb
 					brk = v.m.Brk
 					continue blocks
 				}
@@ -662,11 +671,9 @@ blocks:
 					if sb.heat >= v.t2Hot {
 						v.compileTier2(sb)
 						if t := sb.t2; t != nil {
-							nb, err := v.runTier2(sb, t)
-							if err != nil {
+							if br, from, err = v.runTier2(sb, t); err != nil {
 								return err
 							}
-							br = nb
 							brk = v.m.Brk
 							continue blocks
 						}
@@ -685,9 +692,10 @@ blocks:
 		}
 
 		b := br.b
-		us := b.uops
+		us, cost := b.uops[from:], b.cost-skipped
+		from = 0
 		n := len(us)
-		if v.m.Fuel < b.cost {
+		if v.m.Fuel < cost {
 			// End-of-budget: re-walk this block on the reference engine
 			// for an exact fuel-trap EIP. (The walk always traps before
 			// the block completes, but stay general.)
@@ -703,8 +711,8 @@ blocks:
 			brk = v.m.Brk
 			continue
 		}
-		v.m.Fuel -= b.cost
-		v.stats.Steps += uint64(b.cost)
+		v.m.Fuel -= cost
+		v.stats.Steps += uint64(cost)
 		v.stats.UopsExecuted += uint64(n)
 
 		for i := range us {

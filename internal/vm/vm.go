@@ -178,6 +178,7 @@ type Stats struct {
 	Tier2Steps        uint64 `json:"tier2_steps"`        // guest instructions retired inside tier-2 traces (subset of Steps)
 	Tier2Exits        uint64 `json:"tier2_exits"`        // returns from compiled code to the dispatcher (one per run of linked traces)
 	Tier2Links        uint64 `json:"tier2_links"`        // trace exits linked straight to another trace's entry
+	Tier2Resumes      uint64 `json:"tier2_resumes"`      // trace passes a failed group check handed to tier 1 mid-superblock (subset of Tier2Exits; 0 on every shipped decoder)
 	// Tier2Code is the exact host-code ledger of the native traces this
 	// VM compiled (installed ones are the snapshot's, not counted).
 	Tier2Code tier2.Ledger `json:"tier2_code"`

@@ -463,6 +463,7 @@ func addVMStats(dst *vm.Stats, after, before vm.Stats) {
 	dst.Tier2Executed += after.Tier2Executed - before.Tier2Executed
 	dst.Tier2Steps += after.Tier2Steps - before.Tier2Steps
 	dst.Tier2Exits += after.Tier2Exits - before.Tier2Exits
+	dst.Tier2Resumes += after.Tier2Resumes - before.Tier2Resumes
 	dst.Tier2Links += after.Tier2Links - before.Tier2Links
 	dst.Tier2Code.Add(after.Tier2Code, 1)
 	dst.Tier2Code.Add(before.Tier2Code, -1)
