@@ -94,7 +94,7 @@ func ChaosBench(rate float64, total, conc int) (ChaosRow, error) {
 	if conc < 1 {
 		conc = 4
 	}
-	ws, err := serverWorkloads()
+	ws, err := ServerWorkloads()
 	if err != nil {
 		return ChaosRow{}, err
 	}

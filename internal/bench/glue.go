@@ -1,11 +1,8 @@
 package bench
 
 import (
+	"bytes"
 	"compress/flate"
-	"io"
-
-	"vxa/internal/elf32"
-	"vxa/internal/vm"
 
 	_ "vxa/internal/codec/adpcm"
 	_ "vxa/internal/codec/bwt"
@@ -15,14 +12,15 @@ import (
 	_ "vxa/internal/codec/lpc"
 )
 
-func newVM(elf []byte, cfg vm.Config) (*vm.VM, error) {
-	return elf32.NewVM(elf, cfg)
-}
-
-func newFlateWriter(w io.Writer) *flate.Writer {
-	fw, err := flate.NewWriter(w, flate.BestCompression)
+// deflatedSize is the size of elf compressed as an archive stores a
+// decoder pseudo-file.
+func deflatedSize(elf []byte) int {
+	var buf bytes.Buffer
+	fw, err := flate.NewWriter(&buf, flate.BestCompression)
 	if err != nil {
 		panic(err)
 	}
-	return fw
+	fw.Write(elf)
+	fw.Close()
+	return buf.Len()
 }

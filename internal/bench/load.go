@@ -4,10 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"runtime"
 	"sync"
 	"time"
@@ -16,15 +14,13 @@ import (
 	"vxa/internal/server"
 )
 
-// LoadRow is one codec's open-loop load measurement against vxad:
-// latency percentiles under Poisson arrivals at a fixed offered rate,
-// plus whole-process allocations per request (client and server share
-// the process over HTTP loopback, so the figure is the serving stack's
-// end-to-end allocation cost). Sanctioned non-200 outcomes are broken
-// out — a shed (503/504/521 with Retry-After), a local hold-down
-// (nothing sent; the client honored earlier backpressure) and an
-// honest truncation are the protocol working, not failures, and only
-// Errors counts the unsanctioned remainder.
+// LoadRow is one codec's open-loop load measurement against a running
+// vxad or vxrouter: latency percentiles under Poisson arrivals at a fixed
+// offered rate. Sanctioned non-200 outcomes are broken out — a shed
+// (503/504/521 with Retry-After), a local hold-down (nothing sent; the
+// client honored earlier backpressure) and an honest truncation are the
+// protocol working, not failures, and only Errors counts the
+// unsanctioned remainder.
 type LoadRow struct {
 	Codec        string        `json:"codec"`
 	TargetRate   float64       `json:"target_rate_per_sec"`
@@ -41,7 +37,6 @@ type LoadRow struct {
 	P90          time.Duration `json:"p90_ns"`
 	P99          time.Duration `json:"p99_ns"`
 	Max          time.Duration `json:"max_ns"`
-	AllocsPerOp  float64       `json:"allocs_per_op"`
 }
 
 // loadSeed fixes the arrival-process randomness so two runs of the
@@ -61,25 +56,24 @@ const (
 	numOutcomes
 )
 
-// openLoopResult is what the shared engine hands back: the latency
+// openLoopResult is what the open-loop engine hands back: the latency
 // distribution plus the outcome tally.
 type openLoopResult struct {
 	Requests     int
 	Outcomes     [numOutcomes]int
 	AchievedRate float64
-	AllocsPerOp  float64
 	Snap         obs.HistSnapshot
 }
 
-// runOpenLoop is the shared open-loop engine: a Poisson arrival
-// process at `rate` requests/second for `dur`, at most `conc` requests
-// in flight, each arrival driven through `post`. Open loop means
-// latency is measured from each request's *scheduled* arrival, not its
-// dispatch: when the server falls behind, the queueing delay lands in
-// the percentiles instead of being hidden by a coordinated-omission
-// client that only asks as fast as the server answers. Held-down
-// arrivals never touch the wire, so they are tallied but not observed
-// into the latency distribution.
+// runOpenLoop is the open-loop engine: a Poisson arrival process at
+// `rate` requests/second for `dur`, at most `conc` requests in flight,
+// each arrival driven through `post`. Open loop means latency is
+// measured from each request's *scheduled* arrival, not its dispatch:
+// when the server falls behind, the queueing delay lands in the
+// percentiles instead of being hidden by a coordinated-omission client
+// that only asks as fast as the server answers. Held-down arrivals never
+// touch the wire, so they are tallied but not observed into the latency
+// distribution.
 func runOpenLoop(rate float64, dur time.Duration, conc int, post func() loadOutcome) (openLoopResult, error) {
 	// Pre-draw the arrival schedule so the dispatch loop does no
 	// arithmetic under time pressure.
@@ -101,8 +95,6 @@ func runOpenLoop(rate float64, dur time.Duration, conc int, post func() loadOutc
 	var outcomes [numOutcomes]int
 	sem := make(chan struct{}, conc)
 	var wg sync.WaitGroup
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
 	start := time.Now()
 	for _, off := range offsets {
 		sched := start.Add(off)
@@ -124,14 +116,11 @@ func runOpenLoop(rate float64, dur time.Duration, conc int, post func() loadOutc
 		}()
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&m1)
 
 	return openLoopResult{
 		Requests:     len(offsets),
 		Outcomes:     outcomes,
-		AchievedRate: float64(len(offsets)) / elapsed.Seconds(),
-		AllocsPerOp:  float64(m1.Mallocs-m0.Mallocs) / float64(len(offsets)),
+		AchievedRate: float64(len(offsets)) / time.Since(start).Seconds(),
 		Snap:         hist.Snapshot(),
 	}, nil
 }
@@ -166,72 +155,22 @@ func decodePoster(c *server.Client, url string, encoded []byte, wantLen int) fun
 	}
 }
 
-// loadRowFrom assembles the public row from an engine result.
-func loadRowFrom(codec string, rate float64, dur time.Duration, conc int, res openLoopResult) LoadRow {
-	return LoadRow{
-		Codec:        codec,
-		TargetRate:   rate,
-		AchievedRate: res.AchievedRate,
-		Duration:     dur,
-		Concurrency:  conc,
-		Requests:     res.Requests,
-		Errors:       res.Outcomes[outcomeError],
-		Sheds:        res.Outcomes[outcomeShed],
-		Held:         res.Outcomes[outcomeHeld],
-		Truncated:    res.Outcomes[outcomeTruncated],
-		Mean:         res.Snap.Mean(),
-		P50:          res.Snap.Quantile(0.50),
-		P90:          res.Snap.Quantile(0.90),
-		P99:          res.Snap.Quantile(0.99),
-		Max:          time.Duration(res.Snap.Max),
-		AllocsPerOp:  res.AllocsPerOp,
-	}
-}
-
-// LoadBench drives vxad's /v1/decode with the open-loop engine, one
-// fresh in-process server per codec.
-func LoadBench(rate float64, dur time.Duration, conc int) ([]LoadRow, error) {
-	if err := validateLoad(rate, dur); err != nil {
-		return nil, err
-	}
-	if conc < 1 {
-		conc = 2 * runtime.GOMAXPROCS(0)
-	}
-	ws, err := serverWorkloads()
-	if err != nil {
-		return nil, err
-	}
-	for _, w := range ws {
-		if _, err := w.Codec.DecoderELF(); err != nil {
-			return nil, err
-		}
-	}
-	var rows []LoadRow
-	for _, w := range ws {
-		row, err := loadOne(w, rate, dur, conc)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
 // LoadBenchTarget drives an already-running vxad or vxrouter at
-// `target` (e.g. "http://127.0.0.1:7787") with the same open-loop
-// schedule, instead of spinning an in-process server. This is how the
-// fleet smoke tests exercise a real router+shards topology: the
-// process under load is external, so AllocsPerOp reflects only the
-// client side and the interesting columns are the percentiles and the
-// outcome tally.
+// `target` (e.g. "http://127.0.0.1:7787") with the open-loop schedule,
+// one pass per codec of ServerWorkloads. This is how the fleet smoke
+// test exercises a real router+shards topology; the interesting columns
+// are the outcome tally and the percentiles.
 func LoadBenchTarget(target string, rate float64, dur time.Duration, conc int) ([]LoadRow, error) {
-	if err := validateLoad(rate, dur); err != nil {
-		return nil, err
+	if rate <= 0 {
+		return nil, fmt.Errorf("bench: load rate must be positive (got %v)", rate)
+	}
+	if dur <= 0 {
+		return nil, fmt.Errorf("bench: load duration must be positive (got %v)", dur)
 	}
 	if conc < 1 {
 		conc = 2 * runtime.GOMAXPROCS(0)
 	}
-	ws, err := serverWorkloads()
+	ws, err := ServerWorkloads()
 	if err != nil {
 		return nil, err
 	}
@@ -257,81 +196,23 @@ func LoadBenchTarget(target string, rate float64, dur time.Duration, conc int) (
 		if err != nil {
 			return nil, fmt.Errorf("bench: %s: %w", w.Codec.Name, err)
 		}
-		rows = append(rows, loadRowFrom(w.Codec.Name, rate, dur, conc, res))
+		rows = append(rows, LoadRow{
+			Codec:        w.Codec.Name,
+			TargetRate:   rate,
+			AchievedRate: res.AchievedRate,
+			Duration:     dur,
+			Concurrency:  conc,
+			Requests:     res.Requests,
+			Errors:       res.Outcomes[outcomeError],
+			Sheds:        res.Outcomes[outcomeShed],
+			Held:         res.Outcomes[outcomeHeld],
+			Truncated:    res.Outcomes[outcomeTruncated],
+			Mean:         res.Snap.Mean(),
+			P50:          res.Snap.Quantile(0.50),
+			P90:          res.Snap.Quantile(0.90),
+			P99:          res.Snap.Quantile(0.99),
+			Max:          time.Duration(res.Snap.Max),
+		})
 	}
 	return rows, nil
-}
-
-func validateLoad(rate float64, dur time.Duration) error {
-	if rate <= 0 {
-		return fmt.Errorf("bench: load rate must be positive (got %v)", rate)
-	}
-	if dur <= 0 {
-		return fmt.Errorf("bench: load duration must be positive (got %v)", dur)
-	}
-	return nil
-}
-
-// loadOne runs one codec's open-loop pass against a fresh server.
-func loadOne(w Workload, rate float64, dur time.Duration, conc int) (LoadRow, error) {
-	// The client's conc slots are the only throttle: the server queue is
-	// sized past it so admission never sheds, and what the harness
-	// measures is latency, not 503s.
-	srv := server.New(server.Config{
-		MemSize:      64 << 20,
-		MaxInFlight:  runtime.GOMAXPROCS(0),
-		MaxQueue:     2 * conc,
-		QueueTimeout: time.Minute,
-	})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	url := ts.URL + "/v1/decode?codec=" + w.Codec.Name
-	client := &server.Client{HTTP: ts.Client()}
-
-	post := decodePoster(client, url, w.Encoded, len(w.Raw))
-	// Prime the snapshot cache: the load regime is the steady state, not
-	// the one-time miss path (ServerBench measures that split).
-	if out := post(); out != outcomeOK {
-		return LoadRow{}, fmt.Errorf("bench: %s prime: outcome %d", w.Codec.Name, out)
-	}
-	res, err := runOpenLoop(rate, dur, conc, post)
-	if err != nil {
-		return LoadRow{}, fmt.Errorf("bench: %s: %w", w.Codec.Name, err)
-	}
-	return loadRowFrom(w.Codec.Name, rate, dur, conc, res), nil
-}
-
-// LoadRegression is one codec's p99 comparison against a baseline load
-// run.
-type LoadRegression struct {
-	Codec    string        `json:"codec"`
-	Baseline time.Duration `json:"baseline_p99_ns"`
-	Current  time.Duration `json:"p99_ns"`
-	Ratio    float64       `json:"ratio"` // Current / Baseline; > 1 is a regression
-}
-
-// CompareLoad matches current load rows against a baseline by codec and
-// returns per-codec p99 ratios plus their geometric mean. Codecs on
-// only one side are skipped, as are degenerate zero-valued p99s.
-func CompareLoad(baseline, current []LoadRow) ([]LoadRegression, float64) {
-	base := make(map[string]LoadRow, len(baseline))
-	for _, r := range baseline {
-		base[r.Codec] = r
-	}
-	var regs []LoadRegression
-	logSum, matched := 0.0, 0
-	for _, r := range current {
-		b, ok := base[r.Codec]
-		if !ok || b.P99 <= 0 || r.P99 <= 0 {
-			continue
-		}
-		ratio := float64(r.P99) / float64(b.P99)
-		regs = append(regs, LoadRegression{Codec: r.Codec, Baseline: b.P99, Current: r.P99, Ratio: ratio})
-		logSum += math.Log(ratio)
-		matched++
-	}
-	if matched == 0 {
-		return regs, 1
-	}
-	return regs, math.Exp(logSum / float64(matched))
 }

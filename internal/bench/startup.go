@@ -117,6 +117,9 @@ func startupEntry(name string) ([]byte, error) {
 // Startup measures the first-stream ledger of every Table 1 decoder over
 // reps cold operations each.
 func Startup(reps int) ([]StartupRow, error) {
+	if reps < 1 {
+		return nil, fmt.Errorf("bench: startup reps must be >= 1 (got %d)", reps)
+	}
 	var rows []StartupRow
 	for _, name := range paperCodecs {
 		archive, err := startupEntry(name)

@@ -129,13 +129,13 @@ func TestStorageOverhead(t *testing.T) {
 }
 
 // TestFig7Shape runs the Figure 7 measurement once and validates the
-// qualitative claims this reproduction preserves: every decoder works
-// virtualized, and the fragment cache is a large win (the §4.2 ablation).
+// qualitative claim this reproduction preserves: every decoder works
+// virtualized.
 func TestFig7Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig7 measurement is slow")
 	}
-	rows, err := bench.Fig7(false)
+	rows, err := bench.Fig7()
 	if err != nil {
 		t.Fatal(err)
 	}
