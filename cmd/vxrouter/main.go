@@ -21,6 +21,7 @@ import (
 	"syscall"
 	"time"
 
+	"vxa/internal/breaker"
 	"vxa/internal/fault"
 	"vxa/internal/router"
 )
@@ -73,7 +74,7 @@ func main() {
 		HedgeDelay:      *hedgeDelay,
 		MaxRequestBytes: *maxBody,
 		Health: router.HealthConfig{
-			Threshold:    *breakerThreshold,
+			Config:       breaker.Config{Threshold: *breakerThreshold},
 			PollInterval: *pollInterval,
 		},
 		Logger: logger,

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"vxa/internal/breaker"
 	"vxa/internal/core"
 	"vxa/internal/fault"
 	"vxa/internal/obs"
@@ -72,7 +73,7 @@ const chaosSeed = 7
 // chaosHealth is the breaker tuning for the chaos pass: production
 // threshold, but a short probe backoff so the recovery figure measures
 // healing mechanics rather than a 30-second default ceiling.
-var chaosHealth = vmpool.HealthConfig{
+var chaosHealth = breaker.Config{
 	Threshold:  vmpool.DefaultBreakerThreshold,
 	Backoff:    250 * time.Millisecond,
 	MaxBackoff: 2 * time.Second,

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"vxa/internal/breaker"
 	"vxa/internal/core"
 	"vxa/internal/fault"
 	"vxa/internal/server"
@@ -126,9 +127,7 @@ func TestFleetChaosSoak(t *testing.T) {
 		Backends:     addrs,
 		RetryBackoff: 2 * time.Millisecond,
 		Health: HealthConfig{
-			Threshold:    3,
-			Backoff:      40 * time.Millisecond,
-			MaxBackoff:   300 * time.Millisecond,
+			Config:       breaker.Config{Threshold: 3, Backoff: 40 * time.Millisecond, MaxBackoff: 300 * time.Millisecond},
 			PollInterval: 25 * time.Millisecond,
 		},
 	})

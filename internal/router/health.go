@@ -4,11 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"sync"
 	"time"
 
+	"vxa/internal/breaker"
 	"vxa/internal/server"
 )
 
@@ -22,10 +22,10 @@ import (
 //     it, and the shard's keys move before a single request can strand
 //     on a closing socket.
 //
-//   - In-band outcomes feeding a circuit breaker with the same shape
-//     as the vmpool decoder breaker: consecutive counted failures
-//     (dial/transport errors and 503/521 responses) trip it open,
-//     requests then skip the backend until an exponential-backoff
+//   - In-band outcomes feeding the shard's circuit breaker (the same
+//     internal/breaker as the decoder quarantine): consecutive counted
+//     failures (dial/transport errors and 503/521 responses) trip it
+//     open, requests then skip the backend until an exponential-backoff
 //     half-open probe admits one and its success closes the breaker.
 //     Additionally a 503's Retry-After is honored as a hold-down: the
 //     shard said "not before T", so until T it is simply not a
@@ -39,21 +39,12 @@ import (
 
 // HealthConfig tunes the per-backend breaker and the readyz poller.
 type HealthConfig struct {
-	// Threshold is the consecutive-failure count that opens a backend's
-	// breaker. 0 selects DefaultBreakerThreshold; negative disables the
-	// breaker (readyz polling and hold-downs still apply).
-	Threshold int
-	// Backoff is the initial open -> half-open probe delay, doubled per
-	// failed probe up to MaxBackoff. Zeros select the defaults.
-	Backoff    time.Duration
-	MaxBackoff time.Duration
-	// PollInterval is the readyz poll period; PollTimeout bounds one
-	// probe. Zeros select the defaults.
+	// Config is the breaker: zero fields select the DefaultBreaker
+	// values; a negative Threshold disables it (readyz polling and
+	// hold-downs still apply).
+	breaker.Config
+	// PollInterval is the readyz poll period. 0 selects the default.
 	PollInterval time.Duration
-	PollTimeout  time.Duration
-
-	// now is the clock, swappable by tests. nil means time.Now.
-	now func() time.Time
 }
 
 // Health defaults.
@@ -62,7 +53,7 @@ const (
 	DefaultBreakerBackoff   = 250 * time.Millisecond
 	DefaultBreakerMax       = 15 * time.Second
 	DefaultPollInterval     = 250 * time.Millisecond
-	DefaultPollTimeout      = time.Second
+	DefaultPollTimeout      = time.Second // bounds one readyz poll
 )
 
 // ErrNoBackends is wrapped by the 503 the router serves when no usable
@@ -71,38 +62,9 @@ var ErrNoBackends = errors.New("router: no usable backend")
 
 // backendState is one shard's health record.
 type backendState struct {
-	id string
-
-	mu          sync.Mutex
-	ready       bool // last readyz verdict (optimistic before the first poll)
-	state       breakerState
-	consecutive int
-	backoff     time.Duration
-	retryAt     time.Time // open: next half-open probe admission
-	holdUntil   time.Time // Retry-After hold-down
-	trips       uint64
-	probes      uint64
-	probeOKs    uint64
-}
-
-type breakerState int32
-
-const (
-	breakerClosed breakerState = iota
-	breakerOpen
-	breakerHalfOpen
-)
-
-func (s breakerState) String() string {
-	switch s {
-	case breakerClosed:
-		return "closed"
-	case breakerOpen:
-		return "open"
-	case breakerHalfOpen:
-		return "half-open"
-	}
-	return fmt.Sprintf("breakerState(%d)", int32(s))
+	mu    sync.Mutex
+	ready bool // last readyz verdict (optimistic before the first poll)
+	breaker.Breaker
 }
 
 // healthSet tracks every backend.
@@ -112,158 +74,77 @@ type healthSet struct {
 }
 
 func newHealthSet(cfg HealthConfig, ids []string) *healthSet {
-	if cfg.Threshold == 0 {
-		cfg.Threshold = DefaultBreakerThreshold
-	}
-	if cfg.Backoff <= 0 {
-		cfg.Backoff = DefaultBreakerBackoff
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = DefaultBreakerMax
-	}
+	cfg.Config = cfg.Config.WithDefaults(breaker.Config{
+		Threshold:  DefaultBreakerThreshold,
+		Backoff:    DefaultBreakerBackoff,
+		MaxBackoff: DefaultBreakerMax,
+	})
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = DefaultPollInterval
-	}
-	if cfg.PollTimeout <= 0 {
-		cfg.PollTimeout = DefaultPollTimeout
-	}
-	if cfg.now == nil {
-		cfg.now = time.Now
 	}
 	h := &healthSet{cfg: cfg, m: make(map[string]*backendState, len(ids))}
 	for _, id := range ids {
 		// Optimistic start: a router boots routable and lets the first
 		// poll (or the first in-band failure) correct it, rather than
 		// shedding everything until the poller has been around once.
-		h.m[id] = &backendState{id: id, ready: true, backoff: cfg.Backoff}
+		h.m[id] = &backendState{ready: true}
 	}
 	return h
 }
 
-// acquire decides whether a request may be routed to the backend right
-// now. nil means go (and, when the breaker was open with its backoff
-// elapsed, the caller just became the half-open probe); an error names
-// the reason the backend is not a candidate. Mirrors vmpool's
-// Health.Allow: an admitted probe advances retryAt immediately, so a
-// probe whose outcome is never reported cannot wedge the breaker.
-func (h *healthSet) acquire(id string) error {
+// lock returns the backend's record, locked.
+func (h *healthSet) lock(id string) *backendState {
 	b := h.m[id]
-	if b == nil {
-		return fmt.Errorf("router: unknown backend %q", id)
-	}
-	now := h.cfg.now()
 	b.mu.Lock()
+	return b
+}
+
+// acquire reports whether a request may be routed to the backend right
+// now; when the breaker's backoff has elapsed the caller has just
+// become its half-open probe.
+func (h *healthSet) acquire(id string) bool {
+	b := h.lock(id)
 	defer b.mu.Unlock()
-	if !b.ready {
-		return fmt.Errorf("router: backend %s not ready", id)
-	}
-	if now.Before(b.holdUntil) {
-		return fmt.Errorf("router: backend %s held down for %v", id, b.holdUntil.Sub(now).Round(time.Millisecond))
-	}
-	if h.cfg.Threshold < 0 || b.state == breakerClosed {
-		return nil
-	}
-	if b.state == breakerOpen && !now.Before(b.retryAt) {
-		b.state = breakerHalfOpen
-		b.retryAt = now.Add(b.backoff)
-		b.probes++
-		return nil
-	}
-	return fmt.Errorf("router: backend %s breaker %s", id, b.state)
-}
-
-// reportSuccess files a working response (any response proving the
-// shard is alive and functioning, shed or not): the breaker resets and
-// closes.
-func (h *healthSet) reportSuccess(id string) {
-	b := h.m[id]
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.state == breakerHalfOpen {
-		b.probeOKs++
-	}
-	b.state = breakerClosed
-	b.consecutive = 0
-	b.backoff = h.cfg.Backoff
-}
-
-// reportFailure files a counted failure (dial/transport error, 503,
-// 521) and reports whether this one tripped the breaker open.
-func (h *healthSet) reportFailure(id string) (opened bool) {
-	b := h.m[id]
-	if b == nil || h.cfg.Threshold < 0 {
-		return false
-	}
-	now := h.cfg.now()
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.consecutive++
-	switch b.state {
-	case breakerHalfOpen:
-		b.backoff = min(2*b.backoff, h.cfg.MaxBackoff)
-		b.state = breakerOpen
-		b.retryAt = now.Add(b.backoff)
-		b.trips++
-		return true
-	case breakerOpen:
-		return false
-	default:
-		if b.consecutive >= h.cfg.Threshold {
-			b.state = breakerOpen
-			b.retryAt = now.Add(b.backoff)
-			b.trips++
-			return true
-		}
-		return false
-	}
-}
-
-// holdDown honors a Retry-After: the backend is not a candidate until
-// the hold elapses. Never shortens an existing hold.
-func (h *healthSet) holdDown(id string, d time.Duration) {
-	b := h.m[id]
-	if b == nil || d <= 0 {
-		return
-	}
-	until := h.cfg.now().Add(d)
-	b.mu.Lock()
-	if until.After(b.holdUntil) {
-		b.holdUntil = until
-	}
-	b.mu.Unlock()
-}
-
-// setReady records a readyz poll verdict.
-func (h *healthSet) setReady(id string, ready bool) {
-	b := h.m[id]
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	b.ready = ready
-	b.mu.Unlock()
+	return b.ready && b.Allow(time.Now()) == 0
 }
 
 // usable reports whether acquire would currently admit the backend,
 // without admitting a probe (safe to poll; used by readiness).
 func (h *healthSet) usable(id string) bool {
-	b := h.m[id]
-	if b == nil {
-		return false
-	}
-	now := h.cfg.now()
-	b.mu.Lock()
+	b := h.lock(id)
 	defer b.mu.Unlock()
-	if !b.ready || now.Before(b.holdUntil) {
-		return false
-	}
-	if h.cfg.Threshold < 0 || b.state == breakerClosed {
-		return true
-	}
-	return b.state == breakerOpen && !now.Before(b.retryAt)
+	return b.ready && b.Wait(time.Now()) == 0
+}
+
+// reportSuccess files a working response (any response proving the
+// shard is alive and functioning, shed or not): the breaker closes.
+func (h *healthSet) reportSuccess(id string) {
+	b := h.lock(id)
+	b.Success()
+	b.mu.Unlock()
+}
+
+// reportFailure files a counted failure (dial/transport error, 503,
+// 521).
+func (h *healthSet) reportFailure(id string) {
+	b := h.lock(id)
+	b.Failure(h.cfg.Config, time.Now())
+	b.mu.Unlock()
+}
+
+// holdDown honors a Retry-After: the backend is not a candidate until
+// the hold elapses. Never shortens an existing hold.
+func (h *healthSet) holdDown(id string, d time.Duration) {
+	b := h.lock(id)
+	b.Hold(time.Now().Add(d))
+	b.mu.Unlock()
+}
+
+// setReady records a readyz poll verdict.
+func (h *healthSet) setReady(id string, ready bool) {
+	b := h.lock(id)
+	b.ready = ready
+	b.mu.Unlock()
 }
 
 // retryHint returns the shortest time until some backend could become
@@ -271,22 +152,14 @@ func (h *healthSet) usable(id string) bool {
 // own Retry-After when everything is out. Zero means "no timed hint";
 // the caller falls back to the flat second.
 func (h *healthSet) retryHint() time.Duration {
-	now := h.cfg.now()
+	now := time.Now()
 	var best time.Duration
 	for _, b := range h.m {
 		b.mu.Lock()
-		var cand time.Duration
-		if now.Before(b.holdUntil) {
-			cand = b.holdUntil.Sub(now)
-		}
-		if b.state == breakerOpen && now.Before(b.retryAt) {
-			if d := b.retryAt.Sub(now); cand == 0 || d < cand {
-				cand = d
-			}
-		}
+		d := b.Wait(now)
 		b.mu.Unlock()
-		if cand > 0 && (best == 0 || cand < best) {
-			best = cand
+		if d > 0 && (best == 0 || d < best) {
+			best = d
 		}
 	}
 	return best
@@ -311,21 +184,16 @@ type BackendStats struct {
 
 // stats fills the health half of one backend's row.
 func (h *healthSet) stats(id string) BackendStats {
-	b := h.m[id]
-	if b == nil {
-		return BackendStats{Backend: id}
-	}
-	now := h.cfg.now()
-	b.mu.Lock()
+	b := h.lock(id)
 	defer b.mu.Unlock()
 	return BackendStats{
 		Backend:        id,
 		Ready:          b.ready,
-		Breaker:        b.state.String(),
-		HeldDown:       now.Before(b.holdUntil),
-		Trips:          b.trips,
-		Probes:         b.probes,
-		ProbeSuccesses: b.probeOKs,
+		Breaker:        b.State().String(),
+		HeldDown:       b.Held(time.Now()),
+		Trips:          b.Trips,
+		Probes:         b.Probes,
+		ProbeSuccesses: b.ProbeSuccesses,
 	}
 }
 
@@ -333,7 +201,7 @@ func (h *healthSet) stats(id string) BackendStats {
 // transport failure or non-200 is "not ready"; the body is the shard's
 // own readiness document and is not second-guessed.
 func (rt *Router) poll(ctx context.Context, id string) {
-	ctx, cancel := context.WithTimeout(ctx, rt.health.cfg.PollTimeout)
+	ctx, cancel := context.WithTimeout(ctx, DefaultPollTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rt.backendURL(id)+"/readyz", nil)
 	if err != nil {

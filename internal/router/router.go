@@ -305,21 +305,27 @@ type attemptResult struct {
 // after the commit point ever retries.
 func (rt *Router) attempt(ctx context.Context, id string, r *http.Request, body []byte) attemptResult {
 	res := attemptResult{id: id}
+	failed := func(err error) attemptResult {
+		res.err = err
+		// An attempt the router canceled itself (the loser of a hedge, or
+		// every attempt once the client has gone) says nothing about the
+		// backend and must not count against it.
+		if ctx.Err() == nil {
+			rt.health.reportFailure(id)
+			rt.failC.Inc(id)
+		}
+		return res
+	}
 	// Each attempt gets its own bytes.Reader over the shared buffer, so
 	// concurrent hedged attempts never share a read cursor.
 	req, err := http.NewRequestWithContext(ctx, r.Method, rt.backendURL(id)+r.URL.RequestURI(), bytes.NewReader(body))
 	if err != nil {
-		res.err = err
-		rt.health.reportFailure(id)
-		return res
+		return failed(err)
 	}
 	req.Header = r.Header.Clone()
 	resp, err := rt.clients[id].Do(req)
 	if err != nil {
-		res.err = err
-		rt.health.reportFailure(id)
-		rt.failC.Inc(id)
-		return res
+		return failed(err)
 	}
 	switch resp.StatusCode {
 	case http.StatusServiceUnavailable, server.StatusDecoderQuarantined:
@@ -353,10 +359,7 @@ func (rt *Router) attempt(ctx context.Context, id string, r *http.Request, body 
 	}
 	if rerr != nil && rerr != io.EOF {
 		resp.Body.Close()
-		res.err = fmt.Errorf("backend %s: first byte: %w", id, rerr)
-		rt.health.reportFailure(id)
-		rt.failC.Inc(id)
-		return res
+		return failed(fmt.Errorf("backend %s: first byte: %w", id, rerr))
 	}
 	rt.health.reportSuccess(id)
 	res.resp = resp
@@ -398,7 +401,7 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request) {
 		for cursor < len(rank) {
 			id := rank[cursor]
 			cursor++
-			if err := rt.health.acquire(id); err != nil {
+			if !rt.health.acquire(id) {
 				continue
 			}
 			actx, cancel := context.WithCancel(ctx)

@@ -16,8 +16,8 @@ import (
 	"testing"
 	"time"
 
+	"vxa/internal/breaker"
 	"vxa/internal/fault"
-	"vxa/internal/vmpool"
 )
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -55,7 +55,7 @@ func TestQuarantineFailFastAndRecovery(t *testing.T) {
 	backoff := 400 * time.Millisecond
 	s := New(Config{
 		MemSize: 16 << 20,
-		Health:  vmpool.HealthConfig{Threshold: threshold, Backoff: backoff, MaxBackoff: 2 * time.Second},
+		Health:  breaker.Config{Threshold: threshold, Backoff: backoff, MaxBackoff: 2 * time.Second},
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -396,7 +396,7 @@ func TestWatchdogKillsSlowDecode(t *testing.T) {
 	s := New(Config{
 		MemSize:       16 << 20,
 		StreamTimeout: 200 * time.Microsecond,
-		Health:        vmpool.HealthConfig{Threshold: 100}, // accounting only
+		Health:        breaker.Config{Threshold: 100}, // accounting only
 	})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
@@ -436,7 +436,7 @@ func chaosServer() *Server {
 		MemSize:     16 << 20,
 		MaxInFlight: 4,
 		MaxQueue:    64,
-		Health:      vmpool.HealthConfig{Threshold: 4, Backoff: 300 * time.Millisecond, MaxBackoff: 2 * time.Second},
+		Health:      breaker.Config{Threshold: 4, Backoff: 300 * time.Millisecond, MaxBackoff: 2 * time.Second},
 	})
 }
 

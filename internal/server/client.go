@@ -8,6 +8,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"vxa/internal/breaker"
 )
 
 // Client is a shed-aware HTTP client for the vxad/vxrouter wire
@@ -23,10 +25,10 @@ type Client struct {
 	// HTTP is the underlying client. Nil means http.DefaultClient.
 	HTTP *http.Client
 
-	mu        sync.Mutex
-	holdUntil time.Time
-	held      uint64
-	sheds     uint64
+	mu    sync.Mutex
+	hold  breaker.Breaker // only ever held, never tripped
+	held  uint64
+	sheds uint64
 }
 
 // ErrHeldDown is returned (wrapped in *HeldError) by Post while the
@@ -76,8 +78,7 @@ func ParseRetryAfter(h http.Header) (d time.Duration, ok bool) {
 func (c *Client) Post(url, contentType string, body []byte) (*http.Response, error) {
 	now := time.Now()
 	c.mu.Lock()
-	if now.Before(c.holdUntil) {
-		remaining := c.holdUntil.Sub(now)
+	if remaining := c.hold.Wait(now); remaining > 0 {
 		c.held++
 		c.mu.Unlock()
 		return nil, &HeldError{Remaining: remaining}
@@ -99,9 +100,7 @@ func (c *Client) Post(url, contentType string, body []byte) (*http.Response, err
 		}
 		c.mu.Lock()
 		c.sheds++
-		if until := now.Add(hold); until.After(c.holdUntil) {
-			c.holdUntil = until
-		}
+		c.hold.Hold(now.Add(hold))
 		c.mu.Unlock()
 	}
 	return resp, nil

@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"vxa/internal/artifact"
+	"vxa/internal/breaker"
 	"vxa/internal/codec"
 	"vxa/internal/core"
 	"vxa/internal/fault"
@@ -88,7 +89,7 @@ type Config struct {
 	// Health configures the per-decoder circuit breaker (failure
 	// threshold, probe backoff). The zero value selects the vmpool
 	// defaults; Threshold < 0 disables quarantine.
-	Health vmpool.HealthConfig
+	Health breaker.Config
 	// MemWatermark, when positive, arms the memory janitor: whenever the
 	// process heap exceeds it, the snapshot cache is shrunk to half its
 	// resident bytes (idle VMs dropped, LRU snapshots evicted) so the

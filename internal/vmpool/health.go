@@ -7,10 +7,12 @@ import (
 	"sync"
 	"time"
 
+	"vxa/internal/breaker"
 	"vxa/internal/vm"
 )
 
-// Decoder health tracking: a per-decoder-content-hash circuit breaker.
+// Decoder health tracking: a per-decoder-content-hash circuit breaker
+// (internal/breaker).
 //
 // An archive carries arbitrary decoder code, so a single poisoned or
 // pathological decoder ELF can otherwise burn a VM lease (and a
@@ -19,9 +21,7 @@ import (
 // fuel exhaustion, watchdog kills, snapshot-build failures — and after
 // Threshold consecutive failures opens: requests for that content hash
 // fail fast with ErrDecoderQuarantined, no VM leased, until a
-// half-open probe admits one request per backoff interval. A probe
-// that succeeds closes the breaker; one that fails reopens it with the
-// backoff doubled (capped at MaxBackoff).
+// half-open probe admits one request per backoff interval.
 //
 // Deliberately NOT counted: nonzero decoder exits and stream protocol
 // violations (routinely caused by corrupt *payloads*, and quarantining
@@ -31,52 +31,7 @@ import (
 // security mode is quarantined under all of them, since the code is
 // identical.
 
-// BreakerState is one decoder's circuit-breaker state.
-type BreakerState int32
-
-// Breaker states.
-const (
-	// BreakerClosed: healthy; requests flow.
-	BreakerClosed BreakerState = iota
-	// BreakerOpen: quarantined; requests fail fast until the backoff
-	// elapses.
-	BreakerOpen
-	// BreakerHalfOpen: a probe request is in flight (or admitted); the
-	// next report decides reopen vs close.
-	BreakerHalfOpen
-)
-
-func (s BreakerState) String() string {
-	switch s {
-	case BreakerClosed:
-		return "closed"
-	case BreakerOpen:
-		return "open"
-	case BreakerHalfOpen:
-		return "half-open"
-	}
-	return fmt.Sprintf("BreakerState(%d)", int32(s))
-}
-
-// HealthConfig configures decoder health tracking.
-type HealthConfig struct {
-	// Threshold is the consecutive-failure count that opens a decoder's
-	// breaker. 0 selects DefaultBreakerThreshold; negative disables
-	// health tracking entirely.
-	Threshold int
-	// Backoff is the initial open → half-open probe delay. Each failed
-	// probe doubles it, up to MaxBackoff. 0 selects
-	// DefaultBreakerBackoff.
-	Backoff time.Duration
-	// MaxBackoff caps the exponential backoff. 0 selects
-	// DefaultBreakerMaxBackoff.
-	MaxBackoff time.Duration
-
-	// now is the clock, swappable by tests. nil means time.Now.
-	now func() time.Time
-}
-
-// Health-tracking defaults.
+// Health-tracking defaults, selected by zero breaker.Config fields.
 const (
 	DefaultBreakerThreshold  = 5
 	DefaultBreakerBackoff    = 500 * time.Millisecond
@@ -177,71 +132,64 @@ type HealthStats struct {
 	Failures FailureCounts `json:"failures"`
 }
 
-// decoderHealth is one content hash's breaker.
-type decoderHealth struct {
-	state       BreakerState
-	consecutive int
-	backoff     time.Duration
-	retryAt     time.Time
-}
-
-// Health tracks per-decoder failure accounting and breakers. A nil
-// *Health is valid and tracks nothing.
+// Health keeps one breaker per decoder content hash, and drops it on the
+// decoder's next clean stream. A nil *Health is valid and tracks
+// nothing.
 type Health struct {
-	cfg HealthConfig
+	cfg breaker.Config
+	now func() time.Time // the clock; TestSnapCacheQuarantine swaps it
 
-	mu       sync.Mutex
-	m        map[[32]byte]*decoderHealth
-	trips    uint64
-	probes   uint64
-	probeOKs uint64
-	fails    FailureCounts
+	mu      sync.Mutex
+	m       map[[32]byte]*breaker.Breaker
+	retired breaker.Counters // counters of breakers dropped on success
+	fails   FailureCounts
 }
 
-// NewHealth creates a health tracker. A negative Threshold returns a
-// tracker that is permanently disabled.
-func NewHealth(cfg HealthConfig) *Health {
-	if cfg.Threshold == 0 {
-		cfg.Threshold = DefaultBreakerThreshold
-	}
-	if cfg.Backoff <= 0 {
-		cfg.Backoff = DefaultBreakerBackoff
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = DefaultBreakerMaxBackoff
-	}
-	if cfg.now == nil {
-		cfg.now = time.Now
-	}
-	return &Health{cfg: cfg, m: make(map[[32]byte]*decoderHealth)}
+// NewHealth creates a health tracker; zero cfg fields select the
+// DefaultBreaker values. A negative Threshold returns a tracker that is
+// permanently disabled.
+func NewHealth(cfg breaker.Config) *Health {
+	cfg = cfg.WithDefaults(breaker.Config{
+		Threshold:  DefaultBreakerThreshold,
+		Backoff:    DefaultBreakerBackoff,
+		MaxBackoff: DefaultBreakerMaxBackoff,
+	})
+	return &Health{cfg: cfg, now: time.Now, m: make(map[[32]byte]*breaker.Breaker)}
 }
 
 func (h *Health) disabled() bool { return h == nil || h.cfg.Threshold < 0 }
 
 // Allow gates a request for the decoder: nil means proceed (including
 // the admission of a half-open probe once per backoff interval); a
-// *QuarantineError means fail fast without leasing anything. When a
-// probe is admitted its retry time advances immediately, so a probe
-// whose outcome is never reported (caller crashed, request canceled)
-// just means the next probe fires one backoff later — the breaker can
-// never wedge waiting for a report.
-func (h *Health) Allow(hash [32]byte) error {
+// *QuarantineError means fail fast without leasing anything.
+func (h *Health) Allow(hash [32]byte) error { return h.gate(hash, true) }
+
+// Check returns the fail-fast *QuarantineError Allow would return, or
+// nil when a request for the hash may proceed. Unlike Allow it never
+// admits a probe, so serving layers can fail quarantined requests
+// before paying for admission without stealing the probe slot from the
+// request that will actually run.
+func (h *Health) Check(hash [32]byte) error { return h.gate(hash, false) }
+
+func (h *Health) gate(hash [32]byte, admit bool) error {
 	if h.disabled() {
 		return nil
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	d := h.m[hash]
-	if d == nil || d.state == BreakerClosed {
+	b := h.m[hash]
+	if b == nil {
 		return nil
 	}
-	now := h.cfg.now()
-	if now.Before(d.retryAt) {
-		return &QuarantineError{Hash: hash, RetryAfter: d.retryAt.Sub(now)}
+	var wait time.Duration
+	if admit {
+		wait = b.Allow(h.now())
+	} else {
+		wait = b.Wait(h.now())
 	}
-	d.state = BreakerHalfOpen
-	d.retryAt = now.Add(d.backoff)
-	h.probes++
+	if wait > 0 {
+		return &QuarantineError{Hash: hash, RetryAfter: wait}
+	}
 	return nil
 }
 
@@ -255,23 +203,17 @@ func (h *Health) Report(hash [32]byte, o Outcome) (opened bool) {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-
-	if o == OutcomeOK {
-		d := h.m[hash]
-		if d == nil {
-			return false
-		}
-		if d.state == BreakerHalfOpen {
-			h.probeOKs++
-		}
-		// Healthy again: drop the record entirely, which resets the
-		// consecutive count and the backoff and keeps the map bounded
-		// by the number of currently-unhealthy decoders.
-		delete(h.m, hash)
-		return false
-	}
-
+	b := h.m[hash]
 	switch o {
+	case OutcomeOK:
+		if b != nil {
+			// Healthy again: drop the record, which keeps the map bounded
+			// by the number of currently-unhealthy decoders.
+			b.Success()
+			h.retired.Add(b.Counters)
+			delete(h.m, hash)
+		}
+		return false
 	case OutcomeTrap:
 		h.fails.Traps++
 	case OutcomeFuel:
@@ -281,79 +223,11 @@ func (h *Health) Report(hash [32]byte, o Outcome) (opened bool) {
 	case OutcomeBuildFail:
 		h.fails.Builds++
 	}
-
-	d := h.m[hash]
-	if d == nil {
-		d = &decoderHealth{backoff: h.cfg.Backoff}
-		h.m[hash] = d
+	if b == nil {
+		b = new(breaker.Breaker)
+		h.m[hash] = b
 	}
-	d.consecutive++
-	now := h.cfg.now()
-	switch d.state {
-	case BreakerHalfOpen:
-		// Failed probe: reopen with the backoff doubled.
-		d.backoff = min(2*d.backoff, h.cfg.MaxBackoff)
-		d.state = BreakerOpen
-		d.retryAt = now.Add(d.backoff)
-		h.trips++
-		return true
-	case BreakerOpen:
-		// A straggler from before the trip; the breaker is already
-		// doing its job.
-		return false
-	default:
-		if d.consecutive >= h.cfg.Threshold {
-			d.state = BreakerOpen
-			d.retryAt = now.Add(d.backoff)
-			h.trips++
-			return true
-		}
-		return false
-	}
-}
-
-// Quarantined reports whether Allow would currently fail the hash
-// fast. Unlike Allow it never admits a probe, so it is safe to poll:
-// an open breaker whose retry time has passed is due for a probe and
-// no longer counts as fail-fast quarantined.
-func (h *Health) Quarantined(hash [32]byte) bool {
-	return h.Check(hash) != nil
-}
-
-// Check returns the fail-fast *QuarantineError Allow would return, or
-// nil when a request for the hash may proceed. Unlike Allow it never
-// admits a probe, so serving layers can fail quarantined requests
-// before paying for admission without stealing the probe slot from the
-// request that will actually run.
-func (h *Health) Check(hash [32]byte) error {
-	if h.disabled() {
-		return nil
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	d := h.m[hash]
-	if d == nil || d.state != BreakerOpen {
-		return nil
-	}
-	now := h.cfg.now()
-	if !now.Before(d.retryAt) {
-		return nil // a probe is due; let the request through to Allow
-	}
-	return &QuarantineError{Hash: hash, RetryAfter: d.retryAt.Sub(now)}
-}
-
-// State returns the hash's current breaker state (for tests and
-// monitoring).
-func (h *Health) State(hash [32]byte) BreakerState {
-	if h.disabled() {
-		return BreakerClosed
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if d := h.m[hash]; d != nil {
-		return d.state
-	}
-	return BreakerClosed
+	return b.Failure(h.cfg, h.now())
 }
 
 // Stats returns a point-in-time view.
@@ -363,18 +237,17 @@ func (h *Health) Stats() HealthStats {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	s := HealthStats{
-		Tracked: len(h.m), Trips: h.trips,
-		Probes: h.probes, ProbeSuccesses: h.probeOKs,
-		Failures: h.fails,
-	}
-	for _, d := range h.m {
-		switch d.state {
-		case BreakerOpen:
+	s := HealthStats{Tracked: len(h.m), Failures: h.fails}
+	c := h.retired
+	for _, b := range h.m {
+		c.Add(b.Counters)
+		switch b.State() {
+		case breaker.Open:
 			s.Open++
-		case BreakerHalfOpen:
+		case breaker.HalfOpen:
 			s.HalfOpen++
 		}
 	}
+	s.Trips, s.Probes, s.ProbeSuccesses = c.Trips, c.Probes, c.ProbeSuccesses
 	return s
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"vxa/internal/breaker"
 	"vxa/internal/obs"
 	"vxa/internal/vm"
 )
@@ -37,137 +38,10 @@ func testHash(b byte) [32]byte {
 	return h
 }
 
-// The full breaker walk: closed → open after Threshold consecutive
-// failures, fail-fast while open, half-open probe after the backoff,
-// reopen with doubled backoff on a failed probe, closed again on a
-// successful one.
-func TestBreakerStateMachine(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
-	h := NewHealth(HealthConfig{Threshold: 3, Backoff: 100 * time.Millisecond, MaxBackoff: time.Second, now: clk.now})
-	hash := testHash(1)
-
-	// A success wipes the consecutive count: two traps + OK + two traps
-	// never reaches the threshold of 3.
-	h.Report(hash, OutcomeTrap)
-	h.Report(hash, OutcomeTrap)
-	h.Report(hash, OutcomeOK)
-	h.Report(hash, OutcomeTrap)
-	if opened := h.Report(hash, OutcomeTrap); opened {
-		t.Fatal("breaker opened below threshold")
-	}
-	if st := h.State(hash); st != BreakerClosed {
-		t.Fatalf("state %v, want closed", st)
-	}
-	if err := h.Allow(hash); err != nil {
-		t.Fatalf("closed breaker denied a request: %v", err)
-	}
-
-	// Third consecutive failure trips it.
-	if opened := h.Report(hash, OutcomeFuel); !opened {
-		t.Fatal("threshold-reaching report did not open the breaker")
-	}
-	if st := h.State(hash); st != BreakerOpen {
-		t.Fatalf("state %v, want open", st)
-	}
-	err := h.Allow(hash)
-	if !errors.Is(err, ErrDecoderQuarantined) {
-		t.Fatalf("open breaker allowed a request (err=%v)", err)
-	}
-	var qe *QuarantineError
-	if !errors.As(err, &qe) || qe.RetryAfter <= 0 || qe.RetryAfter > 100*time.Millisecond {
-		t.Fatalf("quarantine error %v: want a positive RetryAfter within the backoff", err)
-	}
-	if !h.Quarantined(hash) {
-		t.Fatal("Quarantined() false while open before the backoff")
-	}
-
-	// After the backoff: exactly one probe is admitted per interval.
-	clk.advance(150 * time.Millisecond)
-	if h.Quarantined(hash) {
-		t.Fatal("Quarantined() true when a probe is due")
-	}
-	if err := h.Allow(hash); err != nil {
-		t.Fatalf("probe not admitted after backoff: %v", err)
-	}
-	if st := h.State(hash); st != BreakerHalfOpen {
-		t.Fatalf("state %v, want half-open", st)
-	}
-	if err := h.Allow(hash); !errors.Is(err, ErrDecoderQuarantined) {
-		t.Fatalf("second request rode the probe window: %v", err)
-	}
-
-	// Failed probe: reopen, backoff doubled to 200ms.
-	if opened := h.Report(hash, OutcomeTrap); !opened {
-		t.Fatal("failed probe did not reopen the breaker")
-	}
-	clk.advance(150 * time.Millisecond)
-	if err := h.Allow(hash); !errors.Is(err, ErrDecoderQuarantined) {
-		t.Fatal("reopened breaker must honour the doubled backoff")
-	}
-	clk.advance(100 * time.Millisecond)
-	if err := h.Allow(hash); err != nil {
-		t.Fatalf("probe not admitted after doubled backoff: %v", err)
-	}
-
-	// Successful probe closes the breaker and drops the record.
-	h.Report(hash, OutcomeOK)
-	if st := h.State(hash); st != BreakerClosed {
-		t.Fatalf("state %v after successful probe, want closed", st)
-	}
-	if err := h.Allow(hash); err != nil {
-		t.Fatalf("closed breaker denied a request: %v", err)
-	}
-
-	st := h.Stats()
-	if st.Trips != 2 || st.Probes != 2 || st.ProbeSuccesses != 1 {
-		t.Fatalf("stats %+v: want trips=2 probes=2 probe_successes=1", st)
-	}
-	if st.Failures.Traps != 5 || st.Failures.Fuel != 1 {
-		t.Fatalf("failure counts %+v: want traps=5 fuel=1", st.Failures)
-	}
-	if st.Tracked != 0 || st.Open != 0 || st.HalfOpen != 0 {
-		t.Fatalf("stats %+v: healthy decoder should be untracked", st)
-	}
-}
-
-// The backoff must saturate at MaxBackoff, and an unreported probe must
-// not wedge the breaker: the next probe is due one backoff later.
-func TestBreakerBackoffCapAndUnreportedProbe(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
-	h := NewHealth(HealthConfig{Threshold: 1, Backoff: 100 * time.Millisecond, MaxBackoff: 250 * time.Millisecond, now: clk.now})
-	hash := testHash(2)
-
-	h.Report(hash, OutcomeTrap) // open, backoff 100ms
-	for i := 0; i < 5; i++ {    // fail probes: 200ms, 250ms, 250ms, ...
-		clk.advance(time.Second)
-		if err := h.Allow(hash); err != nil {
-			t.Fatalf("probe %d not admitted: %v", i, err)
-		}
-		h.Report(hash, OutcomeTrap)
-	}
-	// Backoff is now pinned at the cap.
-	clk.advance(200 * time.Millisecond)
-	if err := h.Allow(hash); !errors.Is(err, ErrDecoderQuarantined) {
-		t.Fatal("breaker must still be within the capped backoff")
-	}
-	clk.advance(100 * time.Millisecond)
-	if err := h.Allow(hash); err != nil {
-		t.Fatalf("probe not admitted after capped backoff: %v", err)
-	}
-
-	// Never report the probe's outcome: the breaker stays half-open and
-	// admits the next probe one backoff later, no wedge.
-	if err := h.Allow(hash); !errors.Is(err, ErrDecoderQuarantined) {
-		t.Fatal("second probe admitted inside the same window")
-	}
-	clk.advance(300 * time.Millisecond)
-	if err := h.Allow(hash); err != nil {
-		t.Fatalf("breaker wedged after an unreported probe: %v", err)
-	}
-}
-
+// A disabled tracker and a nil one never deny a request. (The breaker's
+// own state machine is walked in internal/breaker.)
 func TestBreakerDisabled(t *testing.T) {
-	h := NewHealth(HealthConfig{Threshold: -1})
+	h := NewHealth(breaker.Config{Threshold: -1})
 	hash := testHash(3)
 	for i := 0; i < 100; i++ {
 		h.Report(hash, OutcomeTrap)
@@ -207,18 +81,28 @@ func TestOutcomeFor(t *testing.T) {
 
 // Tripping a decoder's breaker quarantine-evicts its SnapCache lines
 // (all modes), the fail-fast path leases nothing, and the half-open
-// probe rebuilds the snapshot from the decoder bytes.
+// probe rebuilds the snapshot from the decoder bytes. While the probe is
+// in flight CheckQuarantine and Get agree: both fail fast.
 func TestSnapCacheQuarantine(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
+	const backoff = 100 * time.Millisecond
 	c := NewSnapCache(SnapCacheConfig{
 		VM:     vm.Config{MemSize: 4 << 20},
-		Health: HealthConfig{Threshold: 2, Backoff: 100 * time.Millisecond, now: clk.now},
+		Health: breaker.Config{Threshold: 2, Backoff: backoff},
 	})
+	c.health.now = clk.now
 	elf := compile(t, echoSrc)
 	elfBytes, _ := elf()
 	hash := HashELF(elfBytes)
 	builds := 0
 	src := func() ([]byte, error) { builds++; return elfBytes, nil }
+	quarantined := func(what string, err error) {
+		t.Helper()
+		var qe *QuarantineError
+		if !errors.Is(err, ErrDecoderQuarantined) || !errors.As(err, &qe) || qe.RetryAfter <= 0 || qe.RetryAfter > backoff {
+			t.Fatalf("%s returned %v: want a *QuarantineError with 0 < RetryAfter <= %v", what, err, backoff)
+		}
+	}
 
 	// Healthy line under two modes.
 	for _, mode := range []uint32{0600, 0644} {
@@ -234,18 +118,18 @@ func TestSnapCacheQuarantine(t *testing.T) {
 
 	// Two counted failures trip the breaker; both mode lines must go.
 	c.Report(hash, OutcomeTrap)
-	c.Report(hash, OutcomeTrap)
-	if st := c.BreakerState(hash); st != BreakerOpen {
-		t.Fatalf("breaker %v, want open", st)
+	c.Report(hash, OutcomeFuel)
+	if h := c.Health(); h.Open != 1 || h.Trips != 1 {
+		t.Fatalf("health %+v, want the one breaker open", h)
 	}
 	if c.Contains(hash, 0600) || c.Contains(hash, 0644) {
 		t.Fatal("quarantined lines still resident")
 	}
 
 	// Fail fast: no lease, no rebuild.
-	if _, err := c.Get(context.Background(), hash, 0600, 0, src); !errors.Is(err, ErrDecoderQuarantined) {
-		t.Fatalf("quarantined Get returned %v", err)
-	}
+	quarantined("CheckQuarantine while open", c.CheckQuarantine(hash))
+	_, err := c.Get(context.Background(), hash, 0600, 0, src)
+	quarantined("Get while open", err)
 	if builds != 2 {
 		t.Fatalf("fail-fast path rebuilt the snapshot (builds=%d)", builds)
 	}
@@ -253,12 +137,20 @@ func TestSnapCacheQuarantine(t *testing.T) {
 		t.Fatalf("Outstanding = %d during quarantine, want 0", n)
 	}
 
-	// Probe after backoff: the line is rebuilt, and a success closes.
+	// Probe after backoff: CheckQuarantine lets it through, Get admits
+	// it and rebuilds the line. Until the next probe is due, both refuse
+	// everyone else.
 	clk.advance(150 * time.Millisecond)
+	if err := c.CheckQuarantine(hash); err != nil {
+		t.Fatalf("CheckQuarantine with a probe due: %v", err)
+	}
 	l, err := c.Get(context.Background(), hash, 0600, 0, src)
 	if err != nil {
 		t.Fatalf("probe Get: %v", err)
 	}
+	quarantined("CheckQuarantine with the probe in flight", c.CheckQuarantine(hash))
+	_, err = c.Get(context.Background(), hash, 0644, 0, src)
+	quarantined("Get with the probe in flight", err)
 	var out bytes.Buffer
 	reusable, err := l.VM().RunStream(context.Background(), bytes.NewReader([]byte("hi")), &out, nil, vm.StreamFuel(2))
 	if err != nil {
@@ -269,15 +161,16 @@ func TestSnapCacheQuarantine(t *testing.T) {
 	if builds != 3 {
 		t.Fatalf("probe did not rebuild the quarantined snapshot (builds=%d)", builds)
 	}
-	if st := c.BreakerState(hash); st != BreakerClosed {
-		t.Fatalf("breaker %v after successful probe, want closed", st)
+	if err := c.CheckQuarantine(hash); err != nil {
+		t.Fatalf("CheckQuarantine after the breaker closed: %v", err)
 	}
 	st := c.Stats()
 	if st.Quarantined != 2 {
 		t.Fatalf("quarantined evictions = %d, want 2 (both modes)", st.Quarantined)
 	}
-	if st.Health.Trips != 1 || st.Health.ProbeSuccesses != 1 {
-		t.Fatalf("health stats %+v: want one trip, one probe success", st.Health)
+	want := HealthStats{Trips: 1, Probes: 1, ProbeSuccesses: 1, Failures: FailureCounts{Traps: 1, Fuel: 1}}
+	if st.Health != want {
+		t.Fatalf("health stats %+v, want %+v (the healthy decoder untracked)", st.Health, want)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"vxa/internal/artifact"
+	"vxa/internal/breaker"
 	"vxa/internal/elf32"
 	"vxa/internal/fault"
 	"vxa/internal/obs"
@@ -82,7 +83,7 @@ type SnapCacheConfig struct {
 	// Health configures the per-decoder circuit breaker (see health.go).
 	// The zero value selects the defaults; Threshold < 0 disables
 	// health tracking.
-	Health HealthConfig
+	Health breaker.Config
 	// Artifacts, when non-nil, is the persistent tier: cache misses
 	// probe it before building from the decoder ELF, successful builds
 	// are written back, and FlushArtifacts re-persists entries whose
@@ -466,18 +467,11 @@ func (c *SnapCache) Report(hash [32]byte, o Outcome) {
 // Health returns the decoder circuit-breaker view.
 func (c *SnapCache) Health() HealthStats { return c.health.Stats() }
 
-// BreakerState returns the breaker state for one decoder content hash.
-func (c *SnapCache) BreakerState(hash [32]byte) BreakerState { return c.health.State(hash) }
-
-// Quarantined reports whether requests for the decoder would currently
-// fail fast (breaker open and the next probe not yet due). Unlike
-// Allow, it never admits a probe, so it is safe to poll.
-func (c *SnapCache) Quarantined(hash [32]byte) bool { return c.health.Quarantined(hash) }
-
 // CheckQuarantine returns the fail-fast *QuarantineError Get would
-// return for the decoder, or nil when requests may proceed. It never
-// admits a probe — serving layers use it to reject quarantined work
-// before paying for admission, without stealing the probe slot.
+// return for the decoder, or nil when requests may proceed (Get would
+// then admit it, as the probe if one is due). It never admits a probe —
+// serving layers use it to reject quarantined work before paying for
+// admission, without stealing the probe slot.
 func (c *SnapCache) CheckQuarantine(hash [32]byte) error { return c.health.Check(hash) }
 
 // Quarantine evicts every resident line for the content hash (all

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"vxa/internal/artifact"
+	"vxa/internal/breaker"
 	"vxa/internal/vm"
 )
 
@@ -73,7 +74,7 @@ func TestSnapCacheFootprintTracksAbsorb(t *testing.T) {
 func TestSnapCacheSiblingResetFailureReports(t *testing.T) {
 	echo := compile(t, echoSrc)
 	echoHash := HashELF(mustELF(t, echo))
-	c := NewSnapCache(SnapCacheConfig{VM: testVMCfg, Health: HealthConfig{Threshold: 1}})
+	c := NewSnapCache(SnapCacheConfig{VM: testVMCfg, Health: breaker.Config{Threshold: 1}})
 
 	// Make the echo line resident under one mode with absorbed blocks,
 	// so a second-mode build takes the sibling-import path.
@@ -95,7 +96,7 @@ func TestSnapCacheSiblingResetFailureReports(t *testing.T) {
 		t.Fatalf("health = %+v, want the reset failure counted as a build failure", h)
 	}
 	// Threshold 1: the single report must have tripped the breaker.
-	if !c.Quarantined(echoHash) {
+	if c.CheckQuarantine(echoHash) == nil {
 		t.Fatal("breaker did not open after the reported build failure")
 	}
 }
