@@ -135,12 +135,17 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		var out bytes.Buffer
+		var out, diag bytes.Buffer
 		sctx, sp := obs.WithSpan(ctx)
-		st, err := codec.RunDecoderELFToStats(sctx, name, elf, bytes.NewReader(input), int64(len(input)), &out, cfg)
+		lease, err := vmpool.Fresh(sctx, elf, cfg)
 		if err != nil {
 			fatal(err)
 		}
+		code, err := lease.Run(sctx, bytes.NewReader(input), &out, &diag, cfg.FuelFor(len(input)))
+		if err != nil {
+			fatal(codec.ClassifyDecodeError(name, err, code, diag.String()))
+		}
+		st := lease.VM().Stats()
 		if _, err := os.Stdout.Write(out.Bytes()); err != nil {
 			fatal(err)
 		}
@@ -233,69 +238,33 @@ func decodeFile(ctx context.Context, pool *vmpool.Pool, name string, elf []byte,
 	// -v prints where the file's wall time went (lease wait, snapshot
 	// build, translate, execute, host write).
 	ctx, sp := obs.WithSpan(ctx)
-	out := &countingWriter{w: f, sp: sp}
+	out := &obs.CountWriter{W: f, Span: sp}
 	var stderr io.Writer
 	if verbose {
 		stderr = os.Stderr
 	}
 	lease, err := pool.Get(ctx, name, 0, func() ([]byte, error) { return elf, nil })
-	if err != nil {
-		f.Close()
-		os.Remove(dst)
-		return err
-	}
-	st0 := lease.VM().Stats()
-	reusable, err := lease.VM().RunStream(ctx, bytes.NewReader(input), out, stderr, vm.StreamFuel(len(input)))
-	st1 := lease.VM().Stats()
-	sp.Add(obs.StageTranslate, time.Duration(st1.TranslateNS-st0.TranslateNS))
-	sp.Add(obs.StageExecute, time.Duration(st1.ExecuteNS-st0.ExecuteNS))
-	if vm.IsCanceled(err) {
-		lease.ReleaseReset()
-	} else {
-		lease.Release(err == nil && reusable)
+	if err == nil {
+		var code int32
+		code, err = lease.Run(ctx, bytes.NewReader(input), out, stderr, vm.StreamFuel(len(input)))
+		err = codec.ClassifyDecodeError(name, err, code, "")
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	// A failed host write surfaces as itself, not as the decoder abort
 	// it provokes — and never as a silently truncated output file.
-	if out.err != nil {
-		err = out.err
+	if out.Err != nil {
+		err = out.Err
 	}
 	if err != nil {
 		os.Remove(dst)
 		return err
 	}
 	if verbose {
-		fmt.Fprintf(os.Stderr, "vxrun: %s: %d -> %d bytes [%s]\n", path, len(input), out.n, sp.Timeline())
+		fmt.Fprintf(os.Stderr, "vxrun: %s: %d -> %d bytes [%s]\n", path, len(input), out.N, sp.Timeline())
 	}
 	return nil
-}
-
-// countingWriter counts bytes written through to w and remembers the
-// first write error (the guest only sees a virtual EIO). With sp set,
-// write time lands in the span's write stage.
-type countingWriter struct {
-	w   io.Writer
-	sp  *obs.Span
-	n   int64
-	err error
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	var start time.Time
-	if c.sp != nil {
-		start = time.Now()
-	}
-	n, err := c.w.Write(p)
-	if c.sp != nil {
-		c.sp.Add(obs.StageWrite, time.Since(start))
-	}
-	c.n += int64(n)
-	if err != nil && c.err == nil {
-		c.err = err
-	}
-	return n, err
 }
 
 func fatal(err error) {

@@ -6,10 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"time"
 
 	"vxa/internal/elf32"
-	"vxa/internal/obs"
+	"vxa/internal/fault"
 	"vxa/internal/vm"
 )
 
@@ -50,65 +49,40 @@ func (c *Codec) RunVXA(input []byte, cfg vm.Config) ([]byte, error) {
 // from an archive rather than built locally) over one input stream.
 func RunDecoderELF(name string, elfBytes, input []byte, cfg vm.Config) ([]byte, error) {
 	var out bytes.Buffer
-	if err := RunDecoderELFTo(context.Background(), name, elfBytes, bytes.NewReader(input), int64(len(input)), &out, cfg); err != nil {
+	if _, err := RunDecoderELFToStats(context.Background(), name, elfBytes, bytes.NewReader(input), int64(len(input)), &out, cfg); err != nil {
 		return nil, err
 	}
 	return out.Bytes(), nil
 }
 
-// RunDecoderELFTo is RunDecoderELF streaming both sides: the encoded
-// input is read from r (payloadLen sizes the fuel budget) and the
-// decoded output streams to w, so neither form needs to be resident. On
-// a decode error, partial output may already have been written. The
-// stream runs under the standard absolute per-stream fuel budget
-// (vm.StreamFuel) unless cfg.Fuel overrides it, so a looping decoder is
-// cut off on the cold path exactly as on the pooled one. ctx cancels
-// the run cooperatively (the guest stops at the next block boundary).
-func RunDecoderELFTo(ctx context.Context, name string, elfBytes []byte, r io.Reader, payloadLen int64, w io.Writer, cfg vm.Config) error {
-	_, err := RunDecoderELFToStats(ctx, name, elfBytes, r, payloadLen, w, cfg)
-	return err
-}
-
-// RunDecoderELFToStats is RunDecoderELFTo surfacing the VM's execution
-// statistics after the run (valid even when the decode failed), for
-// callers like vxrun -v that report on the translation engine.
+// RunDecoderELFToStats is RunDecoderELF streaming both sides, in a fresh
+// VM with no pool or span behind it: the encoded input is read from r
+// (payloadLen sizes the fuel budget, vm.Config.FuelFor) and the decoded
+// output streams to w; on a decode error, partial output may already
+// have been written. ctx cancels the run cooperatively. It returns the
+// VM's execution statistics after the run, valid even when the decode
+// failed, for callers that report on the translation engine.
 func RunDecoderELFToStats(ctx context.Context, name string, elfBytes []byte, r io.Reader, payloadLen int64, w io.Writer, cfg vm.Config) (vm.Stats, error) {
-	// Cold path: no pool, no snapshot cache. VM construction (ELF parse +
-	// address-space build) is the moral equivalent of a snapshot build, so
-	// a traced request attributes it to the snapshot stage; the guest's
-	// own counters split the run into translate and execute below.
-	sp := obs.SpanFrom(ctx)
-	buildStart := time.Now()
 	v, err := elf32.NewVM(elfBytes, cfg)
-	sp.Add(obs.StageSnapshot, time.Since(buildStart))
 	if err != nil {
 		return vm.Stats{}, err
 	}
-	fuel := cfg.Fuel
-	if fuel == 0 {
-		fuel = vm.StreamFuel(int(payloadLen))
-	}
-	defer func(before vm.Stats) {
-		after := v.Stats()
-		sp.Add(obs.StageTranslate, time.Duration(after.TranslateNS-before.TranslateNS))
-		sp.Add(obs.StageExecute, time.Duration(after.ExecuteNS-before.ExecuteNS))
-	}(v.Stats())
 	var diag bytes.Buffer
-	if _, err := v.RunStream(ctx, r, w, &diag, fuel); err != nil {
-		if ce := (*vm.CanceledError)(nil); errors.As(err, &ce) {
-			return v.Stats(), err
-		}
-		return v.Stats(), ClassifyDecodeError(name, err, v.ExitCode(), diag.String())
-	}
-	return v.Stats(), nil
+	_, err = v.RunStream(ctx, r, w, &diag, cfg.FuelFor(int(payloadLen)))
+	return v.Stats(), ClassifyDecodeError(name, err, v.ExitCode(), diag.String())
 }
 
-// ClassifyDecodeError wraps a RunStream failure as a DecodeError per the
+// ClassifyDecodeError wraps a failed stream as a DecodeError per the
 // decoder protocol: "done" after a complete stream means success and
 // exit(0) is also accepted, so a failure is either a nonzero exit
-// (carried in Code) or a sandbox trap (carried in Trap). Both the cold
-// and the pooled decode paths classify through this one function.
-func ClassifyDecodeError(name string, err error, exitCode int32, stderr string) *DecodeError {
+// (carried in Code) or a sandbox trap (carried in Trap). A stream the
+// host stopped (cancellation, a watchdog kill, an injected fault) is not
+// the decoder's failure and passes through unchanged, as does nil.
+// Every decode path classifies through this one function.
+func ClassifyDecodeError(name string, err error, exitCode int32, stderr string) error {
+	if err == nil || vm.IsCanceled(err) || vm.IsWatchdog(err) || errors.Is(err, fault.ErrInjected) {
+		return err
+	}
 	de := &DecodeError{Codec: name, Stderr: stderr}
 	var trap *vm.Trap
 	if !errors.As(err, &trap) && exitCode != 0 {

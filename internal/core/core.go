@@ -20,7 +20,6 @@ package core
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -30,7 +29,6 @@ import (
 	"time"
 
 	"vxa/internal/codec"
-	"vxa/internal/fault"
 	"vxa/internal/obs"
 	"vxa/internal/vm"
 	"vxa/internal/vmpool"
@@ -521,7 +519,7 @@ func (r *Reader) extractSection(ctx context.Context, e *Entry, payload *io.Secti
 	// extracting to files remove them on error).
 	if e.Method == zipfile.MethodStore && (!e.PreCompressed || !opts.DecodeAll) {
 		crc := crc32.NewIEEE()
-		cw := &countWriter{w: io.MultiWriter(crc, w), sp: sp}
+		cw := &obs.CountWriter{W: io.MultiWriter(crc, w), Span: sp}
 		n, err := io.Copy(cw, &ctxReader{ctx: ctx, r: payload})
 		if err != nil {
 			return n, classifyDecode(e.Name, err, ctx.Err())
@@ -540,22 +538,22 @@ func (r *Reader) extractSection(ctx context.Context, e *Entry, payload *io.Secti
 		if err := r.checkPayloadCRC(ctx, e, payload); err != nil {
 			return 0, err
 		}
-		cw := &countWriter{w: w, sp: sp}
+		cw := &obs.CountWriter{W: w, Span: sp}
 		if err := r.decodeStream(ctx, e, payload, opts, cw); err != nil {
-			return cw.n, classifyDecode(e.Name, cw.firstError(e, err), ctx.Err())
+			return cw.N, classifyDecode(e.Name, firstError(e, cw, err), ctx.Err())
 		}
-		return cw.n, nil
+		return cw.N, nil
 	}
 
 	crc := crc32.NewIEEE()
-	cw := &countWriter{w: io.MultiWriter(crc, w), sp: sp}
+	cw := &obs.CountWriter{W: io.MultiWriter(crc, w), Span: sp}
 	if err := r.decodeStream(ctx, e, payload, opts, cw); err != nil {
-		return cw.n, classifyDecode(e.Name, cw.firstError(e, err), ctx.Err())
+		return cw.N, classifyDecode(e.Name, firstError(e, cw, err), ctx.Err())
 	}
 	if crc.Sum32() != e.hdr.CRC32 {
-		return cw.n, corruptf(e.Name, "decoded data CRC mismatch")
+		return cw.N, corruptf(e.Name, "decoded data CRC mismatch")
 	}
-	return cw.n, nil
+	return cw.N, nil
 }
 
 // checkPayloadCRC streams the stored payload through a CRC-32 and
@@ -612,41 +610,12 @@ func (l *lockedWriter) Write(p []byte) (int, error) {
 	return l.w.Write(p)
 }
 
-// countWriter counts bytes passed through to w and remembers the first
-// write error, so a host-side failure (full disk, closed pipe) can be
-// reported as itself rather than as the decoder abort it provokes.
-// When the request is traced (sp non-nil), time spent inside Write —
-// host-side output delivery plus the incremental CRC riding in w's
-// MultiWriter — is attributed to the span's write stage.
-type countWriter struct {
-	w   io.Writer
-	sp  *obs.Span
-	n   int64
-	err error
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	var start time.Time
-	if c.sp != nil {
-		start = time.Now()
-	}
-	n, err := c.w.Write(p)
-	if c.sp != nil {
-		c.sp.Add(obs.StageWrite, time.Since(start))
-	}
-	c.n += int64(n)
-	if err != nil && c.err == nil {
-		c.err = err
-	}
-	return n, err
-}
-
-// firstError prefers the host write error over the decode error it
-// triggered: the guest sees only a virtual EIO and aborts with its own
-// message, but the user needs the real cause.
-func (c *countWriter) firstError(e *Entry, decodeErr error) error {
-	if c.err != nil {
-		return fmt.Errorf("core: %s: write: %w", e.Name, c.err)
+// firstError prefers the host write error cw kept over the decode error
+// it triggered: the guest sees only a virtual EIO and aborts with its
+// own message, but the user needs the real cause.
+func firstError(e *Entry, cw *obs.CountWriter, decodeErr error) error {
+	if cw.Err != nil {
+		return fmt.Errorf("core: %s: write: %w", e.Name, cw.Err)
 	}
 	return decodeErr
 }
@@ -831,9 +800,9 @@ func (r *Reader) noteReinit() {
 
 // runArchivedDecoder executes the archived VXA decoder over the payload,
 // streaming the decoded output to out and honouring the VM reuse policy.
-// A canceled context stops the guest at its next block boundary; the
-// leased VM is then rewound to the pristine snapshot and returned to the
-// pool, so cancellation never leaks a VM or a pool slot.
+// The lease's Run ends the stream: a canceled context stops the guest at
+// its next block boundary and the VM is rewound to the pristine snapshot
+// and returned to the pool, so cancellation never leaks a VM or a slot.
 func (r *Reader) runArchivedDecoder(ctx context.Context, e *Entry, payload *io.SectionReader, opts ExtractOptions, out io.Writer) error {
 	if opts.VM.MemSize == 0 {
 		opts.VM.MemSize = DefaultDecoderMemSize
@@ -845,11 +814,6 @@ func (r *Reader) runArchivedDecoder(ctx context.Context, e *Entry, payload *io.S
 	r.mu.Lock()
 	cache, scope := r.snapCache, r.cacheScope
 	r.mu.Unlock()
-
-	// report feeds the stream's outcome into the shared cache's decoder
-	// health tracker (a no-op on the private-pool and fresh-VM paths,
-	// which have no cross-client breaker to maintain).
-	report := func(vmpool.Outcome) {}
 
 	var lease *vmpool.Lease
 	switch {
@@ -865,14 +829,14 @@ func (r *Reader) runArchivedDecoder(ctx context.Context, e *Entry, payload *io.S
 		if lease, err = cache.Get(ctx, hash, e.Mode, scope, elf); err != nil {
 			return classifyDecode(e.Name, err, ctx.Err())
 		}
-		report = func(o vmpool.Outcome) { cache.Report(hash, o) }
 	case !opts.ReuseVM:
 		elfBytes, err := elf()
 		if err != nil {
 			return badArchive(e.Name, err)
 		}
-		r.noteReinit()
-		return codec.RunDecoderELFTo(ctx, e.Codec, elfBytes, payload, payload.Size(), out, opts.VM)
+		if lease, err = vmpool.Fresh(ctx, elfBytes, opts.VM); err != nil {
+			return err
+		}
 	default:
 		// Pooled path (§2.4): resume a parked VM for equal security
 		// attributes; an attribute change or a new worker re-initializes
@@ -889,8 +853,8 @@ func (r *Reader) runArchivedDecoder(ctx context.Context, e *Entry, payload *io.S
 	}
 	// Count the lease for the Reader's own outstanding view: it covers
 	// the shared-cache path too, where the backing pool is not ours to
-	// ask. Every exit below releases the lease first, so the decrement
-	// on return keeps PoolOutstanding exact.
+	// ask. Run ends the lease before the decrement on return, which
+	// keeps PoolOutstanding exact.
 	r.mu.Lock()
 	r.inFlight++
 	r.mu.Unlock()
@@ -902,85 +866,9 @@ func (r *Reader) runArchivedDecoder(ctx context.Context, e *Entry, payload *io.S
 	if lease.Pristine() {
 		r.noteReinit()
 	}
-	st0 := lease.VM().Stats()
-	reusable, err := runOneStream(ctx, lease.VM(), payload, out, opts)
-	recordVMStages(obs.SpanFrom(ctx), st0, lease.VM().Stats())
-	if err != nil {
-		switch {
-		case vm.IsCanceled(err) || ctx.Err() != nil:
-			// The stream was abandoned, not broken: rewind the VM to the
-			// pristine snapshot and park it for the next caller. No health
-			// signal — a canceled stream says nothing about the decoder.
-			lease.ReleaseReset()
-			return classifyDecode(e.Name, err, ctx.Err())
-		case vm.IsWatchdog(err):
-			// Wall-clock kill: the guest was stopped at a block boundary
-			// with its state intact, so a pristine-snapshot rewind returns
-			// the VM to the pool undamaged. The kill indicts the decoder.
-			report(vmpool.OutcomeWatchdog)
-			lease.ReleaseReset()
-			return &Error{Kind: KindDeadline, Entry: e.Name, Trap: err}
-		case errors.Is(err, fault.ErrInjected):
-			// An injected archive-read fault aborted the guest from the
-			// host side; the decoder is blameless, so no health report.
-			lease.Release(false)
-			return classifyDecode(e.Name, err, ctx.Err())
-		}
-		// A trapped or failed VM is not reusable. (Diagnostics stream
-		// to opts.Verbose live on this path rather than being captured.)
-		// Traps and fuel exhaustion count against the decoder's breaker;
-		// nonzero exits do not — those are routinely payload-driven, and
-		// quarantining a shared codec over one corrupt upload would be a
-		// denial of service.
-		report(vmpool.OutcomeFor(err))
-		de := codec.ClassifyDecodeError(e.Codec, err, lease.VM().ExitCode(), "")
-		lease.Release(false)
-		return de
-	}
-	// A decoder that decoded the stream but exited instead of parking at
-	// the done gate succeeded; it just cannot serve another stream.
-	report(vmpool.OutcomeOK)
-	lease.Release(reusable)
-	return nil
-}
-
-// recordVMStages attributes the guest-side work of one stream to the
-// request span, splitting the VM's counter deltas into translation and
-// execution time. No-op when the request is untraced (nil span).
-func recordVMStages(sp *obs.Span, before, after vm.Stats) {
-	sp.Add(obs.StageTranslate, time.Duration(after.TranslateNS-before.TranslateNS))
-	sp.Add(obs.StageExecute, time.Duration(after.ExecuteNS-before.ExecuteNS))
-}
-
-// streamFuel is the absolute instruction budget for decoding one stream,
-// so a reused VM cannot accumulate an unbounded budget (a looping
-// decoder is cut off no matter how many streams ran before it).
-// ExtractOptions.VM.Fuel, when set, overrides the standard policy.
-func streamFuel(payloadLen int, cfg vm.Config) int64 {
-	if cfg.Fuel != 0 {
-		return cfg.Fuel
-	}
-	return vm.StreamFuel(payloadLen)
-}
-
-// runOneStream feeds one payload section to a (possibly resumed)
-// decoder VM and streams the decoded output to out; reusable reports
-// whether the VM parked at the done gate and can take another stream.
-// With fault injection armed, the payload reads pass through a fault
-// reader; an injected read error outranks the guest abort it provokes
-// (the guest only sees a virtual EIO and fails with its own message,
-// but the caller needs the real cause).
-func runOneStream(ctx context.Context, v *vm.VM, payload *io.SectionReader, out io.Writer, opts ExtractOptions) (reusable bool, err error) {
-	fuel := streamFuel(int(payload.Size()), opts.VM)
-	if !fault.Armed() {
-		return v.RunStream(ctx, payload, out, opts.Verbose, fuel)
-	}
-	fr := fault.NewReader(payload)
-	reusable, err = v.RunStream(ctx, fr, out, opts.Verbose, fuel)
-	if ferr := fr.Err(); ferr != nil && err != nil {
-		return reusable, ferr
-	}
-	return reusable, err
+	// Diagnostics stream to opts.Verbose live rather than being captured.
+	code, err := lease.Run(ctx, payload, out, opts.Verbose, opts.VM.FuelFor(int(payload.Size())))
+	return codec.ClassifyDecodeError(e.Codec, err, code, "")
 }
 
 // ExtractResult is one entry's outcome from ExtractAll.
@@ -1127,16 +1015,16 @@ func (r *Reader) ExtractDecodedForm(ctx context.Context, e *Entry, opts ...Optio
 		return nil, &Error{Kind: KindUnknownCodec, Entry: e.Name}
 	}
 	// WithLimit bounds this buffer too — the bomb guard holds on every
-	// decode surface, and the countWriter preserves the limit error over
+	// decode surface, and the CountWriter preserves the limit error over
 	// the decoder abort it provokes.
 	var out bytes.Buffer
 	dst := io.Writer(&out)
 	if o.Limit > 0 {
 		dst = &limitWriter{w: &out, remaining: o.Limit, limit: o.Limit}
 	}
-	cw := &countWriter{w: dst}
+	cw := &obs.CountWriter{W: dst}
 	if err := r.decodeStream(ctx, e, payload, o, cw); err != nil {
-		return nil, classifyDecode(e.Name, cw.firstError(e, err), ctx.Err())
+		return nil, classifyDecode(e.Name, firstError(e, cw, err), ctx.Err())
 	}
 	return out.Bytes(), nil
 }

@@ -209,7 +209,7 @@ func TestStreamFuelAbsolute(t *testing.T) {
 	var remaining []int64
 	for i := 0; i < 3; i++ {
 		section := io.NewSectionReader(bytes.NewReader(payload), 0, int64(len(payload)))
-		reusable, err := runOneStream(context.Background(), v, section, &bytes.Buffer{}, ExtractOptions{})
+		reusable, err := v.RunStream(context.Background(), section, &bytes.Buffer{}, nil, vm.Config{}.FuelFor(len(payload)))
 		if err != nil {
 			t.Fatalf("stream %d: %v", i, err)
 		}
@@ -225,7 +225,7 @@ func TestStreamFuelAbsolute(t *testing.T) {
 	if remaining[1] != remaining[2] {
 		t.Fatalf("fuel accumulates across streams: remaining = %v", remaining)
 	}
-	budget := streamFuel(len(payload), vm.Config{})
+	budget := vm.Config{}.FuelFor(len(payload))
 	for i, rem := range remaining {
 		if rem >= budget {
 			t.Fatalf("stream %d: remaining %d >= budget %d (budget not consumed?)", i, rem, budget)

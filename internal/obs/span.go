@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"fmt"
+	"io"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -157,4 +158,31 @@ func WithSpan(ctx context.Context) (context.Context, *Span) {
 func SpanFrom(ctx context.Context) *Span {
 	sp, _ := ctx.Value(spanKey{}).(*Span)
 	return sp
+}
+
+// CountWriter passes writes through to W, counting the bytes delivered
+// and keeping the first write error: a guest decoder sees a failed
+// write only as a virtual EIO, so the caller needs the real cause from
+// here. With Span set, time inside W.Write is the span's write stage.
+type CountWriter struct {
+	W    io.Writer
+	Span *Span
+	N    int64
+	Err  error
+}
+
+func (c *CountWriter) Write(p []byte) (int, error) {
+	var start time.Time
+	if c.Span != nil {
+		start = time.Now()
+	}
+	n, err := c.W.Write(p)
+	if c.Span != nil {
+		c.Span.Add(StageWrite, time.Since(start))
+	}
+	c.N += int64(n)
+	if err != nil && c.Err == nil {
+		c.Err = err
+	}
+	return n, err
 }

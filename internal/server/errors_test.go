@@ -1,10 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
@@ -105,5 +109,48 @@ func TestErrorKindStatusRoundTrip(t *testing.T) {
 	}
 	if got := StatusFor(fmt.Errorf("x: %w", context.DeadlineExceeded)); got != http.StatusGatewayTimeout {
 		t.Fatalf("bare DeadlineExceeded mapped to %d, want 504", got)
+	}
+}
+
+// TestErrorKindsPerEndpoint: a failed stream files the same error kind
+// whichever endpoint ran it — a fuel exhaustion before any output, and a
+// client that hangs up after the first byte of a long decode.
+func TestErrorKindsPerEndpoint(t *testing.T) {
+	raw := testText(4 << 20)
+	enc := encodeDeflate(t, raw)
+	arc := buildArchive(t, map[string][]byte{"doc.txt": raw})
+	kinds := func(path string, body []byte) map[string]uint64 {
+		s := New(Config{MemSize: 16 << 20})
+		defer s.Close()
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		if resp, msg := post(t, ts.URL+path+"&fuel=1000", body); resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("%s under 1000 fuel: status %d: %s", path, resp.StatusCode, msg)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		req, err := http.NewRequestWithContext(ctx, "POST", ts.URL+path, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(resp.Body, make([]byte, 1)); err != nil {
+			t.Fatal(err)
+		}
+		cancel()
+		resp.Body.Close()
+		waitFor(t, 5*time.Second, path+": the abandoned stream to end", func() bool {
+			return s.Admission().Stats().InFlight == 0 && s.Cache().Outstanding() == 0
+		})
+		return s.MetricsSnapshot().ErrorKinds
+	}
+	want := map[string]uint64{"fuel exhausted": 1, "canceled": 1}
+	extract := kinds("/v1/extract?entry=doc.txt", arc)
+	decode := kinds("/v1/decode?codec=deflate", enc)
+	if !reflect.DeepEqual(extract, want) || !reflect.DeepEqual(decode, want) {
+		t.Fatalf("error kinds: /v1/extract %v, /v1/decode %v; want %v from both", extract, decode, want)
 	}
 }

@@ -922,10 +922,6 @@ func StatusFor(err error) int {
 		return http.StatusBadRequest
 	case errors.Is(err, errNotFound):
 		return http.StatusNotFound
-	case errors.As(err, new(*codec.DecodeError)):
-		// Raw-stream decode failures (/v1/decode) that bypassed the
-		// archive layer's classification.
-		return http.StatusUnprocessableEntity
 	case errors.As(err, new(*http.MaxBytesError)):
 		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, context.Canceled):
@@ -1048,40 +1044,47 @@ func (s *Server) reader(w http.ResponseWriter, r *http.Request) (*core.Reader, e
 	return cr, nil
 }
 
-// countWriter tracks decoded bytes streamed to the client and pins the
-// first write error (a severed client connection — or, under chaos
-// testing, an injected response-write fault, which simulates exactly
-// that). With sp set it also attributes write time to the span's write
-// stage — only the raw-stream decode path sets it; archive extraction
-// is timed by the core layer's own writer, and double counting would
-// overstate the stage.
-type countWriter struct {
-	w   http.ResponseWriter
-	sp  *obs.Span
-	n   int64
-	err error
-}
+// responseBody is the response writer as decode streams see it: under
+// chaos testing a write may fail with an injected response-write fault,
+// which simulates a severed client connection.
+type responseBody struct{ w http.ResponseWriter }
 
-func (c *countWriter) Write(p []byte) (int, error) {
+func (b responseBody) Write(p []byte) (int, error) {
 	if err := fault.Inject(fault.ResponseWrite); err != nil {
-		if c.err == nil {
-			c.err = err
-		}
 		return 0, err
 	}
-	var start time.Time
-	if c.sp != nil {
-		start = time.Now()
+	return b.w.Write(p)
+}
+
+// admitDecoder is the gate in front of every decode stream: a
+// quarantined decoder fails fast right here (no queue wait, no VM
+// lease), and a snapshot miss marks the request cold, the first tier
+// shed under load. hasDecoder false (a stored entry) admits warm.
+func (s *Server) admitDecoder(r *http.Request, name string, hash [32]byte, mode uint32, hasDecoder bool) (release func(), err error) {
+	if !hasDecoder {
+		return s.admit(r, false)
 	}
-	n, err := c.w.Write(p)
-	if c.sp != nil {
-		c.sp.Add(obs.StageWrite, time.Since(start))
+	if qerr := s.cache.CheckQuarantine(hash); qerr != nil {
+		return nil, &core.Error{Kind: core.KindQuarantined, Entry: name, Trap: qerr}
 	}
-	c.n += int64(n)
-	if err != nil && c.err == nil {
-		c.err = err
+	return s.admit(r, !s.cache.Contains(hash, mode))
+}
+
+// failStream ends a decode stream that failed after n bytes reached the
+// client. With nothing sent it is an ordinary error response. Otherwise
+// the 200 is already out: the error kind is counted and the stream is
+// cut short so the truncation is visible (the middleware files it under
+// the truncated-streams counter).
+func (s *Server) failStream(w http.ResponseWriter, n int64, err error) {
+	if n == 0 {
+		s.fail(w, err)
+		return
 	}
-	return n, err
+	s.noteErrorKind(err)
+	if fl, ok := w.(http.Flusher); ok {
+		fl.Flush()
+	}
+	panic(http.ErrAbortHandler)
 }
 
 // ---------- endpoints ----------
@@ -1159,24 +1162,12 @@ func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-
-	// Resolve the entry's decoder content hash before admission: a
-	// quarantined decoder fails fast right here — no queue wait, no VM
-	// lease — and a snapshot miss marks the request cold, the first
-	// tier shed under load.
-	cold := false
-	if hash, ok, herr := cr.DecoderHash(entry); herr != nil {
-		s.fail(w, herr)
+	hash, ok, err := cr.DecoderHash(entry)
+	if err != nil {
+		s.fail(w, err)
 		return
-	} else if ok {
-		if qerr := s.cache.CheckQuarantine(hash); qerr != nil {
-			s.fail(w, &core.Error{Kind: core.KindQuarantined, Entry: entry.Name, Trap: qerr})
-			return
-		}
-		cold = !s.cache.Contains(hash, entry.Mode)
 	}
-
-	release, err := s.admit(r, cold)
+	release, err := s.admitDecoder(r, entry.Name, hash, entry.Mode, ok)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -1184,26 +1175,14 @@ func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	w.Header().Set("Content-Type", "application/octet-stream")
-	cw := &countWriter{w: w}
 	// The request's own context drives the decode: a client that
 	// disconnects mid-stream cancels the guest at its next block
 	// boundary, and the VM goes back to the shared pool immediately
 	// instead of decoding for a reader that is gone.
-	_, err = cr.ExtractTo(r.Context(), entry, cw, s.extractOptions(r, fuel)...)
-	s.bytesOut.Add(uint64(cw.n))
+	n, err := cr.ExtractTo(r.Context(), entry, responseBody{w}, s.extractOptions(r, fuel)...)
+	s.bytesOut.Add(uint64(n))
 	if err != nil {
-		if cw.n == 0 {
-			s.fail(w, err)
-			return
-		}
-		// Decoded bytes already reached the client under a 200: all we
-		// can do is cut the stream short so the truncation is visible.
-		// The middleware files it under the truncated-streams counter.
-		s.noteErrorKind(err)
-		if fl, ok := w.(http.Flusher); ok {
-			fl.Flush()
-		}
-		panic(http.ErrAbortHandler)
+		s.failStream(w, n, err)
 	}
 }
 
@@ -1408,14 +1387,8 @@ func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Built-in decoders get the same containment as archived ones: a
-	// quarantined codec fails fast pre-admission, and a snapshot miss
-	// rides the cold tier.
-	if qerr := s.cache.CheckQuarantine(hash); qerr != nil {
-		s.fail(w, &core.Error{Kind: core.KindQuarantined, Entry: name, Trap: qerr})
-		return
-	}
-	release, err := s.admit(r, !s.cache.Contains(hash, decodeMode))
+	// Built-in decoders get the same containment as archived ones.
+	release, err := s.admitDecoder(r, name, hash, decodeMode, true)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -1432,51 +1405,12 @@ func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	sp := obs.SpanFrom(r.Context())
-	cw := &countWriter{w: w, sp: sp}
+	cw := &obs.CountWriter{W: responseBody{w}, Span: obs.SpanFrom(r.Context())}
 	var diag bytes.Buffer
-	st0 := lease.VM().Stats()
-	reusable, err := lease.VM().RunStream(r.Context(), bytes.NewReader(payload), cw, &diag, fuel)
-	st1 := lease.VM().Stats()
-	sp.Add(obs.StageTranslate, time.Duration(st1.TranslateNS-st0.TranslateNS))
-	sp.Add(obs.StageExecute, time.Duration(st1.ExecuteNS-st0.ExecuteNS))
-	s.bytesOut.Add(uint64(cw.n))
+	code, err := lease.Run(r.Context(), bytes.NewReader(payload), cw, &diag, fuel)
+	s.bytesOut.Add(uint64(cw.N))
 	if err != nil {
-		switch {
-		case vm.IsCanceled(err):
-			// The client is gone; reset the VM to pristine and park it.
-			lease.ReleaseReset()
-			panic(http.ErrAbortHandler)
-		case vm.IsWatchdog(err):
-			// Wall-clock kill: the VM rewinds clean; the kill counts
-			// against the codec's breaker.
-			s.cache.Report(hash, vmpool.OutcomeWatchdog)
-			lease.ReleaseReset()
-			if cw.n == 0 {
-				s.fail(w, &core.Error{Kind: core.KindDeadline, Entry: name, Trap: err})
-				return
-			}
-			panic(http.ErrAbortHandler)
-		case cw.err != nil && errors.Is(cw.err, fault.ErrInjected):
-			// An injected response-write fault severed the stream from
-			// the host side — the guest only saw EIO. Not the decoder's
-			// fault; same containment as a vanished client.
-			lease.ReleaseReset()
-			if cw.n == 0 {
-				s.fail(w, &core.Error{Kind: core.KindCanceled, Entry: name, Trap: cw.err})
-				return
-			}
-			panic(http.ErrAbortHandler)
-		}
-		s.cache.Report(hash, vmpool.OutcomeFor(err))
-		de := codec.ClassifyDecodeError(name, err, lease.VM().ExitCode(), diag.String())
-		lease.Release(false)
-		if cw.n == 0 {
-			s.fail(w, de)
-			return
-		}
-		panic(http.ErrAbortHandler)
+		err = codec.ClassifyDecodeError(name, err, code, diag.String())
+		s.failStream(w, cw.N, core.ClassifyDecode(name, err, r.Context().Err()))
 	}
-	s.cache.Report(hash, vmpool.OutcomeOK)
-	lease.Release(reusable)
 }

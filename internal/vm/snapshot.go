@@ -519,3 +519,12 @@ func (v *VM) SetFuel(n int64) { v.m.Fuel = n }
 // consumer (the archive reader, vxrun, the benchmarks) budgets through
 // this one function so the policy cannot silently diverge.
 func StreamFuel(n int) int64 { return int64(n)*4096 + 1<<30 }
+
+// FuelFor is the budget for one stream of an n-byte payload under c:
+// c.Fuel when set, StreamFuel(n) otherwise.
+func (c Config) FuelFor(n int) int64 {
+	if c.Fuel != 0 {
+		return c.Fuel
+	}
+	return StreamFuel(n)
+}

@@ -11,14 +11,15 @@
 //     attributes is never resumed: it is first rewound to the pristine
 //     snapshot, so no decoder state can leak between protection domains.
 //
-// Get hands out a Lease; the caller runs exactly one stream on the
-// leased VM and returns it with Release. The pool never runs guest code
-// itself.
+// Get hands out a Lease; Lease.Run runs exactly one stream on the leased
+// VM and hands the VM back by the one policy every caller shares.
 package vmpool
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"sync"
 	"time"
@@ -114,15 +115,19 @@ func New(opts Options) *Pool {
 }
 
 // Lease is one checked-out VM. The holder runs exactly one stream on it
-// and must call Release exactly once: Release(true) for a VM parked at
-// the done gate, Release(false) for one that trapped or exited.
+// with Run, which ends the lease. A lease that runs no stream ends with
+// Release; ending a lease twice is a no-op.
 type Lease struct {
-	p        *Pool
+	p        *Pool // nil for a Fresh lease
 	v        *vm.VM
 	key      Key
 	stats0   vm.Stats // VM counters at checkout, for the release delta
 	pristine bool
 	done     bool
+	// cache and hash route the stream's outcome to the decoder's breaker
+	// (set by SnapCache.Get; a private pool has no breaker).
+	cache *SnapCache
+	hash  [32]byte
 }
 
 // VM returns the leased machine.
@@ -140,6 +145,103 @@ func (l *Lease) Pristine() bool { return l.pristine }
 // installed from the snapshot.
 func newLease(p *Pool, v *vm.VM, key Key, pristine bool, stats0 vm.Stats) *Lease {
 	return &Lease{p: p, v: v, key: key, stats0: stats0, pristine: pristine}
+}
+
+// Fresh builds a VM from a decoder executable for one stream with no
+// pool behind it: the cold path. The build is the span's snapshot stage;
+// Run drops the VM when the stream ends.
+func Fresh(ctx context.Context, elf []byte, cfg vm.Config) (*Lease, error) {
+	start := time.Now()
+	v, err := elf32.NewVM(elf, cfg)
+	obs.SpanFrom(ctx).Add(obs.StageSnapshot, time.Since(start))
+	if err != nil {
+		return nil, err
+	}
+	return &Lease{v: v, pristine: true}, nil
+}
+
+// Run runs one stream on the leased VM (in to out, diagnostics to
+// stderr, under an absolute budget of fuel instructions) and ends the
+// lease. It returns the stream's error and the guest's exit code, read
+// before the VM goes back, and records the stream's translate/execute
+// split on the context's span. How the VM goes back is the §2.4 policy,
+// decided here for every stream:
+//
+//	stream ended by      health report     VM
+//	cancellation         none              rewound (ReleaseReset)
+//	watchdog kill        OutcomeWatchdog   rewound
+//	injected fault       none              rewound
+//	any other error      OutcomeFor(err)   dropped (Release(false))
+//	success              OutcomeOK         parked if at the done gate
+//
+// A stream the host cut short thus never leaves partial-stream state
+// for the next one. With fault injection armed, payload reads may fail
+// and injected write faults are noticed; either outranks the guest
+// failure it provokes (the guest sees only a virtual EIO) and is the
+// error returned.
+func (l *Lease) Run(ctx context.Context, in io.Reader, out, stderr io.Writer, fuel int64) (exitCode int32, err error) {
+	v := l.v
+	var fr *fault.Reader
+	var fw *faultWrites
+	if fault.Armed() {
+		fr, fw = fault.NewReader(in), &faultWrites{w: out}
+		in, out = fr, fw
+	}
+	st0 := v.Stats()
+	reusable, err := v.RunStream(ctx, in, out, stderr, fuel)
+	st1 := v.Stats()
+	sp := obs.SpanFrom(ctx)
+	sp.Add(obs.StageTranslate, time.Duration(st1.TranslateNS-st0.TranslateNS))
+	sp.Add(obs.StageExecute, time.Duration(st1.ExecuteNS-st0.ExecuteNS))
+	if err != nil && fr != nil {
+		if fr.Err() != nil {
+			err = fr.Err()
+		} else if fw.err != nil {
+			err = fw.err
+		}
+	}
+	exitCode = v.ExitCode()
+	switch {
+	case err == nil:
+		l.report(OutcomeOK)
+		l.Release(reusable)
+	case vm.IsCanceled(err) || ctx.Err() != nil || errors.Is(err, fault.ErrInjected):
+		l.ReleaseReset()
+	case vm.IsWatchdog(err):
+		// Stopped at a block boundary with its state intact: the rewind
+		// returns the VM undamaged, but the kill indicts the decoder.
+		l.report(OutcomeWatchdog)
+		l.ReleaseReset()
+	default:
+		// Traps and fuel count against the decoder; a nonzero exit is
+		// routinely payload-driven and does not (see OutcomeFor).
+		l.report(OutcomeFor(err))
+		l.Release(false)
+	}
+	return exitCode, err
+}
+
+// report files the stream's outcome with the decoder's breaker.
+func (l *Lease) report(o Outcome) {
+	if l.cache != nil {
+		l.cache.Report(l.hash, o)
+	}
+}
+
+// faultWrites keeps the first injected fault a write returned: the
+// guest sees only a virtual EIO, so this is how Run learns that the host
+// side cut the stream.
+type faultWrites struct {
+	w   io.Writer
+	err error
+}
+
+func (f *faultWrites) Write(p []byte) (int, error) {
+	n, err := f.w.Write(p)
+	if f.err == nil && errors.Is(err, fault.ErrInjected) {
+		f.err = err
+	}
+	return n, err
 }
 
 // Seed installs a prebuilt pristine snapshot for codec, as if the first
@@ -318,19 +420,26 @@ func (p *Pool) GetScoped(ctx context.Context, codec string, mode uint32, scope u
 	return newLease(p, cs.snap.NewVM(), key, true, vm.Stats{}), nil
 }
 
+// detach ends the lease and unhooks the VM's I/O streams. It reports
+// whether there is a pool to hand the VM back to: false for a lease
+// already ended and for a Fresh one, whose VM is simply dropped.
+func (l *Lease) detach() bool {
+	if l.done {
+		return false
+	}
+	l.done = true
+	l.v.Stdin, l.v.Stdout, l.v.Stderr = nil, nil, nil
+	return l.p != nil
+}
+
 // Release returns the leased VM to the pool. reusable says the stream
 // ended with the done gate and the VM is parked, ready for another
 // stream; a VM that trapped or exited is not reusable and is dropped.
-// The VM's I/O streams are detached either way.
 func (l *Lease) Release(reusable bool) {
-	if l.done {
+	if !l.detach() {
 		return
 	}
-	l.done = true
-	v := l.v
-	v.Stdin, v.Stdout, v.Stderr = nil, nil, nil
-
-	p := l.p
+	v, p := l.v, l.p
 	defer p.releaseSlot()
 	// Returning a warmed-up VM: fold its translation cache into the
 	// snapshot so every future build/reset starts warm. Done on the
@@ -374,14 +483,10 @@ func (l *Lease) Release(reusable bool) {
 // image re-allocations. A VM that cannot be reset (no snapshot, size
 // mismatch) is dropped.
 func (l *Lease) ReleaseReset() {
-	if l.done {
+	if !l.detach() {
 		return
 	}
-	l.done = true
-	v := l.v
-	v.Stdin, v.Stdout, v.Stderr = nil, nil, nil
-
-	p := l.p
+	v, p := l.v, l.p
 	defer p.releaseSlot()
 	p.mu.Lock()
 	cs := p.codec[l.key.Codec]

@@ -247,7 +247,12 @@ func (c *SnapCache) Get(ctx context.Context, hash [32]byte, mode uint32, scope u
 		c.mu.Unlock()
 		return nil, e.err
 	}
-	return e.pool.GetScoped(ctx, poolKey(hash), mode, scope, nil)
+	l, err := e.pool.GetScoped(ctx, poolKey(hash), mode, scope, nil)
+	if err != nil {
+		return nil, err
+	}
+	l.cache, l.hash = c, hash
+	return l, nil
 }
 
 // NextScope returns a fresh trust-scope token for SnapCache.Get. Each
