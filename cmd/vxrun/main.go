@@ -135,17 +135,12 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		var out, diag bytes.Buffer
+		var out bytes.Buffer
 		sctx, sp := obs.WithSpan(ctx)
-		lease, err := vmpool.Fresh(sctx, elf, cfg)
+		st, err := codec.RunDecoderELFToStats(sctx, name, elf, bytes.NewReader(input), int64(len(input)), &out, cfg)
 		if err != nil {
 			fatal(err)
 		}
-		code, err := lease.Run(sctx, bytes.NewReader(input), &out, &diag, cfg.FuelFor(len(input)))
-		if err != nil {
-			fatal(codec.ClassifyDecodeError(name, err, code, diag.String()))
-		}
-		st := lease.VM().Stats()
 		if _, err := os.Stdout.Write(out.Bytes()); err != nil {
 			fatal(err)
 		}

@@ -7,9 +7,9 @@ import (
 	"fmt"
 	"io"
 
-	"vxa/internal/elf32"
 	"vxa/internal/fault"
 	"vxa/internal/vm"
+	"vxa/internal/vmpool"
 )
 
 // DecodeError reports that a VXA decoder failed on a stream: either it
@@ -56,20 +56,21 @@ func RunDecoderELF(name string, elfBytes, input []byte, cfg vm.Config) ([]byte, 
 }
 
 // RunDecoderELFToStats is RunDecoderELF streaming both sides, in a fresh
-// VM with no pool or span behind it: the encoded input is read from r
-// (payloadLen sizes the fuel budget, vm.Config.FuelFor) and the decoded
-// output streams to w; on a decode error, partial output may already
-// have been written. ctx cancels the run cooperatively. It returns the
-// VM's execution statistics after the run, valid even when the decode
-// failed, for callers that report on the translation engine.
+// VM with no pool behind it (vmpool.Fresh): the encoded input is read
+// from r (payloadLen sizes the fuel budget, vm.Config.FuelFor) and the
+// decoded output streams to w; on a decode error, partial output may
+// already have been written. ctx cancels the run cooperatively, and its
+// span, if any, gets the build and the translate/execute split. It
+// returns the VM's execution statistics after the run, valid even when
+// the decode failed, for callers that report on the translation engine.
 func RunDecoderELFToStats(ctx context.Context, name string, elfBytes []byte, r io.Reader, payloadLen int64, w io.Writer, cfg vm.Config) (vm.Stats, error) {
-	v, err := elf32.NewVM(elfBytes, cfg)
+	lease, err := vmpool.Fresh(ctx, elfBytes, cfg)
 	if err != nil {
 		return vm.Stats{}, err
 	}
 	var diag bytes.Buffer
-	_, err = v.RunStream(ctx, r, w, &diag, cfg.FuelFor(int(payloadLen)))
-	return v.Stats(), ClassifyDecodeError(name, err, v.ExitCode(), diag.String())
+	code, err := lease.Run(ctx, r, w, &diag, cfg.FuelFor(int(payloadLen)))
+	return lease.VM().Stats(), ClassifyDecodeError(name, err, code, diag.String())
 }
 
 // ClassifyDecodeError wraps a failed stream as a DecodeError per the

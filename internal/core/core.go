@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"vxa/internal/codec"
+	"vxa/internal/fault"
 	"vxa/internal/obs"
 	"vxa/internal/vm"
 	"vxa/internal/vmpool"
@@ -782,8 +783,9 @@ func (r *Reader) PoolStats() vmpool.Stats {
 }
 
 // PoolOutstanding reports how many decoder-VM leases this Reader holds
-// in flight — whether they come from its private pool or from a shared
-// SnapCache (zero before the first pooled extraction). After every
+// in flight — whether they come from its private pool, from a shared
+// SnapCache or are VMs built fresh for one stream (zero before the
+// first VXA extraction). After every
 // extraction call — including canceled ones — has returned, this is 0:
 // cancellation resets and returns VMs, it never leaks them.
 func (r *Reader) PoolOutstanding() int {
@@ -867,7 +869,13 @@ func (r *Reader) runArchivedDecoder(ctx context.Context, e *Entry, payload *io.S
 		r.noteReinit()
 	}
 	// Diagnostics stream to opts.Verbose live rather than being captured.
-	code, err := lease.Run(ctx, payload, out, opts.Verbose, opts.VM.FuelFor(int(payload.Size())))
+	// With injection armed, payload reads pass through the ArchiveRead
+	// point; Run reports an injected read fault over the guest's EIO.
+	var in io.Reader = payload
+	if fault.Armed() {
+		in = fault.NewReader(payload)
+	}
+	code, err := lease.Run(ctx, in, out, opts.Verbose, opts.VM.FuelFor(int(payload.Size())))
 	return codec.ClassifyDecodeError(e.Codec, err, code, "")
 }
 

@@ -1,0 +1,13 @@
+package vmpool
+
+import "vxa/internal/vm"
+
+// SnapshotOf returns the pristine snapshot the pool holds for codec. It
+// exists for the tests that decode with the built-in codecs: those live
+// in package vmpool_test, since package codec runs its one-shot decodes
+// on this package.
+func (p *Pool) SnapshotOf(codec string) *vm.Snapshot {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.codec[codec].snap
+}

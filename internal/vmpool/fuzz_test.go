@@ -1,4 +1,4 @@
-package vmpool
+package vmpool_test
 
 import (
 	"bytes"
@@ -9,6 +9,7 @@ import (
 
 	"vxa/internal/codec"
 	"vxa/internal/vm"
+	"vxa/internal/vmpool"
 
 	_ "vxa/internal/codec/deflate"
 )
@@ -17,7 +18,7 @@ import (
 // fuzz executions, like a long-running extraction service would.
 var (
 	fuzzPoolOnce sync.Once
-	fuzzPool     *Pool
+	fuzzPool     *vmpool.Pool
 	fuzzElf      []byte
 	fuzzErr      error
 )
@@ -31,7 +32,7 @@ func fuzzSetup() {
 		fuzzElf, fuzzErr = c.DecoderELF()
 		// A small guest keeps per-execution cost down; the deflate
 		// decoder fits comfortably.
-		fuzzPool = New(Options{VM: vm.Config{MemSize: 8 << 20}})
+		fuzzPool = vmpool.New(vmpool.Options{VM: vm.Config{MemSize: 8 << 20}})
 	})
 }
 

@@ -175,17 +175,16 @@ func Fresh(ctx context.Context, elf []byte, cfg vm.Config) (*Lease, error) {
 //	success              OutcomeOK         parked if at the done gate
 //
 // A stream the host cut short thus never leaves partial-stream state
-// for the next one. With fault injection armed, payload reads may fail
-// and injected write faults are noticed; either outranks the guest
-// failure it provokes (the guest sees only a virtual EIO) and is the
-// error returned.
+// for the next one. An injected fault the guest saw only as a virtual
+// EIO outranks the guest failure it provoked and is the error returned:
+// a read fault when in is a fault.Reader (the caller's archive payload),
+// a write fault while injection is armed.
 func (l *Lease) Run(ctx context.Context, in io.Reader, out, stderr io.Writer, fuel int64) (exitCode int32, err error) {
 	v := l.v
-	var fr *fault.Reader
-	var fw *faultWrites
+	var cw *obs.CountWriter
 	if fault.Armed() {
-		fr, fw = fault.NewReader(in), &faultWrites{w: out}
-		in, out = fr, fw
+		cw = &obs.CountWriter{W: out}
+		out = cw
 	}
 	st0 := v.Stats()
 	reusable, err := v.RunStream(ctx, in, out, stderr, fuel)
@@ -193,11 +192,11 @@ func (l *Lease) Run(ctx context.Context, in io.Reader, out, stderr io.Writer, fu
 	sp := obs.SpanFrom(ctx)
 	sp.Add(obs.StageTranslate, time.Duration(st1.TranslateNS-st0.TranslateNS))
 	sp.Add(obs.StageExecute, time.Duration(st1.ExecuteNS-st0.ExecuteNS))
-	if err != nil && fr != nil {
-		if fr.Err() != nil {
+	if err != nil {
+		if fr, ok := in.(*fault.Reader); ok && fr.Err() != nil {
 			err = fr.Err()
-		} else if fw.err != nil {
-			err = fw.err
+		} else if cw != nil && errors.Is(cw.Err, fault.ErrInjected) {
+			err = cw.Err
 		}
 	}
 	exitCode = v.ExitCode()
@@ -226,22 +225,6 @@ func (l *Lease) report(o Outcome) {
 	if l.cache != nil {
 		l.cache.Report(l.hash, o)
 	}
-}
-
-// faultWrites keeps the first injected fault a write returned: the
-// guest sees only a virtual EIO, so this is how Run learns that the host
-// side cut the stream.
-type faultWrites struct {
-	w   io.Writer
-	err error
-}
-
-func (f *faultWrites) Write(p []byte) (int, error) {
-	n, err := f.w.Write(p)
-	if f.err == nil && errors.Is(err, fault.ErrInjected) {
-		f.err = err
-	}
-	return n, err
 }
 
 // Seed installs a prebuilt pristine snapshot for codec, as if the first

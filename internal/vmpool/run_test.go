@@ -88,6 +88,7 @@ func TestLeaseRun(t *testing.T) {
 		cancel   bool          // run under an already-canceled context
 		armed    bool          // inject arm's fault at rate 1
 		arm      fault.Point
+		body     bool // input is a plain reader, not an archive payload
 		exitCode int32
 		errIs    func(error) bool
 		// After the run: the pool counters, idle VMs, and (SnapCache
@@ -108,6 +109,8 @@ func TestLeaseRun(t *testing.T) {
 			fails: FailureCounts{Watchdog: 1}, tracked: 1, errIs: vm.IsWatchdog},
 		{name: "read fault", src: strictSrc, armed: true, arm: fault.ArchiveRead, resets: 1, idle: 1, tracked: 1,
 			exitCode: 7, errIs: func(err error) bool { return errors.Is(err, fault.ErrInjected) }},
+		{name: "body read", src: strictSrc, armed: true, arm: fault.ArchiveRead, body: true, idle: 1,
+			errIs: func(err error) bool { return err == nil }},
 		{name: "write fault", src: echoSrc, armed: true, arm: fault.ResponseWrite, resets: 1, idle: 1, tracked: 1,
 			exitCode: 102, errIs: func(err error) bool { return errors.Is(err, fault.ErrInjected) }},
 		{name: "trap", src: trapSrc, discards: 1, fails: FailureCounts{Traps: 1}, tracked: 1,
@@ -157,8 +160,14 @@ func TestLeaseRun(t *testing.T) {
 				if fuel == 0 {
 					fuel = vm.StreamFuel(len(payload))
 				}
+				// Only an archive payload, wrapped as core wraps it,
+				// passes through the ArchiveRead point.
+				var in io.Reader = bytes.NewReader(payload)
+				if !row.body {
+					in = fault.NewReader(in)
+				}
 				var out bytes.Buffer
-				code, err := l.Run(ctx, bytes.NewReader(payload), faultingOut{&out}, nil, fuel)
+				code, err := l.Run(ctx, in, faultingOut{&out}, nil, fuel)
 				fault.Disarm()
 				if !row.errIs(err) {
 					t.Fatalf("Run error = %v", err)
@@ -166,7 +175,7 @@ func TestLeaseRun(t *testing.T) {
 				if code != row.exitCode {
 					t.Fatalf("exit code = %d, want %d", code, row.exitCode)
 				}
-				if row.name == "success" && !bytes.Equal(out.Bytes(), payload) {
+				if row.errIs(nil) && !bytes.Equal(out.Bytes(), payload) {
 					t.Fatalf("output %q, want %q", out.Bytes(), payload)
 				}
 				l.Release(true) // ending an ended lease is a no-op

@@ -1,4 +1,4 @@
-package vmpool
+package vmpool_test
 
 import (
 	"bytes"
@@ -12,6 +12,7 @@ import (
 	"vxa/internal/corpus"
 	"vxa/internal/elf32"
 	"vxa/internal/vm"
+	"vxa/internal/vmpool"
 	"vxa/internal/wav"
 
 	_ "vxa/internal/codec/adpcm"
@@ -135,8 +136,8 @@ func TestPooledStreamIsPureFunction(t *testing.T) {
 			got.check(t, "fresh VM, tier hot, short of fuel", wantTrap)
 
 			for _, n := range resets {
-				p := New(Options{VM: cfg})
-				get := func(i int) *Lease {
+				p := vmpool.New(vmpool.Options{VM: cfg})
+				get := func(i int) *vmpool.Lease {
 					l, err := p.Get(context.Background(), c.Name, uint32(0600+i%2), func() ([]byte, error) { return elf, nil })
 					if err != nil {
 						t.Fatal(err)
@@ -169,7 +170,7 @@ func TestPooledStreamIsPureFunction(t *testing.T) {
 				// The artifact route: the warmed snapshot through its wire
 				// form. Superblocks travel, code does not; the loaded VM
 				// recompiles and relinks, and must not be told apart.
-				data, err := p.codec[c.Name].snap.Serialize()
+				data, err := p.SnapshotOf(c.Name).Serialize()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -203,7 +204,7 @@ func TestReleaseAbsorbsLaterStreams(t *testing.T) {
 	if err := c.Encode(&enc, corpus.Text(16<<10, 9)); err != nil {
 		t.Fatal(err)
 	}
-	p := New(Options{VM: vm.Config{MemSize: 64 << 20, OptLevel: vm.OptTier2}})
+	p := vmpool.New(vmpool.Options{VM: vm.Config{MemSize: 64 << 20, OptLevel: vm.OptTier2}})
 	// stream runs one stream under mode and returns how many traces it
 	// compiled.
 	stream := func(mode uint32) uint64 {
@@ -226,7 +227,7 @@ func TestReleaseAbsorbsLaterStreams(t *testing.T) {
 	if compiled == 0 {
 		t.Fatal("the decoder compiled no trace")
 	}
-	snap := p.codec["deflate"].snap
+	snap := p.SnapshotOf("deflate")
 	published := snap.T2Count()
 	if published == 0 {
 		t.Fatal("no trace reached the snapshot")
