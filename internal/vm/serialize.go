@@ -526,7 +526,7 @@ func decodeBlock(c *decCursor, s *Snapshot) (uint32, *block, error) {
 	}
 	b.uops = make([]uop.Uop, nUops)
 	for i := range b.uops {
-		if err := decodeUop(c, &b.uops[i], b.insts); err != nil {
+		if err := decodeUop(c, &b.uops[i], b.insts, nil); err != nil {
 			return 0, nil, err
 		}
 	}
@@ -563,7 +563,7 @@ func decodeSB(c *decCursor, s *Snapshot, eips map[uint32]*x86.Inst) (uint32, *sb
 	}
 	b.uops = make([]uop.Uop, nUops)
 	for i := range b.uops {
-		if err := decodeSBUop(c, &b.uops[i], eips); err != nil {
+		if err := decodeUop(c, &b.uops[i], nil, eips); err != nil {
 			return 0, nil, err
 		}
 	}
@@ -584,60 +584,6 @@ func decodeSB(c *decCursor, s *Snapshot, eips map[uint32]*x86.Inst) (uint32, *sb
 		return 0, nil, fmt.Errorf("vm: snapshot decode: superblock %#x leaves the read-only window", addr)
 	}
 	return addr, &sbRecord{b: b, guards: guards, rets: rets}, nil
-}
-
-// decodeSBUop decodes one superblock micro-op: the layout of decodeUop
-// with the payload word carrying a has-payload marker resolved through
-// the block section's instruction addresses, and guard Aux bytes left
-// for renumbering rather than range-checked as registers.
-func decodeSBUop(c *decCursor, u *uop.Uop, eips map[uint32]*x86.Inst) error {
-	w := c.take(uopWireLen)
-	if w == nil {
-		return c.err
-	}
-	u.Kind = uop.Kind(w[0])
-	u.Sub = w[1]
-	u.Dst = w[2]
-	u.Src = w[3]
-	u.Dsh = w[4]
-	u.Ssh = w[5]
-	u.Base = w[6]
-	u.Idx = w[7]
-	u.Scale = w[8]
-	u.Aux = w[9]
-	u.Cost = w[10]
-	le := binary.LittleEndian
-	u.Imm = le.Uint32(w[12:])
-	u.Disp = le.Uint32(w[16:])
-	u.EIP = le.Uint32(w[20:])
-	u.Next = le.Uint32(w[24:])
-	u.Target = le.Uint32(w[28:])
-
-	if u.Kind > uop.KindGeneric {
-		return fmt.Errorf("vm: snapshot decode: unknown uop kind %d at eip %#x", u.Kind, u.EIP)
-	}
-	if u.Dst > uop.RegZero || u.Src > uop.RegZero || u.Base > uop.RegZero ||
-		u.Idx > uop.RegZero {
-		return fmt.Errorf("vm: snapshot decode: register slot out of range at eip %#x", u.EIP)
-	}
-	if !sbGuardKind(u.Kind) && u.Kind != uop.KindRetGuard && u.Aux > uop.RegZero {
-		return fmt.Errorf("vm: snapshot decode: register slot out of range at eip %#x", u.EIP)
-	}
-	switch le.Uint32(w[32:]) {
-	case 1:
-		in, ok := eips[u.EIP]
-		if !ok {
-			return fmt.Errorf("vm: snapshot decode: superblock payload at eip %#x not in block section", u.EIP)
-		}
-		u.Inst = in
-	case 0:
-		if u.Kind == uop.KindString || u.Kind == uop.KindGeneric {
-			return fmt.Errorf("vm: snapshot decode: escape uop without payload at eip %#x", u.EIP)
-		}
-	default:
-		return fmt.Errorf("vm: snapshot decode: bad superblock payload marker at eip %#x", u.EIP)
-	}
-	return nil
 }
 
 func decodeArg(c *decCursor, a *x86.Arg) {
@@ -671,7 +617,18 @@ func decodeInst(c *decCursor, in *x86.Inst) {
 	decodeArg(c, &in.Aux)
 }
 
-func decodeUop(c *decCursor, u *uop.Uop, insts []x86.Inst) error {
+// decodeUop decodes one micro-op of a block (insts, its instructions,
+// set; eips nil) or of a superblock (insts nil; eips set). The payload
+// word is an instruction index, or -1, in a block; in a superblock it is
+// a has-payload marker resolved through the block section's instruction
+// addresses. The executor indexes its jump table by Kind and the 9-slot
+// register file (RegZero included) by the register fields, and the
+// native emitter encodes the fields the kind's row names into host
+// instructions, so every one of them is held to its domain here: out of
+// range it would be memory corruption or foreign host code, not just a
+// wrong answer. A guard's Aux is a slot index formSuperblock's numbering
+// rewrites, not a register, and guards occur only in superblocks.
+func decodeUop(c *decCursor, u *uop.Uop, insts []x86.Inst, eips map[uint32]*x86.Inst) error {
 	w := c.take(uopWireLen)
 	if w == nil {
 		return c.err
@@ -694,27 +651,37 @@ func decodeUop(c *decCursor, u *uop.Uop, insts []x86.Inst) error {
 	u.Next = le.Uint32(w[24:])
 	u.Target = le.Uint32(w[28:])
 
-	// Structural validation: the executor indexes its jump table by
-	// Kind and the 9-slot register file (RegZero included) by the
-	// register fields, so out-of-range values here would be memory
-	// corruption, not just a wrong answer.
-	if u.Kind > uop.KindGeneric {
+	if int(u.Kind) >= len(uop.Kinds) {
 		return fmt.Errorf("vm: snapshot decode: unknown uop kind %d at eip %#x", u.Kind, u.EIP)
 	}
+	r := &uop.Kinds[u.Kind]
+	slot := r.Guard || u.Kind == uop.KindRetGuard
+	if slot && insts != nil {
+		return fmt.Errorf("vm: snapshot decode: %s outside a superblock at eip %#x", u.Kind, u.EIP)
+	}
 	if u.Dst > uop.RegZero || u.Src > uop.RegZero || u.Base > uop.RegZero ||
-		u.Idx > uop.RegZero || u.Aux > uop.RegZero {
+		u.Idx > uop.RegZero || !slot && u.Aux > uop.RegZero {
 		return fmt.Errorf("vm: snapshot decode: register slot out of range at eip %#x", u.EIP)
 	}
-	idx := int32(le.Uint32(w[32:]))
+	if f := u.BadField(); f != "" {
+		return fmt.Errorf("vm: snapshot decode: %s out of range for %s at eip %#x", f, u.Kind, u.EIP)
+	}
+	p := le.Uint32(w[32:])
 	switch {
-	case idx >= 0 && int(idx) < len(insts):
-		u.Inst = &insts[idx]
-	case idx == -1:
-		if u.Kind == uop.KindString || u.Kind == uop.KindGeneric {
+	case insts != nil && int32(p) >= 0 && int(p) < len(insts):
+		u.Inst = &insts[p]
+	case insts == nil && p == 1:
+		in, ok := eips[u.EIP]
+		if !ok {
+			return fmt.Errorf("vm: snapshot decode: superblock payload at eip %#x not in block section", u.EIP)
+		}
+		u.Inst = in
+	case insts != nil && p == 0xFFFFFFFF, insts == nil && p == 0:
+		if r.Escape {
 			return fmt.Errorf("vm: snapshot decode: escape uop without payload at eip %#x", u.EIP)
 		}
 	default:
-		return fmt.Errorf("vm: snapshot decode: uop payload index %d out of range", idx)
+		return fmt.Errorf("vm: snapshot decode: uop payload word %d out of range at eip %#x", p, u.EIP)
 	}
 	return nil
 }

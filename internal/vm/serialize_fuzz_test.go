@@ -67,14 +67,33 @@ func decoderArtifacts(tb testing.TB) [][]byte {
 	return out
 }
 
+// TestDecoderArtifactsLoad: the loader refuses operand values out of
+// their domains, and no real artifact holds one — a refused artifact
+// would send a restarted shard back to translating.
+func TestDecoderArtifactsLoad(t *testing.T) {
+	for i, data := range decoderArtifacts(t) {
+		s, err := vm.Deserialize(data)
+		if err != nil {
+			t.Fatalf("artifact %d: %v", i, err)
+		}
+		if s.SBCount() == 0 {
+			t.Fatalf("artifact %d holds no superblock", i)
+		}
+	}
+}
+
 // FuzzDeserialize feeds the snapshot parser mutations of six real
 // artifacts. Its input comes from a directory other processes write, and
-// what it accepts is copied into guest memory by offset and indexed into
-// by the executor, so: no payload may panic it, and one it accepts must
-// materialize a VM and a reset without a fault (every extent inside the
-// address space) and serialize again into a payload it accepts. The
-// micro-ops' semantic content is the artifact checksum's to guard, not
-// the parser's, so accepted payloads are not run.
+// what it accepts is copied into guest memory by offset, indexed into by
+// the executor and encoded into host instructions by the native emitter,
+// so: no payload may panic it, and one it accepts must materialize a VM
+// and a reset without a fault (every extent inside the address space),
+// compile every superblock without a panic (where the host has an
+// emitter) and serialize again into a payload it accepts. The seeds under
+// testdata are two payloads the loader once accepted and the emitter
+// could not take: a compare guard whose condition code was 0x20, which
+// came out as a jcc opcode byte of 0xA0 (push fs), and an AluRR whose
+// AluOp was 9, past the emitter's table.
 func FuzzDeserialize(f *testing.F) {
 	for _, data := range decoderArtifacts(f) {
 		f.Add(data)
@@ -91,6 +110,7 @@ func FuzzDeserialize(f *testing.F) {
 		if err := v.Reset(s); err != nil {
 			t.Fatal(err)
 		}
+		vm.CompileSuperblocks(s)
 		again, err := s.Serialize()
 		if err != nil {
 			t.Fatal(err)

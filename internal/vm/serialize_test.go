@@ -3,8 +3,13 @@ package vm
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"strings"
 	"testing"
+
+	"vxa/internal/vm/uop"
+	"vxa/internal/x86"
+	"vxa/internal/x86/asm"
 )
 
 // warmSnapshot builds the counter program, runs one stream to populate
@@ -245,5 +250,98 @@ func TestDeserializeRejectsSuperblockCost(t *testing.T) {
 	}
 	if _, err := Deserialize(data); err == nil {
 		t.Fatal("a superblock whose recorded cost is not its micro-ops' sum decoded cleanly")
+	}
+}
+
+// hotLoopProgram runs a loop of two blocks — an add, a test and branch,
+// a xor on one side — 64 times and stops: hot enough for a superblock
+// that holds a fused compare guard and a register ALU op.
+func hotLoopProgram(u *asm.Unit) {
+	u.Label("start")
+	u.Op2(x86.MOV, x86.R(x86.ECX), x86.I(0))
+	u.Label("loop")
+	u.Op2(x86.ADD, x86.R(x86.EAX), x86.R(x86.ECX))
+	u.Op2(x86.TEST, x86.R(x86.ECX), x86.I(1))
+	u.Jcc(x86.CCE, "skip")
+	u.Op2(x86.XOR, x86.R(x86.EAX), x86.I(5))
+	u.Label("skip")
+	u.Op1(x86.INC, x86.R(x86.ECX))
+	u.Op2(x86.CMP, x86.R(x86.ECX), x86.I(64))
+	u.Jcc(x86.CCL, "loop")
+	u.Op2(x86.MOV, x86.R(x86.EAX), x86.I(SysDone))
+	u.Op1(x86.INT, x86.Arg{Kind: x86.KindImm, Imm: 0x80, Size: 1})
+}
+
+// hotLoopSnapshot is hotLoopProgram's pristine snapshot with the blocks
+// and superblocks of one stream absorbed.
+func hotLoopSnapshot(t *testing.T) *Snapshot {
+	t.Helper()
+	v, _ := buildVM(t, eager, nil, hotLoopProgram)
+	snap := v.Snapshot()
+	runStream(t, v)
+	snap.AbsorbBlocks(v)
+	if snap.SBCount() == 0 {
+		t.Fatal("no superblock formed")
+	}
+	return snap
+}
+
+// TestDeserializeRefusesOperandDomains: the native emitter encodes a
+// condition code, an AluOp, a ShOp, a byte-slot shift and a scale into
+// host instructions (a condition code is ORed into a jcc's opcode byte),
+// so the loader refuses each outside its domain, in a superblock and in
+// a block, with an error naming the field. A guard has no place in a
+// block, and a field the kind does not use is left alone.
+func TestDeserializeRefusesOperandDomains(t *testing.T) {
+	snap := hotLoopSnapshot(t)
+	var sb, blk *block
+	for _, r := range snap.sbs {
+		sb = r.b
+	}
+	for _, b := range snap.blocks {
+		blk = b
+	}
+	// load replaces the first micro-op of b by forged and returns what
+	// Deserialize makes of the snapshot then.
+	load := func(b *block, forged uop.Uop) error {
+		orig := b.uops
+		defer func() { b.uops = orig }()
+		b.uops = slices.Clone(orig)
+		forged.EIP, forged.Next, forged.Cost = orig[0].EIP, orig[0].Next, orig[0].Cost
+		b.uops[0] = forged
+		data, err := snap.Serialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = Deserialize(data)
+		return err
+	}
+	z := uop.RegZero
+	for _, c := range []struct {
+		want string
+		b    *block
+		u    uop.Uop
+	}{
+		{"condition code", sb, uop.Uop{Kind: uop.KindGuardTestRI, Sub: 0x20, Imm: 1}},
+		{"condition code", blk, uop.Uop{Kind: uop.KindSetccR8, Sub: 16}},
+		{"AluOp", sb, uop.Uop{Kind: uop.KindAluRR, Sub: 9, Src: 1}},
+		{"AluOp", blk, uop.Uop{Kind: uop.KindAlu8MI, Sub: 0xFF, Base: z, Idx: z}},
+		{"ShOp", sb, uop.Uop{Kind: uop.KindShiftRI, Sub: 3, Imm: 1}},
+		{"Dsh", sb, uop.Uop{Kind: uop.KindMovRI8, Dsh: 4}},
+		{"Ssh", blk, uop.Uop{Kind: uop.KindStore8, Ssh: 16, Base: z, Idx: z}},
+		{"Scale", sb, uop.Uop{Kind: uop.KindLoad, Base: z, Idx: 1, Scale: 3}},
+		{"outside a superblock", blk, uop.Uop{Kind: uop.KindGuardCmpRR}},
+	} {
+		if err := load(c.b, c.u); err == nil {
+			t.Errorf("%v, to be refused for %q, decoded cleanly", c.u.Kind, c.want)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v: refused with %q, want the %s named", c.u.Kind, err, c.want)
+		}
+	}
+	unused := uop.Uop{Kind: uop.KindMovRR, Sub: 0xEE, Dsh: 0x55, Ssh: 3, Scale: 7}
+	for _, b := range []*block{sb, blk} {
+		if err := load(b, unused); err != nil {
+			t.Errorf("fields MovRR does not use were checked: %v", err)
+		}
 	}
 }

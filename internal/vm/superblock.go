@@ -41,30 +41,15 @@ const (
 	sbMaxUops   = 1536
 )
 
-// sbGuardKind reports whether a micro-op kind is a conditional guard,
-// whose Aux field is a chain-slot index rather than a register. The
-// set must cover every guard variant the optimizer can fuse a
-// KindGuard into; formSuperblock and the snapshot deserializer both
-// number slots by scanning with this predicate, which is what keeps a
-// persisted superblock's slot geometry identical to a freshly formed
-// one's.
-func sbGuardKind(k uop.Kind) bool {
-	switch k {
-	case uop.KindGuard, uop.KindGuardCmpRR, uop.KindGuardCmpRI,
-		uop.KindGuardTestRR, uop.KindGuardTestRI,
-		uop.KindGuardCmpRRNF, uop.KindGuardCmpRINF,
-		uop.KindGuardTestRRNF, uop.KindGuardTestRINF:
-		return true
-	}
-	return false
-}
-
 // sbNumberSlots assigns each guard its exit-chain slot and each return
 // guard its inline-cache slot, in order, and returns the slot counts.
+// formSuperblock and the snapshot deserializer both number slots with
+// it, which is what keeps a persisted superblock's slot geometry
+// identical to a freshly formed one's.
 func sbNumberSlots(us []uop.Uop) (guards, rets int) {
 	for i := range us {
 		switch {
-		case sbGuardKind(us[i].Kind):
+		case uop.Kinds[us[i].Kind].Guard:
 			us[i].Aux = uint8(guards)
 			guards++
 		case us[i].Kind == uop.KindRetGuard:
@@ -73,21 +58,6 @@ func sbNumberSlots(us []uop.Uop) (guards, rets int) {
 		}
 	}
 	return guards, rets
-}
-
-// sbEndsTrace reports whether a terminator micro-op kind ends
-// superblock growth outright: indirect jumps and calls, syscall gates
-// and deliberate traps all stay block-final. Direct calls and returns
-// are NOT here: the trace grows through them (the paper's §5.2
-// decoder-loop inlining), pairing each inlined call with a guarded
-// return.
-func sbEndsTrace(k uop.Kind) bool {
-	switch k {
-	case uop.KindCallR, uop.KindCallM,
-		uop.KindJmpR, uop.KindJmpM, uop.KindInt, uop.KindHlt, uop.KindUd2:
-		return true
-	}
-	return false
 }
 
 // sbSelfLoop reports whether term, a block's terminator, is a direct
@@ -142,8 +112,9 @@ func (v *VM) formSuperblock(entry *bref) {
 		var repl *uop.Uop // replacement for the terminator, if any
 		grow, viaCall := false, false
 		switch {
-		case sbEndsTrace(term.Kind):
-			// keep the terminator; trace ends here
+		case uop.Kinds[term.Kind].EndsTrace:
+			// Indirect transfers, syscall gates and deliberate traps
+			// stay block-final: the trace ends here.
 
 		case term.Kind == uop.KindJmp:
 			cur.sbGen = gen
@@ -219,7 +190,7 @@ func (v *VM) formSuperblock(entry *bref) {
 			switch term.Kind {
 			case uop.KindJmp, uop.KindJcc, uop.KindCall, uop.KindRet:
 			default:
-				if !sbEndsTrace(term.Kind) {
+				if !uop.Kinds[term.Kind].EndsTrace {
 					// A fall-through tail needs an explicit transfer:
 					// the dispatch loop's implicit fall-through uses
 					// the BASE block's end address, not this trace's.

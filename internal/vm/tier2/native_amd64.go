@@ -1063,26 +1063,6 @@ func (e *nemit) alu8(op uop.AluOp, loadA func(int), loadB func(int) opd) (res in
 	return hR8, true
 }
 
-// aluKinds are the specialized register ALU kinds: "Dst = Dst op Src" or
-// "Dst = Dst op Imm", recording flags or (NF) not.
-var aluKinds = [uop.KindGeneric + 1]struct {
-	op           uop.AluOp
-	imm, rec, ok bool
-}{
-	uop.KindAddRR: {uop.AluAdd, false, true, true}, uop.KindAddRI: {uop.AluAdd, true, true, true},
-	uop.KindSubRR: {uop.AluSub, false, true, true}, uop.KindSubRI: {uop.AluSub, true, true, true},
-	uop.KindAndRR: {uop.AluAnd, false, true, true}, uop.KindAndRI: {uop.AluAnd, true, true, true},
-	uop.KindOrRR: {uop.AluOr, false, true, true}, uop.KindOrRI: {uop.AluOr, true, true, true},
-	uop.KindXorRR: {uop.AluXor, false, true, true}, uop.KindXorRI: {uop.AluXor, true, true, true},
-	uop.KindCmpRR: {uop.AluCmp, false, true, true}, uop.KindCmpRI: {uop.AluCmp, true, true, true},
-	uop.KindTestRR: {uop.AluTest, false, true, true}, uop.KindTestRI: {uop.AluTest, true, true, true},
-	uop.KindAddRRNF: {uop.AluAdd, false, false, true}, uop.KindAddRINF: {uop.AluAdd, true, false, true},
-	uop.KindSubRRNF: {uop.AluSub, false, false, true}, uop.KindSubRINF: {uop.AluSub, true, false, true},
-	uop.KindAndRRNF: {uop.AluAnd, false, false, true}, uop.KindAndRINF: {uop.AluAnd, true, false, true},
-	uop.KindOrRRNF: {uop.AluOr, false, false, true}, uop.KindOrRINF: {uop.AluOr, true, false, true},
-	uop.KindXorRRNF: {uop.AluXor, false, false, true}, uop.KindXorRINF: {uop.AluXor, true, false, true},
-}
-
 // shiftSel maps a ShOp to its /ext and FlagOp.
 func shiftSel(op uop.ShOp) (int, uop.FlagOp) {
 	switch op {
@@ -1131,12 +1111,14 @@ func (e *nemit) one(i int) bool {
 	rd := func(size uint32) rm { return e.opnd(i, uea(u), size, false, u.EIP, 1) }
 	wr := func(size uint32) rm { return e.opnd(i, uea(u), size, true, u.EIP, 1) }
 
-	if k := aluKinds[u.Kind]; k.ok {
+	if r := &uop.Kinds[u.Kind]; r.Spec {
+		// "Dst = Dst op Src" or "Dst = Dst op Imm", recording flags or
+		// (NF) not.
 		b := rmOp(rg(gs))
-		if k.imm {
+		if r.Imm {
 			b = immOp(imm)
 		}
-		return e.alu32(i, k.op, rg(gd), b, k.rec)
+		return e.alu32(i, r.Alu, rg(gd), b, r.Def != 0)
 	}
 	switch u.Kind {
 	case uop.KindNop:
@@ -1441,16 +1423,11 @@ func (e *nemit) one(i int) bool {
 	case uop.KindCmpSetccRR, uop.KindCmpSetccRI, uop.KindCmpBoolRR, uop.KindCmpBoolRI,
 		uop.KindTestSetccRR, uop.KindTestSetccRI, uop.KindTestBoolRR, uop.KindTestBoolRI:
 		// a = Src, b = Aux or Imm; the bool goes to Dst or Dst's byte.
-		b, op := rmOp(rg(ga)), uop.AluCmp
-		switch u.Kind {
-		case uop.KindCmpSetccRI, uop.KindCmpBoolRI, uop.KindTestSetccRI, uop.KindTestBoolRI:
+		r, b := &uop.Kinds[u.Kind], rmOp(rg(ga))
+		if r.Imm {
 			b = immOp(imm)
 		}
-		switch u.Kind {
-		case uop.KindTestSetccRR, uop.KindTestSetccRI, uop.KindTestBoolRR, uop.KindTestBoolRI:
-			op = uop.AluTest
-		}
-		sel := aluSels[op]
+		sel := aluSels[r.Alu]
 		a.mov(hAX, rg(gs))
 		e.apply(sel.rm, sel.ext, hAX, b)
 		a.movI(rg(hDX), 0)
@@ -1460,24 +1437,14 @@ func (e *nemit) one(i int) bool {
 			e.recB(b)
 		}
 		e.recRes(sel.fo, hAX)
-		switch u.Kind {
-		case uop.KindCmpBoolRR, uop.KindCmpBoolRI, uop.KindTestBoolRR, uop.KindTestBoolRI:
-			a.mov(gd, rg(hDX))
-		default:
+		if r.Ops&uop.OpDsh != 0 {
 			a.mov(hAX, rg(hDX))
 			e.insByte(gd, dsh)
+		} else {
+			a.mov(gd, rg(hDX))
 		}
 	case uop.KindCmpBoolRRNF, uop.KindCmpBoolRINF, uop.KindTestBoolRRNF, uop.KindTestBoolRINF:
-		switch u.Kind {
-		case uop.KindCmpBoolRRNF:
-			a.alu(aluCmpRM, gs, rg(ga))
-		case uop.KindCmpBoolRINF:
-			a.aluI(aluCmpExt, rg(gs), imm)
-		case uop.KindTestBoolRRNF:
-			a.aluTo(aluTestMR, rg(gs), ga)
-		default:
-			a.testI(rg(gs), imm)
-		}
+		e.compare(u, gs, ga, false)
 		a.movI(rg(hDX), 0)
 		a.setcc(cc, rg(hDX))
 		a.mov(gd, rg(hDX))
@@ -1596,20 +1563,16 @@ func (e *nemit) one(i int) bool {
 	return true
 }
 
-// compare emits the fused compare of a guard or a compare-and-branch
-// terminator — "cmp a, b" or "test a, b" with a = Dst and b = Src or
-// Imm — leaving the host flags for the jcc that follows; rec also writes
-// the compare's flag record, which clobbers EAX.
+// compare emits the fused compare of a guard, a compare-and-branch
+// terminator or a boolean — "cmp a, b" or "test a, b" with a = gd and
+// b = gs or Imm — leaving the host flags for the jcc or setcc that
+// follows; rec also writes the compare's flag record, which clobbers EAX.
 func (e *nemit) compare(u *uop.Uop, gd, gs int, rec bool) {
 	a := &e.a
-	b, test := rmOp(rg(gs)), false
-	switch u.Kind {
-	case uop.KindGuardCmpRI, uop.KindGuardCmpRINF, uop.KindCmpJccRI:
+	r := &uop.Kinds[u.Kind]
+	b, test := rmOp(rg(gs)), r.Alu == uop.AluTest
+	if r.Imm {
 		b = immOp(u.Imm)
-	case uop.KindGuardTestRR, uop.KindGuardTestRRNF, uop.KindTestJccRR:
-		test = true
-	case uop.KindGuardTestRI, uop.KindGuardTestRINF, uop.KindTestJccRI:
-		b, test = immOp(u.Imm), true
 	}
 	switch {
 	case rec && test:

@@ -457,37 +457,19 @@ func Compile(us []uop.Uop, entry uint32, g Geometry, a *Arena) (*Trace, Outcome)
 
 // Unsupported returns the index and kind of the first micro-op that
 // prevents tier-2 compilation, or (-1, 0) when the trace is compilable:
-// the reference-interpreter escapes, and any control terminator that is
-// not the final micro-op (which a well-formed superblock never
-// produces).
+// the reference-interpreter escapes, a control terminator that is not
+// the final micro-op or a final one that is not a terminator (which a
+// well-formed superblock never produces). An empty trace is refused at
+// index 0.
 func Unsupported(us []uop.Uop) (int, uop.Kind) {
 	for i := range us {
 		k := us[i].Kind
-		switch k {
-		case uop.KindString, uop.KindGeneric:
-			return i, k
-		}
-		if terminatorKind(k) && i != len(us)-1 {
+		if r := &uop.Kinds[k]; r.Escape || r.Term != (i == len(us)-1) {
 			return i, k
 		}
 	}
-	if len(us) == 0 || !terminatorKind(us[len(us)-1].Kind) {
-		return len(us) - 1, 0
+	if len(us) == 0 {
+		return 0, 0
 	}
 	return -1, 0
-}
-
-// terminatorKind reports the control-transfer kinds that must end a
-// trace (guards and return guards are interior and not included).
-func terminatorKind(k uop.Kind) bool {
-	switch k {
-	case uop.KindJmp, uop.KindJcc,
-		uop.KindCmpJccRR, uop.KindCmpJccRI, uop.KindTestJccRR, uop.KindTestJccRI,
-		uop.KindCall, uop.KindCallR, uop.KindCallM,
-		uop.KindRet, uop.KindPopRet, uop.KindPushCall,
-		uop.KindJmpR, uop.KindJmpM,
-		uop.KindInt, uop.KindHlt, uop.KindUd2:
-		return true
-	}
-	return false
 }

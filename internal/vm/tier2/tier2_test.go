@@ -62,3 +62,25 @@ func TestAcctPacking(t *testing.T) {
 		t.Fatalf("%d passes, %d micro-ops", m.Passes(), m.Uops())
 	}
 }
+
+// TestUnsupported: a trace compiles only when it has no reference escape
+// and exactly one terminator, its last micro-op; an empty trace has none.
+func TestUnsupported(t *testing.T) {
+	add, jmp := uop.Uop{Kind: uop.KindAddRR}, uop.Uop{Kind: uop.KindJmp}
+	for _, c := range []struct {
+		name string
+		us   []uop.Uop
+		i    int
+		k    uop.Kind
+	}{
+		{"empty", nil, 0, 0},
+		{"compilable", []uop.Uop{add, jmp}, -1, 0},
+		{"no terminator", []uop.Uop{add, add}, 1, uop.KindAddRR},
+		{"terminator inside", []uop.Uop{jmp, add, jmp}, 0, uop.KindJmp},
+		{"escape", []uop.Uop{add, {Kind: uop.KindGeneric}, jmp}, 1, uop.KindGeneric},
+	} {
+		if i, k := Unsupported(c.us); i != c.i || k != c.k {
+			t.Errorf("%s: Unsupported = (%d, %v), want (%d, %v)", c.name, i, k, c.i, c.k)
+		}
+	}
+}

@@ -885,7 +885,7 @@ func oneCopy(t *testing.T, us []uop.Uop, tr *tier2.Trace) {
 	want := 0
 	for i := range us {
 		switch k := us[i].Kind; {
-		case sbGuardKind(k), k == uop.KindRetGuard:
+		case uop.Kinds[k].Guard, k == uop.KindRetGuard:
 			want++
 		case i < len(us)-1:
 		case k == uop.KindJcc && lazy, k == uop.KindInt, k == uop.KindHlt, k == uop.KindUd2:

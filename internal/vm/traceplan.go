@@ -94,7 +94,7 @@ func (v *VM) TracePlans() []TracePlan {
 			pu := TracePlanUop{Index: i, EIP: u.EIP, Kind: u.Kind.String(),
 				Cost: u.Cost, Guard: -1, Ret: -1}
 			switch {
-			case sbGuardKind(u.Kind):
+			case uop.Kinds[u.Kind].Guard:
 				pu.Guard = int(u.Aux)
 				pu.Target = u.Target
 			case u.Kind == uop.KindRetGuard:

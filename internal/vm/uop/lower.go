@@ -13,18 +13,21 @@ var aluOps = map[x86.Op]AluOp{
 // are not specialized and take the generic path).
 var shOps = map[x86.Op]ShOp{x86.SHL: ShShl, x86.SHR: ShShr, x86.SAR: ShSar}
 
-// aluRRKinds and aluRIKinds give the fully specialized kind for the
-// hottest 32-bit reg/reg and reg/imm ALU forms; KindNop marks the ops
+// specialized[op][imm] is the fully specialized kind of a 32-bit op with
+// a register (0) or immediate (1) second operand; KindNop marks the ops
 // (ADC/SBB, which consume CF) that stay on the Sub-dispatched path.
-var aluRRKinds = [9]Kind{
-	AluAdd: KindAddRR, AluSub: KindSubRR, AluCmp: KindCmpRR,
-	AluAnd: KindAndRR, AluOr: KindOrRR, AluXor: KindXorRR, AluTest: KindTestRR,
-}
-
-var aluRIKinds = [9]Kind{
-	AluAdd: KindAddRI, AluSub: KindSubRI, AluCmp: KindCmpRI,
-	AluAnd: KindAndRI, AluOr: KindOrRI, AluXor: KindXorRI, AluTest: KindTestRI,
-}
+var specialized = func() (s [AluTest + 1][2]Kind) {
+	for k, r := range &Kinds {
+		if r.Spec && r.Def != 0 {
+			i := 0
+			if r.Imm {
+				i = 1
+			}
+			s[r.Alu][i] = Kind(k)
+		}
+	}
+	return s
+}()
 
 // Lower translates one decoded basic block into its micro-op form,
 // appended to dst (which a translator reuses from fragment to fragment;
@@ -168,7 +171,7 @@ func lowerInst(u *Uop, inst *x86.Inst, addr uint32) {
 		case x86.FormRR:
 			if wide {
 				u.Dst, u.Src = uint8(inst.Dst.Reg), uint8(inst.Src.Reg)
-				if k := aluRRKinds[u.Sub]; k != KindNop {
+				if k := specialized[u.Sub][0]; k != KindNop {
 					u.Kind = k
 				} else {
 					u.Kind = KindAluRR
@@ -181,7 +184,7 @@ func lowerInst(u *Uop, inst *x86.Inst, addr uint32) {
 		case x86.FormRI:
 			if wide {
 				u.Dst, u.Imm = uint8(inst.Dst.Reg), uint32(inst.Src.Imm)
-				if k := aluRIKinds[u.Sub]; k != KindNop {
+				if k := specialized[u.Sub][1]; k != KindNop {
 					u.Kind = k
 				} else {
 					u.Kind = KindAluRI

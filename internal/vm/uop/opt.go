@@ -49,36 +49,6 @@ func Optimize(us []Uop) ([]Uop, OptStats) {
 	return us, st
 }
 
-// cmpJccKinds maps a compare kind to its fused compare/branch form;
-// cmpGuardKinds and cmpSetccKinds likewise for guards and setcc.
-var cmpJccKinds = map[Kind]Kind{
-	KindCmpRR: KindCmpJccRR, KindCmpRI: KindCmpJccRI,
-	KindTestRR: KindTestJccRR, KindTestRI: KindTestJccRI,
-}
-
-var cmpGuardKinds = map[Kind]Kind{
-	KindCmpRR: KindGuardCmpRR, KindCmpRI: KindGuardCmpRI,
-	KindTestRR: KindGuardTestRR, KindTestRI: KindGuardTestRI,
-}
-
-var cmpSetccKinds = map[Kind]Kind{
-	KindCmpRR: KindCmpSetccRR, KindCmpRI: KindCmpSetccRI,
-	KindTestRR: KindTestSetccRR, KindTestRI: KindTestSetccRI,
-}
-
-var setccBoolKinds = map[Kind]Kind{
-	KindCmpSetccRR: KindCmpBoolRR, KindCmpSetccRI: KindCmpBoolRI,
-	KindTestSetccRR: KindTestBoolRR, KindTestSetccRI: KindTestBoolRI,
-}
-
-// loadAluOps maps the specialized 32-bit reg/reg ALU kinds eligible for
-// load-op fusion onto their AluOp selector. ADC/SBB are excluded: their
-// carry-in read would survive flag elision and complicate the NF form.
-var loadAluOps = map[Kind]AluOp{
-	KindAddRR: AluAdd, KindSubRR: AluSub, KindCmpRR: AluCmp,
-	KindAndRR: AluAnd, KindOrRR: AluOr, KindXorRR: AluXor, KindTestRR: AluTest,
-}
-
 // fuse is the peephole pass: one left-to-right scan collapsing adjacent
 // fusable pairs (and the setcc;movzx triple) in place.
 func fuse(us []Uop) ([]Uop, uint64) {
@@ -108,18 +78,14 @@ func fuseAt(us []Uop, i int) (Uop, int) {
 	}
 	next := &us[i+1]
 
-	switch u.Kind {
-	case KindCmpRR, KindCmpRI, KindTestRR, KindTestRI:
+	if fz := Kinds[u.Kind].Fused; fz.Jcc != 0 {
 		switch next.Kind {
-		case KindJcc:
+		case KindJcc, KindGuard:
 			f := *u
-			f.Kind = cmpJccKinds[u.Kind]
-			f.Sub, f.Target, f.Next = next.Sub, next.Target, next.Next
-			f.Cost = u.Cost + next.Cost
-			return f, 2
-		case KindGuard:
-			f := *u
-			f.Kind = cmpGuardKinds[u.Kind]
+			f.Kind = fz.Jcc
+			if next.Kind == KindGuard {
+				f.Kind = fz.Guard
+			}
 			f.Sub, f.Target, f.Next = next.Sub, next.Target, next.Next
 			f.Cost = u.Cost + next.Cost
 			return f, 2
@@ -127,7 +93,7 @@ func fuseAt(us []Uop, i int) (Uop, int) {
 			// Compare operands move to Src/Aux (or Src/Imm); the setcc
 			// destination byte slot takes Dst/Dsh.
 			f := Uop{
-				Kind: cmpSetccKinds[u.Kind], Sub: next.Sub,
+				Kind: fz.Setcc, Sub: next.Sub,
 				Src: u.Dst, Aux: u.Src, Imm: u.Imm,
 				Dst: next.Dst, Dsh: next.Dsh,
 				EIP: u.EIP, Next: next.Next, Cost: u.Cost + next.Cost,
@@ -139,7 +105,7 @@ func fuseAt(us []Uop, i int) (Uop, int) {
 				m := &us[i+2]
 				if m.Kind == KindMovzxRR8 && m.Src == f.Dst && m.Ssh == f.Dsh &&
 					m.Dst == f.Dst && f.Dsh == 0 {
-					f.Kind = setccBoolKinds[f.Kind]
+					f.Kind = fz.Bool
 					f.Next = m.Next
 					f.Cost += m.Cost
 					return f, 3
@@ -147,16 +113,21 @@ func fuseAt(us []Uop, i int) (Uop, int) {
 			}
 			return f, 2
 		}
+		return Uop{}, 0
+	}
 
+	switch u.Kind {
 	case KindLoad:
-		op, ok := loadAluOps[next.Kind]
-		if !ok {
+		// A specialized reg/reg ALU op takes the load; ADC/SBB, whose
+		// carry-in read would survive flag elision, are not specialized.
+		r := &Kinds[next.Kind]
+		if !r.Spec || r.Imm || r.Def == 0 {
 			return Uop{}, 0
 		}
 		// Leave a compare for a later cmp/branch or cmp/setcc fusion:
 		// evaluating the condition straight from the operands beats
 		// saving one load dispatch.
-		if (next.Kind == KindCmpRR || next.Kind == KindTestRR) && i+2 < len(us) {
+		if r.Fused.Jcc != 0 && i+2 < len(us) {
 			switch us[i+2].Kind {
 			case KindJcc, KindGuard, KindSetccR8:
 				return Uop{}, 0
@@ -164,7 +135,7 @@ func fuseAt(us []Uop, i int) (Uop, int) {
 		}
 		f := *u
 		f.Kind = KindLoadAluRR
-		f.Sub = uint8(op)
+		f.Sub = uint8(r.Alu)
 		f.Aux = u.Dst // the loaded register
 		f.Dst, f.Src = next.Dst, next.Src
 		f.Next = next.Next
@@ -194,25 +165,6 @@ func fuseAt(us []Uop, i int) (Uop, int) {
 	return Uop{}, 0
 }
 
-// nfKinds maps every flag-elision candidate to its flag-suppressed
-// form. Pure flag-writers (CMP/TEST) with dead flags become NOPs.
-var nfKinds = map[Kind]Kind{
-	KindAddRR: KindAddRRNF, KindAddRI: KindAddRINF,
-	KindSubRR: KindSubRRNF, KindSubRI: KindSubRINF,
-	KindAndRR: KindAndRRNF, KindAndRI: KindAndRINF,
-	KindOrRR: KindOrRRNF, KindOrRI: KindOrRINF,
-	KindXorRR: KindXorRRNF, KindXorRI: KindXorRINF,
-	KindIncR: KindIncRNF, KindDecR: KindDecRNF,
-	KindShiftRI: KindShiftRINF, KindShiftRCL: KindShiftRCLNF,
-	KindCmpRR: KindNop, KindCmpRI: KindNop,
-	KindTestRR: KindNop, KindTestRI: KindNop,
-	KindCmpBoolRR: KindCmpBoolRRNF, KindCmpBoolRI: KindCmpBoolRINF,
-	KindTestBoolRR: KindTestBoolRRNF, KindTestBoolRI: KindTestBoolRINF,
-	KindLoadAluRR:  KindLoadAluRRNF,
-	KindGuardCmpRR: KindGuardCmpRRNF, KindGuardCmpRI: KindGuardCmpRINF,
-	KindGuardTestRR: KindGuardTestRRNF, KindGuardTestRI: KindGuardTestRINF,
-}
-
 // elideDeadFlags is the backward liveness pass. live starts all-set at
 // the fragment exit (successor blocks are unknown, so every flag must
 // be assumed observable there) and flows backward; a record-writing
@@ -224,12 +176,13 @@ func elideDeadFlags(us []Uop) uint64 {
 	live := x86.FlagsAll
 	for i := len(us) - 1; i >= 0; i-- {
 		u := &us[i]
-		if live == x86.FlagsNone {
-			if nk, ok := nfKinds[u.Kind]; ok {
-				u.Kind = nk
-				elided++
-				continue
-			}
+		// A specialized compare writes nothing but the flags: it has no
+		// NF form and becomes KindNop, the zero Kind.
+		if r := &Kinds[u.Kind]; live == x86.FlagsNone &&
+			(r.NF != 0 || r.Spec && (r.Alu == AluCmp || r.Alu == AluTest)) {
+			u.Kind = r.NF
+			elided++
+			continue
 		}
 		use, def := flagEffect(u)
 		live = live&^def | use
@@ -238,77 +191,21 @@ func elideDeadFlags(us []Uop) uint64 {
 }
 
 // flagEffect returns the flags one micro-op reads and writes, for the
-// liveness walk. Writers of a full lazy record define all five flags;
-// micro-ops that may leave the flags untouched at runtime (a CL shift
-// with a zero count) define none, so earlier writers stay live across
-// them.
+// liveness walk: its kind's row, with what the operands decide on top.
 func flagEffect(u *Uop) (use, def x86.FlagSet) {
-	switch u.Kind {
-	case KindAddRR, KindAddRI, KindSubRR, KindSubRI,
-		KindAndRR, KindAndRI, KindOrRR, KindOrRI, KindXorRR, KindXorRI,
-		KindCmpRR, KindCmpRI, KindTestRR, KindTestRI,
-		KindNegR, KindShiftRI,
-		KindImulRR, KindImulRM, KindImulRRI, KindImulRMI, KindMulR, KindMulM,
-		KindCmpJccRR, KindCmpJccRI, KindTestJccRR, KindTestJccRI,
-		KindCmpSetccRR, KindCmpSetccRI, KindTestSetccRR, KindTestSetccRI,
-		KindCmpBoolRR, KindCmpBoolRI, KindTestBoolRR, KindTestBoolRI,
-		KindLoadAluRR:
-		return x86.FlagsNone, x86.FlagsAll
-
-	case KindAluRR, KindAluRI, KindAluRM, KindAluMR, KindAluMI,
-		KindAlu8RR, KindAlu8RI, KindAlu8RM, KindAlu8MR, KindAlu8MI:
-		op := AluOp(u.Sub)
-		if op == AluAdc || op == AluSbb {
-			return x86.FlagCF, x86.FlagsAll
-		}
-		return x86.FlagsNone, x86.FlagsAll
-
-	case KindIncR, KindDecR:
-		// INC/DEC preserve CF: re-recording the full flag state carries
-		// the incoming CF through, so they read it — unless elided, in
-		// which case the NF form touches no flags at all.
-		return x86.FlagCF, x86.FlagsAll
-
-	case KindShiftRCL:
-		// A zero CL count writes nothing at runtime; the form may not
-		// define, so it kills no earlier record.
-		return x86.FlagsNone, x86.FlagsNone
-
-	case KindJcc, KindSetccR8, KindSetccM8:
-		return x86.CCUses(x86.CC(u.Sub)), x86.FlagsNone
-
-	case KindGuard, KindRetGuard:
-		// A plain guard reads its condition from the current flags (a
-		// return guard reads none), and both exit paths leave the
-		// superblock with the current state observable by arbitrary
-		// successors — so every flag is live through them.
-		return x86.FlagsAll, x86.FlagsNone
-
-	case KindGuardCmpRR, KindGuardCmpRI, KindGuardTestRR, KindGuardTestRI:
-		// The fused compare executes on both paths, so it defines the
-		// full flag state like any compare.
-		return x86.FlagsNone, x86.FlagsAll
-
-	case KindGuardCmpRRNF, KindGuardCmpRINF, KindGuardTestRRNF, KindGuardTestRINF:
-		// Record written only on the exit path, where it is itself the
-		// full flag state; transparent on the straight-line path (that
-		// is what made the downgrade legal).
-		return x86.FlagsNone, x86.FlagsNone
-
-	case KindInt, KindGeneric, KindHlt, KindUd2:
-		// Syscall gates park the VM with snapshot-visible state, the
-		// generic escape materializes eagerly, and HLT/UD2 are the
-		// deliberate, differential-tested trap points: all must see
-		// exact flags.
-		return x86.FlagsAll, x86.FlagsNone
-
-	case KindString:
+	r := &Kinds[u.Kind]
+	switch {
+	case r.ReadsCC:
+		return x86.CCUses(x86.CC(u.Sub)), r.Def
+	case r.Ops&OpAlu != 0 && (AluOp(u.Sub) == AluAdc || AluOp(u.Sub) == AluSbb):
+		return x86.FlagCF, r.Def
+	case u.Kind == KindString:
 		// MOVS/STOS are declared flag-free in the opcode tables; keep
 		// the lookup so a future string op with flag effects is
-		// handled by its metadata, not by this switch.
+		// handled by its metadata, not by the table.
 		return u.Inst.InstFlagUse(), x86.OpFlagDef(u.Inst.Op)
 	}
-	return x86.FlagsNone, x86.FlagsNone
+	return r.Use, r.Def
 }
 
 // Cost returns the total guest-instruction cost of a fragment: the

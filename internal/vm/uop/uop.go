@@ -30,7 +30,8 @@ const RegZero uint8 = 8
 
 // Kind selects the specialized handler for one micro-op. The executor
 // switches on it; translate-time specialization means each kind's fields
-// have a fixed, fully-resolved meaning.
+// have a fixed, fully-resolved meaning, stated with its other facts in
+// its row of Kinds.
 type Kind uint8
 
 // Micro-op kinds. Unless suffixed otherwise, operands are 32-bit.
@@ -266,8 +267,8 @@ const (
 	ShSar
 )
 
-// Uop is one micro-op. Field meaning is keyed by Kind; unused fields are
-// zero. Register fields hold register numbers (or pre-resolved byte-slot
+// Uop is one micro-op. Field meaning is keyed by Kind (the Ops of its
+// row); a field the kind does not use is not always zero. Register fields hold register numbers (or pre-resolved byte-slot
 // storage registers for the 8-bit kinds, with Dsh/Ssh the slot shifts).
 // Base/Idx/Scale/Disp describe the effective address of the memory
 // operand; an absent base or index is encoded as RegZero (with Scale 0

@@ -130,16 +130,12 @@ func TestFlagsReference(t *testing.T) {
 	}
 }
 
-// TestKindNames pins the name table against the const block: the last
-// declared kind must be the last name, so an added or reordered kind
-// without a matching table entry fails here rather than printing the
-// wrong mnemonic in trace-plan dumps.
+// TestKindNames: a kind prints its row's name, and a value past the
+// table prints as a number (TestKindTable holds the names to the const
+// block).
 func TestKindNames(t *testing.T) {
 	if got := KindGeneric.String(); got != "Generic" {
 		t.Fatalf("KindGeneric.String() = %q", got)
-	}
-	if got := len(kindNames); got != int(KindGeneric)+1 {
-		t.Fatalf("kindNames has %d entries, want %d", got, int(KindGeneric)+1)
 	}
 	if got := Kind(200).String(); got != "Kind(200)" {
 		t.Fatalf("out-of-range Kind string = %q", got)
