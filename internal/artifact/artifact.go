@@ -1,7 +1,7 @@
 // Package artifact is the persistent tier under the in-process snapshot
 // cache: a content-addressed on-disk store of decoder snapshot
-// artifacts — the pristine memory image plus the lowered/optimized uop
-// block cache — so translation and snapshot work for a given decoder is
+// artifacts — the pristine memory image plus the lowered micro-ops of its
+// block cache and its superblocks — so translation and snapshot work for a given decoder is
 // paid once per fleet, not once per process (ROADMAP item 2; the
 // serving-at-scale corollary of the paper's self-contained-decoder
 // thesis).
@@ -21,6 +21,14 @@
 // mismatch, truncation or I/O error is returned to the caller, which
 // falls back to the ELF build path. A corrupt store can cost a cold
 // start — it can never serve wrong bytes or take the daemon down.
+//
+// Forgery. The checksum catches accidents, not a writer of the
+// directory, who can make a file that passes it. What such a file can do
+// is bounded by vm.Deserialize, which trusts none of the payload: a
+// forged artifact can make a decoder produce wrong bytes (which the
+// archive's own checksums report), but it cannot make the VM panic or
+// run host code other than what the native emitter emits for valid
+// micro-ops. No native code is ever stored.
 //
 // Sharing. On Linux the payload is mmap'd read-only and shared, so N
 // vxad processes serving the same decoder keep one page-cache copy of

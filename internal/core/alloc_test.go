@@ -20,22 +20,27 @@ import (
 // map growth and the runtime's own churn; re-measure when the first
 // stream's work changes, and only ever downwards.
 //
-// Measured in PR 19 (allocations, bytes): deflate 2649, 557 K; bwt 2490,
-// 504 K; dct 2658, 579 K; haar 2662, 565 K; lpc 1314, 312 K; adpcm 1458,
-// 340 K. At its parent, with a dense copy of the guest image (1.2-1.3 MB)
-// in every snapshot and fragments grown an append at a time: deflate
-// 3713, 2.14 M; bwt 3387, 1.97 M; dct 3749, 2.15 M; haar 3740, 2.12 M; lpc
-// 1844, 1.78 M; adpcm 2016, 1.74 M.
+// Measured once blocks kept their lowered micro-ops in place of a copy of
+// each decoded instruction (allocations, bytes; the largest of GOMAXPROCS
+// 1, 2, 4 and 8): deflate 1593, 331 K; bwt 1421, 318 K; dct 1618, 379 K;
+// haar 1533, 357 K; lpc 874, 199 K; adpcm 882, 239 K. Before that: deflate
+// 1799, 484 K; bwt 1594, 429 K; dct 1806, 501 K; haar 1717, 485 K; lpc
+// 1010, 291 K; adpcm 993, 310 K. Measured in PR 19: deflate 2649, 557 K;
+// bwt 2490, 504 K; dct 2658, 579 K; haar 2662, 565 K; lpc 1314, 312 K;
+// adpcm 1458, 340 K. At its parent, with a dense copy of the guest image
+// (1.2-1.3 MB) in every snapshot and fragments grown an append at a time:
+// deflate 3713, 2.14 M; bwt 3387, 1.97 M; dct 3749, 2.15 M; haar 3740,
+// 2.12 M; lpc 1844, 1.78 M; adpcm 2016, 1.74 M.
 var firstStreamBudgets = map[string]struct {
 	allocs float64
 	bytes  uint64
 }{
-	"deflate": {2800, 620_000},
-	"bwt":     {2650, 570_000},
-	"dct":     {2800, 650_000},
-	"haar":    {2800, 640_000},
-	"lpc":     {1400, 350_000},
-	"adpcm":   {1550, 400_000},
+	"deflate": {1760, 365_000},
+	"bwt":     {1570, 350_000},
+	"dct":     {1780, 418_000},
+	"haar":    {1690, 393_000},
+	"lpc":     {970, 219_000},
+	"adpcm":   {980, 263_000},
 }
 
 // firstStreamArchive is a one-entry archive whose entry decodes to about

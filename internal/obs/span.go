@@ -19,8 +19,7 @@ type Stage int
 
 // Span stages, in timeline order.
 const (
-	// StageQueue: backpressure wait — the admission queue's slot wait
-	// plus any blocked wait for a MaxLive VM-pool slot.
+	// StageQueue: backpressure wait — the admission queue's slot wait.
 	StageQueue Stage = iota
 	// StageLease: VM-pool lease work — parked-VM pickup, pristine
 	// reset, or fresh materialization from the snapshot.

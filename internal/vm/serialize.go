@@ -1,8 +1,10 @@
 package vm
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -31,8 +33,12 @@ import (
 // removed ten stack-shuffle fused kinds (renumbering Kind) and replaced
 // the header's five policy bits with the configured OptLevel. 5 made the
 // memory image sparse: an extent table and the non-zero pages it names
-// replace the two dense regions, whose lengths left the header.
-const EngineVersion uint32 = 5
+// replace the two dense regions, whose lengths left the header. 6 made a
+// block record its address and its raw micro-ops alone (the decoded
+// instructions, the optimized micro-ops, the end and the cost are derived
+// on load) and dropped the escape-payload word from every micro-op: an
+// escape's instruction is decoded from the image.
+const EngineVersion uint32 = 6
 
 // snapMagic brands a serialized snapshot payload.
 const snapMagic = "VXSN"
@@ -49,80 +55,54 @@ const (
 	sfPF
 )
 
-// instWireLen and uopWireLen are the fixed per-record sizes of the
-// block section (see encodeInst/encodeUop).
+// uopWireLen is the fixed size of one micro-op record (see appendUop);
+// a block record is an 8-byte header and its raw micro-ops, a superblock
+// record a 20-byte header and its micro-ops.
 const (
-	argWireLen  = 14
-	instWireLen = 8 + 3*argWireLen
-	uopWireLen  = 36
+	uopWireLen  = 32
+	blockHdrLen = 8
+	sbRecHdrLen = 20
 )
+
+// placed is one fragment of the block cache with its entry address.
+type placed struct {
+	addr uint32
+	b    *block
+}
 
 // Serialize renders the snapshot — header, the extents of the memory
 // image, the translated block cache and the absorbed superblocks — into the
 // self-contained binary payload the artifact store persists. Blocks and
 // superblocks are written in address order, so the same snapshot state
-// always serializes to the same bytes. Assembler-only symbol
-// annotations cannot appear in decoded instructions, and a block
-// carrying one is skipped defensively.
-//
-// A superblock's escape micro-ops point at instructions owned by its
-// constituent base blocks; they are persisted as EIP references and
-// re-linked against the decoded block section on load, so a superblock
-// whose constituents were not all serialized is skipped.
+// always serializes to the same bytes. A block is written as its raw
+// micro-ops alone, a superblock as the micro-ops it runs; neither carries
+// an escape's instruction, which the loader decodes from the image.
 func (s *Snapshot) Serialize() ([]byte, error) {
 	// Freeze a view of the block cache; AbsorbBlocks may grow it
 	// concurrently and the map must not be read outside the lock.
 	s.mu.Lock()
-	blocks := make([]*block, 0, len(s.blocks))
-	addrs := make(map[*block]uint32, len(s.blocks))
+	blocks := make([]placed, 0, len(s.blocks))
 	for addr, b := range s.blocks {
-		blocks = append(blocks, b)
-		addrs[b] = addr
+		blocks = append(blocks, placed{addr, b})
 	}
-	sbs := make([]*block, 0, len(s.sbs))
-	sbAddrs := make(map[*block]uint32, len(s.sbs))
+	sbs := make([]placed, 0, len(s.sbs))
 	for addr, r := range s.sbs {
-		sbs = append(sbs, r.b)
-		sbAddrs[r.b] = addr
+		sbs = append(sbs, placed{addr, r.b})
 	}
 	s.mu.Unlock()
-	sort.Slice(blocks, func(i, j int) bool { return addrs[blocks[i]] < addrs[blocks[j]] })
-	sort.Slice(sbs, func(i, j int) bool { return sbAddrs[sbs[i]] < sbAddrs[sbs[j]] })
-
-	kept := blocks[:0]
-	for _, b := range blocks {
-		if serializableBlock(b) {
-			kept = append(kept, b)
-		}
-	}
-	blocks = kept
-
-	// Superblock escape payloads re-link by instruction address; only
-	// traces whose every payload EIP survives in the block section can
-	// be reconstructed by the loader.
-	eips := make(map[uint32]bool)
-	for _, b := range blocks {
-		for _, a := range b.addrs {
-			eips[a] = true
-		}
-	}
-	keptSBs := sbs[:0]
-	for _, b := range sbs {
-		if serializableSB(b, eips) {
-			keptSBs = append(keptSBs, b)
-		}
-	}
-	sbs = keptSBs
+	byAddr := func(a, b placed) int { return cmp.Compare(a.addr, b.addr) }
+	slices.SortFunc(blocks, byAddr)
+	slices.SortFunc(sbs, byAddr)
 
 	size := snapHeaderLen + 4
 	for _, e := range s.image {
 		size += 8 + len(e.data)
 	}
-	for _, b := range blocks {
-		size += 20 + len(b.insts)*(instWireLen+4) + len(b.uops)*uopWireLen
+	for _, p := range blocks {
+		size += blockHdrLen + len(p.b.raw)*uopWireLen
 	}
-	for _, b := range sbs {
-		size += 20 + len(b.uops)*uopWireLen
+	for _, p := range sbs {
+		size += sbRecHdrLen + len(p.b.uops)*uopWireLen
 	}
 	out := make([]byte, snapHeaderLen, size)
 
@@ -154,12 +134,26 @@ func (s *Snapshot) Serialize() ([]byte, error) {
 	for _, e := range s.image {
 		out = append(out, e.data...)
 	}
-	for _, b := range blocks {
-		out = appendBlock(out, addrs[b], b)
+	// A block: its address, how many instructions, their raw micro-ops.
+	for _, p := range blocks {
+		out = le.AppendUint32(out, p.addr)
+		out = le.AppendUint32(out, uint32(len(p.b.raw)))
+		for i := range p.b.raw {
+			out = appendUop(out, &p.b.raw[i])
+		}
 	}
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(sbs)))
-	for _, b := range sbs {
-		out = appendSB(out, sbAddrs[b], b)
+	// A superblock: entry address, trace end, fuel cost, micro-op count,
+	// the micro-ops. Guard slot numbering is re-derived on load, so
+	// nothing per-VM is persisted.
+	out = le.AppendUint32(out, uint32(len(sbs)))
+	for _, p := range sbs {
+		out = le.AppendUint32(out, p.addr)
+		out = le.AppendUint32(out, p.b.end)
+		out = le.AppendUint64(out, uint64(p.b.cost))
+		out = le.AppendUint32(out, uint32(len(p.b.uops)))
+		for i := range p.b.uops {
+			out = appendUop(out, &p.b.uops[i])
+		}
 	}
 	return out, nil
 }
@@ -171,110 +165,7 @@ func packBits(b bool, bit byte) byte {
 	return 0
 }
 
-// serializableSB reports whether a superblock fragment may be
-// persisted: every escape micro-op's payload instruction must be
-// reachable by address in the serialized block section, or the loader
-// could not re-link it.
-func serializableSB(b *block, eips map[uint32]bool) bool {
-	for i := range b.uops {
-		if b.uops[i].Inst != nil && !eips[b.uops[i].EIP] {
-			return false
-		}
-	}
-	return true
-}
-
-// serializableBlock reports whether the fragment may be persisted: it
-// must carry its decoded instructions (superblocks do not) and no
-// assembler-only symbol annotations (Decode never produces them).
-func serializableBlock(b *block) bool {
-	if len(b.insts) == 0 {
-		return false
-	}
-	for i := range b.insts {
-		in := &b.insts[i]
-		if in.Sym != "" || in.Dst.Sym != "" || in.Src.Sym != "" || in.Aux.Sym != "" {
-			return false
-		}
-	}
-	return true
-}
-
-func appendBlock(out []byte, addr uint32, b *block) []byte {
-	var hdr [20]byte
-	le := binary.LittleEndian
-	le.PutUint32(hdr[0:], addr)
-	le.PutUint32(hdr[4:], b.end)
-	le.PutUint64(hdr[8:], uint64(b.cost))
-	le.PutUint16(hdr[16:], uint16(len(b.insts)))
-	le.PutUint16(hdr[18:], uint16(len(b.uops)))
-	out = append(out, hdr[:]...)
-	for i := range b.insts {
-		out = appendInst(out, &b.insts[i])
-	}
-	for _, a := range b.addrs {
-		out = le.AppendUint32(out, a)
-	}
-	for i := range b.uops {
-		out = appendUop(out, &b.uops[i], b.insts)
-	}
-	return out
-}
-
-// appendSB writes one superblock record: a 20-byte header (entry
-// address, trace end, fuel cost, micro-op count) followed by the
-// micro-ops. Escape payloads are written as has-payload markers and
-// re-linked by EIP on load; guard slot numbering is re-derived on load,
-// so nothing per-VM is persisted.
-func appendSB(out []byte, addr uint32, b *block) []byte {
-	var hdr [20]byte
-	le := binary.LittleEndian
-	le.PutUint32(hdr[0:], addr)
-	le.PutUint32(hdr[4:], b.end)
-	le.PutUint64(hdr[8:], uint64(b.cost))
-	le.PutUint32(hdr[16:], uint32(len(b.uops)))
-	out = append(out, hdr[:]...)
-	for i := range b.uops {
-		out = appendUop(out, &b.uops[i], nil)
-		// Overwrite the (always -1 against nil insts) payload index
-		// with the has-payload marker the superblock decoder expects.
-		marker := uint32(0)
-		if b.uops[i].Inst != nil {
-			marker = 1
-		}
-		le.PutUint32(out[len(out)-4:], marker)
-	}
-	return out
-}
-
-func appendArg(out []byte, a *x86.Arg) []byte {
-	var w [argWireLen]byte
-	w[0] = byte(a.Kind)
-	w[1] = byte(a.Reg)
-	w[2] = byte(a.Base)
-	w[3] = byte(a.Index)
-	w[4] = a.Scale
-	w[5] = a.Size
-	le := binary.LittleEndian
-	le.PutUint32(w[6:], uint32(a.Disp))
-	le.PutUint32(w[10:], uint32(a.Imm))
-	return append(out, w[:]...)
-}
-
-func appendInst(out []byte, in *x86.Inst) []byte {
-	var w [8]byte
-	w[0] = byte(in.Op)
-	w[1] = byte(in.CC)
-	w[2] = packBits(in.Rep, 1)
-	w[3] = in.Len
-	binary.LittleEndian.PutUint32(w[4:], uint32(in.Rel))
-	out = append(out, w[:]...)
-	out = appendArg(out, &in.Dst)
-	out = appendArg(out, &in.Src)
-	return appendArg(out, &in.Aux)
-}
-
-func appendUop(out []byte, u *uop.Uop, insts []x86.Inst) []byte {
+func appendUop(out []byte, u *uop.Uop) []byte {
 	var w [uopWireLen]byte
 	w[0] = byte(u.Kind)
 	w[1] = u.Sub
@@ -294,18 +185,6 @@ func appendUop(out []byte, u *uop.Uop, insts []x86.Inst) []byte {
 	le.PutUint32(w[20:], u.EIP)
 	le.PutUint32(w[24:], u.Next)
 	le.PutUint32(w[28:], u.Target)
-	// The generic-escape payload pointer aims into the block's own
-	// insts slice; persist it as an index and re-link on decode.
-	idx := int32(-1)
-	if u.Inst != nil {
-		for i := range insts {
-			if u.Inst == &insts[i] {
-				idx = int32(i)
-				break
-			}
-		}
-	}
-	le.PutUint32(w[32:], uint32(idx))
 	return append(out, w[:]...)
 }
 
@@ -364,12 +243,15 @@ func (c *decCursor) u64() uint64 {
 // but the snapshot aliases data: blocks are rebuilt on the heap, and a
 // VM copies its image out.
 //
-// Decoding is defensive — truncation, bad magic, a foreign engine
-// version, or out-of-range structural fields all return an error — but
-// it deliberately does not re-verify the semantic content of cached
-// micro-ops against the image: the store's whole-artifact checksum is
-// the integrity boundary, and on any doubt the caller rebuilds from the
-// decoder ELF instead.
+// The payload comes from a directory other processes write, so decoding
+// trusts none of it. Truncation, bad magic, a foreign engine version and
+// out-of-range structural fields are errors; every micro-op field is held
+// to its domain (decodeUop); a block record must be what lowering makes
+// of a run of instructions; and an escape runs only the instruction its
+// own bytes in the image decode to. A forged payload that passes can make
+// a decoder produce wrong bytes — which the archive's checksums catch —
+// but it cannot make the VM panic or the native emitter encode anything
+// but the host code it emits for a valid micro-op.
 func Deserialize(data []byte) (*Snapshot, error) {
 	c := &decCursor{data: data}
 	if magic := c.take(4); c.err != nil || string(magic) != snapMagic {
@@ -380,7 +262,8 @@ func Deserialize(data []byte) (*Snapshot, error) {
 	}
 	// VMs of this snapshot never pass through New: a bad process override
 	// is reported here instead.
-	if _, err := processOpt(); err != nil {
+	processLevel, err := processOpt()
+	if err != nil {
 		return nil, err
 	}
 	s := &Snapshot{}
@@ -418,17 +301,22 @@ func Deserialize(data []byte) (*Snapshot, error) {
 	}
 	s.arena = tier2.NewArena(tier2.ArenaSize)
 
-	// A count is only a promise; every record is at least its 20-byte
-	// header, so the payload left bounds what a table may be sized for.
-	if uint64(nBlocks)*20 > uint64(len(c.data)-c.off) {
+	// A count is only a promise; every record is at least its header, so
+	// the payload left bounds what a table may be sized for.
+	if uint64(nBlocks)*blockHdrLen > uint64(len(c.data)-c.off) {
 		return nil, fmt.Errorf("vm: snapshot decode: %d blocks in %d bytes", nBlocks, len(c.data)-c.off)
 	}
+	// The blocks run at the level their VMs will, as buildBlock would
+	// have optimized them there.
+	level := cmp.Or(s.opt, processLevel)
+	var scratch []uop.Uop
 	s.blocks = make(map[uint32]*block, nBlocks)
 	for i := uint32(0); i < nBlocks; i++ {
-		addr, b, err := decodeBlock(c, s)
+		addr, b, err := s.decodeBlock(c)
 		if err != nil {
 			return nil, err
 		}
+		scratch, _ = b.optimize(level, scratch)
 		s.blocks[addr] = b
 	}
 
@@ -436,26 +324,16 @@ func Deserialize(data []byte) (*Snapshot, error) {
 	if c.err != nil {
 		return nil, c.err
 	}
-	if uint64(nSBs)*20 > uint64(len(c.data)-c.off) {
+	if uint64(nSBs)*sbRecHdrLen > uint64(len(c.data)-c.off) {
 		return nil, fmt.Errorf("vm: snapshot decode: %d superblocks in %d bytes", nSBs, len(c.data)-c.off)
 	}
 	s.sbs = make(map[uint32]*sbRecord, nSBs)
-	if nSBs > 0 {
-		// Escape payloads re-link by instruction address against the
-		// block section just decoded.
-		eips := make(map[uint32]*x86.Inst)
-		for _, b := range s.blocks {
-			for i, a := range b.addrs {
-				eips[a] = &b.insts[i]
-			}
+	for i := uint32(0); i < nSBs; i++ {
+		addr, r, err := s.decodeSB(c)
+		if err != nil {
+			return nil, err
 		}
-		for i := uint32(0); i < nSBs; i++ {
-			addr, r, err := decodeSB(c, s, eips)
-			if err != nil {
-				return nil, err
-			}
-			s.sbs[addr] = r
-		}
+		s.sbs[addr] = r
 	}
 	if c.off != len(c.data) {
 		return nil, fmt.Errorf("vm: snapshot decode: %d trailing bytes", len(c.data)-c.off)
@@ -503,40 +381,40 @@ func decodeImage(c *decCursor, s *Snapshot, n uint32) error {
 	return nil
 }
 
-func decodeBlock(c *decCursor, s *Snapshot) (uint32, *block, error) {
-	addr := c.u32()
-	b := &block{end: c.u32(), cost: int64(c.u64())}
-	counts := c.take(4)
+// decodeBlock reconstructs one block from its raw micro-ops. The record
+// must be what buildBlock lowers a run of instructions to: one micro-op
+// of a kind Lower emits per instruction, at Cost 1, each starting where
+// the one before it ends; no control transfer but the last, which is one
+// unless the run is maxBlockLen long; all of it inside the read-only
+// window, the only bytes the engine ever absorbs fragments of. Its end
+// and cost follow from the record; Deserialize derives its uops.
+func (s *Snapshot) decodeBlock(c *decCursor) (uint32, *block, error) {
+	addr, n := c.u32(), c.u32()
 	if c.err != nil {
 		return 0, nil, c.err
 	}
-	le := binary.LittleEndian
-	nInsts := int(le.Uint16(counts[0:]))
-	nUops := int(le.Uint16(counts[2:]))
-	if nInsts == 0 || nInsts > maxBlockLen || nUops == 0 || nUops > nInsts {
-		return 0, nil, fmt.Errorf("vm: snapshot decode: block %#x has %d insts / %d uops", addr, nInsts, nUops)
+	if n == 0 || n > maxBlockLen {
+		return 0, nil, fmt.Errorf("vm: snapshot decode: block %#x has %d instructions", addr, n)
 	}
-	b.insts = make([]x86.Inst, nInsts)
-	for i := range b.insts {
-		decodeInst(c, &b.insts[i])
-	}
-	b.addrs = make([]uint32, nInsts)
-	for i := range b.addrs {
-		b.addrs[i] = c.u32()
-	}
-	b.uops = make([]uop.Uop, nUops)
-	for i := range b.uops {
-		if err := decodeUop(c, &b.uops[i], b.insts, nil); err != nil {
+	b := &block{raw: make([]uop.Uop, n), end: addr, cost: int64(n)}
+	for i := range b.raw {
+		u := &b.raw[i]
+		if err := s.decodeUop(c, u); err != nil {
 			return 0, nil, err
 		}
+		last := i == len(b.raw)-1
+		switch {
+		case !u.Kind.Lowered() || u.Cost != 1:
+			return 0, nil, fmt.Errorf("vm: snapshot decode: %s of cost %d in block %#x: not a micro-op Lower emits", u.Kind, u.Cost, addr)
+		case u.EIP != b.end || u.Next <= u.EIP:
+			return 0, nil, fmt.Errorf("vm: snapshot decode: block %#x: instruction [%#x,%#x) does not follow on from %#x", addr, u.EIP, u.Next, b.end)
+		case uop.Kinds[u.Kind].Term != last && (!last || n < maxBlockLen):
+			return 0, nil, fmt.Errorf("vm: snapshot decode: block %#x: %s is instruction %d of %d: a fragment ends at its one control transfer, or at %d instructions",
+				addr, u.Kind, i+1, n, maxBlockLen)
+		}
+		b.end = u.Next
 	}
-	if c.err != nil {
-		return 0, nil, c.err
-	}
-	// The executor only chains/absorbs blocks below roLimit, and the
-	// snapshot guarantees those bytes are pristine; a block outside the
-	// window could never have been absorbed by this engine.
-	if addr < PageSize || b.end < addr || b.end > s.roLimit {
+	if addr < PageSize || b.end > s.roLimit {
 		return 0, nil, fmt.Errorf("vm: snapshot decode: block [%#x,%#x) outside the read-only window", addr, b.end)
 	}
 	return addr, b, nil
@@ -548,7 +426,7 @@ func decodeBlock(c *decCursor, s *Snapshot) (uint32, *block, error) {
 // read-only window. Guard chain slots are re-numbered from scratch with
 // the same scan formSuperblock uses, so the wire's Aux bytes for guards
 // are never trusted as array indices.
-func decodeSB(c *decCursor, s *Snapshot, eips map[uint32]*x86.Inst) (uint32, *sbRecord, error) {
+func (s *Snapshot) decodeSB(c *decCursor) (uint32, *sbRecord, error) {
 	addr := c.u32()
 	b := &block{end: c.u32(), cost: int64(c.u64())}
 	nUops := int(c.u32())
@@ -563,12 +441,9 @@ func decodeSB(c *decCursor, s *Snapshot, eips map[uint32]*x86.Inst) (uint32, *sb
 	}
 	b.uops = make([]uop.Uop, nUops)
 	for i := range b.uops {
-		if err := decodeUop(c, &b.uops[i], nil, eips); err != nil {
+		if err := s.decodeUop(c, &b.uops[i]); err != nil {
 			return 0, nil, err
 		}
-	}
-	if c.err != nil {
-		return 0, nil, c.err
 	}
 	// Tier-1 charges a superblock its recorded cost, a compiled trace the
 	// sum over its micro-ops; a file where the two differ would make the
@@ -586,49 +461,15 @@ func decodeSB(c *decCursor, s *Snapshot, eips map[uint32]*x86.Inst) (uint32, *sb
 	return addr, &sbRecord{b: b, guards: guards, rets: rets}, nil
 }
 
-func decodeArg(c *decCursor, a *x86.Arg) {
-	w := c.take(argWireLen)
-	if w == nil {
-		return
-	}
-	a.Kind = x86.ArgKind(w[0])
-	a.Reg = x86.Reg(w[1])
-	a.Base = x86.Reg(w[2])
-	a.Index = x86.Reg(w[3])
-	a.Scale = w[4]
-	a.Size = w[5]
-	le := binary.LittleEndian
-	a.Disp = int32(le.Uint32(w[6:]))
-	a.Imm = int32(le.Uint32(w[10:]))
-}
-
-func decodeInst(c *decCursor, in *x86.Inst) {
-	w := c.take(8)
-	if w == nil {
-		return
-	}
-	in.Op = x86.Op(w[0])
-	in.CC = x86.CC(w[1])
-	in.Rep = w[2]&1 != 0
-	in.Len = w[3]
-	in.Rel = int32(binary.LittleEndian.Uint32(w[4:]))
-	decodeArg(c, &in.Dst)
-	decodeArg(c, &in.Src)
-	decodeArg(c, &in.Aux)
-}
-
-// decodeUop decodes one micro-op of a block (insts, its instructions,
-// set; eips nil) or of a superblock (insts nil; eips set). The payload
-// word is an instruction index, or -1, in a block; in a superblock it is
-// a has-payload marker resolved through the block section's instruction
-// addresses. The executor indexes its jump table by Kind and the 9-slot
-// register file (RegZero included) by the register fields, and the
-// native emitter encodes the fields the kind's row names into host
-// instructions, so every one of them is held to its domain here: out of
-// range it would be memory corruption or foreign host code, not just a
-// wrong answer. A guard's Aux is a slot index formSuperblock's numbering
-// rewrites, not a register, and guards occur only in superblocks.
-func decodeUop(c *decCursor, u *uop.Uop, insts []x86.Inst, eips map[uint32]*x86.Inst) error {
+// decodeUop decodes one micro-op record. The executor indexes its jump
+// table by Kind and the 9-slot register file (RegZero included) by the
+// register fields, and the native emitter encodes the fields the kind's
+// row names into host instructions, so every one of them is held to its
+// domain here: out of range it would be memory corruption or foreign
+// host code, not just a wrong answer. A guard's Aux is a slot index
+// formSuperblock's numbering rewrites, not a register. An escape gets its
+// instruction from the image (escapeInst).
+func (s *Snapshot) decodeUop(c *decCursor, u *uop.Uop) error {
 	w := c.take(uopWireLen)
 	if w == nil {
 		return c.err
@@ -656,9 +497,6 @@ func decodeUop(c *decCursor, u *uop.Uop, insts []x86.Inst, eips map[uint32]*x86.
 	}
 	r := &uop.Kinds[u.Kind]
 	slot := r.Guard || u.Kind == uop.KindRetGuard
-	if slot && insts != nil {
-		return fmt.Errorf("vm: snapshot decode: %s outside a superblock at eip %#x", u.Kind, u.EIP)
-	}
 	if u.Dst > uop.RegZero || u.Src > uop.RegZero || u.Base > uop.RegZero ||
 		u.Idx > uop.RegZero || !slot && u.Aux > uop.RegZero {
 		return fmt.Errorf("vm: snapshot decode: register slot out of range at eip %#x", u.EIP)
@@ -666,22 +504,48 @@ func decodeUop(c *decCursor, u *uop.Uop, insts []x86.Inst, eips map[uint32]*x86.
 	if f := u.BadField(); f != "" {
 		return fmt.Errorf("vm: snapshot decode: %s out of range for %s at eip %#x", f, u.Kind, u.EIP)
 	}
-	p := le.Uint32(w[32:])
-	switch {
-	case insts != nil && int32(p) >= 0 && int(p) < len(insts):
-		u.Inst = &insts[p]
-	case insts == nil && p == 1:
-		in, ok := eips[u.EIP]
-		if !ok {
-			return fmt.Errorf("vm: snapshot decode: superblock payload at eip %#x not in block section", u.EIP)
-		}
-		u.Inst = in
-	case insts != nil && p == 0xFFFFFFFF, insts == nil && p == 0:
-		if r.Escape {
-			return fmt.Errorf("vm: snapshot decode: escape uop without payload at eip %#x", u.EIP)
-		}
-	default:
-		return fmt.Errorf("vm: snapshot decode: uop payload word %d out of range at eip %#x", p, u.EIP)
+	if r.Escape {
+		return s.escapeInst(u)
 	}
 	return nil
+}
+
+// escapeInst gives an escape micro-op its instruction: the one the
+// snapshot's read-only image holds at its EIP, which must lower to the
+// record itself. The reference interpreter then only ever runs what
+// x86.Decode made of the decoder's own bytes, as it does on a fresh
+// translation.
+func (s *Snapshot) escapeInst(u *uop.Uop) error {
+	if u.EIP < PageSize || u.EIP >= s.roLimit {
+		return fmt.Errorf("vm: snapshot decode: %s at eip %#x outside the read-only window", u.Kind, u.EIP)
+	}
+	var win [15]byte
+	n := min(s.roLimit-u.EIP, uint32(len(win)))
+	s.imageAt(win[:n], u.EIP)
+	inst, err := x86.Decode(win[:n])
+	if err != nil {
+		return fmt.Errorf("vm: snapshot decode: %s at eip %#x: %v", u.Kind, u.EIP, err)
+	}
+	var lowered [1]uop.Uop
+	l := uop.Lower(lowered[:0], &inst, u.EIP)[0]
+	if u.Inst = l.Inst; l != *u {
+		return fmt.Errorf("vm: snapshot decode: %s at eip %#x is not what the instruction there lowers to", u.Kind, u.EIP)
+	}
+	return nil
+}
+
+// imageAt fills dst with the captured bytes at [addr, addr+len(dst)):
+// the extents' bytes where they have them, zero elsewhere.
+func (s *Snapshot) imageAt(dst []byte, addr uint32) {
+	clear(dst)
+	end := addr + uint32(len(dst))
+	i := sort.Search(len(s.image), func(i int) bool {
+		e := &s.image[i]
+		return e.off+uint32(len(e.data)) > addr
+	})
+	for ; i < len(s.image) && s.image[i].off < end; i++ {
+		e := &s.image[i]
+		lo, hi := max(e.off, addr), min(e.off+uint32(len(e.data)), end)
+		copy(dst[lo-addr:], e.data[lo-e.off:hi-e.off])
+	}
 }

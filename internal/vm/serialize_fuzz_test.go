@@ -3,6 +3,7 @@ package vm_test
 import (
 	"bytes"
 	"context"
+	"io"
 	"testing"
 
 	"vxa/internal/bmp"
@@ -20,11 +21,18 @@ import (
 	_ "vxa/internal/codec/lpc"
 )
 
-// decoderArtifacts serializes what an artifact of each built-in decoder
-// holds: the pristine image with the blocks and superblocks one stream
-// translated.
-func decoderArtifacts(tb testing.TB) [][]byte {
-	var out [][]byte
+// decoderArtifact is what an artifact of one built-in decoder holds: the
+// pristine image with the blocks and superblocks one stream translated.
+type decoderArtifact struct {
+	name string
+	data []byte
+}
+
+// decoderArtifacts serializes one artifact per built-in decoder, each
+// translated at vm.OptTier2 so that what they hold does not follow
+// VXA_OPT.
+func decoderArtifacts(tb testing.TB) []decoderArtifact {
+	var out []decoderArtifact
 	for _, c := range codec.All() {
 		if c.Encode == nil {
 			continue
@@ -46,7 +54,7 @@ func decoderArtifacts(tb testing.TB) [][]byte {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		v, err := elf32.NewVM(elf, vm.Config{MemSize: 64 << 20})
+		v, err := elf32.NewVM(elf, vm.Config{MemSize: 64 << 20, OptLevel: vm.OptTier2})
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -59,7 +67,7 @@ func decoderArtifacts(tb testing.TB) [][]byte {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		out = append(out, data)
+		out = append(out, decoderArtifact{c.Name, data})
 	}
 	if len(out) < 6 {
 		tb.Fatalf("only %d decoders registered", len(out))
@@ -69,34 +77,42 @@ func decoderArtifacts(tb testing.TB) [][]byte {
 
 // TestDecoderArtifactsLoad: the loader refuses operand values out of
 // their domains, and no real artifact holds one — a refused artifact
-// would send a restarted shard back to translating.
+// would send a restarted shard back to translating. It logs each
+// artifact's size and what it holds, so a change to the format shows.
 func TestDecoderArtifactsLoad(t *testing.T) {
-	for i, data := range decoderArtifacts(t) {
-		s, err := vm.Deserialize(data)
+	for _, a := range decoderArtifacts(t) {
+		s, err := vm.Deserialize(a.data)
 		if err != nil {
-			t.Fatalf("artifact %d: %v", i, err)
+			t.Fatalf("%s: %v", a.name, err)
 		}
+		t.Logf("%-8s %7d bytes: %3d blocks, %2d superblocks", a.name, len(a.data), s.BlockCount(), s.SBCount())
 		if s.SBCount() == 0 {
-			t.Fatalf("artifact %d holds no superblock", i)
+			t.Fatalf("%s: the artifact holds no superblock", a.name)
 		}
 	}
 }
 
-// FuzzDeserialize feeds the snapshot parser mutations of six real
-// artifacts. Its input comes from a directory other processes write, and
-// what it accepts is copied into guest memory by offset, indexed into by
-// the executor and encoded into host instructions by the native emitter,
-// so: no payload may panic it, and one it accepts must materialize a VM
-// and a reset without a fault (every extent inside the address space),
-// compile every superblock without a panic (where the host has an
-// emitter) and serialize again into a payload it accepts. The seeds under
-// testdata are two payloads the loader once accepted and the emitter
-// could not take: a compare guard whose condition code was 0x20, which
-// came out as a jcc opcode byte of 0xA0 (push fs), and an AluRR whose
-// AluOp was 9, past the emitter's table.
+// FuzzDeserialize feeds the snapshot parser mutations of the built-in
+// decoders' artifacts. Its input comes from a directory other processes
+// write, and what it accepts is copied into guest memory by offset, run
+// by the executor and encoded into host instructions by the native
+// emitter, so: no payload may panic it, and one it accepts must
+// materialize a VM and a reset without a fault (every extent inside the
+// address space), compile every superblock without a panic (where the
+// host has an emitter), run a stream without a panic — under fuel budgets
+// that end inside a block, on the path that runs a block's raw micro-ops,
+// and under one long enough for superblocks to form and compile — and
+// serialize again into a payload it accepts. What the stream decodes does
+// not matter: a forged artifact may decode wrongly. The seeds under
+// testdata are three forgeries the loader once accepted: a compare guard
+// whose condition code is 0x20, which the emitter turned into a jcc
+// opcode byte of 0xA0 (push fs); an AluRR whose AluOp is 9, past the
+// emitter's table; and an ADD in a block whose source register is 0x40 —
+// in the persisted copy of the decoded instruction that blocks carried
+// up to EngineVersion 5, it indexed past the register file.
 func FuzzDeserialize(f *testing.F) {
-	for _, data := range decoderArtifacts(f) {
-		f.Add(data)
+	for _, a := range decoderArtifacts(f) {
+		f.Add(a.data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := vm.Deserialize(data)
@@ -107,10 +123,13 @@ func FuzzDeserialize(f *testing.F) {
 			return // a mutated header may ask for a GiB per exec
 		}
 		v := s.NewVM()
-		if err := v.Reset(s); err != nil {
-			t.Fatal(err)
-		}
 		vm.CompileSuperblocks(s)
+		for _, fuel := range []int64{3, 10, 100, 1 << 20} {
+			if err := v.Reset(s); err != nil {
+				t.Fatal(err)
+			}
+			v.RunStream(context.Background(), bytes.NewReader(nil), io.Discard, io.Discard, fuel)
+		}
 		again, err := s.Serialize()
 		if err != nil {
 			t.Fatal(err)

@@ -135,14 +135,12 @@ func TestDeserializeRejects(t *testing.T) {
 
 	// Corrupt the first uop's Kind inside the first block. The block
 	// section follows the image (an 8-byte table entry and the bytes of
-	// each extent); a block is a 20-byte header, nInsts insts
-	// (instWireLen each), nInsts addrs (4 each), then the uops.
+	// each extent); a block is its header, then its raw micro-ops.
 	blockOff := snapHeaderLen
 	for i := 0; i < int(le.Uint32(data[80:])); i++ {
 		blockOff += 8 + int(le.Uint32(data[snapHeaderLen+8*i+4:]))
 	}
-	nInsts := int(le.Uint16(data[blockOff+16:]))
-	uopOff := blockOff + 20 + nInsts*(instWireLen+4)
+	uopOff := blockOff + blockHdrLen
 	corrupt("uop kind out of range", func(d []byte) { d[uopOff] = 0xff })
 	corrupt("uop register out of range", func(d []byte) { d[uopOff+2] = 0x7f })
 }
@@ -290,8 +288,13 @@ func hotLoopSnapshot(t *testing.T) *Snapshot {
 // condition code, an AluOp, a ShOp, a byte-slot shift and a scale into
 // host instructions (a condition code is ORed into a jcc's opcode byte),
 // so the loader refuses each outside its domain, in a superblock and in
-// a block, with an error naming the field. A guard has no place in a
-// block, and a field the kind does not use is left alone.
+// a block, with an error naming the field; and a register past the
+// register file. A block persists what lowering made of its instructions,
+// so a record of another cost or of a kind only the optimizer or
+// superblock formation makes (a guard, a fused or an NF form) is refused
+// there, and so is a control transfer before its last instruction and an
+// escape that is not what the image's instruction at its EIP lowers to.
+// A field the kind does not use is left alone.
 func TestDeserializeRefusesOperandDomains(t *testing.T) {
 	snap := hotLoopSnapshot(t)
 	var sb, blk *block
@@ -301,14 +304,23 @@ func TestDeserializeRefusesOperandDomains(t *testing.T) {
 	for _, b := range snap.blocks {
 		blk = b
 	}
-	// load replaces the first micro-op of b by forged and returns what
-	// Deserialize makes of the snapshot then.
+	// load replaces the first micro-op of what b persists — a block's raw
+	// micro-ops, a superblock's uops — by forged, at the original's EIP,
+	// Next and (unless forged has one) Cost, and returns what Deserialize
+	// makes of the snapshot then.
 	load := func(b *block, forged uop.Uop) error {
-		orig := b.uops
-		defer func() { b.uops = orig }()
-		b.uops = slices.Clone(orig)
-		forged.EIP, forged.Next, forged.Cost = orig[0].EIP, orig[0].Next, orig[0].Cost
-		b.uops[0] = forged
+		rec := &b.uops
+		if b.raw != nil {
+			rec = &b.raw
+		}
+		orig := *rec
+		defer func() { *rec = orig }()
+		*rec = slices.Clone(orig)
+		forged.EIP, forged.Next = orig[0].EIP, orig[0].Next
+		if forged.Cost == 0 {
+			forged.Cost = orig[0].Cost
+		}
+		(*rec)[0] = forged
 		data, err := snap.Serialize()
 		if err != nil {
 			t.Fatal(err)
@@ -330,7 +342,15 @@ func TestDeserializeRefusesOperandDomains(t *testing.T) {
 		{"Dsh", sb, uop.Uop{Kind: uop.KindMovRI8, Dsh: 4}},
 		{"Ssh", blk, uop.Uop{Kind: uop.KindStore8, Ssh: 16, Base: z, Idx: z}},
 		{"Scale", sb, uop.Uop{Kind: uop.KindLoad, Base: z, Idx: 1, Scale: 3}},
-		{"outside a superblock", blk, uop.Uop{Kind: uop.KindGuardCmpRR}},
+		{"register slot", blk, uop.Uop{Kind: uop.KindMovRR, Src: 0x40}},
+		{"register slot", sb, uop.Uop{Kind: uop.KindLoad, Base: 0x40, Idx: z}},
+		{"not a micro-op Lower emits", blk, uop.Uop{Kind: uop.KindMovRR, Cost: 2}},
+		{"not a micro-op Lower emits", blk, uop.Uop{Kind: uop.KindGuardCmpRR}},
+		{"not a micro-op Lower emits", blk, uop.Uop{Kind: uop.KindCmpJccRR}},
+		{"not a micro-op Lower emits", blk, uop.Uop{Kind: uop.KindAddRRNF}},
+		{"one control transfer", blk, uop.Uop{Kind: uop.KindJmp}},
+		{"not what the instruction there lowers to", blk, uop.Uop{Kind: uop.KindGeneric}},
+		{"not what the instruction there lowers to", sb, uop.Uop{Kind: uop.KindString}},
 	} {
 		if err := load(c.b, c.u); err == nil {
 			t.Errorf("%v, to be refused for %q, decoded cleanly", c.u.Kind, c.want)

@@ -9,7 +9,6 @@ import (
 
 	"vxa/internal/vm/tier2"
 	"vxa/internal/vm/uop"
-	"vxa/internal/x86"
 )
 
 // Snapshot is a frozen copy of a VM's architectural state: the accessible
@@ -320,14 +319,8 @@ func (s *Snapshot) AbsorbBlocks(v *VM) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for addr, br := range v.blocks {
-		if _, ok := s.blocks[addr]; !ok {
-			b := br.b
-			if len(b.insts) == 0 {
-				continue
-			}
-			if addr >= PageSize && b.end <= s.roLimit {
-				s.blocks[addr] = b
-			}
+		if _, ok := s.blocks[addr]; !ok && addr >= PageSize && br.b.end <= s.roLimit {
+			s.blocks[addr] = br.b
 		}
 	}
 	geom := s.geometry()
@@ -433,9 +426,7 @@ func (s *Snapshot) CodeBytes() int64 { return s.arena.Committed() }
 
 // blockFootprint estimates one translated fragment's resident bytes.
 func blockFootprint(b *block) int64 {
-	return int64(len(b.insts))*int64(unsafe.Sizeof(x86.Inst{})) +
-		int64(len(b.uops))*int64(unsafe.Sizeof(uop.Uop{})) +
-		int64(len(b.addrs))*4 + 64
+	return int64(len(b.raw)+len(b.uops))*int64(unsafe.Sizeof(uop.Uop{})) + 64
 }
 
 // BlockExport is a frozen view of a snapshot's translated block cache,

@@ -71,8 +71,8 @@ func sbSelfLoop(term *uop.Uop, entry uint32) bool {
 // failure (nothing to grow) the entry is marked tried so the attempt is
 // not repeated.
 //
-// The trace is assembled in the VM's scratch (xlate) — each constituent
-// lowered straight onto its end, the terminator rewritten in place — and
+// The trace is assembled in the VM's scratch (xlate) — each constituent's
+// raw micro-ops appended to its end, the terminator rewritten in place — and
 // the optimized result copied out at its final size. The time this takes
 // is Stats.SuperblockNS, less the blocks it has built on the way.
 func (v *VM) formSuperblock(entry *bref) {
@@ -96,10 +96,8 @@ func (v *VM) formSuperblock(entry *bref) {
 		b := cur.b
 		blocks++
 		lastEnd = b.end
-		first := len(uops)
-		uops = uop.Lower(uops, b.insts, b.addrs)
-		raw := uops[first:]
-		term := &raw[len(raw)-1]
+		uops = append(uops, b.raw...)
+		term := &uops[len(uops)-1]
 
 		// Decide how this block continues the trace. Branch-driven
 		// growth (jmp/jcc/fall-through) marks blocks visited and stops

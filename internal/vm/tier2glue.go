@@ -196,7 +196,7 @@ func (v *VM) runTier2(sb *bref, t *tier2.Trace) (*bref, int, error) {
 
 	if s == 0 {
 		// A trace entry declined because the budget would not cover its
-		// cost. If that was the fuel, the reference walk finds the exact
+		// cost. If that was the fuel, the end-of-budget path finds the exact
 		// trap EIP from here. If it was the credit — which is then short
 		// of one trace's cost, so the poll comes at most that much early
 		// — the dispatch loop must poll now rather than re-enter with

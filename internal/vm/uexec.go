@@ -596,10 +596,11 @@ func (v *VM) indirect(br *bref, target uint32) (*bref, error) {
 // hoisted sandbox geometry and register file in registers across block
 // transfers.
 //
-// Fuel is charged once per block — len(uops) on entry — instead of
+// Fuel is charged once per block — its cost on entry — instead of
 // decrement-and-compare per instruction. When the remaining budget is
-// smaller than the block, execution drops to the reference engine's
-// per-instruction walk so the fuel trap reports the exact EIP.
+// smaller than the block, the loop runs the block's raw micro-ops, one
+// per instruction, as far as the budget goes, so the fuel trap reports
+// the exact EIP.
 //
 // A superblock that comes back from runTier2 with a start index runs
 // from that micro-op only: its compiled trace ran the micro-ops before
@@ -651,8 +652,8 @@ blocks:
 		// bref; entering it swaps br for the superblock's own bref, so
 		// every chain slot below stays per-fragment-view. Promotion is
 		// skipped when the remaining fuel cannot cover the superblock,
-		// keeping the end-of-budget slow path on base blocks (which
-		// carry the decoded instructions the reference walk needs).
+		// keeping the end-of-budget path on base blocks, whose raw
+		// micro-ops it runs one instruction at a time.
 		if sb := br.sb; sb != nil {
 			if v.m.Fuel >= sb.b.cost {
 				// Tier-2 dispatch: a compiled trace — and whatever traces
@@ -694,23 +695,19 @@ blocks:
 		b := br.b
 		us, cost := b.uops[from:], b.cost-skipped
 		from = 0
-		n := len(us)
-		if v.m.Fuel < cost {
-			// End-of-budget: re-walk this block on the reference engine
-			// for an exact fuel-trap EIP. (The walk always traps before
-			// the block completes, but stay general.)
-			v.materializeFlags()
-			if err := v.execBlock(b); err != nil {
-				return err
-			}
-			nb, err := v.lookupBlock(v.eip)
-			if err != nil {
-				return err
-			}
-			br = nb
-			brk = v.m.Brk
-			continue
+		dry := v.m.Fuel < cost
+		if dry {
+			// End of budget: run the instructions the fuel still covers,
+			// one raw micro-op each, and trap at the next one — the exact
+			// EIP that charging a whole fragment at once gives up. Only a
+			// base block gets here (a superblock is entered, and a resumed
+			// pass was begun, with the fuel for all of it), and its one
+			// control transfer is its last instruction, which the budget
+			// does not reach.
+			cost = max(v.m.Fuel, 0)
+			us = b.raw[:cost]
 		}
+		n := len(us)
 		v.m.Fuel -= cost
 		v.stats.Steps += uint64(cost)
 		v.stats.UopsExecuted += uint64(n)
@@ -1557,6 +1554,10 @@ blocks:
 			}
 		}
 
+		if dry {
+			v.eip = b.raw[n].EIP
+			return &Trap{Kind: TrapFuel, EIP: v.eip}
+		}
 		// The block ended without a control transfer (fragment length
 		// cap): fall through to the next address.
 		v.eip = b.end

@@ -219,6 +219,13 @@ var Kinds = [KindGeneric + 1]Info{
 	KindGeneric: {Name: "Generic", Use: all, Escape: true},
 }
 
+// Lowered reports whether Lower can emit k. The kinds only the optimizer
+// and superblock formation make — the NF and fused forms, the guards —
+// are declared together, from KindAddRRNF to KindGuardTestRINF.
+func (k Kind) Lowered() bool {
+	return k < KindAddRRNF || k > KindGuardTestRINF && int(k) < len(Kinds)
+}
+
 // String names the micro-op kind for trace-plan dumps and debugging.
 func (k Kind) String() string {
 	if int(k) < len(Kinds) {

@@ -99,3 +99,29 @@ func TestKindTable(t *testing.T) {
 		}
 	}
 }
+
+// TestLoweredKinds: the kinds Lower never emits are exactly those the
+// optimizer and superblock formation make — NF and fused forms, guards —
+// so the artifact loader can refuse them in a block's lowered record.
+func TestLoweredKinds(t *testing.T) {
+	made := map[Kind]bool{KindLoadAluRR: true, KindLoadAluRRNF: true, KindPopRet: true, KindPushCall: true, KindRetGuard: true}
+	for k := range Kinds {
+		r := &Kinds[k]
+		for _, f := range []Kind{r.NF, r.Fused.Jcc, r.Fused.Guard, r.Fused.Setcc, r.Fused.Bool} {
+			if f != 0 {
+				made[f] = true
+			}
+		}
+		if r.Guard {
+			made[Kind(k)] = true
+		}
+	}
+	for k := range Kinds {
+		if Kind(k).Lowered() == made[Kind(k)] {
+			t.Errorf("%s: Lowered() = %v", Kind(k), Kind(k).Lowered())
+		}
+	}
+	if Kind(len(Kinds)).Lowered() {
+		t.Error("a kind past the table counts as lowered")
+	}
+}

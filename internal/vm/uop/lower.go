@@ -29,20 +29,17 @@ var specialized = func() (s [AluTest + 1][2]Kind) {
 	return s
 }()
 
-// Lower translates one decoded basic block into its micro-op form,
-// appended to dst (which a translator reuses from fragment to fragment;
-// nil allocates). insts must be the block's own backing slice: generic
-// escapes keep pointers into it, so it must stay immutable for the
-// lifetime of the result. addrs[i] is the guest address of insts[i].
-// Lowering is 1:1 — uop i is instruction i, each with Cost 1. Only the
+// Lower appends the micro-op form of inst, the guest instruction at addr,
+// to dst (which a translator reuses from fragment to fragment; nil
+// allocates) and returns the extended slice. Lowering is 1:1: one
+// micro-op per instruction, with Cost 1. An escape (KindString,
+// KindGeneric) owns a copy of inst, so the caller may reuse inst at once
+// and the micro-op stays valid for as long as it is kept. Only the
 // optimizer's fusion pass (opt.go) breaks the 1:1 shape, and it preserves
 // the total Cost, which is what the VM's fuel accounting charges.
-func Lower(dst []Uop, insts []x86.Inst, addrs []uint32) []Uop {
-	n := len(dst)
-	dst = append(dst, make([]Uop, len(insts))...)
-	for i := range insts {
-		lowerInst(&dst[n+i], &insts[i], addrs[i])
-	}
+func Lower(dst []Uop, inst *x86.Inst, addr uint32) []Uop {
+	dst = append(dst, Uop{})
+	lowerInst(&dst[len(dst)-1], inst, addr)
 	return dst
 }
 
@@ -80,8 +77,8 @@ func lowerInst(u *Uop, inst *x86.Inst, addr uint32) {
 
 	// generic routes the instruction to the reference interpreter.
 	generic := func(k Kind) {
-		u.Kind = k
-		u.Inst = inst
+		c := *inst
+		u.Kind, u.Inst = k, &c
 	}
 
 	switch inst.Op {

@@ -13,9 +13,10 @@
 // SBB, or a generic-fallback instruction) actually asks for them.
 //
 // Lowering is total: any instruction without a specialized handler
-// lowers to KindGeneric, which carries the decoded x86.Inst through to
-// the VM's reference interpreter. Correctness therefore never depends on
-// the specialization coverage — only speed does.
+// lowers to KindGeneric, which carries its own copy of the decoded
+// x86.Inst through to the VM's reference interpreter. Correctness
+// therefore never depends on the specialization coverage — only speed
+// does.
 package uop
 
 import "vxa/internal/x86"
@@ -292,5 +293,5 @@ type Uop struct {
 	Next   uint32 // address of the following instruction
 	Target uint32 // absolute branch target for Jmp/Jcc/Call and guards
 
-	Inst *x86.Inst // KindString / KindGeneric escape payload
+	Inst *x86.Inst // KindString / KindGeneric escape payload: the micro-op's own copy
 }

@@ -7,6 +7,15 @@ import (
 	"vxa/internal/x86"
 )
 
+// lowerAll lowers insts, instruction i at addrs[i], into one fragment.
+func lowerAll(insts []x86.Inst, addrs []uint32) []Uop {
+	var us []Uop
+	for i := range insts {
+		us = Lower(us, &insts[i], addrs[i])
+	}
+	return us
+}
+
 // TestLowerOneToOne pins the invariant the VM's per-block fuel
 // accounting depends on: lowering is 1:1, micro-op i describes
 // instruction i, with EIP/Next taken from the address table.
@@ -17,7 +26,7 @@ func TestLowerOneToOne(t *testing.T) {
 		{Op: x86.JCC, CC: x86.CCNE, Rel: -9, Len: 2},
 	}
 	addrs := []uint32{0x1000, 0x1005, 0x1007}
-	us := Lower(nil, insts, addrs)
+	us := lowerAll(insts, addrs)
 	if len(us) != len(insts) {
 		t.Fatalf("lowered %d uops for %d insts", len(us), len(insts))
 	}
@@ -43,7 +52,7 @@ func TestLowerOneToOne(t *testing.T) {
 // TestLowerTotal: every opcode/operand shape lowers to something — an
 // unspecialized shape must carry its instruction into the generic
 // escape rather than produce a zero-value micro-op that silently
-// executes as a NOP.
+// executes as a NOP. The escape owns its copy of the instruction.
 func TestLowerTotal(t *testing.T) {
 	odd := []x86.Inst{
 		{Op: x86.ROL, Dst: x86.R(x86.EAX), Src: x86.I8(3), Len: 3},          // rotate: generic
@@ -56,13 +65,13 @@ func TestLowerTotal(t *testing.T) {
 	for i := range addrs {
 		addrs[i] = uint32(0x2000 + 4*i)
 	}
-	us := Lower(nil, odd, addrs)
+	us := lowerAll(odd, addrs)
 	for i, u := range us {
 		if u.Kind != KindGeneric && u.Kind != KindString {
 			t.Errorf("inst %d (%v) lowered to kind %d, want an escape", i, odd[i].Op, u.Kind)
 		}
-		if u.Inst == nil {
-			t.Errorf("inst %d (%v): escape lost its instruction payload", i, odd[i].Op)
+		if u.Inst == nil || u.Inst == &odd[i] || *u.Inst != odd[i] {
+			t.Errorf("inst %d (%v): escape does not own a copy of its instruction", i, odd[i].Op)
 		}
 	}
 }

@@ -295,17 +295,21 @@ type VM struct {
 	stats    Stats
 }
 
-// block is one translated fragment: the decoded instructions plus their
-// lowered, optimized micro-op form. Blocks are immutable after
-// construction and may be shared by many VMs through a Snapshot.
-// Superblocks (superblock.go) reuse the same type with insts/addrs nil:
-// they are per-VM and never enter the snapshot-shared cache.
+// block is one translated fragment. raw is what uop.Lower made of its
+// instructions, one micro-op each at Cost 1, and the one record of them
+// the engine keeps: it is what the fragment persists as, what superblock
+// formation assembles traces from and what the end-of-budget path runs,
+// and each escape among it owns its decoded instruction. uops is the form
+// the fragment runs in, raw through the optimizer (raw itself below
+// OptOptimized). Blocks are immutable after construction and may be
+// shared by many VMs through a Snapshot. Superblocks (superblock.go)
+// reuse the type with raw nil: they are per-VM and never enter the
+// snapshot-shared cache.
 type block struct {
-	insts []x86.Inst
-	addrs []uint32  // eip of each instruction
-	uops  []uop.Uop // lowered form; fusion may make this shorter than insts
-	end   uint32    // address just past the last instruction
-	cost  int64     // guest instructions per straight-line execution (fuel units)
+	raw  []uop.Uop
+	uops []uop.Uop
+	end  uint32 // address just past the last instruction
+	cost int64  // guest instructions per straight-line execution (fuel units)
 }
 
 // bref is the per-VM view of a block: the shared immutable fragment plus
@@ -628,14 +632,12 @@ func (v *VM) lookupBlock(addr uint32) (*bref, error) {
 
 // xlate is the translator's scratch, which the VM keeps so that a
 // fragment is allocated once, at its final size, instead of grown an
-// append at a time: buildBlock decodes into insts and addrs and lowers
-// into uops; formSuperblock lowers its constituents into sb (it builds
-// blocks while it grows a trace, so the two cannot share) and stacks the
-// calls it inlines in callRets. Both keep exact-size copies. gen numbers
+// append at a time: buildBlock lowers into uops and optimizes there;
+// formSuperblock assembles its constituents in sb (it builds blocks while
+// it grows a trace, so the two cannot share) and stacks the calls it
+// inlines in callRets. Both keep exact-size copies. gen numbers
 // formSuperblock calls, to stamp the blocks each has been through.
 type xlate struct {
-	insts    []x86.Inst
-	addrs    []uint32
 	uops     []uop.Uop
 	sb       []uop.Uop
 	callRets []uint32
@@ -656,12 +658,12 @@ func (v *VM) buildBlock(addr uint32) (*block, error) {
 		limit = maxBlockLen
 	}
 	xl := &v.xl
-	if xl.insts == nil {
-		xl.insts, xl.addrs = make([]x86.Inst, 0, maxBlockLen), make([]uint32, 0, maxBlockLen)
+	if xl.uops == nil {
+		xl.uops = make([]uop.Uop, 0, maxBlockLen)
 	}
-	insts, addrs := xl.insts[:0], xl.addrs[:0]
+	raw := xl.uops[:0]
 	cur := addr
-	for len(insts) < limit {
+	for len(raw) < limit {
 		// An instruction can be up to 15 bytes; fetching requires the
 		// whole window to be readable, clipped at the region end.
 		win := uint32(15)
@@ -675,29 +677,36 @@ func (v *VM) buildBlock(addr uint32) (*block, error) {
 		if err != nil {
 			return nil, &Trap{Kind: TrapIllegal, EIP: cur, Msg: err.Error()}
 		}
-		insts = append(insts, inst)
-		addrs = append(addrs, cur)
+		raw = uop.Lower(raw, &inst, cur)
 		cur += uint32(inst.Len)
 		if endsBlock(inst.Op) {
 			break
 		}
 	}
-	// The instructions are copied out first: escape micro-ops point into
-	// the block's own.
-	b := &block{insts: slices.Clone(insts), addrs: slices.Clone(addrs), end: cur, cost: int64(len(insts))}
-	us := uop.Lower(xl.uops[:0], b.insts, b.addrs)
-	xl.uops = us[:0]
-	if v.level >= OptOptimized {
-		var ost uop.OptStats
-		us, ost = uop.Optimize(us)
-		v.stats.UopsFused += ost.UopsFused
-		v.stats.FlagsElided += ost.FlagsElided
-	}
-	b.uops = slices.Clone(us)
+	b := &block{raw: slices.Clone(raw), end: cur, cost: int64(len(raw))}
+	var ost uop.OptStats
+	xl.uops, ost = b.optimize(v.level, raw)
+	v.stats.UopsFused += ost.UopsFused
+	v.stats.FlagsElided += ost.FlagsElided
 	if cached {
 		v.stats.TranslateNS += uint64(time.Since(t0))
 	}
 	return b, nil
+}
+
+// optimize sets b.uops from b.raw: through the optimizer at OptOptimized
+// and above, b.raw itself below. It works in scratch, which it returns
+// for reuse. buildBlock and the artifact loader both derive a fragment's
+// uops here, which is what makes a loaded fragment the one a fresh
+// translation would give.
+func (b *block) optimize(level OptLevel, scratch []uop.Uop) ([]uop.Uop, uop.OptStats) {
+	b.uops = b.raw
+	if level < OptOptimized {
+		return scratch[:0], uop.OptStats{}
+	}
+	us, st := uop.Optimize(append(scratch[:0], b.raw...))
+	b.uops = slices.Clone(us)
+	return us[:0], st
 }
 
 // endsBlock reports whether op terminates a fragment (control transfer or
@@ -709,23 +718,4 @@ func endsBlock(op x86.Op) bool {
 		return true
 	}
 	return false
-}
-
-// execBlock runs a fragment on the reference (eager-flag, per-instruction
-// fuel) engine. It is the end-of-fuel slow path of execUops: walking the
-// final instructions one at a time preserves the exact trap EIP that
-// per-block fuel accounting gives up. Flags must be materialized before
-// entry.
-func (v *VM) execBlock(b *block) error {
-	for i := range b.insts {
-		if v.m.Fuel <= 0 {
-			return &Trap{Kind: TrapFuel, EIP: b.addrs[i]}
-		}
-		v.m.Fuel--
-		v.stats.Steps++
-		if err := v.exec(&b.insts[i], b.addrs[i]); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -3,58 +3,11 @@ package vmpool
 import (
 	"bytes"
 	"context"
-	"errors"
 	"io"
 	"testing"
-	"time"
 
 	"vxa/internal/vm"
 )
-
-// TestGetBlocksUntilReleaseOrCancel: with MaxLive, Get blocks while all
-// slots are leased, wakes when one is released, and honours context
-// cancellation while waiting.
-func TestGetBlocksUntilReleaseOrCancel(t *testing.T) {
-	elf := compile(t, echoSrc)
-	p := New(Options{MaxLive: 1})
-	ctx := context.Background()
-
-	l1, err := p.Get(ctx, "echo", 0644, elf)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// A bounded wait must fail with the context error once the deadline
-	// passes, leaving the pool intact.
-	short, cancel := context.WithTimeout(ctx, 30*time.Millisecond)
-	defer cancel()
-	if _, err := p.Get(short, "echo", 0644, elf); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("blocked Get returned %v, want DeadlineExceeded", err)
-	}
-
-	// A waiter must wake when the slot frees.
-	got := make(chan error, 1)
-	go func() {
-		l2, err := p.Get(ctx, "echo", 0644, elf)
-		if err == nil {
-			l2.Release(false)
-		}
-		got <- err
-	}()
-	time.Sleep(20 * time.Millisecond) // let the waiter block
-	l1.Release(false)
-	select {
-	case err := <-got:
-		if err != nil {
-			t.Fatalf("waiter failed: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("waiter never woke after Release")
-	}
-	if n := p.Outstanding(); n != 0 {
-		t.Fatalf("Outstanding = %d, want 0", n)
-	}
-}
 
 // TestReleaseReset: a canceled lease goes back through the pristine
 // reset — Outstanding drops, the VM is parked idle, and the next lease
@@ -101,25 +54,4 @@ func TestReleaseResetParksPristineVM(t *testing.T) {
 	if !bytes.Equal(out.Bytes(), payload) {
 		t.Fatalf("echo after reset = %q, want %q", out.Bytes(), payload)
 	}
-}
-
-// TestReleaseResetFreesMaxLiveSlot: the cancellation path releases the
-// MaxLive slot exactly like a normal release.
-func TestReleaseResetFreesMaxLiveSlot(t *testing.T) {
-	elf := compile(t, echoSrc)
-	p := New(Options{MaxLive: 1})
-	ctx := context.Background()
-
-	l, err := p.Get(ctx, "echo", 0644, elf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.ReleaseReset()
-	short, cancel := context.WithTimeout(ctx, time.Second)
-	defer cancel()
-	l2, err := p.Get(short, "echo", 0644, elf)
-	if err != nil {
-		t.Fatalf("slot not freed by ReleaseReset: %v", err)
-	}
-	l2.Release(false)
 }

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"vxa/internal/breaker"
-	"vxa/internal/obs"
 	"vxa/internal/vm"
 )
 
@@ -216,42 +215,4 @@ func TestSnapCacheShrink(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Release(false)
-}
-
-// Satellite pin: a request canceled while blocked in the MaxLive
-// lease-wait reports its wait in the queue span stage (not lease) and
-// surfaces the context error so the serving layer can file it in the
-// 499 cell — never as a pool failure.
-func TestLeaseWaitCancelAccounting(t *testing.T) {
-	elf := compile(t, echoSrc)
-	p := New(Options{MaxLive: 1})
-
-	l1, err := p.Get(context.Background(), "echo", 0644, elf)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ctx, sp := obs.WithSpan(context.Background())
-	ctx, cancel := context.WithCancel(ctx)
-	done := make(chan error, 1)
-	go func() {
-		_, err := p.Get(ctx, "echo", 0644, elf)
-		done <- err
-	}()
-	time.Sleep(30 * time.Millisecond) // let the waiter block on the slot
-	cancel()
-	err = <-done
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled lease wait returned %v, want a context.Canceled chain", err)
-	}
-	if q := sp.Get(obs.StageQueue); q < 20*time.Millisecond {
-		t.Fatalf("queue stage = %v, want the blocked slot wait (>=20ms)", q)
-	}
-	if lease := sp.Get(obs.StageLease); lease > 5*time.Millisecond {
-		t.Fatalf("lease stage = %v: the canceled slot wait leaked into lease", lease)
-	}
-	l1.Release(false)
-	if n := p.Outstanding(); n != 0 {
-		t.Fatalf("Outstanding = %d, want 0", n)
-	}
 }

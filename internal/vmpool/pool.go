@@ -51,11 +51,6 @@ type Options struct {
 	// MaxIdlePerKey bounds how many idle VMs are retained per key;
 	// returning a VM beyond the bound drops it. 0 selects GOMAXPROCS.
 	MaxIdlePerKey int
-	// MaxLive caps leases in flight across the whole pool. When every
-	// slot is leased, Get blocks until a lease is released or the
-	// caller's context is canceled — the backpressure a bounded serving
-	// layer needs instead of unbounded VM growth. 0 means unlimited.
-	MaxLive int
 }
 
 // Stats are cumulative pool counters (JSON-tagged: they surface,
@@ -72,7 +67,6 @@ type Stats struct {
 // New.
 type Pool struct {
 	opts Options
-	sem  chan struct{} // MaxLive lease slots; nil when unlimited
 
 	mu          sync.Mutex
 	codec       map[string]*codecState
@@ -103,15 +97,11 @@ func New(opts Options) *Pool {
 	if opts.MaxIdlePerKey <= 0 {
 		opts.MaxIdlePerKey = runtime.GOMAXPROCS(0)
 	}
-	p := &Pool{
+	return &Pool{
 		opts:  opts,
 		codec: make(map[string]*codecState),
 		idle:  make(map[Key][]*vm.VM),
 	}
-	if opts.MaxLive > 0 {
-		p.sem = make(chan struct{}, opts.MaxLive)
-	}
-	return p
 }
 
 // Lease is one checked-out VM. The holder runs exactly one stream on it
@@ -261,10 +251,6 @@ func (p *Pool) Seed(codec string, snap *vm.Snapshot, spare *vm.VM) bool {
 // pristine VM the snapshot was captured from; an idle VM from another
 // security mode or scope, rewound to the pristine snapshot; a VM
 // materialized fresh from the snapshot.
-//
-// When the pool was created with MaxLive and every slot is leased, Get
-// blocks until a lease is released or ctx is canceled; the returned
-// error then wraps ctx.Err().
 func (p *Pool) Get(ctx context.Context, codec string, mode uint32, elf func() ([]byte, error)) (*Lease, error) {
 	return p.GetScoped(ctx, codec, mode, 0, elf)
 }
@@ -280,9 +266,9 @@ func (p *Pool) GetScoped(ctx context.Context, codec string, mode uint32, scope u
 	}
 	// Request tracing: snapshot-build time (the cold path, including
 	// coalesced waits on another goroutine's in-flight build) and lease
-	// wait (slot wait + VM pickup/reset/build) are attributed to the
-	// request's span when one rides in ctx. Untraced callers pay two
-	// context lookups and clock reads per lease.
+	// work (VM pickup/reset/build) are attributed to the request's span
+	// when one rides in ctx. Untraced callers pay two context lookups
+	// and clock reads per lease.
 	sp := obs.SpanFrom(ctx)
 	snapStart := time.Now()
 
@@ -323,32 +309,9 @@ func (p *Pool) GetScoped(ctx context.Context, codec string, mode uint32, scope u
 	}
 	sp.Add(obs.StageSnapshot, time.Since(snapStart))
 
-	// Lease-slot admission (MaxLive): block here, not under the pool
-	// lock, until a slot frees or the caller gives up. The slot is
-	// released by Release/ReleaseReset. A blocked slot wait is
-	// backpressure queueing, so it lands in the span's queue stage
-	// (only the VM pickup below is lease work) — in particular, a
-	// request canceled while parked here reports queue time and a
-	// context error (wrapping ctx.Err(), so errors.Is sees the
-	// client's cancellation), never a pool failure.
-	if p.sem != nil {
-		select {
-		case p.sem <- struct{}{}:
-		default:
-			waitStart := time.Now()
-			select {
-			case p.sem <- struct{}{}:
-				sp.Add(obs.StageQueue, time.Since(waitStart))
-			case <-ctx.Done():
-				sp.Add(obs.StageQueue, time.Since(waitStart))
-				return nil, fmt.Errorf("vmpool: waiting for a VM: %w", ctx.Err())
-			}
-		}
-	}
 	// Chaos hook: an injected lease fault models transient pool
-	// unavailability after admission.
+	// unavailability.
 	if err := fault.Inject(fault.LeaseAcquire); err != nil {
-		p.releaseSlot()
 		return nil, err
 	}
 	leaseStart := time.Now()
@@ -392,7 +355,6 @@ func (p *Pool) GetScoped(ctx context.Context, codec string, mode uint32, scope u
 			p.mu.Lock()
 			p.outstanding--
 			p.mu.Unlock()
-			p.releaseSlot()
 			return nil, err
 		}
 		return newLease(p, v, key, true, stats0), nil
@@ -423,7 +385,6 @@ func (l *Lease) Release(reusable bool) {
 		return
 	}
 	v, p := l.v, l.p
-	defer p.releaseSlot()
 	// Returning a warmed-up VM: fold its translation cache into the
 	// snapshot so every future build/reset starts warm. Done on the
 	// first return and again whenever the stream translated something
@@ -470,7 +431,6 @@ func (l *Lease) ReleaseReset() {
 		return
 	}
 	v, p := l.v, l.p
-	defer p.releaseSlot()
 	p.mu.Lock()
 	cs := p.codec[l.key.Codec]
 	var snap *vm.Snapshot
@@ -497,13 +457,6 @@ func (l *Lease) ReleaseReset() {
 		return
 	}
 	p.idle[l.key] = append(p.idle[l.key], v)
-}
-
-// releaseSlot frees one MaxLive lease slot, unblocking a waiting Get.
-func (p *Pool) releaseSlot() {
-	if p.sem != nil {
-		<-p.sem
-	}
 }
 
 // Stats returns a copy of the cumulative counters.

@@ -195,9 +195,8 @@ func poolKey(hash [32]byte) string { return hex.EncodeToString(hash[:]) }
 // malicious decoder embedded in two clients' archives cannot carry one
 // client's data into the other's output.
 //
-// ctx bounds the wait for a lease slot when the entry's pool caps
-// in-flight leases (see Options.MaxLive); canceling it while waiting
-// returns the context error.
+// ctx carries the request's span; a lease asked for under a context
+// already canceled fails with the context error.
 func (c *SnapCache) Get(ctx context.Context, hash [32]byte, mode uint32, scope uint64, elf func() ([]byte, error)) (*Lease, error) {
 	// Quarantine gate: an open breaker fails the request here, before
 	// any cache or pool work — the fail-fast path costs one mutex
