@@ -271,7 +271,10 @@ func BenchmarkStreamPooledVM(b *testing.B) {
 
 // BenchmarkStreamPooledVMReset forces the reset path on every stream by
 // alternating security modes: the cost of copy-on-reset from the
-// pristine snapshot, without the parked-VM resume shortcut.
+// pristine snapshot, without the parked-VM resume shortcut. After the
+// first streams the snapshot stops changing, so each reset keeps the
+// VM's translation view and the stream re-runs the decoder's start-up
+// code on it.
 func BenchmarkStreamPooledVMReset(b *testing.B) {
 	c, elf, encoded := smallDeflateStream(b)
 	pool := vmpool.New(vmpool.Options{VM: vm.Config{MemSize: 64 << 20}})

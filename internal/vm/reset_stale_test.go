@@ -1,0 +1,151 @@
+package vm
+
+import (
+	"bytes"
+	"encoding/binary"
+	"testing"
+
+	"vxa/internal/x86"
+	"vxa/internal/x86/asm"
+)
+
+// patchProgram calls fn, a function in the writable data segment
+// (mov eax, 1; ret), 64 times and exits with the sum of what it returned.
+// Four bytes of input, when there are any, first become fn's immediate:
+// the stream runs code it wrote itself.
+func patchProgram(u *asm.Unit) {
+	gate := x86.Arg{Kind: x86.KindImm, Imm: 0x80, Size: 1}
+	u.DefData("fn", asm.Data, []byte{0xb8, 1, 0, 0, 0, 0xc3})
+	u.DefBSS("imm", 4, 4)
+	u.Label("start")
+	u.Op2(x86.MOV, x86.R(x86.EAX), x86.I(SysRead))
+	u.Op2(x86.XOR, x86.R(x86.EBX), x86.R(x86.EBX))
+	u.Op2(x86.MOV, x86.R(x86.ECX), x86.ISym("imm"))
+	u.Op2(x86.MOV, x86.R(x86.EDX), x86.I(4))
+	u.Op1(x86.INT, gate)
+	u.Op2(x86.CMP, x86.R(x86.EAX), x86.I(4))
+	u.Jcc(x86.CCNE, "run")
+	u.Op2(x86.MOV, x86.R(x86.EDX), x86.MAbs("imm", 0, 4))
+	u.Op2(x86.MOV, x86.MAbs("fn", 1, 4), x86.R(x86.EDX))
+	u.Label("run")
+	u.Op2(x86.XOR, x86.R(x86.EBX), x86.R(x86.EBX))
+	u.Op2(x86.MOV, x86.R(x86.ESI), x86.I(64))
+	u.Label("loop")
+	u.Call("fn")
+	u.Op2(x86.ADD, x86.R(x86.EBX), x86.R(x86.EAX))
+	u.Op1(x86.DEC, x86.R(x86.ESI))
+	u.Jcc(x86.CCNE, "loop")
+	u.Op2(x86.MOV, x86.R(x86.EAX), x86.I(SysExit))
+	u.Op1(x86.INT, gate)
+}
+
+// TestResetRebuildsStaleView: a Reset keeps a VM's translation view only
+// while it is still the snapshot's. Each case makes it stale in one of
+// the ways it can go stale, and the stream after the Reset must show the
+// rebuilt view.
+func TestResetRebuildsStaleView(t *testing.T) {
+	// A sibling publishes a trace after the view was made: the next Reset
+	// installs it.
+	t.Run("published", func(t *testing.T) {
+		const seed = 64
+		want := soakReference(t, seed)
+		snap := soakSharedSnapshot(t, seed, eager)
+		v := snap.NewVM()
+		if err := v.Reset(snap); err != nil {
+			t.Fatal(err)
+		}
+		if n := v.Stats().Tier2Shared; n != 0 {
+			t.Fatalf("%d traces installed from a snapshot that carries none", n)
+		}
+		warmShared(t, snap)
+		if err := v.Reset(snap); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := v.Stats().Tier2Shared, uint64(snap.T2Count()); got != want {
+			t.Fatalf("the Reset after a sibling published installed %d traces, the snapshot carries %d", got, want)
+		}
+		got, err := soakStream(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := got.diff(want); d != "" {
+			t.Fatal(d)
+		}
+	})
+
+	// A stream runs code it wrote into its data segment: the next stream
+	// runs the pristine bytes, at every level exactly as the reference
+	// interpreter does.
+	t.Run("written", func(t *testing.T) {
+		patched := binary.LittleEndian.AppendUint32(nil, 7)
+		type outcome struct {
+			exit  int32
+			steps uint64
+		}
+		stream := func(t *testing.T, v *VM, in []byte) outcome {
+			t.Helper()
+			v.Stdin = bytes.NewReader(in)
+			steps := v.stats.Steps
+			if st, err := v.Run(); err != nil || st != StatusExit {
+				t.Fatalf("st=%v err=%v", st, err)
+			}
+			return outcome{v.ExitCode(), v.stats.Steps - steps}
+		}
+		var want [2]outcome
+		for _, level := range OptLevels() {
+			v, _ := buildVM(t, Config{OptLevel: level}, nil, patchProgram)
+			snap := v.Snapshot()
+			v = snap.NewVM()
+			got := [2]outcome{stream(t, v, patched)}
+			snap.AbsorbBlocks(v)
+			if err := v.Reset(snap); err != nil {
+				t.Fatal(err)
+			}
+			got[1] = stream(t, v, nil)
+			if level == OptReference {
+				want = got
+				if want[0].exit != 64*7 || want[1].exit != 64 {
+					t.Fatalf("reference: exits %d then %d, want %d then 64", want[0].exit, want[1].exit, 64*7)
+				}
+			}
+			if got != want {
+				t.Fatalf("%v: patched stream then pristine stream %+v, reference %+v", level, got, want)
+			}
+		}
+	})
+
+	// The process level changes between streams: the view built at the
+	// old level, traces and all, goes.
+	t.Run("level", func(t *testing.T) {
+		const seed = 64
+		want := soakReference(t, seed)
+		withProcessOpt(t, OptEager)
+		snap := soakSharedSnapshot(t, seed, Config{})
+		v := snap.NewVM()
+		if _, err := soakStream(v); err != nil {
+			t.Fatal(err)
+		}
+		snap.AbsorbBlocks(v)
+		if nativeTier2() && len(vmTraces(v)) == 0 {
+			t.Fatal("a hot stream left no compiled trace")
+		}
+		withProcessOpt(t, OptSuperblocks)
+		if err := v.Reset(snap); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(vmTraces(v)); n != 0 {
+			t.Fatalf("%d traces kept across a Reset that turned the tier off", n)
+		}
+		st0 := v.Stats()
+		got, err := soakStream(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := got.diff(want); d != "" {
+			t.Fatal(d)
+		}
+		if n := v.Stats().Tier2Executed - st0.Tier2Executed; n != 0 {
+			t.Fatalf("%d trace passes with the tier off", n)
+		}
+	})
+}

@@ -266,7 +266,7 @@ func Deserialize(data []byte) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Snapshot{}
+	s := &Snapshot{id: snapshotIDs.Add(1)}
 	s.memSize = c.u32()
 	s.brk = c.u32()
 	s.roLimit = c.u32()

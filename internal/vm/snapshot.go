@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 	"unsafe"
 
@@ -56,7 +57,16 @@ type Snapshot struct {
 	// however many VMs compile into it.
 	arena *tier2.Arena
 
-	mu     sync.Mutex
+	// id names the snapshot to the VMs whose translation view was built
+	// from it (VM.view): a number, not a pointer, so that no VM keeps a
+	// snapshot, or the artifact mapping under a loaded one, alive.
+	id uint64
+
+	mu sync.Mutex
+	// gen counts the changes to blocks and sbs, a trace published on a
+	// record included. A view built at an older generation lacks what
+	// came since, and the next restore rebuilds it.
+	gen    uint64
 	blocks map[uint32]*block
 	// sbs carries absorbed superblocks by entry address. A superblock is
 	// profile-driven but deterministic re-translation of read-only guest
@@ -77,6 +87,9 @@ type extent struct {
 	off  uint32
 	data []byte
 }
+
+// snapshotIDs numbers snapshots as they are made; 0 names none.
+var snapshotIDs atomic.Uint64
 
 // zeroPage is what a page with nothing to keep compares equal to.
 var zeroPage [PageSize]byte
@@ -151,6 +164,7 @@ func (v *VM) Snapshot() *Snapshot {
 		memSize: uint32(len(v.mem)),
 		image:   image,
 		arena:   v.arena,
+		id:      snapshotIDs.Add(1),
 		regs:    [8]uint32(v.m.Regs[:8]),
 		eip:     v.eip,
 		cf:      v.m.CF, zf: v.m.ZF, sf: v.m.SF, of: v.m.OF, pf: v.m.PF,
@@ -172,12 +186,34 @@ func (v *VM) Snapshot() *Snapshot {
 // MemSize returns the guest address-space size the snapshot was taken at.
 func (s *Snapshot) MemSize() uint32 { return s.memSize }
 
-// blockMap gives v a private view of the snapshot's block cache: the
-// *block values are shared (immutable once built), but each is wrapped
-// in a fresh per-VM bref, since chain links and cache growth are private
-// to the receiving VM. Handing out fresh wrappers is also what
-// invalidates chained successor links across Reset, and the link table
-// compiled traces chain through is emptied with them.
+// viewStamp names what a VM's translation view was built from. The view
+// is v.blocks, the superblock views and traces hanging off it with their
+// chain links and inline caches, and the link table: the snapshot (by
+// id), its generation then and the level the VM ran at. wild is set once
+// the view caches a translation of bytes outside the read-only text
+// [PageSize, roLimit), which a restore may change under it.
+type viewStamp struct {
+	snap, gen uint64
+	level     OptLevel
+	wild      bool
+}
+
+// stamp is what a view of s that v may keep is stamped, under mu.
+func (s *Snapshot) stamp(v *VM) viewStamp {
+	return viewStamp{snap: s.id, gen: s.gen, level: v.level}
+}
+
+// blockMap gives v its view of the snapshot's block cache. A view this
+// snapshot built at its current generation, at v's level, that has
+// cached nothing but read-only text, is kept: all of it is derived from
+// bytes the restore has just laid down unchanged, and it holds everything
+// the snapshot does. Only its profile goes, so that superblocks form and
+// traces promote as on a rebuilt view.
+//
+// Any other view is rebuilt: the *block values are shared (immutable
+// once built), but each is wrapped in a fresh per-VM bref, since chain
+// links and cache growth are private to the receiving VM, and the link
+// table compiled traces chain through is emptied with the old wrappers.
 //
 // Absorbed superblocks are re-attached through fresh wrappers too, with
 // empty guard chains: the receiving VM starts on the optimized traces
@@ -192,6 +228,12 @@ func (s *Snapshot) MemSize() uint32 { return s.memSize }
 func (s *Snapshot) blockMap(v *VM) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	view := s.stamp(v)
+	if v.view == view {
+		v.coolView()
+		return
+	}
+	v.view = view
 	v.dropLinks()
 	v.blocks = make(map[uint32]*bref, len(s.blocks))
 	for addr, b := range s.blocks {
@@ -214,6 +256,27 @@ func (s *Snapshot) blockMap(v *VM) {
 	}
 }
 
+// coolView zeroes the profile counters of every bref in v's view.
+func (v *VM) coolView() {
+	for _, br := range v.blocks {
+		br.heat, br.takenCnt, br.fallCnt = 0, 0, 0
+		if sb := br.sb; sb != nil {
+			sb.heat, sb.takenCnt, sb.fallCnt = 0, 0, 0
+		}
+	}
+}
+
+// bump records a change to the snapshot's cache, under mu: every view
+// built from it is stale from now on, except the current one of by,
+// when non-nil, whose absorb the change is and which holds all of it.
+func (s *Snapshot) bump(by *VM) {
+	current := by != nil && by.view == s.stamp(by)
+	s.gen++
+	if current {
+		by.view.gen = s.gen
+	}
+}
+
 // NewVM materializes a fresh VM in the snapshot's state, including the
 // predecoded block cache — the fast path for spinning up one more decoder
 // instance for parallel extraction.
@@ -231,6 +294,16 @@ func (s *Snapshot) NewVM() *VM {
 // from a previous stream can leak into the next. Execution statistics
 // accumulate across resets. The VM must have the same memory size as the
 // snapshot.
+//
+// Reset rewinds the guest, not the VM's translation cache. A reader
+// re-initializes a decoder whenever security attributes change (§2.4),
+// and what that must erase is what the guest can observe or has written.
+// The view kept when still valid (blockMap) is derived from read-only
+// text alone — the same bytes in every VM of the snapshot — plus an
+// execution profile of the kind the snapshot already shares across modes
+// and scopes through AbsorbBlocks, and its profile counters are zeroed.
+// Nothing guest-visible survives: a stream's output and Steps stay a
+// pure function of the archive, the entry and the fuel.
 func (v *VM) Reset(s *Snapshot) error {
 	if uint32(len(v.mem)) != s.memSize {
 		return fmt.Errorf("vm: reset across memory sizes (%d != %d)", len(v.mem), s.memSize)
@@ -315,12 +388,17 @@ func (s *Snapshot) restore(v *VM) {
 // exactly the micro-ops it was compiled from, and a VM that formed its
 // own superblock at an entry a sibling has published since leaves the
 // sibling's in place. The first trace published for a record stays.
+//
+// Anything absorbed makes every VM's view of the snapshot stale but v's
+// own, which holds all of it when it was current before.
 func (s *Snapshot) AbsorbBlocks(v *VM) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	changed := false
 	for addr, br := range v.blocks {
 		if _, ok := s.blocks[addr]; !ok && addr >= PageSize && br.b.end <= s.roLimit {
 			s.blocks[addr] = br.b
+			changed = true
 		}
 	}
 	geom := s.geometry()
@@ -338,10 +416,15 @@ func (s *Snapshot) AbsorbBlocks(v *VM) {
 			}
 			r = &sbRecord{b: sb.b, guards: len(sb.sbChains), rets: len(sb.sbInd)}
 			s.sbs[addr] = r
+			changed = true
 		}
 		if t := sb.t2; t != nil && r.t2 == nil && r.b == sb.b && t.Geom == geom {
 			r.t2 = t
+			changed = true
 		}
+	}
+	if changed {
+		s.bump(v)
 	}
 }
 
@@ -375,7 +458,8 @@ func (s *Snapshot) SBCount() int {
 }
 
 // T2Count reports how many of those superblocks carry a published
-// tier-2 trace, which NewVM and Reset install instead of compiling.
+// tier-2 trace, which NewVM and a Reset that rebuilds the view install
+// instead of compiling.
 func (s *Snapshot) T2Count() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -394,7 +478,10 @@ func (s *Snapshot) T2Count() int {
 func (s *Snapshot) DropSuperblocks() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.sbs = make(map[uint32]*sbRecord)
+	if len(s.sbs) > 0 {
+		s.sbs = make(map[uint32]*sbRecord)
+		s.bump(nil)
+	}
 }
 
 // Footprint estimates the resident bytes a snapshot pins: the pages of
@@ -495,6 +582,9 @@ func (s *Snapshot) ImportBlocks(e BlockExport) int {
 			s.sbs[addr] = &r
 			n++
 		}
+	}
+	if n > 0 {
+		s.bump(nil)
 	}
 	return n
 }

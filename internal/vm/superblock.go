@@ -26,9 +26,10 @@ import (
 // out to fire often is not a reason to give the trace up: the guard's
 // target is a block like any other, it heats, forms its own superblock
 // and compiles, and the guard's exit is then linked straight to it
-// (tier2glue.go) — the hot side exit has become a trace head. Reset
-// replaces every view; the fragments themselves and the tier-2 code
-// compiled from them are kept by the snapshot once absorbed
+// (tier2glue.go) — the hot side exit has become a trace head. A Reset
+// keeps the VM's views while they are still the snapshot's and replaces
+// them otherwise; the fragments themselves and the tier-2 code compiled
+// from them are kept by the snapshot once absorbed
 // (Snapshot.AbsorbBlocks) and come back with the fresh views. The base
 // blocks they were assembled from stay in the cache untouched — cold
 // entries into the middle of a trace still execute them directly.

@@ -79,8 +79,8 @@
 // lazy-flag records, the guard flag-recording rules (base guards record
 // on both paths, NF guards only on exit), spare-field trap EIPs and
 // started-instruction counts for fused pairs. Traps, guard exits,
-// resumes, serialization and Reset all demote cleanly to the tier-1 uop
-// path.
+// resumes, serialization and a Reset that rebuilds a VM's view all
+// demote cleanly to the tier-1 uop path.
 // Compiled code is never serialized; another process recompiles from
 // the persisted superblocks.
 package tier2

@@ -4,75 +4,14 @@ package vm_test
 
 import (
 	"bytes"
-	"context"
 	"os"
 	"runtime"
 	"strings"
 	"testing"
 
-	"vxa/internal/bmp"
-	"vxa/internal/codec"
-	"vxa/internal/corpus"
 	"vxa/internal/elf32"
 	"vxa/internal/vm"
-	"vxa/internal/wav"
-
-	_ "vxa/internal/codec/adpcm"
-	_ "vxa/internal/codec/bwt"
-	_ "vxa/internal/codec/dctimg"
-	_ "vxa/internal/codec/deflate"
-	_ "vxa/internal/codec/haarimg"
-	_ "vxa/internal/codec/lpc"
 )
-
-// decoderStream is one built-in decoder with a stream for it to decode.
-type decoderStream struct {
-	name     string
-	elf, enc []byte
-}
-
-// decoderStreams builds one stream per built-in decoder.
-func decoderStreams(t *testing.T) []decoderStream {
-	t.Helper()
-	var out []decoderStream
-	for _, c := range codec.All() {
-		if c.Encode == nil {
-			continue
-		}
-		var input []byte
-		switch c.Output {
-		case "BMP image":
-			input = bmp.Encode(corpus.Image(64, 64, 7))
-		case "WAV audio":
-			input = wav.Encode(corpus.Audio(5512, 2, 7))
-		default:
-			input = corpus.Text(1<<15, 7)
-		}
-		var enc bytes.Buffer
-		if err := c.Encode(&enc, input); err != nil {
-			t.Fatal(err)
-		}
-		elf, err := c.DecoderELF()
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, decoderStream{c.Name, elf, enc.Bytes()})
-	}
-	if len(out) < 6 {
-		t.Fatalf("only %d decoders registered", len(out))
-	}
-	return out
-}
-
-// run decodes the stream on v and returns the output.
-func (d decoderStream) run(t *testing.T, v *vm.VM) []byte {
-	t.Helper()
-	var out bytes.Buffer
-	if _, err := v.RunStream(context.Background(), bytes.NewReader(d.enc), &out, nil, vm.StreamFuel(len(d.enc))); err != nil {
-		t.Fatalf("%s: %v", d.name, err)
-	}
-	return out.Bytes()
-}
 
 // eagerVM loads the decoder into a VM that compiles every superblock on
 // first entry.

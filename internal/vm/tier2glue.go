@@ -13,9 +13,10 @@ package vm
 // holds the return stub of the exit that owns it) or holds the entry
 // address of a native trace that is the t2 of a superblock bref in
 // v.blocks — a trace this VM holds, in a mapping the bref keeps alive.
-// Slots are only ever written here (attachTrace, link) and the table is
-// dropped whole, with v.blocks, by Reset; nothing detaches a single
-// superblock, so no slot can outlive its target.
+// Slots are only ever written here (attachTrace, link), and a Reset
+// keeps or drops the table whole, with v.blocks (Snapshot.blockMap);
+// nothing detaches a single superblock, so no slot can outlive its
+// target.
 
 import (
 	"fmt"
@@ -31,8 +32,8 @@ import (
 // compiled (OptEager makes it one). Superblocks themselves form at
 // sbHotThreshold block entries, so a trace must prove itself on the
 // tier-1 loop first: profile-teardown churn is not worth compiling for.
-// A trace the snapshot already carries is installed at Reset and skips
-// the count.
+// A trace the snapshot already carries is installed at NewVM, or at a
+// Reset that rebuilds the view, and skips the count.
 const t2HotDefault = 32
 
 // A budget of one poll quantum must admit any trace, or an entry could

@@ -557,8 +557,8 @@ func (v *VM) retGuardExit(br *bref, u *uop.Uop, target uint32) (*bref, error) {
 // slot: after the first resolution, control transfers along this edge
 // skip the fragment-cache map lookup entirely. Chain links live in the
 // per-VM bref wrapper, never in the shared immutable block, so VMs
-// materialized from one snapshot chain independently; Reset drops the
-// wrappers, invalidating every link.
+// materialized from one snapshot chain independently; a Reset that
+// rebuilds the VM's view drops the wrappers, invalidating every link.
 func (v *VM) chainTo(slot **bref, addr uint32) (*bref, error) {
 	if c := *slot; c != nil {
 		return c, nil

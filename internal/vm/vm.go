@@ -173,7 +173,7 @@ type Stats struct {
 	UopsFused         uint64 `json:"uops_fused"`         // fused micro-ops created at translate time (each replaces 2-3)
 	SuperblocksFormed uint64 `json:"superblocks_formed"` // hot-path superblocks assembled from edge profiles
 	Tier2Compiled     uint64 `json:"tier2_compiled"`     // superblock traces compiled to tier-2 code by this VM
-	Tier2Shared       uint64 `json:"tier2_shared"`       // compiled traces installed from the snapshot at NewVM/Reset instead of compiled
+	Tier2Shared       uint64 `json:"tier2_shared"`       // compiled traces installed from the snapshot instead of compiled, at NewVM or at a Reset that rebuilds the view
 	Tier2Executed     uint64 `json:"tier2_executed"`     // tier-2 trace iterations run (one full superblock pass each)
 	Tier2Steps        uint64 `json:"tier2_steps"`        // guest instructions retired inside tier-2 traces (subset of Steps)
 	Tier2Exits        uint64 `json:"tier2_exits"`        // returns from compiled code to the dispatcher (one per run of linked traces)
@@ -254,10 +254,14 @@ type VM struct {
 	// points at its first slot): each native trace this VM holds owns a
 	// run of slots, starting at its superblock bref's linkBase, and
 	// linkOwner names that bref for every slot. Per-VM like the chain
-	// slots in the brefs, and dropped with them on Reset.
+	// slots in the brefs, and kept or dropped with them on Reset.
 	links     []tier2.Link
 	linkOwner []*bref
 	blocks    map[uint32]*bref
+	// view says what the translation view — blocks, the superblocks and
+	// traces hanging off it, links — was built from, and so whether a
+	// restore may keep it (Snapshot.blockMap).
+	view viewStamp
 	// arena is where this VM's compiles put their code: the snapshot's,
 	// for a VM that has one on either side of it (Snapshot, restore), its
 	// own otherwise, made by the first compile.
@@ -317,20 +321,21 @@ type block struct {
 // inline cache for its indirect successor (the last RET / indirect
 // jump/call target seen). Keeping the links out of the shared block lets
 // VMs materialized from one snapshot chain independently (and
-// race-free); Reset swaps in fresh wrappers, which invalidates every
-// link at once — including any profile-formed superblocks.
+// race-free). A Reset either keeps every wrapper, links and superblocks
+// included, or swaps in fresh ones, which drops every link at once
+// (Snapshot.blockMap).
 type bref struct {
 	b           *block
 	taken, fall *bref
 	ind         *bref
 	indAddr     uint32
 
-	// Hot-path profile and superblock state (per-VM, dropped with the
-	// bref on Reset). On a base bref, heat counts block entries and
-	// takenCnt/fallCnt profile the terminating Jcc's edges until a
-	// superblock is installed in sb. A superblock's own bref carries the
-	// per-guard exit chain slots in sbChains and the return guards'
-	// inline caches in sbInd.
+	// Hot-path profile and superblock state (per-VM; a Reset that keeps
+	// the bref zeroes the counters). On a base bref, heat counts block
+	// entries and takenCnt/fallCnt profile the terminating Jcc's edges
+	// until a superblock is installed in sb. A superblock's own bref
+	// carries the per-guard exit chain slots in sbChains and the return
+	// guards' inline caches in sbInd.
 	sb       *bref
 	sbChains []*bref
 	sbInd    []sbIndEntry
@@ -347,10 +352,10 @@ type bref struct {
 	// threshold; on a superblock bref, heat counts entries toward that
 	// promotion. The slot is this VM's view only, while a native trace
 	// published on the snapshot (AbsorbBlocks) outlives the bref and
-	// comes back with the next Reset. linkBase is the index in the VM's
-	// link table of a native trace's first slot. Traces are never
-	// serialized; another process recompiles from the persisted
-	// superblock when it runs hot there.
+	// comes back with the next Reset that rebuilds a view. linkBase is
+	// the index in the VM's link table of a native trace's first slot.
+	// Traces are never serialized; another process recompiles from the
+	// persisted superblock when it runs hot there.
 	t2       *tier2.Trace
 	linkBase int
 	t2Tried  bool
@@ -626,6 +631,9 @@ func (v *VM) lookupBlock(addr uint32) (*bref, error) {
 	br := &bref{b: b}
 	if v.level > OptReference {
 		v.blocks[addr] = br
+		if addr < PageSize || b.end > v.roLimit {
+			v.view.wild = true
+		}
 	}
 	return br, nil
 }

@@ -10,6 +10,9 @@
 //     VM-reuse policy. A VM last used under different security
 //     attributes is never resumed: it is first rewound to the pristine
 //     snapshot, so no decoder state can leak between protection domains.
+//     The rewind is of what the guest can see; the VM keeps its
+//     translation of the decoder's read-only text while that is still
+//     the snapshot's (vm.Reset).
 //
 // Get hands out a Lease; Lease.Run runs exactly one stream on the leased
 // VM and hands the VM back by the one policy every caller shares.
