@@ -220,7 +220,7 @@ func main() {
 	}
 	if *f7 || all {
 		fmt.Println("Figure 7: Performance of Virtualized Decoders")
-		fmt.Println("  (interpreted VM; see EXPERIMENTS.md for the shape comparison)")
+		fmt.Println("  (see EXPERIMENTS.md for the shape comparison)")
 		rows, err := bench.Fig7()
 		if err != nil {
 			fatal(err)
@@ -229,7 +229,7 @@ func main() {
 		fmt.Printf("  %-8s %10s %12s %12s %12s %10s %9s %9s %11s %6s\n",
 			"decoder", "input", "native", "vx32", "translate", "slowdown", "vs-nat", "MIPS", "flags/kuop", "t2")
 		for _, r := range rows {
-			fmt.Printf("  %-8s %8.0fKB %12v %12v %12v %9.1fx %8.4fx %9.1f %11.1f %5.0f%%\n",
+			fmt.Printf("  %-8s %8.0fKB %12v %12v %12v %9.1fx %8.4fx %9.1f %11.3g %5.0f%%\n",
 				r.Codec, kb(r.InputBytes), r.Native.Round(10e3), r.VX32.Round(10e3),
 				r.Translate.Round(10e3), r.Slowdown, r.SpeedupVsNative, r.GuestMIPS, r.FlagsPerKuop,
 				100*r.Tier2StepShare)

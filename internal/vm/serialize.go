@@ -37,8 +37,10 @@ import (
 // block record its address and its raw micro-ops alone (the decoded
 // instructions, the optimized micro-ops, the end and the cost are derived
 // on load) and dropped the escape-payload word from every micro-op: an
-// escape's instruction is decoded from the image.
-const EngineVersion uint32 = 6
+// escape's instruction is decoded from the image. 7 gave every recording
+// kind Lower emits an NF twin, which superblocks persist (renumbering
+// Kind).
+const EngineVersion uint32 = 7
 
 // snapMagic brands a serialized snapshot payload.
 const snapMagic = "VXSN"

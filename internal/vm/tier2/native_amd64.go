@@ -919,38 +919,49 @@ func (e *nemit) recSZP(res int) {
 }
 
 // aluSel is one ALU operation's encodings and flag record: arith
-// records its operands, wb writes its result back.
+// records its operands, wb writes its result back. mr is the store form
+// ("op r/m, reg") of the operations a quiet read-modify-write emits.
 type aluSel struct {
-	rm        byte
+	rm, mr    byte
 	ext       int
 	fo, fo8   uop.FlagOp
 	arith, wb bool
 }
 
 var aluSels = [...]aluSel{
-	uop.AluAdd:  {aluAddRM, aluAddExt, uop.FlagAdd, uop.FlagAdd8, true, true},
-	uop.AluAdc:  {aluAddRM, aluAddExt, uop.FlagAdc, uop.FlagAdc8, true, true},
-	uop.AluSub:  {aluSubRM, aluSubExt, uop.FlagSub, uop.FlagSub8, true, true},
-	uop.AluSbb:  {aluSubRM, aluSubExt, uop.FlagSbb, uop.FlagSbb8, true, true},
-	uop.AluAnd:  {aluAndRM, aluAndExt, uop.FlagLogic, uop.FlagLogic8, false, true},
-	uop.AluOr:   {aluOrRM, aluOrExt, uop.FlagLogic, uop.FlagLogic8, false, true},
-	uop.AluXor:  {aluXorRM, aluXorExt, uop.FlagLogic, uop.FlagLogic8, false, true},
-	uop.AluCmp:  {aluSubRM, aluSubExt, uop.FlagSub, uop.FlagSub8, true, false},
-	uop.AluTest: {aluAndRM, aluAndExt, uop.FlagLogic, uop.FlagLogic8, false, false},
+	uop.AluAdd:  {aluAddRM, aluAddMR, aluAddExt, uop.FlagAdd, uop.FlagAdd8, true, true},
+	uop.AluAdc:  {aluAddRM, 0, aluAddExt, uop.FlagAdc, uop.FlagAdc8, true, true},
+	uop.AluSub:  {aluSubRM, aluSubMR, aluSubExt, uop.FlagSub, uop.FlagSub8, true, true},
+	uop.AluSbb:  {aluSubRM, 0, aluSubExt, uop.FlagSbb, uop.FlagSbb8, true, true},
+	uop.AluAnd:  {aluAndRM, aluAndMR, aluAndExt, uop.FlagLogic, uop.FlagLogic8, false, true},
+	uop.AluOr:   {aluOrRM, aluOrMR, aluOrExt, uop.FlagLogic, uop.FlagLogic8, false, true},
+	uop.AluXor:  {aluXorRM, aluXorMR, aluXorExt, uop.FlagLogic, uop.FlagLogic8, false, true},
+	uop.AluCmp:  {aluSubRM, 0, aluSubExt, uop.FlagSub, uop.FlagSub8, true, false},
+	uop.AluTest: {aluAndRM, 0, aluAndExt, uop.FlagLogic, uop.FlagLogic8, false, false},
 }
 
 // alu32 emits "dst = dst op b" at 32 bits, mirroring VM.ualu: dst
 // is a pinned register or the memory operand opnd returned, b a pinned
 // register, an immediate or (register dst only) memory; rec writes the
 // flag record. A memory destination is stored through alsoWrite, after
-// the record. Returns false for ADC/SBB after a conditional flag writer.
-// Clobbers EAX, EDX and R8.
+// the record; with no record to write it is one host instruction on the
+// guest word, behind the write check as well as the read check. Returns
+// false for ADC/SBB after a conditional flag writer. Clobbers EAX, EDX
+// and R8.
 func (e *nemit) alu32(i int, op uop.AluOp, dst rm, b opd, rec bool) bool {
 	a := &e.a
 	u := &e.us[i]
 	sel := aluSels[op]
 	if !rec && !sel.wb {
-		return true // a quiet compare
+		// A quiet compare computes nothing; its memory operand, checked
+		// by opnd, is still read.
+		switch {
+		case !dst.direct:
+			a.mov(hAX, dst)
+		case !b.isI && !b.o.direct:
+			a.mov(hAX, b.o)
+		}
+		return true
 	}
 	res := dst.base
 	switch {
@@ -964,7 +975,17 @@ func (e *nemit) alu32(i int, op uop.AluOp, dst rm, b opd, rec bool) bool {
 				return rmOp(rg(r))
 			}
 			return b
-		}, false)
+		}, false, rec)
+	case !rec && !dst.direct:
+		// A quiet read-modify-write: "op [m], b". Nothing of it is visible
+		// before the store, so both checks may come first.
+		e.alsoWrite(i, 4, u.EIP, 1)
+		if b.isI {
+			a.aluI(sel.ext, dst, b.imm)
+		} else {
+			a.aluTo(sel.mr, dst, b.o.base)
+		}
+		return true
 	case !dst.direct || !sel.wb:
 		// The result goes to memory or nowhere: work in EAX.
 		if rec && sel.arith && !b.isI && !b.o.direct {
@@ -1010,21 +1031,23 @@ func (e *nemit) alu32(i int, op uop.AluOp, dst rm, b opd, rec bool) bool {
 // carry emits ADC/SBB for alu32/alu8: materialize the carry-in from the
 // current record (which must be known), fetch a and b — loadA puts a in
 // the register it is handed, loadB returns b as an immediate, a pinned
-// register or the scratch register it is handed — combine, and write the
-// full record including Cin, mirroring VM.ualu. The result is left
-// in R8 (which a later write check does not clobber) and R8 returned. The
-// operand a memory form got from opnd may live in RCX, which the
-// materializer clobbers, so RCX is kept on the stack across it.
-func (e *nemit) carry(sel aluSel, loadA func(int), loadB func(int) opd, byteWidth bool) int {
+// register or the scratch register it is handed — combine, and, when
+// rec, write the full record including Cin, mirroring VM.ualu. The result
+// is left in R8 (which a later write check does not clobber) and R8
+// returned. The operand a memory form got from opnd may live in RCX,
+// which the materializer clobbers, so RCX is kept on the stack across it.
+func (e *nemit) carry(sel aluSel, loadA func(int), loadB func(int) opd, byteWidth, rec bool) int {
 	a := &e.a
 	a.push(hCX)
 	e.cfValue(hAX) // cin
 	a.pop(hCX)
 	loadA(hR8)
 	b := loadB(hDX)
-	a.movTo(fld(offFlA), hR8)
-	e.recB(b)
-	a.movTo(fld(offFlCin), hAX)
+	if rec {
+		a.movTo(fld(offFlA), hR8)
+		e.recB(b)
+		a.movTo(fld(offFlCin), hAX)
+	}
 	e.apply(sel.rm, sel.ext, hR8, b)
 	a.alu(sel.rm, hR8, rg(hAX)) // ± cin
 	fo := sel.fo
@@ -1032,23 +1055,25 @@ func (e *nemit) carry(sel aluSel, loadA func(int), loadB func(int) opd, byteWidt
 		a.aluI(aluAndExt, rg(hR8), 0xFF)
 		fo = sel.fo8
 	}
-	e.recRes(fo, hR8)
+	if rec {
+		e.recRes(fo, hR8)
+	}
 	return hR8
 }
 
 // alu8 is the byte-width ALU, mirroring VM.ualu8. loadA and loadB
-// fetch the pre-masked operands as for carry; the masked result is
-// returned in R8 for the caller to write
-// back, ok false for ADC/SBB after a conditional flag writer. Clobbers
-// EAX, EDX and R8.
-func (e *nemit) alu8(op uop.AluOp, loadA func(int), loadB func(int) opd) (res int, ok bool) {
+// fetch the pre-masked operands as for carry, rec writes the flag
+// record; the masked result is returned in R8 for the caller to write
+// back, ok false for ADC/SBB after a conditional flag writer.
+// Clobbers EAX, EDX and R8.
+func (e *nemit) alu8(op uop.AluOp, loadA func(int), loadB func(int) opd, rec bool) (res int, ok bool) {
 	a := &e.a
 	sel := aluSels[op]
 	if op == uop.AluAdc || op == uop.AluSbb {
 		if e.flOp == flUnknown {
 			return 0, false
 		}
-		return e.carry(sel, loadA, loadB, true), true
+		return e.carry(sel, loadA, loadB, true, rec), true
 	}
 	b := loadB(hDX)
 	loadA(hAX)
@@ -1056,10 +1081,14 @@ func (e *nemit) alu8(op uop.AluOp, loadA func(int), loadB func(int) opd) (res in
 	e.apply(sel.rm, sel.ext, hR8, b)
 	if sel.arith {
 		a.aluI(aluAndExt, rg(hR8), 0xFF)
-		a.movTo(fld(offFlA), hAX)
-		e.recB(b)
 	}
-	e.recRes(sel.fo8, hR8)
+	if rec {
+		if sel.arith {
+			a.movTo(fld(offFlA), hAX)
+			e.recB(b)
+		}
+		e.recRes(sel.fo8, hR8)
+	}
 	return hR8, true
 }
 
@@ -1111,14 +1140,16 @@ func (e *nemit) one(i int) bool {
 	rd := func(size uint32) rm { return e.opnd(i, uea(u), size, false, u.EIP, 1) }
 	wr := func(size uint32) rm { return e.opnd(i, uea(u), size, true, u.EIP, 1) }
 
-	if r := &uop.Kinds[u.Kind]; r.Spec {
-		// "Dst = Dst op Src" or "Dst = Dst op Imm", recording flags or
-		// (NF) not.
+	// A kind and its NF twin share an arm: the twin writes no flag record.
+	r := &uop.Kinds[u.Kind]
+	rec := r.Def != 0
+	if r.Spec {
+		// "Dst = Dst op Src" or "Dst = Dst op Imm".
 		b := rmOp(rg(gs))
 		if r.Imm {
 			b = immOp(imm)
 		}
-		return e.alu32(i, r.Alu, rg(gd), b, r.Def != 0)
+		return e.alu32(i, r.Alu, rg(gd), b, rec)
 	}
 	switch u.Kind {
 	case uop.KindNop:
@@ -1203,34 +1234,34 @@ func (e *nemit) one(i int) bool {
 	case uop.KindDecRNF:
 		a.aluI(aluSubExt, rg(gd), 1)
 
-	case uop.KindAluRR:
-		return e.alu32(i, aluOp, rg(gd), rmOp(rg(gs)), true)
-	case uop.KindAluRI:
-		return e.alu32(i, aluOp, rg(gd), immOp(imm), true)
-	case uop.KindAluRM:
-		return e.alu32(i, aluOp, rg(gd), rmOp(rd(4)), true)
-	case uop.KindAluMR:
-		return e.alu32(i, aluOp, rd(4), rmOp(rg(gs)), true)
-	case uop.KindAluMI:
-		return e.alu32(i, aluOp, rd(4), immOp(imm), true)
+	case uop.KindAluRR, uop.KindAluRRNF:
+		return e.alu32(i, aluOp, rg(gd), rmOp(rg(gs)), rec)
+	case uop.KindAluRI, uop.KindAluRINF:
+		return e.alu32(i, aluOp, rg(gd), immOp(imm), rec)
+	case uop.KindAluRM, uop.KindAluRMNF:
+		return e.alu32(i, aluOp, rg(gd), rmOp(rd(4)), rec)
+	case uop.KindAluMR, uop.KindAluMRNF:
+		return e.alu32(i, aluOp, rd(4), rmOp(rg(gs)), rec)
+	case uop.KindAluMI, uop.KindAluMINF:
+		return e.alu32(i, aluOp, rd(4), immOp(imm), rec)
 
 	// --- byte ALU forms ---
-	case uop.KindAlu8RR, uop.KindAlu8RI, uop.KindAlu8RM:
+	case uop.KindAlu8RR, uop.KindAlu8RRNF, uop.KindAlu8RI, uop.KindAlu8RINF, uop.KindAlu8RM, uop.KindAlu8RMNF:
 		var m rm
-		if u.Kind == uop.KindAlu8RM {
+		if r.Ops&uop.OpMem != 0 {
 			m = rd(1)
 		}
-		res, ok := e.alu8(aluOp, func(r int) { e.byteOf(r, gd, dsh) }, func(r int) opd {
-			switch u.Kind {
-			case uop.KindAlu8RR:
-				e.byteOf(r, gs, ssh)
-			case uop.KindAlu8RI:
+		res, ok := e.alu8(aluOp, func(reg int) { e.byteOf(reg, gd, dsh) }, func(reg int) opd {
+			switch {
+			case r.Ops&uop.OpSrc != 0:
+				e.byteOf(reg, gs, ssh)
+			case r.Ops&uop.OpMem == 0:
 				return immOp(imm)
 			default:
-				a.movx(movzx8, r, m)
+				a.movx(movzx8, reg, m)
 			}
-			return rmOp(rg(r))
-		})
+			return rmOp(rg(reg))
+		}, rec)
 		if !ok {
 			return false
 		}
@@ -1238,15 +1269,15 @@ func (e *nemit) one(i int) bool {
 			a.mov(hAX, rg(res))
 			e.insByte(gd, dsh)
 		}
-	case uop.KindAlu8MR, uop.KindAlu8MI:
+	case uop.KindAlu8MR, uop.KindAlu8MRNF, uop.KindAlu8MI, uop.KindAlu8MINF:
 		m := rd(1)
-		res, ok := e.alu8(aluOp, func(r int) { a.movx(movzx8, r, m) }, func(r int) opd {
-			if u.Kind == uop.KindAlu8MI {
+		res, ok := e.alu8(aluOp, func(reg int) { a.movx(movzx8, reg, m) }, func(reg int) opd {
+			if r.Ops&uop.OpSrc == 0 {
 				return immOp(imm)
 			}
-			e.byteOf(r, gs, ssh)
-			return rmOp(rg(r))
-		})
+			e.byteOf(reg, gs, ssh)
+			return rmOp(rg(reg))
+		}, rec)
 		if !ok {
 			return false
 		}
@@ -1276,18 +1307,21 @@ func (e *nemit) one(i int) bool {
 		a.movTo(fld(offFlOp), hAX) // Op | KeptCF<<8
 		e.flOp = int(fo)
 
-	case uop.KindNegR:
-		a.movTo(fld(offFlB), gd)
+	case uop.KindNegR, uop.KindNegRNF:
+		if rec {
+			a.movTo(fld(offFlB), gd)
+		}
 		a.unary(negExt, rg(gd))
-		a.movI(fld(offFlA), 0)
-		e.recRes(uop.FlagSub, gd)
+		if rec {
+			a.movI(fld(offFlA), 0)
+			e.recRes(uop.FlagSub, gd)
+		}
 	case uop.KindNotR:
 		a.unary(notExt, rg(gd))
 
 	// --- shifts ---
 	case uop.KindShiftRI, uop.KindShiftRINF:
 		ext, fo := shiftSel(uop.ShOp(u.Sub))
-		rec := u.Kind == uop.KindShiftRI
 		if rec {
 			a.movTo(fld(offFlA), gd)
 		}
@@ -1315,23 +1349,26 @@ func (e *nemit) one(i int) bool {
 		a.shiftCL(ext, gd) // hardware masks the count mod 32 itself
 
 	// --- multiply / divide ---
-	case uop.KindImulRR, uop.KindImulRM, uop.KindImulRRI, uop.KindImulRMI:
-		switch u.Kind {
-		case uop.KindImulRR:
-			a.imul(gd, rg(gs))
-		case uop.KindImulRM:
-			a.imul(gd, rd(4))
-		case uop.KindImulRRI:
-			a.imulI(gd, rg(gs), imm)
-		default:
-			a.imulI(gd, rd(4), imm)
-		}
-		a.setcc(byte(x86.CCO), fld(offCF))
-		a.setcc(byte(x86.CCO), fld(offOF))
-		e.recSZP(gd)
-	case uop.KindMulR, uop.KindMulM:
+	case uop.KindImulRR, uop.KindImulRRNF, uop.KindImulRM, uop.KindImulRMNF,
+		uop.KindImulRRI, uop.KindImulRRINF, uop.KindImulRMI, uop.KindImulRMINF:
 		src := rg(gs)
-		if u.Kind == uop.KindMulM {
+		if r.Ops&uop.OpMem != 0 {
+			src = rd(4)
+		}
+		switch u.Kind {
+		case uop.KindImulRR, uop.KindImulRRNF, uop.KindImulRM, uop.KindImulRMNF:
+			a.imul(gd, src)
+		default:
+			a.imulI(gd, src, imm)
+		}
+		if rec {
+			a.setcc(byte(x86.CCO), fld(offCF))
+			a.setcc(byte(x86.CCO), fld(offOF))
+			e.recSZP(gd)
+		}
+	case uop.KindMulR, uop.KindMulRNF, uop.KindMulM, uop.KindMulMNF:
+		src := rg(gs)
+		if r.Ops&uop.OpMem != 0 {
 			src = rd(4)
 		}
 		a.mov(hAX, rg(gax))
@@ -1340,11 +1377,15 @@ func (e *nemit) one(i int) bool {
 		} else {
 			a.unary(mulExt, src) // CF=OF=(edx != 0)
 		}
-		a.setcc(byte(x86.CCB), fld(offCF))
-		a.setcc(byte(x86.CCB), fld(offOF))
+		if rec {
+			a.setcc(byte(x86.CCB), fld(offCF))
+			a.setcc(byte(x86.CCB), fld(offOF))
+		}
 		a.mov(gax, rg(hAX))
 		a.mov(gdx, rg(hDX))
-		e.recSZP(hAX)
+		if rec {
+			e.recSZP(hAX)
+		}
 	case uop.KindDivR, uop.KindDivM:
 		sd := e.exit(Exit{Kind: ExitDivide, Uop: i, EIP: u.EIP, Started: 1})
 		trap := func(aux uint32, f1, f2 fix) {
@@ -1452,7 +1493,7 @@ func (e *nemit) one(i int) bool {
 	// --- fused load-op ---
 	case uop.KindLoadAluRR, uop.KindLoadAluRRNF:
 		a.mov(ga, rd(4))
-		e.alu32(i, aluOp, rg(gd), rmOp(rg(gs)), u.Kind == uop.KindLoadAluRR)
+		e.alu32(i, aluOp, rg(gd), rmOp(rg(gs)), rec)
 
 	// --- superblock guard exits ---
 	case uop.KindGuard:

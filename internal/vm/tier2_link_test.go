@@ -58,6 +58,13 @@ type linkGuest struct {
 	// compiled; noResume says that none does.
 	resumes  uint64
 	noResume bool
+	// faultFlags: a run that ends in a memory fault is not held to the
+	// reference's flags. The guest faults among ALU operations on memory
+	// whose flag records no later instruction of the fragment reads, and
+	// the optimizer drops such a record (uop/opt.go): what the flags are
+	// after a fault behind one is the one thing the engines need not
+	// agree with the reference on.
+	faultFlags bool
 }
 
 // rewind puts v's guest state at the program start, keeping whatever the
@@ -131,7 +138,7 @@ func (g *linkGuest) runOnce(t *testing.T, v1, v2 *VM, seed [8]uint32) error {
 	}
 	f1 := [5]bool{v1.m.CF, v1.m.ZF, v1.m.SF, v1.m.OF, v1.m.PF}
 	f2 := [5]bool{v2.m.CF, v2.m.ZF, v2.m.SF, v2.m.OF, v2.m.PF}
-	if f1 != f2 {
+	if f1 != f2 && !(g.faultFlags && (tr1.Kind == TrapMemory || tr1.Kind == TrapWrite)) {
 		t.Fatalf("flags CF/ZF/SF/OF/PF %v, reference %v", f1, f2)
 	}
 	if v1.m.Brk != v2.m.Brk {

@@ -209,7 +209,7 @@ func sandboxGuest(t *testing.T, data []byte) linkGuest {
 	if len(code) > PageSize {
 		t.Skip("guest outgrew the code page")
 	}
-	g := linkGuest{code: code, fuel: 60000,
+	g := linkGuest{code: code, fuel: 60000, faultFlags: true,
 		regs: map[x86.Reg]uint32{x86.EBP: uint32(passes) + 8, base: start}}
 	if idx != x86.NoReg {
 		g.regs[idx] = idxVal

@@ -209,107 +209,71 @@ func (v *VM) wr8(r, sh uint8, val uint32) {
 
 // ---- ALU / shift / multiply helpers ------------------------------------
 
-// ualu performs one ALU sub-operation, records the lazy flag state, and
-// reports whether the result is written back (CMP/TEST suppress it).
-// The hottest 32-bit forms never reach it — they are fully specialized
-// kinds inlined in the dispatch loop — so this covers ADC/SBB, byte
-// operands and memory destinations.
-func (v *VM) ualu(op uop.AluOp, a, b uint32, size uint8) (uint32, bool) {
-	if size == 1 {
-		return v.ualu8(op, a&0xFF, b&0xFF)
-	}
+// ualu performs one 32-bit ALU sub-operation and reports whether the
+// result is written back (CMP/TEST suppress it); rec says whether it
+// records the lazy flag state, which a kind's NF twin does not. The
+// hottest forms never reach it — they are fully specialized kinds
+// inlined in the dispatch loop — so this covers ADC/SBB, memory operands
+// and the fused load-op.
+func (v *VM) ualu(op uop.AluOp, a, b uint32, rec bool) (uint32, bool) {
+	f := uop.Flags{A: a, B: b}
 	switch op {
 	case uop.AluAdd:
-		res := a + b
-		v.m.Fl = uop.Flags{Op: uop.FlagAdd, A: a, B: b, Res: res}
-		return res, true
+		f.Op, f.Res = uop.FlagAdd, a+b
 	case uop.AluAdc:
-		var c uint32
-		if v.fCF() {
-			c = 1
-		}
-		res := a + b + c
-		v.m.Fl = uop.Flags{Op: uop.FlagAdc, A: a, B: b, Cin: c, Res: res}
-		return res, true
-	case uop.AluSub:
-		res := a - b
-		v.m.Fl = uop.Flags{Op: uop.FlagSub, A: a, B: b, Res: res}
-		return res, true
+		f.Op, f.Cin = uop.FlagAdc, v.carryIn()
+		f.Res = a + b + f.Cin
+	case uop.AluSub, uop.AluCmp:
+		f.Op, f.Res = uop.FlagSub, a-b
 	case uop.AluSbb:
-		var c uint32
-		if v.fCF() {
-			c = 1
-		}
-		res := a - b - c
-		v.m.Fl = uop.Flags{Op: uop.FlagSbb, A: a, B: b, Cin: c, Res: res}
-		return res, true
-	case uop.AluCmp:
-		v.m.Fl = uop.Flags{Op: uop.FlagSub, A: a, B: b, Res: a - b}
-		return 0, false
-	case uop.AluAnd:
-		res := a & b
-		v.m.Fl = uop.Flags{Op: uop.FlagLogic, Res: res}
-		return res, true
+		f.Op, f.Cin = uop.FlagSbb, v.carryIn()
+		f.Res = a - b - f.Cin
+	case uop.AluAnd, uop.AluTest:
+		f = uop.Flags{Op: uop.FlagLogic, Res: a & b}
 	case uop.AluOr:
-		res := a | b
-		v.m.Fl = uop.Flags{Op: uop.FlagLogic, Res: res}
-		return res, true
-	case uop.AluXor:
-		res := a ^ b
-		v.m.Fl = uop.Flags{Op: uop.FlagLogic, Res: res}
-		return res, true
-	default: // AluTest
-		v.m.Fl = uop.Flags{Op: uop.FlagLogic, Res: a & b}
-		return 0, false
+		f = uop.Flags{Op: uop.FlagLogic, Res: a | b}
+	default: // AluXor
+		f = uop.Flags{Op: uop.FlagLogic, Res: a ^ b}
 	}
+	if rec {
+		v.m.Fl = f
+	}
+	return f.Res, op != uop.AluCmp && op != uop.AluTest
 }
 
-// ualu8 is the byte-width ALU; a and b arrive pre-masked.
-func (v *VM) ualu8(op uop.AluOp, a, b uint32) (uint32, bool) {
+// ualu8 is the byte-width ualu; a and b arrive pre-masked.
+func (v *VM) ualu8(op uop.AluOp, a, b uint32, rec bool) (uint32, bool) {
+	f := uop.Flags{A: a, B: b}
 	switch op {
 	case uop.AluAdd:
-		res := (a + b) & 0xFF
-		v.m.Fl = uop.Flags{Op: uop.FlagAdd8, A: a, B: b, Res: res}
-		return res, true
+		f.Op, f.Res = uop.FlagAdd8, (a+b)&0xFF
 	case uop.AluAdc:
-		var c uint32
-		if v.fCF() {
-			c = 1
-		}
-		res := (a + b + c) & 0xFF
-		v.m.Fl = uop.Flags{Op: uop.FlagAdc8, A: a, B: b, Cin: c, Res: res}
-		return res, true
-	case uop.AluSub:
-		res := (a - b) & 0xFF
-		v.m.Fl = uop.Flags{Op: uop.FlagSub8, A: a, B: b, Res: res}
-		return res, true
+		f.Op, f.Cin = uop.FlagAdc8, v.carryIn()
+		f.Res = (a + b + f.Cin) & 0xFF
+	case uop.AluSub, uop.AluCmp:
+		f.Op, f.Res = uop.FlagSub8, (a-b)&0xFF
 	case uop.AluSbb:
-		var c uint32
-		if v.fCF() {
-			c = 1
-		}
-		res := (a - b - c) & 0xFF
-		v.m.Fl = uop.Flags{Op: uop.FlagSbb8, A: a, B: b, Cin: c, Res: res}
-		return res, true
-	case uop.AluCmp:
-		v.m.Fl = uop.Flags{Op: uop.FlagSub8, A: a, B: b, Res: (a - b) & 0xFF}
-		return 0, false
-	case uop.AluAnd:
-		res := a & b
-		v.m.Fl = uop.Flags{Op: uop.FlagLogic8, Res: res}
-		return res, true
+		f.Op, f.Cin = uop.FlagSbb8, v.carryIn()
+		f.Res = (a - b - f.Cin) & 0xFF
+	case uop.AluAnd, uop.AluTest:
+		f = uop.Flags{Op: uop.FlagLogic8, Res: a & b}
 	case uop.AluOr:
-		res := a | b
-		v.m.Fl = uop.Flags{Op: uop.FlagLogic8, Res: res}
-		return res, true
-	case uop.AluXor:
-		res := a ^ b
-		v.m.Fl = uop.Flags{Op: uop.FlagLogic8, Res: res}
-		return res, true
-	default: // AluTest
-		v.m.Fl = uop.Flags{Op: uop.FlagLogic8, Res: a & b}
-		return 0, false
+		f = uop.Flags{Op: uop.FlagLogic8, Res: a | b}
+	default: // AluXor
+		f = uop.Flags{Op: uop.FlagLogic8, Res: a ^ b}
 	}
+	if rec {
+		v.m.Fl = f
+	}
+	return f.Res, op != uop.AluCmp && op != uop.AluTest
+}
+
+// carryIn is the guest CF as ADC/SBB consume it: 0 or 1.
+func (v *VM) carryIn() uint32 {
+	if v.fCF() {
+		return 1
+	}
+	return 0
 }
 
 // ushift32 performs a 32-bit register shift with a nonzero count in
@@ -333,34 +297,41 @@ func (v *VM) ushift32(op uop.ShOp, r uint8, count uint32) {
 	v.m.Fl.Op, v.m.Fl.A, v.m.Fl.B, v.m.Fl.Res = fo, val, count, res
 }
 
-// uimul is the two/three-operand signed multiply: dst = a * b, CF/OF on
-// overflow, SF/ZF/PF defined from the low result as in the reference.
-func (v *VM) uimul(dst uint8, a, b uint32) {
+// uimul is the two/three-operand signed multiply: dst = a * b, and when
+// rec CF/OF on overflow, SF/ZF/PF defined from the low result as in the
+// reference.
+func (v *VM) uimul(dst uint8, a, b uint32, rec bool) {
 	full := int64(int32(a)) * int64(int32(b))
 	res := uint32(full)
 	v.m.Regs[dst] = res
-	over := full != int64(int32(res))
-	v.m.CF, v.m.OF = over, over
-	v.m.Fl.Op, v.m.Fl.Res = uop.FlagSZP, res
+	if rec {
+		v.recMul(full != int64(int32(res)), res)
+	}
 }
 
 // umul1 is the one-operand widening multiply into edx:eax.
-func (v *VM) umul1(src uint32, signed bool) {
+func (v *VM) umul1(src uint32, signed, rec bool) {
+	var full uint64
+	var over bool
 	if signed {
-		full := int64(int32(v.m.Regs[x86.EAX])) * int64(int32(src))
-		v.m.Regs[x86.EAX] = uint32(full)
-		v.m.Regs[x86.EDX] = uint32(uint64(full) >> 32)
-		over := full != int64(int32(full))
-		v.m.CF, v.m.OF = over, over
-		v.m.Fl.Op, v.m.Fl.Res = uop.FlagSZP, uint32(full)
-		return
+		s := int64(int32(v.m.Regs[x86.EAX])) * int64(int32(src))
+		full, over = uint64(s), s != int64(int32(s))
+	} else {
+		full = uint64(v.m.Regs[x86.EAX]) * uint64(src)
+		over = full>>32 != 0
 	}
-	full := uint64(v.m.Regs[x86.EAX]) * uint64(src)
 	v.m.Regs[x86.EAX] = uint32(full)
 	v.m.Regs[x86.EDX] = uint32(full >> 32)
-	over := v.m.Regs[x86.EDX] != 0
+	if rec {
+		v.recMul(over, uint32(full))
+	}
+}
+
+// recMul records a multiply's flags: CF = OF = over eagerly, SF/ZF/PF
+// lazily from the low result.
+func (v *VM) recMul(over bool, res uint32) {
 	v.m.CF, v.m.OF = over, over
-	v.m.Fl.Op, v.m.Fl.Res = uop.FlagSZP, uint32(full)
+	v.m.Fl.Op, v.m.Fl.Res = uop.FlagSZP, res
 }
 
 // udiv is the one-operand divide of edx:eax; flags are unaffected.
@@ -469,26 +440,6 @@ func condLogic(cc x86.CC, res uint32) bool {
 		return res == 0 || int32(res) < 0
 	default: // CCG
 		return res != 0 && int32(res) >= 0
-	}
-}
-
-// ualuQ is the quiet ALU used by the flag-suppressed fused load-op
-// form: same arithmetic as ualu, no flag record. Only the non-carry
-// ops are ever fused, so there is no carry-in to read.
-func (v *VM) ualuQ(op uop.AluOp, a, b uint32) (uint32, bool) {
-	switch op {
-	case uop.AluAdd:
-		return a + b, true
-	case uop.AluSub:
-		return a - b, true
-	case uop.AluAnd:
-		return a & b, true
-	case uop.AluOr:
-		return a | b, true
-	case uop.AluXor:
-		return a ^ b, true
-	default: // AluCmp, AluTest: flag-only, and the flags are dead
-		return 0, false
 	}
 }
 
@@ -858,78 +809,67 @@ blocks:
 			case uop.KindTestRI:
 				v.m.Fl.Op, v.m.Fl.Res = uop.FlagLogic, regs[u.Dst]&u.Imm
 
-			// --- remaining ALU forms (ADC/SBB, memory, byte operands) ---
-			case uop.KindAluRR:
-				if res, wb := v.ualu(uop.AluOp(u.Sub), regs[u.Dst], regs[u.Src], 4); wb {
+			// --- remaining ALU forms (ADC/SBB, memory, byte operands),
+			// each arm shared with its NF twin ---
+			case uop.KindAluRR, uop.KindAluRRNF:
+				if res, wb := v.ualu(uop.AluOp(u.Sub), regs[u.Dst], regs[u.Src], uop.Kinds[u.Kind].Def != 0); wb {
 					regs[u.Dst] = res
 				}
-			case uop.KindAluRI:
-				if res, wb := v.ualu(uop.AluOp(u.Sub), regs[u.Dst], u.Imm, 4); wb {
+			case uop.KindAluRI, uop.KindAluRINF:
+				if res, wb := v.ualu(uop.AluOp(u.Sub), regs[u.Dst], u.Imm, uop.Kinds[u.Kind].Def != 0); wb {
 					regs[u.Dst] = res
 				}
-			case uop.KindAluRM:
+			case uop.KindAluRM, uop.KindAluRMNF:
 				addr := u.Disp + regs[u.Base] + regs[u.Idx]*uint32(u.Scale)
 				if !geom.ReadOK(addr, 4, brk) {
 					return v.uopTrap(us, i, memTrap(u.EIP, addr))
 				}
-				if res, wb := v.ualu(uop.AluOp(u.Sub), regs[u.Dst], le32(mem, addr), 4); wb {
+				if res, wb := v.ualu(uop.AluOp(u.Sub), regs[u.Dst], le32(mem, addr), uop.Kinds[u.Kind].Def != 0); wb {
 					regs[u.Dst] = res
 				}
-			case uop.KindAluMR:
+			case uop.KindAluMR, uop.KindAluMRNF, uop.KindAluMI, uop.KindAluMINF:
 				addr := u.Disp + regs[u.Base] + regs[u.Idx]*uint32(u.Scale)
 				if !geom.ReadOK(addr, 4, brk) {
 					return v.uopTrap(us, i, memTrap(u.EIP, addr))
 				}
-				if res, wb := v.ualu(uop.AluOp(u.Sub), le32(mem, addr), regs[u.Src], 4); wb {
+				r := &uop.Kinds[u.Kind]
+				bv := u.Imm
+				if r.Ops&uop.OpSrc != 0 {
+					bv = regs[u.Src]
+				}
+				if res, wb := v.ualu(uop.AluOp(u.Sub), le32(mem, addr), bv, r.Def != 0); wb {
 					if !geom.WriteOK(addr, 4, brk) {
 						return v.uopTrap(us, i, v.storeTrap(u.EIP, addr, 4))
 					}
 					st32(mem, addr, res)
 				}
-			case uop.KindAluMI:
-				addr := u.Disp + regs[u.Base] + regs[u.Idx]*uint32(u.Scale)
-				if !geom.ReadOK(addr, 4, brk) {
-					return v.uopTrap(us, i, memTrap(u.EIP, addr))
-				}
-				if res, wb := v.ualu(uop.AluOp(u.Sub), le32(mem, addr), u.Imm, 4); wb {
-					if !geom.WriteOK(addr, 4, brk) {
-						return v.uopTrap(us, i, v.storeTrap(u.EIP, addr, 4))
-					}
-					st32(mem, addr, res)
-				}
-			case uop.KindAlu8RR:
-				if res, wb := v.ualu8(uop.AluOp(u.Sub), v.rd8(u.Dst, u.Dsh), v.rd8(u.Src, u.Ssh)); wb {
+			case uop.KindAlu8RR, uop.KindAlu8RRNF:
+				if res, wb := v.ualu8(uop.AluOp(u.Sub), v.rd8(u.Dst, u.Dsh), v.rd8(u.Src, u.Ssh), uop.Kinds[u.Kind].Def != 0); wb {
 					v.wr8(u.Dst, u.Dsh, res)
 				}
-			case uop.KindAlu8RI:
-				if res, wb := v.ualu8(uop.AluOp(u.Sub), v.rd8(u.Dst, u.Dsh), u.Imm); wb {
+			case uop.KindAlu8RI, uop.KindAlu8RINF:
+				if res, wb := v.ualu8(uop.AluOp(u.Sub), v.rd8(u.Dst, u.Dsh), u.Imm, uop.Kinds[u.Kind].Def != 0); wb {
 					v.wr8(u.Dst, u.Dsh, res)
 				}
-			case uop.KindAlu8RM:
+			case uop.KindAlu8RM, uop.KindAlu8RMNF:
 				addr := u.Disp + regs[u.Base] + regs[u.Idx]*uint32(u.Scale)
 				if !geom.ReadOK(addr, 1, brk) {
 					return v.uopTrap(us, i, memTrap(u.EIP, addr))
 				}
-				if res, wb := v.ualu8(uop.AluOp(u.Sub), v.rd8(u.Dst, u.Dsh), uint32(mem[addr])); wb {
+				if res, wb := v.ualu8(uop.AluOp(u.Sub), v.rd8(u.Dst, u.Dsh), uint32(mem[addr]), uop.Kinds[u.Kind].Def != 0); wb {
 					v.wr8(u.Dst, u.Dsh, res)
 				}
-			case uop.KindAlu8MR:
+			case uop.KindAlu8MR, uop.KindAlu8MRNF, uop.KindAlu8MI, uop.KindAlu8MINF:
 				addr := u.Disp + regs[u.Base] + regs[u.Idx]*uint32(u.Scale)
 				if !geom.ReadOK(addr, 1, brk) {
 					return v.uopTrap(us, i, memTrap(u.EIP, addr))
 				}
-				if res, wb := v.ualu8(uop.AluOp(u.Sub), uint32(mem[addr]), v.rd8(u.Src, u.Ssh)); wb {
-					if !geom.WriteOK(addr, 1, brk) {
-						return v.uopTrap(us, i, v.storeTrap(u.EIP, addr, 1))
-					}
-					mem[addr] = byte(res)
+				r := &uop.Kinds[u.Kind]
+				bv := u.Imm
+				if r.Ops&uop.OpSrc != 0 {
+					bv = v.rd8(u.Src, u.Ssh)
 				}
-			case uop.KindAlu8MI:
-				addr := u.Disp + regs[u.Base] + regs[u.Idx]*uint32(u.Scale)
-				if !geom.ReadOK(addr, 1, brk) {
-					return v.uopTrap(us, i, memTrap(u.EIP, addr))
-				}
-				if res, wb := v.ualu8(uop.AluOp(u.Sub), uint32(mem[addr]), u.Imm); wb {
+				if res, wb := v.ualu8(uop.AluOp(u.Sub), uint32(mem[addr]), bv, r.Def != 0); wb {
 					if !geom.WriteOK(addr, 1, brk) {
 						return v.uopTrap(us, i, v.storeTrap(u.EIP, addr, 1))
 					}
@@ -948,11 +888,13 @@ blocks:
 				res := val - 1
 				regs[u.Dst] = res
 				v.m.Fl = uop.Flags{Op: uop.FlagSubKeep, A: val, B: 1, Res: res, KeptCF: cf}
-			case uop.KindNegR:
+			case uop.KindNegR, uop.KindNegRNF:
 				val := regs[u.Dst]
 				res := -val
 				regs[u.Dst] = res
-				v.m.Fl.Op, v.m.Fl.A, v.m.Fl.B, v.m.Fl.Res = uop.FlagSub, 0, val, res
+				if uop.Kinds[u.Kind].Def != 0 {
+					v.m.Fl.Op, v.m.Fl.A, v.m.Fl.B, v.m.Fl.Res = uop.FlagSub, 0, val, res
+				}
 			case uop.KindNotR:
 				regs[u.Dst] = ^regs[u.Dst]
 
@@ -965,30 +907,30 @@ blocks:
 				}
 
 			// --- multiply / divide ---
-			case uop.KindImulRR:
-				v.uimul(u.Dst, regs[u.Dst], regs[u.Src])
-			case uop.KindImulRM:
+			case uop.KindImulRR, uop.KindImulRRNF:
+				v.uimul(u.Dst, regs[u.Dst], regs[u.Src], uop.Kinds[u.Kind].Def != 0)
+			case uop.KindImulRM, uop.KindImulRMNF:
 				bv, ok := v.uload32(v.uea(u))
 				if !ok {
 					return v.uopTrap(us, i, memTrap(u.EIP, v.uea(u)))
 				}
-				v.uimul(u.Dst, regs[u.Dst], bv)
-			case uop.KindImulRRI:
-				v.uimul(u.Dst, u.Imm, regs[u.Src])
-			case uop.KindImulRMI:
+				v.uimul(u.Dst, regs[u.Dst], bv, uop.Kinds[u.Kind].Def != 0)
+			case uop.KindImulRRI, uop.KindImulRRINF:
+				v.uimul(u.Dst, u.Imm, regs[u.Src], uop.Kinds[u.Kind].Def != 0)
+			case uop.KindImulRMI, uop.KindImulRMINF:
 				bv, ok := v.uload32(v.uea(u))
 				if !ok {
 					return v.uopTrap(us, i, memTrap(u.EIP, v.uea(u)))
 				}
-				v.uimul(u.Dst, u.Imm, bv)
-			case uop.KindMulR:
-				v.umul1(regs[u.Src], u.Sub != 0)
-			case uop.KindMulM:
+				v.uimul(u.Dst, u.Imm, bv, uop.Kinds[u.Kind].Def != 0)
+			case uop.KindMulR, uop.KindMulRNF:
+				v.umul1(regs[u.Src], u.Sub != 0, uop.Kinds[u.Kind].Def != 0)
+			case uop.KindMulM, uop.KindMulMNF:
 				val, ok := v.uload32(v.uea(u))
 				if !ok {
 					return v.uopTrap(us, i, memTrap(u.EIP, v.uea(u)))
 				}
-				v.umul1(val, u.Sub != 0)
+				v.umul1(val, u.Sub != 0, uop.Kinds[u.Kind].Def != 0)
 			case uop.KindDivR:
 				if err := v.udiv(regs[u.Src], u.Sub != 0, u.EIP); err != nil {
 					return v.uopTrap(us, i, err)
@@ -1176,22 +1118,13 @@ blocks:
 				regs[u.Dst] = val
 
 			// --- fused load-op ---
-			case uop.KindLoadAluRR:
+			case uop.KindLoadAluRR, uop.KindLoadAluRRNF:
 				addr := u.Disp + regs[u.Base] + regs[u.Idx]*uint32(u.Scale)
 				if !geom.ReadOK(addr, 4, brk) {
 					return v.uopTrap(us, i, memTrap(u.EIP, addr))
 				}
 				regs[u.Aux] = le32(mem, addr)
-				if res, wb := v.ualu(uop.AluOp(u.Sub), regs[u.Dst], regs[u.Src], 4); wb {
-					regs[u.Dst] = res
-				}
-			case uop.KindLoadAluRRNF:
-				addr := u.Disp + regs[u.Base] + regs[u.Idx]*uint32(u.Scale)
-				if !geom.ReadOK(addr, 4, brk) {
-					return v.uopTrap(us, i, memTrap(u.EIP, addr))
-				}
-				regs[u.Aux] = le32(mem, addr)
-				if res, wb := v.ualuQ(uop.AluOp(u.Sub), regs[u.Dst], regs[u.Src]); wb {
+				if res, wb := v.ualu(uop.AluOp(u.Sub), regs[u.Dst], regs[u.Src], uop.Kinds[u.Kind].Def != 0); wb {
 					regs[u.Dst] = res
 				}
 

@@ -109,32 +109,32 @@ var Kinds = [KindGeneric + 1]Info{
 	KindTestRR: {Name: "TestRR", Def: all, Fused: Fusion{KindTestJccRR, KindGuardTestRR, KindTestSetccRR, KindTestBoolRR}, Spec: true, Alu: AluTest, Ops: rr},
 	KindTestRI: {Name: "TestRI", Def: all, Fused: Fusion{KindTestJccRI, KindGuardTestRI, KindTestSetccRI, KindTestBoolRI}, Spec: true, Alu: AluTest, Imm: true, Ops: OpDst},
 
-	KindAluRR:  {Name: "AluRR", Def: all, Ops: rr | OpAlu},
-	KindAluRI:  {Name: "AluRI", Def: all, Ops: OpDst | OpAlu},
-	KindAluRM:  {Name: "AluRM", Def: all, Ops: rm | OpAlu},
-	KindAluMR:  {Name: "AluMR", Def: all, Ops: OpSrc | OpMem | OpAlu},
-	KindAluMI:  {Name: "AluMI", Def: all, Ops: OpMem | OpAlu},
-	KindAlu8RR: {Name: "Alu8RR", Def: all, Ops: rr8 | OpAlu},
-	KindAlu8RI: {Name: "Alu8RI", Def: all, Ops: OpDst | OpDsh | OpAlu},
-	KindAlu8RM: {Name: "Alu8RM", Def: all, Ops: rm | OpDsh | OpAlu},
-	KindAlu8MR: {Name: "Alu8MR", Def: all, Ops: OpSrc | OpSsh | OpMem | OpAlu},
-	KindAlu8MI: {Name: "Alu8MI", Def: all, Ops: OpMem | OpAlu},
+	KindAluRR:  {Name: "AluRR", Def: all, NF: KindAluRRNF, Ops: rr | OpAlu},
+	KindAluRI:  {Name: "AluRI", Def: all, NF: KindAluRINF, Ops: OpDst | OpAlu},
+	KindAluRM:  {Name: "AluRM", Def: all, NF: KindAluRMNF, Ops: rm | OpAlu},
+	KindAluMR:  {Name: "AluMR", Def: all, NF: KindAluMRNF, Ops: OpSrc | OpMem | OpAlu},
+	KindAluMI:  {Name: "AluMI", Def: all, NF: KindAluMINF, Ops: OpMem | OpAlu},
+	KindAlu8RR: {Name: "Alu8RR", Def: all, NF: KindAlu8RRNF, Ops: rr8 | OpAlu},
+	KindAlu8RI: {Name: "Alu8RI", Def: all, NF: KindAlu8RINF, Ops: OpDst | OpDsh | OpAlu},
+	KindAlu8RM: {Name: "Alu8RM", Def: all, NF: KindAlu8RMNF, Ops: rm | OpDsh | OpAlu},
+	KindAlu8MR: {Name: "Alu8MR", Def: all, NF: KindAlu8MRNF, Ops: OpSrc | OpSsh | OpMem | OpAlu},
+	KindAlu8MI: {Name: "Alu8MI", Def: all, NF: KindAlu8MINF, Ops: OpMem | OpAlu},
 
 	// INC/DEC preserve CF: the full record they write carries the
 	// incoming CF through, so they read it.
 	KindIncR:     {Name: "IncR", Use: cf, Def: all, NF: KindIncRNF, Ops: OpDst},
 	KindDecR:     {Name: "DecR", Use: cf, Def: all, NF: KindDecRNF, Ops: OpDst},
-	KindNegR:     {Name: "NegR", Def: all, Ops: OpDst},
+	KindNegR:     {Name: "NegR", Def: all, NF: KindNegRNF, Ops: OpDst},
 	KindNotR:     {Name: "NotR", Ops: OpDst},
 	KindShiftRI:  {Name: "ShiftRI", Def: all, NF: KindShiftRINF, Ops: OpDst | OpSh},
 	KindShiftRCL: {Name: "ShiftRCL", NF: KindShiftRCLNF, Ops: OpDst | OpSh},
 
-	KindImulRR:  {Name: "ImulRR", Def: all, Ops: rr},
-	KindImulRM:  {Name: "ImulRM", Def: all, Ops: rm},
-	KindImulRRI: {Name: "ImulRRI", Def: all, Ops: rr},
-	KindImulRMI: {Name: "ImulRMI", Def: all, Ops: rm},
-	KindMulR:    {Name: "MulR", Def: all, Ops: OpSrc},
-	KindMulM:    {Name: "MulM", Def: all, Ops: OpMem},
+	KindImulRR:  {Name: "ImulRR", Def: all, NF: KindImulRRNF, Ops: rr},
+	KindImulRM:  {Name: "ImulRM", Def: all, NF: KindImulRMNF, Ops: rm},
+	KindImulRRI: {Name: "ImulRRI", Def: all, NF: KindImulRRINF, Ops: rr},
+	KindImulRMI: {Name: "ImulRMI", Def: all, NF: KindImulRMINF, Ops: rm},
+	KindMulR:    {Name: "MulR", Def: all, NF: KindMulRNF, Ops: OpSrc},
+	KindMulM:    {Name: "MulM", Def: all, NF: KindMulMNF, Ops: OpMem},
 	KindDivR:    {Name: "DivR", Ops: OpSrc},
 	KindDivM:    {Name: "DivM", Ops: OpMem},
 	KindCdq:     {Name: "Cdq"},
@@ -161,6 +161,23 @@ var Kinds = [KindGeneric + 1]Info{
 	KindDecRNF:     {Name: "DecRNF", Ops: OpDst},
 	KindShiftRINF:  {Name: "ShiftRINF", Ops: OpDst | OpSh},
 	KindShiftRCLNF: {Name: "ShiftRCLNF", Ops: OpDst | OpSh},
+	KindAluRRNF:    {Name: "AluRRNF", Ops: rr | OpAlu},
+	KindAluRINF:    {Name: "AluRINF", Ops: OpDst | OpAlu},
+	KindAluRMNF:    {Name: "AluRMNF", Ops: rm | OpAlu},
+	KindAluMRNF:    {Name: "AluMRNF", Ops: OpSrc | OpMem | OpAlu},
+	KindAluMINF:    {Name: "AluMINF", Ops: OpMem | OpAlu},
+	KindAlu8RRNF:   {Name: "Alu8RRNF", Ops: rr8 | OpAlu},
+	KindAlu8RINF:   {Name: "Alu8RINF", Ops: OpDst | OpDsh | OpAlu},
+	KindAlu8RMNF:   {Name: "Alu8RMNF", Ops: rm | OpDsh | OpAlu},
+	KindAlu8MRNF:   {Name: "Alu8MRNF", Ops: OpSrc | OpSsh | OpMem | OpAlu},
+	KindAlu8MINF:   {Name: "Alu8MINF", Ops: OpMem | OpAlu},
+	KindNegRNF:     {Name: "NegRNF", Ops: OpDst},
+	KindImulRRNF:   {Name: "ImulRRNF", Ops: rr},
+	KindImulRMNF:   {Name: "ImulRMNF", Ops: rm},
+	KindImulRRINF:  {Name: "ImulRRINF", Ops: rr},
+	KindImulRMINF:  {Name: "ImulRMINF", Ops: rm},
+	KindMulRNF:     {Name: "MulRNF", Ops: OpSrc},
+	KindMulMNF:     {Name: "MulMNF", Ops: OpMem},
 
 	KindCmpJccRR:     {Name: "CmpJccRR", Def: all, Alu: AluCmp, Term: true, Ops: rr | OpCC},
 	KindCmpJccRI:     {Name: "CmpJccRI", Def: all, Alu: AluCmp, Imm: true, Term: true, Ops: OpDst | OpCC},

@@ -125,3 +125,33 @@ func TestLoweredKinds(t *testing.T) {
 		t.Error("a kind past the table counts as lowered")
 	}
 }
+
+// TestRecordingKindsHaveTwins: dead-flag elimination can drop a record
+// only by downgrading its writer, so every kind that records the flags
+// has an NF twin, except those named here with the reason they need
+// none.
+func TestRecordingKindsHaveTwins(t *testing.T) {
+	const (
+		compare = "a register compare records nothing else: a dead one becomes KindNop"
+		term    = "a terminator: liveness starts all-set at the fragment exit, so its record is never dead"
+		setcc   = "a fused compare/setcc: vxcc's boolean idiom fuses into the Bool forms, which have twins"
+	)
+	exempt := map[Kind]string{
+		KindCmpRR: compare, KindCmpRI: compare, KindTestRR: compare, KindTestRI: compare,
+		KindCmpJccRR: term, KindCmpJccRI: term, KindTestJccRR: term, KindTestJccRI: term,
+		KindCmpSetccRR: setcc, KindCmpSetccRI: setcc, KindTestSetccRR: setcc, KindTestSetccRI: setcc,
+	}
+	for k := range Kinds {
+		r := &Kinds[k]
+		why, ok := exempt[Kind(k)]
+		switch {
+		case r.Def == 0 && ok:
+			t.Errorf("%s is exempt (%s) but records nothing", r.Name, why)
+		case r.Def == 0:
+		case r.NF != 0 && ok:
+			t.Errorf("%s is exempt (%s) but has the twin %s", r.Name, why, r.NF)
+		case r.NF == 0 && !ok:
+			t.Errorf("%s records the flags and has no NF twin", r.Name)
+		}
+	}
+}

@@ -168,9 +168,10 @@ func fuseAt(us []Uop, i int) (Uop, int) {
 // elideDeadFlags is the backward liveness pass. live starts all-set at
 // the fragment exit (successor blocks are unknown, so every flag must
 // be assumed observable there) and flows backward; a record-writing
-// micro-op reached with no live flags is downgraded in place and
-// becomes transparent to the analysis, letting elision cascade through
-// runs of dead flag-writers.
+// micro-op reached with no live flags is downgraded in place and then
+// seen as what it has become: it defines nothing, so elision cascades
+// through runs of dead flag-writers, and only what it still reads — an
+// ADC/SBB's carry-in — stays live above it.
 func elideDeadFlags(us []Uop) uint64 {
 	var elided uint64
 	live := x86.FlagsAll
@@ -182,7 +183,6 @@ func elideDeadFlags(us []Uop) uint64 {
 			(r.NF != 0 || r.Spec && (r.Alu == AluCmp || r.Alu == AluTest)) {
 			u.Kind = r.NF
 			elided++
-			continue
 		}
 		use, def := flagEffect(u)
 		live = live&^def | use

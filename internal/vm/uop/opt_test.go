@@ -99,19 +99,37 @@ func TestFuseCallReturn(t *testing.T) {
 }
 
 // TestElideDeadFlags pins dead-flag elimination: a flag-writing op
-// whose record is clobbered before any consumer loses it; the last
-// writer before the block exit keeps it.
+// whose record is clobbered before any consumer loses it — a memory
+// read-modify-write and a multiply as well as a register ALU op — and
+// the last writer before the block exit keeps it.
 func TestElideDeadFlags(t *testing.T) {
 	us := lowerSeq(t, []x86.Inst{
-		{Op: x86.ADD, Dst: x86.R(x86.EAX), Src: x86.R(x86.ECX)}, // dead: xor clobbers
-		{Op: x86.XOR, Dst: x86.R(x86.EDX), Src: x86.R(x86.EDX)}, // live at exit
+		{Op: x86.ADD, Dst: x86.R(x86.EAX), Src: x86.R(x86.ECX)},                   // dead: the add to memory clobbers
+		{Op: x86.ADD, Dst: x86.MSIB(x86.EBP, x86.NoReg, 1, -8, 4), Src: x86.I(5)}, // dead: imul clobbers
+		{Op: x86.IMUL, Dst: x86.R(x86.EAX), Src: x86.R(x86.ECX)},                  // dead: xor clobbers
+		{Op: x86.XOR, Dst: x86.R(x86.EDX), Src: x86.R(x86.EDX)},                   // live at exit
 	})
 	out, st := Optimize(us)
-	if st.FlagsElided != 1 {
-		t.Fatalf("FlagsElided = %d, want 1", st.FlagsElided)
+	if st.FlagsElided != 3 {
+		t.Fatalf("FlagsElided = %d, want 3", st.FlagsElided)
 	}
-	if out[0].Kind != KindAddRRNF || out[1].Kind != KindXorRR {
-		t.Fatalf("bad kinds: %v %v", out[0].Kind, out[1].Kind)
+	want := []Kind{KindAddRRNF, KindAluMINF, KindImulRRNF, KindXorRR}
+	for i, k := range want {
+		if out[i].Kind != k {
+			t.Fatalf("uop %d is %v, want %v", i, out[i].Kind, k)
+		}
+	}
+
+	// A dead ADC loses its record but still reads the carry, so the
+	// record that feeds it stays.
+	us = lowerSeq(t, []x86.Inst{
+		{Op: x86.ADD, Dst: x86.R(x86.EAX), Src: x86.R(x86.ECX)}, // CF feeds the ADC
+		{Op: x86.ADC, Dst: x86.R(x86.EDX), Src: x86.R(x86.EBX)}, // dead: neg clobbers
+		{Op: x86.NEG, Dst: x86.R(x86.ESI)},                      // live at exit
+	})
+	out, st = Optimize(us)
+	if st.FlagsElided != 1 || out[0].Kind != KindAddRR || out[1].Kind != KindAluRRNF || out[2].Kind != KindNegR {
+		t.Fatalf("add ; adc ; neg: %v %v %v (elided %d), want AddRR AluRRNF NegR", out[0].Kind, out[1].Kind, out[2].Kind, st.FlagsElided)
 	}
 }
 

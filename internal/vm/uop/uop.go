@@ -131,8 +131,11 @@ const (
 	// Flag-suppressed ("NF") forms, produced by the optimizer's
 	// dead-flag elimination pass: identical to their base kind except
 	// that no lazy flag record is written (and for Inc/Dec, the
-	// preserved CF is not read). Only emitted where liveness proved no
-	// later consumer can observe the flags; see opt.go.
+	// preserved CF is not read; ADC/SBB still read their carry-in).
+	// Only emitted where liveness proved no later consumer can observe
+	// the flags; see opt.go. Every recording kind Lower emits has one,
+	// except the register compares, which a dead record turns into
+	// KindNop.
 	KindAddRRNF
 	KindAddRINF
 	KindSubRRNF
@@ -147,6 +150,23 @@ const (
 	KindDecRNF
 	KindShiftRINF
 	KindShiftRCLNF
+	KindAluRRNF
+	KindAluRINF
+	KindAluRMNF
+	KindAluMRNF
+	KindAluMINF
+	KindAlu8RRNF
+	KindAlu8RINF
+	KindAlu8RMNF
+	KindAlu8MRNF
+	KindAlu8MINF
+	KindNegRNF
+	KindImulRRNF
+	KindImulRMNF
+	KindImulRRINF
+	KindImulRMINF
+	KindMulRNF
+	KindMulMNF
 
 	// Fused forms, produced by the optimizer's peephole pass. Each
 	// represents Cost consecutive guest instructions; EIP is the first

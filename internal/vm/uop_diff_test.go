@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"vxa/internal/vm/tier2"
+	"vxa/internal/vm/uop"
 	"vxa/internal/x86"
 )
 
@@ -66,16 +68,21 @@ func seedState(t *testing.T, rng *rand.Rand, v1, v2 *VM) {
 	copy(v2.mem[diffData:], data)
 }
 
-// diffRun executes inst on both engines: v1 through lowering and the uop
-// executor (followed by a UD2 so the block terminates), v2 on the
-// reference interpreter. It returns the non-UD2 error from each engine.
-func diffRun(t *testing.T, v1, v2 *VM, inst x86.Inst) (err1, err2 error) {
+// diffRun executes inst, and the instructions that follow it, on both
+// engines: v1 through lowering and the uop executor (followed by a UD2 so
+// the block terminates), v2 on the reference interpreter. It returns the
+// non-UD2 error from each engine.
+func diffRun(t *testing.T, v1, v2 *VM, inst x86.Inst, follow ...x86.Inst) (err1, err2 error) {
 	t.Helper()
-	enc, err := x86.Encode(inst)
-	if err != nil {
-		t.Fatalf("encode %v: %v", inst, err)
+	var enc []byte
+	for _, in := range append([]x86.Inst{inst}, follow...) {
+		e, err := x86.Encode(in)
+		if err != nil {
+			t.Fatalf("encode %v: %v", in, err)
+		}
+		enc = append(enc, e...)
 	}
-	code := append(append([]byte{}, enc...), 0x0F, 0x0B) // inst; ud2
+	code := append(append([]byte{}, enc...), 0x0F, 0x0B) // inst; follow...; ud2
 	copy(v1.mem[diffCode:], code)
 	copy(v2.mem[diffCode:], code)
 
@@ -93,13 +100,105 @@ func diffRun(t *testing.T, v1, v2 *VM, inst x86.Inst) (err1, err2 error) {
 	}
 	v1.materializeFlags()
 
-	// The reference engine.
-	decoded, err := x86.Decode(code)
-	if err != nil {
-		t.Fatalf("decode %v: %v", inst, err)
+	// The reference engine, one instruction at a time up to the UD2.
+	for off := 0; off < len(enc) && err2 == nil; {
+		decoded, err := x86.Decode(code[off:])
+		if err != nil {
+			t.Fatalf("decode %v: %v", inst, err)
+		}
+		err2 = v2.exec(&decoded, diffCode+uint32(off))
+		off += int(decoded.Len)
 	}
-	err2 = v2.exec(&decoded, diffCode)
 	return err1, err2
+}
+
+// diffFollower follows the instruction under test in alternate trials
+// and in every diffLoops loop: a compare, which defines every flag the
+// instruction records and reads none, so the optimizer downgrades the
+// instruction to its NF twin.
+var diffFollower = x86.Inst{Op: x86.CMP, Dst: x86.R(x86.EAX), Src: x86.R(x86.EDI)}
+
+// followers is what diffRun runs after the instruction of the given
+// trial: nothing in even trials, which leave its record for diffCompare
+// to materialize, and diffFollower in odd ones.
+func followers(trial int) []x86.Inst {
+	if trial%2 == 0 {
+		return nil
+	}
+	return []x86.Inst{diffFollower}
+}
+
+// diffLoops runs instructions in loops hot enough to form superblocks
+// and, at OptEager, compile them, on one VM per tier leg, each against a
+// reference VM of its own (linkGuest.runOnce):
+//
+//	top: inst ; cmp eax, edi ; dec ebp ; jne top ; ud2
+//
+// The compare clobbers every flag inst records, so inst runs as its NF
+// twin, on tier 1 and in the compiled trace; DEC carries the compare's
+// CF into the next pass, where an ADC or SBB reads it.
+type diffLoops struct {
+	t      *testing.T
+	legs   [][2]*VM
+	native int // loops that ran in a compiled trace
+}
+
+func newDiffLoops(t *testing.T) *diffLoops {
+	d := &diffLoops{t: t}
+	for _, level := range tier2Legs {
+		d.legs = append(d.legs, [2]*VM{diffVMAt(t, level), diffVM(t)})
+	}
+	return d
+}
+
+// run runs inst's loop from a fresh translation on every leg, over a data
+// page holding data, with ESI at its start.
+func (d *diffLoops) run(inst x86.Inst, data []byte) {
+	t := d.t
+	t.Helper()
+	a := &t2asm{t: t, base: diffCode}
+	a.emit(inst)
+	a.emit(diffFollower)
+	a.emit(x86.Inst{Op: x86.DEC, Dst: x86.R(x86.EBP)})
+	a.jcc(x86.CCNE, diffCode)
+	a.emit(x86.Inst{Op: x86.UD2})
+	g := linkGuest{code: a.code, data: data, fuel: 1000,
+		regs: map[x86.Reg]uint32{x86.EBP: sbHotThreshold + 24, x86.ESI: diffData}}
+	seed := [8]uint32{0x1234567, 0x89ABCDEF, 0xDEADBEEF, 0x0BADF00D, 0, 0, 0x600DCAFE, 0xFEEDFACE}
+	var level OptLevel
+	defer func() {
+		if t.Failed() { // runOnce's messages do not name the loop
+			t.Logf("in the loop of %v at %v", inst, level)
+		}
+	}()
+	for i, vs := range d.legs {
+		v1, v2 := vs[0], vs[1]
+		level = tier2Legs[i]
+		v1.blocks = make(map[uint32]*bref) // new code: translate it afresh
+		v1.dropLinks()
+		before := v1.stats.Tier2Steps
+		g.runOnce(t, v1, v2, seed)
+		sb := v1.blocks[diffCode].sb
+		if sb == nil {
+			t.Fatalf("%v: the loop formed no superblock at %v", inst, level)
+		}
+		u := sb.b.uops[0]
+		if uop.Kinds[u.Kind].Def != 0 {
+			t.Fatalf("%v: runs as %v at %v: its dead record was kept", inst, u.Kind, level)
+		}
+		if v1.stats.Tier2Steps > before {
+			d.native++
+		} else if level == OptEager && nativeTier2() && !uop.Kinds[u.Kind].Escape {
+			t.Fatalf("%v: its loop never ran compiled", inst)
+		}
+	}
+}
+
+// done requires that some loop ran compiled, where there is an emitter.
+func (d *diffLoops) done() {
+	if nativeTier2() && d.native == 0 {
+		d.t.Fatal("no loop ran in a compiled trace")
+	}
 }
 
 // diffCompare asserts both engines produced the same architectural state.
@@ -184,6 +283,7 @@ func TestDiffALUMem(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	v1 := diffVM(t)
 	v2 := diffVM(t)
+	loops := newDiffLoops(t)
 	for trial := 0; trial < 3000; trial++ {
 		seedState(t, rng, v1, v2)
 		op := diffALUOps[rng.Intn(len(diffALUOps))]
@@ -217,12 +317,16 @@ func TestDiffALUMem(t *testing.T) {
 				inst = x86.Inst{Op: op, Dst: m, Src: x86.Arg{Kind: x86.KindImm, Imm: int32(rng.Intn(256)), Size: 1}}
 			}
 		}
-		err1, err2 := diffRun(t, v1, v2, inst)
+		err1, err2 := diffRun(t, v1, v2, inst, followers(trial)...)
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("trial %d %v: uop err=%v, ref err=%v", trial, inst, err1, err2)
 		}
 		diffCompare(t, v1, v2, inst, trial)
+		if trial%4 == 1 {
+			loops.run(inst, v1.mem[diffData:diffData+64])
+		}
 	}
+	loops.done()
 }
 
 // TestDiffShifts covers SHL/SHR/SAR by immediate (including zero counts,
@@ -250,6 +354,7 @@ func TestDiffUnary(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	v1 := diffVM(t)
 	v2 := diffVM(t)
+	loops := newDiffLoops(t)
 	for trial := 0; trial < 3000; trial++ {
 		seedState(t, rng, v1, v2)
 		op := ops[rng.Intn(len(ops))]
@@ -262,29 +367,112 @@ func TestDiffUnary(t *testing.T) {
 		default:
 			inst = x86.Inst{Op: op, Dst: memArg(rng, v1, v2, 4)}
 		}
-		err1, err2 := diffRun(t, v1, v2, inst)
+		err1, err2 := diffRun(t, v1, v2, inst, followers(trial)...)
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("trial %d %v: uop err=%v, ref err=%v", trial, inst, err1, err2)
 		}
 		diffCompare(t, v1, v2, inst, trial)
+		if trial%4 == 1 {
+			loops.run(inst, v1.mem[diffData:diffData+64])
+		}
 	}
+	loops.done()
 }
 
-// TestDiffMulWide covers the IMUL forms and the widening MUL/IMUL.
+// TestDiffMulWide covers the IMUL forms and the widening MUL/IMUL, with
+// register and memory sources.
 func TestDiffMulWide(t *testing.T) {
-	diffTrials(t, 6, 3000, func(rng *rand.Rand) x86.Inst {
+	rng := rand.New(rand.NewSource(6))
+	v1 := diffVM(t)
+	v2 := diffVM(t)
+	loops := newDiffLoops(t)
+	for trial := 0; trial < 3000; trial++ {
+		seedState(t, rng, v1, v2)
+		dst := x86.R(x86.Reg(rng.Intn(4)))
+		src := x86.R(x86.Reg(rng.Intn(4)))
+		if rng.Intn(3) == 0 {
+			src = memArg(rng, v1, v2, 4)
+		}
+		var inst x86.Inst
 		switch rng.Intn(4) {
 		case 0:
-			return x86.Inst{Op: x86.IMUL, Dst: x86.R(x86.Reg(rng.Intn(4))), Src: x86.R(x86.Reg(rng.Intn(4)))}
+			inst = x86.Inst{Op: x86.IMUL, Dst: dst, Src: src}
 		case 1:
-			return x86.Inst{Op: x86.IMUL, Dst: x86.R(x86.Reg(rng.Intn(4))),
-				Src: x86.R(x86.Reg(rng.Intn(4))), Aux: x86.I(int32(rng.Uint32()))}
+			inst = x86.Inst{Op: x86.IMUL, Dst: dst, Src: src, Aux: x86.I(int32(rng.Uint32()))}
 		case 2:
-			return x86.Inst{Op: x86.MUL1, Dst: x86.R(x86.Reg(rng.Intn(4)))}
+			inst = x86.Inst{Op: x86.MUL1, Dst: src}
 		default:
-			return x86.Inst{Op: x86.IMUL1, Dst: x86.R(x86.Reg(rng.Intn(4)))}
+			inst = x86.Inst{Op: x86.IMUL1, Dst: src}
 		}
-	})
+		err1, err2 := diffRun(t, v1, v2, inst, followers(trial)...)
+		if (err1 == nil) != (err2 == nil) {
+			t.Fatalf("trial %d %v: uop err=%v, ref err=%v", trial, inst, err1, err2)
+		}
+		diffCompare(t, v1, v2, inst, trial)
+		if trial%4 == 1 {
+			loops.run(inst, v1.mem[diffData:diffData+64])
+		}
+	}
+	loops.done()
+}
+
+// TestDiffQuietRMWFault: a read-modify-write of memory whose flag record
+// is dead — the add to ESI after it clobbers the flags — runs in a
+// compiled trace as one host instruction behind its read and write
+// checks. ESI walks up to the heap limit a dword per outer pass of
+// linkLoops, so the access of the last pass is the first out of bounds,
+// and the trap must be the reference's: kind, EIP and address. Most
+// operands share a group check, whose failure resumes the pass on tier
+// 1; one whose displacement is too large to group is checked in place,
+// and the compiled code raises the fault itself.
+func TestDiffQuietRMWFault(t *testing.T) {
+	edge := uint32(3*PageSize) - 4*(linkOuter-1)
+	const far = 0x30000000 // past what a group check may span from its register
+	mem := func(disp int32, size uint8) x86.Arg { return x86.MSIB(x86.ESI, x86.NoReg, 1, disp, size) }
+	for _, c := range []struct {
+		name string
+		inst x86.Inst
+		kind uop.Kind
+		esi  uint32
+	}{
+		{"add-mi", x86.Inst{Op: x86.ADD, Dst: mem(0, 4), Src: x86.I(5)}, uop.KindAluMINF, edge},
+		{"sub-mr", x86.Inst{Op: x86.SUB, Dst: mem(0, 4), Src: x86.R(x86.EAX)}, uop.KindAluMRNF, edge},
+		{"xor-mi8", x86.Inst{Op: x86.XOR, Dst: mem(3, 1), Src: x86.I8(0x5A)}, uop.KindAlu8MINF, edge - 3},
+		{"add-mi-in-place", x86.Inst{Op: x86.ADD, Dst: mem(far, 4), Src: x86.I(5)}, uop.KindAluMINF, edge - far},
+	} {
+		g := linkGuest{
+			code: linkLoops(t, func(a *t2asm) {
+				a.emit(c.inst)
+				a.op2(x86.ADD, x86.R(x86.ESI), x86.I(4))
+			}, ud2Tail),
+			regs: map[x86.Reg]uint32{x86.EBP: linkOuter, x86.ESI: c.esi},
+			fuel: 60000,
+		}
+		if c.esi == edge-far {
+			g.noResume = true
+		} else {
+			g.resumes = 1
+		}
+		t.Run(c.name, func(t *testing.T) {
+			var eager *VM
+			g.runLinkedOn(t, func(t *testing.T, level OptLevel) *VM {
+				v := diffVMAt(t, level)
+				if level == OptEager {
+					eager = v
+				}
+				return v
+			})
+			if !nativeTier2() {
+				return
+			}
+			for _, br := range eager.blocks {
+				if sb := br.sb; sb != nil && sb.t2 != nil && slices.ContainsFunc(sb.b.uops, func(u uop.Uop) bool { return u.Kind == c.kind }) {
+					return
+				}
+			}
+			t.Fatalf("no compiled trace holds a %v", c.kind)
+		})
+	}
 }
 
 // TestDiffMovExtSetcc covers the move/widening/setcc handlers, whose
