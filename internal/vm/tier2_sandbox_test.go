@@ -209,7 +209,7 @@ func sandboxGuest(t *testing.T, data []byte) linkGuest {
 	if len(code) > PageSize {
 		t.Skip("guest outgrew the code page")
 	}
-	g := linkGuest{code: code, fuel: 60000, faultFlags: true,
+	g := linkGuest{code: code, fuel: 60000,
 		regs: map[x86.Reg]uint32{x86.EBP: uint32(passes) + 8, base: start}}
 	if idx != x86.NoReg {
 		g.regs[idx] = idxVal
@@ -233,15 +233,18 @@ func sandboxGuest(t *testing.T, data []byte) linkGuest {
 // runSandboxGuest runs g twice on one VM at the given level — the
 // second time through whatever the first compiled
 // and linked — against the reference interpreter, comparing everything
-// runOnce compares plus the bottom stack page the fans can reach.
+// runOnce compares plus the bottom stack page the fans can reach. The
+// fans fault among ALU operations on memory whose records are dead, so
+// the flags at a memory fault are compared with a VM at OptSuperblocks
+// that runs beside it (runOnceBeside).
 func runSandboxGuest(t *testing.T, g linkGuest, level OptLevel) {
-	v1, v2 := sandboxVM(t, level), sandboxVM(t, OptDefault)
+	v1, v2, v3 := sandboxVM(t, level), sandboxVM(t, OptDefault), sandboxVM(t, OptSuperblocks)
 	var seed [8]uint32
 	for r := range seed {
 		seed[r] = 0x9E3779B9 * uint32(r+1)
 	}
 	for run := 0; run < 2; run++ {
-		err := g.runOnce(t, v1, v2, seed)
+		err := g.runOnceBeside(t, v1, v2, v3, seed)
 		if run == 1 {
 			t.Logf("%v, %d of %d instructions in compiled traces", err, v1.stats.Tier2Steps, v1.stats.Steps)
 		}
