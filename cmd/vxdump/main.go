@@ -120,9 +120,9 @@ func main() {
 // guard exit slots, whether tier 2 compiled the trace (backend=native,
 // tier1 where the emitter bails, disabled below OptTier2), whether
 // the code came with the snapshot (origin=snapshot) or had to be
-// compiled for this VM (origin=vm), and for every exit that leaves
+// compiled for this VM (origin=vm), for every exit that leaves
 // through a link slot whether that second stream linked it and to which
-// trace.
+// trace, and every loop edge, which needs no slot.
 func dumpTracePlans(name string, elf []byte) error {
 	c, ok := codec.ByName(name)
 	if !ok {
@@ -181,8 +181,9 @@ func dumpTracePlans(name string, elf []byte) error {
 			p.Entry, p.Backend, origin, p.Cost, p.NUops, p.Guards, p.Rets)
 		// The micro-ops the compiled trace opens with a check of a group of
 		// memory operands: a pass that fails it is finished on tier 1 from
-		// there.
-		resume := make(map[int]bool)
+		// there. A loop's check made ahead of its loop label, once per entry
+		// from outside, is marked hoisted at the micro-op it covers first.
+		resume, hoisted := make(map[int]bool), make(map[int]bool)
 		if p.Trace != nil {
 			fmt.Printf("  code: %v\n", p.Trace.Ledger)
 			total.Add(p.Trace.Ledger, 1)
@@ -190,6 +191,9 @@ func dumpTracePlans(name string, elf []byte) error {
 				if x.Kind == tier2.ExitResume {
 					resume[x.Uop] = true
 				}
+			}
+			for _, i := range p.Trace.Hoisted {
+				hoisted[i] = true
 			}
 		}
 		for _, u := range p.Uops {
@@ -205,9 +209,20 @@ func dumpTracePlans(name string, elf []byte) error {
 			if resume[u.Index] {
 				slot += "  resume"
 			}
+			if hoisted[u.Index] {
+				slot += "  hoisted"
+			}
 			fmt.Printf("  %3d  %08x  %-16s cost=%d%s\n", u.Index, u.EIP, u.Kind, u.Cost, slot)
 		}
 		for k, e := range p.Exits {
+			if e.Loop {
+				to := "the loop label"
+				if e.Recheck {
+					to = "the checks ahead of the loop label"
+				}
+				fmt.Printf("  loop uop %d %s -> %08x: direct jump to %s\n", e.Uop, e.Kind, e.Target, to)
+				continue
+			}
 			state := "unlinked"
 			if e.Linked {
 				state = fmt.Sprintf("linked to trace %08x", e.To)

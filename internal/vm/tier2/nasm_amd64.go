@@ -493,9 +493,20 @@ func (a *nasm) jcc(cc byte) fix {
 	return fix(a.here() - 4)
 }
 
+// jmp emits jmp rel32 with a placeholder and returns the fixup site.
+func (a *nasm) jmp() fix {
+	a.n++
+	a.db(0xE9)
+	a.d32(0)
+	return fix(a.here() - 4)
+}
+
 // patch resolves a fixup to the current position.
-func (a *nasm) patch(p fix) {
-	rel := a.here() - (int32(p) + 4)
+func (a *nasm) patch(p fix) { a.patchTo(p, a.here()) }
+
+// patchTo resolves a fixup to code offset to, ahead of it or behind.
+func (a *nasm) patchTo(p fix, to int32) {
+	rel := to - (int32(p) + 4)
 	a.c[p] = byte(rel)
 	a.c[p+1] = byte(rel >> 8)
 	a.c[p+2] = byte(rel >> 16)

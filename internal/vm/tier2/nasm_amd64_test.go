@@ -445,17 +445,20 @@ func checkWithObjdump(t *testing.T, code []byte, cs []asmCase, ends []int) {
 	}
 }
 
-// TestBranchFixups: jcc and patch resolve a rel32 field to the right
-// target, and retStatus is the two instructions it says.
+// TestBranchFixups: jcc, jmp, patch and patchTo resolve a rel32 field to
+// the right target, ahead or behind, and retStatus is the two
+// instructions it says.
 func TestBranchFixups(t *testing.T) {
 	var a nasm
 	f := a.jcc(2) // jb, over the first return
 	a.retStatus(7)
 	a.patch(f)
 	a.retStatus(8)
-	want, _ := hex.DecodeString("0f8206000000" + "b807000000" + "c3" + "b808000000" + "c3")
-	if !bytes.Equal(a.c, want) || a.n != 5 {
-		t.Fatalf("got % x (%d instructions), want % x (5)", a.c, a.n, want)
+	a.patchTo(a.jmp(), 6)   // back to the first return
+	a.patchTo(a.jcc(5), 18) // jne, back to the jmp
+	want, _ := hex.DecodeString("0f8206000000" + "b807000000" + "c3" + "b808000000" + "c3" + "e9efffffff" + "0f85f5ffffff")
+	if !bytes.Equal(a.c, want) || a.n != 7 {
+		t.Fatalf("got % x (%d instructions), want % x (7)", a.c, a.n, want)
 	}
 }
 

@@ -85,18 +85,33 @@ import (
 // for resuming at a guest EIP, on freshly decoded instructions.)
 //
 // The code's first byte is the trace entry, for the dispatcher and for
-// every exit linked to the trace alike: "sub Budget, Cost; jl decline;
-// mov Cur, rdx; add Acct, iteration+micro-ops". Budget is what the
-// dispatcher allows the run — the smaller of Fuel and the poll Credit —
-// and a declined entry (status 0, the entry's guest address in
-// ExitTarget) gives its charge back. Every exit first gives back what
-// the entry charged for the micro-ops it skips. A link exit then jumps
-// through its slot of the VM's link table — to its own return stub until
-// the VM links the edge, into the next trace afterwards; an inline-cache
-// exit does so only when the guest target equals the slot's recorded
-// address. Every other exit returns its status. The only indirect
-// branches in the code are those slot jumps and ret, and no emitted
-// instruction ever writes code: a loop is a trace linked to itself.
+// every exit linked to the trace alike: "mov Cur, rdx", then the loop
+// label, "sub Budget, Cost; jl decline; add Acct, iteration+micro-ops".
+// Budget is what the dispatcher allows the run — the smaller of Fuel and
+// the poll Credit — and a declined pass (status 0, the entry's guest
+// address in ExitTarget) gives its charge back. Every exit first gives
+// back what the entry charged for the micro-ops it skips. A link exit
+// then jumps through its slot of the VM's link table — to its own return
+// stub until the VM links the edge, into the next trace afterwards; an
+// inline-cache exit does so only when the guest target equals the slot's
+// recorded address. Every other exit returns its status, but a loop
+// edge: an exit back to the trace's own entry that needs no flags
+// materialized for it (link) is a direct jmp or jcc onto the loop label,
+// so a pass of a loop costs its charge and no slot. The only indirect
+// branches in the code are the slot jumps and ret, and no emitted
+// instruction ever writes code.
+//
+// Checks made once per loop entry. In a trace with an exit to its own
+// entry, a group whose address registers hold their entry values where
+// it opens, and are written by no micro-op of the trace (or which
+// micro-op 0 leads), has its check made ahead of the loop label, behind
+// the entry's store of Cur (hoist). A loop edge lands past those checks
+// when the registers they were made on still hold their entry values,
+// as the write log says at the edge, and on the ones it moved otherwise.
+// A check reads only registers, geometry constants and Brk, which only
+// the dispatcher moves, so a check that held on entry holds on every pass
+// that skips it. Made before the pass is charged, such a check fails
+// through an ExitResume at micro-op 0 that refunds nothing.
 //
 // Where the code lives. The emitter assembles into a buffer of its own and
 // hands the finished bytes to the trace's Arena (execbuf.go), which
@@ -176,11 +191,15 @@ func fld(off int32) rm { return at(hDI, off) }
 
 // ---- the emitter --------------------------------------------------------
 
-// pstub is an out-of-line exit path: the fixup sites that jump to it and
-// the code to emit once the fall-through body is done.
+// pstub is an out-of-line exit path: the fixup sites that jump to it,
+// the code to emit once the fall-through body is done, and the flag state
+// and the write log the mainline had where the path leaves it.
 type pstub struct {
 	fixes fixes
 	emit  func()
+	flOp  int
+	sym   [16]uint32
+	off   [16]int64
 }
 
 // fixes is up to two fixup sites; -1 marks an unused one.
@@ -244,12 +263,26 @@ type access struct {
 // group is a run of accesses under one check: the access the check was
 // emitted for, the span in that access's pos coordinates and whether any
 // member writes — both still growing until the trace ends — and the code
-// offset of the check, whose constants follow from them.
+// offset of the check, whose constants follow from them. A group of a
+// loop whose lead's registers hold their entry values, and which no
+// micro-op writes or micro-op 0 leads, is pre: its check is made ahead of
+// the loop label (hoist) for the micro-op uop.
 type group struct {
 	lead   access
 	lo, hi int64
 	write  bool
 	at     int32
+	pre    bool
+	uop    int
+}
+
+// edge is a loop edge as emitted: its exit, the site of its jump's rel32
+// and the write log there.
+type edge struct {
+	s   int32
+	at  fix
+	sym [16]uint32
+	off [16]int64
 }
 
 type nemit struct {
@@ -260,6 +293,18 @@ type nemit struct {
 
 	mlen, ro, sbase uint32
 	tail            []int64 // suffixCosts(us)
+
+	// loop is the code offset of the loop label, where every entry charges
+	// the pass, and recheck that of the checks hoisted ahead of it (loop
+	// when there are none). loops: the trace has an exit to its own entry,
+	// so checks on what registers no micro-op of it writes (the host
+	// registers outside written) hold at the entry may be hoisted;
+	// entrySym is the symbols they hold there, edges the loop edges.
+	loop, recheck int32
+	loops         bool
+	written       uint16
+	entrySym      [16]uint32
+	edges         []edge
 
 	// groups holds every check group of the trace in the order the checks
 	// are emitted; open indexes the ones still taking members, the newest
@@ -277,10 +322,12 @@ type nemit struct {
 	again    bool
 	next     int
 
-	// Scratch that outlives a compile (see emitters): the code buffer and
-	// the exit table under construction.
-	code  []byte
-	exits []Exit
+	// Scratch that outlives a compile (see emitters): the code buffer, a
+	// second one for hoist, the exit table under construction and the
+	// fixups of the hoisted checks.
+	code, spare []byte
+	exits       []Exit
+	fails       []fix
 
 	pend  []pstub
 	stubs []int32 // code offset of each link slot's return stub
@@ -321,6 +368,8 @@ func nativeCompile(us []uop.Uop, entry uint32, g Geometry, t *Trace, o *Outcome)
 	e.init(t, us, entry, g)
 
 	a := &e.a
+	a.movTo64(fld(offCur), hDX)
+	e.loop = a.here()
 	a.aluI64(aluSubExt, fld(offBudget), uint32(t.Cost))
 	decline := a.jcc(byte(x86.CCL))
 	e.stub(func() {
@@ -328,7 +377,6 @@ func nativeCompile(us []uop.Uop, entry uint32, g Geometry, t *Trace, o *Outcome)
 		a.movI(fld(offExitTgt), entry)
 		a.retStatus(0)
 	}, fixes{decline, -1})
-	a.movTo64(fld(offCur), hDX)
 	a.aluI64(aluAddExt, fld(offAcct), uint32(acctIter+len(us)))
 	for i := range us {
 		e.startSym, e.startOff, e.placed = a.sym, a.off, e.placed[:0]
@@ -336,9 +384,10 @@ func nativeCompile(us []uop.Uop, entry uint32, g Geometry, t *Trace, o *Outcome)
 		if !e.one(i) {
 			return false
 		}
-		if led := len(start.groups); len(e.groups) > led {
-			// The micro-op leads groups. Take it back, all of it but where
-			// its operands went, and emit it again behind the groups' checks.
+		if led := len(start.groups); e.inBody(led) {
+			// The micro-op leads groups checked in the body. Take it back,
+			// all of it but where its operands went, and emit it again behind
+			// the groups' checks.
 			start.groups, start.open, start.placed = e.groups, e.open, e.placed
 			*e = start
 			e.emitChecks(i, led)
@@ -350,11 +399,13 @@ func nativeCompile(us []uop.Uop, entry uint32, g Geometry, t *Trace, o *Outcome)
 		}
 	}
 	e.fixChecks()
-	l := &t.Ledger
-	l.Guest, l.Hot, l.Accesses, l.Checks = t.Cost, int64(a.n), int64(e.accesses), int64(e.checks)
-	t.hotEnd = int(a.here())
+	hot, hotEnd := a.n, a.here()
 	e.flush()
-	l.Stub = int64(a.n) - l.Hot
+	shift, hoisted := e.hoist()
+	l := &t.Ledger
+	l.Guest, l.Hot, l.Accesses, l.Checks = t.Cost, int64(hot+hoisted), int64(e.accesses), int64(e.checks)
+	l.Stub, l.Loops = int64(a.n)-l.Hot, int64(len(e.edges))
+	t.hotEnd, t.loop, t.recheck = int(hotEnd+shift), int(e.loop), int(e.recheck)
 	t.Slots = len(e.stubs)
 
 	start := time.Now()
@@ -384,11 +435,45 @@ func (e *nemit) init(t *Trace, us []uop.Uop, entry uint32, g Geometry) {
 	*e = nemit{t: t, us: us, entry: entry, mlen: g.MemLen, ro: g.ROLimit, sbase: g.StackBase,
 		a: nasm{c: e.code[:0]}, flOp: flEntry,
 		exits: e.exits[:0], groups: e.groups[:0], open: e.open[:0], placed: e.placed[:0],
-		pend: e.pend[:0], stubs: e.stubs[:0],
+		pend: e.pend[:0], stubs: e.stubs[:0], edges: e.edges[:0], spare: e.spare, fails: e.fails[:0],
 		tail: suffixCosts(slices.Grow(e.tail[:0], n)[:n], us)}
 	for r := range e.a.sym {
 		e.a.def(r)
 	}
+	e.entrySym = e.a.sym
+	for i := range us {
+		u := &us[i]
+		r := &uop.Kinds[u.Kind]
+		e.loops = e.loops || (r.Guard || r.Term) && u.Target == entry ||
+			r.Term && r.Ops&uop.OpCC != 0 && u.Next == entry
+		e.written |= writes(u)
+	}
+}
+
+// writes returns, as a mask of host registers, the guest registers u may
+// write: its Dst and Aux registers, Src of an exchange, ESP for the stack
+// kinds, EAX and EDX for the multiplies, the divides and CDQ. It need not
+// be exact, only never short: a loop edge that finds a register moved
+// under a hoisted check anyway makes the check again (hoist).
+func writes(u *uop.Uop) uint16 {
+	var m uint16
+	r := &uop.Kinds[u.Kind]
+	if r.Ops&uop.OpDst != 0 {
+		m |= 1 << hostReg[u.Dst&7]
+	}
+	if r.Ops&uop.OpAux != 0 {
+		m |= 1 << hostReg[u.Aux&7]
+	}
+	switch u.Kind {
+	case uop.KindXchgRR:
+		m |= 1 << hostReg[u.Src&7]
+	case uop.KindPushR, uop.KindPushI, uop.KindPushM, uop.KindPopR, uop.KindPopM, uop.KindCall, uop.KindCallR,
+		uop.KindCallM, uop.KindRet, uop.KindPopRet, uop.KindPushCall, uop.KindRetGuard:
+		m |= 1 << hostReg[x86.ESP]
+	case uop.KindMulR, uop.KindMulRNF, uop.KindMulM, uop.KindMulMNF, uop.KindDivR, uop.KindDivM, uop.KindCdq:
+		m |= 1<<hostReg[x86.EAX] | 1<<hostReg[x86.EDX]
+	}
+	return m
 }
 
 // release drops what the emitter holds of the trace and hands it back
@@ -402,12 +487,14 @@ func (e *nemit) release() {
 
 // flush emits the out-of-line paths behind the mainline.
 func (e *nemit) flush() {
-	for _, p := range e.pend {
+	for k := range e.pend {
+		p := &e.pend[k]
 		for _, f := range p.fixes {
 			if f >= 0 {
 				e.a.patch(f)
 			}
 		}
+		e.flOp, e.a.sym, e.a.off = p.flOp, p.sym, p.off
 		p.emit()
 	}
 	e.pend = e.pend[:0]
@@ -422,7 +509,7 @@ func (e *nemit) flush() {
 // group's index, or -1 for an operand that can do neither and is checked
 // in place. Only the newest group of each address shape stays open, and
 // a trace has few shapes live at a time, so the open list is searched.
-func (e *nemit) join(ac *access) int {
+func (e *nemit) join(i int, ac *access) int {
 	if max(ac.pos, -ac.pos, ac.startPos, -ac.startPos) >= 1<<29 {
 		return -1 // keeps every check displacement, less StackBase, an int32
 	}
@@ -458,8 +545,31 @@ func (e *nemit) join(ac *access) int {
 	} else {
 		e.open = append(e.open, gi)
 	}
-	e.groups = append(e.groups, group{lead: *ac, lo: ac.pos, hi: ac.pos + int64(ac.size), write: ac.write})
+	e.groups = append(e.groups, group{lead: *ac, lo: ac.pos, hi: ac.pos + int64(ac.size), write: ac.write,
+		pre: e.loops && !e.moved(ac, &e.startSym, &e.startOff) && (i == 0 || !e.writes(ac)), uop: i})
 	return gi
+}
+
+// writes reports whether a micro-op of the trace may write an address
+// register of ac.
+func (e *nemit) writes(ac *access) bool {
+	for _, r := range [2]int{ac.hb, ac.hi} {
+		if r >= 0 && e.written&(1<<r) != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// moved reports whether, by the write log sym and off, an address
+// register of ac holds other than its entry value.
+func (e *nemit) moved(ac *access, sym *[16]uint32, off *[16]int64) bool {
+	for _, r := range [2]int{ac.hb, ac.hi} {
+		if r >= 0 && (sym[r] != e.entrySym[r] || off[r] != 0) {
+			return true
+		}
+	}
+	return false
 }
 
 // noWrap reports whether ac may rely on a check that leader's micro-op
@@ -480,14 +590,28 @@ func noWrap(ac, leader *access, lo int64) bool {
 	return lo-int64(ac.scale)*ac.regOff <= pageSize
 }
 
+// inBody reports whether a group from led on has its check in the body.
+func (e *nemit) inBody(led int) bool {
+	for gi := led; gi < len(e.groups); gi++ {
+		if !e.groups[gi].pre {
+			return true
+		}
+	}
+	return false
+}
+
 // emitChecks emits, at the start of micro-op i, the check of every group
-// from led on: the ones i's first emission found it leads. A failure
-// leaves the trace through i's ExitResume, with nothing of i executed.
+// from led on that is checked in the body: the ones i's first emission
+// found it leads. A failure leaves the trace through i's ExitResume, with
+// nothing of i executed.
 func (e *nemit) emitChecks(i, led int) {
 	s := e.exit(Exit{Kind: ExitResume, Uop: i})
 	e.t.Ledger.Resumes++
 	for gi := led; gi < len(e.groups); gi++ {
 		g := &e.groups[gi]
+		if g.pre {
+			continue
+		}
 		g.at = e.a.here()
 		e.stub(func() { e.leave(s) }, e.check(g))
 		e.checks++
@@ -525,10 +649,103 @@ func (e *nemit) check(g *group) (fails fixes) {
 func (e *nemit) fixChecks() {
 	end := e.a
 	for gi := range e.groups {
-		e.a.c = end.c[:e.groups[gi].at]
-		e.check(&e.groups[gi])
+		if g := &e.groups[gi]; !g.pre {
+			e.a.c = end.c[:g.at]
+			e.check(g)
+		}
 	}
 	e.a = end
+}
+
+// hoist makes the checks of the pre groups ahead of the loop label, once
+// the trace is emitted: it inserts them behind the entry's store of Cur
+// and moves everything from the loop label on behind them, which changes
+// none of the relative jumps among what moves. The checks no loop edge
+// moves a register of come first — those written promises; then, from
+// recheck on, the others, micro-op 0's on registers the loop moves. A loop
+// edge lands on the loop label unless it has moved a register a check was
+// made on, and on recheck if it has: on every pass the registers hold at
+// the loop label what the checks were made on. A failed check leaves
+// through an ExitResume at micro-op 0 that refunds nothing, as the pass it
+// stands before is not charged yet. hoist returns how far the code from
+// the loop label on moved and the instructions it put ahead of it.
+func (e *nemit) hoist() (shift int32, hot int) {
+	e.recheck = e.loop
+	pre := 0
+	for gi := range e.groups {
+		if e.groups[gi].pre {
+			pre++
+		}
+	}
+	if pre == 0 {
+		return 0, 0
+	}
+	body := e.a
+	a := &e.a
+	*a = nasm{c: append(e.spare[:0], body.c[:e.loop]...)}
+	e.spare = body.c
+	fails := e.fails[:0]
+	for _, moved := range [2]bool{false, true} {
+		if moved {
+			e.recheck = a.here()
+		}
+		for gi := range e.groups {
+			if g := &e.groups[gi]; g.pre && e.variant(g) == moved {
+				for _, f := range e.check(g) {
+					if f >= 0 {
+						fails = append(fails, f)
+					}
+				}
+				e.checks++
+			}
+		}
+	}
+	shift, hot = a.here()-e.loop, a.n
+	a.c = append(a.c, body.c[e.loop:]...)
+	a.n += body.n
+	s := e.exit(Exit{Kind: ExitResume})
+	x := &e.exits[s-1]
+	x.Refund, x.RefundUops = 0, 0
+	e.t.Ledger.Resumes++
+	e.t.Ledger.Hoisted = int64(pre)
+	for _, f := range fails {
+		a.patch(f)
+	}
+	e.fails = fails
+	a.retStatus(s)
+	for k := range e.edges {
+		j := &e.edges[k]
+		to := e.loop + shift
+		for gi := range e.groups {
+			if g := &e.groups[gi]; g.pre && e.moved(&g.lead, &j.sym, &j.off) {
+				to = e.recheck
+				e.exits[j.s-1].Recheck = true
+				break
+			}
+		}
+		a.patchTo(j.at+fix(shift), to)
+	}
+	e.loop += shift
+	for k := range e.stubs {
+		e.stubs[k] += shift
+	}
+	for gi := range e.groups {
+		if g := &e.groups[gi]; g.pre {
+			e.t.Hoisted = append(e.t.Hoisted, g.uop)
+		}
+	}
+	return shift, hot
+}
+
+// variant reports whether some loop edge moves a register g's check was
+// made on.
+func (e *nemit) variant(g *group) bool {
+	for k := range e.edges {
+		if e.moved(&g.lead, &e.edges[k].sym, &e.edges[k].off) {
+			return true
+		}
+	}
+	return false
 }
 
 // floor is where the heap window starts for a read, or for a write.
@@ -644,7 +861,7 @@ func (e *nemit) opnd(i int, x ea, size uint32, write bool, eip uint32, started i
 		e.next++
 	} else {
 		ac := e.survey(x, size, write)
-		g = e.join(&ac)
+		g = e.join(i, &ac)
 		e.placed = append(e.placed, g)
 	}
 	e.last = g
@@ -740,13 +957,10 @@ func (e *nemit) end(i int, target uint32) int32 {
 }
 
 // stub registers an out-of-line path reached from fixes. It is emitted
-// after the mainline, with the flag state the mainline had here.
+// after the mainline, with the flag state and the write log the mainline
+// had here.
 func (e *nemit) stub(emit func(), fs fixes) {
-	fl := e.flOp
-	e.pend = append(e.pend, pstub{fixes: fs, emit: func() {
-		e.flOp = fl
-		emit()
-	}})
+	e.pend = append(e.pend, pstub{fixes: fs, emit: emit, flOp: e.flOp, sym: e.a.sym, off: e.a.off})
 }
 
 // refund gives back what the entry charged for the part of the trace
@@ -791,8 +1005,13 @@ func (e *nemit) stubHere(s int32) {
 // An exit back to this trace's own entry is the loop back edge. If the
 // trace consumed its entry flag state, the edge restores the FlagNone
 // entry invariant the dispatcher guaranteed the first pass (and says so,
-// Exit.Eager, or the VM will not link it); with the state unknown it
-// cannot, and the loop goes through the dispatcher.
+// Exit.Eager); with the state unknown it cannot, and the loop goes
+// through the dispatcher. Otherwise — exactly where VM.link would link the
+// slot: the trace needs no entry flags, or the edge leaves them so — the
+// edge owns no slot and jumps straight to the loop label (Exit.Loop).
+// Whether the trace reads its entry flags is known by then: link runs for
+// the terminator, after every flag read of the mainline, or for a guard in
+// its stub, after the whole mainline, and no stub reads the entry state.
 func (e *nemit) link(s int32) {
 	a := &e.a
 	x := &e.exits[s-1]
@@ -807,6 +1026,10 @@ func (e *nemit) link(s int32) {
 		}
 	}
 	e.refund(s)
+	if x.Target == e.entry && (!e.usedEntry || x.Eager) {
+		e.loopJump(s, a.jmp())
+		return
+	}
 	off := e.slot(s)
 	a.mov64(hAX, fld(offCur))
 	a.alu64(aluAddRM, hAX, fld(offLinks))
@@ -816,9 +1039,26 @@ func (e *nemit) link(s int32) {
 	a.retStatus(s)
 }
 
-// linkStub is link as an out-of-line path reached from f.
+// linkStub is link as an out-of-line path reached from f. A loop edge
+// that has nothing to refund (a terminator's) and nothing to materialize
+// needs no path: f jumps straight to the loop label.
 func (e *nemit) linkStub(s int32, f fix) {
+	x := &e.exits[s-1]
+	if x.Target == e.entry && x.Refund == 0 && x.RefundUops == 0 &&
+		(!e.usedEntry || e.flOp == flEntry || e.flOp == int(uop.FlagNone)) {
+		x.Eager = e.usedEntry
+		e.loopJump(s, f)
+		return
+	}
 	e.stub(func() { e.link(s) }, fixes{f, -1})
+}
+
+// loopJump makes exit s a loop edge by the jump whose rel32 is at f: to
+// the loop label, where hoist may move it.
+func (e *nemit) loopJump(s int32, f fix) {
+	e.exits[s-1].Loop = true
+	e.a.patchTo(f, e.loop)
+	e.edges = append(e.edges, edge{s: s, at: f, sym: e.a.sym, off: e.a.off})
 }
 
 // linkInd leaves through exit s's slot used as a one-entry inline cache

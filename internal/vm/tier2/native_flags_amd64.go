@@ -24,7 +24,8 @@ import (
 // links no exit to it that does not leave them materialized, so the
 // entry state is statically FlagNone; the trace's own loop back edge
 // re-materializes (matAll) whenever the body leaves a record behind,
-// which is what makes that exit one the glue may link (Exit.Eager).
+// which is what makes that exit one the glue would link (Exit.Eager) and
+// so a direct jump to the loop label (Exit.Loop).
 // Only a conditional writer (ShiftRCL
 // skips its record when the masked count is zero) leaves the state
 // unknown (flUnknown) and makes later consumers bail back to tier-1.
@@ -58,7 +59,7 @@ func (e *nemit) curFl() uop.FlagOp {
 // the five bools from the record, then Op = FlagNone — mirroring
 // VM.materializeFlags (including its materialization counts: the
 // extractors add 5, or 3 for the FlagSZP partial record). Emitted on
-// the loop back edge of a trace that consumed its entry state (link),
+// the loop edge of a trace that consumed its entry state (link),
 // so every pass sees the same FlagNone entry the glue guaranteed the
 // first one. Does not advance e.flOp: a second looping edge of the same
 // trace must still see the real end state.

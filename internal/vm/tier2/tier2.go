@@ -51,20 +51,24 @@
 // the VM has resolved the edge to a superblock that carries a trace it
 // stores that trace's entry address and slot offset in the slot
 // (Link.Link), and from then on the exit is one indirect jump into the
-// next trace. Code is never patched: a Trace is immutable after Compile,
-// holds no pointer to any VM and is shared by every VM of the decoder's
-// Snapshot, while the links between traces are per-VM data that the VM
-// drops with its view of the translation cache. The code itself lives in
-// the Arena of the snapshot lineage (execbuf.go): one region mapped
-// twice, written through one view and run from the other, to which a
-// compile appends without a system call and which is unmapped when the
-// last Trace, Snapshot and VM holding it are gone. The trace entry declines
-// to start — it returns status 0 with the entry's guest address in
-// ExitTarget — when Budget is short of the trace's Cost, so a chain of
-// linked traces comes back to the dispatcher at least once per poll
-// quantum and the end-of-fuel walk still happens on the reference
-// engine. Machine.Cur tells the dispatcher which trace of the chain a
-// nonzero status belongs to.
+// next trace. The one edge known at compile time is the loop edge, an
+// exit back to the trace's own entry: it owns no slot and is a direct
+// jump to the trace's loop label (Exit.Loop), behind the entry's store
+// of Machine.Cur, where the pass is charged as at the entry. Code is
+// never patched: a Trace is immutable after Compile, holds no pointer to
+// any VM and is shared by every VM of the decoder's Snapshot, while the
+// links between traces are per-VM data that the VM drops with its view
+// of the translation cache. The code itself lives in the Arena of the
+// snapshot lineage (execbuf.go): one region mapped twice, written
+// through one view and run from the other, to which a compile appends
+// without a system call and which is unmapped when the last Trace,
+// Snapshot and VM holding it are gone. A pass declines to start at the
+// loop label — it returns status 0 with the entry's guest address in
+// ExitTarget — when Budget is short of the trace's Cost, so a chain of linked traces
+// comes back to the dispatcher at least once per poll quantum and the
+// end-of-fuel walk still happens on the reference engine. Machine.Cur
+// tells the dispatcher which trace of the chain a nonzero status belongs
+// to.
 //
 // There is one backend, the amd64/linux machine-code emitter
 // (native_amd64.go): its code reaches guest state through the *Machine
@@ -264,12 +268,20 @@ type Exit struct {
 
 	// Slot is the exit's link slot within its trace's slots, -1 for an
 	// exit that always returns to the dispatcher (traps, the syscall
-	// gate, ExitJccLazy).
+	// gate, ExitJccLazy) and for a loop edge.
 	Slot int
 	// Eager marks a linkable exit whose stub leaves the flags
 	// materialized (Fl.Op == FlagNone), so that it may be linked to a
 	// trace that needs them so (Trace.NeedFlags).
 	Eager bool
+	// Loop marks a loop edge: an exit to the trace's own entry that jumps
+	// straight to the trace's loop label (Trace.Loop) and never returns.
+	// An exit to the entry is one wherever the VM would link its slot to
+	// the trace itself: the trace needs no entry flags, or the exit is
+	// Eager. Recheck marks a loop edge that has moved a register a check
+	// hoisted ahead of the loop label was made on: it lands on those checks
+	// (Trace.Recheck) instead.
+	Loop, Recheck bool
 }
 
 // newExit completes x for its micro-op of us: no link slot, and the
@@ -327,9 +339,17 @@ type Trace struct {
 	Slots int    // link slots
 
 	// Ledger is the host-code accounting of the trace; hotEnd is the code
-	// offset where the mainline ends and its out-of-line exit paths start.
-	Ledger Ledger
-	hotEnd int
+	// offset where the mainline ends and its out-of-line exit paths start,
+	// loop that of the loop label and recheck that of the hoisted checks a
+	// loop edge may have to make again.
+	Ledger  Ledger
+	hotEnd  int
+	loop    int
+	recheck int
+
+	// Hoisted lists, for every check made ahead of the loop label, the
+	// micro-op whose memory operands it covers first.
+	Hoisted []int
 
 	// NeedFlags marks a trace that consumes the flag state it was
 	// entered with: whoever enters it must have the flags
@@ -348,7 +368,8 @@ type Trace struct {
 // the guest memory operands and how many bounds checks are emitted for
 // them — the difference is the operands that ride on another's check;
 // and the resume exits: the micro-ops that open with such a shared check,
-// whose failure hands the rest of the pass to tier 1.
+// whose failure hands the rest of the pass to tier 1, and the one the
+// checks ahead of a loop label share; the loop edges, and those checks.
 type Ledger struct {
 	Guest    int64 `json:"guest"`
 	Hot      int64 `json:"hot"`
@@ -356,6 +377,10 @@ type Ledger struct {
 	Accesses int64 `json:"accesses"`
 	Checks   int64 `json:"checks"`
 	Resumes  int64 `json:"resumes"`
+	// Loops counts the loop edges (Exit.Loop) and Hoisted the checks made
+	// ahead of the loop label (Trace.Hoisted).
+	Loops   int64 `json:"loops"`
+	Hoisted int64 `json:"hoisted"`
 }
 
 // Add adds sign times m to l.
@@ -366,19 +391,31 @@ func (l *Ledger) Add(m Ledger, sign int64) {
 	l.Accesses += sign * m.Accesses
 	l.Checks += sign * m.Checks
 	l.Resumes += sign * m.Resumes
+	l.Loops += sign * m.Loops
+	l.Hoisted += sign * m.Hoisted
 }
 
 func (l Ledger) String() string {
 	if l.Guest == 0 {
 		return "no native code"
 	}
-	return fmt.Sprintf("%d host instructions in the hot body for %d guest (%.2f each), %d in exit paths; %d guest memory operands under %d bounds checks, %d resume exits",
-		l.Hot, l.Guest, float64(l.Hot)/float64(l.Guest), l.Stub, l.Accesses, l.Checks, l.Resumes)
+	return fmt.Sprintf("%d host instructions in the hot body for %d guest (%.2f each), %d in exit paths; %d guest memory operands under %d bounds checks, %d resume exits; %d loop edges, %d checks ahead of the loop label",
+		l.Hot, l.Guest, float64(l.Hot)/float64(l.Guest), l.Stub, l.Accesses, l.Checks, l.Resumes, l.Loops, l.Hoisted)
 }
 
 // HotEnd returns the code offset at which the trace's mainline ends and
 // its exit paths start, for the test wall's code scan.
 func (t *Trace) HotEnd() int { return t.hotEnd }
+
+// Loop returns the code offset of the trace's loop label: the pass's
+// budget charge, which follows the entry's store of Machine.Cur and is
+// where a loop edge (Exit.Loop) lands.
+func (t *Trace) Loop() int { return t.loop }
+
+// Recheck returns the code offset of the checks ahead of the loop label
+// that a loop edge which has moved their registers makes again
+// (Exit.Recheck); it is Loop when there are none.
+func (t *Trace) Recheck() int { return t.recheck }
 
 // Code returns the trace's emitted machine code. The bytes are mapped
 // read+execute: read them, never write.

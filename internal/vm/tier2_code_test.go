@@ -111,6 +111,8 @@ func decodeHost(code []byte, at int) (in hostInst, err error) {
 		}
 	case op&0xF0 == 0x50: // push/pop reg
 		in.reg = op&7 | int(rex&1)<<3
+	case op == 0xE9: // jmp rel32
+		immLen = 4
 	case op == 0x99, op == 0xC3: // cqo, ret
 	default:
 		return in, fmt.Errorf("unknown opcode %02X", op)
@@ -158,7 +160,7 @@ func decodeHost(code []byte, at int) (in hostInst, err error) {
 		in.imm = int64(uint64(le32(code, uint32(i))) | uint64(le32(code, uint32(i+4)))<<32)
 	}
 	in.n = i + immLen - at
-	if in.op&0xFFF0 == 0x0F80 {
+	if in.op&0xFFF0 == 0x0F80 || in.op == 0xE9 {
 		in.imm += int64(at + in.n)
 	}
 	if at+in.n > len(code) {
@@ -229,10 +231,13 @@ type traceScan struct {
 	pending map[int]*scanState // states flowing into forward branch targets
 	slots   map[int32]bool
 	rets    int
-	off     int // offset of the instruction being scanned
-	checks  int // bounds checks recognized
-	covered int // guest memory operands found covered
-	insts   int // instructions decoded
+	atLoop  *scanState // the states at the loop label and at the checks
+	atCheck *scanState // ahead of it that a loop edge may make again
+	loops   int        // backward branches, all onto those two labels
+	off     int        // offset of the instruction being scanned
+	checks  int        // bounds checks recognized
+	covered int        // guest memory operands found covered
+	insts   int        // instructions decoded
 }
 
 func (sc *traceScan) failf(format string, args ...any) {
@@ -292,12 +297,19 @@ func (sc *traceScan) meet(p, s *scanState) {
 
 // scanTrace walks the whole code of a native trace — the mainline, then
 // the exit paths behind it — in one forward pass (every branch the emitter
-// produces is forward; loops go through link slots) and checks:
+// produces is forward but the loop edges) and checks:
 //
 //   - it decodes end to end with decodeHost, and every byte is reached;
 //   - the only indirect control transfers are ret and one "jmp [slot]"
 //     per link slot, through a pointer built from Machine.Cur and
 //     Machine.Links, at that slot's displacement;
+//   - the only backward branches are one jmp or jcc per loop edge of the
+//     exit table, each onto the loop label the trace records, which charges
+//     the pass ("sub qword [rdi+Budget], Cost"), or onto the checks ahead
+//     of it that the trace records a loop edge may make again, with
+//     nothing pushed on the host stack and every register a bounds check
+//     made before the label was about holding what it held at the label —
+//     so whatever the scan knew at the label holds on every pass;
 //   - RSI, RDI, RSP and R14 are never written, and a pinned register only
 //     by 32- and 8-bit operations, which keep its upper half zero;
 //   - memory is touched only at Machine fields off RDI (never Regs: the
@@ -339,6 +351,12 @@ func scanTrace(t *testing.T, tr *tier2.Trace) (checks, covered int) {
 		if !st.live {
 			sc.failf("unreachable code")
 		}
+		if sc.off == tr.Recheck() {
+			sc.atCheck = st.clone()
+		}
+		if sc.off == tr.Loop() {
+			sc.loopLabel(st)
+		}
 		if n := sc.check(st); n > 0 {
 			for end := sc.off + n; sc.off < end; sc.insts++ {
 				in, _ := decodeHost(sc.code, sc.off)
@@ -368,6 +386,15 @@ func scanTrace(t *testing.T, tr *tier2.Trace) (checks, covered int) {
 	if sc.rets == 0 {
 		t.Fatalf("trace %#x never returns", tr.Entry)
 	}
+	loops := 0
+	for _, x := range tr.Exits {
+		if x.Loop {
+			loops++
+		}
+	}
+	if sc.atLoop == nil || sc.loops != loops {
+		t.Fatalf("trace %#x: %d backward branches for %d loop edges", tr.Entry, sc.loops, loops)
+	}
 	if sc.covered != covered {
 		t.Fatalf("trace %#x: %d guest memory operands in the exit paths", tr.Entry, sc.covered-covered)
 	}
@@ -382,6 +409,7 @@ func scanTrace(t *testing.T, tr *tier2.Trace) (checks, covered int) {
 var (
 	scanMachine tier2.Machine
 	scanOffBrk  = int32(unsafe.Offsetof(scanMachine.Brk))
+	scanOffBdgt = int32(unsafe.Offsetof(scanMachine.Budget))
 	scanOffCur  = int32(unsafe.Offsetof(scanMachine.Cur))
 	scanOffLnk  = int32(unsafe.Offsetof(scanMachine.Links))
 	scanOffRegs = int32(unsafe.Offsetof(scanMachine.Regs))
@@ -405,6 +433,38 @@ func (sc *traceScan) want(at *int, ok func(in *hostInst) bool) bool {
 	}
 	*at += in.n
 	return true
+}
+
+// loopLabel requires the loop label, at sc.off, to charge the pass, and
+// keeps the state there for the loop edges.
+func (sc *traceScan) loopLabel(st *scanState) {
+	in, err := decodeHost(sc.code, sc.off)
+	if err != nil || !isImmGroup(&in, 5, true) || !isField(&in, scanOffBdgt) || in.imm != sc.tr.Cost {
+		sc.failf("the loop label does not charge the pass")
+	}
+	sc.atLoop = st.clone()
+}
+
+// back checks a backward branch from state st to code offset to.
+func (sc *traceScan) back(st *scanState, to int) {
+	at := sc.atLoop
+	if to != sc.tr.Loop() {
+		at = sc.atCheck
+	}
+	if at == nil || to != sc.tr.Loop() && to != sc.tr.Recheck() {
+		sc.failf("backward branch to %#x, not to the loop label or the checks ahead of it", to)
+	}
+	if len(st.stack) != 0 {
+		sc.failf("loop edge with %d registers still pushed", len(st.stack))
+	}
+	for _, f := range at.facts {
+		for r, v := range at.reg {
+			if v.kind == lin32 && v.symB != 0 && (v.symB == f.v.symB || v.symB == f.v.symI) && st.reg[r] != v {
+				sc.failf("loop edge with register %d moved off the value a check before the loop label was made on", r)
+			}
+		}
+	}
+	sc.loops++
 }
 
 // check recognizes a bounds check starting at sc.off — the two orders of
@@ -828,8 +888,13 @@ func (sc *traceScan) step(st *scanState, in *hostInst) {
 		} else {
 			sc.memop(st, in, 1, true)
 		}
-	case op&0xFFF0 == 0x0F80: // jcc
-		sc.flow(st, int(in.imm))
+	case op&0xFFF0 == 0x0F80, op == 0xE9: // jcc, jmp
+		if to := int(in.imm); to <= sc.off {
+			sc.back(st, to)
+		} else {
+			sc.flow(st, to)
+		}
+		st.live = op != 0xE9
 	case op == 0xFF:
 		if in.reg != 4 || in.direct || in.idx >= 0 || in.base < 0 || st.reg[in.base].kind != slot {
 			sc.failf("indirect branch FF /%d is no slot jump", in.reg)
@@ -858,7 +923,9 @@ func (sc *traceScan) step(st *scanState, in *hostInst) {
 // oneCopy requires of a trace's exit table and link slots that they are
 // what one emission of its micro-ops us needs: no exit site is there
 // twice, every slot belongs to one exit, and the slots are the ones the
-// guards and the terminator of us ask for.
+// guards and the terminator of us ask for, less the loop edges, which own
+// none — and an exit to the trace's own entry is a loop edge exactly
+// where VM.link would link its slot to the trace.
 func oneCopy(t *testing.T, us []uop.Uop, tr *tier2.Trace) {
 	t.Helper()
 	type site struct {
@@ -867,7 +934,7 @@ func oneCopy(t *testing.T, us []uop.Uop, tr *tier2.Trace) {
 	}
 	seen := make(map[site]bool)
 	owned := make(map[int]bool)
-	lazy := false
+	lazy, loops := false, 0
 	for _, x := range tr.Exits {
 		s := site{x.Uop, x.Started, x.Kind}
 		if seen[s] {
@@ -881,6 +948,19 @@ func oneCopy(t *testing.T, us []uop.Uop, tr *tier2.Trace) {
 			owned[x.Slot] = true
 		}
 		lazy = lazy || x.Kind == tier2.ExitJccLazy
+		switch x.Kind {
+		case tier2.ExitEnd, tier2.ExitJccTaken, tier2.ExitJccFall, tier2.ExitGuard:
+			if x.Target == tr.Entry && x.Loop != (!tr.NeedFlags || x.Eager) {
+				t.Fatalf("trace %#x: the exit of micro-op %d to the trace's entry is direct: %v, flags needed: %v, eager: %v",
+					tr.Entry, x.Uop, x.Loop, tr.NeedFlags, x.Eager)
+			}
+		}
+		if x.Loop {
+			if x.Slot >= 0 || x.Target != tr.Entry {
+				t.Fatalf("trace %#x: loop edge of micro-op %d to %#x owns slot %d", tr.Entry, x.Uop, x.Target, x.Slot)
+			}
+			loops++
+		}
 	}
 	want := 0
 	for i := range us {
@@ -895,21 +975,10 @@ func oneCopy(t *testing.T, us []uop.Uop, tr *tier2.Trace) {
 			want++
 		}
 	}
-	if tr.Slots != want || len(owned) != want {
-		t.Fatalf("trace %#x: %d link slots, %d of them owned by an exit; its %d micro-ops need %d", tr.Entry, tr.Slots, len(owned), len(us), want)
+	if want -= loops; tr.Slots != want || len(owned) != want {
+		t.Fatalf("trace %#x: %d link slots, %d of them owned by an exit; its %d micro-ops need %d beside %d loop edges",
+			tr.Entry, tr.Slots, len(owned), len(us), want, loops)
 	}
-}
-
-// vmTraceUops returns the micro-ops each compiled trace v holds was
-// compiled from.
-func vmTraceUops(v *VM) map[*tier2.Trace][]uop.Uop {
-	m := make(map[*tier2.Trace][]uop.Uop)
-	for _, br := range v.blocks {
-		if sb := br.sb; sb != nil && sb.t2 != nil {
-			m[sb.t2] = sb.b.uops
-		}
-	}
-	return m
 }
 
 // soakTraces runs the hundred soak programs forced hot and hands every

@@ -23,9 +23,12 @@ import (
 	"io"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"testing"
 	"time"
 
+	"vxa/internal/vm/tier2"
+	"vxa/internal/vm/uop"
 	"vxa/internal/x86"
 )
 
@@ -58,6 +61,10 @@ type linkGuest struct {
 	// compiled; noResume says that none does.
 	resumes  uint64
 	noResume bool
+	// beside holds a run that ends in a memory fault to a VM at
+	// OptSuperblocks (runOnceBeside), for a guest that faults behind a
+	// dead flag record.
+	beside bool
 }
 
 // rewind puts v's guest state at the program start, keeping whatever the
@@ -209,6 +216,10 @@ func (g *linkGuest) runLinkedOn(t *testing.T, newVM func(*testing.T, OptLevel) *
 	}
 	forTier2Legs(t, func(t *testing.T, level OptLevel) {
 		v1, v2 := newVM(t, level), newVM(t, OptDefault)
+		var v3 *VM
+		if g.beside {
+			v3 = newVM(t, OptSuperblocks)
+		}
 		var seed [8]uint32
 		for r := range seed {
 			seed[r] = 0x9E3779B9 * uint32(r+1)
@@ -216,7 +227,7 @@ func (g *linkGuest) runLinkedOn(t *testing.T, newVM func(*testing.T, OptLevel) *
 		var before Stats
 		for run := 0; run < linkRuns; run++ {
 			before = v1.Stats()
-			g.runOnce(t, v1, v2, seed)
+			g.runOnceBeside(t, v1, v2, v3, seed)
 		}
 		if level != OptEager || !nativeTier2() {
 			return
@@ -253,9 +264,9 @@ const linkOuter = 600
 //	       sub ebp, 1 ; jnz OUTER
 //	       <tail>
 //
-// A compiles to a trace linked to itself through its conditional back
-// edge, C and what follows it to a trace entered from A's fall-through
-// exit: the payload runs in a linked-into trace from the moment both
+// A compiles to a trace whose conditional back edge is a direct jump to
+// its own loop label, C and what follows it to a trace entered from A's
+// fall-through exit: the payload runs in a linked-into trace from the moment both
 // exist.
 func linkLoops(t *testing.T, payload, tail func(a *t2asm)) []byte {
 	a := &t2asm{t: t, base: diffCode}
@@ -469,6 +480,221 @@ func TestDiffLinkedFuelSweep(t *testing.T) {
 		}
 		if level == OptEager && nativeTier2() && v1.Stats().Tier2Links == 0 {
 			t.Fatal("nothing was linked")
+		}
+	})
+}
+
+// TestDiffLoopEdgeFuelSweep: a counted loop closed by an unconditional
+// jmp, whose body reads a frame slot off EBP and a global, compiles to a
+// trace whose back edge is a direct jump to its own loop label. The fuel
+// runs out at every position of a pass over 64 budgets — among them on
+// the edge itself, where the loop label declines the pass exactly as the
+// entry would — and every run must end where the reference's does, with
+// its registers, flags, Steps and fuel left.
+func TestDiffLoopEdgeFuelSweep(t *testing.T) {
+	a := &t2asm{t: t, base: diffCode}
+	top := a.cur()
+	a.op2(x86.MOV, x86.R(x86.EAX), x86.MSIB(x86.EBP, x86.NoReg, 1, -8, 4))
+	a.op2(x86.ADD, x86.R(x86.EAX), x86.MSIB(x86.NoReg, x86.NoReg, 1, diffData+16, 4))
+	a.op2(x86.MOV, x86.MSIB(x86.EBP, x86.NoReg, 1, -8, 4), x86.R(x86.EAX))
+	a.op2(x86.XOR, x86.R(x86.EBX), x86.R(x86.EAX))
+	a.op2(x86.SUB, x86.R(x86.ECX), x86.I(1))
+	out := a.branch(x86.Inst{Op: x86.JCC, CC: x86.CCE})
+	a.jmp(top)
+	out(a.cur())
+	a.emit(x86.Inst{Op: x86.UD2})
+	data := make([]byte, 32)
+	binary.LittleEndian.PutUint32(data[16:], 0x01010101)
+	g := linkGuest{code: a.code, data: data, fuel: 60000,
+		regs: map[x86.Reg]uint32{x86.ECX: 1 << 20, x86.EBP: diffVM(t).MemSize() - 64}}
+	forTier2Legs(t, func(t *testing.T, level OptLevel) {
+		v1, v2 := diffVMAt(t, level), diffVM(t)
+		var seed [8]uint32
+		for run := 0; run < linkRuns; run++ { // warm: the loop compiled
+			g.runOnce(t, v1, v2, seed)
+		}
+		for g.fuel = 5000; g.fuel < 5064; g.fuel++ {
+			if tr := g.runOnce(t, v1, v2, seed).(*Trap); tr.Kind != TrapFuel {
+				t.Fatalf("fuel %d: %v, want fuel exhaustion", g.fuel, tr)
+			}
+		}
+		if level != OptEager || !nativeTier2() {
+			return
+		}
+		for tr := range vmTraceUops(v1) {
+			if tr.Entry != top {
+				continue
+			}
+			for _, x := range tr.Exits {
+				if x.Loop && x.Kind == tier2.ExitEnd && x.Target == top {
+					return
+				}
+			}
+			t.Fatalf("the loop's trace has no direct jmp back to its loop label: %+v", tr.Exits)
+		}
+		t.Fatal("the loop did not compile")
+	})
+}
+
+// vmTraceUops returns the micro-ops each compiled trace v holds was
+// compiled from.
+func vmTraceUops(v *VM) map[*tier2.Trace][]uop.Uop {
+	m := make(map[*tier2.Trace][]uop.Uop)
+	for _, br := range v.blocks {
+		if sb := br.sb; sb != nil && sb.t2 != nil {
+			m[sb.t2] = sb.b.uops
+		}
+	}
+	return m
+}
+
+// loopTrace returns the compiled trace v holds for the superblock at
+// entry, and its micro-ops.
+func loopTrace(t *testing.T, v *VM, entry uint32) (*tier2.Trace, []uop.Uop) {
+	t.Helper()
+	for tr, us := range vmTraceUops(v) {
+		if tr.Entry == entry {
+			return tr, us
+		}
+	}
+	t.Fatalf("no trace at %#x compiled", entry)
+	return nil, nil
+}
+
+// TestDiffLoopMovesItsBase: a loop that reads a global and a frame slot
+// off an EBP it moves every pass. The global's check is made once per
+// entry to the loop, ahead of its loop label; the frame slot's, on a
+// register the loop writes, stays in place at its micro-op. EBP walks up
+// to the heap's end within one entry, and that check fails on the last
+// pass, where tier 1 raises the fault. (The global's add is a dead flag
+// record, so a run is held to a VM at OptSuperblocks beside the engine.)
+func TestDiffLoopMovesItsBase(t *testing.T) {
+	a := &t2asm{t: t, base: diffCode}
+	top := a.cur()
+	a.op2(x86.ADD, x86.R(x86.EBX), x86.MSIB(x86.NoReg, x86.NoReg, 1, diffData+16, 4))
+	a.op2(x86.MOV, x86.R(x86.EAX), x86.MSIB(x86.EBP, x86.NoReg, 1, -8, 4))
+	a.op2(x86.ADD, x86.R(x86.EBP), x86.I(4))
+	a.op2(x86.SUB, x86.R(x86.ECX), x86.I(1))
+	a.jcc(x86.CCNE, top)
+	a.emit(x86.Inst{Op: x86.UD2})
+	// The 1024th pass reads the dword at the heap's end.
+	g := linkGuest{code: a.code, fuel: 60000,
+		regs: map[x86.Reg]uint32{x86.ECX: 1 << 20, x86.EBP: diffData + 8}}
+	forTier2Legs(t, func(t *testing.T, level OptLevel) {
+		v1, v2, v3 := diffVMAt(t, level), diffVM(t), diffVMAt(t, OptSuperblocks)
+		var seed [8]uint32
+		for run := 0; run < linkRuns; run++ {
+			if tr := g.runOnceBeside(t, v1, v2, v3, seed).(*Trap); tr.Kind != TrapMemory {
+				t.Fatalf("%v, want the frame load's fault", tr)
+			}
+		}
+		if level != OptEager || !nativeTier2() {
+			return
+		}
+		tr, us := loopTrace(t, v1, top)
+		frame := slices.IndexFunc(us, func(u uop.Uop) bool { return u.Base == uint8(x86.EBP) })
+		if frame < 0 || !slices.ContainsFunc(tr.Exits, func(x tier2.Exit) bool { return x.Loop }) {
+			t.Fatalf("the loop's trace has no frame load or no loop edge: %v", us)
+		}
+		if len(tr.Hoisted) == 0 || slices.Contains(tr.Hoisted, frame) {
+			t.Fatalf("checks ahead of the loop label for micro-ops %v, the frame load is %d", tr.Hoisted, frame)
+		}
+		if !slices.ContainsFunc(tr.Exits, func(x tier2.Exit) bool { return x.Kind == tier2.ExitResume && x.Uop == frame }) {
+			t.Fatal("the frame load's check is not at its micro-op")
+		}
+		if n := v1.Stats().Tier2Resumes; n < linkRuns-1 {
+			t.Fatalf("%d passes resumed on tier 1 over %d runs: the frame load's check did not fail in the trace", n, linkRuns)
+		}
+	})
+}
+
+// TestDiffLoopEnteredOutOfBounds: a loop whose guard, at its top, leaves
+// when ECX runs out reads [esi+8] behind it, and ESI, which the loop never
+// writes, is an argument of the run. The read's check is made once per
+// entry to the loop, ahead of its loop label. Warm runs read the data
+// page; the last enters the compiled loop with the read past the heap's
+// end, the check fails before the guard has run, and the pass resumes on
+// tier 1 at micro-op 0, passes the guard and faults where the reference
+// does. (The run is held to a VM at OptSuperblocks beside the engine: the
+// read's add is a dead flag record.)
+func TestDiffLoopEnteredOutOfBounds(t *testing.T) {
+	a := &t2asm{t: t, base: diffCode}
+	top := a.cur()
+	a.op2(x86.SUB, x86.R(x86.ECX), x86.I(1))
+	done := a.branch(x86.Inst{Op: x86.JCC, CC: x86.CCL})
+	a.op2(x86.ADD, x86.R(x86.EAX), x86.MSIB(x86.ESI, x86.NoReg, 1, 8, 4))
+	a.jmp(top)
+	done(a.cur())
+	a.emit(x86.Inst{Op: x86.UD2})
+	forTier2Legs(t, func(t *testing.T, level OptLevel) {
+		v1, v2, v3 := diffVMAt(t, level), diffVM(t), diffVMAt(t, OptSuperblocks)
+		g := linkGuest{code: a.code, fuel: 60000, regs: map[x86.Reg]uint32{x86.ECX: 50, x86.ESI: diffData}}
+		var seed [8]uint32
+		for run := 0; run < linkRuns; run++ {
+			if tr := g.runOnceBeside(t, v1, v2, v3, seed).(*Trap); tr.Kind != TrapIllegal {
+				t.Fatalf("warm run: %v, want the ud2 behind the loop", tr)
+			}
+		}
+		g.regs[x86.ESI] = 3*PageSize - 4
+		before := v1.Stats().Tier2Resumes
+		if tr := g.runOnceBeside(t, v1, v2, v3, seed).(*Trap); tr.Kind != TrapMemory {
+			t.Fatalf("%v, want the read's fault", tr)
+		}
+		if level != OptEager || !nativeTier2() {
+			return
+		}
+		if n := v1.Stats().Tier2Resumes - before; n != 1 {
+			t.Fatalf("%d passes resumed on tier 1, want the first", n)
+		}
+		tr, us := loopTrace(t, v1, top)
+		guard := slices.IndexFunc(us, func(u uop.Uop) bool { return uop.Kinds[u.Kind].Guard })
+		read := slices.IndexFunc(us, func(u uop.Uop) bool { return u.Base == uint8(x86.ESI) })
+		if guard < 0 || read < guard || !slices.Contains(tr.Hoisted, read) {
+			t.Fatalf("the read at micro-op %d of %v, behind the guard at %d, is not checked ahead of the loop label (%v)", read, us, guard, tr.Hoisted)
+		}
+		if slices.ContainsFunc(tr.Exits, func(x tier2.Exit) bool { return x.Kind == tier2.ExitResume && x.Uop != 0 }) {
+			t.Fatal("a check of the loop is made in its body")
+		}
+	})
+}
+
+// TestDiffLoopRecheckFuelSweep: a loop opens with a read off ESI, which
+// it moves every pass, so the read's check, made ahead of the loop label
+// on entry, is made again by the loop edge before every pass is charged.
+// ESI walks up to the heap's end, and the fuel runs out at every position
+// of the passes around the one whose check fails: where the budget would
+// not cover that pass, the failed check hands it to the end-of-budget
+// walk, which must stop where the reference does.
+func TestDiffLoopRecheckFuelSweep(t *testing.T) {
+	a := &t2asm{t: t, base: diffCode}
+	top := a.cur()
+	a.op2(x86.MOV, x86.R(x86.EAX), x86.MSIB(x86.ESI, x86.NoReg, 1, 0, 4))
+	a.op2(x86.ADD, x86.R(x86.ESI), x86.I(4))
+	a.op2(x86.XOR, x86.R(x86.EBX), x86.R(x86.EAX))
+	a.op2(x86.SUB, x86.R(x86.ECX), x86.I(1))
+	a.jcc(x86.CCNE, top)
+	a.emit(x86.Inst{Op: x86.UD2})
+	const passes = 600 // the last reads the dword at the heap's end
+	g := linkGuest{code: a.code, regs: map[x86.Reg]uint32{x86.ECX: 1 << 20, x86.ESI: 3*PageSize - 4*passes}}
+	forTier2Legs(t, func(t *testing.T, level OptLevel) {
+		v1, v2, v3 := diffVMAt(t, level), diffVM(t), diffVMAt(t, OptSuperblocks)
+		var seed [8]uint32
+		g.fuel = 60000
+		for run := 0; run < linkRuns; run++ {
+			if tr := g.runOnceBeside(t, v1, v2, v3, seed).(*Trap); tr.Kind != TrapMemory {
+				t.Fatalf("%v, want the read's fault", tr)
+			}
+		}
+		const before = 5 * (passes - 1) // instructions ahead of the faulting read
+		for g.fuel = before - 40; g.fuel < before+8; g.fuel++ {
+			g.runOnceBeside(t, v1, v2, v3, seed)
+		}
+		if level != OptEager || !nativeTier2() {
+			return
+		}
+		tr, _ := loopTrace(t, v1, top)
+		if !slices.Contains(tr.Hoisted, 0) || !slices.ContainsFunc(tr.Exits, func(x tier2.Exit) bool { return x.Loop && x.Recheck }) {
+			t.Fatalf("the read's check is not made again by the loop edge: hoisted %v, exits %+v", tr.Hoisted, tr.Exits)
 		}
 	})
 }

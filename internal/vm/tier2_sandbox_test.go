@@ -81,7 +81,7 @@ func (in *sandboxInput) next() int {
 }
 
 // sandboxGuest builds, from a fuzz input, a guest of the directed
-// tests' shape (linkLoops: an inner loop that is a trace linked to
+// tests' shape (linkLoops: an inner loop that is a trace looping on
 // itself, then the payload in a trace linked behind it, EBP outer
 // passes) whose payload is a fan of 2–12 memory operands off one
 // register — plus, as the input says, an index register, constant moves

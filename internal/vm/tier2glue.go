@@ -254,6 +254,14 @@ func (v *VM) runTier2(sb *bref, t *tier2.Trace) (*bref, int, error) {
 	case tier2.ExitResume:
 		v.eip = u.EIP // exact when i is 0, where the dispatch loop may poll
 		v.stats.Tier2Resumes++
+		if i == 0 && m.Fuel < sb.b.cost {
+			// A check made ahead of a loop label failed before the pass was
+			// charged, on a budget that would not have covered it: the pass
+			// is the end-of-budget walk's, from the block, as behind a
+			// declined entry.
+			nb, err := v.lookupBlock(v.eip)
+			return nb, 0, err
+		}
 		return sb, i, nil
 	case tier2.ExitReadFault:
 		err = memTrap(e.EIP, m.TrapAddr)

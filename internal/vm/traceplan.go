@@ -23,13 +23,17 @@ type TracePlanUop struct {
 
 // TracePlanExit is one link exit of a compiled trace: the micro-op it
 // leaves from, where it goes, and what its slot of the VM's link table
-// holds right now.
+// holds right now — or, for a loop edge, that it needs no slot.
 type TracePlanExit struct {
 	Uop    int    // index of the exiting micro-op
 	Kind   string // end, jcc-taken, jcc-fall, guard, ind or ret-guard
 	Target uint32 // static target; for ind/ret-guard the target the slot is linked for (0 when unlinked)
 	Linked bool   // the slot holds a trace entry, not the exit's own return stub
 	To     uint32 // entry of the trace the slot is linked to
+	Loop   bool   // a direct jump to the trace's own loop label (tier2.Exit.Loop): no slot
+	// Recheck: a loop edge that lands on the checks hoisted ahead of the
+	// loop label (tier2.Exit.Recheck).
+	Recheck bool
 }
 
 // TracePlan describes one formed superblock and what tier-2 made of
@@ -51,6 +55,8 @@ type TracePlan struct {
 	// code and the exact ledger of it.
 	Trace *tier2.Trace
 	Uops  []TracePlanUop
+	// Exits is one entry per link slot, in slot order, then the loop
+	// edges.
 	Exits []TracePlanExit
 }
 
@@ -119,17 +125,20 @@ var linkExitNames = map[tier2.ExitKind]string{
 }
 
 // planExits reads the link state of sb's trace t out of the VM's
-// link table, in slot order.
+// link table, in slot order, and lists the loop edges behind the slots.
 func (v *VM) planExits(sb *bref, t *tier2.Trace) []TracePlanExit {
 	unlinked := t.Unlinked()
 	exits := make([]TracePlanExit, t.Slots)
 	for i := range t.Exits {
 		e := &t.Exits[i]
+		pe := TracePlanExit{Uop: e.Uop, Kind: linkExitNames[e.Kind], Target: e.Target, Loop: e.Loop, Recheck: e.Recheck}
+		if e.Loop {
+			exits = append(exits, pe)
+		}
 		if e.Slot < 0 {
 			continue
 		}
 		l := v.links[sb.linkBase+e.Slot]
-		pe := TracePlanExit{Uop: e.Uop, Kind: linkExitNames[e.Kind], Target: e.Target}
 		if l != unlinked[e.Slot] {
 			pe.Linked = true
 			pe.To = v.linkOwner[uintptr(l.Cur)/tier2.LinkSize].t2.Entry

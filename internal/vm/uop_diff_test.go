@@ -475,6 +475,51 @@ func TestDiffQuietRMWFault(t *testing.T) {
 	}
 }
 
+// TestDiffQuietRMWWriteFault: TestDiffQuietRMWFault's in-place case with
+// a read-only word behind it. ESI walks down a dword per outer pass, and
+// the last pass's quiet add reads the read-only text page's last dword
+// and faults on the write: the compiled code raises TrapWrite from its
+// own ExitWriteFault exit. The reference records the add's flags before
+// its write fails and tier 1 drops the dead record, so the run is held
+// to a VM at OptSuperblocks beside it (runOnceBeside): the flags the
+// compiled write-fault exit leaves are under test.
+func TestDiffQuietRMWWriteFault(t *testing.T) {
+	const far = 0x30000000 // past what a group check may span from its register
+	esi := uint32(diffData + 4*(linkOuter-2))
+	g := linkGuest{
+		code: linkLoops(t, func(a *t2asm) {
+			a.emit(x86.Inst{Op: x86.ADD, Dst: x86.MSIB(x86.ESI, x86.NoReg, 1, far, 4), Src: x86.I(5)})
+			a.op2(x86.SUB, x86.R(x86.ESI), x86.I(4))
+		}, ud2Tail),
+		regs:     map[x86.Reg]uint32{x86.EBP: linkOuter, x86.ESI: esi - far},
+		fuel:     60000,
+		noResume: true,
+		beside:   true,
+	}
+	var eager *VM
+	g.runLinkedOn(t, func(t *testing.T, level OptLevel) *VM {
+		v := diffVMAt(t, level)
+		if err := v.MapSegment(diffCode, nil, PageSize, true); err != nil {
+			t.Fatal(err)
+		}
+		if level == OptEager {
+			eager = v
+		}
+		return v
+	})
+	if !nativeTier2() {
+		return
+	}
+	for _, br := range eager.blocks {
+		if sb := br.sb; sb != nil && sb.t2 != nil && slices.ContainsFunc(sb.t2.Exits, func(x tier2.Exit) bool {
+			return x.Kind == tier2.ExitWriteFault && sb.b.uops[x.Uop].Kind == uop.KindAluMINF
+		}) {
+			return
+		}
+	}
+	t.Fatal("no compiled trace has a write-fault exit on its quiet add")
+}
+
 // TestDiffMovExtSetcc covers the move/widening/setcc handlers, whose
 // results depend on the partial-register slots and lazily evaluated
 // conditions.
