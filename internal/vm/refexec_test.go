@@ -6,8 +6,14 @@ import (
 	"vxa/internal/x86"
 )
 
-// load/store helpers — all guest accesses funnel through these, which is
-// where the sandbox is enforced.
+// This file is the reference interpreter, the differential tests' oracle:
+// it executes one decoded x86.Inst at a time on eager flags, with no
+// translation, no micro-ops and no shared code with the engine beyond the
+// VM's state, the sandbox predicates (readable, writable), the syscall
+// gate and cond. The engine never calls it.
+
+// load/store helpers — all of the oracle's guest accesses funnel through
+// these, which is where it enforces the sandbox.
 
 func (v *VM) load(addr, size uint32) (uint32, error) {
 	if !v.readable(addr, size) {
@@ -166,44 +172,6 @@ func (v *VM) subFlags(a, b uint32, borrow uint32, size uint8) uint32 {
 	return res
 }
 
-// cond evaluates a condition code against the current flags.
-func (v *VM) cond(cc x86.CC) bool {
-	switch cc {
-	case x86.CCO:
-		return v.m.OF
-	case x86.CCNO:
-		return !v.m.OF
-	case x86.CCB:
-		return v.m.CF
-	case x86.CCAE:
-		return !v.m.CF
-	case x86.CCE:
-		return v.m.ZF
-	case x86.CCNE:
-		return !v.m.ZF
-	case x86.CCBE:
-		return v.m.CF || v.m.ZF
-	case x86.CCA:
-		return !v.m.CF && !v.m.ZF
-	case x86.CCS:
-		return v.m.SF
-	case x86.CCNS:
-		return !v.m.SF
-	case x86.CCP:
-		return v.m.PF
-	case x86.CCNP:
-		return !v.m.PF
-	case x86.CCL:
-		return v.m.SF != v.m.OF
-	case x86.CCGE:
-		return v.m.SF == v.m.OF
-	case x86.CCLE:
-		return v.m.ZF || v.m.SF != v.m.OF
-	default: // CCG
-		return !v.m.ZF && v.m.SF == v.m.OF
-	}
-}
-
 func (v *VM) push32(val uint32) error {
 	sp := v.m.Regs[x86.ESP] - 4
 	if err := v.store(sp, 4, val); err != nil {
@@ -342,6 +310,13 @@ func (v *VM) exec(inst *x86.Inst, addr uint32) error {
 		if err != nil {
 			return err
 		}
+		if inst.Dst.Size == 1 { // AX = AL * src
+			ax := v.readReg(x86.EAX, 1) * src
+			v.m.Regs[x86.EAX] = v.m.Regs[x86.EAX]&^0xFFFF | ax
+			v.m.CF, v.m.OF = ax>>8 != 0, ax>>8 != 0
+			v.setSZP(ax, 1)
+			break
+		}
 		full := uint64(v.m.Regs[x86.EAX]) * uint64(src)
 		v.m.Regs[x86.EAX] = uint32(full)
 		v.m.Regs[x86.EDX] = uint32(full >> 32)
@@ -353,6 +328,14 @@ func (v *VM) exec(inst *x86.Inst, addr uint32) error {
 		src, err := v.readArg(&inst.Dst)
 		if err != nil {
 			return err
+		}
+		if inst.Dst.Size == 1 { // AX = AL * src, signed
+			ax := int16(int8(v.m.Regs[x86.EAX])) * int16(int8(src))
+			v.m.Regs[x86.EAX] = v.m.Regs[x86.EAX]&^0xFFFF | uint32(uint16(ax))
+			over := ax != int16(int8(ax))
+			v.m.CF, v.m.OF = over, over
+			v.setSZP(uint32(ax), 1)
+			break
 		}
 		full := int64(int32(v.m.Regs[x86.EAX])) * int64(int32(src))
 		v.m.Regs[x86.EAX] = uint32(full)
@@ -369,6 +352,14 @@ func (v *VM) exec(inst *x86.Inst, addr uint32) error {
 		if src == 0 {
 			return &Trap{Kind: TrapDivide, EIP: addr}
 		}
+		if inst.Dst.Size == 1 { // AL = AX / src, AH = AX % src
+			ax := v.m.Regs[x86.EAX] & 0xFFFF
+			if ax/src > 0xFF {
+				return &Trap{Kind: TrapDivide, EIP: addr, Msg: "quotient overflow"}
+			}
+			v.m.Regs[x86.EAX] = v.m.Regs[x86.EAX]&^0xFFFF | (ax%src)<<8 | ax/src
+			break
+		}
 		dividend := uint64(v.m.Regs[x86.EDX])<<32 | uint64(v.m.Regs[x86.EAX])
 		q := dividend / uint64(src)
 		if q > 0xFFFFFFFF {
@@ -384,6 +375,14 @@ func (v *VM) exec(inst *x86.Inst, addr uint32) error {
 		}
 		if src == 0 {
 			return &Trap{Kind: TrapDivide, EIP: addr}
+		}
+		if inst.Dst.Size == 1 { // AL = AX / src, AH = AX % src, signed
+			ax, d := int16(v.m.Regs[x86.EAX]), int16(int8(src))
+			if ax/d > 127 || ax/d < -128 {
+				return &Trap{Kind: TrapDivide, EIP: addr, Msg: "quotient overflow"}
+			}
+			v.m.Regs[x86.EAX] = v.m.Regs[x86.EAX]&^0xFFFF | uint32(uint8(ax%d))<<8 | uint32(uint8(ax/d))
+			break
 		}
 		dividend := int64(uint64(v.m.Regs[x86.EDX])<<32 | uint64(v.m.Regs[x86.EAX]))
 		divisor := int64(int32(src))
@@ -671,10 +670,12 @@ func (v *VM) stringOp(inst *x86.Inst) error {
 		if dst > src && dst < src+n {
 			// Hardware MOVS copies element by element in ascending order,
 			// so a copy whose destination overlaps its source propagates
-			// the leading bytes (LZ77 decoders depend on this). Go's copy
-			// is memmove, so emulate the architectural behaviour directly.
-			for i := uint32(0); i < n; i++ {
-				v.mem[dst+i] = v.mem[src+i]
+			// the leading elements (LZ77 decoders depend on this). Go's
+			// copy is memmove, so emulate the architectural behaviour
+			// directly, one element of the operand width at a time.
+			for i := uint32(0); i < n; i += width {
+				val, _ := v.load(src+i, width)
+				v.store(dst+i, width, val)
 			}
 		} else {
 			copy(v.mem[dst:dst+n], v.mem[src:src+n])

@@ -5,12 +5,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"vxa/internal/vm/tier2"
 	"vxa/internal/vm/uop"
-	"vxa/internal/x86"
 )
 
 // EngineVersion identifies the translation engine's serialized-state
@@ -39,8 +37,10 @@ import (
 // on load) and dropped the escape-payload word from every micro-op: an
 // escape's instruction is decoded from the image. 7 gave every recording
 // kind Lower emits an NF twin, which superblocks persist (renumbering
-// Kind).
-const EngineVersion uint32 = 7
+// Kind). 8 made lowering total: the two escape kinds left, every form
+// they carried has a tier-1-only kind of its own, and nothing is decoded
+// from the image.
+const EngineVersion uint32 = 8
 
 // snapMagic brands a serialized snapshot payload.
 const snapMagic = "VXSN"
@@ -77,8 +77,7 @@ type placed struct {
 // self-contained binary payload the artifact store persists. Blocks and
 // superblocks are written in address order, so the same snapshot state
 // always serializes to the same bytes. A block is written as its raw
-// micro-ops alone, a superblock as the micro-ops it runs; neither carries
-// an escape's instruction, which the loader decodes from the image.
+// micro-ops alone, a superblock as the micro-ops it runs.
 func (s *Snapshot) Serialize() ([]byte, error) {
 	// Freeze a view of the block cache; AbsorbBlocks may grow it
 	// concurrently and the map must not be read outside the lock.
@@ -248,9 +247,8 @@ func (c *decCursor) u64() uint64 {
 // The payload comes from a directory other processes write, so decoding
 // trusts none of it. Truncation, bad magic, a foreign engine version and
 // out-of-range structural fields are errors; every micro-op field is held
-// to its domain (decodeUop); a block record must be what lowering makes
-// of a run of instructions; and an escape runs only the instruction its
-// own bytes in the image decode to. A forged payload that passes can make
+// to its domain (decodeUop); and a block record must be what lowering
+// makes of a run of instructions. A forged payload that passes can make
 // a decoder produce wrong bytes — which the archive's checksums catch —
 // but it cannot make the VM panic or the native emitter encode anything
 // but the host code it emits for a valid micro-op.
@@ -469,8 +467,7 @@ func (s *Snapshot) decodeSB(c *decCursor) (uint32, *sbRecord, error) {
 // row names into host instructions, so every one of them is held to its
 // domain here: out of range it would be memory corruption or foreign
 // host code, not just a wrong answer. A guard's Aux is a slot index
-// formSuperblock's numbering rewrites, not a register. An escape gets its
-// instruction from the image (escapeInst).
+// formSuperblock's numbering rewrites, not a register.
 func (s *Snapshot) decodeUop(c *decCursor, u *uop.Uop) error {
 	w := c.take(uopWireLen)
 	if w == nil {
@@ -506,48 +503,5 @@ func (s *Snapshot) decodeUop(c *decCursor, u *uop.Uop) error {
 	if f := u.BadField(); f != "" {
 		return fmt.Errorf("vm: snapshot decode: %s out of range for %s at eip %#x", f, u.Kind, u.EIP)
 	}
-	if r.Escape {
-		return s.escapeInst(u)
-	}
 	return nil
-}
-
-// escapeInst gives an escape micro-op its instruction: the one the
-// snapshot's read-only image holds at its EIP, which must lower to the
-// record itself. The reference interpreter then only ever runs what
-// x86.Decode made of the decoder's own bytes, as it does on a fresh
-// translation.
-func (s *Snapshot) escapeInst(u *uop.Uop) error {
-	if u.EIP < PageSize || u.EIP >= s.roLimit {
-		return fmt.Errorf("vm: snapshot decode: %s at eip %#x outside the read-only window", u.Kind, u.EIP)
-	}
-	var win [15]byte
-	n := min(s.roLimit-u.EIP, uint32(len(win)))
-	s.imageAt(win[:n], u.EIP)
-	inst, err := x86.Decode(win[:n])
-	if err != nil {
-		return fmt.Errorf("vm: snapshot decode: %s at eip %#x: %v", u.Kind, u.EIP, err)
-	}
-	var lowered [1]uop.Uop
-	l := uop.Lower(lowered[:0], &inst, u.EIP)[0]
-	if u.Inst = l.Inst; l != *u {
-		return fmt.Errorf("vm: snapshot decode: %s at eip %#x is not what the instruction there lowers to", u.Kind, u.EIP)
-	}
-	return nil
-}
-
-// imageAt fills dst with the captured bytes at [addr, addr+len(dst)):
-// the extents' bytes where they have them, zero elsewhere.
-func (s *Snapshot) imageAt(dst []byte, addr uint32) {
-	clear(dst)
-	end := addr + uint32(len(dst))
-	i := sort.Search(len(s.image), func(i int) bool {
-		e := &s.image[i]
-		return e.off+uint32(len(e.data)) > addr
-	})
-	for ; i < len(s.image) && s.image[i].off < end; i++ {
-		e := &s.image[i]
-		lo, hi := max(e.off, addr), min(e.off+uint32(len(e.data)), end)
-		copy(dst[lo-addr:], e.data[lo-e.off:hi-e.off])
-	}
 }

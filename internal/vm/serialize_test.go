@@ -292,10 +292,11 @@ func hotLoopSnapshot(t *testing.T) *Snapshot {
 // register file. A block persists what lowering made of its instructions,
 // so a record of another cost or of a kind only the optimizer or
 // superblock formation makes (a guard, a fused or an NF form) is refused
-// there, and so is a control transfer before its last instruction and an
-// escape that is not what the image's instruction at its EIP lowers to.
-// A superblock holds optimized micro-ops, so an NF twin is accepted there
-// (want ""). A field the kind does not use is left alone.
+// there, and so is a control transfer before its last instruction. The
+// tier-1-only kinds are held to their domains too: a StrOp, a ShOp and a
+// count register. A superblock holds optimized micro-ops, so an NF twin
+// is accepted there (want ""). A field the kind does not use is left
+// alone.
 func TestDeserializeRefusesOperandDomains(t *testing.T) {
 	snap := hotLoopSnapshot(t)
 	var sb, blk *block
@@ -352,8 +353,9 @@ func TestDeserializeRefusesOperandDomains(t *testing.T) {
 		{"not a micro-op Lower emits", blk, uop.Uop{Kind: uop.KindAluMINF, Base: z, Idx: z}},
 		{"", sb, uop.Uop{Kind: uop.KindAluMINF, Base: z, Idx: z}},
 		{"one control transfer", blk, uop.Uop{Kind: uop.KindJmp}},
-		{"not what the instruction there lowers to", blk, uop.Uop{Kind: uop.KindGeneric}},
-		{"not what the instruction there lowers to", sb, uop.Uop{Kind: uop.KindString}},
+		{"StrOp", blk, uop.Uop{Kind: uop.KindStr, Sub: 8}},
+		{"ShOp", sb, uop.Uop{Kind: uop.KindShiftM, Sub: 3, Base: z, Idx: z, Aux: z}},
+		{"register slot", blk, uop.Uop{Kind: uop.KindRot8R, Aux: 0x40}},
 	} {
 		if err := load(c.b, c.u); c.want == "" {
 			if err != nil {

@@ -124,7 +124,7 @@ func TestArenaFull(t *testing.T) {
 		t.Fatalf("a two-page arena committed %d bytes", a.Committed())
 	}
 	// An unsupported trace is not the arena's doing.
-	if tr, o := Compile([]uop.Uop{{Kind: uop.KindGeneric, Cost: 1}}, 0x1000, edgeGeometry, a); tr != nil || o.Refused {
+	if tr, o := Compile([]uop.Uop{{Kind: uop.KindStr, Cost: 1}, {Kind: uop.KindJmp, Cost: 1}}, 0x1000, edgeGeometry, a); tr != nil || o.Refused {
 		t.Fatal("an uncompilable trace was blamed on the arena")
 	}
 	// The last trace placed still runs: ebx points below the heap, so the

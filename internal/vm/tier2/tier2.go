@@ -66,7 +66,7 @@
 // loop label — it returns status 0 with the entry's guest address in
 // ExitTarget — when Budget is short of the trace's Cost, so a chain of linked traces
 // comes back to the dispatcher at least once per poll quantum and the
-// end-of-fuel walk still happens on the reference engine. Machine.Cur
+// end-of-fuel walk still happens on tier 1. Machine.Cur
 // tells the dispatcher which trace of the chain a nonzero status belongs
 // to.
 //
@@ -476,10 +476,12 @@ type Outcome struct {
 // arena a and returns a trace any Machine with that geometry can run,
 // every exit site with its static Exit descriptor. It returns nil where
 // there is no emitter for the host, when the trace contains a micro-op
-// the emitter cannot express (the reference escapes
-// KindString/KindGeneric, a consumer of flags it cannot know statically,
-// a malformed trace) or when the arena has no room for it; the
-// superblock then simply keeps executing on the tier-1 dispatch loop.
+// the emitter does not express (a tier-1-only kind — a byte or memory
+// read-modify-write, a rotate, a byte multiply or divide, a memory
+// exchange, a string move — or a consumer of flags it cannot know
+// statically), when the trace is malformed or when the arena has no room
+// for it; the superblock then simply keeps executing on the tier-1
+// dispatch loop.
 func Compile(us []uop.Uop, entry uint32, g Geometry, a *Arena) (*Trace, Outcome) {
 	var o Outcome
 	if i, _ := Unsupported(us); i >= 0 {
@@ -493,15 +495,15 @@ func Compile(us []uop.Uop, entry uint32, g Geometry, a *Arena) (*Trace, Outcome)
 }
 
 // Unsupported returns the index and kind of the first micro-op that
-// prevents tier-2 compilation, or (-1, 0) when the trace is compilable:
-// the reference-interpreter escapes, a control terminator that is not
-// the final micro-op or a final one that is not a terminator (which a
-// well-formed superblock never produces). An empty trace is refused at
-// index 0.
+// makes the trace malformed, or (-1, 0) when it is well formed: a control
+// terminator that is not the final micro-op or a final one that is not a
+// terminator (which a well-formed superblock never produces). An empty
+// trace is refused at index 0. What the emitter does not express it
+// refuses as it meets it.
 func Unsupported(us []uop.Uop) (int, uop.Kind) {
 	for i := range us {
 		k := us[i].Kind
-		if r := &uop.Kinds[k]; r.Escape || r.Term != (i == len(us)-1) {
+		if uop.Kinds[k].Term != (i == len(us)-1) {
 			return i, k
 		}
 	}

@@ -63,8 +63,9 @@ func TestAcctPacking(t *testing.T) {
 	}
 }
 
-// TestUnsupported: a trace compiles only when it has no reference escape
-// and exactly one terminator, its last micro-op; an empty trace has none.
+// TestUnsupported: a trace is well formed when it has exactly one
+// terminator, its last micro-op; an empty trace has none. A tier-1-only
+// kind is no malformation: the emitter refuses it as it meets it.
 func TestUnsupported(t *testing.T) {
 	add, jmp := uop.Uop{Kind: uop.KindAddRR}, uop.Uop{Kind: uop.KindJmp}
 	for _, c := range []struct {
@@ -77,7 +78,7 @@ func TestUnsupported(t *testing.T) {
 		{"compilable", []uop.Uop{add, jmp}, -1, 0},
 		{"no terminator", []uop.Uop{add, add}, 1, uop.KindAddRR},
 		{"terminator inside", []uop.Uop{jmp, add, jmp}, 0, uop.KindJmp},
-		{"escape", []uop.Uop{add, {Kind: uop.KindGeneric}, jmp}, 1, uop.KindGeneric},
+		{"tier-1-only kind", []uop.Uop{add, {Kind: uop.KindStr}, jmp}, -1, 0},
 	} {
 		if i, k := Unsupported(c.us); i != c.i || k != c.k {
 			t.Errorf("%s: Unsupported = (%d, %v), want (%d, %v)", c.name, i, k, c.i, c.k)

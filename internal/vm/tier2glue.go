@@ -51,7 +51,7 @@ func (v *VM) bindTier2() {
 
 // compileTier2 compiles sb's trace for this VM's geometry and installs
 // it in the VM's view of the superblock. One attempt per superblock: a
-// bail (reference-engine escapes in the trace) leaves it on tier-1. The
+// bail (a tier-1-only kind in the trace) leaves it on tier-1. The
 // trace charges fuel by the summed micro-op costs, which equal the
 // superblock's block cost, exactly as tier-1 does. The code goes into
 // the VM's arena — its snapshot's, or one of its own if it has none —

@@ -16,15 +16,15 @@ import (
 // jump-table dispatch per micro-op, often covering several guest
 // instructions, with no operand re-inspection. Arithmetic flags are
 // lazy (see uop.Flags): ALU micro-ops record their inputs and result,
-// and individual EFLAGS bits are computed only when Jcc/SETcc/ADC/SBB or
-// a generic-fallback instruction consumes them — and the fused
-// compare/branch and compare/setcc forms evaluate their condition
-// straight from the operands, touching no flag state at all. Hot blocks
-// are re-translated into straight-line superblocks with guard exits
-// (superblock.go). The old exec engine (exec.go) remains as the
-// semantic reference: rare instructions escape to it via KindGeneric,
-// and the end-of-fuel slow path re-walks a block on it to preserve
-// exact per-instruction trap EIPs.
+// and individual EFLAGS bits are computed only when Jcc/SETcc/ADC/SBB
+// consume them — and the fused compare/branch and compare/setcc forms
+// evaluate their condition straight from the operands, touching no flag
+// state at all. Hot blocks are re-translated into straight-line
+// superblocks with guard exits (superblock.go). Every instruction the
+// decoder accepts lowers to a micro-op this loop runs, so it is the
+// whole of the guest's semantics outside compiled traces; when the fuel
+// left is short of a block, it runs the block's raw micro-ops, one per
+// instruction, to trap at the exact EIP.
 
 // ---- lazy flag access --------------------------------------------------
 
@@ -76,8 +76,9 @@ func (v *VM) fPF() bool {
 }
 
 // materializeFlags resolves the lazy record into the eager bools. Called
-// before any code that reads or writes v.cf..v.pf directly: the generic
-// escape, the end-of-fuel slow path, and Snapshot.
+// where the bools must hold all five flags: before a rotate, which sets
+// CF and OF and keeps the rest, at a trace entry that needs them eager,
+// and at Snapshot.
 func (v *VM) materializeFlags() {
 	switch v.m.Fl.Op {
 	case uop.FlagNone:
@@ -91,6 +92,44 @@ func (v *VM) materializeFlags() {
 		v.stats.FlagsMaterialized += 5
 	}
 	v.m.Fl.Op = uop.FlagNone
+}
+
+// cond evaluates a condition code against the eager flags.
+func (v *VM) cond(cc x86.CC) bool {
+	switch cc {
+	case x86.CCO:
+		return v.m.OF
+	case x86.CCNO:
+		return !v.m.OF
+	case x86.CCB:
+		return v.m.CF
+	case x86.CCAE:
+		return !v.m.CF
+	case x86.CCE:
+		return v.m.ZF
+	case x86.CCNE:
+		return !v.m.ZF
+	case x86.CCBE:
+		return v.m.CF || v.m.ZF
+	case x86.CCA:
+		return !v.m.CF && !v.m.ZF
+	case x86.CCS:
+		return v.m.SF
+	case x86.CCNS:
+		return !v.m.SF
+	case x86.CCP:
+		return v.m.PF
+	case x86.CCNP:
+		return !v.m.PF
+	case x86.CCL:
+		return v.m.SF != v.m.OF
+	case x86.CCGE:
+		return v.m.SF == v.m.OF
+	case x86.CCLE:
+		return v.m.ZF || v.m.SF != v.m.OF
+	default: // CCG
+		return !v.m.ZF && v.m.SF == v.m.OF
+	}
 }
 
 // ucond evaluates a condition code against the current flags, lazily
@@ -357,6 +396,155 @@ func (v *VM) udiv(src uint32, signed bool, eip uint32) error {
 	}
 	v.m.Regs[x86.EAX] = uint32(q)
 	v.m.Regs[x86.EDX] = uint32(dividend % uint64(src))
+	return nil
+}
+
+// rmw computes the one-operand read-modify-write of a tier-1-only kind
+// at width w, 8 or 32: INC/DEC, NEG, NOT, a shift or a rotate of val,
+// the operand zero-extended. It returns the result and whether to write
+// it back, which a shift or rotate counting zero does not. An op that
+// sets flags sets CF and OF eagerly and SF, ZF and PF as a FlagSZP
+// record of the result sign-extended; INC and DEC keep CF, a rotate SF,
+// ZF and PF.
+func (v *VM) rmw(u *uop.Uop, val, w uint32) (uint32, bool) {
+	sign := uint32(1) << (w - 1)
+	mask := sign<<1 - 1
+	var res uint32
+	var cf, of bool
+	switch u.Kind {
+	case uop.KindNot8R, uop.KindNot8M, uop.KindNotM:
+		return ^val & mask, true
+	case uop.KindIncDec8R, uop.KindIncDec8M, uop.KindIncDecM:
+		cf = v.fCF()
+		if u.Sub == 0 {
+			res = (val + 1) & mask
+			of = res == sign
+		} else {
+			res = (val - 1) & mask
+			of = res == sign-1
+		}
+	case uop.KindNeg8R, uop.KindNeg8M, uop.KindNegM:
+		res = -val & mask
+		cf, of = val != 0, val == sign
+	default: // a shift or a rotate
+		count := (u.Imm + v.m.Regs[u.Aux]) & 31
+		if count == 0 {
+			return val, false
+		}
+		switch {
+		case uop.Kinds[u.Kind].Ops&uop.OpSh == 0: // a rotate
+			c := count % w
+			if u.Sub == 0 { // ROL
+				res = (val<<c | val>>(w-c)) & mask
+				cf = res&1 != 0
+				of = (res&sign != 0) != cf
+			} else {
+				res = (val>>c | val<<(w-c)) & mask
+				cf = res&sign != 0
+				of = cf != (res&(sign>>1) != 0)
+			}
+			v.materializeFlags()
+			v.m.CF, v.m.OF = cf, of
+			return res, true
+		case uop.ShOp(u.Sub) == uop.ShShl:
+			res = (val << count) & mask
+			cf = (uint64(val)<<count>>w)&1 != 0
+			of = (res&sign != 0) != cf
+		case uop.ShOp(u.Sub) == uop.ShShr:
+			res = val >> count
+			cf, of = (val>>(count-1))&1 != 0, val&sign != 0
+		default: // ShSar
+			sv := int32(val<<(32-w)) >> (32 - w)
+			res = uint32(sv>>count) & mask
+			cf = (sv>>(count-1))&1 != 0
+		}
+	}
+	v.m.CF, v.m.OF = cf, of
+	v.m.Fl.Op, v.m.Fl.Res = uop.FlagSZP, uint32(int32(res<<(32-w))>>(32-w))
+	return res, true
+}
+
+// muldiv8 is the byte multiply or divide through AX, signed when Sub !=
+// 0. A multiply sets AX to AL times src, CF = OF = whether the high byte
+// is more than the extension of the low one, and SF, ZF and PF from AL.
+// A divide sets AL to AX over src and AH to the remainder, and traps on a
+// zero divisor or a quotient that does not fit a byte. EDX is untouched.
+func (v *VM) muldiv8(u *uop.Uop, src uint32) error {
+	ax, signed := v.m.Regs[x86.EAX]&0xFFFF, u.Sub != 0
+	if u.Kind == uop.KindMul8R || u.Kind == uop.KindMul8M {
+		p := (ax & 0xFF) * src
+		over := p > 0xFF
+		if signed {
+			sp := int32(int8(ax)) * int32(int8(src))
+			p, over = uint32(sp)&0xFFFF, sp != int32(int8(sp))
+		}
+		v.m.Regs[x86.EAX] = v.m.Regs[x86.EAX]&^0xFFFF | p
+		v.recMul(over, uint32(int32(int8(p))))
+		return nil
+	}
+	if src == 0 {
+		return &Trap{Kind: TrapDivide, EIP: u.EIP}
+	}
+	q, r := int32(ax/src), int32(ax%src)
+	if signed {
+		d, s := int32(int16(ax)), int32(int8(src))
+		q, r = d/s, d%s
+	}
+	if signed && q != int32(int8(q)) || !signed && q > 0xFF {
+		return &Trap{Kind: TrapDivide, EIP: u.EIP, Msg: "quotient overflow"}
+	}
+	v.m.Regs[x86.EAX] = v.m.Regs[x86.EAX]&^0xFFFF | uint32(uint8(r))<<8 | uint32(uint8(q))
+	return nil
+}
+
+// str runs a string instruction, a MOVS or STOS of bytes or dwords, once
+// or, under REP, ECX times, charging the fuel of the elements after the
+// first. Strings run forward (the subset has no STD) and the whole span
+// is checked before anything moves. A MOVS whose destination starts
+// inside its source copies element by element, as the hardware does,
+// which is what LZ77 decoders depend on.
+func (v *VM) str(op uop.StrOp, eip uint32) error {
+	width, count := uint32(1), uint32(1)
+	if op&uop.StrDword != 0 {
+		width = 4
+	}
+	if op&uop.StrRep != 0 {
+		if count = v.m.Regs[x86.ECX]; count == 0 {
+			return nil
+		}
+	}
+	n, dst := count*width, v.m.Regs[x86.EDI]
+	if n/width != count {
+		return &Trap{Kind: TrapMemory, EIP: eip, Addr: dst, Msg: "rep length overflow"}
+	}
+	if !v.writable(dst, n) {
+		return memTrap(eip, dst)
+	}
+	if op&uop.StrStos != 0 {
+		eax := v.m.Regs[x86.EAX]
+		for i, seg := uint32(0), v.mem[dst:dst+n]; i < n; i++ {
+			seg[i] = byte(eax >> (8 * (i & (width - 1))))
+		}
+	} else {
+		src := v.m.Regs[x86.ESI]
+		if !v.readable(src, n) {
+			return memTrap(eip, src)
+		}
+		if dst > src && dst-src < n {
+			for off := uint32(0); off < n; off += width {
+				copy(v.mem[dst+off:dst+off+width], v.mem[src+off:src+off+width])
+			}
+		} else {
+			copy(v.mem[dst:dst+n], v.mem[src:src+n])
+		}
+		v.m.Regs[x86.ESI] = src + n
+	}
+	v.m.Regs[x86.EDI] = dst + n
+	if op&uop.StrRep != 0 {
+		v.m.Regs[x86.ECX] = 0
+		v.m.Fuel -= int64(count - 1)
+		v.stats.Steps += uint64(count - 1)
+	}
 	return nil
 }
 
@@ -1473,15 +1661,62 @@ blocks:
 			case uop.KindUd2:
 				return v.uopTrap(us, i, &Trap{Kind: TrapIllegal, EIP: u.EIP, Msg: "ud2"})
 
-			// --- escapes to the reference engine ---
-			case uop.KindString:
-				v.eip = u.EIP // string traps report the op itself
-				if err := v.stringOp(u.Inst); err != nil {
+			// --- tier-1-only forms ---
+			case uop.KindIncDec8R, uop.KindNeg8R, uop.KindNot8R, uop.KindShift8R, uop.KindRot8R:
+				if res, wb := v.rmw(u, v.rd8(u.Dst, u.Dsh), 8); wb {
+					v.wr8(u.Dst, u.Dsh, res)
+				}
+			case uop.KindRotR:
+				if res, wb := v.rmw(u, regs[u.Dst], 32); wb {
+					regs[u.Dst] = res
+				}
+			case uop.KindIncDec8M, uop.KindNeg8M, uop.KindNot8M, uop.KindShift8M, uop.KindRot8M:
+				addr := u.Disp + regs[u.Base] + regs[u.Idx]*uint32(u.Scale)
+				if !geom.ReadOK(addr, 1, brk) {
+					return v.uopTrap(us, i, memTrap(u.EIP, addr))
+				}
+				if res, wb := v.rmw(u, uint32(mem[addr]), 8); wb {
+					if !geom.WriteOK(addr, 1, brk) {
+						return v.uopTrap(us, i, v.storeTrap(u.EIP, addr, 1))
+					}
+					mem[addr] = byte(res)
+				}
+			case uop.KindIncDecM, uop.KindNegM, uop.KindNotM, uop.KindShiftM, uop.KindRotM:
+				addr := u.Disp + regs[u.Base] + regs[u.Idx]*uint32(u.Scale)
+				if !geom.ReadOK(addr, 4, brk) {
+					return v.uopTrap(us, i, memTrap(u.EIP, addr))
+				}
+				if res, wb := v.rmw(u, le32(mem, addr), 32); wb {
+					if !geom.WriteOK(addr, 4, brk) {
+						return v.uopTrap(us, i, v.storeTrap(u.EIP, addr, 4))
+					}
+					st32(mem, addr, res)
+				}
+			case uop.KindMul8R, uop.KindDiv8R:
+				if err := v.muldiv8(u, v.rd8(u.Src, u.Ssh)); err != nil {
 					return v.uopTrap(us, i, err)
 				}
-			default: // KindGeneric
-				v.materializeFlags()
-				if err := v.exec(u.Inst, u.EIP); err != nil {
+			case uop.KindMul8M, uop.KindDiv8M:
+				addr := u.Disp + regs[u.Base] + regs[u.Idx]*uint32(u.Scale)
+				if !geom.ReadOK(addr, 1, brk) {
+					return v.uopTrap(us, i, memTrap(u.EIP, addr))
+				}
+				if err := v.muldiv8(u, uint32(mem[addr])); err != nil {
+					return v.uopTrap(us, i, err)
+				}
+			case uop.KindXchgMR:
+				addr := u.Disp + regs[u.Base] + regs[u.Idx]*uint32(u.Scale)
+				if !geom.ReadOK(addr, 4, brk) {
+					return v.uopTrap(us, i, memTrap(u.EIP, addr))
+				}
+				if !geom.WriteOK(addr, 4, brk) {
+					return v.uopTrap(us, i, v.storeTrap(u.EIP, addr, 4))
+				}
+				old := le32(mem, addr)
+				st32(mem, addr, regs[u.Src])
+				regs[u.Src] = old
+			case uop.KindStr:
+				if err := v.str(uop.StrOp(u.Sub), u.EIP); err != nil {
 					return v.uopTrap(us, i, err)
 				}
 			}

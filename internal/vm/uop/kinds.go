@@ -15,8 +15,8 @@ type Info struct {
 	// Use and Def are the flags the kind reads and defines, as the
 	// liveness pass sees them. A kind that may leave the flags untouched
 	// at runtime (a CL shift by zero) defines none. What depends on the
-	// operands — ADC/SBB's carry, a Jcc's condition (ReadsCC), a string
-	// op's metadata — is flagEffect's.
+	// operands — ADC/SBB's carry, a Jcc's condition (ReadsCC) — is
+	// flagEffect's.
 	Use, Def x86.FlagSet
 	ReadsCC  bool // reads the flags its condition code names
 	// NF is the flag-suppressed form dead-flag elimination downgrades
@@ -32,9 +32,8 @@ type Info struct {
 	Imm  bool
 	// Term: a control transfer, the last micro-op of its fragment.
 	// Guard: a conditional superblock exit, Aux its chain slot.
-	// Escape: runs Inst on the reference interpreter, which no tier-2
-	// code can. EndsTrace: superblock growth stops at it.
-	Term, Guard, Escape, EndsTrace bool
+	// EndsTrace: superblock growth stops at it.
+	Term, Guard, EndsTrace bool
 	// Ops is the kind's operand shape: which fields it uses.
 	Ops Shape
 }
@@ -59,6 +58,7 @@ const (
 	OpCC                    // Sub is a condition code: below 16
 	OpAlu                   // Sub is an AluOp
 	OpSh                    // Sub is a ShOp
+	OpStr                   // Sub is a StrOp: below 8
 )
 
 // Shapes the rows share.
@@ -71,7 +71,7 @@ const (
 const all, cf = x86.FlagsAll, x86.FlagCF
 
 // Kinds holds one row per kind, indexed by Kind.
-var Kinds = [KindGeneric + 1]Info{
+var Kinds = [KindStr + 1]Info{
 	KindNop:       {Name: "Nop"},
 	KindMovRR:     {Name: "MovRR", Ops: rr},
 	KindMovRI:     {Name: "MovRI", Ops: OpDst},
@@ -216,24 +216,46 @@ var Kinds = [KindGeneric + 1]Info{
 	KindGuardTestRRNF: {Name: "GuardTestRRNF", Alu: AluTest, Guard: true, Ops: rr | OpCC},
 	KindGuardTestRINF: {Name: "GuardTestRINF", Alu: AluTest, Imm: true, Guard: true, Ops: OpDst | OpCC},
 
-	// Syscall gates park the VM with snapshot-visible state, the generic
-	// escape materializes eagerly, and HLT/UD2 are the deliberate,
-	// differential-tested trap points: all see exact flags. Direct calls
-	// and returns do not end a trace: it grows through them, pairing each
-	// inlined call with a guarded return.
-	KindJmp:     {Name: "Jmp", Term: true},
-	KindJcc:     {Name: "Jcc", ReadsCC: true, Term: true, Ops: OpCC},
-	KindCall:    {Name: "Call", Term: true},
-	KindCallR:   {Name: "CallR", Term: true, EndsTrace: true, Ops: OpSrc},
-	KindCallM:   {Name: "CallM", Term: true, EndsTrace: true, Ops: OpMem},
-	KindRet:     {Name: "Ret", Term: true},
-	KindJmpR:    {Name: "JmpR", Term: true, EndsTrace: true, Ops: OpSrc},
-	KindJmpM:    {Name: "JmpM", Term: true, EndsTrace: true, Ops: OpMem},
-	KindInt:     {Name: "Int", Use: all, Term: true, EndsTrace: true},
-	KindHlt:     {Name: "Hlt", Use: all, Term: true, EndsTrace: true},
-	KindUd2:     {Name: "Ud2", Use: all, Term: true, EndsTrace: true},
-	KindString:  {Name: "String", Escape: true},
-	KindGeneric: {Name: "Generic", Use: all, Escape: true},
+	// Syscall gates park the VM with snapshot-visible state, and HLT/UD2
+	// are the deliberate, differential-tested trap points: both see exact
+	// flags. Direct calls and returns do not end a trace: it grows through
+	// them, pairing each inlined call with a guarded return.
+	KindJmp:   {Name: "Jmp", Term: true},
+	KindJcc:   {Name: "Jcc", ReadsCC: true, Term: true, Ops: OpCC},
+	KindCall:  {Name: "Call", Term: true},
+	KindCallR: {Name: "CallR", Term: true, EndsTrace: true, Ops: OpSrc},
+	KindCallM: {Name: "CallM", Term: true, EndsTrace: true, Ops: OpMem},
+	KindRet:   {Name: "Ret", Term: true},
+	KindJmpR:  {Name: "JmpR", Term: true, EndsTrace: true, Ops: OpSrc},
+	KindJmpM:  {Name: "JmpM", Term: true, EndsTrace: true, Ops: OpMem},
+	KindInt:   {Name: "Int", Use: all, Term: true, EndsTrace: true},
+	KindHlt:   {Name: "Hlt", Use: all, Term: true, EndsTrace: true},
+	KindUd2:   {Name: "Ud2", Use: all, Term: true, EndsTrace: true},
+
+	// A shift or rotate may count zero and keep the flags, so it defines
+	// none.
+	KindIncDec8R: {Name: "IncDec8R", Use: cf, Def: all, Ops: OpDst | OpDsh},
+	KindIncDec8M: {Name: "IncDec8M", Use: cf, Def: all, Ops: OpMem},
+	KindIncDecM:  {Name: "IncDecM", Use: cf, Def: all, Ops: OpMem},
+	KindNeg8R:    {Name: "Neg8R", Def: all, Ops: OpDst | OpDsh},
+	KindNeg8M:    {Name: "Neg8M", Def: all, Ops: OpMem},
+	KindNegM:     {Name: "NegM", Def: all, Ops: OpMem},
+	KindNot8R:    {Name: "Not8R", Ops: OpDst | OpDsh},
+	KindNot8M:    {Name: "Not8M", Ops: OpMem},
+	KindNotM:     {Name: "NotM", Ops: OpMem},
+	KindShift8R:  {Name: "Shift8R", Ops: OpDst | OpDsh | OpAux | OpSh},
+	KindShift8M:  {Name: "Shift8M", Ops: OpMem | OpAux | OpSh},
+	KindShiftM:   {Name: "ShiftM", Ops: OpMem | OpAux | OpSh},
+	KindRotR:     {Name: "RotR", Ops: OpDst | OpAux},
+	KindRot8R:    {Name: "Rot8R", Ops: OpDst | OpDsh | OpAux},
+	KindRot8M:    {Name: "Rot8M", Ops: OpMem | OpAux},
+	KindRotM:     {Name: "RotM", Ops: OpMem | OpAux},
+	KindMul8R:    {Name: "Mul8R", Def: all, Ops: OpSrc | OpSsh},
+	KindMul8M:    {Name: "Mul8M", Def: all, Ops: OpMem},
+	KindDiv8R:    {Name: "Div8R", Ops: OpSrc | OpSsh},
+	KindDiv8M:    {Name: "Div8M", Ops: OpMem},
+	KindXchgMR:   {Name: "XchgMR", Ops: OpSrc | OpMem},
+	KindStr:      {Name: "Str", Ops: OpStr},
 }
 
 // Lowered reports whether Lower can emit k. The kinds only the optimizer
@@ -265,6 +287,8 @@ func (u *Uop) BadField() string {
 		return "AluOp (Sub)"
 	case ops&OpSh != 0 && ShOp(u.Sub) > ShSar:
 		return "ShOp (Sub)"
+	case ops&OpStr != 0 && u.Sub >= 8:
+		return "StrOp (Sub)"
 	case ops&OpDsh != 0 && u.Dsh != 0 && u.Dsh != 8:
 		return "byte-slot shift Dsh"
 	case ops&OpSsh != 0 && u.Ssh != 0 && u.Ssh != 8:

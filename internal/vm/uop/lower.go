@@ -9,9 +9,23 @@ var aluOps = map[x86.Op]AluOp{
 	x86.CMP: AluCmp, x86.TEST: AluTest,
 }
 
-// shOps maps the specialized shift opcodes onto ShOp selectors (rotates
-// are not specialized and take the generic path).
+// shOps maps the shift opcodes onto ShOp selectors.
 var shOps = map[x86.Op]ShOp{x86.SHL: ShShl, x86.SHR: ShShr, x86.SAR: ShSar}
+
+// rmwForms are the kinds of the one-operand read-modify-writes by
+// operand: dword register, byte register, byte memory, dword memory. A
+// dword register shift is KindShiftRI or, by CL, KindShiftRCL.
+var rmwForms = map[x86.Op][4]Kind{
+	x86.INC: {KindIncR, KindIncDec8R, KindIncDec8M, KindIncDecM},
+	x86.DEC: {KindDecR, KindIncDec8R, KindIncDec8M, KindIncDecM},
+	x86.NEG: {KindNegR, KindNeg8R, KindNeg8M, KindNegM},
+	x86.NOT: {KindNotR, KindNot8R, KindNot8M, KindNotM},
+	x86.SHL: {KindShiftRI, KindShift8R, KindShift8M, KindShiftM},
+	x86.SHR: {KindShiftRI, KindShift8R, KindShift8M, KindShiftM},
+	x86.SAR: {KindShiftRI, KindShift8R, KindShift8M, KindShiftM},
+	x86.ROL: {KindRotR, KindRot8R, KindRot8M, KindRotM},
+	x86.ROR: {KindRotR, KindRot8R, KindRot8M, KindRotM},
+}
 
 // specialized[op][imm] is the fully specialized kind of a 32-bit op with
 // a register (0) or immediate (1) second operand; KindNop marks the ops
@@ -31,12 +45,11 @@ var specialized = func() (s [AluTest + 1][2]Kind) {
 
 // Lower appends the micro-op form of inst, the guest instruction at addr,
 // to dst (which a translator reuses from fragment to fragment; nil
-// allocates) and returns the extended slice. Lowering is 1:1: one
-// micro-op per instruction, with Cost 1. An escape (KindString,
-// KindGeneric) owns a copy of inst, so the caller may reuse inst at once
-// and the micro-op stays valid for as long as it is kept. Only the
-// optimizer's fusion pass (opt.go) breaks the 1:1 shape, and it preserves
-// the total Cost, which is what the VM's fuel accounting charges.
+// allocates) and returns the extended slice. Lowering is total and 1:1:
+// every instruction x86.Decode returns becomes one micro-op, with Cost 1,
+// that refers to nothing of inst. Only the optimizer's fusion pass
+// (opt.go) breaks the 1:1 shape, and it preserves the total Cost, which
+// is what the VM's fuel accounting charges.
 func Lower(dst []Uop, inst *x86.Inst, addr uint32) []Uop {
 	dst = append(dst, Uop{})
 	lowerInst(&dst[len(dst)-1], inst, addr)
@@ -69,17 +82,29 @@ func (u *Uop) setSrc8(r x86.Reg) {
 	u.Src, u.Ssh = uint8(store), sh
 }
 
+// setRMW lowers the one-operand read-modify-write of a to its kind among
+// forms (see rmwForms) and sets the operand's fields.
+func (u *Uop) setRMW(a *x86.Arg, forms [4]Kind) {
+	switch {
+	case a.Kind == x86.KindReg && a.Size == 4:
+		u.Kind, u.Dst = forms[0], uint8(a.Reg)
+	case a.Kind == x86.KindReg:
+		u.Kind = forms[1]
+		u.setDst8(a.Reg)
+	case a.Size == 1:
+		u.Kind = forms[2]
+		u.setEA(a)
+	default:
+		u.Kind = forms[3]
+		u.setEA(a)
+	}
+}
+
 func lowerInst(u *Uop, inst *x86.Inst, addr uint32) {
 	u.EIP = addr
 	u.Next = addr + uint32(inst.Len)
 	u.Cost = 1 // lowering is 1:1; only the optimizer's fusion changes this
 	form := inst.Form()
-
-	// generic routes the instruction to the reference interpreter.
-	generic := func(k Kind) {
-		c := *inst
-		u.Kind, u.Inst = k, &c
-	}
 
 	switch inst.Op {
 	case x86.NOP:
@@ -119,15 +144,13 @@ func lowerInst(u *Uop, inst *x86.Inst, addr uint32) {
 				u.Kind = KindStore8
 				u.setSrc8(inst.Src.Reg)
 			}
-		case x86.FormMI:
+		default: // FormMI
 			u.setEA(&inst.Dst)
 			if inst.Dst.Size == 4 {
 				u.Kind, u.Imm = KindStoreI, uint32(inst.Src.Imm)
 			} else {
 				u.Kind, u.Imm = KindStoreI8, uint32(inst.Src.Imm)&0xFF
 			}
-		default:
-			generic(KindGeneric)
 		}
 
 	case x86.MOVZX, x86.MOVSX:
@@ -140,14 +163,12 @@ func lowerInst(u *Uop, inst *x86.Inst, addr uint32) {
 		case inst.Src.Kind == x86.KindReg && inst.Src.Size == 2:
 			u.Src = uint8(inst.Src.Reg)
 			u.Kind = pick(sx, KindMovsxRR16, KindMovzxRR16)
-		case inst.Src.Kind == x86.KindMem && inst.Src.Size == 1:
+		case inst.Src.Size == 1:
 			u.setEA(&inst.Src)
 			u.Kind = pick(sx, KindMovsxRM8, KindMovzxRM8)
-		case inst.Src.Kind == x86.KindMem && inst.Src.Size == 2:
+		default: // a word of memory
 			u.setEA(&inst.Src)
 			u.Kind = pick(sx, KindMovsxRM16, KindMovzxRM16)
-		default:
-			generic(KindGeneric)
 		}
 
 	case x86.LEA:
@@ -155,10 +176,11 @@ func lowerInst(u *Uop, inst *x86.Inst, addr uint32) {
 		u.setEA(&inst.Src)
 
 	case x86.XCHG:
-		if form == x86.FormRR && inst.Dst.Size == 4 {
+		if form == x86.FormRR {
 			u.Kind, u.Dst, u.Src = KindXchgRR, uint8(inst.Dst.Reg), uint8(inst.Src.Reg)
 		} else {
-			generic(KindGeneric)
+			u.Kind, u.Src = KindXchgMR, uint8(inst.Src.Reg)
+			u.setEA(&inst.Dst)
 		}
 
 	case x86.ADD, x86.ADC, x86.SUB, x86.SBB, x86.AND, x86.OR, x86.XOR, x86.CMP, x86.TEST:
@@ -207,106 +229,74 @@ func lowerInst(u *Uop, inst *x86.Inst, addr uint32) {
 				u.Kind = KindAlu8MR
 				u.setSrc8(inst.Src.Reg)
 			}
-		case x86.FormMI:
+		default: // FormMI
 			u.setEA(&inst.Dst)
 			if wide {
 				u.Kind, u.Imm = KindAluMI, uint32(inst.Src.Imm)
 			} else {
 				u.Kind, u.Imm = KindAlu8MI, uint32(inst.Src.Imm)&0xFF
 			}
-		default:
-			generic(KindGeneric)
 		}
 
-	case x86.INC, x86.DEC:
-		if form == x86.FormR && inst.Dst.Size == 4 {
-			u.Dst = uint8(inst.Dst.Reg)
-			u.Kind = pick(inst.Op == x86.INC, KindIncR, KindDecR)
-		} else {
-			generic(KindGeneric)
+	case x86.INC, x86.DEC, x86.NEG, x86.NOT:
+		u.setRMW(&inst.Dst, rmwForms[inst.Op])
+		if inst.Op == x86.DEC && u.Kind != KindDecR {
+			u.Sub = 1 // the byte and memory forms share INC's kinds
 		}
 
-	case x86.NEG:
-		if form == x86.FormR && inst.Dst.Size == 4 {
-			u.Kind, u.Dst = KindNegR, uint8(inst.Dst.Reg)
-		} else {
-			generic(KindGeneric)
-		}
-
-	case x86.NOT:
-		if form == x86.FormR && inst.Dst.Size == 4 {
-			u.Kind, u.Dst = KindNotR, uint8(inst.Dst.Reg)
-		} else {
-			generic(KindGeneric)
-		}
-
-	case x86.SHL, x86.SHR, x86.SAR:
-		if inst.Dst.Kind != x86.KindReg || inst.Dst.Size != 4 {
-			generic(KindGeneric)
+	case x86.SHL, x86.SHR, x86.SAR, x86.ROL, x86.ROR:
+		count := uint32(inst.Src.Imm) & 31
+		byCL := inst.Src.Kind == x86.KindReg // the decoder's only register count is CL
+		if inst.Dst.Kind == x86.KindReg && !byCL && count == 0 {
+			// A zero shift changes neither the value nor any flags.
+			u.Kind = KindNop
 			break
 		}
-		u.Sub = uint8(shOps[inst.Op])
-		u.Dst = uint8(inst.Dst.Reg)
-		if inst.Src.Kind == x86.KindImm {
-			count := uint32(inst.Src.Imm) & 31
-			if count == 0 {
-				// A zero shift changes neither the value nor any flags.
-				*u = Uop{Kind: KindNop, EIP: u.EIP, Next: u.Next, Cost: 1}
-				break
-			}
-			u.Kind, u.Imm = KindShiftRI, count
+		u.setRMW(&inst.Dst, rmwForms[inst.Op])
+		u.Sub, u.Imm = uint8(shOps[inst.Op]), count
+		if inst.Op == x86.ROR {
+			u.Sub = 1
+		}
+		if u.Kind == KindShiftRI {
+			u.Kind = pick(byCL, KindShiftRCL, KindShiftRI)
 		} else {
-			// The decoder only produces CL as a register count.
-			u.Kind = KindShiftRCL
+			u.Aux = RegZero // the tier-1-only forms count Imm plus register Aux
+			if byCL {
+				u.Aux = uint8(x86.ECX)
+			}
 		}
 
 	case x86.IMUL:
-		wide := inst.Dst.Size == 4 && inst.Src.Size == 4
 		u.Dst = uint8(inst.Dst.Reg)
 		switch {
-		case !wide:
-			generic(KindGeneric)
 		case inst.Aux.Kind == x86.KindImm && inst.Src.Kind == x86.KindReg:
 			u.Kind, u.Src, u.Imm = KindImulRRI, uint8(inst.Src.Reg), uint32(inst.Aux.Imm)
-		case inst.Aux.Kind == x86.KindImm && inst.Src.Kind == x86.KindMem:
+		case inst.Aux.Kind == x86.KindImm:
 			u.Kind, u.Imm = KindImulRMI, uint32(inst.Aux.Imm)
 			u.setEA(&inst.Src)
 		case inst.Src.Kind == x86.KindReg:
 			u.Kind, u.Src = KindImulRR, uint8(inst.Src.Reg)
-		case inst.Src.Kind == x86.KindMem:
+		default:
 			u.Kind = KindImulRM
 			u.setEA(&inst.Src)
-		default:
-			generic(KindGeneric)
 		}
 
-	case x86.MUL1, x86.IMUL1:
-		if inst.Dst.Size != 4 {
-			generic(KindGeneric)
-			break
-		}
-		if inst.Op == x86.IMUL1 {
+	case x86.MUL1, x86.IMUL1, x86.DIV, x86.IDIV:
+		if inst.Op == x86.IMUL1 || inst.Op == x86.IDIV {
 			u.Sub = 1
 		}
-		if inst.Dst.Kind == x86.KindReg {
-			u.Kind, u.Src = KindMulR, uint8(inst.Dst.Reg)
-		} else {
-			u.Kind = KindMulM
+		mul := inst.Op == x86.MUL1 || inst.Op == x86.IMUL1
+		switch {
+		case inst.Dst.Kind == x86.KindReg && inst.Dst.Size == 1:
+			u.Kind = pick(mul, KindMul8R, KindDiv8R)
+			u.setSrc8(inst.Dst.Reg)
+		case inst.Dst.Kind == x86.KindReg:
+			u.Kind, u.Src = pick(mul, KindMulR, KindDivR), uint8(inst.Dst.Reg)
+		case inst.Dst.Size == 1:
+			u.Kind = pick(mul, KindMul8M, KindDiv8M)
 			u.setEA(&inst.Dst)
-		}
-
-	case x86.DIV, x86.IDIV:
-		if inst.Dst.Size != 4 {
-			generic(KindGeneric)
-			break
-		}
-		if inst.Op == x86.IDIV {
-			u.Sub = 1
-		}
-		if inst.Dst.Kind == x86.KindReg {
-			u.Kind, u.Src = KindDivR, uint8(inst.Dst.Reg)
-		} else {
-			u.Kind = KindDivM
+		default:
+			u.Kind = pick(mul, KindMulM, KindDivM)
 			u.setEA(&inst.Dst)
 		}
 
@@ -383,10 +373,20 @@ func lowerInst(u *Uop, inst *x86.Inst, addr uint32) {
 		u.Kind = KindUd2
 
 	case x86.MOVSB, x86.MOVSD, x86.STOSB, x86.STOSD:
-		generic(KindString)
+		op := StrOp(0)
+		if inst.Op == x86.MOVSD || inst.Op == x86.STOSD {
+			op |= StrDword
+		}
+		if inst.Op == x86.STOSB || inst.Op == x86.STOSD {
+			op |= StrStos
+		}
+		if inst.Rep {
+			op |= StrRep
+		}
+		u.Kind, u.Sub = KindStr, uint8(op)
 
 	default:
-		generic(KindGeneric)
+		panic("uop: Lower given " + inst.Op.String() + ", which x86.Decode never returns")
 	}
 }
 

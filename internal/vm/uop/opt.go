@@ -199,11 +199,6 @@ func flagEffect(u *Uop) (use, def x86.FlagSet) {
 		return x86.CCUses(x86.CC(u.Sub)), r.Def
 	case r.Ops&OpAlu != 0 && (AluOp(u.Sub) == AluAdc || AluOp(u.Sub) == AluSbb):
 		return x86.FlagCF, r.Def
-	case u.Kind == KindString:
-		// MOVS/STOS are declared flag-free in the opcode tables; keep
-		// the lookup so a future string op with flag effects is
-		// handled by its metadata, not by the table.
-		return u.Inst.InstFlagUse(), x86.OpFlagDef(u.Inst.Op)
 	}
 	return r.Use, r.Def
 }

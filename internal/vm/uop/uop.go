@@ -10,16 +10,14 @@
 // The package also implements the lazy-flags discipline (see Flags):
 // arithmetic micro-ops record {op, a, b, result} and the individual
 // EFLAGS bits are materialized only when a consumer (Jcc, SETcc, ADC,
-// SBB, or a generic-fallback instruction) actually asks for them.
+// SBB) actually asks for them.
 //
-// Lowering is total: any instruction without a specialized handler
-// lowers to KindGeneric, which carries its own copy of the decoded
-// x86.Inst through to the VM's reference interpreter. Correctness
-// therefore never depends on the specialization coverage — only speed
-// does.
+// Lowering is total: every instruction x86.Decode accepts lowers to a
+// micro-op the tier-1 executor runs. The forms no built-in decoder runs
+// hot — byte and memory read-modify-writes, rotates, byte multiply and
+// divide, a memory exchange, the string moves — have kinds of their own
+// that only tier 1 executes; a trace holding one stays off tier 2.
 package uop
-
-import "vxa/internal/x86"
 
 // RegZero is the lowered encoding of an absent base or index register:
 // it indexes the VM's ninth, always-zero register slot, so the executor
@@ -257,9 +255,34 @@ const (
 	KindHlt
 	KindUd2
 
-	// Escapes to the reference interpreter.
-	KindString  // MOVS/STOS (flag-free; Inst carries the REP prefix)
-	KindGeneric // materialize flags, run Inst on the reference engine
+	// Tier-1-only forms. Sub != 0 selects the second operation a row
+	// names: DEC, ROR, a signed multiply or divide. A shift or rotate
+	// counts Imm plus register Aux, mod 32: Aux is ECX for a count in CL,
+	// RegZero for an immediate one. A count of zero leaves the operand
+	// and the flags alone (a register shifted by an immediate zero lowers
+	// to KindNop; memory is still read).
+	KindIncDec8R // Dst.byte[Dsh] ± 1 (CF preserved)
+	KindIncDec8M // mem8[ea] ± 1
+	KindIncDecM  // mem32[ea] ± 1
+	KindNeg8R
+	KindNeg8M
+	KindNegM
+	KindNot8R
+	KindNot8M
+	KindNotM
+	KindShift8R // Sub = ShOp
+	KindShift8M
+	KindShiftM
+	KindRotR // ROL/ROR Dst
+	KindRot8R
+	KindRot8M
+	KindRotM
+	KindMul8R // ax ← al * Src.byte[Ssh]
+	KindMul8M
+	KindDiv8R // al ← ax ÷ Src.byte[Ssh], ah ← the remainder
+	KindDiv8M
+	KindXchgMR // mem32[ea] ↔ Src
+	KindStr    // MOVS/STOS, Sub = StrOp
 )
 
 // AluOp is the Sub selector of the KindAlu* micro-ops.
@@ -288,6 +311,16 @@ const (
 	ShSar
 )
 
+// StrOp is the Sub selector of KindStr, a set of the bits below.
+type StrOp uint8
+
+// String operation bits: without any, a MOVSB.
+const (
+	StrDword StrOp = 1 << iota // dword elements, else bytes
+	StrStos                    // STOS: store AL or EAX at EDI, else MOVS: copy from ESI
+	StrRep                     // REP: ECX elements, else one
+)
+
 // Uop is one micro-op. Field meaning is keyed by Kind (the Ops of its
 // row); a field the kind does not use is not always zero. Register fields hold register numbers (or pre-resolved byte-slot
 // storage registers for the 8-bit kinds, with Dsh/Ssh the slot shifts).
@@ -312,6 +345,4 @@ type Uop struct {
 	EIP    uint32 // address of the source instruction (trap reporting)
 	Next   uint32 // address of the following instruction
 	Target uint32 // absolute branch target for Jmp/Jcc/Call and guards
-
-	Inst *x86.Inst // KindString / KindGeneric escape payload: the micro-op's own copy
 }

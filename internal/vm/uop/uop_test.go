@@ -1,8 +1,14 @@
 package uop
 
 import (
+	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math/rand"
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"vxa/internal/x86"
 )
@@ -49,29 +55,104 @@ func TestLowerOneToOne(t *testing.T) {
 	}
 }
 
-// TestLowerTotal: every opcode/operand shape lowers to something — an
-// unspecialized shape must carry its instruction into the generic
-// escape rather than produce a zero-value micro-op that silently
-// executes as a NOP. The escape owns its copy of the instruction.
-func TestLowerTotal(t *testing.T) {
-	odd := []x86.Inst{
-		{Op: x86.ROL, Dst: x86.R(x86.EAX), Src: x86.I8(3), Len: 3},          // rotate: generic
-		{Op: x86.INC, Dst: x86.M8(x86.EAX, 0), Len: 2},                      // byte-mem inc: generic
-		{Op: x86.SHL, Dst: x86.M(x86.EBX, 4), Src: x86.I8(1), Len: 4},       // mem shift: generic
-		{Op: x86.XCHG, Dst: x86.M(x86.ESI, 0), Src: x86.R(x86.ECX), Len: 2}, // mem xchg: generic
-		{Op: x86.MOVSB, Rep: true, Len: 2},                                  // string op escape
-	}
-	addrs := make([]uint32, len(odd))
-	for i := range addrs {
-		addrs[i] = uint32(0x2000 + 4*i)
-	}
-	us := lowerAll(odd, addrs)
-	for i, u := range us {
-		if u.Kind != KindGeneric && u.Kind != KindString {
-			t.Errorf("inst %d (%v) lowered to kind %d, want an escape", i, odd[i].Op, u.Kind)
+// TestLowerIsTotal sweeps every one- and two-byte opcode with every ModRM
+// byte behind it, bare and behind an F3 or 66 prefix, and the bytes after
+// them all zero or all one, and requires that whatever x86.Decode accepts
+// lowers to one micro-op at Cost 1 that the artifact loader would accept,
+// of a kind the tier-1 executor has an arm for (read from ../uexec.go). A
+// KindNop comes only of a NOP or of a register shifted by an immediate
+// zero, never of a form lowering forgot.
+func TestLowerIsTotal(t *testing.T) {
+	arms := execArms(t)
+	const addr = 0x2000
+	accepted := map[Kind]int{}
+	for _, prefix := range []byte{0, 0xF3, 0x66} {
+		for _, pad := range []byte{0, 1} {
+			for op := range 2 * 256 * 256 { // opcode and ModRM, from 256*256 on behind 0x0F
+				code := []byte{prefix, byte(op >> 8), byte(op)}
+				if op >= 256*256 {
+					code = []byte{prefix, 0x0F, byte(op >> 8), byte(op)}
+				}
+				if prefix == 0 {
+					code = code[1:]
+				}
+				inst, err := x86.Decode(append(code, bytes.Repeat([]byte{pad}, 16)...))
+				if err != nil {
+					continue
+				}
+				us := Lower(nil, &inst, addr)
+				u := &us[0]
+				if len(us) != 1 || u.Cost != 1 || u.EIP != addr || u.Next != addr+uint32(inst.Len) {
+					t.Fatalf("% x (%v) lowered to %+v", code, inst.Op, us)
+				}
+				shiftZero := inst.Dst.Kind == x86.KindReg && inst.Src.Kind == x86.KindImm && inst.Src.Imm&31 == 0
+				switch {
+				case !arms[u.Kind] || !u.Kind.Lowered():
+					t.Fatalf("% x (%v) lowered to %v, which Lower may not emit or tier 1 has no arm for", code, inst.Op, u.Kind)
+				case u.BadField() != "" || max(u.Dst, u.Src, u.Base, u.Idx, u.Aux) > RegZero:
+					t.Fatalf("% x (%v) lowered to %+v, which the loader refuses", code, inst.Op, *u)
+				case u.Kind == KindNop && inst.Op != x86.NOP && !(shiftZero && (inst.Op == x86.SHL || inst.Op == x86.SHR ||
+					inst.Op == x86.SAR || inst.Op == x86.ROL || inst.Op == x86.ROR)):
+					t.Fatalf("% x (%v) lowered to a Nop", code, inst.Op)
+				}
+				accepted[u.Kind]++
+			}
 		}
-		if u.Inst == nil || u.Inst == &odd[i] || *u.Inst != odd[i] {
-			t.Errorf("inst %d (%v): escape does not own a copy of its instruction", i, odd[i].Op)
+	}
+	for _, k := range []Kind{KindIncDec8R, KindIncDecM, KindNeg8M, KindNot8R, KindShift8M, KindShiftM, KindRotR, KindRot8M,
+		KindMul8R, KindDiv8M, KindXchgMR, KindStr} {
+		if accepted[k] == 0 {
+			t.Errorf("no decoded instruction lowered to %v", k)
+		}
+	}
+}
+
+// execArms returns the kinds named by the case clauses of the tier-1
+// executor, execUops in ../uexec.go.
+func execArms(t *testing.T) map[Kind]bool {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), "../uexec.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byName := map[string]Kind{}
+	for k := range Kinds {
+		byName["Kind"+Kinds[k].Name] = Kind(k)
+	}
+	arms := map[Kind]bool{}
+	for _, d := range f.Decls {
+		if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.Name == "execUops" {
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if cc, ok := n.(*ast.CaseClause); ok {
+					for _, e := range cc.List {
+						if sel, ok := e.(*ast.SelectorExpr); ok {
+							if k, ok := byName[sel.Sel.Name]; ok {
+								arms[k] = true
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	if len(arms) == 0 {
+		t.Fatal("no case clauses in execUops")
+	}
+	return arms
+}
+
+// TestUopSize: a micro-op is 32 bytes of integers and holds no pointer,
+// so the arrays of them a translation cache keeps are never scanned by
+// the garbage collector.
+func TestUopSize(t *testing.T) {
+	if n := unsafe.Sizeof(Uop{}); n != 32 {
+		t.Errorf("a Uop is %d bytes, want 32", n)
+	}
+	typ := reflect.TypeOf(Uop{})
+	for i := range typ.NumField() {
+		if f := typ.Field(i); f.Type.Kind() != reflect.Uint8 && f.Type.Kind() != reflect.Uint32 {
+			t.Errorf("Uop.%s is a %v", f.Name, f.Type)
 		}
 	}
 }
@@ -143,8 +224,8 @@ func TestFlagsReference(t *testing.T) {
 // table prints as a number (TestKindTable holds the names to the const
 // block).
 func TestKindNames(t *testing.T) {
-	if got := KindGeneric.String(); got != "Generic" {
-		t.Fatalf("KindGeneric.String() = %q", got)
+	if got := KindStr.String(); got != "Str" {
+		t.Fatalf("KindStr.String() = %q", got)
 	}
 	if got := Kind(200).String(); got != "Kind(200)" {
 		t.Fatalf("out-of-range Kind string = %q", got)

@@ -302,8 +302,8 @@ type VM struct {
 // block is one translated fragment. raw is what uop.Lower made of its
 // instructions, one micro-op each at Cost 1, and the one record of them
 // the engine keeps: it is what the fragment persists as, what superblock
-// formation assembles traces from and what the end-of-budget path runs,
-// and each escape among it owns its decoded instruction. uops is the form
+// formation assembles traces from and what the end-of-budget path runs.
+// uops is the form
 // the fragment runs in, raw through the optimizer (raw itself below
 // OptOptimized). Blocks are immutable after construction and may be
 // shared by many VMs through a Snapshot. Superblocks (superblock.go)

@@ -2,8 +2,8 @@ package x86
 
 // FlagSet is a bitset over the five arithmetic EFLAGS bits the VXA
 // subset can observe. It is the currency of the translator's flag
-// liveness analysis: every opcode form declares which flags it reads
-// and writes, and every condition code declares which flags it tests.
+// liveness analysis: every micro-op kind declares which flags it reads
+// and writes (uop.Kinds), and every condition code which flags it tests.
 type FlagSet uint8
 
 // Individual flag bits.
@@ -42,48 +42,3 @@ func CCUses(cc CC) FlagSet {
 // Negate returns the complementary condition (taken exactly when cc is
 // not). The hardware encoding pairs complements at bit 0.
 func (c CC) Negate() CC { return c ^ 1 }
-
-// opFlagDef[op] is the set of flags op writes; opFlagUse[op] the set it
-// reads. The tables describe the architectural opcode forms, not any
-// one execution: a shift with a zero count writes nothing at runtime,
-// but the form is still declared as writing (consumers that need the
-// may-not-write distinction, like the translator's liveness pass, must
-// special-case the runtime-variable shapes themselves).
-//
-// INC and DEC read CF only in the sense that they preserve it: a
-// translator that re-records the full flag state for them must carry
-// the incoming CF through, so it appears in their use set.
-var opFlagDef = map[Op]FlagSet{
-	ADD: FlagsAll, ADC: FlagsAll, SUB: FlagsAll, SBB: FlagsAll,
-	AND: FlagsAll, OR: FlagsAll, XOR: FlagsAll, CMP: FlagsAll, TEST: FlagsAll,
-	INC: FlagsAll &^ FlagCF, DEC: FlagsAll &^ FlagCF, NEG: FlagsAll,
-	IMUL: FlagsAll, MUL1: FlagsAll, IMUL1: FlagsAll,
-	SHL: FlagsAll, SHR: FlagsAll, SAR: FlagsAll,
-	ROL: FlagCF | FlagOF, ROR: FlagCF | FlagOF,
-}
-
-var opFlagUse = map[Op]FlagSet{
-	ADC: FlagCF, SBB: FlagCF,
-	JCC: FlagsAll, SETCC: FlagsAll, // refine per-instruction with CCUses
-}
-
-// OpFlagDef returns the flags op may write. Ops absent from the table
-// (moves, LEA, stack, control transfers, string ops, CDQ, NOT, DIV)
-// write none.
-func OpFlagDef(op Op) FlagSet { return opFlagDef[op] }
-
-// OpFlagUse returns the flags op reads. JCC and SETCC report FlagsAll
-// here; callers holding the decoded instruction should refine with
-// CCUses(inst.CC).
-func OpFlagUse(op Op) FlagSet { return opFlagUse[op] }
-
-// InstFlagUse returns the flags one decoded instruction reads,
-// refining the per-op table with the actual condition code for
-// JCC/SETCC.
-func (i *Inst) InstFlagUse() FlagSet {
-	switch i.Op {
-	case JCC, SETCC:
-		return CCUses(i.CC)
-	}
-	return opFlagUse[i.Op]
-}
