@@ -199,8 +199,9 @@ func TestDispatcherRoundTrips(t *testing.T) {
 
 // hostBudget is, per decoder, the most host instructions the native
 // emitter may spend per guest instruction, statically: the hot-body
-// instructions (trace entry, every micro-op's fall-through path, bounds
-// checks included; out-of-line exit paths excluded) of every trace the
+// instructions (trace entry, every micro-op's fall-through path, the
+// mainline test of every bounds check included; out-of-line exit paths
+// and check fallbacks excluded) of every trace the
 // golden decode's superblocks compile to, over the guest instructions
 // those traces stand for. Like the budgets above it is an exact count.
 // parent is the same count on the emitter before registers were pinned
@@ -213,19 +214,19 @@ func TestDispatcherRoundTrips(t *testing.T) {
 // second copy of anything — PR 17 emitted every trace twice, 15.3-17.6
 // all told — cannot come back under it.
 var hostBudget = map[string]struct{ ceiling, parent, total float64 }{
-	"adpcm":   {2.92, 12.318, 5.55},
-	"bwt":     {2.85, 12.688, 5.09},
-	"dct":     {2.43, 11.153, 4.57},
-	"deflate": {2.45, 11.729, 4.30},
-	"haar":    {2.40, 11.384, 4.53},
-	"lpc":     {2.41, 11.385, 4.56},
-	"zlib":    {2.43, 11.922, 4.29},
+	"adpcm":   {2.10, 12.318, 5.45},
+	"bwt":     {2.03, 12.688, 4.95},
+	"dct":     {1.70, 11.153, 4.49},
+	"deflate": {1.81, 11.729, 4.22},
+	"haar":    {1.70, 11.384, 4.44},
+	"lpc":     {1.91, 11.385, 4.50},
+	"zlib":    {1.80, 11.922, 4.21},
 }
 
 // TestHostInstructionsPerGuest holds the emitter's static cost per guest
-// instruction against the committed ceilings, and requires that at least
-// half of the guest memory operands in those traces emit no bounds check
-// of their own.
+// instruction against the committed ceilings, logs what of the hot bodies
+// is bounds checks, and requires that at least half of the guest memory
+// operands in those traces emit no bounds check of their own.
 func TestHostInstructionsPerGuest(t *testing.T) {
 	var operands, checks int64
 	for _, c := range codec.All() {
@@ -268,10 +269,10 @@ func TestHostInstructionsPerGuest(t *testing.T) {
 		got := float64(l.Hot) / float64(l.Guest)
 		total := float64(l.Hot+l.Stub) / float64(l.Guest)
 		t.Logf("%-8s %3d traces: %5d host instructions in hot bodies / %4d guest = %6.3f (ceiling %v, parent %v: %+.0f%%); "+
-			"%d more in exit paths, all told %6.3f per guest instruction (ceiling %v); %d guest memory operands under %d checks, %d resume exits; "+
-			"%d direct loop edges, %d checks ahead of the loop label",
-			c.Name, traces, l.Hot, l.Guest, got, b.ceiling, b.parent, 100*(got/b.parent-1), l.Stub, total, b.total, l.Accesses, l.Checks, l.Resumes,
-			l.Loops, l.Hoisted)
+			"%d more in exit paths, all told %6.3f per guest instruction (ceiling %v); %d guest memory operands under %d checks "+
+			"of %d hot-body instructions, %.3f per guest instruction; %d resume exits; %d direct loop edges, %d checks ahead of the loop label",
+			c.Name, traces, l.Hot, l.Guest, got, b.ceiling, b.parent, 100*(got/b.parent-1), l.Stub, total, b.total, l.Accesses, l.Checks,
+			l.CheckHot, float64(l.CheckHot)/float64(l.Guest), l.Resumes, l.Loops, l.Hoisted)
 		if total > b.total {
 			t.Errorf("%s: %.3f host instructions emitted per guest instruction, hot bodies and exit paths together, budget %v: "+
 				"something is being emitted twice, or exit paths have grown", c.Name, total, b.total)

@@ -58,10 +58,24 @@ import (
 // checked ahead and gets the exact, per-access check in place, with a
 // fault exit of its own.
 //
+// A check that passes is one lea, one compare and a branch not taken.
+// The heap window is tried first unless the address is ESP- or EBP-based:
+// "lea rdx, [a-floor]; cmp rdx, [HeapFast]; jae fallback", where HeapFast
+// is Brk-floor-pageSize+1 (or 0), which Run derives from Brk before it
+// enters compiled code, once per run (Geometry.HeapLimits) — so a pass
+// proves floor <= a <= Brk-pageSize, never weaker than ReadOK/WriteOK and
+// stricter only within a page of Brk. The fallback, out of line behind
+// the mainline, makes the exact test — the heap against HeapTop,
+// Brk-floor, less the span, then the stack window — and jumps back when
+// one passes; when none does it falls into the exit the check has. The
+// stack window first is the same shape the other way round: its test on
+// the mainline, the heap's out of line.
+//
 // One pass. A group's span is final only when the trace ends, and that a
 // micro-op leads a group is known only once it has been emitted, so: a
-// check is emitted with every constant in a 32-bit field (nasm.long) and
-// emitted over itself when the trace is done (fixChecks); and a micro-op
+// check's mainline is emitted with every constant in a 32-bit field
+// (nasm.long) and emitted over itself when the trace is done (fixChecks),
+// and its fallback only then; and a micro-op
 // that turns out to lead a group is taken back and emitted again behind
 // its checks, its operands placed as the first time. Every other
 // micro-op is emitted once, and every micro-op is in the finished code
@@ -108,10 +122,11 @@ import (
 // the entry's store of Cur (hoist). A loop edge lands past those checks
 // when the registers they were made on still hold their entry values,
 // as the write log says at the edge, and on the ones it moved otherwise.
-// A check reads only registers, geometry constants and Brk, which only
-// the dispatcher moves, so a check that held on entry holds on every pass
-// that skips it. Made before the pass is charged, such a check fails
-// through an ExitResume at micro-op 0 that refunds nothing.
+// A check reads only registers, geometry constants and the heap limits,
+// which only the dispatcher moves, so a check that held on entry holds on
+// every pass that skips it. Made before the pass is charged, such a check
+// fails through an ExitResume at micro-op 0 that refunds nothing; the
+// fallbacks of these checks follow all other code.
 //
 // Where the code lives. The emitter assembles into a buffer of its own and
 // hands the finished bytes to the trace's Arena (execbuf.go), which
@@ -154,6 +169,8 @@ var (
 	offOF       = int32(unsafe.Offsetof(zm.OF))
 	offPF       = int32(unsafe.Offsetof(zm.PF))
 	offBrk      = int32(unsafe.Offsetof(zm.Brk))
+	offHeapTop  = int32(unsafe.Offsetof(zm.HeapTop))
+	offHeapFast = int32(unsafe.Offsetof(zm.HeapFast))
 	offBudget   = int32(unsafe.Offsetof(zm.Budget))
 	offAcct     = int32(unsafe.Offsetof(zm.Acct))
 	offLinks    = int32(unsafe.Offsetof(zm.Links))
@@ -263,17 +280,17 @@ type access struct {
 // group is a run of accesses under one check: the access the check was
 // emitted for, the span in that access's pos coordinates and whether any
 // member writes — both still growing until the trace ends — and the code
-// offset of the check, whose constants follow from them. A group of a
-// loop whose lead's registers hold their entry values, and which no
-// micro-op writes or micro-op 0 leads, is pre: its check is made ahead of
-// the loop label (hoist) for the micro-op uop.
+// offsets of the check and of what follows it, whose constants follow
+// from them. A group of a loop whose lead's registers hold their entry
+// values, and which no micro-op writes or micro-op 0 leads, is pre: its
+// check is made ahead of the loop label (hoist) for the micro-op uop.
 type group struct {
-	lead   access
-	lo, hi int64
-	write  bool
-	at     int32
-	pre    bool
-	uop    int
+	lead     access
+	lo, hi   int64
+	write    bool
+	at, back int32
+	pre      bool
+	uop      int
 }
 
 // edge is a loop edge as emitted: its exit, the site of its jump's rel32
@@ -346,7 +363,9 @@ type nemit struct {
 	last       int
 	stackFirst bool
 
-	accesses, checks int // guest memory operands; bounds checks emitted for them
+	// Guest memory operands; bounds checks emitted for them, and the host
+	// instructions those take in the hot body.
+	accesses, checks, checkHot int
 }
 
 // nativeCompile emits us as machine code into t and places it in t's
@@ -354,10 +373,11 @@ type nemit struct {
 // takes no more code; t is then discarded and the superblock stays on
 // tier-1.
 func nativeCompile(us []uop.Uop, entry uint32, g Geometry, t *Trace, o *Outcome) bool {
-	if g.MemLen > 1<<30 || g.MemLen < g.StackBase+pageSize || g.StackBase < pageSize {
+	if g.MemLen > 1<<30 || g.MemLen < g.StackBase+pageSize || g.StackBase < pageSize || g.ROLimit > g.StackBase {
 		// The checks compare 64-bit sums against sign-extended 32-bit
-		// immediates and subtract a span of up to a page from either
-		// window's end; any real guest address space satisfies this.
+		// immediates, subtract a span of up to a page from either window's
+		// end and take an address below either floor for one below the
+		// stack; any real guest address space satisfies this.
 		return false
 	}
 	if t.Cost <= 0 || t.Cost > 1<<30 || int64(len(us)) >= acctIter {
@@ -404,6 +424,7 @@ func nativeCompile(us []uop.Uop, entry uint32, g Geometry, t *Trace, o *Outcome)
 	shift, hoisted := e.hoist()
 	l := &t.Ledger
 	l.Guest, l.Hot, l.Accesses, l.Checks = t.Cost, int64(hot+hoisted), int64(e.accesses), int64(e.checks)
+	l.CheckHot = int64(e.checkHot)
 	l.Stub, l.Loops = int64(a.n)-l.Hot, int64(len(e.edges))
 	t.hotEnd, t.loop, t.recheck = int(hotEnd+shift), int(e.loop), int(e.recheck)
 	t.Slots = len(e.stubs)
@@ -613,35 +634,61 @@ func (e *nemit) emitChecks(i, led int) {
 			continue
 		}
 		g.at = e.a.here()
-		e.stub(func() { e.leave(s) }, e.check(g))
+		n := e.a.n
+		f := e.check(g)
+		e.checkHot += e.a.n - n
+		e.stub(func() {
+			e.fallback(&e.groups[gi])
+			e.leave(s)
+		}, fixes{f, -1})
 		e.checks++
 	}
 }
 
-// check emits g's check for the span and the floor g has now, with every
-// constant in a 32-bit field: whatever they are, the code is as long.
-func (e *nemit) check(g *group) (fails fixes) {
+// check emits the mainline of g's check for the span and the floor g has
+// now, with every constant in a 32-bit field: whatever they are, the code
+// is as long. It returns the jump taken when the mainline test fails: to
+// the fallback, or, for a constant span, to the failure itself.
+func (e *nemit) check(g *group) fix {
 	a := &e.a
 	a.long = true
-	l := &g.lead
-	c := int32(g.lo - l.startPos)
-	switch l.shape {
-	case shapeAbs:
+	var f fix
+	if g.lead.shape == shapeAbs {
 		// A constant span above every floor and below the stack: only the
 		// heap's end is left to ask about.
 		a.aluI(aluCmpExt, fld(offBrk), uint32(g.hi))
-		fails = fixes{a.jcc(byte(x86.CCB)), -1}
-	case shapeOne:
-		o := at(l.hb, c)
-		if l.hb < 0 {
-			o = sib(-1, l.hi, l.scale, c)
-		}
-		fails = e.rangeCheck(o, true, e.floor(g.write), uint32(g.hi-g.lo), l.stack)
-	default:
-		fails = e.rangeCheck(sib(l.hb, l.hi, l.scale, c), false, e.floor(g.write), uint32(g.hi-g.lo), l.stack)
+		f = a.jcc(byte(x86.CCB))
+	} else {
+		t := e.test(g)
+		f = e.fastTest(&t)
+		g.back = t.back
 	}
 	a.long = false
-	return fails
+	return f
+}
+
+// fallback emits, out of line, the rest of g's check for the span and the
+// floor g ended the trace with; a constant span has none.
+func (e *nemit) fallback(g *group) {
+	if g.lead.shape != shapeAbs {
+		t := e.test(g)
+		t.back = g.back
+		e.slowTest(&t)
+	}
+}
+
+// test is g's check as a rangeTest.
+func (e *nemit) test(g *group) rangeTest {
+	l := &g.lead
+	c := int32(g.lo - l.startPos)
+	t := rangeTest{addr: sib(l.hb, l.hi, l.scale, c), write: g.write, span: uint32(g.hi - g.lo), stackFirst: l.stack}
+	if l.shape == shapeOne {
+		t.addr, t.wide = at(l.hb, c), true
+		if l.hb < 0 {
+			t.addr = sib(-1, l.hi, l.scale, c)
+		}
+	}
+	return t
 }
 
 // fixChecks emits every group's check once more, over the one already in
@@ -665,10 +712,11 @@ func (e *nemit) fixChecks() {
 // recheck on, the others, micro-op 0's on registers the loop moves. A loop
 // edge lands on the loop label unless it has moved a register a check was
 // made on, and on recheck if it has: on every pass the registers hold at
-// the loop label what the checks were made on. A failed check leaves
-// through an ExitResume at micro-op 0 that refunds nothing, as the pass it
-// stands before is not charged yet. hoist returns how far the code from
-// the loop label on moved and the instructions it put ahead of it.
+// the loop label what the checks were made on. Their fallbacks follow
+// everything else, and a failed check leaves through an ExitResume at
+// micro-op 0, behind the last of them, that refunds nothing, as the pass
+// it stands before is not charged yet. hoist returns how far the code
+// from the loop label on moved and the instructions it put ahead of it.
 func (e *nemit) hoist() (shift int32, hot int) {
 	e.recheck = e.loop
 	pre := 0
@@ -684,22 +732,19 @@ func (e *nemit) hoist() (shift int32, hot int) {
 	a := &e.a
 	*a = nasm{c: append(e.spare[:0], body.c[:e.loop]...)}
 	e.spare = body.c
-	fails := e.fails[:0]
+	fx := e.fails[:0] // the checks' jumps, then the jumps to the exit
 	for _, moved := range [2]bool{false, true} {
 		if moved {
 			e.recheck = a.here()
 		}
 		for gi := range e.groups {
 			if g := &e.groups[gi]; g.pre && e.variant(g) == moved {
-				for _, f := range e.check(g) {
-					if f >= 0 {
-						fails = append(fails, f)
-					}
-				}
+				fx = append(fx, e.check(g))
 				e.checks++
 			}
 		}
 	}
+	e.checkHot += a.n
 	shift, hot = a.here()-e.loop, a.n
 	a.c = append(a.c, body.c[e.loop:]...)
 	a.n += body.n
@@ -708,10 +753,32 @@ func (e *nemit) hoist() (shift int32, hot int) {
 	x.Refund, x.RefundUops = 0, 0
 	e.t.Ledger.Resumes++
 	e.t.Ledger.Hoisted = int64(pre)
-	for _, f := range fails {
+	// The fallbacks, in the order of the checks; each but a constant
+	// span's, which has none, jumps on to the exit when it fails too.
+	n := len(fx)
+	k := 0
+	for _, moved := range [2]bool{false, true} {
+		for gi := range e.groups {
+			if g := &e.groups[gi]; g.pre && e.variant(g) == moved {
+				if g.lead.shape == shapeAbs {
+					fx = append(fx, fx[k])
+				} else {
+					a.patch(fx[k])
+					e.fallback(g)
+					fx = append(fx, a.jmp())
+				}
+				k++
+			}
+		}
+	}
+	if last := len(fx) - 1; fx[last] == fix(a.here()-4) {
+		// The last fallback falls into the exit.
+		a.c, a.n, fx = a.c[:len(a.c)-5], a.n-1, fx[:last]
+	}
+	for _, f := range fx[n:] {
 		a.patch(f)
 	}
-	e.fails = fails
+	e.fails = fx
 	a.retStatus(s)
 	for k := range e.edges {
 		j := &e.edges[k]
@@ -756,69 +823,97 @@ func (e *nemit) floor(write bool) uint32 {
 	return pageSize
 }
 
-// rangeCheck emits the sandbox test on an address: [x, x+span) must lie
-// inside [floor, Brk) or [StackBase, MemLen) — Geometry.ReadOK/WriteOK
-// to the letter when span is the access size. The address is the
-// register addr when that is one (zero-extended: the exact checks keep
-// theirs in RCX), else the sum addr describes, taken exactly when wide
-// and mod 2^32 otherwise; a sum is formed in RAX, except that with the
-// stack window first it is only formed if that window fails. Returns the
-// (one or two) jumps taken on failure. Clobbers RAX (for a sum), RDX and
-// the flags.
-func (e *nemit) rangeCheck(addr rm, wide bool, floor, span uint32, stackFirst bool) fixes {
+// rangeTest is the sandbox test on an address: [x, x+span) must lie inside
+// [floor, Brk) or [StackBase, MemLen) — Geometry.ReadOK/WriteOK to the
+// letter when span is the access size — with the write floor for a write.
+// x is the sum addr describes as a lea operand: taken exactly when wide,
+// mod 2^32 otherwise. stackFirst tries the stack window first. back is
+// the code offset behind the test's mainline, where its fallback returns.
+type rangeTest struct {
+	addr       rm
+	wide       bool
+	write      bool
+	span       uint32
+	stackFirst bool
+	back       int32
+}
+
+// leaX forms the test's address, less d, in RDX.
+func (e *nemit) leaX(t *rangeTest, d uint32) {
+	o := t.addr
+	o.disp -= int32(d)
+	if t.wide {
+		e.a.lea64(hDX, o)
+	} else {
+		e.a.lea(hDX, o)
+	}
+}
+
+// fastTest emits the mainline of t: one lea, one compare and a jump to the
+// fallback that is not taken when the test passes. Heap first, that is
+// x-floor below the floor's HeapFast, which puts [x, x+pageSize) in the
+// heap window, so no Brk is loaded and no span subtracted; stack first,
+// the stack window's test. It returns the jump and sets t.back. Clobbers
+// RDX and the flags.
+func (e *nemit) fastTest(t *rangeTest) fix {
 	a := &e.a
-	lea := func(dst int, o rm) {
-		if wide {
-			a.lea64(dst, o)
-		} else {
-			a.lea(dst, o)
+	var f fix
+	if t.stackFirst {
+		e.leaX(t, e.sbase)
+		a.aluI64(aluCmpExt, rg(hDX), e.mlen-t.span-e.sbase)
+		f = a.jcc(byte(x86.CCA))
+	} else {
+		e.leaX(t, e.floor(t.write))
+		a.alu64(aluCmpRM, hDX, fld(heapField(offHeapFast, t.write)))
+		f = a.jcc(byte(x86.CCAE))
+	}
+	t.back = a.here()
+	return f
+}
+
+// slowTest emits the fallback of t, reached from its mainline with RDX as
+// that left it: the exact heap test, x-floor+span at most the floor's
+// HeapTop with x-floor not negative — which the 64-bit sum of a wide test
+// may be, so that test first rules it out — and, heap first, then the
+// stack window's test. It jumps back to t.back when one passes and falls
+// through when none does. Clobbers RDX and the flags.
+func (e *nemit) slowTest(t *rangeTest) {
+	a := &e.a
+	floor := e.floor(t.write)
+	top := fld(heapField(offHeapTop, t.write))
+	neg := fix(-1)
+	switch {
+	case t.stackFirst:
+		e.leaX(t, floor)
+		if t.wide {
+			a.alu64(aluCmpRM, hDX, top)
+			neg = a.jcc(byte(x86.CCAE))
 		}
+	case t.wide:
+		// The flags are the mainline's compare of x-floor with HeapFast,
+		// which is less, signed, only for a negative x-floor.
+		neg = a.jcc(byte(x86.CCL))
 	}
-	x := hAX
-	if addr.direct {
-		x = addr.base
+	a.lea64(hDX, at(hDX, int32(t.span)))
+	a.alu64(aluCmpRM, hDX, top)
+	a.patchTo(a.jcc(byte(x86.CCBE)), t.back)
+	if !t.stackFirst {
+		a.lea64(hDX, at(hDX, int32(int64(floor)-int64(e.sbase)-int64(t.span))))
+		a.aluI64(aluCmpExt, rg(hDX), e.mlen-t.span-e.sbase)
+		a.patchTo(a.jcc(byte(x86.CCBE)), t.back)
 	}
-	inStack := func(o rm) {
-		o.disp -= int32(e.sbase)
-		lea(hDX, o)
-		a.aluI64(aluCmpExt, rg(hDX), e.mlen-span-e.sbase)
+	if neg >= 0 {
+		a.patch(neg)
 	}
-	inHeap := func() {
-		a.mov(hDX, fld(offBrk))
-		a.aluI64(aluSubExt, rg(hDX), span)
-		a.alu64(aluCmpRM, x, rg(hDX))
+}
+
+// heapField is the Machine field off, HeapTop or HeapFast, for the floor
+// of a write or a read.
+func heapField(off int32, write bool) int32 {
+	if write {
+		return off + 8
 	}
-	if stackFirst {
-		if addr.direct {
-			wide = true
-			inStack(at(x, 0))
-		} else {
-			inStack(addr)
-		}
-		ok := a.jcc(byte(x86.CCBE))
-		if !addr.direct {
-			lea(hAX, addr)
-		}
-		a.aluI64(aluCmpExt, rg(x), floor)
-		f1 := a.jcc(byte(x86.CCB))
-		inHeap()
-		f2 := a.jcc(byte(x86.CCA))
-		a.patch(ok)
-		return fixes{f1, f2}
-	}
-	if !addr.direct {
-		lea(hAX, addr)
-	}
-	a.aluI64(aluCmpExt, rg(x), floor)
-	below := a.jcc(byte(x86.CCB))
-	inHeap()
-	ok := a.jcc(byte(x86.CCBE))
-	a.patch(below)
-	wide = true
-	inStack(at(x, 0))
-	f := a.jcc(byte(x86.CCA))
-	a.patch(ok)
-	return fixes{f, -1}
+	return off
 }
 
 // ---- memory operands -----------------------------------------------------
@@ -926,10 +1021,15 @@ func (e *nemit) checkCX(i int, size uint32, write bool, eip uint32, started int)
 	}
 	e.checks++
 	s := e.exit(Exit{Kind: kind, Uop: i, EIP: eip, Size: size, Started: started})
+	t := rangeTest{addr: at(hCX, 0), write: write, span: size, stackFirst: e.stackFirst}
+	n := e.a.n
+	f := e.fastTest(&t)
+	e.checkHot += e.a.n - n
 	e.stub(func() {
+		e.slowTest(&t)
 		e.a.movTo(fld(offTrapAddr), hCX)
 		e.leave(s)
-	}, e.rangeCheck(rg(hCX), true, e.floor(write), size, e.stackFirst))
+	}, fixes{f, -1})
 }
 
 // alsoWrite turns the operand opnd just returned for a read into one the

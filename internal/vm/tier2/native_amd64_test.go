@@ -15,6 +15,13 @@ import (
 // move, a stack from page 12 to the end at page 16.
 var edgeGeometry = Geometry{MemLen: 16 * pageSize, ROLimit: 3 * pageSize, StackBase: 12 * pageSize}
 
+// edgeBrks are the heap ends the edge tests run every trace under: one
+// far from every floor, one not page-aligned, each floor itself, and a
+// page above each floor give or take a byte, where the floor's HeapFast
+// is 0, 1 and 2.
+var edgeBrks = []uint32{8 * pageSize, 8*pageSize + 5, 3 * pageSize, pageSize,
+	2*pageSize - 1, 2 * pageSize, 2*pageSize + 1, 4*pageSize - 1, 4 * pageSize, 4*pageSize + 1}
+
 // edgeArena holds every test trace.
 var edgeArena = NewArena(ArenaSize)
 
@@ -58,7 +65,7 @@ func edgeTrace(t *testing.T, m *Machine, base, idx, scale uint8, accs []edgeAcce
 // TestGeometryEdges runs native traces of one, two and three accesses off
 // one address at every edge of the sandbox — spans of one access, 8, 64
 // and a whole page under one check, on all three operand shapes and for
-// a heap end that is and is not page-aligned — and holds what each run
+// heap ends at and near each floor (edgeBrks) — and holds what each run
 // does against Geometry.ReadOK/WriteOK applied access by access. The
 // check may be stricter than the accesses it stands for, never weaker:
 // a run that leaves through it (ExitResume) has executed nothing, been
@@ -127,7 +134,7 @@ func TestGeometryEdges(t *testing.T) {
 					tr := edgeTrace(t, m, sh.base, sh.idx, sh.scale, accs)
 					links := append([]Link(nil), tr.Unlinked()...)
 					m.Links = &links[0]
-					for _, brk := range []uint32{8 * pageSize, 8*pageSize + 5, 3 * pageSize, pageSize} {
+					for _, brk := range edgeBrks {
 						m.Brk = brk
 						for _, edge := range []uint64{0, pageSize, uint64(g.ROLimit), uint64(brk), uint64(g.StackBase), uint64(g.MemLen), 1 << 31, 1 << 32} {
 							for _, delta := range []int64{-int64(span) - 1, -int64(span), -int64(span) + 1, -int64(size) - 1, -int64(size), -int64(size) + 1, -1, 0, 1} {
@@ -236,7 +243,7 @@ func TestGeometryEdgesConstantAddress(t *testing.T) {
 						tr := edgeTrace(t, m, uop.RegZero, uop.RegZero, 0, accs)
 						links := append([]Link(nil), tr.Unlinked()...)
 						m.Links = &links[0]
-						for _, brk := range []uint32{8 * pageSize, 8*pageSize + 5, 3 * pageSize, pageSize} {
+						for _, brk := range edgeBrks {
 							m.Brk = brk
 							m.Budget, m.Acct = 1000, 0
 							s := tr.Run(m, 0)
@@ -286,4 +293,49 @@ func TestGeometryEdgesConstantAddress(t *testing.T) {
 	if faults < runs/10 || resumes == 0 || inPlace < runs/4 {
 		t.Fatal("the edge set is lopsided")
 	}
+}
+
+// BenchmarkHeapCheckLoop runs a compiled loop shaped like dct's hottest
+// one, an 8-tap inner product: each pass loads a word from one table and
+// multiplies it by a word from another, both through an index the pass
+// has just computed with a lea, scaled by 4 — so each load opens a group
+// whose check is made in the loop body on every pass — and counts the
+// loop down to a direct loop edge. It reports the time per pass.
+func BenchmarkHeapCheckLoop(b *testing.B) {
+	g := Geometry{MemLen: 1 << 20, ROLimit: 2 * pageSize, StackBase: 1<<20 - 64*pageSize}
+	m := &Machine{Mem: make([]byte, g.MemLen), Geometry: g, Brk: 0x80000}
+	const entry, passes = 0x1000, 1024
+	eax, edx, ebx, ebp, esi, edi := uint8(x86.EAX), uint8(x86.EDX), uint8(x86.EBX), uint8(x86.EBP), uint8(x86.ESI), uint8(x86.EDI)
+	us := []uop.Uop{
+		{Kind: uop.KindLea, Dst: eax, Base: esi, Idx: ebx, Scale: 8},
+		{Kind: uop.KindLoad, Dst: eax, Base: uop.RegZero, Idx: eax, Scale: 4, Disp: 0x10000},
+		{Kind: uop.KindLea, Dst: edx, Base: ebp, Idx: ebx, Scale: 8},
+		{Kind: uop.KindImulRMNF, Dst: eax, Base: uop.RegZero, Idx: edx, Scale: 4, Disp: 0x40000},
+		{Kind: uop.KindAddRRNF, Dst: edi, Src: eax},
+		{Kind: uop.KindAddRINF, Dst: ebx, Imm: 1},
+		{Kind: uop.KindCmpJccRI, Dst: ebx, Imm: passes, Sub: byte(x86.CCL), Target: entry},
+	}
+	for i := range us {
+		u := &us[i]
+		u.Cost, u.EIP = 1, entry+4*uint32(i)
+		u.Next = u.EIP + 4
+	}
+	tr, _ := Compile(us, entry, g, edgeArena)
+	if tr == nil {
+		b.Fatal("the loop did not compile")
+	}
+	if l := tr.Ledger; l.Checks != 2 || l.Hoisted != 0 || l.Loops != 1 {
+		b.Fatalf("the loop compiled to %v, not two checks in the body of a loop", l)
+	}
+	links := append([]Link(nil), tr.Unlinked()...)
+	m.Links = &links[0]
+	b.ResetTimer()
+	for range b.N {
+		m.Regs = [9]uint32{}
+		m.Budget, m.Acct = 1<<30, 0
+		if s := tr.Run(m, 0); s <= 0 || tr.Exits[s-1].Kind != ExitJccFall || m.Passes() != passes {
+			b.Fatalf("status %d after %d passes", s, m.Passes())
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*passes), "ns/pass")
 }

@@ -111,10 +111,11 @@ type Geometry struct {
 // ReadOK and WriteOK are the sandbox bounds: whether the guest may read,
 // or write, size bytes (at most a page) at addr while its heap ends at
 // brk. They are the one definition: the tier-1 dispatch loop calls
-// them, and the native emitter's rangeCheck is them in machine code,
-// compared against them edge by edge by TestGeometryEdges. Readable
-// memory is the heap window from the guard page up to brk and the stack
-// window from StackBase to MemLen; writes start at ROLimit instead. The
+// them, and the native emitter's rangeTest is them in machine code, over
+// HeapLimits, compared against them edge by edge by TestGeometryEdges.
+// Readable memory is the heap window from the guard page up to brk and
+// the stack window from StackBase to MemLen; writes start at ROLimit
+// instead. The
 // `addr <= limit-size` form rejects address wraparound for free: every
 // limit is at least one page, so limit-size never underflows.
 func (g Geometry) ReadOK(addr, size, brk uint32) bool {
@@ -125,6 +126,21 @@ func (g Geometry) ReadOK(addr, size, brk uint32) bool {
 func (g Geometry) WriteOK(addr, size, brk uint32) bool {
 	return (addr >= g.ROLimit && addr <= brk-size) ||
 		(addr >= g.StackBase && addr <= g.MemLen-size)
+}
+
+// HeapLimits is the heap end brk as compiled code reads it, once per run,
+// for the read floor (index 0) and the write floor (index 1): top is
+// brk-floor, and an access of size bytes at x lies in the heap window
+// exactly when x-floor, taken without wrapping, is at least 0 and at most
+// top-size; fast is brk-floor-pageSize+1, so that x-floor below fast puts
+// an access of any size up to a page in the window. Each is 0 where it
+// would be negative.
+func (g Geometry) HeapLimits(brk uint32) (top, fast [2]uint64) {
+	for w, floor := range [2]uint32{pageSize, g.ROLimit} {
+		d := int64(brk) - int64(floor)
+		top[w], fast[w] = uint64(max(d, 0)), uint64(max(d-pageSize+1, 0))
+	}
+	return top, fast
 }
 
 // Machine is a VM's architectural state: what the tier-1 interpreter and
@@ -144,17 +160,20 @@ type Machine struct {
 	Fl                 uop.Flags
 	CF, ZF, SF, OF, PF bool
 
-	// Brk is the end of the accessible heap, read per access.
-	Brk uint32
+	// Brk is the end of the accessible heap, read per access. HeapTop and
+	// HeapFast are Geometry.HeapLimits(Brk), what the bounds checks of
+	// compiled code compare against: Run derives them before it enters
+	// the code, and Brk does not move while compiled code runs. Emitted
+	// code reads the fields up to Cur with a one-byte displacement; of
+	// the two limits HeapTop is the one every check's fallback reads,
+	// while HeapFast is read by the mainline tests, and those of a group
+	// are emitted with 32-bit displacements anyway.
+	Brk     uint32
+	HeapTop [2]uint64
 
-	// Fuel is the remaining guest-instruction budget and Credit the
-	// countdown to the next cancellation/watchdog poll; tier 1 charges
-	// both. Budget is what one run of compiled code may spend: the
-	// dispatcher sets it to the smaller of the two before the run and
-	// charges both with what the run took off it. Trace entries charge
-	// Budget and decline to start once it is short of their Cost.
-	Fuel   int64
-	Credit int64
+	// Budget is what one run of compiled code may spend (see Fuel): trace
+	// entries charge it and decline to start once it is short of their
+	// Cost.
 	Budget int64
 
 	// Per-run counters the traces charge and the dispatcher folds into
@@ -170,6 +189,16 @@ type Machine struct {
 	// (after a run: the trace the returned status belongs to).
 	Links *Link
 	Cur   uint64
+
+	// HeapFast: see Brk.
+	HeapFast [2]uint64
+
+	// Fuel is the remaining guest-instruction budget and Credit the
+	// countdown to the next cancellation/watchdog poll; tier 1 charges
+	// both. The dispatcher sets Budget to the smaller of the two before a
+	// run of compiled code and charges both with what the run took off it.
+	Fuel   int64
+	Credit int64
 
 	// Exit payload: the faulting address / the divide-vs-overflow and
 	// hlt-vs-ud2 selector / the dynamic transfer target or the resume
@@ -363,11 +392,12 @@ type Trace struct {
 // Ledger counts what the native emitter produced, for one trace or summed
 // over several, exactly: the guest instructions a pass of the trace
 // stands for; the host instructions of the hot body (the trace entry and
-// the fall-through path of every micro-op, bounds checks included) and of
-// its out-of-line exit paths, which together are all the code there is;
-// the guest memory operands and how many bounds checks are emitted for
-// them — the difference is the operands that ride on another's check;
-// and the resume exits: the micro-ops that open with such a shared check,
+// the fall-through path of every micro-op, the mainline tests of the
+// bounds checks included) and of its out-of-line exit paths, which
+// together are all the code there is; the guest memory operands and how many bounds checks are emitted for
+// them — the difference is the operands that ride on another's check —
+// and the host instructions those checks take in the hot body; and the
+// resume exits: the micro-ops that open with such a shared check,
 // whose failure hands the rest of the pass to tier 1, and the one the
 // checks ahead of a loop label share; the loop edges, and those checks.
 type Ledger struct {
@@ -376,6 +406,7 @@ type Ledger struct {
 	Stub     int64 `json:"stub"`
 	Accesses int64 `json:"accesses"`
 	Checks   int64 `json:"checks"`
+	CheckHot int64 `json:"check_hot"`
 	Resumes  int64 `json:"resumes"`
 	// Loops counts the loop edges (Exit.Loop) and Hoisted the checks made
 	// ahead of the loop label (Trace.Hoisted).
@@ -390,6 +421,7 @@ func (l *Ledger) Add(m Ledger, sign int64) {
 	l.Stub += sign * m.Stub
 	l.Accesses += sign * m.Accesses
 	l.Checks += sign * m.Checks
+	l.CheckHot += sign * m.CheckHot
 	l.Resumes += sign * m.Resumes
 	l.Loops += sign * m.Loops
 	l.Hoisted += sign * m.Hoisted
@@ -399,8 +431,8 @@ func (l Ledger) String() string {
 	if l.Guest == 0 {
 		return "no native code"
 	}
-	return fmt.Sprintf("%d host instructions in the hot body for %d guest (%.2f each), %d in exit paths; %d guest memory operands under %d bounds checks, %d resume exits; %d loop edges, %d checks ahead of the loop label",
-		l.Hot, l.Guest, float64(l.Hot)/float64(l.Guest), l.Stub, l.Accesses, l.Checks, l.Resumes, l.Loops, l.Hoisted)
+	return fmt.Sprintf("%d host instructions in the hot body for %d guest (%.2f each), %d in exit paths; %d guest memory operands under %d bounds checks (%d host instructions in the hot body, %.2f per guest), %d resume exits; %d loop edges, %d checks ahead of the loop label",
+		l.Hot, l.Guest, float64(l.Hot)/float64(l.Guest), l.Stub, l.Accesses, l.Checks, l.CheckHot, float64(l.CheckHot)/float64(l.Guest), l.Resumes, l.Loops, l.Hoisted)
 }
 
 // HotEnd returns the code offset at which the trace's mainline ends and
@@ -450,10 +482,12 @@ func (l *Link) Link(target *Trace, cur uint32) {
 // when a trace entry declined to start (resume at m.ExitTarget), else
 // the 1-based index of an exit of the trace m.Cur names — the run may
 // have gone through any number of linked traces. cur is the offset of
-// this trace's first slot in m's link table. The caller must hold the
-// flags materialized if NeedFlags. Every charge and refund has landed in
-// m by the time Run returns.
+// this trace's first slot in m's link table. Run first derives m's heap
+// limits from m.Brk. The caller must hold the flags materialized if
+// NeedFlags. Every charge and refund has landed in m by the time Run
+// returns.
 func (t *Trace) Run(m *Machine, cur uint32) int32 {
+	m.HeapTop, m.HeapFast = m.HeapLimits(m.Brk)
 	s := jitcall(t.EntryAddr(), m, cur)
 	// The arena must not be finalized under the run, nor under any trace
 	// of it the run was linked into: the VM holds those, and the arena

@@ -230,6 +230,7 @@ type traceScan struct {
 	nsym    int
 	pending map[int]*scanState // states flowing into forward branch targets
 	slots   map[int32]bool
+	claims  map[int]claim // the checks' fallbacks, by code offset
 	rets    int
 	atLoop  *scanState // the states at the loop label and at the checks
 	atCheck *scanState // ahead of it that a loop edge may make again
@@ -239,6 +240,10 @@ type traceScan struct {
 	covered int        // guest memory operands found covered
 	insts   int        // instructions decoded
 }
+
+// claim is the code of a check's fallback, which the check that jumps to it
+// has read: where it ends and how many instructions it is.
+type claim struct{ end, insts int }
 
 func (sc *traceScan) failf(format string, args ...any) {
 	sc.t.Helper()
@@ -297,9 +302,12 @@ func (sc *traceScan) meet(p, s *scanState) {
 
 // scanTrace walks the whole code of a native trace — the mainline, then
 // the exit paths behind it — in one forward pass (every branch the emitter
-// produces is forward but the loop edges) and checks:
+// produces is forward but the loop edges and the jumps back from a check's
+// fallback, which the scan reads with the check) and checks:
 //
 //   - it decodes end to end with decodeHost, and every byte is reached;
+//   - a bounds check's fallback is out of line, entered from its check
+//     alone, and returns to right behind it;
 //   - the only indirect control transfers are ret and one "jmp [slot]"
 //     per link slot, through a pointer built from Machine.Cur and
 //     Machine.Links, at that slot's displacement;
@@ -329,7 +337,7 @@ func (sc *traceScan) meet(p, s *scanState) {
 func scanTrace(t *testing.T, tr *tier2.Trace) (checks, covered int) {
 	t.Helper()
 	sc := &traceScan{t: t, tr: tr, code: tr.Code(), g: tr.Geom,
-		pending: make(map[int]*scanState), slots: make(map[int32]bool)}
+		pending: make(map[int]*scanState), slots: make(map[int32]bool), claims: make(map[int]claim)}
 	hotEnd, hotInsts := tr.HotEnd(), 0
 	st := &scanState{live: true}
 	for r := range st.reg {
@@ -340,6 +348,15 @@ func scanTrace(t *testing.T, tr *tier2.Trace) (checks, covered int) {
 	for sc.off = 0; sc.off < len(sc.code); {
 		if sc.off == hotEnd {
 			checks, covered, hotInsts = sc.checks, sc.covered, sc.insts
+		}
+		if c, ok := sc.claims[sc.off]; ok {
+			// A check's fallback, read with the check: nothing else enters it.
+			if st.live || sc.pending[sc.off] != nil {
+				sc.failf("control reaches a check's fallback other than from the check")
+			}
+			delete(sc.claims, sc.off)
+			sc.off, sc.insts = c.end, sc.insts+c.insts
+			continue
 		}
 		if p := sc.pending[sc.off]; p != nil {
 			if st.live {
@@ -375,6 +392,9 @@ func scanTrace(t *testing.T, tr *tier2.Trace) (checks, covered int) {
 	if st.live {
 		t.Fatalf("trace %#x: control runs off the end of the code", tr.Entry)
 	}
+	if len(sc.pending) != 0 || len(sc.claims) != 0 {
+		t.Fatalf("trace %#x: a branch or a check's fallback starts inside an instruction or a fallback", tr.Entry)
+	}
 	if len(sc.slots) != tr.Slots {
 		t.Fatalf("trace %#x: %d slot jumps for %d link slots", tr.Entry, len(sc.slots), tr.Slots)
 	}
@@ -409,6 +429,8 @@ func scanTrace(t *testing.T, tr *tier2.Trace) (checks, covered int) {
 var (
 	scanMachine tier2.Machine
 	scanOffBrk  = int32(unsafe.Offsetof(scanMachine.Brk))
+	scanOffTop  = int32(unsafe.Offsetof(scanMachine.HeapTop))
+	scanOffFast = int32(unsafe.Offsetof(scanMachine.HeapFast))
 	scanOffBdgt = int32(unsafe.Offsetof(scanMachine.Budget))
 	scanOffCur  = int32(unsafe.Offsetof(scanMachine.Cur))
 	scanOffLnk  = int32(unsafe.Offsetof(scanMachine.Links))
@@ -467,11 +489,23 @@ func (sc *traceScan) back(st *scanState, to int) {
 	sc.loops++
 }
 
-// check recognizes a bounds check starting at sc.off — the two orders of
-// the emitter's rangeCheck, or the constant-span "cmp [Brk], hi; jb" —
-// validates every constant in it against the trace's geometry, records
-// the fact on the passing path, flows the pre-check state to the failure
-// targets, and returns the check's length (0 if none starts here).
+// check recognizes a bounds check starting at sc.off — the constant-span
+// "cmp [Brk], hi; jb fail", or the emitter's mainline test with its
+// fallback out of line — validates every constant in it against the
+// trace's geometry, records the fact on the passing path, flows the
+// pre-check state to the failure, claims the fallback's code and returns
+// the mainline's length (0 if no check starts here).
+//
+// The mainline forms the address less the floor (heap first) or less
+// StackBase (stack first) in RDX, 64-bit over one register and 32-bit
+// otherwise, and jumps to its fallback unless the value is below the
+// floor's HeapFast (which puts a page from the address in the heap) or,
+// less StackBase, no greater than the stack window's limit for the span.
+// The fallback makes the exact heap test — the address less the floor,
+// plus the span, at most the floor's HeapTop; a 64-bit value ruled out
+// first where it is negative — and, heap first, then the stack window's
+// test on the same value; each jump back lands right behind the mainline,
+// and the failure is the fallback's fall-through.
 func (sc *traceScan) check(st *scanState) int {
 	at := sc.off
 	mlen, sbase := int64(sc.g.MemLen), int64(sc.g.StackBase)
@@ -492,93 +526,103 @@ func (sc *traceScan) check(st *scanState) int {
 		return at - sc.off
 	}
 
-	// The address is RCX's content as it stands (the in-place checks), or
-	// a sum a lea forms in RAX — with the stack window first, formed less
-	// StackBase in RDX and only behind that window's test in RAX.
-	var floor, span, k int64
-	var fails []int
-	x := rCX
-	v := st.reg[rCX]
-	lea := func(dst int, out *hostInst) func(in *hostInst) bool {
-		return func(in *hostInst) bool { *out = *in; return in.op == 0x8D && in.reg == dst && in.mem() }
+	lea := func(out *hostInst) func(in *hostInst) bool {
+		return func(in *hostInst) bool { *out = *in; return in.op == 0x8D && in.reg == rDX && in.mem() }
 	}
-	cmpImm := func(r int, out *int64) func(in *hostInst) bool {
+	cmpImm := func(out *int64) func(in *hostInst) bool {
 		return func(in *hostInst) bool {
 			*out = in.imm
-			return isImmGroup(in, 7, true) && in.direct && in.base == r
+			return isImmGroup(in, 7, true) && in.direct && in.base == rDX
 		}
 	}
 	jcc := func(cc int, out *int) func(in *hostInst) bool {
 		return func(in *hostInst) bool { *out = int(in.imm); return in.op == 0x0F80|cc }
 	}
-	heap := func() bool { // mov edx,[rdi+Brk]; sub rdx,span; cmp x,rdx
-		return sc.want(&at, func(in *hostInst) bool {
-			return in.op == 0x8B && !in.w && in.reg == rDX && isField(in, scanOffBrk)
-		}) && sc.want(&at, func(in *hostInst) bool {
-			span = in.imm
-			return isImmGroup(in, 5, true) && in.direct && in.base == rDX
-		}) && sc.want(&at, func(in *hostInst) bool {
-			return in.op == 0x3B && in.w && in.reg == x && in.direct && in.base == rDX
-		})
-	}
-	var l, l2 hostInst
-	var ok, t1, t2 int
-	if sc.want(&at, lea(rDX, &l)) {
-		// lea rdx,[A-sbase]; cmp rdx,k; jbe ok; [lea rax,[A];]
-		// cmp x,floor; jb fail; <heap>; ja fail; ok:
-		if !sc.want(&at, cmpImm(rDX, &k)) || !sc.want(&at, jcc(6, &ok)) {
-			return 0
-		}
-		l.disp += int32(sbase)
-		if sc.want(&at, lea(rAX, &l2)) {
-			if l2.w != l.w || l2.base != l.base || l2.idx != l.idx || l2.scale != l.scale || l2.disp != l.disp {
-				sc.failf("a check tests two different addresses")
+	// cmp rdx, qword [rdi+field+8w]: w is 0 for the read floor, 1 for the
+	// write floor.
+	cmpField := func(field int32, w *int) func(in *hostInst) bool {
+		return func(in *hostInst) bool {
+			*w = -1
+			for f := range 2 {
+				if isField(in, field+8*int32(f)) {
+					*w = f
+				}
 			}
-			x, v = rAX, sc.sum(st, &l)
-		} else if !l.w || l.base != rCX || l.idx >= 0 || l.disp != 0 {
-			return 0
+			return in.op == 0x3B && in.w && in.reg == rDX && *w >= 0
 		}
-		if !sc.want(&at, cmpImm(x, &floor)) || !sc.want(&at, jcc(2, &t1)) || !heap() || !sc.want(&at, jcc(7, &t2)) {
-			return 0
+	}
+	addRDX := func(out *int64) func(in *hostInst) bool { // lea rdx,[rdx+d]
+		return func(in *hostInst) bool {
+			*out = int64(in.disp)
+			return in.op == 0x8D && in.w && in.reg == rDX && in.base == rDX && in.idx < 0
 		}
-		fails = []int{t1, t2}
+	}
+
+	var l, l2 hostInst
+	var w, w2, slow int
+	var k, floor, span, d int64
+	if !sc.want(&at, lea(&l)) {
+		return 0
+	}
+	heapFirst := sc.want(&at, cmpField(scanOffFast, &w))
+	if heapFirst && !sc.want(&at, jcc(3, &slow)) ||
+		!heapFirst && (!sc.want(&at, cmpImm(&k)) || !sc.want(&at, jcc(7, &slow))) {
+		return 0
+	}
+	back := at
+	if slow < sc.tr.HotEnd() || slow <= back || sc.claims[slow] != (claim{}) {
+		sc.failf("a check's fallback is not out of line, or is another's")
+	}
+	p, neg := slow, -1
+	jbeBack := func(in *hostInst) bool { return in.op == 0x0F86 && int(in.imm) == back }
+	malformed := func() { sc.failf("malformed fallback at %#x", p) }
+	if heapFirst {
+		// [jl fail;] lea rdx,[rdx+span]; cmp rdx,[HeapTop]; jbe back;
+		// lea rdx,[rdx+floor-sbase-span]; cmp rdx,k; jbe back; fail:
+		if l.w && !sc.want(&p, jcc(0xC, &neg)) ||
+			!sc.want(&p, addRDX(&span)) || !sc.want(&p, cmpField(scanOffTop, &w2)) || !sc.want(&p, jbeBack) ||
+			!sc.want(&p, addRDX(&d)) || !sc.want(&p, cmpImm(&k)) || !sc.want(&p, jbeBack) {
+			malformed()
+		}
+		floor = d + sbase + span
+		l.disp += int32(floor)
 	} else {
-		// [lea rax,[A] | mov eax,imm;] cmp x,floor; jb stack; <heap>;
-		// jbe ok; stack: lea rdx,[x-sbase]; cmp rdx,k; ja fail; ok:
-		if sc.want(&at, lea(rAX, &l)) {
-			x, v = rAX, sc.sum(st, &l)
-		} else if sc.want(&at, func(in *hostInst) bool { l = *in; return in.op == 0xB8 && !in.w }) {
-			x, v = rAX, hval{kind: wide, c: int64(uint32(l.imm))}
+		// lea rdx,[A-floor]; [cmp rdx,[HeapTop]; jae fail;]
+		// lea rdx,[rdx+span]; cmp rdx,[HeapTop]; jbe back; fail:
+		if !sc.want(&p, lea(&l2)) || l2.w != l.w || l2.base != l.base || l2.idx != l.idx || l2.scale != l.scale {
+			sc.failf("a check tests two different addresses")
 		}
-		var stack int
-		if !sc.want(&at, cmpImm(x, &floor)) || !sc.want(&at, jcc(2, &stack)) || !heap() || !sc.want(&at, jcc(6, &ok)) {
-			return 0
+		if l.w && (!sc.want(&p, cmpField(scanOffTop, &w)) || !sc.want(&p, jcc(3, &neg))) ||
+			!sc.want(&p, addRDX(&span)) || !sc.want(&p, cmpField(scanOffTop, &w2)) || !sc.want(&p, jbeBack) {
+			malformed()
 		}
-		if at != stack || !sc.want(&at, lea(rDX, &l2)) || !l2.w || l2.base != x || l2.idx >= 0 || int64(l2.disp) != -sbase ||
-			!sc.want(&at, cmpImm(rDX, &k)) || !sc.want(&at, jcc(7, &t1)) {
-			sc.failf("malformed stack-window test")
+		floor = int64(l.disp) + sbase - int64(l2.disp)
+		l.disp += int32(sbase)
+		if !l.w {
+			w = w2
 		}
-		fails = []int{t1}
 	}
-	if at != ok {
-		sc.failf("a check's passing branch does not land behind it")
+	if neg >= 0 && neg != p || w != w2 {
+		malformed()
 	}
+	v := sc.sum(st, &l)
 	if v.kind != wide && v.kind != lin32 {
 		sc.failf("a bounds check on an address the scan cannot name")
 	}
 	if span <= 0 || span > PageSize || k != mlen-span-sbase {
 		sc.failf("check with span %d and stack limit %d: not this geometry's", span, k)
 	}
-	if floor != PageSize && floor != int64(sc.g.ROLimit) {
-		sc.failf("check with floor %#x", floor)
+	if floor != [2]int64{PageSize, int64(sc.g.ROLimit)}[w] {
+		sc.failf("check with floor %#x against floor %d's heap limits", floor, w)
 	}
-	for _, f := range fails {
-		sc.flow(st, f)
+	n := 0
+	for q := slow; q < p; n++ {
+		in, _ := decodeHost(sc.code, q)
+		q += in.n
 	}
+	sc.claims[slow] = claim{end: p, insts: n}
 	st.reg[rDX] = hval{}
-	if x == rAX {
-		st.reg[rAX] = hval{}
-	}
+	sc.flow(st, p)
 	st.facts = append(st.facts, fact{v: v, floor: floor, span: span})
 	sc.checks++
 	return at - sc.off
