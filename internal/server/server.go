@@ -30,6 +30,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"runtime"
 	"slices"
 	"strconv"
@@ -1011,16 +1012,17 @@ func (s *Server) admit(r *http.Request, cold bool) (release func(), err error) {
 // fuel computes the per-stream budget: the standard payload-scaled
 // policy, capped by MaxFuel. An explicit ?fuel=N can only lower it —
 // letting a request raise its own CPU budget would turn a tiny body
-// into minutes of guest execution holding an admission slot.
-func (s *Server) fuel(r *http.Request, payloadLen int) (int64, error) {
+// into minutes of guest execution holding an admission slot. q is the
+// request's query, parsed once by the handler.
+func (s *Server) fuel(q url.Values, payloadLen int) (int64, error) {
 	f := vm.StreamFuel(payloadLen)
 	if f > s.cfg.MaxFuel {
 		f = s.cfg.MaxFuel
 	}
-	if q := r.URL.Query().Get("fuel"); q != "" {
-		n, err := strconv.ParseInt(q, 10, 64)
+	if v := q.Get("fuel"); v != "" {
+		n, err := strconv.ParseInt(v, 10, 64)
 		if err != nil || n <= 0 {
-			return 0, fmt.Errorf("%w: bad fuel %q", errBadRequest, q)
+			return 0, fmt.Errorf("%w: bad fuel %q", errBadRequest, v)
 		}
 		if n < f {
 			f = n
@@ -1118,24 +1120,26 @@ func (s *Server) handleEntries(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(out)
 }
 
-// extractOptions builds the decode options shared by extract and verify.
-func (s *Server) extractOptions(r *http.Request, fuel int64) []core.Option {
+// extractOptions builds the decode options shared by extract and verify
+// from the request's query q.
+func (s *Server) extractOptions(q url.Values, fuel int64) []core.Option {
 	mode := core.AlwaysVXA
-	if r.URL.Query().Get("mode") == "native" {
+	if q.Get("mode") == "native" {
 		mode = core.NativeFirst
 	}
 	opts := []core.Option{
 		core.WithMode(mode),
 		core.WithVM(vm.Config{MemSize: s.cfg.MemSize, Fuel: fuel}),
 	}
-	if r.URL.Query().Get("decode_all") != "" {
+	if q.Get("decode_all") != "" {
 		opts = append(opts, core.WithDecodeAll(true))
 	}
 	return opts
 }
 
 func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
-	name := r.URL.Query().Get("entry")
+	q := r.URL.Query()
+	name := q.Get("entry")
 	if name == "" {
 		s.fail(w, fmt.Errorf("%w: missing ?entry=", errBadRequest))
 		return
@@ -1157,7 +1161,7 @@ func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	setCodec(r.Context(), entry.Codec)
-	fuel, err := s.fuel(r, int(entry.CSize))
+	fuel, err := s.fuel(q, int(entry.CSize))
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -1179,7 +1183,7 @@ func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 	// disconnects mid-stream cancels the guest at its next block
 	// boundary, and the VM goes back to the shared pool immediately
 	// instead of decoding for a reader that is gone.
-	n, err := cr.ExtractTo(r.Context(), entry, responseBody{w}, s.extractOptions(r, fuel)...)
+	n, err := cr.ExtractTo(r.Context(), entry, responseBody{w}, s.extractOptions(q, fuel)...)
 	s.bytesOut.Add(uint64(n))
 	if err != nil {
 		s.failStream(w, n, err)
@@ -1211,15 +1215,16 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	// entries it touches.
 	results := make([]verifyResult, 0, len(cr.Entries()))
 	failed := 0
+	q := r.URL.Query()
 	for i := range cr.Entries() {
 		e := &cr.Entries()[i]
-		fuel, ferr := s.fuel(r, int(e.CSize))
+		fuel, ferr := s.fuel(q, int(e.CSize))
 		if ferr != nil {
 			s.fail(w, ferr)
 			return
 		}
 		res := verifyResult{Name: e.Name, OK: true}
-		if _, err := cr.ExtractTo(r.Context(), e, io.Discard, s.extractOptions(r, fuel)...); err != nil {
+		if _, err := cr.ExtractTo(r.Context(), e, io.Discard, s.extractOptions(q, fuel)...); err != nil {
 			res.OK, res.Error = false, err.Error()
 			failed++
 		}
@@ -1365,7 +1370,8 @@ func (s *Server) PrewarmArtifacts(ctx context.Context) int {
 }
 
 func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
-	name := r.URL.Query().Get("codec")
+	q := r.URL.Query()
+	name := q.Get("codec")
 	if name == "" {
 		s.fail(w, fmt.Errorf("%w: missing ?codec=", errBadRequest))
 		return
@@ -1381,7 +1387,7 @@ func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	fuel, err := s.fuel(r, len(payload))
+	fuel, err := s.fuel(q, len(payload))
 	if err != nil {
 		s.fail(w, err)
 		return

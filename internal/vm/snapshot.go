@@ -472,18 +472,6 @@ func (s *Snapshot) T2Count() int {
 	return n
 }
 
-// DropSuperblocks discards the snapshot's absorbed superblocks, so
-// subsequent NewVM/Reset materializations profile and form their own —
-// the ablation hook for measuring what absorbed traces are worth.
-func (s *Snapshot) DropSuperblocks() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.sbs) > 0 {
-		s.sbs = make(map[uint32]*sbRecord)
-		s.bump(nil)
-	}
-}
-
 // Footprint estimates the resident bytes a snapshot pins: the pages of
 // the memory image, the translated block cache and the code pages of its
 // arena — once, however many traces share them, and including what VMs

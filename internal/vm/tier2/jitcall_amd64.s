@@ -15,20 +15,25 @@
 //	ECX    R10      EBP    BP       SI     guest memory base, never written
 //	EDX    R11      ESI    R13      DX     the entered trace's link-slot offset, at a trace entry only
 //	EBX    BX       EDI    R15      AX CX DX R8   scratch; AX is the exit status at ret
-//	                                R14    never touched (g)
+//	                                R14    the meter: Machine.Meter, in and out
 //
-// The shim loads SI and the eight pinned registers, calls the trace, and
-// stores the eight back whichever trace of a linked chain returns:
+// The shim loads SI, the meter and the eight pinned registers, calls the
+// trace, and stores the meter and the eight back whichever trace of a
+// linked chain returns:
 // traces reach one another by jumping, never by calling, so however many
 // run there is one call and one return, the code never calls back into
 // Go, and the stack holds this frame, one return address and at most one
 // register the emitted code spills. The frame is real so that the
 // assembler's prologue saves BP and its epilogue restores it from the
 // stack; Go's ABI0 asks nothing else of us — it has no other callee-saved
-// register, and R14 and X15 are not touched. A profiling or preemption
-// signal that lands while BP holds a guest value sees a PC outside any Go
-// function and unwinds nothing (TestSpinningGuestComesBackEveryQuantum
-// spins a guest under the CPU profiler and the collector).
+// register, and leaves R14 (g in Go's internal ABI) and X15 undefined:
+// the wrapper Go calls this through reloads g from thread-local storage
+// when it returns, and X15 is not touched. A profiling or preemption
+// signal that lands while BP holds a guest value and R14 the meter sees a
+// PC outside any Go function and unwinds nothing; the handler loads g
+// from thread-local storage itself and restores R14 when it returns
+// (TestSpinningGuestComesBackEveryQuantum spins a guest under the CPU
+// profiler and the collector).
 TEXT ·jitcall(SB), NOSPLIT, $8-28
 	MOVQ code+0(FP), AX
 	MOVQ m+8(FP), DI
@@ -42,7 +47,9 @@ TEXT ·jitcall(SB), NOSPLIT, $8-28
 	MOVL (Machine_Regs+20)(DI), BP
 	MOVL (Machine_Regs+24)(DI), R13
 	MOVL (Machine_Regs+28)(DI), R15
+	MOVQ Machine_Meter(DI), R14
 	CALL AX
+	MOVQ R14, Machine_Meter(DI)
 	MOVL R9, (Machine_Regs+0)(DI)
 	MOVL R10, (Machine_Regs+4)(DI)
 	MOVL R11, (Machine_Regs+8)(DI)

@@ -38,6 +38,7 @@ const (
 	hR11 = 11
 	hR12 = 12
 	hR13 = 13
+	hR14 = 14
 	hR15 = 15
 )
 

@@ -24,7 +24,7 @@ import (
 //	ECX    R10      EBP    RBP      RSI    guest memory base, never written
 //	EDX    R11      ESI    R13      RAX RCX RDX R8   scratch
 //	EBX    RBX      EDI    R15      RSP    the goroutine's stack
-//	                                R14    never touched (Go's g)
+//	                                R14    the meter (Machine.Meter)
 //
 // The eight guest registers live in their host registers for as long as
 // control is in compiled code: the shim loads them from Machine.Regs
@@ -35,7 +35,12 @@ import (
 // a pinned register is a 32-bit (or 8-bit) operation, so its upper half
 // stays zero and the register can be used directly in a 64-bit address.
 // Micro-ops operate on the pinned registers in place; the lazy-flag
-// record, the accounting and the exit payload stay in the Machine.
+// record and the exit payload stay in the Machine. R14 holds the run's
+// budget and counters, packed (Machine.Meter): Go's g lives there, but
+// only Go code needs it, and emitted code never calls Go — the shim
+// returns to an ABI wrapper that reloads g, and a signal handler loads
+// g from thread-local storage before it runs Go code. Only the charge
+// of a pass, a declined pass and the refunds touch R14.
 //
 // Memory. A guest operand [base+idx*scale+disp] is used in one of two
 // shapes. With one register it is the host operand [rsi+reg*scale+disp]
@@ -100,15 +105,18 @@ import (
 //
 // The code's first byte is the trace entry, for the dispatcher and for
 // every exit linked to the trace alike: "mov Cur, rdx", then the loop
-// label, "sub Budget, Cost; jl decline; add Acct, iteration+micro-ops".
-// Budget is what the dispatcher allows the run — the smaller of Fuel and
+// label, "movabs rax, K; add r14, rax; js decline", where K takes the
+// Cost off the meter's budget and counts a pass and its micro-ops, and
+// the sign is the budget's: register arithmetic, nothing in memory. The
+// budget is what the dispatcher allows the run — the smaller of Fuel and
 // the poll Credit — and a declined pass (status 0, the entry's guest
-// address in ExitTarget) gives its charge back. Every exit first gives
-// back what the entry charged for the micro-ops it skips. A link exit
-// then jumps through its slot of the VM's link table — to its own return
-// stub until the VM links the edge, into the next trace afterwards; an
-// inline-cache exit does so only when the guest target equals the slot's
-// recorded address. Every other exit returns its status, but a loop
+// address in ExitTarget) gives its charge back, "sub r14, rax". Every
+// exit first gives back what the entry charged for the micro-ops it
+// skips, "movabs rdx, R; add r14, rdx" (RDX: RAX may hold an indirect
+// target there). A link exit then jumps through its slot of the VM's
+// link table — to its own return stub until the VM links the edge, into
+// the next trace afterwards; an inline-cache exit does so only when the
+// guest target equals the slot's recorded address. Every other exit returns its status, but a loop
 // edge: an exit back to the trace's own entry that needs no flags
 // materialized for it (link) is a direct jmp or jcc onto the loop label,
 // so a pass of a loop costs its charge and no slot. The only indirect
@@ -171,8 +179,6 @@ var (
 	offBrk      = int32(unsafe.Offsetof(zm.Brk))
 	offHeapTop  = int32(unsafe.Offsetof(zm.HeapTop))
 	offHeapFast = int32(unsafe.Offsetof(zm.HeapFast))
-	offBudget   = int32(unsafe.Offsetof(zm.Budget))
-	offAcct     = int32(unsafe.Offsetof(zm.Acct))
 	offLinks    = int32(unsafe.Offsetof(zm.Links))
 	offCur      = int32(unsafe.Offsetof(zm.Cur))
 	offTrapAddr = int32(unsafe.Offsetof(zm.TrapAddr))
@@ -380,8 +386,8 @@ func nativeCompile(us []uop.Uop, entry uint32, g Geometry, t *Trace, o *Outcome)
 		// stack; any real guest address space satisfies this.
 		return false
 	}
-	if t.Cost <= 0 || t.Cost > 1<<30 || int64(len(us)) >= acctIter {
-		return false // the charges must fit an imm32 and the Acct fields
+	if t.Cost <= 0 || t.Cost > MaxRun || int64(len(us)) > t.Cost+1 {
+		return false // a run's charges must fit the meter's fields
 	}
 	e := emitters.Get().(*nemit)
 	defer e.release()
@@ -390,14 +396,14 @@ func nativeCompile(us []uop.Uop, entry uint32, g Geometry, t *Trace, o *Outcome)
 	a := &e.a
 	a.movTo64(fld(offCur), hDX)
 	e.loop = a.here()
-	a.aluI64(aluSubExt, fld(offBudget), uint32(t.Cost))
-	decline := a.jcc(byte(x86.CCL))
+	a.movI64(hAX, uint64(-t.Cost)<<meterShift+acctIter+uint64(len(us)))
+	a.alu64(aluAddRM, hR14, rg(hAX))
+	decline := a.jcc(byte(x86.CCS))
 	e.stub(func() {
-		a.aluI64(aluAddExt, fld(offBudget), uint32(t.Cost))
+		a.alu64(aluSubRM, hR14, rg(hAX))
 		a.movI(fld(offExitTgt), entry)
 		a.retStatus(0)
 	}, fixes{decline, -1})
-	a.aluI64(aluAddExt, fld(offAcct), uint32(acctIter+len(us)))
 	for i := range us {
 		e.startSym, e.startOff, e.placed = a.sym, a.off, e.placed[:0]
 		start := *e
@@ -1064,14 +1070,13 @@ func (e *nemit) stub(emit func(), fs fixes) {
 }
 
 // refund gives back what the entry charged for the part of the trace
-// exit s leaves unexecuted.
+// exit s leaves unexecuted. It clobbers RDX, which no exit path holds
+// anything in at this point.
 func (e *nemit) refund(s int32) {
-	x := &e.exits[s-1]
-	if x.Refund != 0 {
-		e.a.aluI64(aluAddExt, fld(offBudget), uint32(x.Refund))
-	}
-	if x.RefundUops != 0 {
-		e.a.aluI64(aluSubExt, fld(offAcct), uint32(x.RefundUops))
+	if x := &e.exits[s-1]; x.Refund != 0 || x.RefundUops != 0 {
+		r := uint64(x.Refund)<<meterShift - x.RefundUops
+		e.a.movI64(hDX, r)
+		e.a.alu64(aluAddRM, hR14, rg(hDX))
 	}
 }
 
@@ -1162,8 +1167,8 @@ func (e *nemit) loopJump(s int32, f fix) {
 }
 
 // linkInd leaves through exit s's slot used as a one-entry inline cache
-// (a dynamic-target exit, the guest target in reg, which must not be
-// CX): refund, then enter the slot's trace if the slot was linked for
+// (a dynamic-target exit, the guest target in reg, which must be neither
+// CX nor DX): refund, then enter the slot's trace if the slot was linked for
 // this target, else hand the target to the dispatcher. The slot's
 // unlinked content is that miss path, so an unlinked slot misses even
 // when the target happens to equal its zero Addr.

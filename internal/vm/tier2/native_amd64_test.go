@@ -339,3 +339,132 @@ func BenchmarkHeapCheckLoop(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*passes), "ns/pass")
 }
+
+// meterTrace compiles us, each micro-op at its own guest address from
+// entry up, for g in the test arena.
+func meterTrace(t testing.TB, g Geometry, entry uint32, us []uop.Uop) *Trace {
+	t.Helper()
+	for i := range us {
+		us[i].EIP = entry + 4*uint32(i)
+		us[i].Next = us[i].EIP + 4
+	}
+	tr, _ := Compile(us, entry, g, edgeArena)
+	if tr == nil {
+		t.Fatal("test trace did not compile")
+	}
+	return tr
+}
+
+// TestMeterFields holds the meter (Machine.Meter) to its field widths and
+// every way a run charges and refunds it, against hand-computed Budget,
+// Passes and Uops: a cost-1 self-loop run for the most passes a run can
+// take, MaxRun, and once more with a budget above MaxRun, which stops at
+// the clamp and hands the rest back; a budget one short of the trace's
+// Cost, which declines with Budget and Acct as they were; and an exit of
+// every refund shape — none, instructions and micro-ops, instructions
+// alone, micro-ops alone, a resume that refunds its own micro-op, and a
+// check ahead of the loop label that fails before the pass is charged.
+func TestMeterFields(t *testing.T) {
+	g := edgeGeometry
+	ebx, esi, eax := uint8(x86.EBX), uint8(x86.ESI), uint8(x86.EAX)
+	const entry, brk = 0x1000, 8 * pageSize
+	const acct = 7<<acctShift | 5 // what Acct holds before a run: Run adds to it
+	addEBX := uop.Uop{Kind: uop.KindAddRI, Dst: ebx, Imm: 1, Cost: 1}
+	ud2 := func(cost uint8) uop.Uop { return uop.Uop{Kind: uop.KindUd2, Cost: cost} }
+	guard := uop.Uop{Kind: uop.KindGuardCmpRI, Dst: ebx, Imm: 0, Sub: byte(x86.CCE), Target: 0x9000, Cost: 1}
+	load := func(base uint8) uop.Uop {
+		return uop.Uop{Kind: uop.KindLoad, Dst: eax, Base: base, Idx: uop.RegZero, Cost: 1}
+	}
+	cases := []struct {
+		name     string
+		us       []uop.Uop
+		budget   int64
+		ebx, esi uint32
+		// What the run must end with: the exit's kind and micro-op (status
+		// 0: a declined pass), its refund, and Budget and the counters.
+		declined     bool
+		kind         ExitKind
+		uop          int
+		refund       int64
+		refundUops   uint64
+		budgetAfter  int64
+		passes, uops uint64
+		hoisted      bool
+	}{
+		{name: "cost-1 self-loop, MaxRun passes", us: []uop.Uop{{Kind: uop.KindJmp, Target: entry, Cost: 1}},
+			budget: MaxRun, declined: true, budgetAfter: 0, passes: MaxRun, uops: MaxRun},
+		{name: "cost-1 self-loop, budget above MaxRun", us: []uop.Uop{{Kind: uop.KindJmp, Target: entry, Cost: 1}},
+			budget: MaxRun + 12345, declined: true, budgetAfter: 12345, passes: MaxRun, uops: MaxRun},
+		{name: "budget one short of Cost", us: []uop.Uop{addEBX, addEBX, ud2(1)},
+			budget: 2, declined: true, budgetAfter: 2},
+		{name: "exit from the last micro-op: no refund", us: []uop.Uop{addEBX, addEBX, ud2(1)},
+			budget: 100, kind: ExitIllegal, uop: 2, budgetAfter: 97, passes: 1, uops: 3},
+		{name: "guard exit: instructions and micro-ops", us: []uop.Uop{guard, addEBX, addEBX, ud2(1)},
+			budget: 100, kind: ExitGuard, uop: 0, refund: 3, refundUops: 3, budgetAfter: 99, passes: 1, uops: 1},
+		{name: "fault in the last micro-op: instructions alone", us: []uop.Uop{addEBX, ud2(3)},
+			budget: 100, kind: ExitIllegal, uop: 1, refund: 2, budgetAfter: 98, passes: 1, uops: 2},
+		{name: "guard exit before a free jump: micro-ops alone", us: []uop.Uop{guard, {Kind: uop.KindJmp, Target: 0x9000}},
+			budget: 100, kind: ExitGuard, uop: 0, refundUops: 1, budgetAfter: 99, passes: 1, uops: 1},
+		{name: "resume: its own micro-op and the rest", us: []uop.Uop{addEBX, load(ebx), ud2(1)}, ebx: 0x20,
+			budget: 100, kind: ExitResume, uop: 1, refund: 2, refundUops: 2, budgetAfter: 99, passes: 1, uops: 1},
+		{name: "hoisted check fails before the charge", esi: 0x20,
+			us:     []uop.Uop{load(esi), addEBX, {Kind: uop.KindCmpJccRI, Dst: ebx, Imm: 10, Sub: byte(x86.CCL), Target: entry, Cost: 2}},
+			budget: 100, kind: ExitResume, uop: 0, budgetAfter: 100, hoisted: true},
+	}
+	for _, c := range cases {
+		tr := meterTrace(t, g, entry, c.us)
+		if c.hoisted != (len(tr.Hoisted) > 0) {
+			t.Fatalf("%s: %d checks hoisted ahead of the loop label", c.name, len(tr.Hoisted))
+		}
+		links := append([]Link(nil), tr.Unlinked()...)
+		m := &Machine{Mem: make([]byte, g.MemLen), Geometry: g, Brk: brk, Links: &links[0]}
+		m.Regs[x86.EBX], m.Regs[x86.ESI] = c.ebx, c.esi
+		m.Budget, m.Acct = c.budget, acct
+		s := tr.Run(m, 0)
+		switch {
+		case c.declined && (s != 0 || m.ExitTarget != entry):
+			t.Fatalf("%s: status %d, ExitTarget %#x; want a declined pass", c.name, s, m.ExitTarget)
+		case !c.declined && (s <= 0 || int(s) > len(tr.Exits)):
+			t.Fatalf("%s: status %d", c.name, s)
+		case !c.declined:
+			x := tr.Exits[s-1]
+			if x.Kind != c.kind || x.Uop != c.uop || x.Refund != c.refund || x.RefundUops != c.refundUops {
+				t.Fatalf("%s: exit %d from micro-op %d refunding %d, %d; want %d from %d refunding %d, %d",
+					c.name, x.Kind, x.Uop, x.Refund, x.RefundUops, c.kind, c.uop, c.refund, c.refundUops)
+			}
+		}
+		if m.Budget != c.budgetAfter || m.Passes() != 7+c.passes || m.Uops() != 5+c.uops {
+			t.Fatalf("%s: Budget %d, %d passes, %d micro-ops; want %d, %d, %d",
+				c.name, m.Budget, m.Passes()-7, m.Uops()-5, c.budgetAfter, c.passes, c.uops)
+		}
+		t.Logf("%-48s budget %6d -> %6d, %6d passes, %6d micro-ops", c.name, c.budget, m.Budget, m.Passes()-7, m.Uops()-5)
+	}
+}
+
+// BenchmarkTightLoop prices what a pass costs beyond its body: a
+// two-micro-op self-loop, "add ebx, 1; cmp ebx, N; jl" back to its own
+// entry, whose pass is the charge, the add and a fused compare-and-branch
+// that is the loop edge. It reports the time per pass.
+func BenchmarkTightLoop(b *testing.B) {
+	g := edgeGeometry
+	const entry, passes = 0x1000, 4096
+	ebx := uint8(x86.EBX)
+	tr := meterTrace(b, g, entry, []uop.Uop{
+		{Kind: uop.KindAddRINF, Dst: ebx, Imm: 1, Cost: 1},
+		{Kind: uop.KindCmpJccRI, Dst: ebx, Imm: passes, Sub: byte(x86.CCL), Target: entry, Cost: 2},
+	})
+	if l := tr.Ledger; l.Checks != 0 || l.Loops != 1 {
+		b.Fatalf("the loop compiled to %v, not a loop without checks", l)
+	}
+	links := append([]Link(nil), tr.Unlinked()...)
+	m := &Machine{Mem: make([]byte, g.MemLen), Geometry: g, Brk: 8 * pageSize, Links: &links[0]}
+	b.ResetTimer()
+	for range b.N {
+		m.Regs = [9]uint32{}
+		m.Budget, m.Acct = MaxRun, 0
+		if s := tr.Run(m, 0); s <= 0 || tr.Exits[s-1].Kind != ExitJccFall || m.Passes() != passes {
+			b.Fatalf("status %d after %d passes", s, m.Passes())
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*passes), "ns/pass")
+}

@@ -17,17 +17,19 @@
 // else can. Everything else stays in the Machine and nothing is copied
 // in or out.
 //
-// Accounting is charged by the trace itself, against the Machine. The
-// dispatcher hands a run one Budget, the smaller of Fuel and the poll
-// Credit, and splits what the run used back into both. A trace entry
-// charges the trace's whole Cost to Budget and counts one pass and its
-// micro-ops in Acct; every exit that leaves with part of the trace
-// unexecuted — a guard, a fault in the middle, a failed check of a group
-// of memory operands — carries a static refund (Exit.Refund,
-// Exit.RefundUops) that the exit path applies before control goes
-// anywhere else. The budget is therefore exact wherever a run stops,
-// whichever trace of a chain it stops in, and the VM derives Steps from
-// what a run consumed.
+// Accounting is charged by the trace itself, against a meter in a host
+// register. The dispatcher hands a run one Budget, the smaller of Fuel
+// and the poll Credit, and splits what the run used back into both; Run
+// packs the budget and the run's counters into one word
+// (Machine.Meter), which the shim keeps in R14 while compiled code runs.
+// A trace entry charges the trace's whole Cost to the budget and counts
+// one pass and its micro-ops, in one add; every exit that leaves with
+// part of the trace unexecuted — a guard, a fault in the middle, a
+// failed check of a group of memory operands — carries a static refund
+// (Exit.Refund, Exit.RefundUops) that the exit path applies before
+// control goes anywhere else. The budget is therefore exact wherever a
+// run stops, whichever trace of a chain it stops in, and the VM derives
+// Steps from what a run consumed.
 //
 // Every micro-op is compiled once. Where the emitted code checks a run of
 // memory operands with one comparison that may be stricter than the
@@ -64,9 +66,9 @@
 // without a system call and which is unmapped when the last Trace,
 // Snapshot and VM holding it are gone. A pass declines to start at the
 // loop label — it returns status 0 with the entry's guest address in
-// ExitTarget — when Budget is short of the trace's Cost, so a chain of linked traces
-// comes back to the dispatcher at least once per poll quantum and the
-// end-of-fuel walk still happens on tier 1. Machine.Cur
+// ExitTarget — when the run's budget is short of the trace's Cost, so a
+// chain of linked traces comes back to the dispatcher at least once per
+// poll quantum and the end-of-fuel walk still happens on tier 1. Machine.Cur
 // tells the dispatcher which trace of the chain a nonzero status belongs
 // to.
 //
@@ -164,16 +166,21 @@ type Machine struct {
 	// HeapFast are Geometry.HeapLimits(Brk), what the bounds checks of
 	// compiled code compare against: Run derives them before it enters
 	// the code, and Brk does not move while compiled code runs. Emitted
-	// code reads the fields up to Cur with a one-byte displacement; of
-	// the two limits HeapTop is the one every check's fallback reads,
-	// while HeapFast is read by the mainline tests, and those of a group
-	// are emitted with 32-bit displacements anyway.
-	Brk     uint32
-	HeapTop [2]uint64
+	// code reads and writes the fields up to Cur with a one-byte
+	// displacement.
+	Brk      uint32
+	HeapTop  [2]uint64
+	HeapFast [2]uint64
+
+	// Links is the first slot of the VM's link table and Cur the byte
+	// offset, within it, of the first slot of the trace that is running
+	// (after a run: the trace the returned status belongs to).
+	Links *Link
+	Cur   uint64
 
 	// Budget is what one run of compiled code may spend (see Fuel): trace
-	// entries charge it and decline to start once it is short of their
-	// Cost.
+	// entries charge it, through Meter, and decline to start once it is
+	// short of their Cost.
 	Budget int64
 
 	// Per-run counters the traces charge and the dispatcher folds into
@@ -184,14 +191,25 @@ type Machine struct {
 	Acct              uint64
 	FlagsMaterialized uint64
 
-	// Links is the first slot of the VM's link table and Cur the byte
-	// offset, within it, of the first slot of the trace that is running
-	// (after a run: the trace the returned status belongs to).
-	Links *Link
-	Cur   uint64
-
-	// HeapFast: see Brk.
-	HeapFast [2]uint64
+	// Meter is Budget and Acct packed into one word, as compiled code
+	// keeps them in R14 for as long as it runs: Run packs the meter
+	// before it enters the code, the jitcall shim moves it into R14 and
+	// back, and Run unpacks it into Budget and Acct when the code returns.
+	// It is stale at any other time. The fields, low bits first:
+	//
+	//	bits  0-23  micro-ops executed   (Acct's micro-op field)
+	//	bits 24-41  passes started       (Acct's pass field, 18 bits)
+	//	bits 42-63  the budget, signed   (22 bits)
+	//
+	// A pass adds uint64(-Cost)<<meterShift + acctIter + micro-ops, after
+	// which the sign bit is the budget's sign: the low fields never carry
+	// into it, because one run spends at most MaxRun and a trace compiles
+	// only if it costs at least one instruction and has at most one
+	// micro-op more than it costs (nativeCompile), so a run counts at most
+	// MaxRun+1 passes and 2*MaxRun plus one trace's micro-ops. A refund
+	// adds Refund<<meterShift - RefundUops, which takes back micro-ops the
+	// pass counted and cannot borrow.
+	Meter uint64
 
 	// Fuel is the remaining guest-instruction budget and Credit the
 	// countdown to the next cancellation/watchdog poll; tier 1 charges
@@ -214,13 +232,22 @@ type Machine struct {
 }
 
 // Acct packs two counters: micro-ops executed in its low acctShift bits,
-// trace passes started above them. One run's budget is at most a poll
-// quantum of guest instructions plus one trace, and a micro-op stands for
-// at least one instruction, so the low field cannot carry into the high.
+// trace passes started above them (see Meter for their widths while
+// compiled code runs).
 const (
 	acctShift = 24
 	acctIter  = 1 << acctShift
 )
+
+// MaxRun is the most one run of compiled code may spend: Run hands the
+// code at most this much of Budget and gives the rest back when the code
+// returns. It keeps the budget and the counters of a run inside their
+// fields of Meter. The dispatcher never hands a run more than a poll
+// quantum, which is less.
+const MaxRun = 1 << 17
+
+// meterShift is where the budget's field of Meter starts.
+const meterShift = 42
 
 // Passes and Uops unpack Acct.
 func (m *Machine) Passes() uint64 { return m.Acct >> acctShift }
@@ -483,12 +510,17 @@ func (l *Link) Link(target *Trace, cur uint32) {
 // the 1-based index of an exit of the trace m.Cur names — the run may
 // have gone through any number of linked traces. cur is the offset of
 // this trace's first slot in m's link table. Run first derives m's heap
-// limits from m.Brk. The caller must hold the flags materialized if
-// NeedFlags. Every charge and refund has landed in m by the time Run
-// returns.
+// limits from m.Brk and packs at most MaxRun of m.Budget into m.Meter,
+// the rest of it held back for the run. The caller must hold the flags
+// materialized if NeedFlags. Every charge and refund has landed in
+// m.Budget and m.Acct by the time Run returns.
 func (t *Trace) Run(m *Machine, cur uint32) int32 {
 	m.HeapTop, m.HeapFast = m.HeapLimits(m.Brk)
+	b := min(m.Budget, MaxRun)
+	m.Meter = uint64(b) << meterShift
 	s := jitcall(t.EntryAddr(), m, cur)
+	m.Budget += int64(m.Meter)>>meterShift - b
+	m.Acct += m.Meter & (1<<meterShift - 1)
 	// The arena must not be finalized under the run, nor under any trace
 	// of it the run was linked into: the VM holds those, and the arena
 	// with them.

@@ -5,6 +5,7 @@ package vm
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -181,6 +182,7 @@ func decodeHost(code []byte, at int) (in hostInst, err error) {
 //	       constant c)
 //	cur:   Machine.Cur; slot: Machine.Links + Machine.Cur, a pointer to
 //	       the running trace's link slots
+//	imm64: the 64-bit constant c, as movabs loads it
 //	top:   anything else
 type hval struct {
 	kind       int
@@ -195,7 +197,32 @@ const (
 	wide
 	cur
 	slot
+	imm64
 )
+
+// What a path has done to the meter, R14, since the pass it runs in was
+// charged: the charge not made yet (ahead of the loop label), made with
+// refund given back since, made and found to leave the budget negative
+// (the next instruction must take it back), taken back.
+const (
+	meterFree = iota
+	meterCharged
+	meterDeclining
+	meterDeclined
+)
+
+// The meter's layout as the scan reads it: micro-ops in the low 24 bits,
+// passes in the next 18, the budget, signed, in the top 22.
+const (
+	meterPass   = 24
+	meterBudget = 42
+)
+
+// meterRefund is what exit x must add to the meter: its refund of
+// instructions into the budget, its micro-ops out of their count.
+func meterRefund(x *tier2.Exit) uint64 {
+	return uint64(x.Refund)<<meterBudget - x.RefundUops
+}
 
 // fact is one recognized bounds check: [v, v+span) lies inside the heap
 // window above floor or inside the stack window. With atLeast it is
@@ -208,10 +235,12 @@ type fact struct {
 
 // scanState is the abstract machine state at one code offset.
 type scanState struct {
-	reg   [16]hval
-	facts []fact
-	stack []hval // what the code has pushed on the host stack
-	live  bool
+	reg    [16]hval
+	facts  []fact
+	stack  []hval // what the code has pushed on the host stack
+	live   bool
+	meter  int    // meterFree, ...
+	refund uint64 // meterCharged: what the path has added to the meter since
 }
 
 func (s *scanState) clone() *scanState {
@@ -234,7 +263,7 @@ type traceScan struct {
 	rets    int
 	atLoop  *scanState // the states at the loop label and at the checks
 	atCheck *scanState // ahead of it that a loop edge may make again
-	loops   int        // backward branches, all onto those two labels
+	loops   []uint64   // backward branches, all onto those two labels: their refunds
 	off     int        // offset of the instruction being scanned
 	checks  int        // bounds checks recognized
 	covered int        // guest memory operands found covered
@@ -293,6 +322,9 @@ func (sc *traceScan) meet(p, s *scanState) {
 	if len(p.stack) != len(s.stack) {
 		sc.failf("paths meet with different stack depths")
 	}
+	if p.meter != s.meter || p.refund != s.refund {
+		sc.failf("paths meet having done different things to the meter")
+	}
 	for i := range p.stack {
 		if p.stack[i] != s.stack[i] {
 			p.stack[i] = hval{}
@@ -312,14 +344,23 @@ func (sc *traceScan) meet(p, s *scanState) {
 //     per link slot, through a pointer built from Machine.Cur and
 //     Machine.Links, at that slot's displacement;
 //   - the only backward branches are one jmp or jcc per loop edge of the
-//     exit table, each onto the loop label the trace records, which charges
-//     the pass ("sub qword [rdi+Budget], Cost"), or onto the checks ahead
-//     of it that the trace records a loop edge may make again, with
-//     nothing pushed on the host stack and every register a bounds check
-//     made before the label was about holding what it held at the label —
-//     so whatever the scan knew at the label holds on every pass;
-//   - RSI, RDI, RSP and R14 are never written, and a pinned register only
-//     by 32- and 8-bit operations, which keep its upper half zero;
+//     exit table, each onto the loop label the trace records, or onto the
+//     checks ahead of it that the trace records a loop edge may make
+//     again, with nothing pushed on the host stack and every register a
+//     bounds check made before the label was about holding what it held
+//     at the label — so whatever the scan knew at the label holds on every
+//     pass;
+//   - the meter in R14 is exact: the loop label charges the pass, "movabs
+//     rax, K; add r14, rax; js decline", K taking the trace's Cost off the
+//     budget and counting one pass and the trace's micro-ops; the decline
+//     path starts with "sub r14, rax" and returns status 0; every exit —
+//     a return with its status, a slot jump, a loop edge — has given back,
+//     on its path from the charge, exactly its Refund and RefundUops by one
+//     "movabs rdx, R; add r14, rdx", and nothing ahead of the charge gives
+//     anything back; no other instruction reads or writes R14 or
+//     addresses memory through it;
+//   - RSI, RDI and RSP are never written, and a pinned register only by
+//     32- and 8-bit operations, which keep its upper half zero;
 //   - memory is touched only at Machine fields off RDI (never Regs: the
 //     shim alone moves registers), at link slots (reads), on the host
 //     stack by push/pop, and at guest memory off RSI — and every RSI
@@ -371,10 +412,13 @@ func scanTrace(t *testing.T, tr *tier2.Trace) (checks, covered int) {
 		if sc.off == tr.Recheck() {
 			sc.atCheck = st.clone()
 		}
+		var n int
 		if sc.off == tr.Loop() {
-			sc.loopLabel(st)
+			n = sc.loopLabel(st)
+		} else {
+			n = sc.check(st)
 		}
-		if n := sc.check(st); n > 0 {
+		if n > 0 {
 			for end := sc.off + n; sc.off < end; sc.insts++ {
 				in, _ := decodeHost(sc.code, sc.off)
 				sc.off += in.n
@@ -406,14 +450,16 @@ func scanTrace(t *testing.T, tr *tier2.Trace) (checks, covered int) {
 	if sc.rets == 0 {
 		t.Fatalf("trace %#x never returns", tr.Entry)
 	}
-	loops := 0
-	for _, x := range tr.Exits {
-		if x.Loop {
-			loops++
+	var loops []uint64
+	for k := range tr.Exits {
+		if x := &tr.Exits[k]; x.Loop {
+			loops = append(loops, meterRefund(x))
 		}
 	}
-	if sc.atLoop == nil || sc.loops != loops {
-		t.Fatalf("trace %#x: %d backward branches for %d loop edges", tr.Entry, sc.loops, loops)
+	slices.Sort(loops)
+	slices.Sort(sc.loops)
+	if sc.atLoop == nil || !slices.Equal(sc.loops, loops) {
+		t.Fatalf("trace %#x: backward branches giving back %#x to the meter for loop edges giving back %#x", tr.Entry, sc.loops, loops)
 	}
 	if sc.covered != covered {
 		t.Fatalf("trace %#x: %d guest memory operands in the exit paths", tr.Entry, sc.covered-covered)
@@ -431,7 +477,6 @@ var (
 	scanOffBrk  = int32(unsafe.Offsetof(scanMachine.Brk))
 	scanOffTop  = int32(unsafe.Offsetof(scanMachine.HeapTop))
 	scanOffFast = int32(unsafe.Offsetof(scanMachine.HeapFast))
-	scanOffBdgt = int32(unsafe.Offsetof(scanMachine.Budget))
 	scanOffCur  = int32(unsafe.Offsetof(scanMachine.Cur))
 	scanOffLnk  = int32(unsafe.Offsetof(scanMachine.Links))
 	scanOffRegs = int32(unsafe.Offsetof(scanMachine.Regs))
@@ -457,14 +502,75 @@ func (sc *traceScan) want(at *int, ok func(in *hostInst) bool) bool {
 	return true
 }
 
-// loopLabel requires the loop label, at sc.off, to charge the pass, and
-// keeps the state there for the loop edges.
-func (sc *traceScan) loopLabel(st *scanState) {
-	in, err := decodeHost(sc.code, sc.off)
-	if err != nil || !isImmGroup(&in, 5, true) || !isField(&in, scanOffBdgt) || in.imm != sc.tr.Cost {
+// loopLabel requires the loop label, at sc.off, to charge the pass —
+// "movabs rax, K; add r14, rax; js decline", K's fields the trace's Cost
+// off the budget, one pass and its micro-ops — and no charge to have been
+// made on the way there. It keeps the state there for the loop edges,
+// flows the charged state to the decline path and returns the charge's
+// length.
+func (sc *traceScan) loopLabel(st *scanState) int {
+	at := sc.off
+	var k int64
+	var decline int
+	if st.meter != meterFree ||
+		!sc.want(&at, func(in *hostInst) bool { k = in.imm; return in.op == 0xB8 && in.w && in.reg == rAX }) ||
+		!sc.want(&at, func(in *hostInst) bool { return isMeterAdd(in, rAX) }) ||
+		!sc.want(&at, func(in *hostInst) bool { decline = int(in.imm); return in.op == 0x0F88 }) {
 		sc.failf("the loop label does not charge the pass")
 	}
+	u := uint64(k)
+	if budget, passes, uops := k>>meterBudget, u>>meterPass&(1<<(meterBudget-meterPass)-1), u&(1<<meterPass-1); budget != -sc.tr.Cost || passes != 1 || uops != uint64(sc.tr.NUops) {
+		sc.failf("the pass is charged %d instructions, %d passes and %d micro-ops, not %d, 1 and %d",
+			-budget, passes, uops, sc.tr.Cost, sc.tr.NUops)
+	}
 	sc.atLoop = st.clone()
+	st.reg[rAX] = hval{kind: imm64, c: k}
+	st.meter = meterDeclining
+	sc.flow(st, decline)
+	st.reg[rAX], st.meter, st.refund = hval{}, meterCharged, 0
+	return at - sc.off
+}
+
+// isMeterAdd reports whether in is "add r14, r", r the register that holds
+// what it adds to the meter.
+func isMeterAdd(in *hostInst, r int) bool {
+	return in.op == 0x03 && in.w && in.reg == rR14 && in.direct && in.base == r
+}
+
+// meterOp interprets in if it is one of the two instructions that may
+// touch the meter outside a charge — the decline's "sub r14, rax", which
+// must come first on the decline path, and an exit's refund, "add r14,
+// rdx" with the refund in RDX — and fails at any other instruction that
+// names R14. It reports whether it took in.
+func (sc *traceScan) meterOp(st *scanState, in *hostInst) bool {
+	if st.meter == meterDeclining {
+		if in.op != 0x2B || !in.w || in.reg != rR14 || !in.direct || in.base != rAX || st.reg[rAX].kind != imm64 {
+			sc.failf("a declined pass does not first take its charge back")
+		}
+		st.meter = meterDeclined
+		return true
+	}
+	if isMeterAdd(in, rDX) && st.meter == meterCharged && st.refund == 0 && st.reg[rDX].kind == imm64 && st.reg[rDX].c != 0 {
+		st.refund = uint64(st.reg[rDX].c)
+		return true
+	}
+	if in.reg == rR14 && (in.modrm || in.op&0xF8 == 0xB8 || in.op&0xF0 == 0x50) || in.base == rR14 || in.idx == rR14 {
+		sc.failf("an instruction other than a charge, a decline or one refund on the path touches the meter register")
+	}
+	return false
+}
+
+// exited requires the path in state st to have given back exactly what
+// exit x refunds: nothing ahead of the pass's charge, x's refund after it.
+func (sc *traceScan) exited(st *scanState, x *tier2.Exit) {
+	want := meterRefund(x)
+	switch {
+	case st.meter == meterFree && want == 0:
+	case st.meter == meterCharged && st.refund == want:
+	default:
+		sc.failf("exit of micro-op %d (kind %d) leaves having given back %#x to the meter (state %d); its refund is %#x",
+			x.Uop, x.Kind, st.refund, st.meter, want)
+	}
 }
 
 // back checks a backward branch from state st to code offset to.
@@ -479,6 +585,9 @@ func (sc *traceScan) back(st *scanState, to int) {
 	if len(st.stack) != 0 {
 		sc.failf("loop edge with %d registers still pushed", len(st.stack))
 	}
+	if st.meter != meterCharged {
+		sc.failf("loop edge from a path that has not charged the pass")
+	}
 	for _, f := range at.facts {
 		for r, v := range at.reg {
 			if v.kind == lin32 && v.symB != 0 && (v.symB == f.v.symB || v.symB == f.v.symI) && st.reg[r] != v {
@@ -486,7 +595,7 @@ func (sc *traceScan) back(st *scanState, to int) {
 			}
 		}
 	}
-	sc.loops++
+	sc.loops = append(sc.loops, st.refund)
 }
 
 // check recognizes a bounds check starting at sc.off — the constant-span
@@ -766,6 +875,9 @@ func (sc *traceScan) set(st *scanState, r int, v hval, w bool) {
 
 // step interprets one instruction that is not part of a bounds check.
 func (sc *traceScan) step(st *scanState, in *hostInst) {
+	if sc.meterOp(st, in) {
+		return
+	}
 	size := int64(4)
 	if in.w {
 		size = 8
@@ -820,7 +932,7 @@ func (sc *traceScan) step(st *scanState, in *hostInst) {
 			sc.memop(st, in, size, true)
 		}
 	case op&0xF8 == 0xB8: // mov reg, imm
-		v := hval{}
+		v := hval{kind: imm64, c: in.imm}
 		if !in.w {
 			v = hval{kind: lin32, c: int64(uint32(in.imm))}
 		}
@@ -949,13 +1061,27 @@ func (sc *traceScan) step(st *scanState, in *hostInst) {
 		sc.slots[in.disp] = true
 		// What follows is the slot's own return stub — where the jump
 		// lands until the VM links the slot, with this very state.
-		if k := int(in.disp) / int(tier2.LinkSize); k >= sc.tr.Slots ||
-			sc.tr.Unlinked()[k].Entry != sc.tr.EntryAddr()+uintptr(sc.off+in.n) {
+		k := int(in.disp) / int(tier2.LinkSize)
+		if k >= sc.tr.Slots || sc.tr.Unlinked()[k].Entry != sc.tr.EntryAddr()+uintptr(sc.off+in.n) {
 			sc.failf("slot %d's return stub is not behind its jump", k)
+		}
+		for x := range sc.tr.Exits {
+			if sc.tr.Exits[x].Slot == k {
+				sc.exited(st, &sc.tr.Exits[x])
+			}
 		}
 	case op == 0xC3:
 		if len(st.stack) != 0 {
 			sc.failf("ret with %d registers still pushed", len(st.stack))
+		}
+		s := st.reg[rAX]
+		switch {
+		case s.kind != lin32 || s.symB != 0 || s.symI != 0 || s.c > int64(len(sc.tr.Exits)):
+			sc.failf("ret with no exit status in EAX")
+		case s.c == 0 && st.meter != meterDeclined:
+			sc.failf("status 0 from a pass that was not declined")
+		case s.c > 0:
+			sc.exited(st, &sc.tr.Exits[s.c-1])
 		}
 		sc.rets++
 		st.live = false

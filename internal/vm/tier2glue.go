@@ -40,6 +40,11 @@ const t2HotDefault = 32
 // decline for ever: a micro-op stands for at most three instructions.
 const _ = uint(cancelQuantum - 4*sbMaxUops)
 
+// A run's budget is at most one poll quantum, which compiled code's meter
+// must hold whole: Trace.Run never has to clamp a run the dispatcher
+// hands it.
+const _ = uint(tier2.MaxRun - cancelQuantum)
+
 // bindTier2 points the machine state at the VM's guest memory and
 // sandbox geometry. Called wherever those are set: New, MapSegment and
 // the snapshot restore.
