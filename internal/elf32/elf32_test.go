@@ -3,6 +3,7 @@ package elf32
 import (
 	"bytes"
 	"debug/elf"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -117,5 +118,27 @@ func TestParseRejects(t *testing.T) {
 	// Truncated segment data.
 	if _, err := Parse(b[:len(b)-8]); !errors.Is(err, ErrBadELF) {
 		t.Errorf("truncated: %v, want ErrBadELF", err)
+	}
+}
+
+// TestWritableTextTrapsAtEntry: instructions are fetched from read-only
+// segments alone, so an image whose code segment is writable, as one
+// linked with ld -N is, loads and then traps at its entry.
+func TestWritableTextTrapsAtEntry(t *testing.T) {
+	im := buildImage(t)
+	b, err := Write(im, "_start")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flags := b[ehSize+24:]
+	binary.LittleEndian.PutUint32(flags, binary.LittleEndian.Uint32(flags)|pfW)
+	v, err := NewVM(b, vm.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = v.Run()
+	var tr *vm.Trap
+	if !errors.As(err, &tr) || tr.Kind != vm.TrapMemory || tr.EIP != im.Symbols["_start"] || v.Stats().Steps != 0 {
+		t.Fatalf("%v after %d steps, want a memory fault at the entry %#x", err, v.Stats().Steps, im.Symbols["_start"])
 	}
 }

@@ -167,10 +167,10 @@ func TestRepFaultsAtomically(t *testing.T) {
 // TestIndirectCallThroughTable exercises JMPM/CALLM with a jump table in
 // guest memory, the pattern behind switch statements.
 func TestIndirectCallThroughTable(t *testing.T) {
-	v := newBare(t)
+	v := diffVM(t)
 	// Build: table at data page holding the address of "target".
 	// target: mov ebx, 99; exit.
-	code := uint32(PageSize)
+	code := uint32(diffCode)
 	asmAt := func(addr uint32, insts ...x86.Inst) uint32 {
 		for _, in := range insts {
 			b, err := x86.Encode(in)
@@ -182,13 +182,13 @@ func TestIndirectCallThroughTable(t *testing.T) {
 		}
 		return addr
 	}
-	table := uint32(PageSize + 0x800)
+	table := uint32(diffData)
 	// start: mov eax, [table]; jmp eax
 	asmAt(code,
 		x86.Inst{Op: x86.MOV, Dst: x86.R(x86.EAX), Src: x86.MAbs("", int32(table), 4)},
 		x86.Inst{Op: x86.JMPM, Dst: x86.R(x86.EAX)},
 	)
-	target := uint32(PageSize + 0x400)
+	target := uint32(diffCode + 0x400)
 	asmAt(target,
 		x86.Inst{Op: x86.MOV, Dst: x86.R(x86.EAX), Src: x86.I(SysExit)},
 		x86.Inst{Op: x86.MOV, Dst: x86.R(x86.EBX), Src: x86.I(99)},
@@ -316,7 +316,7 @@ func TestRepMovsElementwise(t *testing.T) {
 // string store with TrapMemory at its destination — and leaves the page
 // as it was.
 func TestTier1OnlyWriteFault(t *testing.T) {
-	const ro = diffCode + 0x800 // in the code page, which setup makes read-only
+	const ro = diffCode + 0x800 // in the read-only code page
 	m := func(size uint8) x86.Arg { return x86.MSIB(x86.EBX, x86.NoReg, 1, 0, size) }
 	cl, one := x86.R8(x86.ECX), x86.Arg{Kind: x86.KindImm, Imm: 1, Size: 1}
 	for _, inst := range []x86.Inst{
@@ -326,9 +326,6 @@ func TestTier1OnlyWriteFault(t *testing.T) {
 		{Op: x86.XCHG, Dst: m(4), Src: x86.R(x86.EDX)}, {Op: x86.STOSB}, {Op: x86.MOVSD, Rep: true},
 	} {
 		setup := func(v *VM) {
-			if err := v.MapSegment(diffCode, nil, PageSize, true); err != nil {
-				t.Fatal(err)
-			}
 			r := &v.m.Regs
 			r[x86.EBX], r[x86.EDI], r[x86.ESI], r[x86.ECX] = ro, ro, diffData, 5
 		}

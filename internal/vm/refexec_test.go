@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"errors"
 	"math/bits"
 
 	"vxa/internal/x86"
@@ -9,8 +10,8 @@ import (
 // This file is the reference interpreter, the differential tests' oracle:
 // it executes one decoded x86.Inst at a time on eager flags, with no
 // translation, no micro-ops and no shared code with the engine beyond the
-// VM's state, the sandbox predicates (readable, writable), the syscall
-// gate and cond. The engine never calls it.
+// VM's state, the sandbox predicates (readable, writable, inText), the
+// syscall gate and cond. The engine never calls it.
 
 // load/store helpers — all of the oracle's guest accesses funnel through
 // these, which is where it enforces the sandbox.
@@ -53,6 +54,24 @@ func (v *VM) store(addr, size, val uint32) error {
 		m[addr+3] = byte(val >> 24)
 	}
 	return nil
+}
+
+// refFetch decodes the instruction at addr for the oracle. Only the
+// read-only text is fetched from: an instruction that starts outside it,
+// or runs past its end, is a memory fault at addr.
+func (v *VM) refFetch(addr uint32) (x86.Inst, error) {
+	var code []byte
+	if inText(addr, addr+1, v.roLimit) {
+		code = v.mem[addr:v.roLimit]
+	}
+	inst, err := x86.Decode(code[:min(len(code), 15)])
+	switch {
+	case err == nil:
+		return inst, nil
+	case errors.Is(err, x86.ErrTruncated) && len(code) <= 15:
+		return x86.Inst{}, &Trap{Kind: TrapMemory, EIP: addr, Addr: addr, Msg: "fetch outside text"}
+	}
+	return x86.Inst{}, &Trap{Kind: TrapIllegal, EIP: addr, Msg: err.Error()}
 }
 
 // effAddr computes the effective address of a memory operand.

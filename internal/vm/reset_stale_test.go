@@ -9,36 +9,6 @@ import (
 	"vxa/internal/x86/asm"
 )
 
-// patchProgram calls fn, a function in the writable data segment
-// (mov eax, 1; ret), 64 times and exits with the sum of what it returned.
-// Four bytes of input, when there are any, first become fn's immediate:
-// the stream runs code it wrote itself.
-func patchProgram(u *asm.Unit) {
-	gate := x86.Arg{Kind: x86.KindImm, Imm: 0x80, Size: 1}
-	u.DefData("fn", asm.Data, []byte{0xb8, 1, 0, 0, 0, 0xc3})
-	u.DefBSS("imm", 4, 4)
-	u.Label("start")
-	u.Op2(x86.MOV, x86.R(x86.EAX), x86.I(SysRead))
-	u.Op2(x86.XOR, x86.R(x86.EBX), x86.R(x86.EBX))
-	u.Op2(x86.MOV, x86.R(x86.ECX), x86.ISym("imm"))
-	u.Op2(x86.MOV, x86.R(x86.EDX), x86.I(4))
-	u.Op1(x86.INT, gate)
-	u.Op2(x86.CMP, x86.R(x86.EAX), x86.I(4))
-	u.Jcc(x86.CCNE, "run")
-	u.Op2(x86.MOV, x86.R(x86.EDX), x86.MAbs("imm", 0, 4))
-	u.Op2(x86.MOV, x86.MAbs("fn", 1, 4), x86.R(x86.EDX))
-	u.Label("run")
-	u.Op2(x86.XOR, x86.R(x86.EBX), x86.R(x86.EBX))
-	u.Op2(x86.MOV, x86.R(x86.ESI), x86.I(64))
-	u.Label("loop")
-	u.Call("fn")
-	u.Op2(x86.ADD, x86.R(x86.EBX), x86.R(x86.EAX))
-	u.Op1(x86.DEC, x86.R(x86.ESI))
-	u.Jcc(x86.CCNE, "loop")
-	u.Op2(x86.MOV, x86.R(x86.EAX), x86.I(SysExit))
-	u.Op1(x86.INT, gate)
-}
-
 // TestResetRebuildsStaleView: a Reset keeps a VM's translation view only
 // while it is still the snapshot's. Each case makes it stale in one of
 // the ways it can go stale, and the stream after the Reset must show the
@@ -70,47 +40,6 @@ func TestResetRebuildsStaleView(t *testing.T) {
 		}
 		if d := got.diff(want); d != "" {
 			t.Fatal(d)
-		}
-	})
-
-	// A stream runs code it wrote into its data segment: the next stream
-	// runs the pristine bytes, at every level exactly as the reference
-	// interpreter does.
-	t.Run("written", func(t *testing.T) {
-		patched := binary.LittleEndian.AppendUint32(nil, 7)
-		type outcome struct {
-			exit  int32
-			steps uint64
-		}
-		stream := func(t *testing.T, v *VM, in []byte) outcome {
-			t.Helper()
-			v.Stdin = bytes.NewReader(in)
-			steps := v.stats.Steps
-			if st, err := v.Run(); err != nil || st != StatusExit {
-				t.Fatalf("st=%v err=%v", st, err)
-			}
-			return outcome{v.ExitCode(), v.stats.Steps - steps}
-		}
-		var want [2]outcome
-		for _, level := range OptLevels() {
-			v, _ := buildVM(t, Config{OptLevel: level}, nil, patchProgram)
-			snap := v.Snapshot()
-			v = snap.NewVM()
-			got := [2]outcome{stream(t, v, patched)}
-			snap.AbsorbBlocks(v)
-			if err := v.Reset(snap); err != nil {
-				t.Fatal(err)
-			}
-			got[1] = stream(t, v, nil)
-			if level == OptReference {
-				want = got
-				if want[0].exit != 64*7 || want[1].exit != 64 {
-					t.Fatalf("reference: exits %d then %d, want %d then 64", want[0].exit, want[1].exit, 64*7)
-				}
-			}
-			if got != want {
-				t.Fatalf("%v: patched stream then pristine stream %+v, reference %+v", level, got, want)
-			}
 		}
 	})
 

@@ -384,10 +384,11 @@ func decodeImage(c *decCursor, s *Snapshot, n uint32) error {
 // decodeBlock reconstructs one block from its raw micro-ops. The record
 // must be what buildBlock lowers a run of instructions to: one micro-op
 // of a kind Lower emits per instruction, at Cost 1, each starting where
-// the one before it ends; no control transfer but the last, which is one
-// unless the run is maxBlockLen long; all of it inside the read-only
-// window, the only bytes the engine ever absorbs fragments of. Its end
-// and cost follow from the record; Deserialize derives its uops.
+// the one before it ends; no control transfer but the last (a run also
+// ends at maxBlockLen instructions, or before one that cannot be
+// fetched); all of it inside the read-only text, the only bytes the
+// engine fetches from. Its end and cost follow from the record;
+// Deserialize derives its uops.
 func (s *Snapshot) decodeBlock(c *decCursor) (uint32, *block, error) {
 	addr, n := c.u32(), c.u32()
 	if c.err != nil {
@@ -408,14 +409,14 @@ func (s *Snapshot) decodeBlock(c *decCursor) (uint32, *block, error) {
 			return 0, nil, fmt.Errorf("vm: snapshot decode: %s of cost %d in block %#x: not a micro-op Lower emits", u.Kind, u.Cost, addr)
 		case u.EIP != b.end || u.Next <= u.EIP:
 			return 0, nil, fmt.Errorf("vm: snapshot decode: block %#x: instruction [%#x,%#x) does not follow on from %#x", addr, u.EIP, u.Next, b.end)
-		case uop.Kinds[u.Kind].Term != last && (!last || n < maxBlockLen):
-			return 0, nil, fmt.Errorf("vm: snapshot decode: block %#x: %s is instruction %d of %d: a fragment ends at its one control transfer, or at %d instructions",
-				addr, u.Kind, i+1, n, maxBlockLen)
+		case uop.Kinds[u.Kind].Term && !last:
+			return 0, nil, fmt.Errorf("vm: snapshot decode: block %#x: %s is instruction %d of %d: a fragment ends at its one control transfer",
+				addr, u.Kind, i+1, n)
 		}
 		b.end = u.Next
 	}
-	if addr < PageSize || b.end > s.roLimit {
-		return 0, nil, fmt.Errorf("vm: snapshot decode: block [%#x,%#x) outside the read-only window", addr, b.end)
+	if !inText(addr, b.end, s.roLimit) {
+		return 0, nil, fmt.Errorf("vm: snapshot decode: block [%#x,%#x) outside the read-only text", addr, b.end)
 	}
 	return addr, b, nil
 }
@@ -423,7 +424,7 @@ func (s *Snapshot) decodeBlock(c *decCursor) (uint32, *block, error) {
 // decodeSB reconstructs one absorbed superblock. Structural defenses
 // mirror decodeBlock's: bounded micro-op count, an entry address that
 // must name a decoded base block, and the whole trace confined to the
-// read-only window. Guard chain slots are re-numbered from scratch with
+// read-only text. Guard chain slots are re-numbered from scratch with
 // the same scan formSuperblock uses, so the wire's Aux bytes for guards
 // are never trusted as array indices.
 func (s *Snapshot) decodeSB(c *decCursor) (uint32, *sbRecord, error) {
@@ -456,7 +457,7 @@ func (s *Snapshot) decodeSB(c *decCursor) (uint32, *sbRecord, error) {
 		return 0, nil, fmt.Errorf("vm: snapshot decode: superblock %#x has no entry block", addr)
 	}
 	if !sbInRO(b, s.roLimit) {
-		return 0, nil, fmt.Errorf("vm: snapshot decode: superblock %#x leaves the read-only window", addr)
+		return 0, nil, fmt.Errorf("vm: snapshot decode: superblock %#x leaves the read-only text", addr)
 	}
 	return addr, &sbRecord{b: b, guards: guards, rets: rets}, nil
 }

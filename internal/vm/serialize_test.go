@@ -103,7 +103,8 @@ func TestDeserializeTruncated(t *testing.T) {
 }
 
 // TestDeserializeRejects: targeted corruptions of the structural fields
-// are all refused.
+// are all refused; a block outside the read-only text and a superblock
+// that leaves it, each by its own check.
 func TestDeserializeRejects(t *testing.T) {
 	snap, _ := warmSnapshot(t)
 	data, err := snap.Serialize()
@@ -112,11 +113,19 @@ func TestDeserializeRejects(t *testing.T) {
 	}
 	le := binary.LittleEndian
 
-	corrupt := func(name string, mutate func(d []byte)) {
+	corrupt := func(name string, mutate func(d []byte)) error {
 		d := append([]byte(nil), data...)
 		mutate(d)
-		if _, err := Deserialize(d); err == nil {
+		_, err := Deserialize(d)
+		if err == nil {
 			t.Errorf("%s: corrupted payload decoded cleanly", name)
+		}
+		return err
+	}
+	// refusedFor reports a refusal by another check than the one named.
+	refusedFor := func(name string, err error, want string) {
+		if err != nil && !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: refused with %q, want the %q check to fire", name, err, want)
 		}
 	}
 
@@ -129,6 +138,9 @@ func TestDeserializeRejects(t *testing.T) {
 	corrupt("stackBase not page multiple", func(d []byte) { le.PutUint32(d[20:], le.Uint32(d[20:])+1) })
 	corrupt("extent count overrun", func(d []byte) { le.PutUint32(d[80:], le.Uint32(d[80:])+1) })
 	corrupt("block count overrun", func(d []byte) { le.PutUint32(d[84:], le.Uint32(d[84:])+1) })
+	// The read-only text ends before the first block does.
+	err = corrupt("block outside the text", func(d []byte) { le.PutUint32(d[16:], PageSize) })
+	refusedFor("block outside the text", err, "outside the read-only text")
 	if _, err := Deserialize(append(append([]byte(nil), data...), 0)); err == nil {
 		t.Error("trailing byte decoded cleanly")
 	}
@@ -143,6 +155,24 @@ func TestDeserializeRejects(t *testing.T) {
 	uopOff := blockOff + blockHdrLen
 	corrupt("uop kind out of range", func(d []byte) { d[uopOff] = 0xff })
 	corrupt("uop register out of range", func(d []byte) { d[uopOff+2] = 0x7f })
+
+	// A superblock whose last micro-op ends past the read-only text.
+	hot := hotLoopSnapshot(t)
+	for _, r := range hot.sbs {
+		lie := *r.b
+		lie.uops = slices.Clone(lie.uops)
+		lie.uops[len(lie.uops)-1].Next = hot.roLimit + 1
+		r.b = &lie
+		break
+	}
+	if data, err = hot.Serialize(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Deserialize(data)
+	if err == nil {
+		t.Error("superblock leaving the text: decoded cleanly")
+	}
+	refusedFor("superblock leaving the text", err, "leaves the read-only text")
 }
 
 // TestDeserializeRejectsExtents: restore copies every extent of the image

@@ -189,13 +189,10 @@ func (s *Snapshot) MemSize() uint32 { return s.memSize }
 // viewStamp names what a VM's translation view was built from. The view
 // is v.blocks, the superblock views and traces hanging off it with their
 // chain links and inline caches, and the link table: the snapshot (by
-// id), its generation then and the level the VM ran at. wild is set once
-// the view caches a translation of bytes outside the read-only text
-// [PageSize, roLimit), which a restore may change under it.
+// id), its generation then and the level the VM ran at.
 type viewStamp struct {
 	snap, gen uint64
 	level     OptLevel
-	wild      bool
 }
 
 // stamp is what a view of s that v may keep is stamped, under mu.
@@ -204,11 +201,11 @@ func (s *Snapshot) stamp(v *VM) viewStamp {
 }
 
 // blockMap gives v its view of the snapshot's block cache. A view this
-// snapshot built at its current generation, at v's level, that has
-// cached nothing but read-only text, is kept: all of it is derived from
-// bytes the restore has just laid down unchanged, and it holds everything
-// the snapshot does. Only its profile goes, so that superblocks form and
-// traces promote as on a rebuilt view.
+// snapshot built at its current generation, at v's level, is kept: all
+// of it is translated from the read-only text, which the restore has
+// just laid down unchanged, and it holds everything the snapshot does.
+// Only its profile goes, so that superblocks form and traces promote as
+// on a rebuilt view.
 //
 // Any other view is rebuilt: the *block values are shared (immutable
 // once built), but each is wrapped in a fresh per-VM bref, since chain
@@ -370,17 +367,16 @@ func (s *Snapshot) restore(v *VM) {
 	v.Stdin, v.Stdout, v.Stderr = nil, nil, nil
 }
 
-// AbsorbBlocks folds v's decoded block cache into the snapshot so that
-// future NewVM/Reset calls start with a warm translation cache. Only
-// blocks that lie entirely inside the read-only region below the
-// snapshot's roLimit are taken: those bytes cannot have changed since the
-// snapshot, so the decoded fragments are valid for the pristine image.
+// AbsorbBlocks folds the decoded block cache of v (the VM the snapshot
+// was taken from, or one made from it) into the snapshot so that future
+// NewVM/Reset calls start with a warm translation cache. Every block was translated from the read-only
+// text, which cannot have changed since the snapshot, so the decoded
+// fragments are valid for the pristine image.
 //
-// The VM's formed superblocks ride along under the same rule — every
-// instruction a trace re-translates must come from the pristine
-// read-only window — so sibling VMs (and, via Serialize, sibling
-// processes) skip the per-trace lowering and optimizer passes that
-// otherwise dominate a fresh VM's first stream.
+// The VM's formed superblocks ride along whenever their entry block is
+// taken, so sibling VMs (and, via Serialize, sibling processes) skip the
+// per-trace lowering and optimizer passes that otherwise dominate a
+// fresh VM's first stream.
 //
 // A superblock's compiled trace is published on its record, new or
 // already present, when it can be shared: compiled for this snapshot's
@@ -396,7 +392,7 @@ func (s *Snapshot) AbsorbBlocks(v *VM) {
 	defer s.mu.Unlock()
 	changed := false
 	for addr, br := range v.blocks {
-		if _, ok := s.blocks[addr]; !ok && addr >= PageSize && br.b.end <= s.roLimit {
+		if _, ok := s.blocks[addr]; !ok {
 			s.blocks[addr] = br.b
 			changed = true
 		}
@@ -409,11 +405,6 @@ func (s *Snapshot) AbsorbBlocks(v *VM) {
 		}
 		r := s.sbs[addr]
 		if r == nil {
-			// The entry block must itself be absorbed, and the whole trace
-			// must execute read-only pristine bytes.
-			if _, ok := s.blocks[addr]; !ok || !sbInRO(sb.b, s.roLimit) {
-				continue
-			}
 			r = &sbRecord{b: sb.b, guards: len(sb.sbChains), rets: len(sb.sbInd)}
 			s.sbs[addr] = r
 			changed = true
@@ -429,13 +420,12 @@ func (s *Snapshot) AbsorbBlocks(v *VM) {
 }
 
 // sbInRO reports whether every micro-op of a superblock fragment was
-// re-translated from instruction bytes inside the pristine read-only
-// window [PageSize, roLimit). Guard exit targets may point anywhere —
-// exits resolve through the normal block lookup, which re-validates.
+// translated from an instruction inside the read-only text. Guard exit
+// targets may point anywhere — exits resolve through the normal block
+// lookup, which fetches from the text alone.
 func sbInRO(b *block, roLimit uint32) bool {
 	for i := range b.uops {
-		u := &b.uops[i]
-		if u.EIP < PageSize || u.EIP > roLimit || u.Next > roLimit {
+		if u := &b.uops[i]; !inText(u.EIP, u.Next, roLimit) {
 			return false
 		}
 	}
@@ -554,7 +544,7 @@ func (s *Snapshot) ImportBlocks(e BlockExport) int {
 		if _, ok := s.blocks[addr]; ok {
 			continue
 		}
-		if addr >= PageSize && b.end <= roLimit {
+		if inText(addr, b.end, roLimit) {
 			s.blocks[addr] = b
 			n++
 		}

@@ -166,7 +166,8 @@ func (v *VM) formSuperblock(entry *bref) {
 
 		default:
 			// No control terminator: the block fell through at the
-			// fragment-length cap.
+			// fragment-length cap, or before an instruction it could
+			// not fetch.
 			cur.sbGen = gen
 			if !full {
 				nextAddr, grow = b.end, true

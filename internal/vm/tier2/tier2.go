@@ -480,10 +480,6 @@ func (t *Trace) Recheck() int { return t.recheck }
 // read+execute: read them, never write.
 func (t *Trace) Code() []byte { return t.code }
 
-// MappedBytes is the trace's own share of its arena: the length of its
-// code. What the arena as a whole occupies is Arena.Committed.
-func (t *Trace) MappedBytes() int64 { return int64(len(t.code)) }
-
 // EntryAddr is the host address of the trace's entry: what a slot linked
 // to the trace holds.
 func (t *Trace) EntryAddr() uintptr {

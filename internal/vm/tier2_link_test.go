@@ -850,9 +850,7 @@ func TestSpinningGuestComesBackEveryQuantum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.MapSegment(PageSize, make([]byte, 2*PageSize), 2*PageSize, false); err != nil {
-		t.Fatal(err)
-	}
+	mapDiff(t, w)
 	spinGuest(t, w)
 	if err := pprof.StartCPUProfile(io.Discard); err != nil {
 		t.Logf("CPU profiler unavailable (%v): spinning without it", err)

@@ -21,9 +21,9 @@ import (
 // test process with a host signal — and aim guests at every edge of the
 // sandbox.
 
-// sandboxVM is diffVM with the text page read-only, so that reads and
-// writes have different floors, and with its guest memory re-homed
-// between two inaccessible pages.
+// sandboxVM is diffVM, whose read-only text page gives reads and writes
+// different floors, with its guest memory re-homed between two
+// inaccessible pages.
 func sandboxVM(t *testing.T, level OptLevel) *VM {
 	t.Helper()
 	v, err := New(Config{MemSize: 4 << 20, OptLevel: level})
@@ -41,12 +41,7 @@ func sandboxVM(t *testing.T, level OptLevel) *VM {
 		t.Fatal(err)
 	}
 	v.bindTier2()
-	if err := v.MapSegment(diffCode, nil, PageSize, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := v.MapSegment(diffData, nil, PageSize, false); err != nil {
-		t.Fatal(err)
-	}
+	mapDiff(t, v)
 	return v
 }
 

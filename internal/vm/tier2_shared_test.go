@@ -52,10 +52,8 @@ func forSharedSeeds(t *testing.T, f func(t *testing.T, seed int64)) {
 }
 
 // soakSharedSnapshot snapshots a random soak program at its start state.
-// Unlike soakVM it maps the code read-only (the jump table, scratch page
-// and checkpoint trace stay writable), so blocks, superblocks and traces
-// are absorbable, and it seeds registers before the capture, so Reset
-// and NewVM rewind to a runnable stream.
+// Unlike soakVM it seeds registers before the capture, so Reset and
+// NewVM rewind to a runnable stream.
 func soakSharedSnapshot(t *testing.T, seed int64, cfg Config) *Snapshot {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -68,13 +66,7 @@ func soakSharedSnapshot(t *testing.T, seed int64, cfg Config) *Snapshot {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const code = soakTable - soakCode
-	if err := v.MapSegment(soakCode, image[:code], code, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := v.MapSegment(soakTable, image[code:], soakSpan-code, false); err != nil {
-		t.Fatal(err)
-	}
+	mapSoak(t, v, image)
 	soakSeedRegs(rng, v)
 	v.eip = soakBlockAddr(0)
 	return v.Snapshot()

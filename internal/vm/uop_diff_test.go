@@ -28,9 +28,9 @@ const (
 	diffData = PageSize + PageSize // scratch data page for memory operands
 )
 
-// diffVM builds a VM with a writable two-page region covering the code
-// and data areas used by the differential tests, at the process's
-// default level; diffVMAt builds it at a given one.
+// diffVM builds a VM with the differential tests' two pages, the code
+// page read-only and the data page writable, at the process's default
+// level; diffVMAt builds it at a given one.
 func diffVM(t *testing.T) *VM { return diffVMAt(t, OptDefault) }
 
 func diffVMAt(t *testing.T, level OptLevel) *VM {
@@ -39,11 +39,12 @@ func diffVMAt(t *testing.T, level OptLevel) *VM {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := v.MapSegment(PageSize, make([]byte, 2*PageSize), 2*PageSize, false); err != nil {
-		t.Fatal(err)
-	}
+	mapDiff(t, v)
 	return v
 }
+
+// mapDiff maps diffVM's two pages into v.
+func mapDiff(t testing.TB, v *VM) { mapGuest(t, v, diffCode, nil, PageSize, nil, PageSize) }
 
 // seedState randomizes one architectural state and mirrors it onto both
 // VMs: registers, eager flags, and the data page.
@@ -609,9 +610,6 @@ func TestDiffQuietRMWWriteFault(t *testing.T) {
 	var eager *VM
 	g.runLinkedOn(t, func(t *testing.T, level OptLevel) *VM {
 		v := diffVMAt(t, level)
-		if err := v.MapSegment(diffCode, nil, PageSize, true); err != nil {
-			t.Fatal(err)
-		}
 		if level == OptEager {
 			eager = v
 		}
@@ -1100,8 +1098,8 @@ func soakBuildProgram(t *testing.T, rng *rand.Rand, mem []byte) {
 	}
 }
 
-// soakVM builds a VM with the program image mapped read-write, at the
-// process's default level; soakVMAt builds it at a given one.
+// soakVM builds a VM with the program image mapped, at the process's
+// default level; soakVMAt builds it at a given one.
 func soakVM(t *testing.T, image []byte) *VM { return soakVMAt(t, image, OptDefault) }
 
 func soakVMAt(t *testing.T, image []byte, level OptLevel) *VM {
@@ -1110,10 +1108,15 @@ func soakVMAt(t *testing.T, image []byte, level OptLevel) *VM {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := v.MapSegment(soakCode, image, soakSpan, false); err != nil {
-		t.Fatal(err)
-	}
+	mapSoak(t, v, image)
 	return v
+}
+
+// mapSoak maps a soak program image into v: the blocks read-only, the
+// jump table, scratch page and checkpoint trace above them writable.
+func mapSoak(t testing.TB, v *VM, image []byte) {
+	const code = soakTable - soakCode
+	mapGuest(t, v, soakCode, image[:code], code, image[code:], soakSpan-code)
 }
 
 // soakSeedRegs puts both VMs in the same randomized start state with
@@ -1141,16 +1144,9 @@ func soakSeedRegs(rng *rand.Rand, vms ...*VM) {
 func refRun(v *VM, maxSteps int) (int, error) {
 	for steps := 0; steps < maxSteps; steps++ {
 		cur := v.eip
-		if !v.readable(cur, 1) {
-			return steps, &Trap{Kind: TrapMemory, EIP: cur, Addr: cur, Msg: "instruction fetch"}
-		}
-		win := uint32(15)
-		for win > 1 && !v.readable(cur, win) {
-			win--
-		}
-		inst, err := x86.Decode(v.mem[cur : cur+win])
+		inst, err := v.refFetch(cur)
 		if err != nil {
-			return steps, &Trap{Kind: TrapIllegal, EIP: cur, Msg: err.Error()}
+			return steps, err
 		}
 		rep := v.stats.Steps
 		if err := v.exec(&inst, cur); err != nil {
@@ -1169,9 +1165,7 @@ func soakRunUop(t *testing.T, image []byte, cfg Config, seed func(*VM)) (*VM, *T
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := v.MapSegment(soakCode, image, soakSpan, false); err != nil {
-		t.Fatal(err)
-	}
+	mapSoak(t, v, image)
 	seed(v)
 	v.eip = soakBlockAddr(0)
 	br, err := v.lookupBlock(v.eip)

@@ -475,6 +475,15 @@ func (v *VM) writable(addr, size uint32) bool {
 	return v.readable(addr, size) && (addr >= v.roLimit || addr >= v.stackBase)
 }
 
+// inText reports whether [addr, end) lies inside the read-only text
+// [PageSize, roLimit), the only bytes instructions are fetched from.
+// Neither the guest nor WriteMem can change them, so a translation of
+// them holds for as long as the address space does, and for every
+// address space restored from the same image.
+func inText(addr, end, roLimit uint32) bool {
+	return addr >= PageSize && addr <= end && end <= roLimit
+}
+
 // ReadMem copies size guest bytes at addr, enforcing the sandbox.
 func (v *VM) ReadMem(addr, size uint32) ([]byte, error) {
 	if !v.readable(addr, size) {
@@ -631,9 +640,6 @@ func (v *VM) lookupBlock(addr uint32) (*bref, error) {
 	br := &bref{b: b}
 	if v.level > OptReference {
 		v.blocks[addr] = br
-		if addr < PageSize || b.end > v.roLimit {
-			v.view.wild = true
-		}
 	}
 	return br, nil
 }
@@ -653,9 +659,12 @@ type xlate struct {
 }
 
 // buildBlock decodes the fragment starting at addr and lowers it to
-// micro-ops. Translation time is accumulated in Stats.TranslateNS except
-// at OptReference, where the per-step clock reads would distort the very
-// overhead that level measures.
+// micro-ops. A fragment ends after a control transfer, at maxBlockLen
+// instructions, or before an instruction it cannot fetch or decode: that
+// trap is raised when control reaches it, so every level has run the
+// same instructions when it does. Translation time is accumulated in
+// Stats.TranslateNS except at OptReference, where the per-step clock
+// reads would distort the very overhead that level measures.
 func (v *VM) buildBlock(addr uint32) (*block, error) {
 	v.stats.BlocksBuilt++
 	cached := v.level > OptReference
@@ -672,18 +681,23 @@ func (v *VM) buildBlock(addr uint32) (*block, error) {
 	raw := xl.uops[:0]
 	cur := addr
 	for len(raw) < limit {
-		// An instruction can be up to 15 bytes; fetching requires the
-		// whole window to be readable, clipped at the region end.
-		win := uint32(15)
-		if !v.readable(cur, 1) {
-			return nil, &Trap{Kind: TrapMemory, EIP: cur, Addr: cur, Msg: "instruction fetch"}
+		// Up to the 15 bytes of the longest instruction, from the text
+		// alone: one that runs out of them short of 15 is not wholly
+		// inside it.
+		var code []byte
+		if inText(cur, cur+1, v.roLimit) {
+			code = v.mem[cur:min(cur+15, v.roLimit)]
 		}
-		for win > 1 && !v.readable(cur, win) {
-			win--
-		}
-		inst, err := x86.Decode(v.mem[cur : cur+win])
+		inst, err := x86.Decode(code)
 		if err != nil {
-			return nil, &Trap{Kind: TrapIllegal, EIP: cur, Msg: err.Error()}
+			switch {
+			case len(raw) > 0: // the trap comes when control reaches cur
+			case len(code) < 15 && errors.Is(err, x86.ErrTruncated):
+				return nil, &Trap{Kind: TrapMemory, EIP: cur, Addr: cur, Msg: "fetch outside text"}
+			default:
+				return nil, &Trap{Kind: TrapIllegal, EIP: cur, Msg: err.Error()}
+			}
+			break
 		}
 		raw = uop.Lower(raw, &inst, cur)
 		cur += uint32(inst.Len)

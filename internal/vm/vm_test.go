@@ -10,20 +10,29 @@ import (
 	"vxa/internal/x86/asm"
 )
 
-// loadImage maps a linked image into the VM the way the ELF loader does:
-// text+rodata read-only, data+bss writable.
-func loadImage(t *testing.T, v *VM, im *asm.Image) {
+// mapGuest maps a test guest the way the ELF loader maps a decoder: code
+// read-only, codeSize bytes at at, and data writable, dataSize bytes
+// right above it. code and data are the segments' initialized bytes; the
+// rest of each is zero. Every test guest that runs goes through here, so
+// its code lies in the read-only text.
+func mapGuest(t testing.TB, v *VM, at uint32, code []byte, codeSize uint32, data []byte, dataSize uint32) {
 	t.Helper()
-	ro := append(append([]byte{}, im.Text...), im.ROData...)
-	if err := v.MapSegment(im.Base, ro, uint32(len(ro)), true); err != nil {
+	if err := v.MapSegment(at, code, codeSize, true); err != nil {
 		t.Fatal(err)
 	}
-	rw := uint32(len(im.Data)) + im.BSSSize
-	if rw > 0 {
-		if err := v.MapSegment(im.DataBase(), im.Data, rw, false); err != nil {
+	if dataSize > 0 {
+		if err := v.MapSegment(at+codeSize, data, dataSize, false); err != nil {
 			t.Fatal(err)
 		}
 	}
+}
+
+// loadImage maps a linked image into the VM: text+rodata read-only,
+// data+bss writable.
+func loadImage(t *testing.T, v *VM, im *asm.Image) {
+	t.Helper()
+	ro := append(append([]byte{}, im.Text...), im.ROData...)
+	mapGuest(t, v, im.Base, ro, uint32(len(ro)), im.Data, uint32(len(im.Data))+im.BSSSize)
 }
 
 // buildVM assembles a program and returns a VM ready to run it from the

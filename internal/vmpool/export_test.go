@@ -11,3 +11,15 @@ func (p *Pool) SnapshotOf(codec string) *vm.Snapshot {
 	defer p.mu.Unlock()
 	return p.codec[codec].snap
 }
+
+// IdleCount reports how many idle VMs the pool currently retains across
+// all keys.
+func (p *Pool) IdleCount() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := 0
+	for _, vs := range p.idle {
+		n += len(vs)
+	}
+	return n
+}

@@ -536,15 +536,3 @@ func (p *Pool) Drain() int {
 	}
 	return n
 }
-
-// IdleCount reports how many idle VMs the pool currently retains across
-// all keys (exposed for tests and monitoring).
-func (p *Pool) IdleCount() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for _, vs := range p.idle {
-		n += len(vs)
-	}
-	return n
-}
