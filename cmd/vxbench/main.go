@@ -50,7 +50,7 @@ func main() {
 	ov := flag.Bool("overhead", false, "print decoder storage overhead (section 5.3)")
 	load := flag.String("load", "", "drive the running vxad or vxrouter at this URL (e.g. http://127.0.0.1:7787) with open-loop Poisson load and report outcomes and latency percentiles")
 	chaos := flag.Bool("chaos", false, "drive vxad with fault injection armed and report containment/recovery figures")
-	ablateOpt := flag.Bool("ablate-opt", false, "measure each engine layer's contribution: decode time at every vm.OptLevel (fragment cache, optimizer, superblocks, tier 2, eager promotion)")
+	ablateOpt := flag.Bool("ablate-opt", false, "measure each engine layer's contribution: decode time at every vm.OptLevel (reference, superblocks, tier 2, eager promotion)")
 	startup := flag.Bool("startup", false, "print the first-stream ledger: one cold 4 KiB stream per decoder, split into stages that sum to its wall time; exit nonzero if any decoder leaves more than 5% unaccounted")
 	startupReps := flag.Int("startup-reps", 200, "cold operations per decoder for -startup")
 	rate := flag.Float64("rate", 50, "offered request rate per second for -load")
@@ -185,7 +185,7 @@ func main() {
 		}
 		rep.Ladder = rows
 		fmt.Println("Optimization ladder: vx32 decode time at each OptLevel, and (second line) the speedup")
-		fmt.Println("over the level below — what the one layer that level adds is worth")
+		fmt.Println("over the level below — what the layers that level adds are worth")
 		fmt.Printf("  %-8s", "decoder")
 		for _, st := range rows[0].Steps {
 			fmt.Printf(" %12s", st.Level)

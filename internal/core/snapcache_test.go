@@ -61,9 +61,9 @@ func TestReaderSharedSnapCache(t *testing.T) {
 }
 
 // TestReaderSnapCacheIsolation: the §2.4 security-attribute isolation
-// survives the content-addressed rewrite — entries with different modes
-// never share a VM line even though they share a decoder snapshot line
-// per mode.
+// survives the content-addressed cache — entries with different modes
+// share the decoder's one snapshot line, but never a VM: no lease of one
+// mode resumes a VM the other parked.
 func TestReaderSnapCacheIsolation(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf, WriterOptions{})
@@ -90,8 +90,9 @@ func TestReaderSnapCacheIsolation(t *testing.T) {
 			t.Fatalf("%s: %v", res.Entry.Name, res.Err)
 		}
 	}
-	// One decoder content, two security modes: two cache lines.
-	if s := cache.Stats(); s.Entries != 2 || s.Misses != 2 {
-		t.Fatalf("cache stats = %+v, want one line per security mode", s)
+	// One decoder content, two security modes: one cache line, and no
+	// VM resumed across the modes.
+	if s := cache.Stats(); s.Entries != 1 || s.Misses != 1 || s.Pool.Resumes != 0 {
+		t.Fatalf("cache stats = %+v, want one line and no resumed VM", s)
 	}
 }

@@ -1061,15 +1061,17 @@ func (b responseBody) Write(p []byte) (int, error) {
 // admitDecoder is the gate in front of every decode stream: a
 // quarantined decoder fails fast right here (no queue wait, no VM
 // lease), and a snapshot miss marks the request cold, the first tier
-// shed under load. hasDecoder false (a stored entry) admits warm.
-func (s *Server) admitDecoder(r *http.Request, name string, hash [32]byte, mode uint32, hasDecoder bool) (release func(), err error) {
+// shed under load. A resident decoder admits warm under any mode: a
+// mode change builds nothing. hasDecoder false (a stored entry) admits
+// warm.
+func (s *Server) admitDecoder(r *http.Request, name string, hash [32]byte, hasDecoder bool) (release func(), err error) {
 	if !hasDecoder {
 		return s.admit(r, false)
 	}
 	if qerr := s.cache.CheckQuarantine(hash); qerr != nil {
 		return nil, &core.Error{Kind: core.KindQuarantined, Entry: name, Trap: qerr}
 	}
-	return s.admit(r, !s.cache.Contains(hash, mode))
+	return s.admit(r, !s.cache.Contains(hash))
 }
 
 // failStream ends a decode stream that failed after n bytes reached the
@@ -1171,7 +1173,7 @@ func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	release, err := s.admitDecoder(r, entry.Name, hash, entry.Mode, ok)
+	release, err := s.admitDecoder(r, entry.Name, hash, ok)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -1394,7 +1396,7 @@ func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Built-in decoders get the same containment as archived ones.
-	release, err := s.admitDecoder(r, name, hash, decodeMode, true)
+	release, err := s.admitDecoder(r, name, hash, true)
 	if err != nil {
 		s.fail(w, err)
 		return

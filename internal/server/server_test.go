@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -242,6 +243,58 @@ func TestServerEndToEnd(t *testing.T) {
 	// The optimizer counters ride the same aggregated engine stats.
 	if m.Cache.VM.UopsFused == 0 || m.Cache.VM.FlagsElided == 0 {
 		t.Fatalf("metrics missing optimizer counters: %s", mbody)
+	}
+}
+
+// TestServerOneLineAcrossModes: an archive whose two entries share one
+// decoder under two security modes decodes both byte-identically from
+// one snapshot-cache line: the scrape shows one miss and one entry.
+func TestServerOneLineAcrossModes(t *testing.T) {
+	s := New(Config{MemSize: 16 << 20})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	files := map[string][]byte{"public.txt": testText(1 << 13), "private.txt": testText(3 << 12)}
+	modes := map[string]uint32{"public.txt": 0644, "private.txt": 0600}
+	var buf bytes.Buffer
+	w := core.NewWriter(&buf, core.WriterOptions{})
+	for _, name := range []string{"public.txt", "private.txt"} {
+		if err := w.AddFile(name, files[name], modes[name]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	archive := buf.Bytes()
+
+	resp, body := post(t, ts.URL+"/v1/entries", archive)
+	var entries []entryInfo
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &entries) != nil {
+		t.Fatalf("entries: status %d: %s", resp.StatusCode, body)
+	}
+	for _, e := range entries {
+		if e.Codec != "deflate" || e.Mode&0777 != modes[e.Name] {
+			t.Fatalf("entries = %+v, want both deflate under their own modes", entries)
+		}
+	}
+	for _, name := range []string{"public.txt", "private.txt", "public.txt"} {
+		resp, body := post(t, ts.URL+"/v1/extract?entry="+name, archive)
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(body, files[name]) {
+			t.Fatalf("extract %s: status %d, %d bytes, want %d", name, resp.StatusCode, len(body), len(files[name]))
+		}
+	}
+
+	mresp, err := http.Get(ts.URL + "/metrics?format=prometheus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mbody, _ := io.ReadAll(mresp.Body)
+	mresp.Body.Close()
+	for _, want := range []string{"vxad_snapcache_misses_total 1", "vxad_snapcache_entries 1"} {
+		if !strings.Contains("\n"+string(mbody), "\n"+want+"\n") {
+			t.Errorf("scrape lacks %q: one decoder under two modes is one line", want)
+		}
 	}
 }
 

@@ -19,17 +19,20 @@ import (
 // as a Trace, Snapshot or VM holds it, shared by VMs that compile into it
 // at once, and bounded.
 
-// mapsLine returns the line of /proc/self/maps for the mapping that
-// starts at view's first byte, or "" when there is none.
+// mapsLine returns the line of /proc/self/maps for view's own mapping:
+// exactly its address range, backed by the arena's memory file. It is ""
+// when there is none; a mapping the kernel later places at a freed view's
+// address spans another range or another file, and is not the view's.
 func mapsLine(t *testing.T, view []byte) string {
 	t.Helper()
 	maps, err := os.ReadFile("/proc/self/maps")
 	if err != nil {
 		t.Skip("no /proc/self/maps to read")
 	}
-	prefix := fmt.Sprintf("%x-", uintptr(unsafe.Pointer(unsafe.SliceData(view))))
+	start := uintptr(unsafe.Pointer(unsafe.SliceData(view)))
+	prefix := fmt.Sprintf("%x-%x ", start, start+uintptr(len(view)))
 	for _, line := range strings.Split(string(maps), "\n") {
-		if strings.HasPrefix(line, prefix) {
+		if strings.HasPrefix(line, prefix) && strings.Contains(line, "/memfd:vxa-code") {
 			return line
 		}
 	}

@@ -8,8 +8,8 @@ import (
 )
 
 // OptLevel is how much of the translation engine a VM uses: one ordered
-// ladder on which every step adds one layer to the step below it, so the
-// difference between two adjacent levels is what that layer buys. Results
+// ladder on which every step adds to the step below it, so the difference
+// between two adjacent levels is what the upper one's layers buy. Results
 // — output, Steps, fuel, traps — are the same at every level; only speed
 // differs.
 type OptLevel uint8
@@ -19,17 +19,14 @@ type OptLevel uint8
 const (
 	OptDefault     OptLevel = iota
 	OptReference            // no fragment cache: each instruction is decoded, lowered and run on its own (the §4.2 ablation)
-	OptBlocks               // basic-block fragments of lowered micro-ops, cached and chained
-	OptOptimized            // + the translation-time optimizer (fusion, dead-flag elision) over each fragment
-	OptSuperblocks          // + hot paths re-translated into superblocks
+	OptSuperblocks          // optimized basic-block fragments, cached and chained, and hot paths re-translated into superblocks: tier 1 alone
 	OptTier2                // + hot superblocks compiled to host code (package tier2); the default
 	OptEager                // tier 2 with every superblock compiled on first entry: what the test wall forces
 )
 
 // optNames spells the levels for VXA_OPT and for reports.
 var optNames = [...]string{
-	OptDefault: "default", OptReference: "reference", OptBlocks: "blocks", OptOptimized: "optimized",
-	OptSuperblocks: "superblocks", OptTier2: "tier2", OptEager: "eager",
+	OptDefault: "default", OptReference: "reference", OptSuperblocks: "superblocks", OptTier2: "tier2", OptEager: "eager",
 }
 
 func (l OptLevel) String() string {
@@ -41,7 +38,7 @@ func (l OptLevel) String() string {
 
 // OptLevels returns the ladder from OptReference up, for sweeps.
 func OptLevels() []OptLevel {
-	return []OptLevel{OptReference, OptBlocks, OptOptimized, OptSuperblocks, OptTier2, OptEager}
+	return []OptLevel{OptReference, OptSuperblocks, OptTier2, OptEager}
 }
 
 // optOverride reads the process-wide override: VXA_OPT=<level> is the

@@ -7,12 +7,11 @@ import (
 
 // TestOptOverrideSpellings: VXA_OPT is an exact level name or nothing.
 // Anything else — a typo, a number, the wrong case, the switches this
-// replaced — is an error out of vm.New and Deserialize, never a silent
-// default.
+// replaced, a retired level — is an error out of vm.New and Deserialize,
+// never a silent default.
 func TestOptOverrideSpellings(t *testing.T) {
 	good := map[string]OptLevel{
-		"": OptTier2, "reference": OptReference, "blocks": OptBlocks, "optimized": OptOptimized,
-		"superblocks": OptSuperblocks, "tier2": OptTier2, "eager": OptEager,
+		"": OptTier2, "reference": OptReference, "superblocks": OptSuperblocks, "tier2": OptTier2, "eager": OptEager,
 	}
 	for s, want := range good {
 		t.Setenv("VXA_OPT", s)
@@ -25,7 +24,7 @@ func TestOptOverrideSpellings(t *testing.T) {
 			t.Errorf("level %d prints as %q, which does not name it", l, l)
 		}
 	}
-	for _, s := range []string{"default", "Eager", "eager ", " tier2", "tier-2", "t2", "5", "0", "1", "abc", "closure", "superblock", "off", "hot"} {
+	for _, s := range []string{"default", "Eager", "eager ", " tier2", "tier-2", "t2", "5", "0", "1", "abc", "closure", "superblock", "off", "hot", "blocks", "optimized"} {
 		t.Setenv("VXA_OPT", s)
 		if l, err := optOverride(); err == nil {
 			t.Errorf("VXA_OPT=%q passed for %v", s, l)
@@ -39,10 +38,13 @@ func TestOptOverrideSpellings(t *testing.T) {
 	old := processOpt
 	processOpt = optOverride
 	defer func() { processOpt = old }()
-	t.Setenv("VXA_OPT", "abc")
-	if _, err := New(Config{}); err == nil {
-		t.Error("New succeeded under VXA_OPT=abc")
+	for _, s := range []string{"abc", "blocks", "optimized"} {
+		t.Setenv("VXA_OPT", s)
+		if _, err := New(Config{}); err == nil {
+			t.Errorf("New succeeded under VXA_OPT=%s", s)
+		}
 	}
+	t.Setenv("VXA_OPT", "abc")
 	v, err := New(Config{OptLevel: OptSuperblocks})
 	if err != nil {
 		t.Fatalf("an explicit level under VXA_OPT=abc: %v", err)

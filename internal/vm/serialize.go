@@ -39,8 +39,9 @@ import (
 // kind Lower emits an NF twin, which superblocks persist (renumbering
 // Kind). 8 made lowering total: the two escape kinds left, every form
 // they carried has a tier-1-only kind of its own, and nothing is decoded
-// from the image.
-const EngineVersion uint32 = 8
+// from the image. 9 retired the blocks and optimized levels, renumbering
+// the configured OptLevel the header carries.
+const EngineVersion uint32 = 9
 
 // snapMagic brands a serialized snapshot payload.
 const snapMagic = "VXSN"
@@ -262,8 +263,7 @@ func Deserialize(data []byte) (*Snapshot, error) {
 	}
 	// VMs of this snapshot never pass through New: a bad process override
 	// is reported here instead.
-	processLevel, err := processOpt()
-	if err != nil {
+	if _, err := processOpt(); err != nil {
 		return nil, err
 	}
 	s := &Snapshot{id: snapshotIDs.Add(1)}
@@ -306,9 +306,8 @@ func Deserialize(data []byte) (*Snapshot, error) {
 	if uint64(nBlocks)*blockHdrLen > uint64(len(c.data)-c.off) {
 		return nil, fmt.Errorf("vm: snapshot decode: %d blocks in %d bytes", nBlocks, len(c.data)-c.off)
 	}
-	// The blocks run at the level their VMs will, as buildBlock would
-	// have optimized them there.
-	level := cmp.Or(s.opt, processLevel)
+	// The blocks run optimized, as buildBlock made them: only a level
+	// above OptReference caches fragments.
 	var scratch []uop.Uop
 	s.blocks = make(map[uint32]*block, nBlocks)
 	for i := uint32(0); i < nBlocks; i++ {
@@ -316,7 +315,7 @@ func Deserialize(data []byte) (*Snapshot, error) {
 		if err != nil {
 			return nil, err
 		}
-		scratch, _ = b.optimize(level, scratch)
+		scratch, _ = b.optimize(scratch)
 		s.blocks[addr] = b
 	}
 

@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"vxa/internal/bmp"
@@ -142,4 +146,32 @@ func FuzzDeserialize(f *testing.F) {
 			t.Fatal("a snapshot grew on its way through Serialize")
 		}
 	})
+}
+
+// TestFuzzSeedsReachTheirForgery holds each regression seed of
+// FuzzDeserialize to the refusal it was written for. The fuzz body
+// returns on any error, so a seed left at an older EngineVersion (or
+// level numbering) would be refused at the header and pin nothing: when
+// the header changes, the seeds are re-encoded and this test says so.
+func TestFuzzSeedsReachTheirForgery(t *testing.T) {
+	want := map[string]string{
+		"guard_cc_0x20":    "condition code (Sub) out of range for GuardTestRINF",
+		"alurr_aluop_9":    "AluOp (Sub) out of range for AluRR",
+		"add_src_reg_0x40": "register slot out of range",
+	}
+	for name, msg := range want {
+		raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzDeserialize", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, lit, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+		lit = strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")")
+		data, err := strconv.Unquote(lit)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := vm.Deserialize([]byte(data)); err == nil || !strings.Contains(err.Error(), msg) {
+			t.Errorf("%s: Deserialize = %v, want a refusal for %q", name, err, msg)
+		}
+	}
 }

@@ -75,8 +75,8 @@ type Snapshot struct {
 	// trace) is the dominant first-stream cost once images and blocks are
 	// already cached. Each record keeps the guard/return slot counts so
 	// materialization can size the per-VM chain arrays without rescanning.
-	// Records belong to this snapshot alone (ImportBlocks copies them) and
-	// are read and written under mu.
+	// Records belong to this snapshot alone and are read and written
+	// under mu.
 	sbs map[uint32]*sbRecord
 }
 
@@ -466,9 +466,7 @@ func (s *Snapshot) T2Count() int {
 // the memory image, the translated block cache and the code pages of its
 // arena — once, however many traces share them, and including what VMs
 // of the snapshot compiled and have not published. It is the accounting
-// unit for content-addressed snapshot caches with a byte budget. Traces
-// imported from a sibling snapshot live in the sibling's arena and count
-// there.
+// unit for content-addressed snapshot caches with a byte budget.
 func (s *Snapshot) Footprint() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -492,79 +490,6 @@ func (s *Snapshot) CodeBytes() int64 { return s.arena.Committed() }
 // blockFootprint estimates one translated fragment's resident bytes.
 func blockFootprint(b *block) int64 {
 	return int64(len(b.raw)+len(b.uops))*int64(unsafe.Sizeof(uop.Uop{})) + 64
-}
-
-// BlockExport is a frozen view of a snapshot's translated block cache,
-// for sharing translation work between snapshots of the same decoder
-// image (e.g. the same content hash cached under two security modes).
-// The blocks and compiled traces are immutable and shared, never
-// copied; the superblock records that point at them are copied, since
-// each snapshot goes on publishing traces into its own.
-type BlockExport struct {
-	blocks map[uint32]*block
-	sbs    map[uint32]sbRecord
-	geom   tier2.Geometry
-}
-
-// ExportBlocks captures the snapshot's current block cache (and its
-// absorbed superblocks with their published traces) for import into a
-// sibling snapshot.
-func (s *Snapshot) ExportBlocks() BlockExport {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m := make(map[uint32]*block, len(s.blocks))
-	for addr, b := range s.blocks {
-		m[addr] = b
-	}
-	sbs := make(map[uint32]sbRecord, len(s.sbs))
-	for addr, r := range s.sbs {
-		sbs[addr] = *r
-	}
-	return BlockExport{blocks: m, sbs: sbs, geom: s.geometry()}
-}
-
-// ImportBlocks folds an exported block cache into the snapshot and
-// reports how many fragments were taken. Only fragments lying entirely
-// inside the read-only region of BOTH snapshots are imported: those
-// bytes are fixed by the decoder image, so a fragment translated for one
-// snapshot of the image is valid for every other. Callers are
-// responsible for only importing across snapshots of the same decoder
-// content (the cache keys imports by content hash).
-//
-// An imported superblock brings its published trace along only when the
-// two snapshots have the same sandbox geometry: the trace's bounds
-// checks are compiled for the exporter's. Otherwise the superblock
-// arrives bare and this snapshot's VMs compile their own.
-func (s *Snapshot) ImportBlocks(e BlockExport) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	roLimit := min(s.roLimit, e.geom.ROLimit)
-	for addr, b := range e.blocks {
-		if _, ok := s.blocks[addr]; ok {
-			continue
-		}
-		if inText(addr, b.end, roLimit) {
-			s.blocks[addr] = b
-			n++
-		}
-	}
-	for addr, r := range e.sbs {
-		if _, ok := s.sbs[addr]; ok {
-			continue
-		}
-		if _, ok := s.blocks[addr]; ok && sbInRO(r.b, roLimit) {
-			if e.geom != s.geometry() {
-				r.t2 = nil
-			}
-			s.sbs[addr] = &r
-			n++
-		}
-	}
-	if n > 0 {
-		s.bump(nil)
-	}
-	return n
 }
 
 // SetFuel sets the remaining instruction budget to an absolute value —

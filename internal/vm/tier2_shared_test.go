@@ -336,44 +336,3 @@ func TestSharedTraceNeverInstalledWithTierOff(t *testing.T) {
 		t.Fatalf("tier off, yet shared=%d executed=%d compiled=%d", st.Tier2Shared, st.Tier2Executed, st.Tier2Compiled)
 	}
 }
-
-// TestImportRefusesTraceAcrossGeometry: a trace's bounds checks are
-// compiled for one sandbox geometry. A snapshot of another geometry
-// imports the superblocks and leaves the traces behind; one of the same
-// geometry takes both.
-func TestImportRefusesTraceAcrossGeometry(t *testing.T) {
-	const seed = 91
-	want := soakReference(t, seed)
-	snap := soakSharedSnapshot(t, seed, eager)
-	warmShared(t, snap)
-
-	other := soakSharedSnapshot(t, seed, Config{MemSize: 8 << 20, OptLevel: OptEager})
-	if other.ImportBlocks(snap.ExportBlocks()) == 0 || other.SBCount() == 0 {
-		t.Fatal("nothing imported across geometries; the superblocks are still valid")
-	}
-	if n := other.T2Count(); n != 0 {
-		t.Fatalf("%d traces imported across geometries", n)
-	}
-
-	same := soakSharedSnapshot(t, seed, eager)
-	same.ImportBlocks(snap.ExportBlocks())
-	if got, want := same.T2Count(), snap.T2Count(); got != want {
-		t.Fatalf("same geometry: imported %d of %d traces", got, want)
-	}
-	for addr, r := range same.sbs {
-		if r == snap.sbs[addr] {
-			t.Fatalf("record %#x is shared between snapshots, not copied", addr)
-		}
-	}
-	v := same.NewVM()
-	got, err := soakStream(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := got.diff(want); d != "" {
-		t.Fatalf("stream on imported traces: %s", d)
-	}
-	if v.Stats().Tier2Shared == 0 {
-		t.Fatal("imported traces were not installed")
-	}
-}

@@ -255,9 +255,9 @@ func diffTrials(t *testing.T, seed int64, n int, loops *diffLoops, gen func(rng 
 			}
 			// A fault may come behind a flag record the optimizer dropped
 			// as dead (uop/opt.go), which leaves the flags there the
-			// engine's own: they are held to the reference below
-			// OptOptimized, where nothing is dropped.
-			diffCompare(t, v1, v2, inst, trial, err2 != nil && level >= OptOptimized)
+			// engine's own: they are held to the reference at
+			// OptReference, where nothing is dropped.
+			diffCompare(t, v1, v2, inst, trial, err2 != nil && level > OptReference)
 			sameMem(t, v1, v2, diffData, v1.m.Brk)
 			if loops != nil && level == OptReference && trial%4 == 1 && err2 == nil {
 				loops.run(inst, v1.mem[diffData:diffData+64])

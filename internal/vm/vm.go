@@ -304,8 +304,8 @@ type VM struct {
 // the engine keeps: it is what the fragment persists as, what superblock
 // formation assembles traces from and what the end-of-budget path runs.
 // uops is the form
-// the fragment runs in, raw through the optimizer (raw itself below
-// OptOptimized). Blocks are immutable after construction and may be
+// the fragment runs in, raw through the optimizer (raw itself at
+// OptReference). Blocks are immutable after construction and may be
 // shared by many VMs through a Snapshot. Superblocks (superblock.go)
 // reuse the type with raw nil: they are per-VM and never enter the
 // snapshot-shared cache.
@@ -662,9 +662,11 @@ type xlate struct {
 // micro-ops. A fragment ends after a control transfer, at maxBlockLen
 // instructions, or before an instruction it cannot fetch or decode: that
 // trap is raised when control reaches it, so every level has run the
-// same instructions when it does. Translation time is accumulated in
-// Stats.TranslateNS except at OptReference, where the per-step clock
-// reads would distort the very overhead that level measures.
+// same instructions when it does. Above OptReference the optimizer runs
+// over every fragment and translation time is accumulated in
+// Stats.TranslateNS; at OptReference a fragment runs as lowered, and the
+// per-step clock reads would distort the very overhead that level
+// measures.
 func (v *VM) buildBlock(addr uint32) (*block, error) {
 	v.stats.BlocksBuilt++
 	cached := v.level > OptReference
@@ -706,26 +708,23 @@ func (v *VM) buildBlock(addr uint32) (*block, error) {
 		}
 	}
 	b := &block{raw: slices.Clone(raw), end: cur, cost: int64(len(raw))}
+	if !cached {
+		b.uops = b.raw
+		return b, nil
+	}
 	var ost uop.OptStats
-	xl.uops, ost = b.optimize(v.level, raw)
+	xl.uops, ost = b.optimize(raw)
 	v.stats.UopsFused += ost.UopsFused
 	v.stats.FlagsElided += ost.FlagsElided
-	if cached {
-		v.stats.TranslateNS += uint64(time.Since(t0))
-	}
+	v.stats.TranslateNS += uint64(time.Since(t0))
 	return b, nil
 }
 
-// optimize sets b.uops from b.raw: through the optimizer at OptOptimized
-// and above, b.raw itself below. It works in scratch, which it returns
-// for reuse. buildBlock and the artifact loader both derive a fragment's
-// uops here, which is what makes a loaded fragment the one a fresh
-// translation would give.
-func (b *block) optimize(level OptLevel, scratch []uop.Uop) ([]uop.Uop, uop.OptStats) {
-	b.uops = b.raw
-	if level < OptOptimized {
-		return scratch[:0], uop.OptStats{}
-	}
+// optimize sets b.uops to b.raw through the optimizer. It works in
+// scratch, which it returns for reuse. buildBlock and the artifact loader
+// both derive a fragment's uops here, which is what makes a loaded
+// fragment the one a fresh translation would give.
+func (b *block) optimize(scratch []uop.Uop) ([]uop.Uop, uop.OptStats) {
 	us, st := uop.Optimize(append(scratch[:0], b.raw...))
 	b.uops = slices.Clone(us)
 	return us[:0], st

@@ -27,9 +27,9 @@ import (
 // violations (routinely caused by corrupt *payloads*, and quarantining
 // a shared codec because one client uploads garbage would be a denial
 // of service), cancellations, and host-side I/O errors. Accounting is
-// keyed by content hash alone — a decoder that fails under one
-// security mode is quarantined under all of them, since the code is
-// identical.
+// keyed by content hash alone, as is the SnapCache line a trip evicts:
+// a decoder that fails under one security mode is quarantined under all
+// of them, since the code is identical.
 
 // Health-tracking defaults, selected by zero breaker.Config fields.
 const (

@@ -78,8 +78,8 @@ func TestOutcomeFor(t *testing.T) {
 	}
 }
 
-// Tripping a decoder's breaker quarantine-evicts its SnapCache lines
-// (all modes), the fail-fast path leases nothing, and the half-open
+// Tripping a decoder's breaker quarantine-evicts its SnapCache line
+// (the one every mode leases from), the fail-fast path leases nothing, and the half-open
 // probe rebuilds the snapshot from the decoder bytes. While the probe is
 // in flight CheckQuarantine and Get agree: both fail fast.
 func TestSnapCacheQuarantine(t *testing.T) {
@@ -103,7 +103,7 @@ func TestSnapCacheQuarantine(t *testing.T) {
 		}
 	}
 
-	// Healthy line under two modes.
+	// Healthy line, leased under two modes: one build.
 	for _, mode := range []uint32{0600, 0644} {
 		l, err := c.Get(context.Background(), hash, mode, 0, src)
 		if err != nil {
@@ -111,25 +111,25 @@ func TestSnapCacheQuarantine(t *testing.T) {
 		}
 		l.Release(false)
 	}
-	if builds != 2 {
-		t.Fatalf("builds = %d, want 2", builds)
+	if builds != 1 {
+		t.Fatalf("builds = %d, want 1", builds)
 	}
 
-	// Two counted failures trip the breaker; both mode lines must go.
+	// Two counted failures trip the breaker; the line must go.
 	c.Report(hash, OutcomeTrap)
 	c.Report(hash, OutcomeFuel)
 	if h := c.Health(); h.Open != 1 || h.Trips != 1 {
 		t.Fatalf("health %+v, want the one breaker open", h)
 	}
-	if c.Contains(hash, 0600) || c.Contains(hash, 0644) {
-		t.Fatal("quarantined lines still resident")
+	if c.Contains(hash) {
+		t.Fatal("quarantined line still resident")
 	}
 
 	// Fail fast: no lease, no rebuild.
 	quarantined("CheckQuarantine while open", c.CheckQuarantine(hash))
 	_, err := c.Get(context.Background(), hash, 0600, 0, src)
 	quarantined("Get while open", err)
-	if builds != 2 {
+	if builds != 1 {
 		t.Fatalf("fail-fast path rebuilt the snapshot (builds=%d)", builds)
 	}
 	if n := c.Outstanding(); n != 0 {
@@ -157,15 +157,15 @@ func TestSnapCacheQuarantine(t *testing.T) {
 	}
 	l.Release(reusable)
 	c.Report(hash, OutcomeOK)
-	if builds != 3 {
+	if builds != 2 {
 		t.Fatalf("probe did not rebuild the quarantined snapshot (builds=%d)", builds)
 	}
 	if err := c.CheckQuarantine(hash); err != nil {
 		t.Fatalf("CheckQuarantine after the breaker closed: %v", err)
 	}
 	st := c.Stats()
-	if st.Quarantined != 2 {
-		t.Fatalf("quarantined evictions = %d, want 2 (both modes)", st.Quarantined)
+	if st.Quarantined != 1 {
+		t.Fatalf("quarantined evictions = %d, want 1 (one line for both modes)", st.Quarantined)
 	}
 	want := HealthStats{Trips: 1, Probes: 1, ProbeSuccesses: 1, Failures: FailureCounts{Traps: 1, Fuel: 1}}
 	if st.Health != want {

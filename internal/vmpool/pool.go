@@ -5,14 +5,16 @@
 //   - Per codec, the decoder ELF is parsed exactly once into a pristine
 //     vm.Snapshot (memory image, registers, sandbox bounds and, once the
 //     first stream has run, the predecoded basic-block cache).
-//   - Per (codec, security mode) key, idle VMs parked at the done gate
-//     are kept and resumed in place for the next stream — the paper's
-//     VM-reuse policy. A VM last used under different security
+//   - Per (codec, security mode, scope) key, idle VMs parked at the done
+//     gate are kept and resumed in place for the next stream — the
+//     paper's VM-reuse policy. A VM last used under different security
 //     attributes is never resumed: it is first rewound to the pristine
 //     snapshot, so no decoder state can leak between protection domains.
 //     The rewind is of what the guest can see; the VM keeps its
 //     translation of the decoder's read-only text while that is still
-//     the snapshot's (vm.Reset).
+//     the snapshot's (vm.Reset). This is the one place the rule is
+//     applied: a SnapCache line is one snapshot per decoder content,
+//     and the line's pool keeps its modes apart.
 //
 // Get hands out a Lease; Lease.Run runs exactly one stream on the leased
 // VM and hands the VM back by the one policy every caller shares.

@@ -20,20 +20,18 @@ import (
 )
 
 // SnapCache is a content-addressed cache of pristine decoder snapshots:
-// entries are keyed by the SHA-256 of the decoder ELF plus the stream's
-// security mode, so every archive, Reader and worker that carries the
-// same decoder bytes shares one snapshot — and, through AbsorbBlocks,
-// one translated micro-op block cache. Translation cost is paid once per
-// decoder content fleet-wide, not once per archive.
+// entries are keyed by the SHA-256 of the decoder ELF alone, so every
+// archive, Reader, worker and security mode that carries the same
+// decoder bytes shares one snapshot — and, through AbsorbBlocks, one
+// translated micro-op block cache. Translation cost is paid once per
+// decoder content fleet-wide, not once per archive or per mode.
 //
 // Each resident entry owns a VM pool (Pool) whose codec key is the
-// content hash, so leases inherit the full §2.4 reuse policy: parked
-// VMs resume in place, a mode change rewinds to the pristine snapshot.
+// content hash, and the pool alone applies the §2.4 reuse policy:
+// parked VMs resume in place within one (mode, scope), and a VM that
+// crosses modes or scopes is rewound to the pristine snapshot.
 // Residency is bounded by a byte budget over the snapshots' Footprint;
 // least-recently-used entries are evicted, their idle VMs dropped.
-// Entries being rebuilt after an eviction re-import the block caches of
-// surviving siblings with the same content hash, so even an evicted
-// decoder's translation work outlives it.
 //
 // A SnapCache is safe for concurrent use.
 type SnapCache struct {
@@ -41,8 +39,8 @@ type SnapCache struct {
 	health *Health
 
 	mu      sync.Mutex
-	entries map[CacheKey]*cacheEntry
-	lru     *list.List // resident entries; front = most recently used
+	entries map[[32]byte]*cacheEntry // by content hash
+	lru     *list.List               // resident entries; front = most recently used
 	used    int64
 
 	hits, misses, evictions uint64
@@ -96,20 +94,13 @@ type SnapCacheConfig struct {
 // DefaultSnapCacheBytes is the default resident-snapshot byte budget.
 const DefaultSnapCacheBytes = 1 << 30
 
-// CacheKey identifies one cached decoder line: the decoder executable
-// by content, plus the security attributes its VMs run under.
-type CacheKey struct {
-	Hash [32]byte // SHA-256 of the decoder ELF
-	Mode uint32   // Unix permission bits (§2.4 security attributes)
-}
-
 // HashELF returns the content address of a decoder executable.
 func HashELF(elf []byte) [32]byte { return sha256.Sum256(elf) }
 
 // cacheEntry is one decoder line. once guards the build; elem is nil
 // until the entry is resident (and again after eviction).
 type cacheEntry struct {
-	key  CacheKey
+	hash [32]byte // SHA-256 of the decoder ELF
 	once sync.Once
 	err  error
 
@@ -171,7 +162,7 @@ func NewSnapCache(cfg SnapCacheConfig) *SnapCache {
 	return &SnapCache{
 		cfg:     cfg,
 		health:  NewHealth(cfg.Health),
-		entries: make(map[CacheKey]*cacheEntry),
+		entries: make(map[[32]byte]*cacheEntry),
 		lru:     list.New(),
 	}
 }
@@ -180,11 +171,13 @@ func NewSnapCache(cfg SnapCacheConfig) *SnapCache {
 func poolKey(hash [32]byte) string { return hex.EncodeToString(hash[:]) }
 
 // Get leases a VM for the decoder with the given content hash under the
-// given security mode, building and caching the snapshot on a miss. The
-// elf callback supplies the decoder bytes; it is invoked only on a miss
-// (concurrent misses for one key coalesce onto a single build). The
-// caller must verify that hash is the SHA-256 of the bytes elf returns —
-// the cache trusts it, that's the point of content addressing.
+// given security mode, building and caching the snapshot on a miss. One
+// line serves every mode: the mode only picks the VM, through the entry
+// pool's §2.4 policy. The elf callback supplies the decoder bytes; it is
+// invoked only on a miss (concurrent misses for one decoder coalesce
+// onto a single build). The caller must verify that hash is the SHA-256
+// of the bytes elf returns — the cache trusts it, that's the point of
+// content addressing.
 //
 // scope is the caller's trust-scope token (one per client/Reader; 0 for
 // a single trusted tenant). The snapshot and its warm translation cache
@@ -204,12 +197,11 @@ func (c *SnapCache) Get(ctx context.Context, hash [32]byte, mode uint32, scope u
 	if err := c.health.Allow(hash); err != nil {
 		return nil, err
 	}
-	key := CacheKey{Hash: hash, Mode: mode}
 	c.mu.Lock()
-	e := c.entries[key]
+	e := c.entries[hash]
 	if e == nil {
-		e = &cacheEntry{key: key}
-		c.entries[key] = e
+		e = &cacheEntry{hash: hash}
+		c.entries[hash] = e
 		c.misses++
 	} else {
 		c.hits++
@@ -240,8 +232,8 @@ func (c *SnapCache) Get(ctx context.Context, hash [32]byte, mode uint32, scope u
 	if e.err != nil {
 		// Drop the failed entry so a later Get retries the build.
 		c.mu.Lock()
-		if c.entries[key] == e {
-			delete(c.entries, key)
+		if c.entries[hash] == e {
+			delete(c.entries, hash)
 		}
 		c.mu.Unlock()
 		return nil, e.err
@@ -260,11 +252,6 @@ func NextScope() uint64 { return scopeCounter.Add(1) }
 
 var scopeCounter atomic.Uint64
 
-// resetSpare rewinds the freshly built spare VM onto its snapshot after
-// a sibling block import. A hook so tests can exercise the (otherwise
-// unreachable in-process) failure path.
-var resetSpare = func(v *vm.VM, s *vm.Snapshot) error { return v.Reset(s) }
-
 // build constructs the entry's snapshot and pool, then makes it
 // resident, evicting over-budget entries. Runs outside the cache lock:
 // artifact load / ELF fetch + parse + image copy must not serialize
@@ -277,7 +264,7 @@ var resetSpare = func(v *vm.VM, s *vm.Snapshot) error { return v.Reset(s) }
 // through to the ELF build path, whose result is then written back.
 func (c *SnapCache) build(e *cacheEntry, elf func() ([]byte, error)) {
 	if elf == nil {
-		e.err = fmt.Errorf("vmpool: snapcache miss for %s with no elf source", poolKey(e.key.Hash))
+		e.err = fmt.Errorf("vmpool: snapcache miss for %s with no elf source", poolKey(e.hash))
 		return
 	}
 	// Chaos hook: an injected build failure exercises the retry path
@@ -285,7 +272,7 @@ func (c *SnapCache) build(e *cacheEntry, elf func() ([]byte, error)) {
 	// breaker's build-failure accounting.
 	if err := fault.Inject(fault.SnapshotBuild); err != nil {
 		e.err = fmt.Errorf("vmpool: snapshot build: %w", err)
-		c.Report(e.key.Hash, OutcomeBuildFail)
+		c.Report(e.hash, OutcomeBuildFail)
 		return
 	}
 
@@ -294,7 +281,7 @@ func (c *SnapCache) build(e *cacheEntry, elf func() ([]byte, error)) {
 	fromStore := false
 	if store := c.cfg.Artifacts; store != nil {
 		probeStart := time.Now()
-		if s, err := store.Load(e.key.Hash, c.cfg.VM); err == nil {
+		if s, err := store.Load(e.hash, c.cfg.VM); err == nil {
 			snap, fromStore = s, true
 			e.savedBlocks, e.savedSBs = s.BlockCount(), s.SBCount()
 		}
@@ -313,32 +300,10 @@ func (c *SnapCache) build(e *cacheEntry, elf func() ([]byte, error)) {
 		v, err = elf32.NewVM(elfBytes, c.cfg.VM)
 		if err != nil {
 			e.err = err
-			c.Report(e.key.Hash, OutcomeBuildFail)
+			c.Report(e.hash, OutcomeBuildFail)
 			return
 		}
 		snap = v.Snapshot()
-	}
-
-	// A resident sibling under another security mode already paid for
-	// translation: import its shared block cache. Safe because both
-	// entries address the same decoder bytes.
-	c.mu.Lock()
-	var sibling *cacheEntry
-	for k, se := range c.entries {
-		if k.Hash == e.key.Hash && k.Mode != e.key.Mode && se.elem != nil {
-			sibling = se
-			break
-		}
-	}
-	c.mu.Unlock()
-	if sibling != nil && snap.ImportBlocks(sibling.snap.ExportBlocks()) > 0 && v != nil {
-		// The spare VM was captured before the import; rewind it so its
-		// private block map picks up the imported fragments too.
-		if err := resetSpare(v, snap); err != nil {
-			e.err = err
-			c.Report(e.key.Hash, OutcomeBuildFail)
-			return
-		}
 	}
 	if v == nil {
 		// Artifact path: materialize the spare from the loaded snapshot
@@ -347,7 +312,7 @@ func (c *SnapCache) build(e *cacheEntry, elf func() ([]byte, error)) {
 	}
 
 	pool := New(Options{VM: c.cfg.VM, MaxIdlePerKey: c.cfg.MaxIdlePerKey})
-	pool.Seed(poolKey(e.key.Hash), snap, v)
+	pool.Seed(poolKey(e.hash), snap, v)
 	e.snap, e.pool, e.bytes = snap, pool, snap.Footprint()
 
 	c.mu.Lock()
@@ -360,7 +325,7 @@ func (c *SnapCache) build(e *cacheEntry, elf func() ([]byte, error)) {
 	// effort: a full disk or read-only store must never fail the build
 	// (the store's save-error counter records it).
 	if store := c.cfg.Artifacts; store != nil && !fromStore {
-		if store.Save(e.key.Hash, c.cfg.VM, snap) == nil {
+		if store.Save(e.hash, c.cfg.VM, snap) == nil {
 			c.mu.Lock()
 			e.savedBlocks, e.savedSBs = snap.BlockCount(), snap.SBCount()
 			c.mu.Unlock()
@@ -405,26 +370,30 @@ func (c *SnapCache) evictLocked(keep *cacheEntry) {
 		if victim == keep {
 			return
 		}
-		c.lru.Remove(back)
-		victim.elem = nil
-		delete(c.entries, victim.key)
-		c.used -= victim.bytes
+		c.retireLocked(victim)
 		c.evictions++
-		// Free the victim's idle VMs, then retire its counters — but
-		// only once no lease is in flight: leases fold their deltas
-		// into the pool at release, and retiring early would lose them
-		// (a rebuild of the same line would then appear to reset the
-		// fleet counters). A pool with outstanding leases is parked on
-		// the orphan list, which compactOrphansLocked drains here and
-		// in Stats(), so an orphaned pool (and the snapshot it pins)
-		// never outlives its last lease by more than one eviction or
-		// metrics scrape. While parked, the snapshot footprint it pins
-		// stays visible as OrphanBytes.
-		victim.pool.Drain()
-		c.orphans = append(c.orphans, orphanPool{victim.pool, victim.bytes})
-		c.orphanBytes += victim.bytes
 		c.compactOrphansLocked()
 	}
+}
+
+// retireLocked takes a resident line out of the LRU and the index, frees
+// its idle VMs and parks its pool on the orphan list. Its counters are
+// retired only once no lease is in flight: leases fold their deltas into
+// the pool at release, and retiring early would lose them (a rebuild of
+// the same line would then appear to reset the fleet counters).
+// compactOrphansLocked drains the list at every eviction and in Stats(),
+// so an orphaned pool (and the snapshot it pins) never outlives its last
+// lease by more than one eviction or metrics scrape; until then the
+// snapshot footprint it pins stays visible as OrphanBytes. Caller holds
+// c.mu.
+func (c *SnapCache) retireLocked(e *cacheEntry) {
+	c.lru.Remove(e.elem)
+	e.elem = nil
+	delete(c.entries, e.hash)
+	c.used -= e.bytes
+	e.pool.Drain()
+	c.orphans = append(c.orphans, orphanPool{e.pool, e.bytes})
+	c.orphanBytes += e.bytes
 }
 
 // compactOrphansLocked folds every fully drained orphan pool into the
@@ -457,11 +426,10 @@ func addPoolStats(dst *Stats, s Stats) {
 }
 
 // Report feeds one stream (or build) outcome into the decoder's health
-// record. When the report trips the breaker open, every resident line
-// for that content hash is quarantine-evicted: the snapshot may have
-// been poisoned by whatever broke the decoder, so the eventual
-// half-open probe rebuilds it from the decoder bytes rather than
-// resharing it.
+// record. When the report trips the breaker open, the decoder's resident
+// line is quarantine-evicted: the snapshot may have been poisoned by
+// whatever broke the decoder, so the eventual half-open probe rebuilds
+// it from the decoder bytes rather than resharing it.
 func (c *SnapCache) Report(hash [32]byte, o Outcome) {
 	if c.health.Report(hash, o) {
 		c.Quarantine(hash)
@@ -478,31 +446,18 @@ func (c *SnapCache) Health() HealthStats { return c.health.Stats() }
 // admission, without stealing the probe slot.
 func (c *SnapCache) CheckQuarantine(hash [32]byte) error { return c.health.Check(hash) }
 
-// Quarantine evicts every resident line for the content hash (all
-// security modes — the decoder bytes are the same) and reports how
-// many lines were dropped. Idle VMs are freed; in-flight leases drain
-// through the orphan list exactly as with budget evictions.
-func (c *SnapCache) Quarantine(hash [32]byte) int {
+// Quarantine evicts the decoder's resident line, whatever modes it
+// served. Idle VMs are freed; in-flight leases drain through the orphan
+// list exactly as with budget evictions.
+func (c *SnapCache) Quarantine(hash [32]byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := 0
-	for key, e := range c.entries {
-		if key.Hash != hash || e.elem == nil {
-			continue
-		}
+	if e := c.entries[hash]; e != nil && e.elem != nil {
 		c.refreshFootprintLocked(e)
-		c.lru.Remove(e.elem)
-		e.elem = nil
-		delete(c.entries, key)
-		c.used -= e.bytes
+		c.retireLocked(e)
 		c.quarantined++
-		e.pool.Drain()
-		c.orphans = append(c.orphans, orphanPool{e.pool, e.bytes})
-		c.orphanBytes += e.bytes
-		n++
+		c.compactOrphansLocked()
 	}
-	c.compactOrphansLocked()
-	return n
 }
 
 // Outstanding reports leases checked out and not yet released across
@@ -539,15 +494,9 @@ func (c *SnapCache) Shrink(target int64) int64 {
 			break
 		}
 		victim := back.Value.(*cacheEntry)
-		c.lru.Remove(back)
-		victim.elem = nil
-		delete(c.entries, victim.key)
-		c.used -= victim.bytes
 		freed += victim.bytes
+		c.retireLocked(victim)
 		c.evictions++
-		victim.pool.Drain()
-		c.orphans = append(c.orphans, orphanPool{victim.pool, victim.bytes})
-		c.orphanBytes += victim.bytes
 	}
 	c.compactOrphansLocked()
 	c.shrinks++
@@ -629,7 +578,7 @@ func (c *SnapCache) FlushArtifacts() int {
 	c.mu.Unlock()
 	n := 0
 	for _, j := range jobs {
-		if store.Save(j.e.key.Hash, c.cfg.VM, j.snap) != nil {
+		if store.Save(j.e.hash, c.cfg.VM, j.snap) != nil {
 			continue
 		}
 		n++
@@ -652,12 +601,12 @@ func (c *SnapCache) Len() int {
 	return c.lru.Len()
 }
 
-// Contains reports whether the decoder line is resident (for tests and
-// monitoring; the answer may be stale by the time it returns).
-func (c *SnapCache) Contains(hash [32]byte, mode uint32) bool {
+// Contains reports whether the decoder's line is resident (for admission
+// and monitoring; the answer may be stale by the time it returns).
+func (c *SnapCache) Contains(hash [32]byte) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e := c.entries[CacheKey{Hash: hash, Mode: mode}]
+	e := c.entries[hash]
 	return e != nil && e.elem != nil
 }
 

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"vxa/internal/artifact"
-	"vxa/internal/breaker"
 	"vxa/internal/vm"
 )
 
@@ -21,11 +20,11 @@ var testVMCfg = vm.Config{MemSize: 4 << 20}
 func noBuild() ([]byte, error) { return nil, errors.New("elf build path reached") }
 
 // entryFootprint reads the resident entry's live snapshot footprint.
-func entryFootprint(t *testing.T, c *SnapCache, hash [32]byte, mode uint32) (int64, int) {
+func entryFootprint(t *testing.T, c *SnapCache, hash [32]byte) (int64, int) {
 	t.Helper()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e := c.entries[CacheKey{Hash: hash, Mode: mode}]
+	e := c.entries[hash]
 	if e == nil || e.snap == nil {
 		t.Fatal("entry not resident")
 	}
@@ -54,7 +53,7 @@ func TestSnapCacheFootprintTracksAbsorb(t *testing.T) {
 	// blocks into the snapshot, growing its footprint.
 	payload := bytes.Repeat([]byte("grow the block cache "), 64)
 	cacheStream(t, c, echoHash, 0644, 0, echo, payload, payload)
-	live, blocks := entryFootprint(t, c, echoHash, 0644)
+	live, blocks := entryFootprint(t, c, echoHash)
 	if blocks == 0 {
 		t.Fatal("stream absorbed no blocks; test is vacuous")
 	}
@@ -64,40 +63,6 @@ func TestSnapCacheFootprintTracksAbsorb(t *testing.T) {
 	if got := c.Stats().Bytes; got != live {
 		t.Fatalf("Stats().Bytes = %d, want live footprint %d (stale build-time size was %d)",
 			got, live, buildBytes)
-	}
-}
-
-// TestSnapCacheSiblingResetFailureReports pins the missing circuit-
-// breaker report: when the post-sibling-import spare reset fails, the
-// failure must count against the decoder's breaker like every other
-// build failure.
-func TestSnapCacheSiblingResetFailureReports(t *testing.T) {
-	echo := compile(t, echoSrc)
-	echoHash := HashELF(mustELF(t, echo))
-	c := NewSnapCache(SnapCacheConfig{VM: testVMCfg, Health: breaker.Config{Threshold: 1}})
-
-	// Make the echo line resident under one mode with absorbed blocks,
-	// so a second-mode build takes the sibling-import path.
-	payload := []byte("warm the sibling")
-	cacheStream(t, c, echoHash, 0644, 0, echo, payload, payload)
-	if _, blocks := entryFootprint(t, c, echoHash, 0644); blocks == 0 {
-		t.Fatal("sibling has no blocks to import; test is vacuous")
-	}
-
-	orig := resetSpare
-	resetSpare = func(*vm.VM, *vm.Snapshot) error { return errors.New("injected reset failure") }
-	defer func() { resetSpare = orig }()
-
-	if _, err := c.Get(context.Background(), echoHash, 0755, 0, echo); err == nil {
-		t.Fatal("build with failing spare reset succeeded")
-	}
-	h := c.Health()
-	if h.Failures.Builds == 0 {
-		t.Fatalf("health = %+v, want the reset failure counted as a build failure", h)
-	}
-	// Threshold 1: the single report must have tripped the breaker.
-	if c.CheckQuarantine(echoHash) == nil {
-		t.Fatal("breaker did not open after the reported build failure")
 	}
 }
 
@@ -118,7 +83,7 @@ func TestSnapCacheOrphanBytesVisible(t *testing.T) {
 	}
 	payload := []byte("pinned by an in-flight lease")
 	cacheStream(t, c, leakyHash, 0644, 0, leaky, payload, nil)
-	if c.Contains(echoHash, 0644) {
+	if c.Contains(echoHash) {
 		t.Fatal("echo line still resident; eviction did not happen")
 	}
 
@@ -158,7 +123,7 @@ func TestSnapCacheArtifactRoundTrip(t *testing.T) {
 	}
 	c1 := NewSnapCache(SnapCacheConfig{VM: testVMCfg, Artifacts: store1})
 	cacheStream(t, c1, echoHash, 0644, 0, echo, payload, payload)
-	_, blocks1 := entryFootprint(t, c1, echoHash, 0644)
+	_, blocks1 := entryFootprint(t, c1, echoHash)
 	if blocks1 == 0 {
 		t.Fatal("no blocks absorbed; disk-warm would be meaningless")
 	}
@@ -192,7 +157,7 @@ func TestSnapCacheArtifactRoundTrip(t *testing.T) {
 	if built != 0 {
 		t.Fatalf("disk-warm stream re-translated %d blocks, want 0", built)
 	}
-	if _, blocks2 := entryFootprint(t, c2, echoHash, 0644); blocks2 != blocks1 {
+	if _, blocks2 := entryFootprint(t, c2, echoHash); blocks2 != blocks1 {
 		t.Fatalf("loaded snapshot carries %d blocks, want %d", blocks2, blocks1)
 	}
 	if s := store2.Stats(); s.Hits != 1 || s.Fallbacks != 0 {
@@ -302,9 +267,8 @@ func TestSnapCacheFlushOnNewSuperblock(t *testing.T) {
 	// blocks absorb, superblocks don't form.
 	short := []byte("cold loop")
 	cacheStream(t, c, echoHash, 0644, 0, echo, short, short)
-	key := CacheKey{Hash: echoHash, Mode: 0644}
 	c.mu.Lock()
-	e := c.entries[key]
+	e := c.entries[echoHash]
 	if sc := e.snap.SBCount(); sc != 0 {
 		c.mu.Unlock()
 		t.Fatalf("short stream formed %d superblocks; test needs a cold start", sc)
@@ -346,16 +310,16 @@ func TestSnapCacheFlushOnNewSuperblock(t *testing.T) {
 	}
 	lease.Release(false)
 	c2.mu.Lock()
-	sc := c2.entries[key].snap.SBCount()
+	sc := c2.entries[echoHash].snap.SBCount()
 	c2.mu.Unlock()
 	if sc == 0 {
 		t.Fatal("restored snapshot carries no superblocks")
 	}
 }
 
-// TestSnapCacheArtifactConcurrentMisses: many goroutines missing on
-// distinct modes of one decoder while the store is live is race-free
-// and always correct (run with -race).
+// TestSnapCacheArtifactConcurrentMisses: many goroutines asking for one
+// cold decoder under distinct modes while the store is live coalesce
+// onto one build, race-free and always correct (run with -race).
 func TestSnapCacheArtifactConcurrentMisses(t *testing.T) {
 	dir := t.TempDir()
 	echo := compile(t, echoSrc)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"math/rand"
 	"strings"
 	"sync"
@@ -80,36 +79,99 @@ func TestSnapCacheHitMiss(t *testing.T) {
 	if s.VM.Steps == 0 || s.VM.Syscalls == 0 {
 		t.Fatalf("aggregated engine counters empty: %+v", s.VM)
 	}
-	if !c.Contains(echoHash, 0644) || c.Contains(echoHash, 0600) {
+	if !c.Contains(echoHash) || !c.Contains(leakyHash) {
 		t.Fatal("Contains disagrees with the requests made")
 	}
 }
 
-// TestSnapCacheSiblingImport: a new security mode of an already-warm
-// decoder imports the sibling's translated blocks, so its first VM
-// translates nothing.
-func TestSnapCacheSiblingImport(t *testing.T) {
-	echo := compile(t, echoSrc)
-	hash := HashELF(mustELF(t, echo))
+// TestSnapCacheOneLineAcrossModes: one decoder leased under three
+// security modes from two trust scopes, concurrently, is one cache line —
+// one miss, one entry — whose translation every mode shares live, so the
+// first VM of each later mode translates nothing. The entry pool alone
+// applies the §2.4 rule: the leaky decoder's residue reaches only a
+// later stream of the same mode and scope, never another mode or scope
+// on the shared line. Run under -race.
+func TestSnapCacheOneLineAcrossModes(t *testing.T) {
+	leaky := compile(t, leakySrc)
+	hash := HashELF(mustELF(t, leaky))
 	c := NewSnapCache(SnapCacheConfig{VM: vm.Config{MemSize: 4 << 20}})
-	payload := bytes.Repeat([]byte("warm"), 64)
+	modes := []uint32{0644, 0600, 0755}
+	scopes := []uint64{NextScope(), NextScope()}
 
-	// Warm mode 0644: run + release absorbs the block cache into the
-	// snapshot.
-	cacheStream(t, c, hash, 0644, 0, echo, payload, payload)
+	// payload is stream n of (mode, scope): exactly the decoder's 64-byte
+	// buffer, spelling out whose it is.
+	payload := func(mode uint32, scope uint64, n int) []byte {
+		tag := fmt.Sprintf("mode=%04o scope=%d stream=%d;", mode, scope, n)
+		return bytes.Repeat([]byte(tag), 64/len(tag)+1)[:64]
+	}
+	// stream runs one stream and reports what the decoder emitted, whether
+	// the lease was pristine and how many blocks the VM built for it.
+	stream := func(mode uint32, scope uint64, in []byte) (out []byte, pristine bool, built uint64, err error) {
+		lease, err := c.Get(context.Background(), hash, mode, scope, leaky)
+		if err != nil {
+			return nil, false, 0, err
+		}
+		before := lease.VM().Stats().BlocksBuilt
+		var buf bytes.Buffer
+		reusable, err := lease.VM().RunStream(context.Background(), bytes.NewReader(in), &buf, nil, vm.StreamFuel(len(in)))
+		built = lease.VM().Stats().BlocksBuilt - before
+		lease.Release(reusable && err == nil)
+		return buf.Bytes(), lease.Pristine(), built, err
+	}
 
-	// Mode 0600 is a distinct cache entry; its snapshot must arrive
-	// pre-translated via the sibling import.
-	lease, err := c.Get(context.Background(), hash, 0600, 0, echo)
-	if err != nil {
+	// The first mode warms the line: releasing the lease absorbs what it
+	// translated into the one snapshot.
+	warm := payload(modes[0], scopes[0], 0)
+	if out, _, _, err := stream(modes[0], scopes[0], warm); err != nil {
 		t.Fatal(err)
+	} else if !bytes.Equal(out, make([]byte, 64)) {
+		t.Fatalf("the first stream's VM was not pristine (got %q)", out)
 	}
-	defer lease.Release(false)
-	if _, err := lease.VM().RunStream(context.Background(), bytes.NewReader(payload), io.Discard, nil, vm.StreamFuel(len(payload))); err != nil {
-		t.Fatal(err)
+
+	const streams = 3
+	var wg sync.WaitGroup
+	for _, mode := range modes {
+		for _, scope := range scopes {
+			wg.Add(1)
+			go func(mode uint32, scope uint64) {
+				defer wg.Done()
+				var last []byte // what this (mode, scope) last fed the decoder
+				if mode == modes[0] && scope == scopes[0] {
+					last = warm
+				}
+				for n := 1; n <= streams; n++ {
+					in := payload(mode, scope, n)
+					out, pristine, built, err := stream(mode, scope, in)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if n == 1 && mode != modes[0] && built != 0 {
+						t.Errorf("the first VM under mode %04o (scope %d) built %d blocks, want 0: translation not shared", mode, scope, built)
+					}
+					want := last
+					if pristine {
+						want = make([]byte, 64)
+					} else if last == nil {
+						t.Errorf("mode %04o scope %d resumed a VM it never parked; it emitted %q", mode, scope, out)
+						return
+					}
+					if !bytes.Equal(out, want) {
+						t.Errorf("mode %04o scope %d stream %d (pristine %v) emitted %q, want %q", mode, scope, n, pristine, out, want)
+					}
+					last = in
+				}
+			}(mode, scope)
+		}
 	}
-	if built := lease.VM().Stats().BlocksBuilt; built != 0 {
-		t.Fatalf("sibling-mode VM built %d blocks, want 0 (block import failed)", built)
+	wg.Wait()
+
+	s := c.Stats()
+	if s.Misses != 1 || s.Entries != 1 {
+		t.Fatalf("stats = %+v, want 1 miss and 1 entry for one decoder under %d modes", s, len(modes))
+	}
+	if want := uint64(1 + len(modes)*len(scopes)*streams); s.Hits+s.Misses != want {
+		t.Fatalf("hits %d + misses %d != %d requests", s.Hits, s.Misses, want)
 	}
 }
 
@@ -136,7 +198,7 @@ func TestSnapCacheEviction(t *testing.T) {
 	if s.Evictions != 1 || s.Entries != 1 {
 		t.Fatalf("stats = %+v, want exactly one eviction leaving one resident entry", s)
 	}
-	if c.Contains(leakyHash, 0644) || !c.Contains(echoHash, 0644) {
+	if c.Contains(leakyHash) || !c.Contains(echoHash) {
 		t.Fatal("evicted the wrong entry: leaky was least recently used")
 	}
 	if s.Bytes > c.cfg.MaxBytes {
@@ -185,7 +247,7 @@ func TestSnapCacheRaceStress(t *testing.T) {
 				case 1:
 					_ = c.Stats()
 				case 2:
-					c.Contains(hashes[k], 0644)
+					c.Contains(hashes[k])
 				}
 			}
 		}(w)
@@ -270,7 +332,7 @@ func TestSnapCacheEvictionKeepsInFlightCounters(t *testing.T) {
 	}
 	payload := []byte("counted even after eviction")
 	cacheStream(t, c, leakyHash, 0644, 0, leaky, payload, nil)
-	if c.Contains(echoHash, 0644) {
+	if c.Contains(echoHash) {
 		t.Fatal("echo line still resident; eviction did not happen")
 	}
 	preRelease := c.Stats().VM.Steps
@@ -334,7 +396,7 @@ func TestSnapCacheCountsCodeOnce(t *testing.T) {
 		t.Fatalf("the snapshot carries %d published traces, want at least 30", st.Traces)
 	}
 	c.mu.Lock()
-	snap := c.entries[CacheKey{Hash: hash, Mode: 0644}].snap
+	snap := c.entries[hash].snap
 	c.mu.Unlock()
 	code := snap.CodeBytes()
 	if code <= 0 || code >= 64<<10 {
