@@ -1,0 +1,96 @@
+package codec_test
+
+import (
+	"runtime"
+	"testing"
+
+	"vxa/internal/codec"
+	"vxa/internal/vxcc"
+)
+
+// tableOneDecoders are the six decoders of the paper's Table 1, the set
+// an archive of text, images and audio embeds.
+var tableOneDecoders = []string{"deflate", "bwt", "dct", "haar", "lpc", "adpcm"}
+
+// compileBudgets are the ceilings of TestCompileAllocBudget: heap
+// allocations and bytes for one vxcc.Compile of each decoder from its
+// sources, libvx included. Measured, with a tenth of headroom; re-measure
+// when the compiler's work changes, and only ever downwards.
+//
+// Measured once the lexer's operator tables were built once and the
+// token slice and the linker's text sized once (allocations, bytes; the
+// largest of GOMAXPROCS 1, 2, 4 and 8, Go 1.24): deflate 8336, 2.03 M;
+// bwt 5643, 1.28 M; dct 5897, 1.48 M; haar 5746, 1.31 M; lpc 4973,
+// 0.96 M; adpcm 3510, 0.89 M. Before that, with two operator maps built
+// per operator token: deflate 17018, 5.13 M; bwt 12357, 3.66 M; dct
+// 15365, 4.76 M; haar 13507, 4.18 M; lpc 11029, 3.11 M; adpcm 9033,
+// 2.61 M.
+var compileBudgets = map[string]struct {
+	allocs float64
+	bytes  uint64
+}{
+	"deflate": {9170, 2_238_000},
+	"bwt":     {6210, 1_408_000},
+	"dct":     {6490, 1_627_000},
+	"haar":    {6330, 1_438_000},
+	"lpc":     {5480, 1_056_000},
+	"adpcm":   {3870, 980_000},
+}
+
+func tableOneCodecs(tb testing.TB) []*codec.Codec {
+	tb.Helper()
+	out := make([]*codec.Codec, 0, len(tableOneDecoders))
+	for _, name := range tableOneDecoders {
+		c, ok := codec.ByName(name)
+		if !ok {
+			tb.Fatalf("codec %s not registered", name)
+		}
+		out = append(out, c)
+	}
+	return out
+}
+
+// BenchmarkCompileBuiltins compiles the six Table 1 decoders from their
+// sources per op: the compiler's share of writing an archive.
+func BenchmarkCompileBuiltins(b *testing.B) {
+	cs := tableOneCodecs(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, c := range cs {
+			if _, err := vxcc.Compile(vxcc.Options{}, c.Sources...); err != nil {
+				b.Fatalf("%s: %v", c.Name, err)
+			}
+		}
+	}
+}
+
+// TestCompileAllocBudget holds what one compile of each Table 1 decoder
+// allocates under per-decoder ceilings: every archive a writer produces
+// pays for six of them.
+func TestCompileAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation ceilings are measured without the race detector")
+	}
+	for _, c := range tableOneCodecs(t) {
+		op := func() {
+			if _, err := vxcc.Compile(vxcc.Options{}, c.Sources...); err != nil {
+				t.Fatalf("%s: %v", c.Name, err)
+			}
+		}
+		const runs = 10
+		allocs := testing.AllocsPerRun(runs, op)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			op()
+		}
+		runtime.ReadMemStats(&after)
+		perOp := (after.TotalAlloc - before.TotalAlloc) / runs
+		budget := compileBudgets[c.Name]
+		t.Logf("%-8s %6.0f allocs (ceiling %6.0f) %8d bytes (ceiling %8d)", c.Name, allocs, budget.allocs, perOp, budget.bytes)
+		if allocs > budget.allocs || perOp > budget.bytes {
+			t.Errorf("%s: a compile allocates %.0f objects, %d bytes; the budget is %.0f, %d",
+				c.Name, allocs, perOp, budget.allocs, budget.bytes)
+		}
+	}
+}

@@ -25,7 +25,7 @@ import (
 	_ "vxa/internal/codec/lpc"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/roundtrip_golden.json from the current engine")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/roundtrip_golden.json from the current engine and testdata/decoder_sha256.json from the current compiler")
 
 // roundTripGolden pins one codec's end-to-end behavior: the decoded
 // output (by content hash) and the exact guest work the archived

@@ -226,43 +226,21 @@ func (l *lexer) next() (token, error) {
 	}
 
 	// Operators, longest match first.
-	three := ""
 	if l.pos+3 <= len(l.src) {
-		three = l.src[l.pos : l.pos+3]
+		if k, ok := threeCharOps[l.src[l.pos:l.pos+3]]; ok {
+			tok.kind = k
+			l.pos += 3
+			return tok, nil
+		}
 	}
-	two := ""
 	if l.pos+2 <= len(l.src) {
-		two = l.src[l.pos : l.pos+2]
+		if k, ok := twoCharOps[l.src[l.pos:l.pos+2]]; ok {
+			tok.kind = k
+			l.pos += 2
+			return tok, nil
+		}
 	}
-	switch three {
-	case "<<=":
-		tok.kind = tShlEq
-		l.pos += 3
-		return tok, nil
-	case ">>=":
-		tok.kind = tShrEq
-		l.pos += 3
-		return tok, nil
-	}
-	twoMap := map[string]tokKind{
-		"<=": tLe, ">=": tGe, "==": tEq, "!=": tNe, "<<": tShl, ">>": tShr,
-		"&&": tAndAnd, "||": tOrOr, "+=": tPlusEq, "-=": tMinusEq,
-		"*=": tStarEq, "/=": tSlashEq, "%=": tPercentEq, "&=": tAmpEq,
-		"|=": tPipeEq, "^=": tCaretEq, "++": tInc, "--": tDec,
-	}
-	if k, ok := twoMap[two]; ok {
-		tok.kind = k
-		l.pos += 2
-		return tok, nil
-	}
-	oneMap := map[byte]tokKind{
-		'(': tLParen, ')': tRParen, '{': tLBrace, '}': tRBrace,
-		'[': tLBracket, ']': tRBracket, ',': tComma, ';': tSemi,
-		':': tColon, '?': tQuestion, '=': tAssign, '+': tPlus, '-': tMinus,
-		'*': tStar, '/': tSlash, '%': tPercent, '&': tAmp, '|': tPipe,
-		'^': tCaret, '~': tTilde, '!': tBang, '<': tLt, '>': tGt,
-	}
-	if k, ok := oneMap[c]; ok {
+	if k := oneCharOps[c]; k != tEOF {
 		tok.kind = k
 		l.pos++
 		return tok, nil
@@ -270,10 +248,35 @@ func (l *lexer) next() (token, error) {
 	return tok, l.errf("unexpected character %q", c)
 }
 
+// The operator tables, by length. next tries them longest first, so
+// "<<=" lexes as one token, not "<<" then "=". They are package-level so
+// that an operator token costs a lookup, not the building of a table:
+// every Compile lexes libvx and each decoder source afresh.
+var (
+	threeCharOps = map[string]tokKind{"<<=": tShlEq, ">>=": tShrEq}
+	twoCharOps   = map[string]tokKind{
+		"<=": tLe, ">=": tGe, "==": tEq, "!=": tNe, "<<": tShl, ">>": tShr,
+		"&&": tAndAnd, "||": tOrOr, "+=": tPlusEq, "-=": tMinusEq,
+		"*=": tStarEq, "/=": tSlashEq, "%=": tPercentEq, "&=": tAmpEq,
+		"|=": tPipeEq, "^=": tCaretEq, "++": tInc, "--": tDec,
+	}
+	// oneCharOps is indexed by byte; tEOF marks a byte that is no operator.
+	oneCharOps = [256]tokKind{
+		'(': tLParen, ')': tRParen, '{': tLBrace, '}': tRBrace,
+		'[': tLBracket, ']': tRBracket, ',': tComma, ';': tSemi,
+		':': tColon, '?': tQuestion, '=': tAssign, '+': tPlus, '-': tMinus,
+		'*': tStar, '/': tSlash, '%': tPercent, '&': tAmp, '|': tPipe,
+		'^': tCaret, '~': tTilde, '!': tBang, '<': tLt, '>': tGt,
+	}
+)
+
 // lexAll tokenizes the whole source.
 func lexAll(file, src string) ([]token, error) {
 	l := newLexer(file, src)
-	var toks []token
+	// VXC runs to two and a half to four and a half source bytes a token
+	// (the built-in decoders' files and libvx), so most files' tokens fit
+	// one allocation and the densest grow it once.
+	toks := make([]token, 0, len(src)/3+1)
 	for {
 		t, err := l.next()
 		if err != nil {

@@ -168,26 +168,30 @@ func (u *Unit) Link(base uint32) (*Image, error) {
 	type placed struct {
 		off  int // offset in text blob
 		len  int
-		inst x86.Inst
+		inst *x86.Inst
 		fix  []x86.Fixup
 	}
 
-	// Pass 1: encode text with zero rel fields, note label offsets.
+	// Pass 1: encode text with zero rel fields, note label offsets. The
+	// built-in decoders average 3.1-3.6 bytes of text per item (labels
+	// included; an instruction takes at most 15), so four bytes an item
+	// plus 16 for the padding up to rodata holds their text without
+	// growing it.
 	syms := make(map[string]uint32)
-	var text []byte
-	var insts []placed
-	for _, it := range u.text {
+	text := make([]byte, 0, 4*len(u.text)+16)
+	insts := make([]placed, 0, len(u.text))
+	for i := range u.text {
+		it := &u.text[i]
 		if it.isLabel {
 			syms[it.label] = uint32(len(text))
 			continue
 		}
-		inst := it.inst
 		// Branches to symbols are encoded with rel=0 now, patched in pass 2.
-		b, fix, err := x86.EncodeFixups(inst)
+		b, fix, err := x86.EncodeFixups(it.inst)
 		if err != nil {
-			return nil, fmt.Errorf("asm: %v: %w", inst, err)
+			return nil, fmt.Errorf("asm: %v: %w", it.inst, err)
 		}
-		insts = append(insts, placed{off: len(text), len: len(b), inst: inst, fix: fix})
+		insts = append(insts, placed{off: len(text), len: len(b), inst: &it.inst, fix: fix})
 		text = append(text, b...)
 	}
 

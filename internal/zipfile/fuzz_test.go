@@ -2,6 +2,8 @@ package zipfile
 
 import (
 	"bytes"
+	"encoding/binary"
+	"strings"
 	"testing"
 )
 
@@ -91,5 +93,73 @@ func TestDecoderSizeCap(t *testing.T) {
 	}
 	if _, err := r.Decoder(off); err == nil {
 		t.Fatal("decoder pseudo-file over the size cap was not rejected")
+	}
+}
+
+// decoderArchive is a one-decoder archive (a 1 KiB decoder of varied
+// bytes, then one stored file) with the decoder's offset.
+func decoderArchive(t *testing.T) ([]byte, uint32) {
+	t.Helper()
+	elf := make([]byte, 1024)
+	for i := range elf {
+		elf[i] = byte(i * 7 / 5)
+	}
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	off, err := w.AddDecoder(elf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AddFile(FileHeader{Name: "f", Method: MethodStore}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), off
+}
+
+// decoderErr rewrites one little-endian field of the decoder's local
+// header (offset within the header) and returns what Decoder reports.
+func decoderErr(t *testing.T, field int, value uint32) error {
+	t.Helper()
+	data, off := decoderArchive(t)
+	binary.LittleEndian.PutUint32(data[int(off)+field:], value)
+	r, err := NewReader(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = r.Decoder(off)
+	return err
+}
+
+// TestDecoderSizeUnderstated: a header claiming fewer bytes than the
+// stream inflates to, under the cap, is refused; the reader never hands
+// out a decoder cut to the claimed size.
+func TestDecoderSizeUnderstated(t *testing.T) {
+	err := decoderErr(t, 22, 1000)
+	if err == nil || !strings.Contains(err.Error(), "decoder size mismatch") {
+		t.Fatalf("usize 1000 for a 1024-byte decoder: got %v, want a size mismatch", err)
+	}
+}
+
+// TestDecoderSizeOverstated: a header claiming more bytes than the
+// stream inflates to, under the cap, is refused.
+func TestDecoderSizeOverstated(t *testing.T) {
+	err := decoderErr(t, 22, 2048)
+	if err == nil || !strings.Contains(err.Error(), "decoder size mismatch") {
+		t.Fatalf("usize 2048 for a 1024-byte decoder: got %v, want a size mismatch", err)
+	}
+}
+
+// TestDecoderStreamTruncated: a deflate stream cut short is a
+// decompression error, not a size mismatch, even though it too inflates
+// to fewer bytes than the header claims.
+func TestDecoderStreamTruncated(t *testing.T) {
+	data, off := decoderArchive(t)
+	csize := binary.LittleEndian.Uint32(data[int(off)+18:])
+	err := decoderErr(t, 18, csize/2)
+	if err == nil || !strings.Contains(err.Error(), "decoder decompression") {
+		t.Fatalf("csize %d of %d: got %v, want a decompression error", csize/2, csize, err)
 	}
 }

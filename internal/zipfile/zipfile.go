@@ -123,6 +123,10 @@ type Writer struct {
 	off     uint32
 	central []FileHeader
 	err     error
+	// fw compresses every decoder this Writer stores: one deflater's
+	// tables (about 800 KB at BestCompression) Reset per decoder in
+	// place of a new one each, dropped at Close.
+	fw *flate.Writer
 }
 
 // NewWriter begins an archive.
@@ -165,14 +169,19 @@ func (zw *Writer) AddDecoder(elf []byte) (uint32, error) {
 		return 0, zw.err
 	}
 	var comp bytes.Buffer
-	fw, err := flate.NewWriter(&comp, flate.BestCompression)
-	if err != nil {
+	if zw.fw == nil {
+		fw, err := flate.NewWriter(&comp, flate.BestCompression)
+		if err != nil {
+			return 0, err
+		}
+		zw.fw = fw
+	} else {
+		zw.fw.Reset(&comp)
+	}
+	if _, err := zw.fw.Write(elf); err != nil {
 		return 0, err
 	}
-	if _, err := fw.Write(elf); err != nil {
-		return 0, err
-	}
-	if err := fw.Close(); err != nil {
+	if err := zw.fw.Close(); err != nil {
 		return 0, err
 	}
 	off := zw.off
@@ -202,6 +211,7 @@ func (zw *Writer) AddFile(hdr FileHeader, payload []byte) error {
 
 // Close writes the central directory and end-of-central-directory record.
 func (zw *Writer) Close() error {
+	zw.fw = nil
 	if zw.err != nil {
 		return zw.err
 	}
@@ -426,12 +436,24 @@ func (r *Reader) Decoder(off uint32) ([]byte, error) {
 	}
 	fr := flate.NewReader(io.NewSectionReader(r.ra, start, csize))
 	defer fr.Close()
-	out, err := io.ReadAll(io.LimitReader(fr, int64(usize)+1))
-	if err != nil {
-		return nil, fmt.Errorf("%w: decoder decompression: %v", ErrFormat, err)
+	// Inflate into the claimed size, then probe for one byte more. A
+	// stream that stops short and one that goes on past the claim are
+	// both a size mismatch; ReadFull reports the first as io.EOF or
+	// io.ErrUnexpectedEOF, which a truncated stream also returns, so the
+	// probe (the flate reader's error is sticky) tells a clean end from
+	// a cut one.
+	out := make([]byte, usize)
+	n, err := io.ReadFull(fr, out)
+	if err == nil || err == io.EOF || err == io.ErrUnexpectedEOF {
+		var probe [1]byte
+		extra, perr := io.ReadFull(fr, probe[:])
+		switch {
+		case perr == io.EOF && n == len(out):
+			return out, nil
+		case perr == io.EOF || extra > 0:
+			return nil, fmt.Errorf("%w: decoder size mismatch", ErrFormat)
+		}
+		err = perr
 	}
-	if uint32(len(out)) != usize {
-		return nil, fmt.Errorf("%w: decoder size mismatch", ErrFormat)
-	}
-	return out, nil
+	return nil, fmt.Errorf("%w: decoder decompression: %v", ErrFormat, err)
 }

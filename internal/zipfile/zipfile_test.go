@@ -3,6 +3,7 @@ package zipfile
 import (
 	"archive/zip"
 	"bytes"
+	"compress/flate"
 	"errors"
 	"hash/crc32"
 	"io"
@@ -170,5 +171,67 @@ func TestDecoderNotInCentralDirectory(t *testing.T) {
 	}
 	if len(zr.File) != 1 {
 		t.Fatalf("archive/zip sees %d files, want 1", len(zr.File))
+	}
+}
+
+// TestDecoderDeflaterReuse: the deflater a Writer keeps across decoders
+// is Reset between them, so each pseudo-file holds exactly what a fresh
+// deflater makes of its decoder, and reads back whole.
+func TestDecoderDeflaterReuse(t *testing.T) {
+	decoders := [][]byte{
+		bytes.Repeat([]byte{0x7F, 'E', 'L', 'F', 1, 2, 3}, 700),
+		[]byte("a short decoder of a single line"),
+		make([]byte, 5000),
+	}
+	for i := range decoders[2] {
+		decoders[2][i] = byte(i * i >> 3)
+	}
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	offs := make([]uint32, len(decoders))
+	for i, d := range decoders {
+		off, err := w.AddDecoder(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		offs[i] = off
+	}
+	if err := w.AddFile(FileHeader{Name: "f", Method: MethodStore}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReader(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range decoders {
+		var fresh bytes.Buffer
+		fw, err := flate.NewWriter(&fresh, flate.BestCompression)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fw.Write(d); err != nil {
+			t.Fatal(err)
+		}
+		if err := fw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		start, csize, _, _, err := r.sectionAt(offs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stored := buf.Bytes()[start : start+csize]; !bytes.Equal(stored, fresh.Bytes()) {
+			t.Errorf("decoder %d: %d compressed bytes stored, a fresh deflater makes %d, or they differ",
+				i, len(stored), fresh.Len())
+		}
+		got, err := r.Decoder(offs[i])
+		if err != nil {
+			t.Fatalf("decoder %d: %v", i, err)
+		}
+		if !bytes.Equal(got, d) {
+			t.Errorf("decoder %d: read back %d bytes that differ from the %d stored", i, len(got), len(d))
+		}
 	}
 }
