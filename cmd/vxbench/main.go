@@ -2,11 +2,11 @@
 // (§5) against this reproduction: Tables 1 and 2, the §5.3 storage
 // overhead and Figure 7, which is what it prints by default. Two ledgers
 // are opt-in: -ablate-opt (decode time at every engine optimization
-// level) and -startup (a cold first stream split into stages). -chaos
-// and -load URL drive a vxad for CI's chaos and fleet smokes. Every
-// figure here is single-shot; serving-path performance is measured by
-// the benchmark of record in benchmark/. EXPERIMENTS.md records the
-// interpretation.
+// level) and -startup (a cold first stream and a warm pooled one, split
+// into stages). -chaos and -load URL drive a vxad for CI's chaos and
+// fleet smokes. Every figure here is single-shot; serving-path
+// performance is measured by the benchmark of record in benchmark/.
+// EXPERIMENTS.md records the interpretation.
 //
 // With -json FILE, every computed artifact is also written as one JSON
 // document (BENCH_*.json style).
@@ -35,7 +35,8 @@ type report struct {
 	Overhead   []bench.OverheadRow `json:"overhead,omitempty"`
 	Fig7       []bench.Fig7Row     `json:"fig7,omitempty"`
 	Ladder     []bench.LadderRow   `json:"ladder,omitempty"`
-	Startup    []bench.StartupRow  `json:"startup,omitempty"`
+	Startup    []bench.LedgerRow   `json:"startup,omitempty"`
+	Pooled     []bench.LedgerRow   `json:"pooled,omitempty"`
 	ServerLoad []bench.LoadRow     `json:"server_load,omitempty"`
 	// ServerChaos is populated by -chaos only: the pass arms the
 	// process-global fault registry, so it never rides the default run
@@ -51,8 +52,8 @@ func main() {
 	load := flag.String("load", "", "drive the running vxad or vxrouter at this URL (e.g. http://127.0.0.1:7787) with open-loop Poisson load and report outcomes and latency percentiles")
 	chaos := flag.Bool("chaos", false, "drive vxad with fault injection armed and report containment/recovery figures")
 	ablateOpt := flag.Bool("ablate-opt", false, "measure each engine layer's contribution: decode time at every vm.OptLevel (reference, superblocks, tier 2, eager promotion)")
-	startup := flag.Bool("startup", false, "print the first-stream ledger: one cold 4 KiB stream per decoder, split into stages that sum to its wall time; exit nonzero if any decoder leaves more than 5% unaccounted")
-	startupReps := flag.Int("startup-reps", 200, "cold operations per decoder for -startup")
+	startup := flag.Bool("startup", false, "print the first-stream ledger, one cold 4 KiB stream per decoder, and the pooled-stream ledger, one warm 256 B stream per decoder after a reset and after a resume, each split into stages that sum to its wall time; exit nonzero if any stream leaves more than 5% unaccounted")
+	startupReps := flag.Int("startup-reps", 200, "cold operations per decoder, and pooled streams per decoder and path, for -startup")
 	rate := flag.Float64("rate", 50, "offered request rate per second for -load")
 	duration := flag.Duration("duration", 2*time.Second, "load duration per codec for -load")
 	conc := flag.Int("conc", 8, "max in-flight client requests for -load and -chaos")
@@ -211,10 +212,25 @@ func main() {
 			fatal(err)
 		}
 		rep.Startup = rows
-		printStartup(rows)
+		printLedger(fmt.Sprintf("First stream: one cold 4 KiB entry per decoder, mean of %d operations, microseconds (share of wall)", rows[0].Reps),
+			bench.StartupStageNames[:], rows, "traces, code KiB",
+			func(r bench.LedgerRow) string { return fmt.Sprintf("%d, %d", r.Traces, r.CodeBytes>>10) })
 		for _, r := range rows {
 			if sh := r.RemainderShare(); sh > 0.05 || sh < -0.05 {
 				startupErr = fmt.Errorf("-startup: %s leaves %.1f%% of its first stream unaccounted", r.Codec, 100*sh)
+			}
+		}
+		pooled, err := bench.Pooled(*startupReps)
+		if err != nil {
+			fatal(err)
+		}
+		rep.Pooled = pooled
+		printLedger(fmt.Sprintf("Pooled stream: one warm 256 B entry per decoder after a mode change (reset) and after a resume, mean of %d streams, microseconds (share of wall)", pooled[0].Reps),
+			bench.PooledStageNames[:], pooled, "tier-2 share",
+			func(r bench.LedgerRow) string { return fmt.Sprintf("%.5f", r.Tier2Share) })
+		for _, r := range pooled {
+			if sh := r.RemainderShare(); sh > 0.05 || sh < -0.05 {
+				startupErr = fmt.Errorf("-startup: %s leaves %.1f%% of its pooled %s stream unaccounted", r.Codec, 100*sh, r.Path)
 			}
 		}
 	}
@@ -310,32 +326,36 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// printStartup prints the first-stream ledger, one column per decoder,
-// every stage in microseconds and as a share of the wall time.
-func printStartup(rows []bench.StartupRow) {
-	fmt.Printf("First stream: one cold 4 KiB entry per decoder, mean of %d operations, microseconds (share of wall)\n", rows[0].Reps)
-	fmt.Printf("  %-20s", "stage")
-	for _, r := range rows {
-		fmt.Printf(" %14s", r.Codec)
+// printLedger prints a stage ledger under its title, one column per row
+// (headed by its decoder, and its path where it has one), every stage in
+// microseconds and as a share of the wall time, then the line extra
+// makes of each row.
+func printLedger(title string, stages []string, rows []bench.LedgerRow, extraName string, extra func(bench.LedgerRow) string) {
+	fmt.Println(title)
+	header := func(name string, get func(bench.LedgerRow) string) {
+		fmt.Printf("  %-20s", name)
+		for _, r := range rows {
+			fmt.Printf(" %14s", get(r))
+		}
+		fmt.Println()
 	}
-	fmt.Println()
-	line := func(name string, get func(bench.StartupRow) time.Duration) {
+	header("stage", func(r bench.LedgerRow) string { return r.Codec })
+	if rows[0].Path != "" {
+		header("", func(r bench.LedgerRow) string { return r.Path })
+	}
+	line := func(name string, get func(bench.LedgerRow) time.Duration) {
 		fmt.Printf("  %-20s", name)
 		for _, r := range rows {
 			fmt.Printf(" %7.1f (%3.0f%%)", float64(get(r))/1e3, 100*float64(get(r))/float64(r.Wall))
 		}
 		fmt.Println()
 	}
-	for i, name := range bench.StartupStageNames {
-		line(name, func(r bench.StartupRow) time.Duration { return r.Stages[i] })
+	for i, name := range stages {
+		line(name, func(r bench.LedgerRow) time.Duration { return r.Stages[i] })
 	}
-	line("remainder", func(r bench.StartupRow) time.Duration { return r.Remainder })
-	line("wall", func(r bench.StartupRow) time.Duration { return r.Wall })
-	line("library op", func(r bench.StartupRow) time.Duration { return r.Library })
-	fmt.Printf("  %-20s", "traces, code KiB")
-	for _, r := range rows {
-		fmt.Printf(" %8d, %4d", r.Traces, r.CodeBytes>>10)
-	}
-	fmt.Println()
+	line("remainder", func(r bench.LedgerRow) time.Duration { return r.Remainder })
+	line("wall", func(r bench.LedgerRow) time.Duration { return r.Wall })
+	line("library op", func(r bench.LedgerRow) time.Duration { return r.Library })
+	header(extraName, extra)
 	fmt.Println()
 }

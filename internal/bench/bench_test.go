@@ -4,6 +4,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -17,6 +18,38 @@ func TestStartupRejectsNonPositiveReps(t *testing.T) {
 		rows, err := Startup(reps)
 		if err == nil {
 			t.Errorf("Startup(%d) = %d rows, want an error", reps, len(rows))
+		}
+		pooled, err := Pooled(reps)
+		if err == nil {
+			t.Errorf("Pooled(%d) = %d rows, want an error", reps, len(pooled))
+		}
+	}
+}
+
+// TestPooledLedger: the pooled-stream ledger has a reset and a resume row
+// per Table 1 decoder, each stage list sums to its wall time with the
+// remainder, and, where tier 2 has an emitter, a stream after a reset
+// runs as much of itself compiled as a resumed one: at least 99%. The
+// ledger's VMs run at vm.OptTier2 whatever VXA_OPT says, so the share
+// holds on every leg.
+func TestPooledLedger(t *testing.T) {
+	rows, err := Pooled(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2*len(paperCodecs) {
+		t.Fatalf("%d rows, want %d", len(rows), 2*len(paperCodecs))
+	}
+	for _, r := range rows {
+		sum := r.Remainder
+		for _, d := range r.Stages {
+			sum += d
+		}
+		if sum != r.Wall {
+			t.Errorf("%s %s: stages and remainder sum to %v, wall %v", r.Codec, r.Path, sum, r.Wall)
+		}
+		if runtime.GOOS == "linux" && runtime.GOARCH == "amd64" && r.Tier2Share < 0.99 {
+			t.Errorf("%s %s: %.5f of the stream ran compiled", r.Codec, r.Path, r.Tier2Share)
 		}
 	}
 }

@@ -35,42 +35,75 @@ const (
 	numStartupStages
 )
 
-// StartupStageNames labels StartupRow.Stages.
+// StartupStageNames labels a first-stream LedgerRow's Stages.
 var StartupStageNames = [numStartupStages]string{
 	"zip open", "decoder read", "ELF parse+load", "snapshot", "block build",
 	"superblock formation", "tier-2 emit", "tier-2 seal", "execution", "teardown",
 }
 
-// StartupRow is one decoder's first-stream ledger: what a process with
-// nothing cached spends, stage by stage, to decode one small entry
-// through its archived decoder. Every figure is a mean over Reps cold
-// operations, so Stages and Remainder add up to Wall exactly.
+// LedgerRow is one decoder's row of a stage ledger: what one stream
+// costs it, stage by stage. Every figure is a mean over Reps operations,
+// so Stages and Remainder add up to Wall exactly.
 //
 // The stages are clocked on the operation taken apart — the calls the
-// library makes for a first stream, made one after another — and Wall is
+// library makes for the stream, made one after another — and Wall is
 // that operation's own wall time, so Remainder is what falls between the
 // clocks: RunStream outside the engine's own counters, and the clock
-// reads. Library is the same entry through the public path (NewReader,
-// ExtractTo, Close) on alternate repetitions, for comparison: it adds the
-// pool, the span plumbing and the payload CRC to the same work.
-type StartupRow struct {
+// reads. Library is the same stream through the public path (ExtractTo)
+// on alternate operations, for comparison: it adds the pool, the span
+// plumbing and the payload CRC to the same work.
+type LedgerRow struct {
 	Codec string `json:"codec"`
-	Reps  int    `json:"reps"`
+	// Path is the pooled ledger's "reset" or "resume"; the first-stream
+	// ledger has one path.
+	Path string `json:"path,omitempty"`
+	Reps int    `json:"reps"`
 
-	Wall      time.Duration                   `json:"wall_ns"`
-	Library   time.Duration                   `json:"library_ns"`
-	Stages    [numStartupStages]time.Duration `json:"stages_ns"` // indexed by the Stage constants
-	Remainder time.Duration                   `json:"remainder_ns"`
+	Wall      time.Duration   `json:"wall_ns"`
+	Library   time.Duration   `json:"library_ns"`
+	Stages    []time.Duration `json:"stages_ns"` // indexed by the ledger's stage constants
+	Remainder time.Duration   `json:"remainder_ns"`
 
-	// CodeBytes is the executable memory the stream's traces fill (whole
-	// pages), Traces how many it compiled.
-	CodeBytes int64  `json:"code_bytes"`
-	Traces    uint64 `json:"traces"`
+	// First stream: CodeBytes is the executable memory the stream's
+	// traces fill (whole pages), Traces how many it compiled.
+	CodeBytes int64  `json:"code_bytes,omitempty"`
+	Traces    uint64 `json:"traces,omitempty"`
+	// Pooled stream: Tier2Share is the share of the stream's
+	// instructions compiled traces retired.
+	Tier2Share float64 `json:"tier2_share,omitempty"`
 }
 
 // RemainderShare is the part of Wall no stage accounts for.
-func (r StartupRow) RemainderShare() float64 {
+func (r LedgerRow) RemainderShare() float64 {
 	return float64(r.Remainder) / float64(r.Wall)
+}
+
+// add accumulates one operation and its library twin into r.
+func (r *LedgerRow) add(o LedgerRow, lib time.Duration) {
+	r.Wall += o.Wall
+	r.Library += lib
+	if r.Stages == nil {
+		r.Stages = make([]time.Duration, len(o.Stages))
+	}
+	for i, d := range o.Stages {
+		r.Stages[i] += d
+	}
+	r.CodeBytes, r.Traces = o.CodeBytes, o.Traces
+	r.Tier2Share += o.Tier2Share
+}
+
+// div turns the sums of Reps operations into means and takes the
+// remainder.
+func (r *LedgerRow) div() {
+	d := time.Duration(r.Reps)
+	r.Wall /= d
+	r.Library /= d
+	r.Remainder = r.Wall
+	for i := range r.Stages {
+		r.Stages[i] /= d
+		r.Remainder -= r.Stages[i]
+	}
+	r.Tier2Share /= float64(r.Reps)
 }
 
 // startupMemSize is the guest address space archive readers give a
@@ -93,20 +126,34 @@ func startupEntry(name string) ([]byte, error) {
 	default:
 		raw = corpus.Text(4<<10, 1)
 	}
+	return codecArchive(c, raw, archiveEntry{"entry", 0644})
+}
+
+// archiveEntry names one entry of codecArchive's archive.
+type archiveEntry struct {
+	name string
+	mode uint32
+}
+
+// codecArchive builds an archive holding raw, in the form c's decoder
+// turns it back from, once per entry.
+func codecArchive(c *codec.Codec, raw []byte, entries ...archiveEntry) ([]byte, error) {
 	// The writer picks deflate and lpc for raw text and audio by itself;
 	// the other four are recognized from their encoded form.
 	data := raw
-	if name != "deflate" && name != "lpc" {
+	if c.Name != "deflate" && c.Name != "lpc" {
 		var enc bytes.Buffer
 		if err := c.Encode(&enc, raw); err != nil {
-			return nil, fmt.Errorf("bench: %s encode: %w", name, err)
+			return nil, fmt.Errorf("bench: %s encode: %w", c.Name, err)
 		}
 		data = enc.Bytes()
 	}
 	var buf bytes.Buffer
 	w := core.NewWriter(&buf, core.WriterOptions{})
-	if err := w.AddFile("entry", data, 0644); err != nil {
-		return nil, err
+	for _, e := range entries {
+		if err := w.AddFile(e.name, data, e.mode); err != nil {
+			return nil, err
+		}
 	}
 	if err := w.Close(); err != nil {
 		return nil, err
@@ -115,22 +162,24 @@ func startupEntry(name string) ([]byte, error) {
 }
 
 // Startup measures the first-stream ledger of every Table 1 decoder over
-// reps cold operations each.
-func Startup(reps int) ([]StartupRow, error) {
+// reps cold operations each: what a process with nothing cached spends,
+// stage by stage, to decode one small entry through its archived
+// decoder.
+func Startup(reps int) ([]LedgerRow, error) {
 	if reps < 1 {
 		return nil, fmt.Errorf("bench: startup reps must be >= 1 (got %d)", reps)
 	}
-	var rows []StartupRow
+	var rows []LedgerRow
 	for _, name := range paperCodecs {
 		archive, err := startupEntry(name)
 		if err != nil {
 			return nil, err
 		}
-		row := StartupRow{Codec: name, Reps: reps}
+		row := LedgerRow{Codec: name, Reps: reps}
 		// One unrecorded operation of each kind first: the process's own
 		// first-use costs are not the decoder's.
 		for i := -1; i < reps; i++ {
-			var one StartupRow
+			var one LedgerRow
 			if err := startupOp(archive, name, &one); err != nil {
 				return nil, fmt.Errorf("bench: %s: %w", name, err)
 			}
@@ -146,36 +195,14 @@ func Startup(reps int) ([]StartupRow, error) {
 				row.add(one, lib)
 			}
 		}
-		row.div(reps)
+		row.div()
 		rows = append(rows, row)
 	}
 	return rows, nil
 }
 
-// add accumulates one operation and its library twin into r.
-func (r *StartupRow) add(o StartupRow, lib time.Duration) {
-	r.Wall += o.Wall
-	r.Library += lib
-	for i, d := range o.Stages {
-		r.Stages[i] += d
-	}
-	r.CodeBytes, r.Traces = o.CodeBytes, o.Traces
-}
-
-// div turns the sums of n operations into means and takes the remainder.
-func (r *StartupRow) div(n int) {
-	d := time.Duration(n)
-	r.Wall /= d
-	r.Library /= d
-	r.Remainder = r.Wall
-	for i := range r.Stages {
-		r.Stages[i] /= d
-		r.Remainder -= r.Stages[i]
-	}
-}
-
 // startupOp is one cold first stream, taken apart and clocked.
-func startupOp(archive []byte, name string, row *StartupRow) error {
+func startupOp(archive []byte, name string, row *LedgerRow) error {
 	t0 := time.Now()
 	zr, err := zipfile.NewReaderAt(bytes.NewReader(archive), int64(len(archive)))
 	if err != nil {
@@ -225,7 +252,7 @@ func startupOp(archive []byte, name string, row *StartupRow) error {
 	st := v.Stats()
 	emit, seal, sb := time.Duration(st.Tier2EmitNS), time.Duration(st.Tier2SealNS), time.Duration(st.SuperblockNS)
 	row.Wall = t6.Sub(t0)
-	row.Stages = [numStartupStages]time.Duration{
+	row.Stages = []time.Duration{
 		StageZipOpen:     t1.Sub(t0),
 		StageDecoderRead: t2.Sub(t1),
 		StageELFLoad:     t3.Sub(t2),

@@ -17,6 +17,11 @@ var tableOneDecoders = []string{"deflate", "bwt", "dct", "haar", "lpc", "adpcm"}
 // sources, libvx included. Measured, with a tenth of headroom; re-measure
 // when the compiler's work changes, and only ever downwards.
 //
+// Measured once the assembler's text was sized from the sources' lengths
+// (allocations, bytes; the largest of GOMAXPROCS 1, 2, 4 and 8, Go 1.24):
+// deflate 8323, 1.39 M; bwt 5631, 0.93 M; dct 5886, 1.17 M; haar 5734,
+// 0.97 M; lpc 4963, 0.83 M; adpcm 3500, 0.73 M.
+//
 // Measured once the lexer's operator tables were built once and the
 // token slice and the linker's text sized once (allocations, bytes; the
 // largest of GOMAXPROCS 1, 2, 4 and 8, Go 1.24): deflate 8336, 2.03 M;
@@ -29,12 +34,12 @@ var compileBudgets = map[string]struct {
 	allocs float64
 	bytes  uint64
 }{
-	"deflate": {9170, 2_238_000},
-	"bwt":     {6210, 1_408_000},
-	"dct":     {6490, 1_627_000},
-	"haar":    {6330, 1_438_000},
-	"lpc":     {5480, 1_056_000},
-	"adpcm":   {3870, 980_000},
+	"deflate": {9155, 1_524_000},
+	"bwt":     {6194, 1_021_000},
+	"dct":     {6475, 1_285_000},
+	"haar":    {6307, 1_068_000},
+	"lpc":     {5459, 912_000},
+	"adpcm":   {3850, 800_000},
 }
 
 func tableOneCodecs(tb testing.TB) []*codec.Codec {

@@ -519,9 +519,11 @@ func (r *Reader) extractSection(ctx context.Context, e *Entry, payload *io.Secti
 	// has been written (same contract as decoded entries: callers
 	// extracting to files remove them on error).
 	if e.Method == zipfile.MethodStore && (!e.PreCompressed || !opts.DecodeAll) {
+		buf := crcBufs.Get().(*[32 << 10]byte)
+		defer crcBufs.Put(buf)
 		crc := crc32.NewIEEE()
 		cw := &obs.CountWriter{W: io.MultiWriter(crc, w), Span: sp}
-		n, err := io.Copy(cw, &ctxReader{ctx: ctx, r: payload})
+		n, err := io.CopyBuffer(cw, &ctxReader{ctx: ctx, r: payload}, buf[:])
 		if err != nil {
 			return n, classifyDecode(e.Name, err, ctx.Err())
 		}
@@ -562,8 +564,10 @@ func (r *Reader) extractSection(ctx context.Context, e *Entry, payload *io.Secti
 // ctx-aware: host-side reads over a multi-gigabyte stored payload honor
 // cancellation just like guest decodes do.
 func (r *Reader) checkPayloadCRC(ctx context.Context, e *Entry, payload *io.SectionReader) error {
+	buf := crcBufs.Get().(*[32 << 10]byte)
+	defer crcBufs.Put(buf)
 	crc := crc32.NewIEEE()
-	if _, err := io.Copy(crc, &ctxReader{ctx: ctx, r: payload}); err != nil {
+	if _, err := io.CopyBuffer(crc, &ctxReader{ctx: ctx, r: payload}, buf[:]); err != nil {
 		if ctx.Err() != nil {
 			return &Error{Kind: KindCanceled, Entry: e.Name, Trap: ctx.Err()}
 		}
@@ -576,9 +580,16 @@ func (r *Reader) checkPayloadCRC(ctx context.Context, e *Entry, payload *io.Sect
 	return badArchive(e.Name, err)
 }
 
+// crcBufs holds the 32 KiB buffers the passes over a stored payload
+// copy through: neither a CRC-32 nor the writers a stored entry goes to
+// are an io.ReaderFrom, nor a payload section an io.WriterTo, so
+// io.Copy would allocate and clear a fresh one for every entry.
+var crcBufs = sync.Pool{New: func() any { return new([32 << 10]byte) }}
+
 // ctxReader makes a host-side payload pass cancelable: each Read (every
-// 32 KiB under io.Copy) first checks the context, so canceling stops a
-// long disk scan promptly even though no guest is involved.
+// 32 KiB, the size of the pass's buffer) first checks the context, so
+// canceling stops a long disk scan promptly even though no guest is
+// involved.
 type ctxReader struct {
 	ctx context.Context
 	r   io.Reader

@@ -11,3 +11,18 @@ func CompileSuperblocks(s *Snapshot) {
 		tier2.Compile(r.b.uops, r.b.uops[0].EIP, s.geometry(), s.arena)
 	}
 }
+
+// Profile returns the execution profile of v's translation view: per
+// fragment address, the base bref's heat, taken and fall counts, then
+// those of the superblock hung off it (zero when there is none).
+func Profile(v *VM) map[uint32][6]uint32 {
+	p := make(map[uint32][6]uint32, len(v.blocks))
+	for addr, br := range v.blocks {
+		c := [6]uint32{br.heat, br.takenCnt, br.fallCnt}
+		if sb := br.sb; sb != nil {
+			c[3], c[4], c[5] = sb.heat, sb.takenCnt, sb.fallCnt
+		}
+		p[addr] = c
+	}
+	return p
+}

@@ -128,3 +128,63 @@ func TestResetKeepsView(t *testing.T) {
 			d.name, linked, st.Tier2Compiled-st0.Tier2Compiled, st.Tier2Links-st0.Tier2Links)
 	}
 }
+
+// counted reports how many of a profile's counters are not zero.
+func counted(p map[uint32][6]uint32) int {
+	n := 0
+	for _, c := range p {
+		for _, x := range c {
+			if x != 0 {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestResetKeepsProfile: a Reset onto a kept view leaves every counter of
+// its execution profile — each fragment's heat and edge counts, and its
+// superblock's — where the last stream left them, so code that runs a
+// few times per stream goes on warming across resets. A view that went
+// stale because another VM absorbed into the snapshot is rebuilt, and
+// its profile starts at zero.
+func TestResetKeepsProfile(t *testing.T) {
+	cfg := vm.Config{MemSize: 64 << 20, OptLevel: vm.OptTier2}
+	for _, d := range decoderStreams(t) {
+		fresh, err := elf32.NewVM(d.elf, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := fresh.Snapshot()
+		v, other := snap.NewVM(), snap.NewVM()
+		d.run(t, other)
+		d.run(t, v)
+		snap.AbsorbBlocks(v)
+		want := vm.Profile(v)
+		if counted(want) == 0 {
+			t.Fatalf("%s: a stream left no profile", d.name)
+		}
+		if err := v.Reset(snap); err != nil {
+			t.Fatal(err)
+		}
+		got := vm.Profile(v)
+		if len(got) != len(want) {
+			t.Fatalf("%s: the kept view has %d fragments, %d before the Reset", d.name, len(got), len(want))
+		}
+		for addr, c := range want {
+			if got[addr] != c {
+				t.Fatalf("%s: fragment %#x: profile %v after the Reset, %v before", d.name, addr, got[addr], c)
+			}
+		}
+
+		if counted(vm.Profile(other)) == 0 {
+			t.Fatalf("%s: a stream left no profile", d.name)
+		}
+		if err := other.Reset(snap); err != nil {
+			t.Fatal(err)
+		}
+		if n := counted(vm.Profile(other)); n != 0 {
+			t.Fatalf("%s: a view rebuilt after another VM's absorb starts with %d counters set", d.name, n)
+		}
+	}
+}

@@ -204,8 +204,10 @@ func (s *Snapshot) stamp(v *VM) viewStamp {
 // snapshot built at its current generation, at v's level, is kept: all
 // of it is translated from the read-only text, which the restore has
 // just laid down unchanged, and it holds everything the snapshot does.
-// Only its profile goes, so that superblocks form and traces promote as
-// on a rebuilt view.
+// Its profile (heat and edge counts) is kept too: the guest has no clock
+// to observe it by, and code that runs a few times per stream, such as
+// a decoder's start-up, goes on warming across resets until it forms its
+// superblocks and compiles, instead of starting cold in every stream.
 //
 // Any other view is rebuilt: the *block values are shared (immutable
 // once built), but each is wrapped in a fresh per-VM bref, since chain
@@ -227,7 +229,6 @@ func (s *Snapshot) blockMap(v *VM) {
 	defer s.mu.Unlock()
 	view := s.stamp(v)
 	if v.view == view {
-		v.coolView()
 		return
 	}
 	v.view = view
@@ -250,16 +251,6 @@ func (s *Snapshot) blockMap(v *VM) {
 			}
 		}
 		v.blocks[addr] = br
-	}
-}
-
-// coolView zeroes the profile counters of every bref in v's view.
-func (v *VM) coolView() {
-	for _, br := range v.blocks {
-		br.heat, br.takenCnt, br.fallCnt = 0, 0, 0
-		if sb := br.sb; sb != nil {
-			sb.heat, sb.takenCnt, sb.fallCnt = 0, 0, 0
-		}
 	}
 }
 
@@ -298,9 +289,10 @@ func (s *Snapshot) NewVM() *VM {
 // The view kept when still valid (blockMap) is derived from read-only
 // text alone — the same bytes in every VM of the snapshot — plus an
 // execution profile of the kind the snapshot already shares across modes
-// and scopes through AbsorbBlocks, and its profile counters are zeroed.
-// Nothing guest-visible survives: a stream's output and Steps stay a
-// pure function of the archive, the entry and the fuel.
+// and scopes through AbsorbBlocks. Neither is guest-visible: the guest
+// has no clock, and output, Steps and every trap are the same on every
+// tier, so a stream's output and Steps stay a pure function of the
+// archive, the entry and the fuel.
 func (v *VM) Reset(s *Snapshot) error {
 	if uint32(len(v.mem)) != s.memSize {
 		return fmt.Errorf("vm: reset across memory sizes (%d != %d)", len(v.mem), s.memSize)

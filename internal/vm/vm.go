@@ -331,7 +331,7 @@ type bref struct {
 	indAddr     uint32
 
 	// Hot-path profile and superblock state (per-VM; a Reset that keeps
-	// the bref zeroes the counters). On a base bref, heat counts block
+	// the bref keeps the counters too). On a base bref, heat counts block
 	// entries and takenCnt/fallCnt profile the terminating Jcc's edges
 	// until a superblock is installed in sb. A superblock's own bref
 	// carries the per-guard exit chain slots in sbChains and the return

@@ -62,6 +62,14 @@ func (r streamResult) check(t *testing.T, what string, want streamResult) {
 // nativeTier2 reports whether tier 2 has an emitter for this platform.
 func nativeTier2() bool { return runtime.GOOS == "linux" && runtime.GOARCH == "amd64" }
 
+// convergedAfter is how many streams, each after a reset, one pooled VM
+// takes to compile the code every stream of TestPooledStreamIsPureFunction
+// runs: the last stream to form a superblock or compile a trace was the
+// 66th, of adpcm and haar (the 50th of the other decoders). A Reset
+// that zeroed the profile left start-up code on the interpreter in every
+// stream: 0.14% to 1.6% of its instructions, for ever.
+const convergedAfter = 80
+
 // TestPooledStreamIsPureFunction is the metamorphic wall for shared and
 // linked traces on the real decoders: for every built-in codec, a
 // stream's output bytes and guest instruction count — and, for a stream
@@ -73,6 +81,11 @@ func nativeTier2() bool { return runtime.GOOS == "linux" && runtime.GOARCH == "a
 // the way an artifact store hands it to another process. Every lease
 // changes the security mode, so every lease after the first is a reset
 // and starts with an empty link table.
+//
+// A last pooled VM runs at the default level, and after convergedAfter
+// streams, each a reset, must have stopped forming superblocks and
+// compiling traces and run at least 99.9% of each stream's instructions
+// in compiled code.
 func TestPooledStreamIsPureFunction(t *testing.T) {
 	// The tier is forced hot for the pooled and fresh legs whatever the
 	// CI leg says; the reference leg turns it off through its Config.
@@ -135,17 +148,19 @@ func TestPooledStreamIsPureFunction(t *testing.T) {
 			got, _ = runOn(t, fresh(cfg), enc, short)
 			got.check(t, "fresh VM, tier hot, short of fuel", wantTrap)
 
+			// get leases the decoder from p, in one of two modes by
+			// the parity of i.
+			get := func(p *vmpool.Pool, i int) *vmpool.Lease {
+				l, err := p.Get(context.Background(), c.Name, uint32(0600+i%2), func() ([]byte, error) { return elf, nil })
+				if err != nil {
+					t.Fatal(err)
+				}
+				return l
+			}
 			for _, n := range resets {
 				p := vmpool.New(vmpool.Options{VM: cfg})
-				get := func(i int) *vmpool.Lease {
-					l, err := p.Get(context.Background(), c.Name, uint32(0600+i%2), func() ([]byte, error) { return elf, nil })
-					if err != nil {
-						t.Fatal(err)
-					}
-					return l
-				}
 				for i := 0; i <= n; i++ {
-					l := get(i)
+					l := get(p, i)
 					got, reusable := runOn(t, l.VM(), enc, full)
 					got.check(t, "pooled stream", want)
 					l.Release(reusable)
@@ -153,7 +168,7 @@ func TestPooledStreamIsPureFunction(t *testing.T) {
 				if got := p.Stats().Resets; got != n {
 					t.Fatalf("%d resets, want %d", got, n)
 				}
-				l := get(n + 1)
+				l := get(p, n+1)
 				got, _ := runOn(t, l.VM(), enc, short)
 				got.check(t, "pooled stream short of fuel", wantTrap)
 				if _, err := l.VM().CheckLinks(); err != nil {
@@ -182,6 +197,34 @@ func TestPooledStreamIsPureFunction(t *testing.T) {
 				got.check(t, "artifact-loaded stream", want)
 				got, _ = runOn(t, loaded.NewVM(), enc, short)
 				got.check(t, "artifact-loaded stream short of fuel", wantTrap)
+			}
+
+			// The kept profile: one pooled VM at the default level, every
+			// stream after the first a reset. Code that runs a few times
+			// per stream goes on warming across the resets until it has
+			// formed its superblocks and compiled, and from then on a
+			// stream forms and compiles nothing and retires nearly all of
+			// its instructions in compiled code.
+			p := vmpool.New(vmpool.Options{VM: vm.Config{MemSize: 64 << 20, OptLevel: vm.OptTier2}})
+			for i := 0; i < convergedAfter+10; i++ {
+				l := get(p, i)
+				st0 := l.VM().Stats()
+				got, reusable := runOn(t, l.VM(), enc, full)
+				st := l.VM().Stats()
+				l.Release(reusable)
+				got.check(t, "pooled stream at the default level", want)
+				if i < convergedAfter || !nativeTier2() {
+					continue
+				}
+				formed, compiled := st.SuperblocksFormed-st0.SuperblocksFormed, st.Tier2Compiled-st0.Tier2Compiled
+				share := float64(st.Tier2Steps-st0.Tier2Steps) / float64(got.steps)
+				if formed != 0 || compiled != 0 || share < 0.999 {
+					t.Fatalf("stream %d, after %d resets: formed %d superblocks, compiled %d traces, ran %.5f of its instructions compiled",
+						i, i, formed, compiled, share)
+				}
+			}
+			if got := p.Stats().Resets; got != convergedAfter+9 {
+				t.Fatalf("%d resets, want %d", got, convergedAfter+9)
 			}
 		})
 	}

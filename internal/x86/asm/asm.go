@@ -11,6 +11,7 @@ package asm
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"vxa/internal/x86"
@@ -65,6 +66,13 @@ func (u *Unit) Label(name string) {
 	}
 	u.names[name] = true
 	u.text = append(u.text, textItem{isLabel: true, label: name})
+}
+
+// Grow makes room for n more text items (instructions and labels), so a
+// caller that can estimate the unit's size does not grow it an append at
+// a time.
+func (u *Unit) Grow(n int) {
+	u.text = slices.Grow(u.text, n)
 }
 
 // Emit appends an instruction to the text section.

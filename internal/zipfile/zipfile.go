@@ -17,6 +17,7 @@
 package zipfile
 
 import (
+	"bufio"
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
@@ -24,6 +25,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync"
 )
 
 // ZIP method tags.
@@ -269,6 +271,37 @@ type Reader struct {
 	Files []FileHeader
 }
 
+// inflater is a flate reader and the byte reader under it. Decoder takes
+// one from inflaters and resets it onto each pseudo-file rather than
+// building one per call (tens of KB of tables and window each time).
+type inflater struct {
+	sec io.SectionReader
+	br  *bufio.Reader
+	fr  io.ReadCloser
+}
+
+var inflaters = sync.Pool{New: func() any {
+	d := new(inflater)
+	d.br = bufio.NewReader(&d.sec)
+	d.fr = flate.NewReader(d.br)
+	return d
+}}
+
+// reset points the inflater at the deflate stream in [off, off+n) of ra.
+func (d *inflater) reset(ra io.ReaderAt, off, n int64) io.Reader {
+	d.sec = *io.NewSectionReader(ra, off, n)
+	d.br.Reset(&d.sec)
+	d.fr.(flate.Resetter).Reset(d.br, nil)
+	return d.fr
+}
+
+// release drops the inflater's hold on the archive and puts it back.
+func (d *inflater) release() {
+	d.sec = io.SectionReader{}
+	d.br.Reset(&d.sec)
+	inflaters.Put(d)
+}
+
 // NewReader opens an archive held in memory (an adapter over
 // NewReaderAt for callers that already have the whole container).
 func NewReader(data []byte) (*Reader, error) {
@@ -434,8 +467,9 @@ func (r *Reader) Decoder(off uint32) ([]byte, error) {
 	if usize > MaxDecoderSize {
 		return nil, fmt.Errorf("%w: decoder pseudo-file claims %d bytes (cap %d)", ErrFormat, usize, MaxDecoderSize)
 	}
-	fr := flate.NewReader(io.NewSectionReader(r.ra, start, csize))
-	defer fr.Close()
+	dec := inflaters.Get().(*inflater)
+	defer dec.release()
+	fr := dec.reset(r.ra, start, csize)
 	// Inflate into the claimed size, then probe for one byte more. A
 	// stream that stops short and one that goes on past the claim are
 	// both a size mismatch; ReadFull reports the first as io.EOF or

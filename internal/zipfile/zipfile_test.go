@@ -5,8 +5,12 @@ import (
 	"bytes"
 	"compress/flate"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
+	"runtime"
+	"runtime/debug"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -233,5 +237,123 @@ func TestDecoderDeflaterReuse(t *testing.T) {
 		if !bytes.Equal(got, d) {
 			t.Errorf("decoder %d: read back %d bytes that differ from the %d stored", i, len(got), len(d))
 		}
+	}
+}
+
+// patternedDecoders is an archive of n decoder pseudo-files of 24 KiB
+// each, patterned like code, with the decoders and their offsets.
+func patternedDecoders(t *testing.T, n int) ([]byte, [][]byte, []uint32) {
+	t.Helper()
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	var decoders [][]byte
+	var offs []uint32
+	for k := 0; k < n; k++ {
+		d := make([]byte, 24<<10)
+		for i := range d {
+			d[i] = byte((i*i)>>3 + k)
+		}
+		off, err := w.AddDecoder(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decoders, offs = append(decoders, d), append(offs, off)
+	}
+	if err := w.AddFile(FileHeader{Name: "f", Method: MethodStore}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), decoders, offs
+}
+
+// decoderReadBudget is TestDecoderReadAllocBudget's ceiling: what one
+// Decoder call allocates once a decoder has been read before, beyond
+// the decoder's own bytes, measured with a tenth of headroom.
+// Re-measure when the read path changes, and only ever downwards.
+//
+// Measured once Decoder kept its inflaters in a sync.Pool: 5
+// allocations, 73 bytes besides the decoder (GOMAXPROCS 1, 2, 4 and 8
+// alike). With a flate reader built per call: 12 allocations, 44 858
+// bytes besides it.
+var decoderReadBudget = struct {
+	allocs float64
+	bytes  uint64
+}{5.5, 81}
+
+// TestDecoderReadAllocBudget: Decoder resets a kept inflater onto each
+// decoder it reads instead of building a flate reader (tens of KB of
+// tables and window) per call.
+func TestDecoderReadAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation ceilings are measured without the race detector")
+	}
+	arch, decoders, offs := patternedDecoders(t, 2)
+	r, err := NewReader(arch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	op := func() {
+		got, err := r.Decoder(offs[i%2])
+		if err != nil || !bytes.Equal(got, decoders[i%2]) {
+			t.Fatalf("decoder %d: %v", i%2, err)
+		}
+		i++
+	}
+	op()
+	const runs = 20
+	allocs := testing.AllocsPerRun(runs, op)
+	// A collection empties sync.Pool, whose next Put allocates its
+	// per-P array again (about 1.5 KB here): each read's own 24 KiB
+	// decoder brings one on every other run of this test. Counted
+	// without collections, the bytes are the read's alone.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for k := 0; k < runs; k++ {
+		op()
+	}
+	runtime.ReadMemStats(&after)
+	perOp := (after.TotalAlloc-before.TotalAlloc)/runs - uint64(len(decoders[0]))
+	budget := decoderReadBudget
+	t.Logf("%.0f allocs (ceiling %.1f), %d bytes besides the decoder (ceiling %d)", allocs, budget.allocs, perOp, budget.bytes)
+	if allocs > budget.allocs || perOp > budget.bytes {
+		t.Errorf("a decoder read allocates %.0f objects, %d bytes besides the decoder; the budget is %.1f, %d",
+			allocs, perOp, budget.allocs, budget.bytes)
+	}
+}
+
+// TestDecoderConcurrentReads: goroutines reading decoders off one Reader
+// at once, through the kept inflaters, each get their own decoder whole.
+func TestDecoderConcurrentReads(t *testing.T) {
+	arch, decoders, offs := patternedDecoders(t, 4)
+	r, err := NewReader(arch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 4*25)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 25; k++ {
+				i := (g + k) % len(offs)
+				got, err := r.Decoder(offs[i])
+				if err == nil && !bytes.Equal(got, decoders[i]) {
+					err = fmt.Errorf("decoder %d read back wrong", i)
+				}
+				if err != nil {
+					errs <- err
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }
