@@ -213,8 +213,8 @@ func main() {
 		}
 		rep.Startup = rows
 		printLedger(fmt.Sprintf("First stream: one cold 4 KiB entry per decoder, mean of %d operations, microseconds (share of wall)", rows[0].Reps),
-			bench.StartupStageNames[:], rows, "traces, code KiB",
-			func(r bench.LedgerRow) string { return fmt.Sprintf("%d, %d", r.Traces, r.CodeBytes>>10) })
+			bench.StartupStageNames[:], rows, ledgerExtra{"traces, code KiB",
+				func(r bench.LedgerRow) string { return fmt.Sprintf("%d, %d", r.Traces, r.CodeBytes>>10) }})
 		for _, r := range rows {
 			if sh := r.RemainderShare(); sh > 0.05 || sh < -0.05 {
 				startupErr = fmt.Errorf("-startup: %s leaves %.1f%% of its first stream unaccounted", r.Codec, 100*sh)
@@ -226,8 +226,9 @@ func main() {
 		}
 		rep.Pooled = pooled
 		printLedger(fmt.Sprintf("Pooled stream: one warm 256 B entry per decoder after a mode change (reset) and after a resume, mean of %d streams, microseconds (share of wall)", pooled[0].Reps),
-			bench.PooledStageNames[:], pooled, "tier-2 share",
-			func(r bench.LedgerRow) string { return fmt.Sprintf("%.5f", r.Tier2Share) })
+			bench.PooledStageNames[:], pooled,
+			ledgerExtra{"tier-2 share", func(r bench.LedgerRow) string { return fmt.Sprintf("%.5f", r.Tier2Share) }},
+			ledgerExtra{"minor faults", func(r bench.LedgerRow) string { return fmt.Sprintf("%.1f", r.MinorFaults) }})
 		for _, r := range pooled {
 			if sh := r.RemainderShare(); sh > 0.05 || sh < -0.05 {
 				startupErr = fmt.Errorf("-startup: %s leaves %.1f%% of its pooled %s stream unaccounted", r.Codec, 100*sh, r.Path)
@@ -326,11 +327,17 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
+// ledgerExtra is a line of a ledger table below its stages: a name and
+// what it reads from each column.
+type ledgerExtra struct {
+	name string
+	get  func(bench.LedgerRow) string
+}
+
 // printLedger prints a stage ledger under its title, one column per row
 // (headed by its decoder, and its path where it has one), every stage in
-// microseconds and as a share of the wall time, then the line extra
-// makes of each row.
-func printLedger(title string, stages []string, rows []bench.LedgerRow, extraName string, extra func(bench.LedgerRow) string) {
+// microseconds and as a share of the wall time, then a line per extra.
+func printLedger(title string, stages []string, rows []bench.LedgerRow, extras ...ledgerExtra) {
 	fmt.Println(title)
 	header := func(name string, get func(bench.LedgerRow) string) {
 		fmt.Printf("  %-20s", name)
@@ -356,6 +363,8 @@ func printLedger(title string, stages []string, rows []bench.LedgerRow, extraNam
 	line("remainder", func(r bench.LedgerRow) time.Duration { return r.Remainder })
 	line("wall", func(r bench.LedgerRow) time.Duration { return r.Wall })
 	line("library op", func(r bench.LedgerRow) time.Duration { return r.Library })
-	header(extraName, extra)
+	for _, x := range extras {
+		header(x.name, x.get)
+	}
 	fmt.Println()
 }

@@ -6,6 +6,7 @@ import (
 	"hash"
 	"hash/crc32"
 	"io"
+	"runtime"
 	"time"
 
 	"vxa/internal/bmp"
@@ -70,7 +71,10 @@ func pooledEntry(name string) ([]byte, error) {
 // two paths run on pools of their own, one stream of each in turn, so
 // that the host's noise falls on both alike. The VMs taken apart run at
 // vm.OptTier2, the default, whatever VXA_OPT says; the library op runs
-// at the process's level.
+// at the process's level. Each decoder's streams run on one OS thread,
+// whose minor page faults (getrusage RUSAGE_THREAD) are counted around
+// every stream taken apart: what the reset path's page handling costs
+// beside the resume path's.
 func Pooled(reps int) ([]LedgerRow, error) {
 	if reps < 1 {
 		return nil, fmt.Errorf("bench: pooled reps must be >= 1 (got %d)", reps)
@@ -92,6 +96,8 @@ func pooledRows(name string, reps int) (rows [2]LedgerRow, err error) {
 	if err != nil {
 		return rows, err
 	}
+	runtime.LockOSThread()
+	defer runtime.UnlockOSThread()
 	var runs [2]*pooledRun
 	for k, path := range []string{"reset", "resume"} {
 		if runs[k], err = newPooledRun(archive, name, path, reps); err != nil {
@@ -202,6 +208,7 @@ func (p *pooledRun) op(reset bool) (LedgerRow, error) {
 		// Decoded output is summed as it is written, as ExtractTo does.
 		out.crc = crc32.NewIEEE()
 	}
+	faults := threadMinorFaults()
 	t0 := time.Now()
 	lease, err := p.pool.Get(ctx, p.key, fh.Mode, nil)
 	if err != nil {
@@ -226,6 +233,7 @@ func (p *pooledRun) op(reset bool) (LedgerRow, error) {
 	t3 := time.Now()
 	lease.Release(true)
 	t4 := time.Now()
+	faults = threadMinorFaults() - faults
 	if out.crc != nil && out.crc.Sum32() != fh.CRC32 {
 		return LedgerRow{}, fmt.Errorf("decoded data CRC mismatch")
 	}
@@ -246,7 +254,8 @@ func (p *pooledRun) op(reset bool) (LedgerRow, error) {
 			PooledGuestIO: guestIO,
 			PooledRelease: t4.Sub(t3),
 		},
-		Tier2Share: float64(st1.Tier2Steps-st0.Tier2Steps) / steps,
+		Tier2Share:  float64(st1.Tier2Steps-st0.Tier2Steps) / steps,
+		MinorFaults: float64(faults),
 	}, nil
 }
 

@@ -69,8 +69,10 @@ type LedgerRow struct {
 	CodeBytes int64  `json:"code_bytes,omitempty"`
 	Traces    uint64 `json:"traces,omitempty"`
 	// Pooled stream: Tier2Share is the share of the stream's
-	// instructions compiled traces retired.
-	Tier2Share float64 `json:"tier2_share,omitempty"`
+	// instructions compiled traces retired, MinorFaults the minor page
+	// faults its thread took from the lease to the release.
+	Tier2Share  float64 `json:"tier2_share,omitempty"`
+	MinorFaults float64 `json:"minor_faults,omitempty"`
 }
 
 // RemainderShare is the part of Wall no stage accounts for.
@@ -90,6 +92,7 @@ func (r *LedgerRow) add(o LedgerRow, lib time.Duration) {
 	}
 	r.CodeBytes, r.Traces = o.CodeBytes, o.Traces
 	r.Tier2Share += o.Tier2Share
+	r.MinorFaults += o.MinorFaults
 }
 
 // div turns the sums of Reps operations into means and takes the
@@ -104,6 +107,7 @@ func (r *LedgerRow) div() {
 		r.Remainder -= r.Stages[i]
 	}
 	r.Tier2Share /= float64(r.Reps)
+	r.MinorFaults /= float64(r.Reps)
 }
 
 // startupMemSize is the guest address space archive readers give a

@@ -42,15 +42,17 @@ func decodeGoldenInput(t *testing.T, c *codec.Codec, level vm.OptLevel) (int, vm
 // stackMachine is what vxcc.Version 2 — the EAX/ECX stack machine, every
 // temporary a PUSH/POP, every local a frame slot — retired on the same
 // inputs; the ceilings sit a few percent above what Version 3 retires
-// and at least 74% below that.
+// and at least 74% below that. Those of deflate, zlib, bwt and lpc were
+// lowered when their bit reader, Huffman decoder and inflate went from
+// bit-serial to table-driven (vxcsrc): from 59, 66, 94 and 138.
 var instructionBudget = map[string]struct{ ceiling, stackMachine float64 }{
 	"adpcm":   {47, 183.6},
-	"bwt":     {94, 375.8},
+	"bwt":     {68.8, 375.8},
 	"dct":     {289, 1535.0},
-	"deflate": {59, 267.4},
+	"deflate": {17.2, 267.4},
 	"haar":    {156, 632.1},
-	"lpc":     {138, 569.3},
-	"zlib":    {66, 302.4},
+	"lpc":     {74, 569.3},
+	"zlib":    {25.4, 302.4},
 }
 
 // TestInstructionBudget fails when a decoder retires more guest
@@ -95,15 +97,19 @@ func TestInstructionBudget(t *testing.T) {
 // them on the interpreter, and ISSUE 14's "share no lower than the
 // parent" went unmet until the teardown went — and for the other five
 // what PR 14 measured under the same forced promotion. The ceilings sit
-// a few percent above what is measured.
+// a few percent above what is measured. The table-driven bit reader and
+// Huffman decoder added start-up code to bwt and lpc (ceilings 0.20 and
+// 0.22 before) and cut deflate's and zlib's instructions by 3.5 and 2.6
+// times around an unchanged residue of about 9 500, so their floors sit
+// just under the share that leaves (0.9936 and 0.9940 before).
 var interpreterBudget = map[string]struct{ ceiling, floor float64 }{
 	"adpcm":   {0.16, 0.9048},
-	"bwt":     {0.20, 0.9959},
+	"bwt":     {0.27, 0.9959},
 	"dct":     {0.85, 0.9833},
-	"deflate": {0.31, 0.9936},
+	"deflate": {0.31, 0.9820},
 	"haar":    {0.75, 0.9122},
-	"lpc":     {0.22, 0.9945},
-	"zlib":    {0.33, 0.9940},
+	"lpc":     {0.23, 0.9945},
+	"zlib":    {0.33, 0.9870},
 }
 
 // TestTier2TakesCompilerOutput holds what every decoder leaves on the
@@ -212,15 +218,18 @@ func TestDispatcherRoundTrips(t *testing.T) {
 // is measured, and at least 35% below parent. total is the ceiling on
 // everything emitted, exit paths included, per guest instruction: a
 // second copy of anything — PR 17 emitted every trace twice, 15.3-17.6
-// all told — cannot come back under it.
+// all told — cannot come back under it. The table-driven inflate has
+// more exits per guest instruction than the bit-serial one: deflate's
+// total and zlib's ceiling and total were re-measured for it (4.22, 1.80
+// and 4.21 before).
 var hostBudget = map[string]struct{ ceiling, parent, total float64 }{
 	"adpcm":   {2.10, 12.318, 5.45},
 	"bwt":     {2.03, 12.688, 4.95},
 	"dct":     {1.70, 11.153, 4.49},
-	"deflate": {1.81, 11.729, 4.22},
+	"deflate": {1.81, 11.729, 4.60},
 	"haar":    {1.70, 11.384, 4.44},
 	"lpc":     {1.91, 11.385, 4.50},
-	"zlib":    {1.80, 11.922, 4.21},
+	"zlib":    {1.85, 11.922, 4.62},
 }
 
 // TestHostInstructionsPerGuest holds the emitter's static cost per guest

@@ -616,8 +616,16 @@ func readGamma(br *byteBitReader) (uint32, error) {
 
 // ---------- VXA decoder (VXC) ----------
 
+// bwtMain is the VXB1 decoder. Per block it reads the 258 nibble-packed
+// code lengths, then decodes Huffman + RLE0 + MTF straight into mtfbuf,
+// the last column (a zero run repeats MTF rank 0, the current front
+// symbol; getgamma reads its Elias-gamma length, z zero bits and then
+// z+1 value bits MSB-first), and inverts the BWT by a counting sort into
+// ttbuf and the LF walk. Every byte after the stream header is read
+// through the bit reader. Its comments live here rather than in the VXC
+// text, for the reason vxcsrc gives.
 var bwtMain = vxcc.Source{Name: "vxbwt.vxc", Text: `
-// VXB1 block-sorting decoder: VXA codec "bwt".
+// VXB1 decoder: VXA codec "bwt".
 
 enum { NSYMS = 258, ZRUN = 256, EOB = 257, MAXBLOCK = 4194304 };
 
@@ -625,39 +633,45 @@ int hcnt[16];
 int hsym[NSYMS];
 byte hlen[NSYMS];
 
-byte *mtfbuf;   // origLen bytes of MTF output / last column
-int *ttbuf;     // LF-walk table
+byte *mtfbuf;
+int *ttbuf;
 int blocksize;
 
 byte mtftab[256];
+int htab[512];
+
+int getgamma() {
+	int z = 0;
+	while (getbit() == 0)
+		if (++z > 31) die("bad gamma code");
+	int v = 1;
+	while (z-- > 0) v = (v << 1) | getbit();
+	return v;
+}
 
 void decode_block(int origlen, int index) {
-	// Read the 258 nibble-packed code lengths.
 	int s;
 	for (s = 0; s < NSYMS; s += 2) {
-		int b = mustgetb();
+		int b = getbits(8);
 		hlen[s] = (byte)(b & 15);
-		if (s + 1 < NSYMS) hlen[s + 1] = (byte)(b >> 4);
+		hlen[s + 1] = (byte)(b >> 4);
 	}
-	huff_build(hlen, NSYMS, hcnt, hsym);
+	huff_build(hlen, NSYMS, hcnt, hsym, htab);
 
-	// Huffman + RLE0 + MTF decode straight into the last-column buffer.
 	int i;
 	for (i = 0; i < 256; i++) mtftab[i] = (byte)i;
 	int n = 0;
 	while (1) {
-		int sym = huff_decode(hcnt, hsym);
+		int sym = huff_decode(hcnt, hsym, htab);
 		if (sym == EOB) break;
 		if (sym == ZRUN) {
 			int run = getgamma();
 			if (n + run > origlen) die("zero run overflows block");
-			// MTF value 0 is the current front symbol, repeated.
 			byte front = mtftab[0];
 			while (run-- > 0) mtfbuf[n++] = front;
 			continue;
 		}
 		if (n >= origlen) die("block overflow");
-		// Move-to-front decode of a nonzero rank.
 		byte c = mtftab[sym];
 		int j;
 		for (j = sym; j > 0; j--) mtftab[j] = mtftab[j - 1];
@@ -667,18 +681,13 @@ void decode_block(int origlen, int index) {
 	if (n != origlen) die("block underflow");
 	alignbyte();
 
-	// Inverse BWT: counting sort then LF walk.
 	int counts[256];
 	int base[256];
 	for (i = 0; i < 256; i++) counts[i] = 0;
 	for (i = 0; i < origlen; i++) counts[mtfbuf[i]]++;
 	int sum = 0;
 	for (i = 0; i < 256; i++) { base[i] = sum; sum += counts[i]; }
-	for (i = 0; i < origlen; i++) {
-		int c = mtfbuf[i];
-		ttbuf[base[c]] = i;
-		base[c]++;
-	}
+	for (i = 0; i < origlen; i++) ttbuf[base[mtfbuf[i]]++] = i;
 	if (index < 0 || index >= origlen) die("bad bwt index");
 	int p = ttbuf[index];
 	for (i = 0; i < origlen; i++) {
@@ -700,10 +709,10 @@ int main(void) {
 			ttbuf = (int*)vxalloc(MAXBLOCK * 4);
 		}
 		while (1) {
-			int origlen = get4le();
+			int origlen = getbits(32);
 			if (origlen == 0) break;
 			if (origlen < 0 || origlen > blocksize) die("bad block length");
-			int index = get4le();
+			int index = getbits(32);
 			decode_block(origlen, index);
 		}
 		vxa_done();

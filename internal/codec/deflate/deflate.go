@@ -18,9 +18,18 @@ import (
 	"vxa/internal/vxcc"
 )
 
-// inflateCore is RFC 1951 DEFLATE decompression in VXC. The stream
-// wrapper (zlib or gzip) supplies outbyte(), which receives every
-// decoded byte.
+// inflateCore is RFC 1951 DEFLATE decompression in VXC. It decodes into
+// the 32 KiB window, __win[0, __wpos) being what is not written out yet,
+// and writes the window out with libvx's writen when it wraps and when
+// the stream ends; the stream wrapper (zlib, gzip or raw) supplies
+// inf_sum(), which sees every chunk written. Every Huffman symbol is one
+// table lookup (vxcsrc.Huff). A match is copied in runs that neither end
+// of the window interrupts, and a stored block takes the whole bytes the
+// bit reader holds, then runs straight from the runtime's input buffer.
+// A run moves four bytes at a time, except a match less than four bytes
+// back, which overlaps its own source and must go a byte at a time to
+// repeat it. The two copies are written out where they run: as a call
+// vxcc expands in place, the match's took 2% more instructions.
 var inflateCore = vxcc.Source{Name: "inflate.vxc", Text: `
 // DEFLATE (RFC 1951) decoder core.
 
@@ -28,13 +37,19 @@ enum { WINSIZE = 32768, WINMASK = 32767 };
 
 byte __win[WINSIZE];
 int __wpos;
+int __wfull; // the window has wrapped: all of it is history
 
-void outbyte(int c); // provided by the stream wrapper
+void inf_sum(byte *p, int n); // provided by the stream wrapper
 
-void inf_out(int c) {
-	__win[__wpos & WINMASK] = (byte)c;
-	__wpos++;
-	outbyte(c);
+void inf_flush() {
+	writen(__win, __wpos);
+	inf_sum(__win, __wpos);
+}
+
+void inf_wrap() {
+	inf_flush();
+	__wpos = 0;
+	__wfull = 1;
 }
 
 // Length and distance code tables (RFC 1951 section 3.2.5).
@@ -49,40 +64,74 @@ const int distext[30] = {0,0,0,0,1,1,2,2,3,3,4,4,5,5,6,6,7,7,8,8,9,9,10,
 
 int lcnt[16];
 int lsym[288];
+int ltab[512];
 int dcnt[16];
 int dsym[30];
+int dtab[512];
 
 // inf_codes decodes one block's literal/length/distance code stream.
 void inf_codes() {
 	while (1) {
-		int sym = huff_decode(lcnt, lsym);
+		int sym = huff_decode(lcnt, lsym, ltab);
 		if (sym < 256) {
-			inf_out(sym);
+			__win[__wpos++] = (byte)sym;
+			if (__wpos == WINSIZE) inf_wrap();
 			continue;
 		}
 		if (sym == 256) return; // end of block
 		sym -= 257;
 		if (sym >= 29) die("bad length code");
 		int len = lenbase[sym] + getbits(lenext[sym]);
-		int d = huff_decode(dcnt, dsym);
+		int d = huff_decode(dcnt, dsym, dtab);
 		if (d >= 30) die("bad distance code");
 		int dist = distbase[d] + getbits(distext[d]);
-		if (dist > __wpos) die("distance too far back");
-		int i;
-		for (i = 0; i < len; i++)
-			inf_out(__win[(__wpos - dist) & WINMASK]);
+		if (dist > __wpos && !__wfull) die("distance too far back");
+		int from = (__wpos - dist) & WINMASK;
+		while (len > 0) {
+			int n = len;
+			if (n > WINSIZE - __wpos) n = WINSIZE - __wpos;
+			if (n > WINSIZE - from) n = WINSIZE - from;
+			len -= n;
+			byte *to = __win + __wpos;
+			byte *end = to + n;
+			int off = from - __wpos;
+			__wpos += n;
+			from = (from + n) & WINMASK;
+			if (dist >= 4) for (; to + 4 <= end; to += 4) *(uint*)to = *(uint*)(to + off);
+			for (; to < end; to++) *to = to[off];
+			if (__wpos == WINSIZE) inf_wrap();
+		}
 	}
 }
 
 void inf_stored() {
 	alignbyte();
-	int len = mustgetb();
-	len |= mustgetb() << 8;
-	int nlen = mustgetb();
-	nlen |= mustgetb() << 8;
-	if ((len ^ nlen) != 0xFFFF) die("stored block length check failed");
-	int i;
-	for (i = 0; i < len; i++) inf_out(mustgetb());
+	int len = getbits(16);
+	if ((len ^ getbits(16)) != 0xFFFF) die("stored block length check failed");
+	while (len > 0 && __bitcnt > 0) {
+		__win[__wpos++] = (byte)getbits(8);
+		len--;
+		if (__wpos == WINSIZE) inf_wrap();
+	}
+	while (len > 0) {
+		if (__inpos >= __inlen) {
+			__win[__wpos++] = (byte)mustgetb(); // refills the buffer
+			len--;
+		} else {
+			int n = __inlen - __inpos;
+			if (n > len) n = len;
+			if (n > WINSIZE - __wpos) n = WINSIZE - __wpos;
+			len -= n;
+			byte *to = __win + __wpos;
+			byte *end = to + n;
+			int off = (__inbuf + __inpos) - to;
+			__wpos += n;
+			__inpos += n;
+			for (; to + 4 <= end; to += 4) *(uint*)to = *(uint*)(to + off);
+			for (; to < end; to++) *to = to[off];
+		}
+		if (__wpos == WINSIZE) inf_wrap();
+	}
 }
 
 byte __fixlen[288];
@@ -92,10 +141,10 @@ void inf_fixed() {
 	for (i = 144; i < 256; i++) __fixlen[i] = 9;
 	for (i = 256; i < 280; i++) __fixlen[i] = 7;
 	for (i = 280; i < 288; i++) __fixlen[i] = 8;
-	huff_build(__fixlen, 288, lcnt, lsym);
+	huff_build(__fixlen, 288, lcnt, lsym, ltab);
 	byte dlen[30];
 	for (i = 0; i < 30; i++) dlen[i] = 5;
-	huff_build(dlen, 30, dcnt, dsym);
+	huff_build(dlen, 30, dcnt, dsym, dtab);
 	inf_codes();
 }
 
@@ -103,6 +152,7 @@ const byte clorder[19] = {16,17,18,0,8,7,9,6,10,5,11,4,12,3,13,2,14,1,15};
 byte __cllen[19];
 int clcnt[16];
 int clsym[19];
+int cltab[512];
 byte __alllen[320];
 
 void inf_dynamic() {
@@ -113,12 +163,12 @@ void inf_dynamic() {
 	int i;
 	for (i = 0; i < 19; i++) __cllen[i] = 0;
 	for (i = 0; i < hclen; i++) __cllen[clorder[i]] = (byte)getbits(3);
-	huff_build(__cllen, 19, clcnt, clsym);
+	huff_build(__cllen, 19, clcnt, clsym, cltab);
 
 	int n = 0;
 	int total = hlit + hdist;
 	while (n < total) {
-		int sym = huff_decode(clcnt, clsym);
+		int sym = huff_decode(clcnt, clsym, cltab);
 		if (sym < 16) {
 			__alllen[n++] = (byte)sym;
 		} else if (sym == 16) {
@@ -144,14 +194,15 @@ void inf_dynamic() {
 		}
 	}
 	if (__alllen[256] == 0) die("missing end-of-block code");
-	huff_build(__alllen, hlit, lcnt, lsym);
-	huff_build(__alllen + hlit, hdist, dcnt, dsym);
+	huff_build(__alllen, hlit, lcnt, lsym, ltab);
+	huff_build(__alllen + hlit, hdist, dcnt, dsym, dtab);
 	inf_codes();
 }
 
 // inflate decodes one complete DEFLATE stream.
 void inflate() {
 	__wpos = 0;
+	__wfull = 0;
 	int final;
 	do {
 		final = getbit();
@@ -161,6 +212,7 @@ void inflate() {
 		else if (type == 2) inf_dynamic();
 		else die("invalid block type");
 	} while (!final);
+	inf_flush();
 }
 `}
 
@@ -171,18 +223,26 @@ var zlibMain = vxcc.Source{Name: "zlib.vxc", Text: `
 
 uint __s1;
 uint __s2;
-int __acount;
 
-void outbyte(int c) {
-	putb(c);
-	__s1 += (uint)c;
-	__s2 += __s1;
-	__acount++;
-	if (__acount >= 5552) {  // largest batch that cannot overflow 32 bits
-		__s1 = __s1 % 65521u;
-		__s2 = __s2 % 65521u;
-		__acount = 0;
+// inf_sum runs Adler-32 over a chunk, reducing the sums at least every
+// 5552 bytes, the most that cannot overflow 32 bits.
+void inf_sum(byte *p, int n) {
+	uint s1 = __s1;
+	uint s2 = __s2;
+	while (n > 0) {
+		int k = n;
+		if (k > 5552) k = 5552;
+		n -= k;
+		byte *end = p + k;
+		for (; p < end; p++) {
+			s1 += *p;
+			s2 += s1;
+		}
+		s1 %= 65521u;
+		s2 %= 65521u;
 	}
+	__s1 = s1;
+	__s2 = s2;
 }
 
 int main(void) {
@@ -191,21 +251,17 @@ int main(void) {
 		bits_reset();
 		__s1 = 1u;
 		__s2 = 0u;
-		__acount = 0;
 		int cmf = mustgetb();
 		int flg = mustgetb();
 		if ((cmf & 15) != 8) die("not a zlib stream (method)");
 		if (((cmf << 8) | flg) % 31 != 0) die("bad zlib header check");
 		if (flg & 32) die("preset dictionary not supported");
 		inflate();
-		__s1 = __s1 % 65521u;
-		__s2 = __s2 % 65521u;
 		alignbyte();
 		uint want = 0u;
 		int i;
-		for (i = 0; i < 4; i++) want = (want << 8) | (uint)mustgetb();
-		uint got = (__s2 << 16) | __s1;
-		if (want != got) die("adler32 mismatch: corrupt stream");
+		for (i = 0; i < 4; i++) want = (want << 8) | (uint)getbits(8);
+		if (want != ((__s2 << 16) | __s1)) die("adler32 mismatch: corrupt stream");
 		vxa_done();
 	}
 	return 0;
@@ -234,10 +290,12 @@ void crcinit() {
 	}
 }
 
-void outbyte(int c) {
-	putb(c);
-	__crc = __crctab[(__crc ^ (uint)c) & 0xFFu] ^ (__crc >> 8);
-	__isize++;
+void inf_sum(byte *p, int n) {
+	uint crc = __crc;
+	__isize += (uint)n;
+	byte *end = p + n;
+	for (; p < end; p++) crc = __crctab[(crc ^ *p) & 0xFFu] ^ (crc >> 8);
+	__crc = crc;
 }
 
 int main(void) {
@@ -262,10 +320,8 @@ int main(void) {
 		if (flg & 2) { mustgetb(); mustgetb(); }  // FHCRC
 		inflate();
 		alignbyte();
-		uint wantcrc = 0u;
-		for (i = 0; i < 4; i++) wantcrc |= (uint)mustgetb() << (8 * i);
-		uint wantlen = 0u;
-		for (i = 0; i < 4; i++) wantlen |= (uint)mustgetb() << (8 * i);
+		uint wantcrc = (uint)getbits(32);
+		uint wantlen = (uint)getbits(32);
 		if ((__crc ^ 0xFFFFFFFFu) != wantcrc) die("gzip crc32 mismatch");
 		if (__isize != wantlen) die("gzip length mismatch");
 		vxa_done();
@@ -351,7 +407,7 @@ func init() {
 var deflateRawMain = vxcc.Source{Name: "deflateraw.vxc", Text: `
 // Raw DEFLATE decoder: VXA codec "deflate" (ZIP method 8).
 
-void outbyte(int c) { putb(c); }
+void inf_sum(byte *p, int n) { }
 
 int main(void) {
 	while (1) {

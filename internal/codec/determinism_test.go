@@ -57,7 +57,9 @@ const pinnedDigestsPath = "testdata/decoder_sha256.json"
 // compiler that is meant to be invisible in its output — a faster lexer,
 // a buffer sized up front — must leave this file alone; one that moves a
 // byte changes what an archive carries and so every content address, and
-// must bump vxcc.Version. Regenerate with -update only after that bump.
+// must bump vxcc.Version, which the artifact store's ELF-hash index is
+// keyed by beside the source text. A change to a decoder's own sources
+// needs only -update: the index keys it by that text already.
 func TestDecoderDigestsPinned(t *testing.T) {
 	got := decoderDigests(t)
 	if *updateGolden {
@@ -92,7 +94,8 @@ func TestDecoderDigestsPinned(t *testing.T) {
 		}
 		if got[name] != w {
 			t.Errorf("%s: decoder compiled to %d bytes, sha256 %s; pinned %d bytes, sha256 %s: "+
-				"a change to the compiler's output needs a vxcc.Version bump before -update",
+				"a change to a decoder's own sources needs only -update (the artifact index is keyed by source text); "+
+				"a change to the compiler or libvx needs a vxcc.Version bump first",
 				name, got[name].Size, got[name].SHA256, w.Size, w.SHA256)
 		}
 	}
