@@ -225,10 +225,12 @@ func main() {
 			fatal(err)
 		}
 		rep.Pooled = pooled
+		extras := []ledgerExtra{{"tier-2 share", func(r bench.LedgerRow) string { return fmt.Sprintf("%.5f", r.Tier2Share) }}}
+		if bench.CountsMinorFaults {
+			extras = append(extras, ledgerExtra{"minor faults", func(r bench.LedgerRow) string { return fmt.Sprintf("%.1f", r.MinorFaults) }})
+		}
 		printLedger(fmt.Sprintf("Pooled stream: one warm 256 B entry per decoder after a mode change (reset) and after a resume, mean of %d streams, microseconds (share of wall)", pooled[0].Reps),
-			bench.PooledStageNames[:], pooled,
-			ledgerExtra{"tier-2 share", func(r bench.LedgerRow) string { return fmt.Sprintf("%.5f", r.Tier2Share) }},
-			ledgerExtra{"minor faults", func(r bench.LedgerRow) string { return fmt.Sprintf("%.1f", r.MinorFaults) }})
+			bench.PooledStageNames[:], pooled, extras...)
 		for _, r := range pooled {
 			if sh := r.RemainderShare(); sh > 0.05 || sh < -0.05 {
 				startupErr = fmt.Errorf("-startup: %s leaves %.1f%% of its pooled %s stream unaccounted", r.Codec, 100*sh, r.Path)

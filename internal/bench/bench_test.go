@@ -52,6 +52,18 @@ func TestPooledLedger(t *testing.T) {
 			t.Errorf("%s %s: %.5f of the stream ran compiled", r.Codec, r.Path, r.Tier2Share)
 		}
 	}
+	// A reset re-zeroes and hands back pages the resume path keeps, so
+	// its streams fault at least as often.
+	for i := 0; CountsMinorFaults && i+1 < len(rows); i += 2 {
+		reset, resume := rows[i], rows[i+1]
+		t.Logf("%s: %.1f minor faults per stream after a reset, %.1f after a resume", reset.Codec, reset.MinorFaults, resume.MinorFaults)
+		if reset.Path != "reset" || resume.Path != "resume" {
+			t.Fatalf("rows %d and %d are %s and %s, want reset and resume", i, i+1, reset.Path, resume.Path)
+		}
+		if reset.MinorFaults < resume.MinorFaults {
+			t.Errorf("%s: %.1f minor faults per stream after a reset, fewer than %.1f after a resume", reset.Codec, reset.MinorFaults, resume.MinorFaults)
+		}
+	}
 }
 
 // decodeBody is what every 200 of the test handler decodes to, in full.

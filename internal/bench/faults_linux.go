@@ -2,6 +2,10 @@ package bench
 
 import "syscall"
 
+// CountsMinorFaults says whether LedgerRow.MinorFaults is measured on
+// this platform.
+const CountsMinorFaults = true
+
 // rusageThread is Linux's RUSAGE_THREAD, which the syscall package does
 // not name: getrusage for the calling thread alone.
 const rusageThread = 1

@@ -24,12 +24,12 @@ import (
 // the stream ends; the stream wrapper (zlib, gzip or raw) supplies
 // inf_sum(), which sees every chunk written. Every Huffman symbol is one
 // table lookup (vxcsrc.Huff). A match is copied in runs that neither end
-// of the window interrupts, and a stored block takes the whole bytes the
-// bit reader holds, then runs straight from the runtime's input buffer.
-// A run moves four bytes at a time, except a match less than four bytes
-// back, which overlaps its own source and must go a byte at a time to
-// repeat it. The two copies are written out where they run: as a call
-// vxcc expands in place, the match's took 2% more instructions.
+// of the window interrupts, four bytes at a time, except a match less
+// than four bytes back, which overlaps its own source and must go a byte
+// at a time to repeat it. The copy is written out in inf_codes: as a
+// call vxcc expands in place, it took 2% more instructions. A stored
+// block's bytes go through getbits(8) one by one, since the bit reader
+// may hold some of them; no workload stores enough to pay for more.
 var inflateCore = vxcc.Source{Name: "inflate.vxc", Text: `
 // DEFLATE (RFC 1951) decoder core.
 
@@ -108,28 +108,8 @@ void inf_stored() {
 	alignbyte();
 	int len = getbits(16);
 	if ((len ^ getbits(16)) != 0xFFFF) die("stored block length check failed");
-	while (len > 0 && __bitcnt > 0) {
+	while (len-- > 0) {
 		__win[__wpos++] = (byte)getbits(8);
-		len--;
-		if (__wpos == WINSIZE) inf_wrap();
-	}
-	while (len > 0) {
-		if (__inpos >= __inlen) {
-			__win[__wpos++] = (byte)mustgetb(); // refills the buffer
-			len--;
-		} else {
-			int n = __inlen - __inpos;
-			if (n > len) n = len;
-			if (n > WINSIZE - __wpos) n = WINSIZE - __wpos;
-			len -= n;
-			byte *to = __win + __wpos;
-			byte *end = to + n;
-			int off = (__inbuf + __inpos) - to;
-			__wpos += n;
-			__inpos += n;
-			for (; to + 4 <= end; to += 4) *(uint*)to = *(uint*)(to + off);
-			for (; to < end; to++) *to = to[off];
-		}
 		if (__wpos == WINSIZE) inf_wrap();
 	}
 }

@@ -21,9 +21,8 @@ import "vxa/internal/vxcc"
 // cannot be met (a Huffman peek asks for none). It may therefore
 // hold up to four bytes ahead of what the stream has consumed: once a
 // stream's first bit has been read, every byte of it must be read through
-// the bit reader (getbits(8), or after alignbyte the bytes it holds and
-// then the runtime's buffer), never with getb. alignbyte drops only the
-// partial byte.
+// the bit reader (getbits(8)), never with getb. alignbyte drops only
+// the partial byte.
 //
 // getbits(n) is one shift and mask for n up to 24. Above that it reads
 // two halves, low first (vxcc evaluates operands left to right): a
