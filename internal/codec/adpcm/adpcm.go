@@ -178,6 +178,20 @@ func Decode(dst io.Writer, src io.Reader) error {
 }
 
 // adpcmMain is the VXA decoder in VXC. Byte-oriented (no bit reader).
+//
+// The sample loop runs as one straight-line trace per input byte: both
+// nibbles of a byte are decoded in one iteration, the channel advances
+// by a wrapping counter instead of a modulo, and every data-dependent
+// choice of decodeSample is arithmetic rather than a branch. A code bit
+// shifted up to bit 31 and back is a mask, 0 or all ones: the three step
+// bits select their terms of delta through masks, the sign bit's mask s
+// negates delta as (delta ^ s) - s, and each clamp subtracts the
+// overshoot masked by its sign. The two samples of a byte are stored into
+// the runtime's output buffer as one 32-bit word, and an odd stream's
+// last, unused nibble is taken back; the WAV header is 44 bytes long, so
+// the buffer position stays a multiple of four and fills to exactly
+// IOBUF before each flush, as putb's did. Each sum and clamp is the one
+// decodeSample computes, so the output is bit-identical to Decode's.
 var adpcmMain = vxcc.Source{Name: "vxadpcm.vxc", Text: `
 // VXA1 IMA-ADPCM decoder: VXA codec "adpcm". Output: WAV audio.
 
@@ -195,37 +209,22 @@ const int idxtab[16] = {-1,-1,-1,-1,2,4,6,8,-1,-1,-1,-1,2,4,6,8};
 int pred[8];
 int sidx[8];
 
-int decode_code(int ch, int code) {
-	int step = steptab[sidx[ch]];
-	int delta = step >> 3;
-	if (code & 4) delta += step;
-	if (code & 2) delta += step >> 1;
-	if (code & 1) delta += step >> 2;
-	if (code & 8) pred[ch] -= delta;
-	else pred[ch] += delta;
-	if (pred[ch] > 32767) pred[ch] = 32767;
-	if (pred[ch] < -32768) pred[ch] = -32768;
-	sidx[ch] += idxtab[code];
-	if (sidx[ch] < 0) sidx[ch] = 0;
-	if (sidx[ch] > 88) sidx[ch] = 88;
-	return pred[ch];
-}
-
 void wav_header(int channels, int rate, int frames) {
 	int datalen = frames * channels * 2;
-	putb('R'); putb('I'); putb('F'); putb('F');
-	put4le(36 + datalen);
-	putb('W'); putb('A'); putb('V'); putb('E');
-	putb('f'); putb('m'); putb('t'); putb(' ');
-	put4le(16);
-	put2le(1);
-	put2le(channels);
-	put4le(rate);
-	put4le(rate * channels * 2);
-	put2le(channels * 2);
-	put2le(16);
-	putb('d'); putb('a'); putb('t'); putb('a');
-	put4le(datalen);
+	if (__outpos > IOBUF - 44) flushout();
+	byte *o = __outbuf + __outpos;
+	__outpos += 44;
+	*(uint*)o = 'R' | ('I' << 8) | ('F' << 16) | ('F' << 24);
+	*(uint*)(o + 4) = 36 + datalen;
+	*(uint*)(o + 8) = 'W' | ('A' << 8) | ('V' << 16) | ('E' << 24);
+	*(uint*)(o + 12) = 'f' | ('m' << 8) | ('t' << 16) | (' ' << 24);
+	*(uint*)(o + 16) = 16;
+	*(uint*)(o + 20) = 1 | (channels << 16);
+	*(uint*)(o + 24) = rate;
+	*(uint*)(o + 28) = rate * channels * 2;
+	*(uint*)(o + 32) = (channels * 2) | (16 << 16);
+	*(uint*)(o + 36) = 'd' | ('a' << 8) | ('t' << 16) | ('a' << 24);
+	*(uint*)(o + 40) = datalen;
 }
 
 int main(void) {
@@ -242,20 +241,50 @@ int main(void) {
 		for (ch = 0; ch < channels; ch++) { pred[ch] = 0; sidx[ch] = 0; }
 		wav_header(channels, rate, frames);
 		int total = frames * channels;
-		int i = 0;
-		int cur = 0;
-		while (i < total) {
-			int code;
-			if ((i & 1) == 0) {
-				cur = mustgetb();
-				code = cur & 15;
-			} else {
-				code = cur >> 4;
-			}
-			int s = decode_code(i % channels, code);
-			put2le(s & 0xFFFF);
-			i++;
+		if (total < 0) total = 0;
+		int n = (total + 1) >> 1;
+		ch = 0;
+		while (n > 0) {
+			int b;
+			if (__inpos < __inlen) b = __inbuf[__inpos++];
+			else b = mustgetb();
+			int step = steptab[sidx[ch]];
+			int s = (b << 28) >> 31;
+			int p = pred[ch] + ((((step >> 3) + (step & ((b << 29) >> 31)) + ((step >> 1) & ((b << 30) >> 31))
+				+ ((step >> 2) & ((b << 31) >> 31))) ^ s) - s);
+			int d = p - 32767;
+			p -= d & ~(d >> 31);
+			d = p + 32768;
+			p -= d & (d >> 31);
+			pred[ch] = p;
+			s = sidx[ch] + idxtab[b & 15];
+			s &= ~(s >> 31);
+			d = s - 88;
+			sidx[ch] = s - (d & ~(d >> 31));
+			int out = p & 0xFFFF;
+			ch++;
+			if (ch == channels) ch = 0;
+			step = steptab[sidx[ch]];
+			s = (b << 24) >> 31;
+			p = pred[ch] + ((((step >> 3) + (step & ((b << 25) >> 31)) + ((step >> 1) & ((b << 26) >> 31))
+				+ ((step >> 2) & ((b << 27) >> 31))) ^ s) - s);
+			d = p - 32767;
+			p -= d & ~(d >> 31);
+			d = p + 32768;
+			p -= d & (d >> 31);
+			pred[ch] = p;
+			s = sidx[ch] + idxtab[b >> 4];
+			s &= ~(s >> 31);
+			d = s - 88;
+			sidx[ch] = s - (d & ~(d >> 31));
+			ch++;
+			if (ch == channels) ch = 0;
+			if (__outpos > IOBUF - 4) flushout();
+			*(uint*)(__outbuf + __outpos) = out | (p << 16);
+			__outpos += 4;
+			n--;
 		}
+		if (total & 1) __outpos -= 2;
 		vxa_done();
 	}
 	return 0;

@@ -326,6 +326,12 @@ func vxcIntList(vals []int32) string {
 
 // dctMain generates the VXC decoder, splicing in the exact tables the
 // Go side uses so the two decoders are bit-identical.
+//
+// Its idct2 loads each column (then each row) of the block into eight
+// locals once and sums the eight products of an output over constant
+// table offsets, the products idct2 above forms, and its second pass
+// writes the block, plus 128, straight into the plane. The block's DC
+// term is decoded ahead of the loop over the other 63.
 func dctMain() vxcc.Source {
 	flat := make([]int32, 64)
 	for u := 0; u < 8; u++ {
@@ -365,25 +371,42 @@ void scaleq(int quality) {
 int blk[64];
 int tmp[64];
 
-void idct2() {
+void idct2(int *dst, int stride) {
 	int c;
-	int r;
-	int u;
 	for (c = 0; c < 8; c++) {
+		int b0 = blk[c];
+		int b1 = blk[8 + c];
+		int b2 = blk[16 + c];
+		int b3 = blk[24 + c];
+		int b4 = blk[32 + c];
+		int b5 = blk[40 + c];
+		int b6 = blk[48 + c];
+		int b7 = blk[56 + c];
 		int y;
 		for (y = 0; y < 8; y++) {
-			int s = 0;
-			for (u = 0; u < 8; u++) s += dcttab[u * 8 + y] * blk[u * 8 + c];
+			int s = dcttab[y] * b0 + dcttab[8 + y] * b1 + dcttab[16 + y] * b2 + dcttab[24 + y] * b3
+				+ dcttab[32 + y] * b4 + dcttab[40 + y] * b5 + dcttab[48 + y] * b6 + dcttab[56 + y] * b7;
 			tmp[y * 8 + c] = (s + 2048) >> 12;
 		}
 	}
+	int r;
 	for (r = 0; r < 8; r++) {
+		int *t = tmp + r * 8;
+		int t0 = t[0];
+		int t1 = t[1];
+		int t2 = t[2];
+		int t3 = t[3];
+		int t4 = t[4];
+		int t5 = t[5];
+		int t6 = t[6];
+		int t7 = t[7];
 		int x;
 		for (x = 0; x < 8; x++) {
-			int s = 0;
-			for (u = 0; u < 8; u++) s += dcttab[u * 8 + x] * tmp[r * 8 + u];
-			blk[r * 8 + x] = (s + 2048) >> 12;
+			int s = dcttab[x] * t0 + dcttab[8 + x] * t1 + dcttab[16 + x] * t2 + dcttab[24 + x] * t3
+				+ dcttab[32 + x] * t4 + dcttab[40 + x] * t5 + dcttab[48 + x] * t6 + dcttab[56 + x] * t7;
+			dst[x] = ((s + 2048) >> 12) + 128;
 		}
+		dst += stride;
 	}
 }
 
@@ -427,22 +450,14 @@ int main(void) {
 			for (by = 0; by < ph; by += 8) {
 				int bx;
 				for (bx = 0; bx < pw; bx += 8) {
+					prevdc += coeff_next();
+					blk[0] = prevdc * qtab[qoff];
 					int i;
-					for (i = 0; i < 64; i++) {
-						int v = coeff_next();
-						if (i == 0) {
-							v += prevdc;
-							prevdc = v;
-						}
-						blk[zz[i]] = v * qtab[qoff + zz[i]];
+					for (i = 1; i < 64; i++) {
+						int z = zz[i];
+						blk[z] = coeff_next() * qtab[qoff + z];
 					}
-					idct2();
-					int y;
-					for (y = 0; y < 8; y++) {
-						int x;
-						for (x = 0; x < 8; x++)
-							plane[(by + y) * pw + bx + x] = blk[y * 8 + x] + 128;
-					}
+					idct2(plane + by * pw + bx, pw);
 				}
 			}
 		}

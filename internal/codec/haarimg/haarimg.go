@@ -253,51 +253,66 @@ func clamp(v int32) int32 {
 }
 
 // haarMain is the VXA decoder in VXC.
+//
+// Where stepAt searches the levels per coefficient, the decoder fills a
+// row of steps once per band of rows (steplev holds each level's step,
+// and 1 for the final LL band), and a coefficient is one multiply.
+// inverse_level undoes a level in place: each column, then each row,
+// copies its detail half aside and writes its output pairs from the last
+// to the first, so that no pair overwrites a smooth value still to be
+// read, which halves the copying the lbuf round trip did.
 var haarMain = vxcc.Source{Name: "vxhaar.vxc", Text: `
 // VXW1 wavelet image decoder: VXA codec "haar". Output: BMP image.
 
 enum { MAXDIM = 4096, MAXPIX = 1 << 21 };
 
-int lbuf[4096]; // one row/column of the current region
+int lbuf[2048];    // the detail half of one row or column
+int steprow[4096]; // the step of each column in the current row band
+int steplev[7];    // the step of each level's detail bands, then the LL band's
 
-int step_at(int x, int y, int pw, int ph, int levels, int q) {
+// fill_steprow sets the step of every column for the rows of band ly.
+void fill_steprow(int pw, int ly) {
+	int s = steplev[ly];
+	int x;
+	for (x = 0; x < pw >> ly; x++) steprow[x] = s;
 	int lev;
-	for (lev = 0; lev < levels; lev++) {
-		if (x < (pw >> (lev + 1)) && y < (ph >> (lev + 1))) continue;
-		int s = q >> lev;
-		if (s < 1) s = 1;
-		return s;
+	for (lev = ly - 1; lev >= 0; lev--) {
+		s = steplev[lev];
+		for (x = pw >> (lev + 1); x < pw >> lev; x++) steprow[x] = s;
 	}
-	return 1;
 }
 
 void inverse_level(int *p, int stride, int cw, int chh) {
 	int half = chh / 2;
+	int j;
 	int x;
 	for (x = 0; x < cw; x++) {
-		int j;
+		int *col = p + x;
+		int *dp = col + half * stride;
 		for (j = 0; j < half; j++) {
-			int s = p[j * stride + x];
-			int d = p[(half + j) * stride + x];
-			int a = s + ((d + 1) >> 1);
-			lbuf[2 * j] = a;
-			lbuf[2 * j + 1] = a - d;
+			lbuf[j] = *dp;
+			dp += stride;
 		}
-		for (j = 0; j < chh; j++) p[j * stride + x] = lbuf[j];
+		int *o = col + (chh - 2) * stride;
+		for (j = half - 1; j >= 0; j--) {
+			int d = lbuf[j];
+			int a = col[j * stride] + ((d + 1) >> 1);
+			o[0] = a;
+			o[stride] = a - d;
+			o -= 2 * stride;
+		}
 	}
 	half = cw / 2;
 	int y;
 	for (y = 0; y < chh; y++) {
 		int *row = p + y * stride;
-		int j;
-		for (j = 0; j < half; j++) {
-			int s = row[j];
-			int d = row[half + j];
-			int a = s + ((d + 1) >> 1);
-			lbuf[2 * j] = a;
-			lbuf[2 * j + 1] = a - d;
+		for (j = 0; j < half; j++) lbuf[j] = row[half + j];
+		for (j = half - 1; j >= 0; j--) {
+			int d = lbuf[j];
+			int a = row[j] + ((d + 1) >> 1);
+			row[2 * j] = a;
+			row[2 * j + 1] = a - d;
 		}
-		for (j = 0; j < cw; j++) row[j] = lbuf[j];
 	}
 }
 
@@ -309,12 +324,6 @@ int *chplane(int ch) {
 	if (ch == 0) return plane0;
 	if (ch == 1) return plane1;
 	return plane2;
-}
-
-int clampy(int v) {
-	if (v < 0) return 0;
-	if (v > 255) return 255;
-	return v;
 }
 
 int main(void) {
@@ -338,27 +347,36 @@ int main(void) {
 			plane1 = (int*)vxalloc(MAXPIX * 4);
 			plane2 = (int*)vxalloc(MAXPIX * 4);
 		}
+		int lev;
+		for (lev = 0; lev < levels; lev++) {
+			int s = q >> lev;
+			if (s < 1) s = 1;
+			steplev[lev] = s;
+		}
+		steplev[levels] = 1;
 		int ch;
 		for (ch = 0; ch < 3; ch++) {
 			int *plane = chplane(ch);
-			int y;
-			for (y = 0; y < ph; y++) {
-				int x;
-				for (x = 0; x < pw; x++) {
-					int v = coeff_next();
-					int step = step_at(x, y, pw, ph, levels, q);
-					if (step > 1) v *= step;
-					plane[y * pw + x] = v;
+			int *p = plane;
+			int y = 0;
+			for (lev = levels; lev >= 0; lev--) {
+				fill_steprow(pw, lev);
+				for (; y < ph >> lev; y++) {
+					int x;
+					for (x = 0; x < pw; x++) {
+						int v = coeff_next();
+						p[x] = v * steprow[x];
+					}
+					p += pw;
 				}
 			}
-			int lev;
 			for (lev = levels - 1; lev >= 0; lev--)
 				inverse_level(plane, pw, pw >> lev, ph >> lev);
 		}
 		// The Y plane must be clamped before color conversion, matching
 		// the native decoder.
 		int i;
-		for (i = 0; i < pw * ph; i++) plane0[i] = clampy(plane0[i]);
+		for (i = 0; i < pw * ph; i++) plane0[i] = clamp255(plane0[i]);
 		bmp_write(plane0, plane1, plane2, w, h, pw);
 		vxa_done();
 	}

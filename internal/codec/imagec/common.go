@@ -174,16 +174,31 @@ func (r *CoeffReader) Next() (int32, error) {
 // VXCSource is the VXC twin of this package: coefficient reader, color
 // inverse, clamping, rounding division, and a BMP writer. Image planes
 // live on the decoder heap.
+//
+// coeff_next calls coeff_varint from one site, after checking the token,
+// so the varint's return always goes back to the same place (two call
+// sites sent every other return through the dispatcher). bmp_write fills
+// each BMP row straight into the runtime's output buffer, with one flush
+// check per row: a zero word at the row's end is the padding, which the
+// row's last pixel then partly overwrites, and every clamp is masked
+// (v & ~(v >> 31) zeroes a negative v, v - (d & ~(d >> 31)) with d =
+// v - 255 brings a larger one down to 255), so a pixel is straight-line
+// code whatever its colour. The arithmetic is YCCToRGB's.
 var VXCSource = vxcc.Source{Name: "<imagec>", Text: `
 // Shared image decoder machinery: coefficient stream, color, BMP.
 
 int __czrun;
 
+int coeff_byte() {
+	if (__inpos < __inlen) return __inbuf[__inpos++];
+	return mustgetb();
+}
+
 int coeff_varint() {
 	int v = 0;
 	int shift = 0;
 	while (1) {
-		int b = mustgetb();
+		int b = coeff_byte();
 		v |= (b & 0x7F) << shift;
 		if ((b & 0x80) == 0) return v;
 		shift += 7;
@@ -195,25 +210,19 @@ void coeff_reset() { __czrun = 0; }
 
 int coeff_next() {
 	if (__czrun > 0) { __czrun--; return 0; }
-	int tok = mustgetb();
-	if (tok == 0) {
-		int n = coeff_varint();
-		if (n == 0) die("empty zero run");
-		__czrun = n - 1;
-		return 0;
-	}
-	if (tok == 1) {
-		int u = coeff_varint();
-		return ((uint)u >> 1) ^ (-(u & 1));
-	}
-	die("bad coefficient token");
+	int tok = coeff_byte();
+	if (tok > 1) die("bad coefficient token");
+	int u = coeff_varint();
+	if (tok) return ((uint)u >> 1) ^ (-(u & 1));
+	if (u == 0) die("empty zero run");
+	__czrun = u - 1;
 	return 0;
 }
 
 int clamp255(int v) {
-	if (v < 0) return 0;
-	if (v > 255) return 255;
-	return v;
+	v &= ~(v >> 31);
+	int d = v - 255;
+	return v - (d & ~(d >> 31));
 }
 
 int divround(int a, int b) {
@@ -221,42 +230,46 @@ int divround(int a, int b) {
 	return -((-a + b / 2) / b);
 }
 
-void ycc_to_rgb(int y, int cb, int cr, int *rgb) {
-	rgb[0] = clamp255(y + ((359 * (cr - 128)) >> 8));
-	rgb[1] = clamp255(y - ((88 * (cb - 128) + 183 * (cr - 128)) >> 8));
-	rgb[2] = clamp255(y + ((454 * (cb - 128)) >> 8));
-}
-
 // bmp_write emits a bottom-up 24-bit BMP from three full-size planes
 // (may be padded to pw x ph; only w x h pixels are emitted).
 void bmp_write(int *py, int *pcb, int *pcr, int w, int h, int pw) {
 	int stride = (w * 3 + 3) & ~3;
 	int datalen = stride * h;
-	putb('B'); putb('M');
-	put4le(54 + datalen);
-	put4le(0);
-	put4le(54);
-	put4le(40);
-	put4le(w);
-	put4le(h);      // positive: bottom-up
-	put2le(1);
-	put2le(24);
-	put4le(0);      // BI_RGB
-	put4le(datalen);
-	put4le(0); put4le(0); // resolution unspecified, as the native encoder
-	put4le(0); put4le(0);
-	int rgb[3];
+	if (__outpos > IOBUF - 54) flushout();
+	byte *o = __outbuf + __outpos;
+	__outpos += 54;
+	o[0] = 'B';
+	o[1] = 'M';
+	*(uint*)(o + 2) = 54 + datalen;
+	*(uint*)(o + 6) = 0;
+	*(uint*)(o + 10) = 54;
+	*(uint*)(o + 14) = 40;
+	*(uint*)(o + 18) = w;
+	*(uint*)(o + 22) = h;        // positive: bottom-up
+	*(uint*)(o + 26) = 1 | (24 << 16); // one plane, 24 bits a pixel
+	*(uint*)(o + 30) = 0;        // BI_RGB
+	*(uint*)(o + 34) = datalen;
+	*(uint*)(o + 38) = 0;        // resolution and palette unspecified,
+	*(uint*)(o + 42) = 0;        // as the native encoder
+	*(uint*)(o + 46) = 0;
+	*(uint*)(o + 50) = 0;
 	int y;
 	for (y = h - 1; y >= 0; y--) {
-		int x;
-		int emitted = 0;
-		for (x = 0; x < w; x++) {
-			int idx = y * pw + x;
-			ycc_to_rgb(py[idx], pcb[idx], pcr[idx], rgb);
-			putb(rgb[2]); putb(rgb[1]); putb(rgb[0]); // BGR
-			emitted += 3;
+		if (__outpos > IOBUF - stride) flushout();
+		o = __outbuf + __outpos;
+		*(uint*)(o + stride - 4) = 0;
+		__outpos += stride;
+		int i = y * pw;
+		int end = i + w;
+		for (; i < end; i++) {
+			int l = py[i];
+			int cb = pcb[i] - 128;
+			int cr = pcr[i] - 128;
+			o[0] = (byte)clamp255(l + ((454 * cb) >> 8));
+			o[1] = (byte)clamp255(l - ((88 * cb + 183 * cr) >> 8));
+			o[2] = (byte)clamp255(l + ((359 * cr) >> 8));
+			o += 3;
 		}
-		while (emitted < stride) { putb(0); emitted++; }
 	}
 }
 `}

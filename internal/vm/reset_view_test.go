@@ -95,7 +95,9 @@ func TestResetKeepsView(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", d.name, err)
 		}
-		if linked == 0 && v.Stats().Tier2Compiled > 0 {
+		// One trace links nothing (its loop edge is a direct jump): adpcm's
+		// whole sample loop is one.
+		if linked == 0 && v.Stats().Tier2Compiled > 1 {
 			t.Fatalf("%s: a warm stream compiled traces and linked none of their exits", d.name)
 		}
 		if !raceEnabled {

@@ -15,10 +15,9 @@ import (
 const (
 	// inlineLimit bounds the callee (its cost, see codegen.cost) that is
 	// expanded at a call site inside a loop; calls outside loops stay
-	// calls. getbit, getb, putb, inf_out, huff_decode and the decoders'
-	// pixel and sample helpers (predict, step_at, coeff_next, ycc_to_rgb)
-	// fit; inf_codes, decode_code and everything else with a real body of
-	// its own does not. EXPERIMENTS.md ("vxcc 3's heuristics") has the
+	// calls. getbit, getb, putb, huff_decode and the decoders' pixel and
+	// sample helpers (predict, coeff_next, coeff_byte, clamp255) fit;
+	// inf_codes and everything else with a real body of its own does not. EXPERIMENTS.md ("vxcc 3's heuristics") has the
 	// sweep this came from, and what each of the other rules in this file
 	// is worth.
 	inlineLimit = 80

@@ -72,11 +72,12 @@ type Build struct {
 	RuntimeTextBytes uint32
 }
 
-// sourceBytesPerItem is how many bytes of source the densest built-in
-// decoder spends per assembler item (instruction or label): deflate's
-// 9 786 bytes, libvx included, become 1 511 items, one per 6.5 bytes; the
-// other five take 7.4 to 9.5 bytes per item.
-const sourceBytesPerItem = 6
+// itemsPerCost bounds the assembler items (instructions and labels) a
+// linked function emits per unit of its analysis cost (codegen.cost, one
+// per AST node and three more per call), its expansions included: the
+// built-in decoders, libvx included, emit 0.67 (dct) to 0.75 (bwt) items
+// per unit, with or without comments in their sources.
+const itemsPerCost = 0.8
 
 // Compile compiles and links the given sources into a VXA decoder
 // executable. The program must define "int main(void)"; crt0 calls it and
@@ -86,16 +87,6 @@ func Compile(opts Options, sources ...Source) (*Build, error) {
 		opts.Base = vm.PageSize
 	}
 	g := newCodegen()
-
-	// Size the unit's text once, from the sources' lengths.
-	srcBytes := 0
-	for _, s := range sources {
-		srcBytes += len(s.Text)
-	}
-	if !opts.OmitRuntime {
-		srcBytes += len(RuntimeSource)
-	}
-	g.u.Grow(srcBytes / sourceBytesPerItem)
 
 	var files []*File
 	if !opts.OmitRuntime {
@@ -167,6 +158,15 @@ func Compile(opts Options, sources ...Source) (*Build, error) {
 			}
 		}
 	}
+	// Size the unit's text once, from what is about to be emitted.
+	cost := 0
+	for fn := range linked {
+		cost += g.cost(fn)
+		for _, in := range fn.an.inl {
+			cost += g.cost(in.fn)
+		}
+	}
+	g.u.Grow(int(itemsPerCost * float64(cost)))
 	funcFile := make(map[string]string)
 	for _, f := range files {
 		for _, fd := range f.Funcs {

@@ -100,3 +100,51 @@ func TestUnexpectedCharacter(t *testing.T) {
 		t.Errorf("error %v does not name line 2", err)
 	}
 }
+
+// TestCountTokens: the count lexAll sizes its slice from is the number
+// of tokens it makes, on libvx and on every form whose end the counter
+// finds on its own (literals with escapes, comments, suffixed numbers,
+// every operator alone and run into every other).
+func TestCountTokens(t *testing.T) {
+	var ops []string
+	for text := range threeCharOps {
+		ops = append(ops, text)
+	}
+	for text := range twoCharOps {
+		ops = append(ops, text)
+	}
+	for c, k := range oneCharOps {
+		if k != tEOF {
+			ops = append(ops, string(rune(c)))
+		}
+	}
+	var runs []string
+	for _, a := range ops {
+		for _, b := range ops {
+			if run := "x" + a + b + "y"; !strings.Contains(run, "//") && !strings.Contains(run, "/*") {
+				runs = append(runs, run, a+" "+b)
+			}
+		}
+	}
+	for _, src := range append(runs,
+		RuntimeSource,
+		"",
+		"  // only a comment",
+		"/* a * / comment */ x",
+		"int x = 0xFFu + 5u - 077; // tail",
+		`byte *s = "a \"quoted\" \x22 \\ string"; s[0] = '\''; s[1] = '\\'; s[2] = '\x41'; s[3] = '''; s[4] = '"';`,
+		"a<<=b>>=c<=d>=e==f!=g<<h>>i&&j||k+=l-=m*=n/=o%=p&=q|=r^=s++--t",
+		"x=-~!y?z:w;{[()]},",
+	) {
+		toks, err := lexAll("count.vxc", src)
+		if err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+		if n := countTokens(src); n != len(toks) {
+			t.Errorf("%.40q: counted %d tokens, lexed %d", src, n, len(toks))
+		}
+		if cap(toks) != len(toks) {
+			t.Errorf("%.40q: %d tokens in a slice of %d", src, len(toks), cap(toks))
+		}
+	}
+}
