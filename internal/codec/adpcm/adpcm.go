@@ -242,7 +242,7 @@ int main(void) {
 		wav_header(channels, rate, frames);
 		int total = frames * channels;
 		if (total < 0) total = 0;
-		int n = (total + 1) >> 1;
+		int n = (total >> 1) + (total & 1);
 		ch = 0;
 		while (n > 0) {
 			int b;

@@ -31,23 +31,24 @@ var tableOneDecoders = []string{"deflate", "bwt", "dct", "haar", "lpc", "adpcm"}
 // 15365, 4.76 M; haar 13507, 4.18 M; lpc 11029, 3.11 M; adpcm 9033,
 // 2.61 M.
 //
-// Measured once the token slice was sized from a count of the tokens and
-// the text from the analysis's cost of what is linked, not both from the
-// sources' length, with the media decoders written as straight-line code
-// (allocations, bytes; the largest of GOMAXPROCS 1, 2, 4 and 8, Go
-// 1.24): deflate 8068, 1.30 M; bwt 5822, 0.95 M; dct 6260, 1.08 M; haar
-// 5704, 0.95 M; lpc 4800, 0.76 M; adpcm 3726, 0.64 M. Where a tenth
-// above that was below a ceiling the ceiling came down to it.
+// Measured once the parser took its tokens from the lexer as it went,
+// keeping no slice of them, and the text was sized from the analysis's
+// cost of what is linked, not from the sources' length, with the media
+// decoders written as straight-line code (allocations, bytes; the largest
+// of GOMAXPROCS 1, 2, 4 and 8, Go 1.24): deflate 8068, 1.02 M; bwt 5822,
+// 0.74 M; dct 6260, 0.80 M; haar 5704, 0.72 M; lpc 4800, 0.59 M; adpcm
+// 3730, 0.46 M. Where a tenth above that was below a ceiling the ceiling
+// came down to it.
 var compileBudgets = map[string]struct {
 	allocs float64
 	bytes  uint64
 }{
-	"deflate": {8874, 1_433_000},
-	"bwt":     {6194, 1_021_000},
-	"dct":     {6475, 1_185_000},
-	"haar":    {6244, 1_035_000},
-	"lpc":     {5280, 840_000},
-	"adpcm":   {3850, 703_000},
+	"deflate": {8874, 1_126_000},
+	"bwt":     {6194, 816_000},
+	"dct":     {6475, 881_000},
+	"haar":    {6244, 795_000},
+	"lpc":     {5280, 654_000},
+	"adpcm":   {3850, 505_000},
 }
 
 func tableOneCodecs(tb testing.TB) []*codec.Codec {

@@ -256,12 +256,13 @@ func TestADPCMEdges(t *testing.T) {
 
 	// A frame count the Go decoder refuses (over 1<<28) whose sample
 	// total wraps in 32 bits: to zero, to a negative odd number, to a
-	// small positive one. The VXC decoder has always read the wrapped
+	// small positive one; or whose total is the largest int, one short of
+	// wrapping. The VXC decoder has always read the wrapped
 	// total; it must go on doing exactly that.
 	for _, tc := range []struct {
 		channels int
 		frames   uint32
-	}{{8, 1 << 29}, {3, 0x2AAAAAAB}, {3, 0x55555557}} {
+	}{{8, 1 << 29}, {3, 0x2AAAAAAB}, {3, 0x55555557}, {1, 0x7FFFFFFF}} {
 		sameAsArchived(t, "adpcm", "a sample total that wraps", adpcmStream(tc.channels, tc.frames, make([]byte, 16)))
 	}
 }

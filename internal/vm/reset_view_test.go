@@ -97,7 +97,8 @@ func TestResetKeepsView(t *testing.T) {
 		}
 		// One trace links nothing (its loop edge is a direct jump): adpcm's
 		// whole sample loop is one.
-		if linked == 0 && v.Stats().Tier2Compiled > 1 {
+		oneTrace := d.name == "adpcm" && v.Stats().Tier2Compiled == 1
+		if linked == 0 && v.Stats().Tier2Compiled > 0 && !oneTrace {
 			t.Fatalf("%s: a warm stream compiled traces and linked none of their exits", d.name)
 		}
 		if !raceEnabled {

@@ -3,7 +3,6 @@ package vxcc
 import (
 	"fmt"
 	"strconv"
-	"strings"
 )
 
 type lexer struct {
@@ -226,27 +225,33 @@ func (l *lexer) next() (token, error) {
 		return tok, nil
 	}
 
-	// Operators: opLen finds the longest one that starts here.
-	n := opLen(c, l.at(1), l.at(2))
-	switch n {
-	case 3:
-		tok.kind = threeCharOps[l.src[l.pos:l.pos+3]]
-	case 2:
-		tok.kind = twoCharOps[l.src[l.pos:l.pos+2]]
-	default:
-		if tok.kind = oneCharOps[c]; tok.kind == tEOF {
-			return tok, l.errf("unexpected character %q", c)
+	// Operators, longest match first.
+	if l.pos+3 <= len(l.src) {
+		if k, ok := threeCharOps[l.src[l.pos:l.pos+3]]; ok {
+			tok.kind = k
+			l.pos += 3
+			return tok, nil
 		}
 	}
-	l.pos += n
-	return tok, nil
+	if l.pos+2 <= len(l.src) {
+		if k, ok := twoCharOps[l.src[l.pos:l.pos+2]]; ok {
+			tok.kind = k
+			l.pos += 2
+			return tok, nil
+		}
+	}
+	if k := oneCharOps[c]; k != tEOF {
+		tok.kind = k
+		l.pos++
+		return tok, nil
+	}
+	return tok, l.errf("unexpected character %q", c)
 }
 
-// The operator tables, by length. next looks an operator up in the table
-// of the length opLen gives, the longest match, so "<<=" lexes as one
-// token, not "<<" then "=". They are package-level so that an operator
-// token costs a lookup, not the building of a table: every Compile lexes
-// libvx and each decoder source afresh.
+// The operator tables, by length. next tries them longest first, so
+// "<<=" lexes as one token, not "<<" then "=". They are package-level so
+// that an operator token costs a lookup, not the building of a table:
+// every Compile lexes libvx and each decoder source afresh.
 var (
 	threeCharOps = map[string]tokKind{"<<=": tShlEq, ">>=": tShrEq}
 	twoCharOps   = map[string]tokKind{
@@ -264,86 +269,3 @@ var (
 		'^': tCaret, '~': tTilde, '!': tBang, '<': tLt, '>': tGt,
 	}
 )
-
-// lexAll tokenizes the whole source into a slice of exactly its length.
-func lexAll(file, src string) ([]token, error) {
-	l := newLexer(file, src)
-	toks := make([]token, 0, countTokens(src))
-	for {
-		t, err := l.next()
-		if err != nil {
-			return nil, err
-		}
-		toks = append(toks, t)
-		if t.kind == tEOF {
-			return toks, nil
-		}
-	}
-}
-
-// countTokens returns how many tokens lexAll makes of src, the end of
-// file included, without making them: it skips what next skips and steps
-// over each token as next would. A token slice sized from the source's
-// length would price every comment and still be too small for a dense
-// file; sized from this count it is allocated once. On a source next
-// rejects the count may be off, which costs nothing but an append.
-func countTokens(src string) int {
-	l := lexer{src: src}
-	n := 1
-	for {
-		if l.skipSpace() != nil || l.pos >= len(src) {
-			return n
-		}
-		n++
-		c := src[l.pos]
-		switch {
-		case isIdent(c): // identifiers, keywords, and numbers with their suffix
-			for l.pos < len(src) && isIdent(src[l.pos]) {
-				l.pos++
-			}
-		case c == '\'':
-			l.pos++
-			l.skipChar()
-			l.pos++
-		case c == '"':
-			l.pos++
-			for l.pos < len(src) && src[l.pos] != '"' && src[l.pos] != '\n' {
-				l.skipChar()
-			}
-			l.pos++
-		default:
-			l.pos += opLen(c, l.at(1), l.at(2))
-		}
-	}
-}
-
-// opLen is the length of the operator token next makes of the bytes c,
-// c1, c2: every two-byte operator is a doubled "&|+-<>" or ends in '=',
-// and the two three-byte ones are "<<=" and ">>=".
-func opLen(c, c1, c2 byte) int {
-	switch {
-	case (c == '<' || c == '>') && c1 == c:
-		if c2 == '=' {
-			return 3
-		}
-		return 2
-	case c1 == c && (c == '&' || c == '|' || c == '+' || c == '-'):
-		return 2
-	case c1 == '=' && strings.IndexByte("<>=!+-*/%&|^", c) >= 0:
-		return 2
-	}
-	return 1
-}
-
-// skipChar steps over one character of a character or string literal,
-// an escape sequence whole.
-func (l *lexer) skipChar() {
-	switch {
-	case l.peekByte() != '\\':
-		l.pos++
-	case l.at(1) == 'x':
-		l.pos += 4
-	default:
-		l.pos += 2
-	}
-}

@@ -1,9 +1,26 @@
 package vxcc
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
+
+// lexAll tokenizes the whole source, the end of file included.
+func lexAll(file, src string) ([]token, error) {
+	l := newLexer(file, src)
+	var toks []token
+	for {
+		t, err := l.next()
+		if err != nil {
+			return nil, err
+		}
+		toks = append(toks, t)
+		if t.kind == tEOF {
+			return toks, nil
+		}
+	}
+}
 
 // lexKinds lexes src and returns its token kinds, without the final EOF.
 func lexKinds(t *testing.T, src string) []tokKind {
@@ -101,50 +118,22 @@ func TestUnexpectedCharacter(t *testing.T) {
 	}
 }
 
-// TestCountTokens: the count lexAll sizes its slice from is the number
-// of tokens it makes, on libvx and on every form whose end the counter
-// finds on its own (literals with escapes, comments, suffixed numbers,
-// every operator alone and run into every other).
-func TestCountTokens(t *testing.T) {
-	var ops []string
-	for text := range threeCharOps {
-		ops = append(ops, text)
-	}
-	for text := range twoCharOps {
-		ops = append(ops, text)
-	}
-	for c, k := range oneCharOps {
-		if k != tEOF {
-			ops = append(ops, string(rune(c)))
-		}
-	}
-	var runs []string
-	for _, a := range ops {
-		for _, b := range ops {
-			if run := "x" + a + b + "y"; !strings.Contains(run, "//") && !strings.Contains(run, "/*") {
-				runs = append(runs, run, a+" "+b)
-			}
-		}
-	}
-	for _, src := range append(runs,
-		RuntimeSource,
-		"",
-		"  // only a comment",
-		"/* a * / comment */ x",
-		"int x = 0xFFu + 5u - 077; // tail",
-		`byte *s = "a \"quoted\" \x22 \\ string"; s[0] = '\''; s[1] = '\\'; s[2] = '\x41'; s[3] = '''; s[4] = '"';`,
-		"a<<=b>>=c<=d>=e==f!=g<<h>>i&&j||k+=l-=m*=n/=o%=p&=q|=r^=s++--t",
-		"x=-~!y?z:w;{[()]},",
-	) {
-		toks, err := lexAll("count.vxc", src)
-		if err != nil {
-			t.Fatalf("%q: %v", src, err)
-		}
-		if n := countTokens(src); n != len(toks) {
-			t.Errorf("%.40q: counted %d tokens, lexed %d", src, n, len(toks))
-		}
-		if cap(toks) != len(toks) {
-			t.Errorf("%.40q: %d tokens in a slice of %d", src, len(toks), cap(toks))
+// TestLexErrorFirst: Parse reports a lexical error wherever it is in the
+// file, after a complete program or after a syntax error, as it would if
+// the file were lexed whole before parsing.
+func TestLexErrorFirst(t *testing.T) {
+	for _, tc := range []struct {
+		src  string
+		line int
+	}{
+		{"int main(void) { return 0; }\n@", 2},
+		{"int main(void) { return 0; }}\n\n#", 3},
+		{"int int int;\n\n\n`", 4},
+		{"int main(void) { return 0 0; }\n\"x\n;", 2},
+	} {
+		_, err := Parse("bad.vxc", tc.src)
+		if err == nil || !strings.HasPrefix(err.Error(), fmt.Sprintf("bad.vxc:%d: ", tc.line)) {
+			t.Errorf("%q: got %v, want a lexical error on line %d", tc.src, err, tc.line)
 		}
 	}
 }

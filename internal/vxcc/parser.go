@@ -3,34 +3,54 @@ package vxcc
 import "fmt"
 
 type parser struct {
-	toks  []token
-	i     int
-	file  string
-	enums map[string]int64 // constants seen so far, for array bounds etc.
+	lx     *lexer
+	tok    token // the current token
+	ahead  token // the token after it
+	lexErr error // the lexer's first error; every token from it on is EOF
+	file   string
+	enums  map[string]int64 // constants seen so far, for array bounds etc.
 }
 
-// Parse parses one VXC source file.
+// Parse parses one VXC source file. The parser reads one token ahead of
+// the current one, so it takes its tokens from the lexer as it goes and
+// keeps no slice of them. A lexical error anywhere in the file is the
+// error reported, ahead of any syntax error, as if the file had been
+// lexed whole before parsing.
 func Parse(name, src string) (*File, error) {
-	toks, err := lexAll(name, src)
-	if err != nil {
-		return nil, err
+	p := &parser{lx: newLexer(name, src), file: name, enums: map[string]int64{}}
+	p.tok = p.lex()
+	p.ahead = p.lex()
+	f, err := p.parseFile()
+	for p.lexErr == nil && p.ahead.kind != tEOF {
+		p.ahead = p.lex()
 	}
-	p := &parser{toks: toks, file: name, enums: map[string]int64{}}
-	return p.parseFile()
+	if p.lexErr != nil {
+		return nil, p.lexErr
+	}
+	return f, err
 }
 
-func (p *parser) cur() token { return p.toks[p.i] }
-func (p *parser) peek() token { // token after cur
-	if p.i+1 < len(p.toks) {
-		return p.toks[p.i+1]
+// lex returns the lexer's next token, or EOF once the lexer has failed.
+func (p *parser) lex() token {
+	if p.lexErr == nil {
+		t, err := p.lx.next()
+		if err == nil {
+			return t
+		}
+		p.lexErr = err
 	}
-	return p.toks[len(p.toks)-1]
+	return token{kind: tEOF, pos: Pos{File: p.file, Line: p.lx.line}}
 }
 
+func (p *parser) cur() token  { return p.tok }
+func (p *parser) peek() token { return p.ahead } // token after cur; EOF at EOF
+
+// advance returns the current token and moves to the next; at EOF it
+// stays there.
 func (p *parser) advance() token {
-	t := p.toks[p.i]
-	if p.i < len(p.toks)-1 {
-		p.i++
+	t := p.tok
+	if t.kind != tEOF {
+		p.tok, p.ahead = p.ahead, p.lex()
 	}
 	return t
 }
