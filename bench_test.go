@@ -323,7 +323,7 @@ func benchExtractAll(b *testing.B, parallel int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, res := range r.ExtractAll(context.Background(), WithMode(AlwaysVXA), WithReuseVM(true), WithParallel(parallel)) {
+		for _, res := range r.ExtractAll(context.Background(), WithMode(AlwaysVXA), WithParallel(parallel)) {
 			if res.Err != nil {
 				b.Fatalf("%s: %v", res.Entry.Name, res.Err)
 			}

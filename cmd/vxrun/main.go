@@ -90,7 +90,7 @@ exit codes:
 
 func main() {
 	codecName := flag.String("codec", "", "run the named codec's VXA decoder")
-	mem := flag.Int("mem", 64, "guest memory in MiB")
+	mem := flag.Int("mem", codec.DefaultDecoderMemSize>>20, "guest memory in MiB")
 	verbose := flag.Bool("v", false, "show decoder diagnostics")
 	parallel := flag.Int("p", 0, "decode workers for file inputs (0 = all cores)")
 	flag.Usage = usage

@@ -140,7 +140,6 @@ func main() {
 	opts := []vxa.Option{
 		vxa.WithMode(mode),
 		vxa.WithDecodeAll(*decodeAll),
-		vxa.WithReuseVM(true),
 		vxa.WithParallel(*parallel),
 		vxa.WithLimit(*limit),
 		vxa.WithWallBudget(*wall),

@@ -62,7 +62,7 @@ func main() {
 	// one VM per decoder except across security-attribute changes (§2.4).
 	for i := range r.Entries() {
 		e := &r.Entries()[i]
-		out, err := r.ExtractBytes(ctx, e, vxa.WithMode(vxa.AlwaysVXA), vxa.WithReuseVM(true))
+		out, err := r.ExtractBytes(ctx, e, vxa.WithMode(vxa.AlwaysVXA))
 		if err != nil {
 			log.Fatal(err)
 		}

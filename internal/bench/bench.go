@@ -108,7 +108,7 @@ func Fig7() ([]Fig7Row, error) {
 		}
 		row.Native = time.Since(start)
 
-		stats, dur, err := runVX(w, vm.Config{MemSize: 64 << 20})
+		stats, dur, err := runVX(w, vm.Config{MemSize: codec.DefaultDecoderMemSize})
 		if err != nil {
 			return nil, err
 		}
@@ -189,7 +189,7 @@ func Ladder() ([]LadderRow, error) {
 	for _, w := range ws {
 		row := LadderRow{Codec: w.Codec.Name}
 		for _, level := range vm.OptLevels() {
-			stats, dur, err := runVX(w, vm.Config{MemSize: 64 << 20, OptLevel: level})
+			stats, dur, err := runVX(w, vm.Config{MemSize: codec.DefaultDecoderMemSize, OptLevel: level})
 			if err != nil {
 				return nil, fmt.Errorf("%s at %v: %w", w.Codec.Name, level, err)
 			}

@@ -113,7 +113,6 @@ func ChaosBench(rate float64, total, conc int) (ChaosRow, error) {
 		maxInFlight = 4
 	}
 	srv := server.New(server.Config{
-		MemSize:      64 << 20,
 		MaxInFlight:  maxInFlight,
 		MaxQueue:     4 * conc,
 		QueueTimeout: time.Minute,

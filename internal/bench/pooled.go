@@ -148,7 +148,7 @@ func newPooledRun(archive []byte, name, path string, reps int) (*pooledRun, erro
 	}
 	// The VM configuration archive readers use (core.runArchivedDecoder),
 	// at the default level.
-	cfg := vm.Config{MemSize: startupMemSize, OptLevel: vm.OptTier2}
+	cfg := vm.Config{MemSize: codec.DefaultDecoderMemSize, OptLevel: vm.OptTier2}
 	v, err := elf32.NewVM(elf, cfg)
 	if err != nil {
 		return nil, err
@@ -181,7 +181,7 @@ func (p *pooledRun) step(i int) error {
 	}
 	start := time.Now()
 	if _, err := p.lib.ExtractTo(context.Background(), e, io.Discard,
-		core.WithMode(core.AlwaysVXA), core.WithReuseVM(true), core.WithDecodeAll(true)); err != nil {
+		core.WithMode(core.AlwaysVXA), core.WithDecodeAll(true)); err != nil {
 		return err
 	}
 	lib := time.Since(start)

@@ -110,10 +110,6 @@ func (r *LedgerRow) div() {
 	r.MinorFaults /= float64(r.Reps)
 }
 
-// startupMemSize is the guest address space archive readers give a
-// decoder.
-const startupMemSize = core.DefaultDecoderMemSize
-
 // startupEntry builds a one-entry archive whose entry decodes to about
 // 4 KiB through codec name's decoder.
 func startupEntry(name string) ([]byte, error) {
@@ -235,7 +231,7 @@ func startupOp(archive []byte, name string, row *LedgerRow) error {
 	if err != nil {
 		return err
 	}
-	v, err := vm.New(vm.Config{MemSize: startupMemSize})
+	v, err := vm.New(vm.Config{MemSize: codec.DefaultDecoderMemSize})
 	if err != nil {
 		return err
 	}
@@ -285,7 +281,7 @@ func startupLibraryOp(archive []byte) (time.Duration, error) {
 	for i := range r.Entries() {
 		if e := &r.Entries()[i]; e.Name == "entry" {
 			if _, err := r.ExtractTo(context.Background(), e, io.Discard,
-				core.WithMode(core.AlwaysVXA), core.WithReuseVM(true), core.WithDecodeAll(true)); err != nil {
+				core.WithMode(core.AlwaysVXA), core.WithDecodeAll(true)); err != nil {
 				return 0, err
 			}
 		}

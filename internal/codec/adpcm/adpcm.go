@@ -236,12 +236,11 @@ int main(void) {
 		int rate = get4le();
 		int frames = get4le();
 		if (channels < 1 || channels > 8) die("bad channel count");
-		if (frames < 0) die("bad frame count");
+		if (frames < 0 || frames > (1 << 28)) die("bad frame count");
 		int ch;
 		for (ch = 0; ch < channels; ch++) { pred[ch] = 0; sidx[ch] = 0; }
 		wav_header(channels, rate, frames);
-		int total = frames * channels;
-		if (total < 0) total = 0;
+		uint total = frames * channels; // up to 8 << 28, one past the largest int
 		int n = (total >> 1) + (total & 1);
 		ch = 0;
 		while (n > 0) {

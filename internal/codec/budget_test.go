@@ -27,7 +27,7 @@ func decodeGoldenInput(t *testing.T, c *codec.Codec, level vm.OptLevel) (int, vm
 	}
 	var out bytes.Buffer
 	stats, err := codec.RunDecoderELFToStats(context.Background(), c.Name, elf,
-		bytes.NewReader(enc.Bytes()), int64(enc.Len()), &out, vm.Config{MemSize: 64 << 20, OptLevel: level})
+		bytes.NewReader(enc.Bytes()), int64(enc.Len()), &out, vm.Config{OptLevel: level})
 	if err != nil {
 		t.Fatalf("%s: %v", c.Name, err)
 	}

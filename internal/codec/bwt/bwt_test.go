@@ -108,7 +108,7 @@ func TestVXADecoderMatchesNative(t *testing.T) {
 		if err := Encode(&enc, data); err != nil {
 			t.Fatal(err)
 		}
-		got, err := c.RunVXA(enc.Bytes(), vm.Config{MemSize: 64 << 20})
+		got, err := c.RunVXA(enc.Bytes(), vm.Config{})
 		if err != nil {
 			t.Fatalf("%s: vxa: %v", name, err)
 		}

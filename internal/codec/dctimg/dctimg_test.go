@@ -119,7 +119,8 @@ func TestOddDimensions(t *testing.T) {
 }
 
 // TestVXADecoderBitExact: the archived decoder must reproduce the native
-// decoder's BMP byte for byte.
+// decoder's BMP byte for byte, under a zero vm.Config: RunVXA's default
+// decoder memory holds the decoder's three image planes.
 func TestVXADecoderBitExact(t *testing.T) {
 	c, ok := codec.ByName("dct")
 	if !ok {
@@ -135,7 +136,7 @@ func TestVXADecoderBitExact(t *testing.T) {
 	if err := Decode(&nat, bytes.NewReader(enc.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.RunVXA(enc.Bytes(), vm.Config{MemSize: 64 << 20})
+	got, err := c.RunVXA(enc.Bytes(), vm.Config{})
 	if err != nil {
 		t.Fatalf("vxa: %v", err)
 	}

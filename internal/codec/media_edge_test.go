@@ -89,14 +89,13 @@ type decodeOutcome struct {
 	fuel   bool   // the trap was the fuel running out
 }
 
-// runDecoder runs one stream in a fresh VM with the guest memory archive
-// readers give (core.DefaultDecoderMemSize): the image decoders' planes
-// do not fit the VM's own default.
+// runDecoder runs one stream in a fresh VM with the default decoder
+// memory (codec.DefaultDecoderMemSize).
 func runDecoder(t *testing.T, name string, elf, stream []byte) decodeOutcome {
 	t.Helper()
 	var out bytes.Buffer
 	_, err := codec.RunDecoderELFToStats(context.Background(), name, elf,
-		bytes.NewReader(stream), int64(len(stream)), &out, vm.Config{MemSize: 64 << 20})
+		bytes.NewReader(stream), int64(len(stream)), &out, vm.Config{})
 	o := decodeOutcome{out: out.Bytes()}
 	if err != nil {
 		var de *codec.DecodeError
@@ -127,10 +126,17 @@ func mediaCodec(t *testing.T, name string) *codec.Codec {
 // stream that must decode.
 func checkMedia(t *testing.T, name, what string, stream []byte, wantErr string) []byte {
 	t.Helper()
-	c := mediaCodec(t, name)
+	return checkOutcome(t, name, what, stream, sameAsArchived(t, name, what, stream), wantErr)
+}
+
+// checkOutcome holds the VXA decoder's outcome on one stream to the
+// codec's Go decoder's, as checkMedia does, without the archived
+// decoder: for the streams the rewritten decoder now rejects where the
+// archived one decoded them.
+func checkOutcome(t *testing.T, name, what string, stream []byte, got decodeOutcome, wantErr string) []byte {
+	t.Helper()
 	var ref bytes.Buffer
-	goErr := c.Decode(&ref, bytes.NewReader(stream))
-	got := sameAsArchived(t, name, what, stream)
+	goErr := mediaCodec(t, name).Decode(&ref, bytes.NewReader(stream))
 	if got.trap != "" {
 		t.Fatalf("%s, %s: trapped: %s", name, what, got.trap)
 	}
@@ -257,13 +263,26 @@ func TestADPCMEdges(t *testing.T) {
 	// A frame count the Go decoder refuses (over 1<<28) whose sample
 	// total wraps in 32 bits: to zero, to a negative odd number, to a
 	// small positive one; or whose total is the largest int, one short of
-	// wrapping. The VXC decoder has always read the wrapped
-	// total; it must go on doing exactly that.
+	// wrapping. The archived decoder read the wrapped total and decoded
+	// a few samples or none; the VXC decoder refuses every count the Go
+	// decoder refuses. At the largest count both accept, eight channels
+	// give a total one past the largest int: the VXC decoder counts it
+	// unsigned and runs out of input, as the Go decoder does.
+	elf, err := mediaCodec(t, "adpcm").DecoderELF()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		channels int
 		frames   uint32
-	}{{8, 1 << 29}, {3, 0x2AAAAAAB}, {3, 0x55555557}, {1, 0x7FFFFFFF}} {
-		sameAsArchived(t, "adpcm", "a sample total that wraps", adpcmStream(tc.channels, tc.frames, make([]byte, 16)))
+		wantErr  string
+	}{
+		{8, 1 << 29, "bad frame count"}, {3, 0x2AAAAAAB, "bad frame count"},
+		{3, 0x55555557, "bad frame count"}, {1, 0x7FFFFFFF, "bad frame count"},
+		{8, 1 << 28, "unexpected end of input"},
+	} {
+		stream := adpcmStream(tc.channels, tc.frames, make([]byte, 16))
+		checkOutcome(t, "adpcm", "a sample total that wraps", stream, runDecoder(t, "adpcm", elf, stream), tc.wantErr)
 	}
 }
 

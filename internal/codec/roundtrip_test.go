@@ -93,7 +93,7 @@ func TestRoundTripGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := vm.Config{MemSize: 64 << 20}
+			var cfg vm.Config
 			var out1, out2 bytes.Buffer
 			stats1, err := codec.RunDecoderELFToStats(context.Background(), c.Name, elf, bytes.NewReader(enc.Bytes()), int64(enc.Len()), &out1, cfg)
 			if err != nil {
@@ -194,7 +194,7 @@ func TestRoundTripGoldenTier2Configs(t *testing.T) {
 				}
 				var out bytes.Buffer
 				stats, err := codec.RunDecoderELFToStats(context.Background(), c.Name, elf,
-					bytes.NewReader(enc.Bytes()), int64(enc.Len()), &out, vm.Config{MemSize: 64 << 20, OptLevel: level})
+					bytes.NewReader(enc.Bytes()), int64(enc.Len()), &out, vm.Config{OptLevel: level})
 				if err != nil {
 					t.Fatalf("%s: %v", c.Name, err)
 				}

@@ -34,9 +34,18 @@ func (e *DecodeError) Error() string {
 // exhaustion from a memory fault.
 func (e *DecodeError) Unwrap() error { return e.Trap }
 
+// DefaultDecoderMemSize is the guest address space a decoder VM gets
+// when its vm.Config leaves MemSize zero, on every path that runs an
+// archived decoder. Media decoders hold whole image/audio planes (dct
+// and haar allocate three 8 MiB planes before reading a coefficient), so
+// this is larger than the bare VM default (the paper's sandbox allows up
+// to 1 GiB).
+const DefaultDecoderMemSize = 64 << 20
+
 // RunVXA decodes one input stream with the codec's compiled VXA decoder
 // in a fresh virtual machine and returns the decoded output. A zero
-// Config selects the VM defaults.
+// Config selects the VM defaults, with DefaultDecoderMemSize of guest
+// memory.
 func (c *Codec) RunVXA(input []byte, cfg vm.Config) ([]byte, error) {
 	elfBytes, err := c.DecoderELF()
 	if err != nil {
@@ -64,6 +73,9 @@ func RunDecoderELF(name string, elfBytes, input []byte, cfg vm.Config) ([]byte, 
 // returns the VM's execution statistics after the run, valid even when
 // the decode failed, for callers that report on the translation engine.
 func RunDecoderELFToStats(ctx context.Context, name string, elfBytes []byte, r io.Reader, payloadLen int64, w io.Writer, cfg vm.Config) (vm.Stats, error) {
+	if cfg.MemSize == 0 {
+		cfg.MemSize = DefaultDecoderMemSize
+	}
 	lease, err := vmpool.Fresh(ctx, elfBytes, cfg)
 	if err != nil {
 		return vm.Stats{}, err

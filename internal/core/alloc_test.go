@@ -50,9 +50,12 @@ var firstStreamBudgets = map[string]struct {
 	"adpcm":   {850, 237_000},
 }
 
-// firstStreamArchive is a one-entry archive whose entry decodes to about
-// 4 KiB through the named decoder.
-func firstStreamArchive(t *testing.T, name string) []byte {
+// builtinDecoders names the six built-in decoders.
+var builtinDecoders = []string{"deflate", "bwt", "dct", "haar", "lpc", "adpcm"}
+
+// decoderEntryData is an input the writer archives with the named
+// decoder, decoding to about 4 KiB.
+func decoderEntryData(t *testing.T, name string) []byte {
 	t.Helper()
 	c, ok := codec.ByName(name)
 	if !ok {
@@ -77,9 +80,16 @@ func firstStreamArchive(t *testing.T, name string) []byte {
 		}
 		data = enc.Bytes()
 	}
+	return data
+}
+
+// firstStreamArchive is a one-entry archive whose entry decodes to about
+// 4 KiB through the named decoder.
+func firstStreamArchive(t *testing.T, name string) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	w := NewWriter(&buf, WriterOptions{})
-	if err := w.AddFile("entry", data, 0644); err != nil {
+	if err := w.AddFile("entry", decoderEntryData(t, name), 0644); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -106,7 +116,7 @@ func TestFirstStreamAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation ceilings are measured without the race detector")
 	}
-	for _, name := range []string{"deflate", "bwt", "dct", "haar", "lpc", "adpcm"} {
+	for _, name := range builtinDecoders {
 		archive := firstStreamArchive(t, name)
 		op := func() {
 			r, err := NewReader(archive)
@@ -114,7 +124,7 @@ func TestFirstStreamAllocBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 			if _, err := r.ExtractTo(context.Background(), &r.Entries()[0], io.Discard,
-				WithMode(AlwaysVXA), WithReuseVM(true), WithDecodeAll(true), WithVM(vm.Config{OptLevel: vm.OptTier2})); err != nil {
+				WithMode(AlwaysVXA), WithDecodeAll(true), WithVM(vm.Config{OptLevel: vm.OptTier2})); err != nil {
 				t.Fatal(err)
 			}
 			if err := r.Close(); err != nil {

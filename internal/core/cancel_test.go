@@ -43,7 +43,7 @@ func TestCancelMidDecodeReturnsVMToPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := &r.Entries()[0]
-	opts := []Option{WithMode(AlwaysVXA), WithReuseVM(true)}
+	opts := []Option{WithMode(AlwaysVXA)}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	stream, err := r.Extract(ctx, e, opts...)
@@ -99,7 +99,7 @@ func TestStreamCloseAbandonsDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := &r.Entries()[0]
-	opts := []Option{WithMode(AlwaysVXA), WithReuseVM(true)}
+	opts := []Option{WithMode(AlwaysVXA)}
 
 	stream, err := r.Extract(context.Background(), e, opts...)
 	if err != nil {
@@ -132,7 +132,7 @@ func TestCancelWithoutReading(t *testing.T) {
 	e := &r.Entries()[0]
 
 	ctx, cancel := context.WithCancel(context.Background())
-	stream, err := r.Extract(ctx, e, WithMode(AlwaysVXA), WithReuseVM(true))
+	stream, err := r.Extract(ctx, e, WithMode(AlwaysVXA))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestExtractAllCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already dead: every entry must report ErrCanceled
-	results := r.ExtractAll(ctx, WithMode(AlwaysVXA), WithReuseVM(true), WithParallel(4))
+	results := r.ExtractAll(ctx, WithMode(AlwaysVXA), WithParallel(4))
 	for _, res := range results {
 		if !errors.Is(res.Err, ErrCanceled) {
 			t.Fatalf("%s: err = %v, want ErrCanceled", res.Entry.Name, res.Err)

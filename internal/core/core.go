@@ -28,6 +28,7 @@ import (
 	"sync"
 	"time"
 
+	"vxa/internal/breaker"
 	"vxa/internal/codec"
 	"vxa/internal/fault"
 	"vxa/internal/obs"
@@ -199,15 +200,10 @@ type ExtractOptions struct {
 	// VM configures decoder virtual machines; zero means defaults. When
 	// VM.Fuel is set it becomes the absolute per-stream instruction
 	// budget; a stream never inherits leftovers from earlier streams.
-	// The first extraction that touches the VM pool fixes its
-	// configuration; later calls with a different VM config keep the
-	// pool's original one.
+	// Fuel is the only per-call field: a Reader's first archived-decoder
+	// run fixes the rest (memory size, wall budget, optimization level)
+	// for every later call.
 	VM vm.Config
-	// ReuseVM routes archived decoders through the reader's VM pool:
-	// files with equal security attributes resume a parked VM (§2.4),
-	// while an attribute change or a fresh worker re-initializes from
-	// the pristine decoder snapshot instead of re-parsing the ELF.
-	ReuseVM bool
 	// Verbose streams decoder stderr diagnostics to this writer.
 	// ExtractAll and Verify serialize concurrent writes to it; callers
 	// running their own goroutines over Extract must pass a
@@ -246,15 +242,13 @@ func WithLimit(n int64) Option { return func(o *ExtractOptions) { o.Limit = n } 
 // form instead of extracting still-compressed.
 func WithDecodeAll(on bool) Option { return func(o *ExtractOptions) { o.DecodeAll = on } }
 
-// WithReuseVM routes archived decoders through the Reader's VM pool
-// (§2.4 reuse policy) instead of a fresh VM per stream.
-func WithReuseVM(on bool) Option { return func(o *ExtractOptions) { o.ReuseVM = on } }
-
 // WithVerbose streams decoder stderr diagnostics to w.
 func WithVerbose(w io.Writer) Option { return func(o *ExtractOptions) { o.Verbose = w } }
 
 // WithVM sets the decoder VM configuration (memory size, cache policy,
 // ablation knobs). WithFuel after WithVM still overrides the budget.
+// Only the budget is per call: the Reader's first archived-decoder run
+// fixes the rest of the configuration.
 func WithVM(cfg vm.Config) Option { return func(o *ExtractOptions) { o.VM = cfg } }
 
 // WithWallBudget arms the per-stream wall-clock watchdog: a decoder
@@ -305,26 +299,27 @@ func (e *Entry) CodecName() string { return e.Codec }
 
 // Reader extracts VXA archives. It is safe for concurrent use: any
 // number of goroutines may call Extract/ExtractTo/ExtractAll/Verify on
-// one Reader, sharing its decoder VM pool.
+// one Reader, sharing its decoder VMs.
 type Reader struct {
 	zr      *zipfile.Reader
 	entries []Entry
 	closer  io.Closer // set by OpenFile; closed by Close
 
-	// VM reuse state (§2.4): a pool of decoder VMs keyed by
-	// (codec, security mode), created on first use. When snapCache is
-	// set it takes precedence: decoders are leased from the shared
-	// content-addressed snapshot cache instead, keyed by the SHA-256 of
-	// their ELF bytes (hashes memoized per decoder offset).
+	// VM reuse state (§2.4): every archived decoder runs on a VM leased
+	// from a content-addressed snapshot cache, where the decoder's line
+	// is keyed by the SHA-256 of its ELF bytes: two offsets that hold
+	// the same decoder share one line, two different decoders under one
+	// codec name get two. The cache is the one SetSnapCache attached, or
+	// else the Reader's own, made by its first archived-decoder run.
 	mu         sync.Mutex
-	pool       *vmpool.Pool
-	snapCache  *vmpool.SnapCache
-	cacheScope uint64 // this Reader's trust scope within the shared cache
-	decHashes  map[uint32][32]byte
-	inFlight   int // decoder-VM leases this Reader holds (private pool or shared cache)
+	cache      *vmpool.SnapCache
+	cacheScope uint64              // this Reader's trust scope within a shared cache; 0 in its own
+	decoders   map[uint32]*decoder // by archive offset
+	inFlight   int                 // decoder-VM leases this Reader holds
 
 	// ReinitCount is a statistic: how many times a pristine decoder
-	// image was loaded (cold ELF run, snapshot build or snapshot reset).
+	// image was loaded (a snapshot's own VM, a VM built from a snapshot,
+	// or a reset).
 	// It is consistent once extraction calls have returned; do not read
 	// it while extractions are in flight.
 	ReinitCount int
@@ -416,14 +411,14 @@ func (r *Reader) ExtractBytes(ctx context.Context, e *Entry, opts ...Option) ([]
 }
 
 // Extract decodes one entry and returns a stream over the decoded
-// bytes. The decode runs concurrently on a (possibly pooled) decoder
+// bytes. The decode runs concurrently on a leased decoder
 // VM and is pulled incrementally by Read — output never has to be
 // resident. The stream fails with the decode's typed error; a CRC
 // mismatch surfaces as ErrBadArchive on the final Read.
 //
 // Close stops an unfinished decode: the context handed to the decoder
 // is canceled, the VM cooperatively halts at its next block boundary,
-// is rewound to the pristine decoder snapshot and returned to the pool.
+// is rewound to the pristine decoder snapshot and returned to its line.
 // Close blocks until the VM is back; canceling ctx has the same effect
 // on an in-flight decode.
 func (r *Reader) Extract(ctx context.Context, e *Entry, opts ...Option) (io.ReadCloser, error) {
@@ -471,7 +466,7 @@ type extractStream struct {
 func (s *extractStream) Read(p []byte) (int, error) { return s.pr.Read(p) }
 
 // Close abandons the stream and waits for the decoder VM to be reset
-// and returned to its pool. Closing an already-drained stream is a
+// and returned to its line. Closing an already-drained stream is a
 // cheap no-op. Close always returns nil.
 func (s *extractStream) Close() error {
 	s.cancel()
@@ -679,38 +674,41 @@ func (r *Reader) decodeStream(ctx context.Context, e *Entry, payload *io.Section
 }
 
 // DefaultDecoderMemSize is the guest address space the reader gives
-// archived decoders unless ExtractOptions.VM says otherwise. Media
-// decoders hold whole image/audio planes, so this is larger than the
-// bare VM default (the paper's sandbox allows up to 1 GiB).
-const DefaultDecoderMemSize = 64 << 20
+// archived decoders unless ExtractOptions.VM says otherwise.
+const DefaultDecoderMemSize = codec.DefaultDecoderMemSize
 
-// vmPool returns the reader's decoder pool, creating it on first use.
-// Like the VM configuration, the idle cap is fixed by the first call:
-// it is sized to the larger of that call's worker count and GOMAXPROCS,
-// so a Reader whose first pooled extraction is its most parallel one
-// never churns VMs through the discard path. A later call with a larger
-// Parallel keeps the original cap.
-func (r *Reader) vmPool(cfg vm.Config, parallel int) *vmpool.Pool {
+// snapCache returns the cache the Reader leases decoder VMs from and
+// its trust scope there: the one SetSnapCache attached, or else the
+// Reader's own, made on first use with that call's VM configuration and
+// an idle cap of the larger of its worker count and GOMAXPROCS (so a
+// Reader whose first extraction is its most parallel one never churns
+// VMs through the discard path). The own cache keeps no circuit
+// breaker: quarantine guards a server against a decoder that fails
+// across clients.
+func (r *Reader) snapCache(opts ExtractOptions) (*vmpool.SnapCache, uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.pool == nil {
-		idle := runtime.GOMAXPROCS(0)
-		if parallel > idle {
-			idle = parallel
+	if r.cache == nil {
+		cfg := opts.VM
+		if cfg.MemSize == 0 {
+			cfg.MemSize = DefaultDecoderMemSize
 		}
-		r.pool = vmpool.New(vmpool.Options{VM: cfg, MaxIdlePerKey: idle})
+		r.cache = vmpool.NewSnapCache(vmpool.SnapCacheConfig{
+			VM:            cfg,
+			MaxIdlePerKey: max(runtime.GOMAXPROCS(0), opts.Parallel),
+			Health:        breaker.Config{Threshold: -1},
+		})
 	}
-	return r.pool
+	return r.cache, r.cacheScope
 }
 
 // SetSnapCache routes every archived-decoder run through a shared
-// content-addressed snapshot cache: decoders are identified by the
-// SHA-256 of their ELF bytes, so Readers over different archives that
-// embed the same decoder share one pristine snapshot, one warm
-// translation cache and one VM pool. It takes precedence over the
-// Reader's private pool (and over ExtractOptions.ReuseVM). The cache's
-// VM configuration wins over ExtractOptions.VM for everything except
-// the per-stream fuel budget. Call it before the first extraction.
+// content-addressed snapshot cache in place of the Reader's own, so
+// Readers over different archives that embed the same decoder share one
+// pristine snapshot, one warm translation cache and one VM line. The
+// cache's VM configuration wins over ExtractOptions.VM for everything
+// except the per-stream fuel budget. Call it before the first
+// extraction.
 //
 // The Reader takes its own trust scope within the cache: pristine
 // snapshots and translation caches are shared with every other Reader,
@@ -720,165 +718,156 @@ func (r *Reader) vmPool(cfg vm.Config, parallel int) *vmpool.Pool {
 func (r *Reader) SetSnapCache(c *vmpool.SnapCache) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.snapCache = c
+	r.cache = c
 	if r.cacheScope == 0 {
 		r.cacheScope = vmpool.NextScope()
 	}
 }
 
-// decoderHash returns the content address of the decoder pseudo-file at
-// the given archive offset, fetching and hashing it once per Reader.
-func (r *Reader) decoderHash(off uint32, elf func() ([]byte, error)) ([32]byte, error) {
+// decoder is one archived decoder as a Reader knows it: the content
+// address of its ELF and, until the decoder's cache line exists, the
+// bytes the address was taken from, so a miss builds from them instead
+// of reading the decoder a second time.
+type decoder struct {
+	once sync.Once
+	err  error
+	hash [32]byte
+	elf  []byte                 // guarded by Reader.mu; nil once the line exists
+	src  func() ([]byte, error) // the cache's elf callback
+}
+
+// decoder returns the decoder pseudo-file at the given archive offset,
+// reading and hashing it once per Reader: concurrent first uses wait on
+// one read, and a failed read fails every use, as a failed build does.
+func (r *Reader) decoder(off uint32) (*decoder, error) {
 	r.mu.Lock()
-	h, ok := r.decHashes[off]
+	d := r.decoders[off]
+	if d == nil {
+		if r.decoders == nil {
+			r.decoders = make(map[uint32]*decoder)
+		}
+		d = &decoder{}
+		r.decoders[off] = d
+	}
 	r.mu.Unlock()
-	if ok {
-		return h, nil
-	}
-	elfBytes, err := elf()
-	if err != nil {
-		return [32]byte{}, err
-	}
-	h = vmpool.HashELF(elfBytes)
-	r.mu.Lock()
-	if r.decHashes == nil {
-		r.decHashes = make(map[uint32][32]byte)
-	}
-	r.decHashes[off] = h
-	r.mu.Unlock()
-	return h, nil
+	d.once.Do(func() {
+		elf, err := r.zr.Decoder(off)
+		if err != nil {
+			d.err = err
+			return
+		}
+		d.hash, d.elf = vmpool.HashELF(elf), elf
+		// A line evicted from a shared cache is rebuilt from a fresh read.
+		d.src = func() ([]byte, error) {
+			r.mu.Lock()
+			elf := d.elf
+			r.mu.Unlock()
+			if elf != nil {
+				return elf, nil
+			}
+			return r.zr.Decoder(off)
+		}
+	})
+	return d, d.err
 }
 
 // DecoderHash returns the content address (SHA-256 of the ELF bytes)
-// of the entry's archived decoder, fetching and hashing it once per
-// Reader. ok is false for entries with no archived decoder (plain
-// stored files). Serving layers use it to consult the shared cache
-// before admission: whether the decoder's snapshot is already resident
-// (warm vs cold path) and whether its circuit breaker is open.
+// of the entry's archived decoder, reading and hashing it once per
+// Reader; an extraction that misses the cache afterwards builds from
+// the bytes read here. ok is false for entries with no archived decoder
+// (plain stored files). Serving layers use it to consult the shared
+// cache before admission: whether the decoder's snapshot is already
+// resident (warm vs cold path) and whether its circuit breaker is open.
 func (r *Reader) DecoderHash(e *Entry) (hash [32]byte, ok bool, err error) {
 	if e.hdr.VXA == nil {
 		return [32]byte{}, false, nil
 	}
-	off := e.hdr.VXA.DecoderOffset
-	h, err := r.decoderHash(off, func() ([]byte, error) { return r.zr.Decoder(off) })
+	d, err := r.decoder(e.hdr.VXA.DecoderOffset)
 	if err != nil {
 		return [32]byte{}, false, badArchive(e.Name, err)
 	}
-	return h, true, nil
+	return d.hash, true, nil
 }
 
-// DrainVMs drops the pool's idle decoder VMs, releasing their guest
+// ownSnapCache returns the Reader's own cache, or nil when it has none
+// yet or leases from a shared one.
+func (r *Reader) ownSnapCache() *vmpool.SnapCache {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.cacheScope != 0 {
+		return nil
+	}
+	return r.cache
+}
+
+// DrainVMs drops the Reader's idle decoder VMs, releasing their guest
 // memory, and reports how many were dropped. Decoder snapshots are
 // kept, so later extractions stay cheap. Useful on a long-lived Reader
-// between bursts of extraction.
+// between bursts of extraction. A shared cache set by SetSnapCache is
+// its owner's to drain: there DrainVMs does nothing.
 func (r *Reader) DrainVMs() int {
-	r.mu.Lock()
-	p := r.pool
-	r.mu.Unlock()
-	if p == nil {
-		return 0
+	if c := r.ownSnapCache(); c != nil {
+		return c.Drain()
 	}
-	return p.Drain()
+	return 0
 }
 
-// PoolStats reports the decoder pool's cumulative counters (zero before
-// the first ReuseVM extraction).
+// PoolStats reports the cumulative counters of the Reader's decoder
+// lines (zero before the first archived-decoder run, and on a Reader
+// that leases from a shared cache, whose counters are its owner's).
 func (r *Reader) PoolStats() vmpool.Stats {
-	r.mu.Lock()
-	p := r.pool
-	r.mu.Unlock()
-	if p == nil {
-		return vmpool.Stats{}
+	if c := r.ownSnapCache(); c != nil {
+		return c.Stats().Pool
 	}
-	return p.Stats()
+	return vmpool.Stats{}
 }
 
 // PoolOutstanding reports how many decoder-VM leases this Reader holds
-// in flight — whether they come from its private pool, from a shared
-// SnapCache or are VMs built fresh for one stream (zero before the
-// first VXA extraction). After every
-// extraction call — including canceled ones — has returned, this is 0:
-// cancellation resets and returns VMs, it never leaks them.
+// in flight, from its own cache or a shared one (zero before the first
+// VXA extraction). After every extraction call — including canceled
+// ones — has returned, this is 0: cancellation resets and returns VMs,
+// it never leaks them.
 func (r *Reader) PoolOutstanding() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.inFlight
 }
 
-func (r *Reader) noteReinit() {
-	r.mu.Lock()
-	r.ReinitCount++
-	r.mu.Unlock()
-}
-
 // runArchivedDecoder executes the archived VXA decoder over the payload,
-// streaming the decoded output to out and honouring the VM reuse policy.
-// The lease's Run ends the stream: a canceled context stops the guest at
-// its next block boundary and the VM is rewound to the pristine snapshot
-// and returned to the pool, so cancellation never leaks a VM or a slot.
+// streaming the decoded output to out. The VM comes from the decoder's
+// cache line by the §2.4 policy: a parked VM is resumed for equal
+// security attributes; an attribute change or a new worker
+// re-initializes from the pristine snapshot, so a malicious decoder
+// cannot leak data from a protected file into a public one. The lease's
+// Run ends the stream: a canceled context stops the guest at its next
+// block boundary and the VM is rewound to the pristine snapshot and
+// returned to its line, so cancellation never leaks a VM or a slot.
 func (r *Reader) runArchivedDecoder(ctx context.Context, e *Entry, payload *io.SectionReader, opts ExtractOptions, out io.Writer) error {
-	if opts.VM.MemSize == 0 {
-		opts.VM.MemSize = DefaultDecoderMemSize
+	cache, scope := r.snapCache(opts)
+	d, err := r.decoder(e.hdr.VXA.DecoderOffset)
+	if err != nil {
+		return badArchive(e.Name, err)
 	}
-	// The decoder executable is fetched lazily: with the pool warm, the
-	// per-stream cost is a snapshot lookup, not an ELF decompress+parse.
-	elf := func() ([]byte, error) { return r.zr.Decoder(e.hdr.VXA.DecoderOffset) }
-
-	r.mu.Lock()
-	cache, scope := r.snapCache, r.cacheScope
-	r.mu.Unlock()
-
-	var lease *vmpool.Lease
-	switch {
-	case cache != nil:
-		// Content-addressed path: the decoder is identified by the
-		// SHA-256 of its ELF, so identical decoders share one cache
-		// line across every archive and Reader using this cache. The
-		// Reader's scope keeps parked-VM residue from crossing clients.
-		hash, err := r.decoderHash(e.hdr.VXA.DecoderOffset, elf)
-		if err != nil {
-			return badArchive(e.Name, err)
-		}
-		if lease, err = cache.Get(ctx, hash, e.Mode, scope, elf); err != nil {
-			return classifyDecode(e.Name, err, ctx.Err())
-		}
-	case !opts.ReuseVM:
-		elfBytes, err := elf()
-		if err != nil {
-			return badArchive(e.Name, err)
-		}
-		if lease, err = vmpool.Fresh(ctx, elfBytes, opts.VM); err != nil {
-			return err
-		}
-	default:
-		// Pooled path (§2.4): resume a parked VM for equal security
-		// attributes; an attribute change or a new worker re-initializes
-		// from the pristine snapshot, so a malicious decoder cannot leak
-		// data from a protected file into a public one. The pool key
-		// includes the decoder offset, not just the codec name: a foreign
-		// or merged archive may carry two different decoders under one
-		// name, and each must run in its own VM line.
-		poolKey := fmt.Sprintf("%s@%#x", e.Codec, e.hdr.VXA.DecoderOffset)
-		var err error
-		if lease, err = r.vmPool(opts.VM, opts.Parallel).Get(ctx, poolKey, e.Mode, elf); err != nil {
-			return classifyDecode(e.Name, err, ctx.Err())
-		}
+	lease, err := cache.Get(ctx, d.hash, e.Mode, scope, d.src)
+	if err != nil {
+		return classifyDecode(e.Name, err, ctx.Err())
 	}
-	// Count the lease for the Reader's own outstanding view: it covers
-	// the shared-cache path too, where the backing pool is not ours to
-	// ask. Run ends the lease before the decrement on return, which
-	// keeps PoolOutstanding exact.
+	// Count the lease for the Reader's own outstanding view: a shared
+	// cache's lines are not ours to ask. Run ends the lease before the
+	// decrement on return, which keeps PoolOutstanding exact. The line
+	// exists now, so the decoder's bytes can go.
 	r.mu.Lock()
 	r.inFlight++
+	d.elf = nil
+	if lease.Pristine() {
+		r.ReinitCount++
+	}
 	r.mu.Unlock()
 	defer func() {
 		r.mu.Lock()
 		r.inFlight--
 		r.mu.Unlock()
 	}()
-	if lease.Pristine() {
-		r.noteReinit()
-	}
 	// Diagnostics stream to opts.Verbose live rather than being captured.
 	// With injection armed, payload reads pass through the ArchiveRead
 	// point; Run reports an injected read fault over the guest's EIO.
@@ -899,9 +888,9 @@ type ExtractResult struct {
 
 // ExtractAll decodes every entry through a bounded worker pipeline
 // (WithParallel workers; 0 selects GOMAXPROCS) and returns one result
-// per entry, in archive order. Combined with WithReuseVM, workers draw
-// decoder VMs from the shared pool, so each worker pays the decoder
-// setup cost at most once per (codec, mode). Canceling ctx stops
+// per entry, in archive order. Workers draw decoder VMs from the
+// Reader's cache, so each worker pays the decoder setup cost at most
+// once per (decoder, mode). Canceling ctx stops
 // in-flight decodes cooperatively; entries not yet decoded report
 // ErrCanceled.
 func (r *Reader) ExtractAll(ctx context.Context, opts ...Option) []ExtractResult {

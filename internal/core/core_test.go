@@ -232,8 +232,8 @@ func entryOffset(t *testing.T, r *Reader, e *Entry) uint32 {
 	return e.LocalOffset()
 }
 
-// TestVMReusePolicy: with ReuseVM, files sharing a codec and security
-// attributes share one VM; an attribute change forces re-initialization.
+// TestVMReusePolicy: files sharing a decoder and security attributes
+// share one VM; an attribute change forces re-initialization.
 func TestVMReusePolicy(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf, WriterOptions{})
@@ -257,7 +257,7 @@ func TestVMReusePolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := []Option{WithMode(AlwaysVXA), WithReuseVM(true)}
+	opts := []Option{WithMode(AlwaysVXA)}
 	for i := range r.Entries() {
 		e := &r.Entries()[i]
 		got, err := r.ExtractBytes(context.Background(), e, opts...)
@@ -274,17 +274,6 @@ func TestVMReusePolicy(t *testing.T) {
 		t.Fatalf("ReinitCount = %d, want 3 (reuse only within equal attributes)", r.ReinitCount)
 	}
 
-	// Without reuse, every file decodes in a fresh VM.
-	r2, _ := NewReader(buf.Bytes())
-	for i := range r2.Entries() {
-		e := &r2.Entries()[i]
-		if _, err := r2.ExtractBytes(context.Background(), e, WithMode(AlwaysVXA)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if r2.ReinitCount != 4 {
-		t.Fatalf("no-reuse ReinitCount = %d, want 4", r2.ReinitCount)
-	}
 }
 
 // TestZipBackwardCompat: archive/zip (standing in for an old UnZIP)
@@ -352,7 +341,7 @@ func TestOpenFileLazy(t *testing.T) {
 		if e.Size() != int64(len(want)) {
 			t.Fatalf("%s: Size() = %d, want %d", name, e.Size(), len(want))
 		}
-		stream, err := r.Extract(context.Background(), e, WithMode(AlwaysVXA), WithReuseVM(true))
+		stream, err := r.Extract(context.Background(), e, WithMode(AlwaysVXA))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

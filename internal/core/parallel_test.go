@@ -34,8 +34,8 @@ func buildManyArchive(t testing.TB, files int, mode func(i int) uint32) ([]byte,
 }
 
 // TestReaderConcurrentExtract hammers one shared Reader from many
-// goroutines (run with -race): every combination of worker, entry and
-// reuse policy must extract correctly through the shared pool.
+// goroutines (run with -race): every combination of worker and entry
+// must extract correctly through the Reader's one cache.
 func TestReaderConcurrentExtract(t *testing.T) {
 	arch, contents := buildManyArchive(t, 12, func(i int) uint32 { return 0644 })
 	r, err := NewReader(arch)
@@ -49,7 +49,7 @@ func TestReaderConcurrentExtract(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			opts := []Option{WithMode(AlwaysVXA), WithReuseVM(w%2 == 0)}
+			opts := []Option{WithMode(AlwaysVXA)}
 			for i := range r.Entries() {
 				e := &r.Entries()[i]
 				got, err := r.ExtractBytes(context.Background(), e, opts...)
@@ -80,7 +80,7 @@ func TestExtractAllParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, parallel := range []int{1, 4, 0} {
-		results := r.ExtractAll(context.Background(), WithMode(AlwaysVXA), WithReuseVM(true), WithParallel(parallel))
+		results := r.ExtractAll(context.Background(), WithMode(AlwaysVXA), WithParallel(parallel))
 		if len(results) != len(contents) {
 			t.Fatalf("parallel=%d: %d results, want %d", parallel, len(results), len(contents))
 		}
@@ -113,7 +113,7 @@ func TestExtractAllModeIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := r.ExtractAll(context.Background(), WithMode(AlwaysVXA), WithReuseVM(true), WithParallel(4))
+	results := r.ExtractAll(context.Background(), WithMode(AlwaysVXA), WithParallel(4))
 	for i, res := range results {
 		if res.Err != nil {
 			t.Fatalf("%s: %v", res.Entry.Name, res.Err)
@@ -136,7 +136,7 @@ func TestExtractToStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := []Option{WithMode(AlwaysVXA), WithReuseVM(true)}
+	opts := []Option{WithMode(AlwaysVXA)}
 	for name, want := range inputs {
 		e := findEntry(t, r, name)
 		var out bytes.Buffer
@@ -171,7 +171,7 @@ func TestParallelVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if errs := r.Verify(context.Background(), WithReuseVM(true), WithParallel(4)); len(errs) != 0 {
+	if errs := r.Verify(context.Background(), WithParallel(4)); len(errs) != 0 {
 		t.Fatalf("parallel verify of intact archive: %v", errs)
 	}
 
@@ -184,7 +184,7 @@ func TestParallelVerify(t *testing.T) {
 	}
 	serial := r2.Verify(context.Background(), WithParallel(1))
 	r3, _ := NewReader(bad)
-	parallel := r3.Verify(context.Background(), WithReuseVM(true), WithParallel(4))
+	parallel := r3.Verify(context.Background(), WithParallel(4))
 	if len(serial) != 1 || len(parallel) != 1 {
 		t.Fatalf("serial found %d errors, parallel %d, want 1 each", len(serial), len(parallel))
 	}
@@ -262,7 +262,7 @@ func TestVerboseWriterSerialized(t *testing.T) {
 		t.Fatal(err)
 	}
 	var diag bytes.Buffer
-	results := r2.ExtractAll(context.Background(), WithMode(AlwaysVXA), WithReuseVM(true), WithParallel(4), WithVerbose(&diag))
+	results := r2.ExtractAll(context.Background(), WithMode(AlwaysVXA), WithParallel(4), WithVerbose(&diag))
 	for _, res := range results {
 		if res.Err == nil {
 			t.Fatalf("%s: corrupted entry decoded cleanly", res.Entry.Name)

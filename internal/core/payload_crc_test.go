@@ -67,7 +67,7 @@ func TestPayloadCRCMismatchWritesNothing(t *testing.T) {
 	defer r.Close()
 	var out countWriter
 	n, err := r.ExtractTo(context.Background(), &r.Entries()[0], &out,
-		WithMode(AlwaysVXA), WithReuseVM(true), WithDecodeAll(true))
+		WithMode(AlwaysVXA), WithDecodeAll(true))
 	if err == nil || !strings.Contains(err.Error(), "stored data CRC mismatch") || !errors.Is(err, ErrBadArchive) {
 		t.Fatalf("a damaged stored payload extracted with err %v", err)
 	}
@@ -126,16 +126,19 @@ func TestPayloadCRCCanceled(t *testing.T) {
 // measured with a tenth of headroom. Re-measure when the path changes,
 // and only ever downwards.
 //
-// Measured once both passes over the stored bytes reused their buffer
-// (allocations, bytes; GOMAXPROCS 1, 2, 4 and 8 alike): decoded 9, 648;
-// stored 8, 328. Before, each pass allocated and cleared a fresh 32 KiB
-// buffer: decoded 10, 33 417; stored 9, 33 096.
+// Measured once every Reader leased from a content-addressed cache line
+// and no lease built a "codec@offset" pool key (allocations, bytes;
+// GOMAXPROCS 1, 2, 4 and 8 alike): decoded 7, 608; stored 8, 312. Before:
+// decoded 9, 648. Measured once both passes over the stored bytes reused
+// their buffer: decoded 9, 648; stored 8, 328. Before, each pass
+// allocated and cleared a fresh 32 KiB buffer: decoded 10, 33 417;
+// stored 9, 33 096.
 var preCompressedBudgets = map[bool]struct {
 	allocs float64
 	bytes  uint64
 }{
-	true:  {9.9, 713},
-	false: {8.8, 361},
+	true:  {7.7, 669},
+	false: {8.8, 343},
 }
 
 // TestPreCompressedAllocBudget holds a warm extraction of a small
@@ -155,7 +158,7 @@ func TestPreCompressedAllocBudget(t *testing.T) {
 	for _, decode := range []bool{true, false} {
 		op := func() {
 			if _, err := r.ExtractTo(context.Background(), e, io.Discard,
-				WithMode(AlwaysVXA), WithReuseVM(true), WithDecodeAll(decode)); err != nil {
+				WithMode(AlwaysVXA), WithDecodeAll(decode)); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -12,6 +12,22 @@ func CompileSuperblocks(s *Snapshot) {
 	}
 }
 
+// WriteMem copies data into guest memory at addr, enforcing the sandbox
+// (including read-only protection), and moves the dirty bounds the way
+// a guest store would, so a later Snapshot keeps the bytes.
+func (v *VM) WriteMem(addr uint32, data []byte) error {
+	if !v.writable(addr, uint32(len(data))) {
+		return &Trap{Kind: TrapWrite, EIP: v.eip, Addr: addr}
+	}
+	copy(v.mem[addr:], data)
+	if addr < v.stackBase {
+		v.dirtyBrk = max(v.dirtyBrk, addr+uint32(len(data)))
+	} else {
+		v.stackLow = min(v.stackLow, addr&^(PageSize-1))
+	}
+	return nil
+}
+
 // Profile returns the execution profile of v's translation view: per
 // fragment address, the base bref's heat, taken and fall counts, then
 // those of the superblock hung off it (zero when there is none).

@@ -440,9 +440,6 @@ func (v *VM) EIP() uint32 { return v.eip }
 // Reg returns a guest register.
 func (v *VM) Reg(r x86.Reg) uint32 { return v.m.Regs[r] }
 
-// SetReg sets a guest register.
-func (v *VM) SetReg(r x86.Reg, val uint32) { v.m.Regs[r] = val }
-
 // ExitCode returns the status passed to the exit system call.
 func (v *VM) ExitCode() int32 { return v.exitCode }
 
@@ -477,36 +474,11 @@ func (v *VM) writable(addr, size uint32) bool {
 
 // inText reports whether [addr, end) lies inside the read-only text
 // [PageSize, roLimit), the only bytes instructions are fetched from.
-// Neither the guest nor WriteMem can change them, so a translation of
+// Once loaded, neither the guest nor the host can change them, so a translation of
 // them holds for as long as the address space does, and for every
 // address space restored from the same image.
 func inText(addr, end, roLimit uint32) bool {
 	return addr >= PageSize && addr <= end && end <= roLimit
-}
-
-// ReadMem copies size guest bytes at addr, enforcing the sandbox.
-func (v *VM) ReadMem(addr, size uint32) ([]byte, error) {
-	if !v.readable(addr, size) {
-		return nil, &Trap{Kind: TrapMemory, EIP: v.eip, Addr: addr}
-	}
-	out := make([]byte, size)
-	copy(out, v.mem[addr:addr+size])
-	return out, nil
-}
-
-// WriteMem copies data into guest memory at addr, enforcing the sandbox
-// (including read-only protection).
-func (v *VM) WriteMem(addr uint32, data []byte) error {
-	if !v.writable(addr, uint32(len(data))) {
-		return &Trap{Kind: TrapWrite, EIP: v.eip, Addr: addr}
-	}
-	copy(v.mem[addr:], data)
-	if addr < v.stackBase {
-		v.dirtyBrk = max(v.dirtyBrk, addr+uint32(len(data)))
-	} else {
-		v.stackLow = min(v.stackLow, addr&^(PageSize-1))
-	}
-	return nil
 }
 
 var errExit = errors.New("vm: guest exited")

@@ -9,7 +9,7 @@ import "vxa/internal/vm"
 func (p *Pool) SnapshotOf(codec string) *vm.Snapshot {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.codec[codec].snap
+	return p.lines[codec].snap
 }
 
 // IdleCount reports how many idle VMs the pool currently retains across
@@ -18,8 +18,10 @@ func (p *Pool) IdleCount() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	n := 0
-	for _, vs := range p.idle {
-		n += len(vs)
+	for _, pl := range p.lines {
+		pl.mu.Lock()
+		n += len(pl.idle)
+		pl.mu.Unlock()
 	}
 	return n
 }

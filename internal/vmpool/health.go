@@ -146,9 +146,12 @@ type Health struct {
 }
 
 // NewHealth creates a health tracker; zero cfg fields select the
-// DefaultBreaker values. A negative Threshold returns a tracker that is
-// permanently disabled.
+// DefaultBreaker values. A negative Threshold returns nil, the tracker
+// that is permanently disabled.
 func NewHealth(cfg breaker.Config) *Health {
+	if cfg.Threshold < 0 {
+		return nil
+	}
 	cfg = cfg.WithDefaults(breaker.Config{
 		Threshold:  DefaultBreakerThreshold,
 		Backoff:    DefaultBreakerBackoff,
@@ -157,7 +160,7 @@ func NewHealth(cfg breaker.Config) *Health {
 	return &Health{cfg: cfg, now: time.Now, m: make(map[[32]byte]*breaker.Breaker)}
 }
 
-func (h *Health) disabled() bool { return h == nil || h.cfg.Threshold < 0 }
+func (h *Health) disabled() bool { return h == nil }
 
 // Allow gates a request for the decoder: nil means proceed (including
 // the admission of a half-open probe once per backoff interval); a

@@ -2,19 +2,22 @@
 // the engine behind parallel archive extraction. It amortizes the §2.4
 // decoder setup cost at two levels:
 //
-//   - Per codec, the decoder ELF is parsed exactly once into a pristine
+//   - Per decoder, the decoder ELF is parsed exactly once into a pristine
 //     vm.Snapshot (memory image, registers, sandbox bounds and, once the
 //     first stream has run, the predecoded basic-block cache).
-//   - Per (codec, security mode, scope) key, idle VMs parked at the done
-//     gate are kept and resumed in place for the next stream — the
-//     paper's VM-reuse policy. A VM last used under different security
+//   - Per (security mode, trust scope), idle VMs parked at the done gate
+//     are kept and resumed in place for the next stream — the paper's
+//     VM-reuse policy. A VM last used under different security
 //     attributes is never resumed: it is first rewound to the pristine
 //     snapshot, so no decoder state can leak between protection domains.
 //     The rewind is of what the guest can see; the VM keeps its
 //     translation of the decoder's read-only text while that is still
-//     the snapshot's (vm.Reset). This is the one place the rule is
-//     applied: a SnapCache line is one snapshot per decoder content,
-//     and the line's pool keeps its modes apart.
+//     the snapshot's (vm.Reset).
+//
+// Both levels live in one type, a decoder line: the snapshot, its idle
+// VMs and its counters. A SnapCache entry is one line addressed by the
+// decoder's content hash; a Pool is a string-keyed index of lines. The
+// line is the one place the reuse rule is applied.
 //
 // Get hands out a Lease; Lease.Run runs exactly one stream on the leased
 // VM and hands the VM back by the one policy every caller shares.
@@ -26,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -35,26 +39,14 @@ import (
 	"vxa/internal/vm"
 )
 
-// Key identifies one reuse class: VMs are interchangeable only within
-// the same decoder, the same security attributes (§2.4) and the same
-// trust scope. Scope partitions resume-in-place reuse between clients
-// sharing one pool (e.g. through a content-addressed snapshot cache): a
-// parked VM carries the residual memory of the streams it decoded, so
-// it may only be resumed verbatim by the same scope; any other scope
-// reaches it through the pristine-reset path.
-type Key struct {
-	Codec string
-	Mode  uint32 // Unix permission bits, the archive's security attributes
-	Scope uint64 // trust-scope token (0 = the pool owner's single scope)
-}
-
 // Options configure a Pool.
 type Options struct {
 	// VM is the per-VM configuration (memory size, fuel, cache policy).
 	// All VMs in the pool share it; the zero value selects vm defaults.
 	VM vm.Config
-	// MaxIdlePerKey bounds how many idle VMs are retained per key;
-	// returning a VM beyond the bound drops it. 0 selects GOMAXPROCS.
+	// MaxIdlePerKey bounds how many idle VMs each line retains per
+	// security mode; returning a VM beyond the bound drops it. 0 selects
+	// GOMAXPROCS.
 	MaxIdlePerKey int
 }
 
@@ -68,59 +60,188 @@ type Stats struct {
 	Discards  int `json:"discards"`  // VMs dropped (trapped, exited, or over the idle bound)
 }
 
-// Pool is a concurrency-safe VM pool. The zero value is not usable; use
-// New.
-type Pool struct {
-	opts Options
-
-	mu          sync.Mutex
-	codec       map[string]*codecState
-	idle        map[Key][]*vm.VM
-	stats       Stats
-	vmAgg       vm.Stats // engine counters accumulated from released leases
-	outstanding int      // leases checked out and not yet released
+// add accumulates s into dst.
+func (dst *Stats) add(s Stats) {
+	dst.Snapshots += s.Snapshots
+	dst.Builds += s.Builds
+	dst.Resets += s.Resets
+	dst.Resumes += s.Resumes
+	dst.Discards += s.Discards
 }
 
-// codecState is the per-codec snapshot, built once under once. spare and
-// warmed are guarded by the pool mutex (after once has completed).
-type codecState struct {
-	once sync.Once
-	snap *vm.Snapshot
-	err  error
+// line is one decoder's VM line: its pristine snapshot, the VMs parked
+// idle with the reuse class of their last stream, and the line's
+// counters. snap and maxIdle are set once by init, before the line hands
+// out its first lease; the rest is guarded by mu.
+type line struct {
+	snap    *vm.Snapshot
+	maxIdle int // idle VMs kept per (mode, scope)
 
+	mu sync.Mutex
 	// spare is the VM the snapshot was captured from: byte-identical to
 	// the snapshot state, it is handed to the first lease instead of
 	// paying a second full-image allocation.
 	spare *vm.VM
 	// warmed records that a finished stream's block cache has been
 	// absorbed into the snapshot; later releases skip the scan.
-	warmed bool
+	warmed      bool
+	idle        []parked
+	stats       Stats
+	vmAgg       vm.Stats // engine counters accumulated from released leases
+	outstanding int      // leases checked out and not yet released
 }
 
-// New creates an empty pool.
-func New(opts Options) *Pool {
-	if opts.MaxIdlePerKey <= 0 {
-		opts.MaxIdlePerKey = runtime.GOMAXPROCS(0)
+// parked is an idle VM and the reuse class of the stream it last ran.
+// It resumes verbatim only for the same security attributes (§2.4) and
+// trust scope: it carries the residual memory of the streams it
+// decoded, so any other class reaches it through the pristine reset.
+type parked struct {
+	v     *vm.VM
+	mode  uint32 // Unix permission bits, the archive's security attributes
+	scope uint64 // trust-scope token (0 = the owner's single scope)
+}
+
+// init installs the line's pristine snapshot and the VM it was captured
+// from.
+func (ln *line) init(snap *vm.Snapshot, spare *vm.VM, maxIdle int) {
+	ln.mu.Lock()
+	defer ln.mu.Unlock()
+	ln.snap, ln.spare, ln.maxIdle = snap, spare, maxIdle
+	ln.stats.Snapshots = 1
+}
+
+// buildLine parses a decoder executable into a pristine snapshot,
+// keeping the VM it was captured from as the line's spare.
+func buildLine(ln *line, elf func() ([]byte, error), cfg vm.Config, maxIdle int) error {
+	if elf == nil {
+		return errors.New("no decoder source (nil elf callback on an unseeded codec)")
 	}
-	return &Pool{
-		opts:  opts,
-		codec: make(map[string]*codecState),
-		idle:  make(map[Key][]*vm.VM),
+	elfBytes, err := elf()
+	if err != nil {
+		return err
 	}
+	v, err := elf32.NewVM(elfBytes, cfg)
+	if err != nil {
+		return err
+	}
+	ln.init(v.Snapshot(), v, maxIdle)
+	return nil
+}
+
+// lease returns a VM ready to decode one stream under (mode, scope).
+// Preference order: an idle VM of the same mode and scope, resumed in
+// place; the pristine VM the snapshot was captured from; an idle VM of
+// another mode or scope, rewound to the pristine snapshot — the §2.4
+// attribute-change re-initialization, which also severs any residue
+// across trust scopes; a VM materialized fresh from the snapshot.
+func (ln *line) lease(ctx context.Context, mode uint32, scope uint64) (*Lease, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("vmpool: %w", err)
+	}
+	// Chaos hook: an injected lease fault models transient pool
+	// unavailability.
+	if err := fault.Inject(fault.LeaseAcquire); err != nil {
+		return nil, err
+	}
+	sp := obs.SpanFrom(ctx)
+	start := time.Now()
+	defer func() { sp.Add(obs.StageLease, time.Since(start)) }()
+
+	l := &Lease{ln: ln, mode: mode, scope: scope, pristine: true}
+	ln.mu.Lock()
+	ln.outstanding++
+	i := len(ln.idle) - 1
+	for ; i >= 0; i-- {
+		if ln.idle[i].mode == mode && ln.idle[i].scope == scope {
+			break
+		}
+	}
+	switch {
+	case i >= 0:
+		l.v, l.pristine = ln.take(i), false
+		ln.stats.Resumes++
+		ln.mu.Unlock()
+		l.stats0 = l.v.Stats()
+		return l, nil
+	case ln.spare != nil:
+		l.v, ln.spare = ln.spare, nil
+		ln.stats.Builds++
+		ln.mu.Unlock()
+		return l, nil
+	case len(ln.idle) > 0:
+		l.v = ln.take(len(ln.idle) - 1)
+		ln.stats.Resets++
+		ln.mu.Unlock()
+		l.stats0 = l.v.Stats()
+		if err := l.v.Reset(ln.snap); err != nil {
+			ln.mu.Lock()
+			ln.outstanding--
+			ln.mu.Unlock()
+			return nil, err
+		}
+		return l, nil
+	}
+	ln.stats.Builds++
+	ln.mu.Unlock()
+	l.v = ln.snap.NewVM()
+	return l, nil
+}
+
+// take removes and returns idle VM i. Caller holds ln.mu.
+func (ln *line) take(i int) *vm.VM {
+	v := ln.idle[i].v
+	ln.idle = slices.Delete(ln.idle, i, i+1)
+	return v
+}
+
+// park puts a VM back on the idle list under its stream's reuse class,
+// or drops it when the class already holds maxIdle VMs. Caller holds
+// ln.mu.
+func (ln *line) park(v *vm.VM, mode uint32, scope uint64) {
+	n := 0
+	for _, p := range ln.idle {
+		if p.mode == mode && p.scope == scope {
+			n++
+		}
+	}
+	if n >= ln.maxIdle {
+		ln.stats.Discards++
+		return
+	}
+	ln.idle = append(ln.idle, parked{v: v, mode: mode, scope: scope})
+}
+
+// drain drops every idle VM and reports how many there were.
+func (ln *line) drain() int {
+	ln.mu.Lock()
+	defer ln.mu.Unlock()
+	n := len(ln.idle)
+	ln.stats.Discards += n
+	ln.idle = nil
+	return n
+}
+
+// counters returns the line's pool and engine counters and its
+// outstanding lease count.
+func (ln *line) counters() (Stats, vm.Stats, int) {
+	ln.mu.Lock()
+	defer ln.mu.Unlock()
+	return ln.stats, ln.vmAgg, ln.outstanding
 }
 
 // Lease is one checked-out VM. The holder runs exactly one stream on it
 // with Run, which ends the lease. A lease that runs no stream ends with
 // Release; ending a lease twice is a no-op.
 type Lease struct {
-	p        *Pool // nil for a Fresh lease
+	ln       *line // nil for a Fresh lease
 	v        *vm.VM
-	key      Key
-	stats0   vm.Stats // VM counters at checkout, for the release delta
+	mode     uint32
+	scope    uint64
+	stats0   vm.Stats // VM counters before the lease prepared it, for the release delta
 	pristine bool
 	done     bool
 	// cache and hash route the stream's outcome to the decoder's breaker
-	// (set by SnapCache.Get; a private pool has no breaker).
+	// (set by SnapCache.Get; a Pool has no breaker).
 	cache *SnapCache
 	hash  [32]byte
 }
@@ -132,15 +253,6 @@ func (l *Lease) VM() *vm.VM { return l.v }
 // decoder image (fresh build or reset) rather than one resumed in place —
 // the datum behind the reader's ReinitCount statistic.
 func (l *Lease) Pristine() bool { return l.pristine }
-
-// newLease wraps a checked-out VM. stats0 is the VM's engine counters
-// before the pool prepared it for this lease (zero for a VM never
-// leased before), so Release folds into the pool aggregate the stream's
-// delta and what its Reset or build counted — the tier-2 traces
-// installed from the snapshot.
-func newLease(p *Pool, v *vm.VM, key Key, pristine bool, stats0 vm.Stats) *Lease {
-	return &Lease{p: p, v: v, key: key, stats0: stats0, pristine: pristine}
-}
 
 // Fresh builds a VM from a decoder executable for one stream with no
 // pool behind it: the cold path. The build is the span's snapshot stage;
@@ -222,156 +334,8 @@ func (l *Lease) report(o Outcome) {
 	}
 }
 
-// Seed installs a prebuilt pristine snapshot for codec, as if the first
-// Get had parsed the decoder ELF, and reports whether it was installed
-// (false when the codec key already exists). spare, when non-nil, is the
-// VM the snapshot was captured from: byte-identical to the snapshot, it
-// is handed to the first lease instead of paying a fresh image
-// allocation. After a seed, Get for that codec may pass a nil elf
-// callback. This is the entry point for content-addressed caches that
-// build snapshots themselves (see SnapCache).
-func (p *Pool) Seed(codec string, snap *vm.Snapshot, spare *vm.VM) bool {
-	cs := &codecState{snap: snap, spare: spare}
-	cs.once.Do(func() {}) // mark built
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, exists := p.codec[codec]; exists {
-		return false
-	}
-	p.codec[codec] = cs
-	p.stats.Snapshots++
-	return true
-}
-
-// Get returns a VM ready to decode one stream for (codec, mode). codec
-// is an opaque decoder identity key — callers embedding decoders from an
-// archive should include the decoder's storage offset in it, so two
-// decoders sharing a name never share a VM line. The elf callback
-// supplies the decoder executable; it is invoked only the first time a
-// codec key is seen, so callers can defer the (possibly expensive) fetch
-// from the archive. A codec installed with Seed never invokes it, so a
-// nil elf is valid there.
-//
-// Preference order: an idle VM for the same key resumed in place; the
-// pristine VM the snapshot was captured from; an idle VM from another
-// security mode or scope, rewound to the pristine snapshot; a VM
-// materialized fresh from the snapshot.
-func (p *Pool) Get(ctx context.Context, codec string, mode uint32, elf func() ([]byte, error)) (*Lease, error) {
-	return p.GetScoped(ctx, codec, mode, 0, elf)
-}
-
-// GetScoped is Get with an explicit trust scope: VMs park and resume
-// per (codec, mode, scope), and a lease crossing scopes always starts
-// from the pristine snapshot, so one client's decoder residue can never
-// reach another client's stream. Single-tenant callers use Get.
-func (p *Pool) GetScoped(ctx context.Context, codec string, mode uint32, scope uint64, elf func() ([]byte, error)) (*Lease, error) {
-	key := Key{Codec: codec, Mode: mode, Scope: scope}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("vmpool: %w", err)
-	}
-	// Request tracing: snapshot-build time (the cold path, including
-	// coalesced waits on another goroutine's in-flight build) and lease
-	// work (VM pickup/reset/build) are attributed to the request's span
-	// when one rides in ctx. Untraced callers pay two context lookups
-	// and clock reads per lease.
-	sp := obs.SpanFrom(ctx)
-	snapStart := time.Now()
-
-	p.mu.Lock()
-	cs := p.codec[codec]
-	if cs == nil {
-		cs = &codecState{}
-		p.codec[codec] = cs
-	}
-	p.mu.Unlock()
-
-	// Build the pristine snapshot once per codec, outside the pool lock:
-	// ELF fetch + parse + image copy can be slow and must not serialize
-	// unrelated codecs.
-	cs.once.Do(func() {
-		if elf == nil {
-			cs.err = fmt.Errorf("no decoder source (nil elf callback on an unseeded codec)")
-			return
-		}
-		elfBytes, err := elf()
-		if err != nil {
-			cs.err = err
-			return
-		}
-		v, err := elf32.NewVM(elfBytes, p.opts.VM)
-		if err != nil {
-			cs.err = err
-			return
-		}
-		cs.snap = v.Snapshot()
-		cs.spare = v
-		p.mu.Lock()
-		p.stats.Snapshots++
-		p.mu.Unlock()
-	})
-	if cs.err != nil {
-		return nil, fmt.Errorf("vmpool: decoder %s: %w", codec, cs.err)
-	}
-	sp.Add(obs.StageSnapshot, time.Since(snapStart))
-
-	// Chaos hook: an injected lease fault models transient pool
-	// unavailability.
-	if err := fault.Inject(fault.LeaseAcquire); err != nil {
-		return nil, err
-	}
-	leaseStart := time.Now()
-	defer func() { sp.Add(obs.StageLease, time.Since(leaseStart)) }()
-
-	p.mu.Lock()
-	// Same key: resume the parked VM without touching its state.
-	if vs := p.idle[key]; len(vs) > 0 {
-		v := vs[len(vs)-1]
-		p.idle[key] = vs[:len(vs)-1]
-		p.stats.Resumes++
-		p.outstanding++
-		p.mu.Unlock()
-		return newLease(p, v, key, false, v.Stats()), nil
-	}
-	// The snapshot's own source VM is still pristine: first lease takes
-	// it for free.
-	if cs.spare != nil {
-		v := cs.spare
-		cs.spare = nil
-		p.stats.Builds++
-		p.outstanding++
-		p.mu.Unlock()
-		return newLease(p, v, key, true, vm.Stats{}), nil
-	}
-	// Same codec, different mode or scope: steal an idle VM and rewind
-	// it to the pristine image — the §2.4 attribute-change
-	// re-initialization, which also severs any residue across trust
-	// scopes.
-	for k, vs := range p.idle {
-		if k.Codec != codec || len(vs) == 0 {
-			continue
-		}
-		v := vs[len(vs)-1]
-		p.idle[k] = vs[:len(vs)-1]
-		p.stats.Resets++
-		p.outstanding++
-		p.mu.Unlock()
-		stats0 := v.Stats()
-		if err := v.Reset(cs.snap); err != nil {
-			p.mu.Lock()
-			p.outstanding--
-			p.mu.Unlock()
-			return nil, err
-		}
-		return newLease(p, v, key, true, stats0), nil
-	}
-	p.stats.Builds++
-	p.outstanding++
-	p.mu.Unlock()
-	return newLease(p, cs.snap.NewVM(), key, true, vm.Stats{}), nil
-}
-
 // detach ends the lease and unhooks the VM's I/O streams. It reports
-// whether there is a pool to hand the VM back to: false for a lease
+// whether there is a line to hand the VM back to: false for a lease
 // already ended and for a Fresh one, whose VM is simply dropped.
 func (l *Lease) detach() bool {
 	if l.done {
@@ -379,49 +343,47 @@ func (l *Lease) detach() bool {
 	}
 	l.done = true
 	l.v.Stdin, l.v.Stdout, l.v.Stderr = nil, nil, nil
-	return l.p != nil
+	return l.ln != nil
 }
 
-// Release returns the leased VM to the pool. reusable says the stream
+// Release returns the leased VM to its line. reusable says the stream
 // ended with the done gate and the VM is parked, ready for another
 // stream; a VM that trapped or exited is not reusable and is dropped.
 func (l *Lease) Release(reusable bool) {
 	if !l.detach() {
 		return
 	}
-	v, p := l.v, l.p
+	v, ln := l.v, l.ln
 	// Returning a warmed-up VM: fold its translation cache into the
 	// snapshot so every future build/reset starts warm. Done on the
 	// first return and again whenever the stream translated something
 	// the snapshot may not have — a fragment, a superblock or a tier-2
 	// trace (later streams reach code paths, and heat, earlier ones did
-	// not) — outside the pool lock, and before the VM re-enters the idle
+	// not) — outside the line lock, and before the VM re-enters the idle
 	// list (no other goroutine can be running it here). AbsorbBlocks
 	// itself dedups, so re-absorbing is cheap when nothing is new.
-	p.mu.Lock()
+	ln.mu.Lock()
 	st := v.Stats()
-	addVMStats(&p.vmAgg, st, l.stats0)
-	p.outstanding--
-	cs := p.codec[l.key.Codec]
-	absorb := reusable && cs != nil && cs.snap != nil &&
-		(!cs.warmed || st.BlocksBuilt > l.stats0.BlocksBuilt ||
-			st.SuperblocksFormed > l.stats0.SuperblocksFormed ||
-			st.Tier2Compiled > l.stats0.Tier2Compiled)
+	addVMStats(&ln.vmAgg, st, l.stats0)
+	ln.outstanding--
+	absorb := reusable && (!ln.warmed || st.BlocksBuilt > l.stats0.BlocksBuilt ||
+		st.SuperblocksFormed > l.stats0.SuperblocksFormed ||
+		st.Tier2Compiled > l.stats0.Tier2Compiled)
 	if absorb {
-		cs.warmed = true
+		ln.warmed = true
 	}
-	p.mu.Unlock()
+	ln.mu.Unlock()
 	if absorb {
-		cs.snap.AbsorbBlocks(v)
+		ln.snap.AbsorbBlocks(v)
 	}
 
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !reusable || len(p.idle[l.key]) >= p.opts.MaxIdlePerKey {
-		p.stats.Discards++
+	ln.mu.Lock()
+	defer ln.mu.Unlock()
+	if !reusable {
+		ln.stats.Discards++
 		return
 	}
-	p.idle[l.key] = append(p.idle[l.key], v)
+	ln.park(v, l.mode, l.scope)
 }
 
 // ReleaseReset returns a lease whose stream was abandoned mid-flight
@@ -429,67 +391,26 @@ func (l *Lease) Release(reusable bool) {
 // so it is rewound to the pristine decoder snapshot and then parked
 // idle — the cancellation path keeps the allocated guest image instead
 // of discarding it, so a burst of cancellations cannot force a burst of
-// image re-allocations. A VM that cannot be reset (no snapshot, size
-// mismatch) is dropped.
+// image re-allocations. A VM that cannot be reset is dropped.
 func (l *Lease) ReleaseReset() {
 	if !l.detach() {
 		return
 	}
-	v, p := l.v, l.p
-	p.mu.Lock()
-	cs := p.codec[l.key.Codec]
-	var snap *vm.Snapshot
-	if cs != nil {
-		snap = cs.snap
-	}
-	p.mu.Unlock()
-
-	reset := snap != nil && v.Reset(snap) == nil
+	v, ln := l.v, l.ln
+	reset := v.Reset(ln.snap) == nil
 
 	// The lease's counters are folded in after the reset, which counts
 	// too (the traces it installed).
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	addVMStats(&p.vmAgg, v.Stats(), l.stats0)
-	p.outstanding--
+	ln.mu.Lock()
+	defer ln.mu.Unlock()
+	addVMStats(&ln.vmAgg, v.Stats(), l.stats0)
+	ln.outstanding--
 	if !reset {
-		p.stats.Discards++
+		ln.stats.Discards++
 		return
 	}
-	p.stats.Resets++
-	if len(p.idle[l.key]) >= p.opts.MaxIdlePerKey {
-		p.stats.Discards++
-		return
-	}
-	p.idle[l.key] = append(p.idle[l.key], v)
-}
-
-// Stats returns a copy of the cumulative counters.
-func (p *Pool) Stats() Stats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.stats
-}
-
-// Outstanding reports how many leases are checked out and not yet
-// released. A caller that has orphaned a pool (e.g. a snapshot cache
-// evicting its entry) can retire the pool's counters for good once
-// this reaches zero — only then are all lease deltas folded in.
-func (p *Pool) Outstanding() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.outstanding
-}
-
-// VMStats returns the engine counters (steps, uops, translation time,
-// syscalls, ...) accumulated across every lease released so far — the
-// fleet-wide view a serving layer surfaces on its metrics endpoint.
-// Streams still in flight are not included until their lease is
-// released.
-func (p *Pool) VMStats() vm.Stats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.vmAgg
+	ln.stats.Resets++
+	ln.park(v, l.mode, l.scope)
 }
 
 // addVMStats folds the counter delta (after - before) of one released
@@ -522,6 +443,111 @@ func addVMStats(dst *vm.Stats, after, before vm.Stats) {
 	dst.Syscalls += after.Syscalls - before.Syscalls
 }
 
+// Pool is a concurrency-safe VM pool: decoder lines indexed by an opaque
+// string key, each built once from its decoder ELF (or installed with
+// Seed). The zero value is not usable; use New.
+type Pool struct {
+	opts Options
+
+	mu    sync.Mutex
+	lines map[string]*poolLine
+}
+
+// poolLine is one Pool line with its build state; once guards the build.
+type poolLine struct {
+	once sync.Once
+	err  error
+	line
+}
+
+// New creates an empty pool.
+func New(opts Options) *Pool {
+	if opts.MaxIdlePerKey <= 0 {
+		opts.MaxIdlePerKey = runtime.GOMAXPROCS(0)
+	}
+	return &Pool{opts: opts, lines: make(map[string]*poolLine)}
+}
+
+// Seed installs a prebuilt pristine snapshot for codec, as if the first
+// Get had parsed the decoder ELF, and reports whether it was installed
+// (false when the codec key already exists). spare, when non-nil, is the
+// VM the snapshot was captured from: byte-identical to the snapshot, it
+// is handed to the first lease instead of paying a fresh image
+// allocation. After a seed, Get for that codec may pass a nil elf
+// callback.
+func (p *Pool) Seed(codec string, snap *vm.Snapshot, spare *vm.VM) bool {
+	pl := &poolLine{}
+	pl.once.Do(func() { pl.init(snap, spare, p.opts.MaxIdlePerKey) })
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if _, exists := p.lines[codec]; exists {
+		return false
+	}
+	p.lines[codec] = pl
+	return true
+}
+
+// Get returns a VM ready to decode one stream for (codec, mode). codec
+// is an opaque decoder identity key — callers embedding decoders from an
+// archive should include the decoder's storage offset in it, so two
+// decoders sharing a name never share a VM line. The elf callback
+// supplies the decoder executable; it is invoked only the first time a
+// codec key is seen, so callers can defer the (possibly expensive) fetch
+// from the archive. A codec installed with Seed never invokes it, so a
+// nil elf is valid there. Which VM the lease gets is the line's §2.4
+// policy: a parked VM of the same mode resumed in place, else a
+// pristine one.
+func (p *Pool) Get(ctx context.Context, codec string, mode uint32, elf func() ([]byte, error)) (*Lease, error) {
+	// Request tracing: snapshot-build time (the cold path, including
+	// coalesced waits on another goroutine's in-flight build) is
+	// attributed to the request's span when one rides in ctx.
+	snapStart := time.Now()
+	p.mu.Lock()
+	pl := p.lines[codec]
+	if pl == nil {
+		pl = &poolLine{}
+		p.lines[codec] = pl
+	}
+	p.mu.Unlock()
+
+	// Build the pristine snapshot once per codec, outside the pool lock:
+	// ELF fetch + parse + image copy can be slow and must not serialize
+	// unrelated codecs.
+	pl.once.Do(func() { pl.err = buildLine(&pl.line, elf, p.opts.VM, p.opts.MaxIdlePerKey) })
+	if pl.err != nil {
+		return nil, fmt.Errorf("vmpool: decoder %s: %w", codec, pl.err)
+	}
+	obs.SpanFrom(ctx).Add(obs.StageSnapshot, time.Since(snapStart))
+	return pl.lease(ctx, mode, 0)
+}
+
+// sum totals the counters of every line.
+func (p *Pool) sum() (s Stats, v vm.Stats, outstanding int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, pl := range p.lines {
+		st, vst, o := pl.counters()
+		s.add(st)
+		addVMStats(&v, vst, vm.Stats{})
+		outstanding += o
+	}
+	return s, v, outstanding
+}
+
+// Stats returns a copy of the cumulative counters.
+func (p *Pool) Stats() Stats { s, _, _ := p.sum(); return s }
+
+// Outstanding reports how many leases are checked out and not yet
+// released.
+func (p *Pool) Outstanding() int { _, _, n := p.sum(); return n }
+
+// VMStats returns the engine counters (steps, uops, translation time,
+// syscalls, ...) accumulated across every lease released so far — the
+// fleet-wide view a serving layer surfaces on its metrics endpoint.
+// Streams still in flight are not included until their lease is
+// released.
+func (p *Pool) VMStats() vm.Stats { _, v, _ := p.sum(); return v }
+
 // Drain drops every idle VM, releasing their guest memory, and returns
 // how many were dropped. The pool stays usable: snapshots are retained,
 // so later streams re-materialize VMs cheaply. Call it when a burst of
@@ -531,10 +557,8 @@ func (p *Pool) Drain() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	n := 0
-	for k, vs := range p.idle {
-		n += len(vs)
-		p.stats.Discards += len(vs)
-		delete(p.idle, k)
+	for _, pl := range p.lines {
+		n += pl.drain()
 	}
 	return n
 }

@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"context"
 	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"runtime"
 	"sync"
@@ -26,10 +25,10 @@ import (
 // translated micro-op block cache. Translation cost is paid once per
 // decoder content fleet-wide, not once per archive or per mode.
 //
-// Each resident entry owns a VM pool (Pool) whose codec key is the
-// content hash, and the pool alone applies the §2.4 reuse policy:
-// parked VMs resume in place within one (mode, scope), and a VM that
-// crosses modes or scopes is rewound to the pristine snapshot.
+// Each resident entry is one decoder line, and the line alone applies
+// the §2.4 reuse policy: parked VMs resume in place within one (mode,
+// scope), and a VM that crosses modes or scopes is rewound to the
+// pristine snapshot.
 // Residency is bounded by a byte budget over the snapshots' Footprint;
 // least-recently-used entries are evicted, their idle VMs dropped.
 //
@@ -40,28 +39,21 @@ type SnapCache struct {
 
 	mu      sync.Mutex
 	entries map[[32]byte]*cacheEntry // by content hash
-	lru     *list.List               // resident entries; front = most recently used
+	lru     list.List                // resident entries; front = most recently used
 	used    int64
 
 	hits, misses, evictions uint64
 	quarantined, shrinks    uint64
-	retired                 Stats    // pool counters of fully drained evicted entries
+	retired                 Stats    // line counters of fully drained evicted entries
 	retiredVM               vm.Stats // engine counters of fully drained evicted entries
 
-	// orphans are evicted pools with leases still in flight; each keeps
+	// orphans are evicted lines with leases still in flight; each keeps
 	// pinning its snapshot (and that snapshot's footprint, recorded at
-	// eviction) until the last lease releases. orphanBytes is the sum of
-	// those pinned footprints — resident memory the LRU budget no longer
-	// covers but the process still holds.
-	orphans     []orphanPool
+	// eviction in its bytes) until the last lease releases. orphanBytes
+	// is the sum of those pinned footprints — resident memory the LRU
+	// budget no longer covers but the process still holds.
+	orphans     []*cacheEntry
 	orphanBytes int64
-}
-
-// orphanPool pairs an evicted-but-not-yet-drained pool with the
-// snapshot footprint it pins.
-type orphanPool struct {
-	pool  *Pool
-	bytes int64
 }
 
 // SnapCacheConfig configures a SnapCache.
@@ -75,8 +67,8 @@ type SnapCacheConfig struct {
 	// entry is always retained, even over budget. <= 0 selects
 	// DefaultSnapCacheBytes.
 	MaxBytes int64
-	// MaxIdlePerKey bounds idle VMs retained by each entry's pool;
-	// 0 selects GOMAXPROCS.
+	// MaxIdlePerKey bounds idle VMs retained by each line per security
+	// mode and trust scope; 0 selects GOMAXPROCS.
 	MaxIdlePerKey int
 	// Health configures the per-decoder circuit breaker (see health.go).
 	// The zero value selects the defaults; Threshold < 0 disables
@@ -97,15 +89,15 @@ const DefaultSnapCacheBytes = 1 << 30
 // HashELF returns the content address of a decoder executable.
 func HashELF(elf []byte) [32]byte { return sha256.Sum256(elf) }
 
-// cacheEntry is one decoder line. once guards the build; elem is nil
-// until the entry is resident (and again after eviction).
+// cacheEntry is one decoder line addressed by content. once guards the
+// build; elem is nil until the entry is resident (and again after
+// eviction).
 type cacheEntry struct {
 	hash [32]byte // SHA-256 of the decoder ELF
 	once sync.Once
 	err  error
 
-	snap  *vm.Snapshot
-	pool  *Pool
+	line
 	bytes int64
 	elem  *list.Element
 
@@ -142,11 +134,11 @@ type SnapCacheStats struct {
 	Shrinks     uint64 `json:"shrinks"`
 	// Health is the decoder circuit-breaker view.
 	Health HealthStats `json:"health"`
-	// Pool and VM aggregate the per-entry pool and engine counters,
-	// including those of evicted entries. An evicted entry's pool is
-	// retired only after its last in-flight lease is released (orphan
-	// pools are aggregated live until then), so a released stream's
-	// counters survive eviction and rebuild of its line.
+	// Pool and VM aggregate the per-line pool and engine counters,
+	// including those of evicted entries. An evicted line is retired only
+	// after its last in-flight lease is released (orphan lines are
+	// aggregated live until then), so a released stream's counters
+	// survive eviction and rebuild of its line.
 	Pool Stats    `json:"pool"`
 	VM   vm.Stats `json:"vm"`
 }
@@ -163,17 +155,13 @@ func NewSnapCache(cfg SnapCacheConfig) *SnapCache {
 		cfg:     cfg,
 		health:  NewHealth(cfg.Health),
 		entries: make(map[[32]byte]*cacheEntry),
-		lru:     list.New(),
 	}
 }
 
-// poolKey is the content hash as the entry pool's codec identity.
-func poolKey(hash [32]byte) string { return hex.EncodeToString(hash[:]) }
-
 // Get leases a VM for the decoder with the given content hash under the
 // given security mode, building and caching the snapshot on a miss. One
-// line serves every mode: the mode only picks the VM, through the entry
-// pool's §2.4 policy. The elf callback supplies the decoder bytes; it is
+// line serves every mode: the mode only picks the VM, through the line's
+// §2.4 policy. The elf callback supplies the decoder bytes; it is
 // invoked only on a miss (concurrent misses for one decoder coalesce
 // onto a single build). The caller must verify that hash is the SHA-256
 // of the bytes elf returns — the cache trusts it, that's the point of
@@ -238,7 +226,7 @@ func (c *SnapCache) Get(ctx context.Context, hash [32]byte, mode uint32, scope u
 		c.mu.Unlock()
 		return nil, e.err
 	}
-	l, err := e.pool.GetScoped(ctx, poolKey(hash), mode, scope, nil)
+	l, err := e.lease(ctx, mode, scope)
 	if err != nil {
 		return nil, err
 	}
@@ -252,7 +240,7 @@ func NextScope() uint64 { return scopeCounter.Add(1) }
 
 var scopeCounter atomic.Uint64
 
-// build constructs the entry's snapshot and pool, then makes it
+// build constructs the entry's line, then makes it
 // resident, evicting over-budget entries. Runs outside the cache lock:
 // artifact load / ELF fetch + parse + image copy must not serialize
 // unrelated decoders.
@@ -264,7 +252,7 @@ var scopeCounter atomic.Uint64
 // through to the ELF build path, whose result is then written back.
 func (c *SnapCache) build(e *cacheEntry, elf func() ([]byte, error)) {
 	if elf == nil {
-		e.err = fmt.Errorf("vmpool: snapcache miss for %s with no elf source", poolKey(e.hash))
+		e.err = fmt.Errorf("vmpool: snapcache miss for %x with no elf source", e.hash)
 		return
 	}
 	// Chaos hook: an injected build failure exercises the retry path
@@ -311,9 +299,8 @@ func (c *SnapCache) build(e *cacheEntry, elf func() ([]byte, error)) {
 		v = snap.NewVM()
 	}
 
-	pool := New(Options{VM: c.cfg.VM, MaxIdlePerKey: c.cfg.MaxIdlePerKey})
-	pool.Seed(poolKey(e.hash), snap, v)
-	e.snap, e.pool, e.bytes = snap, pool, snap.Footprint()
+	e.init(snap, v, c.cfg.MaxIdlePerKey)
+	e.bytes = snap.Footprint()
 
 	c.mu.Lock()
 	e.elem = c.lru.PushFront(e)
@@ -377,12 +364,12 @@ func (c *SnapCache) evictLocked(keep *cacheEntry) {
 }
 
 // retireLocked takes a resident line out of the LRU and the index, frees
-// its idle VMs and parks its pool on the orphan list. Its counters are
+// its idle VMs and parks it on the orphan list. Its counters are
 // retired only once no lease is in flight: leases fold their deltas into
-// the pool at release, and retiring early would lose them (a rebuild of
+// the line at release, and retiring early would lose them (a rebuild of
 // the same line would then appear to reset the fleet counters).
 // compactOrphansLocked drains the list at every eviction and in Stats(),
-// so an orphaned pool (and the snapshot it pins) never outlives its last
+// so an orphaned line (and the snapshot it pins) never outlives its last
 // lease by more than one eviction or metrics scrape; until then the
 // snapshot footprint it pins stays visible as OrphanBytes. Caller holds
 // c.mu.
@@ -391,38 +378,28 @@ func (c *SnapCache) retireLocked(e *cacheEntry) {
 	e.elem = nil
 	delete(c.entries, e.hash)
 	c.used -= e.bytes
-	e.pool.Drain()
-	c.orphans = append(c.orphans, orphanPool{e.pool, e.bytes})
+	e.drain()
+	c.orphans = append(c.orphans, e)
 	c.orphanBytes += e.bytes
 }
 
-// compactOrphansLocked folds every fully drained orphan pool into the
+// compactOrphansLocked folds every fully drained orphan line into the
 // retired totals and drops it, releasing the snapshot it pinned (and
 // its OrphanBytes share). Caller holds c.mu.
 func (c *SnapCache) compactOrphansLocked() {
 	keep := c.orphans[:0]
 	for _, o := range c.orphans {
-		if o.pool.Outstanding() == 0 {
-			addPoolStats(&c.retired, o.pool.Stats())
-			addVMStats(&c.retiredVM, o.pool.VMStats(), vm.Stats{})
+		st, vst, outstanding := o.counters()
+		if outstanding == 0 {
+			c.retired.add(st)
+			addVMStats(&c.retiredVM, vst, vm.Stats{})
 			c.orphanBytes -= o.bytes
 			continue
 		}
 		keep = append(keep, o)
 	}
-	for i := len(keep); i < len(c.orphans); i++ {
-		c.orphans[i] = orphanPool{}
-	}
+	clear(c.orphans[len(keep):])
 	c.orphans = keep
-}
-
-// addPoolStats accumulates pool counters.
-func addPoolStats(dst *Stats, s Stats) {
-	dst.Snapshots += s.Snapshots
-	dst.Builds += s.Builds
-	dst.Resets += s.Resets
-	dst.Resumes += s.Resumes
-	dst.Discards += s.Discards
 }
 
 // Report feeds one stream (or build) outcome into the decoder's health
@@ -461,19 +438,31 @@ func (c *SnapCache) Quarantine(hash [32]byte) {
 }
 
 // Outstanding reports leases checked out and not yet released across
-// every resident and orphaned pool — the serving layer's leak
+// every resident and orphaned line — the serving layer's leak
 // detector: it must return to zero when the request stream drains.
 func (c *SnapCache) Outstanding() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := 0
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		n += el.Value.(*cacheEntry).pool.Outstanding()
-	}
-	for _, o := range c.orphans {
-		n += o.pool.Outstanding()
-	}
+	_, _, n := c.sumLocked()
 	return n
+}
+
+// sumLocked totals the counters of every resident and orphaned line.
+// Caller holds c.mu.
+func (c *SnapCache) sumLocked() (s Stats, v vm.Stats, outstanding int) {
+	add := func(e *cacheEntry) {
+		st, vst, o := e.counters()
+		s.add(st)
+		addVMStats(&v, vst, vm.Stats{})
+		outstanding += o
+	}
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		add(el.Value.(*cacheEntry))
+	}
+	for _, e := range c.orphans {
+		add(e)
+	}
+	return s, v, outstanding
 }
 
 // Shrink is the memory-pressure emergency valve: it evicts
@@ -500,19 +489,13 @@ func (c *SnapCache) Shrink(target int64) int64 {
 	}
 	c.compactOrphansLocked()
 	c.shrinks++
-	pools := make([]*Pool, 0, c.lru.Len())
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		pools = append(pools, el.Value.(*cacheEntry).pool)
-	}
 	c.mu.Unlock()
-	for _, p := range pools {
-		p.Drain()
-	}
+	c.Drain()
 	return freed
 }
 
 // Stats returns a point-in-time view of the cache counters. Evicted
-// pools whose last lease has been released are compacted into the
+// lines whose last lease has been released are compacted into the
 // retired totals; the rest are aggregated live, so no released
 // stream's counters are ever lost to an eviction or rebuild.
 func (c *SnapCache) Stats() SnapCacheStats {
@@ -526,17 +509,12 @@ func (c *SnapCache) Stats() SnapCacheStats {
 		OrphanBytes: c.orphanBytes,
 		Quarantined: c.quarantined, Shrinks: c.shrinks,
 		Health: c.health.Stats(),
-		Pool:   c.retired, VM: c.retiredVM,
 	}
-	for _, o := range c.orphans {
-		addPoolStats(&s.Pool, o.pool.Stats())
-		addVMStats(&s.VM, o.pool.VMStats(), vm.Stats{})
-	}
+	s.Pool, s.VM, _ = c.sumLocked()
+	s.Pool.add(c.retired)
+	addVMStats(&s.VM, c.retiredVM, vm.Stats{})
 	for el := c.lru.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*cacheEntry)
-		addPoolStats(&s.Pool, e.pool.Stats())
-		addVMStats(&s.VM, e.pool.VMStats(), vm.Stats{})
-		s.Traces += e.snap.T2Count()
+		s.Traces += el.Value.(*cacheEntry).snap.T2Count()
 	}
 	return s
 }
@@ -615,14 +593,10 @@ func (c *SnapCache) Contains(hash [32]byte) bool {
 // dropped. The between-bursts memory valve for a long-lived server.
 func (c *SnapCache) Drain() int {
 	c.mu.Lock()
-	pools := make([]*Pool, 0, c.lru.Len())
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		pools = append(pools, el.Value.(*cacheEntry).pool)
-	}
-	c.mu.Unlock()
+	defer c.mu.Unlock()
 	n := 0
-	for _, p := range pools {
-		n += p.Drain()
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		n += el.Value.(*cacheEntry).drain()
 	}
 	return n
 }

@@ -12,7 +12,6 @@ package asm
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"vxa/internal/x86"
 )
@@ -304,20 +303,4 @@ func (im *Image) Blob() []byte {
 	b = append(b, im.ROData...)
 	b = append(b, im.Data...)
 	return b
-}
-
-// SortedSymbols returns symbol names sorted by address, for disassembly.
-func (im *Image) SortedSymbols() []string {
-	names := make([]string, 0, len(im.Symbols))
-	for n := range im.Symbols {
-		names = append(names, n)
-	}
-	sort.Slice(names, func(i, j int) bool {
-		a, b := im.Symbols[names[i]], im.Symbols[names[j]]
-		if a != b {
-			return a < b
-		}
-		return names[i] < names[j]
-	})
-	return names
 }

@@ -101,14 +101,17 @@ type (
 	Error = core.Error
 	// ErrorKind classifies an Error.
 	ErrorKind = core.ErrorKind
-	// PoolStats are the decoder VM pool's cumulative counters, from
-	// Reader.PoolStats.
+	// PoolStats are the cumulative counters of a Reader's decoder lines
+	// (snapshots built, VMs built, reset, resumed and dropped), from
+	// Reader.PoolStats; zero on a Reader attached to a shared SnapCache,
+	// whose counters are in the cache's Stats.
 	PoolStats = vmpool.Stats
 	// SnapCache is a content-addressed decoder snapshot cache shared
 	// across Readers (and by the vxad daemon): decoders are keyed by
 	// the SHA-256 of their ELF bytes, so identical decoders embedded in
 	// different archives share one snapshot, one warm translation
-	// cache and one VM pool. Attach to a Reader with SetSnapCache.
+	// cache and one VM line. Attach to a Reader with SetSnapCache; a
+	// Reader without one makes its own.
 	SnapCache = vmpool.SnapCache
 	// SnapCacheConfig configures a SnapCache.
 	SnapCacheConfig = vmpool.SnapCacheConfig
@@ -190,9 +193,11 @@ func WithLimit(n int64) Option { return core.WithLimit(n) }
 // form instead of extracting still-compressed.
 func WithDecodeAll(on bool) Option { return core.WithDecodeAll(on) }
 
-// WithReuseVM routes archived decoders through the Reader's VM pool
-// (the paper's §2.4 reuse policy) instead of a fresh VM per stream.
-func WithReuseVM(on bool) Option { return core.WithReuseVM(on) }
+// WithReuseVM does nothing. Every Reader now runs archived decoders on
+// VMs leased from a content-addressed snapshot cache by the paper's
+// §2.4 reuse policy, so there is no fresh-VM-per-stream mode left to
+// turn off; the option is kept so existing callers still compile.
+func WithReuseVM(on bool) Option { return func(*core.ExtractOptions) {} }
 
 // WithVerbose streams decoder stderr diagnostics to w.
 func WithVerbose(w io.Writer) Option { return core.WithVerbose(w) }
@@ -200,12 +205,14 @@ func WithVerbose(w io.Writer) Option { return core.WithVerbose(w) }
 // WithWallBudget arms the per-stream wall-clock watchdog: a stream
 // still running after d of real time is killed at its next block
 // boundary and surfaces as ErrDeadline, independent of remaining
-// instruction fuel. 0 (default) disarms it.
+// instruction fuel. 0 (default) disarms it. Like the memory size, it
+// is fixed by the Reader's first archived-decoder run.
 func WithWallBudget(d time.Duration) Option { return core.WithWallBudget(d) }
 
 // WithMemSize sets the guest address space per decoder VM in bytes
 // (default 64 MiB, capped at the paper's 1 GiB sandbox limit) — for
-// decoders that hold whole image/audio planes.
+// decoders that hold whole image/audio planes. The Reader's first
+// archived-decoder run fixes it for every later call.
 func WithMemSize(n uint32) Option { return core.WithMemSize(n) }
 
 // NewWriter begins writing an archive to w.

@@ -175,7 +175,7 @@ func TestParallelPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := []Option{WithMode(AlwaysVXA), WithReuseVM(true), WithParallel(4)}
+	opts := []Option{WithMode(AlwaysVXA), WithParallel(4)}
 	results := r.ExtractAll(context.Background(), opts...)
 	if len(results) != len(want) {
 		t.Fatalf("results = %d, want %d", len(results), len(want))
