@@ -214,7 +214,17 @@ func main() {
 		rep.Startup = rows
 		printLedger(fmt.Sprintf("First stream: one cold 4 KiB entry per decoder, mean of %d operations, microseconds (share of wall)", rows[0].Reps),
 			bench.StartupStageNames[:], rows, ledgerExtra{"traces, code KiB",
-				func(r bench.LedgerRow) string { return fmt.Sprintf("%d, %d", r.Traces, r.CodeBytes>>10) }})
+				func(r bench.LedgerRow) string { return fmt.Sprintf("%d, %d", r.Traces, r.CodeBytes>>10) }},
+			ledgerExtra{"guest insts, uops", func(r bench.LedgerRow) string { return fmt.Sprintf("%d, %d", r.Translated, r.Compiled) }},
+			ledgerExtra{"build ns/guest inst", func(r bench.LedgerRow) string {
+				return fmt.Sprintf("%.0f", r.PerUnit(bench.StageBlockBuild, r.Translated))
+			}},
+			ledgerExtra{"emit ns/uop", func(r bench.LedgerRow) string {
+				return fmt.Sprintf("%.0f", r.PerUnit(bench.StageTier2Emit, r.Compiled))
+			}},
+			ledgerExtra{"seal ns/uop", func(r bench.LedgerRow) string {
+				return fmt.Sprintf("%.0f", r.PerUnit(bench.StageTier2Seal, r.Compiled))
+			}})
 		for _, r := range rows {
 			if sh := r.RemainderShare(); sh > 0.05 || sh < -0.05 {
 				startupErr = fmt.Errorf("-startup: %s leaves %.1f%% of its first stream unaccounted", r.Codec, 100*sh)

@@ -269,9 +269,15 @@ func fatal(err error) {
 
 // translationLedger is the -v line that splits translation time by what
 // was translated: TranslateNS is blocks plus the two tier-2 rows, and
-// superblock formation is clocked beside it.
+// superblock formation is clocked beside it. The blocks are priced per
+// guest instruction translated, emit and seal per micro-op compiled.
 func translationLedger(st vm.Stats) string {
 	ns := func(n uint64) time.Duration { return time.Duration(n).Round(time.Microsecond) }
-	return fmt.Sprintf("vxrun: translation: blocks %v, superblocks %v, tier-2 emit %v, tier-2 seal %v; %d traces refused by the code arena",
-		ns(st.TranslateNS-st.Tier2EmitNS-st.Tier2SealNS), ns(st.SuperblockNS), ns(st.Tier2EmitNS), ns(st.Tier2SealNS), st.Tier2Refused)
+	per := func(n, of uint64) float64 { return float64(n) / float64(max(of, 1)) }
+	blocks := st.TranslateNS - st.Tier2EmitNS - st.Tier2SealNS
+	return fmt.Sprintf("vxrun: translation: blocks %v (%d guest instructions, %.0f ns each), superblocks %v, "+
+		"tier-2 emit %v and seal %v (%d micro-ops compiled, %.0f and %.0f ns each); %d traces refused by the code arena",
+		ns(blocks), st.GuestTranslated, per(blocks, st.GuestTranslated), ns(st.SuperblockNS),
+		ns(st.Tier2EmitNS), ns(st.Tier2SealNS), st.UopsCompiled, per(st.Tier2EmitNS, st.UopsCompiled), per(st.Tier2SealNS, st.UopsCompiled),
+		st.Tier2Refused)
 }

@@ -65,14 +65,25 @@ type LedgerRow struct {
 	Remainder time.Duration   `json:"remainder_ns"`
 
 	// First stream: CodeBytes is the executable memory the stream's
-	// traces fill (whole pages), Traces how many it compiled.
-	CodeBytes int64  `json:"code_bytes,omitempty"`
-	Traces    uint64 `json:"traces,omitempty"`
+	// traces fill (whole pages), Traces how many it compiled, Translated
+	// the guest instructions its block build decoded and Compiled the
+	// micro-ops it handed the trace compiler (vm.Stats.GuestTranslated,
+	// UopsCompiled).
+	CodeBytes  int64  `json:"code_bytes,omitempty"`
+	Traces     uint64 `json:"traces,omitempty"`
+	Translated uint64 `json:"guest_translated,omitempty"`
+	Compiled   uint64 `json:"uops_compiled,omitempty"`
 	// Pooled stream: Tier2Share is the share of the stream's
 	// instructions compiled traces retired, MinorFaults the minor page
 	// faults its thread took from the lease to the release.
 	Tier2Share  float64 `json:"tier2_share,omitempty"`
 	MinorFaults float64 `json:"minor_faults,omitempty"`
+}
+
+// PerUnit is stage i's mean time per unit of n: per guest instruction
+// translated for block build, per micro-op compiled for emit and seal.
+func (r LedgerRow) PerUnit(i int, n uint64) float64 {
+	return float64(r.Stages[i]) / float64(max(n, 1))
 }
 
 // RemainderShare is the part of Wall no stage accounts for.
@@ -90,7 +101,7 @@ func (r *LedgerRow) add(o LedgerRow, lib time.Duration) {
 	for i, d := range o.Stages {
 		r.Stages[i] += d
 	}
-	r.CodeBytes, r.Traces = o.CodeBytes, o.Traces
+	r.CodeBytes, r.Traces, r.Translated, r.Compiled = o.CodeBytes, o.Traces, o.Translated, o.Compiled
 	r.Tier2Share += o.Tier2Share
 	r.MinorFaults += o.MinorFaults
 }
@@ -267,6 +278,7 @@ func startupOp(archive []byte, name string, row *LedgerRow) error {
 		StageTeardown: t6.Sub(t5),
 	}
 	row.CodeBytes, row.Traces = snap.CodeBytes(), st.Tier2Compiled
+	row.Translated, row.Compiled = st.GuestTranslated, st.UopsCompiled
 	return nil
 }
 

@@ -1,6 +1,11 @@
 package vm
 
-import "vxa/internal/vm/tier2"
+import (
+	"slices"
+
+	"vxa/internal/vm/tier2"
+	"vxa/internal/vm/uop"
+)
 
 // CompileSuperblocks hands every superblock of s to the native compiler,
 // as the first VM to run each of them hot would. Exported (from a test
@@ -10,6 +15,23 @@ func CompileSuperblocks(s *Snapshot) {
 	for _, r := range s.sbs {
 		tier2.Compile(r.b.uops, r.b.uops[0].EIP, s.geometry(), s.arena)
 	}
+}
+
+// Superblocks returns the micro-ops of every superblock s carries, in
+// the order of their entry addresses, and the geometry their traces
+// compile for. Exported (from a test file) for BenchmarkTraceCompile and
+// TestTraceCompileAllocBudget, which compile them over and over.
+func Superblocks(s *Snapshot) ([][]uop.Uop, tier2.Geometry) {
+	addrs := make([]uint32, 0, len(s.sbs))
+	for addr := range s.sbs {
+		addrs = append(addrs, addr)
+	}
+	slices.Sort(addrs)
+	out := make([][]uop.Uop, len(addrs))
+	for k, addr := range addrs {
+		out[k] = s.sbs[addr].b.uops
+	}
+	return out, s.geometry()
 }
 
 // WriteMem copies data into guest memory at addr, enforcing the sandbox

@@ -27,7 +27,7 @@ type decoderStream struct {
 }
 
 // decoderStreams builds one stream per built-in decoder.
-func decoderStreams(t *testing.T) []decoderStream {
+func decoderStreams(t testing.TB) []decoderStream {
 	t.Helper()
 	var out []decoderStream
 	for _, c := range codec.All() {
@@ -60,7 +60,7 @@ func decoderStreams(t *testing.T) []decoderStream {
 }
 
 // run decodes the stream on v and returns the output.
-func (d decoderStream) run(t *testing.T, v *vm.VM) []byte {
+func (d decoderStream) run(t testing.TB, v *vm.VM) []byte {
 	t.Helper()
 	var out bytes.Buffer
 	if _, err := v.RunStream(context.Background(), bytes.NewReader(d.enc), &out, nil, vm.StreamFuel(len(d.enc))); err != nil {

@@ -3,7 +3,9 @@
 package tier2
 
 import (
+	"encoding/binary"
 	"runtime"
+	"slices"
 	"syscall"
 	"unsafe"
 )
@@ -78,17 +80,24 @@ const (
 	movsx16 = 0xBF
 )
 
-// rm is a ModRM r/m operand: the register base when direct, else memory
-// at [base + idx*scale + disp], base and idx each -1 when absent.
+// rm is a ModRM r/m operand: the register base when direct (idx is then
+// regOp), else memory at [base + idx*scale + disp], base and idx each -1
+// when absent. It has four fields, so that the compiler keeps it in
+// registers.
 type rm struct {
 	base, idx int
 	scale     uint8 // 1, 2, 4 or 8; ignored without idx
 	disp      int32
-	direct    bool
 }
 
+// regOp is the idx of a register operand.
+const regOp = -2
+
+// direct reports whether o is a register operand.
+func (o rm) direct() bool { return o.idx == regOp }
+
 // rg is the register operand r.
-func rg(r int) rm { return rm{base: r, idx: -1, direct: true} }
+func rg(r int) rm { return rm{base: r, idx: regOp} }
 
 // at is the memory operand [base+disp].
 func at(base int, disp int32) rm { return rm{base: base, idx: -1, disp: disp} }
@@ -117,28 +126,72 @@ type nasm struct {
 	off  [16]int64
 	nsym uint32
 
+	// The log as of the last begin: the registers it has changed for since
+	// (moved, a mask) and what they held then (sym0, off0).
+	moved uint16
+	sym0  [16]uint32
+	off0  [16]int64
+
 	// long: every displacement and every immediate of the 0x81/0x83 group
 	// takes its 32-bit form whatever its value, so that the emitter can
-	// emit the instruction again, in place, once it knows the value.
+	// write the value into the field once it knows it (fixChecks).
 	long bool
 }
 
-func (a *nasm) db(bs ...byte) { a.c = append(a.c, bs...) }
+// room makes the code buffer's capacity reach k bytes past its end. The
+// emitter makes room for a whole micro-op at its start (uopRoom), so
+// growing here is the rare path.
+func (a *nasm) room(k int) {
+	if cap(a.c)-len(a.c) < k {
+		a.c = slices.Grow(a.c, max(k, len(a.c)))
+	}
+}
+
+func (a *nasm) db(b byte) {
+	a.room(1)
+	a.c = append(a.c, b)
+}
 
 func (a *nasm) d32(v uint32) {
-	a.c = append(a.c, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+	a.room(4)
+	p := len(a.c)
+	a.c = a.c[:p+4]
+	binary.LittleEndian.PutUint32(a.c[p:], v)
 }
 
 func (a *nasm) here() int32 { return int32(len(a.c)) }
 
+// begin starts a new stretch of the write log: from here atBegin answers
+// what a register held here.
+func (a *nasm) begin() { a.moved = 0 }
+
+// save keeps what reg holds as of the last begin, if this is the first
+// change to it since.
+func (a *nasm) save(reg int) {
+	if a.moved&(1<<reg) == 0 {
+		a.moved |= 1 << reg
+		a.sym0[reg], a.off0[reg] = a.sym[reg], a.off[reg]
+	}
+}
+
+// atBegin is the symbol and offset reg held at the last begin.
+func (a *nasm) atBegin(reg int) (uint32, int64) {
+	if a.moved&(1<<reg) != 0 {
+		return a.sym0[reg], a.off0[reg]
+	}
+	return a.sym[reg], a.off[reg]
+}
+
 // def logs that reg now holds a value unrelated to any other.
 func (a *nasm) def(reg int) {
+	a.save(reg)
 	a.nsym++
 	a.sym[reg], a.off[reg] = a.nsym, 0
 }
 
 // alias logs reg = src + d (32-bit).
 func (a *nasm) alias(reg, src int, d int32) {
+	a.save(reg)
 	a.sym[reg], a.off[reg] = a.sym[src], a.off[src]+int64(d)
 }
 
@@ -150,12 +203,19 @@ const (
 	rmB8  = 2 // the r/m, when it is a register
 )
 
-// ins encodes one instruction: optional REX, the opcode bytes, then ModRM
-// (+SIB, +displacement) with reg in the reg field and o as r/m.
-func (a *nasm) ins(w bool, b8 int, reg int, o rm, op ...byte) {
+// insMax is the longest instruction ins encodes, immediate aside: REX, two
+// opcode bytes, ModRM, SIB and a disp32.
+const insMax = 10
+
+// ins encodes one instruction: optional REX, the opcode — one byte, or
+// 0x0F and a second byte when op is above 0xFF — then ModRM (+SIB,
+// +displacement) with reg in the reg field and o as r/m. It writes into
+// the buffer's spare capacity in place.
+func (a *nasm) ins(w bool, b8 int, reg int, o rm, op uint16) {
 	a.n++
-	// At most REX, three opcode bytes, ModRM, SIB and a disp32.
-	var buf [10]byte
+	a.room(insMax)
+	p := len(a.c)
+	buf := a.c[p : p+insMax]
 	n := 0
 	rex := byte(0x40)
 	if w {
@@ -170,28 +230,22 @@ func (a *nasm) ins(w bool, b8 int, reg int, o rm, op ...byte) {
 	if o.base >= 8 {
 		rex |= 1
 	}
-	if rex != 0x40 || b8&regB8 != 0 && reg >= 4 || b8&rmB8 != 0 && o.direct && o.base >= 4 {
+	if rex != 0x40 || b8&regB8 != 0 && reg >= 4 || b8&rmB8 != 0 && o.direct() && o.base >= 4 {
 		buf[0], n = rex, 1
 	}
-	n += copy(buf[n:], op)
-	r := byte(reg&7) << 3
-	sibByte := func() byte {
-		if o.idx == hSP {
-			panic("tier2: rsp as an index register")
-		}
-		if o.idx < 0 {
-			return 4 << 3 // no index
-		}
-		return scaleBits(o.scale)<<6 | byte(o.idx&7)<<3
+	if op > 0xFF {
+		buf[n], n = 0x0F, n+1
 	}
+	buf[n], n = byte(op), n+1
+	r := byte(reg&7) << 3
 	disp := 0 // bytes of displacement to emit
 	switch {
-	case o.direct:
+	case o.direct():
 		buf[n] = 0xC0 | r | byte(o.base&7)
 		n++
 	case o.base < 0:
 		// No base: SIB with base=101 under mod=00 means disp32 alone.
-		buf[n], buf[n+1] = r|4, sibByte()|5
+		buf[n], buf[n+1] = r|4, o.sibByte()|5
 		n, disp = n+2, 4
 	default:
 		mod := byte(0x80)
@@ -204,18 +258,31 @@ func (a *nasm) ins(w bool, b8 int, reg int, o rm, op ...byte) {
 			mod, disp = 0x40, 1
 		}
 		if o.idx >= 0 || o.base&7 == 4 { // rsp/r12 as base need a SIB
-			buf[n], buf[n+1] = mod|r|4, sibByte()|byte(o.base&7)
+			buf[n], buf[n+1] = mod|r|4, o.sibByte()|byte(o.base&7)
 			n += 2
 		} else {
 			buf[n] = mod | r | byte(o.base&7)
 			n++
 		}
 	}
-	for k := 0; k < disp; k++ {
-		buf[n] = byte(uint32(o.disp) >> (8 * k))
-		n++
+	switch disp {
+	case 1:
+		buf[n] = byte(o.disp)
+	case 4:
+		binary.LittleEndian.PutUint32(buf[n:], uint32(o.disp))
 	}
-	a.c = append(a.c, buf[:n]...)
+	a.c = a.c[:p+n+disp]
+}
+
+// sibByte is the SIB byte of o, base field aside.
+func (o rm) sibByte() byte {
+	if o.idx == hSP {
+		panic("tier2: rsp as an index register")
+	}
+	if o.idx < 0 {
+		return 4 << 3 // no index
+	}
+	return scaleBits(o.scale)<<6 | byte(o.idx&7)<<3
 }
 
 func scaleBits(scale uint8) byte {
@@ -235,7 +302,7 @@ func scaleBits(scale uint8) byte {
 // mov: mov dst32, r/m32.
 func (a *nasm) mov(dst int, src rm) {
 	a.ins(false, noB8, dst, src, 0x8B)
-	if src.direct {
+	if src.direct() {
 		a.alias(dst, src.base, 0)
 	} else {
 		a.def(dst)
@@ -264,7 +331,7 @@ func (a *nasm) movTo8(dst rm, src int) { a.ins(false, regB8|rmB8, src, dst, 0x88
 
 // movI: mov dword r/m32, imm32.
 func (a *nasm) movI(dst rm, imm uint32) {
-	if dst.direct {
+	if dst.direct() {
 		a.n++
 		if dst.base >= 8 {
 			a.db(0x41)
@@ -281,7 +348,7 @@ func (a *nasm) movI(dst rm, imm uint32) {
 func (a *nasm) movI8(dst rm, imm byte) {
 	a.ins(false, rmB8, 0, dst, 0xC6)
 	a.db(imm)
-	if dst.direct {
+	if dst.direct() {
 		a.def(dst.base)
 	}
 }
@@ -289,7 +356,8 @@ func (a *nasm) movI8(dst rm, imm byte) {
 // movI64: movabs reg64, imm64.
 func (a *nasm) movI64(reg int, imm uint64) {
 	a.n++
-	a.db(byte(0x48|reg>>3), byte(0xB8|reg&7))
+	a.db(byte(0x48 | reg>>3))
+	a.db(byte(0xB8 | reg&7))
 	a.d32(uint32(imm))
 	a.d32(uint32(imm >> 32))
 	a.def(reg)
@@ -301,7 +369,7 @@ func (a *nasm) movx(op byte, dst int, src rm) {
 	if op == movzx8 || op == movsx8 {
 		b8 = rmB8
 	}
-	a.ins(false, b8, dst, src, 0x0F, op)
+	a.ins(false, b8, dst, src, 0x0F00|uint16(op))
 	a.def(dst)
 }
 
@@ -314,6 +382,8 @@ func (a *nasm) movsxd(dst int, src rm) {
 // xchg: xchg a32, b32.
 func (a *nasm) xchg(x, y int) {
 	a.ins(false, noB8, x, rg(y), 0x87)
+	a.save(x)
+	a.save(y)
 	a.sym[x], a.sym[y] = a.sym[y], a.sym[x]
 	a.off[x], a.off[y] = a.off[y], a.off[x]
 }
@@ -357,14 +427,14 @@ func (a *nasm) pop(reg int) {
 
 // alu: op dst32, r/m32 (the "reg, r/m" forms; alu64 the REX.W ones).
 func (a *nasm) alu(opRM byte, dst int, src rm) {
-	a.ins(false, noB8, dst, src, opRM)
+	a.ins(false, noB8, dst, src, uint16(opRM))
 	if opRM != aluCmpRM {
 		a.def(dst)
 	}
 }
 
 func (a *nasm) alu64(opRM byte, dst int, src rm) {
-	a.ins(true, noB8, dst, src, opRM)
+	a.ins(true, noB8, dst, src, uint16(opRM))
 	if opRM != aluCmpRM {
 		a.def(dst)
 	}
@@ -372,8 +442,8 @@ func (a *nasm) alu64(opRM byte, dst int, src rm) {
 
 // aluTo: op r/m32, src32 (the "r/m, reg" forms, TEST among them).
 func (a *nasm) aluTo(opMR byte, dst rm, src int) {
-	a.ins(false, noB8, src, dst, opMR)
-	if dst.direct && opMR != aluCmpMR && opMR != aluTestMR {
+	a.ins(false, noB8, src, dst, uint16(opMR))
+	if dst.direct() && opMR != aluCmpMR && opMR != aluTestMR {
 		a.def(dst.base)
 	}
 }
@@ -384,10 +454,12 @@ func (a *nasm) aluTo(opMR byte, dst rm, src int) {
 func (a *nasm) aluI(ext int, dst rm, imm uint32) {
 	a.immGroup(false, ext, dst, imm)
 	switch {
-	case !dst.direct || ext == aluCmpExt:
+	case !dst.direct() || ext == aluCmpExt:
 	case ext == aluAddExt:
+		a.save(dst.base)
 		a.off[dst.base] += int64(int32(imm))
 	case ext == aluSubExt:
+		a.save(dst.base)
 		a.off[dst.base] -= int64(int32(imm))
 	default:
 		a.def(dst.base)
@@ -397,7 +469,7 @@ func (a *nasm) aluI(ext int, dst rm, imm uint32) {
 // aluI64: op r/m64, imm32 sign-extended.
 func (a *nasm) aluI64(ext int, dst rm, imm uint32) {
 	a.immGroup(true, ext, dst, imm)
-	if dst.direct && ext != aluCmpExt {
+	if dst.direct() && ext != aluCmpExt {
 		a.def(dst.base)
 	}
 }
@@ -452,7 +524,7 @@ func (a *nasm) unaryDefs(ext int, o rm) {
 	if ext >= mulExt {
 		a.def(hAX)
 		a.def(hDX)
-	} else if o.direct {
+	} else if o.direct() {
 		a.def(o.base)
 	}
 }
@@ -460,13 +532,14 @@ func (a *nasm) unaryDefs(ext int, o rm) {
 // cqo sign-extends rax into rdx.
 func (a *nasm) cqo() {
 	a.n++
-	a.db(0x48, 0x99)
+	a.db(0x48)
+	a.db(0x99)
 	a.def(hDX)
 }
 
 // imul: imul dst32, r/m32; imulI: imul dst32, r/m32, imm32.
 func (a *nasm) imul(dst int, src rm) {
-	a.ins(false, noB8, dst, src, 0x0F, 0xAF)
+	a.ins(false, noB8, dst, src, 0x0FAF)
 	a.def(dst)
 }
 
@@ -478,8 +551,8 @@ func (a *nasm) imulI(dst int, src rm, imm uint32) {
 
 // setcc: setcc r/m8.
 func (a *nasm) setcc(cc byte, dst rm) {
-	a.ins(false, rmB8, 0, dst, 0x0F, 0x90|cc)
-	if dst.direct {
+	a.ins(false, rmB8, 0, dst, 0x0F90|uint16(cc))
+	if dst.direct() {
 		a.def(dst.base)
 	}
 }
@@ -489,7 +562,8 @@ func (a *nasm) setcc(cc byte, dst rm) {
 // jcc emits jcc rel32 with a placeholder and returns the fixup site.
 func (a *nasm) jcc(cc byte) fix {
 	a.n++
-	a.db(0x0F, 0x80|cc)
+	a.db(0x0F)
+	a.db(0x80 | cc)
 	a.d32(0)
 	return fix(a.here() - 4)
 }
@@ -507,11 +581,7 @@ func (a *nasm) patch(p fix) { a.patchTo(p, a.here()) }
 
 // patchTo resolves a fixup to code offset to, ahead of it or behind.
 func (a *nasm) patchTo(p fix, to int32) {
-	rel := to - (int32(p) + 4)
-	a.c[p] = byte(rel)
-	a.c[p+1] = byte(rel >> 8)
-	a.c[p+2] = byte(rel >> 16)
-	a.c[p+3] = byte(rel >> 24)
+	binary.LittleEndian.PutUint32(a.c[p:], uint32(to-(int32(p)+4)))
 }
 
 // jmpM: jmp qword [m] — with ret, the only indirect branch the emitter
@@ -521,8 +591,23 @@ func (a *nasm) jmpM(m rm) { a.ins(false, noB8, 4, m, 0xFF) }
 // retStatus: mov eax, status; ret.
 func (a *nasm) retStatus(s int32) {
 	a.movI(rg(hAX), uint32(s))
+	a.ret()
+}
+
+func (a *nasm) ret() {
 	a.n++
 	a.db(0xC3)
+}
+
+// leaRip: lea dst64, [rip+rel32], with a placeholder; the fixup site is
+// patched like a jump's, to the offset the address is to name.
+func (a *nasm) leaRip(dst int) fix {
+	a.n++
+	a.db(byte(0x48 | dst>>3<<2))
+	a.db(0x8D)
+	a.db(byte(dst&7<<3 | 5))
+	a.d32(0)
+	return fix(a.here() - 4)
 }
 
 // ---- executable memory ---------------------------------------------------
@@ -564,6 +649,7 @@ func (a *Arena) mapViews() bool {
 		return false
 	}
 	a.rw, a.rx = rw, rx
+	a.used = copy(rw, sharedExits.code)
 	runtime.SetFinalizer(a, (*Arena).unmap)
 	return true
 }

@@ -60,7 +60,7 @@ func hexImm(v int64) string {
 // the assembler documents: no displacement byte for a zero displacement
 // unless the base is RBP or R13, always one without a base.
 func opText(o rm, size int) string {
-	if o.direct {
+	if o.direct() {
 		return regName(o.base, size)
 	}
 	ptr := ""
@@ -182,7 +182,7 @@ func asmCases() []asmCase {
 	}
 	memOnly := func(f func(reg int, o rm) (func(a *nasm), string)) func(int, rm) (func(a *nasm), string) {
 		return func(reg int, o rm) (func(a *nasm), string) {
-			if o.direct {
+			if o.direct() {
 				o = at(hDI, int32(8*o.base))
 			}
 			return f(reg, o)
@@ -344,7 +344,7 @@ func asmCases() []asmCase {
 
 func memOnlyRM(f func(o rm) (func(a *nasm), string)) func(rm) (func(a *nasm), string) {
 	return func(o rm) (func(a *nasm), string) {
-		if o.direct {
+		if o.direct() {
 			o = at(o.base, 0x20)
 		}
 		return f(o)

@@ -3,6 +3,7 @@
 package tier2
 
 import (
+	"encoding/binary"
 	"slices"
 	"sync"
 	"time"
@@ -79,14 +80,14 @@ import (
 // One pass. A group's span is final only when the trace ends, and that a
 // micro-op leads a group is known only once it has been emitted, so: a
 // check's mainline is emitted with every constant in a 32-bit field
-// (nasm.long) and emitted over itself when the trace is done (fixChecks),
-// and its fallback only then; and a micro-op
-// that turns out to lead a group is taken back and emitted again behind
-// its checks, its operands placed as the first time. Every other
-// micro-op is emitted once, and every micro-op is in the finished code
-// once. An operand with no register in it is judged on the spot: between
-// the write floor and the stack it needs only the heap's end checked, and
-// shares that; anywhere else it is checked in place.
+// (nasm.long), which is rewritten in place when the trace is done
+// (fixChecks), and its fallback only then; and the checks of the groups a
+// micro-op turns out to lead are emitted behind it and rotated in front
+// of it, every position recorded meanwhile moved along (checksFirst).
+// Every micro-op is emitted once. An operand with no register in it is
+// judged on the spot: between the write floor and the stack it needs only
+// the heap's end checked, and shares that; anywhere else it is checked in
+// place.
 //
 // Exactness. A group's check is never weaker than the checks it
 // replaces but may be stricter — a later operand of the span may sit
@@ -111,17 +112,31 @@ import (
 // budget is what the dispatcher allows the run — the smaller of Fuel and
 // the poll Credit — and a declined pass (status 0, the entry's guest
 // address in ExitTarget) gives its charge back, "sub r14, rax". Every
-// exit first gives back what the entry charged for the micro-ops it
-// skips, "movabs rdx, R; add r14, rdx" (RDX: RAX may hold an indirect
-// target there). A link exit then jumps through its slot of the VM's
-// link table — to its own return stub until the VM links the edge, into
-// the next trace afterwards; an inline-cache exit does so only when the
-// guest target equals the slot's recorded address. Every other exit returns its status, but a loop
-// edge: an exit back to the trace's own entry that needs no flags
-// materialized for it (link) is a direct jmp or jcc onto the loop label,
-// so a pass of a loop costs its charge and no slot. The only indirect
-// branches in the code are the slot jumps and ret, and no emitted
-// instruction ever writes code.
+// exit gives back what the entry charged for the micro-ops it skips
+// before control leaves the trace's code. A link exit does so itself,
+// "movabs rdx, R; add r14, rdx" (RDX: RAX may hold an indirect target
+// there), and then jumps through its slot of the VM's link table — into
+// the next trace once the VM has linked the edge, and until then into the
+// shared exit code (below), which returns the status the unlinked slot
+// holds; an inline-cache exit takes its slot only when the guest target
+// equals the slot's recorded address, and otherwise the shared miss path.
+// Every other exit returns to the dispatcher: one with nothing to give
+// back returns its status itself, "mov eax, s; ret", and one with a
+// refund goes through the shared exit code with its descriptor, "lea rdx,
+// [rip+desc]; jmp leave" — the descriptor table follows the trace's code
+// and holds each such exit's refund and status. But a loop edge: an exit
+// back to the trace's own entry that needs no flags materialized for it
+// (link) is a direct jmp or jcc onto the loop label, so a pass of a loop
+// costs its charge and no slot. The only indirect branches in the code
+// are the slot jumps and ret, and no emitted instruction ever writes code.
+//
+// Shared exit code. What an exit does only on its way back to the
+// dispatcher — return the status an unlinked slot holds, store a faulting
+// address or a missed inline-cache target, take a refund from a
+// descriptor — is emitted once per arena, at its start (sharedExits),
+// instead of behind every exit. The exact tests of the checks' fallbacks
+// stay with their checks, whose constants they share; what a failed one
+// does next is shared.
 //
 // Checks made once per loop entry. In a trace with an exit to its own
 // entry, a group whose address registers hold their entry values where
@@ -137,14 +152,15 @@ import (
 // fallbacks of these checks follow all other code.
 //
 // Where the code lives. The emitter assembles into a buffer of its own and
-// hands the finished bytes to the trace's Arena (execbuf.go), which
-// copies them once, through its writable view, to the next free 16-byte
-// boundary; the trace runs from the same offset of the executable view.
-// Nothing emitted depends on where that is — jumps inside a trace are
-// relative, everything else goes through RDI, RSI and the link table —
-// so the bytes of a trace are the same in any arena, and the only
-// absolute addresses, the return stubs in Trace.unlinked, are data beside
-// the code, computed after it is placed.
+// hands the finished bytes, with the descriptor table behind them, to the
+// trace's Arena (execbuf.go), which copies them once, through its writable
+// view, to the next free 16-byte boundary; the trace runs from the same
+// offset of the executable view. Jumps inside a trace and the addresses of
+// its descriptors are relative, everything else goes through RDI, RSI and
+// the link table; only the jumps into the arena's shared exit code depend
+// on where the trace lies, and seal resolves them once it knows. The only
+// absolute addresses, the shared exit code's in Trace.unlinked, are data
+// beside the code, computed after it is placed.
 //
 // Micro-ops whose semantics need lazy-flag materialization of a record
 // that is not statically known (a plain guard or Jcc-less setcc form,
@@ -212,17 +228,111 @@ func init() {
 // fld is the Machine field at off.
 func fld(off int32) rm { return at(hDI, off) }
 
+// ---- the shared exit code -----------------------------------------------
+
+// sharedExits is the code an exit runs only on its way back to the
+// dispatcher, which every arena holds once, at its start, and the exit
+// paths of its traces jump to:
+//
+//	ret:    mov eax, edx; ret               — an unlinked link slot's target:
+//	                                          the slot jump has loaded the
+//	                                          slot's Cur, the exit's status,
+//	                                          into EDX
+//	fault:  mov [TrapAddr], ecx             — a failed exact check, the
+//	                                          address in ECX; then leave
+//	leave:  add r14, [rdx]; mov eax, [rdx+8]; ret
+//	                                        — RDX points at the exit's
+//	                                          descriptor: its refund, as
+//	                                          the meter adds it, then its
+//	                                          status
+//	miss[r]: mov [ExitTarget], r; mov eax, edx; ret
+//	                                        — an inline-cache miss, the
+//	                                          guest target in r and the
+//	                                          status in EDX
+//
+// The offsets are from the arena's start. Nothing in it depends on where
+// the arena is, so the bytes are built once.
+var sharedExits = buildSharedExits()
+
+type sharedCode struct {
+	code              []byte
+	ret, fault, leave int32
+	miss              [16]int32 // by host register; -1 where none
+}
+
+func buildSharedExits() (sh sharedCode) {
+	var a nasm
+	sh.ret = a.here()
+	a.mov(hAX, rg(hDX))
+	a.ret()
+	sh.fault = a.here()
+	a.movTo(fld(offTrapAddr), hCX)
+	sh.leave = a.here()
+	a.alu64(aluAddRM, hR14, at(hDX, 0))
+	a.mov(hAX, at(hDX, 8))
+	a.ret()
+	for r := range sh.miss {
+		sh.miss[r] = -1
+		if r == hAX || r == hR8 || slices.Contains(hostReg[:], r) {
+			sh.miss[r] = a.here()
+			a.movTo(fld(offExitTgt), r)
+			a.mov(hAX, rg(hDX))
+			a.ret()
+		}
+	}
+	sh.code = a.c
+	return sh
+}
+
+// sharedAddr is the host address of the shared exit code at off.
+func (a *Arena) sharedAddr(off int32) uintptr {
+	return uintptr(unsafe.Pointer(unsafe.SliceData(a.rx))) + uintptr(off)
+}
+
 // ---- the emitter --------------------------------------------------------
 
-// pstub is an out-of-line exit path: the fixup sites that jump to it,
-// the code to emit once the fall-through body is done, and the flag state
-// and the write log the mainline had where the path leaves it.
+// pstub is an out-of-line exit path, emitted once the fall-through body
+// is done: the fixup sites that jump to it, what it is (a stub kind) and
+// for which exit, and the flag state the mainline had where the path
+// leaves it. A path that may end in a loop edge also gets the write log
+// there (log, an index into nemit.logs; -1 for none), which the edge
+// records (loopJump).
 type pstub struct {
 	fixes fixes
-	emit  func()
-	flOp  int
-	sym   [16]uint32
-	off   [16]int64
+	kind  uint8
+	s     int32 // the exit
+	// arg is stubResume's group, stubGuardNF's micro-op, stubTrap's
+	// TrapAux value and stubInd's register; test is stubFault's check.
+	arg  int
+	test rangeTest
+	flOp int
+	log  int32
+}
+
+// Stub kinds.
+const (
+	stubDecline = iota // a declined pass: the charge back, status 0
+	stubResume         // a group check's fallback, then its resume exit
+	stubFault          // an exact check's fallback, then its fault exit
+	stubTrap           // TrapAux, then the exit (a divide's traps)
+	stubLink           // link
+	stubGuardNF        // a flag-suppressed guard's compare, recorded, then link
+	stubInd            // linkInd
+)
+
+// wlog is the assembler's write log at one point (nasm.sym, nasm.off).
+type wlog struct {
+	sym [16]uint32
+	off [16]int64
+}
+
+// reloc is a rel32 field the emitted code leaves to seal: a jump to the
+// shared exit code at offset to of the arena, or (desc) the address of
+// the trace's exit descriptor to.
+type reloc struct {
+	at   fix
+	to   int32
+	desc bool
 }
 
 // fixes is up to two fixup sites; -1 marks an unused one.
@@ -310,24 +420,23 @@ type edge struct {
 
 type nemit struct {
 	a     nasm
-	t     *Trace
 	us    []uop.Uop
 	entry uint32
+	cost  int64
+	g     Geometry
+	arena *Arena
+	// ledger is the trace's Ledger as it is counted.
+	ledger Ledger
 
 	mlen, ro, sbase uint32
 	tail            []int64 // suffixCosts(us)
 
-	// loop is the code offset of the loop label, where every entry charges
-	// the pass, and recheck that of the checks hoisted ahead of it (loop
-	// when there are none). loops: the trace has an exit to its own entry,
-	// so checks on what registers no micro-op of it writes (the host
-	// registers outside written) hold at the entry may be hoisted;
-	// entrySym is the symbols they hold there, edges the loop edges.
-	loop, recheck int32
-	loops         bool
-	written       uint16
-	entrySym      [16]uint32
-	edges         []edge
+	emitState
+
+	// entrySym is the symbols the registers hold at the entry, edges the
+	// loop edges.
+	entrySym [16]uint32
+	edges    []edge
 
 	// groups holds every check group of the trace in the order the checks
 	// are emitted; open indexes the ones still taking members, the newest
@@ -335,25 +444,34 @@ type nemit struct {
 	groups []group
 	open   []int
 
-	// The micro-op being emitted: the write log as of its start, and the
-	// group each of its operands went to (-1: checked in place), which is
-	// what its second emission, behind the checks it turned out to lead,
-	// reads back (again, next) instead of deciding anew.
-	startSym [16]uint32
-	startOff [16]int64
-	placed   []int
-	again    bool
-	next     int
-
 	// Scratch that outlives a compile (see emitters): the code buffer, a
-	// second one for hoist, the exit table under construction and the
-	// fixups of the hoisted checks.
+	// second one for hoist, the exit table under construction, the
+	// fixups of the hoisted checks and the micro-ops those cover.
 	code, spare []byte
 	exits       []Exit
 	fails       []fix
+	hoisted     []int
 
 	pend  []pstub
-	stubs []int32 // code offset of each link slot's return stub
+	logs  []wlog
+	slots []int32 // the shared exit code each link slot leads to until it is linked
+
+	// descs lists the exits, by status, that return through a descriptor
+	// (leave), relocs the rel32 fields seal resolves.
+	descs  []int32
+	relocs []reloc
+}
+
+// emitState is the scalar state of one compile, which init resets.
+type emitState struct {
+	// loop is the code offset of the loop label, where every entry charges
+	// the pass, and recheck that of the checks hoisted ahead of it (loop
+	// when there are none). loops: the trace has an exit to its own entry,
+	// so checks on what registers no micro-op of it writes (the host
+	// registers outside written) hold at the entry may be hoisted.
+	loop, recheck int32
+	loops         bool
+	written       uint16
 
 	// flOp is the FlagOp the lazy record is statically known to hold
 	// at the current emission point: flEntry before the first writer,
@@ -374,81 +492,172 @@ type nemit struct {
 	accesses, checks, checkHot int
 }
 
-// nativeCompile emits us as machine code into t and places it in t's
-// arena. Returns false on any unsupported micro-op or when the arena
-// takes no more code; t is then discarded and the superblock stays on
-// tier-1.
-func nativeCompile(us []uop.Uop, entry uint32, g Geometry, t *Trace, o *Outcome) bool {
+// nativeCompile emits us as machine code and places it in arena a. It
+// returns nil on any unsupported micro-op or when the arena takes no more
+// code; the superblock then stays on tier-1.
+func nativeCompile(us []uop.Uop, entry uint32, g Geometry, ar *Arena, o *Outcome) *Trace {
 	if g.MemLen > 1<<30 || g.MemLen < g.StackBase+pageSize || g.StackBase < pageSize || g.ROLimit > g.StackBase {
 		// The checks compare 64-bit sums against sign-extended 32-bit
 		// immediates, subtract a span of up to a page from either window's
 		// end and take an address below either floor for one below the
 		// stack; any real guest address space satisfies this.
-		return false
+		return nil
 	}
-	if t.Cost <= 0 || t.Cost > MaxRun || int64(len(us)) > t.Cost+1 {
-		return false // a run's charges must fit the meter's fields
+	cost := uop.Cost(us)
+	if cost <= 0 || cost > MaxRun || int64(len(us)) > cost+1 {
+		return nil // a run's charges must fit the meter's fields
 	}
 	e := emitters.Get().(*nemit)
 	defer e.release()
-	e.init(t, us, entry, g)
+	e.init(us, entry, g, ar, cost)
 
 	a := &e.a
 	a.movTo64(fld(offCur), hDX)
 	e.loop = a.here()
-	a.movI64(hAX, uint64(-t.Cost)<<meterShift+acctIter+uint64(len(us)))
+	a.movI64(hAX, uint64(-cost)<<meterShift+acctIter+uint64(len(us)))
 	a.alu64(aluAddRM, hR14, rg(hAX))
-	decline := a.jcc(byte(x86.CCS))
-	e.stub(func() {
-		a.alu64(aluSubRM, hR14, rg(hAX))
-		a.movI(fld(offExitTgt), entry)
-		a.retStatus(0)
-	}, fixes{decline, -1})
+	e.stub(pstub{kind: stubDecline}, fixes{a.jcc(byte(x86.CCS)), -1})
 	for i := range us {
-		e.startSym, e.startOff, e.placed = a.sym, a.off, e.placed[:0]
-		start := *e
+		a.room(uopRoom)
+		a.begin()
+		var m mark // field by field: a composite literal is built aside and copied in whole
+		m.code, m.pend, m.edges, m.relocs, m.groups = len(a.c), len(e.pend), len(e.edges), len(e.relocs), len(e.groups)
 		if !e.one(i) {
-			return false
+			return nil
 		}
-		if led := len(start.groups); e.inBody(led) {
-			// The micro-op leads groups checked in the body. Take it back,
-			// all of it but where its operands went, and emit it again behind
-			// the groups' checks.
-			start.groups, start.open, start.placed = e.groups, e.open, e.placed
-			*e = start
-			e.emitChecks(i, led)
-			e.again, e.next = true, 0
-			if !e.one(i) {
-				return false
-			}
-			e.again = false
+		if e.inBody(m.groups) {
+			// The micro-op leads groups checked in the body: emit their
+			// checks and move them in front of it.
+			e.emitChecks(i, m.groups)
+			e.checksFirst(&m)
 		}
 	}
 	e.fixChecks()
 	hot, hotEnd := a.n, a.here()
 	e.flush()
 	shift, hoisted := e.hoist()
-	l := &t.Ledger
-	l.Guest, l.Hot, l.Accesses, l.Checks = t.Cost, int64(hot+hoisted), int64(e.accesses), int64(e.checks)
+	l := &e.ledger
+	l.Guest, l.Hot, l.Accesses, l.Checks = cost, int64(hot+hoisted), int64(e.accesses), int64(e.checks)
 	l.CheckHot = int64(e.checkHot)
 	l.Stub, l.Loops = int64(a.n)-l.Hot, int64(len(e.edges))
-	t.hotEnd, t.loop, t.recheck = int(hotEnd+shift), int(e.loop), int(e.recheck)
-	t.Slots = len(e.stubs)
+	return e.seal(o, int(hotEnd+shift))
+}
 
+// uopRoom is the code buffer's spare capacity at the start of a
+// micro-op: more than any micro-op emits, so that the assembler's
+// instructions land in place.
+const uopRoom = 1 << 10
+
+// mark is where the code and the lists of positions in it stood at the
+// start of a micro-op: what checksFirst moves.
+type mark struct{ code, pend, edges, relocs, groups int }
+
+// checksFirst puts the checks emitChecks has just emitted behind the
+// micro-op that started at m in front of it: it rotates the code and
+// moves every position recorded since m — the out-of-line paths' fixups
+// and return points, the checks', the loop edges' and the relocations' —
+// with it. The loop edges' jumps, the one kind among them that leaves
+// what moved for a fixed point, are patched again.
+func (e *nemit) checksFirst(m *mark) {
+	a := &e.a
+	p0, p1, p2 := int32(m.code), int32(0), a.here()
+	for gi := m.groups; gi < len(e.groups); gi++ {
+		if g := &e.groups[gi]; !g.pre {
+			p1 = g.at
+			break
+		}
+	}
+	rotate(a.c[p0:p2], int(p1-p0))
+	op, ck := p1-p0, p2-p1 // the lengths of the micro-op and of its checks
+	move := func(x int32) int32 {
+		switch {
+		case x < p0:
+		case x < p1:
+			x += ck
+		default:
+			x -= op
+		}
+		return x
+	}
+	for k := m.pend; k < len(e.pend); k++ {
+		p := &e.pend[k]
+		for j, f := range p.fixes {
+			if f >= 0 {
+				p.fixes[j] = fix(move(int32(f)))
+			}
+		}
+		p.test.back = move(p.test.back)
+	}
+	for gi := m.groups; gi < len(e.groups); gi++ {
+		if g := &e.groups[gi]; !g.pre {
+			g.at, g.back = move(g.at), move(g.back)
+		}
+	}
+	for k := m.edges; k < len(e.edges); k++ {
+		j := &e.edges[k]
+		j.at = fix(move(int32(j.at)))
+		a.patchTo(j.at, e.loop)
+	}
+	for k := m.relocs; k < len(e.relocs); k++ {
+		e.relocs[k].at = fix(move(int32(e.relocs[k].at)))
+	}
+}
+
+// rotate moves b[:k] to the end of b, the rest of it to the front.
+func rotate(b []byte, k int) {
+	slices.Reverse(b[:k])
+	slices.Reverse(b[k:])
+	slices.Reverse(b)
+}
+
+// seal lays the trace out — its code, then its exit descriptor table —
+// resolves the relocations, has the arena take it and copies the trace,
+// its exit table and its unlinked slots out of the emitter. It returns
+// nil, and says so in o, when the arena refuses the code.
+func (e *nemit) seal(o *Outcome, hotEnd int) *Trace {
+	a := &e.a
 	start := time.Now()
-	t.code = t.arena.place(a.c)
+	n := len(a.c)
+	dstart := (n + 7) &^ 7
+	for _, r := range e.relocs {
+		if r.desc {
+			a.patchTo(r.at, int32(dstart)+descSize*r.to)
+		}
+	}
+	off, exits, links, hoisted := e.arena.reserve(dstart+int(descSize)*len(e.descs), len(e.exits), max(len(e.slots), 1), len(e.hoisted))
+	if off < 0 {
+		o.Seal, o.Refused = time.Since(start), true
+		return nil
+	}
+	for _, r := range e.relocs {
+		if !r.desc {
+			a.patchTo(r.at, r.to-int32(off))
+		}
+	}
+	a.room(dstart - n + int(descSize)*len(e.descs))
+	a.c = a.c[:dstart]
+	clear(a.c[n:])
+	for _, s := range e.descs {
+		x := &e.exits[s-1]
+		a.c = binary.LittleEndian.AppendUint64(a.c, uint64(x.Refund)<<meterShift-x.RefundUops)
+		a.c = binary.LittleEndian.AppendUint64(a.c, uint64(s))
+	}
+	code := e.arena.fill(off, a.c)
 	o.Seal = time.Since(start)
-	if t.code == nil {
-		o.Refused = true
-		return false
+
+	copy(exits, e.exits)
+	t := &Trace{Exits: exits, code: code[:n:n], desc: code[dstart:], arena: e.arena, Geom: e.g,
+		Entry: e.entry, Cost: e.cost, NUops: len(e.us), Slots: len(e.slots), Ledger: e.ledger,
+		hotEnd: hotEnd, loop: int(e.loop), recheck: int(e.recheck), NeedFlags: e.usedEntry}
+	copy(hoisted, e.hoisted)
+	t.Hoisted = hoisted
+	for s, x := range exits {
+		if k := x.Slot; k >= 0 {
+			links[k] = Link{Entry: t.arena.sharedAddr(e.slots[k]), Cur: uint32(s + 1)}
+		}
 	}
-	t.Exits = append([]Exit(nil), e.exits...)
-	t.NeedFlags = e.usedEntry
-	t.unlinked = make([]Link, max(t.Slots, 1))
-	for k, off := range e.stubs {
-		t.unlinked[k].Entry = t.EntryAddr() + uintptr(off)
-	}
-	return true
+	t.unlinked = links
+	return t
 }
 
 // emitters recycles emitters with the slices they have grown: what a
@@ -457,23 +666,32 @@ var emitters = sync.Pool{New: func() any { return new(nemit) }}
 
 // init readies a recycled emitter for a trace of its own: no code, every
 // register its own symbol, the flag state the entry guarantees.
-func (e *nemit) init(t *Trace, us []uop.Uop, entry uint32, g Geometry) {
+func (e *nemit) init(us []uop.Uop, entry uint32, g Geometry, ar *Arena, cost int64) {
 	n := len(us)
-	*e = nemit{t: t, us: us, entry: entry, mlen: g.MemLen, ro: g.ROLimit, sbase: g.StackBase,
-		a: nasm{c: e.code[:0]}, flOp: flEntry,
-		exits: e.exits[:0], groups: e.groups[:0], open: e.open[:0], placed: e.placed[:0],
-		pend: e.pend[:0], stubs: e.stubs[:0], edges: e.edges[:0], spare: e.spare, fails: e.fails[:0],
-		tail: suffixCosts(slices.Grow(e.tail[:0], n)[:n], us)}
+	e.us, e.entry, e.cost, e.g, e.arena = us, entry, cost, g, ar
+	e.mlen, e.ro, e.sbase = g.MemLen, g.ROLimit, g.StackBase
+	e.ledger, e.emitState = Ledger{}, emitState{flOp: flEntry}
+	e.a = nasm{c: e.code[:0]}
+	e.exits, e.groups, e.open = e.exits[:0], e.groups[:0], e.open[:0]
+	e.pend, e.logs, e.slots, e.edges, e.fails = e.pend[:0], e.logs[:0], e.slots[:0], e.edges[:0], e.fails[:0]
+	e.hoisted, e.descs, e.relocs = e.hoisted[:0], e.descs[:0], e.relocs[:0]
+	e.tail = suffixCosts(slices.Grow(e.tail[:0], n)[:n], us)
+	e.a.room(n*64 + uopRoom)
 	for r := range e.a.sym {
-		e.a.def(r)
+		e.a.sym[r] = uint32(r + 1)
 	}
+	e.a.nsym = uint32(len(e.a.sym))
 	e.entrySym = e.a.sym
 	for i := range us {
 		u := &us[i]
 		r := &uop.Kinds[u.Kind]
 		e.loops = e.loops || (r.Guard || r.Term) && u.Target == entry ||
 			r.Term && r.Ops&uop.OpCC != 0 && u.Next == entry
-		e.written |= writes(u)
+	}
+	if e.loops { // what hoisting needs to know
+		for i := range us {
+			e.written |= writes(&us[i])
+		}
 	}
 }
 
@@ -507,22 +725,48 @@ func writes(u *uop.Uop) uint16 {
 // with its code buffer as far as that has grown.
 func (e *nemit) release() {
 	e.code = e.a.c
-	e.t, e.us, e.a = nil, nil, nasm{}
-	clear(e.pend[:cap(e.pend)]) // the stubs' closures
+	e.us, e.arena, e.a.c = nil, nil, nil
 	emitters.Put(e)
 }
 
 // flush emits the out-of-line paths behind the mainline.
 func (e *nemit) flush() {
+	a := &e.a
 	for k := range e.pend {
 		p := &e.pend[k]
+		a.room(uopRoom)
 		for _, f := range p.fixes {
 			if f >= 0 {
-				e.a.patch(f)
+				a.patch(f)
 			}
 		}
-		e.flOp, e.a.sym, e.a.off = p.flOp, p.sym, p.off
-		p.emit()
+		e.flOp = p.flOp
+		if p.log >= 0 {
+			a.sym, a.off = e.logs[p.log].sym, e.logs[p.log].off
+		}
+		switch p.kind {
+		case stubDecline:
+			a.alu64(aluSubRM, hR14, rg(hAX))
+			a.movI(fld(offExitTgt), e.entry)
+			a.retStatus(0)
+		case stubResume:
+			e.fallback(&e.groups[p.arg])
+			e.leave(p.s, sharedExits.leave)
+		case stubFault:
+			e.slowTest(&p.test)
+			e.leave(p.s, sharedExits.fault)
+		case stubTrap:
+			a.movI(fld(offTrapAux), uint32(p.arg))
+			e.leave(p.s, sharedExits.leave)
+		case stubLink:
+			e.link(p.s)
+		case stubGuardNF:
+			u := &e.us[p.arg]
+			e.compare(u, hostReg[u.Dst&7], hostReg[u.Src&7], true)
+			e.link(p.s)
+		case stubInd:
+			e.linkInd(p.s, p.arg)
+		}
 	}
 	e.pend = e.pend[:0]
 }
@@ -573,7 +817,7 @@ func (e *nemit) join(i int, ac *access) int {
 		e.open = append(e.open, gi)
 	}
 	e.groups = append(e.groups, group{lead: *ac, lo: ac.pos, hi: ac.pos + int64(ac.size), write: ac.write,
-		pre: e.loops && !e.moved(ac, &e.startSym, &e.startOff) && (i == 0 || !e.writes(ac)), uop: i})
+		pre: e.loops && !e.movedAtBegin(ac) && (i == 0 || !e.writes(ac)), uop: i})
 	return gi
 }
 
@@ -593,6 +837,20 @@ func (e *nemit) writes(ac *access) bool {
 func (e *nemit) moved(ac *access, sym *[16]uint32, off *[16]int64) bool {
 	for _, r := range [2]int{ac.hb, ac.hi} {
 		if r >= 0 && (sym[r] != e.entrySym[r] || off[r] != 0) {
+			return true
+		}
+	}
+	return false
+}
+
+// movedAtBegin reports whether an address register of ac held other than
+// its entry value at the start of the micro-op being emitted.
+func (e *nemit) movedAtBegin(ac *access) bool {
+	for _, r := range [2]int{ac.hb, ac.hi} {
+		if r < 0 {
+			continue
+		}
+		if sym, off := e.a.atBegin(r); sym != e.entrySym[r] || off != 0 {
 			return true
 		}
 	}
@@ -633,7 +891,7 @@ func (e *nemit) inBody(led int) bool {
 // nothing of i executed.
 func (e *nemit) emitChecks(i, led int) {
 	s := e.exit(Exit{Kind: ExitResume, Uop: i})
-	e.t.Ledger.Resumes++
+	e.ledger.Resumes++
 	for gi := led; gi < len(e.groups); gi++ {
 		g := &e.groups[gi]
 		if g.pre {
@@ -643,18 +901,16 @@ func (e *nemit) emitChecks(i, led int) {
 		n := e.a.n
 		f := e.check(g)
 		e.checkHot += e.a.n - n
-		e.stub(func() {
-			e.fallback(&e.groups[gi])
-			e.leave(s)
-		}, fixes{f, -1})
+		e.stub(pstub{kind: stubResume, s: s, arg: gi}, fixes{f, -1})
 		e.checks++
 	}
 }
 
 // check emits the mainline of g's check for the span and the floor g has
-// now, with every constant in a 32-bit field: whatever they are, the code
-// is as long. It returns the jump taken when the mainline test fails: to
-// the fallback, or, for a constant span, to the failure itself.
+// now, with every constant in a 32-bit field, which fixChecks rewrites
+// for the ones g ends the trace with. It returns the jump taken when the
+// mainline test fails — to the fallback, or, for a constant span, to the
+// failure itself — and sets g.back to the code behind it.
 func (e *nemit) check(g *group) fix {
 	a := &e.a
 	a.long = true
@@ -664,6 +920,7 @@ func (e *nemit) check(g *group) fix {
 		// heap's end is left to ask about.
 		a.aluI(aluCmpExt, fld(offBrk), uint32(g.hi))
 		f = a.jcc(byte(x86.CCB))
+		g.back = a.here()
 	} else {
 		t := e.test(g)
 		f = e.fastTest(&t)
@@ -697,17 +954,32 @@ func (e *nemit) test(g *group) rangeTest {
 	return t
 }
 
-// fixChecks emits every group's check once more, over the one already in
-// the code, for the span and the floor the group ended the trace with.
+// fixChecks writes the constants of every group's check in the body for
+// the span and the floor the group ended the trace with, over the 32-bit
+// fields check left for them: the last four bytes of the instruction
+// ahead of the check's jump — the heap's end for a constant span, else the
+// compare's HeapFast field or stack limit — and, ahead of that compare,
+// which is seven bytes either way, of the lea's displacement.
 func (e *nemit) fixChecks() {
-	end := e.a
+	c := e.a.c
 	for gi := range e.groups {
-		if g := &e.groups[gi]; !g.pre {
-			e.a.c = end.c[:g.at]
-			e.check(g)
+		g := &e.groups[gi]
+		if g.pre {
+			continue
 		}
+		f := g.back - 6 // the jump
+		if g.lead.shape == shapeAbs {
+			binary.LittleEndian.PutUint32(c[f-4:], uint32(g.hi))
+			continue
+		}
+		t := e.test(g)
+		cmp, d := uint32(heapField(offHeapFast, t.write)), e.floor(t.write)
+		if t.stackFirst {
+			cmp, d = e.mlen-t.span-e.sbase, e.sbase
+		}
+		binary.LittleEndian.PutUint32(c[f-4:], cmp)
+		binary.LittleEndian.PutUint32(c[f-11:], uint32(t.addr.disp-int32(d)))
 	}
-	e.a = end
 }
 
 // hoist makes the checks of the pre groups ahead of the loop label, once
@@ -757,8 +1029,8 @@ func (e *nemit) hoist() (shift int32, hot int) {
 	s := e.exit(Exit{Kind: ExitResume})
 	x := &e.exits[s-1]
 	x.Refund, x.RefundUops = 0, 0
-	e.t.Ledger.Resumes++
-	e.t.Ledger.Hoisted = int64(pre)
+	e.ledger.Resumes++
+	e.ledger.Hoisted = int64(pre)
 	// The fallbacks, in the order of the checks; each but a constant
 	// span's, which has none, jumps on to the exit when it fails too.
 	n := len(fx)
@@ -799,12 +1071,12 @@ func (e *nemit) hoist() (shift int32, hot int) {
 		a.patchTo(j.at+fix(shift), to)
 	}
 	e.loop += shift
-	for k := range e.stubs {
-		e.stubs[k] += shift
+	for k := range e.relocs {
+		e.relocs[k].at += fix(shift)
 	}
 	for gi := range e.groups {
 		if g := &e.groups[gi]; g.pre {
-			e.t.Hoisted = append(e.t.Hoisted, g.uop)
+			e.hoisted = append(e.hoisted, g.uop)
 		}
 	}
 	return shift, hot
@@ -956,20 +1228,15 @@ func (e *nemit) leaTo(dst int, x ea) {
 // RCX, RDX and the flags, and RCX may be part of the operand.
 func (e *nemit) opnd(i int, x ea, size uint32, write bool, eip uint32, started int) rm {
 	e.accesses++
-	var g int
-	if e.again {
-		g = e.placed[e.next]
-		e.next++
-	} else {
-		ac := e.survey(x, size, write)
-		g = e.join(i, &ac)
-		e.placed = append(e.placed, g)
-	}
+	o := hostEA(x)
+	var ac access
+	e.survey(&ac, x, o, size, write)
+	g := e.join(i, &ac)
 	e.last = g
 	if g < 0 {
 		return e.exact(i, x, size, write, eip, started)
 	}
-	switch o := hostEA(x); e.groups[g].lead.shape {
+	switch e.groups[g].lead.shape {
 	case shapeAbs:
 		return at(hSI, int32(x.disp))
 	case shapeOne:
@@ -983,11 +1250,10 @@ func (e *nemit) opnd(i int, x ea, size uint32, write bool, eip uint32, started i
 	}
 }
 
-// survey describes the access for join.
-func (e *nemit) survey(x ea, size uint32, write bool) access {
+// survey describes the access at x, o as a host operand, for join.
+func (e *nemit) survey(ac *access, x ea, o rm, size uint32, write bool) {
 	a := &e.a
-	o := hostEA(x)
-	ac := access{size: size, write: write, hb: o.base, hi: o.idx, hoist: true, stack: stackBased(x)}
+	ac.size, ac.write, ac.hb, ac.hi, ac.hoist, ac.stack = size, write, o.base, o.idx, true, stackBased(x)
 	scale := int64(x.scale)
 	switch {
 	case o.base < 0 && o.idx < 0:
@@ -997,18 +1263,20 @@ func (e *nemit) survey(x ea, size uint32, write bool) access {
 		if r < 0 {
 			r, scale = o.base, 1
 		}
+		sym, off := a.atBegin(r)
 		ac.shape, ac.symB, ac.scale = shapeOne, a.sym[r], uint8(scale)
-		ac.regOff, ac.startOff = a.off[r], e.startOff[r]
+		ac.regOff, ac.startOff = a.off[r], off
 		ac.pos = scale*a.off[r] + int64(int32(x.disp))
-		ac.startPos = scale * e.startOff[r]
-		ac.hoist = a.sym[r] == e.startSym[r]
+		ac.startPos = scale * off
+		ac.hoist = a.sym[r] == sym
 	default:
+		bsym, boff := a.atBegin(o.base)
+		isym, ioff := a.atBegin(o.idx)
 		ac.shape, ac.symB, ac.symI, ac.scale = shapeTwo, a.sym[o.base], a.sym[o.idx], x.scale
 		ac.pos = a.off[o.base] + scale*a.off[o.idx] + int64(int32(x.disp))
-		ac.startPos = e.startOff[o.base] + scale*e.startOff[o.idx]
-		ac.hoist = a.sym[o.base] == e.startSym[o.base] && a.sym[o.idx] == e.startSym[o.idx]
+		ac.startPos = boff + scale*ioff
+		ac.hoist = a.sym[o.base] == bsym && a.sym[o.idx] == isym
 	}
-	return ac
 }
 
 // exact checks the access in place: the address in ECX against
@@ -1031,11 +1299,7 @@ func (e *nemit) checkCX(i int, size uint32, write bool, eip uint32, started int)
 	n := e.a.n
 	f := e.fastTest(&t)
 	e.checkHot += e.a.n - n
-	e.stub(func() {
-		e.slowTest(&t)
-		e.a.movTo(fld(offTrapAddr), hCX)
-		e.leave(s)
-	}, fixes{f, -1})
+	e.stub(pstub{kind: stubFault, s: s, test: t}, fixes{f, -1})
 }
 
 // alsoWrite turns the operand opnd just returned for a read into one the
@@ -1062,11 +1326,16 @@ func (e *nemit) end(i int, target uint32) int32 {
 	return e.exit(Exit{Kind: ExitEnd, Uop: i, Target: target})
 }
 
-// stub registers an out-of-line path reached from fixes. It is emitted
-// after the mainline, with the flag state and the write log the mainline
-// had here.
-func (e *nemit) stub(emit func(), fs fixes) {
-	e.pend = append(e.pend, pstub{fixes: fs, emit: emit, flOp: e.flOp, sym: e.a.sym, off: e.a.off})
+// stub registers the out-of-line path p reached from fixes. It is emitted
+// after the mainline, with the flag state — and for a path that may end
+// in a loop edge, the write log — the mainline had here.
+func (e *nemit) stub(p pstub, fs fixes) {
+	p.fixes, p.flOp, p.log = fs, e.flOp, -1
+	if p.kind == stubLink || p.kind == stubGuardNF {
+		p.log = int32(len(e.logs))
+		e.logs = append(e.logs, wlog{e.a.sym, e.a.off})
+	}
+	e.pend = append(e.pend, p)
 }
 
 // refund gives back what the entry charged for the part of the trace
@@ -1080,32 +1349,45 @@ func (e *nemit) refund(s int32) {
 	}
 }
 
-// leave ends the run with exit s: refund, then return the status to the
-// dispatcher.
-func (e *nemit) leave(s int32) {
-	e.refund(s)
-	e.a.retStatus(s)
+// leave ends the run with exit s, which owns no link slot, through the
+// shared exit code at to — sharedExits.leave, or sharedExits.fault for a
+// failed exact check, which stores the address in ECX first: "lea rdx,
+// [rip+desc]; jmp to", the exit's descriptor giving the refund and the
+// status. An exit with no refund and no address to store returns its
+// status itself, as short.
+func (e *nemit) leave(s int32, to int32) {
+	a := &e.a
+	if x := &e.exits[s-1]; to == sharedExits.leave && x.Refund == 0 && x.RefundUops == 0 {
+		a.retStatus(s)
+		return
+	}
+	k := slices.Index(e.descs, s)
+	if k < 0 {
+		k = len(e.descs)
+		e.descs = append(e.descs, s)
+	}
+	e.relocs = append(e.relocs, reloc{at: a.leaRip(hDX), to: int32(k), desc: true}, reloc{at: a.jmp(), to: to})
 }
 
-// slot gives exit s the trace's next link slot and returns its byte
-// offset from the trace's first.
-func (e *nemit) slot(s int32) int32 {
+// descSize is the size of an exit descriptor: the refund as the meter
+// adds it, then the status, as the shared exit code reads them.
+const descSize = 16
+
+// slot gives exit s the trace's next link slot, which leads to the shared
+// exit code at to until the VM links it, and returns its byte offset from
+// the trace's first.
+func (e *nemit) slot(s int32, to int32) int32 {
 	x := &e.exits[s-1]
-	x.Slot = len(e.stubs)
-	e.stubs = append(e.stubs, 0)
+	x.Slot = len(e.slots)
+	e.slots = append(e.slots, to)
 	return int32(x.Slot) * int32(LinkSize)
-}
-
-// stubHere marks the current position as the return stub of exit s's
-// slot: what the slot holds until the VM links it.
-func (e *nemit) stubHere(s int32) {
-	e.stubs[e.exits[s-1].Slot] = e.a.here()
 }
 
 // link leaves through exit s's link slot (a static-target exit): refund,
 // then jump wherever the slot says with the target's slot offset in DX —
-// into the linked trace, or to the return stub emitted right here, which
-// is what the slot holds until the VM links the edge.
+// into the linked trace, or, until the VM links the edge, to the arena's
+// shared return with the exit's status, which the unlinked slot holds
+// where a linked one holds the offset.
 //
 // An exit back to this trace's own entry is the loop back edge. If the
 // trace consumed its entry flag state, the edge restores the FlagNone
@@ -1135,13 +1417,11 @@ func (e *nemit) link(s int32) {
 		e.loopJump(s, a.jmp())
 		return
 	}
-	off := e.slot(s)
+	off := e.slot(s, sharedExits.ret)
 	a.mov64(hAX, fld(offCur))
 	a.alu64(aluAddRM, hAX, fld(offLinks))
 	a.mov(hDX, at(hAX, off+linkCur))
 	a.jmpM(at(hAX, off+linkEntry))
-	e.stubHere(s)
-	a.retStatus(s)
 }
 
 // linkStub is link as an out-of-line path reached from f. A loop edge
@@ -1155,7 +1435,7 @@ func (e *nemit) linkStub(s int32, f fix) {
 		e.loopJump(s, f)
 		return
 	}
-	e.stub(func() { e.link(s) }, fixes{f, -1})
+	e.stub(pstub{kind: stubLink, s: s}, fixes{f, -1})
 }
 
 // loopJump makes exit s a loop edge by the jump whose rel32 is at f: to
@@ -1168,14 +1448,15 @@ func (e *nemit) loopJump(s int32, f fix) {
 
 // linkInd leaves through exit s's slot used as a one-entry inline cache
 // (a dynamic-target exit, the guest target in reg, which must be neither
-// CX nor DX): refund, then enter the slot's trace if the slot was linked for
-// this target, else hand the target to the dispatcher. The slot's
-// unlinked content is that miss path, so an unlinked slot misses even
-// when the target happens to equal its zero Addr.
+// CX nor DX): refund, then enter the slot's trace if the slot was linked
+// for this target, else hand the target to the dispatcher — "mov edx, s"
+// and on to the arena's shared miss path for reg. The slot's unlinked
+// content is that miss path with s as its Cur, so an unlinked slot misses
+// even when the target happens to equal its zero Addr.
 func (e *nemit) linkInd(s int32, reg int) {
 	a := &e.a
 	e.refund(s)
-	off := e.slot(s)
+	off := e.slot(s, sharedExits.miss[reg])
 	a.mov64(hCX, fld(offCur))
 	a.alu64(aluAddRM, hCX, fld(offLinks))
 	a.alu(aluCmpRM, reg, at(hCX, off+linkAddr))
@@ -1183,9 +1464,8 @@ func (e *nemit) linkInd(s int32, reg int) {
 	a.mov(hDX, at(hCX, off+linkCur))
 	a.jmpM(at(hCX, off+linkEntry))
 	a.patch(miss)
-	e.stubHere(s)
-	a.movTo(fld(offExitTgt), reg)
-	a.retStatus(s)
+	a.movI(rg(hDX), uint32(s))
+	e.relocs = append(e.relocs, reloc{at: a.jmp(), to: sharedExits.miss[reg]})
 }
 
 // ---- byte slots ----------------------------------------------------------
@@ -1301,9 +1581,9 @@ func (e *nemit) alu32(i int, op uop.AluOp, dst rm, b opd, rec bool) bool {
 		// A quiet compare computes nothing; its memory operand, checked
 		// by opnd, is still read.
 		switch {
-		case !dst.direct:
+		case !dst.direct():
 			a.mov(hAX, dst)
-		case !b.isI && !b.o.direct:
+		case !b.isI && !b.o.direct():
 			a.mov(hAX, b.o)
 		}
 		return true
@@ -1315,13 +1595,13 @@ func (e *nemit) alu32(i int, op uop.AluOp, dst rm, b opd, rec bool) bool {
 			return false // stays on tier-1
 		}
 		res = e.carry(sel, func(r int) { a.mov(r, dst) }, func(r int) opd {
-			if !b.isI && !b.o.direct {
+			if !b.isI && !b.o.direct() {
 				a.mov(r, b.o)
 				return rmOp(rg(r))
 			}
 			return b
 		}, false, rec)
-	case !rec && !dst.direct:
+	case !rec && !dst.direct():
 		// A quiet read-modify-write: "op [m], b". Nothing of it is visible
 		// before the store, so both checks may come first.
 		e.alsoWrite(i, 4, u.EIP, 1)
@@ -1331,9 +1611,9 @@ func (e *nemit) alu32(i int, op uop.AluOp, dst rm, b opd, rec bool) bool {
 			a.aluTo(sel.mr, dst, b.o.base)
 		}
 		return true
-	case !dst.direct || !sel.wb:
+	case !dst.direct() || !sel.wb:
 		// The result goes to memory or nowhere: work in EAX.
-		if rec && sel.arith && !b.isI && !b.o.direct {
+		if rec && sel.arith && !b.isI && !b.o.direct() {
 			a.mov(hDX, b.o)
 			b = rmOp(rg(hDX))
 		}
@@ -1349,7 +1629,7 @@ func (e *nemit) alu32(i int, op uop.AluOp, dst rm, b opd, rec bool) bool {
 		}
 	default:
 		if rec && sel.arith {
-			if !b.isI && !b.o.direct {
+			if !b.isI && !b.o.direct() {
 				a.mov(hDX, b.o)
 				b = rmOp(rg(hDX))
 			}
@@ -1364,7 +1644,7 @@ func (e *nemit) alu32(i int, op uop.AluOp, dst rm, b opd, rec bool) bool {
 	}
 	switch {
 	case !sel.wb:
-	case dst.direct:
+	case dst.direct():
 		a.mov(dst.base, rg(res))
 	default:
 		e.alsoWrite(i, 4, u.EIP, 1)
@@ -1733,11 +2013,8 @@ func (e *nemit) one(i int) bool {
 		}
 	case uop.KindDivR, uop.KindDivM:
 		sd := e.exit(Exit{Kind: ExitDivide, Uop: i, EIP: u.EIP, Started: 1})
-		trap := func(aux uint32, f1, f2 fix) {
-			e.stub(func() {
-				a.movI(fld(offTrapAux), aux)
-				e.leave(sd)
-			}, fixes{f1, f2})
+		trap := func(aux int, f1, f2 fix) {
+			e.stub(pstub{kind: stubTrap, s: sd, arg: aux}, fixes{f1, f2})
 		}
 		if u.Kind == uop.KindDivR {
 			a.mov(hCX, rg(gs))
@@ -1861,16 +2138,13 @@ func (e *nemit) one(i int) bool {
 		// the visible state.
 		s := e.exit(Exit{Kind: ExitGuard, Uop: i, Target: u.Target})
 		e.compare(u, gd, gs, false)
-		e.stub(func() {
-			e.compare(u, gd, gs, true)
-			e.link(s)
-		}, fixes{a.jcc(cc), -1})
+		e.stub(pstub{kind: stubGuardNF, s: s, arg: i}, fixes{a.jcc(cc), -1})
 	case uop.KindRetGuard:
 		s := e.exit(Exit{Kind: ExitRetGuard, Uop: i})
 		a.mov(hAX, e.opnd(i, stackEA(0), 4, false, u.EIP, 1))
 		a.aluI(aluAddExt, rg(esp), 4+imm)
 		a.aluI(aluCmpExt, rg(hAX), u.Target)
-		e.stub(func() { e.linkInd(s, hAX) }, fixes{a.jcc(byte(x86.CCNE)), -1})
+		e.stub(pstub{kind: stubInd, s: s, arg: hAX}, fixes{a.jcc(byte(x86.CCNE)), -1})
 
 	// --- control transfers (always the trace's last micro-op) ---
 	case uop.KindJmp:
@@ -1881,7 +2155,7 @@ func (e *nemit) one(i int) bool {
 		// and both edges link; otherwise the trace exits with the record
 		// in place and the glue evaluates it and picks the edge.
 		if e.flOp == flUnknown {
-			e.leave(e.exit(Exit{Kind: ExitJccLazy, Uop: i, Target: u.Target}))
+			e.leave(e.exit(Exit{Kind: ExitJccLazy, Uop: i, Target: u.Target}), sharedExits.leave)
 			break
 		}
 		st := e.exit(Exit{Kind: ExitJccTaken, Uop: i, Target: u.Target})
@@ -1933,7 +2207,7 @@ func (e *nemit) one(i int) bool {
 		a.mov(hAX, rd(4))
 		e.linkInd(s, hAX)
 	case uop.KindInt:
-		e.leave(e.exit(Exit{Kind: ExitInt, Uop: i, EIP: u.EIP, Started: 1}))
+		e.leave(e.exit(Exit{Kind: ExitInt, Uop: i, EIP: u.EIP, Started: 1}), sharedExits.leave)
 	case uop.KindHlt, uop.KindUd2:
 		s := e.exit(Exit{Kind: ExitIllegal, Uop: i, EIP: u.EIP, Started: 1})
 		aux := uint32(0)
@@ -1941,7 +2215,7 @@ func (e *nemit) one(i int) bool {
 			aux = 1
 		}
 		a.movI(fld(offTrapAux), aux)
-		e.leave(s)
+		e.leave(s, sharedExits.leave)
 
 	default:
 		return false

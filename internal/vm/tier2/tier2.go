@@ -27,7 +27,9 @@
 // part of the trace unexecuted — a guard, a fault in the middle, a
 // failed check of a group of memory operands — carries a static refund
 // (Exit.Refund, Exit.RefundUops) that the exit path applies before
-// control goes anywhere else. The budget is therefore exact wherever a
+// control goes anywhere else — itself ahead of a slot jump, or, on its
+// way back to the dispatcher, through the arena's shared exit code and
+// the exit's descriptor. The budget is therefore exact wherever a
 // run stops, whichever trace of a chain it stops in, and the VM derives
 // Steps from what a run consumed.
 //
@@ -48,7 +50,8 @@
 // the traces a VM holds form one per-VM table (Machine.Links); a trace's
 // code addresses its own slots relative to Machine.Cur, which every
 // trace entry sets to the offset of the entered trace's first slot. A
-// slot starts out holding the address of that exit's own return stub, so
+// slot starts out leading back to the dispatcher — to the return its
+// arena shares among all exits, with the exit's status in the slot — so
 // an unlinked exit returns to the dispatcher with its exit status; once
 // the VM has resolved the edge to a superblock that carries a trace it
 // stores that trace's entry address and slot offset in the slot
@@ -254,9 +257,10 @@ func (m *Machine) Passes() uint64 { return m.Acct >> acctShift }
 func (m *Machine) Uops() uint64   { return m.Acct & (acctIter - 1) }
 
 // Link is one slot of a VM's link table: where the exit that owns the
-// slot transfers control. Entry is a code address — the exit's own
-// return stub until the VM links the edge, the target trace's entry
-// afterwards — Cur the value Machine.Cur takes on arrival, and Addr the
+// slot transfers control. Entry is a code address — the way back to the
+// dispatcher until the VM links the edge, the target trace's entry
+// afterwards — Cur the value Machine.Cur takes on arrival (while the slot
+// is unlinked, the status its exit returns), and Addr the
 // guest address an inline-cache slot (ExitInd, ExitRetGuard) was linked
 // for. The table holds no Go pointer: a linked trace is kept alive by
 // the VM's view of the superblock that carries it.
@@ -307,26 +311,16 @@ const (
 // Exit is one static exit descriptor: everything about an exit site
 // that is known at compile time. Dynamic values (faulting address,
 // indirect target) ride in the Machine.
+//
+// The fields are ordered to pack: a compile carves a trace's exits from
+// its arena's chunks (execbuf.go), so their size is what it zeroes.
 type Exit struct {
-	Kind    ExitKind
-	Uop     int    // index of the exiting micro-op in the trace
-	EIP     uint32 // trap-report EIP (spare-field metadata for fused pairs)
-	Target  uint32 // static transfer target (End/JccTaken/JccFall/Guard)
-	Size    uint32 // access size for memory faults
-	Started int    // guest instructions begun within the fused op at the fault
+	Kind   ExitKind
+	EIP    uint32 // trap-report EIP (spare-field metadata for fused pairs)
+	Target uint32 // static transfer target (End/JccTaken/JccFall/Guard)
+	Size   uint32 // access size for memory faults
 
-	// Refund and RefundUops are what the trace entry charged for the
-	// part of the trace this exit leaves unexecuted: fuel units (guest
-	// instructions) and micro-ops. The exit's emitted stub gives them
-	// back before the dispatcher or the next trace sees the Machine.
-	Refund     int64
-	RefundUops uint64
-
-	// Slot is the exit's link slot within its trace's slots, -1 for an
-	// exit that always returns to the dispatcher (traps, the syscall
-	// gate, ExitJccLazy) and for a loop edge.
-	Slot int
-	// Eager marks a linkable exit whose stub leaves the flags
+	// Eager marks a linkable exit whose path leaves the flags
 	// materialized (Fl.Op == FlagNone), so that it may be linked to a
 	// trace that needs them so (Trace.NeedFlags).
 	Eager bool
@@ -338,6 +332,21 @@ type Exit struct {
 	// hoisted ahead of the loop label was made on: it lands on those checks
 	// (Trace.Recheck) instead.
 	Loop, Recheck bool
+
+	Uop     int // index of the exiting micro-op in the trace
+	Started int // guest instructions begun within the fused op at the fault
+
+	// Refund and RefundUops are what the trace entry charged for the
+	// part of the trace this exit leaves unexecuted: fuel units (guest
+	// instructions) and micro-ops. The exit's path gives them back before
+	// the dispatcher or the next trace sees the Machine.
+	Refund     int64
+	RefundUops uint64
+
+	// Slot is the exit's link slot within its trace's slots, -1 for an
+	// exit that always returns to the dispatcher (traps, the syscall
+	// gate, ExitJccLazy) and for a loop edge.
+	Slot int
 }
 
 // newExit completes x for its micro-op of us: no link slot, and the
@@ -379,10 +388,14 @@ type Trace struct {
 
 	// code is the trace's machine code as the executable view of arena
 	// holds it; the pointer to the arena is what keeps that view mapped
-	// for the life of the trace. Its first byte is the trace entry.
-	// unlinked is what the trace's slots hold before the VM links
-	// anything: each link exit's own return stub.
+	// for the life of the trace. Its first byte is the trace entry. desc
+	// is the trace's exit descriptor table, which follows the code there:
+	// what the arena's shared exit code reads for an exit that returns
+	// with a refund (native_amd64.go). unlinked is what the trace's slots
+	// hold before the VM links anything: the way back to the dispatcher
+	// with each link exit's status.
 	code     []byte
+	desc     []byte
 	arena    *Arena
 	unlinked []Link
 
@@ -480,6 +493,14 @@ func (t *Trace) Recheck() int { return t.recheck }
 // read+execute: read them, never write.
 func (t *Trace) Code() []byte { return t.code }
 
+// ExitCode returns what the trace's exit paths go on to, for the test
+// wall's code scan: the shared exit code at the start of the trace's
+// arena and the trace's exit descriptor table, both as the executable
+// view holds them. Read them, never write.
+func (t *Trace) ExitCode() (shared, desc []byte) {
+	return t.arena.rx[:len(sharedExits.code):len(sharedExits.code)], t.desc
+}
+
 // EntryAddr is the host address of the trace's entry: what a slot linked
 // to the trace holds.
 func (t *Trace) EntryAddr() uintptr {
@@ -487,8 +508,10 @@ func (t *Trace) EntryAddr() uintptr {
 }
 
 // Unlinked returns the initial content of the run of link-table slots a
-// VM gives the trace: every exit's slot holding that exit's own return
-// stub. The run is never empty — a trace with no link exit still takes
+// VM gives the trace: every exit's slot leading back to the dispatcher
+// with that exit's status — a link exit's to the arena's shared return,
+// with the status as the slot's Cur, an inline-cache exit's to its own
+// miss path. The run is never empty — a trace with no link exit still takes
 // one slot, because a slot offset (Machine.Cur) is also how a run names
 // the trace it stopped in. The caller copies it, never writes it.
 func (t *Trace) Unlinked() []Link { return t.unlinked }
@@ -549,11 +572,7 @@ func Compile(us []uop.Uop, entry uint32, g Geometry, a *Arena) (*Trace, Outcome)
 	if i, _ := Unsupported(us); i >= 0 {
 		return nil, o
 	}
-	t := &Trace{Entry: entry, Cost: uop.Cost(us), NUops: len(us), Geom: g, arena: a}
-	if !nativeCompile(us, entry, g, t, &o) {
-		return nil, o
-	}
-	return t, o
+	return nativeCompile(us, entry, g, a, &o), o
 }
 
 // Unsupported returns the index and kind of the first micro-op that

@@ -3,6 +3,7 @@
 package vm
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -46,6 +47,7 @@ type hostInst struct {
 	// [base+idx*scale+disp] with base and idx -1 when absent.
 	modrm  bool
 	direct bool
+	rip    bool // [rip+disp]: disp is from the end of the instruction
 	base   int
 	idx    int
 	scale  int
@@ -139,7 +141,10 @@ func decodeHost(code []byte, at int) (in hostInst, err error) {
 				in.base = b | int(rex&1)<<3
 			}
 		case rm == 5 && mod == 0:
-			return in, fmt.Errorf("rip-relative operand")
+			if in.op != 0x8D {
+				return in, fmt.Errorf("rip-relative operand")
+			}
+			in.rip, mod = true, 2
 		default:
 			in.base = rm | int(rex&1)<<3
 		}
@@ -183,6 +188,7 @@ func decodeHost(code []byte, at int) (in hostInst, err error) {
 //	cur:   Machine.Cur; slot: Machine.Links + Machine.Cur, a pointer to
 //	       the running trace's link slots
 //	imm64: the 64-bit constant c, as movabs loads it
+//	desc:  a pointer to exit descriptor c of the running trace
 //	top:   anything else
 type hval struct {
 	kind       int
@@ -198,6 +204,7 @@ const (
 	cur
 	slot
 	imm64
+	desc
 )
 
 // What a path has done to the meter, R14, since the pass it runs in was
@@ -256,6 +263,12 @@ type traceScan struct {
 	tr      *tier2.Trace
 	code    []byte
 	g       tier2.Geometry
+	shared  []byte // the arena's shared exit code, and its offset from the code's
+	shOff   int
+	desc    []byte // the exit descriptor table, and its offset from the code's
+	descOff int
+	used    map[int]bool // descriptors some exit path points RDX at
+	ret     map[int]bool // statuses some path returns
 	nsym    int
 	pending map[int]*scanState // states flowing into forward branch targets
 	slots   map[int32]bool
@@ -343,6 +356,17 @@ func (sc *traceScan) meet(p, s *scanState) {
 //   - the only indirect control transfers are ret and one "jmp [slot]"
 //     per link slot, through a pointer built from Machine.Cur and
 //     Machine.Links, at that slot's displacement;
+//   - the shared exit code is followed where a path goes on into it: by a
+//     jmp from the code, or by a slot jump that finds its slot unlinked,
+//     which lands where Unlinked says with the slot's Cur in EDX — the
+//     status of the exit that owns the slot. It is straight-line code
+//     that returns, and the scan steps through it under the rules below
+//     with the state the path brings: "lea rdx, [rip+d]" names an exit
+//     descriptor of the trace's table, whose refund the shared code adds
+//     to the meter and whose status it returns. Every descriptor holds
+//     the refund of the exit whose status it holds, which owns no slot;
+//     every descriptor is pointed at, and every exit that owns no slot
+//     and is no loop edge is returned by some path;
 //   - the only backward branches are one jmp or jcc per loop edge of the
 //     exit table, each onto the loop label the trace records, or onto the
 //     checks ahead of it that the trace records a loop edge may make
@@ -377,8 +401,12 @@ func (sc *traceScan) meet(p, s *scanState) {
 // the mainline.
 func scanTrace(t *testing.T, tr *tier2.Trace) (checks, covered int) {
 	t.Helper()
-	sc := &traceScan{t: t, tr: tr, code: tr.Code(), g: tr.Geom,
+	shared, desc := tr.ExitCode()
+	sc := &traceScan{t: t, tr: tr, code: tr.Code(), g: tr.Geom, shared: shared, desc: desc,
+		shOff: int(addrOf(shared) - tr.EntryAddr()), descOff: int(addrOf(desc) - tr.EntryAddr()),
+		used: make(map[int]bool), ret: make(map[int]bool),
 		pending: make(map[int]*scanState), slots: make(map[int32]bool), claims: make(map[int]claim)}
+	sc.descriptors()
 	hotEnd, hotInsts := tr.HotEnd(), 0
 	st := &scanState{live: true}
 	for r := range st.reg {
@@ -450,6 +478,16 @@ func scanTrace(t *testing.T, tr *tier2.Trace) (checks, covered int) {
 	if sc.rets == 0 {
 		t.Fatalf("trace %#x never returns", tr.Entry)
 	}
+	for k := 0; k < len(sc.desc)/16; k++ {
+		if !sc.used[k] {
+			t.Fatalf("trace %#x: no exit path points at descriptor %d", tr.Entry, k)
+		}
+	}
+	for k := range tr.Exits {
+		if x := &tr.Exits[k]; x.Slot < 0 && !x.Loop && !sc.ret[k+1] {
+			t.Fatalf("trace %#x: no path returns the status of exit %d (micro-op %d, kind %d)", tr.Entry, k+1, x.Uop, x.Kind)
+		}
+	}
 	var loops []uint64
 	for k := range tr.Exits {
 		if x := &tr.Exits[k]; x.Loop {
@@ -469,6 +507,86 @@ func scanTrace(t *testing.T, tr *tier2.Trace) (checks, covered int) {
 			tr.Entry, hotInsts, sc.insts-hotInsts, l.Hot, l.Stub)
 	}
 	return checks, covered
+}
+
+// sameCode reports whether two traces are the same code: the same
+// instructions, byte for byte, but that a jump into the shared exit code
+// is compared by where it lands in its own arena's copy, as the rel32 that
+// reaches it depends on where the trace lies.
+func sameCode(a, b *tier2.Trace) bool {
+	ca, cb := a.Code(), b.Code()
+	if len(ca) != len(cb) || len(ca) == 0 {
+		return false
+	}
+	sa, _ := a.ExitCode()
+	sb, _ := b.ExitCode()
+	for at := 0; at < len(ca); {
+		ia, err := decodeHost(ca, at)
+		if err != nil {
+			return false
+		}
+		end := at + ia.n
+		if ta := int(ia.imm); ia.op == 0xE9 && (ta < 0 || ta >= len(ca)) {
+			ib, err := decodeHost(cb, at)
+			if err != nil || ib.op != 0xE9 || a.EntryAddr()+uintptr(ta)-addrOf(sa) != b.EntryAddr()+uintptr(ib.imm)-addrOf(sb) {
+				return false
+			}
+		} else if !bytes.Equal(ca[at:end], cb[at:end]) {
+			return false
+		}
+		at = end
+	}
+	return true
+}
+
+// addrOf is the host address of b's first byte.
+func addrOf(b []byte) uintptr { return uintptr(unsafe.Pointer(unsafe.SliceData(b))) }
+
+// descriptors checks the trace's exit descriptor table: 16 bytes per
+// descriptor, the refund an exit adds to the meter and then that exit's
+// status, of an exit that owns no link slot and is no loop edge.
+func (sc *traceScan) descriptors() {
+	if len(sc.desc)%16 != 0 || len(sc.desc) > 0 && sc.descOff < len(sc.code) {
+		sc.failf("exit descriptor table of %d bytes at %#x", len(sc.desc), sc.descOff)
+	}
+	for k := 0; k < len(sc.desc)/16; k++ {
+		s := int(le64(sc.desc, 16*k+8))
+		if s < 1 || s > len(sc.tr.Exits) {
+			sc.failf("descriptor %d holds status %d of %d exits", k, s, len(sc.tr.Exits))
+		}
+		x := &sc.tr.Exits[s-1]
+		if x.Slot >= 0 || x.Loop || le64(sc.desc, 16*k) != meterRefund(x) {
+			sc.failf("descriptor %d holds %#x for exit %d (slot %d), whose refund is %#x", k, le64(sc.desc, 16*k), s, x.Slot, meterRefund(x))
+		}
+	}
+}
+
+// le64 is the little-endian uint64 at b[at:].
+func le64(b []byte, at int) uint64 {
+	return uint64(le32(b, uint32(at))) | uint64(le32(b, uint32(at+4)))<<32
+}
+
+// follow steps path st through the shared exit code from offset to of
+// the code's start, to its ret.
+func (sc *traceScan) follow(st *scanState, to int) {
+	at := to - sc.shOff
+	if at < 0 || at >= len(sc.shared) {
+		sc.failf("jump to %#x, neither inside the trace nor into the shared exit code", to)
+	}
+	off := sc.off
+	defer func() { sc.off = off }()
+	for st.live {
+		in, err := decodeHost(sc.shared, at)
+		if err != nil {
+			sc.failf("shared exit code at %#x: %v", at, err)
+		}
+		if in.op&0xFFF0 == 0x0F80 || in.op == 0xE9 || in.op == 0xFF || in.rip {
+			sc.failf("shared exit code at %#x branches or addresses code", at)
+		}
+		sc.off = to + at - (to - sc.shOff) // the instruction's offset from the code's start
+		sc.step(st, &in)
+		at += in.n
+	}
 }
 
 // Machine field offsets the scan needs to recognize.
@@ -552,6 +670,12 @@ func (sc *traceScan) meterOp(st *scanState, in *hostInst) bool {
 	}
 	if isMeterAdd(in, rDX) && st.meter == meterCharged && st.refund == 0 && st.reg[rDX].kind == imm64 && st.reg[rDX].c != 0 {
 		st.refund = uint64(st.reg[rDX].c)
+		return true
+	}
+	if in.op == 0x03 && in.w && in.reg == rR14 && in.mem() && in.base == rDX && in.idx < 0 && in.disp == 0 &&
+		st.reg[rDX].kind == desc && st.meter == meterCharged && st.refund == 0 {
+		// The shared exit code's refund, out of the descriptor.
+		st.refund = le64(sc.desc, 16*int(st.reg[rDX].c))
 		return true
 	}
 	if in.reg == rR14 && (in.modrm || in.op&0xF8 == 0xB8 || in.op&0xF0 == 0x50) || in.base == rR14 || in.idx == rR14 {
@@ -853,6 +977,10 @@ func (sc *traceScan) memop(st *scanState, in *hostInst, size int64, write bool) 
 		if d < int64(scanOffMem)+24 && d+size > int64(scanOffMem) {
 			sc.failf("emitted code touches Machine.Mem")
 		}
+	case in.base >= 0 && in.idx < 0 && st.reg[in.base].kind == desc && !write:
+		if in.disp != 8 || size != 4 {
+			sc.failf("exit descriptor read at %+d, %d bytes: not its status", in.disp, size)
+		}
 	case in.base >= 0 && in.idx < 0 && st.reg[in.base].kind == slot && !write:
 		if in.disp < 0 || int64(in.disp)+size > int64(sc.tr.Slots)*int64(tier2.LinkSize) {
 			sc.failf("link-table read outside the trace's slots")
@@ -900,8 +1028,11 @@ func (sc *traceScan) step(st *scanState, in *hostInst) {
 		default:
 			sc.memop(st, in, size, false)
 			v := dst32()
-			if in.w && isField(in, scanOffCur) {
+			switch {
+			case in.w && isField(in, scanOffCur):
 				v = hval{kind: cur}
+			case st.reg[in.base].kind == desc:
+				v = hval{kind: lin32, c: int64(le32(sc.desc, uint32(16*st.reg[in.base].c+8)))}
 			}
 			sc.set(st, in.reg, v, in.w)
 		}
@@ -954,6 +1085,13 @@ func (sc *traceScan) step(st *scanState, in *hostInst) {
 		x, y := st.reg[in.reg], st.reg[in.base]
 		sc.set(st, in.reg, y, false)
 		sc.set(st, in.base, x, false)
+	case op == 0x8D && in.rip: // lea rdx, [rip+d]: an exit descriptor
+		d := sc.off + in.n + int(in.disp) - sc.descOff
+		if !in.w || in.reg != rDX || d < 0 || d >= len(sc.desc) || d%16 != 0 {
+			sc.failf("rip-relative lea of %#x, not of an exit descriptor into RDX", sc.off+in.n+int(in.disp))
+		}
+		sc.used[d/16] = true
+		sc.set(st, rDX, hval{kind: desc, c: int64(d / 16)}, true)
 	case op == 0x8D: // lea
 		if in.direct {
 			sc.failf("lea of a register")
@@ -1044,6 +1182,8 @@ func (sc *traceScan) step(st *scanState, in *hostInst) {
 		} else {
 			sc.memop(st, in, 1, true)
 		}
+	case op == 0xE9 && (int(in.imm) < 0 || int(in.imm) >= len(sc.code)): // jmp into the shared exit code
+		sc.follow(st, int(in.imm))
 	case op&0xFFF0 == 0x0F80, op == 0xE9: // jcc, jmp
 		if to := int(in.imm); to <= sc.off {
 			sc.back(st, to)
@@ -1059,17 +1199,24 @@ func (sc *traceScan) step(st *scanState, in *hostInst) {
 			sc.failf("slot jump at displacement %d", in.disp)
 		}
 		sc.slots[in.disp] = true
-		// What follows is the slot's own return stub — where the jump
-		// lands until the VM links the slot, with this very state.
 		k := int(in.disp) / int(tier2.LinkSize)
-		if k >= sc.tr.Slots || sc.tr.Unlinked()[k].Entry != sc.tr.EntryAddr()+uintptr(sc.off+in.n) {
-			sc.failf("slot %d's return stub is not behind its jump", k)
+		if k >= sc.tr.Slots {
+			sc.failf("slot jump through slot %d of %d", k, sc.tr.Slots)
 		}
 		for x := range sc.tr.Exits {
 			if sc.tr.Exits[x].Slot == k {
 				sc.exited(st, &sc.tr.Exits[x])
 			}
 		}
+		// Until the VM links the slot the jump lands in the shared exit
+		// code, with the slot's Cur in EDX: the status of the exit that
+		// owns the slot.
+		l := sc.tr.Unlinked()[k]
+		if l.Cur < 1 || int(l.Cur) > len(sc.tr.Exits) || sc.tr.Exits[l.Cur-1].Slot != k {
+			sc.failf("unlinked slot %d holds status %d, not its exit's", k, l.Cur)
+		}
+		st.reg[rDX] = hval{kind: lin32, c: int64(l.Cur)}
+		sc.follow(st, int(l.Entry-sc.tr.EntryAddr()))
 	case op == 0xC3:
 		if len(st.stack) != 0 {
 			sc.failf("ret with %d registers still pushed", len(st.stack))
@@ -1082,6 +1229,7 @@ func (sc *traceScan) step(st *scanState, in *hostInst) {
 			sc.failf("status 0 from a pass that was not declined")
 		case s.c > 0:
 			sc.exited(st, &sc.tr.Exits[s.c-1])
+			sc.ret[int(s.c)] = true
 		}
 		sc.rets++
 		st.live = false

@@ -169,7 +169,7 @@ func checkRecords(t *testing.T, s *Snapshot) {
 			t.Errorf("record %#x: published trace geometry=%+v", addr, r.t2.Geom)
 		}
 		again, _ := tier2.Compile(r.b.uops, r.b.uops[0].EIP, s.geometry(), s.arena)
-		if again == nil || !bytes.Equal(again.Code(), r.t2.Code()) {
+		if again == nil || !sameCode(again, r.t2) {
 			t.Errorf("record %#x: published trace is not what its fragment compiles to", addr)
 		}
 	}
@@ -177,7 +177,7 @@ func checkRecords(t *testing.T, s *Snapshot) {
 
 // TestSharedTracePositionIndependent: compiled code holds no address of
 // the VM it was compiled through. Compiling one superblock twice gives
-// the same bytes, and traces compiled by VM A, installed in VM B, leave
+// the same code (sameCode), and traces compiled by VM A, installed in VM B, leave
 // exactly what the tier-1 engine leaves.
 func TestSharedTracePositionIndependent(t *testing.T) {
 	forSharedSeeds(t, testSharedTracePositionIndependent)
@@ -199,7 +199,7 @@ func testSharedTracePositionIndependent(t *testing.T, seed int64) {
 			continue
 		}
 		tb, _ := tier2.Compile(sb.b.uops, sb.b.uops[0].EIP, b.m.Geometry, b.arena)
-		if tb == nil || len(tb.Code()) == 0 || !bytes.Equal(tb.Code(), sb.t2.Code()) {
+		if tb == nil || len(tb.Code()) == 0 || !sameCode(tb, sb.t2) {
 			t.Fatalf("superblock %#x compiles to different code against another machine", sb.b.uops[0].EIP)
 		}
 		compared++

@@ -10,7 +10,8 @@ package vm
 // as tier-1 charges fuel, so Steps is what a run took off it.
 //
 // The link-slot invariant: a slot of v.links is either unlinked (it
-// holds the return stub of the exit that owns it) or holds the entry
+// leads back to the dispatcher with the status of the exit that owns it,
+// as Trace.Unlinked says) or holds the entry
 // address of a native trace that is the t2 of a superblock bref in
 // v.blocks — a trace this VM holds, in a mapping the bref keeps alive.
 // Slots are only ever written here (attachTrace, link), and a Reset
@@ -30,11 +31,15 @@ import (
 
 // t2HotDefault is the number of superblock entries before the trace is
 // compiled (OptEager makes it one). Superblocks themselves form at
-// sbHotThreshold block entries, so a trace must prove itself on the
-// tier-1 loop first: profile-teardown churn is not worth compiling for.
-// A trace the snapshot already carries is installed at NewVM, or at a
-// Reset that rebuilds the view, and skips the count.
-const t2HotDefault = 32
+// sbHotThreshold block entries, so the path has proved itself on the
+// tier-1 loop before it is compiled; the second entry says it is entered
+// again. It was 32 while a compile cost about as much as the tier-1 time
+// it saved; at half that cost, 2 ran cold_start 4-6% faster than 32 in
+// ten alternating pairs, and 1 and 4 no faster than 2 (EXPERIMENTS.md, "A
+// cheaper trace compiler"). A trace the snapshot already carries is
+// installed at NewVM, or at a Reset that rebuilds the view, and skips the
+// count.
+const t2HotDefault = 2
 
 // A budget of one poll quantum must admit any trace, or an entry could
 // decline for ever: a micro-op stands for at most three instructions.
@@ -67,6 +72,7 @@ func (v *VM) compileTier2(sb *bref) {
 		v.arena = tier2.NewArena(tier2.ArenaSize)
 	}
 	start := time.Now()
+	v.stats.UopsCompiled += uint64(len(sb.b.uops))
 	t, o := tier2.Compile(sb.b.uops, sb.b.uops[0].EIP, v.m.Geometry, v.arena)
 	d := time.Since(start)
 	v.stats.TranslateNS += uint64(d)
@@ -118,7 +124,7 @@ func linkOffset(sb *bref) uint32 {
 // inline-cache slot is simply overwritten: like the dispatcher's own
 // caches it remembers the last target.
 func (v *VM) link(sb *bref, e *tier2.Exit, nb *bref) {
-	if e.Slot < 0 || nb == nil || nb.sb == nil {
+	if e.Slot < 0 || nb == nil || nb.sb == nil || v.passes != nil {
 		return
 	}
 	to := nb.sb
@@ -128,9 +134,21 @@ func (v *VM) link(sb *bref, e *tier2.Exit, nb *bref) {
 	}
 }
 
+// CountTracePasses makes v count, from now on — call it before v runs —
+// the passes each of its traces runs, and returns the counts by trace entry address; v fills
+// them as it runs. So that every run of compiled code is one trace's, v
+// links no exit any more: what each trace executes is the same, only
+// more of it comes back through the dispatcher. It is the test wall's
+// hook, for ledgers weighted by what runs; nothing in the engine calls
+// it.
+func (v *VM) CountTracePasses() map[uint32]uint64 {
+	v.passes = make(map[uint32]uint64)
+	return v.passes
+}
+
 // CheckLinks verifies the link-slot invariant over the whole table and
 // returns how many slots are linked: every slot is owned by a trace
-// this VM holds, and holds either that exit's own return stub or
+// this VM holds, and holds either its unlinked content or
 // the entry address and slot offset of another such trace. It is the
 // test wall's hook; nothing in the engine calls it.
 func (v *VM) CheckLinks() (linked int, err error) {
@@ -199,6 +217,9 @@ func (v *VM) runTier2(sb *bref, t *tier2.Trace) (*bref, int, error) {
 	v.stats.FlagsMaterialized += m.FlagsMaterialized
 	v.stats.Tier2Executed += m.Passes()
 	v.stats.Tier2Exits++
+	if v.passes != nil {
+		v.passes[t.Entry] += m.Passes()
+	}
 
 	if s == 0 {
 		// A trace entry declined because the budget would not cover its

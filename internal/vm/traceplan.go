@@ -28,7 +28,7 @@ type TracePlanExit struct {
 	Uop    int    // index of the exiting micro-op
 	Kind   string // end, jcc-taken, jcc-fall, guard, ind or ret-guard
 	Target uint32 // static target; for ind/ret-guard the target the slot is linked for (0 when unlinked)
-	Linked bool   // the slot holds a trace entry, not the exit's own return stub
+	Linked bool   // the slot holds a trace entry, not the way back to the dispatcher
 	To     uint32 // entry of the trace the slot is linked to
 	Loop   bool   // a direct jump to the trace's own loop label (tier2.Exit.Loop): no slot
 	// Recheck: a loop edge that lands on the checks hoisted ahead of the

@@ -196,7 +196,13 @@ type Stats struct {
 	SuperblockNS uint64 `json:"superblock_ns"`
 	Tier2EmitNS  uint64 `json:"tier2_emit_ns"`
 	Tier2SealNS  uint64 `json:"tier2_seal_ns"`
-	Syscalls     uint64 `json:"syscalls"`
+	// What those stages worked through: GuestTranslated counts the guest
+	// instructions decoded into fragments (block build), UopsCompiled the
+	// micro-ops handed to the trace compiler, whether it compiled them or
+	// not (emit and seal).
+	GuestTranslated uint64 `json:"guest_translated"`
+	UopsCompiled    uint64 `json:"uops_compiled"`
+	Syscalls        uint64 `json:"syscalls"`
 }
 
 // VM is one sandboxed guest. It is not safe for concurrent use.
@@ -257,7 +263,10 @@ type VM struct {
 	// slots in the brefs, and kept or dropped with them on Reset.
 	links     []tier2.Link
 	linkOwner []*bref
-	blocks    map[uint32]*bref
+	// passes, once CountTracePasses has made it, counts each trace's
+	// passes by its entry address.
+	passes map[uint32]uint64
+	blocks map[uint32]*bref
 	// view says what the translation view — blocks, the superblocks and
 	// traces hanging off it, links — was built from, and so whether a
 	// restore may keep it (Snapshot.blockMap).
@@ -674,6 +683,7 @@ func (v *VM) buildBlock(addr uint32) (*block, error) {
 			break
 		}
 		raw = uop.Lower(raw, &inst, cur)
+		v.stats.GuestTranslated++
 		cur += uint32(inst.Len)
 		if endsBlock(inst.Op) {
 			break

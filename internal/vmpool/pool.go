@@ -440,6 +440,8 @@ func addVMStats(dst *vm.Stats, after, before vm.Stats) {
 	dst.SuperblockNS += after.SuperblockNS - before.SuperblockNS
 	dst.Tier2EmitNS += after.Tier2EmitNS - before.Tier2EmitNS
 	dst.Tier2SealNS += after.Tier2SealNS - before.Tier2SealNS
+	dst.GuestTranslated += after.GuestTranslated - before.GuestTranslated
+	dst.UopsCompiled += after.UopsCompiled - before.UopsCompiled
 	dst.Syscalls += after.Syscalls - before.Syscalls
 }
 
