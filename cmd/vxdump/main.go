@@ -93,9 +93,9 @@ func main() {
 		addr := s.Vaddr
 		data := s.Data
 		count := 0
+		var inst x86.Inst
 		for len(data) > 0 {
-			inst, err := x86.Decode(data)
-			if err != nil {
+			if err := x86.Decode(data, &inst); err != nil {
 				// Likely the rodata tail; stop at the first undecodable byte.
 				fmt.Printf("%08x: (data follows)\n", addr)
 				break

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"cmp"
 	"slices"
 
 	"vxa/internal/vm/tier2"
@@ -63,4 +64,42 @@ func Profile(v *VM) map[uint32][6]uint32 {
 		p[addr] = c
 	}
 	return p
+}
+
+// Fragment is one fragment of a VM's translation view as the translator
+// read it: per guest instruction, its address and a copy of the text
+// bytes buildBlock handed x86.Decode for it (guest memory goes with its
+// VM).
+type Fragment struct {
+	Addr uint32
+	EIPs []uint32
+	Code [][]byte
+}
+
+// Fragments returns every fragment v has translated, in address order.
+// Exported (from a test file) for BenchmarkBlockBuild, which times each
+// stage of building them again.
+func Fragments(v *VM) []Fragment {
+	out := make([]Fragment, 0, len(v.blocks))
+	for addr, br := range v.blocks {
+		f := Fragment{Addr: addr}
+		for _, u := range br.b.raw {
+			f.EIPs = append(f.EIPs, u.EIP)
+			f.Code = append(f.Code, slices.Clone(v.mem[u.EIP:min(u.EIP+15, v.roLimit)]))
+		}
+		out = append(out, f)
+	}
+	slices.SortFunc(out, func(a, b Fragment) int { return cmp.Compare(a.Addr, b.Addr) })
+	return out
+}
+
+// Rebuild translates the fragment at addr again, as buildBlock does on
+// a miss in the fragment cache, and returns the guest instructions it
+// decoded. The cache is left as it was.
+func Rebuild(v *VM, addr uint32) (int, error) {
+	b, err := v.buildBlock(addr)
+	if err != nil {
+		return 0, err
+	}
+	return int(b.cost), nil
 }

@@ -64,7 +64,8 @@ func (v *VM) refFetch(addr uint32) (x86.Inst, error) {
 	if inText(addr, addr+1, v.roLimit) {
 		code = v.mem[addr:v.roLimit]
 	}
-	inst, err := x86.Decode(code[:min(len(code), 15)])
+	var inst x86.Inst
+	err := x86.Decode(code[:min(len(code), 15)], &inst)
 	switch {
 	case err == nil:
 		return inst, nil

@@ -308,14 +308,13 @@ func Deserialize(data []byte) (*Snapshot, error) {
 	}
 	// The blocks run optimized, as buildBlock made them: only a level
 	// above OptReference caches fragments.
-	var scratch []uop.Uop
+	var xl xlate
 	s.blocks = make(map[uint32]*block, nBlocks)
 	for i := uint32(0); i < nBlocks; i++ {
-		addr, b, err := s.decodeBlock(c)
+		addr, b, err := s.decodeBlock(c, &xl)
 		if err != nil {
 			return nil, err
 		}
-		scratch, _ = b.optimize(scratch)
 		s.blocks[addr] = b
 	}
 
@@ -387,8 +386,8 @@ func decodeImage(c *decCursor, s *Snapshot, n uint32) error {
 // ends at maxBlockLen instructions, or before one that cannot be
 // fetched); all of it inside the read-only text, the only bytes the
 // engine fetches from. Its end and cost follow from the record;
-// Deserialize derives its uops.
-func (s *Snapshot) decodeBlock(c *decCursor) (uint32, *block, error) {
+// xl.fragment derives its uops, as buildBlock's do.
+func (s *Snapshot) decodeBlock(c *decCursor, xl *xlate) (uint32, *block, error) {
 	addr, n := c.u32(), c.u32()
 	if c.err != nil {
 		return 0, nil, c.err
@@ -396,27 +395,29 @@ func (s *Snapshot) decodeBlock(c *decCursor) (uint32, *block, error) {
 	if n == 0 || n > maxBlockLen {
 		return 0, nil, fmt.Errorf("vm: snapshot decode: block %#x has %d instructions", addr, n)
 	}
-	b := &block{raw: make([]uop.Uop, n), end: addr, cost: int64(n)}
-	for i := range b.raw {
-		u := &b.raw[i]
+	raw := xl.scratch()[:n]
+	end := addr
+	for i := range raw {
+		u := &raw[i]
 		if err := s.decodeUop(c, u); err != nil {
 			return 0, nil, err
 		}
-		last := i == len(b.raw)-1
+		last := i == len(raw)-1
 		switch {
 		case !u.Kind.Lowered() || u.Cost != 1:
 			return 0, nil, fmt.Errorf("vm: snapshot decode: %s of cost %d in block %#x: not a micro-op Lower emits", u.Kind, u.Cost, addr)
-		case u.EIP != b.end || u.Next <= u.EIP:
-			return 0, nil, fmt.Errorf("vm: snapshot decode: block %#x: instruction [%#x,%#x) does not follow on from %#x", addr, u.EIP, u.Next, b.end)
+		case u.EIP != end || u.Next <= u.EIP:
+			return 0, nil, fmt.Errorf("vm: snapshot decode: block %#x: instruction [%#x,%#x) does not follow on from %#x", addr, u.EIP, u.Next, end)
 		case uop.Kinds[u.Kind].Term && !last:
 			return 0, nil, fmt.Errorf("vm: snapshot decode: block %#x: %s is instruction %d of %d: a fragment ends at its one control transfer",
 				addr, u.Kind, i+1, n)
 		}
-		b.end = u.Next
+		end = u.Next
 	}
-	if !inText(addr, b.end, s.roLimit) {
-		return 0, nil, fmt.Errorf("vm: snapshot decode: block [%#x,%#x) outside the read-only text", addr, b.end)
+	if !inText(addr, end, s.roLimit) {
+		return 0, nil, fmt.Errorf("vm: snapshot decode: block [%#x,%#x) outside the read-only text", addr, end)
 	}
+	b, _ := xl.fragment(raw, end, true)
 	return addr, b, nil
 }
 

@@ -234,10 +234,24 @@ func (s *Snapshot) blockMap(v *VM) {
 	v.view = view
 	v.dropLinks()
 	v.blocks = make(map[uint32]*bref, len(s.blocks))
+	// The view's wrappers are one slice: the blocks', then the
+	// superblocks'. What is left of the VM's chunk of them goes with the
+	// old view.
+	nsb := 0
+	if v.level >= OptSuperblocks {
+		nsb = len(s.sbs)
+	}
+	brs := make([]bref, len(s.blocks)+nsb)
+	sbrs := brs[len(s.blocks):]
+	v.xl.brefs = nil
 	for addr, b := range s.blocks {
-		br := &bref{b: b}
+		br := &brs[0]
+		brs = brs[1:]
+		br.b = b
 		if r, ok := s.sbs[addr]; ok && v.level >= OptSuperblocks {
-			br.sb = &bref{
+			br.sb = &sbrs[0]
+			sbrs = sbrs[1:]
+			*br.sb = bref{
 				b:        r.b,
 				sbChains: make([]*bref, r.guards),
 				sbInd:    make([]sbIndEntry, r.rets),
@@ -481,7 +495,11 @@ func (s *Snapshot) CodeBytes() int64 { return s.arena.Committed() }
 
 // blockFootprint estimates one translated fragment's resident bytes.
 func blockFootprint(b *block) int64 {
-	return int64(len(b.raw)+len(b.uops))*int64(unsafe.Sizeof(uop.Uop{})) + 64
+	n := len(b.raw) + len(b.uops)
+	if len(b.raw) > 0 && &b.raw[0] == &b.uops[0] { // it runs raw itself
+		n = len(b.raw)
+	}
+	return int64(n)*int64(unsafe.Sizeof(uop.Uop{})) + 64
 }
 
 // SetFuel sets the remaining instruction budget to an absolute value —

@@ -78,13 +78,13 @@ func sbSelfLoop(term *uop.Uop, entry uint32) bool {
 // is Stats.SuperblockNS, less the blocks it has built on the way.
 func (v *VM) formSuperblock(entry *bref) {
 	entry.sbTried = true
-	start, translate0 := time.Now(), v.stats.TranslateNS
+	start, translate0 := time.Since(epoch), v.stats.TranslateNS
 	xl := &v.xl
 	uops := xl.sb[:0]
 	callRets := xl.callRets[:0] // return addresses of calls inlined so far
 	defer func() {
 		xl.sb, xl.callRets = uops[:0], callRets[:0] // as far as they have grown
-		v.stats.SuperblockNS += uint64(time.Since(start)) - (v.stats.TranslateNS - translate0)
+		v.stats.SuperblockNS += uint64(time.Since(epoch)-start) - (v.stats.TranslateNS - translate0)
 	}()
 	// A block is visited when it carries this call's stamp.
 	xl.gen++

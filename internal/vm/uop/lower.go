@@ -2,20 +2,22 @@ package uop
 
 import "vxa/internal/x86"
 
-// aluOps maps the x86 two-operand ALU opcodes onto AluOp selectors.
-var aluOps = map[x86.Op]AluOp{
+// aluOps maps the x86 two-operand ALU opcodes onto AluOp selectors. It
+// and the two tables after it are indexed by x86.Op: a translator looks
+// one up for nearly every instruction it lowers.
+var aluOps = [256]AluOp{
 	x86.ADD: AluAdd, x86.ADC: AluAdc, x86.SUB: AluSub, x86.SBB: AluSbb,
 	x86.AND: AluAnd, x86.OR: AluOr, x86.XOR: AluXor,
 	x86.CMP: AluCmp, x86.TEST: AluTest,
 }
 
 // shOps maps the shift opcodes onto ShOp selectors.
-var shOps = map[x86.Op]ShOp{x86.SHL: ShShl, x86.SHR: ShShr, x86.SAR: ShSar}
+var shOps = [256]ShOp{x86.SHL: ShShl, x86.SHR: ShShr, x86.SAR: ShSar}
 
 // rmwForms are the kinds of the one-operand read-modify-writes by
 // operand: dword register, byte register, byte memory, dword memory. A
 // dword register shift is KindShiftRI or, by CL, KindShiftRCL.
-var rmwForms = map[x86.Op][4]Kind{
+var rmwForms = [256][4]Kind{
 	x86.INC: {KindIncR, KindIncDec8R, KindIncDec8M, KindIncDecM},
 	x86.DEC: {KindDecR, KindIncDec8R, KindIncDec8M, KindIncDecM},
 	x86.NEG: {KindNegR, KindNeg8R, KindNeg8M, KindNegM},
@@ -84,7 +86,7 @@ func (u *Uop) setSrc8(r x86.Reg) {
 
 // setRMW lowers the one-operand read-modify-write of a to its kind among
 // forms (see rmwForms) and sets the operand's fields.
-func (u *Uop) setRMW(a *x86.Arg, forms [4]Kind) {
+func (u *Uop) setRMW(a *x86.Arg, forms *[4]Kind) {
 	switch {
 	case a.Kind == x86.KindReg && a.Size == 4:
 		u.Kind, u.Dst = forms[0], uint8(a.Reg)
@@ -239,7 +241,7 @@ func lowerInst(u *Uop, inst *x86.Inst, addr uint32) {
 		}
 
 	case x86.INC, x86.DEC, x86.NEG, x86.NOT:
-		u.setRMW(&inst.Dst, rmwForms[inst.Op])
+		u.setRMW(&inst.Dst, &rmwForms[inst.Op])
 		if inst.Op == x86.DEC && u.Kind != KindDecR {
 			u.Sub = 1 // the byte and memory forms share INC's kinds
 		}
@@ -252,7 +254,7 @@ func lowerInst(u *Uop, inst *x86.Inst, addr uint32) {
 			u.Kind = KindNop
 			break
 		}
-		u.setRMW(&inst.Dst, rmwForms[inst.Op])
+		u.setRMW(&inst.Dst, &rmwForms[inst.Op])
 		u.Sub, u.Imm = uint8(shOps[inst.Op]), count
 		if inst.Op == x86.ROR {
 			u.Sub = 1

@@ -39,60 +39,64 @@ type OptStats struct {
 	FlagsElided uint64 // flag records removed by the liveness pass
 }
 
-// Optimize runs the pass pipeline over a lowered fragment and returns
-// the (possibly shorter) optimized micro-op slice. The input slice is
-// consumed: it may be mutated and reused as backing for the result.
+// Optimize runs the pass pipeline, Fuse then ElideDeadFlags, over a
+// lowered fragment and returns the (possibly shorter) optimized
+// micro-op slice. The input slice is consumed: it may be mutated and
+// reused as backing for the result.
 func Optimize(us []Uop) ([]Uop, OptStats) {
 	var st OptStats
-	us, st.UopsFused = fuse(us)
-	st.FlagsElided = elideDeadFlags(us)
+	us, st.UopsFused = Fuse(us)
+	st.FlagsElided = ElideDeadFlags(us)
 	return us, st
 }
 
-// fuse is the peephole pass: one left-to-right scan collapsing adjacent
-// fusable pairs (and the setcc;movzx triple) in place.
-func fuse(us []Uop) ([]Uop, uint64) {
-	out := us[:0]
+// Fuse is the peephole pass: one left-to-right scan collapsing adjacent
+// fusable pairs (and the setcc;movzx triple) in place. It returns the
+// fused prefix of us and the number of fused micro-ops it made.
+func Fuse(us []Uop) ([]Uop, uint64) {
 	var fused uint64
-	n := len(us)
-	for i := 0; i < n; {
-		u := us[i]
-		if f, consumed := fuseAt(us, i); consumed > 1 {
-			out = append(out, f)
+	j := 0 // us[:j] is the output so far; it never passes the input, at i
+	var f Uop
+	for i := 0; i < len(us); j++ {
+		if consumed := fuseAt(us, i, &f); consumed > 1 {
+			us[j] = f
 			fused++
 			i += consumed
 			continue
 		}
-		out = append(out, u)
+		if j != i {
+			us[j] = us[i]
+		}
 		i++
 	}
-	return out, fused
+	return us[:j], fused
 }
 
-// fuseAt tries to fuse the micro-ops starting at index i, returning the
-// fused op and how many inputs it consumed (0 means no fusion).
-func fuseAt(us []Uop, i int) (Uop, int) {
+// fuseAt tries to fuse the micro-ops starting at index i into *f, and
+// returns how many inputs it consumed (0 means no fusion, and *f is left
+// as it was).
+func fuseAt(us []Uop, i int, f *Uop) int {
 	u := &us[i]
 	if i+1 >= len(us) {
-		return Uop{}, 0
+		return 0
 	}
 	next := &us[i+1]
 
 	if fz := Kinds[u.Kind].Fused; fz.Jcc != 0 {
 		switch next.Kind {
 		case KindJcc, KindGuard:
-			f := *u
+			*f = *u
 			f.Kind = fz.Jcc
 			if next.Kind == KindGuard {
 				f.Kind = fz.Guard
 			}
 			f.Sub, f.Target, f.Next = next.Sub, next.Target, next.Next
 			f.Cost = u.Cost + next.Cost
-			return f, 2
+			return 2
 		case KindSetccR8:
 			// Compare operands move to Src/Aux (or Src/Imm); the setcc
 			// destination byte slot takes Dst/Dsh.
-			f := Uop{
+			*f = Uop{
 				Kind: fz.Setcc, Sub: next.Sub,
 				Src: u.Dst, Aux: u.Src, Imm: u.Imm,
 				Dst: next.Dst, Dsh: next.Dsh,
@@ -108,12 +112,12 @@ func fuseAt(us []Uop, i int) (Uop, int) {
 					f.Kind = fz.Bool
 					f.Next = m.Next
 					f.Cost += m.Cost
-					return f, 3
+					return 3
 				}
 			}
-			return f, 2
+			return 2
 		}
-		return Uop{}, 0
+		return 0
 	}
 
 	switch u.Kind {
@@ -122,7 +126,7 @@ func fuseAt(us []Uop, i int) (Uop, int) {
 		// carry-in read would survive flag elision, are not specialized.
 		r := &Kinds[next.Kind]
 		if !r.Spec || r.Imm || r.Def == 0 {
-			return Uop{}, 0
+			return 0
 		}
 		// Leave a compare for a later cmp/branch or cmp/setcc fusion:
 		// evaluating the condition straight from the operands beats
@@ -130,49 +134,51 @@ func fuseAt(us []Uop, i int) (Uop, int) {
 		if r.Fused.Jcc != 0 && i+2 < len(us) {
 			switch us[i+2].Kind {
 			case KindJcc, KindGuard, KindSetccR8:
-				return Uop{}, 0
+				return 0
 			}
 		}
-		f := *u
+		*f = *u
 		f.Kind = KindLoadAluRR
 		f.Sub = uint8(r.Alu)
 		f.Aux = u.Dst // the loaded register
 		f.Dst, f.Src = next.Dst, next.Src
 		f.Next = next.Next
 		f.Cost = u.Cost + next.Cost
-		return f, 2
+		return 2
 
 	case KindPushR:
 		if next.Kind == KindCall {
-			return Uop{
+			*f = Uop{
 				Kind: KindPushCall, Src: u.Src, Target: next.Target,
 				Imm: next.EIP, EIP: u.EIP, Next: next.Next,
 				Cost: u.Cost + next.Cost,
-			}, 2
+			}
+			return 2
 		}
 
 	case KindPopR:
 		// pop esp would redirect the RET's own stack read; leave that
 		// (pathological) shape unfused.
 		if next.Kind == KindRet && u.Dst != uint8(x86.ESP) {
-			return Uop{
+			*f = Uop{
 				Kind: KindPopRet, Dst: u.Dst, Imm: next.Imm,
 				Disp: next.EIP, EIP: u.EIP, Next: next.Next,
 				Cost: u.Cost + next.Cost,
-			}, 2
+			}
+			return 2
 		}
 	}
-	return Uop{}, 0
+	return 0
 }
 
-// elideDeadFlags is the backward liveness pass. live starts all-set at
+// ElideDeadFlags is the backward liveness pass. live starts all-set at
 // the fragment exit (successor blocks are unknown, so every flag must
 // be assumed observable there) and flows backward; a record-writing
 // micro-op reached with no live flags is downgraded in place and then
 // seen as what it has become: it defines nothing, so elision cascades
 // through runs of dead flag-writers, and only what it still reads — an
 // ADC/SBB's carry-in — stays live above it.
-func elideDeadFlags(us []Uop) uint64 {
+func ElideDeadFlags(us []Uop) uint64 {
 	var elided uint64
 	live := x86.FlagsAll
 	for i := len(us) - 1; i >= 0; i-- {

@@ -76,8 +76,8 @@ func TestLowerIsTotal(t *testing.T) {
 				if prefix == 0 {
 					code = code[1:]
 				}
-				inst, err := x86.Decode(append(code, bytes.Repeat([]byte{pad}, 16)...))
-				if err != nil {
+				var inst x86.Inst
+				if err := x86.Decode(append(code, bytes.Repeat([]byte{pad}, 16)...), &inst); err != nil {
 					continue
 				}
 				us := Lower(nil, &inst, addr)

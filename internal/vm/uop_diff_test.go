@@ -103,8 +103,8 @@ func diffRun(t *testing.T, v1, v2 *VM, inst x86.Inst, follow ...x86.Inst) (err1,
 
 	// The reference engine, one instruction at a time up to the UD2.
 	for off := 0; off < len(enc) && err2 == nil; {
-		decoded, err := x86.Decode(code[off:])
-		if err != nil {
+		var decoded x86.Inst
+		if err := x86.Decode(code[off:], &decoded); err != nil {
 			t.Fatalf("decode %v: %v", inst, err)
 		}
 		err2 = v2.exec(&decoded, diffCode+uint32(off))
@@ -705,8 +705,8 @@ func TestDiffCondAfterLazyOp(t *testing.T) {
 			t.Fatal(err)
 		}
 		_ = v1.execUops(br) // ends at the ud2; the lazy record survives
-		decoded, err := x86.Decode(code)
-		if err != nil {
+		var decoded x86.Inst
+		if err := x86.Decode(code, &decoded); err != nil {
 			t.Fatal(err)
 		}
 		if err := v2.exec(&decoded, diffCode); err != nil {

@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 	"time"
 
 	"vxa/internal/vm/tier2"
@@ -312,12 +311,12 @@ type VM struct {
 // instructions, one micro-op each at Cost 1, and the one record of them
 // the engine keeps: it is what the fragment persists as, what superblock
 // formation assembles traces from and what the end-of-budget path runs.
-// uops is the form
-// the fragment runs in, raw through the optimizer (raw itself at
-// OptReference). Blocks are immutable after construction and may be
-// shared by many VMs through a Snapshot. Superblocks (superblock.go)
-// reuse the type with raw nil: they are per-VM and never enter the
-// snapshot-shared cache.
+// uops is the form the fragment runs in, raw through the optimizer (raw
+// itself at OptReference and where the optimizer changes nothing); the
+// two are carved from one buffer (xlate.fragment). Blocks are immutable
+// after construction and may be shared by many VMs through a Snapshot.
+// Superblocks (superblock.go) reuse the type with raw nil: they are
+// per-VM and never enter the snapshot-shared cache.
 type block struct {
 	raw  []uop.Uop
 	uops []uop.Uop
@@ -337,7 +336,6 @@ type bref struct {
 	b           *block
 	taken, fall *bref
 	ind         *bref
-	indAddr     uint32
 
 	// Hot-path profile and superblock state (per-VM; a Reset that keeps
 	// the bref keeps the counters too). On a base bref, heat counts block
@@ -348,11 +346,6 @@ type bref struct {
 	sb       *bref
 	sbChains []*bref
 	sbInd    []sbIndEntry
-	heat     uint32
-	takenCnt uint32
-	fallCnt  uint32
-	sbGen    uint32 // the formSuperblock call (xlate.gen) that last grew a trace through this block
-	sbTried  bool
 
 	// Tier-2 dispatch slot (superblock brefs only): the compiled trace
 	// for this superblock. It is either installed with the bref, from
@@ -367,6 +360,16 @@ type bref struct {
 	// persisted superblock when it runs hot there.
 	t2       *tier2.Trace
 	linkBase int
+
+	// The scalars of the three groups above, packed together so that a
+	// bref is 128 bytes: ind's target address, the profile counters and
+	// the attempt flags.
+	indAddr  uint32
+	heat     uint32
+	takenCnt uint32
+	fallCnt  uint32
+	sbGen    uint32 // the formSuperblock call (xlate.gen) that last grew a trace through this block
+	sbTried  bool
 	t2Tried  bool
 	t2Shared bool
 }
@@ -618,7 +621,8 @@ func (v *VM) lookupBlock(addr uint32) (*bref, error) {
 	if err != nil {
 		return nil, err
 	}
-	br := &bref{b: b}
+	br := &carve(&v.xl.brefs, 1, brefChunk)[0]
+	br.b = b
 	if v.level > OptReference {
 		v.blocks[addr] = br
 	}
@@ -627,17 +631,55 @@ func (v *VM) lookupBlock(addr uint32) (*bref, error) {
 
 // xlate is the translator's scratch, which the VM keeps so that a
 // fragment is allocated once, at its final size, instead of grown an
-// append at a time: buildBlock lowers into uops and optimizes there;
-// formSuperblock assembles its constituents in sb (it builds blocks while
-// it grows a trace, so the two cannot share) and stacks the calls it
-// inlines in callRets. Both keep exact-size copies. gen numbers
-// formSuperblock calls, to stamp the blocks each has been through.
+// append at a time: buildBlock lowers into uops and optimizes behind it
+// (fragment); formSuperblock assembles its constituents in sb (it builds
+// blocks while it grows a trace, so the two cannot share) and stacks the
+// calls it inlines in callRets. gen numbers formSuperblock calls, to
+// stamp the blocks each has been through.
+//
+// frags, blocks and brefs are what is left of the chunks fragments and
+// their wrappers are carved from (carve): a fragment costs no allocation
+// of its own, only its share of a chunk. The blocks and their micro-ops
+// are immutable once carved and may outlive the VM in a snapshot; the
+// brefs are this VM's view, so a rebuilt view (Snapshot.blockMap) drops
+// what is left of their chunk with the old wrappers.
 type xlate struct {
 	uops     []uop.Uop
 	sb       []uop.Uop
 	callRets []uint32
 	gen      uint32
+
+	frags  []uop.Uop
+	blocks []block
+	brefs  []bref
 }
+
+// The chunk sizes, in elements, of what fragments are carved from. A
+// first stream translates a few hundred fragments of a handful of
+// micro-ops each, so a chunk serves a dozen or more. Larger chunks save
+// no time that shows and leave more unused at a first stream's end,
+// which TestFirstStreamAllocBudget's byte ceilings count.
+const (
+	uopChunk   = 128
+	blockChunk = 16
+	brefChunk  = 16
+)
+
+// carve returns n zeroed elements from the front of *free, which it
+// refills with a chunk of its own when it holds fewer.
+func carve[T any](free *[]T, n, chunk int) []T {
+	if len(*free) < n {
+		*free = make([]T, max(n, chunk))
+	}
+	s := (*free)[:n:n]
+	*free = (*free)[n:]
+	return s
+}
+
+// epoch is what the translator's clock reads are taken against: a
+// duration since a fixed time.Time with a monotonic reading is one read
+// of the monotonic clock, where time.Now reads the wall clock too.
+var epoch = time.Now()
 
 // buildBlock decodes the fragment starting at addr and lowers it to
 // micro-ops. A fragment ends after a control transfer, at maxBlockLen
@@ -651,17 +693,15 @@ type xlate struct {
 func (v *VM) buildBlock(addr uint32) (*block, error) {
 	v.stats.BlocksBuilt++
 	cached := v.level > OptReference
-	var t0 time.Time
+	var t0 time.Duration
 	limit := 1
 	if cached {
-		t0 = time.Now()
+		t0 = time.Since(epoch)
 		limit = maxBlockLen
 	}
 	xl := &v.xl
-	if xl.uops == nil {
-		xl.uops = make([]uop.Uop, 0, maxBlockLen)
-	}
-	raw := xl.uops[:0]
+	raw := xl.scratch()
+	var inst x86.Inst
 	cur := addr
 	for len(raw) < limit {
 		// Up to the 15 bytes of the longest instruction, from the text
@@ -671,8 +711,7 @@ func (v *VM) buildBlock(addr uint32) (*block, error) {
 		if inText(cur, cur+1, v.roLimit) {
 			code = v.mem[cur:min(cur+15, v.roLimit)]
 		}
-		inst, err := x86.Decode(code)
-		if err != nil {
+		if err := x86.Decode(code, &inst); err != nil {
 			switch {
 			case len(raw) > 0: // the trap comes when control reaches cur
 			case len(code) < 15 && errors.Is(err, x86.ErrTruncated):
@@ -689,27 +728,60 @@ func (v *VM) buildBlock(addr uint32) (*block, error) {
 			break
 		}
 	}
-	b := &block{raw: slices.Clone(raw), end: cur, cost: int64(len(raw))}
-	if !cached {
-		b.uops = b.raw
-		return b, nil
+	b, ost := xl.fragment(raw, cur, cached)
+	if cached {
+		v.stats.UopsFused += ost.UopsFused
+		v.stats.FlagsElided += ost.FlagsElided
+		v.stats.TranslateNS += uint64(time.Since(epoch) - t0)
 	}
-	var ost uop.OptStats
-	xl.uops, ost = b.optimize(raw)
-	v.stats.UopsFused += ost.UopsFused
-	v.stats.FlagsElided += ost.FlagsElided
-	v.stats.TranslateNS += uint64(time.Since(t0))
 	return b, nil
 }
 
-// optimize sets b.uops to b.raw through the optimizer. It works in
-// scratch, which it returns for reuse. buildBlock and the artifact loader
-// both derive a fragment's uops here, which is what makes a loaded
-// fragment the one a fresh translation would give.
-func (b *block) optimize(scratch []uop.Uop) ([]uop.Uop, uop.OptStats) {
-	us, st := uop.Optimize(append(scratch[:0], b.raw...))
-	b.uops = slices.Clone(us)
-	return us[:0], st
+// scratch returns xl's fragment scratch, empty, with room for a
+// fragment's raw micro-ops.
+func (xl *xlate) scratch() []uop.Uop {
+	if xl.uops == nil {
+		xl.uops = make([]uop.Uop, 0, maxBlockLen)
+	}
+	return xl.uops[:0]
+}
+
+// fragment makes the block of raw, the micro-ops Lower made of a run of
+// instructions ending at end: raw and, when optimized, raw through the
+// optimizer, side by side in one buffer carved from xl's chunk. Where
+// the optimizer changes nothing, the fragment runs raw itself. buildBlock
+// and the artifact loader both make their fragments here, which is what
+// makes a loaded fragment the one a fresh translation would give.
+func (xl *xlate) fragment(raw []uop.Uop, end uint32, optimized bool) (*block, uop.OptStats) {
+	n := len(raw)
+	b := &carve(&xl.blocks, 1, blockChunk)[0]
+	b.end, b.cost = end, int64(n)
+	if !optimized {
+		b.raw = carve(&xl.frags, n, uopChunk)
+		copy(b.raw, raw)
+		b.uops = b.raw
+		return b, uop.OptStats{}
+	}
+	// The optimizer works on a copy of raw behind it in the chunk and
+	// only ever shortens it; the chunk takes back what it leaves over,
+	// zeroed, as carve hands it out.
+	if len(xl.frags) < 2*n {
+		xl.frags = make([]uop.Uop, max(2*n, uopChunk))
+	}
+	buf := xl.frags[: 2*n : 2*n]
+	copy(buf, raw)
+	opt, st := uop.Optimize(append(buf[n:n], raw...))
+	k := len(opt)
+	if st == (uop.OptStats{}) {
+		k = 0
+	}
+	clear(buf[n+k:])
+	xl.frags = xl.frags[n+k:]
+	b.raw, b.uops = buf[:n:n], buf[n:n+k:n+k]
+	if k == 0 {
+		b.uops = b.raw
+	}
+	return b, st
 }
 
 // endsBlock reports whether op terminates a fragment (control transfer or

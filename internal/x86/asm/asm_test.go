@@ -55,8 +55,8 @@ func TestBranchResolution(t *testing.T) {
 		t.Fatal(err)
 	}
 	// jmp rel32 is 5 bytes; target is at +6; rel = 6 - 5 = 1.
-	inst, err := x86.Decode(im.Text)
-	if err != nil {
+	var inst x86.Inst
+	if err := x86.Decode(im.Text, &inst); err != nil {
 		t.Fatal(err)
 	}
 	if inst.Op != x86.JMP || inst.Rel != 1 {
@@ -74,8 +74,8 @@ func TestBackwardBranch(t *testing.T) {
 		t.Fatal(err)
 	}
 	// dec ecx = 1 byte, jcc rel32 = 6 bytes; rel = -(1+6) = -7.
-	inst, err := x86.Decode(im.Text[1:])
-	if err != nil {
+	var inst x86.Inst
+	if err := x86.Decode(im.Text[1:], &inst); err != nil {
 		t.Fatal(err)
 	}
 	if inst.Rel != -7 {

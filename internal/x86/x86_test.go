@@ -41,8 +41,8 @@ func roundTrip(t *testing.T, in Inst) {
 	if err != nil {
 		t.Fatalf("encode %v: %v", in, err)
 	}
-	out, err := Decode(b)
-	if err != nil {
+	var out Inst
+	if err := Decode(b, &out); err != nil {
 		t.Fatalf("decode % x (from %v): %v", b, in, err)
 	}
 	if int(out.Len) != len(b) {
@@ -200,10 +200,11 @@ func TestEncodeSymbolForcesDisp32(t *testing.T) {
 }
 
 func TestDecodeErrors(t *testing.T) {
-	if _, err := Decode(nil); !errors.Is(err, ErrTruncated) {
+	var in Inst
+	if err := Decode(nil, &in); !errors.Is(err, ErrTruncated) {
 		t.Errorf("Decode(nil) = %v, want ErrTruncated", err)
 	}
-	if _, err := Decode([]byte{0xE8, 1, 2}); !errors.Is(err, ErrTruncated) {
+	if err := Decode([]byte{0xE8, 1, 2}, &in); !errors.Is(err, ErrTruncated) {
 		t.Errorf("truncated call = %v, want ErrTruncated", err)
 	}
 	// Privileged / unsupported opcodes must decode as illegal.
@@ -216,7 +217,7 @@ func TestDecodeErrors(t *testing.T) {
 		{0x66, 0x90}, // operand-size prefix
 		{0x8E, 0xC0}, // mov segment reg
 	} {
-		if _, err := Decode(b); err == nil {
+		if err := Decode(b, &in); err == nil {
 			t.Errorf("Decode(% x) succeeded, want error", b)
 		}
 	}
@@ -239,8 +240,8 @@ func TestDecodeShortForms(t *testing.T) {
 		{[]byte{0xC2, 0x08, 0x00}, "ret 0x8"},
 	}
 	for _, c := range cases {
-		in, err := Decode(c.b)
-		if err != nil {
+		var in Inst
+		if err := Decode(c.b, &in); err != nil {
 			t.Errorf("Decode(% x): %v", c.b, err)
 			continue
 		}
@@ -373,8 +374,8 @@ func TestDecodeRandomBytesStable(t *testing.T) {
 	buf := make([]byte, 16)
 	for i := 0; i < 50000; i++ {
 		r.Read(buf)
-		in, err := Decode(buf)
-		if err != nil {
+		var in Inst
+		if err := Decode(buf, &in); err != nil {
 			continue
 		}
 		b2, err := Encode(in)
@@ -384,8 +385,8 @@ func TestDecodeRandomBytesStable(t *testing.T) {
 			// Op the decoder produces must be encodable.
 			t.Fatalf("decoded %v (% x) but cannot re-encode: %v", in, buf[:in.Len], err)
 		}
-		in2, err := Decode(b2)
-		if err != nil {
+		var in2 Inst
+		if err := Decode(b2, &in2); err != nil {
 			t.Fatalf("re-decode of %v failed: %v", in, err)
 		}
 		if canon(in) != canon(in2) {
