@@ -51,7 +51,7 @@ func main() {
 	ov := flag.Bool("overhead", false, "print decoder storage overhead (section 5.3)")
 	load := flag.String("load", "", "drive the running vxad or vxrouter at this URL (e.g. http://127.0.0.1:7787) with open-loop Poisson load and report outcomes and latency percentiles")
 	chaos := flag.Bool("chaos", false, "drive vxad with fault injection armed and report containment/recovery figures")
-	ablateOpt := flag.Bool("ablate-opt", false, "measure each engine layer's contribution: decode time at every vm.OptLevel (reference, superblocks, tier 2, eager promotion)")
+	ablateOpt := flag.Bool("ablate-opt", false, "measure each engine layer's contribution: decode time at every vm.OptLevel (reference, superblocks, tier 2)")
 	startup := flag.Bool("startup", false, "print the first-stream ledger, one cold 4 KiB stream per decoder, and the pooled-stream ledger, one warm 256 B stream per decoder after a reset and after a resume, each split into stages that sum to its wall time; exit nonzero if any stream leaves more than 5% unaccounted")
 	startupReps := flag.Int("startup-reps", 200, "cold operations per decoder, and pooled streams per decoder and path, for -startup")
 	rate := flag.Float64("rate", 50, "offered request rate per second for -load")
@@ -212,7 +212,7 @@ func main() {
 			fatal(err)
 		}
 		rep.Startup = rows
-		printLedger(fmt.Sprintf("First stream: one cold 4 KiB entry per decoder, mean of %d operations, microseconds (share of wall)", rows[0].Reps),
+		printLedger(fmt.Sprintf("First stream: one cold 4 KiB entry per decoder, mean of %d operations less the slowest tenth, microseconds (share of wall)", rows[0].Reps),
 			bench.StartupStageNames[:], rows, ledgerExtra{"traces, code KiB",
 				func(r bench.LedgerRow) string { return fmt.Sprintf("%d, %d", r.Traces, r.CodeBytes>>10) }},
 			ledgerExtra{"guest insts, uops", func(r bench.LedgerRow) string { return fmt.Sprintf("%d, %d", r.Translated, r.Compiled) }},
@@ -239,7 +239,7 @@ func main() {
 		if bench.CountsMinorFaults {
 			extras = append(extras, ledgerExtra{"minor faults", func(r bench.LedgerRow) string { return fmt.Sprintf("%.1f", r.MinorFaults) }})
 		}
-		printLedger(fmt.Sprintf("Pooled stream: one warm 256 B entry per decoder after a mode change (reset) and after a resume, mean of %d streams, microseconds (share of wall)", pooled[0].Reps),
+		printLedger(fmt.Sprintf("Pooled stream: one warm 256 B entry per decoder after a mode change (reset) and after a resume, mean of %d streams less the slowest tenth, microseconds (share of wall)", pooled[0].Reps),
 			bench.PooledStageNames[:], pooled, extras...)
 		for _, r := range pooled {
 			if sh := r.RemainderShare(); sh > 0.05 || sh < -0.05 {

@@ -157,11 +157,10 @@ func runVX(w Workload, cfg vm.Config) (stats vm.Stats, dur time.Duration, err er
 
 // LadderRow is one codec's decode time at every step of the engine's
 // optimization ladder (vm.OptLevels, lowest first): reference, then
-// tier 1 (the fragment cache, the optimizer and superblocks), tier 2 and
-// first-entry promotion, so each step's ratio to the one below it is
-// what that step adds. Output correctness at every
-// level is pinned separately by the differential test wall
-// (TestOptLadder); this measures only speed.
+// tier 1 (the fragment cache, the optimizer and superblocks), then tier
+// 2, so each step's ratio to the one below it is what that step adds.
+// Output correctness at every level is pinned separately by the
+// differential test wall (TestOptLadder); this measures only speed.
 type LadderRow struct {
 	Codec string       `json:"codec"`
 	Steps []LadderStep `json:"steps"`

@@ -30,12 +30,14 @@ const (
 	PooledExecute          // running translated code on either tier, less the guest I/O
 	PooledGuestIO          // the guest's reads of the payload and writes of its output (the decoded-data CRC included)
 	PooledRelease          // Lease.Release, the absorb into the snapshot included
+	PooledClock            // clock reads no other stage covers: clockReadsPerRun around the run, and one per timed guest read or write
 	numPooledStages
 )
 
 // PooledStageNames labels a pooled LedgerRow's Stages.
 var PooledStageNames = [numPooledStages]string{
 	"lease", "reset", "translation", "execution", "guest I/O", "release",
+	"clock reads",
 }
 
 // pooledWarmup is how many streams of each path run before the recorded
@@ -113,7 +115,7 @@ func pooledRows(name string, reps int) (rows [2]LedgerRow, err error) {
 		}
 	}
 	for k, r := range runs {
-		r.row.div()
+		r.ops.fold(&r.row)
 		rows[k] = r.row
 	}
 	return rows, nil
@@ -121,7 +123,8 @@ func pooledRows(name string, reps int) (rows [2]LedgerRow, err error) {
 
 // pooledRun is one decoder's archive on one path, opened twice: taken
 // apart (its zip reader, a pool seeded with the decoder's snapshot) and
-// through the library. row accumulates its recorded streams.
+// through the library. ops collects its recorded streams, which fold
+// into row.
 type pooledRun struct {
 	zr     *zipfile.Reader
 	fh     *zipfile.FileHeader // entry a
@@ -131,6 +134,8 @@ type pooledRun struct {
 	lib    *core.Reader
 	libEnt [2]*core.Entry // a and b
 	row    LedgerRow
+	ops    ledgerOps
+	clk    time.Duration // what a clock read costs
 }
 
 func newPooledRun(archive []byte, name, path string, reps int) (*pooledRun, error) {
@@ -141,7 +146,7 @@ func newPooledRun(archive []byte, name, path string, reps int) (*pooledRun, erro
 	if len(zr.Files) != 2 || zr.Files[0].VXA == nil {
 		return nil, fmt.Errorf("the archive's entries carry no decoder")
 	}
-	p := &pooledRun{zr: zr, fh: &zr.Files[0], row: LedgerRow{Codec: name, Path: path, Reps: reps}}
+	p := &pooledRun{zr: zr, fh: &zr.Files[0], row: LedgerRow{Codec: name, Path: path, Reps: reps}, clk: clockRead()}
 	elf, err := zr.Decoder(p.fh.VXA.DecoderOffset)
 	if err != nil {
 		return nil, err
@@ -186,7 +191,7 @@ func (p *pooledRun) step(i int) error {
 	}
 	lib := time.Since(start)
 	if i >= 0 {
-		p.row.add(one, lib)
+		p.ops.add(one, lib)
 	}
 	return nil
 }
@@ -240,6 +245,9 @@ func (p *pooledRun) op(reset bool) (LedgerRow, error) {
 
 	sb := time.Duration(st1.SuperblockNS - st0.SuperblockNS)
 	guestIO := in.ns + out.ns
+	// A timed read or write leaves one clock read's worth outside its own
+	// window, inside the run's.
+	ioClock := time.Duration(in.calls+out.calls) * p.clk
 	steps := float64(st1.Steps - st0.Steps)
 	return LedgerRow{
 		Wall: t4.Sub(t0),
@@ -249,10 +257,11 @@ func (p *pooledRun) op(reset bool) (LedgerRow, error) {
 			PooledTranslate: time.Duration(st1.TranslateNS-st0.TranslateNS) + sb,
 			// ExecuteNS is the run less TranslateNS, which does not
 			// cover superblock formation; the guest's host I/O runs
-			// inside it.
-			PooledExecute: time.Duration(st1.ExecuteNS-st0.ExecuteNS) - sb - guestIO,
+			// inside it, and so do the clock reads that time it.
+			PooledExecute: time.Duration(st1.ExecuteNS-st0.ExecuteNS) - sb - guestIO - ioClock,
 			PooledGuestIO: guestIO,
 			PooledRelease: t4.Sub(t3),
+			PooledClock:   clockReadsPerRun*p.clk + ioClock,
 		},
 		Tier2Share:  float64(st1.Tier2Steps-st0.Tier2Steps) / steps,
 		MinorFaults: float64(faults),
@@ -260,15 +269,17 @@ func (p *pooledRun) op(reset bool) (LedgerRow, error) {
 }
 
 // timedIO is a guest stream's host side, clocked: reads from r or writes
-// to w (and crc, when set).
+// to w (and crc, when set), calls of them in all.
 type timedIO struct {
-	r   io.Reader
-	w   io.Writer
-	crc hash.Hash32
-	ns  time.Duration
+	r     io.Reader
+	w     io.Writer
+	crc   hash.Hash32
+	ns    time.Duration
+	calls int
 }
 
 func (t *timedIO) Read(p []byte) (int, error) {
+	t.calls++
 	start := time.Now()
 	n, err := t.r.Read(p)
 	t.ns += time.Since(start)
@@ -276,6 +287,7 @@ func (t *timedIO) Read(p []byte) (int, error) {
 }
 
 func (t *timedIO) Write(p []byte) (int, error) {
+	t.calls++
 	start := time.Now()
 	if t.crc != nil {
 		t.crc.Write(p)

@@ -2,10 +2,13 @@ package bench
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
+	"slices"
 	"time"
 
 	"vxa/internal/bmp"
@@ -32,6 +35,7 @@ const (
 	StageTier2Seal          // placing that code in executable memory
 	StageExecute            // running translated code, guest system calls included
 	StageTeardown           // folding the VM's translations into the snapshot, as a lease release does
+	StageClock              // the clock reads around the run that no other stage covers (clockReadsPerRun)
 	numStartupStages
 )
 
@@ -39,19 +43,50 @@ const (
 var StartupStageNames = [numStartupStages]string{
 	"zip open", "decoder read", "ELF parse+load", "snapshot", "block build",
 	"superblock formation", "tier-2 emit", "tier-2 seal", "execution", "teardown",
+	"clock reads",
+}
+
+// clockReadsPerRun is how many clock reads' worth of time a ledger's
+// bracket around RunStream holds outside every stage. The ledgers time
+// the run by the engine's own counters, which RunContext reads the clock
+// around, and between stamps of their own taken before and after it: of
+// those four reads, the second half of the first, the first half of the
+// second, the second half of the third and the first half of the fourth
+// fall outside both windows. Every other interval of a ledger starts on
+// the stamp the one before it ended on. At 70-100 ns a read, on a
+// two-vCPU x86 VM, that is 5% of a 3-6 µs pooled stream; RunStream's own
+// work outside RunContext's window is a tenth of it.
+const clockReadsPerRun = 2
+
+// clockRead measures what one time.Now costs this process: the least
+// mean over five batches of reads.
+func clockRead() time.Duration {
+	const n = 4096
+	best := time.Duration(math.MaxInt64)
+	for range 5 {
+		start := time.Now()
+		for range n {
+			time.Now()
+		}
+		best = min(best, time.Since(start)/n)
+	}
+	return best
 }
 
 // LedgerRow is one decoder's row of a stage ledger: what one stream
-// costs it, stage by stage. Every figure is a mean over Reps operations,
-// so Stages and Remainder add up to Wall exactly.
+// costs it, stage by stage. Every figure is a mean over the operations
+// Reps counts less the slowest of them (ledgerTrim), so Stages and
+// Remainder add up to Wall exactly.
 //
 // The stages are clocked on the operation taken apart — the calls the
 // library makes for the stream, made one after another — and Wall is
 // that operation's own wall time, so Remainder is what falls between the
-// clocks: RunStream outside the engine's own counters, and the clock
-// reads. Library is the same stream through the public path (ExtractTo)
-// on alternate operations, for comparison: it adds the pool, the span
-// plumbing and the payload CRC to the same work.
+// clocks and no stage estimates: RunStream outside the engine's own
+// counters and the clock reads there, less the clock-read stage's
+// estimate of the latter (clockReadsPerRun). Library is the same stream
+// through the public path (ExtractTo) on alternate operations, for
+// comparison: it adds the pool, the span plumbing and the payload CRC to
+// the same work.
 type LedgerRow struct {
 	Codec string `json:"codec"`
 	// Path is the pooled ledger's "reset" or "resume"; the first-stream
@@ -91,34 +126,57 @@ func (r LedgerRow) RemainderShare() float64 {
 	return float64(r.Remainder) / float64(r.Wall)
 }
 
-// add accumulates one operation and its library twin into r.
-func (r *LedgerRow) add(o LedgerRow, lib time.Duration) {
-	r.Wall += o.Wall
-	r.Library += lib
-	if r.Stages == nil {
-		r.Stages = make([]time.Duration, len(o.Stages))
-	}
-	for i, d := range o.Stages {
-		r.Stages[i] += d
-	}
-	r.CodeBytes, r.Traces, r.Translated, r.Compiled = o.CodeBytes, o.Traces, o.Translated, o.Compiled
-	r.Tier2Share += o.Tier2Share
-	r.MinorFaults += o.MinorFaults
+// ledgerTrim is the share of a row's operations, the slowest by wall
+// time, that its means leave out; its library operations are trimmed
+// alike by their own times. On a shared host a stream now and then loses
+// tens of microseconds to the host — an interrupt, a descheduled vCPU —
+// and where that falls between the clocks it lands in the remainder: one
+// such stream among fifty 4 µs ones is 5% of the mean. The slowest tenth
+// holds those streams, and a cost every stream pays stays in the means.
+const ledgerTrim = 0.1
+
+// ledgerOps collects a row's operations and their library twins.
+type ledgerOps struct {
+	ops  []LedgerRow
+	libs []time.Duration
 }
 
-// div turns the sums of Reps operations into means and takes the
-// remainder.
-func (r *LedgerRow) div() {
-	d := time.Duration(r.Reps)
-	r.Wall /= d
-	r.Library /= d
+func (l *ledgerOps) add(o LedgerRow, lib time.Duration) {
+	l.ops = append(l.ops, o)
+	l.libs = append(l.libs, lib)
+}
+
+// fold sets r's figures to the means of the operations l holds, less the
+// slowest ledgerTrim of them, and takes the remainder.
+func (l *ledgerOps) fold(r *LedgerRow) {
+	slices.SortFunc(l.ops, func(a, b LedgerRow) int { return cmp.Compare(a.Wall, b.Wall) })
+	slices.Sort(l.libs)
+	keep := len(l.ops) - int(ledgerTrim*float64(len(l.ops)))
+	ops, libs := l.ops[:keep], l.libs[:keep]
+	r.Stages = make([]time.Duration, len(ops[0].Stages))
+	for _, o := range ops {
+		r.Wall += o.Wall
+		for i, d := range o.Stages {
+			r.Stages[i] += d
+		}
+		r.Tier2Share += o.Tier2Share
+		r.MinorFaults += o.MinorFaults
+	}
+	for _, d := range libs {
+		r.Library += d
+	}
+	o := l.ops[0]
+	r.CodeBytes, r.Traces, r.Translated, r.Compiled = o.CodeBytes, o.Traces, o.Translated, o.Compiled
+	n := time.Duration(keep)
+	r.Wall /= n
+	r.Library /= n
 	r.Remainder = r.Wall
 	for i := range r.Stages {
-		r.Stages[i] /= d
+		r.Stages[i] /= n
 		r.Remainder -= r.Stages[i]
 	}
-	r.Tier2Share /= float64(r.Reps)
-	r.MinorFaults /= float64(r.Reps)
+	r.Tier2Share /= float64(keep)
+	r.MinorFaults /= float64(keep)
 }
 
 // startupEntry builds a one-entry archive whose entry decodes to about
@@ -187,11 +245,13 @@ func Startup(reps int) ([]LedgerRow, error) {
 			return nil, err
 		}
 		row := LedgerRow{Codec: name, Reps: reps}
+		var ops ledgerOps
+		clk := clockRead()
 		// One unrecorded operation of each kind first: the process's own
 		// first-use costs are not the decoder's.
 		for i := -1; i < reps; i++ {
 			var one LedgerRow
-			if err := startupOp(archive, name, &one); err != nil {
+			if err := startupOp(archive, name, clk, &one); err != nil {
 				return nil, fmt.Errorf("bench: %s: %w", name, err)
 			}
 			// Each operation leaves a guest mapping and its garbage
@@ -203,17 +263,18 @@ func Startup(reps int) ([]LedgerRow, error) {
 			}
 			runtime.GC()
 			if i >= 0 {
-				row.add(one, lib)
+				ops.add(one, lib)
 			}
 		}
-		row.div()
+		ops.fold(&row)
 		rows = append(rows, row)
 	}
 	return rows, nil
 }
 
-// startupOp is one cold first stream, taken apart and clocked.
-func startupOp(archive []byte, name string, row *LedgerRow) error {
+// startupOp is one cold first stream, taken apart and clocked; clk is
+// what a clock read costs.
+func startupOp(archive []byte, name string, clk time.Duration, row *LedgerRow) error {
 	t0 := time.Now()
 	zr, err := zipfile.NewReaderAt(bytes.NewReader(archive), int64(len(archive)))
 	if err != nil {
@@ -276,6 +337,7 @@ func startupOp(archive []byte, name string, row *LedgerRow) error {
 		// superblock formation.
 		StageExecute:  time.Duration(st.ExecuteNS) - sb,
 		StageTeardown: t6.Sub(t5),
+		StageClock:    clockReadsPerRun * clk,
 	}
 	row.CodeBytes, row.Traces = snap.CodeBytes(), st.Tier2Compiled
 	row.Translated, row.Compiled = st.GuestTranslated, st.UopsCompiled

@@ -83,8 +83,8 @@ func TestInstructionBudget(t *testing.T) {
 }
 
 // interpreterBudget is, per decoder, what may stay outside compiled
-// traces when every superblock is promoted on first entry
-// (vm.OptEager), over the roundtrip-golden input: ceiling is the most
+// traces at vm.OptTier2, which compiles every superblock on its first
+// entry, over the roundtrip-golden input: ceiling is the most
 // guest instructions per decoded byte, floor the least share of all
 // instructions that must retire in traces. A code shape the native
 // emitter cannot take — a memory-operand or SIB form that makes
@@ -100,7 +100,7 @@ func TestInstructionBudget(t *testing.T) {
 // the instructions, the exit-ratio teardown then kept 22% and 9% of
 // them on the interpreter, and ISSUE 14's "share no lower than the
 // parent" went unmet until the teardown went — and for the other five
-// what PR 14 measured under the same forced promotion. The ceilings sit
+// what was measured under the same first-entry promotion. The ceilings sit
 // a few percent above what is measured. The table-driven bit reader and
 // Huffman decoder added start-up code to bwt and lpc (ceilings 0.20 and
 // 0.22 before) and cut deflate's and zlib's instructions by 3.5 and 2.6
@@ -120,7 +120,7 @@ var interpreterBudget = map[string]struct{ ceiling, floor float64 }{
 }
 
 // TestTier2TakesCompilerOutput holds what every decoder leaves on the
-// interpreter under forced promotion against the committed ceiling, and
+// interpreter at tier 2 against the committed ceiling, and
 // the share it runs compiled against the committed floor.
 func TestTier2TakesCompilerOutput(t *testing.T) {
 	for _, c := range codec.All() {
@@ -132,7 +132,7 @@ func TestTier2TakesCompilerOutput(t *testing.T) {
 			t.Errorf("%s: no interpreter budget committed", c.Name)
 			continue
 		}
-		n, stats := decodeGoldenInput(t, c, vm.OptEager)
+		n, stats := decodeGoldenInput(t, c, vm.OptTier2)
 		if stats.Tier2Compiled == 0 && stats.Tier2Shared == 0 {
 			t.Skip("no compiled tier on this platform")
 		}
@@ -142,11 +142,11 @@ func TestTier2TakesCompilerOutput(t *testing.T) {
 		t.Logf("%-8s %7d of %8d instructions outside compiled traces = %6.2f per byte (ceiling %v); share %.4f (floor %v)",
 			c.Name, left, stats.Steps, got, b.ceiling, share, b.floor)
 		if got > b.ceiling {
-			t.Errorf("%s: %.2f instructions per decoded byte left on the interpreter under forced promotion, budget %v: "+
+			t.Errorf("%s: %.2f instructions per decoded byte left on the interpreter at tier 2, budget %v: "+
 				"some loop the compiler emits no longer compiles to a trace", c.Name, got, b.ceiling)
 		}
 		if share < b.floor {
-			t.Errorf("%s: %.4f of the instructions retire in compiled traces under forced promotion, floor %v",
+			t.Errorf("%s: %.4f of the instructions retire in compiled traces at tier 2, floor %v",
 				c.Name, share, b.floor)
 		}
 	}

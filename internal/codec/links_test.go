@@ -31,7 +31,7 @@ func TestLinksPointAtHeldTraces(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, err := elf32.NewVM(elf, vm.Config{MemSize: 64 << 20, OptLevel: vm.OptEager})
+		v, err := elf32.NewVM(elf, vm.Config{MemSize: 64 << 20, OptLevel: vm.OptTier2})
 		if err != nil {
 			t.Fatal(err)
 		}

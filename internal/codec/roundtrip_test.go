@@ -158,8 +158,8 @@ func TestRoundTripGolden(t *testing.T) {
 }
 
 // TestRoundTripGoldenTier2Configs holds the committed goldens with tier 2
-// at both extremes: forced hot (every superblock promotes on its first
-// entry) and off. Output bytes AND the uop count must match the golden
+// pinned on (every superblock compiles on its first entry) and off,
+// whatever VXA_OPT says. Output bytes AND the uop count must match the golden
 // exactly in both — the compiled tier executes the same micro-ops with
 // the same accounting as the tier-1 dispatch loop, so the tier split is
 // invisible in every architectural observation.
@@ -173,7 +173,7 @@ func TestRoundTripGoldenTier2Configs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, level := range []vm.OptLevel{vm.OptEager, vm.OptSuperblocks} {
+	for _, level := range []vm.OptLevel{vm.OptTier2, vm.OptSuperblocks} {
 		t.Run(level.String(), func(t *testing.T) {
 			for _, c := range codec.All() {
 				if c.Encode == nil {

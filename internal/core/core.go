@@ -944,15 +944,18 @@ func (r *Reader) forEachEntry(parallel int, fn func(i int)) {
 	wg.Wait()
 }
 
-// Verify runs the §2.3 integrity check over every entry: each file is
-// decoded with its archived VXA decoder (never a native one) and checked
-// against its CRC. Entries are verified by a bounded worker pipeline
-// (WithParallel workers; 0 selects GOMAXPROCS). It returns one error
-// per failing entry, in archive order.
+// Verify runs the §2.3 integrity check over every entry: each is
+// extracted to nowhere as ExtractTo does with AlwaysVXA and DecodeAll —
+// decoded by its archived VXA decoder (never a native one), or copied
+// if stored — and checked against its CRC. Entries are verified by a
+// bounded worker pipeline (WithParallel workers; 0 selects GOMAXPROCS).
+// It returns one error per failing entry, in archive order.
 func (r *Reader) Verify(ctx context.Context, opts ...Option) []error {
 	o := buildOpts(opts)
 	o.Mode = AlwaysVXA
-	o.DecodeAll = false
+	// Pre-compressed entries are decoded too: their CRC covers the
+	// compressed form, and decoding is the check of the decoded one.
+	o.DecodeAll = true
 	// Verification measures integrity, not extraction policy: output is
 	// CRC-summed and discarded, never delivered, so an output cap would
 	// only make intact oversized entries fail verification.
@@ -960,7 +963,7 @@ func (r *Reader) Verify(ctx context.Context, opts ...Option) []error {
 	o.Verbose = serializeWriter(o.Verbose)
 	perEntry := make([]error, len(r.entries))
 	r.forEachEntry(o.Parallel, func(i int) {
-		perEntry[i] = r.verifyEntry(ctx, &r.entries[i], o)
+		_, perEntry[i] = r.extractTo(ctx, &r.entries[i], io.Discard, o)
 	})
 	var errs []error
 	for _, err := range perEntry {
@@ -969,39 +972,6 @@ func (r *Reader) Verify(ctx context.Context, opts ...Option) []error {
 		}
 	}
 	return errs
-}
-
-// verifyEntry checks one entry with its archived decoder. The decoded
-// stream is CRC-summed as it is produced and never buffered.
-func (r *Reader) verifyEntry(ctx context.Context, e *Entry, opts ExtractOptions) error {
-	if e.Codec == "" {
-		// Stored entries: CRC only, with the payload discarded unread.
-		_, err := r.extractTo(ctx, e, io.Discard, opts)
-		return err
-	}
-	payload, err := r.zr.PayloadSection(e.hdr)
-	if err != nil {
-		return badArchive(e.Name, err)
-	}
-	if e.PreCompressed {
-		// Decoded form has no recorded CRC; decoding itself is the
-		// check, plus the stored CRC over the compressed payload.
-		if err := r.checkPayloadCRC(ctx, e, payload); err != nil {
-			return err
-		}
-		if err := r.runArchivedDecoder(ctx, e, payload, opts, io.Discard); err != nil {
-			return classifyDecode(e.Name, err, ctx.Err())
-		}
-		return nil
-	}
-	crc := crc32.NewIEEE()
-	if err := r.runArchivedDecoder(ctx, e, payload, opts, crc); err != nil {
-		return classifyDecode(e.Name, err, ctx.Err())
-	}
-	if crc.Sum32() != e.hdr.CRC32 {
-		return corruptf(e.Name, "decoded CRC mismatch")
-	}
-	return nil
 }
 
 // LocalOffset returns the entry's local file header offset within the

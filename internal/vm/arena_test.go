@@ -50,7 +50,7 @@ func SetArenaSize(v *VM, size int) { v.arena = tier2.NewArena(size) }
 // also the arena of the VM the snapshot was taken from and of every VM
 // made from it.
 func TestArenaLifetime(t *testing.T) {
-	snap := soakSharedSnapshot(t, 64, eager)
+	snap := soakSharedSnapshot(t, 64, tier2Cfg)
 	v := warmShared(t, snap)
 	w := snap.NewVM()
 	if v.arena != snap.arena || w.arena != snap.arena {
@@ -106,7 +106,7 @@ func TestArenaLifetime(t *testing.T) {
 func TestArenaSharedByConcurrentCompilers(t *testing.T) {
 	forSharedSeeds(t, func(t *testing.T, seed int64) {
 		want := soakReference(t, seed)
-		snap := soakSharedSnapshot(t, seed, eager)
+		snap := soakSharedSnapshot(t, seed, tier2Cfg)
 		if !nativeTier2() {
 			t.Skip("no tier-2 emitter for this host")
 		}
@@ -154,7 +154,7 @@ func TestArenaSharedByConcurrentCompilers(t *testing.T) {
 // code pages of its arena once, not a page per trace: the SnapCache's
 // byte budget is spent on what is resident.
 func TestFootprintCountsTheArenaOnce(t *testing.T) {
-	snap := soakSharedSnapshot(t, 91, eager)
+	snap := soakSharedSnapshot(t, 91, tier2Cfg)
 	before := snap.Footprint()
 	warmShared(t, snap)
 	var code int64
@@ -187,7 +187,7 @@ func TestFootprintCountsTheArenaOnce(t *testing.T) {
 // compiler's time is split into emission and the copy into the arena,
 // both inside TranslateNS, whose definition has not moved.
 func TestTranslationLedger(t *testing.T) {
-	v := soakSharedSnapshot(t, 64, eager).NewVM()
+	v := soakSharedSnapshot(t, 64, tier2Cfg).NewVM()
 	if _, err := soakStream(v); err != nil {
 		t.Fatal(err)
 	}

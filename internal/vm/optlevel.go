@@ -20,13 +20,12 @@ const (
 	OptDefault     OptLevel = iota
 	OptReference            // no fragment cache: each instruction is decoded, lowered and run on its own (the §4.2 ablation)
 	OptSuperblocks          // optimized basic-block fragments, cached and chained, and hot paths re-translated into superblocks: tier 1 alone
-	OptTier2                // + hot superblocks compiled to host code (package tier2); the default
-	OptEager                // tier 2 with every superblock compiled on first entry: what the test wall forces
+	OptTier2                // + every superblock compiled to host code on its first entry (package tier2); the default
 )
 
 // optNames spells the levels for VXA_OPT and for reports.
 var optNames = [...]string{
-	OptDefault: "default", OptReference: "reference", OptSuperblocks: "superblocks", OptTier2: "tier2", OptEager: "eager",
+	OptDefault: "default", OptReference: "reference", OptSuperblocks: "superblocks", OptTier2: "tier2",
 }
 
 func (l OptLevel) String() string {
@@ -38,7 +37,7 @@ func (l OptLevel) String() string {
 
 // OptLevels returns the ladder from OptReference up, for sweeps.
 func OptLevels() []OptLevel {
-	return []OptLevel{OptReference, OptSuperblocks, OptTier2, OptEager}
+	return []OptLevel{OptReference, OptSuperblocks, OptTier2}
 }
 
 // optOverride reads the process-wide override: VXA_OPT=<level> is the
@@ -69,17 +68,13 @@ var processOpt = sync.OnceValues(optOverride)
 // at. The override applies only where nothing was configured, and only
 // to the VM: what a Snapshot or an artifact carries is v.opt.
 func (v *VM) setLevel(configured OptLevel) error {
-	if configured > OptEager {
+	if configured > OptTier2 {
 		return fmt.Errorf("vm: %v is not an optimization level", configured)
 	}
 	v.opt, v.level = configured, configured
 	var err error
 	if configured == OptDefault {
 		v.level, err = processOpt()
-	}
-	v.t2Hot = t2HotDefault
-	if v.level == OptEager {
-		v.t2Hot = 1
 	}
 	return err
 }

@@ -19,7 +19,7 @@ func TestResetRebuildsStaleView(t *testing.T) {
 	t.Run("published", func(t *testing.T) {
 		const seed = 64
 		want := soakReference(t, seed)
-		snap := soakSharedSnapshot(t, seed, eager)
+		snap := soakSharedSnapshot(t, seed, tier2Cfg)
 		v := snap.NewVM()
 		if err := v.Reset(snap); err != nil {
 			t.Fatal(err)
@@ -48,7 +48,7 @@ func TestResetRebuildsStaleView(t *testing.T) {
 	t.Run("level", func(t *testing.T) {
 		const seed = 64
 		want := soakReference(t, seed)
-		withProcessOpt(t, OptEager)
+		withProcessOpt(t, OptTier2)
 		snap := soakSharedSnapshot(t, seed, Config{})
 		v := snap.NewVM()
 		if _, err := soakStream(v); err != nil {

@@ -281,7 +281,7 @@ func Deserialize(data []byte) (*Snapshot, error) {
 	}
 	s.cf, s.zf, s.sf, s.of, s.pf = bits[0]&sfCF != 0, bits[0]&sfZF != 0,
 		bits[0]&sfSF != 0, bits[0]&sfOF != 0, bits[0]&sfPF != 0
-	if s.opt = OptLevel(bits[1]); s.opt > OptEager {
+	if s.opt = OptLevel(bits[1]); s.opt > OptTier2 {
 		return nil, fmt.Errorf("vm: snapshot decode: optimization level %d", bits[1])
 	}
 	s.fuel = int64(c.u64())

@@ -247,7 +247,7 @@ func TestDeserializeRejectsExtents(t *testing.T) {
 // micro-ops, so a payload in which the two differ is refused — or the
 // instruction count of a stream would depend on which tier ran it.
 func TestDeserializeRejectsSuperblockCost(t *testing.T) {
-	snap := soakSharedSnapshot(t, 64, eager)
+	snap := soakSharedSnapshot(t, 64, tier2Cfg)
 	v := snap.NewVM()
 	if _, err := soakStream(v); err != nil {
 		t.Fatal(err)
@@ -304,7 +304,7 @@ func hotLoopProgram(u *asm.Unit) {
 // and superblocks of one stream absorbed.
 func hotLoopSnapshot(t *testing.T) *Snapshot {
 	t.Helper()
-	v, _ := buildVM(t, eager, nil, hotLoopProgram)
+	v, _ := buildVM(t, tier2Cfg, nil, hotLoopProgram)
 	snap := v.Snapshot()
 	runStream(t, v)
 	snap.AbsorbBlocks(v)

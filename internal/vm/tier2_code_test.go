@@ -1299,7 +1299,7 @@ func oneCopy(t *testing.T, us []uop.Uop, tr *tier2.Trace) {
 	}
 }
 
-// soakTraces runs the hundred soak programs forced hot and hands every
+// soakTraces runs the hundred soak programs at tier 2 and hands every
 // trace they compile, with its micro-ops, to f.
 func soakTraces(t *testing.T, f func(us []uop.Uop, tr *tier2.Trace)) {
 	traces := 0
@@ -1307,7 +1307,7 @@ func soakTraces(t *testing.T, f func(us []uop.Uop, tr *tier2.Trace)) {
 		image := make([]byte, soakSpan)
 		rng := rand.New(rand.NewSource(seed))
 		soakBuildProgram(t, rng, image)
-		v := soakVMAt(t, image, OptEager)
+		v := soakVMAt(t, image, OptTier2)
 		soakSeedRegs(rng, v)
 		v.eip = soakBlockAddr(0)
 		if _, err := v.Run(); err == nil {

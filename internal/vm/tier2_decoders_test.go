@@ -13,11 +13,11 @@ import (
 	"vxa/internal/vm"
 )
 
-// eagerVM loads the decoder into a VM that compiles every superblock on
-// first entry.
-func (d decoderStream) eagerVM(t *testing.T) *vm.VM {
+// tier2VM loads the decoder into a VM pinned to tier 2, which compiles
+// every superblock on its first entry.
+func (d decoderStream) tier2VM(t *testing.T) *vm.VM {
 	t.Helper()
-	v, err := elf32.NewVM(d.elf, vm.Config{MemSize: 64 << 20, OptLevel: vm.OptEager})
+	v, err := elf32.NewVM(d.elf, vm.Config{MemSize: 64 << 20, OptLevel: vm.OptTier2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func (d decoderStream) eagerVM(t *testing.T) *vm.VM {
 // barely touch.
 func TestEveryGuestAccessIsCheckedInDecoders(t *testing.T) {
 	for _, d := range decoderStreams(t) {
-		v := d.eagerVM(t)
+		v := d.tier2VM(t)
 		d.run(t, v)
 		if n := vm.ScanTraces(t, v); n == 0 {
 			t.Fatalf("%s compiled no trace", d.name)
@@ -50,7 +50,7 @@ func TestEveryGuestAccessIsCheckedInDecoders(t *testing.T) {
 func TestNoMappingIsWritableAndExecutable(t *testing.T) {
 	var vms []*vm.VM
 	for _, d := range decoderStreams(t) {
-		v := d.eagerVM(t)
+		v := d.tier2VM(t)
 		d.run(t, v)
 		if v.Stats().Tier2Compiled == 0 {
 			t.Fatalf("%s compiled no trace", d.name)
@@ -89,10 +89,10 @@ func TestNoMappingIsWritableAndExecutable(t *testing.T) {
 // on tier 1, like any the emitter declines.
 func TestArenaCap(t *testing.T) {
 	for _, d := range decoderStreams(t) {
-		roomy := d.eagerVM(t)
+		roomy := d.tier2VM(t)
 		want := d.run(t, roomy)
 
-		tight := d.eagerVM(t)
+		tight := d.tier2VM(t)
 		vm.SetArenaSize(tight, 4<<10)
 		got := d.run(t, tight)
 		rs, ts := roomy.Stats(), tight.Stats()

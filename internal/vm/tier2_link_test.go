@@ -199,7 +199,7 @@ func sameMem(t *testing.T, v1, v2 *VM, from, to uint32) {
 const linkRuns = sbHotThreshold + 8
 
 // runLinked runs g linkRuns times on one VM per tier leg, comparing
-// every run with the reference, and requires of the eager leg that the
+// every run with the reference, and requires of the tier-2 legs that the
 // last run really went from trace to trace: links exist, they satisfy the
 // table's invariant, and compiled code came back to the dispatcher a
 // small fraction of the times a trace pass started, the gate and the
@@ -229,7 +229,7 @@ func (g *linkGuest) runLinkedOn(t *testing.T, newVM func(*testing.T, OptLevel) *
 			before = v1.Stats()
 			g.runOnceBeside(t, v1, v2, v3, seed)
 		}
-		if level != OptEager || !nativeTier2() {
+		if level != OptTier2 || !nativeTier2() {
 			return
 		}
 		if _, err := v1.CheckLinks(); err != nil {
@@ -439,7 +439,7 @@ func TestDiffLinkedRetGuardSecondTarget(t *testing.T) {
 		for run := 0; run < linkRuns; run++ {
 			g.runOnce(t, v1, v2, seed)
 		}
-		if level != OptEager || !nativeTier2() {
+		if level != OptTier2 || !nativeTier2() {
 			return
 		}
 		if _, err := v1.CheckLinks(); err != nil {
@@ -478,7 +478,7 @@ func TestDiffLinkedFuelSweep(t *testing.T) {
 				t.Fatalf("fuel %d: %v, want fuel exhaustion", g.fuel, tr)
 			}
 		}
-		if level == OptEager && nativeTier2() && v1.Stats().Tier2Links == 0 {
+		if level == OptTier2 && nativeTier2() && v1.Stats().Tier2Links == 0 {
 			t.Fatal("nothing was linked")
 		}
 	})
@@ -518,7 +518,7 @@ func TestDiffLoopEdgeFuelSweep(t *testing.T) {
 				t.Fatalf("fuel %d: %v, want fuel exhaustion", g.fuel, tr)
 			}
 		}
-		if level != OptEager || !nativeTier2() {
+		if level != OptTier2 || !nativeTier2() {
 			return
 		}
 		for tr := range vmTraceUops(v1) {
@@ -588,7 +588,7 @@ func TestDiffLoopMovesItsBase(t *testing.T) {
 				t.Fatalf("%v, want the frame load's fault", tr)
 			}
 		}
-		if level != OptEager || !nativeTier2() {
+		if level != OptTier2 || !nativeTier2() {
 			return
 		}
 		tr, us := loopTrace(t, v1, top)
@@ -640,7 +640,7 @@ func TestDiffLoopEnteredOutOfBounds(t *testing.T) {
 		if tr := g.runOnceBeside(t, v1, v2, v3, seed).(*Trap); tr.Kind != TrapMemory {
 			t.Fatalf("%v, want the read's fault", tr)
 		}
-		if level != OptEager || !nativeTier2() {
+		if level != OptTier2 || !nativeTier2() {
 			return
 		}
 		if n := v1.Stats().Tier2Resumes - before; n != 1 {
@@ -689,7 +689,7 @@ func TestDiffLoopRecheckFuelSweep(t *testing.T) {
 		for g.fuel = before - 40; g.fuel < before+8; g.fuel++ {
 			g.runOnceBeside(t, v1, v2, v3, seed)
 		}
-		if level != OptEager || !nativeTier2() {
+		if level != OptTier2 || !nativeTier2() {
 			return
 		}
 		tr, _ := loopTrace(t, v1, top)
@@ -713,7 +713,7 @@ func TestSingleBlockLoopCompiles(t *testing.T) {
 	a.emit(x86.Inst{Op: x86.UD2})
 	g := linkGuest{code: a.code, fuel: 60000, regs: map[x86.Reg]uint32{x86.ECX: 10000}}
 
-	v1, v2 := diffVMAt(t, OptEager), diffVM(t)
+	v1, v2 := diffVMAt(t, OptTier2), diffVM(t)
 	g.runOnce(t, v1, v2, [8]uint32{})
 	st := v1.Stats()
 	if st.SuperblocksFormed != 1 {
@@ -804,7 +804,7 @@ func TestLinkedChainCancel(t *testing.T) {
 		if f1 != f2 {
 			t.Fatalf("flags %v, reference %v", f1, f2)
 		}
-		if level == OptEager && nativeTier2() && st.Tier2Exits*100 > st.Tier2Executed {
+		if level == OptTier2 && nativeTier2() && st.Tier2Exits*100 > st.Tier2Executed {
 			t.Fatalf("%d returns to the dispatcher for %d trace passes: the chain was not linked", st.Tier2Exits, st.Tier2Executed)
 		}
 	})
@@ -823,7 +823,7 @@ func TestLinkedChainCancel(t *testing.T) {
 // hand every register back, or this crashes rather than fails.
 func TestSpinningGuestComesBackEveryQuantum(t *testing.T) {
 	const quanta = 64
-	v := diffVMAt(t, OptEager)
+	v := diffVMAt(t, OptTier2)
 	spinGuest(t, v)
 	v.m.Fuel = quanta * cancelQuantum
 	if _, err := v.Run(); err == nil || err.(*Trap).Kind != TrapFuel {
@@ -846,7 +846,7 @@ func TestSpinningGuestComesBackEveryQuantum(t *testing.T) {
 	// The same loop with fuel for minutes, and a collection meanwhile.
 	// The collection is what ends the test; the watchdog only keeps a
 	// broken engine from hanging it.
-	w, err := New(Config{MemSize: 4 << 20, OptLevel: OptEager, WallBudget: 30 * time.Second})
+	w, err := New(Config{MemSize: 4 << 20, OptLevel: OptTier2, WallBudget: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -349,7 +349,7 @@ func FuzzTier2Sandbox(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		runSandboxGuest(t, sandboxGuest(t, data), OptEager)
+		runSandboxGuest(t, sandboxGuest(t, data), OptTier2)
 	})
 }
 
@@ -509,7 +509,7 @@ func TestTier2ResumeDirected(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			c.g.runLinkedOn(t, func(t *testing.T, level OptLevel) *VM {
 				v := sandboxVM(t, level)
-				if level == OptEager && nativeTier2() {
+				if level == OptTier2 && nativeTier2() {
 					t.Cleanup(func() {
 						sites := resumeSites(v)
 						if len(sites) == 0 {
@@ -559,7 +559,7 @@ func TestTier2ResumeFuelSweep(t *testing.T) {
 				t.Fatalf("fuel %d: %v, want fuel exhaustion", g.fuel, tr)
 			}
 		}
-		if level == OptEager && nativeTier2() && v1.Stats().Tier2Resumes-before < 64*100 {
+		if level == OptTier2 && nativeTier2() && v1.Stats().Tier2Resumes-before < 64*100 {
 			t.Fatalf("%d passes resumed over the sweep: the guest's check does not fail", v1.Stats().Tier2Resumes-before)
 		}
 	})

@@ -12,17 +12,18 @@ import (
 
 // The wall for snapshot-owned tier-2 traces: a native trace is compiled
 // once, published on the snapshot and run by every VM of it. Every test
-// here forces the tier hot, so each superblock the soak program forms is
-// compiled on its first entry and the comparisons cover compiled code.
+// here pins the VM to tier 2, whatever VXA_OPT says, so each superblock
+// the soak program forms is compiled on its first entry and the
+// comparisons cover compiled code.
 
 // sharedSeeds are soak programs whose hot paths the native backend
 // compiles (many seeds draw an ADC or SBB into every superblock, which
 // it leaves to tier-1); 64 and 91 publish more than one trace.
 var sharedSeeds = []int64{64, 91, 69}
 
-// eager is the configuration these tests force: every superblock
-// compiled on its first entry.
-var eager = Config{OptLevel: OptEager}
+// tier2Cfg is the configuration these tests pin: tier 2, which compiles
+// every superblock on its first entry.
+var tier2Cfg = Config{OptLevel: OptTier2}
 
 // withProcessOpt makes level the process-wide default (what VXA_OPT
 // would have set) until the test ends.
@@ -185,7 +186,7 @@ func TestSharedTracePositionIndependent(t *testing.T) {
 
 func testSharedTracePositionIndependent(t *testing.T, seed int64) {
 	want := soakReference(t, seed)
-	snap := soakSharedSnapshot(t, seed, eager)
+	snap := soakSharedSnapshot(t, seed, tier2Cfg)
 	a := warmShared(t, snap)
 
 	b := snap.NewVM()
@@ -242,7 +243,7 @@ func TestSharedTraceConcurrent(t *testing.T) {
 
 func testSharedTraceConcurrent(t *testing.T, seed int64) {
 	want := soakReference(t, seed)
-	snap := soakSharedSnapshot(t, seed, eager)
+	snap := soakSharedSnapshot(t, seed, tier2Cfg)
 	warmShared(t, snap)
 
 	var wg sync.WaitGroup
@@ -287,7 +288,7 @@ func TestSharedTraceResetDeterminism(t *testing.T) {
 
 func testSharedTraceResetDeterminism(t *testing.T, seed int64) {
 	want := soakReference(t, seed)
-	snap := soakSharedSnapshot(t, seed, eager)
+	snap := soakSharedSnapshot(t, seed, tier2Cfg)
 	v := snap.NewVM()
 	warmShared(t, snap)
 	for resets := 1; resets <= 50; resets++ {
@@ -314,7 +315,7 @@ func testSharedTraceResetDeterminism(t *testing.T, seed int64) {
 func TestSharedTraceNeverInstalledWithTierOff(t *testing.T) {
 	const seed = 64
 	want := soakReference(t, seed)
-	withProcessOpt(t, OptEager)
+	withProcessOpt(t, OptTier2)
 	snap := soakSharedSnapshot(t, seed, Config{})
 	warmShared(t, snap)
 

@@ -40,13 +40,21 @@ func (a *t2asm) patchRel32(end, target uint32) {
 	binary.LittleEndian.PutUint32(a.code[end-a.base-4:], target-end)
 }
 
-// tier2Legs are the engine levels the differential walls run at: every
-// superblock compiled on its first entry, traces compiled once their
-// superblock has run hot on tier 1, and tier 2 off.
-var tier2Legs = []OptLevel{OptEager, OptTier2, OptSuperblocks}
+// tier2Legs are the engine levels the differential walls run at: tier 2,
+// which compiles every superblock on its first entry, and tier 2 off.
+var tier2Legs = []OptLevel{OptTier2, OptSuperblocks}
 
-// forTier2Legs runs f as a subtest per leg, named after the level.
+// eagerLeg is a second subtest name tier 2 runs under. It named the leg
+// that compiled every superblock on its first entry while the default
+// waited for the second entry; it is kept so that per-subtest histories
+// carry on across the change to one rule.
+const eagerLeg = "eager"
+
+// forTier2Legs runs f as a subtest per leg, named after the level, and
+// tier 2 once more as eagerLeg; so does TestDiffFusedPairTraps, over
+// every level.
 func forTier2Legs(t *testing.T, f func(t *testing.T, level OptLevel)) {
+	t.Run(eagerLeg, func(t *testing.T) { f(t, OptTier2) })
 	for _, level := range tier2Legs {
 		t.Run(level.String(), func(t *testing.T) { f(t, level) })
 	}
@@ -103,10 +111,10 @@ func runTier2GuardExitTrap(t *testing.T, level OptLevel) {
 	}
 	br := v1.blocks[diffCode]
 
-	if level == OptEager && nativeTier2() {
+	if level == OptTier2 && nativeTier2() {
 		st := v1.Stats()
 		if st.Tier2Executed == 0 {
-			t.Fatalf("tier-2 forced hot but no compiled trace ran (%d compiled)", st.Tier2Compiled)
+			t.Fatalf("tier 2 on but no compiled trace ran (%d compiled)", st.Tier2Compiled)
 		}
 		if br.sb == nil || br.sb.t2 == nil {
 			t.Fatalf("loop head has no compiled superblock trace")

@@ -29,17 +29,13 @@ import (
 	"vxa/internal/x86"
 )
 
-// t2HotDefault is the number of superblock entries before the trace is
-// compiled (OptEager makes it one). Superblocks themselves form at
-// sbHotThreshold block entries, so the path has proved itself on the
-// tier-1 loop before it is compiled; the second entry says it is entered
-// again. It was 32 while a compile cost about as much as the tier-1 time
-// it saved; at half that cost, 2 ran cold_start 4-6% faster than 32 in
-// ten alternating pairs, and 1 and 4 no faster than 2 (EXPERIMENTS.md, "A
-// cheaper trace compiler"). A trace the snapshot already carries is
-// installed at NewVM, or at a Reset that rebuilds the view, and skips the
-// count.
-const t2HotDefault = 2
+// The promotion rule: a superblock's trace is compiled on the
+// superblock's first entry from the dispatcher (execUops). Superblocks
+// themselves form at sbHotThreshold block entries and run that entry on
+// tier 1, so the path has proved itself before it is compiled; waiting
+// for a further entry ran no workload faster (EXPERIMENTS.md, "One
+// promotion rule"). A trace the snapshot already carries is installed at
+// NewVM, or at a Reset that rebuilds the view, and is never compiled.
 
 // A budget of one poll quantum must admit any trace, or an entry could
 // decline for ever: a micro-op stands for at most three instructions.

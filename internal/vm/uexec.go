@@ -795,29 +795,21 @@ blocks:
 		// micro-ops it runs one instruction at a time.
 		if sb := br.sb; sb != nil {
 			if v.m.Fuel >= sb.b.cost {
-				// Tier-2 dispatch: a compiled trace — and whatever traces
-				// are linked behind it — replaces the whole uop walk
-				// below; the run re-joins here with the next bref
-				// resolved and brk possibly moved (syscall exits).
+				// Tier-2 dispatch: a superblock is compiled on its first
+				// entry from here (the promotion rule, tier2glue.go), and
+				// its trace — and whatever traces are linked behind it —
+				// replaces the whole uop walk below; the run re-joins
+				// here with the next bref resolved and brk possibly moved
+				// (syscall exits).
+				if !sb.t2Tried && v.level >= OptTier2 {
+					v.compileTier2(sb)
+				}
 				if t := sb.t2; t != nil {
 					if br, from, err = v.runTier2(sb, t); err != nil {
 						return err
 					}
 					brk = v.m.Brk
 					continue blocks
-				}
-				if !sb.t2Tried && v.level >= OptTier2 {
-					sb.heat++
-					if sb.heat >= v.t2Hot {
-						v.compileTier2(sb)
-						if t := sb.t2; t != nil {
-							if br, from, err = v.runTier2(sb, t); err != nil {
-								return err
-							}
-							brk = v.m.Brk
-							continue blocks
-						}
-					}
 				}
 				br = sb
 			}

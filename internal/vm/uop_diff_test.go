@@ -135,7 +135,7 @@ func followers(trial int) []x86.Inst {
 }
 
 // diffLoops runs instructions in loops hot enough to form superblocks
-// and, at OptEager, compile them, on one VM per tier leg, each against a
+// and, at OptTier2, compile them, on one VM per tier leg, each against a
 // reference VM of its own (linkGuest.runOnce):
 //
 //	top: inst ; cmp eax, edi ; dec ebp ; jne top ; ud2
@@ -196,7 +196,7 @@ func (d *diffLoops) run(inst x86.Inst, data []byte) {
 		}
 		if v1.stats.Tier2Steps > before {
 			d.native++
-		} else if level == OptEager && nativeTier2() && tier1Only[u.Kind] == "" {
+		} else if level == OptTier2 && nativeTier2() && tier1Only[u.Kind] == "" {
 			t.Fatalf("%v: its loop never ran compiled", inst)
 		}
 	}
@@ -233,8 +233,8 @@ func diffCompare(t *testing.T, v1, v2 *VM, inst x86.Inst, trial int, skipFlags b
 // interpreter: odd trials follow the instruction with diffFollower, every
 // third runs it behind diffLead, and the trap, the state and the heap up
 // to brk must agree. Given loops, every fourth trial the reference ran
-// without a trap also runs the instruction in a hot loop on the
-// forced-hot legs.
+// without a trap also runs the instruction in a hot loop on the tier
+// legs.
 func diffTrials(t *testing.T, seed int64, n int, loops *diffLoops, gen func(rng *rand.Rand, v1, v2 *VM) x86.Inst) {
 	t.Helper()
 	for _, level := range OptLevels() {
@@ -455,7 +455,7 @@ func TestDiffXchgString(t *testing.T) {
 }
 
 // TestDiffTier1OnlyLoops runs every tier-1-only kind in a loop hot enough
-// to form a superblock, and at OptEager to be offered to the emitter,
+// to form a superblock, and at OptTier2 to be offered to the emitter,
 // which refuses it: the superblock then runs on the tier-1 loop, and the
 // whole run must be the reference's.
 func TestDiffTier1OnlyLoops(t *testing.T) {
@@ -565,18 +565,18 @@ func TestDiffQuietRMWFault(t *testing.T) {
 			g.resumes = 1
 		}
 		t.Run(c.name, func(t *testing.T) {
-			var eager *VM
+			var compiled *VM
 			g.runLinkedOn(t, func(t *testing.T, level OptLevel) *VM {
 				v := diffVMAt(t, level)
-				if level == OptEager {
-					eager = v
+				if level == OptTier2 {
+					compiled = v
 				}
 				return v
 			})
 			if !nativeTier2() {
 				return
 			}
-			for _, br := range eager.blocks {
+			for _, br := range compiled.blocks {
 				if sb := br.sb; sb != nil && sb.t2 != nil && slices.ContainsFunc(sb.b.uops, func(u uop.Uop) bool { return u.Kind == c.kind }) {
 					return
 				}
@@ -607,18 +607,18 @@ func TestDiffQuietRMWWriteFault(t *testing.T) {
 		noResume: true,
 		beside:   true,
 	}
-	var eager *VM
+	var compiled *VM
 	g.runLinkedOn(t, func(t *testing.T, level OptLevel) *VM {
 		v := diffVMAt(t, level)
-		if level == OptEager {
-			eager = v
+		if level == OptTier2 {
+			compiled = v
 		}
 		return v
 	})
 	if !nativeTier2() {
 		return
 	}
-	for _, br := range eager.blocks {
+	for _, br := range compiled.blocks {
 		if sb := br.sb; sb != nil && sb.t2 != nil && slices.ContainsFunc(sb.t2.Exits, func(x tier2.Exit) bool {
 			return x.Kind == tier2.ExitWriteFault && sb.b.uops[x.Uop].Kind == uop.KindAluMINF
 		}) {
@@ -804,8 +804,8 @@ func TestDiffFusedPairTraps(t *testing.T) {
 		}
 		a.emit(x86.Inst{Op: x86.UD2})
 		g := linkGuest{code: a.code, regs: tc.regs, fuel: 20000}
-		for _, level := range OptLevels() {
-			t.Run(tc.name+"/"+level.String(), func(t *testing.T) {
+		leg := func(name string, level OptLevel) {
+			t.Run(tc.name+"/"+name, func(t *testing.T) {
 				v1, v2 := diffVMAt(t, level), diffVM(t)
 				seed := [8]uint32{0x1234567, 0x89ABCDEF, 0xDEADBEEF, 0x0BADF00D, 0, 0, 0x600DCAFE, 0xFEEDFACE}
 				for run := 0; run < 2; run++ { // the second on what the first translated
@@ -816,6 +816,10 @@ func TestDiffFusedPairTraps(t *testing.T) {
 				}
 			})
 		}
+		for _, level := range OptLevels() {
+			leg(level.String(), level)
+		}
+		leg(eagerLeg, OptTier2)
 	}
 }
 
@@ -1294,7 +1298,7 @@ func TestSuperblockSnapshotReset(t *testing.T) {
 func TestDiffSoakMultiBlock(t *testing.T) { runDiffSoakMultiBlock(t, OptDefault) }
 
 // TestDiffSoakTier2Forced reruns the multi-block soak with the tier-2
-// engine forced to both extremes: every superblock promoted on first
+// engine pinned to both extremes: every superblock compiled on its first
 // entry and the tier disabled outright. The soak's exactness assertions
 // — trap EIP, steps==fuel accounting, registers, flags, memory image —
 // must hold identically in both, which is the wall that keeps compiled
@@ -1372,19 +1376,19 @@ func soakDiffPass(t *testing.T, v1 *VM, image []byte, regSeed int64) {
 	if steps != uint64(refSteps)+1 {
 		t.Errorf("steps accounting diverged: %d (uop) vs %d+1 (ref)", steps, refSteps)
 	}
-	// When the forced-hot wall is running, the comparison above
+	// When the tier-2 wall is running, the comparison above
 	// must actually have covered compiled traces — a soak that
 	// silently stayed on tier-1 would prove nothing. The one
 	// legitimate excuse: a seed whose every superblock holds a
 	// tier-1-only micro-op (tier1Only), which tier 2 never compiles.
-	if v1.level == OptEager && nativeTier2() && v1.stats.Tier2Executed == executed0 {
+	if v1.level == OptTier2 && nativeTier2() && v1.stats.Tier2Executed == executed0 {
 		for _, br := range v1.blocks {
 			if br.sb == nil {
 				continue
 			}
 			us := br.sb.b.uops
 			if i := slices.IndexFunc(us, func(u uop.Uop) bool { return tier1Only[u.Kind] != "" }); i < 0 {
-				t.Errorf("tier-2 forced hot but no compiled trace ran (%d compiled), "+
+				t.Errorf("tier 2 on but no compiled trace ran (%d compiled), "+
 					"yet superblock %#x holds no tier-1-only micro-op",
 					v1.Stats().Tier2Compiled, us[0].EIP)
 			} else {

@@ -58,7 +58,7 @@ func switchKinds(t *testing.T, file, fn string) (map[uop.Kind]bool, bool) {
 
 // tier1Only names the kinds the native emitter does not express, with
 // why: a trace holding one stays on the tier-1 dispatch loop. The
-// forced-hot walls excuse a superblock from compiling only for one of
+// tier-2 walls excuse a superblock from compiling only for one of
 // these.
 var tier1Only = func() map[uop.Kind]string {
 	const (

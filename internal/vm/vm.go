@@ -250,11 +250,8 @@ type VM struct {
 
 	// opt is the configured optimization level (Config.OptLevel, which
 	// snapshots carry) and level the one the VM runs at: opt itself, or
-	// the process default where opt is OptDefault. t2Hot is the
-	// superblock-entry count that triggers tier-2 compilation at that
-	// level.
+	// the process default where opt is OptDefault.
 	opt, level OptLevel
-	t2Hot      uint32
 	// links is the link table compiled traces leave through (m.Links
 	// points at its first slot): each native trace this VM holds owns a
 	// run of slots, starting at its superblock bref's linkBase, and
@@ -350,14 +347,13 @@ type bref struct {
 	// Tier-2 dispatch slot (superblock brefs only): the compiled trace
 	// for this superblock. It is either installed with the bref, from
 	// the snapshot record the superblock came from (t2Shared), or
-	// compiled by this VM once the entry count crosses the tier-2 heat
-	// threshold; on a superblock bref, heat counts entries toward that
-	// promotion. The slot is this VM's view only, while a native trace
-	// published on the snapshot (AbsorbBlocks) outlives the bref and
-	// comes back with the next Reset that rebuilds a view. linkBase is
-	// the index in the VM's link table of a native trace's first slot.
-	// Traces are never serialized; another process recompiles from the
-	// persisted superblock when it runs hot there.
+	// compiled by this VM on the superblock's first entry; a superblock
+	// bref counts no heat. The slot is this VM's view only, while a
+	// native trace published on the snapshot (AbsorbBlocks) outlives the
+	// bref and comes back with the next Reset that rebuilds a view.
+	// linkBase is the index in the VM's link table of a native trace's
+	// first slot. Traces are never serialized; another process
+	// recompiles from the persisted superblock on its first entry there.
 	t2       *tier2.Trace
 	linkBase int
 

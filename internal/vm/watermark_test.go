@@ -34,7 +34,7 @@ func TestResetDropsGrownHeap(t *testing.T) {
 		level OptLevel
 		heap  bool
 	}
-	legs := []leg{{"heap", OptTier2, true}}
+	legs := []leg{{"heap", OptTier2, true}, {eagerLeg, OptTier2, false}}
 	for _, level := range tier2Legs {
 		legs = append(legs, leg{level.String(), level, false})
 	}

@@ -87,13 +87,13 @@ const convergedAfter = 80
 // compiling traces and run at least 99.9% of each stream's instructions
 // in compiled code.
 func TestPooledStreamIsPureFunction(t *testing.T) {
-	// The tier is forced hot for the pooled and fresh legs whatever the
-	// CI leg says; the reference leg turns it off through its Config.
+	// The pooled and fresh legs run at tier 2 whatever the CI leg says;
+	// the reference leg turns it off through its Config.
 	resets := []int{1, 5, 50}
 	if testing.Short() {
 		resets = resets[:2]
 	}
-	cfg := vm.Config{MemSize: 64 << 20, OptLevel: vm.OptEager}
+	cfg := vm.Config{MemSize: 64 << 20, OptLevel: vm.OptTier2}
 	for _, c := range codec.All() {
 		c := c
 		if c.Encode == nil {

@@ -386,7 +386,7 @@ func manyLoopsSrc() string {
 func TestSnapCacheCountsCodeOnce(t *testing.T) {
 	elf := compile(t, manyLoopsSrc())
 	hash := HashELF(mustELF(t, elf))
-	c := NewSnapCache(SnapCacheConfig{VM: vm.Config{MemSize: 4 << 20, OptLevel: vm.OptEager}})
+	c := NewSnapCache(SnapCacheConfig{VM: vm.Config{MemSize: 4 << 20, OptLevel: vm.OptTier2}})
 	cacheStream(t, c, hash, 0644, 0, elf, []byte{200}, nil)
 	st := c.Stats()
 	if st.VM.Tier2Compiled == 0 {
